@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use dbcmp_sim::cache::Cache;
-use dbcmp_sim::{Machine, MachineConfig, RunMode};
+use dbcmp_sim::{MachineBuilder, MachineConfig, RunMode};
 use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 
 fn synthetic_bundle(threads: usize) -> TraceBundle {
@@ -32,30 +32,29 @@ fn bench_cores(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     let cycles = 200_000u64;
     g.throughput(Throughput::Elements(cycles));
-    g.bench_function("fat_cmp_4core_200k_cycles", |b| {
-        b.iter(|| {
-            black_box(Machine::run(
-                MachineConfig::fat_cmp(4, 4 << 20, 10),
-                &bundle,
-                RunMode::Throughput {
-                    warmup: 0,
-                    measure: cycles,
-                },
-            ))
-        })
-    });
-    g.bench_function("lean_cmp_4core_200k_cycles", |b| {
-        b.iter(|| {
-            black_box(Machine::run(
-                MachineConfig::lean_cmp(4, 4 << 20, 10),
-                &bundle,
-                RunMode::Throughput {
-                    warmup: 0,
-                    measure: cycles,
-                },
-            ))
-        })
-    });
+    let mode = RunMode::Throughput {
+        warmup: 0,
+        measure: cycles,
+    };
+    for (name, cfg) in [
+        (
+            "fat_cmp_4core_200k_cycles",
+            MachineConfig::fat_cmp(4, 4 << 20, 10),
+        ),
+        (
+            "lean_cmp_4core_200k_cycles",
+            MachineConfig::lean_cmp(4, 4 << 20, 10),
+        ),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let machine = MachineBuilder::from_config(cfg.clone(), mode)
+                    .build(&bundle)
+                    .expect("valid preset");
+                black_box(machine.execute())
+            })
+        });
+    }
     g.finish();
 }
 

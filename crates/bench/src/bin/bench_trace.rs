@@ -29,7 +29,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dbcmp_bench::trajectory::{TracePoint, Trajectory};
-use dbcmp_bench::{footer, header, scale_from_args};
+use dbcmp_bench::{footer, header, Cli};
 use dbcmp_core::{CapturedWorkload, WorkloadKind};
 use dbcmp_sim::cursor::TraceCursor;
 use dbcmp_trace::{CountingSink, Event, TraceBundle, TraceSummary, Tracer, SEGMENT_EVENTS};
@@ -44,24 +44,32 @@ const CONTENDED_HOT_PCT: u8 = 90;
 const MIN_MEASURE_SECS: f64 = 0.25;
 
 fn main() {
+    let cli = Cli::parse(
+        std::env::args().skip(1),
+        &["--quick", "--check", "--update"],
+    )
+    .and_then(|cli| match cli.positional.len() {
+        0 | 1 => Ok(cli),
+        _ => Err("at most one trajectory path".to_string()),
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: bench_trace [--quick] [--check | --update] [path]");
+        std::process::exit(2);
+    });
+    let check = cli.has("--check");
+    let update = cli.has("--update");
+    let path = cli
+        .positional
+        .first()
+        .cloned()
+        .unwrap_or_else(|| DEFAULT_PATH.to_string());
+    let scale = cli.scale();
+    let scale_label = if cli.has("--quick") { "quick" } else { "paper" };
     let start = header(
         "trace pipeline benchmark",
         "the harness itself, not a figure",
     );
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let update = args.iter().any(|a| a == "--update");
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| DEFAULT_PATH.to_string());
-    let scale = scale_from_args();
-    let scale_label = if args.iter().any(|a| a == "--quick") {
-        "quick"
-    } else {
-        "paper"
-    };
 
     println!("capturing fig7 OLTP workload at {scale_label} scale ...");
     let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);

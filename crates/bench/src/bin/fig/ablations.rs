@@ -10,12 +10,11 @@
 //! 4. **L2 banking** (the Fig. 8 queueing mechanism) — 1 vs 8 banks at 8
 //!    cores, OLTP.
 
-use dbcmp_bench::{footer, header, scale_from_args};
 use dbcmp_core::experiment::{run_throughput, RunSpec};
 use dbcmp_core::machines::{fc_cmp, L2Spec};
 use dbcmp_core::report::{f2, f3, pct, table};
 use dbcmp_core::taxonomy::WorkloadKind;
-use dbcmp_core::workload::CapturedWorkload;
+use dbcmp_core::workload::{CapturedWorkload, FigScale};
 use dbcmp_sim::CoreKind;
 use dbcmp_trace::{Event, TraceBundle, Tracer};
 
@@ -45,20 +44,15 @@ fn strip_dependences(bundle: &TraceBundle) -> TraceBundle {
     TraceBundle::new(bundle.regions.clone(), threads)
 }
 
-fn main() {
-    let t0 = header(
-        "Ablations: simulator design choices",
-        "DESIGN.md mechanisms",
-    );
-    let scale = scale_from_args();
+pub fn ablations(scale: &FigScale) {
     let spec = RunSpec {
         warmup: scale.warmup,
         measure: scale.measure,
         max_cycles: u64::MAX,
     };
 
-    let oltp = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let dss = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
+    let oltp = CapturedWorkload::saturated(WorkloadKind::Oltp, scale);
+    let dss = CapturedWorkload::saturated(WorkloadKind::Dss, scale);
 
     // 1. Stream buffers.
     println!("1. Instruction stream buffers (OLTP, FC CMP):");
@@ -131,7 +125,7 @@ fn main() {
 
     // 4. L2 banking at 8 cores.
     println!("4. L2 banking (OLTP, 8-core FC CMP) — the Fig. 8 pressure knob:");
-    let oltp_wide = CapturedWorkload::oltp(&scale, 16, scale.oltp_units);
+    let oltp_wide = CapturedWorkload::oltp(scale, 16, scale.oltp_units);
     let mut rows = Vec::new();
     for banks in [1usize, 2, 4, 8] {
         let mut cfg = fc_cmp(8, 16 << 20, L2Spec::Cacti);
@@ -148,5 +142,4 @@ fn main() {
         table(&["L2 banks", "UIPC", "Avg queue delay (cyc)"], &rows)
     );
     println!("   -> fewer banks, more correlated-miss queueing");
-    footer(t0);
 }

@@ -1,0 +1,451 @@
+//! Printers for the sweeps that extend the paper: contention and
+//! concurrency control (§5.2), asymmetric chips, cache islands, joins,
+//! shared-nothing deployments, and distributed joins over a network.
+
+use dbcmp_core::deploy::fig_deploy as deploy_points;
+use dbcmp_core::figures::{
+    cc_backend_label, fig_asym as asym_grid, fig_cc as cc_grid, fig_contention as contention_grid,
+    fig_islands as islands_grid, fig_joins as joins_run, ContendedCapture, JoinsCaptureStats,
+    BASE_CORES,
+};
+use dbcmp_core::network::{fig_network as network_points, network_presets, NETWORK_INSTANCES};
+use dbcmp_core::report::{f2, f3, four_components, pct, table};
+use dbcmp_core::FigScale;
+use dbcmp_sim::{CycleClass, SimResult};
+
+/// Fixed total capacity of `fig_islands`/`fig_deploy` (the Fig. 7 CMP
+/// budget: 4 x 4 MB).
+const TOTAL_L2: u64 = 16 << 20;
+
+/// The columns the island and join tables share, after their own
+/// leading label columns.
+const STALL_HEADERS: [&str; 7] = [
+    "UIPC",
+    "Comp",
+    "I-stalls",
+    "D-stalls",
+    "  of which coh.",
+    "Other",
+    "L2 miss%",
+];
+
+/// One result's [`STALL_HEADERS`] cells.
+fn stall_cells(res: &SimResult) -> [String; 7] {
+    let b = &res.breakdown;
+    let (c, i, d, o) = four_components(b);
+    let coherence = b.get(CycleClass::DStallCoherence) as f64 / b.total().max(1) as f64;
+    [
+        f3(res.uipc()),
+        pct(c),
+        pct(i),
+        pct(d),
+        pct(coherence),
+        pct(o),
+        f2(res.mem.per_level[0].miss_rate() * 100.0),
+    ]
+}
+
+/// The §5.2 contention sweep ([`dbcmp_core::figures::fig_contention`])
+/// at 0/30/60/90% hot-row skew.
+pub fn fig_contention(scale: &FigScale) {
+    let points = contention_grid(scale, &[0, 30, 60, 90]);
+
+    let mut rows = Vec::new();
+    for p in &points.rows {
+        let (smp, cmp) = (p.get(&"SMP"), p.get(&"CMP"));
+        rows.push(vec![
+            format!("{}%", p.key.hot_pct),
+            p.key.stats.lock_waits.to_string(),
+            p.key.stats.deadlock_aborts.to_string(),
+            f3(smp.cpi()),
+            pct(smp.breakdown.data_stall_fraction()),
+            f3(cmp.cpi()),
+            pct(cmp.breakdown.data_stall_fraction()),
+        ]);
+    }
+    print!(
+        "{}",
+        table(
+            &[
+                "Hot",
+                "Waits",
+                "Deadlocks",
+                "SMP CPI",
+                "SMP D-stall",
+                "CMP CPI",
+                "CMP D-stall",
+            ],
+            &rows
+        )
+    );
+    println!();
+
+    let first = points.rows.first().expect("sweep is nonempty");
+    let last = points.rows.last().expect("sweep is nonempty");
+    let growth = |machine: &'static str| {
+        last.get(&machine).breakdown.data_stall_fraction()
+            - first.get(&machine).breakdown.data_stall_fraction()
+    };
+    println!(
+        "D-stall share growth {}% -> {}% skew:  SMP {:+.1} pts, CMP {:+.1} pts",
+        first.key.hot_pct,
+        last.key.hot_pct,
+        growth("SMP") * 100.0,
+        growth("CMP") * 100.0
+    );
+    println!();
+    println!("Paper shape: contention shifts cycles into the coherence/shared-L2");
+    println!("buckets; the SMP pays off-chip latency for them, the CMP resolves");
+    println!("them on chip, so the SMP's D-stall share grows faster with skew.");
+}
+
+/// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]):
+/// three backends at 0/50/90% skew on the SMP / CMP / 2x2-island presets.
+pub fn fig_cc(scale: &FigScale) {
+    let skews = [0u8, 50, 90];
+    let points = cc_grid(scale, &skews);
+
+    let mut rows = Vec::new();
+    for p in &points.rows {
+        let ContendedCapture {
+            backend,
+            hot_pct,
+            stats,
+            cc,
+        } = p.key;
+        let (smp, cmp) = (p.get(&"SMP"), p.get(&"CMP"));
+        rows.push(vec![
+            cc_backend_label(backend).to_string(),
+            format!("{hot_pct}%"),
+            (stats.lock_waits + stats.ordering_waits).to_string(),
+            stats.deadlock_aborts.to_string(),
+            cc.remote_msgs.to_string(),
+            cc.fallback_conflicts.to_string(),
+            f3(smp.cpi()),
+            pct(smp.breakdown.data_stall_fraction()),
+            f3(cmp.cpi()),
+            pct(cmp.breakdown.data_stall_fraction()),
+            f3(p.get(&"ISLAND 2x2").cpi()),
+        ]);
+    }
+    print!(
+        "{}",
+        table(
+            &[
+                "CC",
+                "Hot",
+                "Parks",
+                "Deadlocks",
+                "RemoteMsgs",
+                "Fallbacks",
+                "SMP CPI",
+                "SMP D-stall",
+                "CMP CPI",
+                "CMP D-stall",
+                "ISL CPI",
+            ],
+            &rows
+        )
+    );
+    println!();
+
+    // Per-backend SMP-vs-CMP delta at the hottest skew point.
+    let hottest = *skews.last().expect("skews nonempty");
+    for p in points.rows.iter().filter(|p| p.key.hot_pct == hottest) {
+        println!(
+            "{:<6} skew={hottest}%:  SMP/CMP CPI ratio {:.3},  deadlock aborts {},  \
+             exec waits {},  ordering waits {}",
+            cc_backend_label(p.key.backend),
+            p.get(&"SMP").cpi() / p.get(&"CMP").cpi(),
+            p.key.stats.deadlock_aborts,
+            p.key.stats.lock_waits,
+            p.key.stats.ordering_waits,
+        );
+    }
+    println!();
+    println!("Shape: 2PL pays deadlock aborts and lock-queue waits; partitioning");
+    println!("converts lock-table sharing into explicit messages (priced by the");
+    println!("interconnect, worst on the SMP); ordered execution eliminates");
+    println!("deadlock aborts entirely and pays with pre-execution ordering waits.");
+}
+
+/// The asymmetric-CMP ratio sweep ([`dbcmp_core::figures::fig_asym`])
+/// over eight core slots.
+pub fn fig_asym(scale: &FigScale) {
+    const TOTAL_SLOTS: usize = 8;
+    for row in &asym_grid(scale, TOTAL_SLOTS).rows {
+        println!("\n-- {} (saturated, throughput mode) --", row.key.label());
+        let rows: Vec<Vec<String>> = row
+            .cells
+            .iter()
+            .map(|((fat, lean), res)| {
+                let (c, i, d, o) = four_components(&res.breakdown);
+                vec![
+                    format!("{fat}F + {lean}L"),
+                    f3(res.uipc()),
+                    f2(res.units_per_mcycle()),
+                    pct(c),
+                    pct(i),
+                    pct(d),
+                    pct(o),
+                ]
+            })
+            .collect();
+        print!(
+            "{}",
+            table(
+                &[
+                    "Slots",
+                    "UIPC",
+                    "Units/Mcyc",
+                    "Computation",
+                    "I-stalls",
+                    "D-stalls",
+                    "Other",
+                ],
+                &rows
+            )
+        );
+    }
+    println!();
+    println!("Shape: at the all-fat end data stalls dominate (exposed misses);");
+    println!("as lean slots replace fat ones the extra hardware contexts hide");
+    println!("the same misses and the computation share + throughput climb —");
+    println!("mixed chips land between the two pure camps.");
+}
+
+/// The cache-island sweep ([`dbcmp_core::figures::fig_islands`]) at
+/// Fig. 7's core count and total L2.
+pub fn fig_islands(scale: &FigScale) {
+    for row in &islands_grid(scale, BASE_CORES, TOTAL_L2).rows {
+        println!("\n-- {} (saturated, throughput mode) --", row.key.label());
+        let rows: Vec<Vec<String>> = row
+            .cells
+            .iter()
+            .map(|((clusters, cores_per_cluster), res)| {
+                let mut cells = vec![
+                    format!("{clusters}x{cores_per_cluster}"),
+                    format!("{} MB", (TOTAL_L2 / *clusters as u64) >> 20),
+                ];
+                cells.extend(stall_cells(res));
+                cells
+            })
+            .collect();
+        let mut headers = vec!["Islands", "L2/island"];
+        headers.extend(STALL_HEADERS);
+        print!("{}", table(&headers, &rows));
+    }
+    println!();
+    println!("Endpoints are exactly Fig. 7's presets: 1x4 is the shared-L2 CMP,");
+    println!("4x1 the private-L2 SMP. Moving right, islands get faster-but-");
+    println!("smaller caches, and the two workloads pay differently: OLTP's");
+    println!("hot shared structures turn into off-chip coherence (the coh.");
+    println!("column), while DSS never coheres but loses the pooled capacity");
+    println!("(L2 miss% climbs as the shared L2 fragments).");
+}
+
+fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
+    let share = |n: u64| pct(n as f64 / s.total_instrs.max(1) as f64);
+    vec![
+        tag.to_string(),
+        format!("{}", s.total_instrs),
+        share(s.hashjoin_instrs),
+        share(s.nlj_instrs),
+        share(s.btree_instrs),
+        format!("{:.1} MB", s.data_working_set as f64 / (1 << 20) as f64),
+    ]
+}
+
+/// Scan-mix vs join-heavy DSS ([`dbcmp_core::figures::fig_joins`]).
+pub fn fig_joins(scale: &FigScale) {
+    let run = joins_run(scale);
+
+    println!("-- capture attribution (where the instructions went) --");
+    print!(
+        "{}",
+        table(
+            &[
+                "capture",
+                "instrs",
+                "hash-join",
+                "nested-loop",
+                "btree-search",
+                "data WS",
+            ],
+            &[
+                attribution_row("scan DSS (Q1/Q6/Q13/Q16)", &run.scan),
+                attribution_row("join DSS (Q3/Q5)", &run.joins),
+            ],
+        )
+    );
+
+    for row in &run.grid.rows {
+        println!(
+            "\n-- {} (saturated, throughput mode) --",
+            if row.key {
+                "join-heavy DSS (Q3/Q5)"
+            } else {
+                "scan-mix DSS (paper's four queries)"
+            }
+        );
+        let rows: Vec<Vec<String>> = row
+            .cells
+            .iter()
+            .map(|(machine, res)| {
+                let mut cells = vec![machine.to_string()];
+                cells.extend(stall_cells(res));
+                cells
+            })
+            .collect();
+        let mut headers = vec!["Machine"];
+        headers.extend(STALL_HEADERS);
+        print!("{}", table(&headers, &rows));
+    }
+    println!();
+    println!("The scan rows on SMP/CMP are exactly Fig. 7's DSS numbers (same");
+    println!("captures, same presets). The join rows add the hash-table and");
+    println!("B+Tree working sets: pooled in the CMP's shared L2 they stay");
+    println!("on-chip, split into 2x4 MB islands (or 4x4 MB private SMP nodes)");
+    println!("they overflow — the L2 miss column is the tell.");
+}
+
+/// The shared-nothing deployment sweep ([`dbcmp_core::deploy`]) at
+/// Fig. 7's core count and total L2.
+pub fn fig_deploy(scale: &FigScale) {
+    /// Multi-partition transaction percentages swept.
+    const MULTI_PCTS: [u8; 3] = [0, 20, 60];
+    let points = deploy_points(scale, BASE_CORES, TOTAL_L2, &MULTI_PCTS);
+
+    for &multi_pct in &MULTI_PCTS {
+        println!("\n-- {multi_pct}% multi-warehouse transactions --");
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .filter(|p| p.multi_pct == multi_pct)
+            .map(|p| {
+                let cycles: u64 = p.per_instance.iter().map(|r| r.cycles).sum();
+                vec![
+                    format!("{}x{}c", p.instances, p.cores_per_instance),
+                    format!("{} MB", p.l2_per_instance >> 20),
+                    format!("{}", p.units),
+                    f3(p.uipc),
+                    format!("{}", p.stats.multi_remote_txns),
+                    format!("{}", p.remote.sends + p.remote.recvs),
+                    format!("{}", p.remote.bytes),
+                    pct(p.remote.stall_cycles as f64 / cycles.max(1) as f64),
+                ]
+            })
+            .collect();
+        print!(
+            "{}",
+            table(
+                &[
+                    "Deployment",
+                    "L2/inst",
+                    "Units",
+                    "UIPC*",
+                    "2-phase txns",
+                    "Messages",
+                    "Msg bytes",
+                    "Link stall%",
+                ],
+                &rows
+            )
+        );
+    }
+    println!();
+    println!("Units (committed work in identical measure windows) is the");
+    println!("throughput metric; UIPC* is diagnostic only — the captures differ");
+    println!("in per-transaction instruction counts by design (lock-table");
+    println!("contention surcharge, two-phase remote flavors).");
+    println!();
+    println!("1x4c is one shared-everything engine (Fig. 7's CMP chip); 4x1c is");
+    println!("shared-nothing, one engine per core. At 0% multi-warehouse work,");
+    println!("partitioning relieves the lock-table contention of one shared");
+    println!("engine — finer deployments never lose. As the multi-partition");
+    println!("share grows, every crossing pays two-phase NUMA-link messages");
+    println!("(Link stall%) plus cold remote lines, and the per-core deployment");
+    println!("falls below the island one — coarser instances absorb the same");
+    println!("transactions as local work.");
+}
+
+/// The distributed-join network sweep ([`dbcmp_core::network`]).
+pub fn fig_network(scale: &FigScale) {
+    let points = network_points(scale);
+
+    for (preset, link) in network_presets() {
+        println!(
+            "\n-- {preset} link ({} cycles one-way, {} B/cycle) --",
+            link.latency_cycles, link.bytes_per_cycle
+        );
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .filter(|p| p.preset == preset)
+            .map(|p| {
+                vec![
+                    format!("{}x4c", p.instances),
+                    format!("{}", p.units),
+                    format!("{:.1}", p.queries),
+                    f3(p.uipc),
+                    format!("{}", p.stats.shuffles),
+                    format!("{}", p.stats.broadcasts),
+                    format!("{}", p.remote.sends + p.remote.recvs),
+                    format!("{}", p.remote.bytes),
+                    pct(p.link_stall_share),
+                ]
+            })
+            .collect();
+        print!(
+            "{}",
+            table(
+                &[
+                    "Instances",
+                    "Units",
+                    "Queries",
+                    "UIPC*",
+                    "Shuffles",
+                    "Bcasts",
+                    "Messages",
+                    "Msg bytes",
+                    "Link stall%",
+                ],
+                &rows
+            )
+        );
+    }
+
+    // The headline: per link class, does scaling out help or hurt?
+    println!("\n-- bandwidth vs compute (queries at n instances / queries at 1) --");
+    let at = |preset: &str, n: usize| {
+        points
+            .iter()
+            .find(|p| p.preset == preset && p.instances == n)
+            .map_or(0.0, |p| p.queries)
+    };
+    let rows: Vec<Vec<String>> = network_presets()
+        .iter()
+        .map(|(preset, _)| {
+            let base = at(preset, 1).max(1.0);
+            let mut row = vec![preset.to_string()];
+            for n in NETWORK_INSTANCES {
+                row.push(format!("{:.2}x", at(preset, n) / base));
+            }
+            row
+        })
+        .collect();
+    print!(
+        "{}",
+        table(&["Link", "1 chip", "2 chips", "4 chips"], &rows)
+    );
+
+    println!();
+    println!("Every instance is a full Fig. 7 CMP chip (scale-out, not a split");
+    println!("budget), so the 1-chip row of every link class is the same replay");
+    println!("as fig_joins' join-flavor CMP point — zero remote traffic, the");
+    println!("link is irrelevant. Adding chips adds compute and cache but ships");
+    println!("every hash join's build (broadcast) or both sides (shuffle) as");
+    println!("value-sized rows over the link. Units counts per-instance");
+    println!("fragment completions; Queries (= units / n, each fragment covers");
+    println!("1/n of the data) is the cross-point throughput the crossover is");
+    println!("read from. UIPC* is diagnostic only (exchange instructions");
+    println!("inflate the distributed captures by design).");
+}

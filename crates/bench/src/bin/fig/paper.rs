@@ -1,0 +1,415 @@
+//! Printers for the paper's own table and figures (Table 1, Figs. 1-9).
+
+use dbcmp_cacti::{historic_latencies, historic_sizes, CactiModel};
+use dbcmp_core::figures::{
+    fig2_saturation as fig2_points, fig3_validation as fig3_run, fig45_quadrants, fig4_ratios,
+    fig6_cache_sweep, fig7_machines, fig7_smp_vs_cmp, fig8_core_scaling, fig9_staged as fig9_rows,
+};
+use dbcmp_core::report::{f2, f3, four_components, pct, table};
+use dbcmp_core::taxonomy::{table1, Camp, Saturation, WorkloadKind};
+use dbcmp_core::FigScale;
+use dbcmp_sim::{CycleClass, SimResult};
+
+/// The L2 sizes Fig. 1's model curve and Fig. 6's sweep share.
+fn l2_sizes() -> Vec<u64> {
+    [1u64, 2, 4, 8, 16, 21, 26]
+        .iter()
+        .map(|m| m << 20)
+        .collect()
+}
+
+/// Table 1: chip multiprocessor camp characteristics.
+pub fn table1_camps(_: &FigScale) {
+    let rows: Vec<Vec<String>> = table1()
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.characteristic.to_string(),
+                r.fat.to_string(),
+                r.lean.to_string(),
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        table(
+            &["Core Technology", "Fat Camp (FC)", "Lean Camp (LC)"],
+            &rows
+        )
+    );
+}
+
+/// Fig. 1: historic on-chip cache sizes (a) and hit latencies (b), plus
+/// the CACTI-lite model curve for the paper-era technology point.
+pub fn fig1_cache_trends(_: &FigScale) {
+    println!("(a) On-chip cache size by processor generation");
+    let rows: Vec<Vec<String>> = historic_sizes()
+        .iter()
+        .map(|p| {
+            vec![
+                p.year.to_string(),
+                p.processor.to_string(),
+                format!("{} KB", p.on_chip_kb),
+            ]
+        })
+        .collect();
+    print!("{}", table(&["Year", "Processor", "On-chip cache"], &rows));
+
+    println!("\n(b) L2/LLC hit latency by processor generation");
+    let rows: Vec<Vec<String>> = historic_latencies()
+        .iter()
+        .map(|p| {
+            vec![
+                p.year.to_string(),
+                p.processor.to_string(),
+                format!("{} cycles", p.hit_latency_cycles.unwrap()),
+            ]
+        })
+        .collect();
+    print!("{}", table(&["Year", "Processor", "Hit latency"], &rows));
+
+    println!("\nCACTI-lite model curve (65 nm, 3 GHz, 16-way):");
+    let rows: Vec<Vec<String>> = CactiModel::paper_era()
+        .sweep(&l2_sizes())
+        .into_iter()
+        .map(|r| {
+            vec![
+                format!("{} MB", r.org.size_bytes >> 20),
+                format!("{:.2} ns", r.latency_ns),
+                format!("{} cycles", r.latency_cycles),
+                format!("{:.1} mm^2", r.area_mm2),
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        table(&["L2 size", "Access time", "Latency", "Area"], &rows)
+    );
+}
+
+/// Fig. 2: throughput vs number of concurrent clients — the
+/// unsaturated→saturated transition (DSS queries on the FC CMP).
+pub fn fig2_saturation(scale: &FigScale) {
+    let pts = fig2_points(scale, &[1, 2, 4, 8, 16]);
+    let rows: Vec<Vec<String>> = pts
+        .iter()
+        .map(|&(n, t)| vec![n.to_string(), f2(t)])
+        .collect();
+    print!("{}", table(&["Clients", "Norm. throughput"], &rows));
+    println!();
+    println!(
+        "Shape check: throughput must rise with clients until the hardware \
+         contexts fill (4 FC cores), then flatten."
+    );
+}
+
+/// Fig. 3: simulator validation. The paper compares FLEXUS CPI against a
+/// real OpenPower 720; we compare against the independent closed-form CPI
+/// model (substitution documented in DESIGN.md).
+pub fn fig3_validation(scale: &FigScale) {
+    let (v, res) = fig3_run(scale);
+    let rows = [
+        ("Simulated", &v.simulated),
+        ("Analytic reference", &v.reference),
+    ]
+    .map(|(source, cpi)| {
+        vec![
+            source.to_string(),
+            f3(cpi.computation),
+            f3(cpi.i_stalls),
+            f3(cpi.d_stalls),
+            f3(cpi.other),
+            f3(cpi.total()),
+        ]
+    });
+    print!(
+        "{}",
+        table(
+            &[
+                "Source",
+                "Computation",
+                "I-stalls",
+                "D-stalls",
+                "Other",
+                "Total CPI"
+            ],
+            &rows
+        )
+    );
+    println!();
+    println!("Total CPI relative error: {:.1}%", v.total_error() * 100.0);
+    println!("(paper: FLEXUS within 5% of hardware; our closed form ignores");
+    println!(" queueing/burstiness, so a wider band is expected — see DESIGN.md)");
+    println!();
+    println!(
+        "Run: {} instrs over {} cycles, UIPC {:.3}",
+        res.instrs,
+        res.cycles,
+        res.uipc()
+    );
+}
+
+/// Fig. 4: (a) response time and (b) throughput of the LC CMP normalized
+/// to the FC CMP, for OLTP and DSS, unsaturated and saturated.
+pub fn fig4_camps(scale: &FigScale) {
+    let ratios = fig4_ratios(&fig45_quadrants(scale));
+    let rows: Vec<Vec<String>> = ratios
+        .iter()
+        .map(|&(w, rt, tp)| vec![w.label().to_string(), f2(rt), f2(tp)])
+        .collect();
+    print!(
+        "{}",
+        table(
+            &[
+                "Workload",
+                "LC/FC response time (unsat)",
+                "LC/FC throughput (sat)"
+            ],
+            &rows
+        )
+    );
+    println!();
+    println!("Paper shape: response-time ratio > 1 (FC wins single-thread; up to");
+    println!("~1.7x on DSS, smaller on OLTP); throughput ratio > 1 (LC wins");
+    println!("saturated, ~1.7x).");
+}
+
+/// Fig. 5: execution-time breakdown for all eight camp × workload ×
+/// saturation combinations on the baseline chip (26 MB shared L2).
+pub fn fig5_breakdown(scale: &FigScale) {
+    let quadrants = fig45_quadrants(scale);
+    let mut rows = Vec::new();
+    for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
+        for camp in [Camp::Fat, Camp::Lean] {
+            for saturation in [Saturation::Saturated, Saturation::Unsaturated] {
+                let b = &quadrants.get(&(workload, saturation), &camp).breakdown;
+                let (c, i, d, o) = four_components(b);
+                rows.push(vec![
+                    format!("{}/{}", camp.label(), workload.label()),
+                    saturation.label().to_string(),
+                    pct(c),
+                    pct(i),
+                    pct(d),
+                    pct(o),
+                    format!("{:.1}%", b.l2_hit_stall_fraction() * 100.0),
+                ]);
+            }
+        }
+    }
+    print!(
+        "{}",
+        table(
+            &[
+                "Config",
+                "Saturation",
+                "Computation",
+                "I-stalls",
+                "D-stalls",
+                "Other",
+                "(D-L2hit)"
+            ],
+            &rows
+        )
+    );
+    println!();
+    println!("Paper shape: data stalls dominate in 3 of 4 FC cases (46-64%);");
+    println!("saturated LC spends 76-80% on computation with <=13% data stalls.");
+}
+
+/// Fig. 6: effect of L2 cache size and latency — (a) throughput under
+/// fixed 4-cycle vs realistic CACTI latencies, (b)/(c) CPI contributions.
+pub fn fig6_cache_size(scale: &FigScale) {
+    let sizes = l2_sizes();
+    let points = fig6_cache_sweep(scale, &sizes);
+
+    for row in &points.rows {
+        println!("\n-- {} --", row.key.label());
+        // Normalize throughput to the 1 MB realistic point.
+        let base = row.get(&(sizes[0], false)).uipc();
+        let mut rows = Vec::new();
+        for &size in &sizes {
+            let fixed = row.get(&(size, true));
+            let real = row.get(&(size, false));
+            // Per-level counters from the topology walker: the fraction
+            // of demand traffic the L2 actually served at this size.
+            let l2 = real.mem.per_level[0];
+            rows.push(vec![
+                format!("{} MB", size >> 20),
+                f2(fixed.uipc() / base),
+                f2(real.uipc() / base),
+                f3(real.cpi_component(CycleClass::DStallL2Hit)),
+                f3(real.cpi_component(CycleClass::DStallL2Hit)
+                    + real.cpi_component(CycleClass::DStallMem)
+                    + real.cpi_component(CycleClass::DStallCoherence)),
+                f3(real.cpi()),
+                f2(l2.miss_rate() * 100.0),
+            ]);
+        }
+        print!(
+            "{}",
+            table(
+                &[
+                    "L2 size",
+                    "Thru (4-cyc)",
+                    "Thru (CACTI)",
+                    "CPI: L2-hit stalls",
+                    "CPI: all D-stalls",
+                    "CPI: total",
+                    "L2 miss%",
+                ],
+                &rows
+            )
+        );
+    }
+    println!();
+    println!("Paper shape: the fixed-latency curve keeps rising; the realistic");
+    println!("curve flattens and then falls (4->26 MB loses throughput); the");
+    println!("L2-hit CPI component grows to dominate, especially for DSS.");
+}
+
+/// Fig. 7: effect of chip multiprocessing — SMP with private L2s vs CMP
+/// with a shared L2, normalized CPI breakdowns.
+pub fn fig7_smp_cmp(scale: &FigScale) {
+    let results = fig7_smp_vs_cmp(scale);
+    let mut rows = Vec::new();
+    for r in &results.rows {
+        for (name, _) in fig7_machines() {
+            let res = r.get(&name);
+            let b = &res.breakdown;
+            let total = b.total().max(1) as f64;
+            rows.push(vec![
+                format!("{}/{}", r.key.label(), name),
+                f3(res.cpi()),
+                pct(b.compute_fraction()),
+                pct(b.instr_stall_fraction()),
+                pct(b.get(CycleClass::DStallL2Hit) as f64 / total),
+                pct(
+                    (b.get(CycleClass::DStallMem) + b.get(CycleClass::DStallCoherence)) as f64
+                        / total,
+                ),
+                pct(b.get(CycleClass::Other) as f64 / total),
+            ]);
+        }
+    }
+    print!(
+        "{}",
+        table(
+            &["Config", "CPI", "Comp", "I-stalls", "L2-hit", "Other-D", "Other"],
+            &rows
+        )
+    );
+    println!();
+    for r in &results.rows {
+        let (smp, cmp) = (r.get(&"SMP"), r.get(&"CMP"));
+        let smp_share = smp.breakdown.l2_hit_stall_fraction();
+        let cmp_share = cmp.breakdown.l2_hit_stall_fraction();
+        println!(
+            "{}: L2-hit stall share grows {:.1}% -> {:.1}% ({:.1}x); CPI {:.2} -> {:.2}",
+            r.key.label(),
+            smp_share * 100.0,
+            cmp_share * 100.0,
+            cmp_share / smp_share.max(1e-9),
+            smp.cpi(),
+            cmp.cpi(),
+        );
+        // Per-level attribution from the topology walker: where the
+        // demand traffic was actually served.
+        let l2 = |res: &SimResult| res.mem.per_level[0];
+        println!(
+            "    L2 traffic: SMP {} hits / {} misses ({} coherence transfers); \
+             CMP {} hits / {} misses",
+            l2(smp).hits_data + l2(smp).hits_instr,
+            l2(smp).misses_data + l2(smp).misses_instr,
+            smp.mem.coherence_transfers,
+            l2(cmp).hits_data + l2(cmp).hits_instr,
+            l2(cmp).misses_data + l2(cmp).misses_instr,
+        );
+    }
+    println!();
+    println!("Paper shape: CMP CPI < SMP CPI (coherence misses become on-chip");
+    println!("hits), with the L2-hit component growing ~7x. The fig_islands");
+    println!("binary joins these two presets as the endpoints of one island");
+    println!("continuum at fixed total capacity.");
+}
+
+/// Fig. 8: effect of on-chip core count on throughput (FC CMP, 16 MB
+/// shared L2), against the linear-speedup reference. Also the acceptance
+/// benchmark for the parallel sweep runner: the same sweep runs fanned
+/// out and sequentially, asserts byte-identical results, and reports
+/// both wall-clock times.
+pub fn fig8_core_count(scale: &FigScale) {
+    let run = fig8_core_scaling(scale, &[4, 8, 12, 16]);
+    for (workload, pts) in &run.series {
+        println!("\n-- {} --", workload.label());
+        let rows: Vec<Vec<String>> = pts
+            .iter()
+            .map(|&(n, got, linear)| vec![n.to_string(), f2(got), f2(linear), f2(got / linear)])
+            .collect();
+        print!(
+            "{}",
+            table(
+                &["Cores", "Norm. throughput", "Linear ref", "Efficiency"],
+                &rows
+            )
+        );
+    }
+    // Wall-clock record goes to stderr: stdout stays byte-identical
+    // across runs (the determinism contract the verify workflow diffs).
+    eprintln!();
+    eprintln!(
+        "Sweep runner: parallel {:.2} s ({} worker{}) vs sequential {:.2} s \
+         ({:.2}x) — results byte-identical (asserted).",
+        run.parallel.as_secs_f64(),
+        run.workers,
+        if run.workers == 1 { "" } else { "s" },
+        run.sequential.as_secs_f64(),
+        run.sequential.as_secs_f64() / run.parallel.as_secs_f64().max(1e-9),
+    );
+    if run.workers == 1 {
+        eprintln!("(single-CPU host: the runner degrades to the sequential path;");
+        eprintln!(" expect ~min(CPUs, points)x on a multi-core machine)");
+    }
+    println!();
+    println!("Paper shape: DSS slightly superlinear at 8 cores (sharing), OLTP");
+    println!("sublinear at 16 cores (~74% of linear) due to L2 pressure, not");
+    println!("miss rate.");
+}
+
+/// §6 ablation (not a numbered paper figure): staged vs conventional
+/// execution — the "parallelism and locality" opportunities
+/// operationalized.
+pub fn fig9_staged(scale: &FigScale) {
+    let results = fig9_rows(scale);
+    let base_lc = results[0].response_lc;
+    let base_fc = results[0].response_fc;
+    let base_instr = results[0].instrs_per_query;
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.policy.to_string(),
+                f2(base_lc / r.response_lc),
+                f2(base_fc / r.response_fc),
+                f2(base_instr / r.instrs_per_query),
+                format!("{:.2}%", r.l1d_miss_rate * 100.0),
+            ]
+        })
+        .collect();
+    print!(
+        "{}",
+        table(
+            &[
+                "Policy",
+                "LC speedup (response)",
+                "FC speedup (response)",
+                "Instr. reduction",
+                "L1D miss rate",
+            ],
+            &rows
+        )
+    );
+    println!();
+    println!("Expected shape: cohort staging cuts instructions per query (call");
+    println!("overhead amortized); pipeline parallelism cuts unsaturated");
+    println!("response time — most on the context-rich LC chip (paper §6.1).");
+}

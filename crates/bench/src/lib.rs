@@ -1,40 +1,22 @@
-//! Benchmark harness support: argument parsing shared by the per-figure
-//! binaries.
+//! Benchmark harness support: strict argument parsing and the
+//! header/footer shared by the harness binaries.
 //!
-//! Every paper table/figure has a binary in `src/bin/` that regenerates
-//! it:
-//!
-//! | artifact | binary |
-//! |---|---|
-//! | Table 1 | `table1_camps` |
-//! | Fig. 1  | `fig1_cache_trends` |
-//! | Fig. 2  | `fig2_saturation` |
-//! | Fig. 3  | `fig3_validation` |
-//! | Fig. 4  | `fig4_camps` |
-//! | Fig. 5  | `fig5_breakdown` |
-//! | Fig. 6  | `fig6_cache_size` |
-//! | Fig. 7  | `fig7_smp_cmp` |
-//! | Fig. 8  | `fig8_core_count` |
-//! | §6 ablation | `fig9_staged` |
-//! | §5.2 contention sweep (extension) | `fig_contention` |
-//! | asymmetric-CMP ratio sweep (extension) | `fig_asym` |
-//! | cache-topology island sweep (extension) | `fig_islands` |
-//! | scan-vs-join DSS sweep (extension) | `fig_joins` |
-//! | shared-nothing deployment sweep (extension) | `fig_deploy` |
-//! | concurrency-control backend sweep (extension) | `fig_cc` |
-//! | distributed-join network sweep (extension) | `fig_network` |
-//!
-//! Run with `--quick` for a fast, smaller-scale pass (same code paths).
-//! The simulation points inside each binary fan out over OS threads via
-//! `dbcmp_core::experiment::Sweep` (results are byte-identical to a
-//! sequential run; `fig8_core_count` prints both wall-clock times).
+//! Every paper table/figure and every extension sweep is a row of the
+//! `fig` binary's registry (`src/bin/fig/main.rs`):
+//! `cargo run --release --bin fig -- --list` prints them, and
+//! `fig <name> [--quick]` regenerates one (`--quick` is a fast,
+//! smaller-scale pass over the same code paths). The simulation points
+//! inside each figure fan out over OS threads via
+//! `dbcmp_core::experiment::grid` (results are byte-identical to a
+//! sequential run; `fig fig8_core_count` prints both wall-clock times).
 //! Criterion microbenchmarks of the substrates live in `benches/`.
 //!
-//! Two harness-performance binaries maintain the recorded perf
-//! trajectory of the trace pipeline itself (ISSUE 6): `bench_trace`
-//! measures capture/replay throughput and maintains `BENCH_trace.json`
-//! (see [`trajectory`]), and `bench_diff` prints the delta between the
-//! two most recent trajectory points.
+//! Three harness-performance binaries keep the performance record:
+//! `bench_pipeline` times the whole pipeline end to end and layer by
+//! layer (see its README and `BENCHMARK.json`), `bench_trace` measures
+//! capture/replay throughput and maintains `BENCH_trace.json` (see
+//! [`trajectory`]), and `bench_diff` prints the delta between the two
+//! most recent trajectory points.
 
 #![forbid(unsafe_code)]
 // crates/bench is the wall-clock layer; rule D2 exempts it.
@@ -43,12 +25,48 @@ pub mod trajectory;
 
 use dbcmp_core::FigScale;
 
-/// Parse harness CLI args: `--quick` selects the test scale.
-pub fn scale_from_args() -> FigScale {
-    if std::env::args().any(|a| a == "--quick") {
-        FigScale::quick()
-    } else {
-        FigScale::paper()
+/// A harness command line, parsed strictly: every `--flag` must be one
+/// the binary declares, so a typo (`--quikc`) is an error instead of a
+/// silent paper-scale run.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Cli {
+    flags: Vec<String>,
+    /// Arguments that do not start with `--`, in order.
+    pub positional: Vec<String>,
+}
+
+impl Cli {
+    /// Split `args` (without the program name) into flags and
+    /// positionals, rejecting any flag not in `known`.
+    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Cli, String> {
+        let mut cli = Cli {
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        for arg in args {
+            if !arg.starts_with("--") {
+                cli.positional.push(arg);
+            } else if known.contains(&arg.as_str()) {
+                cli.flags.push(arg);
+            } else {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(cli)
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f == flag)
+    }
+
+    /// `--quick` selects the test scale; the default is paper scale.
+    pub fn scale(&self) -> FigScale {
+        if self.has("--quick") {
+            FigScale::quick()
+        } else {
+            FigScale::paper()
+        }
     }
 }
 
@@ -74,11 +92,25 @@ pub fn footer(start: std::time::Instant) {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|a| a.to_string()), &["--quick", "--list"])
+    }
+
     #[test]
     fn default_scale_is_paper() {
-        // No --quick in the test harness args (cargo passes test names
-        // only).
-        let s = scale_from_args();
-        assert!(s.oltp_clients >= FigScale::quick().oltp_clients);
+        let paper = parse(&["fig7_smp_cmp"]).expect("no flags is valid");
+        assert_eq!(paper.positional, ["fig7_smp_cmp"]);
+        assert!(paper.scale().oltp_clients > FigScale::quick().oltp_clients);
+        let quick = parse(&["--quick", "fig7_smp_cmp"]).expect("known flag");
+        assert_eq!(quick.scale().oltp_clients, FigScale::quick().oltp_clients);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(
+            parse(&["fig7_smp_cmp", "--quikc"]),
+            Err("unknown flag `--quikc`".to_string())
+        );
+        assert!(parse(&["--list"]).expect("known flag").has("--list"));
     }
 }

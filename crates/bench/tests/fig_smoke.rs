@@ -1,22 +1,21 @@
-//! Smoke tests: every `fig*`/`table1`/`ablations` binary's underlying
-//! generator runs to completion at `FigScale::quick()` and returns
-//! plausibly-shaped data.
+//! Smoke tests: the generator behind every `fig` subcommand runs to
+//! completion at `FigScale::quick()` and returns plausibly-shaped data.
 //!
-//! The binaries themselves are thin printers over `dbcmp_core::figures`
-//! (and `dbcmp_cacti` for Fig. 1); exercising the generators here means a
+//! The `fig` binary is a thin printer over `dbcmp_core::figures` (and
+//! `dbcmp_cacti` for Fig. 1); exercising the generators here means a
 //! broken figure pipeline fails `cargo test` instead of rotting silently
 //! until someone regenerates the paper artifacts.
 
 use dbcmp_cacti::{historic_latencies, historic_sizes, CacheOrg, CactiModel};
 use dbcmp_core::deploy::{deploy_capture, fig_deploy};
-use dbcmp_core::experiment::{run_throughput, RunSpec};
+use dbcmp_core::experiment::run_throughput;
 use dbcmp_core::figures::{
     fig2_saturation, fig3_validation, fig45_quadrants, fig4_ratios, fig6_cache_sweep,
-    fig7_smp_vs_cmp, fig8_core_scaling, fig8_core_scaling_timed, fig9_staged, fig_asym, fig_cc,
-    fig_contention, fig_islands, fig_joins, joins_machines, BASE_CORES, BASE_L2,
+    fig7_smp_vs_cmp, fig8_core_scaling, fig9_staged, fig_asym, fig_cc, fig_contention, fig_islands,
+    fig_joins, joins_machines, spec_of, BASE_CORES, BASE_L2,
 };
 use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, smp_baseline, L2Spec};
-use dbcmp_core::taxonomy::{table1, Camp, WorkloadKind};
+use dbcmp_core::taxonomy::{table1, Camp, Saturation, WorkloadKind};
 use dbcmp_core::workload::{CapturedWorkload, FigScale};
 use dbcmp_engine::CcBackend;
 use dbcmp_sim::SimResult;
@@ -57,8 +56,16 @@ fn fig3_validation_quick() {
 fn fig4_and_fig5_quadrants() {
     let scale = FigScale::quick();
     let quadrants = fig45_quadrants(&scale);
-    assert_eq!(quadrants.len(), 8, "2 camps x 2 workloads x 2 saturations");
-    assert!(quadrants.iter().all(|q| q.result.cycles > 0));
+    let cells: Vec<_> = quadrants.rows.iter().flat_map(|r| &r.cells).collect();
+    assert_eq!(cells.len(), 8, "2 camps x 2 workloads x 2 saturations");
+    assert!(cells.iter().all(|(_, result)| result.cycles > 0));
+    assert!(
+        quadrants
+            .get(&(WorkloadKind::Oltp, Saturation::Unsaturated), &Camp::Lean)
+            .avg_unit_cycles
+            .is_some(),
+        "unsaturated rows run to completion"
+    );
     let ratios = fig4_ratios(&quadrants);
     assert_eq!(ratios.len(), 2);
     for (_, rt_ratio, tp_ratio) in ratios {
@@ -71,24 +78,25 @@ fn fig4_and_fig5_quadrants() {
 fn fig6_cache_sweep_quick() {
     let scale = FigScale::quick();
     let pts = fig6_cache_sweep(&scale, &[1 << 20, 26 << 20]);
-    assert_eq!(pts.len(), 8, "2 workloads x 2 sizes x {{fixed, cacti}}");
-    assert!(pts.iter().all(|p| p.result.cycles > 0));
+    let cells: Vec<_> = pts.rows.iter().flat_map(|r| &r.cells).collect();
+    assert_eq!(cells.len(), 8, "2 workloads x 2 sizes x {{fixed, cacti}}");
+    assert!(cells.iter().all(|(_, result)| result.cycles > 0));
 }
 
 #[test]
 fn fig7_smp_vs_cmp_quick() {
     let scale = FigScale::quick();
     let rows = fig7_smp_vs_cmp(&scale);
-    assert_eq!(rows.len(), 2);
-    for r in rows {
-        assert!(r.smp.cycles > 0 && r.cmp.cycles > 0);
+    assert_eq!(rows.rows.len(), 2);
+    for r in &rows.rows {
+        assert!(r.get(&"SMP").cycles > 0 && r.get(&"CMP").cycles > 0);
     }
 }
 
 #[test]
 fn fig8_core_scaling_quick() {
     let scale = FigScale::quick();
-    let series = fig8_core_scaling(&scale, &[1, 2]);
+    let series = fig8_core_scaling(&scale, &[1, 2]).series;
     assert_eq!(series.len(), 2);
     for (_, pts) in series {
         assert_eq!(pts.len(), 2);
@@ -118,22 +126,22 @@ fn fig9_staged_quick() {
 #[test]
 fn fig_contention_quick() {
     let scale = FigScale::quick();
-    let points = fig_contention(&scale, &[0, 90]);
+    let points = fig_contention(&scale, &[0, 90]).rows;
     assert_eq!(points.len(), 2);
     for p in &points {
-        assert!(p.smp.cycles > 0 && p.cmp.cycles > 0);
+        assert!(p.get(&"SMP").cycles > 0 && p.get(&"CMP").cycles > 0);
         assert!(
-            p.stats.lock_waits > 0,
+            p.key.stats.lock_waits > 0,
             "interleaved clients must contend even unskewed: {:?}",
-            p.stats
+            p.key.stats
         );
         assert_eq!(
-            p.stats.commits + p.stats.rollbacks,
+            p.key.stats.commits + p.key.stats.rollbacks,
             (scale.contention_clients * scale.contention_units) as u64,
             "every client must complete its units"
         );
     }
-    let hi = &points[1];
+    let hi = &points[1].key;
     assert!(
         hi.stats.deadlock_aborts > 0,
         "high skew must resolve at least one deadlock: {:?}",
@@ -142,8 +150,8 @@ fn fig_contention_quick() {
     let growth = |a: &dbcmp_sim::SimResult, b: &dbcmp_sim::SimResult| {
         b.breakdown.data_stall_fraction() - a.breakdown.data_stall_fraction()
     };
-    let smp_growth = growth(&points[0].smp, &points[1].smp);
-    let cmp_growth = growth(&points[0].cmp, &points[1].cmp);
+    let smp_growth = growth(points[0].get(&"SMP"), points[1].get(&"SMP"));
+    let cmp_growth = growth(points[0].get(&"CMP"), points[1].get(&"CMP"));
     assert!(
         smp_growth > cmp_growth,
         "skew must push the SMP's D-stall share up relative to the CMP's: \
@@ -161,38 +169,40 @@ fn fig_contention_quick() {
 fn fig_cc_quick() {
     let scale = FigScale::quick();
     let skews = [0u8, 90];
-    let points = fig_cc(&scale, &skews);
+    let points = fig_cc(&scale, &skews).rows;
     assert_eq!(points.len(), 3 * 2, "3 backends x 2 skews");
     for p in &points {
-        assert!(p.smp.cycles > 0 && p.cmp.cycles > 0 && p.island.cycles > 0);
+        assert!(
+            p.get(&"SMP").cycles > 0 && p.get(&"CMP").cycles > 0 && p.get(&"ISLAND 2x2").cycles > 0
+        );
         assert_eq!(
-            p.stats.commits + p.stats.rollbacks,
+            p.key.stats.commits + p.key.stats.rollbacks,
             (scale.contention_clients * scale.contention_units) as u64,
             "{:?} skew={}: every client must complete its units",
-            p.backend,
-            p.hot_pct,
+            p.key.backend,
+            p.key.hot_pct,
         );
-        assert_eq!(p.stats.starved_units, 0);
+        assert_eq!(p.key.stats.starved_units, 0);
     }
     let find = |b: CcBackend, hot: u8| {
         points
             .iter()
-            .find(|p| p.backend == b && p.hot_pct == hot)
+            .find(|p| p.key.backend == b && p.key.hot_pct == hot)
             .expect("point present")
     };
 
     // Anchor: Centralized2PL through the trait seam is byte-identical to
     // the pre-refactor pipeline — same capture, same replay numbers.
-    let reference = fig_contention(&scale, &skews);
+    let reference = fig_contention(&scale, &skews).rows;
     for (i, &hot) in skews.iter().enumerate() {
         let anchor = find(CcBackend::Centralized2PL, hot);
         assert_eq!(
-            anchor.stats, reference[i].stats,
+            anchor.key.stats, reference[i].key.stats,
             "2PL capture stats must match fig_contention at skew {hot}"
         );
         assert!(
-            same_numbers(&anchor.smp, &reference[i].smp)
-                && same_numbers(&anchor.cmp, &reference[i].cmp),
+            same_numbers(anchor.get(&"SMP"), reference[i].get(&"SMP"))
+                && same_numbers(anchor.get(&"CMP"), reference[i].get(&"CMP")),
             "2PL replay numbers must match fig_contention at skew {hot}"
         );
     }
@@ -200,7 +210,11 @@ fn fig_cc_quick() {
     // The §5.2-ext contrast at high skew: the anchor pays deadlock
     // aborts, the alternatives structurally cannot.
     assert!(
-        find(CcBackend::Centralized2PL, 90).stats.deadlock_aborts > 0,
+        find(CcBackend::Centralized2PL, 90)
+            .key
+            .stats
+            .deadlock_aborts
+            > 0,
         "2PL at 90% skew must resolve at least one deadlock"
     );
     for b in [
@@ -208,7 +222,7 @@ fn fig_cc_quick() {
         CcBackend::DeterministicOrdered,
     ] {
         for &hot in &skews {
-            let p = find(b, hot);
+            let p = find(b, hot).key;
             assert_eq!(
                 p.stats.deadlock_aborts, 0,
                 "{b:?} must be deadlock-free at skew {hot}"
@@ -219,7 +233,7 @@ fn fig_cc_quick() {
 
     // Partitioned: cross-partition lock traffic becomes priced messages.
     for &hot in &skews {
-        let p = find(CcBackend::PartitionedPerCore, hot);
+        let p = find(CcBackend::PartitionedPerCore, hot).key;
         assert!(
             p.cc.remote_msgs > 0 && p.cc.remote_bytes == 32 * p.cc.remote_msgs,
             "partitioned must send priced cross-partition messages: {:?}",
@@ -228,7 +242,7 @@ fn fig_cc_quick() {
     }
 
     // Ordered: conflict cost moves to pre-execution ordering waits.
-    let ord = find(CcBackend::DeterministicOrdered, 90);
+    let ord = find(CcBackend::DeterministicOrdered, 90).key;
     assert!(
         ord.cc.ordering_waits > 0 && ord.stats.ordering_waits > 0,
         "ordered at 90% skew must park in the ordering queue: {:?}",
@@ -240,13 +254,13 @@ fn fig_cc_quick() {
     );
 }
 
-/// The timed fig8 variant (what the binary runs): parallel and
-/// sequential sweeps of the same points must agree — the assertion lives
-/// inside the generator; here we check it runs and reports both clocks.
+/// Fig. 8's parallel and sequential sweeps of the same points must
+/// agree — the assertion lives inside the generator; here we check it
+/// runs and reports both clocks.
 #[test]
 fn fig8_timed_parallel_equals_sequential() {
     let scale = FigScale::quick();
-    let run = fig8_core_scaling_timed(&scale, &[1, 2]);
+    let run = fig8_core_scaling(&scale, &[1, 2]);
     assert_eq!(run.series.len(), 2);
     assert!(run.parallel.as_nanos() > 0 && run.sequential.as_nanos() > 0);
 }
@@ -267,27 +281,28 @@ fn fig_asym_quick() {
     let scale = FigScale::quick();
     let total = 4;
     let points = fig_asym(&scale, total);
-    assert_eq!(points.len(), 2 * 3, "2 workloads x {{4F, 2F+2L, 0F}}");
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    assert_eq!(
+        points.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
+        2 * 3,
+        "2 workloads x {{4F, 2F+2L, 0F}}"
+    );
+    let spec = spec_of(&scale);
     // Rebuild the sweep's captures (deterministic: same seed, same
     // client count) to run the homogeneous reference presets.
     let max_ctx = asym_cmp(0, total, BASE_L2, L2Spec::Cacti).total_contexts();
     for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
-        let w = match workload {
-            WorkloadKind::Oltp => {
-                CapturedWorkload::oltp(&scale, max_ctx.max(scale.oltp_clients), scale.oltp_units)
-            }
-            WorkloadKind::Dss => {
-                CapturedWorkload::dss(&scale, max_ctx.max(scale.dss_clients), scale.dss_units)
-            }
-        };
-        let pts: Vec<_> = points.iter().filter(|p| p.workload == workload).collect();
-        let all_fat = pts.iter().find(|p| p.lean_slots == 0).expect("pure fat");
-        let all_lean = pts.iter().find(|p| p.fat_slots == 0).expect("pure lean");
+        let w = CapturedWorkload::saturating(workload, &scale, max_ctx);
+        let pts = &points.row(&workload).cells;
+        let all_fat = pts
+            .iter()
+            .find(|((_, lean), _)| *lean == 0)
+            .map(|(_, result)| result)
+            .expect("pure fat");
+        let all_lean = pts
+            .iter()
+            .find(|((fat, _), _)| *fat == 0)
+            .map(|(_, result)| result)
+            .expect("pure lean");
         for (point, camp) in [(all_fat, Camp::Fat), (all_lean, Camp::Lean)] {
             let reference = run_throughput(
                 cmp_for(camp, total, BASE_L2, L2Spec::Cacti),
@@ -295,7 +310,7 @@ fn fig_asym_quick() {
                 spec,
             );
             assert!(
-                same_numbers(&point.result, &reference),
+                same_numbers(point, &reference),
                 "{} pure {:?} endpoint must equal the homogeneous preset",
                 workload.label(),
                 camp,
@@ -304,17 +319,15 @@ fn fig_asym_quick() {
         // Mixed machines land between the pure camps (small tolerance:
         // the blend is not required to be exactly monotonic).
         let (lo, hi) = {
-            let (a, b) = (all_fat.result.uipc(), all_lean.result.uipc());
+            let (a, b) = (all_fat.uipc(), all_lean.uipc());
             (a.min(b), a.max(b))
         };
-        for p in pts.iter().filter(|p| p.fat_slots > 0 && p.lean_slots > 0) {
-            let u = p.result.uipc();
+        for ((fat, lean), result) in pts.iter().filter(|((f, l), _)| *f > 0 && *l > 0) {
+            let u = result.uipc();
             assert!(
                 u >= lo * 0.9 && u <= hi * 1.1,
-                "{} {}F+{}L UIPC {u:.3} outside [{lo:.3}, {hi:.3}] band",
+                "{} {fat}F+{lean}L UIPC {u:.3} outside [{lo:.3}, {hi:.3}] band",
                 workload.label(),
-                p.fat_slots,
-                p.lean_slots,
             );
         }
     }
@@ -329,25 +342,22 @@ fn fig_islands_quick() {
     let scale = FigScale::quick();
     let total = 16u64 << 20;
     let points = fig_islands(&scale, BASE_CORES, total);
-    assert_eq!(points.len(), 2 * 3, "2 workloads x {{1x4, 2x2, 4x1}}");
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    assert_eq!(
+        points.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
+        2 * 3,
+        "2 workloads x {{1x4, 2x2, 4x1}}"
+    );
+    let spec = spec_of(&scale);
     for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
         // Deterministic captures: same seed + client count as the sweep.
         let w = CapturedWorkload::saturated(workload, &scale);
-        let pts: Vec<_> = points.iter().filter(|p| p.workload == workload).collect();
-        let shared = pts.iter().find(|p| p.clusters == 1).expect("1x4 endpoint");
-        let private = pts
-            .iter()
-            .find(|p| p.cores_per_cluster == 1)
-            .expect("4x1 endpoint");
+        let row = points.row(&workload);
+        let shared = row.get(&(1, BASE_CORES));
+        let private = row.get(&(BASE_CORES, 1));
         // Endpoint ≡ Fig. 7 CMP preset (shared 16 MB L2).
         let cmp_ref = run_throughput(fc_cmp(BASE_CORES, total, L2Spec::Cacti), &w.bundle, spec);
         assert!(
-            same_numbers(&shared.result, &cmp_ref),
+            same_numbers(shared, &cmp_ref),
             "{}: one chip-spanning island must equal the shared-L2 CMP preset",
             workload.label()
         );
@@ -358,35 +368,32 @@ fn fig_islands_quick() {
             spec,
         );
         assert!(
-            same_numbers(&private.result, &smp_ref),
+            same_numbers(private, &smp_ref),
             "{}: one-core islands must equal the SMP preset",
             workload.label()
         );
         // The shared chip is one coherence realm; partitioned chips snoop.
-        assert_eq!(shared.result.mem.coherence_transfers, 0);
+        assert_eq!(shared.mem.coherence_transfers, 0);
         // Mid-points land between the endpoints (small tolerance: the
         // blend is not required to be exactly monotonic).
         let (lo, hi) = {
-            let (a, b) = (shared.result.uipc(), private.result.uipc());
+            let (a, b) = (shared.uipc(), private.uipc());
             (a.min(b), a.max(b))
         };
-        for p in pts
-            .iter()
-            .filter(|p| p.clusters > 1 && p.cores_per_cluster > 1)
+        for ((clusters, per_cluster), result) in
+            row.cells.iter().filter(|((c, k), _)| *c > 1 && *k > 1)
         {
-            let u = p.result.uipc();
+            let u = result.uipc();
             assert!(
                 u >= lo * 0.9 && u <= hi * 1.1,
-                "{} {}x{} UIPC {u:.3} outside [{lo:.3}, {hi:.3}] band",
+                "{} {clusters}x{per_cluster} UIPC {u:.3} outside [{lo:.3}, {hi:.3}] band",
                 workload.label(),
-                p.clusters,
-                p.cores_per_cluster,
             );
         }
         // Per-level counters flow through: every point records L2 traffic.
-        for p in &pts {
-            assert_eq!(p.result.mem.per_level.len(), 1);
-            assert!(p.result.mem.per_level[0].accesses() > 0);
+        for (_, result) in &row.cells {
+            assert_eq!(result.mem.per_level.len(), 1);
+            assert!(result.mem.per_level[0].accesses() > 0);
         }
     }
     // At quick scale (small working sets, hot shared structures) OLTP's
@@ -395,14 +402,8 @@ fn fig_islands_quick() {
     // (At paper scale DSS's capacity sensitivity grows; EXPERIMENTS.md
     // records both shapes.)
     let drop = |w: WorkloadKind| {
-        let pts: Vec<_> = points.iter().filter(|p| p.workload == w).collect();
-        let s = pts.iter().find(|p| p.clusters == 1).unwrap().result.uipc();
-        let p = pts
-            .iter()
-            .find(|p| p.cores_per_cluster == 1)
-            .unwrap()
-            .result
-            .uipc();
+        let s = points.get(&w, &(1, BASE_CORES)).uipc();
+        let p = points.get(&w, &(BASE_CORES, 1)).uipc();
         (s - p) / s
     };
     assert!(
@@ -422,7 +423,11 @@ fn fig_islands_quick() {
 fn fig_joins_quick() {
     let scale = FigScale::quick();
     let run = fig_joins(&scale);
-    assert_eq!(run.points.len(), 6, "2 flavors x {{SMP, CMP, 2x2 island}}");
+    assert_eq!(
+        run.grid.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
+        6,
+        "2 flavors x {{SMP, CMP, 2x2 island}}"
+    );
 
     // Joins produce hash-build/probe work and index-nested-loop descents;
     // the scan mix's Q13/Q16 hash-join share must not dominate the
@@ -443,22 +448,13 @@ fn fig_joins_quick() {
     );
 
     // Scan-flavor endpoints ≡ the Fig. 7 presets run on the same capture.
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    let spec = spec_of(&scale);
     let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
-    let find = |join_heavy: bool, machine: &str| {
-        run.points
-            .iter()
-            .find(|p| p.join_heavy == join_heavy && p.machine == machine)
-            .expect("point present")
-    };
+    let find = |join_heavy: bool, machine: &'static str| run.grid.get(&join_heavy, &machine);
     for (tag, cfg) in joins_machines() {
         let reference = run_throughput(cfg, &w.bundle, spec);
         assert!(
-            same_numbers(&find(false, tag).result, &reference),
+            same_numbers(find(false, tag), &reference),
             "scan-flavor {tag} point must reproduce the preset numbers"
         );
     }
@@ -466,7 +462,7 @@ fn fig_joins_quick() {
     // The join flavor pays for partitioning in capacity misses: on every
     // private/island point its L2 miss rate meets or exceeds the scan
     // flavor's, and the gap is strict on the fully private SMP.
-    let l2_miss = |p: &dbcmp_core::figures::JoinsPoint| p.result.mem.per_level[0].miss_rate();
+    let l2_miss = |p: &SimResult| p.mem.per_level[0].miss_rate();
     for tag in ["SMP", "ISLAND 2x2"] {
         assert!(
             l2_miss(find(true, tag)) >= l2_miss(find(false, tag)),
@@ -589,11 +585,7 @@ fn fig_deploy_quick() {
 
     // Shared-everything endpoint ≡ a direct CMP replay of the same
     // (deterministically recaptured) bundle on the full budget.
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    let spec = spec_of(&scale);
     let dep = deploy_capture(&scale, BASE_CORES, 1, 0);
     assert_eq!(dep.bundles.len(), 1);
     let reference = run_throughput(
@@ -684,11 +676,7 @@ fn table1_camps_rows() {
 fn ablations_baseline_path() {
     let scale = FigScale::quick();
     let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    let spec = spec_of(&scale);
     let res = run_throughput(fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti), &w.bundle, spec);
     assert!(res.cycles > 0 && res.instrs > 0);
 }

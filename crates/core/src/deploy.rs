@@ -29,8 +29,8 @@ use dbcmp_workloads::{
     DrawScheme, TpccScale,
 };
 
-use crate::experiment::{RunSpec, Sweep};
-use crate::figures::island_cluster_sizes;
+use crate::experiment::{grid, InstanceReplay};
+use crate::figures::{island_cluster_sizes, spec_of};
 use crate::machines::{fc_cmp, L2Spec};
 use crate::workload::FigScale;
 
@@ -97,46 +97,46 @@ pub fn deploy_capture(
 /// The deployment sweep: for each `multi_pct`, capture and replay every
 /// instance count in the divisor chain at a fixed total core/L2 budget.
 /// Instances replay on their own fat-camp chip (`fc_cmp` of the
-/// instance's share, CACTI latency) as one parallel sweep per point.
+/// instance's share, CACTI latency) as one parallel sweep per point —
+/// per point, not per figure, so only one deployment's captures are
+/// alive at a time.
 pub fn fig_deploy(
     scale: &FigScale,
     total_cores: usize,
     total_l2: u64,
     multi_pcts: &[u8],
 ) -> Vec<DeployPoint> {
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: 2_000_000_000,
-    };
+    let spec = spec_of(scale);
     let mut out = Vec::new();
     for &multi_pct in multi_pcts {
         for instances in deploy_instance_counts(total_cores) {
             let dep = deploy_capture(scale, total_cores, instances, multi_pct);
             let cores = total_cores / instances;
             let l2 = total_l2 / instances as u64;
-            let mut sweep = Sweep::new();
-            let mut bundles = Vec::new();
-            for (i, b) in dep.bundles.iter().enumerate() {
-                sweep.push(
-                    format!("multi={multi_pct}% {instances}x{cores}c #{i}"),
-                    fc_cmp(cores, l2, L2Spec::Cacti),
-                    spec.throughput(),
-                );
-                bundles.push(b);
-            }
-            let per_instance = sweep.run_each(&bundles);
-            let mut remote = RemoteCounters::default();
-            for r in &per_instance {
-                remote.merge(&r.remote);
-            }
+            // One row per instance, one chip: a single sweep per point.
+            let results = grid(dep.bundles.iter().enumerate().collect(), |_| {
+                vec![((), fc_cmp(cores, l2, L2Spec::Cacti), spec.throughput())]
+            });
+            let InstanceReplay {
+                per_instance,
+                remote,
+                units,
+                uipc,
+            } = InstanceReplay::new(
+                results
+                    .rows
+                    .into_iter()
+                    .flat_map(|row| row.cells)
+                    .map(|(_, result)| result)
+                    .collect(),
+            );
             out.push(DeployPoint {
                 instances,
                 cores_per_instance: cores,
                 l2_per_instance: l2,
                 multi_pct,
-                uipc: per_instance.iter().map(|r| r.uipc()).sum(),
-                units: per_instance.iter().map(|r| r.units).sum(),
+                uipc,
+                units,
                 remote,
                 stats: dep.stats,
                 per_instance,

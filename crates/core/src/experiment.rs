@@ -1,4 +1,5 @@
-//! Experiment runner: single runs and parallel sweeps.
+//! Experiment runner: single runs, parallel sweeps, and the grid every
+//! figure is an instance of.
 //!
 //! A [`Sweep`] is a labeled list of `(MachineConfig, RunMode)` points
 //! evaluated against shared trace bundles. [`Sweep::run`] fans the
@@ -6,10 +7,19 @@
 //! its own machine from scratch against the shared `&TraceBundle`, so
 //! the results are *byte-identical* to [`Sweep::run_sequential`] and are
 //! returned in input order — parallelism changes wall-clock time only.
+//!
+//! The paper's evaluation is one shape repeated: captured workloads ×
+//! machines → a table of results. [`grid`] is that shape: rows are
+//! `(key, bundle)`, columns are `(key, machine, mode)`, the whole table
+//! runs as **one** sweep, and the results come back grouped per row
+//! with lookup by column key ([`GridRow::get`]). Multi-instance
+//! deployments put one row per engine instance and fold each
+//! deployment's results into an [`InstanceReplay`].
 
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dbcmp_sim::{Machine, MachineBuilder, MachineConfig, RunMode, SimResult};
+use dbcmp_sim::{MachineBuilder, MachineConfig, RemoteCounters, RunMode, SimResult};
 use dbcmp_trace::TraceBundle;
 
 /// Simulation windows.
@@ -50,12 +60,22 @@ impl Default for RunSpec {
 
 /// Saturated-throughput run (the paper's UIPC metric).
 pub fn run_throughput(cfg: MachineConfig, bundle: &TraceBundle, spec: RunSpec) -> SimResult {
-    Machine::run(cfg, bundle, spec.throughput())
+    run_point(cfg, spec.throughput(), bundle)
 }
 
 /// Run-to-completion (the paper's response-time metric).
 pub fn run_completion(cfg: MachineConfig, bundle: &TraceBundle, spec: RunSpec) -> SimResult {
-    Machine::run(cfg, bundle, spec.completion())
+    run_point(cfg, spec.completion(), bundle)
+}
+
+/// Build one machine over `bundle` and run it — the single path every
+/// simulation in this crate takes. Panics on a degenerate config;
+/// assemble through `MachineBuilder` to handle `ConfigError` yourself.
+fn run_point(cfg: MachineConfig, mode: RunMode, bundle: &TraceBundle) -> SimResult {
+    MachineBuilder::from_config(cfg, mode)
+        .build(bundle)
+        .unwrap_or_else(|e| panic!("invalid machine config: {e}"))
+        .execute()
 }
 
 /// One labeled point of a sweep.
@@ -181,7 +201,8 @@ impl Sweep {
                             if i >= n {
                                 break;
                             }
-                            out.push((i, run_point(&self.points[i], bundles[i])));
+                            let p = &self.points[i];
+                            out.push((i, run_point(p.cfg.clone(), p.mode, bundles[i])));
                         }
                         out
                     })
@@ -212,7 +233,7 @@ impl Sweep {
         self.points
             .iter()
             .zip(bundles)
-            .map(|(p, b)| run_point(p, b))
+            .map(|(p, b)| run_point(p.cfg.clone(), p.mode, b))
             .collect()
     }
 
@@ -230,37 +251,123 @@ impl Sweep {
     }
 }
 
-/// One keyed sweep point: label, machine, mode, the bundle it replays,
-/// and an arbitrary key handed back alongside the result.
-pub struct KeyedPoint<'a, K> {
-    pub label: String,
-    pub cfg: MachineConfig,
-    pub mode: RunMode,
-    pub bundle: &'a TraceBundle,
-    pub key: K,
+/// One column of a grid: the key its cells are looked up by, the
+/// machine, and how to run it.
+pub type Column<C> = (C, MachineConfig, RunMode);
+
+/// One row of a finished grid: the row key and one result per column,
+/// in column order.
+#[derive(Debug, Clone)]
+pub struct GridRow<R, C> {
+    pub key: R,
+    pub cells: Vec<(C, SimResult)>,
 }
 
-/// Run keyed points as one parallel sweep and return `(key, result)`
-/// pairs in input order. The figure generators build their grids this
-/// way so the config/bundle/key association is structural — one tuple
-/// per point — instead of three positionally-aligned vectors.
-pub fn run_keyed<K>(points: Vec<KeyedPoint<'_, K>>) -> Vec<(K, SimResult)> {
+impl<R, C: PartialEq + Debug> GridRow<R, C> {
+    /// The result under column `col`. Panics if the row has no such
+    /// column — a figure asking for a machine it never ran is a bug.
+    pub fn get(&self, col: &C) -> &SimResult {
+        self.cells
+            .iter()
+            .find(|(c, _)| c == col)
+            .map(|(_, result)| result)
+            .unwrap_or_else(|| panic!("grid has no column {col:?}"))
+    }
+}
+
+/// A finished grid: rows in input order.
+#[derive(Debug, Clone)]
+pub struct Grid<R, C> {
+    pub rows: Vec<GridRow<R, C>>,
+}
+
+impl<R: PartialEq + Debug, C: PartialEq + Debug> Grid<R, C> {
+    /// The row under `key`. Panics if there is none (see [`GridRow::get`]).
+    pub fn row(&self, key: &R) -> &GridRow<R, C> {
+        self.rows
+            .iter()
+            .find(|r| r.key == *key)
+            .unwrap_or_else(|| panic!("grid has no row {key:?}"))
+    }
+
+    /// The result at (`row`, `col`).
+    pub fn get(&self, row: &R, col: &C) -> &SimResult {
+        self.row(row).get(col)
+    }
+}
+
+/// Run `rows` x `columns(row)` as **one** parallel sweep and hand the
+/// results back grouped per row. `columns` sees the row key, so a
+/// column's machine or mode may depend on the row (Figs. 4/5 run
+/// saturated rows in throughput mode and unsaturated rows to
+/// completion). Point order cannot matter: every point builds its own
+/// machine.
+pub fn grid<R: Debug, C: Debug>(
+    rows: Vec<(R, &TraceBundle)>,
+    columns: impl Fn(&R) -> Vec<Column<C>>,
+) -> Grid<R, C> {
+    grid_with(rows, columns, |sweep, bundles| sweep.run_each(bundles))
+}
+
+/// [`grid`] with the sweep execution handed to `run` — Fig. 8 times the
+/// parallel and sequential runners on the same points.
+pub fn grid_with<R: Debug, C: Debug>(
+    rows: Vec<(R, &TraceBundle)>,
+    columns: impl Fn(&R) -> Vec<Column<C>>,
+    run: impl FnOnce(&Sweep, &[&TraceBundle]) -> Vec<SimResult>,
+) -> Grid<R, C> {
     let mut sweep = Sweep::new();
     let mut bundles = Vec::new();
-    let mut keys = Vec::new();
-    for p in points {
-        sweep.push(p.label, p.cfg, p.mode);
-        bundles.push(p.bundle);
-        keys.push(p.key);
+    let mut shape = Vec::new();
+    for (key, bundle) in rows {
+        let mut cols = Vec::new();
+        for (col, cfg, mode) in columns(&key) {
+            sweep.push(format!("{key:?} x {col:?}"), cfg, mode);
+            bundles.push(bundle);
+            cols.push(col);
+        }
+        shape.push((key, cols));
     }
-    keys.into_iter().zip(sweep.run_each(&bundles)).collect()
+    // `run_each` returns one result per point, in point order.
+    let mut results = run(&sweep, &bundles).into_iter();
+    let rows = shape
+        .into_iter()
+        .map(|(key, cols)| GridRow {
+            key,
+            cells: cols.into_iter().zip(results.by_ref()).collect(),
+        })
+        .collect();
+    Grid { rows }
 }
 
-fn run_point(p: &SweepPoint, bundle: &TraceBundle) -> SimResult {
-    MachineBuilder::from_config(p.cfg.clone(), p.mode)
-        .build(bundle)
-        .expect("validated above")
-        .execute()
+/// What replaying one multi-instance capture — one bundle per engine
+/// instance, each on its own chip — adds up to.
+#[derive(Debug, Clone)]
+pub struct InstanceReplay {
+    /// Per-instance replay results, instance order.
+    pub per_instance: Vec<SimResult>,
+    /// Interconnect traffic summed over the instances.
+    pub remote: RemoteCounters,
+    /// Units completed across all instances' identical measure windows.
+    pub units: u64,
+    /// Aggregate UIPC.
+    pub uipc: f64,
+}
+
+impl InstanceReplay {
+    /// Aggregate the instances' results (taken in instance order).
+    pub fn new(per_instance: Vec<SimResult>) -> Self {
+        let mut remote = RemoteCounters::default();
+        for r in &per_instance {
+            remote.merge(&r.remote);
+        }
+        InstanceReplay {
+            remote,
+            units: per_instance.iter().map(|r| r.units).sum(),
+            uipc: per_instance.iter().map(|r| r.uipc()).sum(),
+            per_instance,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,22 +1,24 @@
-//! One generator per paper figure/table. Each returns typed data that the
-//! harness binaries print and EXPERIMENTS.md records; integration tests
+//! One generator per paper figure/table. Each is a [`grid`] of captured
+//! workloads x machines (or derives its numbers from one); the `fig`
+//! binary prints them and EXPERIMENTS.md records them; integration tests
 //! assert the paper's qualitative shapes on `FigScale::quick()`.
 
 use dbcmp_engine::exec::ExchangeStrategy;
 use dbcmp_engine::{CcBackend, CcStats};
 use dbcmp_sim::analytic::Validation;
-use dbcmp_sim::stats::Breakdown;
-use dbcmp_sim::SimResult;
+use dbcmp_sim::{MachineConfig, SimResult};
 use dbcmp_staged::{capture_staged_dss, ExecPolicy};
 use dbcmp_trace::TraceBundle;
 use dbcmp_workloads::tpch::QueryKind;
+use dbcmp_workloads::ContentionStats;
 
-use crate::experiment::{run_keyed, run_throughput, KeyedPoint, RunSpec, Sweep};
-use crate::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, lc_cmp, smp_baseline, L2Spec};
+use crate::experiment::{grid, grid_with, run_throughput, Column, Grid, RunSpec};
+use crate::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, smp_baseline, L2Spec};
 use crate::taxonomy::{Camp, Saturation, WorkloadKind};
 use crate::workload::{CapturedWorkload, FigScale};
 
-fn spec_of(scale: &FigScale) -> RunSpec {
+/// The replay windows every `FigScale`-sized figure uses.
+pub fn spec_of(scale: &FigScale) -> RunSpec {
     RunSpec {
         warmup: scale.warmup,
         measure: scale.measure,
@@ -30,6 +32,35 @@ fn spec_of(scale: &FigScale) -> RunSpec {
 pub const BASE_CORES: usize = 4;
 pub const BASE_L2: u64 = 26 << 20;
 
+/// One capture per workload kind — the rows of every OLTP-vs-DSS figure.
+fn both_workloads(
+    capture: impl Fn(WorkloadKind) -> CapturedWorkload,
+) -> Vec<(WorkloadKind, CapturedWorkload)> {
+    [WorkloadKind::Oltp, WorkloadKind::Dss]
+        .into_iter()
+        .map(|w| (w, capture(w)))
+        .collect()
+}
+
+/// Grid rows over keyed captures.
+fn rows_of<K: Clone>(captures: &[(K, CapturedWorkload)]) -> Vec<(K, &TraceBundle)> {
+    captures
+        .iter()
+        .map(|(key, w)| (key.clone(), &w.bundle))
+        .collect()
+}
+
+/// Grid columns running every `(key, machine)` in throughput mode.
+fn throughput_columns<C>(
+    machines: impl IntoIterator<Item = (C, MachineConfig)>,
+    spec: RunSpec,
+) -> Vec<Column<C>> {
+    machines
+        .into_iter()
+        .map(|(key, cfg)| (key, cfg, spec.throughput()))
+        .collect()
+}
+
 // ---------------------------------------------------------------- Fig. 2
 
 /// Fig. 2: normalized throughput vs number of concurrent clients (DSS on
@@ -38,31 +69,23 @@ pub fn fig2_saturation(scale: &FigScale, clients: &[usize]) -> Vec<(usize, f64)>
     let max = *clients.iter().max().unwrap_or(&1);
     let w = CapturedWorkload::dss(scale, max, scale.dss_units);
     let spec = spec_of(scale);
-    // One machine per client count, replaying a growing subset of the
-    // same capture; the subsets are per-point bundles for the sweep.
-    let subsets: Vec<_> = clients.iter().map(|&n| w.subset(n)).collect();
-    let keyed = run_keyed(
-        clients
-            .iter()
-            .zip(&subsets)
-            .map(|(&n, subset)| KeyedPoint {
-                label: format!("{n} clients"),
-                cfg: fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti),
-                mode: spec.throughput(),
-                bundle: subset,
-                key: n,
-            })
-            .collect(),
-    );
-    let base = keyed
+    // One row per client count, replaying a growing subset of the same
+    // capture on the same machine.
+    let subsets: Vec<_> = clients.iter().map(|&n| (n, w.subset(n))).collect();
+    let results = grid(subsets.iter().map(|(n, b)| (*n, b)).collect(), |_| {
+        throughput_columns([((), fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti))], spec)
+    });
+    let uipc: Vec<(usize, f64)> = results
+        .rows
         .iter()
-        .map(|(_, r)| r.uipc())
+        .map(|row| (row.key, row.get(&()).uipc()))
+        .collect();
+    let base = uipc
+        .iter()
+        .map(|&(_, u)| u)
         .find(|&u| u > 0.0)
         .unwrap_or(1.0);
-    keyed
-        .into_iter()
-        .map(|(n, r)| (n, r.uipc() / base))
-        .collect()
+    uipc.into_iter().map(|(n, u)| (n, u / base)).collect()
 }
 
 // ---------------------------------------------------------------- Fig. 3
@@ -79,262 +102,154 @@ pub fn fig3_validation(scale: &FigScale) -> (Validation, SimResult) {
 
 // ---------------------------------------------------------------- Fig. 4/5
 
-/// One quadrant of Figs. 4/5.
-pub struct QuadrantResult {
-    pub camp: Camp,
-    pub workload: WorkloadKind,
-    pub saturation: Saturation,
-    pub result: SimResult,
-}
-
-/// Run all eight camp × workload × saturation combinations on the
-/// baseline chip, fanned out as one parallel sweep. Unsaturated runs use
-/// completion mode (response time); saturated runs use throughput mode.
-pub fn fig45_quadrants(scale: &FigScale) -> Vec<QuadrantResult> {
+/// Figs. 4/5: all eight camp x workload x saturation combinations on the
+/// baseline chip. Rows are (workload, saturation) captures, columns the
+/// two camps; unsaturated rows run in completion mode (response time),
+/// saturated rows in throughput mode.
+pub fn fig45_quadrants(scale: &FigScale) -> Grid<(WorkloadKind, Saturation), Camp> {
     let spec = spec_of(scale);
-    let captures: Vec<(WorkloadKind, CapturedWorkload, CapturedWorkload)> =
-        [WorkloadKind::Oltp, WorkloadKind::Dss]
-            .into_iter()
-            .map(|w| {
-                (
-                    w,
-                    CapturedWorkload::saturated(w, scale),
-                    CapturedWorkload::unsaturated(w, scale),
-                )
-            })
-            .collect();
-    let mut points = Vec::new();
-    for (workload, sat, uns) in &captures {
-        for camp in [Camp::Fat, Camp::Lean] {
-            let cfg = cmp_for(camp, BASE_CORES, BASE_L2, L2Spec::Cacti);
-            for (saturation, w, mode) in [
-                (Saturation::Saturated, sat, spec.throughput()),
-                (Saturation::Unsaturated, uns, spec.completion()),
-            ] {
-                points.push(KeyedPoint {
-                    label: format!(
-                        "{}/{}/{}",
-                        camp.label(),
-                        workload.label(),
-                        saturation.label()
-                    ),
-                    cfg: cfg.clone(),
-                    mode,
-                    bundle: &w.bundle,
-                    key: (*workload, camp, saturation),
-                });
-            }
-        }
-    }
-    run_keyed(points)
+    let captures: Vec<_> = [WorkloadKind::Oltp, WorkloadKind::Dss]
         .into_iter()
-        .map(|((workload, camp, saturation), result)| QuadrantResult {
-            camp,
-            workload,
-            saturation,
-            result,
+        .flat_map(|w| {
+            [
+                (
+                    (w, Saturation::Saturated),
+                    CapturedWorkload::saturated(w, scale),
+                ),
+                (
+                    (w, Saturation::Unsaturated),
+                    CapturedWorkload::unsaturated(w, scale),
+                ),
+            ]
         })
-        .collect()
+        .collect();
+    grid(rows_of(&captures), |&(_, saturation)| {
+        let mode = match saturation {
+            Saturation::Saturated => spec.throughput(),
+            Saturation::Unsaturated => spec.completion(),
+        };
+        [Camp::Fat, Camp::Lean]
+            .into_iter()
+            .map(|camp| {
+                let cfg = cmp_for(camp, BASE_CORES, BASE_L2, L2Spec::Cacti);
+                (camp, cfg, mode)
+            })
+            .collect()
+    })
 }
 
 /// Fig. 4 numbers from the quadrants: (workload, LC/FC response-time
 /// ratio, LC/FC throughput ratio).
-pub fn fig4_ratios(quadrants: &[QuadrantResult]) -> Vec<(WorkloadKind, f64, f64)> {
-    let find = |w, c, s| {
-        quadrants
-            .iter()
-            .find(|q| q.workload == w && q.camp == c && q.saturation == s)
-            .expect("quadrant present")
-    };
+pub fn fig4_ratios(
+    quadrants: &Grid<(WorkloadKind, Saturation), Camp>,
+) -> Vec<(WorkloadKind, f64, f64)> {
     [WorkloadKind::Oltp, WorkloadKind::Dss]
         .into_iter()
         .map(|w| {
-            let rt_lc = find(w, Camp::Lean, Saturation::Unsaturated)
-                .result
-                .avg_unit_cycles
-                .unwrap_or(f64::NAN);
-            let rt_fc = find(w, Camp::Fat, Saturation::Unsaturated)
-                .result
-                .avg_unit_cycles
-                .unwrap_or(f64::NAN);
-            let tp_lc = find(w, Camp::Lean, Saturation::Saturated).result.uipc();
-            let tp_fc = find(w, Camp::Fat, Saturation::Saturated).result.uipc();
-            (w, rt_lc / rt_fc, tp_lc / tp_fc)
+            let response = |camp| {
+                quadrants
+                    .get(&(w, Saturation::Unsaturated), &camp)
+                    .avg_unit_cycles
+                    .unwrap_or(f64::NAN)
+            };
+            let throughput = |camp| quadrants.get(&(w, Saturation::Saturated), &camp).uipc();
+            (
+                w,
+                response(Camp::Lean) / response(Camp::Fat),
+                throughput(Camp::Lean) / throughput(Camp::Fat),
+            )
         })
         .collect()
 }
 
 // ---------------------------------------------------------------- Fig. 6
 
-/// One point of the Fig. 6 cache-size sweep.
-pub struct Fig6Point {
-    pub size: u64,
-    pub fixed_latency: bool,
-    pub workload: WorkloadKind,
-    pub result: SimResult,
-}
-
 /// Fig. 6: throughput and CPI contributions vs L2 size, fixed 4-cycle vs
-/// CACTI latencies, on the FC CMP.
-pub fn fig6_cache_sweep(scale: &FigScale, sizes: &[u64]) -> Vec<Fig6Point> {
+/// CACTI latencies, on the FC CMP. Columns are `(size, fixed_latency)`.
+pub fn fig6_cache_sweep(scale: &FigScale, sizes: &[u64]) -> Grid<WorkloadKind, (u64, bool)> {
     let spec = spec_of(scale);
-    let captures: Vec<(WorkloadKind, CapturedWorkload)> = [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|w| (w, CapturedWorkload::saturated(w, scale)))
-        .collect();
-    let mut points = Vec::new();
-    for (workload, w) in &captures {
-        for &size in sizes {
-            for fixed in [true, false] {
-                let l2 = if fixed {
-                    L2Spec::Fixed(4)
-                } else {
-                    L2Spec::Cacti
-                };
-                points.push(KeyedPoint {
-                    label: format!("{} L2={}MB fixed={fixed}", workload.label(), size >> 20),
-                    cfg: fc_cmp(BASE_CORES, size, l2),
-                    mode: spec.throughput(),
-                    bundle: &w.bundle,
-                    key: (*workload, size, fixed),
-                });
-            }
-        }
-    }
-    run_keyed(points)
-        .into_iter()
-        .map(|((workload, size, fixed), result)| Fig6Point {
-            size,
-            fixed_latency: fixed,
-            workload,
-            result,
-        })
-        .collect()
+    let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
+    grid(rows_of(&captures), |_| {
+        let machines = sizes.iter().flat_map(|&size| {
+            [(true, L2Spec::Fixed(4)), (false, L2Spec::Cacti)]
+                .map(|(fixed, l2)| ((size, fixed), fc_cmp(BASE_CORES, size, l2)))
+        });
+        throughput_columns(machines, spec)
+    })
 }
 
 // ---------------------------------------------------------------- Fig. 7
 
-/// Fig. 7: SMP (private 4 MB L2 per node) vs CMP (shared 16 MB), CPI
-/// breakdowns, saturated workloads on fat cores.
-pub struct Fig7Result {
-    pub workload: WorkloadKind,
-    pub smp: SimResult,
-    pub cmp: SimResult,
+/// Fig. 7's two machines: the SMP (private 4 MB L2 per node) and the CMP
+/// (shared 16 MB L2), both on fat cores.
+pub fn fig7_machines() -> [(&'static str, MachineConfig); 2] {
+    [
+        ("SMP", smp_baseline(4, 4 << 20, Camp::Fat)),
+        ("CMP", fc_cmp(4, 16 << 20, L2Spec::Cacti)),
+    ]
 }
 
-pub fn fig7_smp_vs_cmp(scale: &FigScale) -> Vec<Fig7Result> {
+/// Fig. 7: SMP vs CMP CPI breakdowns, saturated workloads on fat cores.
+/// Columns are the [`fig7_machines`] tags.
+pub fn fig7_smp_vs_cmp(scale: &FigScale) -> Grid<WorkloadKind, &'static str> {
     let spec = spec_of(scale);
-    let captures: Vec<(WorkloadKind, CapturedWorkload)> = [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|w| (w, CapturedWorkload::saturated(w, scale)))
-        .collect();
-    let mut points = Vec::new();
-    for (workload, w) in &captures {
-        for (tag, cfg) in [
-            ("SMP", smp_baseline(4, 4 << 20, Camp::Fat)),
-            ("CMP", fc_cmp(4, 16 << 20, L2Spec::Cacti)),
-        ] {
-            points.push(KeyedPoint {
-                label: format!("{tag} {}", workload.label()),
-                cfg,
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*workload, tag),
-            });
-        }
-    }
-    let mut it = run_keyed(points).into_iter();
-    let mut out = Vec::new();
-    while let (Some(((w1, t1), smp)), Some(((w2, t2), cmp))) = (it.next(), it.next()) {
-        assert_eq!((w1, t1, t2), (w2, "SMP", "CMP"), "keyed pairs aligned");
-        out.push(Fig7Result {
-            workload: w1,
-            smp,
-            cmp,
-        });
-    }
-    out
+    let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
+    grid(rows_of(&captures), |_| {
+        throughput_columns(fig7_machines(), spec)
+    })
 }
 
-// ------------------------------------------------------------ Contention
+// ------------------------------------------- Contention and CC sweeps
 
-/// One point of the contention sweep: an interleaved capture at `hot_pct`
-/// skew, replayed on the SMP (private L2s, off-chip coherence) and CMP
-/// (shared L2) presets.
-pub struct ContentionPoint {
-    pub hot_pct: u8,
-    /// What the lock manager did during capture (waits, deadlock aborts).
-    pub stats: dbcmp_workloads::ContentionStats,
-    pub smp: SimResult,
-    pub cmp: SimResult,
-}
-
-/// Contention sweep (ISSUE 2): interleaved multi-client OLTP capture at
-/// increasing hot-row skew. As skew grows, more cycles land on shared
-/// lock-table buckets and hot rows — off-chip coherence transfers on the
-/// SMP, on-chip shared-L2 hits on the CMP — so the SMP's D-stall share
-/// climbs faster (the §5.2 contrast, now driven by *real* lock conflict
-/// rather than address overlap alone).
-pub fn fig_contention(scale: &FigScale, skews: &[u8]) -> Vec<ContentionPoint> {
-    let spec = spec_of(scale);
-    // Captures are inherently sequential (each interleaves clients on
-    // one shared database); the replays fan out as one sweep.
-    let captures: Vec<_> = skews
-        .iter()
-        .map(|&hot_pct| {
-            let (w, stats) = CapturedWorkload::oltp_contended(scale, hot_pct);
-            (hot_pct, w, stats)
-        })
-        .collect();
-    let mut points = Vec::new();
-    for (hot_pct, w, _) in &captures {
-        for (tag, cfg) in [
-            ("SMP", smp_baseline(4, 4 << 20, Camp::Fat)),
-            ("CMP", fc_cmp(4, 16 << 20, L2Spec::Cacti)),
-        ] {
-            points.push(KeyedPoint {
-                label: format!("{tag} skew={hot_pct}%"),
-                cfg,
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*hot_pct, tag),
-            });
-        }
-    }
-    let mut it = run_keyed(points).into_iter();
-    captures
-        .into_iter()
-        .map(|(hot_pct, _, stats)| {
-            let ((h1, t1), smp) = it.next().expect("smp result");
-            let ((h2, t2), cmp) = it.next().expect("cmp result");
-            assert_eq!((h1, h2, t1, t2), (hot_pct, hot_pct, "SMP", "CMP"));
-            ContentionPoint {
-                hot_pct,
-                stats,
-                smp,
-                cmp,
-            }
-        })
-        .collect()
-}
-
-// ----------------------------------------------- Concurrency-control sweep
-
-/// One point of the concurrency-control sweep: a contended capture under
-/// `backend` at `hot_pct` skew, replayed on the SMP / CMP / 2x2-island
-/// presets (the same [`joins_machines`] triple, so the hardware axis is
-/// directly comparable across figures).
-pub struct CcPoint {
+/// Row key of the contention sweeps: which backend captured at which
+/// skew, and what the capture did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ContendedCapture {
     pub backend: CcBackend,
     pub hot_pct: u8,
     /// Scheduler-level contention counters (waits, deadlock aborts, …).
-    pub stats: dbcmp_workloads::ContentionStats,
+    pub stats: ContentionStats,
     /// The backend's own counters (remote lock messages, ordering waits,
     /// fallback conflicts, …).
     pub cc: CcStats,
-    pub smp: SimResult,
-    pub cmp: SimResult,
-    pub island: SimResult,
+}
+
+/// Capture every `(backend, skew)` with interleaved clients and replay
+/// each capture on `machines`. Captures are inherently sequential (each
+/// interleaves clients on one shared database); the replays fan out as
+/// one sweep.
+fn contended_grid(
+    scale: &FigScale,
+    points: impl Iterator<Item = (CcBackend, u8)>,
+    machines: &[(&'static str, MachineConfig)],
+) -> Grid<ContendedCapture, &'static str> {
+    let spec = spec_of(scale);
+    let captures: Vec<_> = points
+        .map(|(backend, hot_pct)| {
+            let (w, stats, cc) = CapturedWorkload::oltp_contended_cc(scale, hot_pct, backend);
+            let key = ContendedCapture {
+                backend,
+                hot_pct,
+                stats,
+                cc,
+            };
+            (key, w)
+        })
+        .collect();
+    grid(rows_of(&captures), |_| {
+        throughput_columns(machines.iter().cloned(), spec)
+    })
+}
+
+/// Contention sweep (ISSUE 2): interleaved multi-client OLTP capture at
+/// increasing hot-row skew, replayed on [`fig7_machines`]. As skew grows,
+/// more cycles land on shared lock-table buckets and hot rows — off-chip
+/// coherence transfers on the SMP, on-chip shared-L2 hits on the CMP — so
+/// the SMP's D-stall share climbs faster (the §5.2 contrast, now driven
+/// by *real* lock conflict rather than address overlap alone).
+pub fn fig_contention(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static str> {
+    let points = skews.iter().map(|&hot| (CcBackend::Centralized2PL, hot));
+    contended_grid(scale, points, &fig7_machines())
 }
 
 /// Figure label for a concurrency-control backend.
@@ -372,59 +287,23 @@ pub fn cc_backends() -> [CcBackend; 3] {
 
 /// Concurrency-control sweep (ISSUE 9): the contention sweep's skew axis
 /// crossed with the *software* axis — which concurrency-control backend
-/// the engine runs. Centralized 2PL points take exactly the
-/// `fig_contention` capture path (same draws, same traces), so the two
-/// figures share an anchor; the partitioned backend converts lock-table
-/// sharing into explicit cross-core messages the interconnect prices; the
-/// deterministic-ordered backend trades deadlock aborts (structurally
-/// zero) for ordering-queue waits. Comparability caveat: 2PL and
-/// partitioned points run the legacy per-client draw streams, the ordered
-/// backend runs per-transaction streams (its read/write-set derivation
-/// replays them), so ordered-vs-2PL compares *workload distributions*,
-/// not transaction-for-transaction identical streams.
-pub fn fig_cc(scale: &FigScale, skews: &[u8]) -> Vec<CcPoint> {
-    let spec = spec_of(scale);
-    let captures: Vec<_> = cc_backends()
+/// the engine runs — replayed on the [`joins_machines`] triple, so the
+/// hardware axis is directly comparable across figures. Centralized 2PL
+/// rows take exactly the `fig_contention` capture path (same draws, same
+/// traces), so the two figures share an anchor; the partitioned backend
+/// converts lock-table sharing into explicit cross-core messages the
+/// interconnect prices; the deterministic-ordered backend trades deadlock
+/// aborts (structurally zero) for ordering-queue waits. Comparability
+/// caveat: 2PL and partitioned points run the legacy per-client draw
+/// streams, the ordered backend runs per-transaction streams (its
+/// read/write-set derivation replays them), so ordered-vs-2PL compares
+/// *workload distributions*, not transaction-for-transaction identical
+/// streams.
+pub fn fig_cc(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static str> {
+    let points = cc_backends()
         .into_iter()
-        .flat_map(|backend| skews.iter().map(move |&hot_pct| (backend, hot_pct)))
-        .map(|(backend, hot_pct)| {
-            let (w, stats, cc) = CapturedWorkload::oltp_contended_cc(scale, hot_pct, backend);
-            (backend, hot_pct, w, stats, cc)
-        })
-        .collect();
-    let mut points = Vec::new();
-    for (backend, hot_pct, w, _, _) in &captures {
-        for (tag, cfg) in joins_machines() {
-            points.push(KeyedPoint {
-                label: format!("{tag} {} skew={hot_pct}%", cc_backend_label(*backend)),
-                cfg,
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*backend, *hot_pct, tag),
-            });
-        }
-    }
-    let mut it = run_keyed(points).into_iter();
-    captures
-        .into_iter()
-        .map(|(backend, hot_pct, _, stats, cc)| {
-            let (k1, smp) = it.next().expect("smp result");
-            let (k2, cmp) = it.next().expect("cmp result");
-            let (k3, island) = it.next().expect("island result");
-            assert_eq!(k1, (backend, hot_pct, "SMP"));
-            assert_eq!(k2, (backend, hot_pct, "CMP"));
-            assert_eq!(k3, (backend, hot_pct, "ISLAND 2x2"));
-            CcPoint {
-                backend,
-                hot_pct,
-                stats,
-                cc,
-                smp,
-                cmp,
-                island,
-            }
-        })
-        .collect()
+        .flat_map(|backend| skews.iter().map(move |&hot| (backend, hot)));
+    contended_grid(scale, points, &joins_machines())
 }
 
 // ---------------------------------------------------------------- Fig. 8
@@ -444,93 +323,60 @@ pub struct Fig8Run {
     pub workers: usize,
 }
 
-/// Fig. 8: throughput vs core count (FC CMP, 16 MB shared L2), fanned
-/// out as one parallel sweep.
-pub fn fig8_core_scaling(
-    scale: &FigScale,
-    core_counts: &[usize],
-) -> Vec<(WorkloadKind, Vec<ScalingPoint>)> {
-    fig8_run(scale, core_counts, false).series
-}
-
-/// Fig. 8 timed both ways — what the `fig8_core_count` binary always
-/// runs (and the acceptance record in EXPERIMENTS.md): the parallel and
-/// sequential clocks of one sweep, results asserted identical.
-pub fn fig8_core_scaling_timed(scale: &FigScale, core_counts: &[usize]) -> Fig8Run {
-    fig8_run(scale, core_counts, true)
-}
-
-fn fig8_run(scale: &FigScale, core_counts: &[usize], timed: bool) -> Fig8Run {
+/// Fig. 8: throughput vs core count (FC CMP, 16 MB shared L2). The one
+/// sweep runs fanned out and then sequentially, results asserted
+/// identical, and both clocks are reported (the acceptance record in
+/// EXPERIMENTS.md).
+pub fn fig8_core_scaling(scale: &FigScale, core_counts: &[usize]) -> Fig8Run {
     let spec = spec_of(scale);
     let base_cores = core_counts[0];
-    let captures: Vec<(WorkloadKind, CapturedWorkload)> = [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|workload| {
-            // Enough clients to keep the largest machine saturated.
-            let max_ctx = core_counts.iter().max().unwrap() * 2;
-            let w = match workload {
-                WorkloadKind::Oltp => {
-                    CapturedWorkload::oltp(scale, max_ctx.max(scale.oltp_clients), scale.oltp_units)
-                }
-                WorkloadKind::Dss => {
-                    CapturedWorkload::dss(scale, max_ctx.max(scale.dss_clients), scale.dss_units)
-                }
-            };
-            (workload, w)
-        })
-        .collect();
-    // One tuple per point keeps sweep/bundle/key alignment structural
-    // (the sweep object itself is needed twice: timed parallel + timed
-    // sequential runs of the same points).
-    let grid: Vec<((WorkloadKind, usize), &CapturedWorkload)> = captures
+    // Enough clients to keep the largest machine saturated.
+    let max_ctx = core_counts.iter().max().unwrap() * 2;
+    let captures = both_workloads(|w| CapturedWorkload::saturating(w, scale, max_ctx));
+    let mut workers = 0;
+    let mut parallel = std::time::Duration::ZERO;
+    let mut sequential = std::time::Duration::ZERO;
+    let results = grid_with(
+        rows_of(&captures),
+        |_| {
+            let machines = core_counts
+                .iter()
+                .map(|&n| (n, fc_cmp(n, 16 << 20, L2Spec::Cacti)));
+            throughput_columns(machines, spec)
+        },
+        |sweep, bundles| {
+            workers = sweep.default_workers();
+            #[allow(clippy::disallowed_methods)]
+            // lint:allow(wall-clock): measures host speedup of the sweep itself; never feeds a capture or figure datum, and the identity assert below proves results are time-independent
+            let t0 = std::time::Instant::now();
+            let results = sweep.run_each(bundles);
+            parallel = t0.elapsed();
+            #[allow(clippy::disallowed_methods)]
+            // lint:allow(wall-clock): same host-side speedup measurement as t0 above
+            let t1 = std::time::Instant::now();
+            let seq = sweep.run_each_sequential(bundles);
+            sequential = t1.elapsed();
+            assert_eq!(
+                results, seq,
+                "parallel and sequential fig8 sweeps must be byte-identical"
+            );
+            results
+        },
+    );
+    let series = results
+        .rows
         .iter()
-        .flat_map(|(workload, w)| core_counts.iter().map(move |&n| ((*workload, n), w)))
-        .collect();
-    let mut sweep = Sweep::new();
-    let mut bundles = Vec::new();
-    for ((workload, n), w) in &grid {
-        sweep.push(
-            format!("{} {n} cores", workload.label()),
-            fc_cmp(*n, 16 << 20, L2Spec::Cacti),
-            spec.throughput(),
-        );
-        bundles.push(&w.bundle);
-    }
-    let workers = sweep.default_workers();
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(wall-clock): measures host speedup of the sweep itself; never feeds a capture or figure datum, and the identity assert below proves results are time-independent
-    let t0 = std::time::Instant::now();
-    let results = sweep.run_each(&bundles);
-    let parallel = t0.elapsed();
-    let sequential = if timed {
-        #[allow(clippy::disallowed_methods)]
-        // lint:allow(wall-clock): same host-side speedup measurement as t0 above
-        let t1 = std::time::Instant::now();
-        let seq = sweep.run_each_sequential(&bundles);
-        let elapsed = t1.elapsed();
-        assert_eq!(
-            results, seq,
-            "parallel and sequential fig8 sweeps must be byte-identical"
-        );
-        elapsed
-    } else {
-        std::time::Duration::ZERO
-    };
-
-    let mut results = results.into_iter();
-    let series = captures
-        .iter()
-        .map(|(workload, _)| {
+        .map(|row| {
             let mut series = Vec::new();
             let mut base = 0.0;
-            for &n in core_counts {
-                let uipc = results.next().expect("fig8 point").uipc();
+            for (n, result) in &row.cells {
+                let uipc = result.uipc();
                 if base == 0.0 {
                     base = uipc;
                 }
-                series.push((n, uipc / base, n as f64 / base_cores as f64));
+                series.push((*n, uipc / base, *n as f64 / base_cores as f64));
             }
-            (*workload, series)
+            (row.key, series)
         })
         .collect();
     Fig8Run {
@@ -570,35 +416,41 @@ pub fn fig9_staged(scale: &FigScale) -> Vec<Fig9Result> {
         ),
     ];
     let kinds = [QueryKind::Q1, QueryKind::Q6];
-    policies
+    let captures: Vec<(&'static str, TraceBundle)> = policies
         .into_iter()
         .map(|(name, policy)| {
             let (mut db, h) = dbcmp_workloads::build_tpch(scale.tpch, scale.seed);
-            let bundle: TraceBundle =
-                capture_staged_dss(&mut db, &h, &kinds, policy, 2, scale.seed)
-                    .expect("Q1/Q6 are staged-pipelineable");
-            let instrs = bundle.total_instrs() as f64 / bundle.total_units().max(1) as f64;
-            let mut results = Sweep::new()
-                .point(
-                    format!("{name} LC"),
-                    lc_cmp(BASE_CORES, BASE_L2, L2Spec::Cacti),
-                    spec.completion(),
-                )
-                .point(
-                    format!("{name} FC"),
-                    fc_cmp(BASE_CORES, BASE_L2, L2Spec::Cacti),
-                    spec.completion(),
-                )
-                .run(&bundle)
-                .into_iter();
-            let lc = results.next().expect("lc result");
-            let fc = results.next().expect("fc result");
+            let bundle = capture_staged_dss(&mut db, &h, &kinds, policy, 2, scale.seed)
+                .expect("Q1/Q6 are staged-pipelineable");
+            (name, bundle)
+        })
+        .collect();
+    let results = grid(
+        captures.iter().map(|(name, b)| (*name, b)).collect(),
+        |_| {
+            [Camp::Lean, Camp::Fat]
+                .into_iter()
+                .map(|camp| {
+                    let cfg = cmp_for(camp, BASE_CORES, BASE_L2, L2Spec::Cacti);
+                    (camp, cfg, spec.completion())
+                })
+                .collect()
+        },
+    );
+    captures
+        .iter()
+        .zip(&results.rows)
+        .map(|((name, bundle), row)| {
+            let response = |camp| {
+                let r = row.get(&camp);
+                r.cycles as f64 / r.units.max(1) as f64
+            };
             Fig9Result {
                 policy: name,
-                response_lc: lc.cycles as f64 / lc.units.max(1) as f64,
-                response_fc: fc.cycles as f64 / fc.units.max(1) as f64,
-                instrs_per_query: instrs,
-                l1d_miss_rate: lc.mem.l1d_miss_rate(),
+                response_lc: response(Camp::Lean),
+                response_fc: response(Camp::Fat),
+                instrs_per_query: bundle.total_instrs() as f64 / bundle.total_units().max(1) as f64,
+                l1d_miss_rate: row.get(&Camp::Lean).mem.l1d_miss_rate(),
             }
         })
         .collect()
@@ -606,21 +458,6 @@ pub fn fig9_staged(scale: &FigScale) -> Vec<Fig9Result> {
 
 // ------------------------------------------------------------- fig_asym
 
-/// One point of the asymmetric-CMP ratio sweep.
-pub struct AsymPoint {
-    pub fat_slots: usize,
-    pub lean_slots: usize,
-    pub workload: WorkloadKind,
-    pub result: SimResult,
-}
-
-/// Asymmetric-CMP extension: sweep fat:lean slot ratios from all-fat to
-/// all-lean at a fixed slot count and fixed shared L2, on saturated OLTP
-/// and DSS. As fat slots give way to lean ones the machine trades
-/// single-thread ILP for thread-level latency hiding — the breakdown
-/// shifts from exposed data stalls toward computation, and saturated
-/// throughput climbs (the paper's §4 camp contrast, now visible *within*
-/// one chip, per the hardware-islands line of work in PAPERS.md).
 /// The `(fat, lean)` slot ratios `fig_asym` sweeps: all-fat down to
 /// all-lean in steps of two slots, with the pure-lean endpoint always
 /// included even when `total_slots` is odd (the fig_smoke gate finds
@@ -635,57 +472,28 @@ pub fn asym_ratios(total_slots: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-pub fn fig_asym(scale: &FigScale, total_slots: usize) -> Vec<AsymPoint> {
+/// Asymmetric-CMP extension: sweep fat:lean slot ratios from all-fat to
+/// all-lean at a fixed slot count and fixed shared L2, on saturated OLTP
+/// and DSS; columns are the `(fat, lean)` [`asym_ratios`]. As fat slots
+/// give way to lean ones the machine trades single-thread ILP for
+/// thread-level latency hiding — the breakdown shifts from exposed data
+/// stalls toward computation, and saturated throughput climbs (the
+/// paper's §4 camp contrast, now visible *within* one chip, per the
+/// hardware-islands line of work in PAPERS.md).
+pub fn fig_asym(scale: &FigScale, total_slots: usize) -> Grid<WorkloadKind, (usize, usize)> {
     let spec = spec_of(scale);
-    let ratios = asym_ratios(total_slots);
     // Enough clients to saturate the leanest (most-context) machine.
     let max_ctx = asym_cmp(0, total_slots, BASE_L2, L2Spec::Cacti).total_contexts();
-    let captures: Vec<(WorkloadKind, CapturedWorkload)> = [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|workload| {
-            let w = match workload {
-                WorkloadKind::Oltp => {
-                    CapturedWorkload::oltp(scale, max_ctx.max(scale.oltp_clients), scale.oltp_units)
-                }
-                WorkloadKind::Dss => {
-                    CapturedWorkload::dss(scale, max_ctx.max(scale.dss_clients), scale.dss_units)
-                }
-            };
-            (workload, w)
-        })
-        .collect();
-    let mut points = Vec::new();
-    for (workload, w) in &captures {
-        for &(fat, lean) in &ratios {
-            points.push(KeyedPoint {
-                label: format!("{} {fat}F+{lean}L", workload.label()),
-                cfg: asym_cmp(fat, lean, BASE_L2, L2Spec::Cacti),
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*workload, fat, lean),
-            });
-        }
-    }
-    run_keyed(points)
-        .into_iter()
-        .map(|((workload, fat_slots, lean_slots), result)| AsymPoint {
-            fat_slots,
-            lean_slots,
-            workload,
-            result,
-        })
-        .collect()
+    let captures = both_workloads(|w| CapturedWorkload::saturating(w, scale, max_ctx));
+    grid(rows_of(&captures), |_| {
+        let machines = asym_ratios(total_slots)
+            .into_iter()
+            .map(|(fat, lean)| ((fat, lean), asym_cmp(fat, lean, BASE_L2, L2Spec::Cacti)));
+        throughput_columns(machines, spec)
+    })
 }
 
 // ----------------------------------------------------------- fig_islands
-
-/// One point of the island sweep.
-pub struct IslandPoint {
-    pub clusters: usize,
-    pub cores_per_cluster: usize,
-    pub workload: WorkloadKind,
-    pub result: SimResult,
-}
 
 /// The island cluster sizes swept at a given core count: every divisor,
 /// from one chip-spanning cluster down to one-core islands.
@@ -699,7 +507,8 @@ pub fn island_cluster_sizes(cores: usize) -> Vec<usize> {
 /// Island sweep (tentpole of the topology redesign): a **fixed total L2
 /// capacity** re-partitioned from one chip-shared L2, through islands of
 /// shrinking size, to fully private per-core L2s — on saturated OLTP and
-/// DSS. The two pure endpoints are exactly Fig. 7's CMP and SMP presets
+/// DSS; columns are `(clusters, cores_per_cluster)`. The two pure
+/// endpoints are exactly Fig. 7's CMP and SMP presets
 /// (`island_cmp(1, n)` ≡ `fc_cmp`, `island_cmp(n, 1)` ≡ `smp_baseline`),
 /// so the paper's SMP-vs-CMP contrast becomes the two extremes of one
 /// curve: moving right, per-island caches shrink but get faster (CACTI
@@ -707,50 +516,26 @@ pub fn island_cluster_sizes(cores: usize) -> Vec<usize> {
 /// L2/L1-to-L1 hits into off-chip coherence transfers. OLTP, rich in
 /// shared hot structures, pays for partitioning much sooner than scan-
 /// dominated DSS — the crossover EXPERIMENTS.md records.
-pub fn fig_islands(scale: &FigScale, cores: usize, total_l2: u64) -> Vec<IslandPoint> {
+pub fn fig_islands(
+    scale: &FigScale,
+    cores: usize,
+    total_l2: u64,
+) -> Grid<WorkloadKind, (usize, usize)> {
     let spec = spec_of(scale);
-    let captures: Vec<(WorkloadKind, CapturedWorkload)> = [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|w| (w, CapturedWorkload::saturated(w, scale)))
-        .collect();
-    let mut points = Vec::new();
-    for (workload, w) in &captures {
-        for k in island_cluster_sizes(cores) {
+    let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
+    grid(rows_of(&captures), |_| {
+        let machines = island_cluster_sizes(cores).into_iter().map(|k| {
             let clusters = cores / k;
-            points.push(KeyedPoint {
-                label: format!("{} {clusters}x{k}", workload.label()),
-                cfg: island_cmp(clusters, k, total_l2, L2Spec::Cacti),
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*workload, clusters, k),
-            });
-        }
-    }
-    run_keyed(points)
-        .into_iter()
-        .map(
-            |((workload, clusters, cores_per_cluster), result)| IslandPoint {
-                clusters,
-                cores_per_cluster,
-                workload,
-                result,
-            },
-        )
-        .collect()
+            (
+                (clusters, k),
+                island_cmp(clusters, k, total_l2, L2Spec::Cacti),
+            )
+        });
+        throughput_columns(machines, spec)
+    })
 }
 
 // ------------------------------------------------------------- fig_joins
-
-/// One point of the join sweep: a DSS flavor on a machine preset.
-pub struct JoinsPoint {
-    /// Machine tag: `"SMP"`, `"CMP"`, or `"ISLAND 2x2"`.
-    pub machine: &'static str,
-    /// `true` for the join-heavy Q3/Q5 capture, `false` for the paper's
-    /// scan mix.
-    pub join_heavy: bool,
-    /// Simulation result with per-level cache counters.
-    pub result: SimResult,
-}
 
 /// Capture-side attribution for one DSS flavor: where the instructions
 /// went and how big the data working set was.
@@ -791,23 +576,24 @@ fn joins_capture_stats(w: &CapturedWorkload) -> JoinsCaptureStats {
 /// The full `fig_joins` run: six simulation points plus per-capture
 /// instruction attribution.
 pub struct FigJoinsRun {
-    /// 2 flavors x 3 machines, scan flavor first, machines in
-    /// SMP → CMP → island order.
-    pub points: Vec<JoinsPoint>,
+    /// Rows keyed by `join_heavy` (`false` = the paper's scan mix first,
+    /// `true` = the join-heavy Q3/Q5 capture), columns the
+    /// [`joins_machines`] tags.
+    pub grid: Grid<bool, &'static str>,
     /// Attribution for the scan-mix capture.
     pub scan: JoinsCaptureStats,
     /// Attribution for the join-heavy capture.
     pub joins: JoinsCaptureStats,
 }
 
-/// The machine presets `fig_joins` sweeps: Fig. 7's SMP (private 4 MB
-/// L2 per node) and CMP (shared 16 MB L2), plus the 2x2 hardware-island
-/// midpoint at the same 16 MB total — so the scan-flavor endpoints
-/// reproduce Fig. 7's numbers on the same captures.
-pub fn joins_machines() -> [(&'static str, dbcmp_sim::MachineConfig); 3] {
+/// The machine presets `fig_joins` sweeps: [`fig7_machines`] plus the
+/// 2x2 hardware-island midpoint at the same 16 MB total — so the
+/// scan-flavor endpoints reproduce Fig. 7's numbers on the same captures.
+pub fn joins_machines() -> [(&'static str, MachineConfig); 3] {
+    let [smp, cmp] = fig7_machines();
     [
-        ("SMP", smp_baseline(4, 4 << 20, Camp::Fat)),
-        ("CMP", fc_cmp(4, 16 << 20, L2Spec::Cacti)),
+        smp,
+        cmp,
         ("ISLAND 2x2", island_cmp(2, 2, 16 << 20, L2Spec::Cacti)),
     ]
 }
@@ -822,48 +608,20 @@ pub fn joins_machines() -> [(&'static str, dbcmp_sim::MachineConfig); 3] {
 /// driven here by join state instead of scan footprint).
 pub fn fig_joins(scale: &FigScale) -> FigJoinsRun {
     let spec = spec_of(scale);
-    let captures: Vec<(bool, CapturedWorkload)> = vec![
+    let captures = [
         (false, CapturedWorkload::saturated(WorkloadKind::Dss, scale)),
         (
             true,
             CapturedWorkload::dss_joins(scale, scale.dss_clients, scale.dss_units),
         ),
     ];
-    let mut points = Vec::new();
-    for (join_heavy, w) in &captures {
-        for (tag, cfg) in joins_machines() {
-            points.push(KeyedPoint {
-                label: format!(
-                    "{tag} {}",
-                    if *join_heavy { "join DSS" } else { "scan DSS" }
-                ),
-                cfg,
-                mode: spec.throughput(),
-                bundle: &w.bundle,
-                key: (*join_heavy, tag),
-            });
-        }
-    }
-    let points = run_keyed(points)
-        .into_iter()
-        .map(|((join_heavy, machine), result)| JoinsPoint {
-            machine,
-            join_heavy,
-            result,
-        })
-        .collect();
     FigJoinsRun {
-        points,
+        grid: grid(rows_of(&captures), |_| {
+            throughput_columns(joins_machines(), spec)
+        }),
         scan: joins_capture_stats(&captures[0].1),
         joins: joins_capture_stats(&captures[1].1),
     }
-}
-
-// ---------------------------------------------------------------- helpers
-
-/// L2-hit stall share of execution time (the paper's headline metric).
-pub fn l2_hit_share(b: &Breakdown) -> f64 {
-    b.l2_hit_stall_fraction()
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@ pub mod taxonomy;
 pub mod workload;
 
 pub use deploy::{deploy_capture, deploy_instance_counts, fig_deploy, DeployPoint};
-pub use experiment::{run_completion, run_throughput, RunSpec, Sweep, SweepPoint};
+pub use experiment::{
+    grid, run_completion, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
+};
 pub use machines::{
     asym_cmp, cmp_l3, fc_cmp, fc_cmp_l3, island_cmp, island_cmp_l3, lc_cmp, lc_cmp_l3,
     smp_baseline, L2Spec,

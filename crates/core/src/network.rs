@@ -26,7 +26,7 @@ use dbcmp_workloads::tpch::dist::DistCapture;
 use dbcmp_workloads::tpch::QueryKind;
 use dbcmp_workloads::{capture_dss_dist, CaptureOptions, DistOptions, DistStats};
 
-use crate::experiment::{RunSpec, Sweep};
+use crate::experiment::{grid, InstanceReplay, RunSpec};
 use crate::machines::{fc_cmp, L2Spec};
 use crate::workload::FigScale;
 
@@ -111,40 +111,56 @@ pub fn network_spec(scale: &FigScale) -> RunSpec {
 }
 
 /// The full network sweep: capture once per instance count, replay each
-/// capture under every interconnect preset. Points are ordered preset-
-/// major (`network_presets` order), instance-minor.
+/// capture under every interconnect preset — all 21 instance replays as
+/// one sweep. Points are ordered preset-major (`network_presets` order),
+/// instance-minor.
 pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
     let spec = network_spec(scale);
     let captures: Vec<(usize, DistCapture)> = NETWORK_INSTANCES
         .into_iter()
         .map(|n| (n, network_capture(scale, n)))
         .collect();
-    let mut out = Vec::new();
-    for (preset, link) in network_presets() {
-        for (instances, cap) in &captures {
-            let mut sweep = Sweep::new();
-            let mut bundles = Vec::new();
-            for (i, b) in cap.bundles.iter().enumerate() {
+    // One row per engine instance, keyed by (instance count, index).
+    let rows = captures
+        .iter()
+        .flat_map(|(n, cap)| {
+            cap.bundles
+                .iter()
+                .enumerate()
+                .map(move |(i, b)| ((*n, i), b))
+        })
+        .collect();
+    let replays = grid(rows, |_| {
+        network_presets()
+            .into_iter()
+            .map(|(preset, link)| {
                 let mut cfg = network_chip();
                 cfg.interconnect = link;
-                sweep.push(
-                    format!("net={preset} {instances}x #{i}"),
-                    cfg,
-                    spec.throughput(),
-                );
-                bundles.push(b);
-            }
-            let per_instance = sweep.run_each(&bundles);
-            let mut remote = RemoteCounters::default();
-            for r in &per_instance {
-                remote.merge(&r.remote);
-            }
+                (preset, cfg, spec.throughput())
+            })
+            .collect()
+    });
+    let mut out = Vec::new();
+    for (preset, _) in network_presets() {
+        for (instances, cap) in &captures {
+            let InstanceReplay {
+                per_instance,
+                remote,
+                units,
+                uipc,
+            } = InstanceReplay::new(
+                replays
+                    .rows
+                    .iter()
+                    .filter(|row| row.key.0 == *instances)
+                    .map(|row| row.get(&preset).clone())
+                    .collect(),
+            );
             let core_cycles: u64 = per_instance.iter().map(|r| r.breakdown.total()).sum();
-            let units: u64 = per_instance.iter().map(|r| r.units).sum();
             out.push(NetworkPoint {
                 instances: *instances,
                 preset,
-                uipc: per_instance.iter().map(|r| r.uipc()).sum(),
+                uipc,
                 units,
                 queries: units as f64 / *instances as f64,
                 remote,

@@ -179,9 +179,19 @@ impl CapturedWorkload {
 
     /// Saturated capture at the scale's default client count.
     pub fn saturated(kind: WorkloadKind, scale: &FigScale) -> Self {
+        Self::saturating(kind, scale, 0)
+    }
+
+    /// Saturated capture with at least `min_clients` clients — enough to
+    /// keep a machine with that many hardware contexts busy.
+    pub fn saturating(kind: WorkloadKind, scale: &FigScale, min_clients: usize) -> Self {
         match kind {
-            WorkloadKind::Oltp => Self::oltp(scale, scale.oltp_clients, scale.oltp_units),
-            WorkloadKind::Dss => Self::dss(scale, scale.dss_clients, scale.dss_units),
+            WorkloadKind::Oltp => {
+                Self::oltp(scale, min_clients.max(scale.oltp_clients), scale.oltp_units)
+            }
+            WorkloadKind::Dss => {
+                Self::dss(scale, min_clients.max(scale.dss_clients), scale.dss_units)
+            }
         }
     }
 

@@ -53,41 +53,21 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// Lint the workspace rooted at `root`. Returns all diagnostics, sorted
-/// by file then line then rule.
+/// Lint the workspace rooted at `root`: every per-file rule over every
+/// file, then the cross-file rules. Returns all diagnostics, sorted by
+/// file then line then rule.
 pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let sources = collect_sources(root)?;
-    let mut lexed = Vec::with_capacity(sources.len());
-    for (rel, path) in &sources {
-        let src = fs::read_to_string(path)?;
-        lexed.push((rel.clone(), lexer::lex(&src)));
+    let mut lexed = Vec::new();
+    for (rel, path) in collect_sources(root)? {
+        lexed.push((rel, lexer::lex(&fs::read_to_string(path)?)));
     }
-    let mut diags = Vec::new();
-    for ((rel, path), (_, lex)) in sources.iter().zip(&lexed) {
-        diags.extend(rules::lint_file(path, rel, lex));
-    }
-    diags.extend(rules::rule_x1(&lexed));
-    diags.extend(rules::rule_x2(&lexed));
-    diags.extend(rules::rule_x3(&lexed));
-    diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(diags)
-}
-
-/// Lint an in-memory file set (used by fixture tests): `(rel_path, src)`.
-pub fn run_on_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let lexed: Vec<(String, lexer::Lexed)> = files
-        .iter()
-        .map(|(rel, src)| (rel.to_string(), lexer::lex(src)))
-        .collect();
     let mut diags = Vec::new();
     for (rel, lex) in &lexed {
-        diags.extend(rules::lint_file(Path::new(rel), rel, lex));
+        diags.extend(rules::lint_file(rel, lex));
     }
-    diags.extend(rules::rule_x1(&lexed));
-    diags.extend(rules::rule_x2(&lexed));
-    diags.extend(rules::rule_x3(&lexed));
+    diags.extend(rules::rule_x(&lexed));
     diags.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    diags
+    Ok(diags)
 }
 
 /// The `--explain` text for a rule id or name, if known.

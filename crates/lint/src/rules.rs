@@ -16,8 +16,6 @@
 //! is itself a violation (rule A0): an allow that cannot be audited is
 //! worse than none.
 
-use std::path::Path;
-
 use crate::lexer::{Comment, Lexed, Tok, Token};
 use crate::scan::{self, TestScopes};
 
@@ -434,254 +432,161 @@ pub fn rule_p1(ctx: &FileCtx) -> Vec<Diagnostic> {
     out
 }
 
-/// The X1 surfaces: (file, optional fn name, label). `None` fn = whole
-/// file. The sim consume path is a *union*: a variant may be handled in
-/// either ctx.rs or cursor.rs.
-struct X1Surface<'a> {
-    files: &'a [&'a str],
-    func: Option<&'a str>,
-    label: &'a str,
+/// One surface of a cross-file exhaustiveness rule: the identifiers of
+/// `files` (restricted to function `func` when given, the whole file
+/// otherwise) taken as a *union* — a variant may be handled in any of
+/// them.
+pub struct XSurface {
+    pub files: &'static [&'static str],
+    pub func: Option<&'static str>,
+    pub label: &'static str,
 }
 
-/// X1: cross-file Event-variant exhaustiveness. `files` maps a
-/// workspace-relative path to its lexed tokens; paths not present are
-/// reported as missing surfaces.
-pub fn rule_x1(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    const EVENT_FILE: &str = "crates/trace/src/event.rs";
+/// One cross-file exhaustiveness rule: every variant of `enum_name`
+/// (declared in `enum_file`) must be mentioned on every surface.
+pub struct XRule {
+    pub id: &'static str,
+    pub enum_file: &'static str,
+    pub enum_name: &'static str,
+    pub surfaces: &'static [XSurface],
+}
+
+/// The cross-file exhaustiveness rules. X1 keeps the trace codec, the
+/// summary and the simulator consume path in step with `trace::Event`;
+/// X2 and X3 keep the capture-side dispatch point and the figure label
+/// table in step with an engine enum. The arm-removal acceptance tests
+/// are driven by this same table.
+pub const X_RULES: &[XRule] = &[
+    XRule {
+        id: "X1",
+        enum_file: "crates/trace/src/event.rs",
+        enum_name: "Event",
+        surfaces: &[
+            XSurface {
+                files: &["crates/trace/src/segment.rs"],
+                func: Some("encode"),
+                label: "segment codec encode (Segment::encode)",
+            },
+            XSurface {
+                files: &["crates/trace/src/segment.rs"],
+                func: Some("decode_into"),
+                label: "segment codec decode (Segment::decode_into)",
+            },
+            XSurface {
+                files: &["crates/trace/src/summary.rs"],
+                func: None,
+                label: "trace summary (summary.rs)",
+            },
+            XSurface {
+                files: &["crates/sim/src/ctx.rs", "crates/sim/src/cursor.rs"],
+                func: None,
+                label: "sim consume path (ctx.rs/cursor.rs)",
+            },
+        ],
+    },
+    XRule {
+        id: "X2",
+        enum_file: "crates/engine/src/cc/mod.rs",
+        enum_name: "CcBackend",
+        surfaces: &[
+            XSurface {
+                files: &["crates/workloads/src/interleave.rs"],
+                func: Some("count_block"),
+                label: "scheduler park/wake accounting (count_block)",
+            },
+            XSurface {
+                files: &["crates/core/src/figures.rs"],
+                func: Some("cc_backend_label"),
+                label: "figure label table (cc_backend_label)",
+            },
+        ],
+    },
+    XRule {
+        id: "X3",
+        enum_file: "crates/engine/src/exec/shuffle_join.rs",
+        enum_name: "ExchangeStrategy",
+        surfaces: &[
+            XSurface {
+                files: &["crates/workloads/src/exchange.rs"],
+                func: Some("exchange_rows"),
+                label: "exchange router (exchange_rows)",
+            },
+            XSurface {
+                files: &["crates/core/src/figures.rs"],
+                func: Some("exchange_label"),
+                label: "figure label table (exchange_label)",
+            },
+        ],
+    },
+];
+
+/// X1/X2/X3: cross-file enum-variant exhaustiveness over [`X_RULES`].
+/// `files` maps a workspace-relative path to its lexed tokens. A rule
+/// whose enum file is absent has nothing to check (partial fixture
+/// trees); an absent surface file or function is itself a violation.
+/// There is no allow annotation for these rules — handle the variant.
+pub fn rule_x(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
     let lookup = |p: &str| files.iter().find(|(f, _)| f == p).map(|(_, l)| l);
-
-    let Some(event_lex) = lookup(EVENT_FILE) else {
-        // No event enum in this tree (e.g. a partial fixture): X1 has
-        // nothing to check.
-        return Vec::new();
-    };
-    let variants = scan::enum_variants(&event_lex.tokens, "Event");
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            rule: "X1",
-            file: EVENT_FILE.to_string(),
-            line: 1,
-            msg: "could not find `enum Event` variants".to_string(),
-        }];
-    }
-
-    let surfaces = [
-        X1Surface {
-            files: &["crates/trace/src/segment.rs"],
-            func: Some("encode"),
-            label: "segment codec encode (Segment::encode)",
-        },
-        X1Surface {
-            files: &["crates/trace/src/segment.rs"],
-            func: Some("decode_into"),
-            label: "segment codec decode (Segment::decode_into)",
-        },
-        X1Surface {
-            files: &["crates/trace/src/summary.rs"],
-            func: None,
-            label: "trace summary (summary.rs)",
-        },
-        X1Surface {
-            files: &["crates/sim/src/ctx.rs", "crates/sim/src/cursor.rs"],
-            func: None,
-            label: "sim consume path (ctx.rs/cursor.rs)",
-        },
-    ];
-
     let mut out = Vec::new();
-    for s in &surfaces {
-        // Gather the identifier set visible on this surface.
-        let mut seen: Vec<&str> = Vec::new();
-        let mut any_file = false;
-        for f in s.files {
-            let Some(lex) = lookup(f) else { continue };
-            any_file = true;
-            let toks = &lex.tokens;
-            let range = match s.func {
-                Some(name) => match scan::fn_span(toks, name) {
-                    Some(r) => r,
-                    None => {
-                        out.push(Diagnostic {
-                            rule: "X1",
-                            file: f.to_string(),
-                            line: 1,
-                            msg: format!("surface function `{name}` not found for {}", s.label),
-                        });
-                        continue;
-                    }
-                },
-                None => (0, toks.len()),
-            };
-            for t in &toks[range.0..range.1] {
-                if let Tok::Ident(n) = &t.tok {
-                    seen.push(n.as_str());
+    for rule in X_RULES {
+        let mut diag = |file: &str, msg: String| {
+            out.push(Diagnostic {
+                rule: rule.id,
+                file: file.to_string(),
+                line: 1,
+                msg,
+            })
+        };
+        let Some(enum_lex) = lookup(rule.enum_file) else {
+            continue;
+        };
+        let name = rule.enum_name;
+        let variants = scan::enum_variants(&enum_lex.tokens, name);
+        if variants.is_empty() {
+            diag(
+                rule.enum_file,
+                format!("could not find `enum {name}` variants"),
+            );
+            continue;
+        }
+        'surface: for s in rule.surfaces {
+            let label = s.label;
+            // The identifier set visible on this surface.
+            let mut seen: Vec<&str> = Vec::new();
+            let mut any_file = false;
+            for f in s.files {
+                let Some(lex) = lookup(f) else { continue };
+                any_file = true;
+                let toks = &lex.tokens;
+                let (lo, hi) = match s.func {
+                    Some(func) => match scan::fn_span(toks, func) {
+                        Some(span) => span,
+                        None => {
+                            diag(
+                                f,
+                                format!("surface function `{func}` not found for {label}"),
+                            );
+                            continue 'surface;
+                        }
+                    },
+                    None => (0, toks.len()),
+                };
+                seen.extend(toks[lo..hi].iter().filter_map(|t| match &t.tok {
+                    Tok::Ident(n) => Some(n.as_str()),
+                    _ => None,
+                }));
+            }
+            if !any_file {
+                diag(s.files[0], format!("surface file missing for {label}"));
+                continue;
+            }
+            for v in &variants {
+                if !seen.iter().any(|n| n == v) {
+                    diag(
+                        s.files[0],
+                        format!("{name} variant `{v}` is not handled in the {label}"),
+                    );
                 }
-            }
-        }
-        if !any_file {
-            out.push(Diagnostic {
-                rule: "X1",
-                file: s.files[0].to_string(),
-                line: 1,
-                msg: format!("surface file missing for {}", s.label),
-            });
-            continue;
-        }
-        for v in &variants {
-            if !seen.iter().any(|n| n == v) {
-                out.push(Diagnostic {
-                    rule: "X1",
-                    file: s.files[0].to_string(),
-                    line: 1,
-                    msg: format!("Event variant `{v}` is not handled in the {}", s.label),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// X2: cross-crate `CcBackend`-variant exhaustiveness. The enum lives in
-/// the engine; the two dispatch points that must keep up with it live in
-/// the workloads scheduler and the core figure pipeline.
-pub fn rule_x2(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    const ENUM_FILE: &str = "crates/engine/src/cc/mod.rs";
-    let lookup = |p: &str| files.iter().find(|(f, _)| f == p).map(|(_, l)| l);
-
-    let Some(enum_lex) = lookup(ENUM_FILE) else {
-        // No backend enum in this tree (e.g. a partial fixture): X2 has
-        // nothing to check.
-        return Vec::new();
-    };
-    let variants = scan::enum_variants(&enum_lex.tokens, "CcBackend");
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            rule: "X2",
-            file: ENUM_FILE.to_string(),
-            line: 1,
-            msg: "could not find `enum CcBackend` variants".to_string(),
-        }];
-    }
-
-    let surfaces = [
-        (
-            "crates/workloads/src/interleave.rs",
-            "count_block",
-            "scheduler park/wake accounting (count_block)",
-        ),
-        (
-            "crates/core/src/figures.rs",
-            "cc_backend_label",
-            "figure label table (cc_backend_label)",
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (file, func, label) in &surfaces {
-        let Some(lex) = lookup(file) else {
-            out.push(Diagnostic {
-                rule: "X2",
-                file: file.to_string(),
-                line: 1,
-                msg: format!("surface file missing for {label}"),
-            });
-            continue;
-        };
-        let toks = &lex.tokens;
-        let Some((lo, hi)) = scan::fn_span(toks, func) else {
-            out.push(Diagnostic {
-                rule: "X2",
-                file: file.to_string(),
-                line: 1,
-                msg: format!("surface function `{func}` not found for {label}"),
-            });
-            continue;
-        };
-        for v in &variants {
-            let handled = toks[lo..hi]
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(n) if n == v));
-            if !handled {
-                out.push(Diagnostic {
-                    rule: "X2",
-                    file: file.to_string(),
-                    line: 1,
-                    msg: format!("CcBackend variant `{v}` is not handled in the {label}"),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// X3: cross-crate `ExchangeStrategy`-variant exhaustiveness. The enum
-/// lives in the engine's shuffle-join executor; the two dispatch points
-/// that must keep up with it live in the workloads exchange router and
-/// the core figure pipeline.
-pub fn rule_x3(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
-    const ENUM_FILE: &str = "crates/engine/src/exec/shuffle_join.rs";
-    let lookup = |p: &str| files.iter().find(|(f, _)| f == p).map(|(_, l)| l);
-
-    let Some(enum_lex) = lookup(ENUM_FILE) else {
-        // No strategy enum in this tree (e.g. a partial fixture): X3 has
-        // nothing to check.
-        return Vec::new();
-    };
-    let variants = scan::enum_variants(&enum_lex.tokens, "ExchangeStrategy");
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            rule: "X3",
-            file: ENUM_FILE.to_string(),
-            line: 1,
-            msg: "could not find `enum ExchangeStrategy` variants".to_string(),
-        }];
-    }
-
-    let surfaces = [
-        (
-            "crates/workloads/src/exchange.rs",
-            "exchange_rows",
-            "exchange router (exchange_rows)",
-        ),
-        (
-            "crates/core/src/figures.rs",
-            "exchange_label",
-            "figure label table (exchange_label)",
-        ),
-    ];
-
-    let mut out = Vec::new();
-    for (file, func, label) in &surfaces {
-        let Some(lex) = lookup(file) else {
-            out.push(Diagnostic {
-                rule: "X3",
-                file: file.to_string(),
-                line: 1,
-                msg: format!("surface file missing for {label}"),
-            });
-            continue;
-        };
-        let toks = &lex.tokens;
-        let Some((lo, hi)) = scan::fn_span(toks, func) else {
-            out.push(Diagnostic {
-                rule: "X3",
-                file: file.to_string(),
-                line: 1,
-                msg: format!("surface function `{func}` not found for {label}"),
-            });
-            continue;
-        };
-        for v in &variants {
-            let handled = toks[lo..hi]
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(n) if n == v));
-            if !handled {
-                out.push(Diagnostic {
-                    rule: "X3",
-                    file: file.to_string(),
-                    line: 1,
-                    msg: format!("ExchangeStrategy variant `{v}` is not handled in the {label}"),
-                });
             }
         }
     }
@@ -689,8 +594,7 @@ pub fn rule_x3(files: &[(String, Lexed)]) -> Vec<Diagnostic> {
 }
 
 /// Run all per-file rules over one file.
-pub fn lint_file(path: &Path, rel: &str, lexed: &Lexed) -> Vec<Diagnostic> {
-    let _ = path;
+pub fn lint_file(rel: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     let (ctx, mut diags) = FileCtx::new(rel, lexed);
     diags.extend(rule_d1(&ctx));
     diags.extend(rule_d2(&ctx));
@@ -706,7 +610,7 @@ mod tests {
 
     fn run_one(path: &str, src: &str) -> Vec<Diagnostic> {
         let l = lex(src);
-        lint_file(Path::new(path), path, &l)
+        lint_file(path, &l)
     }
 
     #[test]
@@ -806,7 +710,7 @@ mod tests {
             ("crates/sim/src/ctx.rs".to_string(), lex(ctx)),
             ("crates/sim/src/cursor.rs".to_string(), lex(cur)),
         ];
-        let d = rule_x1(&files);
+        let d = rule_x(&files);
         // decode_into is missing Beta; everything else is covered (the
         // sim consume path is the union of ctx+cursor).
         assert_eq!(d.len(), 1, "{d:?}");
@@ -826,7 +730,7 @@ mod tests {
             ("crates/workloads/src/interleave.rs".to_string(), lex(sched)),
             ("crates/core/src/figures.rs".to_string(), lex(figs)),
         ];
-        let d = rule_x2(&files);
+        let d = rule_x(&files);
         // The label table is missing PartitionedPerCore; the scheduler
         // covers both.
         assert_eq!(d.len(), 1, "{d:?}");
@@ -841,7 +745,7 @@ mod tests {
                 lex("fn other() {}"),
             ),
         ];
-        let d = rule_x2(&files);
+        let d = rule_x(&files);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].msg.contains("cc_backend_label"));
     }
@@ -863,7 +767,7 @@ mod tests {
             ("crates/workloads/src/exchange.rs".to_string(), lex(router)),
             ("crates/core/src/figures.rs".to_string(), lex(figs)),
         ];
-        let d = rule_x3(&files);
+        let d = rule_x(&files);
         // The label table is missing Shuffle; the router covers all three.
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "X3");
@@ -880,7 +784,7 @@ mod tests {
                 lex("fn other() {}"),
             ),
         ];
-        let d = rule_x3(&files);
+        let d = rule_x(&files);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].msg.contains("exchange_label"));
     }

@@ -1,139 +1,15 @@
-//! Acceptance test for X1 against the *real* codec: copy the live
-//! `trace`/`sim` surface files into a scratch tree, knock a single
-//! `Event` variant out of the segment decoder, and assert X1 fires for
-//! exactly that variant — for every variant the enum has today and any
-//! added later (the list is discovered from `event.rs`, not hardcoded).
+//! X1 acceptance: knock `trace::Event` codec arms out of the live
+//! surfaces (harness and rule table shared with X1–X3).
 
-use std::fs;
-use std::path::{Path, PathBuf};
-
-use lint::lexer::{lex, Tok};
-use lint::scan;
-
-/// The X1 surface files, workspace-relative.
-const FILES: &[&str] = &[
-    "crates/trace/src/event.rs",
-    "crates/trace/src/segment.rs",
-    "crates/trace/src/summary.rs",
-    "crates/sim/src/ctx.rs",
-    "crates/sim/src/cursor.rs",
-];
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/lint sits two levels below the workspace root")
-        .to_path_buf()
-}
-
-/// Replace whole-identifier occurrences of `ident` with `Removed`.
-fn strip_ident(line: &str, ident: &str) -> String {
-    let chars: Vec<char> = line.chars().collect();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i].is_alphanumeric() || chars[i] == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            let word: String = chars[start..i].iter().collect();
-            if word == ident {
-                out.push_str("Removed");
-            } else {
-                out.push_str(&word);
-            }
-        } else {
-            out.push(chars[i]);
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Rewrite `segment.rs` so `decode_into` no longer mentions `variant`
-/// (the single-arm removal the acceptance criterion demands), leaving
-/// `encode` and everything else untouched.
-fn remove_decode_arm(segment_src: &str, variant: &str) -> String {
-    let lexed = lex(segment_src);
-    let (s, e) = scan::fn_span(&lexed.tokens, "decode_into").expect("decode_into exists");
-    let first = lexed.tokens[s].line;
-    let last = lexed.tokens[e - 1].line;
-    segment_src
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            let ln = (i + 1) as u32;
-            if ln >= first && ln <= last {
-                strip_ident(line, variant)
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn write_tree(root: &Path, segment_override: Option<&str>) {
-    let ws = workspace_root();
-    for rel in FILES {
-        let dst = root.join(rel);
-        fs::create_dir_all(dst.parent().expect("rel paths have parents")).expect("mkdir");
-        if *rel == "crates/trace/src/segment.rs" {
-            if let Some(src) = segment_override {
-                fs::write(&dst, src).expect("write modified segment");
-                continue;
-            }
-        }
-        fs::copy(ws.join(rel), &dst).expect("copy surface file");
-    }
-}
+#[path = "x_arm_removal/mod.rs"]
+mod harness;
 
 #[test]
 fn pristine_surfaces_pass_x1() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("x1_pristine");
-    let _ = fs::remove_dir_all(&root);
-    write_tree(&root, None);
-    let diags = lint::run(&root).expect("tree readable");
-    assert!(diags.is_empty(), "{diags:#?}");
+    harness::pristine_surfaces_pass("X1");
 }
 
 #[test]
 fn removing_any_decoder_arm_fails_x1() {
-    let ws = workspace_root();
-    let event_src = fs::read_to_string(ws.join("crates/trace/src/event.rs")).expect("event.rs");
-    let segment_src =
-        fs::read_to_string(ws.join("crates/trace/src/segment.rs")).expect("segment.rs");
-
-    let variants = scan::enum_variants(&lex(&event_src).tokens, "Event");
-    assert!(
-        variants.len() >= 9,
-        "the trace Event enum should have at least its 9 seed variants, found {variants:?}"
-    );
-
-    for v in &variants {
-        let modified = remove_decode_arm(&segment_src, v);
-        // Sanity: the variant really is gone from the decoder's span but
-        // still present elsewhere in the file (encode).
-        let toks = lex(&modified);
-        let (s, e) = scan::fn_span(&toks.tokens, "decode_into").expect("decode_into survives");
-        assert!(
-            !toks.tokens[s..e]
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(n) if n == v)),
-            "variant {v} still mentioned in decode_into after removal"
-        );
-
-        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("x1_drop_{v}"));
-        let _ = fs::remove_dir_all(&root);
-        write_tree(&root, Some(&modified));
-        let diags = lint::run(&root).expect("tree readable");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "X1" && d.msg.contains(v.as_str()) && d.msg.contains("decode")),
-            "dropping the {v} decoder arm must fail X1, got {diags:#?}"
-        );
-    }
+    harness::removing_any_arm_fails("X1", 9);
 }

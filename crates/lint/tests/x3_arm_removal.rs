@@ -1,140 +1,15 @@
-//! Acceptance test for X3 against the *real* dispatch points: copy the
-//! live strategy-enum + exchange-router + figure surface files into a
-//! scratch tree, knock a single `ExchangeStrategy` variant out of one
-//! dispatch function, and assert X3 fires for exactly that variant —
-//! for every variant the enum has today and any added later (the list
-//! is discovered from `shuffle_join.rs`, not hardcoded).
+//! X3 acceptance: knock `ExchangeStrategy` dispatch arms out of the live
+//! surfaces (harness and rule table shared with X1–X3).
 
-use std::fs;
-use std::path::{Path, PathBuf};
-
-use lint::lexer::{lex, Tok};
-use lint::scan;
-
-/// The X3 surface files, workspace-relative.
-const FILES: &[&str] = &[
-    "crates/engine/src/exec/shuffle_join.rs",
-    "crates/workloads/src/exchange.rs",
-    "crates/core/src/figures.rs",
-];
-
-/// The dispatch functions X3 checks, per surface file.
-const SURFACES: &[(&str, &str)] = &[
-    ("crates/workloads/src/exchange.rs", "exchange_rows"),
-    ("crates/core/src/figures.rs", "exchange_label"),
-];
-
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/lint sits two levels below the workspace root")
-        .to_path_buf()
-}
-
-/// Replace whole-identifier occurrences of `ident` with `Removed`.
-fn strip_ident(line: &str, ident: &str) -> String {
-    let chars: Vec<char> = line.chars().collect();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i].is_alphanumeric() || chars[i] == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            let word: String = chars[start..i].iter().collect();
-            if word == ident {
-                out.push_str("Removed");
-            } else {
-                out.push_str(&word);
-            }
-        } else {
-            out.push(chars[i]);
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Rewrite `src` so `func` no longer mentions `variant`, leaving the
-/// rest of the file untouched.
-fn remove_dispatch_arm(src: &str, func: &str, variant: &str) -> String {
-    let lexed = lex(src);
-    let (s, e) = scan::fn_span(&lexed.tokens, func).expect("dispatch function exists");
-    let first = lexed.tokens[s].line;
-    let last = lexed.tokens[e - 1].line;
-    src.lines()
-        .enumerate()
-        .map(|(i, line)| {
-            let ln = (i + 1) as u32;
-            if ln >= first && ln <= last {
-                strip_ident(line, variant)
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn write_tree(root: &Path, overrides: &[(&str, &str)]) {
-    let ws = workspace_root();
-    for rel in FILES {
-        let dst = root.join(rel);
-        fs::create_dir_all(dst.parent().expect("rel paths have parents")).expect("mkdir");
-        if let Some((_, src)) = overrides.iter().find(|(f, _)| f == rel) {
-            fs::write(&dst, src).expect("write modified surface");
-        } else {
-            fs::copy(ws.join(rel), &dst).expect("copy surface file");
-        }
-    }
-}
+#[path = "x_arm_removal/mod.rs"]
+mod harness;
 
 #[test]
 fn pristine_surfaces_pass_x3() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("x3_pristine");
-    let _ = fs::remove_dir_all(&root);
-    write_tree(&root, &[]);
-    let diags = lint::run(&root).expect("tree readable");
-    assert!(diags.is_empty(), "{diags:#?}");
+    harness::pristine_surfaces_pass("X3");
 }
 
 #[test]
 fn removing_any_dispatch_arm_fails_x3() {
-    let ws = workspace_root();
-    let enum_src = fs::read_to_string(ws.join("crates/engine/src/exec/shuffle_join.rs"))
-        .expect("shuffle_join.rs");
-    let variants = scan::enum_variants(&lex(&enum_src).tokens, "ExchangeStrategy");
-    assert!(
-        variants.len() >= 3,
-        "ExchangeStrategy should have at least its 3 seed variants, found {variants:?}"
-    );
-
-    for (file, func) in SURFACES {
-        let surface_src = fs::read_to_string(ws.join(file)).expect("surface file");
-        for v in &variants {
-            let modified = remove_dispatch_arm(&surface_src, func, v);
-            // Sanity: the variant really is gone from the function span.
-            let toks = lex(&modified);
-            let (s, e) = scan::fn_span(&toks.tokens, func).expect("function survives");
-            assert!(
-                !toks.tokens[s..e]
-                    .iter()
-                    .any(|t| matches!(&t.tok, Tok::Ident(n) if n == v)),
-                "variant {v} still mentioned in {func} after removal"
-            );
-
-            let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("x3_drop_{func}_{v}"));
-            let _ = fs::remove_dir_all(&root);
-            write_tree(&root, &[(file, modified.as_str())]);
-            let diags = lint::run(&root).expect("tree readable");
-            assert!(
-                diags
-                    .iter()
-                    .any(|d| d.rule == "X3" && d.msg.contains(v.as_str()) && d.msg.contains(func)),
-                "dropping the {v} arm from {func} must fail X3, got {diags:#?}"
-            );
-        }
-    }
+    harness::removing_any_arm_fails("X3", 3);
 }

@@ -145,8 +145,9 @@ impl Validation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::MachineBuilder;
     use crate::config::MachineConfig;
-    use crate::machine::{Machine, RunMode};
+    use crate::machine::RunMode;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 
     fn stats() -> WorkloadStats {
@@ -209,13 +210,13 @@ mod tests {
         }
         let bundle = TraceBundle::new(regions, vec![tr.finish()]);
         let cfg = MachineConfig::fat_cmp(1, 1 << 20, 8);
-        let res = Machine::run(
-            cfg.clone(),
-            &bundle,
-            RunMode::Completion {
-                max_cycles: 50_000_000,
-            },
-        );
+        let mode = RunMode::Completion {
+            max_cycles: 50_000_000,
+        };
+        let res = MachineBuilder::from_config(cfg.clone(), mode)
+            .build(&bundle)
+            .expect("valid preset")
+            .execute();
         let v = Validation::new(
             &cfg,
             &res,

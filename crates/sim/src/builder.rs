@@ -2,8 +2,7 @@
 //!
 //! [`MachineBuilder`] assembles a machine from per-slot [`CoreKind`]s
 //! (heterogeneous fat/lean mixes allowed), a cache topology (any mix of
-//! private, island, and chip-shared levels — or the legacy
-//! [`L2Arrangement`] shorthand), and a [`RunMode`], and validates the
+//! private, island, and chip-shared levels), and a [`RunMode`], and validates the
 //! result into a [`Machine`] — degenerate configs (zero cores, zero
 //! contexts, empty hierarchies, non-nesting islands, …) come back as a
 //! [`ConfigError`] at build time instead of panicking or silently
@@ -30,9 +29,7 @@
 
 use dbcmp_trace::TraceBundle;
 
-use crate::config::{
-    CacheGeom, CacheTopology, ConfigError, CoreKind, L2Arrangement, MachineConfig,
-};
+use crate::config::{CacheGeom, CacheTopology, ConfigError, CoreKind, MachineConfig};
 use crate::machine::{Machine, RunMode};
 
 /// Builder for [`Machine`]s: per-slot cores, cache topology, run mode.
@@ -46,12 +43,12 @@ use crate::machine::{Machine, RunMode};
 pub struct MachineBuilder {
     cfg: MachineConfig,
     mode: RunMode,
-    /// The caller set `l1_to_l1` explicitly; `l2()`/`topology()` must
-    /// not overwrite it with the derived default (order-independence).
+    /// The caller set `l1_to_l1` explicitly; `topology()` must not
+    /// overwrite it with the derived default (order-independence).
     l1_to_l1_pinned: bool,
     /// Bank overrides pinned by `l2_banks`/`l2_bank_occupancy`, applied
     /// to the innermost level at build time so they survive a later
-    /// `l2()`/`topology()` call in any order.
+    /// `topology()` call in any order.
     banks_pinned: Option<usize>,
     occupancy_pinned: Option<u64>,
 }
@@ -71,9 +68,9 @@ impl MachineBuilder {
         }
     }
 
-    /// Seed the builder from an existing config (the migration path for
-    /// the `Machine::new`/`run` shims and the sweep runner). The config's
-    /// `l1_to_l1` is treated as deliberate: a later `l2()` keeps it.
+    /// Seed the builder from an existing config (how presets and the
+    /// sweep runner build machines). The config's `l1_to_l1` is treated
+    /// as deliberate: a later `topology()` keeps it.
     pub fn from_config(cfg: MachineConfig, mode: RunMode) -> Self {
         MachineBuilder {
             cfg,
@@ -121,12 +118,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Set the on-chip L2 arrangement (shared CMP or private SMP) — the
-    /// legacy shorthand for a one-level [`CacheTopology`].
-    pub fn l2(self, l2: L2Arrangement) -> Self {
-        self.topology(l2.topology())
-    }
-
     pub fn l1i(mut self, g: CacheGeom) -> Self {
         self.cfg.l1i = g;
         self
@@ -138,7 +129,7 @@ impl MachineBuilder {
     }
 
     /// Bank count of the innermost level (the L2). Pinned: survives a
-    /// later `l2()`/`topology()` call.
+    /// later `topology()` call.
     pub fn l2_banks(mut self, banks: usize) -> Self {
         self.banks_pinned = Some(banks);
         self
@@ -363,25 +354,6 @@ mod tests {
         assert!(format!("{dyn_err}").contains("zero core slots"));
     }
 
-    /// Builder-built homogeneous machines are byte-identical to the
-    /// legacy `Machine::run` path on the same config.
-    #[test]
-    fn builder_matches_legacy_path() {
-        let b = bundle(6);
-        for cfg in [
-            MachineConfig::fat_cmp(2, 1 << 20, 8),
-            MachineConfig::lean_cmp(2, 1 << 20, 8),
-        ] {
-            let legacy = Machine::run(cfg.clone(), &b, MODE);
-            let built: SimResult = MachineBuilder::from_config(cfg, MODE)
-                .build(&b)
-                .expect("valid preset")
-                .execute();
-            assert_eq!(legacy, built);
-            assert_eq!(format!("{legacy:?}"), format!("{built:?}"));
-        }
-    }
-
     /// A heterogeneous machine whose slots all carry the same kind is
     /// event-for-event equal to the homogeneous machine.
     #[test]
@@ -392,9 +364,13 @@ mod tests {
             homo.core = kind;
             let mut hetero = homo.clone();
             hetero.slots = vec![kind; 3];
-            let r_homo = Machine::run(homo, &b, MODE);
-            let r_hetero = Machine::run(hetero, &b, MODE);
-            assert_eq!(r_homo, r_hetero);
+            let run = |cfg| -> SimResult {
+                MachineBuilder::from_config(cfg, MODE)
+                    .build(&b)
+                    .expect("valid config")
+                    .execute()
+            };
+            assert_eq!(run(homo), run(hetero));
         }
     }
 
@@ -407,7 +383,7 @@ mod tests {
             .name("1F+1L")
             .slot(CoreKind::fat())
             .slot(CoreKind::lean())
-            .l2(L2Arrangement::Shared(CacheGeom::new(1 << 20, 16, 8)))
+            .topology(CacheTopology::shared_l2(CacheGeom::new(1 << 20, 16, 8)))
             .build(&b)
             .expect("valid mixed config");
         let res = m.execute();
@@ -423,21 +399,24 @@ mod tests {
         let before = MachineBuilder::new(MODE)
             .slot(CoreKind::fat())
             .l1_to_l1(30)
-            .l2(L2Arrangement::Shared(geom))
+            .topology(CacheTopology::shared_l2(geom))
             .into_config()
             .expect("valid");
         let after = MachineBuilder::new(MODE)
             .slot(CoreKind::fat())
-            .l2(L2Arrangement::Shared(geom))
+            .topology(CacheTopology::shared_l2(geom))
             .l1_to_l1(30)
             .into_config()
             .expect("valid");
-        assert_eq!(before.l1_to_l1, 30, "l2() must not clobber a pinned value");
+        assert_eq!(
+            before.l1_to_l1, 30,
+            "topology() must not clobber a pinned value"
+        );
         assert_eq!(after.l1_to_l1, 30);
-        // Unpinned: l2() derives the preset-consistent default.
+        // Unpinned: topology() derives the preset-consistent default.
         let derived = MachineBuilder::new(MODE)
             .slot(CoreKind::fat())
-            .l2(L2Arrangement::Shared(geom))
+            .topology(CacheTopology::shared_l2(geom))
             .into_config()
             .expect("valid");
         assert_eq!(derived.l1_to_l1, geom.latency + 6);
@@ -445,7 +424,7 @@ mod tests {
 
     #[test]
     fn pinned_banks_survive_topology_in_either_order() {
-        use crate::config::{CacheTopology, SharedBy};
+        use crate::config::SharedBy;
         let geom = CacheGeom::new(8 << 20, 16, 12);
         let before = MachineBuilder::new(MODE)
             .slot(CoreKind::fat())
@@ -477,7 +456,6 @@ mod tests {
 
     #[test]
     fn multi_level_island_topology_builds_and_runs() {
-        use crate::config::CacheTopology;
         let b = bundle(8);
         let m =
             MachineBuilder::new(MODE)
@@ -497,7 +475,6 @@ mod tests {
 
     #[test]
     fn degenerate_topologies_are_rejected() {
-        use crate::config::{CacheTopology, ConfigError};
         let b = bundle(1);
         let err = MachineBuilder::new(MODE)
             .slot(CoreKind::fat())

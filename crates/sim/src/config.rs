@@ -9,8 +9,7 @@
 //! number of [`LevelSpec`] levels, each private per core, shared by an
 //! *island* of adjacent cores, or shared by the whole chip — the continuum
 //! between the paper's two fixed shapes (see "OLTP on Hardware Islands",
-//! PAPERS.md). The legacy [`L2Arrangement`] enum survives as a thin
-//! constructor over the new types.
+//! PAPERS.md).
 
 use std::fmt;
 
@@ -413,39 +412,6 @@ impl CoreKind {
     }
 }
 
-/// The paper's two on-chip L2 arrangements — now a thin constructor over
-/// [`CacheTopology`]: both shapes are one-level hierarchies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum L2Arrangement {
-    /// Chip multiprocessor: all cores share one banked on-chip L2.
-    Shared(CacheGeom),
-    /// Symmetric multiprocessor: each core is its own node with a private
-    /// L2; nodes snoop each other over an off-chip interconnect.
-    Private(CacheGeom),
-}
-
-impl L2Arrangement {
-    pub fn geom(&self) -> CacheGeom {
-        match *self {
-            L2Arrangement::Shared(g) | L2Arrangement::Private(g) => g,
-        }
-    }
-
-    /// The equivalent one-level topology. Both shapes keep the
-    /// workspace-default 4-bank pool the legacy `MachineConfig` carried
-    /// regardless of arrangement (for a private level the pool only
-    /// serves prefetch traffic); the SMP *preset* pins a single bus
-    /// port via [`CacheTopology::private_l2`].
-    pub fn topology(&self) -> CacheTopology {
-        match *self {
-            L2Arrangement::Shared(g) => CacheTopology::shared_l2(g),
-            L2Arrangement::Private(g) => CacheTopology {
-                levels: vec![LevelSpec::new(g, SharedBy::Core)],
-            },
-        }
-    }
-}
-
 /// Full machine description.
 ///
 /// Homogeneous machines (every figure of the paper) leave `slots` empty
@@ -657,21 +623,14 @@ mod tests {
         assert_eq!(smp.topology.depth(), 1);
         assert_eq!(smp.topology.innermost().shared_by, SharedBy::Core);
         assert_eq!(smp.l2_geom().size, 4 << 20);
-    }
-
-    #[test]
-    fn legacy_arrangements_map_to_one_level_topologies() {
+        // The two one-level constructors: the CMP shape is chip-shared on
+        // the default 4-bank pool, the SMP shape pins a single bus port.
         let g = CacheGeom::new(8 << 20, 16, 12);
-        let shared = L2Arrangement::Shared(g).topology();
+        let shared = CacheTopology::shared_l2(g);
         assert_eq!(shared.depth(), 1);
         assert_eq!(shared.innermost().shared_by, SharedBy::Chip);
         assert_eq!(shared.innermost().geom, g);
         assert_eq!(shared.innermost().banks, 4);
-        let private = L2Arrangement::Private(g).topology();
-        assert_eq!(private.innermost().shared_by, SharedBy::Core);
-        // The legacy config carried its 4-bank default regardless of
-        // arrangement; only the SMP preset pins a single bus port.
-        assert_eq!(private.innermost().banks, 4);
         assert_eq!(CacheTopology::private_l2(g).innermost().banks, 1);
     }
 

@@ -27,9 +27,8 @@
 //! The memory system ([`memsys`]) models per-core L1I/L1D and an open,
 //! composable [`config::CacheTopology`]: any number of levels beyond the
 //! L1s, each private per core, shared by an *island* of adjacent cores,
-//! or chip-shared, with an optional L3 — the legacy shared-L2 CMP and
-//! private-L2 SMP arrangements are the two one-level extremes
-//! ([`config::L2Arrangement`] survives as a thin constructor). One
+//! or chip-shared, with an optional L3 — the paper's shared-L2 CMP and
+//! private-L2 SMP arrangements are the two one-level extremes. One
 //! generic level walker serves every shape: inclusive back-invalidation,
 //! L1-to-L1 transfers within shared domains, MESI-style snooping between
 //! nodes when no chip-shared root exists, bank occupancy/queueing (the
@@ -61,8 +60,7 @@ pub mod stream;
 pub use crate::core::Core;
 pub use builder::MachineBuilder;
 pub use config::{
-    CacheGeom, CacheTopology, ConfigError, CoreKind, L2Arrangement, LevelSpec, MachineConfig,
-    SharedBy,
+    CacheGeom, CacheTopology, ConfigError, CoreKind, LevelSpec, MachineConfig, SharedBy,
 };
 pub use interconnect::Interconnect;
 pub use machine::{Machine, RunMode};

@@ -13,7 +13,6 @@
 
 use dbcmp_trace::TraceBundle;
 
-use crate::builder::MachineBuilder;
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::Core;
 use crate::cursor::ThreadState;
@@ -79,9 +78,6 @@ pub struct Machine<'a> {
     per_core: Vec<Breakdown>,
     now: u64,
     mode: RunMode,
-    /// Built through the `Machine::new` manual-stepping shim: the mode
-    /// is a placeholder, so `execute()` must refuse to run it.
-    manual_shim: bool,
 }
 
 impl<'a> Machine<'a> {
@@ -135,34 +131,7 @@ impl<'a> Machine<'a> {
             per_core: vec![Breakdown::default(); n_cores],
             now: 0,
             mode,
-            manual_shim: false,
         }
-    }
-
-    /// Thin shim retained from the pre-builder API: build a machine for
-    /// **manual stepping** (`step()` in a caller-owned loop), panicking
-    /// on a degenerate config. The stored run mode is a placeholder —
-    /// `execute()` refuses machines built this way, so a zero-window
-    /// throughput run can never silently report zeros. Prefer
-    /// [`MachineBuilder`], which surfaces a `ConfigError` and carries a
-    /// real `RunMode`.
-    pub fn new(cfg: MachineConfig, bundle: &'a TraceBundle, wrap: bool) -> Self {
-        let mode = if wrap {
-            RunMode::Throughput {
-                warmup: 0,
-                measure: 0,
-            }
-        } else {
-            RunMode::Completion {
-                max_cycles: u64::MAX,
-            }
-        };
-        let mut m = MachineBuilder::from_config(cfg, mode)
-            .build(bundle)
-            // lint:allow(panic): documented panic shim; fallible callers build via MachineBuilder and get a ConfigError
-            .unwrap_or_else(|e| panic!("invalid machine config: {e}"));
-        m.manual_shim = true;
-        m
     }
 
     /// Advance one cycle across all cores.
@@ -219,16 +188,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Run the machine's configured [`RunMode`] to the end and report.
-    ///
-    /// Panics for machines built through the `Machine::new` shim, whose
-    /// mode is a manual-stepping placeholder (a zero-cycle throughput
-    /// window would otherwise "run" and report all zeros).
     pub fn execute(mut self) -> SimResult {
-        assert!(
-            !self.manual_shim,
-            "Machine::new builds a manual-stepping machine; use \
-             MachineBuilder::from_config(cfg, mode).build(bundle) to execute()"
-        );
         match self.mode {
             RunMode::Throughput { warmup, measure } => {
                 for _ in 0..warmup {
@@ -249,25 +209,22 @@ impl<'a> Machine<'a> {
             }
         }
     }
-
-    /// Run one full experiment — thin shim over
-    /// `MachineBuilder::from_config(..).build(..).execute()`. Panics on a
-    /// degenerate config; use the builder to handle `ConfigError`.
-    pub fn run(cfg: MachineConfig, bundle: &'a TraceBundle, mode: RunMode) -> SimResult {
-        MachineBuilder::from_config(cfg, mode)
-            .build(bundle)
-            // lint:allow(panic): documented panic shim; fallible callers use MachineBuilder directly
-            .unwrap_or_else(|e| panic!("invalid machine config: {e}"))
-            .execute()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::MachineBuilder;
     use crate::config::MachineConfig;
     use crate::stats::CycleClass;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
+
+    fn run(cfg: MachineConfig, bundle: &TraceBundle, mode: RunMode) -> SimResult {
+        MachineBuilder::from_config(cfg, mode)
+            .build(bundle)
+            .expect("valid preset")
+            .execute()
+    }
 
     /// A small synthetic workload: `n` threads, each interleaving compute
     /// with loads over a private array plus a shared region.
@@ -298,7 +255,7 @@ mod tests {
     fn completion_run_finishes_and_accounts_all_cycles() {
         let cfg = MachineConfig::fat_cmp(2, 1 << 20, 8);
         let b = bundle(2, 50);
-        let res = Machine::run(
+        let res = run(
             cfg,
             &b,
             RunMode::Completion {
@@ -320,7 +277,7 @@ mod tests {
     fn throughput_run_measures_window() {
         let cfg = MachineConfig::lean_cmp(1, 1 << 20, 8);
         let b = bundle(4, 50);
-        let res = Machine::run(
+        let res = run(
             cfg,
             &b,
             RunMode::Throughput {
@@ -339,7 +296,7 @@ mod tests {
     fn deterministic_across_runs() {
         let cfg = MachineConfig::fat_cmp(2, 1 << 20, 8);
         let b = bundle(3, 40);
-        let r1 = Machine::run(
+        let r1 = run(
             cfg.clone(),
             &b,
             RunMode::Throughput {
@@ -347,7 +304,7 @@ mod tests {
                 measure: 10_000,
             },
         );
-        let r2 = Machine::run(
+        let r2 = run(
             cfg,
             &b,
             RunMode::Throughput {
@@ -364,7 +321,7 @@ mod tests {
     fn more_threads_than_contexts_still_finishes() {
         let cfg = MachineConfig::fat_cmp(1, 1 << 20, 8); // 1 context total
         let b = bundle(3, 30);
-        let res = Machine::run(
+        let res = run(
             cfg,
             &b,
             RunMode::Completion {
@@ -399,7 +356,7 @@ mod tests {
             })
             .collect();
         let b = TraceBundle::new(regions, threads);
-        let fat = Machine::run(
+        let fat = run(
             MachineConfig::fat_cmp(4, 4 << 20, 10),
             &b,
             RunMode::Throughput {
@@ -407,7 +364,7 @@ mod tests {
                 measure: 200_000,
             },
         );
-        let lean = Machine::run(
+        let lean = run(
             MachineConfig::lean_cmp(4, 4 << 20, 10),
             &b,
             RunMode::Throughput {
@@ -427,16 +384,6 @@ mod tests {
             lean.uipc(),
             fat.uipc()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "manual-stepping")]
-    fn shim_machines_refuse_execute() {
-        let cfg = MachineConfig::fat_cmp(1, 1 << 20, 8);
-        let b = bundle(1, 10);
-        // The shim's placeholder mode (0-cycle throughput window) must
-        // not silently "run" and report zeros.
-        Machine::new(cfg, &b, true).execute();
     }
 
     /// Remote markers must (a) show up in the remote counters, (b) cost
@@ -462,7 +409,7 @@ mod tests {
             MachineConfig::fat_cmp(1, 1 << 20, 8),
             MachineConfig::lean_cmp(1, 1 << 20, 8),
         ] {
-            let local = Machine::run(
+            let local = run(
                 cfg.clone(),
                 &remote_bundle(false),
                 RunMode::Completion {
@@ -470,7 +417,7 @@ mod tests {
                 },
             );
             assert_eq!(local.remote, crate::stats::RemoteCounters::default());
-            let remote = Machine::run(
+            let remote = run(
                 cfg.clone(),
                 &remote_bundle(true),
                 RunMode::Completion {
@@ -505,7 +452,7 @@ mod tests {
     fn empty_bundle_runs_zero_work() {
         let cfg = MachineConfig::fat_cmp(1, 1 << 20, 8);
         let b = TraceBundle::new(CodeRegions::new(), vec![]);
-        let res = Machine::run(cfg, &b, RunMode::Completion { max_cycles: 1000 });
+        let res = run(cfg, &b, RunMode::Completion { max_cycles: 1000 });
         assert_eq!(res.instrs, 0);
         assert_eq!(res.units, 0);
     }

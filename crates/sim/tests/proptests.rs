@@ -2,7 +2,7 @@
 //! model, cycle accounting conserves time, and replay is deterministic.
 
 use dbcmp_sim::cache::Cache;
-use dbcmp_sim::{Machine, MachineConfig, RunMode};
+use dbcmp_sim::{MachineBuilder, MachineConfig, RunMode};
 use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -97,8 +97,11 @@ proptest! {
             MachineConfig::fat_cmp(2, 1 << 20, 8)
         };
         let mode = RunMode::Throughput { warmup: 1000, measure: 5000 };
-        let a = Machine::run(cfg.clone(), &bundle, mode);
-        let b = Machine::run(cfg, &bundle, mode);
+        let run = |cfg| {
+            MachineBuilder::from_config(cfg, mode).build(&bundle).expect("valid preset").execute()
+        };
+        let a = run(cfg.clone());
+        let b = run(cfg);
 
         // Conservation: every active core's breakdown sums to the window.
         for core in &a.per_core {

@@ -7,7 +7,7 @@
 
 use dbcmp::core::figures::{fig45_quadrants, fig4_ratios};
 use dbcmp::core::report::{f2, pct, table};
-use dbcmp::core::taxonomy::Saturation;
+use dbcmp::core::taxonomy::{Camp, Saturation, WorkloadKind};
 use dbcmp::core::workload::FigScale;
 
 fn main() {
@@ -16,22 +16,26 @@ fn main() {
     let quadrants = fig45_quadrants(&scale);
 
     let mut rows = Vec::new();
-    for q in &quadrants {
-        let metric = match q.saturation {
-            Saturation::Saturated => format!("{:.3} UIPC", q.result.uipc()),
-            Saturation::Unsaturated => format!(
-                "{:.0} cyc/unit",
-                q.result.avg_unit_cycles.unwrap_or(f64::NAN)
-            ),
-        };
-        rows.push(vec![
-            q.camp.label().to_string(),
-            q.workload.label().to_string(),
-            q.saturation.label().to_string(),
-            metric,
-            pct(q.result.breakdown.compute_fraction()),
-            pct(q.result.breakdown.data_stall_fraction()),
-        ]);
+    for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
+        for camp in [Camp::Fat, Camp::Lean] {
+            for saturation in [Saturation::Saturated, Saturation::Unsaturated] {
+                let result = quadrants.get(&(workload, saturation), &camp);
+                let metric = match saturation {
+                    Saturation::Saturated => format!("{:.3} UIPC", result.uipc()),
+                    Saturation::Unsaturated => {
+                        format!("{:.0} cyc/unit", result.avg_unit_cycles.unwrap_or(f64::NAN))
+                    }
+                };
+                rows.push(vec![
+                    camp.label().to_string(),
+                    workload.label().to_string(),
+                    saturation.label().to_string(),
+                    metric,
+                    pct(result.breakdown.compute_fraction()),
+                    pct(result.breakdown.data_stall_fraction()),
+                ]);
+            }
+        }
     }
     print!(
         "{}",

@@ -1,28 +1,25 @@
-//! API-redesign equivalence suites (ISSUEs 3 and 4).
+//! Simulator-physics anchors and API equivalence suites.
 //!
-//! The trait/builder/sweep redesign (ISSUE 3) and the composable
-//! cache-topology redesign (ISSUE 4) must be pure refactors of the
-//! simulated physics: on real captured workloads,
+//! Machines are built one way — `MachineBuilder::from_config(..)
+//! .build(..).execute()` — and on real captured workloads:
 //!
-//! * builder-built homogeneous machines are **byte-identical** to the
-//!   pre-redesign `Machine::run` path;
+//! * the golden anchor pins the simulated physics to numbers dumped from
+//!   the seed simulator, before the trait/builder/topology redesigns;
 //! * a heterogeneous machine whose slots all carry the same `CoreKind`
 //!   equals the homogeneous machine event-for-event;
+//! * the asymmetric preset's pure endpoints equal the camp presets;
+//! * a uniform 1-core-per-island topology ≡ the private-L2 SMP shape and
+//!   a chip-spanning island ≡ the shared-L2 CMP shape event-for-event;
 //! * the parallel `Sweep` runner returns results identical — values and
 //!   order — to a sequential run of the same points, in both
-//!   `Throughput` and `Completion` modes;
-//! * every legacy `L2Arrangement::{Shared,Private}` preset run through
-//!   an explicitly spelled `CacheTopology` is byte-identical, a uniform
-//!   1-core-per-island topology ≡ `Private` and a chip-spanning island ≡
-//!   `Shared` event-for-event, and the golden anchor below pins the
-//!   walker's physics to the pre-refactor simulator.
+//!   `Throughput` and `Completion` modes.
 
 use dbcmp::core::experiment::{RunSpec, Sweep};
 use dbcmp::core::machines::{asym_cmp, cmp_for, fc_cmp, lc_cmp, smp_baseline, L2Spec};
 use dbcmp::core::taxonomy::{Camp, WorkloadKind};
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
 use dbcmp::sim::{
-    CacheTopology, LevelSpec, Machine, MachineBuilder, MachineConfig, RunMode, SharedBy, SimResult,
+    CacheTopology, LevelSpec, MachineBuilder, MachineConfig, RunMode, SharedBy, SimResult,
 };
 use dbcmp::trace::TraceBundle;
 
@@ -43,21 +40,19 @@ fn spec(scale: &FigScale) -> RunSpec {
     }
 }
 
-fn builder_result(cfg: MachineConfig, w: &CapturedWorkload, mode: RunMode) -> SimResult {
+fn run(cfg: MachineConfig, bundle: &TraceBundle, mode: RunMode) -> SimResult {
     MachineBuilder::from_config(cfg, mode)
-        .build(&w.bundle)
+        .build(bundle)
         .expect("preset configs validate")
         .execute()
 }
 
 /// Golden anchor against the *actual* pre-redesign simulator: these
 /// numbers were dumped from the seed code at commit `5227f31` (the tree
-/// before the trait/builder refactor) running `Machine::run` on the
-/// identical deterministic capture. They pin the physics — if the
-/// refactor or any later change shifts a single cycle, this fails. The
-/// shim-vs-builder tests below cannot catch such a drift on their own,
-/// because `Machine::run` is now itself a shim over the same assembly
-/// path.
+/// before the trait/builder refactor) on the identical deterministic
+/// capture. They pin the physics — if any change shifts a single cycle,
+/// this fails; the equivalence tests below compare two runs of today's
+/// simulator and cannot catch such a drift on their own.
 #[test]
 fn golden_anchor_matches_pre_redesign_simulator() {
     struct Golden {
@@ -135,7 +130,7 @@ fn golden_anchor_matches_pre_redesign_simulator() {
     let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
     for g in goldens {
         let name = g.cfg.name.clone();
-        let r = Machine::run(g.cfg, &w.bundle, g.mode);
+        let r = run(g.cfg, &w.bundle, g.mode);
         assert_eq!(r.cycles, g.cycles, "{name} {:?}: cycles", g.mode);
         assert_eq!(r.instrs, g.instrs, "{name} {:?}: instrs", g.mode);
         assert_eq!(r.units, g.units, "{name} {:?}: units", g.mode);
@@ -156,33 +151,7 @@ fn golden_anchor_matches_pre_redesign_simulator() {
     }
 }
 
-/// (a) Builder-built homogeneous machines vs the pre-redesign path, on
-/// both camps, both arrangements, both run modes. (Entry-point
-/// equivalence; the golden anchor above pins the underlying physics.)
-#[test]
-fn builder_byte_identical_to_legacy_path() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let sp = spec(&scale);
-    for cfg in [
-        fc_cmp(2, 2 << 20, L2Spec::Cacti),
-        lc_cmp(2, 2 << 20, L2Spec::Cacti),
-        smp_baseline(2, 2 << 20, Camp::Fat),
-    ] {
-        for mode in [sp.throughput(), sp.completion()] {
-            let legacy = Machine::run(cfg.clone(), &w.bundle, mode);
-            let built = builder_result(cfg.clone(), &w, mode);
-            assert_eq!(
-                legacy, built,
-                "builder must be byte-identical to Machine::run for {}",
-                cfg.name
-            );
-            assert_eq!(format!("{legacy:?}"), format!("{built:?}"));
-        }
-    }
-}
-
-/// (b) Heterogeneous machines with uniform slots vs the homogeneous
+/// Heterogeneous machines with uniform slots vs the homogeneous
 /// config — event-for-event, including per-core breakdowns and memory
 /// counters.
 #[test]
@@ -196,8 +165,8 @@ fn uniform_hetero_equals_homogeneous() {
         hetero.slots = homo.slot_kinds();
         assert_eq!(hetero.slots.len(), 4);
         for mode in [sp.throughput(), sp.completion()] {
-            let a = Machine::run(homo.clone(), &w.bundle, mode);
-            let b = Machine::run(hetero.clone(), &w.bundle, mode);
+            let a = run(homo.clone(), &w.bundle, mode);
+            let b = run(hetero.clone(), &w.bundle, mode);
             assert_eq!(a.per_core, b.per_core, "{camp:?}: per-core breakdowns");
             assert_eq!(a.mem, b.mem, "{camp:?}: memory counters");
             assert_eq!(a, b, "{camp:?}: full result");
@@ -222,14 +191,14 @@ fn asym_pure_endpoints_equal_presets() {
             lc_cmp(4, 4 << 20, L2Spec::Cacti),
         ),
     ] {
-        let mut a = Machine::run(asym, &w.bundle, mode);
-        let b = Machine::run(preset, &w.bundle, mode);
+        let mut a = run(asym, &w.bundle, mode);
+        let b = run(preset, &w.bundle, mode);
         a.machine = b.machine.clone();
         assert_eq!(a, b);
     }
 }
 
-/// (c) Parallel sweep == sequential sweep, values and order, for both
+/// Parallel sweep == sequential sweep, values and order, for both
 /// run modes and a mixed bag of machines (including heterogeneous ones),
 /// against a shared bundle.
 #[test]
@@ -271,44 +240,10 @@ fn parallel_sweep_identical_to_sequential() {
     }
 }
 
-/// (ISSUE 4) Every legacy `L2Arrangement` preset re-spelled as an
-/// explicit `CacheTopology` is byte-identical: the enum is now a thin
-/// constructor and both spellings walk the same generic level chain.
-#[test]
-fn explicit_topology_byte_identical_to_legacy_arrangements() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let sp = spec(&scale);
-    for cfg in [
-        fc_cmp(2, 2 << 20, L2Spec::Cacti),
-        lc_cmp(2, 2 << 20, L2Spec::Cacti),
-        smp_baseline(2, 2 << 20, Camp::Fat),
-    ] {
-        // Re-spell the preset's one-level topology from scratch.
-        let level = *cfg.topology.innermost();
-        let mut spelled = cfg.clone();
-        spelled.topology =
-            CacheTopology::new(vec![LevelSpec::new(level.geom, level.shared_by)
-                .banks(level.banks, level.bank_occupancy)]);
-        assert_eq!(
-            spelled.topology, cfg.topology,
-            "thin constructor round-trips"
-        );
-        for mode in [sp.throughput(), sp.completion()] {
-            let legacy = Machine::run(cfg.clone(), &w.bundle, mode);
-            let explicit = Machine::run(spelled.clone(), &w.bundle, mode);
-            assert_eq!(
-                legacy, explicit,
-                "{}: topology spelling must not matter",
-                cfg.name
-            );
-        }
-    }
-}
-
-/// (ISSUE 4) A uniform 1-core-per-island topology ≡ `Private`
-/// event-for-event, and a chip-spanning island ≡ `Shared` — the cluster
-/// continuum really has the two legacy shapes as its endpoints.
+/// A uniform 1-core-per-island topology ≡ the private-L2 SMP preset
+/// event-for-event, and a chip-spanning island ≡ the shared-L2 CMP
+/// preset — the cluster continuum really has the paper's two shapes as
+/// its endpoints.
 #[test]
 fn cluster_extremes_equal_legacy_shapes() {
     let scale = FigScale::quick();
@@ -336,8 +271,8 @@ fn cluster_extremes_equal_legacy_shapes() {
     }
     for (legacy, island) in [(private, one_core_islands), (shared, chip_island)] {
         for mode in [sp.throughput(), sp.completion()] {
-            let a = Machine::run(legacy.clone(), &w.bundle, mode);
-            let b = Machine::run(island.clone(), &w.bundle, mode);
+            let a = run(legacy.clone(), &w.bundle, mode);
+            let b = run(island.clone(), &w.bundle, mode);
             assert_eq!(
                 a.per_core, b.per_core,
                 "{}: per-core breakdowns",
