@@ -119,7 +119,7 @@ fn bench_query(c: &mut Criterion) {
     });
 }
 
-fn bench_tracer(c: &mut Criterion) {
+fn bench_event_tracer(c: &mut Criterion) {
     c.bench_function("tracer_record_1k_events", |b| {
         b.iter(|| {
             let mut t = Tracer::recording();
@@ -135,6 +135,6 @@ fn bench_tracer(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_btree, bench_lockmgr, bench_page, bench_tpcc, bench_query, bench_tracer
+    targets = bench_btree, bench_lockmgr, bench_page, bench_tpcc, bench_query, bench_event_tracer
 );
 criterion_main!(benches);

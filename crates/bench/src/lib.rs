@@ -11,17 +11,14 @@
 //! sequential run; `fig fig8_core_count` prints both wall-clock times).
 //! Criterion microbenchmarks of the substrates live in `benches/`.
 //!
-//! Three harness-performance binaries keep the performance record:
-//! `bench_pipeline` times the whole pipeline end to end and layer by
-//! layer (see its README and `BENCHMARK.json`), `bench_trace` measures
-//! capture/replay throughput and maintains `BENCH_trace.json` (see
-//! [`trajectory`]), and `bench_diff` prints the delta between the two
-//! most recent trajectory points.
+//! The performance record is the `bench_pipeline` binary: it times the
+//! whole pipeline end to end and layer by layer — codec encode/decode
+//! throughput and bytes/event included — behind hard digest goldens
+//! (see its README and `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 // crates/bench is the wall-clock layer; rule D2 exempts it.
 #![allow(clippy::disallowed_methods)]
-pub mod trajectory;
 
 use dbcmp_core::FigScale;
 

@@ -26,7 +26,7 @@
 use dbcmp_sim::{RemoteCounters, SimResult};
 use dbcmp_workloads::{
     capture_oltp_deployment_workers, CaptureOptions, DeployOptions, DeployStats, Deployment,
-    DrawScheme, TpccScale,
+    TpccScale,
 };
 
 use crate::experiment::{grid, InstanceReplay};
@@ -87,8 +87,6 @@ pub fn deploy_capture(
         capture: CaptureOptions::new(scale.oltp_clients, scale.oltp_units, scale.seed),
         partitions: instances,
         multi_pct,
-        contention: true,
-        draws: DrawScheme::PerTxn,
     };
     capture_oltp_deployment_workers(deploy_tpcc_scale(scale, total_cores), opt, instances)
         .expect("deployment windows fit the address space")

@@ -125,10 +125,8 @@ impl CapturedWorkload {
             slice_ops: scale.slice_ops,
             hot_pct,
             hot_items: scale.hot_items,
-            backend: CcBackend::Centralized2PL,
-            draws: dbcmp_workloads::DrawScheme::Legacy,
-        }
-        .with_backend(backend);
+            backend,
+        };
         let cap = capture_oltp_interleaved(db, &h, opt);
         let summary = TraceSummary::compute(&cap.bundle.regions, &cap.bundle.threads);
         (

@@ -97,8 +97,8 @@ pub trait ConcurrencyControl: Send + Sync {
     /// if newly granted (the caller records the key for release).
     fn acquire(&mut self, txn: TxnId, key: u64, mode: LockMode, tc: &mut TraceCtx) -> Result<bool>;
 
-    /// Queued acquire under [`LockPolicy::Queue`](crate::LockPolicy); see
-    /// [`Grant`] for the park/retry protocol. Backends that refuse to
+    /// Queued acquire — the discipline every row lock uses; see [`Grant`]
+    /// for the park/retry protocol. Backends that refuse to
     /// block (out-of-order partitioned requests, ordered-backend
     /// derivation misses) return
     /// [`EngineError::LockConflict`](crate::EngineError) instead of

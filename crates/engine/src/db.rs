@@ -28,21 +28,6 @@ use crate::wal::{Wal, WalRecord};
 /// Key-extraction function for an index: row + rid → packed u64 key.
 pub type KeyFn = Box<dyn Fn(&[Value], Rid) -> u64 + Send + Sync>;
 
-/// How row-lock conflicts behave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockPolicy {
-    /// Conflicts surface immediately as [`EngineError::LockConflict`]
-    /// (the seed's discipline; sequential capture).
-    #[default]
-    NoWait,
-    /// Conflicts park on FIFO wait queues: the caller receives
-    /// [`EngineError::LockWait`] and must retry the same operation after
-    /// the scheduler wakes it; waits-for cycles abort the youngest
-    /// transaction with [`EngineError::Deadlock`]. Used by the interleaved
-    /// multi-client capture.
-    Queue,
-}
-
 /// The whole database instance.
 pub struct Database {
     /// Simulated data address space shared by every structure.
@@ -56,7 +41,6 @@ pub struct Database {
     index_table: Vec<TableId>,
     key_fns: Vec<KeyFn>,
     cc: Box<dyn ConcurrencyControl>,
-    lock_policy: LockPolicy,
     wal: Wal,
     next_txn: u64,
 }
@@ -76,7 +60,6 @@ impl Database {
         Database {
             catalog: Catalog::new(&space),
             cc: Box::new(Centralized2PL::new(&space, 64 * 1024)),
-            lock_policy: LockPolicy::default(),
             wal: Wal::new(&space),
             heaps: Vec::new(),
             indexes: Vec::new(),
@@ -102,16 +85,6 @@ impl Database {
     /// A counting-only context for native runs.
     pub fn null_ctx(&self) -> TraceCtx {
         TraceCtx::null(self.er)
-    }
-
-    /// Select the lock-conflict discipline (see [`LockPolicy`]).
-    pub fn set_lock_policy(&mut self, policy: LockPolicy) {
-        self.lock_policy = policy;
-    }
-
-    /// The active lock-conflict discipline.
-    pub fn lock_policy(&self) -> LockPolicy {
-        self.lock_policy
     }
 
     /// Select the concurrency-control backend (see [`CcBackend`]).
@@ -338,6 +311,12 @@ impl Database {
         self.heaps[table].get(rid, tc)
     }
 
+    /// Take a row lock. A conflict parks the request on the key's FIFO
+    /// wait queue: the caller receives [`EngineError::LockWait`] and must
+    /// retry the same operation once [`Database::drain_woken`] names it;
+    /// a waits-for cycle aborts the youngest transaction on it with
+    /// [`EngineError::Deadlock`]. With one live transaction (sequential
+    /// capture) nothing ever conflicts, so nothing ever parks.
     fn lock(
         &mut self,
         txn: &mut Txn,
@@ -347,17 +326,10 @@ impl Database {
         tc: &mut TraceCtx,
     ) -> Result<()> {
         let key = Self::lock_key(table, rid);
-        match self.lock_policy {
-            LockPolicy::NoWait => {
-                if self.cc.acquire(txn.id, key, mode, tc)? {
-                    txn.locks.push((key, mode));
-                }
-            }
-            LockPolicy::Queue => match self.cc.acquire_wait(txn.id, key, mode, tc)? {
-                Grant::Acquired | Grant::WaitGranted => txn.locks.push((key, mode)),
-                Grant::Held | Grant::WaitUpgraded => {}
-                Grant::Wait => return Err(EngineError::LockWait { key }),
-            },
+        match self.cc.acquire_wait(txn.id, key, mode, tc)? {
+            Grant::Acquired | Grant::WaitGranted => txn.locks.push((key, mode)),
+            Grant::Held | Grant::WaitUpgraded => {}
+            Grant::Wait => return Err(EngineError::LockWait { key }),
         }
         Ok(())
     }
@@ -385,7 +357,7 @@ impl Database {
             index_keys: Vec::new(),
         });
         // Fresh-RID locks conflict only if a deleter still holds the slot's
-        // lock; never worth queueing on — no-wait regardless of policy.
+        // lock; never worth queueing on, so this one acquire is no-wait.
         let key = Self::lock_key(table, rid);
         if self.cc.acquire(txn.id, key, LockMode::Exclusive, tc)? {
             txn.locks.push((key, LockMode::Exclusive));
@@ -623,6 +595,8 @@ mod tests {
         assert_eq!(db.table(t).n_rows(), 1);
     }
 
+    /// A parked waiter that gives up: its abort leaves the wait queue, so
+    /// the holder's commit wakes nobody and the row is free afterwards.
     #[test]
     fn two_pl_conflict_surfaces() {
         let (mut db, t, _) = accounts_db();
@@ -637,20 +611,22 @@ mod tests {
         let mut b = db.begin(&mut tc);
         db.read(&mut a, t, rid, true, &mut tc).unwrap(); // A holds X
         let r = db.read(&mut b, t, rid, false, &mut tc); // B wants S
-        assert!(matches!(r, Err(EngineError::LockConflict { .. })));
+        assert!(matches!(r, Err(EngineError::LockWait { .. })));
         db.abort(b, &mut tc);
+        assert_eq!(db.lock_waiters(), 0, "abort leaves the wait queue");
         db.commit(a, &mut tc).unwrap();
+        assert!(db.drain_woken().is_empty(), "nobody is left to wake");
 
         // After A commits, a new txn succeeds.
         let mut c = db.begin(&mut tc);
         assert!(db.read(&mut c, t, rid, false, &mut tc).is_ok());
         db.commit(c, &mut tc).unwrap();
+        assert_eq!(db.live_locks(), 0);
     }
 
     #[test]
     fn queued_conflict_waits_then_grants() {
         let (mut db, t, _) = accounts_db();
-        db.set_lock_policy(LockPolicy::Queue);
         let mut tc = db.null_ctx();
         let mut setup = db.begin(&mut tc);
         let rid = db
@@ -679,7 +655,6 @@ mod tests {
     #[test]
     fn two_client_cycle_resolves_with_one_victim() {
         let (mut db, t, _) = accounts_db();
-        db.set_lock_policy(LockPolicy::Queue);
         let mut tc = db.null_ctx();
         let mut setup = db.begin(&mut tc);
         let k1 = db
@@ -716,7 +691,6 @@ mod tests {
     #[test]
     fn parked_younger_txn_is_the_victim() {
         let (mut db, t, _) = accounts_db();
-        db.set_lock_policy(LockPolicy::Queue);
         let mut tc = db.null_ctx();
         let mut setup = db.begin(&mut tc);
         let k1 = db

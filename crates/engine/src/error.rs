@@ -6,15 +6,16 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A lock could not be granted because a live transaction holds a
-    /// conflicting mode — the requester should abort and retry (no-wait
-    /// discipline; resolution is left to the caller).
+    /// conflicting mode — the requester should abort and retry. Raised by
+    /// the acquires that never queue: an insert's fresh-RID lock and the
+    /// partitioned/ordered backends' out-of-order fallbacks.
     LockConflict {
         /// Lock key that conflicted.
         key: u64,
     },
-    /// The requester was enqueued behind conflicting holders
-    /// ([`LockPolicy::Queue`](crate::db::LockPolicy)): it must yield to the
-    /// scheduler and retry the same operation once woken. Not an abort.
+    /// The requester was enqueued behind conflicting holders: it must
+    /// yield to the scheduler and retry the same operation once woken.
+    /// Not an abort.
     LockWait {
         /// Lock key being waited on.
         key: u64,

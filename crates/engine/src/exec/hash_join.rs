@@ -1,8 +1,9 @@
 //! Hash join (inner and left-outer).
 //!
-//! Build side is materialized into a hash table allocated in the simulated
-//! address space; probes emit a dependent load per bucket (hash-chain
-//! walk). Outer joins preserve unmatched probe rows padded with NULLs.
+//! Build side is materialized into a [`BuildTable`] allocated in the
+//! simulated address space; probes emit a dependent load per bucket
+//! (hash-chain walk). Outer joins preserve unmatched probe rows padded
+//! with NULLs.
 
 // Hash collections here are audited per-site with lint:allow(hash-order)
 // annotations (rule D1); the file-level clippy opt-out avoids repeating
@@ -28,26 +29,127 @@ pub enum JoinKind {
     LeftOuter,
 }
 
-/// Hash join: `build` side loaded into a table keyed by `build_key`;
-/// `probe` side streamed, matching on `probe_key`. Output = probe row ++
-/// build row.
+/// The multiplicative mix of a join key, before reduction to a bucket
+/// or an instance: bucket placement ([`bucket_addr`]) and shuffle routing
+/// (`shuffle_join::partition_of`) reduce the same value, so rows that
+/// collide in a bucket also land on the same instance.
+pub(crate) fn key_hash(key: &Value) -> u64 {
+    let h = match key {
+        Value::Int(v) | Value::Decimal(v) => *v as u64,
+        Value::Date(d) => *d as u64,
+        Value::Str(s) => s.bytes().fold(1469598103934665603u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(1099511628211)
+        }),
+        Value::Null => 0,
+    };
+    h.wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// Map a join key to its simulated bucket line within a table of
+/// `n_buckets` 64-byte buckets based at `base`.
+pub(crate) fn bucket_addr(base: u64, n_buckets: u64, key: &Value) -> u64 {
+    base + (key_hash(key) % n_buckets.max(1)) * 64
+}
+
+/// A built hash-join table and its whole cost model — the one place a
+/// build row or a probe is charged. The executor's [`HashJoin`] and the
+/// staged engine's `JoinTable` both build and probe through it, so their
+/// captures of the same join touch the same simulated address pattern;
+/// they differ only in where the bucket array lives, which the caller
+/// decides by passing its base address.
+#[derive(Debug)]
+pub struct BuildTable {
+    // lint:allow(hash-order): probed per key; per-key match Vecs preserve build order
+    table: HashMap<Value, Vec<Row>>,
+    base: u64,
+    n_buckets: u64,
+    build_width: usize,
+}
+
+impl BuildTable {
+    /// Simulated bytes of the bucket array for `n_rows` build rows: one
+    /// 64-byte bucket per row, rounded up to a power of two, at least 64
+    /// buckets. The caller allocates this much and passes the address to
+    /// [`BuildTable::build`].
+    pub fn bytes_for(n_rows: usize) -> u64 {
+        Self::buckets_for(n_rows) * 64
+    }
+
+    fn buckets_for(n_rows: usize) -> u64 {
+        (n_rows as u64).next_power_of_two().max(64)
+    }
+
+    /// Load `rows` into a table keyed on column `key`, whose bucket array
+    /// is the [`BuildTable::bytes_for`]`(rows.len())` bytes at `base`.
+    /// Every row is charged `HJ_BUILD_ROW`; rows with a NULL key are then
+    /// dropped (SQL: NULL never participates in an equi-join), the rest
+    /// store 16 bytes into their bucket line.
+    pub fn build(base: u64, rows: Vec<Row>, key: usize, tc: &mut TraceCtx) -> Self {
+        let mut t = BuildTable {
+            // lint:allow(hash-order): filled in deterministic input order; the map is only ever probed
+            table: HashMap::with_capacity(rows.len()),
+            base,
+            n_buckets: Self::buckets_for(rows.len()),
+            build_width: 0,
+        };
+        for row in rows {
+            tc.charge(tc.r.exec_hashjoin, instr::HJ_BUILD_ROW);
+            t.build_width = row.len();
+            let k = row[key].clone();
+            if k.is_null() {
+                continue;
+            }
+            tc.store(bucket_addr(t.base, t.n_buckets, &k), 16);
+            t.table.entry(k).or_default().push(row);
+        }
+        t
+    }
+
+    /// Probe with `row` keyed on column `key`, appending `row ++ build`
+    /// to `out` for every match in build order; returns whether anything
+    /// matched (a NULL key never does). Charges `HJ_PROBE_ROW`, a
+    /// dependent 16-byte load of the bucket header, and one 16-byte load
+    /// of the same line per match (chain walks past the first hop are not
+    /// modeled — DESIGN.md §4).
+    pub fn probe(&self, row: &[Value], key: usize, out: &mut Vec<Row>, tc: &mut TraceCtx) -> bool {
+        tc.charge(tc.r.exec_hashjoin, instr::HJ_PROBE_ROW);
+        let k = &row[key];
+        if k.is_null() {
+            return false;
+        }
+        let addr = bucket_addr(self.base, self.n_buckets, k);
+        tc.load_dep(addr, 16);
+        let Some(matches) = self.table.get(k) else {
+            return false;
+        };
+        for m in matches {
+            tc.load(addr, 16);
+            let mut combined = row.to_vec();
+            combined.extend(m.iter().cloned());
+            out.push(combined);
+        }
+        true
+    }
+
+    /// Width of the build rows (0 if there were none).
+    pub fn build_width(&self) -> usize {
+        self.build_width
+    }
+}
+
+/// Hash join: `build` side loaded into a [`BuildTable`] keyed by
+/// `build_key`, allocated from the context's scratch; `probe` side
+/// streamed, matching on `probe_key`. Output = probe row ++ build row.
 pub struct HashJoin {
     build: BoxExec,
     probe: BoxExec,
     build_key: usize,
     probe_key: usize,
     kind: JoinKind,
-    // lint:allow(hash-order): probed per key; per-key match Vecs preserve build-scan order
-    table: HashMap<Value, Vec<Row>>,
-    /// Simulated base address of the hash table.
-    table_addr: u64,
-    n_buckets: u64,
-    build_width: usize,
+    /// Built by `open`.
+    table: Option<BuildTable>,
     /// Matches pending emission for the current probe row.
     pending: Vec<Row>,
-    /// Charge chain-walk loads past the bucket header on duplicate-key
-    /// buckets (see [`HashJoin::with_chain_walks`]). Off by default.
-    chain_walks: bool,
 }
 
 impl HashJoin {
@@ -66,62 +168,9 @@ impl HashJoin {
             build_key,
             probe_key,
             kind,
-            // lint:allow(hash-order): placeholder; filled (and justified) in open()
-            table: HashMap::new(),
-            table_addr: 0,
-            n_buckets: 0,
-            build_width: 0,
+            table: None,
             pending: Vec::new(),
-            chain_walks: false,
         }
-    }
-
-    /// Opt into chain-walk accounting on duplicate-key buckets: the
-    /// j-th match beyond the first costs a *dependent* load on the
-    /// overflow entry it chains to, instead of re-touching the bucket
-    /// header. Off by default — the historical (PR 5) model charged the
-    /// bucket array only, and every golden anchor pins that default;
-    /// this flag closes the honesty caveat without moving them.
-    pub fn with_chain_walks(mut self, on: bool) -> Self {
-        self.chain_walks = on;
-        self
-    }
-
-    fn bucket_addr(&self, key: &Value) -> u64 {
-        bucket_addr(self.table_addr, self.n_buckets, key)
-    }
-}
-
-/// Map a join key to its simulated bucket line within a table of
-/// `n_buckets` 64-byte buckets based at `base`. The **single source of
-/// truth** for hash-table address geometry: the staged engine's
-/// `JoinTable` uses the same function, so executor and staged captures
-/// of the same join touch the same simulated address pattern.
-pub fn bucket_addr(base: u64, n_buckets: u64, key: &Value) -> u64 {
-    let h = match key {
-        Value::Int(v) | Value::Decimal(v) => *v as u64,
-        Value::Date(d) => *d as u64,
-        Value::Str(s) => s.bytes().fold(1469598103934665603u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(1099511628211)
-        }),
-        Value::Null => 0,
-    };
-    base + (h.wrapping_mul(0x9E3779B97F4A7C15) % n_buckets.max(1)) * 64
-}
-
-/// Charge the load for the `j`-th match (0-based) in a bucket at `addr`.
-/// The first match reads the bucket header. With `chain_walks` off
-/// (the historical default every golden anchor pins), every further
-/// match re-reads the header too; with it on, the j-th duplicate walks
-/// to its overflow entry — a *dependent* 16-byte load at one of the
-/// three chain slots behind the header (entries cycle through the
-/// 64-byte bucket line's remaining slots, the way a bucket-chained
-/// table packs overflow cells before spilling).
-pub(crate) fn match_load(tc: &mut TraceCtx, addr: u64, j: usize, chain_walks: bool) {
-    if chain_walks && j > 0 {
-        tc.load_dep(addr + 16 * (1 + ((j - 1) as u64 % 3)), 16);
-    } else {
-        tc.load(addr, 16);
     }
 }
 
@@ -134,27 +183,15 @@ impl Executor for HashJoin {
         }
         self.build.close();
 
-        // Size the simulated table to the build cardinality.
-        self.n_buckets = (rows.len() as u64).next_power_of_two().max(64);
-        self.table_addr = tc.scratch_alloc(&db.space, self.n_buckets * 64);
-        // lint:allow(hash-order): build fill in deterministic scan order; the map is only ever probed
-        self.table = HashMap::with_capacity(rows.len());
-        for row in rows {
-            tc.charge(tc.r.exec_hashjoin, instr::HJ_BUILD_ROW);
-            self.build_width = row.len();
-            let key = row[self.build_key].clone();
-            // SQL semantics: NULL keys never participate in an equi-join.
-            if key.is_null() {
-                continue;
-            }
-            let addr = self.bucket_addr(&key);
-            tc.store(addr, 16);
-            self.table.entry(key).or_default().push(row);
-        }
+        let base = tc.scratch_alloc(&db.space, BuildTable::bytes_for(rows.len()));
+        self.table = Some(BuildTable::build(base, rows, self.build_key, tc));
         self.probe.open(db, tc)
     }
 
     fn next(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>> {
+        let Some(table) = self.table.as_ref() else {
+            return Ok(None);
+        };
         loop {
             if let Some(out) = self.pending.pop() {
                 return Ok(Some(out));
@@ -162,44 +199,19 @@ impl Executor for HashJoin {
             let Some(probe_row) = self.probe.next(db, tc)? else {
                 return Ok(None);
             };
-            tc.charge(tc.r.exec_hashjoin, instr::HJ_PROBE_ROW);
-            let key = &probe_row[self.probe_key];
-            if key.is_null() {
-                // NULL probe keys match nothing (but outer joins keep the
-                // probe row).
-                if self.kind == JoinKind::LeftOuter {
-                    let mut out = probe_row.clone();
-                    out.extend(std::iter::repeat_n(Value::Null, self.build_width));
-                    return Ok(Some(out));
-                }
-                continue;
-            }
-            // Bucket header: dependent load (chain walk).
-            let addr = self.bucket_addr(key);
-            tc.load_dep(addr, 16);
-            match self.table.get(key) {
-                Some(matches) => {
-                    for (j, m) in matches.iter().enumerate() {
-                        match_load(tc, addr, j, self.chain_walks);
-                        let mut out = probe_row.clone();
-                        out.extend(m.iter().cloned());
-                        self.pending.push(out);
-                    }
-                }
-                None => {
-                    if self.kind == JoinKind::LeftOuter {
-                        let mut out = probe_row.clone();
-                        out.extend(std::iter::repeat_n(Value::Null, self.build_width));
-                        return Ok(Some(out));
-                    }
-                }
+            let matched = table.probe(&probe_row, self.probe_key, &mut self.pending, tc);
+            if !matched && self.kind == JoinKind::LeftOuter {
+                // Outer joins keep the unmatched probe row, NULL-padded.
+                let mut out = probe_row;
+                out.extend(std::iter::repeat_n(Value::Null, table.build_width()));
+                return Ok(Some(out));
             }
         }
     }
 
     fn close(&mut self) {
         self.probe.close();
-        self.table.clear();
+        self.table = None;
         self.pending.clear();
     }
 }
@@ -302,66 +314,6 @@ mod tests {
         for r in &rows {
             assert_eq!(r[1], r[5], "every emitted pair agrees on the key");
         }
-    }
-
-    /// Satellite: the chain-walk flag defaults off, and off is
-    /// byte-identical to the historical bucket-array-only accounting —
-    /// the golden anchors (fig7, fig_joins, fig_deploy, BENCH_trace)
-    /// all replay captures of this default.
-    #[test]
-    fn chain_walk_flag_defaults_off_and_pins_the_trace() {
-        use crate::costs::EngineRegions;
-        use dbcmp_trace::{CodeRegions, Event};
-
-        // Build: all 35 rows keyed on grp (5 duplicates per group).
-        // Probe: one row per group (id < 7) → 7 probes x 5 matches.
-        // A fresh database per run keeps the simulated allocator state
-        // (and so the table's scratch address) identical across runs.
-        let run = |chain: Option<bool>| {
-            let (db, t) = sample_db(35);
-            let mut r = CodeRegions::new();
-            let er = EngineRegions::register(&mut r);
-            let mut tc = TraceCtx::recording(er);
-            let build = Box::new(SeqScan::new(t));
-            let probe = Box::new(Filter::new(
-                Box::new(SeqScan::new(t)),
-                Pred::Cmp {
-                    col: 0,
-                    op: CmpOp::Lt,
-                    val: Value::Int(7),
-                },
-            ));
-            let mut join = HashJoin::new(build, 1, probe, 1, JoinKind::Inner);
-            if let Some(on) = chain {
-                join = join.with_chain_walks(on);
-            }
-            let rows = run_to_vec(&mut join, &db, &mut tc).unwrap();
-            (rows, tc.finish())
-        };
-
-        let (rows_default, tr_default) = run(None);
-        let (rows_off, tr_off) = run(Some(false));
-        let (rows_on, tr_on) = run(Some(true));
-
-        // Default ≡ explicit false, byte for byte.
-        assert_eq!(tr_default.packed_events(), tr_off.packed_events());
-
-        // The flag changes accounting only, never results.
-        assert_eq!(rows_default, rows_off);
-        assert_eq!(rows_default, rows_on);
-
-        // Flag on: each duplicate match past the first converts its
-        // header re-read into a dependent chain-walk load — same event
-        // count, exactly Σ(matches − 1) = 7 x (5 − 1) extra dep loads.
-        let dep_loads = |tr: &dbcmp_trace::ThreadTrace| {
-            tr.iter()
-                .filter(|e| matches!(e, Event::Load { dep: true, .. }))
-                .count()
-        };
-        assert_eq!(tr_on.len(), tr_default.len());
-        assert_eq!(tr_on.loads(), tr_default.loads());
-        assert_eq!(dep_loads(&tr_on), dep_loads(&tr_default) + 7 * 4);
-        assert_ne!(tr_on.packed_events(), tr_default.packed_events());
     }
 
     #[test]

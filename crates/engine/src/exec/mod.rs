@@ -27,7 +27,7 @@ pub mod sort;
 pub use expr::{AggFunc, AggSpec, CmpOp, Pred, Scalar};
 pub use filter::Filter;
 pub use hash_agg::HashAggregate;
-pub use hash_join::{HashJoin, JoinKind};
+pub use hash_join::{BuildTable, HashJoin, JoinKind};
 pub use index_join::IndexJoin;
 pub use index_scan::IndexRangeScan;
 pub use limit::Limit;
@@ -35,7 +35,7 @@ pub use nested_loop::NestedLoop;
 pub use project::Project;
 pub use rows::Rows;
 pub use scan::SeqScan;
-pub use shuffle_join::{ExchangeStrategy, PartitionedTable, ShuffleJoin};
+pub use shuffle_join::ExchangeStrategy;
 pub use sort::Sort;
 
 use crate::db::Database;

@@ -3,8 +3,9 @@
 //!
 //! Distributed plans use it to feed rows that crossed an exchange (and
 //! were charged routing/shipping cost there) into ordinary operators —
-//! e.g. a partial aggregate over a shuffle join's output, or the
-//! coordinator's merge aggregate over shipped partials. The source
+//! each instance's hash join over its post-exchange fragments, the
+//! partial aggregate over that join's output, the coordinator's merge
+//! aggregate over shipped partials. The source
 //! itself charges nothing: the rows' production cost was paid where
 //! they were produced, and their shipping cost at the exchange.
 

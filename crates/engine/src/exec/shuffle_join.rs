@@ -1,38 +1,22 @@
-//! Shuffle hash join: the distributed flavor of [`HashJoin`].
+//! Distributed hash joins: how rows move between engine instances.
 //!
-//! A network-partitioned join runs the same build/probe machinery as
-//! [`HashJoin`], but the rows of both sides may first cross an
-//! *exchange*: each engine instance hash-partitions its fragment's rows
-//! by join key and ships every row whose key hashes to another instance
-//! (or broadcasts small build sides to every instance). The exchange
-//! itself — routing charges, tuple (de)serialization, and the
-//! `RemoteSend`/`RemoteRecv` traffic priced by the simulator's
-//! interconnect model — is driven by the capture layer
-//! (`workloads::exchange`); this operator covers the two local halves:
+//! A network-partitioned join runs the ordinary [`HashJoin`] on every
+//! instance, over rows that first crossed an *exchange*: each instance
+//! hash-partitions its fragment's rows by join key and ships every row
+//! whose key hashes to another instance (or broadcasts a small build
+//! side to every instance). The exchange itself — routing charges, tuple
+//! (de)serialization, and the `RemoteSend`/`RemoteRecv` traffic priced
+//! by the simulator's interconnect model — is driven by the capture
+//! layer (`workloads::exchange`), which then feeds each instance's
+//! post-exchange rows to a [`HashJoin`] through [`Rows`] sources. This
+//! module holds the two things both sides must agree on: the strategy
+//! enum and the routing function.
 //!
-//! * [`ShuffleJoin::local`] — the single-instance degenerate case,
-//!   which delegates to a real [`HashJoin`] so its event stream is
-//!   identical to the non-distributed plan by construction.
-//! * [`ShuffleJoin::pre_exchanged`] — one instance's share of a
-//!   distributed join: build and probe rows that already include
-//!   whatever the exchange delivered, joined with [`HashJoin`]'s exact
-//!   per-row accounting via [`PartitionedTable`].
+//! [`HashJoin`]: crate::exec::HashJoin
+//! [`Rows`]: crate::exec::Rows
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
-
-// lint:allow(hash-order): build tables are probed by key only; output follows probe-stream order
-use std::collections::HashMap;
-
-use crate::costs::instr;
-use crate::db::Database;
-use crate::error::Result;
-use crate::exec::hash_join::{bucket_addr, match_load};
-use crate::exec::{BoxExec, Executor, HashJoin, JoinKind};
-use crate::tctx::TraceCtx;
-use crate::types::{Row, Value};
+use crate::exec::hash_join::key_hash;
+use crate::types::Value;
 
 /// How a distributed join moves rows between instances. Chosen per join
 /// by the capture layer's dispatch rule (`exchange_rows` in
@@ -41,8 +25,8 @@ use crate::types::{Row, Value};
 /// both surfaces exhaustive over this enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStrategy {
-    /// Single instance: no exchange at all. The plan degenerates to a
-    /// plain [`HashJoin`] (event-identical by construction).
+    /// Single instance: no exchange at all; the plan is the
+    /// single-instance plan.
     Local,
     /// Ship the whole (small) build side to every instance; probe rows
     /// stay where they are. Pays `(n-1) x build bytes`, nothing on the
@@ -55,352 +39,17 @@ pub enum ExchangeStrategy {
 }
 
 /// The destination instance for a join key in an `n`-instance shuffle:
-/// the same multiplicative mix [`bucket_addr`] uses, reduced mod `n` —
-/// so rows that collide in a bucket also land on the same instance.
+/// the hash [`BuildTable`](crate::exec::BuildTable) places buckets by,
+/// reduced mod `n` — so rows that collide in a bucket also land on the
+/// same instance.
 pub fn partition_of(key: &Value, n: usize) -> usize {
-    let h = match key {
-        Value::Int(v) | Value::Decimal(v) => *v as u64,
-        Value::Date(d) => *d as u64,
-        Value::Str(s) => s.bytes().fold(1469598103934665603u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(1099511628211)
-        }),
-        Value::Null => 0,
-    };
-    (h.wrapping_mul(0x9E3779B97F4A7C15) % (n.max(1) as u64)) as usize
-}
-
-/// One instance's build table for a distributed join, with exactly
-/// [`HashJoin`]'s per-row accounting: `HJ_BUILD_ROW` per input row,
-/// NULL keys skipped after the charge, one 16-byte store per admitted
-/// row at its [`bucket_addr`] line, probes a dependent 16-byte load on
-/// the bucket header plus one load per match.
-pub struct PartitionedTable {
-    // lint:allow(hash-order): probed per key; per-key match Vecs preserve input order
-    table: HashMap<Value, Vec<Row>>,
-    addr: u64,
-    n_buckets: u64,
-    build_width: usize,
-    chain_walks: bool,
-}
-
-impl PartitionedTable {
-    /// Materialize `rows` (local fragment rows followed by whatever the
-    /// exchange delivered, in delivery order) into a hash table keyed on
-    /// column `key`. Table geometry and charges match [`HashJoin`]'s
-    /// open path: buckets sized to the *input* cardinality, scratch
-    /// allocated through the context's arena.
-    pub fn build(db: &Database, tc: &mut TraceCtx, rows: Vec<Row>, key: usize) -> Self {
-        let n_buckets = (rows.len() as u64).next_power_of_two().max(64);
-        let addr = tc.scratch_alloc(&db.space, n_buckets * 64);
-        // lint:allow(hash-order): filled in deterministic input order; the map is only ever probed
-        let mut table: HashMap<Value, Vec<Row>> = HashMap::with_capacity(rows.len());
-        let mut build_width = 0;
-        for row in rows {
-            tc.charge(tc.r.exec_hashjoin, instr::HJ_BUILD_ROW);
-            build_width = row.len();
-            let k = row[key].clone();
-            // SQL semantics: NULL keys never participate in an equi-join.
-            if k.is_null() {
-                continue;
-            }
-            tc.store(bucket_addr(addr, n_buckets, &k), 16);
-            table.entry(k).or_default().push(row);
-        }
-        PartitionedTable {
-            table,
-            addr,
-            n_buckets,
-            build_width,
-            chain_walks: false,
-        }
-    }
-
-    /// Opt into chain-walk accounting on duplicate-key buckets (see
-    /// [`HashJoin::with_chain_walks`]). Off by default.
-    pub fn with_chain_walks(mut self, on: bool) -> Self {
-        self.chain_walks = on;
-        self
-    }
-
-    /// Simulated footprint of the bucket array in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.n_buckets * 64
-    }
-
-    /// Width of the admitted build rows (0 if none were admitted).
-    pub fn build_width(&self) -> usize {
-        self.build_width
-    }
-
-    /// Probe one row keyed on column `probe_key`, pushing `probe ++
-    /// build` outputs onto `pending` with [`HashJoin`]'s exact charges.
-    /// Returns `false` for a NULL probe key or an empty bucket (the
-    /// caller decides what outer joins do with the unmatched row).
-    pub fn probe_into(
-        &self,
-        probe_row: &Row,
-        probe_key: usize,
-        tc: &mut TraceCtx,
-        pending: &mut Vec<Row>,
-    ) -> bool {
-        tc.charge(tc.r.exec_hashjoin, instr::HJ_PROBE_ROW);
-        let key = &probe_row[probe_key];
-        if key.is_null() {
-            return false;
-        }
-        // Bucket header: dependent load (chain walk).
-        let addr = bucket_addr(self.addr, self.n_buckets, key);
-        tc.load_dep(addr, 16);
-        match self.table.get(key) {
-            Some(matches) => {
-                for (j, m) in matches.iter().enumerate() {
-                    match_load(tc, addr, j, self.chain_walks);
-                    let mut out = probe_row.clone();
-                    out.extend(m.iter().cloned());
-                    pending.push(out);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// One instance's share of a distributed hash join (see module docs).
-pub struct ShuffleJoin {
-    inner: Inner,
-}
-
-enum Inner {
-    Local(HashJoin),
-    Dist {
-        build_rows: Vec<Row>,
-        probe_rows: Vec<Row>,
-        build_key: usize,
-        probe_key: usize,
-        kind: JoinKind,
-        chain_walks: bool,
-        table: Option<PartitionedTable>,
-        cursor: usize,
-        pending: Vec<Row>,
-    },
-}
-
-impl ShuffleJoin {
-    /// The single-instance plan: a plain [`HashJoin`] over the local
-    /// children. Event-identical to writing `HashJoin` directly.
-    pub fn local(
-        build: BoxExec,
-        build_key: usize,
-        probe: BoxExec,
-        probe_key: usize,
-        kind: JoinKind,
-    ) -> Self {
-        ShuffleJoin {
-            inner: Inner::Local(HashJoin::new(build, build_key, probe, probe_key, kind)),
-        }
-    }
-
-    /// One instance's post-exchange join: `build_rows` and `probe_rows`
-    /// already include whatever the exchange delivered (local fragment
-    /// rows first, then inbound rows in delivery order).
-    pub fn pre_exchanged(
-        build_rows: Vec<Row>,
-        probe_rows: Vec<Row>,
-        build_key: usize,
-        probe_key: usize,
-        kind: JoinKind,
-    ) -> Self {
-        ShuffleJoin {
-            inner: Inner::Dist {
-                build_rows,
-                probe_rows,
-                build_key,
-                probe_key,
-                kind,
-                chain_walks: false,
-                table: None,
-                cursor: 0,
-                pending: Vec::new(),
-            },
-        }
-    }
-
-    /// Opt into chain-walk accounting (see
-    /// [`HashJoin::with_chain_walks`]). Off by default.
-    pub fn with_chain_walks(mut self, on: bool) -> Self {
-        match &mut self.inner {
-            Inner::Local(hj) => {
-                let mut taken = HashJoin::new(
-                    Box::new(super::rows::Rows::new(Vec::new())),
-                    0,
-                    Box::new(super::rows::Rows::new(Vec::new())),
-                    0,
-                    JoinKind::Inner,
-                );
-                std::mem::swap(hj, &mut taken);
-                *hj = taken.with_chain_walks(on);
-            }
-            Inner::Dist { chain_walks, .. } => *chain_walks = on,
-        }
-        self
-    }
-}
-
-impl Executor for ShuffleJoin {
-    fn open(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<()> {
-        match &mut self.inner {
-            Inner::Local(hj) => hj.open(db, tc),
-            Inner::Dist {
-                build_rows,
-                build_key,
-                chain_walks,
-                table,
-                cursor,
-                pending,
-                ..
-            } => {
-                let rows = std::mem::take(build_rows);
-                *table = Some(
-                    PartitionedTable::build(db, tc, rows, *build_key)
-                        .with_chain_walks(*chain_walks),
-                );
-                *cursor = 0;
-                pending.clear();
-                Ok(())
-            }
-        }
-    }
-
-    fn next(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>> {
-        match &mut self.inner {
-            Inner::Local(hj) => hj.next(db, tc),
-            Inner::Dist {
-                probe_rows,
-                probe_key,
-                kind,
-                table,
-                cursor,
-                pending,
-                ..
-            } => {
-                let Some(table) = table.as_ref() else {
-                    return Ok(None);
-                };
-                loop {
-                    if let Some(out) = pending.pop() {
-                        return Ok(Some(out));
-                    }
-                    let Some(probe_row) = probe_rows.get(*cursor) else {
-                        return Ok(None);
-                    };
-                    *cursor += 1;
-                    let matched = table.probe_into(probe_row, *probe_key, tc, pending);
-                    if !matched && *kind == JoinKind::LeftOuter {
-                        let mut out = probe_row.clone();
-                        out.extend(std::iter::repeat_n(Value::Null, table.build_width()));
-                        return Ok(Some(out));
-                    }
-                }
-            }
-        }
-    }
-
-    fn close(&mut self) {
-        match &mut self.inner {
-            Inner::Local(hj) => hj.close(),
-            Inner::Dist {
-                table,
-                pending,
-                probe_rows,
-                ..
-            } => {
-                *table = None;
-                pending.clear();
-                probe_rows.clear();
-            }
-        }
-    }
+    (key_hash(key) % (n.max(1) as u64)) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::testutil::sample_db;
-    use crate::exec::{run_to_vec, SeqScan};
-    use dbcmp_trace::CodeRegions;
-
-    fn recording_ctx(db: &Database) -> TraceCtx {
-        let _ = db;
-        let mut r = CodeRegions::new();
-        let er = crate::costs::EngineRegions::register(&mut r);
-        TraceCtx::recording(er)
-    }
-
-    /// `ShuffleJoin::local` is event-identical to a plain `HashJoin` on
-    /// the same children — the n=1 anchor the distributed capture rests
-    /// on.
-    #[test]
-    fn local_flavor_matches_hash_join_events() {
-        // Fresh database per run: the simulated allocator state (and so
-        // the table's scratch address) must be identical across runs.
-        let run = |shuffle: bool| {
-            let (db, t) = sample_db(40);
-            let mut tc = recording_ctx(&db);
-            let build: BoxExec = Box::new(SeqScan::new(t));
-            let probe: BoxExec = Box::new(SeqScan::new(t));
-            let rows = if shuffle {
-                let mut j = ShuffleJoin::local(build, 1, probe, 1, JoinKind::Inner);
-                run_to_vec(&mut j, &db, &mut tc).unwrap()
-            } else {
-                let mut j = HashJoin::new(build, 1, probe, 1, JoinKind::Inner);
-                run_to_vec(&mut j, &db, &mut tc).unwrap()
-            };
-            (rows, tc.finish())
-        };
-        let (rows_hj, tr_hj) = run(false);
-        let (rows_sj, tr_sj) = run(true);
-        assert_eq!(rows_hj, rows_sj);
-        assert_eq!(tr_hj.packed_events(), tr_sj.packed_events());
-    }
-
-    /// A pre-exchanged join over ALL rows on one instance produces the
-    /// same row multiset as the plain `HashJoin`, and the partitions of
-    /// a 2-way split reproduce it together.
-    #[test]
-    fn pre_exchanged_partitions_cover_the_join() {
-        let (db, t) = sample_db(30);
-        let mut tc = db.null_ctx();
-        let all = run_to_vec(&mut SeqScan::new(t), &db, &mut tc).unwrap();
-        let mut reference = run_to_vec(
-            &mut HashJoin::new(
-                Box::new(SeqScan::new(t)),
-                1,
-                Box::new(SeqScan::new(t)),
-                1,
-                JoinKind::Inner,
-            ),
-            &db,
-            &mut tc,
-        )
-        .unwrap();
-
-        let n = 2;
-        let mut got = Vec::new();
-        for p in 0..n {
-            let side = |rows: &[Row]| -> Vec<Row> {
-                rows.iter()
-                    .filter(|r| partition_of(&r[1], n) == p)
-                    .cloned()
-                    .collect()
-            };
-            let mut j = ShuffleJoin::pre_exchanged(side(&all), side(&all), 1, 1, JoinKind::Inner);
-            got.extend(run_to_vec(&mut j, &db, &mut tc).unwrap());
-        }
-        reference.sort();
-        got.sort();
-        assert_eq!(got, reference);
-    }
+    use crate::exec::hash_join::bucket_addr;
 
     /// Keys that share a bucket also share a shuffle destination: the
     /// instance-routing hash is the bucket hash reduced mod n.

@@ -25,12 +25,12 @@
 //! Concurrency model: statements execute one at a time, but *which*
 //! transaction runs next is the caller's choice — the interleaved capture
 //! scheduler advances many open transactions in round-robin slices.
-//! Under [`db::LockPolicy::Queue`] conflicting lock requests park on FIFO
-//! wait queues ([`lockmgr`]), waits-for cycles abort the youngest
-//! transaction, and blocked/woken sessions are recorded in the trace; the
-//! default [`db::LockPolicy::NoWait`] keeps the immediate-conflict
-//! discipline for sequential capture. Abort with undo and lock release at
-//! commit are real in both modes, so any interleaving behaves correctly.
+//! Conflicting row-lock requests park on FIFO wait queues ([`lockmgr`]),
+//! waits-for cycles abort the youngest transaction, and blocked/woken
+//! sessions are recorded in the trace. A sequential capture never has two
+//! live transactions, so it never parks and its trace carries no such
+//! events. Abort with undo and lock release at commit are real, so any
+//! interleaving behaves correctly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +55,7 @@ pub mod wal;
 pub use api::EngineOps;
 pub use cc::{CcBackend, CcStats, ConcurrencyControl};
 pub use costs::EngineRegions;
-pub use db::{Database, LockPolicy};
+pub use db::Database;
 pub use error::{EngineError, Result};
 pub use schema::Schema;
 pub use tctx::TraceCtx;

@@ -36,9 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod capture;
-pub mod dist;
 pub mod pipeline;
 
 pub use capture::{capture_staged_dss, pipeline_for, staged_query_rows, UnsupportedQuery};
-pub use dist::{run_dist_fragment, DistFragmentSpec};
 pub use pipeline::{BatchAgg, ExecPolicy, JoinSpec, JoinTable, PipelineSpec, StagedPipeline};

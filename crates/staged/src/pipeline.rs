@@ -7,11 +7,11 @@
 #![allow(clippy::disallowed_types)]
 
 use dbcmp_engine::costs::instr;
-use dbcmp_engine::exec::{AggFunc, AggSpec, Pred};
+use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable, Pred};
 use dbcmp_engine::heap::Rid;
 use dbcmp_engine::{Database, TraceCtx, Value};
-// lint:allow(hash-order): HashMap backs lookup-only join tables and len-only distinct sets below; every iterated-to-output path uses BTreeMap
-use std::collections::{BTreeMap, HashMap, HashSet};
+// lint:allow(hash-order): HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap
+use std::collections::{BTreeMap, HashSet};
 
 /// How to execute a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +76,14 @@ pub struct PipelineSpec {
     pub aggs: Vec<AggSpec>,
 }
 
-/// A built hash table for one [`JoinSpec`] stage, with the same
-/// simulated-memory and instruction accounting as the engine's
-/// [`HashJoin`](dbcmp_engine::exec::HashJoin): `HJ_BUILD_ROW` plus a
-/// store per build row, `HJ_PROBE_ROW` plus a dependent load (bucket
-/// chain walk) per probe.
+/// A built hash table for one [`JoinSpec`] stage: the engine's
+/// [`BuildTable`] (so build and probe charges are the executor
+/// [`HashJoin`](dbcmp_engine::exec::HashJoin)'s, by construction) over
+/// a bucket array in anonymous memory, plus the stage's probe column.
 #[derive(Debug)]
 pub struct JoinTable {
     probe_key: usize,
-    // lint:allow(hash-order): probed by key only; output order follows probe order, never map iteration
-    table: HashMap<Value, Vec<Vec<Value>>>,
-    addr: u64,
-    n_buckets: u64,
+    table: BuildTable,
 }
 
 impl JoinTable {
@@ -111,96 +107,17 @@ impl JoinTable {
                 rows.push(row);
             }
         }
-        let n_buckets = (rows.len() as u64).next_power_of_two().max(64);
-        let addr = db.space.alloc_anon(n_buckets * 64);
-        // lint:allow(hash-order): build-table fill; insertion order is the deterministic rid scan order and the map is only ever probed
-        let mut table: HashMap<Value, Vec<Vec<Value>>> = HashMap::with_capacity(rows.len());
-        let mut jt = JoinTable {
+        let base = db.space.alloc_anon(BuildTable::bytes_for(rows.len()));
+        JoinTable {
             probe_key: spec.probe_key,
-            // lint:allow(hash-order): placeholder replaced by the built table two statements down
-            table: HashMap::new(),
-            addr,
-            n_buckets,
-        };
-        for row in rows {
-            tc.charge(tc.r.exec_hashjoin, instr::HJ_BUILD_ROW);
-            let key = row[spec.build_key].clone();
-            if key.is_null() {
-                continue;
-            }
-            tc.store(jt.bucket_addr(&key), 16);
-            table.entry(key).or_default().push(row);
+            table: BuildTable::build(base, rows, spec.build_key, tc),
         }
-        jt.table = table;
-        jt
-    }
-
-    /// Build a join table directly from pre-materialized rows — the
-    /// post-exchange path for distributed pipelines, where the build
-    /// side arrives as shipped fragments rather than a scannable heap.
-    /// Charges exactly what [`JoinTable::build`] charges after its scan:
-    /// `HJ_BUILD_ROW` plus a bucket store per row (NULL keys charged but
-    /// never inserted, matching the engine's HashJoin).
-    pub fn from_rows(
-        db: &Database,
-        rows: Vec<Vec<Value>>,
-        build_key: usize,
-        probe_key: usize,
-        tc: &mut TraceCtx,
-    ) -> Self {
-        let n_buckets = (rows.len() as u64).next_power_of_two().max(64);
-        let addr = db.space.alloc_anon(n_buckets * 64);
-        let mut jt = JoinTable {
-            probe_key,
-            // lint:allow(hash-order): placeholder replaced below, probed-only
-            table: HashMap::new(),
-            addr,
-            n_buckets,
-        };
-        // lint:allow(hash-order): fill order is the deterministic input row order; probed only
-        let mut table: HashMap<Value, Vec<Vec<Value>>> = HashMap::with_capacity(rows.len());
-        for row in rows {
-            tc.charge(tc.r.exec_hashjoin, instr::HJ_BUILD_ROW);
-            let key = row[build_key].clone();
-            if key.is_null() {
-                continue;
-            }
-            tc.store(jt.bucket_addr(&key), 16);
-            table.entry(key).or_default().push(row);
-        }
-        jt.table = table;
-        jt
-    }
-
-    fn bucket_addr(&self, key: &Value) -> u64 {
-        // Same address geometry as the engine's HashJoin — one source
-        // of truth, so executor and staged probes touch identically.
-        dbcmp_engine::exec::hash_join::bucket_addr(self.addr, self.n_buckets, key)
     }
 
     /// Probe with one combined row, appending each match (inner-join
     /// semantics: zero matches drop the row).
     pub fn probe(&self, row: &[Value], out: &mut Vec<Vec<Value>>, tc: &mut TraceCtx) {
-        tc.charge(tc.r.exec_hashjoin, instr::HJ_PROBE_ROW);
-        let key = &row[self.probe_key];
-        if key.is_null() {
-            return;
-        }
-        let addr = self.bucket_addr(key);
-        tc.load_dep(addr, 16);
-        if let Some(matches) = self.table.get(key) {
-            for m in matches {
-                tc.load(addr, 16);
-                let mut combined = row.to_vec();
-                combined.extend(m.iter().cloned());
-                out.push(combined);
-            }
-        }
-    }
-
-    /// Simulated bytes of the build table (the stage's data working set).
-    pub fn bytes(&self) -> u64 {
-        self.n_buckets * 64
+        self.table.probe(row, self.probe_key, out, tc);
     }
 }
 

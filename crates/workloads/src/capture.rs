@@ -63,16 +63,14 @@ pub fn capture_oltp(db: &mut Database, h: &TpccDb, opt: CaptureOptions) -> Trace
         let mut rng = client_rng(opt.seed, client);
         let w_home = (client as u64 % h.scale.warehouses) + 1;
         let mut tc = db.trace_ctx();
-        let mut done = 0;
-        let mut guard = 0;
-        while done < opt.units_per_client && guard < opt.units_per_client * 10 {
-            guard += 1;
+        for _ in 0..opt.units_per_client {
             let kind = draw_kind(&mut rng);
-            match run_txn(db, h, kind, w_home, &mut rng, &mut tc) {
-                Ok(crate::tpcc::txns::TxnOutcome::Committed) => done += 1,
-                Ok(crate::tpcc::txns::TxnOutcome::Aborted) => done += 1, // 1% rollback still "completes"
-                Err(_) => {}
-            }
+            // One transaction is live at a time, so no lock request can
+            // conflict or park: an engine error here is a bug, and retrying
+            // it would hand back a silently different bundle. A TPC-C
+            // rollback (`Ok(Aborted)`) still completes its unit.
+            run_txn(db, h, kind, w_home, &mut rng, &mut tc)
+                .unwrap_or_else(|e| panic!("sequential capture: client {client} {kind:?}: {e}"));
         }
         threads.push(tc.finish());
     }
@@ -117,56 +115,59 @@ pub fn capture_dss_workers(
     // Carve every client's scratch before spawning anything: the shared
     // bump pointer advances in client order, so arena bases are
     // independent of worker scheduling.
-    let arenas: Vec<(usize, ScratchArena)> = (0..opt.clients)
-        .map(|client| {
-            (
-                client,
-                db.space.reserve_arena("dss-scratch", DSS_SCRATCH_BYTES),
-            )
-        })
+    let arenas: Vec<ScratchArena> = (0..opt.clients)
+        .map(|_| db.space.reserve_arena("dss-scratch", DSS_SCRATCH_BYTES))
         .collect();
-    let mut slots: Vec<Option<ThreadTrace>> = Vec::new();
-    slots.resize_with(opt.clients, || None);
-    let workers = workers.clamp(1, opt.clients.max(1));
-    if workers <= 1 {
-        for (client, arena) in arenas {
-            slots[client] = Some(run_dss_client(db, h, mix, opt, client, arena));
-        }
-    } else {
-        // Stripe clients across workers; each worker returns its
-        // (client, trace) pairs and the results are reassembled in
-        // client order.
-        let mut stripes: Vec<Vec<(usize, ScratchArena)>> = Vec::new();
-        stripes.resize_with(workers, Vec::new);
-        for (client, arena) in arenas {
-            stripes[client % workers].push((client, arena));
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = stripes
-                .into_iter()
-                .map(|stripe| {
-                    s.spawn(move || {
-                        stripe
-                            .into_iter()
-                            .map(|(client, arena)| {
-                                (client, run_dss_client(db, h, mix, opt, client, arena))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (client, trace) in handle.join().expect("capture worker panicked") {
-                    slots[client] = Some(trace);
-                }
-            }
-        });
-    }
-    let threads = slots
-        .into_iter()
-        .map(|t| t.expect("every client captured"))
-        .collect();
+    let threads = par_map_ordered(arenas, workers, |client, arena| {
+        run_dss_client(db, h, mix, opt, client, arena)
+    });
     TraceBundle::new(db.regions().clone(), threads)
+}
+
+/// `f(index, item)` over `items` on up to `workers` threads, results in
+/// input order. Items are striped round-robin (item `i` on worker
+/// `i mod workers`); `workers <= 1` runs inline on the calling thread.
+/// Every `*_workers` capture entry point funnels through here, and each
+/// passes an `f` whose result depends only on its own item — which is
+/// what makes their output independent of the worker count.
+pub(crate) fn par_map_ordered<T: Send, R: Send>(
+    items: Vec<T>,
+    workers: usize,
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
+    }
+    let mut stripes: Vec<Vec<(usize, T)>> = Vec::new();
+    stripes.resize_with(workers, Vec::new);
+    for (i, item) in items.into_iter().enumerate() {
+        stripes[i % workers].push((i, item));
+    }
+    let f = &f;
+    let mut mapped: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = stripes
+            .into_iter()
+            .map(|stripe| {
+                s.spawn(move || {
+                    stripe
+                        .into_iter()
+                        .map(|(i, item)| (i, f(i, item)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("capture worker panicked"))
+            .collect()
+    });
+    mapped.sort_by_key(|&(i, _)| i);
+    mapped.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Run one DSS client session to completion (shared read-only database,
@@ -210,17 +211,12 @@ pub(crate) fn run_dss_unit(
     tc.unit_end();
 }
 
-/// Summary statistics helper re-exported for reports.
-pub fn bundle_stats(bundle: &TraceBundle) -> dbcmp_trace::TraceSummary {
-    let threads: Vec<ThreadTrace> = bundle.threads.clone();
-    dbcmp_trace::TraceSummary::compute(&bundle.regions, &threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tpcc::{build_tpcc, TpccScale};
     use crate::tpch::{build_tpch, TpchScale};
+    use dbcmp_trace::TraceSummary;
 
     #[test]
     fn oltp_capture_produces_per_client_traces() {
@@ -234,6 +230,21 @@ mod tests {
                 "transactions are tens of kilo-instructions"
             );
         }
+    }
+
+    /// What lets the one (queued) lock discipline serve this driver too:
+    /// with one transaction live at a time no request ever parks, so the
+    /// traces carry no `Block`/`Wake` and the lock table ends empty.
+    #[test]
+    fn sequential_capture_never_parks_and_drains_the_lock_table() {
+        let (mut db, h) = build_tpcc(TpccScale::tiny(), 36);
+        let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(3, 6, 36));
+        let s = TraceSummary::compute(&bundle.regions, &bundle.threads);
+        assert_eq!((s.blocks, s.wakes), (0, 0));
+        assert_eq!(s.units, 3 * 6, "every unit completes first time");
+        assert_eq!(db.live_locks(), 0);
+        assert_eq!(db.lock_waiters(), 0);
+        assert_eq!(db.cc_stats().waits, 0);
     }
 
     #[test]
@@ -273,8 +284,8 @@ mod tests {
             );
         }
         assert_eq!(
-            dbcmp_trace::TraceSummary::compute(&seq.regions, &seq.threads),
-            dbcmp_trace::TraceSummary::compute(&par.regions, &par.threads),
+            TraceSummary::compute(&seq.regions, &seq.threads),
+            TraceSummary::compute(&par.regions, &par.threads),
         );
     }
 
@@ -284,7 +295,7 @@ mod tests {
         // much higher dependent-load fraction than scan-dominated DSS.
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 33);
         let oltp = capture_oltp(&mut db, &h, CaptureOptions::new(2, 10, 33));
-        let so = bundle_stats(&oltp);
+        let so = TraceSummary::compute(&oltp.regions, &oltp.threads);
 
         let (mut db2, h2) = build_tpch(TpchScale::tiny(), 33);
         let dss = capture_dss(
@@ -293,7 +304,7 @@ mod tests {
             &[QueryKind::Q1, QueryKind::Q6],
             CaptureOptions::new(2, 2, 33),
         );
-        let sd = bundle_stats(&dss);
+        let sd = TraceSummary::compute(&dss.regions, &dss.threads);
 
         assert!(
             so.dep_load_fraction() > 1.5 * sd.dep_load_fraction(),

@@ -18,8 +18,16 @@
 //!   surfaces a typed [`AddressSpaceError`] at this capture boundary.
 //! * Clients keep the single-instance homing rule
 //!   (`w_home = client mod W + 1`) and are captured in global client
-//!   order, so a 1-instance deployment is event-identical to
-//!   [`capture_oltp`](crate::capture::capture_oltp).
+//!   order.
+//! * The client rng stream consumes exactly three draws per transaction
+//!   (kind, multi roll, target warehouse) and each transaction's
+//!   *parameters* come from a private stream derived from
+//!   `(seed, client, transaction)`. Every deployment point — any instance
+//!   count, any `multi_pct` — therefore captures the same transaction
+//!   kind sequence, so unit counts are directly comparable across the
+//!   `fig_deploy` grid. (The price: a 1-instance deployment is *not*
+//!   event-identical to [`capture_oltp`](crate::capture::capture_oltp),
+//!   which draws parameters from the client stream.)
 //!
 //! The **multi-partition knob** (`multi_pct`): that percentage of
 //! NewOrder/Payment transactions target a uniformly-drawn *other*
@@ -37,12 +45,11 @@
 //! coarser partitioning absorbs more of these as instance-local work,
 //! the Islands tradeoff `fig_deploy` sweeps.
 //!
-//! With [`DeployOptions::contention`] set, each instance's engine
-//! declares its client count via `Database::set_lock_sharers`, charging
-//! quadratic lock-table contention: the shared-everything endpoint pays
-//! for every client contending on one lock manager, while fine
-//! partitions run nearly contention-free — the reason partitioning wins
-//! on purely local work.
+//! Each instance's engine declares its client count via
+//! `Database::set_lock_sharers`, charging quadratic lock-table
+//! contention: the shared-everything endpoint pays for every client
+//! contending on one lock manager, while fine partitions run nearly
+//! contention-free — the reason partitioning wins on purely local work.
 //!
 //! Honesty caveats (DESIGN.md §6): replay does not synchronize threads
 //! across bundles — the interconnect latency charged at each
@@ -59,7 +66,7 @@ use dbcmp_trace::{AddressSpace, AddressSpaceError, ThreadTrace, TraceBundle};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::capture::CaptureOptions;
+use crate::capture::{par_map_ordered, CaptureOptions};
 use crate::rng::{client_rng, last_name, nurand, uniform};
 use crate::tpcc::txns::{draw_kind, run_txn, run_txn_cfg, TxnCfg, TxnKind};
 use crate::tpcc::{
@@ -82,26 +89,6 @@ const COMMIT_BYTES: u32 = 48;
 /// Phase-2 acknowledgement.
 const ACK_BYTES: u32 = 16;
 
-/// How a deployment capture draws its transaction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrawScheme {
-    /// One rng stream per client for everything, exactly as
-    /// [`capture_oltp`](crate::capture::capture_oltp) draws it: a
-    /// 1-instance capture is byte-identical to the single-chip capture.
-    /// Transaction *parameters* share the stream with kind draws, so
-    /// changing `multi_pct` (or anything else that consumes draws)
-    /// shifts every downstream transaction.
-    Legacy,
-    /// Mix-controlled: the client stream consumes exactly three draws
-    /// per transaction attempt (kind, multi roll, target warehouse) and
-    /// each transaction's parameters come from their own rng derived
-    /// from `(seed, client, attempt)`. Every deployment point —
-    /// any instance count, any `multi_pct` — therefore captures the
-    /// *same* transaction kind sequence, so unit counts are directly
-    /// comparable across the `fig_deploy` grid.
-    PerTxn,
-}
-
 /// Parameters for a shared-nothing capture.
 #[derive(Debug, Clone, Copy)]
 pub struct DeployOptions {
@@ -110,19 +97,8 @@ pub struct DeployOptions {
     /// Engine instances. Must divide the warehouse count.
     pub partitions: usize,
     /// Percentage (0-100) of NewOrder/Payment transactions that target
-    /// another warehouse. Drawn only when `partitions > 1`, so a
-    /// 1-instance deployment keeps the single-instance rng streams.
+    /// another warehouse (routed only when `partitions > 1`).
     pub multi_pct: u8,
-    /// Model lock-table contention: each instance declares its client
-    /// count to the engine (`Database::set_lock_sharers`), so engines
-    /// shared by more clients pay linearly more per lock operation.
-    /// Off by default — with it off, a 1-instance deployment is
-    /// byte-identical to the single-chip capture.
-    pub contention: bool,
-    /// Draw discipline; [`DrawScheme::Legacy`] preserves the
-    /// single-chip anchor, [`DrawScheme::PerTxn`] holds the transaction
-    /// mix constant across the sweep grid.
-    pub draws: DrawScheme,
 }
 
 /// What happened during a deployment capture.
@@ -157,9 +133,8 @@ fn owner(w: u64, warehouses: u64, n: usize) -> usize {
     ((w - 1) / per) as usize
 }
 
-/// Salt for the per-transaction parameter streams under
-/// [`DrawScheme::PerTxn`], keeping them disjoint from the per-client
-/// streams drawn from the same capture seed.
+/// Salt for the per-transaction parameter streams, keeping them disjoint
+/// from the per-client streams drawn from the same capture seed.
 pub(crate) const TXN_SALT: u64 = 0x7C9A_11E5_D3B0_77AA;
 
 /// Draw a uniformly random warehouse other than `w_home` (wrap-around
@@ -220,60 +195,23 @@ pub fn capture_oltp_deployment_workers(
 
     // Build the partitions, optionally in parallel: each build touches
     // only its own space and draws its own rng stream.
-    let mut slots: Vec<Option<(Database, TpccDb)>> = Vec::new();
-    slots.resize_with(n, || None);
     let seed = opt.capture.seed;
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        for (p, space) in spaces.into_iter().enumerate() {
-            let lo = p as u64 * per + 1;
-            slots[p] = Some(build_tpcc_range(scale, seed, lo, lo + per - 1, space));
-        }
-    } else {
-        let mut stripes: Vec<Vec<(usize, Arc<AddressSpace>)>> = Vec::new();
-        stripes.resize_with(workers, Vec::new);
-        for (p, space) in spaces.into_iter().enumerate() {
-            stripes[p % workers].push((p, space));
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = stripes
-                .into_iter()
-                .map(|stripe| {
-                    s.spawn(move || {
-                        stripe
-                            .into_iter()
-                            .map(|(p, space)| {
-                                let lo = p as u64 * per + 1;
-                                (p, build_tpcc_range(scale, seed, lo, lo + per - 1, space))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, built) in handle.join().expect("partition build worker panicked") {
-                    slots[p] = Some(built);
-                }
-            }
-        });
-    }
-    let mut parts: Vec<(Database, TpccDb)> = slots
-        .into_iter()
-        .map(|s| s.expect("every partition built"))
-        .collect();
+    let mut parts: Vec<(Database, TpccDb)> = par_map_ordered(spaces, workers, |p, space| {
+        let lo = p as u64 * per + 1;
+        build_tpcc_range(scale, seed, lo, lo + per - 1, space)
+    });
 
     // Contention model: each instance's lock manager learns how many
-    // clients share it (applied after the build — population is
+    // clients share it, so engines shared by more clients pay linearly
+    // more per lock operation (applied after the build — population is
     // single-threaded either way, so only transaction capture pays).
-    if opt.contention {
-        let mut homed = vec![0u32; n];
-        for client in 0..opt.capture.clients {
-            let w = (client as u64 % scale.warehouses) + 1;
-            homed[owner(w, scale.warehouses, n)] += 1;
-        }
-        for (p, (db, _)) in parts.iter_mut().enumerate() {
-            db.set_lock_sharers(homed[p]);
-        }
+    let mut homed = vec![0u32; n];
+    for client in 0..opt.capture.clients {
+        let w = (client as u64 % scale.warehouses) + 1;
+        homed[owner(w, scale.warehouses, n)] += 1;
+    }
+    for (p, (db, _)) in parts.iter_mut().enumerate() {
+        db.set_lock_sharers(homed[p]);
     }
 
     // One service context per instance, recording only if ever used.
@@ -289,58 +227,31 @@ pub fn capture_oltp_deployment_workers(
         let w_home = (client as u64 % scale.warehouses) + 1;
         let p_home = owner(w_home, scale.warehouses, n);
         let mut tc = parts[p_home].0.trace_ctx();
-        let mut done = 0;
-        let mut guard = 0;
-        while done < opt.capture.units_per_client && guard < opt.capture.units_per_client * 10 {
-            guard += 1;
-            let (kind, target, mut txn_rng) = match opt.draws {
-                DrawScheme::Legacy => {
-                    let kind = draw_kind(&mut rng);
-                    // The multi-partition draw happens only for
-                    // multi-instance deployments, keeping 1-instance rng
-                    // streams identical to the single-chip capture.
-                    let target = if n > 1
-                        && opt.multi_pct > 0
-                        && matches!(kind, TxnKind::NewOrder | TxnKind::Payment)
-                        && rng.gen_range(0..100u32) < opt.multi_pct as u32
-                    {
-                        Some(draw_other_wh(&mut rng, w_home, scale.warehouses))
-                    } else {
-                        None
-                    };
-                    (kind, target, None)
-                }
-                DrawScheme::PerTxn => {
-                    // Fixed consumption — kind, multi roll, target — so
-                    // every grid point sees the same kind sequence; the
-                    // flagged subsets nest as multi_pct grows.
-                    let kind = draw_kind(&mut rng);
-                    let roll = rng.gen_range(0..100u32);
-                    let other = draw_other_wh(&mut rng, w_home, scale.warehouses);
-                    let target = (n > 1
-                        && matches!(kind, TxnKind::NewOrder | TxnKind::Payment)
-                        && roll < opt.multi_pct as u32)
-                        .then_some(other);
-                    let trng = client_rng(seed ^ TXN_SALT, client * 1024 + guard);
-                    (kind, target, Some(trng))
-                }
-            };
-            // Parameter draws: the per-txn stream under PerTxn (so a
-            // flavor's consumption can't shift later transactions), the
-            // client stream under Legacy.
-            let rng = match txn_rng {
-                Some(ref mut t) => t,
-                None => &mut rng,
-            };
-            match target {
+        for unit in 1..=opt.capture.units_per_client {
+            // Fixed consumption from the client stream — kind, multi
+            // roll, target — so every grid point sees the same kind
+            // sequence; the flagged subsets nest as multi_pct grows.
+            let kind = draw_kind(&mut rng);
+            let roll = rng.gen_range(0..100u32);
+            let other = draw_other_wh(&mut rng, w_home, scale.warehouses);
+            let target = (n > 1
+                && matches!(kind, TxnKind::NewOrder | TxnKind::Payment)
+                && roll < opt.multi_pct as u32)
+                .then_some(other);
+            // Parameters come from the transaction's own stream, so one
+            // flavor's consumption can't shift later transactions.
+            let mut trng = client_rng(seed ^ TXN_SALT, client * 1024 + unit);
+            // Sequential capture: one transaction (or one home/service
+            // pair on different instances) is live at a time, so nothing
+            // can conflict or park — an engine error is a bug, not a retry.
+            let res = match target {
                 None => {
+                    stats.local_txns += 1;
                     let (db, h) = &mut parts[p_home];
-                    if run_txn(db, h, kind, w_home, rng, &mut tc).is_ok() {
-                        done += 1;
-                        stats.local_txns += 1;
-                    }
+                    run_txn(db, h, kind, w_home, &mut trng, &mut tc).map(drop)
                 }
                 Some(t) if owner(t, scale.warehouses, n) == p_home => {
+                    stats.multi_local_txns += 1;
                     let (db, h) = &mut parts[p_home];
                     let cfg = TxnCfg {
                         w_home,
@@ -348,30 +259,26 @@ pub fn capture_oltp_deployment_workers(
                         item_pool: None,
                         remote_wh: Some(t),
                     };
-                    if run_txn_cfg(db, h, kind, cfg, rng, &mut tc).is_ok() {
-                        done += 1;
-                        stats.multi_local_txns += 1;
-                    }
+                    run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc).map(drop)
                 }
                 Some(t) => {
+                    stats.multi_remote_txns += 1;
                     let p_t = owner(t, scale.warehouses, n);
                     service_used[p_t] = true;
                     let (home, tgt) = two(&mut parts, p_home, p_t);
                     let stc = service[p_t].as_mut().expect("service ctx live");
-                    let res = match kind {
+                    match kind {
                         TxnKind::NewOrder => {
-                            remote_new_order(home, &mut tc, tgt, stc, w_home, t, rng)
+                            remote_new_order(home, &mut tc, tgt, stc, w_home, t, &mut trng)
                         }
-                        TxnKind::Payment => remote_payment(home, &mut tc, tgt, stc, w_home, t, rng),
+                        TxnKind::Payment => {
+                            remote_payment(home, &mut tc, tgt, stc, w_home, t, &mut trng)
+                        }
                         _ => unreachable!("only NewOrder/Payment go multi-warehouse"),
-                    };
-                    // Sequential capture: the home and service transactions
-                    // run on different instances, so conflicts can't occur.
-                    res.expect("two-phase remote txn in sequential capture");
-                    done += 1;
-                    stats.multi_remote_txns += 1;
+                    }
                 }
-            }
+            };
+            res.unwrap_or_else(|e| panic!("sequential capture: client {client} {kind:?}: {e}"));
         }
         client_traces[p_home].push(tc.finish());
     }
@@ -654,16 +561,13 @@ fn remote_payment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::capture_oltp;
-    use crate::tpcc::build_tpcc;
+    use dbcmp_trace::TraceSummary;
 
     fn quick_opt(partitions: usize, multi_pct: u8) -> DeployOptions {
         DeployOptions {
             capture: CaptureOptions::new(8, 4, 0xD3B),
             partitions,
             multi_pct,
-            contention: false,
-            draws: DrawScheme::Legacy,
         }
     }
 
@@ -683,31 +587,6 @@ mod tests {
         assert_eq!(owner(4, 4, 2), 1);
         assert_eq!(owner(4, 4, 4), 3);
         assert_eq!(owner(7, 8, 1), 0);
-    }
-
-    #[test]
-    fn one_instance_deployment_matches_single_chip_capture() {
-        let scale = scale4();
-        let dep = capture_oltp_deployment(scale, quick_opt(1, 50)).unwrap();
-        assert_eq!(dep.bundles.len(), 1);
-        assert_eq!(dep.stats.multi_remote_txns, 0);
-        assert_eq!(dep.stats.remote_sends, 0);
-
-        let (mut db, h) = build_tpcc(scale, 0xD3B);
-        let single = capture_oltp(&mut db, &h, CaptureOptions::new(8, 4, 0xD3B));
-        assert_eq!(dep.bundles[0].threads.len(), single.threads.len());
-        for (i, (a, b)) in dep.bundles[0]
-            .threads
-            .iter()
-            .zip(&single.threads)
-            .enumerate()
-        {
-            assert_eq!(
-                a.packed_events(),
-                b.packed_events(),
-                "client {i} diverged from the single-chip capture"
-            );
-        }
     }
 
     #[test]
@@ -762,32 +641,38 @@ mod tests {
 
     #[test]
     fn contention_model_scales_with_instance_sharing() {
-        // Same capture, three lock-contention settings: off, fine
-        // partitions (few sharers each), shared-everything (all eight
-        // clients on one lock manager). Instructions must grow with
-        // sharing — the mechanism that makes partitioning win on
-        // purely local work.
-        let instrs = |partitions: usize, contention: bool| -> u64 {
-            let opt = DeployOptions {
-                contention,
-                ..quick_opt(partitions, 0)
-            };
-            capture_oltp_deployment(scale4(), opt)
+        // Same transactions (multi_pct = 0, so nothing crosses), two
+        // degrees of lock-manager sharing: shared-everything (all eight
+        // clients on one lock manager) against one instance per
+        // warehouse (two sharers each). Instructions must grow with
+        // sharing — the mechanism that makes partitioning win on purely
+        // local work.
+        let instrs = |partitions: usize| -> u64 {
+            capture_oltp_deployment(scale4(), quick_opt(partitions, 0))
                 .unwrap()
                 .bundles
                 .iter()
                 .map(|b| b.total_instrs())
                 .sum()
         };
-        let off = instrs(1, false);
-        let fine = instrs(4, true);
-        let shared = instrs(1, true);
-        assert!(fine > instrs(4, false), "contention must charge something");
+        let (shared, fine) = (instrs(1), instrs(4));
         assert!(
             shared > fine,
             "8 sharers ({shared}) must out-charge 2 sharers per instance ({fine})"
         );
-        assert!(shared > off);
+    }
+
+    /// What lets the one (queued) lock discipline serve the sequential
+    /// drivers: with one transaction live per instance at a time no
+    /// request ever parks, so no trace carries a `Block` or `Wake`.
+    #[test]
+    fn sequential_deployment_never_parks() {
+        let dep = capture_oltp_deployment(scale4(), quick_opt(2, 60)).unwrap();
+        assert!(dep.stats.multi_remote_txns > 0, "fixture must cross");
+        for b in &dep.bundles {
+            let s = TraceSummary::compute(&b.regions, &b.threads);
+            assert_eq!((s.blocks, s.wakes), (0, 0));
+        }
     }
 
     #[test]
@@ -807,11 +692,9 @@ mod tests {
     #[test]
     fn per_txn_draws_hold_the_mix_constant_across_the_grid() {
         let cap = |partitions: usize, multi_pct: u8| -> DeployStats {
-            let opt = DeployOptions {
-                draws: DrawScheme::PerTxn,
-                ..quick_opt(partitions, multi_pct)
-            };
-            capture_oltp_deployment(scale4(), opt).unwrap().stats
+            capture_oltp_deployment(scale4(), quick_opt(partitions, multi_pct))
+                .unwrap()
+                .stats
         };
         // The multi-flagged transaction set depends only on multi_pct
         // (same rolls everywhere), so its size is invariant across

@@ -8,8 +8,7 @@
 //! the scheduler advances exactly one client by `slice_ops` engine
 //! operations at a time against the *same* [`Database`]. Transactions from
 //! different clients are therefore live simultaneously; conflicting row
-//! locks queue ([`LockPolicy::Queue`]), blocked clients park until the
-//! lock manager grants them, and waits-for cycles abort a victim — the
+//! locks queue, blocked clients park until the lock manager grants them, and waits-for cycles abort a victim — the
 //! blocking, waking, and deadlock behaviour of a real 2PL server, recorded
 //! into the per-client traces as [`Block`](dbcmp_trace::Event::Block) /
 //! [`Wake`](dbcmp_trace::Event::Wake) events.
@@ -41,12 +40,11 @@ use std::thread;
 use dbcmp_engine::lockmgr::LockMode;
 use dbcmp_engine::txn::TxnId;
 use dbcmp_engine::{
-    CcBackend, CcStats, Database, EngineError, EngineOps, EngineRegions, LockPolicy, Result,
-    TraceCtx,
+    CcBackend, CcStats, Database, EngineError, EngineOps, EngineRegions, Result, TraceCtx,
 };
 use dbcmp_trace::{ThreadTrace, TraceBundle};
 
-use crate::deploy::{DrawScheme, TXN_SALT};
+use crate::deploy::TXN_SALT;
 use crate::rng::client_rng;
 use crate::rwset::rw_set;
 use crate::tpcc::txns::{draw_kind, run_txn_cfg, run_txn_cfg_declared, TxnCfg, TxnOutcome};
@@ -73,13 +71,15 @@ pub struct InterleaveOptions {
     /// Concurrency-control backend the shared engine runs (see
     /// [`CcBackend`]). The default [`CcBackend::Centralized2PL`] keeps
     /// captures byte-identical to the pre-backend scheduler.
+    ///
+    /// The backend also fixes where transaction parameters are drawn
+    /// from: [`CcBackend::DeterministicOrdered`] derives each attempt's
+    /// read/write set by replaying its parameter draws, so there every
+    /// attempt gets a private stream; the other backends draw everything
+    /// from the per-client stream. Captures under the ordered backend
+    /// therefore run different transactions than the other two at the
+    /// same seed (DESIGN.md §8).
     pub backend: CcBackend,
-    /// Parameter-draw discipline. [`DrawScheme::Legacy`] (the default)
-    /// draws everything from the per-client stream;
-    /// [`DrawScheme::PerTxn`] gives each transaction attempt a private
-    /// parameter stream, which the deterministic-ordered backend's
-    /// read/write-set derivation replays.
-    pub draws: DrawScheme,
 }
 
 impl InterleaveOptions {
@@ -93,7 +93,6 @@ impl InterleaveOptions {
             hot_pct: 0,
             hot_items: 8,
             backend: CcBackend::Centralized2PL,
-            draws: DrawScheme::Legacy,
         }
     }
 
@@ -106,22 +105,9 @@ impl InterleaveOptions {
     }
 
     /// The same capture driven by a different concurrency-control
-    /// backend. Selecting [`CcBackend::DeterministicOrdered`] also
-    /// switches draws to [`DrawScheme::PerTxn`]: the read/write-set
-    /// derivation replays the transaction's parameter stream, so the
-    /// stream must be private to the transaction.
+    /// backend.
     pub fn with_backend(mut self, backend: CcBackend) -> Self {
         self.backend = backend;
-        if backend == CcBackend::DeterministicOrdered {
-            self.draws = DrawScheme::PerTxn;
-        }
-        self
-    }
-
-    /// Override the parameter-draw discipline (for comparing backends
-    /// under an identical draw scheme).
-    pub fn with_draws(mut self, draws: DrawScheme) -> Self {
-        self.draws = draws;
         self
     }
 }
@@ -251,8 +237,7 @@ impl ClientDb {
     }
 
     /// Announce completion (consumes the handle).
-    fn finish(mut self, tc: &mut TraceCtx) {
-        let _ = tc;
+    fn finish(mut self) {
         if !self.turn {
             self.await_turn();
         }
@@ -419,27 +404,22 @@ fn client_thread(
         } else {
             TxnCfg::home(w_home)
         };
-        let res = match opt.draws {
-            DrawScheme::Legacy => run_txn_cfg(&mut cdb, &h, kind, cfg, &mut rng, &mut tc),
-            DrawScheme::PerTxn => {
-                // A private parameter stream per attempt (kind and hot
-                // roll stay on the client stream, mirroring the
-                // deployment capture's PerTxn discipline).
-                let mut trng = client_rng(opt.seed ^ TXN_SALT, client * 1024 + guard);
-                if opt.backend == CcBackend::DeterministicOrdered {
-                    // Reconnaissance: derive the read/write set against
-                    // the database state this client observes under the
-                    // baton, then declare it right after begin. One
-                    // budgeted (untraced) scheduler op, so the probe sees
-                    // the same deterministic state every run.
-                    let keys = cdb
-                        .op(&mut tc, |db, _| Ok(rw_set(db, &h, kind, cfg, trng.clone())))
-                        .expect("derivation is infallible");
-                    run_txn_cfg_declared(&mut cdb, &h, kind, cfg, &mut trng, &mut tc, Some(&keys))
-                } else {
-                    run_txn_cfg(&mut cdb, &h, kind, cfg, &mut trng, &mut tc)
-                }
-            }
+        let res = if opt.backend == CcBackend::DeterministicOrdered {
+            // A private parameter stream per attempt (kind and hot roll
+            // stay on the client stream, as in the deployment capture),
+            // because the backend needs the attempt's draws twice.
+            let mut trng = client_rng(opt.seed ^ TXN_SALT, client * 1024 + guard);
+            // Reconnaissance: derive the read/write set against the
+            // database state this client observes under the baton, then
+            // declare it right after begin. One budgeted (untraced)
+            // scheduler op, so the probe sees the same deterministic
+            // state every run.
+            let keys = cdb
+                .op(&mut tc, |db, _| Ok(rw_set(db, &h, kind, cfg, trng.clone())))
+                .expect("derivation is infallible");
+            run_txn_cfg_declared(&mut cdb, &h, kind, cfg, &mut trng, &mut tc, Some(&keys))
+        } else {
+            run_txn_cfg(&mut cdb, &h, kind, cfg, &mut rng, &mut tc)
         };
         match res {
             Ok(TxnOutcome::Committed) => {
@@ -466,7 +446,7 @@ fn client_thread(
     // A guard exit means some units never completed — record it so
     // truncated captures are detectable downstream.
     stats.starved_units += (opt.units_per_client - done) as u64;
-    cdb.finish(&mut tc);
+    cdb.finish();
     (tc.finish(), stats)
 }
 
@@ -494,12 +474,6 @@ pub fn capture_oltp_interleaved(
     opt: InterleaveOptions,
 ) -> InterleavedCapture {
     assert!(opt.clients >= 1, "need at least one client");
-    assert!(
-        opt.backend != CcBackend::DeterministicOrdered || opt.draws == DrawScheme::PerTxn,
-        "DeterministicOrdered derives read/write sets by replaying per-transaction \
-         parameter streams; it requires DrawScheme::PerTxn"
-    );
-    db.set_lock_policy(LockPolicy::Queue);
     db.set_cc_backend(opt.backend);
     let er = db.er;
     let shared = Arc::new(Mutex::new(db));
@@ -584,11 +558,10 @@ pub fn capture_oltp_interleaved(
         stats.starved_units += cs.starved_units;
         threads.push(trace);
     }
-    let mut db = Arc::try_unwrap(shared)
+    let db = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("all client threads joined"))
         .into_inner()
         .expect("database mutex");
-    db.set_lock_policy(LockPolicy::NoWait);
     let cc = db.cc_stats();
     InterleavedCapture {
         bundle: TraceBundle::new(db.regions().clone(), threads),
@@ -601,8 +574,13 @@ pub fn capture_oltp_interleaved(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{bundle_stats, capture_oltp, CaptureOptions};
+    use crate::capture::{capture_oltp, CaptureOptions};
     use crate::tpcc::{build_tpcc, TpccScale};
+    use dbcmp_trace::TraceSummary;
+
+    fn summary(b: &TraceBundle) -> TraceSummary {
+        TraceSummary::compute(&b.regions, &b.threads)
+    }
 
     #[test]
     fn single_client_reproduces_sequential_capture_exactly() {
@@ -639,7 +617,7 @@ mod tests {
                 "traces must be byte-identical"
             );
         }
-        assert_eq!(bundle_stats(&a.bundle), bundle_stats(&b.bundle));
+        assert_eq!(summary(&a.bundle), summary(&b.bundle));
     }
 
     #[test]
@@ -657,7 +635,7 @@ mod tests {
             il.stats
         );
         // Blocking is recorded in the traces themselves.
-        let s = bundle_stats(&il.bundle);
+        let s = summary(&il.bundle);
         assert_eq!(s.blocks, il.stats.lock_waits);
         assert!(s.wakes > 0);
         // The server recovered fully: no lock residue, clients completed.
@@ -687,7 +665,7 @@ mod tests {
         assert_eq!(il.cc.remote_msgs * 32, il.cc.remote_bytes);
         // Out-of-order conflicts surface as retried no-wait failures.
         assert!(il.cc.fallback_conflicts > 0 || il.stats.lock_waits > 0);
-        let s = bundle_stats(&il.bundle);
+        let s = summary(&il.bundle);
         assert!(s.remote_sends > 0, "hops must reach the traces");
         // Acquires are round trips (request + grant); releases are fire-
         // and-forget one-way messages, so sends strictly dominate recvs.
@@ -702,7 +680,6 @@ mod tests {
         let (db, h) = build_tpcc(TpccScale::tiny(), 7);
         let opt =
             InterleaveOptions::contended(6, 8, 7, 90).with_backend(CcBackend::DeterministicOrdered);
-        assert_eq!(opt.draws, DrawScheme::PerTxn, "derivation needs PerTxn");
         let il = capture_oltp_interleaved(db, &h, opt);
         assert_eq!(
             il.stats.deadlock_aborts, 0,
@@ -716,7 +693,7 @@ mod tests {
             il.stats
         );
         assert_eq!(il.stats.lock_waits, 0, "ordered never parks at exec time");
-        let s = bundle_stats(&il.bundle);
+        let s = summary(&il.bundle);
         assert_eq!(s.blocks, il.stats.ordering_waits);
         assert_eq!(il.db.live_locks(), 0, "ordered lock table must drain");
         assert_eq!(il.db.lock_waiters(), 0);

@@ -11,8 +11,8 @@
 //! 2. the exchange ([`crate::exchange`]) picks broadcast or shuffle per
 //!    join from the *global* post-filter build size and ships rows as
 //!    `RemoteSend`/`RemoteRecv` traffic;
-//! 3. each instance joins its post-exchange share
-//!    ([`ShuffleJoin::pre_exchanged`]) and partially aggregates it;
+//! 3. each instance joins its post-exchange share (an ordinary
+//!    [`HashJoin`] over [`Rows`] sources) and partially aggregates it;
 //! 4. partials ship to the client's home instance, which merges and
 //!    sorts them.
 //!
@@ -38,15 +38,15 @@ use std::sync::Arc;
 
 use dbcmp_engine::exec::sort::SortKey;
 use dbcmp_engine::exec::{
-    run_count, run_to_vec, AggSpec, CmpOp, Filter, HashAggregate, JoinKind, Pred, Rows, Scalar,
-    SeqScan, ShuffleJoin, Sort,
+    run_count, run_to_vec, AggSpec, CmpOp, Filter, HashAggregate, HashJoin, JoinKind, Pred, Rows,
+    Scalar, SeqScan, Sort,
 };
 use dbcmp_engine::{Database, Row, TraceCtx, Value};
 use dbcmp_trace::{AddressSpace, ThreadTrace, TraceBundle};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::capture::{run_dss_unit, CaptureOptions, DSS_SCRATCH_BYTES};
+use crate::capture::{par_map_ordered, run_dss_unit, CaptureOptions, DSS_SCRATCH_BYTES};
 use crate::exchange::{
     choose_strategy, exchange_rows, rows_bytes, ship_rows, ExchangeBufs, ExchangeTraffic,
 };
@@ -128,41 +128,11 @@ pub fn capture_dss_dist_workers(
     let spaces: Vec<Arc<AddressSpace>> = (0..n)
         .map(|p| Arc::new(AddressSpace::partition(p).unwrap_or_else(|e| panic!("window {p}: {e}"))))
         .collect();
-    let mut slots: Vec<Option<(Database, TpchDb)>> = Vec::new();
-    slots.resize_with(n, || None);
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        for (p, space) in spaces.iter().enumerate() {
-            slots[p] = Some(build_tpch_range(scale, seed, p, n, space.clone()));
-        }
-    } else {
-        let mut stripes: Vec<Vec<(usize, Arc<AddressSpace>)>> = Vec::new();
-        stripes.resize_with(workers, Vec::new);
-        for (p, space) in spaces.iter().enumerate() {
-            stripes[p % workers].push((p, space.clone()));
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = stripes
-                .into_iter()
-                .map(|stripe| {
-                    s.spawn(move || {
-                        stripe
-                            .into_iter()
-                            .map(|(p, space)| (p, build_tpch_range(scale, seed, p, n, space)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, built) in handle.join().expect("fragment build worker panicked") {
-                    slots[p] = Some(built);
-                }
-            }
-        });
-    }
-    let (dbs, hs): (Vec<Database>, Vec<TpchDb>) = slots
+    let (dbs, hs): (Vec<Database>, Vec<TpchDb>) =
+        par_map_ordered(spaces.clone(), workers, |p, space| {
+            build_tpch_range(scale, seed, p, n, space)
+        })
         .into_iter()
-        .map(|s| s.expect("fragment built"))
         .unzip();
 
     // Fixed allocation order after the fragments: exchange buffers
@@ -315,7 +285,15 @@ fn dist_join(
         .zip(probes)
         .enumerate()
         .map(|(p, (b, pr))| {
-            let mut join = ShuffleJoin::pre_exchanged(b, pr, build_key, probe_key, JoinKind::Inner);
+            // `Rows` charges nothing: the rows' production was paid at
+            // the fragment scans and their shipping at the exchange.
+            let mut join = HashJoin::new(
+                Box::new(Rows::new(b)),
+                build_key,
+                Box::new(Rows::new(pr)),
+                probe_key,
+                JoinKind::Inner,
+            );
             run_to_vec(&mut join, &dbs[p], refs[p]).expect("distributed join")
         })
         .collect()

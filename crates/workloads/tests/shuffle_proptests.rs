@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use dbcmp_engine::exec::{run_to_vec, ExchangeStrategy, HashJoin, JoinKind, Rows, ShuffleJoin};
+use dbcmp_engine::exec::{run_to_vec, ExchangeStrategy, HashJoin, JoinKind, Rows};
 use dbcmp_engine::{Database, Row, TraceCtx, Value};
 use dbcmp_trace::{AddressSpace, Event};
 use dbcmp_workloads::{exchange_rows, ExchangeBufs};
@@ -46,6 +46,19 @@ fn deal(rows: &[Row], n: usize) -> Vec<Vec<Row>> {
     frags
 }
 
+/// Inner hash join of two materialized row sets on column 0 — how the
+/// distributed capture joins each instance's post-exchange fragments.
+fn join(build: Vec<Row>, probe: Vec<Row>, db: &Database, tc: &mut TraceCtx) -> Vec<Row> {
+    let mut j = HashJoin::new(
+        Box::new(Rows::new(build)),
+        0,
+        Box::new(Rows::new(probe)),
+        0,
+        JoinKind::Inner,
+    );
+    run_to_vec(&mut j, db, tc).unwrap()
+}
+
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
     rows
@@ -68,18 +81,7 @@ proptest! {
         // Reference: one engine, plain HashJoin over the same rows.
         let ref_db = Database::new();
         let mut ref_tc = ref_db.null_ctx();
-        let reference = run_to_vec(
-            &mut HashJoin::new(
-                Box::new(Rows::new(build.clone())),
-                0,
-                Box::new(Rows::new(probe.clone())),
-                0,
-                JoinKind::Inner,
-            ),
-            &ref_db,
-            &mut ref_tc,
-        )
-        .unwrap();
+        let reference = join(build.clone(), probe.clone(), &ref_db, &mut ref_tc);
 
         // Distributed: n instances in their own partition windows.
         let spaces: Vec<Arc<AddressSpace>> =
@@ -118,8 +120,7 @@ proptest! {
 
         let mut got = Vec::new();
         for (q, (bf, pf)) in b_frags.into_iter().zip(p_frags).enumerate() {
-            let mut j = ShuffleJoin::pre_exchanged(bf, pf, 0, 0, JoinKind::Inner);
-            got.extend(run_to_vec(&mut j, &dbs[q], tcs[q]).unwrap());
+            got.extend(join(bf, pf, &dbs[q], tcs[q]));
         }
         prop_assert_eq!(sorted(got), sorted(reference));
 
@@ -144,30 +145,5 @@ proptest! {
             prop_assert_eq!(traffic.messages, 0, "single instance never ships");
             prop_assert_eq!(sent, 0);
         }
-    }
-
-    /// The chain-walk flag never changes join *results* on exchanged
-    /// fragments — only the trace shape (the PR 5 honesty-caveat fix).
-    #[test]
-    fn chain_walks_change_events_not_rows(
-        build in rows_strategy(3),
-        probe in rows_strategy(4),
-    ) {
-        let db = Database::new();
-        let mut tc = db.null_ctx();
-        let plain = run_to_vec(
-            &mut ShuffleJoin::pre_exchanged(build.clone(), probe.clone(), 0, 0, JoinKind::Inner),
-            &db,
-            &mut tc,
-        )
-        .unwrap();
-        let walked = run_to_vec(
-            &mut ShuffleJoin::pre_exchanged(build, probe, 0, 0, JoinKind::Inner)
-                .with_chain_walks(true),
-            &db,
-            &mut tc,
-        )
-        .unwrap();
-        prop_assert_eq!(plain, walked);
     }
 }
