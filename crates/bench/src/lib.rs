@@ -9,7 +9,6 @@
 //! inside each figure fan out over OS threads via
 //! `dbcmp_core::experiment::grid` (results are byte-identical to a
 //! sequential run; `fig fig8_core_count` prints both wall-clock times).
-//! Criterion microbenchmarks of the substrates live in `benches/`.
 //!
 //! The performance record is the `bench_pipeline` binary: it times the
 //! whole pipeline end to end and layer by layer — codec encode/decode

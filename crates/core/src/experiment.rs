@@ -3,10 +3,11 @@
 //!
 //! A [`Sweep`] is a labeled list of `(MachineConfig, RunMode)` points
 //! evaluated against shared trace bundles. [`Sweep::run`] fans the
-//! points out over OS threads (`std::thread::scope`); every point builds
-//! its own machine from scratch against the shared `&TraceBundle`, so
-//! the results are *byte-identical* to [`Sweep::run_sequential`] and are
-//! returned in input order — parallelism changes wall-clock time only.
+//! points out over OS threads (`std::thread::scope`), costliest first;
+//! every point builds its own machine from scratch against the shared
+//! `&TraceBundle`, so the results are *byte-identical* to
+//! [`Sweep::run_sequential`] and are returned in input order —
+//! parallelism changes wall-clock time only.
 //!
 //! The paper's evaluation is one shape repeated: captured workloads ×
 //! machines → a table of results. [`grid`] is that shape: rows are
@@ -188,19 +189,16 @@ impl Sweep {
         if workers <= 1 {
             return self.run_each_sequential(bundles);
         }
+        let order = self.dispatch_order();
         let next = AtomicUsize::new(0);
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let next = &next;
+                    let (next, order) = (&next, &order);
                     s.spawn(move || {
                         let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
+                        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                             let p = &self.points[i];
                             out.push((i, run_point(p.cfg.clone(), p.mode, bundles[i])));
                         }
@@ -218,6 +216,24 @@ impl Sweep {
             .into_iter()
             .map(|r| r.expect("every sweep point produced a result"))
             .collect()
+    }
+
+    /// The order workers pull points in: longest first, by simulated
+    /// cycles × hardware contexts (host cost follows simulated
+    /// instructions, and a lean point retires several times a fat one's
+    /// per core-cycle), ties by input index — so the costly points do not
+    /// queue behind each other on one worker at the end of the sweep.
+    fn dispatch_order(&self) -> Vec<usize> {
+        let cost = |p: &SweepPoint| {
+            let cycles = match p.mode {
+                RunMode::Throughput { warmup, measure } => warmup.saturating_add(measure),
+                RunMode::Completion { max_cycles } => max_cycles,
+            };
+            cycles.saturating_mul(p.cfg.total_contexts() as u64)
+        };
+        let mut order: Vec<usize> = (0..self.points.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(cost(&self.points[i])), i));
+        order
     }
 
     /// Sequential reference run of the same points — byte-identical to
@@ -415,6 +431,55 @@ mod tests {
         // Order is input order: machine names line up with point labels.
         assert!(par[0].machine.starts_with("FC-CMP 1x"));
         assert!(par[1].machine.starts_with("LC-CMP 1x"));
+    }
+
+    /// Longest-first dispatch changes which worker runs what, never what
+    /// comes back: a deliberately unbalanced sweep on two workers equals
+    /// the sequential run, in input order.
+    #[test]
+    fn unbalanced_sweep_on_two_workers_matches_sequential() {
+        let scale = FigScale::quick();
+        let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
+        let window = |measure| RunMode::Throughput {
+            warmup: 2_000,
+            measure,
+        };
+        let sweep = Sweep::new()
+            .point(
+                "short fat",
+                fc_cmp(1, 1 << 20, L2Spec::Cacti),
+                window(4_000),
+            )
+            .point(
+                "long lean",
+                lc_cmp(4, 4 << 20, L2Spec::Cacti),
+                window(60_000),
+            )
+            .point(
+                "short lean",
+                lc_cmp(1, 1 << 20, L2Spec::Cacti),
+                window(4_000),
+            )
+            .point(
+                "long fat",
+                fc_cmp(4, 4 << 20, L2Spec::Cacti),
+                window(60_000),
+            )
+            .point(
+                "short fat again",
+                fc_cmp(1, 1 << 20, L2Spec::Cacti),
+                window(4_000),
+            );
+        // 16 lean contexts × 62k, 4 fat × 62k, 4 lean × 6k, then the two
+        // 1-context fat points in input order.
+        assert_eq!(sweep.dispatch_order(), [1, 3, 2, 0, 4]);
+        let bundles = vec![&w.bundle; sweep.len()];
+        let par = sweep.run_each_with_workers(&bundles, 2);
+        let seq = sweep.run_each_sequential(&bundles);
+        assert_eq!(par, seq);
+        assert!(par[1].machine.starts_with("LC-CMP 4x"));
+        assert!(par[3].machine.starts_with("FC-CMP 4x"));
+        assert_eq!(par[0], par[4], "identical points, identical results");
     }
 
     #[test]

@@ -34,9 +34,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "D2",
         "wall-clock",
-        "No wall-clock reads (`Instant::now`, `SystemTime::now`) outside `crates/bench` and the\n\
-         vendored criterion stub. Wall-clock values feeding a capture or figure would make runs\n\
-         unreproducible; timing belongs in the bench layer. Justify measurement-only uses with\n\
+        "No wall-clock reads (`Instant::now`, `SystemTime::now`) outside `crates/bench`.\n\
+         Wall-clock values feeding a capture or figure would make runs unreproducible; timing\n\
+         belongs in the bench layer. Justify measurement-only uses with\n\
          `// lint:allow(wall-clock): <reason>`.",
     ),
     (
@@ -275,7 +275,7 @@ pub fn rule_d1(ctx: &FileCtx) -> Vec<Diagnostic> {
 
 /// D2: wall-clock reads outside the bench layer.
 pub fn rule_d2(ctx: &FileCtx) -> Vec<Diagnostic> {
-    const EXEMPT: &[&str] = &["crates/bench/", "vendor/criterion/"];
+    const EXEMPT: &[&str] = &["crates/bench/"];
     if starts_with_any(ctx.path, EXEMPT) {
         return Vec::new();
     }
@@ -630,7 +630,6 @@ mod tests {
         assert_eq!(run_one("crates/core/src/x.rs", src).len(), 1);
         assert_eq!(run_one("src/lib.rs", src).len(), 1);
         assert!(run_one("crates/bench/src/x.rs", src).is_empty());
-        assert!(run_one("vendor/criterion/src/lib.rs", src).is_empty());
         // `Instant` without `::now` (e.g. a type mention) is fine.
         assert!(run_one("src/lib.rs", "fn g(t: Instant) {}").is_empty());
     }

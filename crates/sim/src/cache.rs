@@ -2,17 +2,17 @@
 //!
 //! Tags store the full line number (address / 64), so lookup is an equality
 //! scan over one set — simple, branch-predictable, and fast enough for the
-//! multi-million-cycle runs the experiments need. Entries carry a dirty bit
-//! and a sharer bitmap; the bitmap is used by the shared-L2 directory (which
-//! cores' L1s hold this line — up to 16 cores) and ignored by L1s.
+//! multi-million-cycle runs the experiments need. The arrays are
+//! struct-of-arrays: a set's keys are `assoc × 8` contiguous bytes (two
+//! host cache lines for a 16-way set), with the LRU stamps and the
+//! payload — a dirty bit and a sharer bitmap — in parallel arrays that
+//! only a hit or a fill touches. The bitmap is used by the shared-L2
+//! directory (which cores' L1s hold this line — up to 16 cores) and
+//! ignored by L1s.
 
-/// One tag entry.
+/// The payload of one tag entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Entry {
-    /// Line number (addr >> 6) + 1; 0 = invalid.
-    key: u64,
-    /// LRU timestamp (bigger = more recent).
-    lru: u64,
     pub dirty: bool,
     /// For a shared L2 acting as directory: bit i set ⇒ core i's L1 may
     /// hold the line. For L1s: unused.
@@ -24,26 +24,54 @@ pub struct Entry {
     pub dirty_in_l1: bool,
 }
 
-impl Entry {
-    #[inline]
-    fn valid(&self) -> bool {
-        self.key != 0
+/// `x / d` and `x % d` for a divisor fixed at construction: a shift and
+/// a mask when `d` is a power of two, the exact operation otherwise (the
+/// paper sweeps odd sizes like 26 MB, and island sizes need not be
+/// powers of two).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    pub(crate) fn new(d: usize) -> Self {
+        let d = d.max(1) as u64;
+        Divisor {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+        }
     }
 
-    pub fn line(&self) -> u64 {
-        self.key - 1
+    #[inline]
+    pub(crate) fn div(self, x: usize) -> usize {
+        match self.shift {
+            Some(s) => x >> s,
+            None => x / self.d as usize,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> usize {
+        match self.shift {
+            Some(_) => (x & (self.d - 1)) as usize,
+            None => (x % self.d) as usize,
+        }
     }
 }
 
 /// Set-associative, LRU, write-back cache tag array.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
+    sets: Divisor,
     assoc: usize,
+    /// Line number (addr >> 6) + 1 per way, set-major; 0 = invalid.
+    keys: Vec<u64>,
+    /// LRU timestamp per way (bigger = more recent).
+    lru: Vec<u64>,
     entries: Vec<Entry>,
     clock: u64,
-    pub accesses: u64,
-    pub misses: u64,
 }
 
 /// Result of inserting a line: what (if anything) was evicted.
@@ -58,52 +86,47 @@ pub struct Evicted {
 
 impl Cache {
     /// `size` bytes, `assoc` ways, 64 B lines. Set counts need not be a
-    /// power of two (the paper sweeps odd sizes like 26 MB), so indexing is
-    /// an exact modulo.
+    /// power of two (the paper sweeps odd sizes like 26 MB), so indexing
+    /// falls back to an exact modulo for those.
     pub fn new(size: u64, assoc: usize) -> Self {
         let lines = (size / 64).max(1) as usize;
         let assoc = assoc.clamp(1, lines);
         let sets = (lines / assoc).max(1);
         Cache {
-            sets,
+            sets: Divisor::new(sets),
             assoc,
+            keys: vec![0; sets * assoc],
+            lru: vec![0; sets * assoc],
             entries: vec![Entry::default(); sets * assoc],
             clock: 0,
-            accesses: 0,
-            misses: 0,
         }
     }
 
     #[inline]
     fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = (line % self.sets as u64) as usize;
-        let start = set * self.assoc;
+        let start = self.sets.rem(line) * self.assoc;
         start..start + self.assoc
     }
 
     /// Look up a line; on hit, refresh LRU and return a handle index.
     #[inline]
     pub fn probe(&mut self, line: u64) -> Option<usize> {
-        self.accesses += 1;
         self.clock += 1;
-        let key = line + 1;
-        let r = self.set_range(line);
-        for i in r {
-            if self.entries[i].key == key {
-                self.entries[i].lru = self.clock;
-                return Some(i);
-            }
-        }
-        self.misses += 1;
-        None
+        let i = self.peek(line)?;
+        self.lru[i] = self.clock;
+        Some(i)
     }
 
-    /// Look up without perturbing LRU or counters (directory peeks).
+    /// Look up without perturbing LRU (directory peeks).
     #[inline]
     pub fn peek(&self, line: u64) -> Option<usize> {
         let key = line + 1;
         let r = self.set_range(line);
-        (r.start..r.end).find(|&i| self.entries[i].key == key)
+        let start = r.start;
+        self.keys[r]
+            .iter()
+            .position(|&k| k == key)
+            .map(|w| start + w)
     }
 
     /// Insert a line (caller has established it is absent); returns the
@@ -111,29 +134,27 @@ impl Cache {
     pub fn insert(&mut self, line: u64) -> (usize, Option<Evicted>) {
         self.clock += 1;
         let r = self.set_range(line);
-        let mut victim = r.start;
-        let mut best = u64::MAX;
-        for i in r {
-            if !self.entries[i].valid() {
-                victim = i;
-                break;
-            }
-            if self.entries[i].lru < best {
-                best = self.entries[i].lru;
-                victim = i;
-            }
-        }
+        let start = r.start;
+        // First invalid way, else the first least-recently-used one.
+        let invalid = self.keys[r.clone()].iter().position(|&k| k == 0);
+        let way = invalid.unwrap_or_else(|| {
+            let stamps = self.lru[r].iter().enumerate();
+            stamps
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map_or(0, |(w, _)| w)
+        });
+        let victim = start + way;
         let old = self.entries[victim];
-        let evicted = old.valid().then(|| Evicted {
-            line: old.line(),
+        let evicted = (self.keys[victim] != 0).then(|| Evicted {
+            line: self.keys[victim] - 1,
             dirty: old.dirty,
             sharers: old.sharers,
             dirty_in_l1: old.dirty_in_l1,
             owner: old.owner,
         });
+        self.keys[victim] = line + 1;
+        self.lru[victim] = self.clock;
         self.entries[victim] = Entry {
-            key: line + 1,
-            lru: self.clock,
             dirty: false,
             sharers: 0,
             owner: 0xFF,
@@ -145,9 +166,8 @@ impl Cache {
     /// Remove a line if present; returns whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
         let i = self.peek(line)?;
-        let dirty = self.entries[i].dirty;
-        self.entries[i] = Entry::default();
-        Some(dirty)
+        self.keys[i] = 0;
+        Some(self.entries[i].dirty)
     }
 
     #[inline]
@@ -161,7 +181,7 @@ impl Cache {
     }
 
     pub fn sets(&self) -> usize {
-        self.sets
+        self.keys.len() / self.assoc
     }
 
     pub fn assoc(&self) -> usize {
@@ -170,7 +190,7 @@ impl Cache {
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid()).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 }
 
@@ -189,8 +209,6 @@ mod tests {
         assert!(c.probe(10).is_none());
         c.insert(10);
         assert!(c.probe(10).is_some());
-        assert_eq!(c.accesses, 2);
-        assert_eq!(c.misses, 1);
     }
 
     #[test]
@@ -264,7 +282,37 @@ mod tests {
         assert_eq!(c.sets() * c.assoc(), 16384);
         // 26 MB / 64 B / 16-way = 26624 sets — not a power of two, must not
         // be silently rounded.
-        let c26 = Cache::new(26 << 20, 16);
+        let mut c26 = Cache::new(26 << 20, 16);
         assert_eq!(c26.sets() * c26.assoc(), (26 << 20) / 64);
+        // ...and indexes by exact modulo: lines one set-count apart
+        // collide, lines one power of two apart do not.
+        let sets = c26.sets() as u64;
+        assert!(!sets.is_power_of_two());
+        let (a, _) = c26.insert(5);
+        let (b, _) = c26.insert(5 + sets);
+        let (c, _) = c26.insert(5 + sets.next_power_of_two());
+        assert_eq!(a / 16, b / 16, "same set");
+        assert_ne!(a / 16, c / 16, "a mask would have aliased these");
+    }
+
+    #[test]
+    fn divisor_is_exact_for_any_divisor() {
+        for d in [1usize, 2, 3, 6, 8, 26_624, 1 << 14] {
+            let div = Divisor::new(d);
+            for x in [
+                0usize,
+                1,
+                5,
+                63,
+                64,
+                26_623,
+                26_624,
+                1 << 20,
+                usize::MAX >> 1,
+            ] {
+                assert_eq!(div.div(x), x / d, "{x} / {d}");
+                assert_eq!(div.rem(x as u64), x % d, "{x} % {d}");
+            }
+        }
     }
 }

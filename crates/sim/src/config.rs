@@ -63,7 +63,15 @@ pub enum ConfigError {
     /// A cache level with zero access latency (free caches break the
     /// stall accounting).
     ZeroLevelLatency { level: usize },
+    /// More levels beyond the L1s than one miss walk tracks
+    /// ([`MAX_CACHE_LEVELS`]).
+    TooManyLevels { levels: usize },
 }
+
+/// Deepest on-chip hierarchy (levels beyond the L1s) a machine may have:
+/// a miss walk keeps its per-level MSHR claims in a fixed array of this
+/// size. No preset has more than three.
+pub const MAX_CACHE_LEVELS: usize = 4;
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -116,6 +124,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroLevelLatency { level } => {
                 write!(f, "cache level {level}: zero access latency")
             }
+            ConfigError::TooManyLevels { levels } => write!(
+                f,
+                "{levels} cache levels beyond the L1s; at most {MAX_CACHE_LEVELS} are supported"
+            ),
         }
     }
 }
@@ -313,6 +325,11 @@ impl CacheTopology {
     pub fn validate(&self, n_cores: usize) -> Result<(), ConfigError> {
         if self.levels.is_empty() {
             return Err(ConfigError::EmptyTopology);
+        }
+        if self.levels.len() > MAX_CACHE_LEVELS {
+            return Err(ConfigError::TooManyLevels {
+                levels: self.levels.len(),
+            });
         }
         let mut prev_cluster = 1usize;
         let mut prev_size = 0u64;
@@ -683,6 +700,17 @@ mod tests {
         assert_eq!(
             CacheTopology::shared_l2(CacheGeom::new(4 << 20, 16, 0)).validate(4),
             Err(ConfigError::ZeroLevelLatency { level: 0 })
+        );
+        // Deeper than a miss walk tracks.
+        let mut deep = CacheTopology::shared_l2(g);
+        for _ in 0..MAX_CACHE_LEVELS {
+            deep = deep.with_l3(l3);
+        }
+        assert_eq!(
+            deep.validate(4),
+            Err(ConfigError::TooManyLevels {
+                levels: MAX_CACHE_LEVELS + 1
+            })
         );
         // A well-formed two-level island hierarchy passes.
         assert_eq!(CacheTopology::islands(2, g).with_l3(l3).validate(4), Ok(()));

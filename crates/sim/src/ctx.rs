@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use dbcmp_trace::region::CodeRegions;
+use dbcmp_trace::region::CodeRegion;
 use dbcmp_trace::Event;
 
 use crate::cursor::ThreadState;
@@ -209,19 +209,18 @@ pub fn finish_thread(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) {
 }
 
 /// Perform the instruction-fetch check for the next instruction of the
-/// thread's current exec run. Returns `None` if the line is ready (fetch
-/// proceeds), or `Some((ready_at, class))` if the context must wait.
+/// thread's current exec run in `region`. Returns `None` if the line is
+/// ready (fetch proceeds), or `Some((ready_at, class))` if the context
+/// must wait.
 #[inline]
 pub fn fetch_check(
     th: &mut ThreadState<'_>,
-    region: u16,
-    regions: &CodeRegions,
+    region: &CodeRegion,
     mem: &mut MemSys,
     core: usize,
     now: u64,
 ) -> Option<(u64, CycleClass)> {
-    let addr = th.fetch_addr(region, regions);
-    let line = addr >> 6;
+    let line = th.fetch_addr(region) >> 6;
     if line == th.last_iline {
         return None;
     }

@@ -17,7 +17,7 @@
 //! footprints into L1-I working sets), the partially-consumed `Exec` run,
 //! and the branch-misprediction accumulator.
 
-use dbcmp_trace::region::{CodeRegions, INSTR_BYTES};
+use dbcmp_trace::region::{CodeRegion, CodeRegions, INSTR_BYTES};
 use dbcmp_trace::segment::TraceSource;
 use dbcmp_trace::{Event, ThreadTrace};
 
@@ -146,23 +146,43 @@ impl<'a> ThreadState<'a> {
         }
     }
 
-    /// Current fetch byte address within `region`.
+    /// Current fetch byte address within region `r`.
     #[inline]
-    pub fn fetch_addr(&self, region: u16, regions: &CodeRegions) -> u64 {
-        let r = regions.get(region);
-        r.base + self.region_off[region as usize]
+    pub fn fetch_addr(&self, r: &CodeRegion) -> u64 {
+        r.base + self.region_off[r.id as usize]
     }
 
-    /// Advance the fetch cursor by one instruction, wrapping at the
-    /// region's footprint.
+    /// Execute up to `room` instructions of the current exec run (`left`
+    /// instructions of region `r` remain), stopping at the end of the
+    /// instruction line the fetch cursor is in — so the caller's one
+    /// fetch check covers them all — and after a branch misprediction.
+    /// Advances the fetch cursor (wrapping at the region's footprint, a
+    /// whole number of lines) and `cur_exec`; returns how many
+    /// instructions ran (≥ 1 for `room`, `left` ≥ 1) and whether the last
+    /// one mispredicted.
     #[inline]
-    pub fn advance_instr(&mut self, region: u16, regions: &CodeRegions) {
-        let fp = regions.get(region).footprint;
-        let off = &mut self.region_off[region as usize];
-        *off += INSTR_BYTES;
-        if *off >= fp {
+    pub fn run_exec(&mut self, r: &CodeRegion, left: u32, room: usize) -> (usize, bool) {
+        let off = &mut self.region_off[r.id as usize];
+        let in_line = (64 - (*off & 63)) / INSTR_BYTES;
+        let max = room.min(left as usize).min(in_line as usize);
+        let mut n = 0;
+        let mut mispredicted = false;
+        while n < max && !mispredicted {
+            n += 1;
+            // One add per instruction, not one multiply per run: the
+            // accumulator must round exactly as it always has.
+            self.mispred_acc += r.mispred_per_instr;
+            if self.mispred_acc >= 1.0 {
+                self.mispred_acc -= 1.0;
+                mispredicted = true;
+            }
+        }
+        *off += n as u64 * INSTR_BYTES;
+        if *off >= r.footprint {
             *off = 0;
         }
+        self.cur_exec = (left as usize > n).then(|| (r.id, left - n as u32));
+        (n, mispredicted)
     }
 
     /// Current byte offset within a region (tests/diagnostics).
@@ -250,18 +270,31 @@ mod tests {
         let r = regions.add("loop", 128, 0.0); // 32 instructions
         let tr = trace3();
         let mut ts = ThreadState::new(&tr, &regions, false);
-        let base = regions.get(r).base;
-        assert_eq!(ts.fetch_addr(r, &regions), base);
-        for _ in 0..31 {
-            ts.advance_instr(r, &regions);
-        }
-        assert_eq!(ts.fetch_addr(r, &regions), base + 124);
-        ts.advance_instr(r, &regions);
-        assert_eq!(
-            ts.fetch_addr(r, &regions),
-            base,
-            "must wrap to region start"
-        );
+        let reg = regions.get(r);
+        let base = reg.base;
+        assert_eq!(ts.fetch_addr(reg), base);
+        // A run never crosses an instruction line: 16 at a time.
+        assert_eq!(ts.run_exec(reg, 100, 31), (16, false));
+        assert_eq!(ts.cur_exec, Some((r, 84)));
+        assert_eq!(ts.run_exec(reg, 84, 15), (15, false));
+        assert_eq!(ts.fetch_addr(reg), base + 124);
+        assert_eq!(ts.run_exec(reg, 1, 4), (1, false));
+        assert_eq!(ts.cur_exec, None);
+        assert_eq!(ts.fetch_addr(reg), base, "must wrap to region start");
         assert_eq!(ts.region_offset(r), 0);
+    }
+
+    #[test]
+    fn exec_run_stops_on_the_mispredicting_instruction() {
+        let mut regions = CodeRegions::new();
+        let r = regions.add("branchy", 4096, 400.0); // 0.4 per instruction
+        let tr = trace3();
+        let mut ts = ThreadState::new(&tr, &regions, false);
+        let reg = regions.get(r);
+        // 0.4, 0.8, 1.2 → the third instruction redirects.
+        assert_eq!(ts.run_exec(reg, 10, 8), (3, true));
+        assert_eq!(ts.cur_exec, Some((r, 7)));
+        assert_eq!(ts.region_offset(r), 12);
+        assert!((ts.mispred_acc - 0.2).abs() < 1e-9);
     }
 }

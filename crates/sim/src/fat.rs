@@ -24,7 +24,7 @@ use dbcmp_trace::region::CodeRegions;
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
-use crate::core::Core;
+use crate::core::{Core, Tick};
 use crate::ctx::{
     consume_meta_event, data_stall_class, fetch_check, finish_thread, CtxBase, MAX_META_EVENTS,
 };
@@ -112,7 +112,9 @@ impl Core for FatCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle; `None` means the core has no work at all.
+    /// Simulate one cycle; a `None` class means the core has no work at
+    /// all. Quiet = nothing retired, no thread rotated, `want_switch` not
+    /// newly set, and decode stuck.
     fn cycle(
         &mut self,
         core: usize,
@@ -121,18 +123,24 @@ impl Core for FatCore {
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
-    ) -> Option<CycleClass> {
+    ) -> Tick {
+        let mut quiet = true;
         // Thread scheduling.
         if let Some(t) = self.base.thread {
             if threads[t].done && self.rob.is_empty() {
                 self.base
                     .rotate_thread(false, self.quantum, self.switch_penalty, now);
+                quiet = false;
             }
         } else if !self.base.run_q.is_empty() {
             self.base.rotate_thread(false, self.quantum, 0, now);
+            quiet = false;
         }
         if self.base.thread.is_none() && self.rob.is_empty() {
-            return None;
+            return Tick {
+                class: None,
+                quiet_until: u64::MAX,
+            };
         }
 
         self.base.drain_stores(now);
@@ -172,13 +180,16 @@ impl Core for FatCore {
         let mut head_wait: Option<CycleClass> = None;
         if let Some(t) = self.base.thread {
             if !threads[t].done {
-                head_wait = self.decode(core, t, now, mem, threads, regions, ctl);
+                let (blame, stuck) = self.decode(core, t, now, mem, threads, regions, ctl);
+                head_wait = blame;
+                quiet &= stuck;
             }
         }
 
         // OS quantum bookkeeping.
         if self.base.thread.is_some() {
             if self.base.quantum_left == 0 && !self.base.run_q.is_empty() {
+                quiet &= self.want_switch;
                 self.want_switch = true;
             } else {
                 self.base.quantum_left = self.base.quantum_left.saturating_sub(1);
@@ -190,39 +201,77 @@ impl Core for FatCore {
                 .rotate_thread(true, self.quantum, self.switch_penalty, now);
             self.gate_until = self.gate_until.max(now + self.switch_penalty);
             self.gate_class = CycleClass::Other;
+            quiet = false;
         }
 
         // ---- Attribution ----
         if retired > 0 {
             self.retired += retired as u64;
             ctl.instrs += retired as u64;
-            return Some(CycleClass::Compute);
+            return Tick::busy(CycleClass::Compute);
         }
         // Nothing retired: why?
-        if let Some(RobSlot::Load { class, .. }) = self.rob.front() {
-            return Some(*class);
+        let class = if let Some(RobSlot::Load { class, .. }) = self.rob.front() {
+            *class
+        } else if self.fetch_until > now {
+            // Window empty: fetch / decode-gate / store-drain / fence.
+            self.fetch_class
+        } else if self.gate_until > now {
+            self.gate_class
+        } else if let Some(cls) = head_wait {
+            cls
+        } else if let Some((_, class)) = self.base.oldest_store() {
+            class
+        } else {
+            CycleClass::Other
+        };
+        Tick {
+            class: Some(class),
+            quiet_until: if quiet { self.quiet_until(now) } else { 0 },
         }
-        // Window empty: fetch / decode-gate / store-drain / fence.
-        if self.fetch_until > now {
-            return Some(self.fetch_class);
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        // A quiet span ends before the countdown reaches zero with a run
+        // queue waiting (`quiet_until`), so it is a plain subtraction.
+        if self.base.thread.is_some() {
+            self.base.quantum_left = self.base.quantum_left.saturating_sub(cycles);
         }
-        if self.gate_until > now {
-            return Some(self.gate_class);
-        }
-        if let Some(cls) = head_wait {
-            return Some(cls);
-        }
-        if let Some((_, class)) = self.base.oldest_store() {
-            return Some(class);
-        }
-        Some(CycleClass::Other)
     }
 }
 
 impl FatCore {
+    /// After a quiet cycle at `now`: the earliest cycle at which
+    /// something the cycle depends on changes — the window head's load
+    /// returns, a decode or fetch gate opens, the oldest store completes,
+    /// or the quantum runs out with a run queue waiting (cycle `now + 1 +
+    /// quantum_left` sees the countdown at zero and requests the switch).
+    fn quiet_until(&self, now: u64) -> u64 {
+        let head = match self.rob.front() {
+            Some(RobSlot::Load { ready_at, .. }) => *ready_at,
+            _ => u64::MAX,
+        };
+        let store = self
+            .base
+            .oldest_store()
+            .map_or(u64::MAX, |(ready, _)| ready);
+        let switch_due =
+            self.base.thread.is_some() && !self.want_switch && !self.base.run_q.is_empty();
+        let quantum = now + 1 + self.base.quantum_left;
+        [head, self.gate_until, self.fetch_until, store]
+            .into_iter()
+            .chain(switch_due.then_some(quantum))
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Fill the window with up to `width` new instructions. Returns the
     /// stall class to blame if decode could not make progress for a
-    /// memory-ish reason (used only when nothing retired either).
+    /// memory-ish reason (used only when nothing retired either), and
+    /// whether decode was *stuck*: it returned early or, having consumed
+    /// nothing, hit a no-progress exit (window, MSHRs or store buffer
+    /// full, fence un-drained).
     #[allow(clippy::too_many_arguments)]
     fn decode(
         &mut self,
@@ -233,19 +282,23 @@ impl FatCore {
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
-    ) -> Option<CycleClass> {
+    ) -> (Option<CycleClass>, bool) {
         if self.want_switch || self.gate_until > now || self.fetch_until > now {
-            return None;
+            return (None, true);
         }
         let th = &mut threads[t];
         let mut decoded = 0usize;
         let mut meta = 0usize;
         let mut blame = None;
+        // Every exit that does not set this consumed an event or armed a
+        // gate.
+        let mut stuck = self.rob_instrs >= self.rob_cap;
         while decoded < self.width && self.rob_instrs < self.rob_cap {
             // Pending load retry (was waiting for an MSHR).
             if let Some(pl) = th.pending_load {
                 if self.outstanding >= self.mshrs {
                     blame = Some(CycleClass::DStallMem);
+                    stuck = true;
                     break;
                 }
                 th.pending_load = None;
@@ -260,6 +313,7 @@ impl FatCore {
             if let Some(ps) = th.pending_store {
                 if !self.base.store_space() {
                     blame = self.base.oldest_store().map(|(_, c)| c);
+                    stuck = true;
                     break;
                 }
                 let acc = mem.data_access(core, ps.addr >> 6, true, now);
@@ -281,6 +335,7 @@ impl FatCore {
                         .oldest_store()
                         .map(|(_, c)| c)
                         .or(Some(CycleClass::Other));
+                    stuck = true;
                     break;
                 }
                 th.pending_fence = false;
@@ -296,24 +351,20 @@ impl FatCore {
                     break;
                 }
             }
-            // Current exec run: fetch + decode one instruction.
+            // Current exec run: one fetch check, then as many of its
+            // instructions as fit the window, the width and the line.
             if let Some((region, left)) = th.cur_exec {
-                if let Some((ready, class)) = fetch_check(th, region, regions, mem, core, now) {
+                let r = regions.get(region);
+                if let Some((ready, class)) = fetch_check(th, r, mem, core, now) {
                     self.fetch_until = ready;
                     self.fetch_class = class;
                     break;
                 }
-                th.advance_instr(region, regions);
-                th.cur_exec = if left > 1 {
-                    Some((region, left - 1))
-                } else {
-                    None
-                };
-                self.push_run(1);
-                decoded += 1;
-                th.mispred_acc += regions.get(region).mispred_per_kinstr / 1000.0;
-                if th.mispred_acc >= 1.0 {
-                    th.mispred_acc -= 1.0;
+                let room = (self.width - decoded).min(self.rob_cap - self.rob_instrs);
+                let (n, mispredicted) = th.run_exec(r, left, room);
+                self.push_run(n as u32);
+                decoded += n;
+                if mispredicted {
                     // Redirect: decode stops for the pipeline depth.
                     self.gate_until = now + self.pipeline_depth;
                     self.gate_class = CycleClass::Other;
@@ -365,7 +416,7 @@ impl FatCore {
                 }
             }
         }
-        blame
+        (blame, stuck && decoded == 0 && meta == 0)
     }
 
     /// Issue a load to the memory system and place it in the window.
@@ -425,7 +476,7 @@ mod tests {
         let mut compute = 0;
         let mut now = 0;
         while now < max {
-            match core.cycle(0, now, mem, threads, regions, ctl) {
+            match core.cycle(0, now, mem, threads, regions, ctl).class {
                 Some(CycleClass::Compute) => compute += 1,
                 Some(_) => {}
                 None => break,
@@ -550,10 +601,12 @@ mod tests {
         // Cycle 0: decode issues the load; nothing retires -> DStallMem.
         let c0 = core
             .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
         let c1 = core
             .cycle(0, 1, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
     }
@@ -629,6 +682,7 @@ mod tests {
         let mut ctl = MachineCtl::default();
         assert!(core
             .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .is_none());
     }
 }

@@ -13,7 +13,7 @@ use dbcmp_trace::region::CodeRegions;
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
-use crate::core::Core;
+use crate::core::{Core, Tick};
 use crate::ctx::{
     consume_meta_event, data_stall_class, fetch_check, finish_thread, CtxBase, MAX_META_EVENTS,
 };
@@ -30,6 +30,12 @@ pub struct LeanCore {
     pipeline_depth: u64,
     quantum: u64,
     switch_penalty: u64,
+    /// One of this core's threads finished (nobody else can finish one:
+    /// threads never migrate) or nothing was scanned yet: re-scan the
+    /// contexts for finished threads next cycle.
+    rescan: bool,
+    /// Some context holds a thread (as of the last scan).
+    any_thread: bool,
     /// Instructions retired during the measurement window.
     pub retired: u64,
 }
@@ -46,6 +52,8 @@ impl LeanCore {
             pipeline_depth: CoreKind::Lean { width, contexts }.pipeline_depth(),
             quantum: cfg.quantum,
             switch_penalty: cfg.switch_penalty,
+            rescan: true,
+            any_thread: false,
             retired: 0,
         }
     }
@@ -64,8 +72,9 @@ impl Core for LeanCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle. Returns the class to charge, or `None` if the
-    /// core has no threads at all (inactive — not accounted).
+    /// Simulate one cycle; a `None` class means the core has no threads
+    /// at all (inactive — not accounted). Only a cycle with every
+    /// context blocked is quiet.
     fn cycle(
         &mut self,
         core: usize,
@@ -74,52 +83,57 @@ impl Core for LeanCore {
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
-    ) -> Option<CycleClass> {
+    ) -> Tick {
         let n = self.ctxs.len();
         // Retire finished threads and schedule queued ones.
-        let mut any_thread = false;
-        for ctx in &mut self.ctxs {
-            if let Some(t) = ctx.thread {
-                if threads[t].done {
-                    ctx.rotate_thread(false, self.quantum, self.switch_penalty, now);
+        if self.rescan {
+            self.rescan = false;
+            self.any_thread = false;
+            for ctx in &mut self.ctxs {
+                if let Some(t) = ctx.thread {
+                    if threads[t].done {
+                        ctx.rotate_thread(false, self.quantum, self.switch_penalty, now);
+                    }
+                } else if !ctx.run_q.is_empty() {
+                    ctx.rotate_thread(false, self.quantum, 0, now);
                 }
-            } else if !ctx.run_q.is_empty() {
-                ctx.rotate_thread(false, self.quantum, 0, now);
+                self.any_thread |= ctx.thread.is_some();
             }
-            any_thread |= ctx.thread.is_some();
         }
-        if !any_thread {
-            return None;
+        if !self.any_thread {
+            return Tick {
+                class: None,
+                quiet_until: u64::MAX,
+            };
         }
 
         // Pick the next runnable context, round-robin.
-        let mut chosen = None;
-        for k in 0..n {
-            let i = (self.rr + k) % n;
-            if self.ctxs[i].runnable(now) {
-                chosen = Some(i);
-                break;
-            }
-        }
-        self.rr = (self.rr + 1) % n;
+        // (`rr < n`, so the wraps are one compare, not a division.)
+        let wrap = |i: usize| if i < n { i } else { i - n };
+        let chosen = (0..n)
+            .map(|k| wrap(self.rr + k))
+            .find(|&i| self.ctxs[i].runnable(now));
+        self.rr = wrap(self.rr + 1);
 
         let Some(i) = chosen else {
-            // All contexts blocked: charge the longest-waiting one.
-            let cls = self
-                .ctxs
-                .iter()
-                .filter(|c| c.thread.is_some() && c.blocked_until > now)
+            // All contexts blocked: charge the longest-waiting one, and
+            // stay quiet until the first of them unblocks.
+            let blocked = || self.ctxs.iter().filter(|c| c.thread.is_some());
+            let cls = blocked()
                 .min_by_key(|c| c.blocked_since)
                 .map(|c| c.blocked_class)
                 .unwrap_or(CycleClass::Other);
-            return Some(cls);
+            return Tick {
+                class: Some(cls),
+                quiet_until: blocked().map(|c| c.blocked_until).min().unwrap_or(0),
+            };
         };
 
         // OS quantum.
         let ctx = &mut self.ctxs[i];
         if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
             ctx.rotate_thread(true, self.quantum, self.switch_penalty, now);
-            return Some(CycleClass::Other);
+            return Tick::busy(CycleClass::Other);
         }
         ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
 
@@ -135,15 +149,25 @@ impl Core for LeanCore {
             regions,
             ctl,
         );
+        self.rescan = self.ctxs[i].thread.is_some_and(|t| threads[t].done);
         if issued > 0 {
             self.retired += issued as u64;
             ctl.instrs += issued as u64;
         }
         if progress > 0 {
-            Some(CycleClass::Compute)
+            Tick::busy(CycleClass::Compute)
         } else {
             // The context blocked on its very first slot this cycle.
-            Some(self.ctxs[i].blocked_class)
+            Tick::busy(self.ctxs[i].blocked_class)
+        }
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        // The pointer advances once per cycle whether or not anyone
+        // issues; an inactive core returns before touching it.
+        if self.any_thread {
+            let n = self.ctxs.len() as u64;
+            self.rr = ((self.rr as u64 + cycles % n) % n) as usize;
         }
     }
 }
@@ -178,9 +202,7 @@ fn issue_from(
     while issued < width {
         // 1. Retry a store that was waiting for buffer space.
         if let Some(ps) = th.pending_store {
-            if !ctx.store_space() {
-                // lint:allow(panic): store_space() returned false, so the buffer is full and non-empty
-                let (ready, class) = ctx.oldest_store().expect("full buffer has entries");
+            if let Some((ready, class)) = ctx.oldest_store().filter(|_| !ctx.store_space()) {
                 ctx.block(ready, class, now);
                 break;
             }
@@ -212,24 +234,19 @@ fn issue_from(
                 break;
             }
         }
-        // 3. Continue the current exec run.
+        // 3. Continue the current exec run: one fetch check, then as many
+        // of its instructions as fit the width and the line.
         if let Some((region, left)) = th.cur_exec {
-            if let Some((ready, class)) = fetch_check(th, region, regions, mem, core, now) {
+            let r = regions.get(region);
+            if let Some((ready, class)) = fetch_check(th, r, mem, core, now) {
                 ctx.block(ready, class, now);
                 break;
             }
-            th.advance_instr(region, regions);
-            th.cur_exec = if left > 1 {
-                Some((region, left - 1))
-            } else {
-                None
-            };
-            issued += 1;
-            progress += 1;
-            // Branch misprediction charge.
-            th.mispred_acc += regions.get(region).mispred_per_kinstr / 1000.0;
-            if th.mispred_acc >= 1.0 {
-                th.mispred_acc -= 1.0;
+            let (n, mispredicted) = th.run_exec(r, left, width - issued);
+            issued += n;
+            progress += n;
+            if mispredicted {
+                // Branch misprediction charge.
                 ctx.block(now + pipeline_depth, CycleClass::Other, now);
                 break;
             }
@@ -254,10 +271,8 @@ fn issue_from(
                 progress += 1;
             }
             Some(Event::Store { addr, size }) => {
-                if !ctx.store_space() {
+                if let Some((ready, class)) = ctx.oldest_store().filter(|_| !ctx.store_space()) {
                     th.pending_store = Some(PendingStore { addr, size });
-                    // lint:allow(panic): store_space() returned false, so the buffer is full and non-empty
-                    let (ready, class) = ctx.oldest_store().expect("full buffer has entries");
                     ctx.block(ready, class, now);
                     break;
                 }
@@ -357,6 +372,7 @@ mod tests {
         // First cycle: cold I-miss blocks.
         let c0 = core
             .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .unwrap();
         assert!(matches!(c0, CycleClass::IStallMem | CycleClass::IStallL2));
         let mut now = 1;
@@ -395,8 +411,9 @@ mod tests {
 
         let mut compute = 0u64;
         for now in 0..3000u64 {
-            if let Some(CycleClass::Compute) =
-                core.cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl)
+            if let Some(CycleClass::Compute) = core
+                .cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl)
+                .class
             {
                 compute += 1;
             }
@@ -428,11 +445,13 @@ mod tests {
         // Cycle 0 initiates the miss (charged as the stall class directly).
         let c0 = core
             .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
         // Subsequent cycle: the only context is blocked.
         let c1 = core
             .cycle(0, 1, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
     }
@@ -446,6 +465,7 @@ mod tests {
         let mut ctl = MachineCtl::default();
         assert!(core
             .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .class
             .is_none());
     }
 

@@ -20,7 +20,7 @@ use crate::fat::FatCore;
 use crate::interconnect::Interconnect;
 use crate::lean::LeanCore;
 use crate::memsys::MemSys;
-use crate::stats::{Breakdown, RemoteCounters, SimResult};
+use crate::stats::{Breakdown, CycleClass, RemoteCounters, SimResult};
 
 /// Global run-state shared by the core models.
 #[derive(Debug, Default)]
@@ -67,17 +67,38 @@ fn make_core(cfg: &MachineConfig, kind: CoreKind) -> Box<dyn Core> {
     }
 }
 
-/// A fully assembled machine, ready to step.
+/// The machine's view of one core between calls: when to call it next,
+/// and what the cycles it sleeps through are owed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sleep {
+    /// Next cycle at which the core is called.
+    wake: u64,
+    /// First cycle not yet charged to the core's breakdown (the cycle
+    /// after its last call).
+    owed_from: u64,
+    /// Class every cycle in `owed_from..wake` is charged to.
+    class: Option<CycleClass>,
+}
+
+/// A fully assembled machine, ready to run. A core whose last cycle was
+/// quiet ([`Tick`](crate::core::Tick)) is not called again until its
+/// `quiet_until`; the skipped cycles are charged in bulk when it wakes,
+/// and when every core sleeps the clock jumps to the earliest wake.
 pub struct Machine<'a> {
     cfg: MachineConfig,
     bundle: &'a TraceBundle,
     threads: Vec<ThreadState<'a>>,
     cores: Vec<Box<dyn Core>>,
+    sleep: Vec<Sleep>,
     mem: MemSys,
     ctl: MachineCtl,
     per_core: Vec<Breakdown>,
     now: u64,
     mode: RunMode,
+    /// `Core::cycle` calls made so far, for the tests that prove cores
+    /// really are left alone while they sleep.
+    #[cfg(test)]
+    cycle_calls: u64,
 }
 
 impl<'a> Machine<'a> {
@@ -122,6 +143,7 @@ impl<'a> Machine<'a> {
             bundle,
             threads,
             cores,
+            sleep: vec![Sleep::default(); n_cores],
             mem,
             ctl: MachineCtl {
                 remaining: bundle.threads.len(),
@@ -131,25 +153,73 @@ impl<'a> Machine<'a> {
             per_core: vec![Breakdown::default(); n_cores],
             now: 0,
             mode,
+            #[cfg(test)]
+            cycle_calls: 0,
         }
     }
 
-    /// Advance one cycle across all cores.
-    pub fn step(&mut self) {
-        for c in 0..self.cores.len() {
-            let charge = self.cores[c].cycle(
-                c,
-                self.now,
-                &mut self.mem,
-                &mut self.threads,
-                &self.bundle.regions,
-                &mut self.ctl,
-            );
-            if let Some(class) = charge {
-                self.per_core[c].charge(class, 1);
+    /// Charge core `c` the quiet cycles it slept through up to (not
+    /// including) `upto`, and let it apply their side effects.
+    #[inline]
+    fn settle(&mut self, c: usize, upto: u64) {
+        let s = &mut self.sleep[c];
+        let skipped = upto - s.owed_from;
+        if skipped > 0 {
+            if let Some(class) = s.class {
+                self.per_core[c].charge(class, skipped);
             }
+            self.cores[c].skip(skipped);
+            s.owed_from = upto;
         }
-        self.now += 1;
+    }
+
+    /// Run cycles `now..end`, calling only cores that are awake; in
+    /// completion mode stop after the cycle that finishes the last
+    /// thread. No sleep crosses `end`: on return every core is charged
+    /// up to `now` and due by then.
+    fn run_until(&mut self, end: u64) {
+        let stop_when_done = !self.mode.wraps();
+        while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
+            let now = self.now;
+            let mut next = end;
+            for c in 0..self.cores.len() {
+                if self.sleep[c].wake > now {
+                    next = next.min(self.sleep[c].wake);
+                    continue;
+                }
+                self.settle(c, now);
+                #[cfg(test)]
+                {
+                    self.cycle_calls += 1;
+                }
+                let tick = self.cores[c].cycle(
+                    c,
+                    now,
+                    &mut self.mem,
+                    &mut self.threads,
+                    &self.bundle.regions,
+                    &mut self.ctl,
+                );
+                if let Some(class) = tick.class {
+                    self.per_core[c].charge(class, 1);
+                }
+                let wake = tick.quiet_until.clamp(now + 1, end);
+                self.sleep[c] = Sleep {
+                    wake,
+                    owed_from: now + 1,
+                    class: tick.class,
+                };
+                next = next.min(wake);
+            }
+            // The cycle that finishes the last thread is a busy one, so
+            // a completion run ends at `now + 1`: cycles past it are
+            // never simulated and never charged.
+            debug_assert!(next == now + 1 || self.ctl.remaining > 0 || !stop_when_done);
+            self.now = next;
+        }
+        for c in 0..self.cores.len() {
+            self.settle(c, self.now);
+        }
     }
 
     /// Zero all measurement state (end of warm-up); cache/thread state is
@@ -169,6 +239,15 @@ impl<'a> Machine<'a> {
     }
 
     fn result(&self, cycles: u64) -> SimResult {
+        // Conservation: a wrapping thread never leaves its context, so a
+        // core that holds one was charged every cycle of the window.
+        debug_assert!(
+            !self.mode.wraps()
+                || self.cores.iter().zip(&self.per_core).all(|(core, b)| {
+                    core.contexts().iter().all(|c| c.thread.is_none()) || b.total() == cycles
+                }),
+            "an active core's breakdown must sum to the measured window"
+        );
         let mut agg = Breakdown::default();
         for b in &self.per_core {
             agg.merge(b);
@@ -189,27 +268,27 @@ impl<'a> Machine<'a> {
 
     /// Run the machine's configured [`RunMode`] to the end and report.
     pub fn execute(mut self) -> SimResult {
+        self.run(Self::run_until)
+    }
+
+    fn run(&mut self, run_until: impl Fn(&mut Self, u64)) -> SimResult {
         match self.mode {
             RunMode::Throughput { warmup, measure } => {
-                for _ in 0..warmup {
-                    self.step();
-                }
+                run_until(self, warmup);
                 self.reset_measurement();
-                for _ in 0..measure {
-                    self.step();
-                }
+                run_until(self, warmup + measure);
                 self.result(measure)
             }
             RunMode::Completion { max_cycles } => {
-                let start = self.now;
-                while self.ctl.remaining > 0 && self.now - start < max_cycles {
-                    self.step();
-                }
-                self.result(self.now - start)
+                run_until(self, max_cycles);
+                self.result(self.now)
             }
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

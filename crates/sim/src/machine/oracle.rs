@@ -1,0 +1,409 @@
+//! Skip ≡ tick: the sleeping loop (`Machine::run_until`) held to the
+//! per-cycle reference it replaced (`Machine::execute_ticking`, defined
+//! here: every core called every cycle, quiet hint ignored, nothing
+//! applied in bulk) — on random bundles, on the boundaries bulk charging
+//! can get wrong, and on a real OLTP capture.
+//!
+//! Everything sits in an in-file `#[cfg(test)]` module because the lint
+//! finds test scopes per file.
+
+#[cfg(test)]
+mod tests {
+    use super::super::*;
+    use crate::builder::MachineBuilder;
+    use crate::config::{CacheGeom, MachineConfig};
+    use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
+    use proptest::prelude::*;
+
+    /// The oracle: the loop `Machine::run_until` replaced, kept as the
+    /// reference it must equal.
+    impl Machine<'_> {
+        /// Every core called every cycle, the quiet hint ignored, nothing
+        /// applied in bulk.
+        fn run_until_ticking(&mut self, end: u64) {
+            let stop_when_done = !self.mode.wraps();
+            while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
+                for c in 0..self.cores.len() {
+                    self.cycle_calls += 1;
+                    let tick = self.cores[c].cycle(
+                        c,
+                        self.now,
+                        &mut self.mem,
+                        &mut self.threads,
+                        &self.bundle.regions,
+                        &mut self.ctl,
+                    );
+                    if let Some(class) = tick.class {
+                        self.per_core[c].charge(class, 1);
+                    }
+                }
+                self.now += 1;
+            }
+        }
+
+        /// [`Machine::execute`] on the per-cycle loop. Borrows, so the
+        /// tests can read `cycle_calls` afterwards.
+        fn execute_ticking(&mut self) -> SimResult {
+            self.run(Self::run_until_ticking)
+        }
+    }
+
+    /// What both loops made of one (machine, mode, bundle).
+    struct Pair {
+        skip: SimResult,
+        tick: SimResult,
+        skip_calls: u64,
+        tick_calls: u64,
+    }
+
+    fn both(cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) -> Pair {
+        let build = || {
+            MachineBuilder::from_config(cfg.clone(), mode)
+                .build(bundle)
+                .expect("valid config")
+        };
+        let (mut s, mut t) = (build(), build());
+        Pair {
+            skip: s.run(Machine::run_until),
+            tick: t.execute_ticking(),
+            skip_calls: s.cycle_calls,
+            tick_calls: t.cycle_calls,
+        }
+    }
+
+    /// Field by field first, so a failure names what moved.
+    fn assert_same(cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) -> Pair {
+        let p = both(cfg, mode, bundle);
+        let (s, t) = (&p.skip, &p.tick);
+        let at = format!("{} {mode:?}", cfg.name);
+        assert_eq!(s.cycles, t.cycles, "cycles, {at}");
+        assert_eq!(s.instrs, t.instrs, "instrs, {at}");
+        assert_eq!(s.units, t.units, "units, {at}");
+        assert_eq!(s.per_core, t.per_core, "per-core breakdowns, {at}");
+        assert_eq!(s.breakdown, t.breakdown, "breakdown, {at}");
+        assert_eq!(s.mem, t.mem, "memory counters, {at}");
+        assert_eq!(s.remote, t.remote, "remote counters, {at}");
+        assert_eq!(s.avg_unit_cycles, t.avg_unit_cycles, "unit latency, {at}");
+        assert_eq!(s, t, "whole result, {at}");
+        assert!(p.skip_calls <= p.tick_calls, "skipping never adds calls");
+        p
+    }
+
+    const THROUGHPUT: RunMode = RunMode::Throughput {
+        warmup: 2_000,
+        measure: 6_000,
+    };
+    const COMPLETION: RunMode = RunMode::Completion { max_cycles: 30_000 };
+
+    // ------------------------------------------------------- random bundles
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Exec(u16, u32),
+        Load { slot: u64, dep: bool, wide: bool },
+        Store { slot: u64, wide: bool },
+        Fence,
+        Block,
+        Send(u32),
+        Recv(u32),
+        UnitEnd,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (0u16..2, 1u32..48).prop_map(|(r, n)| Op::Exec(r, n)),
+            5 => (0u64..96, any::<bool>(), any::<bool>())
+                .prop_map(|(slot, dep, wide)| Op::Load { slot, dep, wide }),
+            3 => (0u64..96, any::<bool>()).prop_map(|(slot, wide)| Op::Store { slot, wide }),
+            1 => Just(Op::Fence),
+            1 => Just(Op::Block),
+            1 => (1u32..4_000).prop_map(Op::Send),
+            1 => (1u32..4_000).prop_map(Op::Recv),
+            2 => Just(Op::UnitEnd),
+        ]
+    }
+
+    /// Slots below 64 are private to the thread (adjacent lines), the rest
+    /// shared by all threads and a page apart (distinct sets, coherence
+    /// traffic).
+    fn addr(thread: usize, slot: u64) -> u64 {
+        if slot < 64 {
+            0x100_0000 + thread as u64 * 0x10_0000 + slot * 64
+        } else {
+            0x800_0000 + (slot - 64) * 4096
+        }
+    }
+
+    fn bundle_of(threads: &[Vec<Op>]) -> TraceBundle {
+        let mut regions = CodeRegions::new();
+        regions.add("branchy", 16 << 10, 6.0);
+        regions.add("tight", 1 << 10, 0.0);
+        let traces = threads
+            .iter()
+            .enumerate()
+            .map(|(t, ops)| {
+                let mut tr = Tracer::recording();
+                for &op in ops {
+                    match op {
+                        Op::Exec(r, n) => tr.exec(r, n),
+                        Op::Load { slot, dep, wide } => {
+                            let size = if wide { 200 } else { 8 };
+                            if dep {
+                                tr.load_dep(addr(t, slot), size)
+                            } else {
+                                tr.load(addr(t, slot), size)
+                            }
+                        }
+                        Op::Store { slot, wide } => {
+                            tr.store(addr(t, slot), if wide { 130 } else { 8 })
+                        }
+                        Op::Fence => tr.fence(),
+                        Op::Block => tr.block(),
+                        Op::Send(b) => tr.remote_send(b),
+                        Op::Recv(b) => tr.remote_recv(b),
+                        Op::UnitEnd => tr.unit_end(),
+                    }
+                }
+                tr.finish()
+            })
+            .collect();
+        TraceBundle::new(regions, traces)
+    }
+
+    /// The four machine shapes, shrunk so a few thousand cycles see misses,
+    /// full store buffers, full MSHRs and expiring quanta.
+    fn machines(quantum: u64, switch_penalty: u64, ten_gbe: bool) -> Vec<MachineConfig> {
+        let mut asym = MachineConfig::fat_cmp(3, 64 << 10, 8);
+        asym.name = "asymmetric".to_string();
+        asym.slots = vec![
+            CoreKind::fat(),
+            CoreKind::Lean {
+                width: 2,
+                contexts: 3,
+            },
+            CoreKind::Fat {
+                width: 2,
+                rob: 8,
+                mshrs: 1,
+            },
+        ];
+        let mut out = vec![
+            MachineConfig::fat_cmp(2, 64 << 10, 8),
+            MachineConfig::lean_cmp(2, 64 << 10, 8),
+            MachineConfig::smp(2, 64 << 10, 8, CoreKind::fat()),
+            asym,
+        ];
+        for cfg in &mut out {
+            cfg.l1d = CacheGeom::new(2 << 10, 2, 1);
+            cfg.l1i = CacheGeom::new(2 << 10, 2, 1);
+            cfg.store_buffer = 2;
+            cfg.topology.levels[0].mshrs = 2;
+            cfg.quantum = quantum;
+            cfg.switch_penalty = switch_penalty;
+            if ten_gbe {
+                cfg.interconnect = Interconnect::network_10g();
+            }
+            cfg.validate().expect("shrunk preset validates");
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random small bundles — more threads than contexts, so quanta
+        /// expire — on all four machine shapes in both run modes.
+        #[test]
+        fn skipping_equals_ticking_on_random_bundles(
+            threads in prop::collection::vec(prop::collection::vec(op(), 1..60), 1..9),
+            quantum in 10u64..600,
+            switch_penalty in 0u64..40,
+            ten_gbe in any::<bool>(),
+        ) {
+            let bundle = bundle_of(&threads);
+            for cfg in machines(quantum, switch_penalty, ten_gbe) {
+                assert_same(&cfg, THROUGHPUT, &bundle);
+                assert_same(&cfg, COMPLETION, &bundle);
+            }
+        }
+    }
+
+    /// The quick fig7 OLTP capture (tiny TPC-C, 16 clients × 8 units) on the
+    /// three camps fig7 compares.
+    #[test]
+    fn skipping_equals_ticking_on_the_quick_oltp_capture() {
+        use dbcmp_workloads::{build_tpcc, capture_oltp, CaptureOptions, TpccScale};
+        let (mut db, h) = build_tpcc(TpccScale::tiny(), 0xC1D7);
+        let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(16, 8, 0xC1D7));
+        for cfg in [
+            MachineConfig::fat_cmp(4, 4 << 20, 12),
+            MachineConfig::lean_cmp(4, 4 << 20, 12),
+            MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()),
+        ] {
+            let throughput = RunMode::Throughput {
+                warmup: 20_000,
+                measure: 60_000,
+            };
+            let p = assert_same(&cfg, throughput, &bundle);
+            assert!(p.skip.instrs > 0, "{}: nothing retired", cfg.name);
+            assert_same(
+                &cfg,
+                RunMode::Completion {
+                    max_cycles: 120_000,
+                },
+                &bundle,
+            );
+        }
+    }
+
+    // ------------------------------------------ the boundaries, one by one
+
+    fn one_region() -> CodeRegions {
+        let mut regions = CodeRegions::new();
+        regions.add("r", 1 << 10, 0.0);
+        regions
+    }
+
+    /// One thread that keeps receiving 64 KB messages: on 10 GbE each is a
+    /// ~194k-cycle decode gate.
+    fn receiver() -> TraceBundle {
+        let mut tr = Tracer::recording();
+        for _ in 0..4 {
+            tr.exec(0, 40);
+            tr.remote_recv(64 << 10);
+            tr.unit_end();
+        }
+        TraceBundle::new(one_region(), vec![tr.finish()])
+    }
+
+    fn ten_gbe(mut cfg: MachineConfig) -> MachineConfig {
+        cfg.interconnect = Interconnect::network_10g();
+        cfg
+    }
+
+    #[test]
+    fn a_core_asleep_across_the_warmup_boundary_charges_only_the_measured_part() {
+        let cfg = ten_gbe(MachineConfig::fat_cmp(1, 1 << 20, 8));
+        // The first gate opens near cycle 195k: asleep from well before the
+        // boundary at 100k to well after it.
+        let mode = RunMode::Throughput {
+            warmup: 100_000,
+            measure: 50_000,
+        };
+        let p = assert_same(&cfg, mode, &receiver());
+        assert_eq!(p.skip.per_core[0].total(), 50_000);
+        assert_eq!(p.skip.per_core[0].get(CycleClass::Other), 50_000);
+        assert!(p.skip_calls < 2_000, "{} calls: never slept", p.skip_calls);
+    }
+
+    #[test]
+    fn a_completion_run_ending_while_another_core_sleeps_reports_the_ticking_cycles() {
+        let mut cfg = MachineConfig::fat_cmp(2, 1 << 20, 8);
+        cfg.stream_buf = 0;
+        // Core 0 issues three cold loads and its trace ends: done at cycle 0,
+        // asleep on the window head until memory answers (~400). Core 1
+        // chases two of the same lines (filled on chip by then) and finishes
+        // the run a few dozen cycles in.
+        let mut t0 = Tracer::recording();
+        for k in 0..3u64 {
+            t0.load(0x10_0000 + k * 4096, 8);
+        }
+        let mut t1 = Tracer::recording();
+        t1.load_dep(0x10_0000, 8);
+        t1.load_dep(0x10_0000 + 4096, 8);
+        let bundle = TraceBundle::new(one_region(), vec![t0.finish(), t1.finish()]);
+        let p = assert_same(&cfg, RunMode::Completion { max_cycles: 10_000 }, &bundle);
+        assert!(
+            (10..200).contains(&p.skip.cycles),
+            "run must end on core 1's finish, long before core 0's loads return: {}",
+            p.skip.cycles
+        );
+        // Core 0 is charged for exactly the cycles the run lasted, no more.
+        assert_eq!(p.skip.per_core[0].total(), p.skip.cycles);
+        assert_eq!(p.skip.per_core[0].get(CycleClass::DStallMem), p.skip.cycles);
+        assert!(p.skip_calls < p.tick_calls);
+    }
+
+    #[test]
+    fn a_quantum_expiring_mid_sleep_switches_on_the_ticking_cycle() {
+        // Two threads on one context; each parks on a long gate, so the
+        // quantum runs out while the core sleeps and the sleep must end on
+        // the cycle that requests the switch.
+        for base in [
+            MachineConfig::fat_cmp(1, 1 << 20, 8),
+            MachineConfig::lean_cmp(1, 1 << 20, 8),
+        ] {
+            let mut cfg = ten_gbe(base);
+            if let CoreKind::Lean { width, .. } = cfg.core {
+                cfg.core = CoreKind::Lean { width, contexts: 1 };
+            }
+            cfg.quantum = 5_000;
+            cfg.switch_penalty = 100;
+            let threads = (0..2)
+                .map(|_| {
+                    let mut tr = Tracer::recording();
+                    for _ in 0..3 {
+                        tr.exec(0, 30);
+                        tr.remote_recv(1 << 10);
+                        tr.unit_end();
+                    }
+                    tr.finish()
+                })
+                .collect();
+            let bundle = TraceBundle::new(one_region(), threads);
+            let p = assert_same(
+                &cfg,
+                RunMode::Completion {
+                    max_cycles: 2_000_000,
+                },
+                &bundle,
+            );
+            assert_eq!(p.skip.units, 6, "{}: both threads must finish", cfg.name);
+            assert!(
+                p.skip.cycles > 6 * 30_000,
+                "{}: six gates back to back",
+                cfg.name
+            );
+            assert!(
+                p.skip_calls * 20 < p.tick_calls,
+                "{}: never slept",
+                cfg.name
+            );
+        }
+    }
+
+    #[test]
+    fn an_inactive_core_is_never_charged() {
+        for cfg in [
+            MachineConfig::fat_cmp(2, 1 << 20, 8),
+            MachineConfig::lean_cmp(2, 1 << 20, 8),
+        ] {
+            let mut tr = Tracer::recording();
+            tr.exec(0, 5_000);
+            let bundle = TraceBundle::new(one_region(), vec![tr.finish()]);
+            for mode in [THROUGHPUT, COMPLETION] {
+                let p = assert_same(&cfg, mode, &bundle);
+                assert!(p.skip.per_core[0].total() > 0);
+                assert_eq!(p.skip.per_core[1].total(), 0, "{} {mode:?}", cfg.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_fat_core_on_a_10gbe_gate_sleeps_the_whole_gate() {
+        let cfg = ten_gbe(MachineConfig::fat_cmp(2, 1 << 20, 8));
+        let mode = RunMode::Throughput {
+            warmup: 200_000,
+            measure: 800_000,
+        };
+        let p = assert_same(&cfg, mode, &receiver());
+        assert_eq!(p.tick_calls, 1_000_000 * 2);
+        assert!(
+            p.skip_calls * 100 < p.tick_calls,
+            "{} cycle calls for {} core-cycles",
+            p.skip_calls,
+            p.tick_calls
+        );
+        assert!(p.skip.remote.stall_cycles > 0);
+    }
+}

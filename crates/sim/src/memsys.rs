@@ -38,8 +38,8 @@
 //! OLTP). A level may additionally cap outstanding misses per instance
 //! (`LevelSpec::mshrs`); legacy configs leave the cap off.
 
-use crate::cache::{Cache, Evicted};
-use crate::config::{LevelSpec, MachineConfig, SharedBy};
+use crate::cache::{Cache, Divisor, Evicted};
+use crate::config::{LevelSpec, MachineConfig, SharedBy, MAX_CACHE_LEVELS};
 use crate::stats::MemCounters;
 use crate::stream::StreamBuffer;
 
@@ -104,6 +104,8 @@ struct Level {
     kind: LevelKind,
     /// Cores per instance.
     cluster: usize,
+    /// `cluster` as a divisor (core → instance).
+    per_instance: Divisor,
     latency: u64,
     /// One tag array per instance (`n_cores / cluster` of them).
     caches: Vec<Cache>,
@@ -114,6 +116,8 @@ struct Level {
     bank_free: Vec<u64>,
     bank_occupancy: u64,
     banks_per_group: usize,
+    /// Line → bank within one pool of `banks_per_group`.
+    bank_of: Divisor,
     /// Outstanding-miss completion times per instance; empty inner
     /// vectors when the level has no MSHR cap.
     mshr: Vec<Vec<u64>>,
@@ -142,6 +146,7 @@ impl Level {
         Level {
             kind,
             cluster,
+            per_instance: Divisor::new(cluster),
             latency: spec.geom.latency,
             caches: (0..groups)
                 .map(|_| Cache::new(spec.geom.size, spec.geom.assoc))
@@ -149,6 +154,7 @@ impl Level {
             bank_free: vec![0; pool],
             bank_occupancy: spec.bank_occupancy,
             banks_per_group,
+            bank_of: Divisor::new(banks_per_group),
             mshr: (0..groups)
                 .map(|_| vec![0u64; if spec.mshrs > 0 { spec.mshrs } else { 0 }])
                 .collect(),
@@ -157,7 +163,7 @@ impl Level {
 
     #[inline]
     fn group(&self, core: usize) -> usize {
-        core / self.cluster
+        self.per_instance.div(core)
     }
 
     /// Member cores of instance `g`.
@@ -168,11 +174,10 @@ impl Level {
 
     #[inline]
     fn bank_index(&self, g: usize, line: u64) -> usize {
+        // Shared and private levels have one pool (`g` is ignored).
         match self.kind {
-            LevelKind::Island => {
-                g * self.banks_per_group + (line % self.banks_per_group as u64) as usize
-            }
-            _ => (line % self.bank_free.len() as u64) as usize,
+            LevelKind::Island => g * self.banks_per_group + self.bank_of.rem(line),
+            _ => self.bank_of.rem(line),
         }
     }
 }
@@ -194,7 +199,7 @@ pub struct MemSys {
     /// Outermost level is chip-shared: every transfer stays on chip.
     single_realm: bool,
     /// Cores per node (outermost level's cluster) when `!single_realm`.
-    node_cluster: usize,
+    node_cluster: Divisor,
     pub counters: MemCounters,
 }
 
@@ -211,7 +216,7 @@ impl MemSys {
             .last()
             .map(|l| l.kind == LevelKind::Shared)
             .unwrap_or(true);
-        let node_cluster = levels.last().map(|l| l.cluster).unwrap_or(1).max(1);
+        let node_cluster = Divisor::new(levels.last().map(|l| l.cluster).unwrap_or(1));
         let n_levels = levels.len();
         MemSys {
             cores: CoreCaches {
@@ -243,14 +248,14 @@ impl MemSys {
     /// Node (coherence-realm partition) of a core.
     #[inline]
     fn node(&self, core: usize) -> usize {
-        core / self.node_cluster
+        self.node_cluster.div(core)
     }
 
     /// Node a level instance belongs to (instances nest inside nodes by
     /// validation).
     #[inline]
     fn node_of_group(&self, li: usize, g: usize) -> usize {
-        (g * self.levels[li].cluster) / self.node_cluster
+        self.node_cluster.div(g * self.levels[li].cluster)
     }
 
     /// A data load/store by `core` to cache line `line` (line number =
@@ -320,7 +325,8 @@ impl MemSys {
     /// filling on the way; fall through to the realm snoop / memory.
     fn fetch(&mut self, core: usize, line: u64, write: bool, is_instr: bool, now: u64) -> Access {
         let mut t = now;
-        let mut mshr_claims: Vec<(usize, usize, usize)> = Vec::new();
+        // The MSHR slot this walk claimed at each level, if any.
+        let mut claimed = [None; MAX_CACHE_LEVELS];
         for li in 0..self.levels.len() {
             let g = self.levels[li].group(core);
             if self.levels[li].kind != LevelKind::Private {
@@ -334,7 +340,7 @@ impl MemSys {
                 }
                 let acc = self.serve_hit(li, g, idx, core, line, write, is_instr, t);
                 self.counters.per_level[li].service_cycles += acc.ready_at.saturating_sub(now);
-                self.release_mshrs(&mshr_claims, acc.ready_at);
+                self.release_mshrs(core, &claimed, acc.ready_at);
                 return acc;
             }
             if is_instr {
@@ -342,9 +348,8 @@ impl MemSys {
             } else {
                 self.counters.per_level[li].misses_data += 1;
             }
-            if !self.levels[li].mshr[g].is_empty() {
-                let (slot, start) = self.claim_mshr(li, g, t);
-                mshr_claims.push((li, g, slot));
+            if let Some((slot, start)) = self.claim_mshr(li, g, t) {
+                claimed[li] = Some(slot);
                 t = start;
             }
             // Inclusive hierarchy: fill this level now, victim and all.
@@ -356,7 +361,7 @@ impl MemSys {
             t += self.levels[li].latency;
         }
         let acc = self.serve_offchip(core, line, write, is_instr, t);
-        self.release_mshrs(&mshr_claims, acc.ready_at);
+        self.release_mshrs(core, &claimed, acc.ready_at);
         acc
     }
 
@@ -379,28 +384,27 @@ impl MemSys {
 
     /// Claim an outstanding-miss slot at level `li` instance `g`;
     /// returns `(slot, start)` where `start` is delayed if every slot is
-    /// still in flight.
-    fn claim_mshr(&mut self, li: usize, g: usize, now: u64) -> (usize, u64) {
-        let file = &mut self.levels[li].mshr[g];
-        let (slot, &free) = file
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &f)| f)
-            // lint:allow(panic): mshr files are sized from validated config (>= 1 slot), so min_by_key always sees entries
-            .expect("mshr file non-empty");
+    /// still in flight, or `None` when the level has no MSHR cap.
+    fn claim_mshr(&mut self, li: usize, g: usize, now: u64) -> Option<(usize, u64)> {
+        let file = &self.levels[li].mshr[g];
+        let (slot, &free) = file.iter().enumerate().min_by_key(|&(_, &f)| f)?;
         let start = now.max(free);
         if start > now {
             let pl = &mut self.counters.per_level[li];
             pl.mshr_waits += 1;
             pl.mshr_wait_cycles += start - now;
         }
-        (slot, start)
+        Some((slot, start))
     }
 
-    /// Record the completion time of every MSHR slot this walk claimed.
-    fn release_mshrs(&mut self, claims: &[(usize, usize, usize)], ready_at: u64) {
-        for &(li, g, slot) in claims {
-            self.levels[li].mshr[g][slot] = ready_at;
+    /// Record the completion time of every MSHR slot `core`'s walk
+    /// claimed (`claimed[li]` is the slot at level `li`).
+    fn release_mshrs(&mut self, core: usize, claimed: &[Option<usize>], ready_at: u64) {
+        for (lvl, slot) in self.levels.iter_mut().zip(claimed) {
+            if let Some(slot) = *slot {
+                let g = lvl.group(core);
+                lvl.mshr[g][slot] = ready_at;
+            }
         }
     }
 

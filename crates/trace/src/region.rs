@@ -41,6 +41,9 @@ pub struct CodeRegion {
     pub footprint: u64,
     /// Branch mispredictions per 1000 instructions executed in this region.
     pub mispred_per_kinstr: f64,
+    /// `mispred_per_kinstr / 1000.0`, computed once here so the replay
+    /// loop adds it per instruction instead of dividing per instruction.
+    pub mispred_per_instr: f64,
 }
 
 /// Registry of code regions for one captured system. Region IDs are dense
@@ -78,6 +81,7 @@ impl CodeRegions {
             base,
             footprint,
             mispred_per_kinstr,
+            mispred_per_instr: mispred_per_kinstr / 1000.0,
         });
         id
     }
