@@ -70,8 +70,8 @@ pub fn run_completion(cfg: MachineConfig, bundle: &TraceBundle, spec: RunSpec) -
 }
 
 /// Build one machine over `bundle` and run it — the single path every
-/// simulation in this crate takes. Panics on a degenerate config;
-/// assemble through `MachineBuilder` to handle `ConfigError` yourself.
+/// simulation in this crate takes. Panics on a degenerate config; call
+/// `MachineBuilder::build` to handle `ConfigError` yourself.
 fn run_point(cfg: MachineConfig, mode: RunMode, bundle: &TraceBundle) -> SimResult {
     MachineBuilder::from_config(cfg, mode)
         .build(bundle)
@@ -150,8 +150,8 @@ impl Sweep {
 
     /// Run every point against one shared bundle, in parallel. Results
     /// come back in input order. Panics on an invalid config (configs
-    /// are validated up front, before any thread spawns); assemble
-    /// points through `MachineBuilder::into_config` to handle
+    /// are validated up front, before any thread spawns); call
+    /// `MachineConfig::validate` on the points first to handle
     /// `ConfigError` yourself.
     pub fn run(&self, bundle: &TraceBundle) -> Vec<SimResult> {
         self.run_each(&vec![bundle; self.points.len()])

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod btree;
 pub mod catalog;
 pub mod cc;
@@ -52,7 +51,6 @@ pub mod txn;
 pub mod types;
 pub mod wal;
 
-pub use api::EngineOps;
 pub use cc::{CcBackend, CcStats, ConcurrencyControl};
 pub use costs::EngineRegions;
 pub use db::Database;

@@ -1,27 +1,28 @@
-//! Composable machine assembly.
+//! Validated machine assembly.
 //!
-//! [`MachineBuilder`] assembles a machine from per-slot [`CoreKind`]s
-//! (heterogeneous fat/lean mixes allowed), a cache topology (any mix of
-//! private, island, and chip-shared levels), and a [`RunMode`], and validates the
-//! result into a [`Machine`] — degenerate configs (zero cores, zero
-//! contexts, empty hierarchies, non-nesting islands, …) come back as a
-//! [`ConfigError`] at build time instead of panicking or silently
-//! misbehaving deep in the cycle loop.
+//! A machine is described by a [`MachineConfig`] value — per-slot
+//! [`CoreKind`](crate::config::CoreKind)s (heterogeneous fat/lean mixes
+//! allowed), a cache topology (any mix of private, island, and
+//! chip-shared levels) — that presets fill in and callers update field by
+//! field. [`MachineBuilder`] is the one way from such a value and a
+//! [`RunMode`] to a runnable [`Machine`]: it validates first, so
+//! degenerate configs (zero cores, zero contexts, empty hierarchies,
+//! non-nesting islands, …) come back as a [`ConfigError`] at build time
+//! instead of panicking or silently misbehaving deep in the cycle loop.
 //!
 //! ```
-//! use dbcmp_sim::{
-//!     CacheGeom, CacheTopology, CoreKind, MachineBuilder, RunMode,
-//! };
+//! use dbcmp_sim::{CacheGeom, CacheTopology, MachineBuilder, MachineConfig, RunMode};
 //! # let bundle = dbcmp_trace::TraceBundle::new(dbcmp_trace::CodeRegions::new(), vec![]);
 //! // Four lean cores in two 2-core islands, each island with its own
-//! // 4 MB L2, sharing a 16 MB L3.
-//! let machine = MachineBuilder::new(RunMode::Throughput { warmup: 1000, measure: 4000 })
-//!     .name("2x2 lean islands + L3")
-//!     .slots(CoreKind::lean(), 4)
-//!     .topology(
-//!         CacheTopology::islands(2, CacheGeom::new(4 << 20, 16, 10))
-//!             .with_l3(CacheGeom::new(16 << 20, 16, 20)),
-//!     )
+//! // 4 MB L2, sharing a 16 MB L3: a preset plus a field update.
+//! let cfg = MachineConfig {
+//!     name: "2x2 lean islands + L3".to_string(),
+//!     topology: CacheTopology::islands(2, CacheGeom::new(4 << 20, 16, 10))
+//!         .with_l3(CacheGeom::new(16 << 20, 16, 20)),
+//!     ..MachineConfig::lean_cmp(4, 4 << 20, 10)
+//! };
+//! let mode = RunMode::Throughput { warmup: 1000, measure: 4000 };
+//! let machine = MachineBuilder::from_config(cfg, mode)
 //!     .build(&bundle)
 //!     .expect("valid config");
 //! let result = machine.execute();
@@ -29,194 +30,35 @@
 
 use dbcmp_trace::TraceBundle;
 
-use crate::config::{CacheGeom, CacheTopology, ConfigError, CoreKind, MachineConfig};
+use crate::config::{ConfigError, MachineConfig};
 use crate::machine::{Machine, RunMode};
 
-/// Builder for [`Machine`]s: per-slot cores, cache topology, run mode.
-///
-/// Starts from the paper's shared memory-system baseline (§3: identical
-/// memory subsystems for both camps) with *no* core slots; add slots
-/// with [`slot`](Self::slot)/[`slots`](Self::slots). Every parameter of
-/// [`MachineConfig`] has a setter, so presets are reproducible through
-/// the builder exactly.
+/// A [`MachineConfig`] and the [`RunMode`] to run it in, not yet
+/// validated.
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
     cfg: MachineConfig,
     mode: RunMode,
-    /// The caller set `l1_to_l1` explicitly; `topology()` must not
-    /// overwrite it with the derived default (order-independence).
-    l1_to_l1_pinned: bool,
-    /// Bank overrides pinned by `l2_banks`/`l2_bank_occupancy`, applied
-    /// to the innermost level at build time so they survive a later
-    /// `topology()` call in any order.
-    banks_pinned: Option<usize>,
-    occupancy_pinned: Option<u64>,
 }
 
 impl MachineBuilder {
-    /// Baseline memory system, no core slots yet.
-    pub fn new(mode: RunMode) -> Self {
-        let mut cfg = MachineConfig::fat_cmp(0, 16 << 20, 14);
-        cfg.name = "custom".to_string();
-        cfg.slots = Vec::new();
-        MachineBuilder {
-            cfg,
-            mode,
-            l1_to_l1_pinned: false,
-            banks_pinned: None,
-            occupancy_pinned: None,
-        }
-    }
-
-    /// Seed the builder from an existing config (how presets and the
-    /// sweep runner build machines). The config's `l1_to_l1` is treated
-    /// as deliberate: a later `topology()` keeps it.
+    /// How presets, the sweep runner and every figure build machines.
     pub fn from_config(cfg: MachineConfig, mode: RunMode) -> Self {
-        MachineBuilder {
-            cfg,
-            mode,
-            l1_to_l1_pinned: true,
-            banks_pinned: None,
-            occupancy_pinned: None,
-        }
-    }
-
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.cfg.name = name.into();
-        self
-    }
-
-    /// Append one core slot.
-    pub fn slot(mut self, kind: CoreKind) -> Self {
-        let mut slots = self.cfg.slot_kinds();
-        slots.push(kind);
-        self.cfg.slots = slots;
-        self.cfg.n_cores = self.cfg.slots.len();
-        self
-    }
-
-    /// Append `n` identical core slots.
-    pub fn slots(mut self, kind: CoreKind, n: usize) -> Self {
-        for _ in 0..n {
-            self = self.slot(kind);
-        }
-        self
-    }
-
-    /// Set the whole on-chip hierarchy beyond the L1s: any number of
-    /// levels, each private, island-shared, or chip-shared.
-    pub fn topology(mut self, topology: CacheTopology) -> Self {
-        // Keep the dependent on-chip transfer latency consistent with
-        // the presets (L2 hit + directory indirection) — unless the
-        // caller pinned it with `l1_to_l1()`, in any order.
-        if !self.l1_to_l1_pinned {
-            if let Some(l2) = topology.levels.first() {
-                self.cfg.l1_to_l1 = l2.geom.latency + 6;
-            }
-        }
-        self.cfg.topology = topology;
-        self
-    }
-
-    pub fn l1i(mut self, g: CacheGeom) -> Self {
-        self.cfg.l1i = g;
-        self
-    }
-
-    pub fn l1d(mut self, g: CacheGeom) -> Self {
-        self.cfg.l1d = g;
-        self
-    }
-
-    /// Bank count of the innermost level (the L2). Pinned: survives a
-    /// later `topology()` call.
-    pub fn l2_banks(mut self, banks: usize) -> Self {
-        self.banks_pinned = Some(banks);
-        self
-    }
-
-    /// Bank occupancy of the innermost level. Pinned like
-    /// [`l2_banks`](Self::l2_banks).
-    pub fn l2_bank_occupancy(mut self, cycles: u64) -> Self {
-        self.occupancy_pinned = Some(cycles);
-        self
-    }
-
-    pub fn mem_latency(mut self, cycles: u64) -> Self {
-        self.cfg.mem_latency = cycles;
-        self
-    }
-
-    pub fn coherence_latency(mut self, cycles: u64) -> Self {
-        self.cfg.coherence_latency = cycles;
-        self
-    }
-
-    pub fn l1_to_l1(mut self, cycles: u64) -> Self {
-        self.cfg.l1_to_l1 = cycles;
-        self.l1_to_l1_pinned = true;
-        self
-    }
-
-    pub fn stream_buf(mut self, entries: usize) -> Self {
-        self.cfg.stream_buf = entries;
-        self
-    }
-
-    pub fn store_buffer(mut self, entries: usize) -> Self {
-        self.cfg.store_buffer = entries;
-        self
-    }
-
-    pub fn quantum(mut self, cycles: u64) -> Self {
-        self.cfg.quantum = cycles;
-        self
-    }
-
-    pub fn switch_penalty(mut self, cycles: u64) -> Self {
-        self.cfg.switch_penalty = cycles;
-        self
-    }
-
-    pub fn mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Resolve the pinned per-level overrides into the config.
-    fn resolve(mut self) -> MachineConfig {
-        if let Some(l2) = self.cfg.topology.levels.first_mut() {
-            if let Some(banks) = self.banks_pinned {
-                l2.banks = banks;
-            }
-            if let Some(occ) = self.occupancy_pinned {
-                l2.bank_occupancy = occ;
-            }
-        }
-        self.cfg
-    }
-
-    /// Validate and return the assembled config without building a
-    /// machine (sweeps store configs, not machines).
-    pub fn into_config(self) -> Result<MachineConfig, ConfigError> {
-        let cfg = self.resolve();
-        cfg.validate()?;
-        Ok(cfg)
+        MachineBuilder { cfg, mode }
     }
 
     /// Validate the config and assemble a runnable [`Machine`] over
     /// `bundle`.
     pub fn build(self, bundle: &TraceBundle) -> Result<Machine<'_>, ConfigError> {
-        let mode = self.mode;
-        let cfg = self.resolve();
-        cfg.validate()?;
-        Ok(Machine::assemble(cfg, mode, bundle))
+        self.cfg.validate()?;
+        Ok(Machine::assemble(self.cfg, self.mode, bundle))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CacheGeom, CacheTopology, CoreKind};
     use crate::stats::SimResult;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 
@@ -244,33 +86,39 @@ mod tests {
         measure: 20_000,
     };
 
+    /// The paper's baseline memory system under the given core slots.
+    fn with_slots(slots: Vec<CoreKind>) -> MachineConfig {
+        let n_cores = slots.len();
+        MachineConfig {
+            slots,
+            ..MachineConfig::fat_cmp(n_cores, 16 << 20, 14)
+        }
+    }
+
+    fn build_err(cfg: MachineConfig) -> ConfigError {
+        MachineBuilder::from_config(cfg, MODE)
+            .build(&bundle(1))
+            .map(|_m| ())
+            .unwrap_err()
+    }
+
     #[test]
     fn zero_slots_is_rejected() {
-        let b = bundle(1);
-        let err = MachineBuilder::new(MODE)
-            .build(&b)
-            .map(|_m| ())
-            .unwrap_err();
+        let err = build_err(with_slots(vec![]));
         assert_eq!(err, ConfigError::NoCores);
     }
 
     #[test]
     fn zero_contexts_is_rejected() {
-        let b = bundle(1);
-        let err = MachineBuilder::new(MODE)
-            .slot(CoreKind::Lean {
-                width: 2,
-                contexts: 0,
-            })
-            .build(&b)
-            .map(|_m| ())
-            .unwrap_err();
+        let err = build_err(with_slots(vec![CoreKind::Lean {
+            width: 2,
+            contexts: 0,
+        }]));
         assert_eq!(err, ConfigError::NoContexts { slot: 0 });
     }
 
     #[test]
     fn degenerate_fat_slots_are_rejected() {
-        let b = bundle(1);
         for (kind, want) in [
             (
                 CoreKind::Fat {
@@ -297,39 +145,26 @@ mod tests {
                 ConfigError::ZeroMshrs { slot: 1 },
             ),
         ] {
-            let err = MachineBuilder::new(MODE)
-                .slot(CoreKind::fat())
-                .slot(kind)
-                .build(&b)
-                .map(|_m| ())
-                .unwrap_err();
+            let err = build_err(with_slots(vec![CoreKind::fat(), kind]));
             assert_eq!(err, want);
         }
     }
 
     #[test]
     fn non_power_of_two_banks_rejected() {
-        let b = bundle(1);
         for banks in [0usize, 3, 6, 12] {
-            let err = MachineBuilder::new(MODE)
-                .slot(CoreKind::fat())
-                .l2_banks(banks)
-                .build(&b)
-                .map(|_m| ())
-                .unwrap_err();
+            let mut cfg = with_slots(vec![CoreKind::fat()]);
+            cfg.topology.levels[0].banks = banks;
+            let err = build_err(cfg);
             assert_eq!(err, ConfigError::L2BanksNotPowerOfTwo { banks });
         }
     }
 
     #[test]
     fn bad_cache_geometry_rejected() {
-        let b = bundle(1);
-        let err = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .l1d(CacheGeom::new(0, 2, 1))
-            .build(&b)
-            .map(|_m| ())
-            .unwrap_err();
+        let mut cfg = with_slots(vec![CoreKind::fat()]);
+        cfg.l1d = CacheGeom::new(0, 2, 1);
+        let err = build_err(cfg);
         assert_eq!(err, ConfigError::BadCacheGeom { which: "l1d" });
     }
 
@@ -379,11 +214,12 @@ mod tests {
     #[test]
     fn mixed_machine_runs_both_camps() {
         let b = bundle(10);
-        let m = MachineBuilder::new(MODE)
-            .name("1F+1L")
-            .slot(CoreKind::fat())
-            .slot(CoreKind::lean())
-            .topology(CacheTopology::shared_l2(CacheGeom::new(1 << 20, 16, 8)))
+        let cfg = MachineConfig {
+            name: "1F+1L".to_string(),
+            slots: vec![CoreKind::fat(), CoreKind::lean()],
+            ..MachineConfig::fat_cmp(2, 1 << 20, 8)
+        };
+        let m = MachineBuilder::from_config(cfg, MODE)
             .build(&b)
             .expect("valid mixed config");
         let res = m.execute();
@@ -394,79 +230,17 @@ mod tests {
     }
 
     #[test]
-    fn explicit_l1_to_l1_survives_l2_in_either_order() {
-        let geom = CacheGeom::new(16 << 20, 16, 14);
-        let before = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .l1_to_l1(30)
-            .topology(CacheTopology::shared_l2(geom))
-            .into_config()
-            .expect("valid");
-        let after = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .topology(CacheTopology::shared_l2(geom))
-            .l1_to_l1(30)
-            .into_config()
-            .expect("valid");
-        assert_eq!(
-            before.l1_to_l1, 30,
-            "topology() must not clobber a pinned value"
-        );
-        assert_eq!(after.l1_to_l1, 30);
-        // Unpinned: topology() derives the preset-consistent default.
-        let derived = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .topology(CacheTopology::shared_l2(geom))
-            .into_config()
-            .expect("valid");
-        assert_eq!(derived.l1_to_l1, geom.latency + 6);
-    }
-
-    #[test]
-    fn pinned_banks_survive_topology_in_either_order() {
-        use crate::config::SharedBy;
-        let geom = CacheGeom::new(8 << 20, 16, 12);
-        let before = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .l2_banks(8)
-            .l2_bank_occupancy(4)
-            .topology(CacheTopology::shared_l2(geom))
-            .into_config()
-            .expect("valid");
-        let after = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .topology(CacheTopology::shared_l2(geom))
-            .l2_banks(8)
-            .l2_bank_occupancy(4)
-            .into_config()
-            .expect("valid");
-        for cfg in [&before, &after] {
-            assert_eq!(cfg.topology.innermost().banks, 8);
-            assert_eq!(cfg.topology.innermost().bank_occupancy, 4);
-        }
-        // Unpinned: the topology's own bank parameters stand.
-        let plain = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .topology(CacheTopology::private_l2(geom))
-            .into_config()
-            .expect("valid");
-        assert_eq!(plain.topology.innermost().banks, 1);
-        assert_eq!(plain.topology.innermost().shared_by, SharedBy::Core);
-    }
-
-    #[test]
     fn multi_level_island_topology_builds_and_runs() {
         let b = bundle(8);
-        let m =
-            MachineBuilder::new(MODE)
-                .name("2x2 islands + L3")
-                .slots(CoreKind::fat(), 4)
-                .topology(
-                    CacheTopology::islands(2, CacheGeom::new(1 << 20, 16, 8))
-                        .with_l3(CacheGeom::new(8 << 20, 16, 20)),
-                )
-                .build(&b)
-                .expect("valid 2-level island config");
+        let cfg = MachineConfig {
+            name: "2x2 islands + L3".to_string(),
+            topology: CacheTopology::islands(2, CacheGeom::new(1 << 20, 16, 8))
+                .with_l3(CacheGeom::new(8 << 20, 16, 20)),
+            ..MachineConfig::fat_cmp(4, 1 << 20, 8)
+        };
+        let m = MachineBuilder::from_config(cfg, MODE)
+            .build(&b)
+            .expect("valid 2-level island config");
         let res = m.execute();
         assert!(res.instrs > 0);
         assert_eq!(res.mem.per_level.len(), 2, "both levels counted");
@@ -475,20 +249,13 @@ mod tests {
 
     #[test]
     fn degenerate_topologies_are_rejected() {
-        let b = bundle(1);
-        let err = MachineBuilder::new(MODE)
-            .slot(CoreKind::fat())
-            .topology(CacheTopology::new(vec![]))
-            .build(&b)
-            .map(|_m| ())
-            .unwrap_err();
+        let mut cfg = with_slots(vec![CoreKind::fat()]);
+        cfg.topology = CacheTopology::new(vec![]);
+        let err = build_err(cfg);
         assert_eq!(err, ConfigError::EmptyTopology);
-        let err = MachineBuilder::new(MODE)
-            .slots(CoreKind::fat(), 4)
-            .topology(CacheTopology::islands(3, CacheGeom::new(1 << 20, 16, 8)))
-            .build(&b)
-            .map(|_m| ())
-            .unwrap_err();
+        let mut cfg = with_slots(vec![CoreKind::fat(); 4]);
+        cfg.topology = CacheTopology::islands(3, CacheGeom::new(1 << 20, 16, 8));
+        let err = build_err(cfg);
         assert_eq!(
             err,
             ConfigError::ClusterNotDivisible {
@@ -497,18 +264,5 @@ mod tests {
                 n_cores: 4
             }
         );
-    }
-
-    #[test]
-    fn into_config_validates_and_preserves_slots() {
-        let cfg = MachineBuilder::new(MODE)
-            .slots(CoreKind::fat(), 2)
-            .slots(CoreKind::lean(), 2)
-            .into_config()
-            .expect("valid");
-        assert_eq!(cfg.n_cores, 4);
-        assert_eq!(cfg.slots.len(), 4);
-        assert_eq!(cfg.total_contexts(), 2 + 2 * 4);
-        assert!(MachineBuilder::new(MODE).into_config().is_err());
     }
 }

@@ -436,8 +436,9 @@ impl CoreKind {
 /// the asymmetric fat/lean mixes of the `fig_asym` extension — list one
 /// [`CoreKind`] per slot in `slots` (and keep `n_cores == slots.len()`);
 /// `core` then only seeds defaults. The on-chip hierarchy beyond the L1s
-/// is an open [`CacheTopology`]. Use `MachineBuilder` to assemble either
-/// kind with validation.
+/// is an open [`CacheTopology`]. Start from a preset ([`fat_cmp`](Self::fat_cmp),
+/// [`lean_cmp`](Self::lean_cmp), `dbcmp_core::machines`), update fields, and
+/// hand the value to `MachineBuilder::from_config`, which validates it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     pub name: String,

@@ -8,10 +8,11 @@
 //! heart of the paper's §5), and other stalls (branch mispredictions,
 //! context switches).
 //!
-//! Machines are assembled slot by slot through [`builder::MachineBuilder`]
-//! (heterogeneous fat/lean mixes allowed, configs validated into
-//! [`config::ConfigError`] at build time); every slot is driven through
-//! the open [`core::Core`] trait. Two core models implement the paper's
+//! A machine is a [`config::MachineConfig`] value (per-slot core kinds, so
+//! heterogeneous fat/lean mixes are allowed) that
+//! [`builder::MachineBuilder`] validates — degenerate configs come back as
+//! [`config::ConfigError`] at build time — and assembles; every slot is
+//! driven through the open [`core::Core`] trait. Two core models implement the paper's
 //! two "camps" (§2.1):
 //!
 //! * [`fat`] — a wide out-of-order core: a reorder-buffer window, multiple

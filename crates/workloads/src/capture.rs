@@ -14,6 +14,7 @@
 use dbcmp_engine::Database;
 use dbcmp_trace::{ScratchArena, ThreadTrace, TraceBundle};
 
+use crate::ops::now;
 use crate::rng::client_rng;
 use crate::tpcc::txns::{draw_kind, run_txn};
 use crate::tpcc::TpccDb;
@@ -69,7 +70,7 @@ pub fn capture_oltp(db: &mut Database, h: &TpccDb, opt: CaptureOptions) -> Trace
             // conflict or park: an engine error here is a bug, and retrying
             // it would hand back a silently different bundle. A TPC-C
             // rollback (`Ok(Aborted)`) still completes its unit.
-            run_txn(db, h, kind, w_home, &mut rng, &mut tc)
+            now(run_txn(db, h, kind, w_home, &mut rng, &mut tc))
                 .unwrap_or_else(|e| panic!("sequential capture: client {client} {kind:?}: {e}"));
         }
         threads.push(tc.finish());

@@ -67,6 +67,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::capture::{par_map_ordered, CaptureOptions};
+use crate::ops::now;
 use crate::rng::{client_rng, last_name, nurand, uniform};
 use crate::tpcc::txns::{draw_kind, run_txn, run_txn_cfg, TxnCfg, TxnKind};
 use crate::tpcc::{
@@ -248,7 +249,7 @@ pub fn capture_oltp_deployment_workers(
                 None => {
                     stats.local_txns += 1;
                     let (db, h) = &mut parts[p_home];
-                    run_txn(db, h, kind, w_home, &mut trng, &mut tc).map(drop)
+                    now(run_txn(db, h, kind, w_home, &mut trng, &mut tc)).map(drop)
                 }
                 Some(t) if owner(t, scale.warehouses, n) == p_home => {
                     stats.multi_local_txns += 1;
@@ -259,7 +260,7 @@ pub fn capture_oltp_deployment_workers(
                         item_pool: None,
                         remote_wh: Some(t),
                     };
-                    run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc).map(drop)
+                    now(run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc)).map(drop)
                 }
                 Some(t) => {
                     stats.multi_remote_txns += 1;

@@ -4,18 +4,21 @@
 //! starts, so no two transactions are ever live at once and cross-client
 //! lock contention cannot happen. This module replaces that loop with a
 //! **deterministic round-robin scheduler**: every client is a resumable
-//! transaction generator (an OS thread parked on a rendezvous channel) and
-//! the scheduler advances exactly one client by `slice_ops` engine
-//! operations at a time against the *same* [`Database`]. Transactions from
-//! different clients are therefore live simultaneously; conflicting row
-//! locks queue, blocked clients park until the lock manager grants them, and waits-for cycles abort a victim — the
+//! transaction generator (a future that suspends inside an engine
+//! operation, see [`crate::ops`]) and the scheduler — a poll loop on the
+//! calling thread, no OS threads behind it — advances exactly one client
+//! by `slice_ops` engine operations at a time against the *same*
+//! [`Database`]. Transactions from different clients are therefore live
+//! simultaneously; conflicting row locks queue, blocked clients park until
+//! the lock manager grants them, and waits-for cycles abort a victim — the
 //! blocking, waking, and deadlock behaviour of a real 2PL server, recorded
 //! into the per-client traces as [`Block`](dbcmp_trace::Event::Block) /
 //! [`Wake`](dbcmp_trace::Event::Wake) events.
 //!
-//! **Determinism.** Only the scheduled client ever touches the database
-//! (strict baton handoff over rendezvous channels), the round-robin order
-//! is fixed, per-client RNGs are seeded from `(seed, client)`, and the
+//! **Determinism.** Only the client being polled ever touches the database
+//! (being polled *is* holding the baton, and a client that panics unwinds
+//! through the poll into the caller), the round-robin order is fixed,
+//! per-client RNGs are seeded from `(seed, client)`, and the
 //! lock manager's grant/victim decisions depend only on the operation
 //! order. Two captures with the same [`InterleaveOptions`] produce
 //! byte-identical trace bundles, and `clients == 1` reproduces the
@@ -26,25 +29,16 @@
 //! a small hot pool (`hot_items`), concentrating X locks on a few rows —
 //! the skew axis the `fig_contention` sweep turns.
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
+use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
+use std::task::{Context, Poll, Waker};
 
-// lint:allow(hash-order): the only HashMap here (txn -> client owner) is get/insert only, never iterated
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread;
-
-use dbcmp_engine::lockmgr::LockMode;
-use dbcmp_engine::txn::TxnId;
-use dbcmp_engine::{
-    CcBackend, CcStats, Database, EngineError, EngineOps, EngineRegions, Result, TraceCtx,
-};
+use dbcmp_engine::txn::{Txn, TxnId};
+use dbcmp_engine::{CcBackend, CcStats, Database, EngineError, EngineRegions, Result, TraceCtx};
 use dbcmp_trace::{ThreadTrace, TraceBundle};
 
 use crate::deploy::TXN_SALT;
+use crate::ops::EngineOps;
 use crate::rng::client_rng;
 use crate::rwset::rw_set;
 use crate::tpcc::txns::{draw_kind, run_txn_cfg, run_txn_cfg_declared, TxnCfg, TxnOutcome};
@@ -134,6 +128,18 @@ pub struct ContentionStats {
     pub starved_units: u64,
 }
 
+impl std::ops::AddAssign for ContentionStats {
+    fn add_assign(&mut self, o: Self) {
+        self.commits += o.commits;
+        self.rollbacks += o.rollbacks;
+        self.lock_waits += o.lock_waits;
+        self.ordering_waits += o.ordering_waits;
+        self.deadlock_aborts += o.deadlock_aborts;
+        self.conflict_retries += o.conflict_retries;
+        self.starved_units += o.starved_units;
+    }
+}
+
 /// Result of an interleaved capture: the bundle, the contention counters,
 /// and the database back (post-capture invariants are testable).
 pub struct InterleavedCapture {
@@ -145,73 +151,56 @@ pub struct InterleavedCapture {
     pub db: Database,
 }
 
-/// One client's slice of the contention counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClientStats {
-    commits: u64,
-    rollbacks: u64,
-    deadlock_aborts: u64,
-    conflict_retries: u64,
-    starved_units: u64,
-}
-
-/// Client → scheduler messages. Exactly one per baton grant.
+/// Client → scheduler messages. Exactly one per grant that ends with the
+/// client suspended (a grant that ends with it finished is `Poll::Ready`).
 enum Report {
-    /// Slice quota exhausted (or a unit finished); still runnable.
+    /// Slice quota exhausted; still runnable.
     Progress { woken: Vec<TxnId> },
     /// Parked on a lock wait; resume only after a wake notification.
     Blocked { txn: TxnId, woken: Vec<TxnId> },
-    /// All units complete; the thread is exiting.
-    Finished { woken: Vec<TxnId> },
 }
 
 /// A scheduler-mediated handle onto the shared [`Database`], implementing
 /// [`EngineOps`] so the unmodified TPC-C transaction code drives it. Every
 /// engine operation is a potential yield point; a [`EngineError::LockWait`]
 /// parks the client and retries the same operation once granted.
-struct ClientDb {
-    db: Arc<Mutex<Database>>,
-    client: usize,
+struct ClientDb<'a> {
+    db: &'a RefCell<Database>,
+    /// Where a suspending client leaves its report for the scheduler.
+    report: &'a Cell<Option<Report>>,
     slice_ops: usize,
-    /// Operations left in the current grant; 0 = must await the baton.
+    /// Operations left in the current grant; 0 = must hand the baton back.
     budget: usize,
-    /// Holding the baton right now.
-    turn: bool,
     cur_txn: Option<TxnId>,
     /// Wake notifications observed mid-slice, carried into the next report.
     carry: Vec<TxnId>,
-    go_rx: Receiver<()>,
-    report_tx: Sender<(usize, Report)>,
 }
 
-impl ClientDb {
-    fn await_turn(&mut self) {
-        self.go_rx.recv().expect("scheduler grants until Finished");
-        self.turn = true;
-        self.budget = self.slice_ops.max(1);
+impl ClientDb<'_> {
+    /// End this grant with `report`; returns at the start of the next one.
+    async fn suspend(&mut self, report: Report) {
+        self.report.set(Some(report));
+        // Hand the baton back: `Pending` once, `Ready` at the next grant.
+        let mut granted = false;
+        poll_fn(|_| match std::mem::replace(&mut granted, true) {
+            true => Poll::Ready(()),
+            false => Poll::Pending,
+        })
+        .await;
+        self.budget = self.slice_ops;
     }
+}
 
-    fn send(&mut self, report: Report) {
-        self.turn = false;
-        self.report_tx
-            .send((self.client, report))
-            .expect("scheduler outlives clients");
-    }
-
-    /// Run one engine operation under the baton protocol. `f` must be
-    /// effect-free before its lock acquisition: it is re-invoked verbatim
-    /// after a lock wait.
-    fn op<R>(
+impl EngineOps for ClientDb<'_> {
+    /// Run one engine operation under the baton protocol.
+    async fn op<R>(
         &mut self,
         tc: &mut TraceCtx,
         mut f: impl FnMut(&mut Database, &mut TraceCtx) -> Result<R>,
     ) -> Result<R> {
         loop {
-            if !self.turn || self.budget == 0 {
-                self.await_turn();
-            }
             let (res, mut woken) = {
-                let mut db = self.db.lock().expect("database mutex");
+                let mut db = self.db.borrow_mut();
                 let res = f(&mut db, tc);
                 (res, db.drain_woken())
             };
@@ -221,12 +210,12 @@ impl ClientDb {
             match res {
                 Err(EngineError::LockWait { .. }) => {
                     let txn = self.cur_txn.expect("lock waits happen inside a txn");
-                    self.send(Report::Blocked { txn, woken: notify });
+                    self.suspend(Report::Blocked { txn, woken: notify }).await;
                     // Next grant means we were woken: retry the operation.
                 }
                 res => {
                     if self.budget == 0 {
-                        self.send(Report::Progress { woken: notify });
+                        self.suspend(Report::Progress { woken: notify }).await;
                     } else {
                         self.carry = notify;
                     }
@@ -236,150 +225,41 @@ impl ClientDb {
         }
     }
 
-    /// Announce completion (consumes the handle).
-    fn finish(mut self) {
-        if !self.turn {
-            self.await_turn();
-        }
-        let woken = std::mem::take(&mut self.carry);
-        self.send(Report::Finished { woken });
-    }
-}
-
-impl EngineOps for ClientDb {
-    fn statement_overhead(&mut self, tc: &mut TraceCtx) {
-        let _ = self.op(tc, |db, tc| {
-            db.statement_overhead(tc);
-            Ok(())
-        });
-    }
-
-    fn begin(&mut self, tc: &mut TraceCtx) -> dbcmp_engine::txn::Txn {
+    /// Remembers the id a later lock wait reports under.
+    async fn begin(&mut self, tc: &mut TraceCtx) -> Txn {
         let txn = self
             .op(tc, |db, tc| Ok(db.begin(tc)))
+            .await
             .expect("begin is infallible");
         self.cur_txn = Some(txn.id);
         txn
     }
-
-    fn declare(
-        &mut self,
-        txn: &mut dbcmp_engine::txn::Txn,
-        keys: &[(u64, LockMode)],
-        tc: &mut TraceCtx,
-    ) -> Result<()> {
-        // Parks like any lock-waiting operation; the ordered backend's
-        // declare is retry-idempotent, so re-invocation after a wake is
-        // exactly the claim protocol it expects.
-        self.op(tc, |db, tc| db.declare(txn, keys, tc))
-    }
-
-    fn commit(&mut self, txn: dbcmp_engine::txn::Txn, tc: &mut TraceCtx) -> Result<()> {
-        let mut slot = Some(txn);
-        let res = self.op(tc, move |db, tc| {
-            db.commit(slot.take().expect("commit runs once"), tc)
-        });
-        self.cur_txn = None;
-        res
-    }
-
-    fn abort(&mut self, txn: dbcmp_engine::txn::Txn, tc: &mut TraceCtx) {
-        let mut slot = Some(txn);
-        let _ = self.op(tc, move |db, tc| {
-            db.abort(slot.take().expect("abort runs once"), tc);
-            Ok(())
-        });
-        self.cur_txn = None;
-    }
-
-    fn insert(
-        &mut self,
-        txn: &mut dbcmp_engine::txn::Txn,
-        table: usize,
-        row: &[dbcmp_engine::Value],
-        tc: &mut TraceCtx,
-    ) -> Result<dbcmp_engine::heap::Rid> {
-        self.op(tc, |db, tc| db.insert(txn, table, row, tc))
-    }
-
-    fn read(
-        &mut self,
-        txn: &mut dbcmp_engine::txn::Txn,
-        table: usize,
-        rid: dbcmp_engine::heap::Rid,
-        for_update: bool,
-        tc: &mut TraceCtx,
-    ) -> Result<dbcmp_engine::Row> {
-        self.op(tc, |db, tc| db.read(txn, table, rid, for_update, tc))
-    }
-
-    fn update(
-        &mut self,
-        txn: &mut dbcmp_engine::txn::Txn,
-        table: usize,
-        rid: dbcmp_engine::heap::Rid,
-        row: &[dbcmp_engine::Value],
-        tc: &mut TraceCtx,
-    ) -> Result<()> {
-        self.op(tc, |db, tc| db.update(txn, table, rid, row, tc))
-    }
-
-    fn delete(
-        &mut self,
-        txn: &mut dbcmp_engine::txn::Txn,
-        table: usize,
-        rid: dbcmp_engine::heap::Rid,
-        tc: &mut TraceCtx,
-    ) -> Result<()> {
-        self.op(tc, |db, tc| db.delete(txn, table, rid, tc))
-    }
-
-    fn index_get(
-        &mut self,
-        index: usize,
-        key: u64,
-        tc: &mut TraceCtx,
-    ) -> Option<dbcmp_engine::heap::Rid> {
-        self.op(tc, |db, tc| Ok(db.index_get(index, key, tc)))
-            .expect("index_get is infallible")
-    }
-
-    fn index_range(
-        &mut self,
-        index: usize,
-        lo: u64,
-        hi: u64,
-        tc: &mut TraceCtx,
-    ) -> Vec<(u64, dbcmp_engine::heap::Rid)> {
-        self.op(tc, |db, tc| Ok(db.index_range(index, lo, hi, tc)))
-            .expect("index_range is infallible")
-    }
 }
 
-fn client_thread(
+/// One client's whole session. Completes with its trace, its share of the
+/// contention counters, and the wake notifications it had not yet reported.
+async fn client_session(
     client: usize,
-    db: Arc<Mutex<Database>>,
-    h: TpccDb,
+    db: &RefCell<Database>,
+    report: &Cell<Option<Report>>,
+    h: &TpccDb,
     opt: InterleaveOptions,
     er: EngineRegions,
-    go_rx: Receiver<()>,
-    report_tx: Sender<(usize, Report)>,
-) -> (ThreadTrace, ClientStats) {
+) -> (ThreadTrace, ContentionStats, Vec<TxnId>) {
     let mut tc = TraceCtx::recording(er);
     let mut rng = client_rng(opt.seed, client);
     let w_home = (client as u64 % h.scale.warehouses) + 1;
+    let slice_ops = opt.slice_ops.max(1);
     let mut cdb = ClientDb {
         db,
-        client,
-        slice_ops: opt.slice_ops,
-        budget: 0,
-        turn: false,
+        report,
+        slice_ops,
+        // The first poll is the first grant.
+        budget: slice_ops,
         cur_txn: None,
         carry: Vec::new(),
-        go_rx,
-        report_tx,
     };
-    let mut stats = ClientStats::default();
+    let mut stats = ContentionStats::default();
     let mut done = 0;
     let mut guard = 0;
     // The guard bounds deadlock-retry livelock; 20x mirrors the sequential
@@ -415,11 +295,12 @@ fn client_thread(
             // scheduler op, so the probe sees the same deterministic
             // state every run.
             let keys = cdb
-                .op(&mut tc, |db, _| Ok(rw_set(db, &h, kind, cfg, trng.clone())))
+                .op(&mut tc, |db, _| Ok(rw_set(db, h, kind, cfg, trng.clone())))
+                .await
                 .expect("derivation is infallible");
-            run_txn_cfg_declared(&mut cdb, &h, kind, cfg, &mut trng, &mut tc, Some(&keys))
+            run_txn_cfg_declared(&mut cdb, h, kind, cfg, &mut trng, &mut tc, Some(&keys)).await
         } else {
-            run_txn_cfg(&mut cdb, &h, kind, cfg, &mut rng, &mut tc)
+            run_txn_cfg(&mut cdb, h, kind, cfg, &mut rng, &mut tc).await
         };
         match res {
             Ok(TxnOutcome::Committed) => {
@@ -446,13 +327,9 @@ fn client_thread(
     // A guard exit means some units never completed — record it so
     // truncated captures are detectable downstream.
     stats.starved_units += (opt.units_per_client - done) as u64;
-    cdb.finish();
-    (tc.finish(), stats)
+    (tc.finish(), stats, cdb.carry)
 }
 
-/// Capture an OLTP (TPC-C mix) workload with `opt.clients` interleaved
-/// sessions against one shared database. See the module docs for the
-/// scheduling and determinism contract.
 /// Attribute one client park to the right [`ContentionStats`] counter
 /// for the active backend: the centralized and partitioned backends park
 /// clients on lock wait queues at execution time, the ordered backend
@@ -468,6 +345,9 @@ fn count_block(backend: CcBackend, stats: &mut ContentionStats) {
     }
 }
 
+/// Capture an OLTP (TPC-C mix) workload with `opt.clients` interleaved
+/// sessions against one shared database. See the module docs for the
+/// scheduling and determinism contract.
 pub fn capture_oltp_interleaved(
     mut db: Database,
     h: &TpccDb,
@@ -476,48 +356,27 @@ pub fn capture_oltp_interleaved(
     assert!(opt.clients >= 1, "need at least one client");
     db.set_cc_backend(opt.backend);
     let er = db.er;
-    let shared = Arc::new(Mutex::new(db));
-    let (report_tx, report_rx) = channel::<(usize, Report)>();
-
-    let mut gos: Vec<SyncSender<()>> = Vec::with_capacity(opt.clients);
-    let mut handles = Vec::with_capacity(opt.clients);
-    for client in 0..opt.clients {
-        let (go_tx, go_rx) = sync_channel::<()>(1);
-        gos.push(go_tx);
-        let db = Arc::clone(&shared);
-        let h = h.clone();
-        let tx = report_tx.clone();
-        handles.push(thread::spawn(move || {
-            client_thread(client, db, h, opt, er, go_rx, tx)
-        }));
-    }
-    drop(report_tx);
+    let n = opt.clients;
+    let shared = RefCell::new(db);
+    let report = Cell::new(None);
+    let mut sessions: Vec<_> = (0..n)
+        .map(|client| Box::pin(client_session(client, &shared, &report, h, opt, er)))
+        .collect();
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum State {
         Runnable,
-        Blocked,
+        /// Parked until the lock manager wakes this transaction.
+        Blocked(TxnId),
         Done,
     }
-    let n = opt.clients;
     let mut state = vec![State::Runnable; n];
-    // lint:allow(hash-order): keyed wakeup lookup only; scheduling order comes from the round-robin scan over `state`
-    let mut owner: HashMap<TxnId, usize> = HashMap::new();
+    let mut threads = vec![ThreadTrace::default(); n];
     let mut stats = ContentionStats::default();
     let mut rr = 0usize;
     let mut finished = 0usize;
 
-    // lint:allow(hash-order): `woken` (lock-manager grant order) drives iteration; the map is probed per key
-    let wake = |state: &mut [State], owner: &HashMap<TxnId, usize>, woken: &[TxnId]| {
-        for t in woken {
-            if let Some(&c) = owner.get(t) {
-                if state[c] == State::Blocked {
-                    state[c] = State::Runnable;
-                }
-            }
-        }
-    };
-
+    let mut cx = Context::from_waker(Waker::noop());
     while finished < n {
         let Some(c) = (0..n)
             .map(|i| (rr + i) % n)
@@ -529,39 +388,35 @@ pub fn capture_oltp_interleaved(
             panic!("interleaved capture stalled: states {state:?}");
         };
         rr = (c + 1) % n;
-        gos[c].send(()).expect("client thread alive");
-        let (from, report) = report_rx.recv().expect("client reports each grant");
-        debug_assert_eq!(from, c, "strict baton alternation");
-        match report {
-            Report::Progress { woken } => wake(&mut state, &owner, &woken),
-            Report::Blocked { txn, woken } => {
-                owner.insert(txn, from);
-                state[from] = State::Blocked;
-                count_block(opt.backend, &mut stats);
-                wake(&mut state, &owner, &woken);
-            }
-            Report::Finished { woken } => {
-                state[from] = State::Done;
+        // One grant: the client runs until it suspends or finishes.
+        let woken = match sessions[c].as_mut().poll(&mut cx) {
+            Poll::Ready((trace, client_stats, woken)) => {
+                state[c] = State::Done;
                 finished += 1;
-                wake(&mut state, &owner, &woken);
+                threads[c] = trace;
+                stats += client_stats;
+                woken
+            }
+            Poll::Pending => match report.take().expect("a suspended client filed a report") {
+                Report::Progress { woken } => woken,
+                Report::Blocked { txn, woken } => {
+                    state[c] = State::Blocked(txn);
+                    count_block(opt.backend, &mut stats);
+                    woken
+                }
+            },
+        };
+        // In lock-manager grant order. A wake naming a transaction no
+        // client is parked under (it is already runnable) changes nothing.
+        for t in woken {
+            if let Some(w) = state.iter().position(|&s| s == State::Blocked(t)) {
+                state[w] = State::Runnable;
             }
         }
     }
 
-    let mut threads = Vec::with_capacity(n);
-    for hdl in handles {
-        let (trace, cs) = hdl.join().expect("client thread joins");
-        stats.commits += cs.commits;
-        stats.rollbacks += cs.rollbacks;
-        stats.deadlock_aborts += cs.deadlock_aborts;
-        stats.conflict_retries += cs.conflict_retries;
-        stats.starved_units += cs.starved_units;
-        threads.push(trace);
-    }
-    let db = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("all client threads joined"))
-        .into_inner()
-        .expect("database mutex");
+    drop(sessions);
+    let db = shared.into_inner();
     let cc = db.cc_stats();
     InterleavedCapture {
         bundle: TraceBundle::new(db.regions().clone(), threads),
@@ -618,6 +473,88 @@ mod tests {
             );
         }
         assert_eq!(summary(&a.bundle), summary(&b.bundle));
+    }
+
+    /// FNV-1a, as `bench_pipeline` digests a capture: every packed event
+    /// of every thread with thread boundaries, then the counters.
+    fn digest(il: &InterleavedCapture) -> (usize, u64) {
+        let mut d = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut events = 0;
+        for t in &il.bundle.threads {
+            word(t.len() as u64);
+            events += t.len();
+            t.iter().for_each(|e| word(e.pack().0));
+        }
+        let s = il.stats;
+        [
+            s.commits,
+            s.rollbacks,
+            s.lock_waits,
+            s.ordering_waits,
+            s.deadlock_aborts,
+            s.conflict_retries,
+            s.starved_units,
+        ]
+        .into_iter()
+        .for_each(&mut word);
+        (events, d)
+    }
+
+    /// `(backend, hot_pct, slice_ops, events, digest)` at the quick
+    /// contended scale (tiny TPC-C, 8 clients x 10 units, seed 0xC1D7, 8
+    /// hot items), recorded at the last commit whose clients were OS
+    /// threads parked on rendezvous channels (PR 16). Where a client
+    /// yields decides which grant an operation lands in, hence the
+    /// interleaving, hence every event after it: these rows hold only if
+    /// the yield points are exactly where that scheduler had them.
+    #[test]
+    fn captures_match_the_threaded_scheduler_at_every_slice_ops() {
+        use CcBackend::{Centralized2PL, DeterministicOrdered, PartitionedPerCore};
+        const ROWS: [(CcBackend, u8, usize, usize, u64); 18] = [
+            (Centralized2PL, 0, 1, 74805, 0xf3c610f81015fd27),
+            (Centralized2PL, 0, 3, 74813, 0x82317ce2b0ca8389),
+            (Centralized2PL, 0, 256, 73341, 0xfafb17aef5633de3),
+            (Centralized2PL, 90, 1, 67427, 0x6f01c5c1fd552619),
+            (Centralized2PL, 90, 3, 67419, 0x5f06c7e76d0db8a1),
+            (Centralized2PL, 90, 256, 61636, 0x818356a692cb97ee),
+            (PartitionedPerCore, 0, 1, 90641, 0x5659e53091b74701),
+            (PartitionedPerCore, 0, 3, 81374, 0xe8a0090a13fc6264),
+            (PartitionedPerCore, 0, 256, 80234, 0xf78a069f4cb19e13),
+            (PartitionedPerCore, 90, 1, 66754, 0xb54274afa6f6a364),
+            (PartitionedPerCore, 90, 3, 63316, 0x7ffa0c7445c9ec08),
+            (PartitionedPerCore, 90, 256, 67475, 0xb28da47a937d72c9),
+            (DeterministicOrdered, 0, 1, 48482, 0x0675af901b69e5ae),
+            (DeterministicOrdered, 0, 3, 48482, 0xa5e1cdc2e1240756),
+            (DeterministicOrdered, 0, 256, 48345, 0x7cc6fedd4490d68e),
+            (DeterministicOrdered, 90, 1, 46909, 0xe6e31a288c23bc2b),
+            (DeterministicOrdered, 90, 3, 46909, 0xe0d21b3dd2259b6b),
+            (DeterministicOrdered, 90, 256, 48072, 0x88f2c360d9af0078),
+        ];
+        for (backend, hot_pct, slice_ops, events, want) in ROWS {
+            let (db, h) = build_tpcc(TpccScale::tiny(), 0xC1D7);
+            let opt = InterleaveOptions {
+                slice_ops,
+                ..InterleaveOptions::contended(8, 10, 0xC1D7, hot_pct).with_backend(backend)
+            };
+            assert_eq!(
+                digest(&capture_oltp_interleaved(db, &h, opt)),
+                (events, want),
+                "{backend:?}, {hot_pct}% hot, slice_ops {slice_ops}"
+            );
+        }
+    }
+
+    /// With thread-per-client sessions this capture never returned: the
+    /// scheduler waited for a report the dead client would never send,
+    /// on a channel its parked siblings kept open.
+    #[test]
+    #[should_panic(expected = "warehouse")]
+    fn a_panicking_client_fails_the_capture_instead_of_hanging_it() {
+        let (db, mut h) = build_tpcc(TpccScale::tiny(), 1);
+        // Client 1 is homed at warehouse 2 of 99; tiny() built one.
+        h.scale.warehouses = 99;
+        capture_oltp_interleaved(db, &h, InterleaveOptions::new(3, 2, 1));
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! [`TraceBundle`](dbcmp_trace::TraceBundle)s for the simulator.
 
 #![forbid(unsafe_code)]
+// An un-awaited engine call (`db.statement_overhead(tc);`) is a skipped
+// operation and a silently different capture: a build error, not a warning.
+#![deny(unused_must_use)]
 // Money literals are written as dollars_cents (e.g. 5_000_00 = $5000.00).
 #![allow(clippy::inconsistent_digit_grouping)]
 
@@ -26,6 +29,7 @@ pub mod capture;
 pub mod deploy;
 pub mod exchange;
 pub mod interleave;
+pub mod ops;
 pub mod rng;
 pub mod rwset;
 pub mod tpcc;

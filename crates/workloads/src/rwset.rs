@@ -334,6 +334,7 @@ fn stock_level_set(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::now;
     use crate::rng::client_rng;
     use crate::tpcc::txns::{run_txn_cfg, TxnOutcome};
     use crate::tpcc::{build_tpcc, TpccScale};
@@ -354,22 +355,15 @@ mod tests {
             locks: Vec<(u64, LockMode)>,
             insert_keys: Vec<u64>,
         }
-        impl dbcmp_engine::EngineOps for Shim<'_> {
-            fn statement_overhead(&mut self, tc: &mut TraceCtx) {
-                self.db.statement_overhead(tc);
-            }
-            fn begin(&mut self, tc: &mut TraceCtx) -> dbcmp_engine::txn::Txn {
-                self.db.begin(tc)
-            }
-            fn declare(
+        impl crate::ops::EngineOps for Shim<'_> {
+            async fn op<R>(
                 &mut self,
-                txn: &mut dbcmp_engine::txn::Txn,
-                keys: &[(u64, LockMode)],
                 tc: &mut TraceCtx,
-            ) -> dbcmp_engine::Result<()> {
-                self.db.declare(txn, keys, tc)
+                mut f: impl FnMut(&mut Database, &mut TraceCtx) -> dbcmp_engine::Result<R>,
+            ) -> dbcmp_engine::Result<R> {
+                f(self.db, tc)
             }
-            fn commit(
+            async fn commit(
                 &mut self,
                 txn: dbcmp_engine::txn::Txn,
                 tc: &mut TraceCtx,
@@ -377,11 +371,11 @@ mod tests {
                 self.locks = txn.held_locks().to_vec();
                 self.db.commit(txn, tc)
             }
-            fn abort(&mut self, txn: dbcmp_engine::txn::Txn, tc: &mut TraceCtx) {
+            async fn abort(&mut self, txn: dbcmp_engine::txn::Txn, tc: &mut TraceCtx) {
                 self.locks = txn.held_locks().to_vec();
                 self.db.abort(txn, tc);
             }
-            fn insert(
+            async fn insert(
                 &mut self,
                 txn: &mut dbcmp_engine::txn::Txn,
                 table: usize,
@@ -392,52 +386,6 @@ mod tests {
                 self.insert_keys.push(Database::lock_key(table, rid));
                 Ok(rid)
             }
-            fn read(
-                &mut self,
-                txn: &mut dbcmp_engine::txn::Txn,
-                table: usize,
-                rid: dbcmp_engine::heap::Rid,
-                for_update: bool,
-                tc: &mut TraceCtx,
-            ) -> dbcmp_engine::Result<dbcmp_engine::Row> {
-                self.db.read(txn, table, rid, for_update, tc)
-            }
-            fn update(
-                &mut self,
-                txn: &mut dbcmp_engine::txn::Txn,
-                table: usize,
-                rid: dbcmp_engine::heap::Rid,
-                row: &[dbcmp_engine::Value],
-                tc: &mut TraceCtx,
-            ) -> dbcmp_engine::Result<()> {
-                self.db.update(txn, table, rid, row, tc)
-            }
-            fn delete(
-                &mut self,
-                txn: &mut dbcmp_engine::txn::Txn,
-                table: usize,
-                rid: dbcmp_engine::heap::Rid,
-                tc: &mut TraceCtx,
-            ) -> dbcmp_engine::Result<()> {
-                self.db.delete(txn, table, rid, tc)
-            }
-            fn index_get(
-                &mut self,
-                index: usize,
-                key: u64,
-                tc: &mut TraceCtx,
-            ) -> Option<dbcmp_engine::heap::Rid> {
-                self.db.index_get(index, key, tc)
-            }
-            fn index_range(
-                &mut self,
-                index: usize,
-                lo: u64,
-                hi: u64,
-                tc: &mut TraceCtx,
-            ) -> Vec<(u64, dbcmp_engine::heap::Rid)> {
-                self.db.index_range(index, lo, hi, tc)
-            }
         }
         let mut shim = Shim {
             db,
@@ -446,7 +394,7 @@ mod tests {
         };
         let mut tc = shim.db.null_ctx();
         let mut body_rng = rng;
-        match run_txn_cfg(&mut shim, h, kind, cfg, &mut body_rng, &mut tc) {
+        match now(run_txn_cfg(&mut shim, h, kind, cfg, &mut body_rng, &mut tc)) {
             Ok(TxnOutcome::Committed | TxnOutcome::Aborted) => {}
             Err(EngineError::LockConflict { .. }) => {}
             Err(e) => panic!("unexpected error deriving ground truth: {e}"),

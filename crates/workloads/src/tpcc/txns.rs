@@ -6,17 +6,19 @@
 //! customers by last name 40% of the time (secondary index) and pays
 //! through a remote warehouse 15% of the time (cross-warehouse sharing).
 //!
-//! The drivers are generic over [`EngineOps`] so the same transaction code
-//! runs both sequentially against a [`Database`](dbcmp_engine::Database)
-//! and under the interleaved multi-client scheduler
-//! (`crate::interleave`), where lock waits park the client mid-statement.
+//! The drivers are `async fn`s generic over [`EngineOps`] — every engine
+//! call is one `.await` — so the same transaction code runs both
+//! sequentially against a [`Database`](dbcmp_engine::Database), where no
+//! call ever suspends and the caller drives it with [`now`], and under the
+//! interleaved multi-client scheduler (`crate::interleave`), where a lock
+//! wait suspends the client mid-statement.
 //! All commit/abort decisions live in [`run_txn_cfg`]: a body returns its
 //! intended outcome (or an error) and the driver finishes the transaction,
 //! so every error path — deadlock victims included — rolls back cleanly.
 
 use dbcmp_engine::lockmgr::LockMode;
 use dbcmp_engine::txn::Txn;
-use dbcmp_engine::{EngineError, EngineOps, Result, TraceCtx, Value};
+use dbcmp_engine::{EngineError, Result, TraceCtx, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -24,6 +26,7 @@ use super::{
     cust_key, cust_name_key, dist_key, item_key, order_key, order_line_key, random_customer,
     random_item, stock_key, wh_key, TpccDb,
 };
+use crate::ops::{now, EngineOps};
 use crate::rng::{last_name, uniform};
 
 /// Which transaction ran (for mix accounting).
@@ -102,7 +105,7 @@ pub(crate) fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
 }
 
 /// Run one transaction of `kind` for a terminal homed at `w_home`.
-pub fn run_txn<D: EngineOps>(
+pub async fn run_txn<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     kind: TxnKind,
@@ -110,7 +113,7 @@ pub fn run_txn<D: EngineOps>(
     rng: &mut StdRng,
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
-    run_txn_cfg(db, h, kind, TxnCfg::home(w_home), rng, tc)
+    run_txn_cfg(db, h, kind, TxnCfg::home(w_home), rng, tc).await
 }
 
 /// Run one transaction with explicit targeting ([`TxnCfg`]). Owns the
@@ -118,7 +121,7 @@ pub fn run_txn<D: EngineOps>(
 /// driver finishes the transaction — on *any* error (lock conflict,
 /// deadlock victim) the transaction is rolled back before the error
 /// propagates, so locks and undo never leak.
-pub fn run_txn_cfg<D: EngineOps>(
+pub async fn run_txn_cfg<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     kind: TxnKind,
@@ -126,7 +129,7 @@ pub fn run_txn_cfg<D: EngineOps>(
     rng: &mut StdRng,
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
-    run_txn_cfg_declared(db, h, kind, cfg, rng, tc, None)
+    run_txn_cfg_declared(db, h, kind, cfg, rng, tc, None).await
 }
 
 /// [`run_txn_cfg`] with an optional pre-declared read/write set, for the
@@ -135,7 +138,7 @@ pub fn run_txn_cfg<D: EngineOps>(
 /// until every key is granted in declare order. `None` skips the declare
 /// entirely (byte-identical to [`run_txn_cfg`]).
 #[allow(clippy::too_many_arguments)]
-pub fn run_txn_cfg_declared<D: EngineOps>(
+pub async fn run_txn_cfg_declared<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     kind: TxnKind,
@@ -144,40 +147,40 @@ pub fn run_txn_cfg_declared<D: EngineOps>(
     tc: &mut TraceCtx,
     declared: Option<&[(u64, LockMode)]>,
 ) -> Result<TxnOutcome> {
-    db.statement_overhead(tc);
-    let mut txn = db.begin(tc);
+    db.statement_overhead(tc).await;
+    let mut txn = db.begin(tc).await;
     if let Some(keys) = declared {
-        if let Err(e) = db.declare(&mut txn, keys, tc) {
-            db.abort(txn, tc);
+        if let Err(e) = db.declare(&mut txn, keys, tc).await {
+            db.abort(txn, tc).await;
             return Err(e);
         }
     }
     let body = match kind {
-        TxnKind::NewOrder => new_order(db, h, &mut txn, cfg, rng, tc),
-        TxnKind::Payment => payment(db, h, &mut txn, cfg, rng, tc),
-        TxnKind::OrderStatus => order_status(db, h, &mut txn, cfg, rng, tc),
-        TxnKind::Delivery => delivery(db, h, &mut txn, cfg, rng, tc),
-        TxnKind::StockLevel => stock_level(db, h, &mut txn, cfg, rng, tc),
+        TxnKind::NewOrder => new_order(db, h, &mut txn, cfg, rng, tc).await,
+        TxnKind::Payment => payment(db, h, &mut txn, cfg, rng, tc).await,
+        TxnKind::OrderStatus => order_status(db, h, &mut txn, cfg, rng, tc).await,
+        TxnKind::Delivery => delivery(db, h, &mut txn, cfg, rng, tc).await,
+        TxnKind::StockLevel => stock_level(db, h, &mut txn, cfg, rng, tc).await,
     };
     match body {
         Ok(TxnOutcome::Committed) => {
-            db.commit(txn, tc)?;
+            db.commit(txn, tc).await?;
             tc.unit_end();
             Ok(TxnOutcome::Committed)
         }
         Ok(TxnOutcome::Aborted) => {
-            db.abort(txn, tc);
+            db.abort(txn, tc).await;
             tc.unit_end();
             Ok(TxnOutcome::Aborted)
         }
         Err(e) => {
-            db.abort(txn, tc);
+            db.abort(txn, tc).await;
             Err(e)
         }
     }
 }
 
-fn new_order<D: EngineOps>(
+async fn new_order<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     txn: &mut Txn,
@@ -195,25 +198,28 @@ fn new_order<D: EngineOps>(
     // Warehouse tax (S).
     let w_rid = db
         .index_get(h.idx_warehouse, wh_key(w), tc)
+        .await
         .expect("warehouse");
-    let w_row = db.read(txn, h.warehouse, w_rid, false, tc)?;
+    let w_row = db.read(txn, h.warehouse, w_rid, false, tc).await?;
     let w_tax = w_row[2].as_i64().unwrap();
 
     // District: read + increment next_o_id (X).
     let d_rid = db
         .index_get(h.idx_district, dist_key(w, d), tc)
+        .await
         .expect("district");
-    let mut d_row = db.read(txn, h.district, d_rid, true, tc)?;
+    let mut d_row = db.read(txn, h.district, d_rid, true, tc).await?;
     let d_tax = d_row[2].as_i64().unwrap();
     let o_id = d_row[4].as_i64().unwrap() as u64;
     d_row[4] = Value::Int(o_id as i64 + 1);
-    db.update(txn, h.district, d_rid, &d_row, tc)?;
+    db.update(txn, h.district, d_rid, &d_row, tc).await?;
 
     // Customer (S).
     let c_rid = db
         .index_get(h.idx_customer, cust_key(w, d, c), tc)
+        .await
         .expect("customer");
-    let _c_row = db.read(txn, h.customer, c_rid, false, tc)?;
+    let _c_row = db.read(txn, h.customer, c_rid, false, tc).await?;
 
     // Lines.
     let mut total = 0i64;
@@ -238,19 +244,20 @@ fn new_order<D: EngineOps>(
         } else {
             w
         };
-        let Some(i_rid) = db.index_get(h.idx_item, item_key(i_id), tc) else {
+        let Some(i_rid) = db.index_get(h.idx_item, item_key(i_id), tc).await else {
             // Invalid item: the spec's deliberate rollback (the driver
             // aborts the transaction).
             return Ok(TxnOutcome::Aborted);
         };
-        let i_row = db.read(txn, h.item, i_rid, false, tc)?;
+        let i_row = db.read(txn, h.item, i_rid, false, tc).await?;
         let price = i_row[2].as_i64().unwrap();
 
         // Stock update (X).
         let s_rid = db
             .index_get(h.idx_stock, stock_key(supply_w, i_id), tc)
+            .await
             .expect("stock");
-        let mut s_row = db.read(txn, h.stock, s_rid, true, tc)?;
+        let mut s_row = db.read(txn, h.stock, s_rid, true, tc).await?;
         let qty = uniform(rng, 1, 10) as i64;
         let mut s_q = s_row[2].as_i64().unwrap();
         s_q = if s_q - qty >= 10 {
@@ -264,7 +271,7 @@ fn new_order<D: EngineOps>(
         if supply_w != w {
             s_row[5] = Value::Int(s_row[5].as_i64().unwrap() + 1);
         }
-        db.update(txn, h.stock, s_rid, &s_row, tc)?;
+        db.update(txn, h.stock, s_rid, &s_row, tc).await?;
 
         let amount = price * qty;
         total += amount;
@@ -282,7 +289,8 @@ fn new_order<D: EngineOps>(
                 Value::Decimal(amount),
             ],
             tc,
-        )?;
+        )
+        .await?;
     }
     let _ = (w_tax, d_tax, total);
 
@@ -299,7 +307,8 @@ fn new_order<D: EngineOps>(
             Value::Int(ol_cnt as i64),
         ],
         tc,
-    )?;
+    )
+    .await?;
     db.insert(
         txn,
         h.new_order,
@@ -309,12 +318,13 @@ fn new_order<D: EngineOps>(
             Value::Int(o_id as i64),
         ],
         tc,
-    )?;
+    )
+    .await?;
 
     Ok(TxnOutcome::Committed)
 }
 
-fn payment<D: EngineOps>(
+async fn payment<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     txn: &mut Txn,
@@ -343,44 +353,48 @@ fn payment<D: EngineOps>(
     // Warehouse YTD (X) — a hot row every payment writes.
     let w_rid = db
         .index_get(h.idx_warehouse, wh_key(w), tc)
+        .await
         .expect("warehouse");
-    let mut w_row = db.read(txn, h.warehouse, w_rid, true, tc)?;
+    let mut w_row = db.read(txn, h.warehouse, w_rid, true, tc).await?;
     w_row[3] = Value::Decimal(w_row[3].as_i64().unwrap() + amount);
-    db.update(txn, h.warehouse, w_rid, &w_row, tc)?;
+    db.update(txn, h.warehouse, w_rid, &w_row, tc).await?;
 
     // District YTD (X).
     let d_rid = db
         .index_get(h.idx_district, dist_key(w, d), tc)
+        .await
         .expect("district");
-    let mut d_row = db.read(txn, h.district, d_rid, true, tc)?;
+    let mut d_row = db.read(txn, h.district, d_rid, true, tc).await?;
     d_row[3] = Value::Decimal(d_row[3].as_i64().unwrap() + amount);
-    db.update(txn, h.district, d_rid, &d_row, tc)?;
+    db.update(txn, h.district, d_rid, &d_row, tc).await?;
 
     // Customer: 60% by id, 40% by last name (secondary index range).
     let c_rid = if rng.gen_range(0..100u32) < 60 {
         let c = random_customer(rng, h);
         db.index_get(h.idx_customer, cust_key(c_w, c_d, c), tc)
+            .await
             .expect("customer by id")
     } else {
         let name = last_name(crate::rng::nurand(rng, 255, h.c_last, 0, 999));
         let lo = cust_name_key(c_w, c_d, &name, 0);
         let hi = cust_name_key(c_w, c_d, &name, 0xF_FFFF);
-        let matches = db.index_range(h.idx_customer_name, lo, hi, tc);
+        let matches = db.index_range(h.idx_customer_name, lo, hi, tc).await;
         match matches.get(matches.len() / 2) {
             Some(&(_, rid)) => rid,
             None => {
                 // Name not present at this scale: fall back to id.
                 let c = random_customer(rng, h);
                 db.index_get(h.idx_customer, cust_key(c_w, c_d, c), tc)
+                    .await
                     .expect("customer")
             }
         }
     };
-    let mut c_row = db.read(txn, h.customer, c_rid, true, tc)?;
+    let mut c_row = db.read(txn, h.customer, c_rid, true, tc).await?;
     c_row[5] = Value::Decimal(c_row[5].as_i64().unwrap() - amount);
     c_row[6] = Value::Decimal(c_row[6].as_i64().unwrap() + amount);
     c_row[7] = Value::Int(c_row[7].as_i64().unwrap() + 1);
-    db.update(txn, h.customer, c_rid, &c_row, tc)?;
+    db.update(txn, h.customer, c_rid, &c_row, tc).await?;
 
     db.insert(
         txn,
@@ -392,12 +406,13 @@ fn payment<D: EngineOps>(
             Value::Date(1),
         ],
         tc,
-    )?;
+    )
+    .await?;
 
     Ok(TxnOutcome::Committed)
 }
 
-fn order_status<D: EngineOps>(
+async fn order_status<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     txn: &mut Txn,
@@ -411,27 +426,31 @@ fn order_status<D: EngineOps>(
 
     let c_rid = db
         .index_get(h.idx_customer, cust_key(w, d, c), tc)
+        .await
         .expect("customer");
-    let _c_row = db.read(txn, h.customer, c_rid, false, tc)?;
+    let _c_row = db.read(txn, h.customer, c_rid, false, tc).await?;
 
     // Most recent order of this district (descending scan from the top).
     let lo = order_key(w, d, 0);
     let hi = order_key(w, d, u32::MAX as u64);
-    let orders = db.index_range(h.idx_orders, lo, hi, tc);
+    let orders = db.index_range(h.idx_orders, lo, hi, tc).await;
     if let Some(&(okey, o_rid)) = orders.last() {
-        let o_row = db.read(txn, h.orders, o_rid, false, tc)?;
+        let o_row = db.read(txn, h.orders, o_rid, false, tc).await?;
         let o_id = okey & 0xFFFF_FFFF;
         let ol_cnt = o_row[6].as_i64().unwrap() as u64;
         for ol in 1..=ol_cnt {
-            if let Some(rid) = db.index_get(h.idx_order_line, order_line_key(w, d, o_id, ol), tc) {
-                let _ = db.read(txn, h.order_line, rid, false, tc)?;
+            if let Some(rid) = db
+                .index_get(h.idx_order_line, order_line_key(w, d, o_id, ol), tc)
+                .await
+            {
+                let _ = db.read(txn, h.order_line, rid, false, tc).await?;
             }
         }
     }
     Ok(TxnOutcome::Committed)
 }
 
-fn delivery<D: EngineOps>(
+async fn delivery<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     txn: &mut Txn,
@@ -446,44 +465,49 @@ fn delivery<D: EngineOps>(
         // Oldest undelivered order.
         let lo = order_key(w, d, 0);
         let hi = order_key(w, d, u32::MAX as u64);
-        let pending = db.index_range(h.idx_new_order, lo, hi, tc);
+        let pending = db.index_range(h.idx_new_order, lo, hi, tc).await;
         let Some(&(okey, no_rid)) = pending.first() else {
             continue;
         };
         let o_id = okey & 0xFFFF_FFFF;
 
-        db.delete(txn, h.new_order, no_rid, tc)?;
+        db.delete(txn, h.new_order, no_rid, tc).await?;
 
         let o_rid = db
             .index_get(h.idx_orders, order_key(w, d, o_id), tc)
+            .await
             .expect("order");
-        let mut o_row = db.read(txn, h.orders, o_rid, true, tc)?;
+        let mut o_row = db.read(txn, h.orders, o_rid, true, tc).await?;
         let c_id = o_row[3].as_i64().unwrap() as u64;
         let ol_cnt = o_row[6].as_i64().unwrap() as u64;
         o_row[5] = Value::Int(carrier);
-        db.update(txn, h.orders, o_rid, &o_row, tc)?;
+        db.update(txn, h.orders, o_rid, &o_row, tc).await?;
 
         let mut sum = 0i64;
         for ol in 1..=ol_cnt {
-            if let Some(rid) = db.index_get(h.idx_order_line, order_line_key(w, d, o_id, ol), tc) {
-                let row = db.read(txn, h.order_line, rid, false, tc)?;
+            if let Some(rid) = db
+                .index_get(h.idx_order_line, order_line_key(w, d, o_id, ol), tc)
+                .await
+            {
+                let row = db.read(txn, h.order_line, rid, false, tc).await?;
                 sum += row[7].as_i64().unwrap();
             }
         }
 
         let c_rid = db
             .index_get(h.idx_customer, cust_key(w, d, c_id), tc)
+            .await
             .expect("customer");
-        let mut c_row = db.read(txn, h.customer, c_rid, true, tc)?;
+        let mut c_row = db.read(txn, h.customer, c_rid, true, tc).await?;
         c_row[5] = Value::Decimal(c_row[5].as_i64().unwrap() + sum);
         c_row[8] = Value::Int(c_row[8].as_i64().unwrap() + 1);
-        db.update(txn, h.customer, c_rid, &c_row, tc)?;
+        db.update(txn, h.customer, c_rid, &c_row, tc).await?;
     }
 
     Ok(TxnOutcome::Committed)
 }
 
-fn stock_level<D: EngineOps>(
+async fn stock_level<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     txn: &mut Txn,
@@ -497,8 +521,9 @@ fn stock_level<D: EngineOps>(
 
     let d_rid = db
         .index_get(h.idx_district, dist_key(w, d), tc)
+        .await
         .expect("district");
-    let d_row = db.read(txn, h.district, d_rid, false, tc)?;
+    let d_row = db.read(txn, h.district, d_rid, false, tc).await?;
     let next_o = d_row[4].as_i64().unwrap() as u64;
 
     // Last 20 orders' lines → distinct items → stock below threshold.
@@ -509,16 +534,19 @@ fn stock_level<D: EngineOps>(
     let mut items = std::collections::BTreeSet::new();
     for o in first..next_o {
         for ol in 1..=15u64 {
-            if let Some(rid) = db.index_get(h.idx_order_line, order_line_key(w, d, o, ol), tc) {
-                let row = db.read(txn, h.order_line, rid, false, tc)?;
+            if let Some(rid) = db
+                .index_get(h.idx_order_line, order_line_key(w, d, o, ol), tc)
+                .await
+            {
+                let row = db.read(txn, h.order_line, rid, false, tc).await?;
                 items.insert(row[4].as_i64().unwrap() as u64);
             }
         }
     }
     let mut low = 0usize;
     for i in items {
-        if let Some(rid) = db.index_get(h.idx_stock, stock_key(w, i), tc) {
-            let row = db.read(txn, h.stock, rid, false, tc)?;
+        if let Some(rid) = db.index_get(h.idx_stock, stock_key(w, i), tc).await {
+            let row = db.read(txn, h.stock, rid, false, tc).await?;
             if row[2].as_i64().unwrap() < threshold {
                 low += 1;
             }
@@ -542,7 +570,7 @@ pub fn run_mix<D: EngineOps>(
     let mut counts = std::collections::BTreeMap::new();
     for _ in 0..n {
         let kind = draw_kind(rng);
-        match run_txn(db, h, kind, w_home, rng, tc) {
+        match now(run_txn(db, h, kind, w_home, rng, tc)) {
             Ok(TxnOutcome::Committed) => *counts.entry(kind).or_insert(0) += 1,
             Ok(TxnOutcome::Aborted) => {}
             Err(EngineError::LockConflict { .. }) | Err(EngineError::Deadlock { .. }) => {}
@@ -584,7 +612,14 @@ mod tests {
         };
         // Run enough NewOrders that district 1 gets some.
         for _ in 0..40 {
-            let _ = run_txn(&mut db, &h, TxnKind::NewOrder, 1, &mut rng, &mut tc);
+            let _ = now(run_txn(
+                &mut db,
+                &h,
+                TxnKind::NewOrder,
+                1,
+                &mut rng,
+                &mut tc,
+            ));
         }
         let after = {
             let rid = db
@@ -606,7 +641,15 @@ mod tests {
         let mut rng = tpcc_rng(13, 0);
         let mut tc = db.null_ctx();
         let before = db.table(h.new_order).n_rows();
-        run_txn(&mut db, &h, TxnKind::Delivery, 1, &mut rng, &mut tc).unwrap();
+        now(run_txn(
+            &mut db,
+            &h,
+            TxnKind::Delivery,
+            1,
+            &mut rng,
+            &mut tc,
+        ))
+        .unwrap();
         let after = db.table(h.new_order).n_rows();
         assert!(
             after < before,
@@ -623,7 +666,7 @@ mod tests {
         let before = db.table(h.warehouse).get(w_rid, &mut tc).unwrap()[3]
             .as_i64()
             .unwrap();
-        run_txn(&mut db, &h, TxnKind::Payment, 1, &mut rng, &mut tc).unwrap();
+        now(run_txn(&mut db, &h, TxnKind::Payment, 1, &mut rng, &mut tc)).unwrap();
         let after = db.table(h.warehouse).get(w_rid, &mut tc).unwrap()[3]
             .as_i64()
             .unwrap();
@@ -638,7 +681,15 @@ mod tests {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 15);
         let mut rng = tpcc_rng(15, 0);
         let mut tc = db.trace_ctx();
-        run_txn(&mut db, &h, TxnKind::NewOrder, 1, &mut rng, &mut tc).unwrap();
+        now(run_txn(
+            &mut db,
+            &h,
+            TxnKind::NewOrder,
+            1,
+            &mut rng,
+            &mut tc,
+        ))
+        .unwrap();
         let trace = tc.finish();
         let mut deps = 0;
         let mut fences = 0;
