@@ -349,6 +349,32 @@ impl BTree {
         }
         out
     }
+
+    /// Feed the root, key count and every node (address, keys, values or
+    /// children, leaf chain) to `word`
+    /// ([`Database::state_digest`](crate::Database::state_digest)).
+    pub(crate) fn digest(&self, word: &mut impl FnMut(u64)) {
+        word(self.root as u64);
+        word(self.len as u64);
+        word(self.nodes.len() as u64);
+        for node in &self.nodes {
+            word(node.addr());
+            match node {
+                Node::Leaf {
+                    keys, vals, next, ..
+                } => {
+                    word(keys.len() as u64);
+                    keys.iter().chain(vals).for_each(|&w| word(w));
+                    word(next.map_or(u64::MAX, u64::from));
+                }
+                Node::Internal { keys, children, .. } => {
+                    word(u64::MAX - keys.len() as u64);
+                    keys.iter().for_each(|&w| word(w));
+                    children.iter().for_each(|&c| word(c as u64));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! OLTP code paths go through this API (locking, logging, undo); read-only
 //! DSS queries go through the Volcano executor in [`crate::exec`], which
 //! scans tables without row locks (degree-2 isolation for reporting
-//! queries, as engines of the era did).
+//! queries, as engines of the era did). Populating a database goes
+//! through a [`Loader`]: the same row inserts, without the lock list and
+//! undo log a transaction of that size would carry to its commit.
 
 use std::sync::Arc;
 
@@ -21,7 +23,7 @@ use crate::heap::{HeapTable, Rid};
 use crate::lockmgr::{Grant, LockMode};
 use crate::schema::Schema;
 use crate::tctx::TraceCtx;
-use crate::txn::{Txn, TxnState, UndoRec};
+use crate::txn::{Txn, TxnId, TxnState, UndoRec};
 use crate::types::{Row, Value};
 use crate::wal::{Wal, WalRecord};
 
@@ -149,7 +151,7 @@ impl Database {
 
     /// Transactions granted a queued lock (or chosen as deadlock victims)
     /// since the last call — the interleaved scheduler resumes them.
-    pub fn drain_woken(&mut self) -> Vec<crate::txn::TxnId> {
+    pub fn drain_woken(&mut self) -> Vec<TxnId> {
         self.cc.drain_woken()
     }
 
@@ -179,8 +181,7 @@ impl Database {
         let id = self.indexes.len();
         let mut tree = BTree::new(&self.space);
         let mut tc = self.null_ctx();
-        let rids: Vec<Rid> = self.heaps[table].rids().collect();
-        for rid in rids {
+        for rid in self.heaps[table].rids() {
             if let Some(row) = self.heaps[table].read_at(rid, &mut tc) {
                 let key = key_fn(&row, rid);
                 tree.insert(key, rid.pack(), &self.space, &mut tc)
@@ -219,6 +220,43 @@ impl Database {
     /// `(records, bytes)` appended to the WAL so far.
     pub fn wal_stats(&self) -> (u64, u64) {
         (self.wal.records(), self.wal.bytes_written())
+    }
+
+    /// FNV-1a digest of everything a capture can observe of the database:
+    /// every heap page (address, image, slot directory), every index
+    /// node, the WAL and backend counters, the bytes allocated, the live
+    /// lock entries and waiters, and the next transaction id. Two ways of
+    /// building a database are interchangeable when this agrees
+    /// (diagnostics/tests).
+    pub fn state_digest(&self) -> u64 {
+        let mut d = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        for heap in &self.heaps {
+            heap.digest(&mut word);
+        }
+        for (tree, &table) in self.indexes.iter().zip(&self.index_table) {
+            word(table as u64);
+            tree.digest(&mut word);
+        }
+        let (cc, (records, bytes)) = (self.cc.stats(), self.wal_stats());
+        [
+            records,
+            bytes,
+            cc.acquires,
+            cc.waits,
+            cc.ordering_waits,
+            cc.deadlocks,
+            cc.remote_msgs,
+            cc.remote_bytes,
+            cc.fallback_conflicts,
+            self.space.allocated(),
+            self.live_locks() as u64,
+            self.lock_waiters() as u64,
+            self.next_txn,
+        ]
+        .into_iter()
+        .for_each(&mut word);
+        d
     }
 
     // ---- Transactions ----
@@ -293,6 +331,23 @@ impl Database {
         txn.state = TxnState::Aborted;
     }
 
+    /// Open an exclusive load (see [`Loader`]). The `&mut` borrow keeps
+    /// every other statement out while it lasts; a transaction that took
+    /// locks *before* it is refused here with
+    /// [`EngineError::LoadNotExclusive`], because a load keeps no undo and
+    /// so must never meet a conflict.
+    pub fn loader<'a>(&'a mut self, tc: &'a mut TraceCtx) -> Result<Loader<'a>> {
+        let (live_locks, waiters) = (self.live_locks(), self.lock_waiters());
+        if live_locks != 0 || waiters != 0 {
+            return Err(EngineError::LoadNotExclusive {
+                live_locks,
+                waiters,
+            });
+        }
+        let txn = self.begin(tc);
+        Ok(Loader { db: self, tc, txn })
+    }
+
     /// Row-lock key: table discriminator in the high bits, RID below.
     /// Public so read/write-set derivation (`rwset` in `dbcmp-workloads`)
     /// can name the same keys the engine's own lock calls will use.
@@ -347,29 +402,56 @@ impl Database {
         if !txn.is_active() {
             return Err(EngineError::TxnClosed);
         }
+        let Txn {
+            id, locks, undo, ..
+        } = txn;
+        self.insert_row(*id, table, row, tc, |step| match step {
+            // The undo record goes in *before* anything that can fail, so
+            // an abort after a partial insert (lock conflict, duplicate
+            // index key) removes the heap row and exactly the index
+            // entries added so far.
+            RowStep::Placed(rid) => undo.push(UndoRec::Insert {
+                table,
+                rid,
+                index_keys: Vec::new(),
+            }),
+            RowStep::Locked(key) => locks.push((key, LockMode::Exclusive)),
+            RowStep::Indexed(idx, ikey) => {
+                if let Some(UndoRec::Insert { index_keys, .. }) = undo.last_mut() {
+                    index_keys.push((idx, ikey));
+                }
+            }
+        })
+    }
+
+    /// One row into the kept state, for transaction `id`: heap slot,
+    /// X lock on the fresh RID, WAL record, then every index of the table
+    /// — the one copy of that sequence, under [`Database::insert`] and
+    /// [`Loader::insert`] alike. Each step is reported to `did` as it
+    /// completes, so a failure part-way leaves the caller knowing exactly
+    /// what happened before it.
+    fn insert_row(
+        &mut self,
+        id: TxnId,
+        table: TableId,
+        row: &[Value],
+        tc: &mut TraceCtx,
+        mut did: impl FnMut(RowStep),
+    ) -> Result<Rid> {
         let rid = self.heaps[table].insert(row, &self.space, tc)?;
-        // Undo record goes in *before* anything that can fail, so an abort
-        // after a partial insert (lock conflict, duplicate index key)
-        // removes the heap row and exactly the index entries added so far.
-        txn.undo.push(UndoRec::Insert {
-            table,
-            rid,
-            index_keys: Vec::new(),
-        });
+        did(RowStep::Placed(rid));
         // Fresh-RID locks conflict only if a deleter still holds the slot's
         // lock; never worth queueing on, so this one acquire is no-wait.
         let key = Self::lock_key(table, rid);
-        if self.cc.acquire(txn.id, key, LockMode::Exclusive, tc)? {
-            txn.locks.push((key, LockMode::Exclusive));
+        if self.cc.acquire(id, key, LockMode::Exclusive, tc)? {
+            did(RowStep::Locked(key));
         }
         let bytes = self.heaps[table].schema.row_width() as u32;
         self.wal.append(WalRecord::Insert { bytes }, tc);
         for &idx in &self.catalog.table(table).indexes {
             let ikey = (self.key_fns[idx])(row, rid);
             self.indexes[idx].insert(ikey, rid.pack(), &self.space, tc)?;
-            if let Some(UndoRec::Insert { index_keys, .. }) = txn.undo.last_mut() {
-                index_keys.push((idx, ikey));
-            }
+            did(RowStep::Indexed(idx, ikey));
         }
         Ok(rid)
     }
@@ -510,6 +592,71 @@ impl Database {
 impl Default for Database {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A step of [`Database::insert_row`], reported as it completes. What must
+/// be remembered differs by caller: a transaction keeps all three until
+/// its end (to undo, to release); a load keeps only the lock, and only
+/// until the row is in.
+enum RowStep {
+    /// The row has its heap slot.
+    Placed(Rid),
+    /// The X lock under this key was newly granted.
+    Locked(u64),
+    /// The row was entered in this index under this key.
+    Indexed(IndexId, u64),
+}
+
+/// An exclusive bulk load: one transaction's worth of inserts that holds
+/// each row lock only until the row is in, and keeps no undo.
+///
+/// Everything the database *keeps* of an insert is what
+/// [`Database::insert`] leaves — heap slot, address-space allocations in
+/// the same order, WAL records, one transaction id, one counted lock
+/// acquire and release per row, index entries, and the commit record at
+/// [`Loader::finish`] — so a load is indistinguishable afterwards from one
+/// committed transaction that inserted the same rows. What it skips is
+/// what only that transaction's *end* would use: the lock table never
+/// holds more than one entry, and there is no lock list or undo log to
+/// grow, so `finish` has nothing to drain.
+///
+/// There is no abort. An `Err` from [`Loader::insert`] before the row is
+/// placed (a row that does not fit the schema) changes nothing and the
+/// load may go on; one after it (a duplicate key in an index created
+/// before the load) leaves that row in the heap and the WAL with no record
+/// to take it back by — the database is then only fit to be dropped. A
+/// caller that needs to survive such a row inserts through a transaction.
+/// Dropping the loader without `finish` leaves the load without its
+/// commit record.
+pub struct Loader<'a> {
+    db: &'a mut Database,
+    tc: &'a mut TraceCtx,
+    /// Supplies the id and the begin/commit bookkeeping; its lock list
+    /// and undo log stay empty.
+    txn: Txn,
+}
+
+impl Loader<'_> {
+    /// Insert a row (see the type docs for what an `Err` leaves behind).
+    pub fn insert(&mut self, table: TableId, row: &[Value]) -> Result<Rid> {
+        let mut locked = None;
+        let inserted = self
+            .db
+            .insert_row(self.txn.id, table, row, self.tc, |step| {
+                if let RowStep::Locked(key) = step {
+                    locked = Some(key);
+                }
+            });
+        if let Some(key) = locked {
+            self.db.cc.release(self.txn.id, key, self.tc);
+        }
+        inserted
+    }
+
+    /// End the load: WAL commit record and fence.
+    pub fn finish(self) -> Result<()> {
+        self.db.commit(self.txn, self.tc)
     }
 }
 
@@ -774,5 +921,160 @@ mod tests {
         let (records, bytes) = db.wal_stats();
         assert_eq!(records, 2); // insert + commit
         assert!(bytes > 0);
+    }
+
+    #[test]
+    fn loader_is_refused_while_a_transaction_holds_a_lock() {
+        let (mut db, t, _) = accounts_db();
+        let mut tc = db.null_ctx();
+        let mut holder = db.begin(&mut tc);
+        db.insert(&mut holder, t, &[Value::Int(1), Value::Decimal(0)], &mut tc)
+            .unwrap();
+        assert_eq!(
+            db.loader(&mut tc).err(),
+            Some(EngineError::LoadNotExclusive {
+                live_locks: 1,
+                waiters: 0
+            })
+        );
+        // The refusal took nothing: the holder's commit still gets the
+        // next record, and the loader the next transaction id.
+        db.commit(holder, &mut tc).unwrap();
+        let load = db.loader(&mut tc).unwrap();
+        assert_eq!(load.txn.id, 2);
+        load.finish().unwrap();
+    }
+
+    #[test]
+    fn loader_insert_maintains_indexes_created_before_the_load() {
+        let (mut db, t, idx) = accounts_db();
+        let mut tc = db.null_ctx();
+        let mut load = db.loader(&mut tc).unwrap();
+        let rids: Vec<Rid> = (0..200)
+            .map(|i| {
+                load.insert(t, &[Value::Int(i), Value::Decimal(i * 10)])
+                    .unwrap()
+            })
+            .collect();
+        load.finish().unwrap();
+        assert!(db.index(idx).height() > 1, "200 keys split the root");
+        for (i, rid) in rids.into_iter().enumerate() {
+            assert_eq!(db.index_get(idx, i as u64, &mut tc), Some(rid));
+        }
+        assert_eq!(db.wal_stats().0, 201); // 200 inserts + commit
+    }
+
+    /// No abort path: the refused row stays in the heap, out of the
+    /// index — but its lock does not outlive the statement.
+    #[test]
+    fn loader_duplicate_key_is_an_error_that_leaves_no_lock() {
+        let (mut db, t, idx) = accounts_db();
+        let mut tc = db.null_ctx();
+        let mut load = db.loader(&mut tc).unwrap();
+        let first = load.insert(t, &[Value::Int(7), Value::Decimal(1)]).unwrap();
+        assert_eq!(
+            load.insert(t, &[Value::Int(7), Value::Decimal(2)]),
+            Err(EngineError::DuplicateKey(7))
+        );
+        assert_eq!(load.db.live_locks(), 0);
+        // A row that does not fit the schema fails before anything moves.
+        assert!(matches!(
+            load.insert(t, &[Value::Int(8)]),
+            Err(EngineError::TypeMismatch { .. })
+        ));
+        load.finish().unwrap();
+        assert_eq!(db.index_get(idx, 7, &mut tc), Some(first));
+        assert_eq!(db.table(t).n_rows(), 2);
+    }
+
+    fn col_type(code: u8) -> ColType {
+        match code {
+            0 => ColType::Int,
+            1 => ColType::Decimal,
+            2 => ColType::Date,
+            // Wide enough that a few dozen rows spill to a second page.
+            _ => ColType::Str(120),
+        }
+    }
+
+    fn value(ty: ColType, v: i64) -> Value {
+        match ty {
+            ColType::Int => Value::Int(v),
+            ColType::Decimal => Value::Decimal(!v),
+            ColType::Date => Value::Date(v as u32),
+            ColType::Str(_) => Value::Str(format!("row {v}")),
+        }
+    }
+
+    /// The tables of `schemas` (column-type codes), under `backend`, with
+    /// an index on each `indexed` table — all before any row exists.
+    fn empty_db(backend: CcBackend, schemas: &[Vec<u8>], indexed: &[bool]) -> Database {
+        const TABLES: [&str; 3] = ["t0", "t1", "t2"];
+        const COLS: [&str; 4] = ["c0", "c1", "c2", "c3"];
+        let mut db = Database::new();
+        db.set_cc_backend(backend);
+        for (t, codes) in schemas.iter().enumerate() {
+            let cols = codes.iter().zip(COLS).map(|(&c, name)| (name, col_type(c)));
+            db.create_table(TABLES[t], Schema::new(cols.collect()));
+            if indexed[t] {
+                // Unique whatever the rows hold, and scattered, so inserts
+                // land mid-leaf and splits interleave with heap pages.
+                let key = |_: &[Value], rid: Rid| rid.pack().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                db.create_index(t, Box::new(key));
+            }
+        }
+        db
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A load is one committed transaction to everything that can be
+        /// observed afterwards, under every backend — and at no point
+        /// during it does the lock table hold an entry.
+        #[test]
+        fn a_load_is_one_committed_transaction(
+            backend in 0usize..3,
+            schemas in prop::collection::vec(prop::collection::vec(0u8..4, 1..5), 2..4),
+            indexed in prop::collection::vec(any::<bool>(), 3),
+            draws in prop::collection::vec((0usize..3, any::<i64>()), 0..300),
+        ) {
+            let backend = [
+                CcBackend::Centralized2PL,
+                CcBackend::PartitionedPerCore,
+                CcBackend::DeterministicOrdered,
+            ][backend];
+            let rows: Vec<(TableId, Row)> = draws
+                .into_iter()
+                .map(|(t, v)| {
+                    let t = t % schemas.len();
+                    (t, schemas[t].iter().map(|&c| value(col_type(c), v)).collect())
+                })
+                .collect();
+
+            let mut a = empty_db(backend, &schemas, &indexed);
+            let mut tca = a.null_ctx();
+            let mut txn = a.begin(&mut tca);
+            for (t, row) in &rows {
+                a.insert(&mut txn, *t, row, &mut tca).unwrap();
+            }
+            prop_assert_eq!(a.live_locks(), rows.len());
+            a.commit(txn, &mut tca).unwrap();
+
+            let mut b = empty_db(backend, &schemas, &indexed);
+            let mut tcb = b.null_ctx();
+            let mut load = b.loader(&mut tcb).unwrap();
+            for (t, row) in &rows {
+                load.insert(*t, row).unwrap();
+                prop_assert_eq!(load.db.live_locks(), 0);
+            }
+            load.finish().unwrap();
+
+            prop_assert_eq!(a.state_digest(), b.state_digest());
+            prop_assert_eq!(tca.instrs(), tcb.instrs(), "same work charged");
+            prop_assert_eq!(a.begin(&mut tca).id, b.begin(&mut tcb).id);
+        }
     }
 }

@@ -43,6 +43,15 @@ pub enum EngineError {
     },
     /// Operation attempted on a finished transaction.
     TxnClosed,
+    /// A [`Loader`](crate::db::Loader) was opened while transactions hold
+    /// or await locks: a load keeps no undo, so it runs only when nothing
+    /// can conflict with it.
+    LoadNotExclusive {
+        /// Lock-table entries live at the attempt.
+        live_locks: usize,
+        /// Transactions parked on wait or ordering queues.
+        waiters: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -60,6 +69,13 @@ impl fmt::Display for EngineError {
                 write!(f, "type mismatch: expected {expected}, got {got}")
             }
             EngineError::TxnClosed => write!(f, "transaction already finished"),
+            EngineError::LoadNotExclusive {
+                live_locks,
+                waiters,
+            } => write!(
+                f,
+                "load needs the database to itself: {live_locks} live locks, {waiters} waiters"
+            ),
         }
     }
 }
@@ -86,5 +102,10 @@ mod tests {
         assert!(EngineError::Deadlock { key: 0xEF }
             .to_string()
             .contains("victim"));
+        let e = EngineError::LoadNotExclusive {
+            live_locks: 3,
+            waiters: 1,
+        };
+        assert!(e.to_string().contains("3 live locks, 1 waiters"));
     }
 }

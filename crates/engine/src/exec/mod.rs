@@ -97,10 +97,9 @@ pub(crate) mod testutil {
             ]),
         );
         let mut tc = db.null_ctx();
-        let mut txn = db.begin(&mut tc);
+        let mut load = db.loader(&mut tc).unwrap();
         for i in 0..rows {
-            db.insert(
-                &mut txn,
+            load.insert(
                 t,
                 &[
                     Value::Int(i),
@@ -108,11 +107,10 @@ pub(crate) mod testutil {
                     Value::Decimal(i * 100),
                     Value::Str(format!("name{}", i % 5)),
                 ],
-                &mut tc,
             )
             .unwrap();
         }
-        db.commit(txn, &mut tc).unwrap();
+        load.finish().unwrap();
         (db, t)
     }
 }

@@ -211,8 +211,9 @@ impl HeapTable {
         self.live_rows
     }
 
-    /// Iterate all live RIDs in physical order (the scan operator drives
-    /// this; per-tuple charges happen there).
+    /// Iterate every allocated RID in physical order — tombstoned slots
+    /// included: callers filter on [`HeapTable::read_at`] returning `None`
+    /// (the scan operator drives this; per-tuple charges happen there).
     pub fn rids(&self) -> impl Iterator<Item = Rid> + '_ {
         self.pages.iter().enumerate().flat_map(|(p, page)| {
             (0..page.nslots()).map(move |s| Rid {
@@ -234,6 +235,19 @@ impl HeapTable {
     /// Per-page pin for scans.
     pub fn pin_page(&self, page: u32, tc: &mut TraceCtx) {
         self.bp_probe(page, tc);
+    }
+
+    /// Feed the heap's buffer-pool address, insert cursor, row count and
+    /// every page to `word`
+    /// ([`Database::state_digest`](crate::Database::state_digest)).
+    pub(crate) fn digest(&self, word: &mut impl FnMut(u64)) {
+        word(self.bp_addr);
+        word(self.insert_page as u64);
+        word(self.live_rows as u64);
+        word(self.pages.len() as u64);
+        for page in &self.pages {
+            page.digest(word);
+        }
     }
 }
 

@@ -53,7 +53,7 @@ pub mod wal;
 
 pub use cc::{CcBackend, CcStats, ConcurrencyControl};
 pub use costs::EngineRegions;
-pub use db::Database;
+pub use db::{Database, Loader};
 pub use error::{EngineError, Result};
 pub use schema::Schema;
 pub use tctx::TraceCtx;

@@ -9,9 +9,11 @@
 //! Two disciplines coexist:
 //!
 //! * **No-wait** ([`LockMgr::acquire`]): conflicts surface immediately as
-//!   [`EngineError::LockConflict`] — the seed's behaviour, still used by
-//!   sequential capture and by inserts (fresh-RID locks cannot meaningfully
-//!   wait).
+//!   [`EngineError::LockConflict`]. The engine uses it for one thing, the
+//!   fresh-RID acquire of a row insert — a transaction's or a
+//!   [`Loader`](crate::Loader)'s — because a lock on a slot nobody else
+//!   has seen cannot meaningfully wait. (The partitioned backend also
+//!   routes requests here that its resource ordering forbids to block.)
 //! * **Queued** ([`LockMgr::acquire_wait`]): conflicting requests park on a
 //!   FIFO wait queue per lock. Releases grant from the front (shared
 //!   requests join in batches; upgrades jump the queue when the upgrader is

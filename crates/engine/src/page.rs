@@ -185,6 +185,18 @@ impl SlottedPage {
         let slot_top = PAGE_SIZE - (self.nslots as usize) * SLOT_BYTES;
         slot_top.saturating_sub(self.free_ptr as usize)
     }
+
+    /// Feed the page's address, slot count, free pointer and whole image
+    /// (tuples and slot directory) to `word`
+    /// ([`Database::state_digest`](crate::Database::state_digest)).
+    pub(crate) fn digest(&self, word: &mut impl FnMut(u64)) {
+        word(self.addr);
+        word(self.nslots as u64);
+        word(self.free_ptr as u64);
+        for w in self.data.chunks_exact(8) {
+            word(w.iter().fold(0, |acc, &b| (acc << 8) | b as u64));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! The [`Txn`] handle accumulates the locks it holds and the undo records
 //! needed to roll back. The [`Database`](crate::db::Database) applies undo
 //! in reverse order on abort and releases all locks at commit/abort
-//! (strict two-phase locking).
+//! (strict two-phase locking). A [`Loader`](crate::db::Loader) carries a
+//! `Txn` too, for its id and its begin/commit bookkeeping, and leaves both
+//! lists empty: a load releases each row lock with its statement and keeps
+//! no undo.
 
 use crate::heap::Rid;
 use crate::lockmgr::LockMode;

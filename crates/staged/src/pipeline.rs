@@ -267,12 +267,11 @@ impl BatchAgg {
 ///     Schema::new(vec![("id", ColType::Int), ("grp", ColType::Int)]),
 /// );
 /// let mut tc = db.null_ctx();
-/// let mut txn = db.begin(&mut tc);
+/// let mut load = db.loader(&mut tc).unwrap();
 /// for i in 0..100 {
-///     db.insert(&mut txn, t, &[Value::Int(i), Value::Int(i % 4)], &mut tc)
-///         .unwrap();
+///     load.insert(t, &[Value::Int(i), Value::Int(i % 4)]).unwrap();
 /// }
-/// db.commit(txn, &mut tc).unwrap();
+/// load.finish().unwrap();
 ///
 /// // Per-group counts of ids < 50, cohort-staged in batches of 16.
 /// let pipeline = StagedPipeline::new(PipelineSpec {
@@ -535,17 +534,12 @@ mod tests {
             ]),
         );
         let mut tc = db.null_ctx();
-        let mut txn = db.begin(&mut tc);
+        let mut load = db.loader(&mut tc).unwrap();
         for i in 0..1000i64 {
-            db.insert(
-                &mut txn,
-                t,
-                &[Value::Int(i), Value::Int(i % 5), Value::Decimal(i)],
-                &mut tc,
-            )
-            .unwrap();
+            load.insert(t, &[Value::Int(i), Value::Int(i % 5), Value::Decimal(i)])
+                .unwrap();
         }
-        db.commit(txn, &mut tc).unwrap();
+        load.finish().unwrap();
         let spec = PipelineSpec {
             table: t,
             pred: Pred::Cmp {
@@ -635,17 +629,12 @@ mod tests {
             ]),
         );
         let mut tc = db.null_ctx();
-        let mut txn = db.begin(&mut tc);
+        let mut load = db.loader(&mut tc).unwrap();
         for g in 0..5i64 {
-            db.insert(
-                &mut txn,
-                d,
-                &[Value::Int(g), Value::Decimal(g * 10)],
-                &mut tc,
-            )
-            .unwrap();
+            load.insert(d, &[Value::Int(g), Value::Decimal(g * 10)])
+                .unwrap();
         }
-        db.commit(txn, &mut tc).unwrap();
+        load.finish().unwrap();
         spec.joins = vec![JoinSpec {
             build_table: d,
             build_pred: Pred::True,

@@ -9,7 +9,6 @@ pub mod txns;
 
 use std::sync::Arc;
 
-use dbcmp_engine::db::KeyFn;
 use dbcmp_engine::{ColType, Database, Schema, Value};
 use dbcmp_trace::AddressSpace;
 use rand::rngs::StdRng;
@@ -258,11 +257,12 @@ pub fn build_tpcc_range(
 
     // ---- population ----
     let mut tc = db.null_ctx();
-    let mut txn = db.begin(&mut tc);
+    let mut load = db
+        .loader(&mut tc)
+        .expect("a database nobody else has seen holds no locks");
 
     for w in wh_lo..=wh_hi {
-        db.insert(
-            &mut txn,
+        load.insert(
             warehouse,
             &[
                 Value::Int(w as i64),
@@ -270,12 +270,10 @@ pub fn build_tpcc_range(
                 Value::Decimal(rng.gen_range(0..=20)), // 0-0.20 tax
                 Value::Decimal(300_000_00),
             ],
-            &mut tc,
         )
         .expect("populate warehouse");
         for d in 1..=scale.districts_per_wh {
-            db.insert(
-                &mut txn,
+            load.insert(
                 district,
                 &[
                     Value::Int(w as i64),
@@ -284,15 +282,13 @@ pub fn build_tpcc_range(
                     Value::Decimal(30_000_00),
                     Value::Int(scale.orders_per_district as i64 + 1),
                 ],
-                &mut tc,
             )
             .expect("populate district");
             for c in 1..=scale.customers_per_district {
                 // 2.4.1: the first 1000 customers cycle through the
                 // syllable names; beyond that, NURand-style numbers.
                 let lname = last_name(if c <= 1000 { c - 1 } else { c % 1000 });
-                db.insert(
-                    &mut txn,
+                load.insert(
                     customer,
                     &[
                         Value::Int(w as i64),
@@ -306,29 +302,25 @@ pub fn build_tpcc_range(
                         Value::Int(0),
                         Value::Str("customer data filler field".into()),
                     ],
-                    &mut tc,
                 )
                 .expect("populate customer");
             }
         }
     }
     for i in 1..=scale.items {
-        db.insert(
-            &mut txn,
+        load.insert(
             item,
             &[
                 Value::Int(i as i64),
                 Value::Str(format!("item-{i}")),
                 Value::Decimal(rng.gen_range(1_00..=100_00)),
             ],
-            &mut tc,
         )
         .expect("populate item");
     }
     for w in wh_lo..=wh_hi {
         for i in 1..=scale.items {
-            db.insert(
-                &mut txn,
+            load.insert(
                 stock,
                 &[
                     Value::Int(w as i64),
@@ -338,7 +330,6 @@ pub fn build_tpcc_range(
                     Value::Int(0),
                     Value::Int(0),
                 ],
-                &mut tc,
             )
             .expect("populate stock");
         }
@@ -350,8 +341,7 @@ pub fn build_tpcc_range(
                 let ol_cnt = rng.gen_range(5..=15u64);
                 let c = rng.gen_range(1..=scale.customers_per_district);
                 let delivered = o <= scale.orders_per_district * 2 / 3;
-                db.insert(
-                    &mut txn,
+                load.insert(
                     orders,
                     &[
                         Value::Int(w as i64),
@@ -362,25 +352,21 @@ pub fn build_tpcc_range(
                         Value::Int(if delivered { rng.gen_range(1..=10) } else { 0 }),
                         Value::Int(ol_cnt as i64),
                     ],
-                    &mut tc,
                 )
                 .expect("populate orders");
                 if !delivered {
-                    db.insert(
-                        &mut txn,
+                    load.insert(
                         new_order,
                         &[
                             Value::Int(w as i64),
                             Value::Int(d as i64),
                             Value::Int(o as i64),
                         ],
-                        &mut tc,
                     )
                     .expect("populate new_order");
                 }
                 for ol in 1..=ol_cnt {
-                    db.insert(
-                        &mut txn,
+                    load.insert(
                         order_line,
                         &[
                             Value::Int(w as i64),
@@ -392,18 +378,15 @@ pub fn build_tpcc_range(
                             Value::Int(5),
                             Value::Decimal(rng.gen_range(1_00..=999_99)),
                         ],
-                        &mut tc,
                     )
                     .expect("populate order_line");
                 }
             }
         }
     }
-    db.commit(txn, &mut tc).expect("populate commit");
+    load.finish().expect("populate commit");
 
     // ---- indexes ----
-    let iv = |col: usize| -> KeyFn { Box::new(move |row, _| row[col].as_i64().unwrap() as u64) };
-    let _ = iv; // helper for simple cases below
     let idx_warehouse = db.create_index(
         warehouse,
         Box::new(|row, _| wh_key(row[0].as_i64().unwrap() as u64)),

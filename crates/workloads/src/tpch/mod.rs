@@ -225,7 +225,9 @@ pub fn build_tpch_range(
     );
 
     let mut tc = db.null_ctx();
-    let mut txn = db.begin(&mut tc);
+    let mut load = db
+        .loader(&mut tc)
+        .expect("a database nobody else has seen holds no locks");
 
     for c in 1..=scale.customers {
         // Draws happen at full scale (identical rng stream on every
@@ -235,8 +237,7 @@ pub fn build_tpch_range(
         if !owns(c, scale.customers) {
             continue;
         }
-        db.insert(
-            &mut txn,
+        load.insert(
             customer,
             &[
                 Value::Int(c as i64),
@@ -244,7 +245,6 @@ pub fn build_tpch_range(
                 Value::Decimal(acctbal),
                 Value::Str(segment.into()),
             ],
-            &mut tc,
         )
         .expect("populate customer");
     }
@@ -260,15 +260,13 @@ pub fn build_tpch_range(
         if !owns(s, scale.suppliers) {
             continue;
         }
-        db.insert(
-            &mut txn,
+        load.insert(
             supplier,
             &[
                 Value::Int(s as i64),
                 Value::Str(format!("Supplier#{s:09}")),
                 Value::Str(comment),
             ],
-            &mut tc,
         )
         .expect("populate supplier");
     }
@@ -285,8 +283,7 @@ pub fn build_tpch_range(
         // scale below either way).
         let owned = owns(p, scale.parts);
         if owned {
-            db.insert(
-                &mut txn,
+            load.insert(
                 part,
                 &[
                     Value::Int(p as i64),
@@ -294,7 +291,6 @@ pub fn build_tpch_range(
                     Value::Str(ptype),
                     Value::Int(size),
                 ],
-                &mut tc,
             )
             .expect("populate part");
         }
@@ -306,8 +302,7 @@ pub fn build_tpch_range(
             if !owned {
                 continue;
             }
-            db.insert(
-                &mut txn,
+            load.insert(
                 partsupp,
                 &[
                     Value::Int(p as i64),
@@ -315,7 +310,6 @@ pub fn build_tpch_range(
                     Value::Int(availqty),
                     Value::Decimal(supplycost),
                 ],
-                &mut tc,
             )
             .expect("populate partsupp");
         }
@@ -334,8 +328,7 @@ pub fn build_tpch_range(
         // lineitem rides with its order (draws still at full scale).
         let owned = owns(o, scale.orders);
         if owned {
-            db.insert(
-                &mut txn,
+            load.insert(
                 orders,
                 &[
                     Value::Int(o as i64),
@@ -343,7 +336,6 @@ pub fn build_tpch_range(
                     Value::Date(odate),
                     Value::Str(comment),
                 ],
-                &mut tc,
             )
             .expect("populate orders");
         }
@@ -361,8 +353,7 @@ pub fn build_tpch_range(
             if !owned {
                 continue;
             }
-            db.insert(
-                &mut txn,
+            load.insert(
                 lineitem,
                 &[
                     Value::Int(o as i64),
@@ -377,12 +368,11 @@ pub fn build_tpch_range(
                     Value::Str(lstat.into()),
                     Value::Date(shipdate),
                 ],
-                &mut tc,
             )
             .expect("populate lineitem");
         }
     }
-    db.commit(txn, &mut tc).expect("populate commit");
+    load.finish().expect("populate commit");
 
     let idx_orders = db.create_index(orders, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
     let idx_part = db.create_index(part, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
