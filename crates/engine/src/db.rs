@@ -182,8 +182,8 @@ impl Database {
         let mut tree = BTree::new(&self.space);
         let mut tc = self.null_ctx();
         for rid in self.heaps[table].rids() {
-            if let Some(row) = self.heaps[table].read_at(rid, &mut tc) {
-                let key = key_fn(&row, rid);
+            if let Some(tuple) = self.heaps[table].read_at(rid, &mut tc) {
+                let key = key_fn(&tuple.to_row(), rid);
                 tree.insert(key, rid.pack(), &self.space, &mut tc)
                     // lint:allow(panic): a duplicate key here means the caller's key_fn is wrong for this table — a programming error at schema-definition time, not a runtime condition
                     .expect("index build: duplicate key");

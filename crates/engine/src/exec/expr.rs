@@ -2,7 +2,7 @@
 
 use crate::costs::instr;
 use crate::tctx::TraceCtx;
-use crate::types::Value;
+use crate::types::{Columns, Value};
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,28 +91,30 @@ pub enum Pred {
 }
 
 impl Pred {
-    /// Evaluate against a row, charging predicate instructions.
-    pub fn eval(&self, row: &[Value], tc: &mut TraceCtx) -> bool {
+    /// Evaluate against a row — materialised or still in its page —
+    /// charging predicate instructions.
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R, tc: &mut TraceCtx) -> bool {
         tc.charge(tc.r.exec_filter, instr::PREDICATE);
         self.eval_inner(row)
     }
 
-    fn eval_inner(&self, row: &[Value]) -> bool {
+    fn eval_inner<R: Columns + ?Sized>(&self, row: &R) -> bool {
         match self {
-            Pred::Cmp { col, op, val } => match row[*col].partial_cmp(val) {
+            Pred::Cmp { col, op, val } => match (*row.col(*col)).partial_cmp(val) {
                 Some(ord) => op.test(ord),
                 None => false,
             },
             Pred::Between { col, lo, hi } => {
-                let v = &row[*col];
-                v >= lo && v <= hi
+                let v = row.col(*col);
+                *v >= *lo && *v <= *hi
             }
             Pred::StrContains {
                 col,
                 needle,
                 negate,
             } => {
-                let hit = row[*col]
+                let hit = row
+                    .col(*col)
                     .as_str()
                     .is_some_and(|s| s.contains(needle.as_str()));
                 hit != *negate
@@ -122,12 +124,13 @@ impl Pred {
                 prefix,
                 negate,
             } => {
-                let hit = row[*col]
+                let hit = row
+                    .col(*col)
                     .as_str()
                     .is_some_and(|s| s.starts_with(prefix.as_str()));
                 hit != *negate
             }
-            Pred::In { col, set } => set.contains(&row[*col]),
+            Pred::In { col, set } => set.contains(&*row.col(*col)),
             Pred::And(ps) => ps.iter().all(|p| p.eval_inner(row)),
             Pred::Or(ps) => ps.iter().any(|p| p.eval_inner(row)),
             Pred::Not(p) => !p.eval_inner(row),
@@ -163,9 +166,9 @@ impl Scalar {
     }
 
     /// Evaluate to a raw i64 (decimals in hundredths).
-    pub fn eval_i64(&self, row: &[Value]) -> i64 {
+    pub fn eval_i64<R: Columns + ?Sized>(&self, row: &R) -> i64 {
         match self {
-            Scalar::Col(i) => row[*i].as_i64().unwrap_or(0),
+            Scalar::Col(i) => row.col(*i).as_i64().unwrap_or(0),
             Scalar::ConstInt(v) | Scalar::ConstDec(v) => *v,
             Scalar::Null => 0,
             Scalar::Add(a, b) => a.eval_i64(row) + b.eval_i64(row),
@@ -176,9 +179,9 @@ impl Scalar {
 
     /// Evaluate to a Value. Column references preserve their type; all
     /// computed results are decimals.
-    pub fn eval(&self, row: &[Value]) -> Value {
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Value {
         match self {
-            Scalar::Col(i) => row[*i].clone(),
+            Scalar::Col(i) => row.col(*i).into_owned(),
             Scalar::ConstInt(v) => Value::Int(*v),
             Scalar::Null => Value::Null,
             _ => Value::Decimal(self.eval_i64(row)),

@@ -60,9 +60,9 @@ impl Executor for IndexJoin {
                 .and_then(|key| db.index_get(self.index, key as u64, tc))
                 .and_then(|rid| db.table(db.index_table(self.index)).read_at(rid, tc));
             match matched {
-                Some(inner_row) => {
+                Some(inner) => {
                     let mut out = outer_row;
-                    out.extend(inner_row);
+                    out.extend(inner.to_row());
                     return Ok(Some(out));
                 }
                 None if self.kind == JoinKind::LeftOuter => {

@@ -45,7 +45,7 @@ impl Executor for IndexRangeScan {
                 Some((_key, rid)) => {
                     tc.charge(tc.r.exec_scan, instr::SCAN_STEP);
                     match db.table(table).read_at(rid, tc) {
-                        Some(row) => return Ok(Some(row)),
+                        Some(tuple) => return Ok(Some(tuple.to_row())),
                         None => continue, // row deleted after index read
                     }
                 }

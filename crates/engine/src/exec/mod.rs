@@ -49,6 +49,24 @@ pub trait Executor {
     fn open(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<()>;
     /// Produce the next output row, or `None` when exhausted.
     fn next(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>>;
+    /// Produce the next output row that satisfies `pred`, evaluating (and
+    /// charging) `pred` once per row passed over — what [`Filter`] asks
+    /// of its child. An operator that can test a row before it has
+    /// materialised it ([`SeqScan`], on the page image) overrides this;
+    /// the charges and their order are the same either way.
+    fn next_matching(
+        &mut self,
+        pred: &Pred,
+        db: &Database,
+        tc: &mut TraceCtx,
+    ) -> Result<Option<Row>> {
+        while let Some(row) = self.next(db, tc)? {
+            if pred.eval(&row, tc) {
+                return Ok(Some(row));
+            }
+        }
+        Ok(None)
+    }
     /// Release state (the operator may be re-opened afterwards).
     fn close(&mut self);
 }

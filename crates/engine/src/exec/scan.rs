@@ -4,10 +4,10 @@ use crate::catalog::TableId;
 use crate::costs::instr;
 use crate::db::Database;
 use crate::error::Result;
-use crate::exec::Executor;
-use crate::heap::Rid;
+use crate::exec::{Executor, Pred};
+use crate::heap::{HeapTable, Rid};
 use crate::tctx::TraceCtx;
-use crate::types::Row;
+use crate::types::{Row, TupleRef};
 
 /// Full-table scan in physical order. Pages are pinned once each (the
 /// buffer-pool charge), tuples decoded as visited.
@@ -31,23 +31,14 @@ impl SeqScan {
             open: false,
         }
     }
-}
 
-impl Executor for SeqScan {
-    fn open(&mut self, _db: &Database, _tc: &mut TraceCtx) -> Result<()> {
-        self.page = 0;
-        self.slot = 0;
-        self.pinned_page = None;
-        self.open = true;
-        Ok(())
-    }
-
-    fn next(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>> {
+    /// Step to the next live tuple of `heap`, charging the page pin, the
+    /// scan step and the tuple read; the tuple stays in its page.
+    fn advance<'a>(&mut self, heap: &'a HeapTable, tc: &mut TraceCtx) -> Option<TupleRef<'a>> {
         debug_assert!(self.open, "next before open");
-        let heap = db.table(self.table);
         loop {
             if (self.page as usize) >= heap.n_pages() {
-                return Ok(None);
+                return None;
             }
             if self.pinned_page != Some(self.page) {
                 heap.pin_page(self.page, tc);
@@ -60,11 +51,11 @@ impl Executor for SeqScan {
             };
             self.slot += 1;
             match heap.read_at(rid, tc) {
-                Some(row) => return Ok(Some(row)),
+                Some(tuple) => return Some(tuple),
                 None => {
                     // Tombstone or end of page: advance page when the slot
                     // range is exhausted.
-                    if rid.slot >= page_slots(db, self.table, self.page) {
+                    if rid.slot >= heap.page_nslots(self.page) {
                         self.page += 1;
                         self.slot = 0;
                     }
@@ -72,19 +63,41 @@ impl Executor for SeqScan {
             }
         }
     }
+}
+
+impl Executor for SeqScan {
+    fn open(&mut self, _db: &Database, _tc: &mut TraceCtx) -> Result<()> {
+        self.page = 0;
+        self.slot = 0;
+        self.pinned_page = None;
+        self.open = true;
+        Ok(())
+    }
+
+    fn next(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>> {
+        Ok(self.advance(db.table(self.table), tc).map(|t| t.to_row()))
+    }
+
+    /// Test `pred` on the page image; only a tuple that passes is
+    /// materialised.
+    fn next_matching(
+        &mut self,
+        pred: &Pred,
+        db: &Database,
+        tc: &mut TraceCtx,
+    ) -> Result<Option<Row>> {
+        let heap = db.table(self.table);
+        while let Some(tuple) = self.advance(heap, tc) {
+            if pred.eval(&tuple, tc) {
+                return Ok(Some(tuple.to_row()));
+            }
+        }
+        Ok(None)
+    }
 
     fn close(&mut self) {
         self.open = false;
     }
-}
-
-fn page_slots(db: &Database, table: TableId, page: u32) -> u16 {
-    // The heap exposes per-page slot counts through its rid iterator; for
-    // the scan we only need "is the slot range done", which read_at's None
-    // at an out-of-range slot also signals. This helper keeps the advance
-    // logic readable.
-    let heap = db.table(table);
-    heap.page_nslots(page)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::error::{EngineError, Result};
 use crate::page::{SlotId, SlottedPage, PAGE_SIZE};
 use crate::schema::Schema;
 use crate::tctx::TraceCtx;
-use crate::types::{decode_row, encode_row, Row, Value};
+use crate::types::{decode_row, encode_row, Row, TupleRef, Value};
 
 /// Row identifier: (page, slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -223,13 +223,17 @@ impl HeapTable {
         })
     }
 
-    /// Raw access for the scan path: page + slot to decoded row, without
+    /// Raw access for the scan path: page + slot to the tuple, without
     /// buffer-pool charge (the scan pins a page once, not per tuple).
-    pub fn read_at(&self, rid: Rid, tc: &mut TraceCtx) -> Option<Row> {
+    /// The slot and tuple loads and the whole `TUPLE_DECODE` charge are
+    /// issued here, whatever the caller goes on to read: the simulated
+    /// engine decodes every tuple it visits. The *host* decodes only
+    /// what is asked of the returned view.
+    pub fn read_at(&self, rid: Rid, tc: &mut TraceCtx) -> Option<TupleRef<'_>> {
         let page = self.pages.get(rid.page as usize)?;
         let bytes = page.get(rid.slot, tc)?;
         tc.charge(tc.r.tuple, instr::TUPLE_DECODE + (bytes.len() / 16) as u32);
-        Some(decode_row(&self.schema, bytes))
+        Some(TupleRef::new(&self.schema, bytes))
     }
 
     /// Per-page pin for scans.
@@ -293,7 +297,7 @@ mod tests {
         assert_eq!(h.n_rows(), 2000);
         // All rows readable through the scan path.
         let mut seen = 0;
-        for rid in h.rids().collect::<Vec<_>>() {
+        for rid in h.rids() {
             if h.read_at(rid, &mut tc).is_some() {
                 seen += 1;
             }

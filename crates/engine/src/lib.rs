@@ -58,4 +58,4 @@ pub use error::{EngineError, Result};
 pub use schema::Schema;
 pub use tctx::TraceCtx;
 pub use txn::TxnId;
-pub use types::{ColType, Row, Value};
+pub use types::{ColType, Columns, Row, TupleRef, Value};

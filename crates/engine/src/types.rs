@@ -7,6 +7,8 @@
 //! computable without parsing — and make the traced access patterns
 //! realistic (a column read touches the line(s) holding that offset).
 
+use std::borrow::Cow;
+
 use crate::error::{EngineError, Result};
 use crate::schema::Schema;
 
@@ -97,6 +99,60 @@ impl Value {
 /// A materialized row.
 pub type Row = Vec<Value>;
 
+/// Anything a predicate, scalar or aggregate can read columns from: a
+/// materialised row (the value is borrowed) or a [`TupleRef`] (the one
+/// column asked for is decoded from the page image). Either way the
+/// caller gets a [`Value`] and compares it as a `Value`, so both kinds
+/// of row give every expression the same answer.
+pub trait Columns {
+    /// Column `i`.
+    fn col(&self, i: usize) -> Cow<'_, Value>;
+}
+
+impl Columns for [Value] {
+    #[inline]
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        Cow::Borrowed(&self[i])
+    }
+}
+
+impl Columns for Row {
+    #[inline]
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        self.as_slice().col(i)
+    }
+}
+
+/// A tuple where it lies: its table's schema plus its bytes in the page
+/// image. This is what a heap read hands out. Nothing is decoded until a
+/// column is asked for, and nothing is allocated until [`Self::to_row`]:
+/// a scan can test its predicate, or feed an aggregate, on tuples it
+/// never materialises.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleRef<'a> {
+    schema: &'a Schema,
+    bytes: &'a [u8],
+}
+
+impl<'a> TupleRef<'a> {
+    /// View `bytes` as one tuple of `schema`.
+    pub(crate) fn new(schema: &'a Schema, bytes: &'a [u8]) -> Self {
+        TupleRef { schema, bytes }
+    }
+
+    /// Materialise every column.
+    pub fn to_row(&self) -> Row {
+        decode_row(self.schema, self.bytes)
+    }
+}
+
+impl Columns for TupleRef<'_> {
+    #[inline]
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        Cow::Owned(decode_col(self.schema, self.bytes, i))
+    }
+}
+
 /// Encode a row into its fixed-width page image.
 pub fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
     if row.len() != schema.columns().len() {
@@ -117,10 +173,15 @@ pub fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
                 out[off..off + 4].copy_from_slice(&d.to_le_bytes());
             }
             (ColType::Str(cap), Value::Str(s)) => {
-                let bytes = s.as_bytes();
-                let n = bytes.len().min(cap as usize);
+                // Truncate to capacity on a character boundary: a cut
+                // through a multi-byte character would decode as U+FFFD,
+                // three bytes that were never written.
+                let mut n = s.len().min(cap as usize);
+                while !s.is_char_boundary(n) {
+                    n -= 1;
+                }
                 out[off..off + 2].copy_from_slice(&(n as u16).to_le_bytes());
-                out[off + 2..off + 2 + n].copy_from_slice(&bytes[..n]);
+                out[off + 2..off + 2 + n].copy_from_slice(&s.as_bytes()[..n]);
             }
             (ty, v) => {
                 return Err(EngineError::TypeMismatch {
@@ -193,6 +254,46 @@ mod tests {
         let s = Schema::new(vec![("n", ColType::Str(4))]);
         let bytes = encode_row(&s, &[Value::Str("abcdefgh".into())]).unwrap();
         assert_eq!(decode_row(&s, &bytes), vec![Value::Str("abcd".into())]);
+    }
+
+    /// `Str(4)` given `"abc€"` used to store `61 62 63 E2` and read back
+    /// `"abc\u{FFFD}"`: six bytes out of a four-byte column.
+    #[test]
+    fn string_truncated_on_a_character_boundary() {
+        let s = Schema::new(vec![("n", ColType::Str(4))]);
+        for (given, stored) in [
+            ("abc€", "abc"),
+            ("ab€d", "ab"),
+            ("a€", "a€"),
+            ("€€", "€"),
+            ("😀", "😀"),
+            ("a😀", "a"),
+        ] {
+            let bytes = encode_row(&s, &[Value::Str(given.into())]).unwrap();
+            assert_eq!(
+                decode_row(&s, &bytes),
+                vec![Value::Str(stored.into())],
+                "{given:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tuple_ref_reads_columns_in_place() {
+        let s = schema();
+        let row = vec![
+            Value::Int(7),
+            Value::Decimal(99),
+            Value::Str("abc".into()),
+            Value::Date(1),
+        ];
+        let bytes = encode_row(&s, &row).unwrap();
+        let t = TupleRef::new(&s, &bytes);
+        for (i, v) in row.iter().enumerate() {
+            assert_eq!(&*t.col(i), v);
+            assert_eq!(row.col(i), t.col(i));
+        }
+        assert_eq!(t.to_row(), row);
     }
 
     #[test]

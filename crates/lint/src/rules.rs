@@ -59,8 +59,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "X1",
         "event-exhaustive",
-        "Every `trace::Event` variant must be handled in the segment codec (`Segment::encode`\n\
-         AND `Segment::decode_into`), in `TraceSummary` (summary.rs), and in the simulator\n\
+        "Every `trace::Event` variant must be handled in the segment codec (`SegmentEncoder::push`\n\
+         AND `Segment::decode_into`), in `TraceSummary` (summary.rs — its event-fold reference,\n\
+         which a differential test holds `compute` to), and in the simulator\n\
          consume path (sim's ctx.rs/cursor.rs). A variant added in one place but not the\n\
          others silently drops or mis-prices events (the RemoteSend-skew class). There is no\n\
          allow annotation for X1 — handle the variant.",
@@ -464,8 +465,8 @@ pub const X_RULES: &[XRule] = &[
         surfaces: &[
             XSurface {
                 files: &["crates/trace/src/segment.rs"],
-                func: Some("encode"),
-                label: "segment codec encode (Segment::encode)",
+                func: Some("push"),
+                label: "segment codec encode (SegmentEncoder::push)",
             },
             XSurface {
                 files: &["crates/trace/src/segment.rs"],
@@ -697,7 +698,7 @@ mod tests {
     #[test]
     fn x1_detects_missing_variant() {
         let event = "pub enum Event { Alpha, Beta }";
-        let seg = "impl Segment { pub fn encode() { Event::Alpha; Event::Beta; } \
+        let seg = "impl Segment { pub fn push() { Event::Alpha; Event::Beta; } \
                     pub fn decode_into() { Event::Alpha; } }";
         let sum = "fn s() { Event::Alpha; Event::Beta; }";
         let ctx = "fn c() { Event::Alpha; }";

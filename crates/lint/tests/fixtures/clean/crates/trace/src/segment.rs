@@ -5,7 +5,7 @@ use crate::event::Event;
 pub struct Segment;
 
 impl Segment {
-    pub fn encode(ev: &Event) {
+    pub fn push(ev: &Event) {
         match ev {
             Event::Ping => {}
             Event::Pong { .. } => {}

@@ -9,7 +9,7 @@
 use dbcmp_engine::costs::instr;
 use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable, Pred};
 use dbcmp_engine::heap::Rid;
-use dbcmp_engine::{Database, TraceCtx, Value};
+use dbcmp_engine::{Columns, Database, TraceCtx, TupleRef, Value};
 // lint:allow(hash-order): HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap
 use std::collections::{BTreeMap, HashSet};
 
@@ -94,17 +94,17 @@ impl JoinTable {
         let heap = db.table(spec.build_table);
         let mut rows = Vec::new();
         let mut last_page = u32::MAX;
-        for rid in heap.rids().collect::<Vec<_>>() {
+        for rid in heap.rids() {
             if rid.page != last_page {
                 heap.pin_page(rid.page, tc);
                 last_page = rid.page;
             }
             tc.charge(tc.r.exec_scan, instr::SCAN_STEP);
-            let Some(row) = heap.read_at(rid, tc) else {
+            let Some(tuple) = heap.read_at(rid, tc) else {
                 continue;
             };
-            if spec.build_pred.eval(&row, tc) {
-                rows.push(row);
+            if spec.build_pred.eval(&tuple, tc) {
+                rows.push(tuple.to_row());
             }
         }
         let base = db.space.alloc_anon(BuildTable::bytes_for(rows.len()));
@@ -175,10 +175,15 @@ impl BatchAgg {
         }
     }
 
-    /// Fold one row into the state (traced like the engine's aggregate).
-    pub fn update(&mut self, row: &[Value], tc: &mut TraceCtx) {
+    /// Fold one row — materialised or still in its page — into the state
+    /// (traced like the engine's aggregate).
+    pub fn update<R: Columns + ?Sized>(&mut self, row: &R, tc: &mut TraceCtx) {
         tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-        let key: Vec<Value> = self.group_cols.iter().map(|&c| row[c].clone()).collect();
+        let key: Vec<Value> = self
+            .group_cols
+            .iter()
+            .map(|&c| row.col(c).into_owned())
+            .collect();
         let n_aggs = self.aggs.len();
         let gi = self.groups.len() as u64;
         let state = self.groups.entry(key).or_insert_with(|| AggState {
@@ -254,6 +259,43 @@ impl BatchAgg {
     }
 }
 
+/// One producer's packet buffer and the consumer on the other side of
+/// it ([`StagedPipeline::run_staged_parallel`]).
+struct Handoff<'a> {
+    /// Simulated address of the `batch`-row buffer.
+    buf: u64,
+    batch: usize,
+    row_width: u64,
+    /// Rows written so far (the next one's position, modulo `batch`).
+    slot: u64,
+    consumer_tc: &'a mut TraceCtx,
+    agg: &'a mut BatchAgg,
+}
+
+impl Handoff<'_> {
+    /// Simulated address of the buffer position row `i` lands in.
+    fn at(&self, i: u64) -> u64 {
+        self.buf + (i % self.batch as u64) * self.row_width
+    }
+
+    /// The producer writes one surviving row into the buffer.
+    fn write(&mut self, tc: &mut TraceCtx) {
+        tc.store(self.at(self.slot), self.row_width as u32);
+        self.slot += 1;
+    }
+
+    /// Packet handoff: the producer fences, the consumer reads each row
+    /// of `packet` on its own context and aggregates it.
+    fn deliver<R: Columns>(&mut self, packet: &mut Vec<R>, tc: &mut TraceCtx) {
+        tc.fence();
+        for (i, row) in packet.drain(..).enumerate() {
+            self.consumer_tc
+                .load(self.at(i as u64), self.row_width as u32);
+            self.agg.update(&row, self.consumer_tc);
+        }
+    }
+}
+
 /// A runnable staged pipeline.
 ///
 /// ```
@@ -309,7 +351,7 @@ impl StagedPipeline {
             .map(|j| JoinTable::build(db, j, tc))
             .collect();
         let mut last_page = u32::MAX;
-        for rid in heap.rids().collect::<Vec<_>>() {
+        for rid in heap.rids() {
             if rid.page != last_page {
                 heap.pin_page(rid.page, tc);
                 last_page = rid.page;
@@ -317,19 +359,23 @@ impl StagedPipeline {
             // Row-at-a-time: per-tuple operator crossings pay call
             // overhead in each stage region.
             tc.charge(tc.r.exec_scan, instr::SCAN_STEP + CALL_OVERHEAD);
-            let Some(row) = heap.read_at(rid, tc) else {
+            let Some(tuple) = heap.read_at(rid, tc) else {
                 continue;
             };
             tc.charge(tc.r.exec_filter, CALL_OVERHEAD);
-            if !self.spec.pred.eval(&row, tc) {
+            if !self.spec.pred.eval(&tuple, tc) {
                 continue;
             }
-            if !tables.is_empty() {
-                // One operator crossing per join stage per tuple.
-                tc.charge(tc.r.exec_hashjoin, CALL_OVERHEAD * tables.len() as u32);
+            if tables.is_empty() {
+                // No probe needs a row: aggregate from the page image.
+                tc.charge(tc.r.exec_agg, CALL_OVERHEAD);
+                agg.update(&tuple, tc);
+                continue;
             }
+            // One operator crossing per join stage per tuple.
+            tc.charge(tc.r.exec_hashjoin, CALL_OVERHEAD * tables.len() as u32);
             let mut combined = Vec::new();
-            probe_chain(&tables, row, &mut combined, tc);
+            probe_chain(&tables, tuple.to_row(), &mut combined, tc);
             for row in combined {
                 tc.charge(tc.r.exec_agg, CALL_OVERHEAD);
                 agg.update(&row, tc);
@@ -357,48 +403,51 @@ impl StagedPipeline {
             .map(|j| JoinTable::build(db, j, tc))
             .collect();
 
-        let rids: Vec<Rid> = heap.rids().collect();
+        // The batch's address in the reused buffer for row `i` of a chunk.
+        let slot_of = |i: usize| buf + (i as u64 % batch as u64) * row_width;
+        let mut rids = heap.rids().peekable();
         let mut last_page = u32::MAX;
-        for chunk in rids.chunks(batch.max(1)) {
-            // Stage 1: scan the batch into the buffer.
+        while rids.peek().is_some() {
+            // Stage 1: scan the batch into the buffer. The tuples stay in
+            // their pages; the buffer is simulated.
             tc.charge(tc.r.exec_scan, 40); // batch setup
-            let mut staged_rows = Vec::with_capacity(chunk.len());
-            for (i, rid) in chunk.iter().enumerate() {
+            let mut staged = Vec::with_capacity(batch);
+            for (i, rid) in rids.by_ref().take(batch.max(1)).enumerate() {
                 if rid.page != last_page {
                     heap.pin_page(rid.page, tc);
                     last_page = rid.page;
                 }
                 tc.charge(tc.r.exec_scan, instr::SCAN_STEP);
-                if let Some(row) = heap.read_at(*rid, tc) {
-                    tc.store(
-                        buf + (i as u64 % batch as u64) * row_width,
-                        row_width as u32,
-                    );
-                    staged_rows.push((i, row));
+                if let Some(tuple) = heap.read_at(rid, tc) {
+                    tc.store(slot_of(i), row_width as u32);
+                    staged.push((i, tuple));
                 }
             }
             // Stage 2: filter the batch from the buffer.
             tc.charge(tc.r.exec_filter, 40);
-            let mut passed = Vec::with_capacity(staged_rows.len());
-            for (i, row) in staged_rows {
-                tc.load(
-                    buf + (i as u64 % batch as u64) * row_width,
-                    row_width as u32,
-                );
-                if self.spec.pred.eval(&row, tc) {
-                    passed.push((i, row));
+            staged.retain(|(i, tuple)| {
+                tc.load(slot_of(*i), row_width as u32);
+                self.spec.pred.eval(tuple, tc)
+            });
+            if tables.is_empty() {
+                // Final stage, no probe in between: aggregate the batch
+                // from the page images.
+                tc.charge(tc.r.exec_agg, 40);
+                for (i, tuple) in staged {
+                    tc.load(slot_of(i), row_width as u32);
+                    agg.update(&tuple, tc);
                 }
+                continue;
             }
             // Join stages: one cohort pass over the batch per table, so
-            // each build table's lines are touched back-to-back.
+            // each build table's lines are touched back-to-back. A probe
+            // takes a row, so what passed the filter is materialised.
+            let mut passed: Vec<_> = staged.iter().map(|(i, t)| (*i, t.to_row())).collect();
             for jt in &tables {
                 tc.charge(tc.r.exec_hashjoin, 40);
                 let mut joined = Vec::with_capacity(passed.len());
                 for (i, row) in passed {
-                    tc.load(
-                        buf + (i as u64 % batch as u64) * row_width,
-                        row_width as u32,
-                    );
+                    tc.load(slot_of(i), row_width as u32);
                     let mut matches = Vec::new();
                     jt.probe(&row, &mut matches, tc);
                     joined.extend(matches.into_iter().map(|m| (i, m)));
@@ -408,10 +457,7 @@ impl StagedPipeline {
             // Final stage: aggregate the batch.
             tc.charge(tc.r.exec_agg, 40);
             for (i, row) in passed {
-                tc.load(
-                    buf + (i as u64 % batch as u64) * row_width,
-                    row_width as u32,
-                );
+                tc.load(slot_of(i), row_width as u32);
                 agg.update(&row, tc);
             }
         }
@@ -450,56 +496,67 @@ impl StagedPipeline {
             .map(|j| JoinTable::build(db, j, consumer_tc))
             .collect();
         for (p, tc) in producer_tcs.iter_mut().enumerate() {
-            let buf = db.space.alloc_anon(batch as u64 * row_width);
             let lo = p as u32 * pages_per;
-            let hi = (lo + pages_per).min(n_pages);
-            let mut batched: Vec<Vec<Value>> = Vec::with_capacity(batch);
-            let mut slot = 0u64;
-            for page in lo..hi {
-                heap.pin_page(page, tc);
-                for s in 0..heap.page_nslots(page) {
-                    tc.charge(tc.r.exec_scan, instr::SCAN_STEP);
-                    let Some(row) = heap.read_at(Rid { page, slot: s }, tc) else {
-                        continue;
-                    };
-                    if !self.spec.pred.eval(&row, tc) {
-                        continue;
-                    }
-                    // Partitioned probe on the producer's context.
-                    let mut combined = Vec::new();
-                    probe_chain(&tables, row, &mut combined, tc);
-                    for row in combined {
-                        // Producer writes each surviving row into the
-                        // handoff buffer...
-                        tc.store(buf + (slot % batch as u64) * row_width, row_width as u32);
-                        slot += 1;
-                        batched.push(row);
-                        if batched.len() == batch {
-                            tc.fence(); // packet handoff
-                                        // ...and the consumer reads it on its context.
-                            for (i, row) in batched.drain(..).enumerate() {
-                                consumer_tc.load(
-                                    buf + (i as u64 % batch as u64) * row_width,
-                                    row_width as u32,
-                                );
-                                agg.update(&row, consumer_tc);
-                            }
-                        }
-                    }
-                }
-            }
-            if !batched.is_empty() {
-                tc.fence();
-                for (i, row) in batched.drain(..).enumerate() {
-                    consumer_tc.load(
-                        buf + (i as u64 % batch as u64) * row_width,
-                        row_width as u32,
-                    );
-                    agg.update(&row, consumer_tc);
-                }
+            let pages = lo..(lo + pages_per).min(n_pages);
+            let mut handoff = Handoff {
+                buf: db.space.alloc_anon(batch as u64 * row_width),
+                batch,
+                row_width,
+                slot: 0,
+                consumer_tc: &mut *consumer_tc,
+                agg: &mut agg,
+            };
+            if tables.is_empty() {
+                // No probe needs a row: packets carry the page images.
+                self.produce(db, pages, tc, &mut handoff, |tuple, _, out| out.push(tuple));
+            } else {
+                // Partitioned probe on the producer's context.
+                self.produce(db, pages, tc, &mut handoff, |tuple, tc, out| {
+                    probe_chain(&tables, tuple.to_row(), out, tc)
+                });
             }
         }
         agg.finish()
+    }
+
+    /// One producer of [`Self::run_staged_parallel`]: scan and filter
+    /// `pages` on `tc`, turn each surviving tuple into the rows it
+    /// contributes with `expand`, and hand those to the consumer in
+    /// packets of `handoff.batch`.
+    fn produce<'h, R: Columns>(
+        &self,
+        db: &'h Database,
+        pages: std::ops::Range<u32>,
+        tc: &mut TraceCtx,
+        handoff: &mut Handoff<'_>,
+        expand: impl Fn(TupleRef<'h>, &mut TraceCtx, &mut Vec<R>),
+    ) {
+        let heap = db.table(self.spec.table);
+        let mut packet: Vec<R> = Vec::with_capacity(handoff.batch);
+        let mut expanded = Vec::new();
+        for page in pages {
+            heap.pin_page(page, tc);
+            for s in 0..heap.page_nslots(page) {
+                tc.charge(tc.r.exec_scan, instr::SCAN_STEP);
+                let Some(tuple) = heap.read_at(Rid { page, slot: s }, tc) else {
+                    continue;
+                };
+                if !self.spec.pred.eval(&tuple, tc) {
+                    continue;
+                }
+                expand(tuple, tc, &mut expanded);
+                for row in expanded.drain(..) {
+                    handoff.write(tc);
+                    packet.push(row);
+                    if packet.len() == handoff.batch {
+                        handoff.deliver(&mut packet, tc);
+                    }
+                }
+            }
+        }
+        if !packet.is_empty() {
+            handoff.deliver(&mut packet, tc);
+        }
     }
 
     /// Execute under a policy with pre-made trace contexts: `tcs[0]` is
@@ -721,6 +778,7 @@ mod tests {
             let heap = db.table(spec.table);
             heap.rids()
                 .filter_map(|r| heap.read_at(r, &mut tc))
+                .map(|t| t.to_row())
                 .collect()
         };
         // Single.
@@ -754,7 +812,7 @@ mod tests {
             let mut agg = BatchAgg::new(&db, vec![0], vec![AggSpec::count()]);
             let mut tc2 = db.null_ctx();
             for &g in order {
-                agg.update(&[Value::Int(g)], &mut tc2);
+                agg.update(&[Value::Int(g)][..], &mut tc2);
             }
             agg.finish()
         };

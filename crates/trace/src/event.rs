@@ -42,10 +42,10 @@ const OP_MARKER: u64 = 3;
 
 const DEP_BIT: u64 = 1 << 61;
 const SIZE_SHIFT: u32 = 49;
-const SIZE_MASK: u64 = 0xFFF;
-const ADDR_MASK: u64 = (1 << 48) - 1;
+pub(crate) const SIZE_MASK: u64 = 0xFFF;
+pub(crate) const ADDR_MASK: u64 = (1 << 48) - 1;
 const REGION_SHIFT: u32 = 52;
-const REGION_MASK: u64 = 0x3FF;
+pub(crate) const REGION_MASK: u64 = 0x3FF;
 
 const MARKER_FENCE: u64 = 0;
 const MARKER_UNIT_END: u64 = 1;

@@ -25,38 +25,51 @@
 //! by proptest round-trips in `tests/proptests.rs` and, end to end, by
 //! the PR-3 golden anchor in `tests/api_equivalence.rs`.
 //!
-//! [`TraceSink`] is the capture seam: a `Tracer` seals finished blocks
-//! and emits them into a sink instead of growing one buffer, so peak
-//! *staging* memory per thread is one block (`SEGMENT_EVENTS` × 8 B)
-//! regardless of trace length. [`SegmentBuffer`] retains segments for
-//! replay; [`CountingSink`] retains nothing (bounded-memory capture for
-//! runs that only need aggregate counts). [`TraceSource`] is the replay
-//! seam consumed block-at-a-time by the simulator's cursor.
+//! One encoder writes those columns: `SegmentEncoder` appends an event
+//! at a time to an open segment. The `Tracer` owns one and feeds it
+//! directly as the engine records, so an event is encoded exactly once
+//! and never staged in packed form; [`Segment::encode`] is a loop over
+//! the same encoder.
+//!
+//! [`TraceSink`] is the capture seam: a `Tracer` seals its open segment
+//! every [`SEGMENT_EVENTS`] events and emits it into a sink instead of
+//! growing one buffer, so peak *staging* memory per thread is one open
+//! segment (a few KB of columns) regardless of trace length.
+//! [`SegmentBuffer`] retains segments for replay; [`CountingSink`]
+//! retains nothing (bounded-memory capture for runs that only need
+//! aggregate counts). [`TraceSource`] is the replay seam consumed
+//! block-at-a-time by the simulator's cursor.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use crate::event::{Event, PackedEvent};
+use crate::event::{Event, PackedEvent, ADDR_MASK, REGION_MASK, SIZE_MASK};
 use crate::region::RegionId;
 
 /// Events per sealed segment (the block size of the columnar format).
 ///
-/// 4096 events stage in a 32 KB scratch buffer and typically encode to
-/// a few KB; large enough to amortize per-block decode overhead, small
-/// enough that per-thread staging memory is negligible.
+/// 4096 events typically encode to a few KB; large enough to amortize
+/// per-block decode overhead, small enough that the one open segment a
+/// recording thread holds is negligible.
 pub const SEGMENT_EVENTS: usize = 4096;
 
-/// Process-wide count of segment decodes ([`Segment::decode_into`]
-/// calls). A diagnostics counter: perf tests assert that cached
-/// aggregates (e.g. [`crate::TraceBundle::region_instr_totals`]) do not
-/// silently re-decode streams, and the trace bench reports decode work.
-static SEGMENTS_DECODED: AtomicU64 = AtomicU64::new(0);
+/// The most bytes one event can add to a segment: a load or store — a
+/// `(kind, run)` pair, a 7-byte zig-zag delta (49 significant bits)
+/// and a 2-byte size. [`SEGMENT_EVENTS`] times this bounds what a
+/// recording [`Tracer`](crate::Tracer) holds outside its sink.
+pub const MAX_EVENT_BYTES: usize = 11;
 
-/// Read the process-wide segment-decode counter: the number of
-/// [`Segment::decode_into`] calls made by this process. Perf tests use
-/// it to assert that cached aggregates do not silently re-decode
-/// streams.
+thread_local! {
+    /// [`Segment::decode_into`] calls made by this thread.
+    static SEGMENTS_DECODED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The number of [`Segment::decode_into`] calls the *calling thread*
+/// has made. Tests read it before and after a query to assert that
+/// cached aggregates ([`crate::TraceBundle::region_instr_totals`],
+/// [`crate::TraceSummary::compute`]) decode nothing; per-thread, so
+/// decodes on sibling test threads or sweep workers never move it.
 pub fn segments_decoded() -> u64 {
-    SEGMENTS_DECODED.load(Ordering::Relaxed)
+    SEGMENTS_DECODED.with(Cell::get)
 }
 
 // Kind codes for the run-length column. Load/LoadDep are distinct kinds
@@ -75,16 +88,21 @@ const K_REMOTE_RECV: u8 = 9;
 const NO_KIND: u8 = u8::MAX;
 const MAX_RUN: u32 = 255;
 
-#[inline]
+/// LEB128. One- and two-byte values — nearly every region id,
+/// instruction count, access size and address delta of an engine trace —
+/// are written with a single capacity check.
+#[inline(always)]
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else if v < 0x4000 {
+        buf.extend_from_slice(&[v as u8 | 0x80, (v >> 7) as u8]);
+    } else {
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
         }
-        buf.push(b | 0x80);
+        buf.push(v as u8);
     }
 }
 
@@ -134,79 +152,170 @@ pub struct Segment {
     remote: Vec<u8>,
 }
 
+/// The one encoder of the columnar format: appends events to the four
+/// columns of an open segment, one at a time, and hands the segment
+/// over when asked. Fields are masked exactly as
+/// [`PackedEvent::exec`]/[`load`](PackedEvent::load)/[`store`](PackedEvent::store)
+/// mask them, so feeding an event directly and feeding it through its
+/// packed word produce the same bytes.
+#[derive(Debug)]
+pub(crate) struct SegmentEncoder {
+    seg: Segment,
+    /// The open run of the kinds column, not yet written.
+    run_kind: u8,
+    run: u32,
+    prev_addr: i64,
+}
+
+impl Default for SegmentEncoder {
+    fn default() -> Self {
+        SegmentEncoder {
+            seg: Segment::default(),
+            run_kind: NO_KIND,
+            run: 0,
+            prev_addr: 0,
+        }
+    }
+}
+
+impl SegmentEncoder {
+    /// Events appended since the last [`Self::seal`].
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.seg.len as usize
+    }
+
+    /// Encoded bytes of the events appended since the last
+    /// [`Self::seal`] (the open kinds run counted as written).
+    pub(crate) fn encoded_bytes(&self) -> usize {
+        let s = &self.seg;
+        s.kinds.len() + 2 * (self.run > 0) as usize + s.mem.len() + s.exec.len() + s.remote.len()
+    }
+
+    // The typed appends are `inline(always)`: each is the whole encoding
+    // of its event class, and the tracer's recording bodies are built
+    // from them.
+
+    /// Append an exec run.
+    #[inline(always)]
+    pub(crate) fn exec(&mut self, region: RegionId, instrs: u32) {
+        debug_assert!(region as u64 <= REGION_MASK);
+        put_varint(&mut self.seg.exec, region as u64 & REGION_MASK);
+        put_varint(&mut self.seg.exec, instrs as u64);
+        self.kind(K_EXEC);
+    }
+
+    /// Append a load, dependent load or store (`kind` is its
+    /// [`AccessKind`] code).
+    #[inline(always)]
+    pub(crate) fn access(&mut self, kind: AccessKind, addr: u64, size: u32) {
+        let addr = (addr & ADDR_MASK) as i64;
+        put_varint(&mut self.seg.mem, zigzag(addr - self.prev_addr));
+        put_varint(&mut self.seg.mem, size as u64 & SIZE_MASK);
+        self.prev_addr = addr;
+        self.kind(kind as u8);
+    }
+
+    /// Append a remote send or recv marker with its message size.
+    #[inline(always)]
+    fn remote(&mut self, kind: u8, bytes: u32) {
+        put_varint(&mut self.seg.remote, bytes as u64);
+        self.kind(kind);
+    }
+
+    /// Count one event of `kind` into the run-length column.
+    #[inline(always)]
+    fn kind(&mut self, kind: u8) {
+        self.seg.len += 1;
+        if kind == self.run_kind && self.run < MAX_RUN {
+            self.run += 1;
+        } else {
+            self.flush_run();
+            self.run_kind = kind;
+            self.run = 1;
+        }
+    }
+
+    /// Append any event (markers, and [`Segment::encode`]'s loop).
+    #[inline]
+    pub(crate) fn push(&mut self, ev: Event) {
+        match ev {
+            Event::Exec { region, instrs } => self.exec(region, instrs),
+            Event::Load { addr, size, dep } => {
+                let kind = if dep {
+                    AccessKind::LoadDep
+                } else {
+                    AccessKind::Load
+                };
+                self.access(kind, addr, size as u32)
+            }
+            Event::Store { addr, size } => self.access(AccessKind::Store, addr, size as u32),
+            Event::Fence => self.kind(K_FENCE),
+            Event::UnitEnd => self.kind(K_UNIT_END),
+            Event::Block => self.kind(K_BLOCK),
+            Event::Wake => self.kind(K_WAKE),
+            Event::RemoteSend { bytes } => self.remote(K_REMOTE_SEND, bytes),
+            Event::RemoteRecv { bytes } => self.remote(K_REMOTE_RECV, bytes),
+        }
+    }
+
+    #[inline]
+    fn flush_run(&mut self) {
+        if self.run > 0 {
+            self.seg
+                .kinds
+                .extend_from_slice(&[self.run_kind, self.run as u8]);
+        }
+    }
+
+    /// Close the open segment and start an empty one (the address-delta
+    /// base resets, so every segment decodes independently). The new
+    /// columns start at the sealed ones' sizes plus an eighth: a trace's
+    /// consecutive segments are alike, so most never reallocate.
+    pub(crate) fn seal(&mut self) -> Segment {
+        self.flush_run();
+        let like = |col: &Vec<u8>| Vec::with_capacity(col.len() + col.len() / 8);
+        let s = &self.seg;
+        let seg = Segment {
+            len: 0,
+            kinds: like(&s.kinds),
+            mem: like(&s.mem),
+            exec: like(&s.exec),
+            remote: like(&s.remote),
+        };
+        let next = SegmentEncoder {
+            seg,
+            ..SegmentEncoder::default()
+        };
+        std::mem::replace(self, next).seg
+    }
+}
+
+/// The three memory-access kinds of the run-length column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum AccessKind {
+    Load = K_LOAD,
+    LoadDep = K_LOAD_DEP,
+    Store = K_STORE,
+}
+
 impl Segment {
     /// Encode a block of packed events. The input may be any length
     /// (the tracer seals at [`SEGMENT_EVENTS`]; the final block of a
     /// trace is usually shorter).
     pub fn encode(events: &[PackedEvent]) -> Segment {
-        let mut seg = Segment {
-            len: events.len() as u32,
-            kinds: Vec::new(),
-            mem: Vec::new(),
-            exec: Vec::new(),
-            remote: Vec::new(),
-        };
-        let mut run_kind = NO_KIND;
-        let mut run = 0u32;
-        let mut prev_addr = 0i64;
+        let mut enc = SegmentEncoder::default();
         for ev in events {
-            let kind = match ev.decode() {
-                Event::Exec { region, instrs } => {
-                    put_varint(&mut seg.exec, region as u64);
-                    put_varint(&mut seg.exec, instrs as u64);
-                    K_EXEC
-                }
-                Event::Load { addr, size, dep } => {
-                    put_varint(&mut seg.mem, zigzag(addr as i64 - prev_addr));
-                    put_varint(&mut seg.mem, size as u64);
-                    prev_addr = addr as i64;
-                    if dep {
-                        K_LOAD_DEP
-                    } else {
-                        K_LOAD
-                    }
-                }
-                Event::Store { addr, size } => {
-                    put_varint(&mut seg.mem, zigzag(addr as i64 - prev_addr));
-                    put_varint(&mut seg.mem, size as u64);
-                    prev_addr = addr as i64;
-                    K_STORE
-                }
-                Event::Fence => K_FENCE,
-                Event::UnitEnd => K_UNIT_END,
-                Event::Block => K_BLOCK,
-                Event::Wake => K_WAKE,
-                Event::RemoteSend { bytes } => {
-                    put_varint(&mut seg.remote, bytes as u64);
-                    K_REMOTE_SEND
-                }
-                Event::RemoteRecv { bytes } => {
-                    put_varint(&mut seg.remote, bytes as u64);
-                    K_REMOTE_RECV
-                }
-            };
-            if kind == run_kind && run < MAX_RUN {
-                run += 1;
-            } else {
-                if run > 0 {
-                    seg.kinds.push(run_kind);
-                    seg.kinds.push(run as u8);
-                }
-                run_kind = kind;
-                run = 1;
-            }
+            enc.push(ev.decode());
         }
-        if run > 0 {
-            seg.kinds.push(run_kind);
-            seg.kinds.push(run as u8);
-        }
-        seg
+        enc.seal()
     }
 
     /// Decode the whole block into `out` (cleared first), appending
     /// exactly [`Self::len`] events in stream order.
     pub fn decode_into(&self, out: &mut Vec<Event>) {
-        SEGMENTS_DECODED.fetch_add(1, Ordering::Relaxed);
+        SEGMENTS_DECODED.with(|n| n.set(n.get() + 1));
         out.clear();
         out.reserve(self.len as usize);
         let mut mem_pos = 0usize;
@@ -226,11 +335,7 @@ impl Segment {
                         Event::Exec { region, instrs }
                     }
                     K_LOAD | K_LOAD_DEP | K_STORE => {
-                        let delta = unzigzag(get_varint(&self.mem, &mut mem_pos));
-                        let size = get_varint(&self.mem, &mut mem_pos) as u16;
-                        // lint:allow(addr-cast): inverse of encode's zigzag delta; reconstructs the exact u64 the encoder masked, cannot truncate further
-                        let addr = (prev_addr + delta) as u64;
-                        prev_addr = addr as i64;
+                        let (addr, size) = self.next_access(&mut mem_pos, &mut prev_addr);
                         match kind {
                             K_STORE => Event::Store { addr, size },
                             k => Event::Load {
@@ -254,6 +359,26 @@ impl Segment {
             }
         }
         debug_assert_eq!(out.len(), self.len as usize, "segment length drift");
+    }
+
+    /// Read one `(addr, size)` entry of the `mem` column at `pos`,
+    /// advancing `pos` and the running delta base.
+    #[inline]
+    fn next_access(&self, pos: &mut usize, prev_addr: &mut i64) -> (u64, u16) {
+        *prev_addr += unzigzag(get_varint(&self.mem, pos));
+        let size = get_varint(&self.mem, pos) as u16;
+        // lint:allow(addr-cast): inverse of encode's zigzag delta; reconstructs the exact u64 the encoder masked, cannot truncate further
+        (*prev_addr as u64, size)
+    }
+
+    /// `(addr, size)` of every load and store in stream order, read from
+    /// the `mem` column alone: no [`Event`] is built and
+    /// [`segments_decoded`] does not move.
+    pub(crate) fn accesses(&self) -> impl Iterator<Item = (u64, u16)> + '_ {
+        let (mut pos, mut prev_addr) = (0, 0);
+        std::iter::from_fn(move || {
+            (pos < self.mem.len()).then(|| self.next_access(&mut pos, &mut prev_addr))
+        })
     }
 
     /// Decode into a fresh vector (tests and one-shot consumers; hot
@@ -482,6 +607,24 @@ mod tests {
                 dep: true,
             },
         ]);
+    }
+
+    /// [`MAX_EVENT_BYTES`] is reached, and only just: full-size accesses
+    /// swinging across the whole 48-bit space, kinds alternating so that
+    /// every event opens a run.
+    #[test]
+    fn max_event_bytes_is_the_worst_case() {
+        let mut enc = SegmentEncoder::default();
+        for i in 0..100u64 {
+            let addr = if i % 2 == 0 { (1 << 48) - 1 } else { 0 };
+            let kind = [AccessKind::Load, AccessKind::Store][i as usize % 2];
+            enc.access(kind, addr, 4095);
+            assert_eq!(enc.encoded_bytes(), (i as usize + 1) * MAX_EVENT_BYTES);
+        }
+        enc.exec(1023, u32::MAX);
+        enc.push(Event::RemoteSend { bytes: u32::MAX });
+        assert!(enc.encoded_bytes() < 102 * MAX_EVENT_BYTES);
+        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 11 + 9 + 7);
     }
 
     #[test]

@@ -9,17 +9,25 @@
 //! single event, which typically shrinks traces by 3-5x since engine code
 //! charges instructions in small increments as it goes.
 //!
-//! Recording no longer grows one flat `Vec<PackedEvent>`: events stage in
-//! a single fixed-size block and every [`SEGMENT_EVENTS`]-event block is
-//! sealed into a columnar [`Segment`] and handed to a [`TraceSink`]. The
-//! default sink ([`SegmentBuffer`]) retains segments so [`Tracer::finish`]
+//! Recording never holds a flat event list: each event is appended
+//! straight into the columns of one open segment (the crate's single
+//! encoder, see [`crate::segment`]), and every [`SEGMENT_EVENTS`] events
+//! that segment is sealed and handed to a [`TraceSink`]. The default
+//! sink ([`SegmentBuffer`]) retains segments so [`Tracer::finish`]
 //! yields a replayable [`ThreadTrace`]; a streaming sink (see
-//! [`Tracer::streaming`]) can instead spill or discard blocks, bounding
-//! peak capture memory at one staging block per thread.
+//! [`Tracer::streaming`]) can instead spill or discard them, bounding
+//! peak capture memory at one open segment per thread.
+//!
+//! The entry points the engine inlines at every charge and access site
+//! ([`Tracer::exec`], [`Tracer::load`], …) hold only the counters and
+//! the null-mode test; the recording bodies sit behind one call each,
+//! so a null-mode run (every populate) pays for no encoder code.
 
 use crate::event::{Event, PackedEvent, MAX_ACCESS};
 use crate::region::{CodeRegions, RegionId};
-use crate::segment::{Segment, SegmentBuffer, TraceSink, TraceSource, SEGMENT_EVENTS};
+use crate::segment::{
+    AccessKind, Segment, SegmentBuffer, SegmentEncoder, TraceSink, TraceSource, SEGMENT_EVENTS,
+};
 
 /// Capture-mode switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +40,8 @@ enum Mode {
 #[derive(Debug)]
 pub struct Tracer {
     mode: Mode,
-    /// Staging block; sealed into a [`Segment`] at [`SEGMENT_EVENTS`].
-    block: Vec<PackedEvent>,
+    /// The open segment; sealed into the sink at [`SEGMENT_EVENTS`].
+    open: SegmentEncoder,
     sink: Box<dyn TraceSink>,
     /// Pending coalesced exec run: (region, instrs). `u16::MAX` = none.
     pending_region: RegionId,
@@ -41,10 +49,13 @@ pub struct Tracer {
     /// Per-region instruction totals, accumulated at exec-flush time so
     /// aggregate queries never re-decode the stream.
     region_instrs: Vec<u64>,
-    n_events: usize,
+    /// Events in the segments already sealed into the sink.
+    n_sealed: usize,
     instrs: u64,
     loads: u64,
+    dep_loads: u64,
     stores: u64,
+    fences: u64,
     units: u64,
     blocks: u64,
     wakes: u64,
@@ -63,45 +74,35 @@ impl Tracer {
         Self::streaming(Box::<SegmentBuffer>::default())
     }
 
-    /// A tracer that records events and streams each sealed block into
-    /// `sink`. Peak staging memory is one block ([`SEGMENT_EVENTS`]
-    /// events) regardless of trace length; whether the trace is
-    /// replayable afterwards is the sink's retention decision.
+    /// A tracer that records events and streams each sealed segment
+    /// into `sink`. Peak staging memory is the one open segment (at most
+    /// [`SEGMENT_EVENTS`] encoded events) regardless of trace length;
+    /// whether the trace is replayable afterwards is the sink's
+    /// retention decision.
     pub fn streaming(sink: Box<dyn TraceSink>) -> Self {
-        Tracer {
-            mode: Mode::Record,
-            block: Vec::with_capacity(SEGMENT_EVENTS),
-            sink,
-            pending_region: NO_REGION,
-            pending_instrs: 0,
-            region_instrs: Vec::new(),
-            n_events: 0,
-            instrs: 0,
-            loads: 0,
-            stores: 0,
-            units: 0,
-            blocks: 0,
-            wakes: 0,
-            remote_sends: 0,
-            remote_recvs: 0,
-            remote_bytes: 0,
-        }
+        Self::new(Mode::Record, sink)
     }
 
     /// A tracer that drops events but still counts instructions — used for
     /// native runs where only aggregate counts are wanted.
     pub fn null() -> Self {
+        Self::new(Mode::Null, Box::<SegmentBuffer>::default())
+    }
+
+    fn new(mode: Mode, sink: Box<dyn TraceSink>) -> Self {
         Tracer {
-            mode: Mode::Null,
-            block: Vec::new(),
-            sink: Box::<SegmentBuffer>::default(),
+            mode,
+            open: SegmentEncoder::default(),
+            sink,
             pending_region: NO_REGION,
             pending_instrs: 0,
             region_instrs: Vec::new(),
-            n_events: 0,
+            n_sealed: 0,
             instrs: 0,
             loads: 0,
+            dep_loads: 0,
             stores: 0,
+            fences: 0,
             units: 0,
             blocks: 0,
             wakes: 0,
@@ -117,25 +118,30 @@ impl Tracer {
         self.mode == Mode::Record
     }
 
-    /// Append one packed event to the staging block, sealing a segment
-    /// when the block fills.
-    #[inline]
-    fn push(&mut self, ev: PackedEvent) {
-        self.block.push(ev);
-        self.n_events += 1;
-        if self.block.len() == SEGMENT_EVENTS {
-            self.seal_block();
+    /// Encoded bytes held in the open segment — all the trace memory a
+    /// recording tracer keeps outside its sink. At most
+    /// [`SEGMENT_EVENTS`]` × `[`MAX_EVENT_BYTES`](crate::MAX_EVENT_BYTES)
+    /// however long the trace runs; a few KB on engine traces.
+    pub fn staged_bytes(&self) -> usize {
+        self.open.encoded_bytes()
+    }
+
+    /// Seal the open segment into the sink if it is full. Every append
+    /// is followed by this.
+    #[inline(always)]
+    fn seal_if_full(&mut self) {
+        if self.open.len() == SEGMENT_EVENTS {
+            self.seal();
         }
     }
 
-    /// Encode the staging block into a segment and emit it to the sink.
-    fn seal_block(&mut self) {
-        if self.block.is_empty() {
-            return;
+    /// Emit the open segment to the sink, if it holds anything.
+    #[cold]
+    fn seal(&mut self) {
+        if self.open.len() > 0 {
+            self.n_sealed += self.open.len();
+            self.sink.emit(self.open.seal());
         }
-        let seg = Segment::encode(&self.block);
-        self.block.clear();
-        self.sink.emit(seg);
     }
 
     /// Charge `instrs` instructions of execution in `region`.
@@ -148,9 +154,7 @@ impl Tracer {
         if self.pending_region == region {
             self.pending_instrs += instrs as u64;
         } else {
-            self.flush_exec();
-            self.pending_region = region;
-            self.pending_instrs = instrs as u64;
+            self.start_exec(region, instrs);
         }
     }
 
@@ -158,87 +162,72 @@ impl Tracer {
     /// into `MAX_ACCESS`-byte events.
     #[inline]
     pub fn load(&mut self, addr: u64, size: u32) {
-        self.access(addr, size, false, false);
+        self.loads += self.count_access(size);
+        if self.mode == Mode::Record {
+            self.record_access(addr, size, AccessKind::Load);
+        }
     }
 
     /// Record a *dependent* load — one whose result the following
     /// instructions need before they can issue (pointer chase).
     #[inline]
     pub fn load_dep(&mut self, addr: u64, size: u32) {
-        self.access(addr, size, true, false);
+        let n = self.count_access(size);
+        self.loads += n;
+        self.dep_loads += n;
+        if self.mode == Mode::Record {
+            self.record_access(addr, size, AccessKind::LoadDep);
+        }
     }
 
     /// Record a store of `size` bytes at `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, size: u32) {
-        self.access(addr, size, false, true);
+        self.stores += self.count_access(size);
+        if self.mode == Mode::Record {
+            self.record_access(addr, size, AccessKind::Store);
+        }
     }
 
+    /// Count the instructions of a `size`-byte access (one per
+    /// `MAX_ACCESS`-byte event) and return how many events it makes.
     #[inline]
-    fn access(&mut self, mut addr: u64, mut size: u32, dep: bool, is_store: bool) {
-        let n_events = size.max(1).div_ceil(MAX_ACCESS) as u64;
-        if is_store {
-            self.stores += n_events;
+    fn count_access(&mut self, size: u32) -> u64 {
+        let n_events = if size <= MAX_ACCESS {
+            1
         } else {
-            self.loads += n_events;
-        }
+            size.div_ceil(MAX_ACCESS) as u64
+        };
         self.instrs += n_events;
-        if self.mode == Mode::Null {
-            return;
-        }
-        self.flush_exec();
-        loop {
-            let chunk = size.clamp(1, MAX_ACCESS);
-            self.push(if is_store {
-                PackedEvent::store(addr, chunk)
-            } else {
-                PackedEvent::load(addr, chunk, dep)
-            });
-            if size <= MAX_ACCESS {
-                break;
-            }
-            size -= MAX_ACCESS;
-            addr += MAX_ACCESS as u64;
-        }
+        n_events
     }
 
     /// Ordering fence: lock acquisition/release, commit point.
     #[inline]
     pub fn fence(&mut self) {
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::fence());
-        }
+        self.fences += 1;
+        self.marker(Event::Fence);
     }
 
     /// Mark the completion of one unit of work (transaction or query).
     #[inline]
     pub fn unit_end(&mut self) {
         self.units += 1;
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::unit_end());
-        }
+        self.marker(Event::UnitEnd);
     }
 
     /// Mark the thread blocking on a lock wait (2PL queue).
     #[inline]
     pub fn block(&mut self) {
         self.blocks += 1;
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::block());
-        }
+        self.marker(Event::Block);
     }
 
     /// Mark the thread resuming after a lock grant or victim notification.
     #[inline]
     pub fn wake(&mut self) {
         self.wakes += 1;
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::wake());
-        }
+        self.marker(Event::Wake);
     }
 
     /// Mark the injection of a `bytes`-byte message onto the deployment
@@ -247,10 +236,7 @@ impl Tracer {
     pub fn remote_send(&mut self, bytes: u32) {
         self.remote_sends += 1;
         self.remote_bytes += bytes as u64;
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::remote_send(bytes));
-        }
+        self.marker(Event::RemoteSend { bytes });
     }
 
     /// Mark the consumption of a `bytes`-byte message from the deployment
@@ -259,45 +245,103 @@ impl Tracer {
     pub fn remote_recv(&mut self, bytes: u32) {
         self.remote_recvs += 1;
         self.remote_bytes += bytes as u64;
-        if self.mode == Mode::Record {
-            self.flush_exec();
-            self.push(PackedEvent::remote_recv(bytes));
-        }
+        self.marker(Event::RemoteRecv { bytes });
     }
 
     #[inline]
-    fn flush_exec(&mut self) {
-        if self.pending_region != NO_REGION {
-            let idx = self.pending_region as usize;
-            if idx >= self.region_instrs.len() {
-                self.region_instrs.resize(idx + 1, 0);
-            }
-            self.region_instrs[idx] += self.pending_instrs;
-            let mut remaining = self.pending_instrs;
-            while remaining > 0 {
-                let chunk = remaining.min(u32::MAX as u64) as u32;
-                self.push(PackedEvent::exec(self.pending_region, chunk));
-                remaining -= chunk as u64;
-            }
-            self.pending_region = NO_REGION;
-            self.pending_instrs = 0;
+    fn marker(&mut self, ev: Event) {
+        if self.mode == Mode::Record {
+            self.record_marker(ev);
         }
     }
 
-    /// Finish capture and produce the per-thread trace: the final
-    /// partial block is sealed and the sink hands back whatever it
+    // The three recording bodies. Out of line on purpose: they are what
+    // the inlined entry points above would otherwise copy into every
+    // charge and access site of the engine.
+
+    /// Flush the pending exec run and open one for `region`.
+    #[inline(never)]
+    fn start_exec(&mut self, region: RegionId, instrs: u32) {
+        self.flush_exec();
+        self.pending_region = region;
+        self.pending_instrs = instrs as u64;
+    }
+
+    #[inline(never)]
+    fn record_access(&mut self, mut addr: u64, mut size: u32, kind: AccessKind) {
+        self.flush_exec();
+        while size > MAX_ACCESS {
+            self.open.access(kind, addr, MAX_ACCESS);
+            self.seal_if_full();
+            size -= MAX_ACCESS;
+            addr += MAX_ACCESS as u64;
+        }
+        self.open.access(kind, addr, size.max(1));
+        self.seal_if_full();
+    }
+
+    #[inline(never)]
+    fn record_marker(&mut self, ev: Event) {
+        self.flush_exec();
+        self.open.push(ev);
+        self.seal_if_full();
+    }
+
+    /// Turn the pending exec run, if any, into an event.
+    #[inline(always)]
+    fn flush_exec(&mut self) {
+        let region = self.pending_region;
+        if region == NO_REGION {
+            return;
+        }
+        let instrs = std::mem::take(&mut self.pending_instrs);
+        self.pending_region = NO_REGION;
+        match self.region_instrs.get_mut(region as usize) {
+            Some(total) => *total += instrs,
+            None => self.first_exec_in(region, instrs),
+        }
+        if let Ok(instrs) = u32::try_from(instrs) {
+            self.open.exec(region, instrs);
+            self.seal_if_full();
+        } else {
+            self.exec_run_past_u32(region, instrs);
+        }
+    }
+
+    #[cold]
+    fn first_exec_in(&mut self, region: RegionId, instrs: u64) {
+        self.region_instrs.resize(region as usize + 1, 0);
+        self.region_instrs[region as usize] = instrs;
+    }
+
+    /// A coalesced run too long for one event: `u32::MAX`-instruction
+    /// events, then the remainder.
+    #[cold]
+    fn exec_run_past_u32(&mut self, region: RegionId, mut instrs: u64) {
+        while instrs > 0 {
+            let chunk = instrs.min(u32::MAX as u64) as u32;
+            self.open.exec(region, chunk);
+            self.seal_if_full();
+            instrs -= chunk as u64;
+        }
+    }
+
+    /// Finish capture and produce the per-thread trace: the open
+    /// segment is sealed and the sink hands back whatever it
     /// retained (a non-retaining sink yields a trace with correct
     /// aggregate counters but no replayable segments).
     pub fn finish(mut self) -> ThreadTrace {
         self.flush_exec();
-        self.seal_block();
+        self.seal();
         ThreadTrace {
             segments: self.sink.take_segments(),
-            n_events: self.n_events,
+            n_events: self.n_sealed,
             region_instrs: self.region_instrs,
             instrs: self.instrs,
             loads: self.loads,
+            dep_loads: self.dep_loads,
             stores: self.stores,
+            fences: self.fences,
             units: self.units,
             blocks: self.blocks,
             wakes: self.wakes,
@@ -324,7 +368,9 @@ pub struct ThreadTrace {
     region_instrs: Vec<u64>,
     instrs: u64,
     loads: u64,
+    dep_loads: u64,
     stores: u64,
+    fences: u64,
     units: u64,
     blocks: u64,
     wakes: u64,
@@ -389,9 +435,20 @@ impl ThreadTrace {
         self.loads
     }
 
+    /// Loads marked dependent (pointer chases) — a subset of
+    /// [`Self::loads`].
+    pub fn dep_loads(&self) -> u64 {
+        self.dep_loads
+    }
+
     /// Store events recorded.
     pub fn stores(&self) -> u64 {
         self.stores
+    }
+
+    /// Ordering fences recorded.
+    pub fn fences(&self) -> u64 {
+        self.fences
     }
 
     /// Completed work units (transactions/queries).
@@ -557,7 +614,7 @@ impl TraceBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{segments_decoded, CountingSink};
+    use crate::segment::{segments_decoded, CountingSink, MAX_EVENT_BYTES};
 
     #[test]
     fn exec_coalescing() {
@@ -704,11 +761,11 @@ mod tests {
     }
 
     /// ISSUE 6 acceptance: bounded-memory capture at 4× the paper's
-    /// 64-client OLTP scale. 256 live tracers stream multi-block
-    /// traces through non-retaining sinks; per-tracer trace memory
-    /// stays at exactly one staging block (`SEGMENT_EVENTS` events),
-    /// independent of trace length — so total capture memory is block
-    /// size × clients.
+    /// 64-client OLTP scale. 256 live tracers stream multi-segment
+    /// traces through non-retaining sinks; what each holds stays within
+    /// one open segment (`SEGMENT_EVENTS × MAX_EVENT_BYTES`),
+    /// independent of trace length — so total capture memory is that
+    /// bound × clients.
     #[test]
     fn streaming_sink_bounds_retained_memory_at_4x_paper_clients() {
         let clients = 256; // 4 × the paper's 64 OLTP clients
@@ -717,13 +774,16 @@ mod tests {
             .map(|_| Tracer::streaming(Box::<CountingSink>::default()))
             .collect();
         for (c, t) in tracers.iter_mut().enumerate() {
+            let mut peak = 0;
             for i in 0..n {
                 t.exec(1, 3);
                 t.load(0x8000 + (c as u64) * (1 << 20) + i * 64, 8);
+                peak = peak.max(t.staged_bytes());
             }
+            assert!(peak > 0, "the open segment holds the latest events");
             assert!(
-                t.block.capacity() <= SEGMENT_EVENTS,
-                "staging block must never outgrow one segment"
+                peak <= SEGMENT_EVENTS * MAX_EVENT_BYTES,
+                "staged bytes must never outgrow one segment: {peak}"
             );
         }
         for t in tracers {

@@ -85,10 +85,13 @@ proptest! {
 
     /// A tracer-produced segmented stream decodes to the same event
     /// sequence as feeding the ops through the flat packing directly,
-    /// for any op mix and any trace length relative to the block size.
+    /// for any op mix and any trace length relative to the block size —
+    /// and the segments it emitted are, byte for byte, what
+    /// `Segment::encode` makes of those packed words: the tracer's
+    /// direct column writes and the packed-word path are one encoder.
     #[test]
     fn tracer_stream_matches_flat_packing(
-        ops in prop::collection::vec((0u8..6, 0u16..8, 1u32..5000, 0u64..(1<<30)), 0..300),
+        ops in prop::collection::vec((0u8..10, 0u16..8, 1u32..5000, 0u64..(1<<30)), 0..300),
         to_boundary in 0usize..3,
     ) {
         let mut t = Tracer::recording();
@@ -99,7 +102,11 @@ proptest! {
                 2 => t.load_dep(addr, n),
                 3 => t.store(addr, n),
                 4 => t.fence(),
-                _ => t.unit_end(),
+                5 => t.unit_end(),
+                6 => t.block(),
+                7 => t.wake(),
+                8 => t.remote_send(n),
+                _ => t.remote_recv(n),
             }
         }
         // Optionally pad across a segment boundary so some cases seal
@@ -111,9 +118,11 @@ proptest! {
         let via_segments: Vec<Event> = tr.iter().collect();
         prop_assert_eq!(via_segments.len(), tr.len());
         let repacked: Vec<_> = via_segments.iter().map(|e| e.pack()).collect();
-        prop_assert_eq!(repacked, tr.packed_events());
+        prop_assert_eq!(&repacked, &tr.packed_events());
         let n_events: usize = tr.segments().iter().map(|s| s.len()).sum();
         prop_assert_eq!(n_events, tr.len());
+        let reencoded: Vec<Segment> = repacked.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
+        prop_assert_eq!(tr.segments(), &reencoded[..]);
     }
 
     /// Bump allocations never overlap and respect line alignment.

@@ -62,6 +62,61 @@ fn summary_agrees_with_bundle_counters() {
     assert_eq!(s.loads + s.stores, direct);
 }
 
+/// `TraceSummary::compute` reads capture-time counters and the `mem`
+/// columns; this is the fold over every decoded event it replaced, and
+/// the two must agree on real captures: a quick OLTP one (dependent
+/// loads, fences, shared lines across 16 clients) and a quick DSS one
+/// (multi-segment scans).
+#[test]
+fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
+    use dbcmp::trace::{Event, CACHE_LINE};
+    use std::collections::BTreeSet;
+
+    let scale = FigScale::quick();
+    for kind in [WorkloadKind::Oltp, WorkloadKind::Dss] {
+        let w = CapturedWorkload::saturated(kind, &scale);
+        let mut want = TraceSummary::default();
+        let (mut lines, mut regions) = (BTreeSet::new(), BTreeSet::new());
+        for ev in w.bundle.threads.iter().flat_map(|t| t.iter()) {
+            want.instrs += ev.instr_count();
+            match ev {
+                Event::Exec { region, .. } => {
+                    regions.insert(region);
+                }
+                Event::Load { addr, size, .. } | Event::Store { addr, size } => {
+                    lines.extend(addr / CACHE_LINE..=(addr + size.max(1) as u64 - 1) / CACHE_LINE);
+                    match ev {
+                        Event::Load { dep, .. } => {
+                            want.loads += 1;
+                            want.dep_loads += dep as u64;
+                        }
+                        _ => want.stores += 1,
+                    }
+                }
+                Event::Fence => want.fences += 1,
+                Event::UnitEnd => want.units += 1,
+                Event::Block => want.blocks += 1,
+                Event::Wake => want.wakes += 1,
+                Event::RemoteSend { bytes } => {
+                    want.remote_sends += 1;
+                    want.remote_bytes += bytes as u64;
+                }
+                Event::RemoteRecv { bytes } => {
+                    want.remote_recvs += 1;
+                    want.remote_bytes += bytes as u64;
+                }
+            }
+        }
+        want.data_lines = lines.len() as u64;
+        want.code_lines = regions
+            .iter()
+            .map(|&id| w.bundle.regions.get(id).footprint / CACHE_LINE)
+            .sum();
+        assert!(want.dep_loads > 0 && want.data_lines > 1000, "{kind:?}");
+        assert_eq!(w.summary, want, "{kind:?}");
+    }
+}
+
 /// Fig. 6 property: under CACTI latencies, the L2-hit stall CPI component
 /// grows monotonically with cache size (bigger cache ⇒ more hits, each
 /// slower).
