@@ -1,8 +1,9 @@
 //! Calvin-style deterministic pre-ordered locking.
 //!
 //! Transactions *declare* their full read/write set right after `begin`
-//! (derived by dry-running the per-transaction parameter streams — see
-//! `rwset` in `dbcmp-workloads`) and are granted all declared locks in
+//! (derived by dry-running the transaction body on a clone of its
+//! parameter stream under a recording handle — see `rwset` in
+//! `dbcmp-workloads`) and are granted all declared locks in
 //! strict FIFO declare order before they execute. Because begins are
 //! monotone and each client declares immediately after its begin under the
 //! round-robin scheduler, declare order tracks global transaction order —

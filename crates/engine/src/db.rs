@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dbcmp_trace::{AddressSpace, CodeRegions};
 
-use crate::btree::{BTree, Cursor};
+use crate::btree::BTree;
 use crate::catalog::{Catalog, IndexId, TableId};
 use crate::cc::{
     CcBackend, CcStats, Centralized2PL, ConcurrencyControl, DeterministicOrdered,
@@ -111,11 +111,6 @@ impl Database {
                 Box::new(DeterministicOrdered::new(&self.space, 64 * 1024))
             }
         };
-    }
-
-    /// The active concurrency-control backend.
-    pub fn cc_backend(&self) -> CcBackend {
-        self.cc.backend()
     }
 
     /// The backend's accumulated host-side counters.
@@ -349,16 +344,18 @@ impl Database {
     }
 
     /// Row-lock key: table discriminator in the high bits, RID below.
-    /// Public so read/write-set derivation (`rwset` in `dbcmp-workloads`)
-    /// can name the same keys the engine's own lock calls will use.
+    /// Public so read/write-set derivation (`rwset` in `dbcmp-workloads`,
+    /// which dry-runs the transaction body) names the keys the engine's
+    /// own lock calls will use.
     pub fn lock_key(table: TableId, rid: Rid) -> u64 {
         ((table as u64) << 52) | rid.pack()
     }
 
-    /// Lock-free row fetch for read/write-set derivation (`rwset` in
-    /// `dbcmp-workloads`): returns the heap row without taking a lock or
-    /// touching transaction state. Derivation runs under a null trace
-    /// context, so these probes never enter captures; the values read are
+    /// Lock-free row fetch — what a `read` is during read/write-set
+    /// derivation (`rwset` in `dbcmp-workloads`): returns the heap row
+    /// without taking a lock or touching transaction state. Derivation
+    /// runs under a null trace context, so these probes never enter
+    /// captures; the values read are
     /// advisory (a concurrent writer may change them before the declared
     /// locks are granted — the ordered backend's no-wait fallback absorbs
     /// such misses).
@@ -558,23 +555,6 @@ impl Database {
             .into_iter()
             .map(|(k, v)| (k, Rid::unpack(v)))
             .collect()
-    }
-
-    /// Open a cursor on an index (executor use).
-    pub fn index_cursor(&self, index: IndexId, lo: u64, hi: u64, tc: &mut TraceCtx) -> Cursor {
-        self.indexes[index].cursor(lo, hi, tc)
-    }
-
-    /// Advance an index cursor, returning the next `(key, rid)`.
-    pub fn index_cursor_next(
-        &self,
-        index: IndexId,
-        cur: &mut Cursor,
-        tc: &mut TraceCtx,
-    ) -> Option<(u64, Rid)> {
-        self.indexes[index]
-            .cursor_next(cur, tc)
-            .map(|(k, v)| (k, Rid::unpack(v)))
     }
 
     /// Table of an index.

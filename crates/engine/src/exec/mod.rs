@@ -15,9 +15,6 @@ pub mod filter;
 pub mod hash_agg;
 pub mod hash_join;
 pub mod index_join;
-pub mod index_scan;
-pub mod limit;
-pub mod nested_loop;
 pub mod project;
 pub mod rows;
 pub mod scan;
@@ -29,9 +26,6 @@ pub use filter::Filter;
 pub use hash_agg::HashAggregate;
 pub use hash_join::{BuildTable, HashJoin, JoinKind};
 pub use index_join::IndexJoin;
-pub use index_scan::IndexRangeScan;
-pub use limit::Limit;
-pub use nested_loop::NestedLoop;
 pub use project::Project;
 pub use rows::Rows;
 pub use scan::SeqScan;

@@ -73,7 +73,12 @@ pub struct Txn {
 }
 
 impl Txn {
-    pub(crate) fn new(id: TxnId) -> Self {
+    /// An open transaction holding nothing. `Database::begin` is how a
+    /// transaction a database knows about starts; a handle made here is
+    /// *detached* — for a driver that needs a `&mut Txn` to pass along but
+    /// never hands it to a database (read/write-set reconnaissance in
+    /// `dbcmp-workloads`).
+    pub fn new(id: TxnId) -> Self {
         Txn {
             id,
             locks: Vec::new(),

@@ -31,9 +31,6 @@ pub const CACHE_LINE: u64 = 64;
 /// Largest single load/store event payload, in bytes.
 pub const MAX_ACCESS: u32 = 4095;
 
-/// Largest instruction count encodable in one `Exec` event.
-pub const MAX_EXEC: u32 = u32::MAX;
-
 const OP_SHIFT: u32 = 62;
 const OP_EXEC: u64 = 0;
 const OP_LOAD: u64 = 1;

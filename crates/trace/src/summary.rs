@@ -14,7 +14,7 @@
 //! and no segment is decoded.
 
 use crate::event::CACHE_LINE;
-use crate::region::{CodeRegions, INSTR_BYTES};
+use crate::region::CodeRegions;
 use crate::tracer::ThreadTrace;
 
 /// A set of cache-line numbers that can only be added to and counted: a
@@ -191,11 +191,6 @@ impl TraceSummary {
         } else {
             (self.loads + self.stores) as f64 * 1000.0 / self.instrs as f64
         }
-    }
-
-    /// Sanity helper: expected fetches in instruction lines per instruction.
-    pub fn instr_bytes(&self) -> u64 {
-        self.instrs * INSTR_BYTES
     }
 }
 

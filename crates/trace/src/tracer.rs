@@ -112,12 +112,6 @@ impl Tracer {
         }
     }
 
-    /// Whether this tracer records events (vs counting only).
-    #[inline]
-    pub fn is_recording(&self) -> bool {
-        self.mode == Mode::Record
-    }
-
     /// Encoded bytes held in the open segment — all the trace memory a
     /// recording tracer keeps outside its sink. At most
     /// [`SEGMENT_EVENTS`]` × `[`MAX_EVENT_BYTES`](crate::MAX_EVENT_BYTES)

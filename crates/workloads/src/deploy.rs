@@ -136,7 +136,18 @@ fn owner(w: u64, warehouses: u64, n: usize) -> usize {
 
 /// Salt for the per-transaction parameter streams, keeping them disjoint
 /// from the per-client streams drawn from the same capture seed.
-pub(crate) const TXN_SALT: u64 = 0x7C9A_11E5_D3B0_77AA;
+const TXN_SALT: u64 = 0x7C9A_11E5_D3B0_77AA;
+
+/// The private parameter stream of `client`'s `attempt`-th transaction.
+/// A client owns 1024 consecutive streams; one attempt more would be
+/// handed the next client's first, so that fails loudly instead.
+pub(crate) fn txn_rng(seed: u64, client: usize, attempt: usize) -> StdRng {
+    assert!(
+        attempt < 1024,
+        "client {client}: attempt {attempt} would alias the next client's parameter streams"
+    );
+    client_rng(seed ^ TXN_SALT, client * 1024 + attempt)
+}
 
 /// Draw a uniformly random warehouse other than `w_home` (wrap-around
 /// re-aim on a self-hit, so exactly one draw is consumed).
@@ -241,7 +252,7 @@ pub fn capture_oltp_deployment_workers(
                 .then_some(other);
             // Parameters come from the transaction's own stream, so one
             // flavor's consumption can't shift later transactions.
-            let mut trng = client_rng(seed ^ TXN_SALT, client * 1024 + unit);
+            let mut trng = txn_rng(seed, client, unit);
             // Sequential capture: one transaction (or one home/service
             // pair on different instances) is live at a time, so nothing
             // can conflict or park — an engine error is a bug, not a retry.
@@ -570,6 +581,20 @@ mod tests {
             partitions,
             multi_pct,
         }
+    }
+
+    /// Two adjacent clients' 2 × 1024 per-transaction streams are all
+    /// distinct, and attempt 1024 — which used to be handed the next
+    /// client's attempt 0 — is refused.
+    #[test]
+    fn txn_streams_do_not_alias_across_clients() {
+        let firsts: std::collections::BTreeSet<u64> = (0..2)
+            .flat_map(|client| (0..1024).map(move |attempt| (client, attempt)))
+            .map(|(client, attempt)| txn_rng(0xD3B, client, attempt).gen())
+            .collect();
+        assert_eq!(firsts.len(), 2 * 1024);
+        assert_eq!(txn_rng(0xD3B, 1, 0), client_rng(0xD3B ^ TXN_SALT, 1024));
+        assert!(std::panic::catch_unwind(|| txn_rng(0xD3B, 0, 1024)).is_err());
     }
 
     /// W=4 scale that divides across 1/2/4 instances.

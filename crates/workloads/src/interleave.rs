@@ -37,7 +37,7 @@ use dbcmp_engine::txn::{Txn, TxnId};
 use dbcmp_engine::{CcBackend, CcStats, Database, EngineError, EngineRegions, Result, TraceCtx};
 use dbcmp_trace::{ThreadTrace, TraceBundle};
 
-use crate::deploy::TXN_SALT;
+use crate::deploy::txn_rng;
 use crate::ops::EngineOps;
 use crate::rng::client_rng;
 use crate::rwset::rw_set;
@@ -68,8 +68,9 @@ pub struct InterleaveOptions {
     ///
     /// The backend also fixes where transaction parameters are drawn
     /// from: [`CcBackend::DeterministicOrdered`] derives each attempt's
-    /// read/write set by replaying its parameter draws, so there every
-    /// attempt gets a private stream; the other backends draw everything
+    /// read/write set by dry-running its body, which consumes the draws
+    /// once more, so there every attempt gets a private stream
+    /// (`deploy::txn_rng`); the other backends draw everything
     /// from the per-client stream. Captures under the ordered backend
     /// therefore run different transactions than the other two at the
     /// same seed (DESIGN.md §8).
@@ -288,7 +289,7 @@ async fn client_session(
             // A private parameter stream per attempt (kind and hot roll
             // stay on the client stream, as in the deployment capture),
             // because the backend needs the attempt's draws twice.
-            let mut trng = client_rng(opt.seed ^ TXN_SALT, client * 1024 + guard);
+            let mut trng = txn_rng(opt.seed, client, guard);
             // Reconnaissance: derive the read/write set against the
             // database state this client observes under the baton, then
             // declare it right after begin. One budgeted (untraced)

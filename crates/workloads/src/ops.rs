@@ -1,22 +1,28 @@
 //! How one engine operation is driven.
 //!
 //! Workload drivers (the TPC-C transactions in [`crate::tpcc::txns`]) are
-//! generic over [`EngineOps`] so the *same* transaction code runs in two
-//! capture regimes, which differ in exactly one decision — what happens
-//! between asking for an engine operation and getting its result:
+//! generic over [`EngineOps`] so the *same* transaction code runs under
+//! three handles, which differ in one decision — what happens between
+//! asking for an engine operation and getting its result:
 //!
-//! * directly against [`Database`] — the sequential one-client-at-a-time
-//!   capture, where every operation completes immediately and the caller
-//!   drives the transaction with [`now`]; and
-//! * against a scheduler-mediated handle ([`crate::interleave`]'s
-//!   `ClientDb`) that serializes many client sessions onto one shared
-//!   [`Database`] in deterministic round-robin slices, suspending a
-//!   session whenever its slice is used up or the lock manager returns
+//! * **call it** — directly against [`Database`]: the sequential
+//!   one-client-at-a-time capture, where every operation completes
+//!   immediately and the caller drives the transaction with [`now`];
+//! * **call it, then maybe suspend** — a scheduler-mediated handle
+//!   ([`crate::interleave`]'s `ClientDb`) that serializes many client
+//!   sessions onto one shared [`Database`] in deterministic round-robin
+//!   slices, suspending a session whenever its slice is used up or the
+//!   lock manager returns
 //!   [`EngineError::LockWait`](dbcmp_engine::EngineError::LockWait), and
-//!   retrying the operation once the lock is granted.
+//!   retrying the operation once the lock is granted; and
+//! * **record it instead** — [`crate::rwset`]'s `Recon`, under which a
+//!   body run leaves the database untouched and yields the read/write set
+//!   the deterministic-ordered backend declares before the real run.
 //!
-//! That decision is [`EngineOps::op`], the trait's one required method.
-//! Every named operation is written once, on top of it.
+//! The first two make that decision in [`EngineOps::op`], the trait's one
+//! required method, and take every named operation as written once on top
+//! of it; the third overrides the named row and index operations and
+//! refuses `op`, because nothing it does may reach the database.
 
 use std::future::Future;
 use std::pin::pin;

@@ -14,7 +14,7 @@ use dbcmp_trace::AddressSpace;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::rng::{client_rng, last_name, uniform};
+use crate::rng::{client_rng, last_name};
 
 /// Scale parameters (defaults are the capture-friendly scale-down of the
 /// paper's 100-warehouse database).
@@ -508,11 +508,6 @@ pub fn random_customer(rng: &mut StdRng, h: &TpccDb) -> u64 {
 /// Random item id per spec (NURand 8191).
 pub fn random_item(rng: &mut StdRng, h: &TpccDb) -> u64 {
     crate::rng::nurand(rng, 8191, h.c_item, 1, h.scale.items)
-}
-
-/// Random warehouse uniformly.
-pub fn random_warehouse(rng: &mut StdRng, h: &TpccDb) -> u64 {
-    uniform(rng, 1, h.scale.warehouses)
 }
 
 #[cfg(test)]

@@ -92,12 +92,12 @@ impl TxnCfg {
     }
 }
 
-pub(crate) fn draw_district(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
+fn draw_district(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
     cfg.district
         .unwrap_or_else(|| uniform(rng, 1, h.scale.districts_per_wh))
 }
 
-pub(crate) fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
+fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
     match cfg.item_pool {
         Some(n) => uniform(rng, 1, n.min(h.scale.items)),
         None => random_item(rng, h),
@@ -155,14 +155,7 @@ pub async fn run_txn_cfg_declared<D: EngineOps>(
             return Err(e);
         }
     }
-    let body = match kind {
-        TxnKind::NewOrder => new_order(db, h, &mut txn, cfg, rng, tc).await,
-        TxnKind::Payment => payment(db, h, &mut txn, cfg, rng, tc).await,
-        TxnKind::OrderStatus => order_status(db, h, &mut txn, cfg, rng, tc).await,
-        TxnKind::Delivery => delivery(db, h, &mut txn, cfg, rng, tc).await,
-        TxnKind::StockLevel => stock_level(db, h, &mut txn, cfg, rng, tc).await,
-    };
-    match body {
+    match run_body(db, h, &mut txn, kind, cfg, rng, tc).await {
         Ok(TxnOutcome::Committed) => {
             db.commit(txn, tc).await?;
             tc.unit_end();
@@ -177,6 +170,29 @@ pub async fn run_txn_cfg_declared<D: EngineOps>(
             db.abort(txn, tc).await;
             Err(e)
         }
+    }
+}
+
+/// The kind → body table: run `kind`'s statements inside the open `txn`
+/// and return the outcome the body intends, leaving commit/abort to the
+/// caller. [`run_txn_cfg_declared`] executes through it and
+/// [`rw_set`](crate::rwset::rw_set) derives a read/write set through it,
+/// so the declared set is the set these statements name.
+pub(crate) async fn run_body<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    kind: TxnKind,
+    cfg: TxnCfg,
+    rng: &mut StdRng,
+    tc: &mut TraceCtx,
+) -> Result<TxnOutcome> {
+    match kind {
+        TxnKind::NewOrder => new_order(db, h, txn, cfg, rng, tc).await,
+        TxnKind::Payment => payment(db, h, txn, cfg, rng, tc).await,
+        TxnKind::OrderStatus => order_status(db, h, txn, cfg, rng, tc).await,
+        TxnKind::Delivery => delivery(db, h, txn, cfg, rng, tc).await,
+        TxnKind::StockLevel => stock_level(db, h, txn, cfg, rng, tc).await,
     }
 }
 
