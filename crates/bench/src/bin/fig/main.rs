@@ -9,9 +9,6 @@
 //! runs; wall-clock reports go to stderr. An unknown figure or flag
 //! exits 2 with the usage and the figure list.
 
-// Harness binary in the wall-clock layer; rule D2 exempts crates/bench.
-#![allow(clippy::disallowed_methods)]
-
 mod ablations;
 mod extensions;
 mod paper;

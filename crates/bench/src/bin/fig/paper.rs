@@ -333,13 +333,9 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
 }
 
 /// Fig. 8: effect of on-chip core count on throughput (FC CMP, 16 MB
-/// shared L2), against the linear-speedup reference. Also the acceptance
-/// benchmark for the parallel sweep runner: the same sweep runs fanned
-/// out and sequentially, asserts byte-identical results, and reports
-/// both wall-clock times.
+/// shared L2), against the linear-speedup reference.
 pub fn fig8_core_count(scale: &FigScale) {
-    let run = fig8_core_scaling(scale, &[4, 8, 12, 16]);
-    for (workload, pts) in &run.series {
+    for (workload, pts) in &fig8_core_scaling(scale, &[4, 8, 12, 16]) {
         println!("\n-- {} --", workload.label());
         let rows: Vec<Vec<String>> = pts
             .iter()
@@ -352,22 +348,6 @@ pub fn fig8_core_count(scale: &FigScale) {
                 &rows
             )
         );
-    }
-    // Wall-clock record goes to stderr: stdout stays byte-identical
-    // across runs (the determinism contract the verify workflow diffs).
-    eprintln!();
-    eprintln!(
-        "Sweep runner: parallel {:.2} s ({} worker{}) vs sequential {:.2} s \
-         ({:.2}x) — results byte-identical (asserted).",
-        run.parallel.as_secs_f64(),
-        run.workers,
-        if run.workers == 1 { "" } else { "s" },
-        run.sequential.as_secs_f64(),
-        run.sequential.as_secs_f64() / run.parallel.as_secs_f64().max(1e-9),
-    );
-    if run.workers == 1 {
-        eprintln!("(single-CPU host: the runner degrades to the sequential path;");
-        eprintln!(" expect ~min(CPUs, points)x on a multi-core machine)");
     }
     println!();
     println!("Paper shape: DSS slightly superlinear at 8 cores (sharing), OLTP");

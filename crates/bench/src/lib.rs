@@ -8,7 +8,7 @@
 //! smaller-scale pass over the same code paths). The simulation points
 //! inside each figure fan out over OS threads via
 //! `dbcmp_core::experiment::grid` (results are byte-identical to a
-//! sequential run; `fig fig8_core_count` prints both wall-clock times).
+//! sequential run).
 //!
 //! The performance record is the `bench_pipeline` binary: it times the
 //! whole pipeline end to end and layer by layer — codec encode/decode
@@ -16,8 +16,10 @@
 //! (see its README and `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
-// crates/bench is the wall-clock layer; rule D2 exempts it.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "crates/bench is the wall-clock layer; its clocks go to stderr, never into a capture or figure datum"
+)]
 
 use dbcmp_core::FigScale;
 

@@ -96,7 +96,7 @@ fn fig7_smp_vs_cmp_quick() {
 #[test]
 fn fig8_core_scaling_quick() {
     let scale = FigScale::quick();
-    let series = fig8_core_scaling(&scale, &[1, 2]).series;
+    let series = fig8_core_scaling(&scale, &[1, 2]);
     assert_eq!(series.len(), 2);
     for (_, pts) in series {
         assert_eq!(pts.len(), 2);
@@ -252,17 +252,6 @@ fn fig_cc_quick() {
         ord.stats.lock_waits, 0,
         "ordered execution parks before running, never mid-transaction"
     );
-}
-
-/// Fig. 8's parallel and sequential sweeps of the same points must
-/// agree — the assertion lives inside the generator; here we check it
-/// runs and reports both clocks.
-#[test]
-fn fig8_timed_parallel_equals_sequential() {
-    let scale = FigScale::quick();
-    let run = fig8_core_scaling(&scale, &[1, 2]);
-    assert_eq!(run.series.len(), 2);
-    assert!(run.parallel.as_nanos() > 0 && run.sequential.as_nanos() > 0);
 }
 
 /// Numeric equality of two runs, ignoring the machine name (presets and
@@ -679,21 +668,4 @@ fn ablations_baseline_path() {
     let spec = spec_of(&scale);
     let res = run_throughput(fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti), &w.bundle, spec);
     assert!(res.cycles > 0 && res.instrs > 0);
-}
-
-/// The whole tree stays clean under `dbcmp-lint` (ISSUE 8): the same
-/// determinism/robustness pass CI runs as `cargo run --release -p lint`
-/// also fails `cargo test` directly, so a violation cannot land through
-/// a path that skips the lint job.
-#[test]
-fn tree_is_lint_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the workspace root");
-    let diags = lint::run(root).expect("workspace tree readable");
-    assert!(
-        diags.is_empty(),
-        "dbcmp-lint found violations (run `cargo run -p lint` for details):\n{diags:#?}"
-    );
 }

@@ -20,6 +20,7 @@
 //! than shipping products achieve, so treat the output as optimistic.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 pub mod historic;
 pub mod model;
 

@@ -322,16 +322,6 @@ pub fn grid<R: Debug, C: Debug>(
     rows: Vec<(R, &TraceBundle)>,
     columns: impl Fn(&R) -> Vec<Column<C>>,
 ) -> Grid<R, C> {
-    grid_with(rows, columns, |sweep, bundles| sweep.run_each(bundles))
-}
-
-/// [`grid`] with the sweep execution handed to `run` — Fig. 8 times the
-/// parallel and sequential runners on the same points.
-pub fn grid_with<R: Debug, C: Debug>(
-    rows: Vec<(R, &TraceBundle)>,
-    columns: impl Fn(&R) -> Vec<Column<C>>,
-    run: impl FnOnce(&Sweep, &[&TraceBundle]) -> Vec<SimResult>,
-) -> Grid<R, C> {
     let mut sweep = Sweep::new();
     let mut bundles = Vec::new();
     let mut shape = Vec::new();
@@ -345,7 +335,7 @@ pub fn grid_with<R: Debug, C: Debug>(
         shape.push((key, cols));
     }
     // `run_each` returns one result per point, in point order.
-    let mut results = run(&sweep, &bundles).into_iter();
+    let mut results = sweep.run_each(&bundles).into_iter();
     let rows = shape
         .into_iter()
         .map(|(key, cols)| GridRow {

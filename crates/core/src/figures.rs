@@ -12,7 +12,7 @@ use dbcmp_trace::TraceBundle;
 use dbcmp_workloads::tpch::QueryKind;
 use dbcmp_workloads::ContentionStats;
 
-use crate::experiment::{grid, grid_with, run_throughput, Column, Grid, RunSpec};
+use crate::experiment::{grid, run_throughput, Column, Grid, RunSpec};
 use crate::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, smp_baseline, L2Spec};
 use crate::taxonomy::{Camp, Saturation, WorkloadKind};
 use crate::workload::{CapturedWorkload, FigScale};
@@ -254,8 +254,12 @@ pub fn fig_contention(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, 
 
 /// Figure label for a concurrency-control backend.
 ///
-/// Exhaustive over [`CcBackend`] by design — the dbcmp-lint X2 rule
-/// rejects builds where a backend variant is missing here.
+/// Exhaustive over [`CcBackend`] by design: a missing variant fails the
+/// build (E0004) and a `_ =>` arm fails clippy.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn cc_backend_label(backend: CcBackend) -> &'static str {
     match backend {
         CcBackend::Centralized2PL => "2PL",
@@ -266,8 +270,12 @@ pub fn cc_backend_label(backend: CcBackend) -> &'static str {
 
 /// Figure label for an exchange strategy.
 ///
-/// Exhaustive over [`ExchangeStrategy`] by design — the dbcmp-lint X3
-/// rule rejects builds where a strategy variant is missing here.
+/// Exhaustive over [`ExchangeStrategy`] by design: a missing variant
+/// fails the build (E0004) and a `_ =>` arm fails clippy.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn exchange_label(strategy: ExchangeStrategy) -> &'static str {
     match strategy {
         ExchangeStrategy::Local => "LOCAL",
@@ -311,59 +319,24 @@ pub fn fig_cc(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static
 /// One Fig. 8 point: (cores, normalized throughput, linear reference).
 pub type ScalingPoint = (usize, f64, f64);
 
-/// Fig. 8 with wall-clock evidence for the sweep runner: the series plus
-/// the parallel and sequential times of the *same* sweep, which must be
-/// result-identical.
-pub struct Fig8Run {
-    pub series: Vec<(WorkloadKind, Vec<ScalingPoint>)>,
-    pub parallel: std::time::Duration,
-    pub sequential: std::time::Duration,
-    /// Worker threads the parallel run used (1 on a single-CPU host,
-    /// where the runner degrades to the sequential path by design).
-    pub workers: usize,
-}
-
-/// Fig. 8: throughput vs core count (FC CMP, 16 MB shared L2). The one
-/// sweep runs fanned out and then sequentially, results asserted
-/// identical, and both clocks are reported (the acceptance record in
-/// EXPERIMENTS.md).
-pub fn fig8_core_scaling(scale: &FigScale, core_counts: &[usize]) -> Fig8Run {
+/// Fig. 8: throughput vs core count (FC CMP, 16 MB shared L2), one
+/// scaling series per workload.
+pub fn fig8_core_scaling(
+    scale: &FigScale,
+    core_counts: &[usize],
+) -> Vec<(WorkloadKind, Vec<ScalingPoint>)> {
     let spec = spec_of(scale);
     let base_cores = core_counts[0];
     // Enough clients to keep the largest machine saturated.
     let max_ctx = core_counts.iter().max().unwrap() * 2;
     let captures = both_workloads(|w| CapturedWorkload::saturating(w, scale, max_ctx));
-    let mut workers = 0;
-    let mut parallel = std::time::Duration::ZERO;
-    let mut sequential = std::time::Duration::ZERO;
-    let results = grid_with(
-        rows_of(&captures),
-        |_| {
-            let machines = core_counts
-                .iter()
-                .map(|&n| (n, fc_cmp(n, 16 << 20, L2Spec::Cacti)));
-            throughput_columns(machines, spec)
-        },
-        |sweep, bundles| {
-            workers = sweep.default_workers();
-            #[allow(clippy::disallowed_methods)]
-            // lint:allow(wall-clock): measures host speedup of the sweep itself; never feeds a capture or figure datum, and the identity assert below proves results are time-independent
-            let t0 = std::time::Instant::now();
-            let results = sweep.run_each(bundles);
-            parallel = t0.elapsed();
-            #[allow(clippy::disallowed_methods)]
-            // lint:allow(wall-clock): same host-side speedup measurement as t0 above
-            let t1 = std::time::Instant::now();
-            let seq = sweep.run_each_sequential(bundles);
-            sequential = t1.elapsed();
-            assert_eq!(
-                results, seq,
-                "parallel and sequential fig8 sweeps must be byte-identical"
-            );
-            results
-        },
-    );
-    let series = results
+    let results = grid(rows_of(&captures), |_| {
+        let machines = core_counts
+            .iter()
+            .map(|&n| (n, fc_cmp(n, 16 << 20, L2Spec::Cacti)));
+        throughput_columns(machines, spec)
+    });
+    results
         .rows
         .iter()
         .map(|row| {
@@ -378,13 +351,7 @@ pub fn fig8_core_scaling(scale: &FigScale, core_counts: &[usize]) -> Fig8Run {
             }
             (row.key, series)
         })
-        .collect();
-    Fig8Run {
-        series,
-        parallel,
-        sequential,
-        workers,
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------- Fig. 9 (ablation)

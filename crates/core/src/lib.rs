@@ -7,6 +7,7 @@
 //! figure/table in [figures].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 pub mod deploy;
 pub mod experiment;
 pub mod figures;

@@ -43,9 +43,10 @@ pub use partitioned::PartitionedPerCore;
 
 /// Which concurrency-control backend a [`Database`](crate::Database) runs.
 ///
-/// Adding a variant here is a cross-cutting change: the dbcmp-lint X2 rule
-/// requires every variant to be handled in the interleaved scheduler's
-/// block-classification dispatch and in the figure label table.
+/// Adding a variant here is a cross-cutting change: the interleaved
+/// scheduler's block-classification dispatch (`count_block`) and the
+/// figure label table (`cc_backend_label`) are wildcard-free matches, so
+/// the build fails until both handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CcBackend {
     /// One shared wait-queue lock manager (the seed's 2PL discipline).

@@ -179,8 +179,11 @@ impl Database {
         for rid in self.heaps[table].rids() {
             if let Some(tuple) = self.heaps[table].read_at(rid, &mut tc) {
                 let key = key_fn(&tuple.to_row(), rid);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a duplicate key here means the caller's key_fn is wrong for this table — a programming error at schema-definition time, not a runtime condition"
+                )]
                 tree.insert(key, rid.pack(), &self.space, &mut tc)
-                    // lint:allow(panic): a duplicate key here means the caller's key_fn is wrong for this table — a programming error at schema-definition time, not a runtime condition
                     .expect("index build: duplicate key");
             }
         }
@@ -201,8 +204,11 @@ impl Database {
         &self.heaps[id]
     }
 
-    #[allow(clippy::should_implement_trait)] // accessor by id, not ops::Index
     /// The B+Tree behind an index handle.
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "accessor by id, not ops::Index"
+    )]
     pub fn index(&self, id: IndexId) -> &BTree {
         &self.indexes[id]
     }
@@ -641,7 +647,10 @@ impl Loader<'_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::inconsistent_digit_grouping)] // money literals: dollars_cents
+#[allow(
+    clippy::inconsistent_digit_grouping,
+    reason = "money literals: dollars_cents"
+)]
 mod tests {
     use super::*;
     use crate::types::ColType;

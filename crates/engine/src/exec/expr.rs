@@ -6,7 +6,7 @@ use crate::types::{Columns, Value};
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // the variants are the SQL comparison operators
+#[allow(missing_docs, reason = "the variants are the SQL comparison operators")]
 pub enum CmpOp {
     Eq,
     Ne,

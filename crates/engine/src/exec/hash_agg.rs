@@ -5,12 +5,10 @@
 //! the simulated address space; each input row costs an update (store) to
 //! its group's line.
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
-
-// lint:allow(hash-order): key->index lookup and len-only distinct sets; emission order is the insertion-ordered `groups` Vec
+#[allow(
+    clippy::disallowed_types,
+    reason = "key->index lookup and len-only distinct sets; emission order is the insertion-ordered `groups` Vec"
+)]
 use std::collections::{HashMap, HashSet};
 
 use crate::costs::instr;
@@ -28,7 +26,10 @@ struct GroupState {
     sums: Vec<i64>,
     mins: Vec<i64>,
     maxs: Vec<i64>,
-    // lint:allow(hash-order): only `len()` is read (COUNT DISTINCT)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "only `len()` is read (COUNT DISTINCT)"
+    )]
     distincts: Vec<HashSet<i64>>,
 }
 
@@ -55,6 +56,10 @@ impl HashAggregate {
         }
     }
 
+    #[allow(
+        clippy::disallowed_types,
+        reason = "len-only distinct counters, see GroupState"
+    )]
     fn fresh_state(&self) -> GroupState {
         GroupState {
             count: 0,
@@ -62,7 +67,6 @@ impl HashAggregate {
             sums: vec![0; self.aggs.len()],
             mins: vec![i64::MAX; self.aggs.len()],
             maxs: vec![i64::MIN; self.aggs.len()],
-            // lint:allow(hash-order): len-only distinct counters, see GroupState
             distincts: vec![HashSet::new(); self.aggs.len()],
         }
     }
@@ -72,7 +76,10 @@ impl Executor for HashAggregate {
     fn open(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<()> {
         self.child.open(db, tc)?;
         self.table_addr = tc.scratch_alloc(&db.space, 64 * 1024);
-        // lint:allow(hash-order): get/insert only; rows are emitted from `groups`, which preserves first-seen key order
+        #[allow(
+            clippy::disallowed_types,
+            reason = "get/insert only; rows are emitted from `groups`, which preserves first-seen key order"
+        )]
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut groups: Vec<(Vec<Value>, GroupState)> = Vec::new();
 

@@ -5,12 +5,10 @@
 //! (hash-chain walk). Outer joins preserve unmatched probe rows padded
 //! with NULLs.
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
-
-// lint:allow(hash-order): the build table is probed by key only; output follows probe-stream order
+#[allow(
+    clippy::disallowed_types,
+    reason = "the build table is probed by key only; output follows probe-stream order"
+)]
 use std::collections::HashMap;
 
 use crate::costs::instr;
@@ -59,7 +57,10 @@ pub(crate) fn bucket_addr(base: u64, n_buckets: u64, key: &Value) -> u64 {
 /// decides by passing its base address.
 #[derive(Debug)]
 pub struct BuildTable {
-    // lint:allow(hash-order): probed per key; per-key match Vecs preserve build order
+    #[allow(
+        clippy::disallowed_types,
+        reason = "probed per key; per-key match Vecs preserve build order"
+    )]
     table: HashMap<Value, Vec<Row>>,
     base: u64,
     n_buckets: u64,
@@ -85,8 +86,11 @@ impl BuildTable {
     /// dropped (SQL: NULL never participates in an equi-join), the rest
     /// store 16 bytes into their bucket line.
     pub fn build(base: u64, rows: Vec<Row>, key: usize, tc: &mut TraceCtx) -> Self {
+        #[allow(
+            clippy::disallowed_types,
+            reason = "filled in deterministic input order; the map is only ever probed"
+        )]
         let mut t = BuildTable {
-            // lint:allow(hash-order): filled in deterministic input order; the map is only ever probed
             table: HashMap::with_capacity(rows.len()),
             base,
             n_buckets: Self::buckets_for(rows.len()),

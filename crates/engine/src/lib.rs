@@ -33,6 +33,11 @@
 //! interleaving behaves correctly.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
 #![warn(missing_docs)]
 
 pub mod btree;

@@ -29,12 +29,10 @@
 //! `WaitUpgraded`), and [`LockMgr::drain_woken`] hands the scheduler the
 //! transactions it must resume, in grant order (determinism).
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
-
-// lint:allow(hash-order): every map below is keyed lookup only; wake order comes from the `woken` Vec and wait_graph sorts before iterating
+#[allow(
+    clippy::disallowed_types,
+    reason = "every map below is keyed lookup only; wake order comes from the `woken` Vec and wait_graph sorts before iterating"
+)]
 use std::collections::{HashMap, VecDeque};
 
 use crate::costs::instr;
@@ -101,13 +99,22 @@ pub struct LockMgr {
     /// byte-identical unless a deployment opts in.
     contention: u32,
     /// txn → key it is parked on (each txn waits on at most one key).
-    // lint:allow(hash-order): per-txn lookups only; see module note
+    #[allow(
+        clippy::disallowed_types,
+        reason = "per-txn lookups only; see the note on the `HashMap` import"
+    )]
     waiting: HashMap<TxnId, u64>,
     /// Grants decided while the winner was parked: txn → (key, upgrade).
-    // lint:allow(hash-order): per-txn lookups only; see module note
+    #[allow(
+        clippy::disallowed_types,
+        reason = "per-txn lookups only; see the note on the `HashMap` import"
+    )]
     granted: HashMap<TxnId, (u64, bool)>,
     /// Deadlock victims to notify at their next acquire: txn → key.
-    // lint:allow(hash-order): per-txn lookups only; see module note
+    #[allow(
+        clippy::disallowed_types,
+        reason = "per-txn lookups only; see the note on the `HashMap` import"
+    )]
     victims: HashMap<TxnId, u64>,
     /// Wake notifications (grants + victims) since the last drain, in
     /// decision order.
@@ -116,6 +123,10 @@ pub struct LockMgr {
 
 impl LockMgr {
     /// `n_buckets` is rounded up to a power of two.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "keyed-lookup maps, justified at their declarations"
+    )]
     pub fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         let n = n_buckets.next_power_of_two().max(64);
         LockMgr {
@@ -123,10 +134,9 @@ impl LockMgr {
             addr: space.alloc("lock-table", n as u64 * 64),
             mask: (n - 1) as u64,
             contention: 0,
-            // lint:allow(hash-order): keyed-lookup maps, justified at their declarations
             waiting: HashMap::new(),
-            granted: HashMap::new(), // lint:allow(hash-order): keyed-lookup map, justified at its declaration
-            victims: HashMap::new(), // lint:allow(hash-order): keyed-lookup map, justified at its declaration
+            granted: HashMap::new(),
+            victims: HashMap::new(),
             woken: Vec::new(),
         }
     }
@@ -297,7 +307,10 @@ impl LockMgr {
                 tc.r.lock_mgr,
                 instr::DEADLOCK_SCAN * cycle.len().max(1) as u32,
             );
-            // lint:allow(panic): find_cycle returned Some, so the Vec has at least one member
+            #[expect(
+                clippy::expect_used,
+                reason = "find_cycle returned Some, so the Vec has at least one member"
+            )]
             let victim = *cycle.iter().max().expect("cycle is nonempty");
             if victim == txn {
                 self.remove_waiter(txn, tc);
@@ -306,11 +319,14 @@ impl LockMgr {
             // A parked waiter dies: dequeue it now (so grants can flow) and
             // notify it through the scheduler; its held locks release when
             // the transaction aborts.
+            #[expect(
+                clippy::expect_used,
+                reason = "the cycle was built from `waiting` edges this same pass, with no mutation in between"
+            )]
             let vkey = self
                 .waiting
                 .get(&victim)
                 .copied()
-                // lint:allow(panic): the cycle was built from `waiting` edges this same pass, with no mutation in between
                 .expect("cycle members are waiters");
             self.remove_waiter(victim, tc);
             self.victims.insert(victim, vkey);
@@ -396,7 +412,10 @@ impl LockMgr {
             if !can {
                 break;
             }
-            // lint:allow(panic): the `while let Some` guard above proved the queue non-empty
+            #[expect(
+                clippy::expect_used,
+                reason = "the `while let Some` guard above proved the queue non-empty"
+            )]
             let w = e.waiters.pop_front().expect("front exists");
             if w.upgrade {
                 e.mode = LockMode::Exclusive;

@@ -49,8 +49,16 @@ impl SlottedPage {
 
     fn slot(&self, slot: SlotId) -> (u16, u16) {
         let p = self.slot_pos(slot);
-        let off = u16::from_le_bytes(self.data[p..p + 2].try_into().unwrap()); // lint:allow(panic): 2-byte slice into [u8; 2] is infallible
-        let len = u16::from_le_bytes(self.data[p + 2..p + 4].try_into().unwrap()); // lint:allow(panic): 2-byte slice into [u8; 2] is infallible
+        #[expect(
+            clippy::unwrap_used,
+            reason = "2-byte slice into [u8; 2] is infallible"
+        )]
+        let off = u16::from_le_bytes(self.data[p..p + 2].try_into().unwrap());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "2-byte slice into [u8; 2] is infallible"
+        )]
+        let len = u16::from_le_bytes(self.data[p + 2..p + 4].try_into().unwrap());
         (off, len)
     }
 

@@ -63,9 +63,12 @@ impl Schema {
     /// Index of a column by name (panics on unknown name — schema bugs are
     /// programming errors, not runtime conditions; fallible callers use
     /// [`Self::try_col`]).
+    #[expect(
+        clippy::panic,
+        reason = "documented panic shim over try_col for hard-coded query-plan column names"
+    )]
     pub fn col(&self, name: &str) -> usize {
         self.try_col(name)
-            // lint:allow(panic): documented panic shim over try_col for hard-coded query-plan column names
             .unwrap_or_else(|| panic!("unknown column {name}"))
     }
 }

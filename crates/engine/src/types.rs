@@ -206,14 +206,28 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
     let col = &schema.columns()[i];
     let off = schema.offset(i);
     match col.ty {
-        ColType::Int => Value::Int(i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())), // lint:allow(panic): fixed 8-byte slice into [u8; 8] is infallible
+        #[expect(
+            clippy::unwrap_used,
+            reason = "fixed 8-byte slice into [u8; 8] is infallible"
+        )]
+        ColType::Int => Value::Int(i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())),
+        #[expect(
+            clippy::unwrap_used,
+            reason = "fixed 8-byte slice into [u8; 8] is infallible"
+        )]
         ColType::Decimal => {
-            // lint:allow(panic): fixed 8-byte slice into [u8; 8] is infallible
             Value::Decimal(i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()))
         }
-        ColType::Date => Value::Date(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())), // lint:allow(panic): fixed 4-byte slice into [u8; 4] is infallible
+        #[expect(
+            clippy::unwrap_used,
+            reason = "fixed 4-byte slice into [u8; 4] is infallible"
+        )]
+        ColType::Date => Value::Date(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())),
+        #[expect(
+            clippy::unwrap_used,
+            reason = "fixed 2-byte slice into [u8; 2] is infallible"
+        )]
         ColType::Str(_) => {
-            // lint:allow(panic): fixed 2-byte slice into [u8; 2] is infallible
             let n = u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap()) as usize;
             Value::Str(String::from_utf8_lossy(&bytes[off + 2..off + 2 + n]).into_owned())
         }
@@ -221,7 +235,10 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
 }
 
 #[cfg(test)]
-#[allow(clippy::inconsistent_digit_grouping)] // money literals: dollars_cents
+#[allow(
+    clippy::inconsistent_digit_grouping,
+    reason = "money literals: dollars_cents"
+)]
 mod tests {
     use super::*;
     use crate::schema::Schema;

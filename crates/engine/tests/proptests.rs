@@ -3,9 +3,10 @@
 //! inverse of any statement sequence, and expressions giving one answer
 //! on a tuple in its page and on the row it materialises to.
 
-// Model maps here are read by key lookup only; rule D1 governs shipped
-// capture-path code, not tests (the custom lint skips test scopes).
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "model maps here are read by key lookup only; their order never reaches a trace or result"
+)]
 
 use dbcmp_engine::exec::{CmpOp, Pred, Scalar};
 use dbcmp_engine::heap::Rid;

@@ -298,17 +298,23 @@ impl CacheTopology {
 
     /// The innermost level (the L2). Panics on an empty topology, which
     /// [`CacheTopology::validate`] rejects first.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; validate() rejects empty topologies before any caller gets here"
+    )]
     pub fn innermost(&self) -> &LevelSpec {
         self.levels
             .first()
-            // lint:allow(panic): documented panic; validate() rejects empty topologies before any caller gets here
             .expect("topology has at least one level")
     }
 
     /// The outermost level (the one facing memory). Panics on an empty
     /// topology, which [`CacheTopology::validate`] rejects first.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; validate() rejects empty topologies before any caller gets here"
+    )]
     pub fn outermost(&self) -> &LevelSpec {
-        // lint:allow(panic): documented panic; validate() rejects empty topologies before any caller gets here
         self.levels.last().expect("topology has at least one level")
     }
 

@@ -164,6 +164,10 @@ impl CtxBase {
 /// `false` for `Load`/`Store`, which occupy an issue slot and stay
 /// model-specific.
 #[inline]
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn consume_meta_event(
     th: &mut ThreadState<'_>,
     ctl: &mut MachineCtl,

@@ -272,7 +272,10 @@ impl FatCore {
     /// whether decode was *stuck*: it returned early or, having consumed
     /// nothing, hit a no-progress exit (window, MSHRs or store buffer
     /// full, fence un-drained).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
+    )]
     fn decode(
         &mut self,
         core: usize,

@@ -177,7 +177,10 @@ impl Core for LeanCore {
 /// `progress` excludes an instruction that immediately blocked (so a cycle
 /// spent only initiating a miss is charged as a stall, not computation).
 /// On a miss the context is left blocked.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
+)]
 fn issue_from(
     ctx: &mut CtxBase,
     core: usize,

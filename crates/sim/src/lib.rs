@@ -43,6 +43,11 @@
 //! counts.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
 pub mod analytic;
 pub mod builder;
 pub mod cache;

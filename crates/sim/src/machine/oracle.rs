@@ -4,8 +4,8 @@
 //! applied in bulk) — on random bundles, on the boundaries bulk charging
 //! can get wrong, and on a real OLTP capture.
 //!
-//! Everything sits in an in-file `#[cfg(test)]` module because the lint
-//! finds test scopes per file.
+//! Everything sits in an in-file `#[cfg(test)]` module: the oracle's
+//! panics are test code, outside the crate's `not(test)` panic lints.
 
 #[cfg(test)]
 mod tests {

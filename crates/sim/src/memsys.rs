@@ -434,7 +434,10 @@ impl MemSys {
     }
 
     /// Serve a probe hit at level `li`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
+    )]
     fn serve_hit(
         &mut self,
         li: usize,
@@ -457,7 +460,10 @@ impl MemSys {
     }
 
     /// Hit in a private instance (the legacy SMP node path).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
+    )]
     fn serve_hit_private(
         &mut self,
         li: usize,
@@ -515,7 +521,10 @@ impl MemSys {
 
     /// Hit in a shared/island instance: directory maintenance over the
     /// member cores' L1s (the legacy shared-L2 path, scoped to members).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
+    )]
     fn serve_hit_directory(
         &mut self,
         li: usize,

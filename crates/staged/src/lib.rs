@@ -33,6 +33,7 @@
 //! partitioned work — are captured.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
 pub mod capture;

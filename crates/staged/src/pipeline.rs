@@ -1,16 +1,14 @@
 //! Staged pipelines: packets, stages, batch aggregation, join stages,
 //! policies.
 
-// Hash collections here are audited per-site with lint:allow(hash-order)
-// annotations (rule D1); the file-level clippy opt-out avoids repeating
-// an attribute at every justified site.
-#![allow(clippy::disallowed_types)]
-
 use dbcmp_engine::costs::instr;
 use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable, Pred};
 use dbcmp_engine::heap::Rid;
 use dbcmp_engine::{Columns, Database, TraceCtx, TupleRef, Value};
-// lint:allow(hash-order): HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap
+#[allow(
+    clippy::disallowed_types,
+    reason = "HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap"
+)]
 use std::collections::{BTreeMap, HashSet};
 
 /// How to execute a pipeline.
@@ -160,7 +158,10 @@ struct AggState {
     sums: Vec<i64>,
     mins: Vec<i64>,
     maxs: Vec<i64>,
-    // lint:allow(hash-order): only `len()` is read (COUNT DISTINCT); iteration order never escapes
+    #[allow(
+        clippy::disallowed_types,
+        reason = "only `len()` is read (COUNT DISTINCT); iteration order never escapes"
+    )]
     distinct: Vec<HashSet<i64>>,
 }
 
@@ -186,12 +187,15 @@ impl BatchAgg {
             .collect();
         let n_aggs = self.aggs.len();
         let gi = self.groups.len() as u64;
+        #[allow(
+            clippy::disallowed_types,
+            reason = "len-only distinct counters, see AggState"
+        )]
         let state = self.groups.entry(key).or_insert_with(|| AggState {
             count: 0,
             sums: vec![0; n_aggs],
             mins: vec![i64::MAX; n_aggs],
             maxs: vec![i64::MIN; n_aggs],
-            // lint:allow(hash-order): len-only distinct counters, see AggState
             distinct: vec![HashSet::new(); n_aggs],
         });
         let line = self.addr + (gi % 1024) * 64;

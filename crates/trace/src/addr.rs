@@ -143,9 +143,13 @@ impl AddressSpace {
     /// condition).
     pub fn alloc(&self, name: &'static str, bytes: u64) -> SimAddr {
         let base = self.alloc_aligned(bytes, 64);
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
+        )]
         self.segments
             .lock()
-            .expect("segment registry poisoned") // lint:allow(panic): poisoned mutex means a capture thread already panicked; propagating is the only sane option
+            .expect("segment registry poisoned")
             .push(SegmentInfo {
                 name,
                 base,
@@ -161,9 +165,12 @@ impl AddressSpace {
         self.alloc_aligned(bytes, 64)
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "documented panic shim over the typed try_ variant; exhaustion means a mis-scaled workload, not a recoverable state"
+    )]
     fn alloc_aligned(&self, bytes: u64, align: u64) -> SimAddr {
         self.try_alloc_aligned(bytes, align)
-            // lint:allow(panic): documented panic shim over the typed try_ variant; exhaustion means a mis-scaled workload, not a recoverable state
             .unwrap_or_else(|e| panic!("simulated data address space exhausted: {e}"))
     }
 
@@ -199,10 +206,14 @@ impl AddressSpace {
     }
 
     /// Snapshot of the named segments.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
+    )]
     pub fn segments(&self) -> Vec<SegmentInfo> {
         self.segments
             .lock()
-            .expect("segment registry poisoned") // lint:allow(panic): poisoned mutex means a capture thread already panicked; propagating is the only sane option
+            .expect("segment registry poisoned")
             .clone()
     }
 
@@ -217,9 +228,12 @@ impl AddressSpace {
     /// interleaving of `alloc_anon` calls. Simulated bytes are free
     /// (nothing is backed by real memory), so arenas can be generously
     /// oversized.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic shim; callers that can recover use try_reserve_arena"
+    )]
     pub fn reserve_arena(&self, name: &'static str, bytes: u64) -> ScratchArena {
         self.try_reserve_arena(name, bytes)
-            // lint:allow(panic): documented panic shim; callers that can recover use try_reserve_arena
             .unwrap_or_else(|e| panic!("arena reservation \"{name}\" failed: {e}"))
     }
 
@@ -233,9 +247,13 @@ impl AddressSpace {
         bytes: u64,
     ) -> Result<ScratchArena, AddressSpaceError> {
         let base = self.try_alloc_aligned(bytes, 64)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
+        )]
         self.segments
             .lock()
-            .expect("segment registry poisoned") // lint:allow(panic): poisoned mutex means a capture thread already panicked; propagating is the only sane option
+            .expect("segment registry poisoned")
             .push(SegmentInfo {
                 name,
                 base,

@@ -129,7 +129,9 @@ impl PackedEvent {
     /// workspace allocates from [`AddressSpace`](crate::AddressSpace)
     /// (data, capped at 2^46) or [`CodeRegions`](crate::CodeRegions)
     /// (code, based at 2^47), both comfortably inside 48 bits, so a
-    /// wider address is a caller bug: debug builds panic here. Release
+    /// wider address is a caller bug: debug builds panic here and in
+    /// `SegmentEncoder::access`, the one place every captured address
+    /// (`Tracer::load`/`store`) enters the segment format. Release
     /// builds keep the historical behavior — high bits are truncated by
     /// `ADDR_MASK` — which aliases the access into the low 48-bit
     /// window rather than corrupting the op/size fields.

@@ -26,6 +26,11 @@
 //!   active regions (large for OLTP, small for DSS scan loops — paper §4).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
+)]
 #![warn(missing_docs)]
 
 pub mod addr;

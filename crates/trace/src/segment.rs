@@ -209,6 +209,13 @@ impl SegmentEncoder {
     /// [`AccessKind`] code).
     #[inline(always)]
     pub(crate) fn access(&mut self, kind: AccessKind, addr: u64, size: u32) {
+        // Every captured address enters the format here: a wider one is a
+        // caller bug (see `PackedEvent::load`); release builds mask it.
+        debug_assert!(
+            addr <= ADDR_MASK,
+            "addr {addr:#x} exceeds the 48-bit trace address space \
+             (release builds would silently mask it)"
+        );
         let addr = (addr & ADDR_MASK) as i64;
         put_varint(&mut self.seg.mem, zigzag(addr - self.prev_addr));
         put_varint(&mut self.seg.mem, size as u64 & SIZE_MASK);
@@ -238,6 +245,10 @@ impl SegmentEncoder {
 
     /// Append any event (markers, and [`Segment::encode`]'s loop).
     #[inline]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub(crate) fn push(&mut self, ev: Event) {
         match ev {
             Event::Exec { region, instrs } => self.exec(region, instrs),
@@ -367,7 +378,8 @@ impl Segment {
     fn next_access(&self, pos: &mut usize, prev_addr: &mut i64) -> (u64, u16) {
         *prev_addr += unzigzag(get_varint(&self.mem, pos));
         let size = get_varint(&self.mem, pos) as u16;
-        // lint:allow(addr-cast): inverse of encode's zigzag delta; reconstructs the exact u64 the encoder masked, cannot truncate further
+        // Inverse of encode's zigzag delta: reconstructs the exact u64 the
+        // encoder masked, so the cast cannot truncate further.
         (*prev_addr as u64, size)
     }
 

@@ -205,6 +205,10 @@ mod tests {
 
     /// The reference: `compute` as it was before it stopped decoding —
     /// one fold over every decoded event.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn fold(regions: &CodeRegions, threads: &[ThreadTrace]) -> TraceSummary {
         let mut s = TraceSummary::default();
         let mut data_lines = BTreeSet::new();

@@ -669,6 +669,64 @@ mod tests {
         assert_eq!(tr.stores(), 3);
     }
 
+    /// Every `Event` variant, recorded the way captures record it — the
+    /// tracer's typed appends into the live `SegmentEncoder`, not
+    /// `Segment::encode` — decodes back equal.
+    #[test]
+    fn every_variant_roundtrips_through_the_tracer() {
+        let top = (1 << 48) - 64;
+        let mut t = Tracer::recording();
+        t.exec(3, 7);
+        t.load(top, 8);
+        t.load_dep(64, 16);
+        t.store(top - 4096, 4);
+        t.fence();
+        t.unit_end();
+        t.block();
+        t.wake();
+        t.remote_send(100);
+        t.remote_recv(200);
+        let evs: Vec<Event> = t.finish().iter().collect();
+        assert_eq!(
+            evs,
+            [
+                Event::Exec {
+                    region: 3,
+                    instrs: 7
+                },
+                Event::Load {
+                    addr: top,
+                    size: 8,
+                    dep: false
+                },
+                Event::Load {
+                    addr: 64,
+                    size: 16,
+                    dep: true
+                },
+                Event::Store {
+                    addr: top - 4096,
+                    size: 4
+                },
+                Event::Fence,
+                Event::UnitEnd,
+                Event::Block,
+                Event::Wake,
+                Event::RemoteSend { bytes: 100 },
+                Event::RemoteRecv { bytes: 200 },
+            ]
+        );
+    }
+
+    /// A capture never mints an address past the 48-bit format: debug
+    /// builds refuse one where it enters the encoder (release masks).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeds the 48-bit trace address space")]
+    fn over_48_bit_address_panics_in_debug_builds() {
+        Tracer::recording().load(1 << 48, 8);
+    }
+
     #[test]
     fn null_mode_counts_but_records_nothing() {
         let mut t = Tracer::null();

@@ -321,7 +321,10 @@ mod tests {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 34);
         let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(2, 8, 34));
         let lines = |t: &dbcmp_trace::ThreadTrace| {
-            #[allow(clippy::disallowed_types)]
+            #[allow(
+                clippy::disallowed_types,
+                reason = "test-local set/map; its order never reaches a trace or result"
+            )]
             let mut s = std::collections::HashSet::new();
             for e in t.iter() {
                 match e {

@@ -160,9 +160,16 @@ impl ExchangeTraffic {
 /// returning each instance's post-exchange row sets (local rows first,
 /// then inbound rows in sender order) and the traffic generated.
 /// `tcs[p]` is instance p's capture context. This dispatch is
-/// exhaustive over [`ExchangeStrategy`] by design — the dbcmp-lint X3
-/// rule rejects builds where a strategy variant is missing here.
-#[allow(clippy::too_many_arguments)]
+/// exhaustive over [`ExchangeStrategy`] by design: a missing variant
+/// fails the build (E0004) and a `_ =>` arm fails clippy.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one join's two sides (rows + key column each), the buffers and the per-instance contexts"
+)]
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn exchange_rows(
     strategy: ExchangeStrategy,
     bufs: &mut ExchangeBufs,

@@ -336,8 +336,12 @@ async fn client_session(
 /// clients on lock wait queues at execution time, the ordered backend
 /// parks them on the declare-order queue before execution.
 ///
-/// Exhaustive over [`CcBackend`] by design — the dbcmp-lint X2 rule
-/// rejects builds where a backend variant is missing here.
+/// Exhaustive over [`CcBackend`] by design: a missing variant fails the
+/// build (E0004) and a `_ =>` arm fails clippy.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn count_block(backend: CcBackend, stats: &mut ContentionStats) {
     match backend {
         CcBackend::Centralized2PL => stats.lock_waits += 1,

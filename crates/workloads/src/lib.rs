@@ -19,11 +19,14 @@
 //! [`TraceBundle`](dbcmp_trace::TraceBundle)s for the simulator.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 // An un-awaited engine call (`db.statement_overhead(tc);`) is a skipped
 // operation and a silently different capture: a build error, not a warning.
 #![deny(unused_must_use)]
-// Money literals are written as dollars_cents (e.g. 5_000_00 = $5000.00).
-#![allow(clippy::inconsistent_digit_grouping)]
+#![allow(
+    clippy::inconsistent_digit_grouping,
+    reason = "money literals are written as dollars_cents (e.g. 5_000_00 = $5000.00)"
+)]
 
 pub mod capture;
 pub mod deploy;

@@ -35,9 +35,10 @@ use dbcmp_engine::txn::Txn;
 use dbcmp_engine::{Database, Result, Row, TraceCtx, Value};
 
 /// The engine operations a transaction driver needs. See module docs.
-// Sessions are polled on the thread that created them, so the futures
-// need no `Send` bound — which is all the lint asks a public trait about.
-#[allow(async_fn_in_trait)]
+#[allow(
+    async_fn_in_trait,
+    reason = "sessions are polled on the thread that created them, so the futures need no `Send` bound"
+)]
 pub trait EngineOps {
     /// Drive one engine operation `f` to completion and return its result.
     ///

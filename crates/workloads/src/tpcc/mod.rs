@@ -551,7 +551,10 @@ mod tests {
 
     #[test]
     fn key_packing_is_injective_in_range() {
-        #[allow(clippy::disallowed_types)]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test-local set/map; its order never reaches a trace or result"
+        )]
         let mut seen = std::collections::HashSet::new();
         for w in 1..=4u64 {
             for d in 1..=10 {

@@ -137,7 +137,10 @@ pub async fn run_txn_cfg<D: EngineOps>(
 /// is declared through [`EngineOps::declare`], which parks the caller
 /// until every key is granted in declare order. `None` skips the declare
 /// entirely (byte-identical to [`run_txn_cfg`]).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "run_txn_cfg's arguments plus the optional declared set"
+)]
 pub async fn run_txn_cfg_declared<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,

@@ -207,7 +207,10 @@ pub fn capture_dss_dist_workers(
 /// Run one distributed query unit. `client_tc` doubles as instance
 /// `home`'s context for this unit (the client session lives there);
 /// `service_tcs[p]` covers every other instance's share.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one unit's per-instance databases, contexts and exchange buffers, each borrowed separately"
+)]
 fn run_dist_unit(
     dbs: &[Database],
     hs: &[TpchDb],
@@ -252,7 +255,10 @@ fn frag_scan(
 /// One distributed join: choose the exchange strategy from the global
 /// post-filter build size, exchange, then join each instance's share.
 /// Returns the per-instance join outputs (probe ++ build columns).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one join's two sides (rows + key column each) plus the per-unit borrows run_dist_unit holds"
+)]
 fn dist_join(
     dbs: &[Database],
     refs: &mut [&mut TraceCtx],
@@ -303,7 +309,10 @@ fn dist_join(
 /// to `home`, and merge + sort there. `group_cols`/`agg` define the
 /// partial aggregate; the merge re-groups on the partials' group
 /// columns and sums the aggregate column.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the partial aggregate's shape plus the per-unit borrows run_dist_unit holds"
+)]
 fn merge_at_home(
     dbs: &[Database],
     refs: &mut [&mut TraceCtx],

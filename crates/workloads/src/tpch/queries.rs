@@ -481,7 +481,10 @@ mod tests {
         };
         let orders = all(h.orders);
         let lineitem = all(h.lineitem);
-        #[allow(clippy::disallowed_types)]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test-local set/map; its order never reaches a trace or result"
+        )]
         let mut expect = std::collections::HashMap::new();
         for li in &lineitem {
             if li[L_SHIP].as_i64().unwrap() <= cutoff as i64 {
@@ -522,7 +525,10 @@ mod tests {
             run_to_vec(&mut scan, &db, &mut tc).unwrap()
         };
         let (orders, lineitem) = (all(h.orders), all(h.lineitem));
-        #[allow(clippy::disallowed_types)]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test-local set/map; its order never reaches a trace or result"
+        )]
         let odate: std::collections::HashMap<i64, i64> = orders
             .iter()
             .map(|o| (o[0].as_i64().unwrap(), o[2].as_i64().unwrap()))

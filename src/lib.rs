@@ -27,6 +27,7 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 pub use dbcmp_cacti as cacti;
 pub use dbcmp_core as core;
 pub use dbcmp_engine as engine;
