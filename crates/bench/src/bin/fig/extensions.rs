@@ -2,14 +2,17 @@
 //! concurrency control (§5.2), asymmetric chips, cache islands, joins,
 //! shared-nothing deployments, and distributed joins over a network.
 
-use dbcmp_core::deploy::fig_deploy as deploy_points;
+use dbcmp_core::deploy::{fig_deploy as deploy_points, fig_deploy_claims};
 use dbcmp_core::figures::{
-    cc_backend_label, fig_asym as asym_grid, fig_cc as cc_grid, fig_contention as contention_grid,
-    fig_islands as islands_grid, fig_joins as joins_run, ContendedCapture, JoinsCaptureStats,
-    BASE_CORES,
+    cc_backend_label, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid, fig_cc_claims,
+    fig_contention as contention_grid, fig_contention_claims, fig_islands as islands_grid,
+    fig_islands_claims, fig_joins as joins_run, fig_joins_claims, ContendedCapture,
+    JoinsCaptureStats, BASE_CORES,
 };
-use dbcmp_core::network::{fig_network as network_points, network_presets, NETWORK_INSTANCES};
-use dbcmp_core::report::{f2, f3, four_components, pct, table};
+use dbcmp_core::network::{
+    fig_network as network_points, fig_network_claims, network_presets, NETWORK_INSTANCES,
+};
+use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
 use dbcmp_core::FigScale;
 use dbcmp_sim::{CycleClass, SimResult};
 
@@ -80,23 +83,7 @@ pub fn fig_contention(scale: &FigScale) {
     );
     println!();
 
-    let first = points.rows.first().expect("sweep is nonempty");
-    let last = points.rows.last().expect("sweep is nonempty");
-    let growth = |machine: &'static str| {
-        last.get(&machine).breakdown.data_stall_fraction()
-            - first.get(&machine).breakdown.data_stall_fraction()
-    };
-    println!(
-        "D-stall share growth {}% -> {}% skew:  SMP {:+.1} pts, CMP {:+.1} pts",
-        first.key.hot_pct,
-        last.key.hot_pct,
-        growth("SMP") * 100.0,
-        growth("CMP") * 100.0
-    );
-    println!();
-    println!("Paper shape: contention shifts cycles into the coherence/shared-L2");
-    println!("buckets; the SMP pays off-chip latency for them, the CMP resolves");
-    println!("them on chip, so the SMP's D-stall share grows faster with skew.");
+    print!("{}", claims_block(&fig_contention_claims(&points)));
 }
 
 /// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]):
@@ -163,17 +150,15 @@ pub fn fig_cc(scale: &FigScale) {
         );
     }
     println!();
-    println!("Shape: 2PL pays deadlock aborts and lock-queue waits; partitioning");
-    println!("converts lock-table sharing into explicit messages (priced by the");
-    println!("interconnect, worst on the SMP); ordered execution eliminates");
-    println!("deadlock aborts entirely and pays with pre-execution ordering waits.");
+    print!("{}", claims_block(&fig_cc_claims(&points)));
 }
 
 /// The asymmetric-CMP ratio sweep ([`dbcmp_core::figures::fig_asym`])
 /// over eight core slots.
 pub fn fig_asym(scale: &FigScale) {
     const TOTAL_SLOTS: usize = 8;
-    for row in &asym_grid(scale, TOTAL_SLOTS).rows {
+    let points = asym_grid(scale, TOTAL_SLOTS);
+    for row in &points.rows {
         println!("\n-- {} (saturated, throughput mode) --", row.key.label());
         let rows: Vec<Vec<String>> = row
             .cells
@@ -208,16 +193,14 @@ pub fn fig_asym(scale: &FigScale) {
         );
     }
     println!();
-    println!("Shape: at the all-fat end data stalls dominate (exposed misses);");
-    println!("as lean slots replace fat ones the extra hardware contexts hide");
-    println!("the same misses and the computation share + throughput climb —");
-    println!("mixed chips land between the two pure camps.");
+    print!("{}", claims_block(&fig_asym_claims(&points)));
 }
 
 /// The cache-island sweep ([`dbcmp_core::figures::fig_islands`]) at
 /// Fig. 7's core count and total L2.
 pub fn fig_islands(scale: &FigScale) {
-    for row in &islands_grid(scale, BASE_CORES, TOTAL_L2).rows {
+    let points = islands_grid(scale, BASE_CORES, TOTAL_L2);
+    for row in &points.rows {
         println!("\n-- {} (saturated, throughput mode) --", row.key.label());
         let rows: Vec<Vec<String>> = row
             .cells
@@ -238,10 +221,9 @@ pub fn fig_islands(scale: &FigScale) {
     println!();
     println!("Endpoints are exactly Fig. 7's presets: 1x4 is the shared-L2 CMP,");
     println!("4x1 the private-L2 SMP. Moving right, islands get faster-but-");
-    println!("smaller caches, and the two workloads pay differently: OLTP's");
-    println!("hot shared structures turn into off-chip coherence (the coh.");
-    println!("column), while DSS never coheres but loses the pooled capacity");
-    println!("(L2 miss% climbs as the shared L2 fragments).");
+    println!("smaller caches.");
+    println!();
+    print!("{}", claims_block(&fig_islands_claims(&points)));
 }
 
 fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
@@ -304,9 +286,9 @@ pub fn fig_joins(scale: &FigScale) {
     println!();
     println!("The scan rows on SMP/CMP are exactly Fig. 7's DSS numbers (same");
     println!("captures, same presets). The join rows add the hash-table and");
-    println!("B+Tree working sets: pooled in the CMP's shared L2 they stay");
-    println!("on-chip, split into 2x4 MB islands (or 4x4 MB private SMP nodes)");
-    println!("they overflow — the L2 miss column is the tell.");
+    println!("B+Tree working sets.");
+    println!();
+    print!("{}", claims_block(&fig_joins_claims(&run)));
 }
 
 /// The shared-nothing deployment sweep ([`dbcmp_core::deploy`]) at
@@ -359,13 +341,10 @@ pub fn fig_deploy(scale: &FigScale) {
     println!("contention surcharge, two-phase remote flavors).");
     println!();
     println!("1x4c is one shared-everything engine (Fig. 7's CMP chip); 4x1c is");
-    println!("shared-nothing, one engine per core. At 0% multi-warehouse work,");
-    println!("partitioning relieves the lock-table contention of one shared");
-    println!("engine — finer deployments never lose. As the multi-partition");
-    println!("share grows, every crossing pays two-phase NUMA-link messages");
-    println!("(Link stall%) plus cold remote lines, and the per-core deployment");
-    println!("falls below the island one — coarser instances absorb the same");
-    println!("transactions as local work.");
+    println!("shared-nothing, one engine per core. Every crossing pays two-phase");
+    println!("NUMA-link messages (Link stall%) plus cold remote lines.");
+    println!();
+    print!("{}", claims_block(&fig_deploy_claims(&points)));
 }
 
 /// The distributed-join network sweep ([`dbcmp_core::network`]).
@@ -448,4 +427,6 @@ pub fn fig_network(scale: &FigScale) {
     println!("1/n of the data) is the cross-point throughput the crossover is");
     println!("read from. UIPC* is diagnostic only (exchange instructions");
     println!("inflate the distributed captures by design).");
+    println!();
+    print!("{}", claims_block(&fig_network_claims(&points)));
 }

@@ -2,21 +2,15 @@
 
 use dbcmp_cacti::{historic_latencies, historic_sizes, CactiModel};
 use dbcmp_core::figures::{
-    fig2_saturation as fig2_points, fig3_validation as fig3_run, fig45_quadrants, fig4_ratios,
-    fig6_cache_sweep, fig7_machines, fig7_smp_vs_cmp, fig8_core_scaling, fig9_staged as fig9_rows,
+    fig2_claims, fig2_saturation as fig2_points, fig3_claims, fig3_validation as fig3_run,
+    fig45_quadrants, fig4_claims, fig4_ratios, fig5_claims, fig6_cache_sweep, fig6_claims,
+    fig6_l2_sizes, fig7_claims, fig7_machines, fig7_smp_vs_cmp, fig8_claims, fig8_core_scaling,
+    fig9_claims, fig9_staged as fig9_rows,
 };
-use dbcmp_core::report::{f2, f3, four_components, pct, table};
+use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
 use dbcmp_core::taxonomy::{table1, Camp, Saturation, WorkloadKind};
 use dbcmp_core::FigScale;
 use dbcmp_sim::{CycleClass, SimResult};
-
-/// The L2 sizes Fig. 1's model curve and Fig. 6's sweep share.
-fn l2_sizes() -> Vec<u64> {
-    [1u64, 2, 4, 8, 16, 21, 26]
-        .iter()
-        .map(|m| m << 20)
-        .collect()
-}
 
 /// Table 1: chip multiprocessor camp characteristics.
 pub fn table1_camps(_: &FigScale) {
@@ -70,7 +64,7 @@ pub fn fig1_cache_trends(_: &FigScale) {
 
     println!("\nCACTI-lite model curve (65 nm, 3 GHz, 16-way):");
     let rows: Vec<Vec<String>> = CactiModel::paper_era()
-        .sweep(&l2_sizes())
+        .sweep(&fig6_l2_sizes())
         .into_iter()
         .map(|r| {
             vec![
@@ -90,17 +84,14 @@ pub fn fig1_cache_trends(_: &FigScale) {
 /// Fig. 2: throughput vs number of concurrent clients — the
 /// unsaturated→saturated transition (DSS queries on the FC CMP).
 pub fn fig2_saturation(scale: &FigScale) {
-    let pts = fig2_points(scale, &[1, 2, 4, 8, 16]);
+    let pts = fig2_points(scale);
     let rows: Vec<Vec<String>> = pts
         .iter()
         .map(|&(n, t)| vec![n.to_string(), f2(t)])
         .collect();
     print!("{}", table(&["Clients", "Norm. throughput"], &rows));
     println!();
-    println!(
-        "Shape check: throughput must rise with clients until the hardware \
-         contexts fill (4 FC cores), then flatten."
-    );
+    print!("{}", claims_block(&fig2_claims(&pts)));
 }
 
 /// Fig. 3: simulator validation. The paper compares FLEXUS CPI against a
@@ -147,12 +138,15 @@ pub fn fig3_validation(scale: &FigScale) {
         res.cycles,
         res.uipc()
     );
+    println!();
+    print!("{}", claims_block(&fig3_claims(&v)));
 }
 
 /// Fig. 4: (a) response time and (b) throughput of the LC CMP normalized
 /// to the FC CMP, for OLTP and DSS, unsaturated and saturated.
 pub fn fig4_camps(scale: &FigScale) {
-    let ratios = fig4_ratios(&fig45_quadrants(scale));
+    let quadrants = fig45_quadrants(scale);
+    let ratios = fig4_ratios(&quadrants);
     let rows: Vec<Vec<String>> = ratios
         .iter()
         .map(|&(w, rt, tp)| vec![w.label().to_string(), f2(rt), f2(tp)])
@@ -169,9 +163,7 @@ pub fn fig4_camps(scale: &FigScale) {
         )
     );
     println!();
-    println!("Paper shape: response-time ratio > 1 (FC wins single-thread; up to");
-    println!("~1.7x on DSS, smaller on OLTP); throughput ratio > 1 (LC wins");
-    println!("saturated, ~1.7x).");
+    print!("{}", claims_block(&fig4_claims(&quadrants)));
 }
 
 /// Fig. 5: execution-time breakdown for all eight camp × workload ×
@@ -212,22 +204,20 @@ pub fn fig5_breakdown(scale: &FigScale) {
         )
     );
     println!();
-    println!("Paper shape: data stalls dominate in 3 of 4 FC cases (46-64%);");
-    println!("saturated LC spends 76-80% on computation with <=13% data stalls.");
+    print!("{}", claims_block(&fig5_claims(&quadrants)));
 }
 
 /// Fig. 6: effect of L2 cache size and latency — (a) throughput under
 /// fixed 4-cycle vs realistic CACTI latencies, (b)/(c) CPI contributions.
 pub fn fig6_cache_size(scale: &FigScale) {
-    let sizes = l2_sizes();
-    let points = fig6_cache_sweep(scale, &sizes);
+    let (sizes, points) = (fig6_l2_sizes(), fig6_cache_sweep(scale));
 
     for row in &points.rows {
         println!("\n-- {} --", row.key.label());
         // Normalize throughput to the 1 MB realistic point.
         let base = row.get(&(sizes[0], false)).uipc();
         let mut rows = Vec::new();
-        for &size in &sizes {
+        for size in sizes {
             let fixed = row.get(&(size, true));
             let real = row.get(&(size, false));
             // Per-level counters from the topology walker: the fraction
@@ -262,9 +252,7 @@ pub fn fig6_cache_size(scale: &FigScale) {
         );
     }
     println!();
-    println!("Paper shape: the fixed-latency curve keeps rising; the realistic");
-    println!("curve flattens and then falls (4->26 MB loses throughput); the");
-    println!("L2-hit CPI component grows to dominate, especially for DSS.");
+    print!("{}", claims_block(&fig6_claims(&points)));
 }
 
 /// Fig. 7: effect of chip multiprocessing — SMP with private L2s vs CMP
@@ -299,25 +287,15 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
         )
     );
     println!();
+    // Per-level attribution from the topology walker: where the demand
+    // traffic was actually served.
+    let l2 = |res: &SimResult| res.mem.per_level[0];
     for r in &results.rows {
         let (smp, cmp) = (r.get(&"SMP"), r.get(&"CMP"));
-        let smp_share = smp.breakdown.l2_hit_stall_fraction();
-        let cmp_share = cmp.breakdown.l2_hit_stall_fraction();
         println!(
-            "{}: L2-hit stall share grows {:.1}% -> {:.1}% ({:.1}x); CPI {:.2} -> {:.2}",
-            r.key.label(),
-            smp_share * 100.0,
-            cmp_share * 100.0,
-            cmp_share / smp_share.max(1e-9),
-            smp.cpi(),
-            cmp.cpi(),
-        );
-        // Per-level attribution from the topology walker: where the
-        // demand traffic was actually served.
-        let l2 = |res: &SimResult| res.mem.per_level[0];
-        println!(
-            "    L2 traffic: SMP {} hits / {} misses ({} coherence transfers); \
+            "{} L2 traffic: SMP {} hits / {} misses ({} coherence transfers); \
              CMP {} hits / {} misses",
+            r.key.label(),
             l2(smp).hits_data + l2(smp).hits_instr,
             l2(smp).misses_data + l2(smp).misses_instr,
             smp.mem.coherence_transfers,
@@ -326,16 +304,17 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
         );
     }
     println!();
-    println!("Paper shape: CMP CPI < SMP CPI (coherence misses become on-chip");
-    println!("hits), with the L2-hit component growing ~7x. The fig_islands");
-    println!("binary joins these two presets as the endpoints of one island");
-    println!("continuum at fixed total capacity.");
+    print!("{}", claims_block(&fig7_claims(&results)));
+    println!();
+    println!("`fig fig_islands` joins these two presets as the endpoints of one");
+    println!("island continuum at fixed total capacity.");
 }
 
 /// Fig. 8: effect of on-chip core count on throughput (FC CMP, 16 MB
 /// shared L2), against the linear-speedup reference.
 pub fn fig8_core_count(scale: &FigScale) {
-    for (workload, pts) in &fig8_core_scaling(scale, &[4, 8, 12, 16]) {
+    let series = fig8_core_scaling(scale);
+    for (workload, pts) in &series {
         println!("\n-- {} --", workload.label());
         let rows: Vec<Vec<String>> = pts
             .iter()
@@ -350,9 +329,7 @@ pub fn fig8_core_count(scale: &FigScale) {
         );
     }
     println!();
-    println!("Paper shape: DSS slightly superlinear at 8 cores (sharing), OLTP");
-    println!("sublinear at 16 cores (~74% of linear) due to L2 pressure, not");
-    println!("miss rate.");
+    print!("{}", claims_block(&fig8_claims(&series)));
 }
 
 /// §6 ablation (not a numbered paper figure): staged vs conventional
@@ -389,7 +366,5 @@ pub fn fig9_staged(scale: &FigScale) {
         )
     );
     println!();
-    println!("Expected shape: cohort staging cuts instructions per query (call");
-    println!("overhead amortized); pipeline parallelism cuts unsaturated");
-    println!("response time — most on the context-rich LC chip (paper §6.1).");
+    print!("{}", claims_block(&fig9_claims(&results)));
 }

@@ -7,10 +7,10 @@
 //! *database*: `N` instances each own `W/N` warehouses, run on their own
 //! `cores/N`-core chip with `L2/N` of cache, and exchange two-phase
 //! messages over an [`Interconnect`](dbcmp_sim::Interconnect) when a
-//! transaction spans instances. The sweep captures with the lock-table
-//! contention model on (`DeployOptions::contention`), so the shared-
-//! everything endpoint pays for all clients contending on one lock
-//! manager while fine partitions run nearly contention-free. At
+//! transaction spans instances. Each instance's engine charges lock-table
+//! contention for the clients it serves (`Database::set_lock_sharers`),
+//! so the shared-everything endpoint pays for all clients contending on
+//! one lock manager while fine partitions run nearly contention-free. At
 //! `multi_pct = 0` that is the whole story and finer partitioning wins;
 //! as `multi_pct` grows, per-core shared-nothing pays two interconnect
 //! round trips plus cold remote lines on every crossing while coarser
@@ -32,6 +32,7 @@ use dbcmp_workloads::{
 use crate::experiment::{grid, InstanceReplay};
 use crate::figures::{island_cluster_sizes, spec_of};
 use crate::machines::{fc_cmp, L2Spec};
+use crate::report::Claim;
 use crate::workload::FigScale;
 
 /// One point of the deployment sweep: `instances` engines at a fixed
@@ -142,6 +143,64 @@ pub fn fig_deploy(
         }
     }
     out
+}
+
+/// The deployment shape: on purely local work partitioning only relieves
+/// lock-table contention, so finer deployments never lose; with
+/// multi-partition work every crossing pays two-phase messages, and the
+/// per-core deployment falls below the island one. Read at the sweep's
+/// lowest and highest multi-partition percentages; units compare across
+/// them because every grid point captures the same transaction-kind
+/// sequence (each transaction draws its parameters from its own stream).
+pub fn fig_deploy_claims(points: &[DeployPoint]) -> Vec<Claim> {
+    let multis = points.iter().map(|p| p.multi_pct);
+    let (Some(lo), Some(hi)) = (multis.clone().min(), multis.max()) else {
+        return Vec::new();
+    };
+    let of = |multi, n, f: fn(&DeployPoint) -> u64| {
+        let mut matching = points.iter().filter(|p| p.multi_pct == multi);
+        matching
+            .find(|p| p.instances == n)
+            .map_or(f64::NAN, |p| f(p) as f64)
+    };
+    let units = |multi, n| of(multi, n, |p| p.units);
+    let crossings = |n| of(hi, n, |p| p.stats.multi_remote_txns);
+    // The least of every cost a crossing pays.
+    let paid = |n| {
+        of(hi, n, |p| {
+            let r = &p.remote;
+            let costs = [r.sends, r.recvs, r.bytes, r.stall_cycles];
+            costs.into_iter().fold(p.stats.multi_remote_txns, u64::min)
+        })
+    };
+    let local = points.iter().filter(|p| p.multi_pct == lo);
+    let traffic = local
+        .clone()
+        .map(|p| p.stats.multi_remote_txns + p.remote.sends + p.remote.recvs);
+    let traffic = traffic.sum::<u64>() as f64;
+    let split: Vec<usize> = local.map(|p| p.instances).filter(|&n| n > 1).collect();
+    let mut claims = vec![Claim::below(
+        format!("{lo}%: crossings + messages"),
+        traffic,
+        1.0,
+    )];
+    for &n in &split {
+        let (one, finer, multi) = (units(lo, 1), units(lo, n), units(hi, n));
+        claims.extend([
+            Claim::above(format!("{lo}%: {n}-instance units > 1's"), finer, one),
+            Claim::above(format!("{hi}%: {n}-instance least cost"), paid(n), 0.0),
+            Claim::below(format!("{hi}%: {n}-instance units < {lo}%'s"), multi, finer),
+        ]);
+    }
+    if let [.., island, core] = split[..] {
+        let (more, fewer) = (crossings(core), crossings(island));
+        let (less, most) = (units(hi, core), units(hi, island));
+        claims.extend([
+            Claim::above(format!("{hi}%: crossings, {core} > {island}"), more, fewer),
+            Claim::below(format!("{hi}%: units, {core} < {island}"), less, most),
+        ]);
+    }
+    claims
 }
 
 #[cfg(test)]

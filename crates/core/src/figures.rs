@@ -1,19 +1,22 @@
 //! One generator per paper figure/table. Each is a [`grid`] of captured
-//! workloads x machines (or derives its numbers from one); the `fig`
-//! binary prints them and EXPERIMENTS.md records them; integration tests
-//! assert the paper's qualitative shapes on `FigScale::quick()`.
+//! workloads x machines (or derives its numbers from one), and next to it
+//! a `*_claims` function states the figure's shape as [`Claim`]s about
+//! those numbers. The `fig` binary prints both; `fig_smoke` checks the
+//! paper figures' claims at `FigScale::paper()` and the extensions' at
+//! `FigScale::quick()`.
 
 use dbcmp_engine::exec::ExchangeStrategy;
 use dbcmp_engine::{CcBackend, CcStats};
 use dbcmp_sim::analytic::Validation;
-use dbcmp_sim::{MachineConfig, SimResult};
+use dbcmp_sim::{CycleClass, MachineConfig, SimResult};
 use dbcmp_staged::{capture_staged_dss, ExecPolicy};
 use dbcmp_trace::TraceBundle;
 use dbcmp_workloads::tpch::QueryKind;
 use dbcmp_workloads::ContentionStats;
 
-use crate::experiment::{grid, run_throughput, Column, Grid, RunSpec};
+use crate::experiment::{grid, run_throughput, Column, Grid, GridRow, RunSpec};
 use crate::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, smp_baseline, L2Spec};
+use crate::report::{four_components, greatest, least, Claim, APPROX};
 use crate::taxonomy::{Camp, Saturation, WorkloadKind};
 use crate::workload::{CapturedWorkload, FigScale};
 
@@ -63,15 +66,18 @@ fn throughput_columns<C>(
 
 // ---------------------------------------------------------------- Fig. 2
 
+/// The client counts Fig. 2 sweeps.
+const FIG2_CLIENTS: [usize; 5] = [1, 2, 4, 8, 16];
+
 /// Fig. 2: normalized throughput vs number of concurrent clients (DSS on
 /// the FC CMP). Returns (clients, normalized throughput) pairs.
-pub fn fig2_saturation(scale: &FigScale, clients: &[usize]) -> Vec<(usize, f64)> {
-    let max = *clients.iter().max().unwrap_or(&1);
+pub fn fig2_saturation(scale: &FigScale) -> Vec<(usize, f64)> {
+    let max = FIG2_CLIENTS[FIG2_CLIENTS.len() - 1];
     let w = CapturedWorkload::dss(scale, max, scale.dss_units);
     let spec = spec_of(scale);
     // One row per client count, replaying a growing subset of the same
     // capture on the same machine.
-    let subsets: Vec<_> = clients.iter().map(|&n| (n, w.subset(n))).collect();
+    let subsets: Vec<_> = FIG2_CLIENTS.iter().map(|&n| (n, w.subset(n))).collect();
     let results = grid(subsets.iter().map(|(n, b)| (*n, b)).collect(), |_| {
         throughput_columns([((), fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti))], spec)
     });
@@ -88,6 +94,24 @@ pub fn fig2_saturation(scale: &FigScale, clients: &[usize]) -> Vec<(usize, f64)>
     uipc.into_iter().map(|(n, u)| (n, u / base)).collect()
 }
 
+/// Fig. 2's shape: throughput rises with clients until the four FC
+/// cores' contexts fill, then flattens; n clients give at most n times
+/// one client's throughput.
+pub fn fig2_claims(points: &[(usize, f64)]) -> Vec<Claim> {
+    let at = |n| points.iter().find(|p| p.0 == n).map_or(f64::NAN, |p| p.1);
+    let (full, linear) = (at(BASE_CORES), BASE_CORES as f64);
+    let (filling, later) = points.split_at(points.partition_point(|p| p.0 <= BASE_CORES));
+    let steps = least(filling.windows(2).map(|w| w[1].1 - w[0].1));
+    let later = || later.iter().map(|p| p.1 / full);
+    let (lo, hi) = (least(later()), greatest(later()));
+    vec![
+        Claim::above("least step up to 4 clients (rises)", steps, 0.0),
+        Claim::near("past 4 clients over 4, least (flattens)", lo, 1.0),
+        Claim::near("past 4 clients over 4, most (flattens)", hi, 1.0),
+        Claim::below("4 clients / 1 (linear at most)", full / at(1), linear).gap("2"),
+    ]
+}
+
 // ---------------------------------------------------------------- Fig. 3
 
 /// Fig. 3: validate the simulator's CPI breakdown against the independent
@@ -98,6 +122,18 @@ pub fn fig3_validation(scale: &FigScale) -> (Validation, SimResult) {
     let cfg = fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti);
     let res = run_throughput(cfg.clone(), &w.bundle, spec_of(scale));
     (Validation::new(&cfg, &res, w.analytic_stats()), res)
+}
+
+/// Fig. 3's shape: the closed form lands within a bounded band of the
+/// simulator (wider than the paper's 5 %: it ignores queueing), and both
+/// agree that data stalls outweigh instruction stalls.
+pub fn fig3_claims(v: &Validation) -> Vec<Claim> {
+    let (s, r) = (&v.simulated, &v.reference);
+    vec![
+        Claim::below("total CPI error vs the closed form", v.total_error(), 0.6),
+        Claim::above("simulated D-stall CPI over I-stall", s.d_stalls, s.i_stalls),
+        Claim::above("analytic D-stall CPI over I-stall", r.d_stalls, r.i_stalls),
+    ]
 }
 
 // ---------------------------------------------------------------- Fig. 4/5
@@ -142,40 +178,146 @@ pub fn fig45_quadrants(scale: &FigScale) -> Grid<(WorkloadKind, Saturation), Cam
 /// ratio, LC/FC throughput ratio).
 pub fn fig4_ratios(
     quadrants: &Grid<(WorkloadKind, Saturation), Camp>,
-) -> Vec<(WorkloadKind, f64, f64)> {
-    [WorkloadKind::Oltp, WorkloadKind::Dss]
-        .into_iter()
-        .map(|w| {
-            let response = |camp| {
-                quadrants
-                    .get(&(w, Saturation::Unsaturated), &camp)
-                    .avg_unit_cycles
-                    .unwrap_or(f64::NAN)
-            };
-            let throughput = |camp| quadrants.get(&(w, Saturation::Saturated), &camp).uipc();
-            (
-                w,
-                response(Camp::Lean) / response(Camp::Fat),
-                throughput(Camp::Lean) / throughput(Camp::Fat),
-            )
-        })
-        .collect()
+) -> [(WorkloadKind, f64, f64); 2] {
+    [WorkloadKind::Oltp, WorkloadKind::Dss].map(|w| {
+        let response = |camp| {
+            quadrants
+                .get(&(w, Saturation::Unsaturated), &camp)
+                .avg_unit_cycles
+                .unwrap_or(f64::NAN)
+        };
+        let throughput = |camp| quadrants.get(&(w, Saturation::Saturated), &camp).uipc();
+        (
+            w,
+            response(Camp::Lean) / response(Camp::Fat),
+            throughput(Camp::Lean) / throughput(Camp::Fat),
+        )
+    })
+}
+
+/// Fig. 4's shape: FC wins single-thread response time (up to ~1.7x on
+/// DSS, less on OLTP) and LC wins saturated throughput (~1.7x).
+pub fn fig4_claims(quadrants: &Grid<(WorkloadKind, Saturation), Camp>) -> Vec<Claim> {
+    let [(_, oltp_rt, oltp_tp), (_, dss_rt, dss_tp)] = fig4_ratios(quadrants);
+    vec![
+        Claim::above("OLTP LC/FC response (FC wins)", oltp_rt, 1.0),
+        Claim::above("DSS LC/FC response (FC wins)", dss_rt, 1.0),
+        Claim::near("DSS LC/FC response (up to ~1.7x)", dss_rt, 1.7).gap("5(c)"),
+        Claim::below("OLTP LC/FC response, under DSS's", oltp_rt, dss_rt),
+        Claim::above("OLTP LC/FC throughput (LC wins)", oltp_tp, 1.0),
+        Claim::above("DSS LC/FC throughput (LC wins)", dss_tp, 1.0),
+        Claim::near("OLTP LC/FC throughput (~1.7x)", oltp_tp, 1.7).gap("7"),
+        Claim::near("DSS LC/FC throughput (~1.7x)", dss_tp, 1.7),
+    ]
+}
+
+/// Fig. 5's shape: data stalls dominate in 3 of the 4 FC cases (46-64 %),
+/// while saturated LC spends 76-80 % on computation with <= 13 % data
+/// stalls — multithreading hides the stalls the fat core exposes.
+pub fn fig5_claims(quadrants: &Grid<(WorkloadKind, Saturation), Camp>) -> Vec<Claim> {
+    use Saturation::{Saturated as Sat, Unsaturated as Unsat};
+    use WorkloadKind::{Dss, Oltp};
+    let parts = |w, s, camp| four_components(&quadrants.get(&(w, s), &camp).breakdown);
+    let fc =
+        [(Oltp, Sat), (Oltp, Unsat), (Dss, Sat), (Dss, Unsat)].map(|(w, s)| parts(w, s, Camp::Fat));
+    // How far the D-stall share leads the largest other component.
+    let lead = |p: &(f64, f64, f64, f64)| p.2 - p.0.max(p.1).max(p.3);
+    let mut leads = fc.map(|p| lead(&p));
+    leads.sort_by(|a, b| b.total_cmp(a));
+    let dominant = || fc.iter().filter(|p| lead(p) > 0.0).map(|p| p.2);
+    let (lo, hi) = (least(dominant()), greatest(dominant()));
+    let mut claims = vec![
+        Claim::above("FC D-stall lead, 3rd of 4 (dominate)", leads[2], 0.0),
+        Claim::above("least dominant FC D-stalls", lo, 0.46),
+        Claim::below("most dominant FC D-stalls", hi, 0.64).gap("3"),
+    ];
+    for w in [Oltp, Dss] {
+        let (lc, fc) = (parts(w, Sat, Camp::Lean), parts(w, Sat, Camp::Fat));
+        let l = w.label();
+        claims.extend([
+            Claim::within(format!("LC/{l} computation"), lc.0, 0.76, 0.8).gap("3"),
+            Claim::below(format!("LC/{l} D-stalls"), lc.2, 0.13),
+            Claim::above(format!("{l} computation, LC > FC"), lc.0, fc.0),
+            Claim::below(format!("{l} D-stalls, LC < FC"), lc.2, fc.2),
+        ]);
+    }
+    claims
 }
 
 // ---------------------------------------------------------------- Fig. 6
 
+/// The L2 sizes Fig. 6 sweeps (and Fig. 1's CACTI curve shows).
+pub fn fig6_l2_sizes() -> [u64; 7] {
+    [1, 2, 4, 8, 16, 21, 26].map(|mb| mb << 20)
+}
+
 /// Fig. 6: throughput and CPI contributions vs L2 size, fixed 4-cycle vs
 /// CACTI latencies, on the FC CMP. Columns are `(size, fixed_latency)`.
-pub fn fig6_cache_sweep(scale: &FigScale, sizes: &[u64]) -> Grid<WorkloadKind, (u64, bool)> {
+pub fn fig6_cache_sweep(scale: &FigScale) -> Grid<WorkloadKind, (u64, bool)> {
     let spec = spec_of(scale);
     let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
     grid(rows_of(&captures), |_| {
-        let machines = sizes.iter().flat_map(|&size| {
+        let machines = fig6_l2_sizes().into_iter().flat_map(|size| {
             [(true, L2Spec::Fixed(4)), (false, L2Spec::Cacti)]
                 .map(|(fixed, l2)| ((size, fixed), fc_cmp(BASE_CORES, size, l2)))
         });
         throughput_columns(machines, spec)
     })
+}
+
+/// Fig. 6's shape: from 4 MB on, the fixed-latency curve keeps rising
+/// while the realistic (CACTI) curve falls, and the L2-hit CPI grows with
+/// size to dominate the data stalls, especially for DSS.
+pub fn fig6_claims(sweep: &Grid<WorkloadKind, (u64, bool)>) -> Vec<Claim> {
+    use CycleClass::{DStallCoherence, DStallL2Hit, DStallMem};
+    use WorkloadKind::{Dss, Oltp};
+    let sizes = fig6_l2_sizes();
+    let [small, _, knee, .., large] = sizes;
+    let uipc = |w, size, fixed| sweep.get(&w, &(size, fixed)).uipc();
+    let cpi = |w, size, c| sweep.get(&w, &(size, false)).cpi_component(c);
+    // The L2-hit share of the data-stall CPI at the largest cache.
+    let share = |w| {
+        let d = cpi(w, large, DStallL2Hit) + cpi(w, large, DStallMem);
+        cpi(w, large, DStallL2Hit) / (d + cpi(w, large, DStallCoherence))
+    };
+    let mut claims = Vec::new();
+    for w in [Oltp, Dss] {
+        let (fixed, cacti, l) = (|s| uipc(w, s, true), |s| uipc(w, s, false), w.label());
+        let (rise, fall) = (fixed(large) / fixed(knee), cacti(large) / cacti(knee));
+        let hits = sizes.map(|s| cpi(w, s, DStallL2Hit));
+        // Each size's L2-hit CPI against 0.8x the largest below it.
+        let growth = least((1..7).map(|i| hits[i] - 0.8 * greatest(hits[..i].to_vec())));
+        let grows = Claim::above(
+            format!("{l} L2-hit CPI minus 0.8x the max below"),
+            growth,
+            0.0,
+        );
+        claims.extend([
+            Claim::above(format!("{l} 4-cycle, 26/4 MB (rises)"), rise, 1.0),
+            Claim::below(format!("{l} CACTI, 26/4 MB (falls)"), fall, 1.0),
+            Claim::above(
+                format!("{l} 26 MB, 4-cycle/CACTI"),
+                fixed(large) / cacti(large),
+                1.0,
+            ),
+            Claim::above(format!("{l} L2-hit CPI at 26 MB"), hits[6], 0.0),
+            if w == Dss { grows.gap("3") } else { grows },
+            Claim::above(
+                format!("{l} L2-hit share of D-CPI (dominates)"),
+                share(w),
+                0.5,
+            )
+            .gap("3"),
+        ]);
+    }
+    // OLTP only, the bound's original scope: DSS's two curves gain alike.
+    let gain = |fixed| uipc(Oltp, large, fixed) / uipc(Oltp, small, fixed);
+    let gains = gain(true) / gain(false);
+    claims.extend([
+        Claim::above("OLTP 1-26 MB gain, 4-cycle/CACTI", gains, 1.0),
+        Claim::above("L2-hit share of D-CPI, DSS/OLTP", share(Dss), share(Oltp)).gap("3"),
+    ]);
+    claims
 }
 
 // ---------------------------------------------------------------- Fig. 7
@@ -197,6 +339,32 @@ pub fn fig7_smp_vs_cmp(scale: &FigScale) -> Grid<WorkloadKind, &'static str> {
     grid(rows_of(&captures), |_| {
         throughput_columns(fig7_machines(), spec)
     })
+}
+
+/// Fig. 7's shape: integrating the cores on one chip turns coherence
+/// misses into on-chip hits — CMP CPI under SMP CPI, with the L2-hit
+/// component growing ~7x.
+pub fn fig7_claims(results: &Grid<WorkloadKind, &'static str>) -> Vec<Claim> {
+    let coherence = |r: &SimResult| r.breakdown.get(CycleClass::DStallCoherence) as f64;
+    let mut claims = Vec::new();
+    for row in &results.rows {
+        let (smp, cmp, l) = (row.get(&"SMP"), row.get(&"CMP"), row.key.label());
+        let l2_hits = |r: &SimResult| r.breakdown.l2_hit_stall_fraction();
+        let growth = l2_hits(cmp) / l2_hits(smp);
+        let near_7x = Claim::near(format!("{l} L2-hit share, CMP/SMP"), growth, 7.0);
+        let oltp = row.key == WorkloadKind::Oltp;
+        claims.extend([
+            Claim::below(format!("{l} CPI, CMP < SMP"), cmp.cpi(), smp.cpi()),
+            if oltp { near_7x.gap("3") } else { near_7x },
+            Claim::above(format!("{l} L2-hit share, CMP/SMP"), growth, 2.0),
+            Claim::below(format!("{l} CMP coherence cycles"), coherence(cmp), 1.0),
+        ]);
+        if oltp {
+            let share = coherence(smp) / smp.breakdown.total().max(1) as f64;
+            claims.push(Claim::above("OLTP SMP coherence share", share, 0.0));
+        }
+    }
+    claims
 }
 
 // ------------------------------------------- Contention and CC sweeps
@@ -314,24 +482,83 @@ pub fn fig_cc(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static
     contended_grid(scale, points, &joins_machines())
 }
 
+/// A count as a claim value; NaN when there is nothing to count.
+fn count(n: Option<u64>) -> f64 {
+    n.map_or(f64::NAN, |n| n as f64)
+}
+
+/// The §5.2 contention shape: interleaved clients really contend (lock
+/// waits at every skew, deadlock victims at the highest), and skew
+/// pushes the SMP's D-stall share up relative to the CMP's — the SMP
+/// pays off chip for the sharing the CMP resolves on chip.
+pub fn fig_contention_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim> {
+    let [first, .., last] = &points.rows[..] else {
+        return Vec::new();
+    };
+    let d_stalls = |p: &GridRow<_, _>, m| p.get(&m).breakdown.data_stall_fraction();
+    let growth = |m| d_stalls(last, m) - d_stalls(first, m);
+    let waits = count(points.rows.iter().map(|p| p.key.stats.lock_waits).min());
+    let (hot, aborts) = (last.key.hot_pct, last.key.stats.deadlock_aborts as f64);
+    vec![
+        Claim::above("fewest lock waits at any skew", waits, 0.0),
+        Claim::above(format!("deadlock aborts at {hot}%"), aborts, 0.0),
+        Claim::above("D-stall growth, SMP over CMP", growth("SMP"), growth("CMP")),
+    ]
+}
+
+/// The concurrency-control shape: 2PL pays deadlock aborts and
+/// lock-queue waits; partitioning is deadlock-free but turns lock-table
+/// sharing into messages, costliest on the SMP; ordered execution is
+/// deadlock-free and parks before running, never mid-transaction.
+pub fn fig_cc_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim> {
+    use CcBackend::{
+        Centralized2PL as TwoPl, DeterministicOrdered as Ordered, PartitionedPerCore as Part,
+    };
+    let hot = points.rows.iter().map(|p| p.key.hot_pct).max().unwrap_or(0);
+    let of = |b| points.rows.iter().filter(move |p| p.key.backend == b);
+    let at_hot = |b| of(b).find(|p| p.key.hot_pct == hot).map(|p| p.key);
+    let victims =
+        |p: &GridRow<ContendedCapture, _>| p.key.stats.deadlock_aborts + p.key.cc.deadlocks;
+    let deadlocks = |b| count(of(b).map(victims).max());
+    let messages = count(of(Part).map(|p| p.key.cc.remote_msgs).min());
+    // The SMP's CPI over the costlier of the other two machines.
+    let worst = |p: &GridRow<_, _>| p.get(&"CMP").cpi().max(p.get(&"ISLAND 2x2").cpi());
+    let smp_worst = least(of(Part).map(|p| p.get(&"SMP").cpi() / worst(p)));
+    let (two_pl, ord) = (at_hot(TwoPl).map(|k| k.stats), at_hot(Ordered));
+    let aborts = count(two_pl.map(|s| s.deadlock_aborts));
+    let waits = count(two_pl.map(|s| s.lock_waits));
+    let ordering = count(ord.map(|k| k.cc.ordering_waits.min(k.stats.ordering_waits)));
+    let mid_txn = count(ord.map(|k| k.stats.lock_waits));
+    vec![
+        Claim::above(format!("2PL deadlock aborts at {hot}%"), aborts, 0.0),
+        Claim::above(format!("2PL lock waits at {hot}%"), waits, 0.0),
+        Claim::below("PART most deadlocks at any skew", deadlocks(Part), 1.0),
+        Claim::below("ORDER most deadlocks at any skew", deadlocks(Ordered), 1.0),
+        Claim::above("PART fewest remote lock messages", messages, 0.0),
+        Claim::above("PART CPI, SMP over the worst other", smp_worst, 1.0),
+        Claim::above(format!("ORDER ordering waits at {hot}%"), ordering, 0.0),
+        Claim::below(format!("ORDER lock waits at {hot}%"), mid_txn, 1.0),
+    ]
+}
+
 // ---------------------------------------------------------------- Fig. 8
 
 /// One Fig. 8 point: (cores, normalized throughput, linear reference).
 pub type ScalingPoint = (usize, f64, f64);
 
+/// The core counts Fig. 8 sweeps.
+const FIG8_CORES: [usize; 4] = [4, 8, 12, 16];
+
 /// Fig. 8: throughput vs core count (FC CMP, 16 MB shared L2), one
 /// scaling series per workload.
-pub fn fig8_core_scaling(
-    scale: &FigScale,
-    core_counts: &[usize],
-) -> Vec<(WorkloadKind, Vec<ScalingPoint>)> {
+pub fn fig8_core_scaling(scale: &FigScale) -> Vec<(WorkloadKind, Vec<ScalingPoint>)> {
     let spec = spec_of(scale);
-    let base_cores = core_counts[0];
+    let base_cores = FIG8_CORES[0];
     // Enough clients to keep the largest machine saturated.
-    let max_ctx = core_counts.iter().max().unwrap() * 2;
+    let max_ctx = FIG8_CORES[FIG8_CORES.len() - 1] * 2;
     let captures = both_workloads(|w| CapturedWorkload::saturating(w, scale, max_ctx));
     let results = grid(rows_of(&captures), |_| {
-        let machines = core_counts
+        let machines = FIG8_CORES
             .iter()
             .map(|&n| (n, fc_cmp(n, 16 << 20, L2Spec::Cacti)));
         throughput_columns(machines, spec)
@@ -354,6 +581,23 @@ pub fn fig8_core_scaling(
         .collect()
 }
 
+/// Fig. 8's shape: DSS slightly superlinear at 8 cores (sharing), OLTP
+/// sublinear at 16 cores (~74 % of linear) — yet more cores still help.
+pub fn fig8_claims(series: &[(WorkloadKind, Vec<ScalingPoint>)]) -> Vec<Claim> {
+    let point = |w, n| {
+        let mut points = series.iter().filter(|s| s.0 == w).flat_map(|s| &s.1);
+        points
+            .find(|p| p.0 == n)
+            .map_or((f64::NAN, f64::NAN), |p| (p.1, p.2))
+    };
+    let (dss, oltp) = (point(WorkloadKind::Dss, 8), point(WorkloadKind::Oltp, 16));
+    vec![
+        Claim::within("DSS efficiency, 8 cores", dss.0 / dss.1, 1.0, 1.0 + APPROX).gap("2"),
+        Claim::near("OLTP efficiency, 16 cores", oltp.0 / oltp.1, 0.74).gap("2"),
+        Claim::above("OLTP throughput, 16 over 4 cores", oltp.0, 1.5),
+    ]
+}
+
 // ---------------------------------------------------------------- Fig. 9 (ablation)
 
 /// §6 ablation: staged vs conventional execution of scan pipelines.
@@ -369,7 +613,9 @@ pub struct Fig9Result {
     pub l1d_miss_rate: f64,
 }
 
-pub fn fig9_staged(scale: &FigScale) -> Vec<Fig9Result> {
+/// The three policies, in presentation order: Volcano, cohort-staged,
+/// staged with parallel producers.
+pub fn fig9_staged(scale: &FigScale) -> [Fig9Result; 3] {
     let spec = spec_of(scale);
     let policies: [(&'static str, ExecPolicy); 3] = [
         ("Volcano (conventional)", ExecPolicy::Volcano),
@@ -383,15 +629,12 @@ pub fn fig9_staged(scale: &FigScale) -> Vec<Fig9Result> {
         ),
     ];
     let kinds = [QueryKind::Q1, QueryKind::Q6];
-    let captures: Vec<(&'static str, TraceBundle)> = policies
-        .into_iter()
-        .map(|(name, policy)| {
-            let (mut db, h) = dbcmp_workloads::build_tpch(scale.tpch, scale.seed);
-            let bundle = capture_staged_dss(&mut db, &h, &kinds, policy, 2, scale.seed)
-                .expect("Q1/Q6 are staged-pipelineable");
-            (name, bundle)
-        })
-        .collect();
+    let captures = policies.map(|(name, policy)| {
+        let (mut db, h) = dbcmp_workloads::build_tpch(scale.tpch, scale.seed);
+        let bundle = capture_staged_dss(&mut db, &h, &kinds, policy, 2, scale.seed)
+            .expect("Q1/Q6 are staged-pipelineable");
+        (name, bundle)
+    });
     let results = grid(
         captures.iter().map(|(name, b)| (*name, b)).collect(),
         |_| {
@@ -404,23 +647,35 @@ pub fn fig9_staged(scale: &FigScale) -> Vec<Fig9Result> {
                 .collect()
         },
     );
-    captures
-        .iter()
-        .zip(&results.rows)
-        .map(|((name, bundle), row)| {
-            let response = |camp| {
-                let r = row.get(&camp);
-                r.cycles as f64 / r.units.max(1) as f64
-            };
-            Fig9Result {
-                policy: name,
-                response_lc: response(Camp::Lean),
-                response_fc: response(Camp::Fat),
-                instrs_per_query: bundle.total_instrs() as f64 / bundle.total_units().max(1) as f64,
-                l1d_miss_rate: row.get(&Camp::Lean).mem.l1d_miss_rate(),
-            }
-        })
-        .collect()
+    captures.each_ref().map(|(name, bundle)| {
+        let row = results.row(name);
+        let response = |camp| {
+            let r = row.get(&camp);
+            r.cycles as f64 / r.units.max(1) as f64
+        };
+        Fig9Result {
+            policy: name,
+            response_lc: response(Camp::Lean),
+            response_fc: response(Camp::Fat),
+            instrs_per_query: bundle.total_instrs() as f64 / bundle.total_units().max(1) as f64,
+            l1d_miss_rate: row.get(&Camp::Lean).mem.l1d_miss_rate(),
+        }
+    })
+}
+
+/// The §6 shape: cohort staging cuts instructions per query; pipeline
+/// parallelism cuts unsaturated response time — most on the
+/// context-rich LC chip.
+pub fn fig9_claims([volcano, staged, parallel]: &[Fig9Result; 3]) -> Vec<Claim> {
+    let fewer = volcano.instrs_per_query / staged.instrs_per_query;
+    let lc = volcano.response_lc / parallel.response_lc;
+    let fc = volcano.response_fc / parallel.response_fc;
+    vec![
+        Claim::above("instrs/query, Volcano over staged", fewer, 1.0),
+        Claim::above("LC response, Volcano over parallel", lc, 1.0),
+        Claim::above("FC response, Volcano over parallel", fc, 1.0),
+        Claim::above("parallel speedup, LC over FC", lc, fc).gap("6"),
+    ]
 }
 
 // ------------------------------------------------------------- fig_asym
@@ -458,6 +713,55 @@ pub fn fig_asym(scale: &FigScale, total_slots: usize) -> Grid<WorkloadKind, (usi
             .map(|(fat, lean)| ((fat, lean), asym_cmp(fat, lean, BASE_L2, L2Spec::Cacti)));
         throughput_columns(machines, spec)
     })
+}
+
+/// UIPC of a sweep's interior points against its two endpoints: the
+/// least over 0.9x the slower endpoint, the most under 1.1x the faster
+/// (a blend need not be exactly monotonic).
+fn between_endpoints<C>(what: &str, cells: &[(C, SimResult)]) -> [Claim; 2] {
+    let uipc: Vec<f64> = cells.iter().map(|(_, r)| r.uipc()).collect();
+    let (ends, inner) = match &uipc[..] {
+        [first, inner @ .., last] => ([*first, *last], inner),
+        _ => ([f64::NAN; 2], &[][..]),
+    };
+    let (lo, hi) = (0.9 * least(ends), 1.1 * greatest(ends));
+    let (least_inner, most_inner) = (least(inner.to_vec()), greatest(inner.to_vec()));
+    [
+        Claim::above(format!("{what}, least UIPC"), least_inner, lo),
+        Claim::below(format!("{what}, most UIPC"), most_inner, hi),
+    ]
+}
+
+/// The asymmetric-chip shape: at the all-fat end data stalls dominate
+/// the stall time; trading fat slots for lean ones hides them, so the
+/// computation share and throughput climb, and mixed chips land between
+/// the pure camps.
+pub fn fig_asym_claims(points: &Grid<WorkloadKind, (usize, usize)>) -> Vec<Claim> {
+    let mut claims = Vec::new();
+    for row in &points.rows {
+        let (Some((_, fat)), Some((_, lean))) = (row.cells.first(), row.cells.last()) else {
+            continue;
+        };
+        let f = four_components(&fat.breakdown);
+        let n = four_components(&lean.breakdown);
+        let l = row.key.label();
+        claims.extend([
+            Claim::above(
+                format!("{l} all-fat D-stalls over I, Other"),
+                f.2,
+                f.1.max(f.3),
+            ),
+            Claim::below(format!("{l} D-stalls, all-lean < all-fat"), n.2, f.2),
+            Claim::above(format!("{l} computation, all-lean > all-fat"), n.0, f.0),
+            Claim::above(
+                format!("{l} UIPC, all-lean > all-fat"),
+                lean.uipc(),
+                fat.uipc(),
+            ),
+        ]);
+        claims.extend(between_endpoints(&format!("{l} mixed chips"), &row.cells));
+    }
+    claims
 }
 
 // ----------------------------------------------------------- fig_islands
@@ -500,6 +804,39 @@ pub fn fig_islands(
         });
         throughput_columns(machines, spec)
     })
+}
+
+/// The island shape: the chip-shared L2 is one coherence realm and the
+/// midpoints land between the endpoints; the workloads pay for
+/// partitioning differently — OLTP's shared structures turn into
+/// off-chip coherence and cost it more throughput, while DSS never
+/// coheres but loses the pooled capacity.
+pub fn fig_islands_claims(points: &Grid<WorkloadKind, (usize, usize)>) -> Vec<Claim> {
+    let coherence = |r: &SimResult| r.breakdown.get(CycleClass::DStallCoherence) as f64;
+    let miss = |r: &SimResult| r.mem.per_level[0].miss_rate();
+    let (mut claims, mut drops) = (Vec::new(), [f64::NAN; 2]);
+    for (row, drop) in points.rows.iter().zip(&mut drops) {
+        let (Some((_, shared)), Some((_, private))) = (row.cells.first(), row.cells.last()) else {
+            continue;
+        };
+        let (l, transfers) = (row.key.label(), shared.mem.coherence_transfers as f64);
+        let most = greatest(row.cells.iter().map(|(_, r)| coherence(r)));
+        let share = coherence(private) / private.breakdown.total().max(1) as f64;
+        *drop = 1.0 - private.uipc() / shared.uipc();
+        let one_realm = Claim::below(format!("{l} shared-L2 coherence"), transfers, 1.0);
+        claims.push(one_realm);
+        claims.extend(between_endpoints(&format!("{l} islands"), &row.cells));
+        claims.extend(match row.key {
+            WorkloadKind::Oltp => vec![Claim::above("OLTP private coherence share", share, 0.0)],
+            WorkloadKind::Dss => vec![
+                Claim::below("DSS most coherence cycles", most, 1.0),
+                Claim::above("DSS L2 miss, private > shared", miss(private), miss(shared)),
+            ],
+        });
+    }
+    let [oltp, dss] = drops;
+    claims.push(Claim::above("UIPC lost splitting, OLTP > DSS", oltp, dss));
+    claims
 }
 
 // ------------------------------------------------------------- fig_joins
@@ -591,6 +928,30 @@ pub fn fig_joins(scale: &FigScale) -> FigJoinsRun {
     }
 }
 
+/// The join shape: joins really run (hash-build, index-nested-loop and
+/// B+Tree descent work in the join capture, no index join in the scan
+/// mix), and their working sets stay on chip in the pooled CMP L2 but
+/// overflow split islands and private SMP nodes — the L2 miss rate is
+/// the tell.
+pub fn fig_joins_claims(run: &FigJoinsRun) -> Vec<Claim> {
+    let miss = |join_heavy, m| run.grid.get(&join_heavy, &m).mem.per_level[0].miss_rate();
+    let (j, cmp) = (&run.joins, miss(true, "CMP"));
+    let split = miss(true, "SMP").min(miss(true, "ISLAND 2x2"));
+    let mut claims = vec![
+        Claim::above("join hash-join instrs", j.hashjoin_instrs as f64, 0.0),
+        Claim::above("join nested-loop instrs", j.nlj_instrs as f64, 0.0),
+        Claim::above("join B+Tree descent instrs", j.btree_instrs as f64, 0.0),
+        Claim::below("scan nested-loop instrs", run.scan.nlj_instrs as f64, 1.0),
+        Claim::below("join L2 miss, CMP under split L2s", cmp, split),
+    ];
+    for m in ["SMP", "ISLAND 2x2"] {
+        let (join, scan) = (miss(true, m), miss(false, m));
+        let overflows = Claim::above(format!("{m} L2 miss, join over scan"), join, scan);
+        claims.push(overflows);
+    }
+    claims
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,10 +962,10 @@ mod tests {
     #[test]
     fn fig2_runs_and_normalizes() {
         let scale = FigScale::quick();
-        let pts = fig2_saturation(&scale, &[1, 4]);
-        assert_eq!(pts.len(), 2);
+        let pts = fig2_saturation(&scale);
+        assert_eq!(pts.len(), FIG2_CLIENTS.len());
         assert!((pts[0].1 - 1.0).abs() < 1e-9, "first point is the baseline");
-        assert!(pts[1].1 > 0.0);
+        assert!(pts.iter().all(|&(_, t)| t > 0.0));
     }
 
     #[test]

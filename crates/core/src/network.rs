@@ -28,6 +28,7 @@ use dbcmp_workloads::{capture_dss_dist, CaptureOptions, DistOptions, DistStats};
 
 use crate::experiment::{grid, InstanceReplay, RunSpec};
 use crate::machines::{fc_cmp, L2Spec};
+use crate::report::Claim;
 use crate::workload::FigScale;
 
 /// One point of the network sweep: `instances` full chips joined by
@@ -171,6 +172,38 @@ pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
         }
     }
     out
+}
+
+/// The network shape: exchange traffic grows with instances, the link
+/// classes stall in latency order (10 GbE > NUMA > RDMA), and the
+/// bandwidth-vs-compute crossover: NUMA-linked chips keep adding query
+/// throughput while over 10 GbE one chip beats every distributed plan.
+pub fn fig_network_claims(points: &[NetworkPoint]) -> Vec<Claim> {
+    let at = |preset: &str, n, f: fn(&NetworkPoint) -> f64| {
+        let mut matching = points.iter().filter(|p| p.preset == preset);
+        matching.find(|p| p.instances == n).map_or(f64::NAN, f)
+    };
+    let sweep = |preset, f| NETWORK_INSTANCES.map(|n| at(preset, n, f));
+    let [_, sent2, sent4] = sweep("NUMA", |p| p.stats.traffic.sent_bytes as f64);
+    let [numa, rdma, gbe] = ["NUMA", "RDMA", "10GbE"].map(|l| at(l, 2, |p| p.link_stall_share));
+    let ([nu1, _, nu4], [_, gu2, gu4]) = (
+        sweep("NUMA", |p| p.units as f64),
+        sweep("10GbE", |p| p.units as f64),
+    );
+    let ([nq1, nq2, nq4], [gq1, gq2, gq4]) =
+        (sweep("NUMA", |p| p.queries), sweep("10GbE", |p| p.queries));
+    vec![
+        Claim::above("bytes shipped at 2 instances", sent2, 0.0),
+        Claim::above("bytes shipped, 4 over 2 instances", sent4, sent2),
+        Claim::above("link stall at 2, 10GbE over NUMA", gbe, numa),
+        Claim::above("link stall at 2, NUMA over RDMA", numa, rdma),
+        Claim::above("NUMA units, 4 over 1 instance", nu4, nu1),
+        Claim::below("10GbE units, 4 under 2 instances", gu4, gu2),
+        Claim::above("NUMA queries, 2 over 1 chip", nq2, nq1),
+        Claim::above("NUMA queries, 4 over 2 chips", nq4, nq2),
+        Claim::below("10GbE queries, 2 under 1 chip", gq2, gq1),
+        Claim::below("10GbE queries, 4 under 2 chips", gq4, gq2),
+    ]
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! cargo run --release --example camp_shootout
 //! ```
 
-use dbcmp::core::figures::{fig45_quadrants, fig4_ratios};
-use dbcmp::core::report::{f2, pct, table};
+use dbcmp::core::figures::{fig45_quadrants, fig4_claims};
+use dbcmp::core::report::{claims_block, pct, table};
 use dbcmp::core::taxonomy::{Camp, Saturation, WorkloadKind};
 use dbcmp::core::workload::FigScale;
 
@@ -52,19 +52,8 @@ fn main() {
         )
     );
 
+    // Fig. 4 normalizes LC to FC; its claims print the ratios against the
+    // paper's bounds.
     println!("\nLC normalized to FC (paper Fig. 4):");
-    let ratios = fig4_ratios(&quadrants);
-    let rows: Vec<Vec<String>> = ratios
-        .iter()
-        .map(|&(w, rt, tp)| vec![w.label().into(), f2(rt), f2(tp)])
-        .collect();
-    print!(
-        "{}",
-        table(
-            &["Workload", "Response-time ratio", "Throughput ratio"],
-            &rows
-        )
-    );
-    println!("\n> 1.0 response ratio: the fat camp wins single-thread latency.");
-    println!("> 1.0 throughput ratio: the lean camp wins saturated throughput.");
+    print!("{}", claims_block(&fig4_claims(&quadrants)));
 }
