@@ -27,6 +27,12 @@ use crate::txn::{Txn, TxnId, TxnState, UndoRec};
 use crate::types::{Row, Value};
 use crate::wal::{Wal, WalRecord};
 
+/// Simulated lock-table buckets, for every backend: one 64 B line each
+/// (4 MiB of simulated address space; the partitioned backend splits it
+/// across its partitions). The count sizes only that address window —
+/// lock tables store live entries only, so no host structure depends on it.
+const LOCK_TABLE_BUCKETS: usize = 64 * 1024;
+
 /// Key-extraction function for an index: row + rid → packed u64 key.
 pub type KeyFn = Box<dyn Fn(&[Value], Rid) -> u64 + Send + Sync>;
 
@@ -61,7 +67,7 @@ impl Database {
         let er = EngineRegions::register(&mut regions);
         Database {
             catalog: Catalog::new(&space),
-            cc: Box::new(Centralized2PL::new(&space, 64 * 1024)),
+            cc: Box::new(Centralized2PL::new(&space, LOCK_TABLE_BUCKETS)),
             wal: Wal::new(&space),
             heaps: Vec::new(),
             indexes: Vec::new(),
@@ -101,14 +107,16 @@ impl Database {
             return;
         }
         self.cc = match backend {
-            CcBackend::Centralized2PL => Box::new(Centralized2PL::new(&self.space, 64 * 1024)),
+            CcBackend::Centralized2PL => {
+                Box::new(Centralized2PL::new(&self.space, LOCK_TABLE_BUCKETS))
+            }
             CcBackend::PartitionedPerCore => {
                 // One partition per base-config core (the paper's 4-core
                 // machines), carved from the same total bucket budget.
-                Box::new(PartitionedPerCore::new(&self.space, 4, 64 * 1024))
+                Box::new(PartitionedPerCore::new(&self.space, 4, LOCK_TABLE_BUCKETS))
             }
             CcBackend::DeterministicOrdered => {
-                Box::new(DeterministicOrdered::new(&self.space, 64 * 1024))
+                Box::new(DeterministicOrdered::new(&self.space, LOCK_TABLE_BUCKETS))
             }
         };
     }

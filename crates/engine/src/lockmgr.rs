@@ -1,10 +1,14 @@
 //! Row-level two-phase-locking lock manager with wait queues.
 //!
-//! A hash table of lock buckets; each bucket occupies exactly one cache
-//! line in the simulated address space. Lock words are *the* shared-write
-//! hot spots of an OLTP engine: every transaction from every client writes
-//! them, which is what turns into coherence traffic on an SMP and into
-//! shared-L2/L1-to-L1 transfers on a CMP (paper §5.2, Fig. 7).
+//! **Simulated footprint:** a hash table of lock buckets, each exactly one
+//! 64 B cache line that every acquire and release of a key hashing to it
+//! touches. Lock words are *the* shared-write hot spots of an OLTP engine:
+//! every transaction from every client writes them, which is what turns
+//! into coherence traffic on an SMP and into shared-L2/L1-to-L1 transfers
+//! on a CMP (paper §5.2, Fig. 7).
+//!
+//! **Host storage:** live locks only, one ordered map from key to entry;
+//! the bucket count sizes nothing on the host.
 //!
 //! Two disciplines coexist:
 //!
@@ -33,7 +37,7 @@
     clippy::disallowed_types,
     reason = "every map below is keyed lookup only; wake order comes from the `woken` Vec and wait_graph sorts before iterating"
 )]
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::costs::instr;
 use crate::error::{EngineError, Result};
@@ -80,7 +84,6 @@ struct Waiter {
 
 #[derive(Debug)]
 struct LockEntry {
-    key: u64,
     mode: LockMode,
     holders: Vec<TxnId>,
     waiters: VecDeque<Waiter>,
@@ -89,7 +92,8 @@ struct LockEntry {
 /// The lock table.
 #[derive(Debug)]
 pub struct LockMgr {
-    buckets: Vec<Vec<LockEntry>>,
+    /// Live locks by key (each entry has a holder or a waiter).
+    table: BTreeMap<u64, LockEntry>,
     /// Simulated base address; bucket i lives at `addr + i*64`.
     addr: u64,
     mask: u64,
@@ -122,7 +126,7 @@ pub struct LockMgr {
 }
 
 impl LockMgr {
-    /// `n_buckets` is rounded up to a power of two.
+    /// `n_buckets` simulated bucket lines, rounded up to a power of two.
     #[allow(
         clippy::disallowed_types,
         reason = "keyed-lookup maps, justified at their declarations"
@@ -130,7 +134,7 @@ impl LockMgr {
     pub fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         let n = n_buckets.next_power_of_two().max(64);
         LockMgr {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
+            table: BTreeMap::new(),
             addr: space.alloc("lock-table", n as u64 * 64),
             mask: (n - 1) as u64,
             contention: 0,
@@ -150,14 +154,14 @@ impl LockMgr {
     }
 
     #[inline]
-    fn bucket_of(&self, key: u64) -> usize {
+    fn bucket_of(&self, key: u64) -> u64 {
         // Multiplicative hash, then mask.
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask) as usize
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask
     }
 
     #[inline]
-    fn bucket_addr(&self, b: usize) -> u64 {
-        self.addr + (b as u64) * 64
+    fn bucket_addr(&self, key: u64) -> u64 {
+        self.addr + self.bucket_of(key) * 64
     }
 
     /// Acquire `key` in `mode` for `txn`, no-wait: conflicts return
@@ -199,10 +203,10 @@ impl LockMgr {
         wait: bool,
         tc: &mut TraceCtx,
     ) -> Result<Grant> {
-        let b = self.bucket_of(key);
+        let addr = self.bucket_addr(key);
         tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.contention);
         // The bucket header is a dependent load; the grant writes it.
-        tc.load_dep(self.bucket_addr(b), 16);
+        tc.load_dep(addr, 16);
 
         if wait {
             // Victim notification takes priority: the txn was chosen while
@@ -226,9 +230,7 @@ impl LockMgr {
             }
         }
 
-        let addr = self.bucket_addr(b);
-        let bucket = &mut self.buckets[b];
-        if let Some(e) = bucket.iter_mut().find(|e| e.key == key) {
+        if let Some(e) = self.table.get_mut(&key) {
             let holds = e.holders.contains(&txn);
             match (mode, e.mode) {
                 // Re-acquire in same-or-weaker mode.
@@ -272,12 +274,12 @@ impl LockMgr {
                 }
             }
         }
-        bucket.push(LockEntry {
-            key,
+        let entry = LockEntry {
             mode,
             holders: vec![txn],
             waiters: VecDeque::new(),
-        });
+        };
+        self.table.insert(key, entry);
         tc.store(addr, 16);
         tc.fence();
         Ok(Grant::Acquired)
@@ -365,41 +367,39 @@ impl LockMgr {
         let Some(key) = self.waiting.remove(&txn) else {
             return;
         };
-        let b = self.bucket_of(key);
-        let addr = self.bucket_addr(b);
-        let bucket = &mut self.buckets[b];
-        if let Some(i) = bucket.iter().position(|e| e.key == key) {
-            bucket[i].waiters.retain(|w| w.txn != txn);
+        let addr = self.bucket_addr(key);
+        if let Some(e) = self.table.get_mut(&key) {
+            e.waiters.retain(|w| w.txn != txn);
             tc.store(addr, 16);
-            self.grant_pass(b, i, tc);
+            self.grant_pass(key, tc);
         }
     }
 
     /// Release one lock held by `txn`.
     pub fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
-        let b = self.bucket_of(key);
         tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
-        tc.store(self.bucket_addr(b), 16);
-        let bucket = &mut self.buckets[b];
-        if let Some(i) = bucket.iter().position(|e| e.key == key) {
-            bucket[i].holders.retain(|&t| t != txn);
-            self.grant_pass(b, i, tc);
+        tc.store(self.bucket_addr(key), 16);
+        if let Some(e) = self.table.get_mut(&key) {
+            e.holders.retain(|&t| t != txn);
+            self.grant_pass(key, tc);
         }
     }
 
-    /// FIFO grant pass over entry `i` of bucket `b`: grant from the front
-    /// while compatible, recording parked grants; drop the entry when
-    /// fully drained.
-    fn grant_pass(&mut self, b: usize, i: usize, tc: &mut TraceCtx) {
-        let addr = self.bucket_addr(b);
+    /// FIFO grant pass over `key`'s entry: grant from the front while
+    /// compatible, recording parked grants; drop the entry when fully
+    /// drained.
+    fn grant_pass(&mut self, key: u64, tc: &mut TraceCtx) {
+        let addr = self.bucket_addr(key);
         let LockMgr {
-            buckets,
+            table,
             waiting,
             granted,
             woken,
             ..
         } = self;
-        let e = &mut buckets[b][i];
+        let Some(e) = table.get_mut(&key) else {
+            return;
+        };
         let mut granted_any = false;
         while let Some(w) = e.waiters.front() {
             let can = if e.holders.is_empty() {
@@ -426,7 +426,7 @@ impl LockMgr {
                 e.holders.push(w.txn);
             }
             waiting.remove(&w.txn);
-            granted.insert(w.txn, (e.key, w.upgrade));
+            granted.insert(w.txn, (key, w.upgrade));
             woken.push(w.txn);
             granted_any = true;
         }
@@ -436,7 +436,7 @@ impl LockMgr {
             tc.fence();
         }
         if drained {
-            buckets[b].swap_remove(i);
+            table.remove(&key);
         }
     }
 
@@ -449,8 +449,7 @@ impl LockMgr {
         let Some(&key) = self.waiting.get(&t) else {
             return Vec::new();
         };
-        let b = self.bucket_of(key);
-        let Some(e) = self.buckets[b].iter().find(|e| e.key == key) else {
+        let Some(e) = self.table.get(&key) else {
             return Vec::new();
         };
         let mut out: Vec<TxnId> = e.holders.iter().copied().filter(|&h| h != t).collect();
@@ -515,7 +514,7 @@ impl LockMgr {
 
     /// Number of live lock entries (diagnostics/tests).
     pub fn live_locks(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+        self.table.len()
     }
 
     /// Number of transactions parked on wait queues.
@@ -524,21 +523,18 @@ impl LockMgr {
     }
 
     /// Snapshot of every live entry: (key, mode, holders, queued waiters),
-    /// in bucket order (tests).
+    /// in bucket order, keys ascending within a bucket (tests).
     pub fn snapshot(&self) -> Vec<(u64, LockMode, Vec<TxnId>, Vec<TxnId>)> {
-        self.buckets
+        let mut out: Vec<_> = self
+            .table
             .iter()
-            .flat_map(|bucket| {
-                bucket.iter().map(|e| {
-                    (
-                        e.key,
-                        e.mode,
-                        e.holders.clone(),
-                        e.waiters.iter().map(|w| w.txn).collect(),
-                    )
-                })
+            .map(|(&key, e)| {
+                let waiters = e.waiters.iter().map(|w| w.txn).collect();
+                (key, e.mode, e.holders.clone(), waiters)
             })
-            .collect()
+            .collect();
+        out.sort_by_key(|e| self.bucket_of(e.0));
+        out
     }
 }
 

@@ -215,12 +215,15 @@ enum St {
     Done,
 }
 
-/// 2PL compatibility matrix + structural sanity over the live lock table.
+/// 2PL compatibility matrix + structural sanity over the live lock table:
+/// an entry lives exactly while it has a holder or a waiter of its own.
 fn assert_table_invariants(lm: &LockMgr) {
-    for (key, mode, holders, _waiters) in lm.snapshot() {
+    let snapshot = lm.snapshot();
+    prop_assert_eq!(lm.live_locks(), snapshot.len(), "live_locks vs snapshot");
+    for (key, mode, holders, waiters) in snapshot {
         prop_assert!(
-            !holders.is_empty() || lm.waiting_count() > 0,
-            "key {key}: empty entry must not linger"
+            !holders.is_empty() || !waiters.is_empty(),
+            "key {key}: an entry with no holder and no waiter must not linger"
         );
         if mode == LockMode::Exclusive {
             prop_assert!(
