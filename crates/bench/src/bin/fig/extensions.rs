@@ -4,10 +4,10 @@
 
 use dbcmp_core::deploy::{fig_deploy as deploy_points, fig_deploy_claims};
 use dbcmp_core::figures::{
-    cc_backend_label, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid, fig_cc_claims,
-    fig_contention as contention_grid, fig_contention_claims, fig_islands as islands_grid,
-    fig_islands_claims, fig_joins as joins_run, fig_joins_claims, ContendedCapture,
-    JoinsCaptureStats, BASE_CORES,
+    cc_backend_label, fig7_machines, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid,
+    fig_cc_claims, fig_contention as contention_grid, fig_contention_claims,
+    fig_islands as islands_grid, fig_islands_claims, fig_joins as joins_run, fig_joins_claims,
+    ContendedCapture, JoinsCaptureStats,
 };
 use dbcmp_core::network::{
     fig_network as network_points, fig_network_claims, network_presets, NETWORK_INSTANCES,
@@ -15,10 +15,6 @@ use dbcmp_core::network::{
 use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
 use dbcmp_core::FigScale;
 use dbcmp_sim::{CycleClass, SimResult};
-
-/// Fixed total capacity of `fig_islands`/`fig_deploy` (the Fig. 7 CMP
-/// budget: 4 x 4 MB).
-const TOTAL_L2: u64 = 16 << 20;
 
 /// The columns the island and join tables share, after their own
 /// leading label columns.
@@ -48,10 +44,9 @@ fn stall_cells(res: &SimResult) -> [String; 7] {
     ]
 }
 
-/// The §5.2 contention sweep ([`dbcmp_core::figures::fig_contention`])
-/// at 0/30/60/90% hot-row skew.
+/// The §5.2 contention sweep ([`dbcmp_core::figures::fig_contention`]).
 pub fn fig_contention(scale: &FigScale) {
-    let points = contention_grid(scale, &[0, 30, 60, 90]);
+    let points = contention_grid(scale);
 
     let mut rows = Vec::new();
     for p in &points.rows {
@@ -86,11 +81,10 @@ pub fn fig_contention(scale: &FigScale) {
     print!("{}", claims_block(&fig_contention_claims(&points)));
 }
 
-/// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]):
-/// three backends at 0/50/90% skew on the SMP / CMP / 2x2-island presets.
+/// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]) on
+/// the SMP / CMP / 2x2-island presets.
 pub fn fig_cc(scale: &FigScale) {
-    let skews = [0u8, 50, 90];
-    let points = cc_grid(scale, &skews);
+    let points = cc_grid(scale);
 
     let mut rows = Vec::new();
     for p in &points.rows {
@@ -137,12 +131,17 @@ pub fn fig_cc(scale: &FigScale) {
     println!();
 
     // Per-backend SMP-vs-CMP delta at the hottest skew point.
-    let hottest = *skews.last().expect("skews nonempty");
-    for p in points.rows.iter().filter(|p| p.key.hot_pct == hottest) {
+    let hottest = points.rows.iter().map(|p| p.key.hot_pct).max();
+    for p in points
+        .rows
+        .iter()
+        .filter(|p| Some(p.key.hot_pct) == hottest)
+    {
         println!(
-            "{:<6} skew={hottest}%:  SMP/CMP CPI ratio {:.3},  deadlock aborts {},  \
+            "{:<6} skew={}%:  SMP/CMP CPI ratio {:.3},  deadlock aborts {},  \
              exec waits {},  ordering waits {}",
             cc_backend_label(p.key.backend),
+            p.key.hot_pct,
             p.get(&"SMP").cpi() / p.get(&"CMP").cpi(),
             p.key.stats.deadlock_aborts,
             p.key.stats.lock_waits,
@@ -153,11 +152,9 @@ pub fn fig_cc(scale: &FigScale) {
     print!("{}", claims_block(&fig_cc_claims(&points)));
 }
 
-/// The asymmetric-CMP ratio sweep ([`dbcmp_core::figures::fig_asym`])
-/// over eight core slots.
+/// The asymmetric-CMP ratio sweep ([`dbcmp_core::figures::fig_asym`]).
 pub fn fig_asym(scale: &FigScale) {
-    const TOTAL_SLOTS: usize = 8;
-    let points = asym_grid(scale, TOTAL_SLOTS);
+    let points = asym_grid(scale);
     for row in &points.rows {
         println!("\n-- {} (saturated, throughput mode) --", row.key.label());
         let rows: Vec<Vec<String>> = row
@@ -199,7 +196,10 @@ pub fn fig_asym(scale: &FigScale) {
 /// The cache-island sweep ([`dbcmp_core::figures::fig_islands`]) at
 /// Fig. 7's core count and total L2.
 pub fn fig_islands(scale: &FigScale) {
-    let points = islands_grid(scale, BASE_CORES, TOTAL_L2);
+    let points = islands_grid(scale);
+    // The budget the islands split: the Fig. 7 CMP's shared L2.
+    let [_, (_, cmp)] = fig7_machines();
+    let total_l2 = cmp.l2_geom().size;
     for row in &points.rows {
         println!("\n-- {} (saturated, throughput mode) --", row.key.label());
         let rows: Vec<Vec<String>> = row
@@ -208,7 +208,7 @@ pub fn fig_islands(scale: &FigScale) {
             .map(|((clusters, cores_per_cluster), res)| {
                 let mut cells = vec![
                     format!("{clusters}x{cores_per_cluster}"),
-                    format!("{} MB", (TOTAL_L2 / *clusters as u64) >> 20),
+                    format!("{} MB", (total_l2 / *clusters as u64) >> 20),
                 ];
                 cells.extend(stall_cells(res));
                 cells
@@ -294,11 +294,11 @@ pub fn fig_joins(scale: &FigScale) {
 /// The shared-nothing deployment sweep ([`dbcmp_core::deploy`]) at
 /// Fig. 7's core count and total L2.
 pub fn fig_deploy(scale: &FigScale) {
-    /// Multi-partition transaction percentages swept.
-    const MULTI_PCTS: [u8; 3] = [0, 20, 60];
-    let points = deploy_points(scale, BASE_CORES, TOTAL_L2, &MULTI_PCTS);
+    let points = deploy_points(scale);
+    let mut multi_pcts: Vec<u8> = points.iter().map(|p| p.multi_pct).collect();
+    multi_pcts.dedup();
 
-    for &multi_pct in &MULTI_PCTS {
+    for multi_pct in multi_pcts {
         println!("\n-- {multi_pct}% multi-warehouse transactions --");
         let rows: Vec<Vec<String>> = points
             .iter()

@@ -11,15 +11,15 @@
 
 use dbcmp_cacti::{historic_latencies, historic_sizes, CacheOrg, CactiModel};
 use dbcmp_core::deploy::{deploy_capture, fig_deploy, fig_deploy_claims};
-use dbcmp_core::experiment::run_throughput;
+use dbcmp_core::experiment::{run_completion, run_throughput};
 use dbcmp_core::figures::{
     fig2_claims, fig2_saturation, fig3_claims, fig3_validation, fig45_quadrants, fig4_claims,
-    fig5_claims, fig6_cache_sweep, fig6_claims, fig7_claims, fig7_smp_vs_cmp, fig8_claims,
-    fig8_core_scaling, fig9_claims, fig9_staged, fig_asym, fig_asym_claims, fig_cc, fig_cc_claims,
-    fig_contention, fig_contention_claims, fig_islands, fig_islands_claims, fig_joins,
-    fig_joins_claims, joins_machines, spec_of, BASE_CORES, BASE_L2,
+    fig5_claims, fig6_cache_sweep, fig6_claims, fig7_claims, fig7_machines, fig7_smp_vs_cmp,
+    fig8_claims, fig8_core_scaling, fig9_claims, fig9_staged, fig_asym, fig_asym_claims, fig_cc,
+    fig_cc_claims, fig_contention, fig_contention_claims, fig_islands, fig_islands_claims,
+    fig_joins, fig_joins_claims, joins_machines, spec_of, BASE_CORES, BASE_L2,
 };
-use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, smp_baseline, L2Spec};
+use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, L2Spec};
 use dbcmp_core::report::{check_claims, Claim};
 use dbcmp_core::taxonomy::{table1, Camp, WorkloadKind};
 use dbcmp_core::workload::{CapturedWorkload, FigScale};
@@ -91,8 +91,8 @@ fn fig9_staged_paper() {
 #[test]
 fn fig_contention_quick() {
     let scale = FigScale::quick();
-    let points = fig_contention(&scale, &[0, 90]);
-    assert_eq!(points.rows.len(), 2);
+    let points = fig_contention(&scale);
+    assert_eq!(points.rows.len(), 4, "skews 0/30/60/90%");
     for p in &points.rows {
         assert_eq!(
             p.key.stats.commits + p.key.stats.rollbacks,
@@ -110,10 +110,9 @@ fn fig_contention_quick() {
 #[test]
 fn fig_cc_quick() {
     let scale = FigScale::quick();
-    let skews = [0u8, 90];
-    let grid = fig_cc(&scale, &skews);
+    let grid = fig_cc(&scale);
     let points = &grid.rows;
-    assert_eq!(points.len(), 3 * 2, "3 backends x 2 skews");
+    assert_eq!(points.len(), 3 * 3, "3 backends x skews 0/50/90%");
     for p in points {
         assert_eq!(
             p.key.stats.commits + p.key.stats.rollbacks,
@@ -132,24 +131,30 @@ fn fig_cc_quick() {
     };
 
     // Anchor: Centralized2PL through the trait seam is byte-identical to
-    // the pre-refactor pipeline — same capture, same replay numbers.
-    let reference = fig_contention(&scale, &skews).rows;
-    for (i, &hot) in skews.iter().enumerate() {
+    // the pre-refactor pipeline — same capture, same replay numbers — at
+    // the skews both sweeps run.
+    let reference = fig_contention(&scale).rows;
+    for hot in [0, 90] {
         let anchor = find(CcBackend::Centralized2PL, hot);
+        let reference = reference.iter().find(|r| r.key.hot_pct == hot);
+        let reference = reference.expect("fig_contention runs this skew");
         assert_eq!(
-            anchor.key.stats, reference[i].key.stats,
+            anchor.key.stats, reference.key.stats,
             "2PL capture stats must match fig_contention at skew {hot}"
         );
         assert!(
-            same_numbers(anchor.get(&"SMP"), reference[i].get(&"SMP"))
-                && same_numbers(anchor.get(&"CMP"), reference[i].get(&"CMP")),
+            same_numbers(anchor.get(&"SMP"), reference.get(&"SMP"))
+                && same_numbers(anchor.get(&"CMP"), reference.get(&"CMP")),
             "2PL replay numbers must match fig_contention at skew {hot}"
         );
     }
 
-    for &hot in &skews {
-        let p = find(CcBackend::PartitionedPerCore, hot).key;
-        assert_eq!(p.cc.remote_bytes, 32 * p.cc.remote_msgs, "{:?}", p.cc);
+    for p in points
+        .iter()
+        .filter(|p| p.key.backend == CcBackend::PartitionedPerCore)
+    {
+        let cc = p.key.cc;
+        assert_eq!(cc.remote_bytes, 32 * cc.remote_msgs, "{cc:?}");
     }
     assert_claims(&fig_cc_claims(&grid));
 }
@@ -168,13 +173,14 @@ fn same_numbers(a: &SimResult, b: &SimResult) -> bool {
 #[test]
 fn fig_asym_quick() {
     let scale = FigScale::quick();
-    let total = 4;
-    let points = fig_asym(&scale, total);
+    let points = fig_asym(&scale);
     assert_eq!(
         points.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
-        2 * 3,
-        "2 workloads x {{4F, 2F+2L, 0F}}"
+        2 * 5,
+        "2 workloads x {{8F, 6F+2L, 4F+4L, 2F+6L, 0F}}"
     );
+    // The first column is all-fat, so its fat count is the slot total.
+    let ((total, _), _) = points.rows[0].cells[0];
     let spec = spec_of(&scale);
     // Rebuild the sweep's captures (deterministic: same seed, same
     // client count) to run the homogeneous reference presets.
@@ -204,19 +210,20 @@ fn fig_asym_quick() {
 
 /// The `fig_islands` gate: the island sweep's pure endpoints are
 /// numerically the Fig. 7 presets run on the same captures (one shared
-/// L2 ≡ the CMP, one-core islands ≡ the SMP), every point records L2
-/// traffic, and the island claims hold.
+/// L2 ≡ the CMP, one-core islands ≡ the SMP) — in completion mode too —
+/// every point records L2 traffic, and the island claims hold.
 #[test]
 fn fig_islands_quick() {
     let scale = FigScale::quick();
-    let total = 16u64 << 20;
-    let points = fig_islands(&scale, BASE_CORES, total);
+    let points = fig_islands(&scale);
     assert_eq!(
         points.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
         2 * 3,
         "2 workloads x {{1x4, 2x2, 4x1}}"
     );
     let spec = spec_of(&scale);
+    let [(_, smp), (_, cmp)] = fig7_machines();
+    let total = cmp.l2_geom().size;
     for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
         // Deterministic captures: same seed + client count as the sweep.
         let w = CapturedWorkload::saturated(workload, &scale);
@@ -224,23 +231,29 @@ fn fig_islands_quick() {
         let shared = row.get(&(1, BASE_CORES));
         let private = row.get(&(BASE_CORES, 1));
         // Endpoint ≡ Fig. 7 CMP preset (shared 16 MB L2).
-        let cmp_ref = run_throughput(fc_cmp(BASE_CORES, total, L2Spec::Cacti), &w.bundle, spec);
+        let cmp_ref = run_throughput(cmp.clone(), &w.bundle, spec);
         assert!(
             same_numbers(shared, &cmp_ref),
             "{}: one chip-spanning island must equal the shared-L2 CMP preset",
             workload.label()
         );
         // Endpoint ≡ Fig. 7 SMP preset (private 4 MB per node).
-        let smp_ref = run_throughput(
-            smp_baseline(BASE_CORES, total / BASE_CORES as u64, Camp::Fat),
-            &w.bundle,
-            spec,
-        );
+        let smp_ref = run_throughput(smp.clone(), &w.bundle, spec);
         assert!(
             same_numbers(private, &smp_ref),
             "{}: one-core islands must equal the SMP preset",
             workload.label()
         );
+        if workload == WorkloadKind::Oltp {
+            // The same identities when every unit runs to completion.
+            for (island, preset) in [((1, BASE_CORES), &cmp), ((BASE_CORES, 1), &smp)] {
+                let (clusters, k) = island;
+                let island = island_cmp(clusters, k, total, L2Spec::Cacti);
+                let a = run_completion(island, &w.bundle, spec);
+                let b = run_completion(preset.clone(), &w.bundle, spec);
+                assert!(same_numbers(&a, &b), "{clusters}x{k} to completion");
+            }
+        }
         // Per-level counters flow through: every point records L2 traffic.
         for (_, result) in &row.cells {
             assert_eq!(result.mem.per_level.len(), 1);
@@ -323,9 +336,12 @@ fn fig_network_quick() {
 #[test]
 fn fig_deploy_quick() {
     let scale = FigScale::quick();
-    let total_l2 = 16u64 << 20;
-    let points = fig_deploy(&scale, BASE_CORES, total_l2, &[0, 60]);
-    assert_eq!(points.len(), 2 * 3, "2 multi%s x {{1, 2, 4}} instances");
+    let points = fig_deploy(&scale);
+    assert_eq!(
+        points.len(),
+        3 * 3,
+        "multi% 0/20/60 x {{1, 2, 4}} instances"
+    );
     let find = |multi: u8, inst: usize| {
         points
             .iter()
@@ -336,14 +352,12 @@ fn fig_deploy_quick() {
     // Shared-everything endpoint ≡ a direct CMP replay of the same
     // (deterministically recaptured) bundle on the full budget.
     let spec = spec_of(&scale);
-    let dep = deploy_capture(&scale, BASE_CORES, 1, 0);
-    assert_eq!(dep.bundles.len(), 1);
-    let reference = run_throughput(
-        fc_cmp(BASE_CORES, total_l2, L2Spec::Cacti),
-        &dep.bundles[0],
-        spec,
-    );
     let shared = find(0, 1);
+    let cores = shared.cores_per_instance;
+    let dep = deploy_capture(&scale, cores, 1, 0);
+    assert_eq!(dep.bundles.len(), 1);
+    let budget = fc_cmp(cores, shared.l2_per_instance, L2Spec::Cacti);
+    let reference = run_throughput(budget, &dep.bundles[0], spec);
     assert_eq!(shared.per_instance.len(), 1);
     assert!(
         same_numbers(&shared.per_instance[0], &reference),

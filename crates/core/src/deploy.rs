@@ -30,7 +30,7 @@ use dbcmp_workloads::{
 };
 
 use crate::experiment::{grid, InstanceReplay};
-use crate::figures::{island_cluster_sizes, spec_of};
+use crate::figures::{island_cluster_sizes, spec_of, BASE_CORES, FIG7_L2};
 use crate::machines::{fc_cmp, L2Spec};
 use crate::report::Claim;
 use crate::workload::FigScale;
@@ -93,25 +93,24 @@ pub fn deploy_capture(
         .expect("deployment windows fit the address space")
 }
 
-/// The deployment sweep: for each `multi_pct`, capture and replay every
-/// instance count in the divisor chain at a fixed total core/L2 budget.
+/// The multi-partition transaction percentages `fig_deploy` sweeps.
+const MULTI_PCTS: [u8; 3] = [0, 20, 60];
+
+/// The deployment sweep: for 0/20/60% multi-partition transactions,
+/// capture and replay every instance count in the divisor chain at Fig.
+/// 7's total core/L2 budget (four cores, 16 MB).
 /// Instances replay on their own fat-camp chip (`fc_cmp` of the
 /// instance's share, CACTI latency) as one parallel sweep per point —
 /// per point, not per figure, so only one deployment's captures are
 /// alive at a time.
-pub fn fig_deploy(
-    scale: &FigScale,
-    total_cores: usize,
-    total_l2: u64,
-    multi_pcts: &[u8],
-) -> Vec<DeployPoint> {
+pub fn fig_deploy(scale: &FigScale) -> Vec<DeployPoint> {
     let spec = spec_of(scale);
     let mut out = Vec::new();
-    for &multi_pct in multi_pcts {
-        for instances in deploy_instance_counts(total_cores) {
-            let dep = deploy_capture(scale, total_cores, instances, multi_pct);
-            let cores = total_cores / instances;
-            let l2 = total_l2 / instances as u64;
+    for multi_pct in MULTI_PCTS {
+        for instances in deploy_instance_counts(BASE_CORES) {
+            let dep = deploy_capture(scale, BASE_CORES, instances, multi_pct);
+            let cores = BASE_CORES / instances;
+            let l2 = FIG7_L2 / instances as u64;
             // One row per instance, one chip: a single sweep per point.
             let results = grid(dep.bundles.iter().enumerate().collect(), |_| {
                 vec![((), fc_cmp(cores, l2, L2Spec::Cacti), spec.throughput())]

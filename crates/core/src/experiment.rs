@@ -379,8 +379,8 @@ impl InstanceReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machines::{fc_cmp, lc_cmp, L2Spec};
-    use crate::taxonomy::WorkloadKind;
+    use crate::machines::{asym_cmp, fc_cmp, lc_cmp, smp_baseline, L2Spec};
+    use crate::taxonomy::{Camp, WorkloadKind};
     use crate::workload::{CapturedWorkload, FigScale};
 
     #[test]
@@ -400,6 +400,9 @@ mod tests {
         assert!(c.avg_unit_cycles.unwrap() > 0.0);
     }
 
+    /// Both run modes, heterogeneous and private-L2 machines included;
+    /// the default-worker run and a forced four-worker run (threaded
+    /// even on a one-CPU host) both equal the sequential one.
     #[test]
     fn parallel_sweep_matches_sequential_in_order() {
         let scale = FigScale::quick();
@@ -413,11 +416,23 @@ mod tests {
             .point("fc1", fc_cmp(1, 1 << 20, L2Spec::Cacti), spec.throughput())
             .point("lc1", lc_cmp(1, 1 << 20, L2Spec::Cacti), spec.throughput())
             .point("fc2", fc_cmp(2, 2 << 20, L2Spec::Cacti), spec.completion())
-            .point("lc2", lc_cmp(2, 2 << 20, L2Spec::Cacti), spec.completion());
+            .point("lc2", lc_cmp(2, 2 << 20, L2Spec::Cacti), spec.completion())
+            .point(
+                "asym",
+                asym_cmp(1, 1, 2 << 20, L2Spec::Cacti),
+                spec.throughput(),
+            )
+            .point(
+                "smp",
+                smp_baseline(2, 1 << 20, Camp::Fat),
+                spec.completion(),
+            );
         let par = sweep.run(&w.bundle);
         let seq = sweep.run_sequential(&w.bundle);
-        assert_eq!(par.len(), 4);
+        assert_eq!(par.len(), 6);
         assert_eq!(par, seq, "parallel and sequential sweeps must be identical");
+        let forced = sweep.run_each_with_workers(&vec![&w.bundle; sweep.len()], 4);
+        assert_eq!(forced, seq, "four workers must agree too");
         // Order is input order: machine names line up with point labels.
         assert!(par[0].machine.starts_with("FC-CMP 1x"));
         assert!(par[1].machine.starts_with("LC-CMP 1x"));

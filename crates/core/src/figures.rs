@@ -5,7 +5,6 @@
 //! paper figures' claims at `FigScale::paper()` and the extensions' at
 //! `FigScale::quick()`.
 
-use dbcmp_engine::exec::ExchangeStrategy;
 use dbcmp_engine::{CcBackend, CcStats};
 use dbcmp_sim::analytic::Validation;
 use dbcmp_sim::{CycleClass, MachineConfig, SimResult};
@@ -34,6 +33,10 @@ pub fn spec_of(scale: &FigScale) -> RunSpec {
 /// size with CACTI latency).
 pub const BASE_CORES: usize = 4;
 pub const BASE_L2: u64 = 26 << 20;
+
+/// Fig. 7's L2 budget: the CMP's shared 16 MB, the SMP's four 4 MB
+/// nodes. `fig_islands` and `fig_deploy` re-partition it.
+pub(crate) const FIG7_L2: u64 = 16 << 20;
 
 /// One capture per workload kind — the rows of every OLTP-vs-DSS figure.
 fn both_workloads(
@@ -326,8 +329,8 @@ pub fn fig6_claims(sweep: &Grid<WorkloadKind, (u64, bool)>) -> Vec<Claim> {
 /// (shared 16 MB L2), both on fat cores.
 pub fn fig7_machines() -> [(&'static str, MachineConfig); 2] {
     [
-        ("SMP", smp_baseline(4, 4 << 20, Camp::Fat)),
-        ("CMP", fc_cmp(4, 16 << 20, L2Spec::Cacti)),
+        ("SMP", smp_baseline(4, FIG7_L2 / 4, Camp::Fat)),
+        ("CMP", fc_cmp(4, FIG7_L2, L2Spec::Cacti)),
     ]
 }
 
@@ -409,15 +412,18 @@ fn contended_grid(
     })
 }
 
+/// The hot-row skews (%) `fig_contention` sweeps.
+const CONTENTION_SKEWS: [u8; 4] = [0, 30, 60, 90];
+
 /// Contention sweep (ISSUE 2): interleaved multi-client OLTP capture at
-/// increasing hot-row skew, replayed on [`fig7_machines`]. As skew grows,
+/// 0/30/60/90% hot-row skew, replayed on [`fig7_machines`]. As skew grows,
 /// more cycles land on shared lock-table buckets and hot rows — off-chip
 /// coherence transfers on the SMP, on-chip shared-L2 hits on the CMP — so
 /// the SMP's D-stall share climbs faster (the §5.2 contrast, now driven
 /// by *real* lock conflict rather than address overlap alone).
-pub fn fig_contention(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static str> {
-    let points = skews.iter().map(|&hot| (CcBackend::Centralized2PL, hot));
-    contended_grid(scale, points, &fig7_machines())
+pub fn fig_contention(scale: &FigScale) -> Grid<ContendedCapture, &'static str> {
+    let points = CONTENTION_SKEWS.map(|hot| (CcBackend::Centralized2PL, hot));
+    contended_grid(scale, points.into_iter(), &fig7_machines())
 }
 
 /// Figure label for a concurrency-control backend.
@@ -436,22 +442,6 @@ pub fn cc_backend_label(backend: CcBackend) -> &'static str {
     }
 }
 
-/// Figure label for an exchange strategy.
-///
-/// Exhaustive over [`ExchangeStrategy`] by design: a missing variant
-/// fails the build (E0004) and a `_ =>` arm fails clippy.
-#[deny(
-    clippy::wildcard_enum_match_arm,
-    clippy::match_wildcard_for_single_variants
-)]
-pub fn exchange_label(strategy: ExchangeStrategy) -> &'static str {
-    match strategy {
-        ExchangeStrategy::Local => "LOCAL",
-        ExchangeStrategy::Broadcast => "BCAST",
-        ExchangeStrategy::Shuffle => "SHUFFLE",
-    }
-}
-
 /// The backends the `fig_cc` sweep compares, in presentation order.
 pub fn cc_backends() -> [CcBackend; 3] {
     [
@@ -461,8 +451,11 @@ pub fn cc_backends() -> [CcBackend; 3] {
     ]
 }
 
-/// Concurrency-control sweep (ISSUE 9): the contention sweep's skew axis
-/// crossed with the *software* axis — which concurrency-control backend
+/// The hot-row skews (%) `fig_cc` sweeps.
+const CC_SKEWS: [u8; 3] = [0, 50, 90];
+
+/// Concurrency-control sweep (ISSUE 9): 0/50/90% hot-row skew crossed
+/// with the *software* axis — which concurrency-control backend
 /// the engine runs — replayed on the [`joins_machines`] triple, so the
 /// hardware axis is directly comparable across figures. Centralized 2PL
 /// rows take exactly the `fig_contention` capture path (same draws, same
@@ -475,10 +468,10 @@ pub fn cc_backends() -> [CcBackend; 3] {
 /// read/write-set derivation replays them), so ordered-vs-2PL compares
 /// *workload distributions*, not transaction-for-transaction identical
 /// streams.
-pub fn fig_cc(scale: &FigScale, skews: &[u8]) -> Grid<ContendedCapture, &'static str> {
+pub fn fig_cc(scale: &FigScale) -> Grid<ContendedCapture, &'static str> {
     let points = cc_backends()
         .into_iter()
-        .flat_map(|backend| skews.iter().map(move |&hot| (backend, hot)));
+        .flat_map(|backend| CC_SKEWS.map(|hot| (backend, hot)));
     contended_grid(scale, points, &joins_machines())
 }
 
@@ -694,21 +687,24 @@ pub fn asym_ratios(total_slots: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The core slots every `fig_asym` chip has.
+const ASYM_SLOTS: usize = 8;
+
 /// Asymmetric-CMP extension: sweep fat:lean slot ratios from all-fat to
-/// all-lean at a fixed slot count and fixed shared L2, on saturated OLTP
+/// all-lean over eight slots and a fixed shared L2, on saturated OLTP
 /// and DSS; columns are the `(fat, lean)` [`asym_ratios`]. As fat slots
 /// give way to lean ones the machine trades single-thread ILP for
 /// thread-level latency hiding — the breakdown shifts from exposed data
 /// stalls toward computation, and saturated throughput climbs (the
 /// paper's §4 camp contrast, now visible *within* one chip, per the
 /// hardware-islands line of work in PAPERS.md).
-pub fn fig_asym(scale: &FigScale, total_slots: usize) -> Grid<WorkloadKind, (usize, usize)> {
+pub fn fig_asym(scale: &FigScale) -> Grid<WorkloadKind, (usize, usize)> {
     let spec = spec_of(scale);
     // Enough clients to saturate the leanest (most-context) machine.
-    let max_ctx = asym_cmp(0, total_slots, BASE_L2, L2Spec::Cacti).total_contexts();
+    let max_ctx = asym_cmp(0, ASYM_SLOTS, BASE_L2, L2Spec::Cacti).total_contexts();
     let captures = both_workloads(|w| CapturedWorkload::saturating(w, scale, max_ctx));
     grid(rows_of(&captures), |_| {
-        let machines = asym_ratios(total_slots)
+        let machines = asym_ratios(ASYM_SLOTS)
             .into_iter()
             .map(|(fat, lean)| ((fat, lean), asym_cmp(fat, lean, BASE_L2, L2Spec::Cacti)));
         throughput_columns(machines, spec)
@@ -775,10 +771,11 @@ pub fn island_cluster_sizes(cores: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Island sweep (tentpole of the topology redesign): a **fixed total L2
-/// capacity** re-partitioned from one chip-shared L2, through islands of
-/// shrinking size, to fully private per-core L2s — on saturated OLTP and
-/// DSS; columns are `(clusters, cores_per_cluster)`. The two pure
+/// Island sweep (tentpole of the topology redesign): Fig. 7's **fixed
+/// total L2 capacity** over its four cores, re-partitioned from one
+/// chip-shared L2, through islands of shrinking size, to fully private
+/// per-core L2s — on saturated OLTP and DSS; columns are `(clusters,
+/// cores_per_cluster)`. The two pure
 /// endpoints are exactly Fig. 7's CMP and SMP presets
 /// (`island_cmp(1, n)` ≡ `fc_cmp`, `island_cmp(n, 1)` ≡ `smp_baseline`),
 /// so the paper's SMP-vs-CMP contrast becomes the two extremes of one
@@ -787,20 +784,14 @@ pub fn island_cluster_sizes(cores: usize) -> Vec<usize> {
 /// L2/L1-to-L1 hits into off-chip coherence transfers. OLTP, rich in
 /// shared hot structures, pays for partitioning much sooner than scan-
 /// dominated DSS — the crossover EXPERIMENTS.md records.
-pub fn fig_islands(
-    scale: &FigScale,
-    cores: usize,
-    total_l2: u64,
-) -> Grid<WorkloadKind, (usize, usize)> {
+pub fn fig_islands(scale: &FigScale) -> Grid<WorkloadKind, (usize, usize)> {
     let spec = spec_of(scale);
     let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
     grid(rows_of(&captures), |_| {
-        let machines = island_cluster_sizes(cores).into_iter().map(|k| {
-            let clusters = cores / k;
-            (
-                (clusters, k),
-                island_cmp(clusters, k, total_l2, L2Spec::Cacti),
-            )
+        let machines = island_cluster_sizes(BASE_CORES).into_iter().map(|k| {
+            let clusters = BASE_CORES / k;
+            let cfg = island_cmp(clusters, k, FIG7_L2, L2Spec::Cacti);
+            ((clusters, k), cfg)
         });
         throughput_columns(machines, spec)
     })
@@ -898,7 +889,7 @@ pub fn joins_machines() -> [(&'static str, MachineConfig); 3] {
     [
         smp,
         cmp,
-        ("ISLAND 2x2", island_cmp(2, 2, 16 << 20, L2Spec::Cacti)),
+        ("ISLAND 2x2", island_cmp(2, 2, FIG7_L2, L2Spec::Cacti)),
     ]
 }
 

@@ -21,10 +21,7 @@ pub use deploy::{deploy_capture, deploy_instance_counts, fig_deploy, DeployPoint
 pub use experiment::{
     grid, run_completion, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
 };
-pub use machines::{
-    asym_cmp, cmp_l3, fc_cmp, fc_cmp_l3, island_cmp, island_cmp_l3, lc_cmp, lc_cmp_l3,
-    smp_baseline, L2Spec,
-};
+pub use machines::{asym_cmp, fc_cmp, island_cmp, lc_cmp, smp_baseline, L2Spec};
 pub use network::{fig_network, network_capture, network_presets, network_spec, NetworkPoint};
 pub use taxonomy::{Camp, Saturation, WorkloadKind};
 pub use workload::{CapturedWorkload, FigScale};

@@ -1,11 +1,10 @@
-//! Machine presets for the paper's experiments, with L2/L3 latencies
-//! from the CACTI model (or pinned, for the fixed-latency sweeps of
-//! Fig. 6). The island presets walk the continuum between the paper's
+//! Machine presets for the paper's experiments, with L2 latencies from
+//! the CACTI model (or pinned, for the fixed-latency sweeps of
+//! Fig. 6). The island preset walks the continuum between the paper's
 //! two fixed shapes: [`island_cmp`] re-partitions one total L2 capacity
-//! from chip-shared to fully private, and the `*_l3` variants hang a
-//! model-derived shared L3 behind private L2s.
+//! from chip-shared to fully private.
 
-use dbcmp_cacti::{l2_latency_cycles, l3_latency_cycles};
+use dbcmp_cacti::l2_latency_cycles;
 use dbcmp_sim::{CacheGeom, CacheTopology, CoreKind, LevelSpec, MachineConfig, SharedBy};
 
 use crate::taxonomy::Camp;
@@ -117,62 +116,6 @@ pub fn island_cmp(
     c
 }
 
-/// L3 variant of the camp presets: per-core private L2s of
-/// `l2_per_core` bytes behind one chip-shared L3 of `l3_size` bytes,
-/// both latencies derived from the CACTI model (`l3_latency_cycles`
-/// instead of a hand-pinned constant). Cross-core dirty transfers ride
-/// the L3 directory, so `l1_to_l1` follows the L3 latency.
-pub fn cmp_l3(camp: Camp, n_cores: usize, l2_per_core: u64, l3_size: u64) -> MachineConfig {
-    let l2_lat = l2_latency_cycles(l2_per_core);
-    let l3_lat = l3_latency_cycles(l3_size);
-    let mut c = cmp_for(camp, n_cores, l2_per_core, L2Spec::Fixed(l2_lat));
-    c.topology = CacheTopology::private_l2(CacheGeom::new(l2_per_core, 16, l2_lat))
-        .with_l3(CacheGeom::new(l3_size, 16, l3_lat));
-    c.l1_to_l1 = l3_lat + 6;
-    c.name = format!(
-        "{}-CMP {n_cores}x (L2 {} MB/core + L3 {} MB, {l2_lat}/{l3_lat} cyc)",
-        match camp {
-            Camp::Fat => "FC-L3",
-            Camp::Lean => "LC-L3",
-        },
-        l2_per_core >> 20,
-        l3_size >> 20
-    );
-    c
-}
-
-/// Fat-camp L3 preset (see [`cmp_l3`]).
-pub fn fc_cmp_l3(n_cores: usize, l2_per_core: u64, l3_size: u64) -> MachineConfig {
-    cmp_l3(Camp::Fat, n_cores, l2_per_core, l3_size)
-}
-
-/// Lean-camp L3 preset (see [`cmp_l3`]).
-pub fn lc_cmp_l3(n_cores: usize, l2_per_core: u64, l3_size: u64) -> MachineConfig {
-    cmp_l3(Camp::Lean, n_cores, l2_per_core, l3_size)
-}
-
-/// Islands with an on-chip safety net: `clusters` islands of
-/// `cores_per_cluster` fat cores (total L2 capacity split as in
-/// [`island_cmp`]) behind one chip-shared L3, which turns the
-/// cross-island coherence misses back into on-chip hits.
-pub fn island_cmp_l3(
-    clusters: usize,
-    cores_per_cluster: usize,
-    total_l2: u64,
-    l3_size: u64,
-) -> MachineConfig {
-    let mut c = island_cmp(clusters, cores_per_cluster, total_l2, L2Spec::Cacti);
-    let l3_lat = l3_latency_cycles(l3_size);
-    c.topology = c.topology.with_l3(CacheGeom::new(l3_size, 16, l3_lat));
-    c.l1_to_l1 = l3_lat + 6;
-    c.name = format!(
-        "ISLAND {clusters}x{cores_per_cluster}+L3 (L2 {} MB/island, L3 {} MB)",
-        (total_l2 / clusters.max(1) as u64) >> 20,
-        l3_size >> 20
-    );
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,26 +189,5 @@ mod tests {
         mid.validate().expect("valid");
         assert_eq!(mid.l2_geom().size, 8 << 20);
         assert_eq!(mid.topology.innermost().banks, 2);
-    }
-
-    #[test]
-    fn l3_presets_use_model_latencies() {
-        let c = fc_cmp_l3(4, 1 << 20, 16 << 20);
-        c.validate().expect("valid two-level preset");
-        assert_eq!(c.topology.depth(), 2);
-        assert_eq!(c.topology.innermost().shared_by, SharedBy::Core);
-        assert_eq!(c.topology.outermost().shared_by, SharedBy::Chip);
-        assert_eq!(
-            c.topology.outermost().geom.latency,
-            dbcmp_cacti::l3_latency_cycles(16 << 20),
-            "L3 latency comes from the model, not a pinned constant"
-        );
-        assert!(c.topology.outermost().geom.latency > c.topology.innermost().geom.latency);
-        let lean = lc_cmp_l3(4, 1 << 20, 16 << 20);
-        assert_eq!(lean.store_buffer, 4, "lean camp keeps its store buffer");
-        let isl = island_cmp_l3(2, 2, 8 << 20, 16 << 20);
-        isl.validate().expect("valid island+L3 preset");
-        assert_eq!(isl.topology.depth(), 2);
-        assert_eq!(isl.topology.innermost().shared_by, SharedBy::Cluster(2));
     }
 }

@@ -68,7 +68,9 @@ pub trait Executor {
 /// Boxed operator (plan node).
 pub type BoxExec = Box<dyn Executor + Send>;
 
-/// Drive a plan to completion, collecting all rows.
+/// Drive a plan to completion, collecting all rows. It drives the plan
+/// exactly as [`run_count`] does, and neither traces anything of its
+/// own, so a capture records the same events through either.
 pub fn run_to_vec(plan: &mut dyn Executor, db: &Database, tc: &mut TraceCtx) -> Result<Vec<Row>> {
     plan.open(db, tc)?;
     let mut out = Vec::new();

@@ -20,9 +20,9 @@ use crate::types::Value;
 
 /// How a distributed join moves rows between instances. Chosen per join
 /// by the capture layer's dispatch rule (`exchange_rows` in
-/// `workloads::exchange`) and labeled in the figure pipeline
-/// (`exchange_label` in `core::figures`) — both are wildcard-free
-/// matches, so the build fails until a new variant is handled in each.
+/// `workloads::exchange`) and counted by the distributed capture
+/// (`tpch::dist`) — both are wildcard-free matches, so the build fails
+/// until a new variant is handled in each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStrategy {
     /// Single instance: no exchange at all; the plan is the

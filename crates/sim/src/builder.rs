@@ -190,22 +190,30 @@ mod tests {
     }
 
     /// A heterogeneous machine whose slots all carry the same kind is
-    /// event-for-event equal to the homogeneous machine.
+    /// event-for-event equal to the homogeneous machine, in both run
+    /// modes.
     #[test]
     fn uniform_slots_equal_homogeneous() {
         let b = bundle(6);
+        let completion = RunMode::Completion {
+            max_cycles: 10_000_000,
+        };
         for kind in [CoreKind::fat(), CoreKind::lean()] {
             let mut homo = MachineConfig::fat_cmp(3, 1 << 20, 8);
             homo.core = kind;
             let mut hetero = homo.clone();
             hetero.slots = vec![kind; 3];
-            let run = |cfg| -> SimResult {
-                MachineBuilder::from_config(cfg, MODE)
-                    .build(&b)
-                    .expect("valid config")
-                    .execute()
-            };
-            assert_eq!(run(homo), run(hetero));
+            for mode in [MODE, completion] {
+                let run = |cfg| -> SimResult {
+                    MachineBuilder::from_config(cfg, mode)
+                        .build(&b)
+                        .expect("valid config")
+                        .execute()
+                };
+                let homo = run(homo.clone());
+                assert!(homo.units > 0, "{mode:?}: the run completes units");
+                assert_eq!(homo, run(hetero.clone()), "{mode:?}");
+            }
         }
     }
 

@@ -13,7 +13,9 @@
 //! This crate implements those mechanisms over the `dbcmp-engine`
 //! substrate for the scan→filter→\[join…\]→aggregate pipelines of the
 //! DSS queries (Q1/Q6 scans; Q3/Q5 with hash-join stages whose build
-//! tables are loaded once and probed per batch — see DESIGN.md §4):
+//! tables are loaded once and probed per batch — see DESIGN.md §4). A
+//! pipeline runs a `PipelineSpec` statement; Q3/Q5's are the shared
+//! `dbcmp_workloads::tpch::queries::join_query`:
 //!
 //! * [`ExecPolicy::Volcano`] — the conventional row-at-a-time baseline
 //!   (exactly the engine's executor).
@@ -40,4 +42,4 @@ pub mod capture;
 pub mod pipeline;
 
 pub use capture::{capture_staged_dss, pipeline_for, staged_query_rows, UnsupportedQuery};
-pub use pipeline::{BatchAgg, ExecPolicy, JoinSpec, JoinTable, PipelineSpec, StagedPipeline};
+pub use pipeline::{BatchAgg, ExecPolicy, JoinTable, StagedPipeline};

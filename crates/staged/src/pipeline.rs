@@ -2,9 +2,10 @@
 //! policies.
 
 use dbcmp_engine::costs::instr;
-use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable, Pred};
+use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable};
 use dbcmp_engine::heap::Rid;
 use dbcmp_engine::{Columns, Database, TraceCtx, TupleRef, Value};
+use dbcmp_workloads::tpch::queries::{JoinSpec, PipelineSpec};
 #[allow(
     clippy::disallowed_types,
     reason = "HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap"
@@ -36,48 +37,16 @@ pub enum ExecPolicy {
 /// cites in §6.2).
 pub const CALL_OVERHEAD: u32 = 6;
 
-/// One hash-join stage of a staged pipeline. The build side is scanned,
-/// filtered, and loaded into a hash table **once** when the pipeline
-/// starts; every scanned (or previously joined) row then probes it. The
-/// build table's simulated address range is the stage's working set —
-/// the cache-residency knob cohort scheduling exploits: a resident build
-/// table turns every probe's dependent load into a cache hit.
-#[derive(Debug, Clone)]
-pub struct JoinSpec {
-    /// Build-side table (scanned once at pipeline start).
-    pub build_table: usize,
-    /// Filter applied to build rows before insertion.
-    pub build_pred: Pred,
-    /// Join-key column in the build row.
-    pub build_key: usize,
-    /// Join-key column in the current combined probe row.
-    pub probe_key: usize,
-}
-
-/// A scan→filter→\[join…\]→aggregate pipeline specification (Q1/Q6 with
-/// an empty join chain; Q3/Q5 with one and three [`JoinSpec`] stages).
-///
-/// `pred` applies to the scanned row (filter pushdown below the joins);
-/// `group_cols`/`aggs` index the final combined row (scan row ++ build
-/// rows of every join, in chain order).
-#[derive(Debug, Clone)]
-pub struct PipelineSpec {
-    /// Probe-side (scanned) table.
-    pub table: usize,
-    /// Scan filter, applied before any join.
-    pub pred: Pred,
-    /// Hash-join chain (empty for pure scan pipelines).
-    pub joins: Vec<JoinSpec>,
-    /// Group-by columns into the final combined row.
-    pub group_cols: Vec<usize>,
-    /// Aggregates over the final combined row.
-    pub aggs: Vec<AggSpec>,
-}
-
 /// A built hash table for one [`JoinSpec`] stage: the engine's
 /// [`BuildTable`] (so build and probe charges are the executor
 /// [`HashJoin`](dbcmp_engine::exec::HashJoin)'s, by construction) over
 /// a bucket array in anonymous memory, plus the stage's probe column.
+///
+/// The build side is scanned, filtered, and loaded **once** when the
+/// pipeline starts; every scanned (or previously joined) row then probes
+/// it. The table's simulated address range is the stage's working set —
+/// the cache-residency knob cohort scheduling exploits: a resident build
+/// table turns every probe's dependent load into a cache hit.
 #[derive(Debug)]
 pub struct JoinTable {
     probe_key: usize,
@@ -305,7 +274,8 @@ impl Handoff<'_> {
 /// ```
 /// use dbcmp_engine::exec::{AggSpec, CmpOp, Pred};
 /// use dbcmp_engine::{ColType, Database, Schema, Value};
-/// use dbcmp_staged::{ExecPolicy, PipelineSpec, StagedPipeline};
+/// use dbcmp_staged::{ExecPolicy, StagedPipeline};
+/// use dbcmp_workloads::tpch::queries::PipelineSpec;
 ///
 /// let mut db = Database::new();
 /// let t = db.create_table(
@@ -581,7 +551,7 @@ impl StagedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcmp_engine::exec::{CmpOp, Scalar};
+    use dbcmp_engine::exec::{CmpOp, Pred, Scalar};
     use dbcmp_engine::{ColType, Schema};
 
     fn sample() -> (Database, PipelineSpec) {

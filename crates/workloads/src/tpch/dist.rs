@@ -38,27 +38,20 @@ use std::sync::Arc;
 
 use dbcmp_engine::exec::sort::SortKey;
 use dbcmp_engine::exec::{
-    run_count, run_to_vec, AggSpec, CmpOp, Filter, HashAggregate, HashJoin, JoinKind, Pred, Rows,
-    Scalar, SeqScan, Sort,
+    run_to_vec, AggFunc, AggSpec, ExchangeStrategy, HashAggregate, HashJoin, JoinKind, Pred, Rows,
+    Scalar, Sort,
 };
-use dbcmp_engine::{Database, Row, TraceCtx, Value};
+use dbcmp_engine::{Database, Row, TraceCtx};
 use dbcmp_trace::{AddressSpace, ThreadTrace, TraceBundle};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::capture::{par_map_ordered, run_dss_unit, CaptureOptions, DSS_SCRATCH_BYTES};
 use crate::exchange::{
     choose_strategy, exchange_rows, rows_bytes, ship_rows, ExchangeBufs, ExchangeTraffic,
 };
 use crate::rng::client_rng;
-use crate::tpch::queries::revenue_at;
-use crate::tpch::{build_tpch_range, QueryKind, TpchDb, TpchScale, MAX_DATE};
-use dbcmp_engine::exec::ExchangeStrategy;
-
-// lineitem columns (see super::queries).
-const L_ORDERKEY: usize = 0;
-const L_SUPPKEY: usize = 2;
-const L_SHIP: usize = 10;
+use crate::tpch::queries::{join_query, scan, PipelineSpec};
+use crate::tpch::{build_tpch_range, QueryKind, TpchDb, TpchScale};
 
 /// Distributed capture parameters.
 #[derive(Debug, Clone, Copy)]
@@ -134,6 +127,11 @@ pub fn capture_dss_dist_workers(
         })
         .into_iter()
         .unzip();
+    // `build_tpch_range` creates the tables in one order, so every
+    // fragment's handles are the same ids: a unit's statement, built
+    // once from its home fragment's handles, names the same tables on
+    // every instance.
+    assert!(hs.iter().all(|h| *h == hs[0]), "fragment table ids differ");
 
     // Fixed allocation order after the fragments: exchange buffers
     // (n > 1 only), client scratch arenas in global client order, then
@@ -172,7 +170,7 @@ pub fn capture_dss_dist_workers(
             } else {
                 run_dist_unit(
                     &dbs,
-                    &hs,
+                    &hs[home],
                     kind,
                     &mut rng,
                     &mut client_tcs[client],
@@ -213,7 +211,7 @@ pub fn capture_dss_dist_workers(
 )]
 fn run_dist_unit(
     dbs: &[Database],
-    hs: &[TpchDb],
+    h: &TpchDb,
     kind: QueryKind,
     rng: &mut StdRng,
     client_tc: &mut TraceCtx,
@@ -225,11 +223,12 @@ fn run_dist_unit(
     dbs[home].statement_overhead(client_tc);
     let mut refs: Vec<&mut TraceCtx> = service_tcs.iter_mut().collect();
     refs[home] = client_tc;
-    match kind {
-        QueryKind::Q3 => dist_q3(dbs, hs, rng, &mut refs, home, bufs, stats),
-        QueryKind::Q5 => dist_q5(dbs, hs, rng, &mut refs, home, bufs, stats),
-        other => unreachable!("distributed DSS mix is Q3/Q5 only, got {other:?}"),
-    }
+    let (spec, order) = join_query(kind, h, rng);
+    let merged = dist_query(dbs, &mut refs, bufs, stats, home, &spec, order);
+    debug_assert!(
+        !merged.is_empty(),
+        "{kind:?}: no groups — broken predicate draw?"
+    );
     // Close the choreography: every service instance fences so its next
     // unit's traffic cannot reorder past this one's.
     for (p, tc) in refs.iter_mut().enumerate() {
@@ -240,21 +239,68 @@ fn run_dist_unit(
     refs[home].unit_end();
 }
 
-/// Scan + filter one plan on every instance's fragment, returning the
-/// per-instance row sets. `plan(p)` builds instance p's fragment plan.
+/// Scan `table` filtered by `pred` on every instance's fragment,
+/// returning the per-instance row sets.
 fn frag_scan(
     dbs: &[Database],
     refs: &mut [&mut TraceCtx],
-    mut plan: impl FnMut(usize) -> Box<dyn dbcmp_engine::exec::Executor + Send>,
+    table: usize,
+    pred: &Pred,
 ) -> Vec<Vec<Row>> {
     (0..dbs.len())
-        .map(|p| run_to_vec(plan(p).as_mut(), &dbs[p], refs[p]).expect("fragment scan"))
+        .map(|p| {
+            let mut plan = scan(table, pred.clone());
+            run_to_vec(plan.as_mut(), &dbs[p], refs[p]).expect("fragment scan")
+        })
         .collect()
+}
+
+/// Run one join statement across the instances, split scan → exchange
+/// → join → partial aggregate → merge: for each join of the chain, scan
+/// its build side on every fragment (and, for the first join only, then
+/// the probe table), exchange, and join each instance's share; then
+/// merge at `home`. Returns the merged rows in `order`.
+fn dist_query(
+    dbs: &[Database],
+    refs: &mut [&mut TraceCtx],
+    bufs: &mut ExchangeBufs,
+    stats: &mut DistStats,
+    home: usize,
+    spec: &PipelineSpec,
+    order: Vec<SortKey>,
+) -> Vec<Row> {
+    let mut joined: Option<Vec<Vec<Row>>> = None;
+    for j in &spec.joins {
+        let build = frag_scan(dbs, refs, j.build_table, &j.build_pred);
+        let probe = match joined {
+            Some(rows) => rows,
+            None => frag_scan(dbs, refs, spec.table, &spec.pred),
+        };
+        joined = Some(dist_join(
+            dbs,
+            refs,
+            bufs,
+            stats,
+            build,
+            j.build_key,
+            probe,
+            j.probe_key,
+        ));
+    }
+    let joined = joined.expect("a join statement joins at least once");
+    merge_at_home(dbs, refs, bufs, stats, joined, spec, home, order)
 }
 
 /// One distributed join: choose the exchange strategy from the global
 /// post-filter build size, exchange, then join each instance's share.
 /// Returns the per-instance join outputs (probe ++ build columns).
+///
+/// The strategy tally is exhaustive over [`ExchangeStrategy`] by design:
+/// a missing variant fails the build and a `_ =>` arm fails clippy.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 #[allow(
     clippy::too_many_arguments,
     reason = "one join's two sides (rows + key column each) plus the per-unit borrows run_dist_unit holds"
@@ -305,13 +351,13 @@ fn dist_join(
         .collect()
 }
 
-/// Partially aggregate each instance's join output, ship the partials
-/// to `home`, and merge + sort there. `group_cols`/`agg` define the
-/// partial aggregate; the merge re-groups on the partials' group
-/// columns and sums the aggregate column.
+/// Partially aggregate each instance's join output by `spec`'s groups
+/// and aggregates, ship the partials to `home`, and merge and sort them
+/// there. The merge re-groups on the partials' group columns and sums
+/// each partial SUM.
 #[allow(
     clippy::too_many_arguments,
-    reason = "the partial aggregate's shape plus the per-unit borrows run_dist_unit holds"
+    reason = "the statement and its order plus the per-unit borrows run_dist_unit holds"
 )]
 fn merge_at_home(
     dbs: &[Database],
@@ -319,20 +365,22 @@ fn merge_at_home(
     bufs: &mut ExchangeBufs,
     stats: &mut DistStats,
     joined: Vec<Vec<Row>>,
-    group_cols: Vec<usize>,
-    agg: Scalar,
+    spec: &PipelineSpec,
     home: usize,
-    sort_keys: Vec<SortKey>,
-) {
-    let n_groups = group_cols.len();
+    order: Vec<SortKey>,
+) -> Vec<Row> {
+    debug_assert!(
+        spec.aggs.iter().all(|a| a.func == AggFunc::Sum),
+        "the merge sums partial aggregates, so every aggregate is a SUM"
+    );
     let partials: Vec<Vec<Row>> = joined
         .into_iter()
         .enumerate()
         .map(|(p, rows)| {
             let mut plan = HashAggregate::new(
                 Box::new(Rows::new(rows)),
-                group_cols.clone(),
-                vec![AggSpec::sum(agg.clone())],
+                spec.group_cols.clone(),
+                spec.aggs.clone(),
             );
             run_to_vec(&mut plan, &dbs[p], refs[p]).expect("partial aggregate")
         })
@@ -341,141 +389,19 @@ fn merge_at_home(
     for (p, rows) in partials.iter().enumerate() {
         ship_rows(&mut stats.traffic, bufs, refs, p, home, rows, &mut all);
     }
-    // Coordinator merge: re-group on the partials' group columns
-    // (0..n_groups) and sum the shipped partial sums.
+    let n_groups = spec.group_cols.len();
+    let sums = (n_groups..n_groups + spec.aggs.len())
+        .map(|c| AggSpec::sum(Scalar::Col(c)))
+        .collect();
     let mut merged = Sort::new(
         Box::new(HashAggregate::new(
             Box::new(Rows::new(all)),
             (0..n_groups).collect(),
-            vec![AggSpec::sum(Scalar::Col(n_groups))],
+            sums,
         )),
-        sort_keys,
+        order,
     );
-    let out = run_count(&mut merged, &dbs[home], refs[home]).expect("coordinator merge");
-    debug_assert!(out > 0, "{out} merged groups — broken predicate draw?");
-}
-
-/// Distributed Q3: orders(filtered) ⋈ lineitem(filtered) on orderkey,
-/// revenue per (orderkey, orderdate) — the same shape and predicate
-/// draw as `queries::q3`, split scan → exchange → join → partial agg →
-/// merge.
-fn dist_q3(
-    dbs: &[Database],
-    hs: &[TpchDb],
-    rng: &mut StdRng,
-    refs: &mut [&mut TraceCtx],
-    home: usize,
-    bufs: &mut ExchangeBufs,
-    stats: &mut DistStats,
-) {
-    let cutoff = rng.gen_range(MAX_DATE / 4..3 * MAX_DATE / 4);
-    let build = frag_scan(dbs, refs, |p| {
-        Box::new(Filter::new(
-            Box::new(SeqScan::new(hs[p].orders)),
-            Pred::Cmp {
-                col: 2, // o_orderdate
-                op: CmpOp::Lt,
-                val: Value::Date(cutoff),
-            },
-        ))
-    });
-    let probe = frag_scan(dbs, refs, |p| {
-        Box::new(Filter::new(
-            Box::new(SeqScan::new(hs[p].lineitem)),
-            Pred::Cmp {
-                col: L_SHIP,
-                op: CmpOp::Gt,
-                val: Value::Date(cutoff),
-            },
-        ))
-    });
-    // Output = lineitem (11) ++ orders (4): o_orderdate at 13.
-    let joined = dist_join(dbs, refs, bufs, stats, build, 0, probe, L_ORDERKEY);
-    merge_at_home(
-        dbs,
-        refs,
-        bufs,
-        stats,
-        joined,
-        vec![L_ORDERKEY, 13],
-        revenue_at(0),
-        home,
-        vec![
-            SortKey { col: 2, desc: true },
-            SortKey {
-                col: 1,
-                desc: false,
-            },
-        ],
-    );
-}
-
-/// Distributed Q5: lineitem ⋈ orders(year-filtered) ⋈ customer ⋈
-/// supplier, revenue per market segment. Same predicate draw as
-/// `queries::q5`; the orders access is a partitioned hash join here
-/// instead of the single-instance plan's B+Tree index join — an index
-/// probe cannot cross instances, so the distributed plan repartitions
-/// (the standard rewrite, and the honesty caveat DESIGN.md §9 records).
-fn dist_q5(
-    dbs: &[Database],
-    hs: &[TpchDb],
-    rng: &mut StdRng,
-    refs: &mut [&mut TraceCtx],
-    home: usize,
-    bufs: &mut ExchangeBufs,
-    stats: &mut DistStats,
-) {
-    let year_start: u32 = rng.gen_range(0..5) * 365;
-    // Join 1: orders (year window) ⋈ lineitem on orderkey.
-    let orders = frag_scan(dbs, refs, |p| {
-        Box::new(Filter::new(
-            Box::new(SeqScan::new(hs[p].orders)),
-            Pred::And(vec![
-                Pred::Cmp {
-                    col: 2,
-                    op: CmpOp::Ge,
-                    val: Value::Date(year_start),
-                },
-                Pred::Cmp {
-                    col: 2,
-                    op: CmpOp::Lt,
-                    val: Value::Date(year_start + 365),
-                },
-            ]),
-        ))
-    });
-    let lineitem = frag_scan(dbs, refs, |p| Box::new(SeqScan::new(hs[p].lineitem)));
-    // lineitem (11) ++ orders (4): o_custkey at 12.
-    let li_orders = dist_join(dbs, refs, bufs, stats, orders, 0, lineitem, L_ORDERKEY);
-
-    // Join 2: ++ customer (4): c_mktsegment at 18.
-    let customer = frag_scan(dbs, refs, |p| Box::new(SeqScan::new(hs[p].customer)));
-    let with_customer = dist_join(dbs, refs, bufs, stats, customer, 0, li_orders, 12);
-
-    // Join 3: ++ supplier (3): 22 columns total.
-    let supplier = frag_scan(dbs, refs, |p| Box::new(SeqScan::new(hs[p].supplier)));
-    let with_supplier = dist_join(
-        dbs,
-        refs,
-        bufs,
-        stats,
-        supplier,
-        0,
-        with_customer,
-        L_SUPPKEY,
-    );
-
-    merge_at_home(
-        dbs,
-        refs,
-        bufs,
-        stats,
-        with_supplier,
-        vec![18],
-        revenue_at(0),
-        home,
-        vec![SortKey { col: 1, desc: true }],
-    );
+    run_to_vec(&mut merged, &dbs[home], refs[home]).expect("coordinator merge")
 }
 
 #[cfg(test)]
@@ -484,164 +410,34 @@ mod tests {
     use crate::tpch::queries::build_query;
     use crate::tpch::{build_tpch, tpch_rng};
 
-    /// The distributed Q3/Q5 answers equal the single-instance plans'
-    /// answers: same predicate draws, same aggregate totals, any
-    /// instance count.
+    /// The distributed Q3/Q5 answers equal the single-instance executor
+    /// plans' answers (Q5's through its index join) on the same predicate
+    /// draws, with the tables split across three instances.
     #[test]
     fn distributed_answers_match_single_instance() {
         let scale = TpchScale::tiny();
         let seed = 0xD157;
         let (db, h) = build_tpch(scale, seed);
-        for kind in [QueryKind::Q3, QueryKind::Q5] {
-            // Reference: the single-instance plan, materialized.
-            let mut rng = tpch_rng(seed, 0);
-            let mut tc = db.null_ctx();
-            let mut plan = build_query(kind, &h, &mut rng);
-            let mut expect = run_to_vec(plan.as_mut(), &db, &mut tc).expect("reference");
+        let n = 3;
+        let spaces: Vec<_> = (0..n)
+            .map(|p| Arc::new(AddressSpace::partition(p).unwrap()))
+            .collect();
+        let (dbs, hs): (Vec<_>, Vec<_>) = (0..n)
+            .map(|p| build_tpch_range(scale, seed, p, n, spaces[p].clone()))
+            .unzip();
+        let mut bufs = ExchangeBufs::reserve(&spaces);
+        let mut ctxs: Vec<_> = dbs.iter().map(|d| d.trace_ctx()).collect();
+        let mut refs: Vec<&mut TraceCtx> = ctxs.iter_mut().collect();
+        let mut stats = DistStats::default();
+        for kind in QueryKind::JOINS {
+            let mut plan = build_query(kind, &h, &mut tpch_rng(seed, 0));
+            let mut expect = run_to_vec(plan.as_mut(), &db, &mut db.null_ctx()).expect("reference");
+            let (spec, order) = join_query(kind, &hs[0], &mut tpch_rng(seed, 0));
+            let mut got = dist_query(&dbs, &mut refs, &mut bufs, &mut stats, 0, &spec, order);
             expect.sort();
-
-            // Distributed: re-run the same draws through the dist
-            // choreography at n=3 and materialize the merge by re-doing
-            // it here from the shipped partials.
-            let n = 3;
-            let spaces: Vec<_> = (0..n)
-                .map(|p| Arc::new(AddressSpace::partition(p).unwrap()))
-                .collect();
-            let (dbs, hs): (Vec<_>, Vec<_>) = (0..n)
-                .map(|p| build_tpch_range(scale, seed, p, n, spaces[p].clone()))
-                .unzip();
-            let mut bufs = ExchangeBufs::reserve(&spaces);
-            let mut ctxs: Vec<_> = dbs.iter().map(|d| d.trace_ctx()).collect();
-            let mut refs: Vec<&mut TraceCtx> = ctxs.iter_mut().collect();
-            let mut stats = DistStats::default();
-            let mut rng = tpch_rng(seed, 0);
-            let got = match kind {
-                QueryKind::Q3 => {
-                    let cutoff = rng.gen_range(MAX_DATE / 4..3 * MAX_DATE / 4);
-                    let build = frag_scan(&dbs, &mut refs, |p| {
-                        Box::new(Filter::new(
-                            Box::new(SeqScan::new(hs[p].orders)),
-                            Pred::Cmp {
-                                col: 2,
-                                op: CmpOp::Lt,
-                                val: Value::Date(cutoff),
-                            },
-                        ))
-                    });
-                    let probe = frag_scan(&dbs, &mut refs, |p| {
-                        Box::new(Filter::new(
-                            Box::new(SeqScan::new(hs[p].lineitem)),
-                            Pred::Cmp {
-                                col: L_SHIP,
-                                op: CmpOp::Gt,
-                                val: Value::Date(cutoff),
-                            },
-                        ))
-                    });
-                    let joined =
-                        dist_join(&dbs, &mut refs, &mut bufs, &mut stats, build, 0, probe, 0);
-                    materialize_merge(
-                        &dbs,
-                        &mut refs,
-                        &mut bufs,
-                        &mut stats,
-                        joined,
-                        vec![L_ORDERKEY, 13],
-                        vec![
-                            SortKey { col: 2, desc: true },
-                            SortKey {
-                                col: 1,
-                                desc: false,
-                            },
-                        ],
-                    )
-                }
-                _ => {
-                    let year_start: u32 = rng.gen_range(0..5) * 365;
-                    let orders = frag_scan(&dbs, &mut refs, |p| {
-                        Box::new(Filter::new(
-                            Box::new(SeqScan::new(hs[p].orders)),
-                            Pred::And(vec![
-                                Pred::Cmp {
-                                    col: 2,
-                                    op: CmpOp::Ge,
-                                    val: Value::Date(year_start),
-                                },
-                                Pred::Cmp {
-                                    col: 2,
-                                    op: CmpOp::Lt,
-                                    val: Value::Date(year_start + 365),
-                                },
-                            ]),
-                        ))
-                    });
-                    let lineitem =
-                        frag_scan(&dbs, &mut refs, |p| Box::new(SeqScan::new(hs[p].lineitem)));
-                    let j1 = dist_join(
-                        &dbs, &mut refs, &mut bufs, &mut stats, orders, 0, lineitem, 0,
-                    );
-                    let customer =
-                        frag_scan(&dbs, &mut refs, |p| Box::new(SeqScan::new(hs[p].customer)));
-                    let j2 = dist_join(&dbs, &mut refs, &mut bufs, &mut stats, customer, 0, j1, 12);
-                    let supplier =
-                        frag_scan(&dbs, &mut refs, |p| Box::new(SeqScan::new(hs[p].supplier)));
-                    let j3 = dist_join(
-                        &dbs, &mut refs, &mut bufs, &mut stats, supplier, 0, j2, L_SUPPKEY,
-                    );
-                    materialize_merge(
-                        &dbs,
-                        &mut refs,
-                        &mut bufs,
-                        &mut stats,
-                        j3,
-                        vec![18],
-                        vec![SortKey { col: 1, desc: true }],
-                    )
-                }
-            };
-            let mut got = got;
             got.sort();
             assert_eq!(got, expect, "{kind:?} distributed answer diverged");
         }
-    }
-
-    /// Test-only variant of [`merge_at_home`] that returns the merged
-    /// rows instead of counting them.
-    fn materialize_merge(
-        dbs: &[Database],
-        refs: &mut [&mut TraceCtx],
-        bufs: &mut ExchangeBufs,
-        stats: &mut DistStats,
-        joined: Vec<Vec<Row>>,
-        group_cols: Vec<usize>,
-        sort_keys: Vec<SortKey>,
-    ) -> Vec<Row> {
-        let n_groups = group_cols.len();
-        let partials: Vec<Vec<Row>> = joined
-            .into_iter()
-            .enumerate()
-            .map(|(p, rows)| {
-                let mut plan = HashAggregate::new(
-                    Box::new(Rows::new(rows)),
-                    group_cols.clone(),
-                    vec![AggSpec::sum(revenue_at(0))],
-                );
-                run_to_vec(&mut plan, &dbs[p], refs[p]).expect("partial aggregate")
-            })
-            .collect();
-        let mut all = Vec::new();
-        for (p, rows) in partials.iter().enumerate() {
-            ship_rows(&mut stats.traffic, bufs, refs, p, 0, rows, &mut all);
-        }
-        let mut merged = Sort::new(
-            Box::new(HashAggregate::new(
-                Box::new(Rows::new(all)),
-                (0..n_groups).collect(),
-                vec![AggSpec::sum(Scalar::Col(n_groups))],
-            )),
-            sort_keys,
-        );
-        run_to_vec(&mut merged, &dbs[0], refs[0]).expect("merge")
     }
 
     /// Bundle layout and traffic invariants of the full driver.

@@ -23,7 +23,7 @@ pub const MAX_DATE: u32 = 2520;
 
 /// Scale parameters. The default population keeps total data in the
 /// 8-16 MB working-set regime the paper's L2 sweep straddles.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpchScale {
     pub customers: u64,
     pub orders: u64,
@@ -55,7 +55,7 @@ impl TpchScale {
 }
 
 /// Table handles + row counts for the TPC-H database.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpchDb {
     pub scale: TpchScale,
     pub lineitem: usize,

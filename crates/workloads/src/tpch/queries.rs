@@ -1,5 +1,7 @@
 //! The paper's four TPC-H queries as executor plans, with random
-//! predicates (paper §3: "each with random predicates").
+//! predicates (paper §3: "each with random predicates"), and
+//! [`join_query`], the one statement of the join extension's Q3 and Q5
+//! that the executor, staged and distributed captures all plan from.
 //!
 //! Column indexes refer to the schemas in [`super`].
 
@@ -14,28 +16,169 @@ use rand::Rng;
 
 use super::{QueryKind, TpchDb, MAX_DATE};
 
-// lineitem columns
-const L_ORDERKEY: usize = 0;
-const L_SUPPKEY: usize = 2;
-const L_QTY: usize = 4;
-const L_PRICE: usize = 5;
-const L_DISC: usize = 6;
-const L_TAX: usize = 7;
-const L_RFLAG: usize = 8;
-const L_LSTAT: usize = 9;
-const L_SHIP: usize = 10;
+// lineitem columns (the staged scan pipelines read the public ones)
+pub(crate) const L_ORDERKEY: usize = 0;
+pub(crate) const L_SUPPKEY: usize = 2;
+pub const L_QTY: usize = 4;
+pub const L_PRICE: usize = 5;
+pub const L_DISC: usize = 6;
+pub(crate) const L_TAX: usize = 7;
+pub const L_RFLAG: usize = 8;
+pub const L_LSTAT: usize = 9;
+pub const L_SHIP: usize = 10;
 
-/// `l_extendedprice * (1 - l_discount)` at column offset `base` — the
-/// revenue expression shared by Q3 and Q5 (and their distributed
-/// partial aggregates in [`super::dist`]).
-pub(crate) fn revenue_at(base: usize) -> Scalar {
+/// `l_extendedprice * (1 - l_discount)`: the revenue Q3 and Q5 sum, and
+/// Q1's discounted price.
+fn revenue() -> Scalar {
     Scalar::MulDec(
-        Box::new(Scalar::Col(base + L_PRICE)),
+        Box::new(Scalar::Col(L_PRICE)),
         Box::new(Scalar::Sub(
             Box::new(Scalar::ConstDec(100)),
-            Box::new(Scalar::Col(base + L_DISC)),
+            Box::new(Scalar::Col(L_DISC)),
         )),
     )
+}
+
+/// One hash join of a left-deep chain: `build_table`'s rows that pass
+/// `build_pred` are hashed on `build_key`, and the row joined so far
+/// probes them on `probe_key`; a match appends the build row.
+#[derive(Debug, Clone)]
+pub struct JoinSpec {
+    /// Build-side table.
+    pub build_table: usize,
+    /// Filter applied to build rows before insertion.
+    pub build_pred: Pred,
+    /// Join-key column in the build row.
+    pub build_key: usize,
+    /// Join-key column in the current combined probe row.
+    pub probe_key: usize,
+}
+
+/// A scan→filter→\[join…\]→aggregate statement (the staged Q1/Q6 with
+/// an empty join chain; [`join_query`]'s Q3/Q5 with one and three
+/// [`JoinSpec`]s).
+///
+/// `pred` applies to the scanned row (filter pushdown below the joins);
+/// `group_cols`/`aggs` index the final combined row (scan row ++ build
+/// rows of every join, in chain order).
+#[derive(Debug, Clone)]
+pub struct PipelineSpec {
+    /// Probe-side (scanned) table.
+    pub table: usize,
+    /// Scan filter, applied before any join.
+    pub pred: Pred,
+    /// Hash-join chain (empty for pure scan pipelines).
+    pub joins: Vec<JoinSpec>,
+    /// Group-by columns into the final combined row.
+    pub group_cols: Vec<usize>,
+    /// Aggregates over the final combined row.
+    pub aggs: Vec<AggSpec>,
+}
+
+/// Q3 and Q5 of the join extension, stated once: the predicate draw, the
+/// filtered scan, the left-deep hash-join chain, the group columns, the
+/// SUM aggregates, and (returned beside the statement) the output order.
+/// The executor's [`q3`], the staged engine and the distributed capture
+/// all plan from it; the executor's [`q5`] keeps its own index-join plan.
+///
+/// Panics on any other kind.
+pub fn join_query(kind: QueryKind, h: &TpchDb, rng: &mut StdRng) -> (PipelineSpec, Vec<SortKey>) {
+    let date = |col, op, day| Pred::Cmp {
+        col,
+        op,
+        val: Value::Date(day),
+    };
+    match kind {
+        // Shipping priority: revenue per order of the lineitems shipped
+        // after a cutoff whose order was placed before it. The build-side
+        // hash table (those orders) is the cache-residency knob: its
+        // working set scales with the orders population, not with the
+        // lineitem scan the probe streams through.
+        QueryKind::Q3 => {
+            // The spec draws a date in [1995-03-01, 1995-03-31]; our
+            // population spans day 0..MAX_DATE, so draw a cutoff in the
+            // middle half.
+            let cutoff = rng.gen_range(MAX_DATE / 4..3 * MAX_DATE / 4);
+            let spec = PipelineSpec {
+                table: h.lineitem,
+                pred: date(L_SHIP, CmpOp::Gt, cutoff),
+                joins: vec![JoinSpec {
+                    build_table: h.orders,
+                    build_pred: date(2, CmpOp::Lt, cutoff), // o_orderdate
+                    build_key: 0,                           // o_orderkey
+                    probe_key: L_ORDERKEY,
+                }],
+                // lineitem (11 cols) ++ orders (4): o_orderdate at 13.
+                group_cols: vec![L_ORDERKEY, 13],
+                aggs: vec![AggSpec::sum(revenue())],
+            };
+            // Highest-revenue orders first (spec: ORDER BY revenue DESC,
+            // o_orderdate).
+            let order = vec![
+                SortKey { col: 2, desc: true },
+                SortKey {
+                    col: 1,
+                    desc: false,
+                },
+            ];
+            (spec, order)
+        }
+        // Local-supplier volume: lineitem joined with the orders of one
+        // year, their customers and the suppliers, revenue per market
+        // segment (our stand-in for the spec's nation grouping; the
+        // schema carries no nation column).
+        QueryKind::Q5 => {
+            let year_start = rng.gen_range(0..5) * 365;
+            let spec = PipelineSpec {
+                table: h.lineitem,
+                pred: Pred::True,
+                joins: vec![
+                    // ++ orders (4): the year window filters the build
+                    // side, so only in-window orders enter the hash
+                    // table; o_custkey at 12.
+                    JoinSpec {
+                        build_table: h.orders,
+                        build_pred: Pred::And(vec![
+                            date(2, CmpOp::Ge, year_start),
+                            date(2, CmpOp::Lt, year_start + 365),
+                        ]),
+                        build_key: 0,
+                        probe_key: L_ORDERKEY,
+                    },
+                    // ++ customer (4): c_mktsegment at 18.
+                    JoinSpec {
+                        build_table: h.customer,
+                        build_pred: Pred::True,
+                        build_key: 0,
+                        probe_key: 12,
+                    },
+                    // ++ supplier (3): 22 columns total.
+                    JoinSpec {
+                        build_table: h.supplier,
+                        build_pred: Pred::True,
+                        build_key: 0,
+                        probe_key: L_SUPPKEY,
+                    },
+                ],
+                group_cols: vec![18],
+                aggs: vec![AggSpec::sum(revenue())],
+            };
+            (spec, vec![SortKey { col: 1, desc: true }])
+        }
+        QueryKind::Q1 | QueryKind::Q6 | QueryKind::Q13 | QueryKind::Q16 => {
+            panic!("{kind:?} is not a join query (join_query states Q3 and Q5)")
+        }
+    }
+}
+
+/// A sequential scan of `table`, wrapped in a [`Filter`] unless `pred`
+/// is [`Pred::True`].
+pub(crate) fn scan(table: usize, pred: Pred) -> BoxExec {
+    let scan = Box::new(SeqScan::new(table));
+    match pred {
+        Pred::True => scan,
+        pred => Box::new(Filter::new(scan, pred)),
+    }
 }
 
 /// Build the plan for one query instance.
@@ -65,13 +208,7 @@ pub fn q1(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
             val: Value::Date(cutoff),
         },
     ));
-    let disc_price = Scalar::MulDec(
-        Box::new(Scalar::Col(L_PRICE)),
-        Box::new(Scalar::Sub(
-            Box::new(Scalar::ConstDec(100)),
-            Box::new(Scalar::Col(L_DISC)),
-        )),
-    );
+    let disc_price = revenue();
     let charge = Scalar::MulDec(
         Box::new(disc_price.clone()),
         Box::new(Scalar::Add(
@@ -108,65 +245,36 @@ pub fn q1(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
     ))
 }
 
-/// Q3 — shipping priority: date-filtered orders hash-joined against
-/// date-filtered lineitems, revenue aggregated per order. The build-side
-/// hash table (orders placed before the cutoff) is the cache-residency
-/// knob: its working set scales with the orders population, not with the
-/// lineitem scan the probe streams through.
+/// Q3 — shipping priority, planned from [`join_query`]: a left-deep
+/// [`HashJoin`] chain over the filtered scans, then [`HashAggregate`]
+/// and [`Sort`].
 pub fn q3(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
-    // The spec draws a date in [1995-03-01, 1995-03-31]; our population
-    // spans day 0..MAX_DATE, so draw a cutoff in the middle half.
-    let cutoff = rng.gen_range(MAX_DATE / 4..3 * MAX_DATE / 4);
-    // Build: orders placed before the cutoff.
-    let orders = Box::new(Filter::new(
-        Box::new(SeqScan::new(h.orders)),
-        Pred::Cmp {
-            col: 2, // o_orderdate
-            op: CmpOp::Lt,
-            val: Value::Date(cutoff),
-        },
-    ));
-    // Probe: lineitems shipped after it.
-    let lineitem = Box::new(Filter::new(
-        Box::new(SeqScan::new(h.lineitem)),
-        Pred::Cmp {
-            col: L_SHIP,
-            op: CmpOp::Gt,
-            val: Value::Date(cutoff),
-        },
-    ));
-    // Output = lineitem (11 cols) ++ orders (4 cols): o_orderdate at 13.
-    let join = Box::new(HashJoin::new(
-        orders,
-        0, // o_orderkey
-        lineitem,
-        L_ORDERKEY,
-        JoinKind::Inner,
-    ));
-    let grouped = Box::new(HashAggregate::new(
-        join,
-        vec![L_ORDERKEY, 13],
-        vec![AggSpec::sum(revenue_at(0))],
-    ));
-    // Highest-revenue orders first (spec: ORDER BY revenue DESC, date).
-    Box::new(Sort::new(
-        grouped,
-        vec![
-            SortKey { col: 2, desc: true },
-            SortKey {
-                col: 1,
-                desc: false,
-            },
-        ],
-    ))
+    let (spec, order) = join_query(QueryKind::Q3, h, rng);
+    let mut plan = scan(spec.table, spec.pred);
+    for j in spec.joins {
+        let build = scan(j.build_table, j.build_pred);
+        plan = Box::new(HashJoin::new(
+            build,
+            j.build_key,
+            plan,
+            j.probe_key,
+            JoinKind::Inner,
+        ));
+    }
+    let grouped = HashAggregate::new(plan, spec.group_cols, spec.aggs);
+    Box::new(Sort::new(Box::new(grouped), order))
 }
 
-/// Q5 — local-supplier volume: a multi-way join. Lineitem probes the
-/// orders B+Tree through an **index-nested-loop** join (a dependent-load
-/// descent per lineitem — the OLTP-like pointer chase inside a DSS
-/// plan), then two hash joins pick up customer and supplier, and revenue
-/// aggregates per market segment (our stand-in for the spec's nation
-/// grouping; the schema carries no nation column).
+/// Q5 — local-supplier volume, the executor's own plan: lineitem probes
+/// the orders B+Tree through an **index-nested-loop** join (a
+/// dependent-load descent per lineitem — the OLTP-like pointer chase
+/// inside a DSS plan), then two hash joins pick up customer and
+/// supplier, and revenue aggregates per market segment. It restates
+/// [`join_query`]'s Q5 instead of planning from it because `fig_joins`'
+/// B+Tree-descent and nested-loop claims are about this index join; the
+/// staged and distributed captures, which cannot descend a B+Tree
+/// (staged stages hash tables; an index probe cannot cross instances),
+/// plan the hash-join statement.
 pub fn q5(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
     let year_start = rng.gen_range(0..5) * 365;
     // lineitem (11) ++ orders (4): o_custkey at 12, o_orderdate at 13.
@@ -210,7 +318,7 @@ pub fn q5(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
     let grouped = Box::new(HashAggregate::new(
         with_supplier,
         vec![18],
-        vec![AggSpec::sum(revenue_at(0))],
+        vec![AggSpec::sum(revenue())],
     ));
     Box::new(Sort::new(grouped, vec![SortKey { col: 1, desc: true }]))
 }

@@ -1,44 +1,18 @@
-//! Simulator-physics anchors and API equivalence suites.
+//! The simulator-physics anchor: machines built the one way —
+//! `MachineBuilder::from_config(..).build(..).execute()` — on a real
+//! captured workload reproduce numbers dumped from the seed simulator,
+//! before the trait/builder/topology redesigns.
 //!
-//! Machines are built one way — `MachineBuilder::from_config(..)
-//! .build(..).execute()` — and on real captured workloads:
-//!
-//! * the golden anchor pins the simulated physics to numbers dumped from
-//!   the seed simulator, before the trait/builder/topology redesigns;
-//! * a heterogeneous machine whose slots all carry the same `CoreKind`
-//!   equals the homogeneous machine event-for-event;
-//! * the asymmetric preset's pure endpoints equal the camp presets;
-//! * a uniform 1-core-per-island topology ≡ the private-L2 SMP shape and
-//!   a chip-spanning island ≡ the shared-L2 CMP shape event-for-event;
-//! * the parallel `Sweep` runner returns results identical — values and
-//!   order — to a sequential run of the same points, in both
-//!   `Throughput` and `Completion` modes.
+//! The equivalences that used to sit beside it live next to the code
+//! they pin: uniform slots ≡ homogeneous in `sim::builder`, parallel ≡
+//! sequential sweeps in `core::experiment`, and the asym and island
+//! endpoints ≡ the camp and Fig. 7 presets in `fig_smoke`.
 
-use dbcmp::core::experiment::{RunSpec, Sweep};
-use dbcmp::core::machines::{asym_cmp, cmp_for, fc_cmp, lc_cmp, smp_baseline, L2Spec};
-use dbcmp::core::taxonomy::{Camp, WorkloadKind};
+use dbcmp::core::machines::{fc_cmp, lc_cmp, L2Spec};
+use dbcmp::core::taxonomy::WorkloadKind;
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
-use dbcmp::sim::{
-    CacheTopology, LevelSpec, MachineBuilder, MachineConfig, RunMode, SharedBy, SimResult,
-};
+use dbcmp::sim::{MachineBuilder, MachineConfig, RunMode, SimResult};
 use dbcmp::trace::TraceBundle;
-
-/// Force a genuinely threaded run (4 workers) regardless of host CPU
-/// count — on a single-CPU host `Sweep::run`'s default worker count is
-/// 1 and it degrades to the sequential path, which would make these
-/// assertions vacuous.
-fn run_threaded(sweep: &Sweep, bundle: &TraceBundle) -> Vec<SimResult> {
-    let bundles: Vec<&TraceBundle> = vec![bundle; sweep.len()];
-    sweep.run_each_with_workers(&bundles, 4)
-}
-
-fn spec(scale: &FigScale) -> RunSpec {
-    RunSpec {
-        warmup: scale.warmup / 2,
-        measure: scale.measure / 2,
-        max_cycles: 400_000_000,
-    }
-}
 
 fn run(cfg: MachineConfig, bundle: &TraceBundle, mode: RunMode) -> SimResult {
     MachineBuilder::from_config(cfg, mode)
@@ -51,8 +25,8 @@ fn run(cfg: MachineConfig, bundle: &TraceBundle, mode: RunMode) -> SimResult {
 /// numbers were dumped from the seed code at commit `5227f31` (the tree
 /// before the trait/builder refactor) on the identical deterministic
 /// capture. They pin the physics — if any change shifts a single cycle,
-/// this fails; the equivalence tests below compare two runs of today's
-/// simulator and cannot catch such a drift on their own.
+/// this fails; the equivalence tests elsewhere compare two runs of
+/// today's simulator and cannot catch such a drift on their own.
 #[test]
 fn golden_anchor_matches_pre_redesign_simulator() {
     struct Golden {
@@ -149,153 +123,4 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             g.avg_unit_cycles
         );
     }
-}
-
-/// Heterogeneous machines with uniform slots vs the homogeneous
-/// config — event-for-event, including per-core breakdowns and memory
-/// counters.
-#[test]
-fn uniform_hetero_equals_homogeneous() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
-    let sp = spec(&scale);
-    for camp in [Camp::Fat, Camp::Lean] {
-        let homo = cmp_for(camp, 4, 4 << 20, L2Spec::Cacti);
-        let mut hetero = homo.clone();
-        hetero.slots = homo.slot_kinds();
-        assert_eq!(hetero.slots.len(), 4);
-        for mode in [sp.throughput(), sp.completion()] {
-            let a = run(homo.clone(), &w.bundle, mode);
-            let b = run(hetero.clone(), &w.bundle, mode);
-            assert_eq!(a.per_core, b.per_core, "{camp:?}: per-core breakdowns");
-            assert_eq!(a.mem, b.mem, "{camp:?}: memory counters");
-            assert_eq!(a, b, "{camp:?}: full result");
-        }
-    }
-}
-
-/// The asym preset's pure endpoints reduce to the camp presets (same
-/// numbers; the name differs by design).
-#[test]
-fn asym_pure_endpoints_equal_presets() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let mode = spec(&scale).throughput();
-    for (asym, preset) in [
-        (
-            asym_cmp(4, 0, 4 << 20, L2Spec::Cacti),
-            fc_cmp(4, 4 << 20, L2Spec::Cacti),
-        ),
-        (
-            asym_cmp(0, 4, 4 << 20, L2Spec::Cacti),
-            lc_cmp(4, 4 << 20, L2Spec::Cacti),
-        ),
-    ] {
-        let mut a = run(asym, &w.bundle, mode);
-        let b = run(preset, &w.bundle, mode);
-        a.machine = b.machine.clone();
-        assert_eq!(a, b);
-    }
-}
-
-/// Parallel sweep == sequential sweep, values and order, for both
-/// run modes and a mixed bag of machines (including heterogeneous ones),
-/// against a shared bundle.
-#[test]
-fn parallel_sweep_identical_to_sequential() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let sp = spec(&scale);
-    for mode in [sp.throughput(), sp.completion()] {
-        let mut sweep = Sweep::new();
-        for (i, cfg) in [
-            fc_cmp(1, 1 << 20, L2Spec::Cacti),
-            lc_cmp(1, 1 << 20, L2Spec::Cacti),
-            fc_cmp(2, 2 << 20, L2Spec::Fixed(4)),
-            asym_cmp(1, 1, 2 << 20, L2Spec::Cacti),
-            smp_baseline(2, 1 << 20, Camp::Fat),
-            lc_cmp(2, 4 << 20, L2Spec::Cacti),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            sweep.push(format!("p{i}"), cfg, mode);
-        }
-        let par = run_threaded(&sweep, &w.bundle);
-        let seq = sweep.run_sequential(&w.bundle);
-        assert_eq!(par.len(), sweep.len());
-        assert_eq!(par, seq, "parallel sweep must be byte-identical ({mode:?})");
-        assert_eq!(
-            sweep.run(&w.bundle),
-            seq,
-            "default-worker run must agree too ({mode:?})"
-        );
-        // Order: result i carries machine i's name.
-        for (p, r) in sweep.points().iter().zip(&par) {
-            assert_eq!(
-                r.machine, p.cfg.name,
-                "results must come back in input order"
-            );
-        }
-    }
-}
-
-/// A uniform 1-core-per-island topology ≡ the private-L2 SMP preset
-/// event-for-event, and a chip-spanning island ≡ the shared-L2 CMP
-/// preset — the cluster continuum really has the paper's two shapes as
-/// its endpoints.
-#[test]
-fn cluster_extremes_equal_legacy_shapes() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
-    let sp = spec(&scale);
-    // Cluster(1) vs Private, identical bank parameters.
-    let private = smp_baseline(4, 1 << 20, Camp::Fat);
-    let mut one_core_islands = private.clone();
-    {
-        let lvl = private.topology.innermost();
-        one_core_islands.topology =
-            CacheTopology::new(vec![
-                LevelSpec::new(lvl.geom, SharedBy::Cluster(1)).banks(lvl.banks, lvl.bank_occupancy)
-            ]);
-    }
-    // Cluster(4) vs Chip on the fat CMP preset.
-    let shared = fc_cmp(4, 4 << 20, L2Spec::Cacti);
-    let mut chip_island = shared.clone();
-    {
-        let lvl = shared.topology.innermost();
-        chip_island.topology =
-            CacheTopology::new(vec![
-                LevelSpec::new(lvl.geom, SharedBy::Cluster(4)).banks(lvl.banks, lvl.bank_occupancy)
-            ]);
-    }
-    for (legacy, island) in [(private, one_core_islands), (shared, chip_island)] {
-        for mode in [sp.throughput(), sp.completion()] {
-            let a = run(legacy.clone(), &w.bundle, mode);
-            let b = run(island.clone(), &w.bundle, mode);
-            assert_eq!(
-                a.per_core, b.per_core,
-                "{}: per-core breakdowns",
-                legacy.name
-            );
-            assert_eq!(a.mem, b.mem, "{}: memory counters", legacy.name);
-            assert_eq!(a, b, "{}: full result", legacy.name);
-        }
-    }
-}
-
-/// Repeated parallel runs are stable (no scheduling nondeterminism
-/// leaks into results).
-#[test]
-fn parallel_sweep_is_deterministic_across_runs() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::unsaturated(WorkloadKind::Dss, &scale);
-    let sp = spec(&scale);
-    let sweep = Sweep::new()
-        .point("a", fc_cmp(2, 1 << 20, L2Spec::Cacti), sp.throughput())
-        .point("b", lc_cmp(2, 1 << 20, L2Spec::Cacti), sp.throughput())
-        .point("c", asym_cmp(1, 1, 1 << 20, L2Spec::Cacti), sp.throughput());
-    let r1 = run_threaded(&sweep, &w.bundle);
-    let r2 = run_threaded(&sweep, &w.bundle);
-    assert_eq!(r1, r2);
 }
