@@ -1,15 +1,13 @@
 //! Pluggable concurrency-control backends.
 //!
 //! [`Database`](crate::Database) acquires, releases and drains lock wakes
-//! through the [`ConcurrencyControl`] trait instead of calling the
-//! centralized [`LockMgr`](crate::lockmgr::LockMgr) directly, which turns
-//! the lock manager into a *backend seam*: the paper's fig_contention
-//! sweep keeps the memory-system axis (SMP vs CMP vs islands) but can now
-//! unfreeze the software axis too. Three backends ship:
+//! through the [`ConcurrencyControl`] trait, which turns the lock manager
+//! into a *backend seam*: the paper's fig_contention sweep keeps the
+//! memory-system axis (SMP vs CMP vs islands) but can now unfreeze the
+//! software axis too. Three backends ship:
 //!
-//! * [`Centralized2PL`] — the existing wait-queue lock manager behind the
-//!   trait, byte-identical to the pre-trait captures (it delegates every
-//!   call without adding or removing a single charge or event).
+//! * [`CcBackend::Centralized2PL`] — the wait-queue lock manager
+//!   [`LockMgr`](crate::lockmgr::LockMgr) itself.
 //! * [`PartitionedPerCore`] — lock state sharded into per-core partitions;
 //!   a lock request whose partition is not the requester's home core is a
 //!   message to the owning core, traced as `RemoteSend`/`RemoteRecv`
@@ -33,11 +31,9 @@ use crate::lockmgr::{Grant, LockMode};
 use crate::tctx::TraceCtx;
 use crate::txn::TxnId;
 
-mod centralized;
 mod ordered;
 mod partitioned;
 
-pub use centralized::Centralized2PL;
 pub use ordered::DeterministicOrdered;
 pub use partitioned::PartitionedPerCore;
 
@@ -49,7 +45,8 @@ pub use partitioned::PartitionedPerCore;
 /// the build fails until both handle it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CcBackend {
-    /// One shared wait-queue lock manager (the seed's 2PL discipline).
+    /// One shared wait-queue lock manager,
+    /// [`LockMgr`](crate::lockmgr::LockMgr) (the seed's 2PL discipline).
     #[default]
     Centralized2PL,
     /// Per-core lock partitions with message-passing requests.
@@ -162,15 +159,16 @@ pub trait ConcurrencyControl: Send + Sync {
 
     /// True if the waits-for graph contains a cycle. Must always be
     /// `false` for the deadlock-free backends.
-    fn has_deadlock(&self) -> bool;
+    fn has_deadlock(&self) -> bool {
+        graph_has_cycle(&self.wait_graph())
+    }
 
     /// Snapshot of the backend's counters.
     fn stats(&self) -> CcStats;
 }
 
-/// Cycle check over an explicit waits-for graph (shared by the backends
-/// whose graphs are assembled from several state shards).
-pub(crate) fn graph_has_cycle(graph: &[(TxnId, Vec<TxnId>)]) -> bool {
+/// Cycle check over an explicit waits-for graph.
+fn graph_has_cycle(graph: &[(TxnId, Vec<TxnId>)]) -> bool {
     fn dfs(
         graph: &[(TxnId, Vec<TxnId>)],
         start: TxnId,

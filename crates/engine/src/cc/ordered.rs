@@ -33,7 +33,7 @@ use dbcmp_trace::AddressSpace;
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::cc::{graph_has_cycle, CcBackend, CcStats, ConcurrencyControl};
+use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::costs::instr;
 use crate::error::{EngineError, Result};
 use crate::lockmgr::{Grant, LockMode};
@@ -427,10 +427,6 @@ impl ConcurrencyControl for DeterministicOrdered {
             g.push((t, targets));
         }
         g
-    }
-
-    fn has_deadlock(&self) -> bool {
-        graph_has_cycle(&self.wait_graph())
     }
 
     fn stats(&self) -> CcStats {

@@ -25,8 +25,8 @@ use dbcmp_trace::AddressSpace;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cc::{graph_has_cycle, CcBackend, CcStats, ConcurrencyControl};
-use crate::error::{EngineError, Result};
+use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
+use crate::error::Result;
 use crate::lockmgr::{Grant, LockMgr, LockMode};
 use crate::tctx::TraceCtx;
 use crate::txn::TxnId;
@@ -48,6 +48,8 @@ pub struct PartitionedPerCore {
     /// its retry must go back through the queued path to claim the
     /// parked grant or victim notification.
     parked: BTreeMap<TxnId, (usize, u64)>,
+    /// Remote messages, their bytes and fallback conflicts (the rest stay
+    /// zero: the partitions count those).
     stats: CcStats,
 }
 
@@ -114,7 +116,6 @@ impl ConcurrencyControl for PartitionedPerCore {
     }
 
     fn acquire(&mut self, txn: TxnId, key: u64, mode: LockMode, tc: &mut TraceCtx) -> Result<bool> {
-        self.stats.acquires += 1;
         let p = self.partition_of(key);
         self.hop_round_trip(txn, p, tc);
         let granted = self.parts[p].acquire(txn, key, mode, tc)?;
@@ -129,51 +130,30 @@ impl ConcurrencyControl for PartitionedPerCore {
         mode: LockMode,
         tc: &mut TraceCtx,
     ) -> Result<Grant> {
-        self.stats.acquires += 1;
         let p = self.partition_of(key);
         let res = (p, key);
         self.hop_round_trip(txn, p, tc);
         if self.parked.get(&txn) == Some(&res) {
             // Retry of the request this txn parked on: the queued path
             // claims the parked grant (or stays parked).
-            return match self.parts[p].acquire_wait(txn, key, mode, tc) {
-                Ok(Grant::Wait) => Ok(Grant::Wait),
-                Ok(g) => {
-                    self.parked.remove(&txn);
-                    Ok(g)
-                }
-                Err(e) => {
-                    if matches!(e, EngineError::Deadlock { .. }) {
-                        self.stats.deadlocks += 1;
-                    }
-                    self.parked.remove(&txn);
-                    Err(e)
-                }
-            };
+            let grant = self.parts[p].acquire_wait(txn, key, mode, tc);
+            if !matches!(grant, Ok(Grant::Wait)) {
+                self.parked.remove(&txn);
+            }
+            return grant;
         }
         let already = self.held.get(&txn).is_some_and(|s| s.contains(&res));
         if !already && self.may_wait(txn, res) {
             // In-order request: the full queued discipline applies. Record
             // the resource on Wait too — the txn owns its queue slot and
-            // will hold the lock when granted.
-            match self.parts[p].acquire_wait(txn, key, mode, tc) {
-                Ok(g) => {
-                    if g == Grant::Wait {
-                        self.stats.waits += 1;
-                        self.parked.insert(txn, res);
-                    }
-                    self.held.entry(txn).or_default().insert(res);
-                    Ok(g)
-                }
-                Err(e) => {
-                    // Unreachable for Deadlock (ordering forbids cycles);
-                    // counted defensively rather than panicking.
-                    if matches!(e, EngineError::Deadlock { .. }) {
-                        self.stats.deadlocks += 1;
-                    }
-                    Err(e)
-                }
+            // will hold the lock when granted. (A Deadlock error is
+            // unreachable: ordering forbids cycles.)
+            let g = self.parts[p].acquire_wait(txn, key, mode, tc)?;
+            if g == Grant::Wait {
+                self.parked.insert(txn, res);
             }
+            self.held.entry(txn).or_default().insert(res);
+            Ok(g)
         } else {
             // Re-acquire/upgrade of a held resource, or an out-of-order
             // request: no-wait only. Conflicts are immediate retries.
@@ -242,13 +222,16 @@ impl ConcurrencyControl for PartitionedPerCore {
         g
     }
 
-    fn has_deadlock(&self) -> bool {
-        // Per-partition cycles plus cross-partition composites.
-        self.parts.iter().any(LockMgr::has_deadlock) || graph_has_cycle(&self.wait_graph())
-    }
-
+    /// The messaging counters are this backend's; acquires, waits and
+    /// deadlock victims are its partitions'.
     fn stats(&self) -> CcStats {
-        self.stats
+        let mut s = self.stats;
+        for p in self.parts.iter().map(LockMgr::stats) {
+            s.acquires += p.acquires;
+            s.waits += p.waits;
+            s.deadlocks += p.deadlocks;
+        }
+        s
     }
 }
 
@@ -256,6 +239,7 @@ impl ConcurrencyControl for PartitionedPerCore {
 mod tests {
     use super::*;
     use crate::costs::EngineRegions;
+    use crate::error::EngineError;
     use dbcmp_trace::CodeRegions;
 
     fn setup() -> (PartitionedPerCore, TraceCtx) {

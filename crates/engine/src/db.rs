@@ -13,14 +13,11 @@ use dbcmp_trace::{AddressSpace, CodeRegions};
 
 use crate::btree::BTree;
 use crate::catalog::{Catalog, IndexId, TableId};
-use crate::cc::{
-    CcBackend, CcStats, Centralized2PL, ConcurrencyControl, DeterministicOrdered,
-    PartitionedPerCore,
-};
+use crate::cc::{CcBackend, CcStats, ConcurrencyControl, DeterministicOrdered, PartitionedPerCore};
 use crate::costs::{instr, EngineRegions};
 use crate::error::{EngineError, Result};
 use crate::heap::{HeapTable, Rid};
-use crate::lockmgr::{Grant, LockMode};
+use crate::lockmgr::{Grant, LockMgr, LockMode};
 use crate::schema::Schema;
 use crate::tctx::TraceCtx;
 use crate::txn::{Txn, TxnId, TxnState, UndoRec};
@@ -67,7 +64,7 @@ impl Database {
         let er = EngineRegions::register(&mut regions);
         Database {
             catalog: Catalog::new(&space),
-            cc: Box::new(Centralized2PL::new(&space, LOCK_TABLE_BUCKETS)),
+            cc: Box::new(LockMgr::new(&space, LOCK_TABLE_BUCKETS)),
             wal: Wal::new(&space),
             heaps: Vec::new(),
             indexes: Vec::new(),
@@ -107,9 +104,7 @@ impl Database {
             return;
         }
         self.cc = match backend {
-            CcBackend::Centralized2PL => {
-                Box::new(Centralized2PL::new(&self.space, LOCK_TABLE_BUCKETS))
-            }
+            CcBackend::Centralized2PL => Box::new(LockMgr::new(&self.space, LOCK_TABLE_BUCKETS)),
             CcBackend::PartitionedPerCore => {
                 // One partition per base-config core (the paper's 4-core
                 // machines), carved from the same total bucket budget.

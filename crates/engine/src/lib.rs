@@ -23,13 +23,14 @@
 //!   vs shared-L2 hits (CMP).
 //!
 //! Concurrency model: statements execute one at a time, but *which*
-//! transaction runs next is the caller's choice — the interleaved capture
+//! transaction runs next is the caller's choice — the workloads' client
 //! scheduler advances many open transactions in round-robin slices.
 //! Conflicting row-lock requests park on FIFO wait queues ([`lockmgr`]),
 //! waits-for cycles abort the youngest transaction, and blocked/woken
-//! sessions are recorded in the trace. A sequential capture never has two
-//! live transactions, so it never parks and its trace carries no such
-//! events. Abort with undo and lock release at commit are real, so any
+//! sessions are recorded in the trace. The sequential capture is that
+//! scheduler with whole-session grants: it never has two live
+//! transactions, so it never parks and its trace carries no such events.
+//! Abort with undo and lock release at commit are real, so any
 //! interleaving behaves correctly.
 
 #![forbid(unsafe_code)]

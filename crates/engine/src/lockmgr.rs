@@ -1,4 +1,6 @@
-//! Row-level two-phase-locking lock manager with wait queues.
+//! Row-level two-phase-locking lock manager with wait queues: the
+//! [`CcBackend::Centralized2PL`] backend itself, and each partition of
+//! [`PartitionedPerCore`](crate::cc::PartitionedPerCore).
 //!
 //! **Simulated footprint:** a hash table of lock buckets, each exactly one
 //! 64 B cache line that every acquire and release of a key hashing to it
@@ -12,13 +14,13 @@
 //!
 //! Two disciplines coexist:
 //!
-//! * **No-wait** ([`LockMgr::acquire`]): conflicts surface immediately as
+//! * **No-wait** ([`ConcurrencyControl::acquire`]): conflicts surface immediately as
 //!   [`EngineError::LockConflict`]. The engine uses it for one thing, the
 //!   fresh-RID acquire of a row insert — a transaction's or a
 //!   [`Loader`](crate::Loader)'s — because a lock on a slot nobody else
 //!   has seen cannot meaningfully wait. (The partitioned backend also
 //!   routes requests here that its resource ordering forbids to block.)
-//! * **Queued** ([`LockMgr::acquire_wait`]): conflicting requests park on a
+//! * **Queued** ([`ConcurrencyControl::acquire_wait`]): conflicting requests park on a
 //!   FIFO wait queue per lock. Releases grant from the front (shared
 //!   requests join in batches; upgrades jump the queue when the upgrader is
 //!   the sole holder). Each enqueue updates a waits-for graph and runs
@@ -30,8 +32,9 @@
 //!
 //! Grant decisions made while the winner is parked are recorded so the
 //! winner's retry returns the right bookkeeping result (`WaitGranted` /
-//! `WaitUpgraded`), and [`LockMgr::drain_woken`] hands the scheduler the
-//! transactions it must resume, in grant order (determinism).
+//! `WaitUpgraded`), and [`ConcurrencyControl::drain_woken`] hands the
+//! scheduler the transactions it must resume, in grant order
+//! (determinism).
 
 #[allow(
     clippy::disallowed_types,
@@ -39,6 +42,7 @@
 )]
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::costs::instr;
 use crate::error::{EngineError, Result};
 use crate::tctx::TraceCtx;
@@ -54,7 +58,7 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Outcome of a queued acquire ([`LockMgr::acquire_wait`]).
+/// Outcome of a queued acquire ([`ConcurrencyControl::acquire_wait`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Grant {
     /// Newly granted now — the caller records the lock for release.
@@ -123,6 +127,8 @@ pub struct LockMgr {
     /// Wake notifications (grants + victims) since the last drain, in
     /// decision order.
     woken: Vec<TxnId>,
+    /// Acquires, waits and deadlock victims (the rest stay zero).
+    stats: CcStats,
 }
 
 impl LockMgr {
@@ -142,15 +148,8 @@ impl LockMgr {
             granted: HashMap::new(),
             victims: HashMap::new(),
             woken: Vec::new(),
+            stats: CcStats::default(),
         }
-    }
-
-    /// Set the contention surcharge charged on every acquire/release
-    /// (extra lock-manager instructions per operation). The policy that
-    /// derives it from a sharer count lives on
-    /// [`Database::set_lock_sharers`](crate::Database::set_lock_sharers).
-    pub fn set_contention(&mut self, extra: u32) {
-        self.contention = extra;
     }
 
     #[inline]
@@ -162,37 +161,6 @@ impl LockMgr {
     #[inline]
     fn bucket_addr(&self, key: u64) -> u64 {
         self.addr + self.bucket_of(key) * 64
-    }
-
-    /// Acquire `key` in `mode` for `txn`, no-wait: conflicts return
-    /// [`EngineError::LockConflict`] immediately. Re-acquisition and S→X
-    /// upgrade by a sole holder succeed. Returns `true` if the lock is
-    /// newly granted (the caller records it for release).
-    pub fn acquire(
-        &mut self,
-        txn: TxnId,
-        key: u64,
-        mode: LockMode,
-        tc: &mut TraceCtx,
-    ) -> Result<bool> {
-        match self.acquire_inner(txn, key, mode, false, tc)? {
-            Grant::Acquired => Ok(true),
-            Grant::Held => Ok(false),
-            // Unreachable in no-wait mode.
-            g => unreachable!("no-wait acquire returned {g:?}"),
-        }
-    }
-
-    /// Acquire `key` in `mode` for `txn` under the queued discipline; see
-    /// the module docs for the [`Grant`] protocol.
-    pub fn acquire_wait(
-        &mut self,
-        txn: TxnId,
-        key: u64,
-        mode: LockMode,
-        tc: &mut TraceCtx,
-    ) -> Result<Grant> {
-        self.acquire_inner(txn, key, mode, true, tc)
     }
 
     fn acquire_inner(
@@ -336,31 +304,6 @@ impl LockMgr {
         }
     }
 
-    /// Transactions to resume since the last call: lock grants and victim
-    /// notifications, in decision order.
-    pub fn drain_woken(&mut self) -> Vec<TxnId> {
-        std::mem::take(&mut self.woken)
-    }
-
-    /// Abort-path cleanup: drop `txn`'s waiter entry (if any), any
-    /// unclaimed parked grant, and any pending victim mark. Returns lock
-    /// table state to what release() expects.
-    pub fn cancel_wait(&mut self, txn: TxnId, tc: &mut TraceCtx) {
-        self.victims.remove(&txn);
-        if self.waiting.contains_key(&txn) {
-            self.remove_waiter(txn, tc);
-        }
-        if let Some((key, upgrade)) = self.granted.remove(&txn) {
-            // Granted while parked but never observed by the owner: for a
-            // fresh grant the holder entry must go (the owner never
-            // recorded it, so release() will not); an upgrade reverts on
-            // the ordinary release of the originally-recorded lock.
-            if !upgrade {
-                self.release(txn, key, tc);
-            }
-        }
-    }
-
     /// Drop `txn` from `key`'s wait queue and re-run the grant pass (its
     /// departure may unblock the queue).
     fn remove_waiter(&mut self, txn: TxnId, tc: &mut TraceCtx) {
@@ -371,16 +314,6 @@ impl LockMgr {
         if let Some(e) = self.table.get_mut(&key) {
             e.waiters.retain(|w| w.txn != txn);
             tc.store(addr, 16);
-            self.grant_pass(key, tc);
-        }
-    }
-
-    /// Release one lock held by `txn`.
-    pub fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
-        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
-        tc.store(self.bucket_addr(key), 16);
-        if let Some(e) = self.table.get_mut(&key) {
-            e.holders.retain(|&t| t != txn);
             self.grant_pass(key, tc);
         }
     }
@@ -496,32 +429,6 @@ impl LockMgr {
         }
     }
 
-    /// The current waits-for graph, sorted by waiter id (diagnostics and
-    /// the acyclicity property test).
-    pub fn wait_graph(&self) -> Vec<(TxnId, Vec<TxnId>)> {
-        let mut waiters: Vec<TxnId> = self.waiting.keys().copied().collect();
-        waiters.sort_unstable();
-        waiters
-            .into_iter()
-            .map(|t| (t, self.wait_targets(t)))
-            .collect()
-    }
-
-    /// True if the waits-for graph contains any cycle.
-    pub fn has_deadlock(&self) -> bool {
-        self.waiting.keys().any(|&t| self.find_cycle(t).is_some())
-    }
-
-    /// Number of live lock entries (diagnostics/tests).
-    pub fn live_locks(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Number of transactions parked on wait queues.
-    pub fn waiting_count(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Snapshot of every live entry: (key, mode, holders, queued waiters),
     /// in bucket order, keys ascending within a bucket (tests).
     pub fn snapshot(&self) -> Vec<(u64, LockMode, Vec<TxnId>, Vec<TxnId>)> {
@@ -535,6 +442,109 @@ impl LockMgr {
             .collect();
         out.sort_by_key(|e| self.bucket_of(e.0));
         out
+    }
+}
+
+impl ConcurrencyControl for LockMgr {
+    fn backend(&self) -> CcBackend {
+        CcBackend::Centralized2PL
+    }
+
+    /// Acquire `key` in `mode` for `txn`, no-wait: conflicts return
+    /// [`EngineError::LockConflict`] immediately. Re-acquisition and S→X
+    /// upgrade by a sole holder succeed. Returns `true` if the lock is
+    /// newly granted (the caller records it for release).
+    fn acquire(&mut self, txn: TxnId, key: u64, mode: LockMode, tc: &mut TraceCtx) -> Result<bool> {
+        self.stats.acquires += 1;
+        match self.acquire_inner(txn, key, mode, false, tc)? {
+            Grant::Acquired => Ok(true),
+            Grant::Held => Ok(false),
+            // Unreachable in no-wait mode.
+            g => unreachable!("no-wait acquire returned {g:?}"),
+        }
+    }
+
+    /// Acquire `key` in `mode` for `txn` under the queued discipline; see
+    /// the module docs for the [`Grant`] protocol.
+    fn acquire_wait(
+        &mut self,
+        txn: TxnId,
+        key: u64,
+        mode: LockMode,
+        tc: &mut TraceCtx,
+    ) -> Result<Grant> {
+        self.stats.acquires += 1;
+        let res = self.acquire_inner(txn, key, mode, true, tc);
+        match res {
+            Ok(Grant::Wait) => self.stats.waits += 1,
+            Err(EngineError::Deadlock { .. }) => self.stats.deadlocks += 1,
+            _ => {}
+        }
+        res
+    }
+
+    /// Release one lock held by `txn`.
+    fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
+        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
+        tc.store(self.bucket_addr(key), 16);
+        if let Some(e) = self.table.get_mut(&key) {
+            e.holders.retain(|&t| t != txn);
+            self.grant_pass(key, tc);
+        }
+    }
+
+    /// Abort-path cleanup: drop `txn`'s waiter entry (if any), any
+    /// unclaimed parked grant, and any pending victim mark. Returns lock
+    /// table state to what release() expects.
+    fn cancel_wait(&mut self, txn: TxnId, tc: &mut TraceCtx) {
+        self.victims.remove(&txn);
+        if self.waiting.contains_key(&txn) {
+            self.remove_waiter(txn, tc);
+        }
+        if let Some((key, upgrade)) = self.granted.remove(&txn) {
+            // Granted while parked but never observed by the owner: for a
+            // fresh grant the holder entry must go (the owner never
+            // recorded it, so release() will not); an upgrade reverts on
+            // the ordinary release of the originally-recorded lock.
+            if !upgrade {
+                self.release(txn, key, tc);
+            }
+        }
+    }
+
+    /// Transactions to resume since the last call: lock grants and victim
+    /// notifications, in decision order.
+    fn drain_woken(&mut self) -> Vec<TxnId> {
+        std::mem::take(&mut self.woken)
+    }
+
+    /// Set the contention surcharge charged on every acquire/release
+    /// (extra lock-manager instructions per operation). The policy that
+    /// derives it from a sharer count lives on
+    /// [`Database::set_lock_sharers`](crate::Database::set_lock_sharers).
+    fn set_contention(&mut self, extra: u32) {
+        self.contention = extra;
+    }
+
+    fn live_locks(&self) -> usize {
+        self.table.len()
+    }
+
+    fn waiting_count(&self) -> usize {
+        self.waiting.len()
+    }
+
+    fn wait_graph(&self) -> Vec<(TxnId, Vec<TxnId>)> {
+        let mut waiters: Vec<TxnId> = self.waiting.keys().copied().collect();
+        waiters.sort_unstable();
+        waiters
+            .into_iter()
+            .map(|t| (t, self.wait_targets(t)))
+            .collect()
+    }
+
+    fn stats(&self) -> CcStats {
+        self.stats
     }
 }
 
@@ -852,6 +862,45 @@ mod tests {
             Grant::WaitGranted
         );
         assert_eq!(lm.waiting_count(), 0);
+    }
+
+    #[test]
+    fn counters_track_waits_and_deadlocks() {
+        let (mut lm, mut tc) = setup();
+        assert_eq!(
+            lm.acquire_wait(1, 10, LockMode::Exclusive, &mut tc)
+                .unwrap(),
+            Grant::Acquired
+        );
+        assert_eq!(
+            lm.acquire_wait(2, 20, LockMode::Exclusive, &mut tc)
+                .unwrap(),
+            Grant::Acquired
+        );
+        // 1 parks on 20; 2 closes the cycle on 10 and is the victim.
+        assert_eq!(
+            lm.acquire_wait(1, 20, LockMode::Exclusive, &mut tc)
+                .unwrap(),
+            Grant::Wait
+        );
+        assert!(matches!(
+            lm.acquire_wait(2, 10, LockMode::Exclusive, &mut tc),
+            Err(EngineError::Deadlock { .. })
+        ));
+        let s = lm.stats();
+        assert_eq!(s.acquires, 4);
+        assert_eq!(s.waits, 1);
+        assert_eq!(s.deadlocks, 1);
+        assert_eq!(s.ordering_waits, 0);
+        assert_eq!(s.remote_msgs, 0);
+    }
+
+    #[test]
+    fn declare_is_a_no_op() {
+        let (mut lm, mut tc) = setup();
+        lm.declare(7, &[(1, LockMode::Exclusive)], &mut tc).unwrap();
+        assert_eq!(lm.live_locks(), 0);
+        lm.finish(7, &mut tc);
     }
 
     #[test]

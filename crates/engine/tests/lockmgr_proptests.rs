@@ -2,7 +2,8 @@
 //!
 //! A miniature round-robin scheduler (mirroring the interleaved capture's
 //! baton protocol) drives random per-transaction acquisition scripts
-//! through [`LockMgr::acquire_wait`] and checks, after every step:
+//! through [`ConcurrencyControl::acquire_wait`] and checks, after every
+//! step:
 //!
 //! * at most one exclusive holder per key, and shared/exclusive never
 //!   coexist (the 2PL compatibility matrix);
@@ -14,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use dbcmp_engine::cc::{Centralized2PL, DeterministicOrdered, PartitionedPerCore};
+use dbcmp_engine::cc::{DeterministicOrdered, PartitionedPerCore};
 use dbcmp_engine::lockmgr::{Grant, LockMgr, LockMode};
 use dbcmp_engine::{CcBackend, ConcurrencyControl, EngineError, EngineRegions, TraceCtx};
 use dbcmp_trace::{AddressSpace, CodeRegions};
@@ -36,7 +37,7 @@ type CcScript = Vec<(u64, bool, bool)>;
 
 fn make_backend(b: CcBackend, space: &AddressSpace) -> Box<dyn ConcurrencyControl> {
     match b {
-        CcBackend::Centralized2PL => Box::new(Centralized2PL::new(space, 64)),
+        CcBackend::Centralized2PL => Box::new(LockMgr::new(space, 64)),
         CcBackend::PartitionedPerCore => Box::new(PartitionedPerCore::new(space, 4, 256)),
         CcBackend::DeterministicOrdered => Box::new(DeterministicOrdered::new(space, 64)),
     }

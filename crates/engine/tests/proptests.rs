@@ -12,7 +12,7 @@ use dbcmp_engine::exec::{CmpOp, Pred, Scalar};
 use dbcmp_engine::heap::Rid;
 use dbcmp_engine::lockmgr::{LockMgr, LockMode};
 use dbcmp_engine::page::{SlottedPage, PAGE_SIZE};
-use dbcmp_engine::{ColType, Database, EngineRegions, Schema, TraceCtx, Value};
+use dbcmp_engine::{ColType, ConcurrencyControl, Database, EngineRegions, Schema, TraceCtx, Value};
 use dbcmp_trace::{AddressSpace, CodeRegions};
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -18,7 +18,6 @@
 //! and the branch-misprediction accumulator.
 
 use dbcmp_trace::region::{CodeRegion, CodeRegions, INSTR_BYTES};
-use dbcmp_trace::segment::TraceSource;
 use dbcmp_trace::{Event, ThreadTrace};
 
 /// Block-decoding cursor over one thread's segmented event stream.
@@ -68,21 +67,22 @@ impl<'a> TraceCursor<'a> {
     /// (non-wrapping or empty) trace is exhausted.
     #[cold]
     fn refill(&mut self) -> bool {
-        if self.seg >= self.trace.n_segments() {
-            if !self.wrap || self.trace.n_events() == 0 {
+        let segments = self.trace.segments();
+        if self.seg >= segments.len() {
+            if !self.wrap || self.trace.is_empty() {
                 return false;
             }
             self.seg = 0;
             self.wraps += 1;
         }
-        self.trace.segment(self.seg).decode_into(&mut self.ring);
+        segments[self.seg].decode_into(&mut self.ring);
         self.seg += 1;
         self.pos = 0;
         true
     }
 
     pub fn done(&self) -> bool {
-        !self.wrap && self.pos >= self.ring.len() && self.seg >= self.trace.n_segments()
+        !self.wrap && self.pos >= self.ring.len() && self.seg >= self.trace.segments().len()
     }
 }
 

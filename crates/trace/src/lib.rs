@@ -44,8 +44,8 @@ pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SegmentInfo, SimAd
 pub use event::{Event, PackedEvent, CACHE_LINE};
 pub use region::{CodeRegion, CodeRegions, RegionId};
 pub use segment::{
-    segments_decoded, CountingSink, Segment, SegmentBuffer, TraceSink, TraceSource,
-    MAX_EVENT_BYTES, SEGMENT_EVENTS,
+    segments_decoded, CountingSink, Segment, SegmentBuffer, TraceSink, MAX_EVENT_BYTES,
+    SEGMENT_EVENTS,
 };
 pub use summary::TraceSummary;
 pub use tracer::{EventIter, ThreadTrace, TraceBundle, Tracer};

@@ -37,8 +37,7 @@
 //! segment (a few KB of columns) regardless of trace length.
 //! [`SegmentBuffer`] retains segments for replay; [`CountingSink`]
 //! retains nothing (bounded-memory capture for runs that only need
-//! aggregate counts). [`TraceSource`] is the replay seam consumed
-//! block-at-a-time by the simulator's cursor.
+//! aggregate counts).
 
 use std::cell::Cell;
 
@@ -476,21 +475,6 @@ impl TraceSink for CountingSink {
         self.events += seg.len() as u64;
         self.bytes += seg.encoded_bytes() as u64;
     }
-}
-
-/// Replay-side seam: anything that exposes an encoded trace as an
-/// ordered sequence of segments. The simulator's cursor decodes one
-/// block at a time through this interface; `ThreadTrace` is the
-/// canonical implementation.
-pub trait TraceSource {
-    /// Number of segments in stream order.
-    fn n_segments(&self) -> usize;
-
-    /// The `i`-th segment (panics out of range).
-    fn segment(&self, i: usize) -> &Segment;
-
-    /// Total decoded event count across all segments.
-    fn n_events(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use crate::event::{Event, PackedEvent, MAX_ACCESS};
 use crate::region::{CodeRegions, RegionId};
 use crate::segment::{
-    AccessKind, Segment, SegmentBuffer, SegmentEncoder, TraceSink, TraceSource, SEGMENT_EVENTS,
+    AccessKind, Segment, SegmentBuffer, SegmentEncoder, TraceSink, SEGMENT_EVENTS,
 };
 
 /// Capture-mode switch.
@@ -473,20 +473,6 @@ impl ThreadTrace {
     /// Total interconnect message bytes across sends and recvs.
     pub fn remote_bytes(&self) -> u64 {
         self.remote_bytes
-    }
-}
-
-impl TraceSource for ThreadTrace {
-    fn n_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    fn segment(&self, i: usize) -> &Segment {
-        &self.segments[i]
-    }
-
-    fn n_events(&self) -> usize {
-        self.n_events
     }
 }
 

@@ -1,22 +1,20 @@
 //! Trace capture: run client sessions against the engine and bundle the
 //! per-client traces for the simulator.
 //!
-//! This module is the *sequential* capture: clients execute one after
+//! The OLTP capture here is *sequential*: clients execute one after
 //! another, so no two transactions are ever concurrently live. Shared
 //! structures (lock table, WAL head, B+Tree roots, hot rows) still carry
 //! the same simulated addresses in every client's trace, preserving
 //! cross-client sharing for the simulator — but lock *contention* never
-//! happens here. For captures with real 2PL waits, deadlocks, and a
-//! contention knob, see [`crate::interleave`], which schedules many
-//! clients against one database and degenerates to exactly this capture
-//! at `clients == 1`.
+//! happens here. It is the interleaved scheduler of [`crate::interleave`]
+//! with whole-session grants; a finer grant quantum there gives real 2PL
+//! waits, deadlocks, and a contention knob.
 
 use dbcmp_engine::Database;
 use dbcmp_trace::{ScratchArena, ThreadTrace, TraceBundle};
 
-use crate::ops::now;
+use crate::interleave::{interleave, ContentionStats, InterleaveOptions};
 use crate::rng::client_rng;
-use crate::tpcc::txns::{draw_kind, run_txn};
 use crate::tpcc::TpccDb;
 use crate::tpch::queries::build_query;
 use crate::tpch::{QueryKind, TpchDb};
@@ -51,31 +49,28 @@ impl CaptureOptions {
 
 /// Capture an OLTP (TPC-C mix) workload: one trace per client terminal.
 ///
-/// OLTP capture is sequential *by design*, not by omission: every client
-/// commits against the same evolving database (B+Tree splits,
-/// `d_next_o_id` draws), so the capture is semantically one serial
-/// schedule — later clients observe earlier clients' committed state.
-/// Parallelizing it would change that schedule and break the frozen
-/// golden-anchor byte streams. Read-only DSS capture is where the
-/// parallelism lives (see [`capture_dss`]).
+/// This is the interleaved scheduler ([`crate::interleave`]) with
+/// whole-session grants (`slice_ops = usize::MAX`): each client runs all
+/// its transactions before the next client starts, against the same
+/// evolving database (B+Tree splits, `d_next_o_id` draws), so the capture
+/// is one serial schedule in which later clients observe earlier
+/// clients' committed state.
 pub fn capture_oltp(db: &mut Database, h: &TpccDb, opt: CaptureOptions) -> TraceBundle {
-    let mut threads = Vec::with_capacity(opt.clients);
-    for client in 0..opt.clients {
-        let mut rng = client_rng(opt.seed, client);
-        let w_home = (client as u64 % h.scale.warehouses) + 1;
-        let mut tc = db.trace_ctx();
-        for _ in 0..opt.units_per_client {
-            let kind = draw_kind(&mut rng);
-            // One transaction is live at a time, so no lock request can
-            // conflict or park: an engine error here is a bug, and retrying
-            // it would hand back a silently different bundle. A TPC-C
-            // rollback (`Ok(Aborted)`) still completes its unit.
-            now(run_txn(db, h, kind, w_home, &mut rng, &mut tc))
-                .unwrap_or_else(|e| panic!("sequential capture: client {client} {kind:?}: {e}"));
-        }
-        threads.push(tc.finish());
-    }
-    TraceBundle::new(db.regions().clone(), threads)
+    let opt = InterleaveOptions {
+        slice_ops: usize::MAX,
+        ..InterleaveOptions::new(opt.clients, opt.units_per_client, opt.seed)
+    };
+    let (bundle, stats) = interleave(db, h, opt);
+    // One transaction is live at a time, so nothing can park, conflict or
+    // retry: anything but every unit completing first time is a bug, and
+    // the bundle would silently differ. A TPC-C rollback completes its unit.
+    let first_time = ContentionStats {
+        commits: stats.commits,
+        rollbacks: stats.rollbacks,
+        ..ContentionStats::default()
+    };
+    assert_eq!(stats, first_time, "sequential capture retried or parked");
+    bundle
 }
 
 /// Capture a DSS workload: each client runs `units_per_client` queries

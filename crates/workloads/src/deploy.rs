@@ -69,7 +69,7 @@ use rand::Rng;
 use crate::capture::{par_map_ordered, CaptureOptions};
 use crate::ops::now;
 use crate::rng::{client_rng, last_name, nurand, uniform};
-use crate::tpcc::txns::{draw_kind, run_txn, run_txn_cfg, TxnCfg, TxnKind};
+use crate::tpcc::txns::{draw_kind, run_txn_cfg, TxnCfg, TxnKind};
 use crate::tpcc::{
     build_tpcc_range, cust_key, cust_name_key, dist_key, item_key, random_customer, random_item,
     stock_key, wh_key, TpccDb, TpccScale,
@@ -260,7 +260,8 @@ pub fn capture_oltp_deployment_workers(
                 None => {
                     stats.local_txns += 1;
                     let (db, h) = &mut parts[p_home];
-                    now(run_txn(db, h, kind, w_home, &mut trng, &mut tc)).map(drop)
+                    let cfg = TxnCfg::home(w_home);
+                    now(run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc)).map(drop)
                 }
                 Some(t) if owner(t, scale.warehouses, n) == p_home => {
                     stats.multi_local_txns += 1;

@@ -1,8 +1,6 @@
-//! Interleaved multi-client OLTP capture: real 2PL contention.
+//! The OLTP client driver: many clients, one server, real 2PL contention.
 //!
-//! Sequential capture runs each client to completion before the next one
-//! starts, so no two transactions are ever live at once and cross-client
-//! lock contention cannot happen. This module replaces that loop with a
+//! Every OLTP capture against one database runs here, through a
 //! **deterministic round-robin scheduler**: every client is a resumable
 //! transaction generator (a future that suspends inside an engine
 //! operation, see [`crate::ops`]) and the scheduler — a poll loop on the
@@ -21,8 +19,14 @@
 //! per-client RNGs are seeded from `(seed, client)`, and the
 //! lock manager's grant/victim decisions depend only on the operation
 //! order. Two captures with the same [`InterleaveOptions`] produce
-//! byte-identical trace bundles, and `clients == 1` reproduces the
-//! sequential capture exactly.
+//! byte-identical trace bundles.
+//!
+//! **The sequential capture.** With `slice_ops = usize::MAX` a grant ends
+//! only when the client parks or finishes its session. Client 0 then runs
+//! its whole session before client 1 starts, one transaction is live at a
+//! time, and nothing ever parks: that is
+//! [`capture_oltp`](crate::capture::capture_oltp), the capture the paper
+//! figures replay.
 //!
 //! **Contention knob.** `hot_pct` percent of each client's transactions
 //! are redirected at warehouse 1 / district 1 and draw NewOrder items from
@@ -55,7 +59,10 @@ pub struct InterleaveOptions {
     /// RNG seed (per-client RNGs derive from it).
     pub seed: u64,
     /// Engine operations a client executes per scheduler grant (the
-    /// interleaving quantum; 1 = finest).
+    /// interleaving quantum; 1 = finest). `usize::MAX` means whole-session
+    /// grants: a grant ends only at a lock wait or at the end of the
+    /// client's session, so clients run one after another (the sequential
+    /// [`capture_oltp`](crate::capture::capture_oltp)).
     pub slice_ops: usize,
     /// Percent (0..=100) of transactions redirected at the hot warehouse/
     /// district with a shrunken item pool.
@@ -166,7 +173,7 @@ enum Report {
 /// engine operation is a potential yield point; a [`EngineError::LockWait`]
 /// parks the client and retries the same operation once granted.
 struct ClientDb<'a> {
-    db: &'a RefCell<Database>,
+    db: &'a RefCell<&'a mut Database>,
     /// Where a suspending client leaves its report for the scheduler.
     report: &'a Cell<Option<Report>>,
     slice_ops: usize,
@@ -239,10 +246,10 @@ impl EngineOps for ClientDb<'_> {
 
 /// One client's whole session. Completes with its trace, its share of the
 /// contention counters, and the wake notifications it had not yet reported.
-async fn client_session(
+async fn client_session<'a>(
     client: usize,
-    db: &RefCell<Database>,
-    report: &Cell<Option<Report>>,
+    db: &'a RefCell<&'a mut Database>,
+    report: &'a Cell<Option<Report>>,
     h: &TpccDb,
     opt: InterleaveOptions,
     er: EngineRegions,
@@ -263,8 +270,7 @@ async fn client_session(
     let mut stats = ContentionStats::default();
     let mut done = 0;
     let mut guard = 0;
-    // The guard bounds deadlock-retry livelock; 20x mirrors the sequential
-    // capture's insurance margin with headroom for victim retries.
+    // The guard bounds deadlock-retry livelock at 20 attempts per unit.
     while done < opt.units_per_client && guard < opt.units_per_client * 20 {
         guard += 1;
         let kind = draw_kind(&mut rng);
@@ -360,6 +366,22 @@ pub fn capture_oltp_interleaved(
 ) -> InterleavedCapture {
     assert!(opt.clients >= 1, "need at least one client");
     db.set_cc_backend(opt.backend);
+    let (bundle, stats) = interleave(&mut db, h, opt);
+    InterleavedCapture {
+        bundle,
+        stats,
+        cc: db.cc_stats(),
+        db,
+    }
+}
+
+/// The scheduler: run `opt.clients` sessions against `db`, `opt.slice_ops`
+/// engine operations per grant. `db` already runs `opt.backend`.
+pub(crate) fn interleave(
+    db: &mut Database,
+    h: &TpccDb,
+    opt: InterleaveOptions,
+) -> (TraceBundle, ContentionStats) {
     let er = db.er;
     let n = opt.clients;
     let shared = RefCell::new(db);
@@ -421,43 +443,18 @@ pub fn capture_oltp_interleaved(
     }
 
     drop(sessions);
-    let db = shared.into_inner();
-    let cc = db.cc_stats();
-    InterleavedCapture {
-        bundle: TraceBundle::new(db.regions().clone(), threads),
-        stats,
-        cc,
-        db,
-    }
+    let regions = shared.borrow().regions().clone();
+    (TraceBundle::new(regions, threads), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{capture_oltp, CaptureOptions};
     use crate::tpcc::{build_tpcc, TpccScale};
     use dbcmp_trace::TraceSummary;
 
     fn summary(b: &TraceBundle) -> TraceSummary {
         TraceSummary::compute(&b.regions, &b.threads)
-    }
-
-    #[test]
-    fn single_client_reproduces_sequential_capture_exactly() {
-        let (mut db1, h1) = build_tpcc(TpccScale::tiny(), 41);
-        let seq = capture_oltp(&mut db1, &h1, CaptureOptions::new(1, 6, 41));
-
-        let (db2, h2) = build_tpcc(TpccScale::tiny(), 41);
-        let il = capture_oltp_interleaved(db2, &h2, InterleaveOptions::new(1, 6, 41));
-
-        assert_eq!(seq.threads.len(), il.bundle.threads.len());
-        assert_eq!(
-            seq.threads[0].packed_events(),
-            il.bundle.threads[0].packed_events(),
-            "clients=1 must be event-identical to the sequential capture"
-        );
-        assert_eq!(il.stats.lock_waits, 0);
-        assert_eq!(il.stats.deadlock_aborts, 0);
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! three handles, which differ in one decision — what happens between
 //! asking for an engine operation and getting its result:
 //!
-//! * **call it** — directly against [`Database`]: the sequential
-//!   one-client-at-a-time capture, where every operation completes
-//!   immediately and the caller drives the transaction with [`now`];
+//! * **call it** — directly against [`Database`]: the shared-nothing
+//!   deployment capture ([`crate::deploy`]), where every operation
+//!   completes immediately and the caller drives the transaction with
+//!   [`now`];
 //! * **call it, then maybe suspend** — a scheduler-mediated handle
 //!   ([`crate::interleave`]'s `ClientDb`) that serializes many client
 //!   sessions onto one shared [`Database`] in deterministic round-robin
 //!   slices, suspending a session whenever its slice is used up or the
 //!   lock manager returns
 //!   [`EngineError::LockWait`](dbcmp_engine::EngineError::LockWait), and
-//!   retrying the operation once the lock is granted; and
+//!   retrying the operation once the lock is granted (the sequential
+//!   capture is this handle with slices that never run out); and
 //! * **record it instead** — [`crate::rwset`]'s `Recon`, under which a
 //!   body run leaves the database untouched and yields the read/write set
 //!   the deterministic-ordered backend declares before the real run.

@@ -8,17 +8,18 @@
 //!
 //! The drivers are `async fn`s generic over [`EngineOps`] — every engine
 //! call is one `.await` — so the same transaction code runs both
-//! sequentially against a [`Database`](dbcmp_engine::Database), where no
-//! call ever suspends and the caller drives it with [`now`], and under the
-//! interleaved multi-client scheduler (`crate::interleave`), where a lock
-//! wait suspends the client mid-statement.
+//! directly against a [`Database`](dbcmp_engine::Database), where no
+//! call ever suspends and the caller drives it with
+//! [`now`](crate::ops::now) (the shared-nothing deployments), and under
+//! the multi-client scheduler (`crate::interleave`), where a lock wait
+//! suspends the client mid-statement.
 //! All commit/abort decisions live in [`run_txn_cfg`]: a body returns its
 //! intended outcome (or an error) and the driver finishes the transaction,
 //! so every error path — deadlock victims included — rolls back cleanly.
 
 use dbcmp_engine::lockmgr::LockMode;
 use dbcmp_engine::txn::Txn;
-use dbcmp_engine::{EngineError, Result, TraceCtx, Value};
+use dbcmp_engine::{Result, TraceCtx, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -26,7 +27,7 @@ use super::{
     cust_key, cust_name_key, dist_key, item_key, order_key, order_line_key, random_customer,
     random_item, stock_key, wh_key, TpccDb,
 };
-use crate::ops::{now, EngineOps};
+use crate::ops::EngineOps;
 use crate::rng::{last_name, uniform};
 
 /// Which transaction ran (for mix accounting).
@@ -102,18 +103,6 @@ fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
         Some(n) => uniform(rng, 1, n.min(h.scale.items)),
         None => random_item(rng, h),
     }
-}
-
-/// Run one transaction of `kind` for a terminal homed at `w_home`.
-pub async fn run_txn<D: EngineOps>(
-    db: &mut D,
-    h: &TpccDb,
-    kind: TxnKind,
-    w_home: u64,
-    rng: &mut StdRng,
-    tc: &mut TraceCtx,
-) -> Result<TxnOutcome> {
-    run_txn_cfg(db, h, kind, TxnCfg::home(w_home), rng, tc).await
 }
 
 /// Run one transaction with explicit targeting ([`TxnCfg`]). Owns the
@@ -575,45 +564,19 @@ async fn stock_level<D: EngineOps>(
     Ok(TxnOutcome::Committed)
 }
 
-/// Run `n` transactions of the spec mix; returns per-kind commit counts
-/// in a `BTreeMap` so callers that print or fold the counts see a
-/// deterministic kind order (the stock_level bug class from PR 2).
-pub fn run_mix<D: EngineOps>(
-    db: &mut D,
-    h: &TpccDb,
-    w_home: u64,
-    n: usize,
-    rng: &mut StdRng,
-    tc: &mut TraceCtx,
-) -> std::collections::BTreeMap<TxnKind, usize> {
-    let mut counts = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let kind = draw_kind(rng);
-        match now(run_txn(db, h, kind, w_home, rng, tc)) {
-            Ok(TxnOutcome::Committed) => *counts.entry(kind).or_insert(0) += 1,
-            Ok(TxnOutcome::Aborted) => {}
-            Err(EngineError::LockConflict { .. }) | Err(EngineError::Deadlock { .. }) => {}
-            Err(e) => panic!("unexpected engine error in {kind:?}: {e}"),
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::{capture_oltp_interleaved, InterleaveOptions};
+    use crate::ops::now;
     use crate::tpcc::{build_tpcc, tpcc_rng, TpccScale};
 
     #[test]
     fn mix_runs_and_commits() {
-        let (mut db, h) = build_tpcc(TpccScale::tiny(), 11);
-        let mut rng = tpcc_rng(11, 0);
-        let mut tc = db.null_ctx();
-        let counts = run_mix(&mut db, &h, 1, 200, &mut rng, &mut tc);
-        let total: usize = counts.values().sum();
-        assert!(total >= 190, "most of 200 txns must commit, got {total}");
-        assert!(counts.contains_key(&TxnKind::NewOrder));
-        assert!(counts.contains_key(&TxnKind::Payment));
+        let (db, h) = build_tpcc(TpccScale::tiny(), 11);
+        let s = capture_oltp_interleaved(db, &h, InterleaveOptions::new(1, 200, 11)).stats;
+        assert!(s.commits >= 190, "most of 200 txns must commit: {s:?}");
+        assert_eq!(s.commits + s.rollbacks, 200);
     }
 
     #[test]
@@ -631,11 +594,11 @@ mod tests {
         };
         // Run enough NewOrders that district 1 gets some.
         for _ in 0..40 {
-            let _ = now(run_txn(
+            let _ = now(run_txn_cfg(
                 &mut db,
                 &h,
                 TxnKind::NewOrder,
-                1,
+                TxnCfg::home(1),
                 &mut rng,
                 &mut tc,
             ));
@@ -660,11 +623,11 @@ mod tests {
         let mut rng = tpcc_rng(13, 0);
         let mut tc = db.null_ctx();
         let before = db.table(h.new_order).n_rows();
-        now(run_txn(
+        now(run_txn_cfg(
             &mut db,
             &h,
             TxnKind::Delivery,
-            1,
+            TxnCfg::home(1),
             &mut rng,
             &mut tc,
         ))
@@ -685,7 +648,16 @@ mod tests {
         let before = db.table(h.warehouse).get(w_rid, &mut tc).unwrap()[3]
             .as_i64()
             .unwrap();
-        now(run_txn(&mut db, &h, TxnKind::Payment, 1, &mut rng, &mut tc)).unwrap();
+        let home = TxnCfg::home(1);
+        now(run_txn_cfg(
+            &mut db,
+            &h,
+            TxnKind::Payment,
+            home,
+            &mut rng,
+            &mut tc,
+        ))
+        .unwrap();
         let after = db.table(h.warehouse).get(w_rid, &mut tc).unwrap()[3]
             .as_i64()
             .unwrap();
@@ -700,11 +672,11 @@ mod tests {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 15);
         let mut rng = tpcc_rng(15, 0);
         let mut tc = db.trace_ctx();
-        now(run_txn(
+        now(run_txn_cfg(
             &mut db,
             &h,
             TxnKind::NewOrder,
-            1,
+            TxnCfg::home(1),
             &mut rng,
             &mut tc,
         ))

@@ -7,9 +7,10 @@
 //! ```
 
 use dbcmp::trace::TraceSummary;
-use dbcmp::workloads::tpcc::txns::{run_mix, TxnKind};
-use dbcmp::workloads::tpcc::{build_tpcc, tpcc_rng, TpccScale};
-use dbcmp::workloads::{capture_oltp, CaptureOptions};
+use dbcmp::workloads::tpcc::{build_tpcc, TpccScale};
+use dbcmp::workloads::{
+    capture_oltp, capture_oltp_interleaved, CaptureOptions, InterleaveOptions, InterleavedCapture,
+};
 
 fn main() {
     let scale = TpccScale::default();
@@ -17,7 +18,7 @@ fn main() {
         "Building TPC-C database: {} warehouses, {} items...",
         scale.warehouses, scale.items
     );
-    let (mut db, h) = build_tpcc(scale, 42);
+    let (db, h) = build_tpcc(scale, 42);
     for t in [
         "warehouse",
         "district",
@@ -31,26 +32,23 @@ fn main() {
         println!("  {:12} {:>8} rows", t, db.table(id).n_rows());
     }
 
-    println!("\nRunning 500 transactions of the spec mix (45/43/4/4/4)...");
-    let mut rng = tpcc_rng(42, 0);
-    let mut tc = db.null_ctx();
-    let counts = run_mix(&mut db, &h, 1, 500, &mut rng, &mut tc);
-    for kind in [
-        TxnKind::NewOrder,
-        TxnKind::Payment,
-        TxnKind::OrderStatus,
-        TxnKind::Delivery,
-        TxnKind::StockLevel,
-    ] {
-        println!(
-            "  {:?}: {} committed",
-            kind,
-            counts.get(&kind).copied().unwrap_or(0)
-        );
-    }
+    println!("\nRunning 4 interleaved clients x 125 transactions of the spec mix (45/43/4/4/4)...");
+    let InterleavedCapture {
+        bundle,
+        stats,
+        mut db,
+        ..
+    } = capture_oltp_interleaved(db, &h, InterleaveOptions::new(4, 125, 42));
+    println!(
+        "  {} committed, {} rolled back, {} lock waits, {} deadlock victims",
+        stats.commits, stats.rollbacks, stats.lock_waits, stats.deadlock_aborts
+    );
     let (wal_records, wal_bytes) = db.wal_stats();
     println!("  WAL: {wal_records} records, {wal_bytes} bytes");
-    println!("  instructions charged: {:.1}M", tc.instrs() as f64 / 1e6);
+    println!(
+        "  instructions charged: {:.1}M",
+        bundle.total_instrs() as f64 / 1e6
+    );
 
     println!("\nCapturing traces for 4 client terminals (5 txns each)...");
     let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(4, 5, 42));

@@ -1,4 +1,4 @@
-//! What a DSS capture records, pinned.
+//! What a capture records, pinned.
 //!
 //! One FNV-1a digest per capture over `packed_events()` of every thread
 //! (with thread and bundle boundaries), at the quick scale
@@ -10,11 +10,17 @@
 //! whose `Tracer` staged `PackedEvent`s: however little host work a
 //! capture does, these are the event streams every golden and figure
 //! was taken from.
+//!
+//! The OLTP capture (`TpccScale::tiny()`, 16 clients × 8 transactions) is
+//! pinned the same way, recorded at `2703f58`, the last commit whose
+//! `capture_oltp` ran its own client-after-client loop rather than the
+//! interleaved scheduler with whole-session grants.
 
 use dbcmp::staged::{capture_staged_dss, ExecPolicy};
 use dbcmp::trace::TraceBundle;
 use dbcmp::workloads::{
-    build_tpch, capture_dss, capture_dss_dist, CaptureOptions, DistOptions, QueryKind, TpchScale,
+    build_tpcc, build_tpch, capture_dss, capture_dss_dist, capture_oltp, CaptureOptions,
+    DistOptions, QueryKind, TpccScale, TpchScale,
 };
 
 const SEEDS: [u64; 2] = [1, 0xC1D7];
@@ -40,6 +46,22 @@ fn digest(bundles: &[TraceBundle]) -> (usize, u64) {
 fn pinned(what: &str, want: [(usize, u64); 2], capture: impl Fn(u64) -> Vec<TraceBundle>) {
     let got = SEEDS.map(|seed| digest(&capture(seed)));
     assert_eq!(got, want, "{what}: got {got:#x?}");
+}
+
+#[test]
+fn capture_oltp_records_the_pinned_mix() {
+    let want = [
+        (101909, 0x377a_2f6e_7bf8_6bb0),
+        (110606, 0x0e03_7ade_f3bf_9346),
+    ];
+    pinned("capture_oltp", want, |seed| {
+        let (mut db, h) = build_tpcc(TpccScale::tiny(), seed);
+        vec![capture_oltp(
+            &mut db,
+            &h,
+            CaptureOptions::new(CLIENTS, 8, seed),
+        )]
+    });
 }
 
 fn executor(mix: &[QueryKind], seed: u64) -> Vec<TraceBundle> {

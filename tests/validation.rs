@@ -148,9 +148,10 @@ fn interleaved_capture_is_deterministic() {
     );
 }
 
-/// ISSUE 2 regression anchor: with `clients == 1` the interleaved
-/// scheduler degenerates to the old sequential capture — event-identical
-/// traces and an identical summary.
+/// With `clients == 1` nothing can park, so one client's trace does not
+/// depend on the grant quota: the sequential capture (whole-session
+/// grants) and the finest interleaving (`slice_ops = 1`) record
+/// event-identical traces and an identical summary.
 #[test]
 fn single_client_interleaved_matches_sequential() {
     let scale = FigScale::quick();
