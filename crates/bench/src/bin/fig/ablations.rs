@@ -129,7 +129,7 @@ pub fn ablations(scale: &FigScale) {
     let mut rows = Vec::new();
     for banks in [1usize, 2, 4, 8] {
         let mut cfg = fc_cmp(8, 16 << 20, L2Spec::Cacti);
-        cfg.topology.levels[0].banks = banks;
+        cfg.l2.banks = banks;
         let r = run_throughput(cfg, &oltp_wide.bundle, spec);
         rows.push(vec![
             banks.to_string(),

@@ -199,7 +199,7 @@ pub fn fig_islands(scale: &FigScale) {
     let points = islands_grid(scale);
     // The budget the islands split: the Fig. 7 CMP's shared L2.
     let [_, (_, cmp)] = fig7_machines();
-    let total_l2 = cmp.l2_geom().size;
+    let total_l2 = cmp.l2.geom.size;
     for row in &points.rows {
         println!("\n-- {} (saturated, throughput mode) --", row.key.label());
         let rows: Vec<Vec<String>> = row

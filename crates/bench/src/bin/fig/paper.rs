@@ -220,8 +220,8 @@ pub fn fig6_cache_size(scale: &FigScale) {
         for size in sizes {
             let fixed = row.get(&(size, true));
             let real = row.get(&(size, false));
-            // Per-level counters from the topology walker: the fraction
-            // of demand traffic the L2 actually served at this size.
+            // The L2's counters: the fraction of demand traffic it
+            // actually served at this size.
             let l2 = real.mem.per_level[0];
             rows.push(vec![
                 format!("{} MB", size >> 20),
@@ -287,8 +287,7 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
         )
     );
     println!();
-    // Per-level attribution from the topology walker: where the demand
-    // traffic was actually served.
+    // The L2's counters: where the demand traffic was actually served.
     let l2 = |res: &SimResult| res.mem.per_level[0];
     for r in &results.rows {
         let (smp, cmp) = (r.get(&"SMP"), r.get(&"CMP"));

@@ -223,7 +223,7 @@ fn fig_islands_quick() {
     );
     let spec = spec_of(&scale);
     let [(_, smp), (_, cmp)] = fig7_machines();
-    let total = cmp.l2_geom().size;
+    let total = cmp.l2.geom.size;
     for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
         // Deterministic captures: same seed + client count as the sweep.
         let w = CapturedWorkload::saturated(workload, &scale);
@@ -254,7 +254,7 @@ fn fig_islands_quick() {
                 assert!(same_numbers(&a, &b), "{clusters}x{k} to completion");
             }
         }
-        // Per-level counters flow through: every point records L2 traffic.
+        // The L2's counters flow through: every point records L2 traffic.
         for (_, result) in &row.cells {
             assert_eq!(result.mem.per_level.len(), 1);
             assert!(result.mem.per_level[0].accesses() > 0);

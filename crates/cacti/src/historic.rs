@@ -118,73 +118,6 @@ pub fn historic_sizes() -> &'static [CachePoint] {
     POINTS
 }
 
-/// L3-era anchors extending Fig. 1's trend past the paper: the first
-/// generation of commodity processors with a dedicated on-chip L3
-/// (2007-2010). Latencies are the documented/measured *L3 hit* costs,
-/// which calibrate the model's L3-class lookup.
-pub fn l3_anchors() -> &'static [CachePoint] {
-    const POINTS: &[CachePoint] = &[
-        CachePoint {
-            year: 2007,
-            processor: "AMD Phenom (Barcelona) L3",
-            on_chip_kb: 2 * 1024,
-            hit_latency_cycles: Some(28),
-        },
-        CachePoint {
-            year: 2008,
-            processor: "Intel Core i7 (Nehalem) L3",
-            on_chip_kb: 8 * 1024,
-            hit_latency_cycles: Some(39),
-        },
-        CachePoint {
-            year: 2009,
-            processor: "AMD Opteron (Istanbul) L3",
-            on_chip_kb: 6 * 1024,
-            hit_latency_cycles: Some(37),
-        },
-        CachePoint {
-            year: 2010,
-            processor: "Intel Xeon (Westmere-EX) L3",
-            on_chip_kb: 30 * 1024,
-            hit_latency_cycles: Some(63),
-        },
-    ];
-    POINTS
-}
-
-/// Anchor-interpolated L3 hit latency for `size_bytes`: log-linear in
-/// capacity between the [`l3_anchors`] points (clamped at the ends).
-/// This is the empirical reference the analytic model's
-/// `CacheLevel::L3` overhead is calibrated against.
-pub fn l3_latency_anchor_cycles(size_bytes: u64) -> u64 {
-    let mut pts: Vec<(f64, f64)> = l3_anchors()
-        .iter()
-        .filter_map(|p| {
-            p.hit_latency_cycles
-                .map(|l| ((p.on_chip_kb << 10) as f64, l as f64))
-        })
-        .collect();
-    pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    let s = (size_bytes.max(1)) as f64;
-    let first = pts.first().copied().unwrap_or((1.0, 1.0));
-    let last = pts.last().copied().unwrap_or(first);
-    if s <= first.0 {
-        return first.1.round() as u64;
-    }
-    if s >= last.0 {
-        return last.1.round() as u64;
-    }
-    for w in pts.windows(2) {
-        let (s0, l0) = w[0];
-        let (s1, l1) = w[1];
-        if s <= s1 {
-            let f = (s.ln() - s0.ln()) / (s1.ln() - s0.ln());
-            return (l0 + f * (l1 - l0)).round() as u64;
-        }
-    }
-    last.1.round() as u64
-}
-
 /// Fig. 1b: the subset with documented hit latencies, in year order.
 pub fn historic_latencies() -> Vec<CachePoint> {
     let mut v: Vec<CachePoint> = historic_sizes()
@@ -235,31 +168,5 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[0].year <= w[1].year);
         }
-    }
-
-    #[test]
-    fn l3_anchor_interpolation_hits_anchors_and_monotone() {
-        // Exactly the anchors at the anchor sizes.
-        for p in l3_anchors() {
-            let size = p.on_chip_kb << 10;
-            assert_eq!(
-                l3_latency_anchor_cycles(size),
-                p.hit_latency_cycles.unwrap() as u64,
-                "{}",
-                p.processor
-            );
-        }
-        // Clamped outside, monotone inside.
-        assert_eq!(l3_latency_anchor_cycles(1 << 20), 28);
-        assert_eq!(l3_latency_anchor_cycles(256 << 20), 63);
-        let mut prev = 0;
-        for mb in [2u64, 4, 6, 8, 12, 16, 24, 30] {
-            let l = l3_latency_anchor_cycles(mb << 20);
-            assert!(l >= prev, "anchor curve must be non-decreasing");
-            prev = l;
-        }
-        // The pinned mid-points the preset tests rely on.
-        assert_eq!(l3_latency_anchor_cycles(16 << 20), 52);
-        assert_eq!(l3_latency_anchor_cycles(26 << 20), 60);
     }
 }

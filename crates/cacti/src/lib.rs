@@ -13,9 +13,8 @@
 //!   organizations, mirroring CACTI's structure.
 //! * [`historic`] — the processor cache-size/latency history behind Fig. 1.
 //!
-//! The model is calibrated to paper-era (90/65 nm, 2-4 GHz) design points:
-//! tens-of-KB L1s at 1-3 cycles, 1 MB L2 at ~6-8 cycles, and a 26 MB L2 at
-//! ~20+ cycles — the regime in which the paper's "large caches get slow"
+//! The model is calibrated to paper-era (90/65 nm, 2-4 GHz) L2 design
+//! points: 1 MB at ~6-8 cycles and 26 MB at ~20+ cycles — the regime in which the paper's "large caches get slow"
 //! argument lives. As the paper itself notes, raw CACTI times are *lower*
 //! than shipping products achieve, so treat the output as optimistic.
 
@@ -24,9 +23,7 @@
 pub mod historic;
 pub mod model;
 
-pub use historic::{
-    historic_latencies, historic_sizes, l3_anchors, l3_latency_anchor_cycles, CachePoint,
-};
+pub use historic::{historic_latencies, historic_sizes, CachePoint};
 pub use model::{CacheOrg, CactiModel, CactiResult};
 
 /// Convenience: realistic L2 hit latency in cycles for a cache of
@@ -38,38 +35,12 @@ pub fn l2_latency_cycles(size_bytes: u64) -> u64 {
         .latency_cycles
 }
 
-/// Convenience: L1 hit latency in cycles at the same technology point.
-pub fn l1_latency_cycles(size_bytes: u64) -> u64 {
-    CactiModel::paper_era()
-        .evaluate(CacheOrg::l1(size_bytes))
-        .latency_cycles
-}
-
-/// Convenience: realistic L3 hit latency in cycles for an L3-class cache
-/// of `size_bytes` at the default technology point. The model's uncore
-/// overhead is calibrated against the empirical
-/// [`l3_latency_anchor_cycles`] interpolation over the 2007-2010
-/// anchors; the island/L3 machine presets derive their outer-level
-/// latencies here instead of pinning constants by hand.
-pub fn l3_latency_cycles(size_bytes: u64) -> u64 {
-    CactiModel::paper_era()
-        .evaluate(CacheOrg::l3(size_bytes))
-        .latency_cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_era_design_points() {
-        // L1s are small and fast.
-        let l1 = l1_latency_cycles(64 * 1024);
-        assert!(
-            (1..=4).contains(&l1),
-            "64 KB L1 should be 1-4 cycles, got {l1}"
-        );
-
         // The paper's fixed-latency experiments call 4 cycles "unrealistically
         // low" for multi-MB L2s; the model must agree.
         let l2_1m = l2_latency_cycles(1 << 20);
@@ -90,35 +61,6 @@ mod tests {
             (17..=28).contains(&l2_26m),
             "26 MB should be ~17-28 cycles, got {l2_26m}"
         );
-    }
-
-    /// Pins the exact L3 latencies the island/L3 machine presets derive
-    /// from the model (instead of hand-pinned constants) — and checks
-    /// the model tracks the empirical 2007-2010 anchors it was
-    /// calibrated against.
-    #[test]
-    fn l3_lookup_pinned_values_and_anchor_agreement() {
-        // The values `dbcmp_core::machines` presets consume.
-        assert_eq!(l3_latency_cycles(8 << 20), 38);
-        assert_eq!(l3_latency_cycles(16 << 20), 47);
-        assert_eq!(l3_latency_cycles(26 << 20), 56);
-        assert_eq!(l3_latency_cycles(32 << 20), 60);
-        // An L3 is always slower than an L2 of the same capacity (uncore
-        // crossing + serialized access)…
-        for mb in [4u64, 8, 16, 26] {
-            assert!(l3_latency_cycles(mb << 20) > l2_latency_cycles(mb << 20));
-        }
-        // …and the model lands within 20% of every measured anchor.
-        for p in l3_anchors() {
-            let size = p.on_chip_kb << 10;
-            let model = l3_latency_cycles(size) as f64;
-            let anchor = p.hit_latency_cycles.unwrap() as f64;
-            assert!(
-                (model - anchor).abs() / anchor <= 0.20,
-                "{}: model {model} vs anchor {anchor}",
-                p.processor
-            );
-        }
     }
 
     #[test]

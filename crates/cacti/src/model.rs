@@ -39,12 +39,6 @@ pub struct CactiModel {
     /// Extra pipeline overhead in cycles (arbitration, ECC, queuing-free
     /// bus crossing) — present in real products, absent from raw CACTI.
     pub pipeline_cycles: u64,
-    /// L3 time-dilation factor over the raw array physics: serialized
-    /// tag-then-data access, ring/crossbar hops, and the slower uncore
-    /// domain. Calibrated against the measured 2007-2010 L3s in
-    /// [`crate::historic::l3_anchors`] (3.0 lands the model within a few
-    /// cycles of every anchor).
-    pub l3_serialization: f64,
 }
 
 impl CactiModel {
@@ -61,7 +55,6 @@ impl CactiModel {
             bitline_ps_per_row: 0.28,
             fixed_fo4: 10.0,
             pipeline_cycles: 3,
-            l3_serialization: 3.0,
         }
     }
 
@@ -105,21 +98,8 @@ impl CactiModel {
 
         let t_fixed = self.fixed_fo4 * fo4;
         let latency_ns = (t_array + t_htree + t_fixed) / 1000.0;
-        let dilation = match org.level {
-            CacheLevel::L3 => self.l3_serialization,
-            _ => 1.0,
-        };
-        let raw_cycles = (latency_ns * dilation * self.clock_ghz).ceil() as u64;
-        let overhead = match org.level {
-            CacheLevel::L1 => 0,
-            CacheLevel::L2 => self.pipeline_cycles,
-            // L3s sit behind the L2 pipeline in a slower uncore domain:
-            // crossbar crossing, request queue, and tag re-lookup roughly
-            // triple the product-level overhead (Fig. 1b regime: ~25-45
-            // cycles for the 2007-2010 last-level caches).
-            CacheLevel::L3 => 3 * self.pipeline_cycles + 2,
-        };
-        let latency_cycles = (raw_cycles + overhead).max(1);
+        let raw_cycles = (latency_ns * self.clock_ghz).ceil() as u64;
+        let latency_cycles = (raw_cycles + self.pipeline_cycles).max(1);
 
         CactiResult {
             org,
@@ -140,23 +120,12 @@ impl CactiModel {
     }
 }
 
-/// Cache level class: L1s are tightly coupled to the pipeline and skip the
-/// product-level arbitration/ECC overhead that L2s pay; L3s pay extra for
-/// the uncore crossing (see `evaluate`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLevel {
-    L1,
-    L2,
-    L3,
-}
-
 /// Cache organization input to the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheOrg {
     pub size_bytes: u64,
     pub block_bytes: u32,
     pub associativity: u32,
-    pub level: CacheLevel,
 }
 
 impl CacheOrg {
@@ -166,28 +135,6 @@ impl CacheOrg {
             size_bytes,
             block_bytes: 64,
             associativity: 16,
-            level: CacheLevel::L2,
-        }
-    }
-
-    /// Typical L1 organization.
-    pub fn l1(size_bytes: u64) -> Self {
-        CacheOrg {
-            size_bytes,
-            block_bytes: 64,
-            associativity: 2,
-            level: CacheLevel::L1,
-        }
-    }
-
-    /// Typical shared L3 organization (the optional outer level of the
-    /// island topologies).
-    pub fn l3(size_bytes: u64) -> Self {
-        CacheOrg {
-            size_bytes,
-            block_bytes: 64,
-            associativity: 16,
-            level: CacheLevel::L3,
         }
     }
 }

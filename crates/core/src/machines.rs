@@ -5,7 +5,7 @@
 //! from chip-shared to fully private.
 
 use dbcmp_cacti::l2_latency_cycles;
-use dbcmp_sim::{CacheGeom, CacheTopology, CoreKind, LevelSpec, MachineConfig, SharedBy};
+use dbcmp_sim::{CacheGeom, CoreKind, LevelSpec, MachineConfig, SharedBy};
 
 use crate::taxonomy::Camp;
 
@@ -103,11 +103,11 @@ pub fn island_cmp(
     let per_island = total_l2 / clusters as u64;
     let lat = l2.latency(per_island);
     let mut c = MachineConfig::fat_cmp(n, per_island, lat);
-    c.topology = CacheTopology::new(vec![LevelSpec::new(
+    c.l2 = LevelSpec::new(
         CacheGeom::new(per_island, 16, lat),
         SharedBy::Cluster(cores_per_cluster),
     )
-    .banks((4 / clusters).max(1), 2)]);
+    .banks((4 / clusters).max(1), 2);
     c.name = format!(
         "ISLAND {clusters}x{cores_per_cluster} (L2 {} MB/island, {} cyc)",
         per_island >> 20,
@@ -124,8 +124,8 @@ mod tests {
     fn cacti_latency_exceeds_fixed_four() {
         let real = fc_cmp(4, 16 << 20, L2Spec::Cacti);
         let fast = fc_cmp(4, 16 << 20, L2Spec::Fixed(4));
-        assert!(real.l2_geom().latency > fast.l2_geom().latency);
-        assert_eq!(fast.l2_geom().latency, 4);
+        assert!(real.l2.geom.latency > fast.l2.geom.latency);
+        assert_eq!(fast.l2.geom.latency, 4);
     }
 
     #[test]
@@ -154,7 +154,7 @@ mod tests {
     fn camps_share_memory_system() {
         let f = cmp_for(Camp::Fat, 4, 8 << 20, L2Spec::Cacti);
         let l = cmp_for(Camp::Lean, 4, 8 << 20, L2Spec::Cacti);
-        assert_eq!(f.l2_geom(), l.l2_geom());
+        assert_eq!(f.l2.geom, l.l2.geom);
         assert_eq!(f.mem_latency, l.mem_latency);
     }
 
@@ -168,11 +168,11 @@ mod tests {
         let shared = island_cmp(1, 4, total, L2Spec::Cacti);
         let fc = fc_cmp(4, total, L2Spec::Cacti);
         shared.validate().expect("valid");
-        assert_eq!(shared.l2_geom(), fc.l2_geom());
-        assert_eq!(shared.topology.innermost().banks, 4);
+        assert_eq!(shared.l2.geom, fc.l2.geom);
+        assert_eq!(shared.l2.banks, 4);
         assert_eq!(shared.l1_to_l1, fc.l1_to_l1);
         assert_eq!(
-            shared.topology.innermost().shared_by,
+            shared.l2.shared_by,
             SharedBy::Cluster(4),
             "spelled as a 4-core cluster, normalized to chip-shared"
         );
@@ -180,14 +180,14 @@ mod tests {
         let private = island_cmp(4, 1, total, L2Spec::Cacti);
         let smp = smp_baseline(4, 4 << 20, Camp::Fat);
         private.validate().expect("valid");
-        assert_eq!(private.l2_geom(), smp.l2_geom());
-        assert_eq!(private.topology.innermost().banks, 1);
+        assert_eq!(private.l2.geom, smp.l2.geom);
+        assert_eq!(private.l2.banks, 1);
         assert_eq!(private.l1_to_l1, smp.l1_to_l1);
         assert_eq!(private.coherence_latency, smp.coherence_latency);
         // The middle point: per-island capacity between the extremes.
         let mid = island_cmp(2, 2, total, L2Spec::Cacti);
         mid.validate().expect("valid");
-        assert_eq!(mid.l2_geom().size, 8 << 20);
-        assert_eq!(mid.topology.innermost().banks, 2);
+        assert_eq!(mid.l2.geom.size, 8 << 20);
+        assert_eq!(mid.l2.banks, 2);
     }
 }

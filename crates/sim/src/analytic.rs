@@ -67,8 +67,8 @@ pub fn analytic_reference(
         CoreKind::Fat { width, mshrs, .. } => (width as f64, mshrs as f64),
         CoreKind::Lean { width, .. } => (width as f64, 1.0),
     };
-    let l2_lat = cfg.l2_geom().latency as f64;
-    let mem_lat = (cfg.l2_geom().latency + cfg.mem_latency) as f64;
+    let l2_lat = cfg.l2.geom.latency as f64;
+    let mem_lat = (cfg.l2.geom.latency + cfg.mem_latency) as f64;
     let coh_lat = cfg.coherence_latency as f64;
     let l1l1_lat = cfg.l1_to_l1 as f64;
 

@@ -2,23 +2,22 @@
 //!
 //! A machine is described by a [`MachineConfig`] value — per-slot
 //! [`CoreKind`](crate::config::CoreKind)s (heterogeneous fat/lean mixes
-//! allowed), a cache topology (any mix of private, island, and
-//! chip-shared levels) — that presets fill in and callers update field by
-//! field. [`MachineBuilder`] is the one way from such a value and a
-//! [`RunMode`] to a runnable [`Machine`]: it validates first, so
-//! degenerate configs (zero cores, zero contexts, empty hierarchies,
-//! non-nesting islands, …) come back as a [`ConfigError`] at build time
+//! allowed), one L2 that is private, island-shared or chip-shared — that
+//! presets fill in and callers update field by field. [`MachineBuilder`]
+//! is the one way from such a value and a [`RunMode`] to a runnable
+//! [`Machine`]: it validates first, so degenerate configs (zero cores,
+//! zero contexts, islands that do not divide the cores, more cores than
+//! a directory tracks, …) come back as a [`ConfigError`] at build time
 //! instead of panicking or silently misbehaving deep in the cycle loop.
 //!
 //! ```
-//! use dbcmp_sim::{CacheGeom, CacheTopology, MachineBuilder, MachineConfig, RunMode};
+//! use dbcmp_sim::{CacheGeom, LevelSpec, MachineBuilder, MachineConfig, RunMode, SharedBy};
 //! # let bundle = dbcmp_trace::TraceBundle::new(dbcmp_trace::CodeRegions::new(), vec![]);
 //! // Four lean cores in two 2-core islands, each island with its own
-//! // 4 MB L2, sharing a 16 MB L3: a preset plus a field update.
+//! // 4 MB L2: a preset plus a field update.
 //! let cfg = MachineConfig {
-//!     name: "2x2 lean islands + L3".to_string(),
-//!     topology: CacheTopology::islands(2, CacheGeom::new(4 << 20, 16, 10))
-//!         .with_l3(CacheGeom::new(16 << 20, 16, 20)),
+//!     name: "2x2 lean islands".to_string(),
+//!     l2: LevelSpec::new(CacheGeom::new(4 << 20, 16, 10), SharedBy::Cluster(2)),
 //!     ..MachineConfig::lean_cmp(4, 4 << 20, 10)
 //! };
 //! let mode = RunMode::Throughput { warmup: 1000, measure: 4000 };
@@ -58,7 +57,7 @@ impl MachineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheGeom, CacheTopology, CoreKind};
+    use crate::config::{CacheGeom, CoreKind, LevelSpec, SharedBy};
     use crate::stats::SimResult;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 
@@ -154,7 +153,7 @@ mod tests {
     fn non_power_of_two_banks_rejected() {
         for banks in [0usize, 3, 6, 12] {
             let mut cfg = with_slots(vec![CoreKind::fat()]);
-            cfg.topology.levels[0].banks = banks;
+            cfg.l2.banks = banks;
             let err = build_err(cfg);
             assert_eq!(err, ConfigError::L2BanksNotPowerOfTwo { banks });
         }
@@ -238,39 +237,41 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_island_topology_builds_and_runs() {
-        let b = bundle(8);
-        let cfg = MachineConfig {
-            name: "2x2 islands + L3".to_string(),
-            topology: CacheTopology::islands(2, CacheGeom::new(1 << 20, 16, 8))
-                .with_l3(CacheGeom::new(8 << 20, 16, 20)),
-            ..MachineConfig::fat_cmp(4, 1 << 20, 8)
-        };
-        let m = MachineBuilder::from_config(cfg, MODE)
-            .build(&b)
-            .expect("valid 2-level island config");
-        let res = m.execute();
-        assert!(res.instrs > 0);
-        assert_eq!(res.mem.per_level.len(), 2, "both levels counted");
-        assert!(res.mem.per_level[0].accesses() > 0);
-    }
-
-    #[test]
     fn degenerate_topologies_are_rejected() {
-        let mut cfg = with_slots(vec![CoreKind::fat()]);
-        cfg.topology = CacheTopology::new(vec![]);
-        let err = build_err(cfg);
-        assert_eq!(err, ConfigError::EmptyTopology);
         let mut cfg = with_slots(vec![CoreKind::fat(); 4]);
-        cfg.topology = CacheTopology::islands(3, CacheGeom::new(1 << 20, 16, 8));
+        cfg.l2.shared_by = SharedBy::Cluster(3);
         let err = build_err(cfg);
         assert_eq!(
             err,
             ConfigError::ClusterNotDivisible {
-                level: 0,
                 cluster: 3,
                 n_cores: 4
             }
         );
+    }
+
+    /// A shared or island L2 tracks its sharers in a 16-bit map indexed
+    /// by global core id, so a 17th core would alias core 0; private L2s
+    /// keep no map and take any core count.
+    #[test]
+    fn directory_core_limit_is_enforced() {
+        let l2 = CacheGeom::new(16 << 20, 16, 14);
+        let islands = MachineConfig {
+            l2: LevelSpec::new(l2, SharedBy::Cluster(5)),
+            ..MachineConfig::fat_cmp(20, 16 << 20, 14)
+        };
+        for cfg in [MachineConfig::fat_cmp(17, 16 << 20, 14), islands] {
+            let n_cores = cfg.n_cores;
+            assert_eq!(build_err(cfg), ConfigError::TooManyCores { n_cores });
+        }
+        let b = bundle(1);
+        for cfg in [
+            MachineConfig::fat_cmp(16, 16 << 20, 14),
+            MachineConfig::smp(32, 4 << 20, 10, CoreKind::fat()),
+        ] {
+            MachineBuilder::from_config(cfg, MODE)
+                .build(&b)
+                .expect("within the directory's reach");
+        }
     }
 }

@@ -80,8 +80,6 @@ pub struct Evicted {
     pub line: u64,
     pub dirty: bool,
     pub sharers: u16,
-    pub dirty_in_l1: bool,
-    pub owner: u8,
 }
 
 impl Cache {
@@ -149,8 +147,6 @@ impl Cache {
             line: self.keys[victim] - 1,
             dirty: old.dirty,
             sharers: old.sharers,
-            dirty_in_l1: old.dirty_in_l1,
-            owner: old.owner,
         });
         self.keys[victim] = line + 1;
         self.lru[victim] = self.clock;
@@ -251,8 +247,6 @@ mod tests {
         assert_eq!(ev.line, 0);
         assert!(ev.dirty);
         assert_eq!(ev.sharers, 0b101);
-        assert!(ev.dirty_in_l1);
-        assert_eq!(ev.owner, 2);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Machine configuration: cache geometries, core kinds, topologies.
+//! Machine configuration: cache geometries, core kinds, L2 sharing.
 //!
 //! Defaults follow the paper's simulated systems (§3): four cores per chip,
 //! identical memory subsystems for both camps, a shared on-chip L2 from
 //! 1 MB to 26 MB for the CMP arrangement, private 4 MB L2s for the SMP
 //! comparison, and UltraSPARC-flavoured core parameters (Table 1).
 //!
-//! The on-chip hierarchy beyond the L1s is an open [`CacheTopology`]: any
-//! number of [`LevelSpec`] levels, each private per core, shared by an
-//! *island* of adjacent cores, or shared by the whole chip — the continuum
-//! between the paper's two fixed shapes (see "OLTP on Hardware Islands",
-//! PAPERS.md).
+//! Beyond the L1s sits one on-chip level, the L2 ([`LevelSpec`]): private
+//! per core, shared by an *island* of adjacent cores, or shared by the
+//! whole chip — the continuum between the paper's two fixed shapes (see
+//! "OLTP on Hardware Islands", PAPERS.md).
 
 use std::fmt;
 
@@ -41,37 +40,20 @@ pub enum ConfigError {
     L2BanksNotPowerOfTwo { banks: usize },
     /// A cache smaller than one 64-byte line or with zero ways.
     BadCacheGeom { which: &'static str },
-    /// The cache topology has no levels at all — there is nothing between
-    /// the L1s and memory to fill or snoop.
-    EmptyTopology,
-    /// An island level whose cluster size is zero or does not divide the
-    /// core count (cores would be left without a cache instance).
-    ClusterNotDivisible {
-        level: usize,
-        cluster: usize,
-        n_cores: usize,
-    },
-    /// Adjacent levels whose island boundaries do not nest: an inner
-    /// instance would straddle two outer instances.
-    ClusterNotNested { level: usize },
-    /// A level shared by fewer cores than the level below it — the
-    /// hierarchy must widen (or stay equal) moving toward memory.
-    NarrowingShare { level: usize },
-    /// A level instance smaller than the instance below it: inclusion is
-    /// impossible and the hierarchy thrashes by construction.
-    ShrinkingLevel { level: usize },
-    /// A cache level with zero access latency (free caches break the
-    /// stall accounting).
-    ZeroLevelLatency { level: usize },
-    /// More levels beyond the L1s than one miss walk tracks
-    /// ([`MAX_CACHE_LEVELS`]).
-    TooManyLevels { levels: usize },
+    /// An island L2 whose cluster size is zero or does not divide the core
+    /// count (cores would be left without a cache instance).
+    ClusterNotDivisible { cluster: usize, n_cores: usize },
+    /// An L2 with zero access latency (a free cache breaks the stall
+    /// accounting).
+    ZeroLevelLatency,
+    /// A shared or island L2 on more cores than its directory tracks: the
+    /// sharer bitmap has one bit per core, indexed by global core id.
+    TooManyCores { n_cores: usize },
 }
 
-/// Deepest on-chip hierarchy (levels beyond the L1s) a machine may have:
-/// a miss walk keeps its per-level MSHR claims in a fixed array of this
-/// size. No preset has more than three.
-pub const MAX_CACHE_LEVELS: usize = 4;
+/// Cores a shared or island L2's directory can track: one bit each in
+/// the `u16` sharer bitmap of [`crate::cache::Entry`].
+const DIRECTORY_CORES: usize = u16::BITS as usize;
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -98,35 +80,14 @@ impl fmt::Display for ConfigError {
                     "{which}: cache needs at least one 64-byte line and one way"
                 )
             }
-            ConfigError::EmptyTopology => {
-                write!(f, "cache topology has no levels between the L1s and memory")
-            }
-            ConfigError::ClusterNotDivisible {
-                level,
-                cluster,
-                n_cores,
-            } => write!(
+            ConfigError::ClusterNotDivisible { cluster, n_cores } => write!(
                 f,
-                "cache level {level}: island size {cluster} does not divide {n_cores} cores"
+                "l2: island size {cluster} does not divide {n_cores} cores"
             ),
-            ConfigError::ClusterNotNested { level } => write!(
+            ConfigError::ZeroLevelLatency => write!(f, "l2: zero access latency"),
+            ConfigError::TooManyCores { n_cores } => write!(
                 f,
-                "cache level {level}: island boundaries do not nest inside the next level"
-            ),
-            ConfigError::NarrowingShare { level } => write!(
-                f,
-                "cache level {level}: shared by fewer cores than the level below it"
-            ),
-            ConfigError::ShrinkingLevel { level } => write!(
-                f,
-                "cache level {level}: smaller than the level below it (inclusion impossible)"
-            ),
-            ConfigError::ZeroLevelLatency { level } => {
-                write!(f, "cache level {level}: zero access latency")
-            }
-            ConfigError::TooManyLevels { levels } => write!(
-                f,
-                "{levels} cache levels beyond the L1s; at most {MAX_CACHE_LEVELS} are supported"
+                "l2: a shared or island directory tracks at most {DIRECTORY_CORES} cores, got {n_cores}"
             ),
         }
     }
@@ -163,7 +124,7 @@ impl CacheGeom {
     }
 }
 
-/// Which cores share one instance of a cache level.
+/// Which cores share one instance of the L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SharedBy {
     /// One instance per core — a private cache (the SMP node shape).
@@ -188,16 +149,18 @@ impl SharedBy {
     }
 }
 
-/// One level of the on-chip cache hierarchy beyond the L1s (level 0 is
-/// the L2, level 1 an optional L3, and so on toward memory).
+/// The one on-chip cache level beyond the L1s — the L2 — and how its
+/// instances are shared, banked and capped. Inclusive of the L1s it
+/// serves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LevelSpec {
     pub geom: CacheGeom,
     pub shared_by: SharedBy,
     /// Independently accessed banks per shared/island instance (power of
-    /// two, line-interleaved). For [`SharedBy::Core`] levels this instead
-    /// sizes the chip-wide port that instruction prefetches ride — demand
-    /// accesses to a private level have a dedicated port and never queue.
+    /// two, line-interleaved). For a private ([`SharedBy::Core`]) L2 this
+    /// instead sizes the chip-wide port that instruction prefetches ride —
+    /// demand accesses to a private L2 have a dedicated port and never
+    /// queue.
     pub banks: usize,
     /// Cycles one access occupies a bank port (queueing source).
     pub bank_occupancy: u64,
@@ -207,7 +170,7 @@ pub struct LevelSpec {
 }
 
 impl LevelSpec {
-    /// A level with the preset bank parameters (4 banks, 2-cycle
+    /// An L2 with the preset bank parameters (4 banks, 2-cycle
     /// occupancy) and no MSHR limit.
     pub fn new(geom: CacheGeom, shared_by: SharedBy) -> Self {
         LevelSpec {
@@ -230,149 +193,6 @@ impl LevelSpec {
     pub fn mshrs(mut self, mshrs: usize) -> Self {
         self.mshrs = mshrs;
         self
-    }
-}
-
-/// The on-chip cache hierarchy beyond the per-core L1s, innermost level
-/// first: private L1s, then any number of levels each per-core,
-/// per-island, or chip-shared, then memory.
-///
-/// Validated by [`CacheTopology::validate`] (reached through
-/// [`MachineConfig::validate`] and `MachineBuilder::build`): non-empty,
-/// island sizes divide the core count and nest into the next level,
-/// sharing only widens outward, instance sizes never shrink outward, and
-/// every level has a non-zero latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheTopology {
-    pub levels: Vec<LevelSpec>,
-}
-
-impl CacheTopology {
-    pub fn new(levels: Vec<LevelSpec>) -> Self {
-        CacheTopology { levels }
-    }
-
-    /// The classic CMP shape: one chip-shared L2 (4 banks, 2-cycle
-    /// occupancy — the preset parameters).
-    pub fn shared_l2(geom: CacheGeom) -> Self {
-        CacheTopology {
-            levels: vec![LevelSpec::new(geom, SharedBy::Chip)],
-        }
-    }
-
-    /// The classic SMP shape: one private L2 per core, snooping over an
-    /// off-chip interconnect (single bus port for prefetches, matching
-    /// the SMP preset).
-    pub fn private_l2(geom: CacheGeom) -> Self {
-        CacheTopology {
-            levels: vec![LevelSpec::new(geom, SharedBy::Core).banks(1, 2)],
-        }
-    }
-
-    /// Hardware islands: one L2 per cluster of `cores_per_island`
-    /// adjacent cores. Without a shared outer level the islands snoop
-    /// each other off-chip (SMP-of-multicore-nodes); add
-    /// [`with_l3`](Self::with_l3) to keep inter-island traffic on chip.
-    pub fn islands(cores_per_island: usize, geom: CacheGeom) -> Self {
-        CacheTopology {
-            levels: vec![LevelSpec::new(geom, SharedBy::Cluster(cores_per_island))],
-        }
-    }
-
-    /// Append a further (outer) level.
-    pub fn with_level(mut self, spec: LevelSpec) -> Self {
-        self.levels.push(spec);
-        self
-    }
-
-    /// Append a chip-shared outer level (an L3) with the preset bank
-    /// parameters.
-    pub fn with_l3(self, geom: CacheGeom) -> Self {
-        self.with_level(LevelSpec::new(geom, SharedBy::Chip))
-    }
-
-    /// Number of levels between the L1s and memory.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The innermost level (the L2). Panics on an empty topology, which
-    /// [`CacheTopology::validate`] rejects first.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic; validate() rejects empty topologies before any caller gets here"
-    )]
-    pub fn innermost(&self) -> &LevelSpec {
-        self.levels
-            .first()
-            .expect("topology has at least one level")
-    }
-
-    /// The outermost level (the one facing memory). Panics on an empty
-    /// topology, which [`CacheTopology::validate`] rejects first.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic; validate() rejects empty topologies before any caller gets here"
-    )]
-    pub fn outermost(&self) -> &LevelSpec {
-        self.levels.last().expect("topology has at least one level")
-    }
-
-    fn level_name(i: usize) -> &'static str {
-        match i {
-            0 => "l2",
-            1 => "l3",
-            2 => "l4",
-            _ => "deep cache level",
-        }
-    }
-
-    /// Check the hierarchy for shapes that cannot be assembled.
-    pub fn validate(&self, n_cores: usize) -> Result<(), ConfigError> {
-        if self.levels.is_empty() {
-            return Err(ConfigError::EmptyTopology);
-        }
-        if self.levels.len() > MAX_CACHE_LEVELS {
-            return Err(ConfigError::TooManyLevels {
-                levels: self.levels.len(),
-            });
-        }
-        let mut prev_cluster = 1usize;
-        let mut prev_size = 0u64;
-        for (level, spec) in self.levels.iter().enumerate() {
-            let g = spec.geom;
-            if g.size < 64 || g.assoc == 0 {
-                return Err(ConfigError::BadCacheGeom {
-                    which: Self::level_name(level),
-                });
-            }
-            if g.latency == 0 {
-                return Err(ConfigError::ZeroLevelLatency { level });
-            }
-            if !spec.banks.is_power_of_two() {
-                return Err(ConfigError::L2BanksNotPowerOfTwo { banks: spec.banks });
-            }
-            let cluster = spec.shared_by.cores_per_instance(n_cores);
-            if cluster == 0 || !n_cores.is_multiple_of(cluster) {
-                return Err(ConfigError::ClusterNotDivisible {
-                    level,
-                    cluster,
-                    n_cores,
-                });
-            }
-            if cluster < prev_cluster {
-                return Err(ConfigError::NarrowingShare { level });
-            }
-            if cluster % prev_cluster != 0 {
-                return Err(ConfigError::ClusterNotNested { level });
-            }
-            if g.size < prev_size {
-                return Err(ConfigError::ShrinkingLevel { level });
-            }
-            prev_cluster = cluster;
-            prev_size = g.size;
-        }
-        Ok(())
     }
 }
 
@@ -441,8 +261,8 @@ impl CoreKind {
 /// and describe themselves with `core` × `n_cores`. Heterogeneous CMPs —
 /// the asymmetric fat/lean mixes of the `fig_asym` extension — list one
 /// [`CoreKind`] per slot in `slots` (and keep `n_cores == slots.len()`);
-/// `core` then only seeds defaults. The on-chip hierarchy beyond the L1s
-/// is an open [`CacheTopology`]. Start from a preset ([`fat_cmp`](Self::fat_cmp),
+/// `core` then only seeds defaults. Beyond the L1s sits one [`LevelSpec`],
+/// the L2. Start from a preset ([`fat_cmp`](Self::fat_cmp),
 /// [`lean_cmp`](Self::lean_cmp), `dbcmp_core::machines`), update fields, and
 /// hand the value to `MachineBuilder::from_config`, which validates it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -457,8 +277,8 @@ pub struct MachineConfig {
     pub slots: Vec<CoreKind>,
     pub l1i: CacheGeom,
     pub l1d: CacheGeom,
-    /// The on-chip hierarchy beyond the L1s (level 0 = L2).
-    pub topology: CacheTopology,
+    /// The on-chip level beyond the L1s.
+    pub l2: LevelSpec,
     /// Off-chip memory access latency, cycles.
     pub mem_latency: u64,
     /// On-chip dirty L1-to-L1 transfer latency (within a shared cache
@@ -500,7 +320,7 @@ impl MachineConfig {
             slots: Vec::new(),
             l1i: CacheGeom::new(64 << 10, 2, 1),
             l1d: CacheGeom::new(64 << 10, 2, 1),
-            topology: CacheTopology::shared_l2(CacheGeom::new(l2_size, 16, l2_latency)),
+            l2: LevelSpec::new(CacheGeom::new(l2_size, 16, l2_latency), SharedBy::Chip),
             mem_latency: 400,
             l1_to_l1: l2_latency + 6,
             coherence_latency: 260,
@@ -533,13 +353,12 @@ impl MachineConfig {
         c.core = core;
         // Each node has its own L2 port; the single chip-wide bank only
         // carries prefetch traffic (see `LevelSpec::banks`).
-        c.topology = CacheTopology::private_l2(CacheGeom::new(l2_size_per_node, 16, l2_latency));
+        c.l2 = LevelSpec::new(
+            CacheGeom::new(l2_size_per_node, 16, l2_latency),
+            SharedBy::Core,
+        )
+        .banks(1, 2);
         c
-    }
-
-    /// The geometry of the innermost on-chip level (the L2).
-    pub fn l2_geom(&self) -> CacheGeom {
-        self.topology.innermost().geom
     }
 
     /// The core kind of each slot, in slot order.
@@ -595,12 +414,28 @@ impl MachineConfig {
                 }
             }
         }
-        for (which, g) in [("l1i", self.l1i), ("l1d", self.l1d)] {
+        for (which, g) in [("l1i", self.l1i), ("l1d", self.l1d), ("l2", self.l2.geom)] {
             if g.size < 64 || g.assoc == 0 {
                 return Err(ConfigError::BadCacheGeom { which });
             }
         }
-        self.topology.validate(self.n_cores)
+        if self.l2.geom.latency == 0 {
+            return Err(ConfigError::ZeroLevelLatency);
+        }
+        if !self.l2.banks.is_power_of_two() {
+            return Err(ConfigError::L2BanksNotPowerOfTwo {
+                banks: self.l2.banks,
+            });
+        }
+        let n_cores = self.n_cores;
+        let cluster = self.l2.shared_by.cores_per_instance(n_cores);
+        if cluster == 0 || !n_cores.is_multiple_of(cluster) {
+            return Err(ConfigError::ClusterNotDivisible { cluster, n_cores });
+        }
+        if cluster > 1 && n_cores > DIRECTORY_CORES {
+            return Err(ConfigError::TooManyCores { n_cores });
+        }
+        Ok(())
     }
 }
 
@@ -635,7 +470,7 @@ mod tests {
         }
         // Identical memory subsystems (paper §3).
         assert_eq!(fc.l1d, lc.l1d);
-        assert_eq!(fc.l2_geom(), lc.l2_geom());
+        assert_eq!(fc.l2, lc.l2);
         assert_eq!(fc.mem_latency, lc.mem_latency);
         // Pipeline depths: deep vs shallow.
         assert!(fc.core.pipeline_depth() > lc.core.pipeline_depth());
@@ -643,84 +478,50 @@ mod tests {
 
     #[test]
     fn smp_uses_private_l2() {
+        // The CMP shape is chip-shared on the default 4-bank pool, the SMP
+        // shape pins a single bus port.
+        let fc = MachineConfig::fat_cmp(4, 8 << 20, 12);
+        assert_eq!(fc.l2.shared_by, SharedBy::Chip);
+        assert_eq!(fc.l2.geom, CacheGeom::new(8 << 20, 16, 12));
+        assert_eq!(fc.l2.banks, 4);
         let smp = MachineConfig::smp(4, 4 << 20, 10, CoreKind::fat());
-        assert_eq!(smp.topology.depth(), 1);
-        assert_eq!(smp.topology.innermost().shared_by, SharedBy::Core);
-        assert_eq!(smp.l2_geom().size, 4 << 20);
-        // The two one-level constructors: the CMP shape is chip-shared on
-        // the default 4-bank pool, the SMP shape pins a single bus port.
-        let g = CacheGeom::new(8 << 20, 16, 12);
-        let shared = CacheTopology::shared_l2(g);
-        assert_eq!(shared.depth(), 1);
-        assert_eq!(shared.innermost().shared_by, SharedBy::Chip);
-        assert_eq!(shared.innermost().geom, g);
-        assert_eq!(shared.innermost().banks, 4);
-        assert_eq!(CacheTopology::private_l2(g).innermost().banks, 1);
+        assert_eq!(smp.l2.shared_by, SharedBy::Core);
+        assert_eq!(smp.l2.geom.size, 4 << 20);
+        assert_eq!(smp.l2.banks, 1);
     }
 
     #[test]
     fn topology_validation_rejects_degenerate_hierarchies() {
         let g = CacheGeom::new(4 << 20, 16, 10);
-        let l3 = CacheGeom::new(16 << 20, 16, 20);
-        assert_eq!(
-            CacheTopology::new(vec![]).validate(4),
-            Err(ConfigError::EmptyTopology)
-        );
-        assert_eq!(
-            CacheTopology::islands(3, g).validate(4),
-            Err(ConfigError::ClusterNotDivisible {
-                level: 0,
-                cluster: 3,
-                n_cores: 4
-            })
-        );
-        assert_eq!(
-            CacheTopology::islands(0, g).validate(4),
-            Err(ConfigError::ClusterNotDivisible {
-                level: 0,
-                cluster: 0,
-                n_cores: 4
-            })
-        );
-        // Outer level narrower than the inner one.
-        assert_eq!(
-            CacheTopology::shared_l2(g)
-                .with_level(LevelSpec::new(l3, SharedBy::Core))
-                .validate(4),
-            Err(ConfigError::NarrowingShare { level: 1 })
-        );
-        // Island boundaries that straddle the outer islands.
-        assert_eq!(
-            CacheTopology::islands(2, g)
-                .with_level(LevelSpec::new(l3, SharedBy::Cluster(3)))
-                .validate(6),
-            Err(ConfigError::ClusterNotNested { level: 1 })
-        );
-        // Shrinking instance sizes outward.
-        assert_eq!(
-            CacheTopology::islands(2, g)
-                .with_l3(CacheGeom::new(1 << 20, 16, 20))
-                .validate(4),
-            Err(ConfigError::ShrinkingLevel { level: 1 })
-        );
-        // Zero latency.
-        assert_eq!(
-            CacheTopology::shared_l2(CacheGeom::new(4 << 20, 16, 0)).validate(4),
-            Err(ConfigError::ZeroLevelLatency { level: 0 })
-        );
-        // Deeper than a miss walk tracks.
-        let mut deep = CacheTopology::shared_l2(g);
-        for _ in 0..MAX_CACHE_LEVELS {
-            deep = deep.with_l3(l3);
+        let with_l2 = |l2: LevelSpec| MachineConfig {
+            l2,
+            ..MachineConfig::fat_cmp(4, 4 << 20, 10)
+        };
+        let islands = |k| with_l2(LevelSpec::new(g, SharedBy::Cluster(k)));
+        for cluster in [3, 0, 8] {
+            assert_eq!(
+                islands(cluster).validate(),
+                Err(ConfigError::ClusterNotDivisible {
+                    cluster,
+                    n_cores: 4
+                })
+            );
         }
         assert_eq!(
-            deep.validate(4),
-            Err(ConfigError::TooManyLevels {
-                levels: MAX_CACHE_LEVELS + 1
-            })
+            with_l2(LevelSpec::new(
+                CacheGeom::new(4 << 20, 16, 0),
+                SharedBy::Chip
+            ))
+            .validate(),
+            Err(ConfigError::ZeroLevelLatency)
         );
-        // A well-formed two-level island hierarchy passes.
-        assert_eq!(CacheTopology::islands(2, g).with_l3(l3).validate(4), Ok(()));
+        assert_eq!(
+            with_l2(LevelSpec::new(CacheGeom::new(32, 16, 10), SharedBy::Chip)).validate(),
+            Err(ConfigError::BadCacheGeom { which: "l2" })
+        );
+        for k in [1, 2, 4] {
+            assert_eq!(islands(k).validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! and a recv — which the thread is by construction waiting on — costs
 //! one-way link latency plus the same occupancy term.
 //!
-//! The presets are anchored the same way the CACTI-derived L2/L3
-//! latencies are (see `core::machines::L2Spec`): to published numbers for
-//! real interconnects, converted to core cycles at the workspace's
-//! nominal 3 GHz clock.
+//! The presets are anchored to published numbers for real
+//! interconnects, converted to core cycles at the workspace's nominal
+//! 3 GHz clock (the clock of the CACTI-derived L2 latencies, see
+//! `core::machines::L2Spec`).
 //!
 //! * [`Interconnect::numa_link`] — a coherent socket-to-socket link
 //!   (QPI/HyperTransport class): ~150 ns one-way remote-socket latency

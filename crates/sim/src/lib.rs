@@ -25,19 +25,17 @@
 //!   L1 miss and the core hides the latency with other contexts — exactly
 //!   Niagara-style fine-grained multithreading.
 //!
-//! The memory system ([`memsys`]) models per-core L1I/L1D and an open,
-//! composable [`config::CacheTopology`]: any number of levels beyond the
-//! L1s, each private per core, shared by an *island* of adjacent cores,
-//! or chip-shared, with an optional L3 — the paper's shared-L2 CMP and
-//! private-L2 SMP arrangements are the two one-level extremes. One
-//! generic level walker serves every shape: inclusive back-invalidation,
-//! L1-to-L1 transfers within shared domains, MESI-style snooping between
-//! nodes when no chip-shared root exists, bank occupancy/queueing (the
-//! contention effect behind Fig. 8), optional per-level MSHR caps, and
-//! next-line instruction stream buffers (the reason both camps' I-stall
-//! components stay modest, §4). Per-level hit/miss/eviction counters
-//! ([`stats::LevelCounters`]) attribute stalls to the level that served
-//! them.
+//! The memory system ([`memsys`]) models per-core L1I/L1D and one L2
+//! beyond them ([`config::LevelSpec`]): private per core, shared by an
+//! *island* of adjacent cores, or chip-shared — the paper's shared-L2 CMP
+//! and private-L2 SMP arrangements are the two extremes. One walker
+//! serves every shape: inclusive back-invalidation, L1-to-L1 transfers
+//! within a shared L2's cores, MESI-style snooping between L2 instances
+//! when the L2 is not chip-shared, bank occupancy/queueing (the
+//! contention effect behind Fig. 8), an optional MSHR cap, and next-line
+//! instruction stream buffers (the reason both camps' I-stall components
+//! stay modest, §4). L2 hit/miss/eviction counters
+//! ([`stats::LevelCounters`]) attribute stalls to the L2.
 //!
 //! Everything is deterministic: same traces + same config ⇒ same cycle
 //! counts.
@@ -65,9 +63,7 @@ pub mod stream;
 
 pub use crate::core::Core;
 pub use builder::MachineBuilder;
-pub use config::{
-    CacheGeom, CacheTopology, ConfigError, CoreKind, LevelSpec, MachineConfig, SharedBy,
-};
+pub use config::{CacheGeom, ConfigError, CoreKind, LevelSpec, MachineConfig, SharedBy};
 pub use interconnect::Interconnect;
 pub use machine::{Machine, RunMode};
 pub use stats::{Breakdown, CycleClass, LevelCounters, RemoteCounters, SimResult};

@@ -11,7 +11,7 @@
 mod tests {
     use super::super::*;
     use crate::builder::MachineBuilder;
-    use crate::config::{CacheGeom, MachineConfig};
+    use crate::config::{CacheGeom, MachineConfig, SharedBy};
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
     use proptest::prelude::*;
 
@@ -170,8 +170,9 @@ mod tests {
         TraceBundle::new(regions, traces)
     }
 
-    /// The four machine shapes, shrunk so a few thousand cycles see misses,
-    /// full store buffers, full MSHRs and expiring quanta.
+    /// The five machine shapes, shrunk so a few thousand cycles see misses,
+    /// full store buffers, full MSHRs and expiring quanta. The islands are
+    /// the one shape where a directory and off-chip snooping both act.
     fn machines(quantum: u64, switch_penalty: u64, ten_gbe: bool) -> Vec<MachineConfig> {
         let mut asym = MachineConfig::fat_cmp(3, 64 << 10, 8);
         asym.name = "asymmetric".to_string();
@@ -187,17 +188,21 @@ mod tests {
                 mshrs: 1,
             },
         ];
+        let mut islands = MachineConfig::fat_cmp(4, 64 << 10, 8);
+        islands.name = "2x2 islands".to_string();
+        islands.l2.shared_by = SharedBy::Cluster(2);
         let mut out = vec![
             MachineConfig::fat_cmp(2, 64 << 10, 8),
             MachineConfig::lean_cmp(2, 64 << 10, 8),
             MachineConfig::smp(2, 64 << 10, 8, CoreKind::fat()),
             asym,
+            islands,
         ];
         for cfg in &mut out {
             cfg.l1d = CacheGeom::new(2 << 10, 2, 1);
             cfg.l1i = CacheGeom::new(2 << 10, 2, 1);
             cfg.store_buffer = 2;
-            cfg.topology.levels[0].mshrs = 2;
+            cfg.l2.mshrs = 2;
             cfg.quantum = quantum;
             cfg.switch_penalty = switch_penalty;
             if ten_gbe {
@@ -212,7 +217,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Random small bundles — more threads than contexts, so quanta
-        /// expire — on all four machine shapes in both run modes.
+        /// expire — on all five machine shapes in both run modes.
         #[test]
         fn skipping_equals_ticking_on_random_bundles(
             threads in prop::collection::vec(prop::collection::vec(op(), 1..60), 1..9),
@@ -229,16 +234,21 @@ mod tests {
     }
 
     /// The quick fig7 OLTP capture (tiny TPC-C, 16 clients × 8 units) on the
-    /// three camps fig7 compares.
+    /// three camps fig7 compares and the 2x2 island midpoint between them.
     #[test]
     fn skipping_equals_ticking_on_the_quick_oltp_capture() {
         use dbcmp_workloads::{build_tpcc, capture_oltp, CaptureOptions, TpccScale};
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 0xC1D7);
         let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(16, 8, 0xC1D7));
+        let mut islands = MachineConfig::fat_cmp(4, 2 << 20, 12);
+        islands.name = "2x2 islands".to_string();
+        islands.l2 = islands.l2.banks(2, 2);
+        islands.l2.shared_by = SharedBy::Cluster(2);
         for cfg in [
             MachineConfig::fat_cmp(4, 4 << 20, 12),
             MachineConfig::lean_cmp(4, 4 << 20, 12),
             MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()),
+            islands,
         ] {
             let throughput = RunMode::Throughput {
                 warmup: 20_000,

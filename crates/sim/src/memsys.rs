@@ -1,45 +1,41 @@
-//! The memory hierarchy: per-core L1I/L1D, a composable on-chip cache
-//! topology (any number of levels, each private, island-shared, or
-//! chip-shared — see [`CacheTopology`](crate::config::CacheTopology)),
-//! plus instruction stream buffers.
+//! The memory hierarchy: per-core L1I/L1D, one on-chip L2 beyond them —
+//! private per core, shared by an island of adjacent cores, or
+//! chip-shared (see [`LevelSpec`]) — plus instruction stream buffers.
 //!
 //! Classification of each access follows the paper's §5 decomposition:
 //!
 //! * **L1** — hit in the core's own L1 (not a stall).
-//! * **L2Hit** — L1 miss served on-chip: a hit at any hierarchy level, or
-//!   a dirty line transferred L1-to-L1 within a shared cache domain. The
-//!   paper counts both as "L2 hits", and their stall time is the rising
+//! * **L2Hit** — L1 miss served on-chip: an L2 hit, or a dirty line
+//!   transferred L1-to-L1 within one L2 instance's cores. The paper
+//!   counts both as "L2 hits", and their stall time is the rising
 //!   component.
 //! * **Mem** — off-chip memory access.
-//! * **Coherence** — multi-node arrangements only (private L2s or islands
-//!   without a shared outer level): the line was supplied dirty by a
-//!   *remote node's* cache over the off-chip interconnect. With a shared
-//!   outermost level these turn into L2Hit — mechanically reproducing the
-//!   paper's Fig. 7, and the island sweep of `fig_islands` walks the
-//!   continuum in between.
+//! * **Coherence** — multi-node arrangements only (private or island
+//!   L2s): the line was supplied dirty by a *remote node's* cache over the
+//!   off-chip interconnect. With a chip-shared L2 these turn into L2Hit —
+//!   mechanically reproducing the paper's Fig. 7, and the island sweep of
+//!   `fig_islands` walks the continuum in between.
 //!
-//! Every access walks the level chain inner→outer through one generic
-//! path (`fetch`), which replaced the per-arrangement `shared_fetch` /
-//! `private_fetch` pairs and the copy-pasted data/instruction variants.
-//! Coherence mechanics per level kind:
+//! Every L1 miss, data or instruction, goes through one path (`fetch`).
+//! Coherence mechanics per L2 kind:
 //!
 //! * **Shared / island instances** (multiple cores) act as a directory
 //!   over their member cores' L1Ds (sharer bitmap, owner, dirty-in-L1);
 //!   dirty peer lines transfer L1-to-L1 on chip.
 //! * **Private instances** (one core) mirror L1 dirtiness in their own
 //!   entries, like the legacy SMP nodes.
-//! * If the outermost level is not chip-shared, its instances form
-//!   *nodes* that snoop each other over the off-chip interconnect
-//!   (MESI-style): remote-dirty supplies cost the coherence latency.
+//! * If the L2 is not chip-shared, its instances form *nodes* that snoop
+//!   each other over the off-chip interconnect (MESI-style): remote-dirty
+//!   supplies cost the coherence latency.
 //!
 //! Shared and island instances are banked; banks have an occupancy per
 //! access and a `next_free` cycle, so correlated miss bursts queue (paper
 //! §5.3: cache pressure, not miss rate, limits core-count scaling for
-//! OLTP). A level may additionally cap outstanding misses per instance
+//! OLTP). The L2 may additionally cap outstanding misses per instance
 //! (`LevelSpec::mshrs`); legacy configs leave the cap off.
 
 use crate::cache::{Cache, Divisor, Evicted};
-use crate::config::{LevelSpec, MachineConfig, SharedBy, MAX_CACHE_LEVELS};
+use crate::config::{LevelSpec, MachineConfig, SharedBy};
 use crate::stats::MemCounters;
 use crate::stream::StreamBuffer;
 
@@ -83,8 +79,8 @@ impl CoreCaches {
     }
 }
 
-/// Coherence behavior of one level, derived from its [`SharedBy`]: a
-/// cluster of 1 behaves exactly like a private level and a cluster of
+/// Coherence behavior of the L2, derived from its [`SharedBy`]: a
+/// cluster of 1 behaves exactly like a private L2 and a cluster of
 /// `n_cores` exactly like a chip-shared one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LevelKind {
@@ -98,7 +94,7 @@ enum LevelKind {
     Shared,
 }
 
-/// One instantiated level of the hierarchy.
+/// The instantiated L2: one tag array per instance.
 #[derive(Debug)]
 struct Level {
     kind: LevelKind,
@@ -119,7 +115,7 @@ struct Level {
     /// Line → bank within one pool of `banks_per_group`.
     bank_of: Divisor,
     /// Outstanding-miss completion times per instance; empty inner
-    /// vectors when the level has no MSHR cap.
+    /// vectors when the L2 has no MSHR cap.
     mshr: Vec<Vec<u64>>,
 }
 
@@ -155,9 +151,7 @@ impl Level {
             bank_occupancy: spec.bank_occupancy,
             banks_per_group,
             bank_of: Divisor::new(banks_per_group),
-            mshr: (0..groups)
-                .map(|_| vec![0u64; if spec.mshrs > 0 { spec.mshrs } else { 0 }])
-                .collect(),
+            mshr: (0..groups).map(|_| vec![0u64; spec.mshrs]).collect(),
         }
     }
 
@@ -174,7 +168,7 @@ impl Level {
 
     #[inline]
     fn bank_index(&self, g: usize, line: u64) -> usize {
-        // Shared and private levels have one pool (`g` is ignored).
+        // Shared and private L2s have one pool (`g` is ignored).
         match self.kind {
             LevelKind::Island => g * self.banks_per_group + self.bank_of.rem(line),
             _ => self.bank_of.rem(line),
@@ -194,30 +188,14 @@ struct Params {
 #[derive(Debug)]
 pub struct MemSys {
     cores: CoreCaches,
-    levels: Vec<Level>,
+    l2: Level,
     p: Params,
-    /// Outermost level is chip-shared: every transfer stays on chip.
-    single_realm: bool,
-    /// Cores per node (outermost level's cluster) when `!single_realm`.
-    node_cluster: Divisor,
     pub counters: MemCounters,
 }
 
 impl MemSys {
     pub fn new(cfg: &MachineConfig) -> Self {
         let n = cfg.n_cores;
-        let levels: Vec<Level> = cfg
-            .topology
-            .levels
-            .iter()
-            .map(|spec| Level::new(spec, n))
-            .collect();
-        let single_realm = levels
-            .last()
-            .map(|l| l.kind == LevelKind::Shared)
-            .unwrap_or(true);
-        let node_cluster = Divisor::new(levels.last().map(|l| l.cluster).unwrap_or(1));
-        let n_levels = levels.len();
         MemSys {
             cores: CoreCaches {
                 l1i: (0..n)
@@ -228,34 +206,25 @@ impl MemSys {
                     .collect(),
                 streams: (0..n).map(|_| StreamBuffer::new(cfg.stream_buf)).collect(),
             },
-            levels,
+            l2: Level::new(&cfg.l2, n),
             p: Params {
                 mem_latency: cfg.mem_latency,
                 l1_to_l1: cfg.l1_to_l1,
                 coherence_latency: cfg.coherence_latency,
             },
-            single_realm,
-            node_cluster,
-            counters: MemCounters::with_levels(n_levels),
+            counters: MemCounters::with_levels(1),
         }
     }
 
     /// Reset event counters (end of warm-up) without touching cache state.
     pub fn reset_counters(&mut self) {
-        self.counters = MemCounters::with_levels(self.levels.len());
+        self.counters = MemCounters::with_levels(1);
     }
 
-    /// Node (coherence-realm partition) of a core.
+    /// The L2 is chip-shared: every transfer stays on chip.
     #[inline]
-    fn node(&self, core: usize) -> usize {
-        self.node_cluster.div(core)
-    }
-
-    /// Node a level instance belongs to (instances nest inside nodes by
-    /// validation).
-    #[inline]
-    fn node_of_group(&self, li: usize, g: usize) -> usize {
-        self.node_cluster.div(g * self.levels[li].cluster)
+    fn single_realm(&self) -> bool {
+        self.l2.kind == LevelKind::Shared
     }
 
     /// A data load/store by `core` to cache line `line` (line number =
@@ -318,109 +287,95 @@ impl MemSys {
         acc
     }
 
-    // ------------------------------------------------------ generic walk
+    // ------------------------------------------------------------- L2 walk
 
-    /// Serve an L1 miss (data or instruction — the once-duplicated probe/
-    /// fill/evict paths share this walker): probe levels inner→outer,
-    /// filling on the way; fall through to the realm snoop / memory.
+    /// Serve an L1 miss (data or instruction): probe the core's L2
+    /// instance, filling it on a miss, then go to the realm snoop or
+    /// memory.
     fn fetch(&mut self, core: usize, line: u64, write: bool, is_instr: bool, now: u64) -> Access {
+        let g = self.l2.group(core);
         let mut t = now;
-        // The MSHR slot this walk claimed at each level, if any.
-        let mut claimed = [None; MAX_CACHE_LEVELS];
-        for li in 0..self.levels.len() {
-            let g = self.levels[li].group(core);
-            if self.levels[li].kind != LevelKind::Private {
-                t = self.claim_bank(li, g, line, t);
-            }
-            if let Some(idx) = self.levels[li].caches[g].probe(line) {
-                if is_instr {
-                    self.counters.per_level[li].hits_instr += 1;
-                } else {
-                    self.counters.per_level[li].hits_data += 1;
-                }
-                let acc = self.serve_hit(li, g, idx, core, line, write, is_instr, t);
-                self.counters.per_level[li].service_cycles += acc.ready_at.saturating_sub(now);
-                self.release_mshrs(core, &claimed, acc.ready_at);
-                return acc;
-            }
-            if is_instr {
-                self.counters.per_level[li].misses_instr += 1;
-            } else {
-                self.counters.per_level[li].misses_data += 1;
-            }
-            if let Some((slot, start)) = self.claim_mshr(li, g, t) {
-                claimed[li] = Some(slot);
-                t = start;
-            }
-            // Inclusive hierarchy: fill this level now, victim and all.
-            let (idx, ev) = self.levels[li].caches[g].insert(line);
-            self.init_fill(li, g, idx, core, write, is_instr);
-            if let Some(ev) = ev {
-                self.handle_eviction(li, g, core, ev, false);
-            }
-            t += self.levels[li].latency;
+        if self.l2.kind != LevelKind::Private {
+            t = self.claim_bank(g, line, t);
         }
+        if let Some(idx) = self.l2.caches[g].probe(line) {
+            let pl = &mut self.counters.per_level[0];
+            if is_instr {
+                pl.hits_instr += 1;
+            } else {
+                pl.hits_data += 1;
+            }
+            let acc = match self.l2.kind {
+                LevelKind::Private => self.serve_hit_private(idx, core, line, write, is_instr, t),
+                LevelKind::Island | LevelKind::Shared => {
+                    self.serve_hit_directory(idx, core, line, write, is_instr, t)
+                }
+            };
+            self.counters.per_level[0].service_cycles += acc.ready_at.saturating_sub(now);
+            return acc;
+        }
+        let pl = &mut self.counters.per_level[0];
+        if is_instr {
+            pl.misses_instr += 1;
+        } else {
+            pl.misses_data += 1;
+        }
+        // The MSHR slot this miss claimed, if the L2 caps outstanding
+        // misses.
+        let claimed = self.claim_mshr(g, t).map(|(slot, start)| {
+            t = start;
+            slot
+        });
+        // Inclusive L2: fill it now, victim and all.
+        let (idx, ev) = self.l2.caches[g].insert(line);
+        self.init_fill(g, idx, core, write, is_instr);
+        if let Some(ev) = ev {
+            self.handle_eviction(g, core, ev, false);
+        }
+        t += self.l2.latency;
         let acc = self.serve_offchip(core, line, write, is_instr, t);
-        self.release_mshrs(core, &claimed, acc.ready_at);
+        if let Some(slot) = claimed {
+            self.l2.mshr[g][slot] = acc.ready_at;
+        }
         acc
     }
 
-    /// Claim a bank port at level `li` for instance `g`; returns the
-    /// start cycle after any queueing delay.
-    fn claim_bank(&mut self, li: usize, g: usize, line: u64, now: u64) -> u64 {
-        let lvl = &mut self.levels[li];
-        let b = lvl.bank_index(g, line);
-        let start = now.max(lvl.bank_free[b]);
+    /// Claim a bank port of L2 instance `g`; returns the start cycle
+    /// after any queueing delay.
+    fn claim_bank(&mut self, g: usize, line: u64, now: u64) -> u64 {
+        let l2 = &mut self.l2;
+        let b = l2.bank_index(g, line);
+        let start = now.max(l2.bank_free[b]);
         if start > now {
             self.counters.l2_queue_cycles += start - now;
             self.counters.l2_queued_accesses += 1;
-            let pl = &mut self.counters.per_level[li];
+            let pl = &mut self.counters.per_level[0];
             pl.queue_cycles += start - now;
             pl.queued_accesses += 1;
         }
-        lvl.bank_free[b] = start + lvl.bank_occupancy;
+        l2.bank_free[b] = start + l2.bank_occupancy;
         start
     }
 
-    /// Claim an outstanding-miss slot at level `li` instance `g`;
-    /// returns `(slot, start)` where `start` is delayed if every slot is
-    /// still in flight, or `None` when the level has no MSHR cap.
-    fn claim_mshr(&mut self, li: usize, g: usize, now: u64) -> Option<(usize, u64)> {
-        let file = &self.levels[li].mshr[g];
+    /// Claim an outstanding-miss slot of L2 instance `g`; returns
+    /// `(slot, start)` where `start` is delayed if every slot is still in
+    /// flight, or `None` when the L2 has no MSHR cap.
+    fn claim_mshr(&mut self, g: usize, now: u64) -> Option<(usize, u64)> {
+        let file = &self.l2.mshr[g];
         let (slot, &free) = file.iter().enumerate().min_by_key(|&(_, &f)| f)?;
         let start = now.max(free);
         if start > now {
-            let pl = &mut self.counters.per_level[li];
+            let pl = &mut self.counters.per_level[0];
             pl.mshr_waits += 1;
             pl.mshr_wait_cycles += start - now;
         }
         Some((slot, start))
     }
 
-    /// Record the completion time of every MSHR slot `core`'s walk
-    /// claimed (`claimed[li]` is the slot at level `li`).
-    fn release_mshrs(&mut self, core: usize, claimed: &[Option<usize>], ready_at: u64) {
-        for (lvl, slot) in self.levels.iter_mut().zip(claimed) {
-            if let Some(slot) = *slot {
-                let g = lvl.group(core);
-                lvl.mshr[g][slot] = ready_at;
-            }
-        }
-    }
-
-    /// Initialize a freshly inserted entry per the level's coherence
-    /// role.
-    fn init_fill(
-        &mut self,
-        li: usize,
-        g: usize,
-        idx: usize,
-        core: usize,
-        write: bool,
-        is_instr: bool,
-    ) {
-        let kind = self.levels[li].kind;
-        let en = self.levels[li].caches[g].entry_mut(idx);
+    /// Initialize a freshly inserted L2 entry per the L2's coherence role.
+    fn init_fill(&mut self, g: usize, idx: usize, core: usize, write: bool, is_instr: bool) {
+        let kind = self.l2.kind;
+        let en = self.l2.caches[g].entry_mut(idx);
         match kind {
             LevelKind::Private => {
                 en.dirty = write;
@@ -433,41 +388,9 @@ impl MemSys {
         }
     }
 
-    /// Serve a probe hit at level `li`.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
-    )]
-    fn serve_hit(
-        &mut self,
-        li: usize,
-        g: usize,
-        idx: usize,
-        core: usize,
-        line: u64,
-        write: bool,
-        is_instr: bool,
-        t: u64,
-    ) -> Access {
-        match self.levels[li].kind {
-            LevelKind::Private => {
-                self.serve_hit_private(li, g, idx, core, line, write, is_instr, t)
-            }
-            LevelKind::Island | LevelKind::Shared => {
-                self.serve_hit_directory(li, g, idx, core, line, write, is_instr, t)
-            }
-        }
-    }
-
-    /// Hit in a private instance (the legacy SMP node path).
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
-    )]
+    /// Hit in a private L2 (the SMP node path).
     fn serve_hit_private(
         &mut self,
-        li: usize,
-        g: usize,
         idx: usize,
         core: usize,
         line: u64,
@@ -475,40 +398,30 @@ impl MemSys {
         is_instr: bool,
         t: u64,
     ) -> Access {
-        if li == 0 {
-            if is_instr {
-                self.counters.l2_hits_instr += 1;
-            } else {
-                self.counters.l2_hits += 1;
-            }
+        let g = self.l2.group(core);
+        if is_instr {
+            self.counters.l2_hits_instr += 1;
+        } else {
+            self.counters.l2_hits += 1;
         }
         if write {
-            let outer_charge = self.claim_outward(core, line, li + 1);
-            self.levels[li].caches[g].entry_mut(idx).dirty = true;
+            self.l2.caches[g].entry_mut(idx).dirty = true;
             if let Some(acc) = self.cross_realm_write(core, line, t) {
                 return acc;
             }
-            if let Some(lo) = outer_charge {
-                return Access {
-                    ready_at: t + self.levels[lo].latency,
-                    class: MemClass::L2Hit,
-                };
-            }
-        } else if li + 1 < self.levels.len() {
-            self.register_sharer_outward(core, line, li + 1, is_instr);
         }
         Access {
-            ready_at: t + self.levels[li].latency,
+            ready_at: t + self.l2.latency,
             class: MemClass::L2Hit,
         }
     }
 
     /// The write-side realm crossing shared by every ownership-claiming
-    /// path (private hit, directory hit, upgrade): if the chip has no
-    /// shared root and another node caches the line, invalidate those
+    /// path (private hit, directory hit, upgrade): if the L2 is not
+    /// chip-shared and another node caches the line, invalidate those
     /// copies over the snoop bus and charge the coherence latency.
     fn cross_realm_write(&mut self, core: usize, line: u64, t: u64) -> Option<Access> {
-        if self.single_realm || !self.foreign_copies_exist(core, line) {
+        if self.single_realm() || !self.foreign_copies_exist(core, line) {
             return None;
         }
         self.scrub_foreign_nodes(core, line, true);
@@ -519,16 +432,10 @@ impl MemSys {
         })
     }
 
-    /// Hit in a shared/island instance: directory maintenance over the
-    /// member cores' L1s (the legacy shared-L2 path, scoped to members).
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "per-access hot path: the probe's coordinates are passed unpacked, not through a struct built per access"
-    )]
+    /// Hit in a shared or island L2: directory upkeep over the instance's
+    /// member L1s.
     fn serve_hit_directory(
         &mut self,
-        li: usize,
-        g: usize,
         idx: usize,
         core: usize,
         line: u64,
@@ -536,90 +443,39 @@ impl MemSys {
         is_instr: bool,
         t: u64,
     ) -> Access {
-        let e = *self.levels[li].caches[g].entry(idx);
+        let g = self.l2.group(core);
+        let e = *self.l2.caches[g].entry(idx);
         let peer_dirty = e.dirty_in_l1 && e.owner as usize != core && e.owner != NO_OWNER;
-        // The owner must stay in the invalidation mask even after its
-        // sharer bit is dropped below: its *inner-level* copies (island /
-        // private L2s between the L1 and this directory) have to go too.
-        let mut owner_bit: u16 = 0;
         if peer_dirty {
             let owner = e.owner as usize;
             if write {
                 self.cores.l1d[owner].invalidate(line);
-                owner_bit = 1 << owner;
-            } else {
-                if let Some(j) = self.cores.l1d[owner].peek(line) {
-                    self.cores.l1d[owner].entry_mut(j).dirty = false;
-                }
-                // The owner's inner directories also believed the L1 copy
-                // was dirty; downgrade them so later intra-island reads
-                // don't charge phantom L1-to-L1 transfers.
-                self.downgrade_inner_owner(core, owner, line, li);
+            } else if let Some(j) = self.cores.l1d[owner].peek(line) {
+                self.cores.l1d[owner].entry_mut(j).dirty = false;
             }
-            let en = self.levels[li].caches[g].entry_mut(idx);
-            en.dirty = true; // data now (also) current at this level
-            if write {
-                en.sharers &= !(1u16 << owner);
-            }
-        }
-        let mut invalidated: u16 = 0;
-        {
-            let en = self.levels[li].caches[g].entry_mut(idx);
-            if write {
-                let others = en.sharers & !(1u16 << core);
-                en.sharers = 1 << core;
-                en.dirty_in_l1 = true;
-                en.owner = core as u8;
-                invalidated = others | owner_bit;
-            } else {
-                if !is_instr {
-                    en.sharers |= 1 << core;
-                }
-                if peer_dirty {
-                    en.dirty_in_l1 = false;
-                    en.owner = NO_OWNER;
-                }
-            }
+            let en = self.l2.caches[g].entry_mut(idx);
+            en.dirty = true; // data now (also) current in the L2
+            en.dirty_in_l1 = false;
+            en.owner = NO_OWNER;
         }
         if write {
-            for n in self.levels[li].members(g) {
-                if n != core && (invalidated >> n) & 1 == 1 {
-                    self.cores.l1d[n].invalidate(line);
-                }
-            }
-            if li > 0 {
-                self.purge_inner_copies(core, line, li, invalidated);
-            }
-        }
-        // Beyond this instance: claim ownership (write) or register the
-        // sharer (read) at the outer levels, and cross the realm if the
-        // chip has no shared root.
-        let mut outer_charge = None;
-        if write {
-            outer_charge = self.claim_outward(core, line, li + 1);
+            self.take_ownership(g, idx, core, line);
             if let Some(acc) = self.cross_realm_write(core, line, t) {
                 return acc;
             }
-        } else if li + 1 < self.levels.len() {
-            self.register_sharer_outward(core, line, li + 1, is_instr);
+        } else if !is_instr {
+            self.l2.caches[g].entry_mut(idx).sharers |= 1 << core;
         }
         let ready_at = if peer_dirty {
             self.counters.l1_to_l1 += 1;
             t + self.p.l1_to_l1
         } else {
-            if li == 0 {
-                if is_instr {
-                    self.counters.l2_hits_instr += 1;
-                } else {
-                    self.counters.l2_hits += 1;
-                }
+            if is_instr {
+                self.counters.l2_hits_instr += 1;
+            } else {
+                self.counters.l2_hits += 1;
             }
-            // A write that invalidated copies tracked at an outer level
-            // pays that directory's consult instead of the local hit.
-            let lat = outer_charge
-                .map(|lo| self.levels[lo].latency)
-                .unwrap_or(self.levels[li].latency);
-            t + lat
+            t + self.l2.latency
         };
         Access {
             ready_at,
@@ -627,8 +483,25 @@ impl MemSys {
         }
     }
 
-    /// All on-chip levels missed: snoop the other nodes (if the chip has
-    /// no shared root) or go straight to memory.
+    /// Make `core` the sole sharer and dirty owner of entry `idx` of
+    /// directory instance `g`, invalidating every other member L1 copy
+    /// the directory tracks. Returns whether there was any.
+    fn take_ownership(&mut self, g: usize, idx: usize, core: usize, line: u64) -> bool {
+        let en = self.l2.caches[g].entry_mut(idx);
+        let others = en.sharers & !(1u16 << core);
+        en.sharers = 1 << core;
+        en.dirty_in_l1 = true;
+        en.owner = core as u8;
+        for n in self.l2.members(g) {
+            if n != core && (others >> n) & 1 == 1 {
+                self.cores.l1d[n].invalidate(line);
+            }
+        }
+        others != 0
+    }
+
+    /// The L2 missed: snoop the other nodes (if the L2 is not chip-shared)
+    /// or go straight to memory.
     fn serve_offchip(
         &mut self,
         core: usize,
@@ -637,200 +510,68 @@ impl MemSys {
         is_instr: bool,
         t: u64,
     ) -> Access {
-        if !self.single_realm {
-            let node = self.node(core);
-            let mut remote_dirty = false;
-            for li in 0..self.levels.len() {
-                for g in 0..self.levels[li].caches.len() {
-                    if self.node_of_group(li, g) == node {
-                        continue;
-                    }
-                    if let Some(i) = self.levels[li].caches[g].peek(line) {
-                        let e = self.levels[li].caches[g].entry(i);
-                        if e.dirty || e.dirty_in_l1 {
-                            remote_dirty = true;
-                        }
-                    }
-                }
-            }
-            let (lat, class) = if remote_dirty {
-                self.counters.coherence_transfers += 1;
-                (self.p.coherence_latency, MemClass::Coherence)
-            } else {
-                if is_instr {
-                    self.counters.mem_accesses_instr += 1;
-                } else {
-                    self.counters.mem_accesses += 1;
-                }
-                (self.p.mem_latency, MemClass::Mem)
-            };
-            // Downgrade (read) or invalidate (write) the remote copies.
-            self.scrub_foreign_nodes(core, line, write);
-            Access {
-                ready_at: t + lat,
-                class,
-            }
+        let single_realm = self.single_realm();
+        let home = self.l2.group(core);
+        let remote_dirty = !single_realm
+            && self.l2.caches.iter().enumerate().any(|(g, c)| {
+                g != home
+                    && c.peek(line).is_some_and(|i| {
+                        let e = c.entry(i);
+                        e.dirty || e.dirty_in_l1
+                    })
+            });
+        let (lat, class) = if remote_dirty {
+            self.counters.coherence_transfers += 1;
+            (self.p.coherence_latency, MemClass::Coherence)
         } else {
             if is_instr {
                 self.counters.mem_accesses_instr += 1;
             } else {
                 self.counters.mem_accesses += 1;
             }
-            Access {
-                ready_at: t + self.p.mem_latency,
-                class: MemClass::Mem,
-            }
+            (self.p.mem_latency, MemClass::Mem)
+        };
+        if !single_realm {
+            // Downgrade (read) or invalidate (write) the remote copies.
+            self.scrub_foreign_nodes(core, line, write);
+        }
+        Access {
+            ready_at: t + lat,
+            class,
         }
     }
 
-    /// Write-ownership walk from level `from` outward: at every
-    /// directory level holding the line, invalidate the other member
-    /// cores' copies and record this core as owner; at private levels on
-    /// the path, mirror the dirtiness. Returns the outermost level where
-    /// foreign copies had to be invalidated (the directory whose consult
-    /// the write pays), if any.
-    fn claim_outward(&mut self, core: usize, line: u64, from: usize) -> Option<usize> {
-        let mut charge = None;
-        for li in from..self.levels.len() {
-            let g = self.levels[li].group(core);
-            match self.levels[li].kind {
-                LevelKind::Private => {
-                    if let Some(i) = self.levels[li].caches[g].peek(line) {
-                        self.levels[li].caches[g].entry_mut(i).dirty = true;
-                    }
-                }
-                LevelKind::Island | LevelKind::Shared => {
-                    let Some(idx) = self.levels[li].caches[g].peek(line) else {
-                        continue;
-                    };
-                    let others;
-                    {
-                        let en = self.levels[li].caches[g].entry_mut(idx);
-                        others = en.sharers & !(1u16 << core);
-                        en.sharers = 1 << core;
-                        en.dirty_in_l1 = true;
-                        en.owner = core as u8;
-                    }
-                    if others != 0 {
-                        for n in self.levels[li].members(g) {
-                            if n != core && (others >> n) & 1 == 1 {
-                                self.cores.l1d[n].invalidate(line);
-                            }
-                        }
-                        if li > 0 {
-                            self.purge_inner_copies(core, line, li, others);
-                        }
-                        charge = Some(li);
-                    }
-                }
-            }
-        }
-        charge
-    }
-
-    /// Register `core` as a (clean) sharer at the outer directory levels
-    /// so chip-level invalidations and back-invalidations can find its
-    /// copy.
-    fn register_sharer_outward(&mut self, core: usize, line: u64, from: usize, is_instr: bool) {
-        if is_instr {
-            return;
-        }
-        for li in from..self.levels.len() {
-            if self.levels[li].kind == LevelKind::Private {
-                continue;
-            }
-            let g = self.levels[li].group(core);
-            if let Some(i) = self.levels[li].caches[g].peek(line) {
-                self.levels[li].caches[g].entry_mut(i).sharers |= 1 << core;
-            }
-        }
-    }
-
-    /// A read served a line another core held dirty: the owner's L1 copy
-    /// was downgraded, so every inner-level directory on the *owner's*
-    /// path (below `li`, off this core's own path) that still records
-    /// the L1 copy as dirty must be downgraded too — it keeps the data
-    /// (now marked dirty at its level) but no longer points at an L1
-    /// owner.
-    fn downgrade_inner_owner(&mut self, core: usize, owner: usize, line: u64, li: usize) {
-        for lj in 0..li {
-            let go = self.levels[lj].group(owner);
-            if go == self.levels[lj].group(core) {
-                continue; // this core's own path instance was probed already
-            }
-            if let Some(i) = self.levels[lj].caches[go].peek(line) {
-                let en = self.levels[lj].caches[go].entry_mut(i);
-                if en.dirty_in_l1 && en.owner as usize == owner {
-                    en.dirty_in_l1 = false;
-                    en.owner = NO_OWNER;
-                    en.dirty = true;
-                }
-            }
-        }
-    }
-
-    /// Purge `line` from the inner-level instances (below `li`) of every
-    /// core in `mask` that does not share those instances with `core`.
-    fn purge_inner_copies(&mut self, core: usize, line: u64, li: usize, mask: u16) {
-        for n in 0..self.cores.l1d.len() {
-            if n == core || (mask >> n) & 1 == 0 {
-                continue;
-            }
-            for lj in 0..li {
-                let gn = self.levels[lj].group(n);
-                if gn != self.levels[lj].group(core) {
-                    self.levels[lj].caches[gn].invalidate(line);
-                }
-            }
-        }
-    }
-
-    /// Any copy of `line` cached outside `core`'s node?
+    /// Any copy of `line` cached in an L2 instance other than `core`'s?
     fn foreign_copies_exist(&self, core: usize, line: u64) -> bool {
-        let node = self.node(core);
-        for li in 0..self.levels.len() {
-            for g in 0..self.levels[li].caches.len() {
-                if self.node_of_group(li, g) != node
-                    && self.levels[li].caches[g].peek(line).is_some()
-                {
-                    return true;
-                }
-            }
-        }
-        false
+        let home = self.l2.group(core);
+        self.l2
+            .caches
+            .iter()
+            .enumerate()
+            .any(|(g, c)| g != home && c.peek(line).is_some())
     }
 
     /// Invalidate (write) or downgrade (read) every copy of `line` held
-    /// by other nodes — caches at all levels plus their cores' L1s.
+    /// by other nodes — their L2 instances plus their cores' L1s.
     fn scrub_foreign_nodes(&mut self, core: usize, line: u64, write: bool) {
-        let node = self.node(core);
-        for li in 0..self.levels.len() {
-            for g in 0..self.levels[li].caches.len() {
-                if self.node_of_group(li, g) == node {
-                    continue;
-                }
-                if write {
-                    self.levels[li].caches[g].invalidate(line);
-                } else if let Some(i) = self.levels[li].caches[g].peek(line) {
-                    let owner = {
-                        let en = self.levels[li].caches[g].entry_mut(i);
-                        let owner =
-                            (en.dirty_in_l1 && en.owner != NO_OWNER).then_some(en.owner as usize);
-                        en.dirty = false;
-                        en.dirty_in_l1 = false;
-                        en.owner = NO_OWNER;
-                        owner
-                    };
-                    if let Some(o) = owner {
-                        if let Some(j) = self.cores.l1d[o].peek(line) {
-                            self.cores.l1d[o].entry_mut(j).dirty = false;
-                        }
-                    }
-                }
+        let home = self.l2.group(core);
+        for g in 0..self.l2.caches.len() {
+            if g == home {
+                continue;
+            }
+            if write {
+                self.l2.caches[g].invalidate(line);
+            } else if let Some(i) = self.l2.caches[g].peek(line) {
+                let en = self.l2.caches[g].entry_mut(i);
+                en.dirty = false;
+                en.dirty_in_l1 = false;
+                en.owner = NO_OWNER;
             }
         }
+        // Every foreign L1, so also any dirty owner the loop above
+        // stopped recording.
         for n in 0..self.cores.l1d.len() {
-            if self.node(n) == node {
+            if self.l2.group(n) == home {
                 continue;
             }
             if write {
@@ -842,30 +583,36 @@ impl MemSys {
     }
 
     /// A write to a line the core's L1 holds clean: invalidate the other
-    /// copies via the directories (on chip) or the snoop bus (across
-    /// nodes). Replaces the `shared_upgrade`/`private_upgrade` pair.
+    /// copies via the directory (on chip) or the snoop bus (across
+    /// nodes).
     fn upgrade(&mut self, core: usize, line: u64, now: u64) -> Access {
-        let charge = self.claim_outward(core, line, 0);
+        let g = self.l2.group(core);
+        let mut charged = false;
+        if let Some(idx) = self.l2.caches[g].peek(line) {
+            match self.l2.kind {
+                LevelKind::Private => self.l2.caches[g].entry_mut(idx).dirty = true,
+                LevelKind::Island | LevelKind::Shared => {
+                    charged = self.take_ownership(g, idx, core, line);
+                }
+            }
+        }
         if let Some(acc) = self.cross_realm_write(core, line, now) {
             return acc;
         }
-        match charge {
-            // Not tracked anywhere / sole sharer: silent upgrade.
-            None => Access {
+        if !charged {
+            // Not tracked / sole sharer: silent upgrade.
+            return Access {
                 ready_at: now,
                 class: MemClass::L1,
-            },
-            Some(li) => {
-                if li == 0 {
-                    self.counters.l2_hits += 1;
-                }
-                self.counters.per_level[li].hits_data += 1;
-                self.counters.per_level[li].service_cycles += self.levels[li].latency;
-                Access {
-                    ready_at: now + self.levels[li].latency,
-                    class: MemClass::L2Hit,
-                }
-            }
+            };
+        }
+        self.counters.l2_hits += 1;
+        let pl = &mut self.counters.per_level[0];
+        pl.hits_data += 1;
+        pl.service_cycles += self.l2.latency;
+        Access {
+            ready_at: now + self.l2.latency,
+            class: MemClass::L2Hit,
         }
     }
 
@@ -878,113 +625,61 @@ impl MemSys {
         }
     }
 
-    /// Remove `core` from the line's sharer sets after an L1 eviction.
+    /// Remove `core` from the line's sharer set after an L1 eviction.
     fn drop_sharer(&mut self, core: usize, line: u64) {
-        for li in 0..self.levels.len() {
-            if self.levels[li].kind == LevelKind::Private {
-                continue;
-            }
-            let g = self.levels[li].group(core);
-            if let Some(idx) = self.levels[li].caches[g].peek(line) {
-                self.levels[li].caches[g].entry_mut(idx).sharers &= !(1u16 << core);
-            }
+        if self.l2.kind == LevelKind::Private {
+            return;
+        }
+        let g = self.l2.group(core);
+        if let Some(idx) = self.l2.caches[g].peek(line) {
+            self.l2.caches[g].entry_mut(idx).sharers &= !(1u16 << core);
         }
     }
 
-    /// An L1 evicted a dirty line: fold dirtiness back into the first
-    /// level holding it, and clear the now-stale L1-ownership record at
-    /// *every* directory level on the path — an outer L3 that kept
-    /// pointing at the evicted L1 copy would charge phantom L1-to-L1
-    /// transfers to later readers.
+    /// An L1 evicted a dirty line: fold the dirtiness into the L2 and
+    /// clear a now-stale L1-ownership record, which would otherwise
+    /// charge later readers a phantom L1-to-L1 transfer. A private L2
+    /// holds the line dirty already: every L1 write marks its entry.
     fn writeback_from_l1(&mut self, core: usize, line: u64) {
-        let mut folded = false;
-        for li in 0..self.levels.len() {
-            let g = self.levels[li].group(core);
-            let Some(idx) = self.levels[li].caches[g].peek(line) else {
-                continue;
-            };
-            let kind = self.levels[li].kind;
-            let en = self.levels[li].caches[g].entry_mut(idx);
-            match kind {
-                LevelKind::Private => {
-                    if !folded {
-                        en.dirty = true;
-                    }
-                }
-                LevelKind::Island | LevelKind::Shared => {
-                    if en.dirty_in_l1 && en.owner as usize == core {
-                        en.dirty_in_l1 = false;
-                        en.owner = NO_OWNER;
-                        en.dirty = true;
-                    }
-                }
+        if self.l2.kind == LevelKind::Private {
+            return;
+        }
+        let g = self.l2.group(core);
+        if let Some(idx) = self.l2.caches[g].peek(line) {
+            let en = self.l2.caches[g].entry_mut(idx);
+            if en.dirty_in_l1 && en.owner as usize == core {
+                en.dirty_in_l1 = false;
+                en.owner = NO_OWNER;
+                en.dirty = true;
             }
-            folded = true;
         }
     }
 
-    /// Inclusion maintenance after an eviction at level `li` instance
-    /// `g`: purge the line from the covered inner caches and L1s, and
-    /// fold surviving dirtiness into the next level out.
-    fn handle_eviction(&mut self, li: usize, g: usize, origin: usize, ev: Evicted, prefetch: bool) {
-        self.counters.per_level[li].evictions += 1;
-        let mut dirtyish = ev.dirty || ev.dirty_in_l1;
-        match (self.levels[li].kind, prefetch) {
+    /// Inclusion upkeep after an eviction from L2 instance `g`: purge the
+    /// line from the L1s it covers.
+    fn handle_eviction(&mut self, g: usize, origin: usize, ev: Evicted, prefetch: bool) {
+        self.counters.per_level[0].evictions += 1;
+        match (self.l2.kind, prefetch) {
             (LevelKind::Private, false) => {
-                // Legacy demand path: the owning core's L1s only.
-                if self.cores.l1d[origin].invalidate(ev.line) == Some(true) {
-                    dirtyish = true;
-                }
-                self.cores.l1i[origin].invalidate(ev.line);
+                // Demand path: the owning core's L1s only.
+                self.cores.invalidate_all(origin, ev.line);
             }
             (LevelKind::Private, true) => {
-                // Legacy prefetch path: the owning core's L1D, and the
+                // Prefetch path: the owning core's L1D, and the
                 // instruction line purged opportunistically everywhere.
-                if self.cores.l1d[origin].invalidate(ev.line) == Some(true) {
-                    dirtyish = true;
-                }
-                for n in 0..self.cores.l1i.len() {
-                    self.cores.l1i[n].invalidate(ev.line);
+                self.cores.l1d[origin].invalidate(ev.line);
+                for l1i in &mut self.cores.l1i {
+                    l1i.invalidate(ev.line);
                 }
             }
             (LevelKind::Island | LevelKind::Shared, _) => {
-                for n in self.levels[li].members(g) {
-                    if (ev.sharers >> n) & 1 == 1
-                        && self.cores.l1d[n].invalidate(ev.line) == Some(true)
-                    {
-                        dirtyish = true;
+                for n in self.l2.members(g) {
+                    if (ev.sharers >> n) & 1 == 1 {
+                        self.cores.l1d[n].invalidate(ev.line);
                     }
                     // Instruction lines are not sharer-tracked; purge
                     // opportunistically.
                     self.cores.l1i[n].invalidate(ev.line);
-                }
-            }
-        }
-        // Purge the covered inner-level instances (multi-level only).
-        for lj in 0..li {
-            let per_inner = self.levels[li].cluster / self.levels[lj].cluster;
-            let start = g * per_inner;
-            for gj in start..start + per_inner {
-                if self.levels[lj].caches[gj].invalidate(ev.line) == Some(true) {
-                    dirtyish = true;
-                }
-            }
-        }
-        // Write the line back into the next level out (if any): the data
-        // leaves this level but the chip may still hold it.
-        if li + 1 < self.levels.len() {
-            let go = (g * self.levels[li].cluster) / self.levels[li + 1].cluster;
-            if let Some(idx) = self.levels[li + 1].caches[go].peek(ev.line) {
-                let members = self.levels[li].members(g);
-                let en = self.levels[li + 1].caches[go].entry_mut(idx);
-                if dirtyish {
-                    en.dirty = true;
-                }
-                if en.dirty_in_l1 && members.contains(&(en.owner as usize)) {
-                    // The owner's L1 copy was just purged with the rest.
-                    en.dirty_in_l1 = false;
-                    en.owner = NO_OWNER;
-                    en.dirty = true;
                 }
             }
         }
@@ -1001,24 +696,19 @@ impl MemSys {
         {
             return;
         }
-        let mut t = now;
-        let mut ready = None;
-        for li in 0..self.levels.len() {
-            let g = self.levels[li].group(core);
-            // Prefetches ride the bank/bus port at every kind of level
-            // (for private levels that is the chip-wide snoop port).
-            t = self.claim_bank(li, g, line, t);
-            if self.levels[li].caches[g].probe(line).is_some() {
-                ready = Some(t + self.levels[li].latency);
-                break;
-            }
-            let (_, ev) = self.levels[li].caches[g].insert(line);
+        let g = self.l2.group(core);
+        // Prefetches ride the bank/bus port whatever the L2's kind (for a
+        // private L2 that is the chip-wide snoop port).
+        let t = self.claim_bank(g, line, now) + self.l2.latency;
+        let ready = if self.l2.caches[g].probe(line).is_some() {
+            t
+        } else {
+            let (_, ev) = self.l2.caches[g].insert(line);
             if let Some(ev) = ev {
-                self.handle_eviction(li, g, core, ev, true);
+                self.handle_eviction(g, core, ev, true);
             }
-            t += self.levels[li].latency;
-        }
-        let ready = ready.unwrap_or(t + self.p.mem_latency);
+            t + self.p.mem_latency
+        };
         self.cores.streams[core].put(line, ready);
     }
 }
@@ -1026,7 +716,7 @@ impl MemSys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheGeom, CacheTopology, MachineConfig};
+    use crate::config::{CacheGeom, MachineConfig};
 
     fn cmp2() -> MemSys {
         let mut cfg = MachineConfig::fat_cmp(2, 1 << 20, 10);
@@ -1126,8 +816,7 @@ mod tests {
     #[test]
     fn bank_queueing_delays_bursts() {
         let mut cfg = MachineConfig::fat_cmp(4, 1 << 20, 10);
-        cfg.topology.levels[0].banks = 1;
-        cfg.topology.levels[0].bank_occupancy = 8;
+        cfg.l2 = cfg.l2.banks(1, 8);
         cfg.stream_buf = 0;
         let mut m = MemSys::new(&cfg);
         m.data_access(0, 10, false, 0);
@@ -1200,11 +889,11 @@ mod tests {
         assert_eq!(a.class, MemClass::L1, "cache contents must survive reset");
     }
 
-    // ------------------------------------------------ topology walkers
+    // ----------------------------------------------------------- islands
 
     fn island_cfg(n_cores: usize, per_island: usize, l2_size: u64) -> MachineConfig {
         let mut cfg = MachineConfig::fat_cmp(n_cores, l2_size, 10);
-        cfg.topology = CacheTopology::islands(per_island, CacheGeom::new(l2_size, 16, 10));
+        cfg.l2.shared_by = SharedBy::Cluster(per_island);
         cfg.stream_buf = 0;
         cfg.validate().expect("island config validates");
         cfg
@@ -1229,94 +918,39 @@ mod tests {
         assert_eq!(m.counters.coherence_transfers, 1);
     }
 
-    /// The shared two-level fixture: 4 cores in 2 islands with 1 MB L2s
-    /// behind an 8 MB chip-shared L3.
-    fn islands_l3_cfg() -> MachineConfig {
-        let mut cfg = MachineConfig::fat_cmp(4, 1 << 20, 10);
-        cfg.topology = CacheTopology::islands(2, CacheGeom::new(1 << 20, 16, 10))
-            .with_l3(CacheGeom::new(8 << 20, 16, 24));
-        cfg.stream_buf = 0;
-        cfg.validate().expect("valid 2-level topology");
-        cfg
-    }
-
-    #[test]
-    fn shared_l3_keeps_cross_island_traffic_on_chip() {
-        let mut m = MemSys::new(&islands_l3_cfg());
-        let a = m.data_access(0, 100, false, 0);
-        assert_eq!(a.class, MemClass::Mem);
-        // The other island misses its own L2 but hits the shared L3.
-        let b = m.data_access(2, 100, false, 10_000);
-        assert_eq!(b.class, MemClass::L2Hit, "L3 hit is on-chip");
-        assert_eq!(m.counters.per_level[1].hits_data, 1);
-        assert_eq!(m.counters.per_level[0].misses_data, 2);
-        assert_eq!(m.counters.coherence_transfers, 0, "single realm: no bus");
-    }
-
-    #[test]
-    fn l3_write_invalidates_other_islands_through_directory() {
-        let mut m = MemSys::new(&islands_l3_cfg());
-        m.data_access(0, 100, false, 0); // island 0 reads
-        m.data_access(2, 100, false, 1000); // island 1 reads (L3 hit)
-        m.data_access(0, 100, true, 2000); // island 0 writes: L3 directory
-        let a = m.data_access(2, 100, false, 3000);
-        assert_eq!(
-            a.class,
-            MemClass::L2Hit,
-            "island 1's copies must have been invalidated (refetched on chip)"
-        );
-    }
-
-    /// Write hit at the L3 with a dirty peer owner must also purge the
-    /// owner's *island L2* copy — otherwise the owner's island keeps
-    /// serving a stale line as a local hit.
-    #[test]
-    fn l3_write_purges_dirty_owners_island_copy() {
-        let mut m = MemSys::new(&islands_l3_cfg());
-        m.data_access(2, 100, true, 0); // island 1 owns the line dirty
-        m.data_access(0, 100, true, 1000); // island 0 writes via the L3
-        let a = m.data_access(2, 100, false, 2000);
-        assert_eq!(a.class, MemClass::L2Hit);
-        assert_eq!(
-            m.counters.per_level[1].hits_data, 2,
-            "core 2 must refetch through the L3 directory, not hit a \
-             stale island-L2 copy"
-        );
-    }
-
-    /// A dirty L1 eviction must clear the ownership record at *every*
-    /// directory level — a stale L3 owner would charge later readers a
-    /// phantom L1-to-L1 transfer.
+    /// A dirty L1 eviction must clear the L2 directory's ownership
+    /// record — a stale owner would charge later readers a phantom
+    /// L1-to-L1 transfer.
     #[test]
     fn dirty_l1_eviction_clears_outer_directory_owner() {
-        let mut cfg = islands_l3_cfg();
+        let mut cfg = MachineConfig::fat_cmp(2, 1 << 20, 10);
         // Two-line L1D so a conflicting fill evicts the dirty line.
         cfg.l1d = CacheGeom::new(128, 1, 1);
+        cfg.stream_buf = 0;
         let mut m = MemSys::new(&cfg);
         m.data_access(0, 100, true, 0); // dirty in core 0's L1
         m.data_access(0, 102, false, 500); // same L1 set: evicts line 100
-        let before = m.counters.l1_to_l1;
-        let a = m.data_access(2, 100, false, 1000); // other island reads
+        let a = m.data_access(1, 100, false, 1000);
         assert_eq!(a.class, MemClass::L2Hit);
         assert_eq!(
-            m.counters.l1_to_l1, before,
+            m.counters.l1_to_l1, 0,
             "no L1 copy exists any more; the read must be a plain hit"
         );
     }
 
     /// A cross-island read of a dirty line downgrades the owner's island
     /// directory too: a later read *within* the owner's island must not
-    /// charge another L1-to-L1 transfer for an already-clean copy.
+    /// charge an L1-to-L1 transfer for an already-clean copy.
     #[test]
     fn cross_island_read_downgrades_owners_island_directory() {
-        let mut m = MemSys::new(&islands_l3_cfg());
+        let mut m = MemSys::new(&island_cfg(4, 2, 1 << 20));
         m.data_access(2, 100, true, 0); // island 1, core 2 owns dirty
-        m.data_access(0, 100, false, 1000); // island 0 reads via L3
-        let before = m.counters.l1_to_l1;
-        let a = m.data_access(3, 100, false, 2000); // island-1 sibling
-        assert_eq!(a.class, MemClass::L2Hit);
+        let a = m.data_access(0, 100, false, 1000); // island 0 snoops it
+        assert_eq!(a.class, MemClass::Coherence);
+        let b = m.data_access(3, 100, false, 2000); // island-1 sibling
+        assert_eq!(b.class, MemClass::L2Hit);
         assert_eq!(
-            m.counters.l1_to_l1, before,
+            m.counters.l1_to_l1, 0,
             "core 2's copy is already clean; no transfer can happen"
         );
     }
@@ -1325,7 +959,7 @@ mod tests {
     fn mshr_cap_delays_correlated_misses() {
         let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
-        cfg.topology.levels[0].mshrs = 1;
+        cfg.l2.mshrs = 1;
         let mut m = MemSys::new(&cfg);
         // Lines 100 and 201 map to different banks (4-bank interleave),
         // so only the MSHR cap can serialize them.

@@ -3,7 +3,7 @@
 //! Every simulated cycle of every active core lands in exactly one
 //! [`CycleClass`] bucket; the per-class totals form the execution-time
 //! breakdowns of the paper's Figs. 3, 5, 6(b,c) and 7. Event counters
-//! (misses per level, coherence transfers, …) feed the analytic validation
+//! (L1 and L2 misses, coherence transfers, …) feed the analytic validation
 //! model and the reports.
 
 use serde::{Deserialize, Serialize};
@@ -131,8 +131,8 @@ impl Breakdown {
     }
 }
 
-/// Event counters for one level of the on-chip hierarchy (index 0 = L2,
-/// 1 = L3, …). Demand traffic only; prefetches appear in the queueing
+/// Event counters for one cache level beyond the L1s (the L2). Demand
+/// traffic only; prefetches appear in the queueing
 /// counters (they claim the same bank ports) but not in hits/misses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LevelCounters {
@@ -207,15 +207,11 @@ pub struct MemCounters {
     pub coherence_transfers: u64,
     /// Stream-buffer hits (I-side prefetch successes).
     pub stream_hits: u64,
-    /// Cumulative cycles of bank queueing delay experienced (all levels).
+    /// Cumulative cycles of L2 bank queueing delay experienced.
     pub l2_queue_cycles: u64,
-    /// Number of bank accesses that found the bank busy (all levels).
+    /// Number of L2 bank accesses that found the bank busy.
     pub l2_queued_accesses: u64,
-    /// Per-level breakdown of the hierarchy (index 0 = L2, 1 = L3, …).
-    /// The scalar fields above keep their legacy meanings — `l2_hits`/
-    /// `l2_hits_instr` cover level 0 only, while `l2_queue_cycles`/
-    /// `l2_queued_accesses` aggregate bank queueing across all levels —
-    /// so single-level configs are unchanged either way.
+    /// The L2's counters, as the one entry of a list (index 0 = L2).
     pub per_level: Vec<LevelCounters>,
 }
 

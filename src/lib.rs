@@ -35,3 +35,9 @@ pub use dbcmp_sim as sim;
 pub use dbcmp_staged as staged;
 pub use dbcmp_trace as trace;
 pub use dbcmp_workloads as workloads;
+
+/// Compiles the README's Rust block, so a renamed or deleted API fails
+/// `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
