@@ -1,88 +1,23 @@
-//! Printers for the sweeps that extend the paper: contention and
-//! concurrency control (§5.2), asymmetric chips, cache islands, joins,
-//! shared-nothing deployments, and distributed joins over a network.
+//! Printers for the sweeps that extend the paper: concurrency control
+//! under contention (§5.2), asymmetric chips, cache topologies over OLTP,
+//! scan and join DSS, shared-nothing deployments, and distributed joins
+//! over a network.
 
 use dbcmp_core::deploy::{fig_deploy as deploy_points, fig_deploy_claims};
 use dbcmp_core::figures::{
-    cc_backend_label, fig7_machines, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid,
-    fig_cc_claims, fig_contention as contention_grid, fig_contention_claims,
-    fig_islands as islands_grid, fig_islands_claims, fig_joins as joins_run, fig_joins_claims,
-    ContendedCapture, JoinsCaptureStats,
+    cc_backend_label, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid, fig_cc_claims,
+    fig_islands as islands_run, fig_islands_claims, topology_machines, ContendedCapture,
+    JoinsCaptureStats,
 };
 use dbcmp_core::network::{
     fig_network as network_points, fig_network_claims, network_presets, NETWORK_INSTANCES,
 };
 use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
 use dbcmp_core::FigScale;
-use dbcmp_sim::{CycleClass, SimResult};
-
-/// The columns the island and join tables share, after their own
-/// leading label columns.
-const STALL_HEADERS: [&str; 7] = [
-    "UIPC",
-    "Comp",
-    "I-stalls",
-    "D-stalls",
-    "  of which coh.",
-    "Other",
-    "L2 miss%",
-];
-
-/// One result's [`STALL_HEADERS`] cells.
-fn stall_cells(res: &SimResult) -> [String; 7] {
-    let b = &res.breakdown;
-    let (c, i, d, o) = four_components(b);
-    let coherence = b.get(CycleClass::DStallCoherence) as f64 / b.total().max(1) as f64;
-    [
-        f3(res.uipc()),
-        pct(c),
-        pct(i),
-        pct(d),
-        pct(coherence),
-        pct(o),
-        f2(res.mem.per_level[0].miss_rate() * 100.0),
-    ]
-}
-
-/// The §5.2 contention sweep ([`dbcmp_core::figures::fig_contention`]).
-pub fn fig_contention(scale: &FigScale) {
-    let points = contention_grid(scale);
-
-    let mut rows = Vec::new();
-    for p in &points.rows {
-        let (smp, cmp) = (p.get(&"SMP"), p.get(&"CMP"));
-        rows.push(vec![
-            format!("{}%", p.key.hot_pct),
-            p.key.stats.lock_waits.to_string(),
-            p.key.stats.deadlock_aborts.to_string(),
-            f3(smp.cpi()),
-            pct(smp.breakdown.data_stall_fraction()),
-            f3(cmp.cpi()),
-            pct(cmp.breakdown.data_stall_fraction()),
-        ]);
-    }
-    print!(
-        "{}",
-        table(
-            &[
-                "Hot",
-                "Waits",
-                "Deadlocks",
-                "SMP CPI",
-                "SMP D-stall",
-                "CMP CPI",
-                "CMP D-stall",
-            ],
-            &rows
-        )
-    );
-    println!();
-
-    print!("{}", claims_block(&fig_contention_claims(&points)));
-}
+use dbcmp_sim::CycleClass;
 
 /// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]) on
-/// the SMP / CMP / 2x2-island presets.
+/// the CMP / 2x2-island / SMP presets.
 pub fn fig_cc(scale: &FigScale) {
     let points = cc_grid(scale);
 
@@ -193,39 +128,6 @@ pub fn fig_asym(scale: &FigScale) {
     print!("{}", claims_block(&fig_asym_claims(&points)));
 }
 
-/// The cache-island sweep ([`dbcmp_core::figures::fig_islands`]) at
-/// Fig. 7's core count and total L2.
-pub fn fig_islands(scale: &FigScale) {
-    let points = islands_grid(scale);
-    // The budget the islands split: the Fig. 7 CMP's shared L2.
-    let [_, (_, cmp)] = fig7_machines();
-    let total_l2 = cmp.l2.geom.size;
-    for row in &points.rows {
-        println!("\n-- {} (saturated, throughput mode) --", row.key.label());
-        let rows: Vec<Vec<String>> = row
-            .cells
-            .iter()
-            .map(|((clusters, cores_per_cluster), res)| {
-                let mut cells = vec![
-                    format!("{clusters}x{cores_per_cluster}"),
-                    format!("{} MB", (total_l2 / *clusters as u64) >> 20),
-                ];
-                cells.extend(stall_cells(res));
-                cells
-            })
-            .collect();
-        let mut headers = vec!["Islands", "L2/island"];
-        headers.extend(STALL_HEADERS);
-        print!("{}", table(&headers, &rows));
-    }
-    println!();
-    println!("Endpoints are exactly Fig. 7's presets: 1x4 is the shared-L2 CMP,");
-    println!("4x1 the private-L2 SMP. Moving right, islands get faster-but-");
-    println!("smaller caches.");
-    println!();
-    print!("{}", claims_block(&fig_islands_claims(&points)));
-}
-
 fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
     let share = |n: u64| pct(n as f64 / s.total_instrs.max(1) as f64);
     vec![
@@ -238,9 +140,10 @@ fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
     ]
 }
 
-/// Scan-mix vs join-heavy DSS ([`dbcmp_core::figures::fig_joins`]).
-pub fn fig_joins(scale: &FigScale) {
-    let run = joins_run(scale);
+/// The topology sweep ([`dbcmp_core::figures::fig_islands`]) at Fig. 7's
+/// core count and total L2, over OLTP, scan DSS and join DSS.
+pub fn fig_islands(scale: &FigScale) {
+    let run = islands_run(scale);
 
     println!("-- capture attribution (where the instructions went) --");
     print!(
@@ -262,33 +165,50 @@ pub fn fig_joins(scale: &FigScale) {
     );
 
     for row in &run.grid.rows {
-        println!(
-            "\n-- {} (saturated, throughput mode) --",
-            if row.key {
-                "join-heavy DSS (Q3/Q5)"
-            } else {
-                "scan-mix DSS (paper's four queries)"
-            }
-        );
-        let rows: Vec<Vec<String>> = row
-            .cells
+        println!("\n-- {} (saturated, throughput mode) --", row.key);
+        let rows: Vec<Vec<String>> = topology_machines()
             .iter()
-            .map(|(machine, res)| {
-                let mut cells = vec![machine.to_string()];
-                cells.extend(stall_cells(res));
-                cells
+            .map(|(tag, cfg)| {
+                let res = row.get(tag);
+                let b = &res.breakdown;
+                let (c, i, d, o) = four_components(b);
+                let coherence = b.get(CycleClass::DStallCoherence) as f64 / b.total().max(1) as f64;
+                let per_island = cfg.l2.shared_by.cores_per_instance(cfg.n_cores);
+                vec![
+                    tag.to_string(),
+                    format!("{}x{per_island}", cfg.n_cores / per_island),
+                    format!("{} MB", cfg.l2.geom.size >> 20),
+                    f3(res.uipc()),
+                    pct(c),
+                    pct(i),
+                    pct(d),
+                    pct(coherence),
+                    pct(o),
+                    f2(res.mem.per_level[0].miss_rate() * 100.0),
+                ]
             })
             .collect();
-        let mut headers = vec!["Machine"];
-        headers.extend(STALL_HEADERS);
+        let headers = [
+            "Machine",
+            "Islands",
+            "L2/island",
+            "UIPC",
+            "Comp",
+            "I-stalls",
+            "D-stalls",
+            "  of which coh.",
+            "Other",
+            "L2 miss%",
+        ];
         print!("{}", table(&headers, &rows));
     }
     println!();
-    println!("The scan rows on SMP/CMP are exactly Fig. 7's DSS numbers (same");
-    println!("captures, same presets). The join rows add the hash-table and");
-    println!("B+Tree working sets.");
+    println!("CMP and SMP are Fig. 7's presets replaying Fig. 7's captures, so");
+    println!("their OLTP and scan DSS cells are Fig. 7's runs. Moving right,");
+    println!("islands get faster-but-smaller caches; the join rows add the");
+    println!("hash-table and B+Tree working sets.");
     println!();
-    print!("{}", claims_block(&fig_joins_claims(&run)));
+    print!("{}", claims_block(&fig_islands_claims(&run)));
 }
 
 /// The shared-nothing deployment sweep ([`dbcmp_core::deploy`]) at
@@ -419,7 +339,7 @@ pub fn fig_network(scale: &FigScale) {
     println!();
     println!("Every instance is a full Fig. 7 CMP chip (scale-out, not a split");
     println!("budget), so the 1-chip row of every link class is the same replay");
-    println!("as fig_joins' join-flavor CMP point — zero remote traffic, the");
+    println!("as fig_islands' join DSS CMP point — zero remote traffic, the");
     println!("link is irrelevant. Adding chips adds compute and cache but ships");
     println!("every hash join's build (broadcast) or both sides (shuffle) as");
     println!("value-sized rows over the link. Units counts per-instance");

@@ -91,12 +91,6 @@ const FIGURES: &[Figure] = &[
         run: paper::fig9_staged,
     },
     Figure {
-        name: "fig_contention",
-        title: "Contention sweep: SMP vs CMP under 2PL hot-row skew",
-        paper_ref: "§5.2",
-        run: extensions::fig_contention,
-    },
-    Figure {
         name: "fig_cc",
         title: "Concurrency-control sweep: 2PL vs partitioned vs ordered under skew",
         paper_ref: "§5.2 ext",
@@ -110,15 +104,9 @@ const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "fig_islands",
-        title: "fig_islands: shared L2 -> islands -> private L2s at fixed capacity",
+        title: "fig_islands: OLTP, scan and join DSS on shared L2 -> 2x2 islands -> private L2s",
         paper_ref: "Figure 7's endpoints joined by the island continuum",
         run: extensions::fig_islands,
-    },
-    Figure {
-        name: "fig_joins",
-        title: "fig_joins: scan-mix vs join-heavy DSS on SMP / CMP / 2x2 islands",
-        paper_ref: "the join half of the DSS camp of §4-§5 (extension)",
-        run: extensions::fig_joins,
     },
     Figure {
         name: "fig_deploy",

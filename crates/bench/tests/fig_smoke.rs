@@ -11,15 +11,14 @@
 
 use dbcmp_cacti::{historic_latencies, historic_sizes, CacheOrg, CactiModel};
 use dbcmp_core::deploy::{deploy_capture, fig_deploy, fig_deploy_claims};
-use dbcmp_core::experiment::{run_completion, run_throughput};
+use dbcmp_core::experiment::run_throughput;
 use dbcmp_core::figures::{
     fig2_claims, fig2_saturation, fig3_claims, fig3_validation, fig45_quadrants, fig4_claims,
-    fig5_claims, fig6_cache_sweep, fig6_claims, fig7_claims, fig7_machines, fig7_smp_vs_cmp,
-    fig8_claims, fig8_core_scaling, fig9_claims, fig9_staged, fig_asym, fig_asym_claims, fig_cc,
-    fig_cc_claims, fig_contention, fig_contention_claims, fig_islands, fig_islands_claims,
-    fig_joins, fig_joins_claims, joins_machines, spec_of, BASE_CORES, BASE_L2,
+    fig5_claims, fig6_cache_sweep, fig6_claims, fig7_claims, fig7_smp_vs_cmp, fig8_claims,
+    fig8_core_scaling, fig9_claims, fig9_staged, fig_asym, fig_asym_claims, fig_cc, fig_cc_claims,
+    fig_islands, fig_islands_claims, spec_of, BASE_CORES, BASE_L2,
 };
-use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, island_cmp, L2Spec};
+use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, L2Spec};
 use dbcmp_core::report::{check_claims, Claim};
 use dbcmp_core::taxonomy::{table1, Camp, WorkloadKind};
 use dbcmp_core::workload::{CapturedWorkload, FigScale};
@@ -86,25 +85,7 @@ fn fig9_staged_paper() {
     assert_claims(&fig9_claims(&fig9_staged(&FigScale::paper())));
 }
 
-/// The `fig_contention` generator at quick scale: every client completes
-/// its units, and the §5.2 claims hold.
-#[test]
-fn fig_contention_quick() {
-    let scale = FigScale::quick();
-    let points = fig_contention(&scale);
-    assert_eq!(points.rows.len(), 4, "skews 0/30/60/90%");
-    for p in &points.rows {
-        assert_eq!(
-            p.key.stats.commits + p.key.stats.rollbacks,
-            (scale.contention_clients * scale.contention_units) as u64,
-            "every client must complete its units"
-        );
-    }
-    assert_claims(&fig_contention_claims(&points));
-}
-
-/// The `fig_cc` gate: the Centralized2PL anchor points reproduce
-/// `fig_contention`'s numbers exactly (the trait seam cost nothing),
+/// The `fig_cc` gate: every client of every capture completes its units,
 /// every partitioned message carries its 32 priced bytes, and the
 /// concurrency-control claims hold.
 #[test]
@@ -112,7 +93,7 @@ fn fig_cc_quick() {
     let scale = FigScale::quick();
     let grid = fig_cc(&scale);
     let points = &grid.rows;
-    assert_eq!(points.len(), 3 * 3, "3 backends x skews 0/50/90%");
+    assert_eq!(points.len(), 3 * 4, "3 backends x skews 0/30/60/90%");
     for p in points {
         assert_eq!(
             p.key.stats.commits + p.key.stats.rollbacks,
@@ -123,32 +104,6 @@ fn fig_cc_quick() {
         );
         assert_eq!(p.key.stats.starved_units, 0);
     }
-    let find = |b: CcBackend, hot: u8| {
-        points
-            .iter()
-            .find(|p| p.key.backend == b && p.key.hot_pct == hot)
-            .expect("point present")
-    };
-
-    // Anchor: Centralized2PL through the trait seam is byte-identical to
-    // the pre-refactor pipeline — same capture, same replay numbers — at
-    // the skews both sweeps run.
-    let reference = fig_contention(&scale).rows;
-    for hot in [0, 90] {
-        let anchor = find(CcBackend::Centralized2PL, hot);
-        let reference = reference.iter().find(|r| r.key.hot_pct == hot);
-        let reference = reference.expect("fig_contention runs this skew");
-        assert_eq!(
-            anchor.key.stats, reference.key.stats,
-            "2PL capture stats must match fig_contention at skew {hot}"
-        );
-        assert!(
-            same_numbers(anchor.get(&"SMP"), reference.get(&"SMP"))
-                && same_numbers(anchor.get(&"CMP"), reference.get(&"CMP")),
-            "2PL replay numbers must match fig_contention at skew {hot}"
-        );
-    }
-
     for p in points
         .iter()
         .filter(|p| p.key.backend == CcBackend::PartitionedPerCore)
@@ -208,88 +163,27 @@ fn fig_asym_quick() {
     assert_claims(&fig_asym_claims(&points));
 }
 
-/// The `fig_islands` gate: the island sweep's pure endpoints are
-/// numerically the Fig. 7 presets run on the same captures (one shared
-/// L2 ≡ the CMP, one-core islands ≡ the SMP) — in completion mode too —
-/// every point records L2 traffic, and the island claims hold.
+/// The `fig_islands` gate: three captures on the three topology
+/// machines, every point records L2 traffic, and the topology and join
+/// claims hold.
 #[test]
 fn fig_islands_quick() {
-    let scale = FigScale::quick();
-    let points = fig_islands(&scale);
-    assert_eq!(
-        points.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
-        2 * 3,
-        "2 workloads x {{1x4, 2x2, 4x1}}"
-    );
-    let spec = spec_of(&scale);
-    let [(_, smp), (_, cmp)] = fig7_machines();
-    let total = cmp.l2.geom.size;
-    for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
-        // Deterministic captures: same seed + client count as the sweep.
-        let w = CapturedWorkload::saturated(workload, &scale);
-        let row = points.row(&workload);
-        let shared = row.get(&(1, BASE_CORES));
-        let private = row.get(&(BASE_CORES, 1));
-        // Endpoint ≡ Fig. 7 CMP preset (shared 16 MB L2).
-        let cmp_ref = run_throughput(cmp.clone(), &w.bundle, spec);
-        assert!(
-            same_numbers(shared, &cmp_ref),
-            "{}: one chip-spanning island must equal the shared-L2 CMP preset",
-            workload.label()
-        );
-        // Endpoint ≡ Fig. 7 SMP preset (private 4 MB per node).
-        let smp_ref = run_throughput(smp.clone(), &w.bundle, spec);
-        assert!(
-            same_numbers(private, &smp_ref),
-            "{}: one-core islands must equal the SMP preset",
-            workload.label()
-        );
-        if workload == WorkloadKind::Oltp {
-            // The same identities when every unit runs to completion.
-            for (island, preset) in [((1, BASE_CORES), &cmp), ((BASE_CORES, 1), &smp)] {
-                let (clusters, k) = island;
-                let island = island_cmp(clusters, k, total, L2Spec::Cacti);
-                let a = run_completion(island, &w.bundle, spec);
-                let b = run_completion(preset.clone(), &w.bundle, spec);
-                assert!(same_numbers(&a, &b), "{clusters}x{k} to completion");
-            }
-        }
-        // The L2's counters flow through: every point records L2 traffic.
-        for (_, result) in &row.cells {
-            assert_eq!(result.mem.per_level.len(), 1);
-            assert!(result.mem.per_level[0].accesses() > 0);
-        }
-    }
-    assert_claims(&fig_islands_claims(&points));
-}
-
-/// The `fig_joins` gate: the scan-flavor points reproduce the Fig. 7
-/// presets on the same captures, and the join claims hold.
-#[test]
-fn fig_joins_quick() {
-    let scale = FigScale::quick();
-    let run = fig_joins(&scale);
+    let run = fig_islands(&FigScale::quick());
     assert_eq!(
         run.grid.rows.iter().map(|r| r.cells.len()).sum::<usize>(),
-        6,
-        "2 flavors x {{SMP, CMP, 2x2 island}}"
+        3 * 3,
+        "{{OLTP, scan DSS, join DSS}} x {{CMP, 2x2 island, SMP}}"
     );
-
-    // Scan-flavor endpoints ≡ the Fig. 7 presets run on the same capture.
-    let spec = spec_of(&scale);
-    let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
-    for (tag, cfg) in joins_machines() {
-        let reference = run_throughput(cfg, &w.bundle, spec);
-        assert!(
-            same_numbers(run.grid.get(&false, &tag), &reference),
-            "scan-flavor {tag} point must reproduce the preset numbers"
-        );
+    // The L2's counters flow through: every point records L2 traffic.
+    for (_, result) in run.grid.rows.iter().flat_map(|r| &r.cells) {
+        assert_eq!(result.mem.per_level.len(), 1);
+        assert!(result.mem.per_level[0].accesses() > 0);
     }
-    assert_claims(&fig_joins_claims(&run));
+    assert_claims(&fig_islands_claims(&run));
 }
 
 /// The `fig_network` gate: the 1-instance rows reproduce the
-/// `fig_joins` join-flavor CMP endpoint (same capture by the validation
+/// `fig_islands` join DSS CMP point (same capture by the validation
 /// anchor, same chip by construction) with zero remote traffic, and the
 /// network claims hold.
 #[test]
@@ -307,7 +201,7 @@ fn fig_network_quick() {
             .expect("point present")
     };
 
-    // 1-instance rows ≡ the fig_joins join-flavor CMP endpoint: the
+    // 1-instance rows ≡ the fig_islands join DSS CMP point: the
     // distributed capture degenerates to `dss_joins` (validation
     // anchor), the chip is the same preset, and with zero remote
     // traffic the link cannot matter — every preset's n=1 row matches.
@@ -319,7 +213,7 @@ fn fig_network_quick() {
         assert_eq!(p.per_instance.len(), 1);
         assert!(
             same_numbers(&p.per_instance[0], &reference),
-            "{preset} 1-instance row must equal the fig_joins CMP endpoint"
+            "{preset} 1-instance row must equal the fig_islands CMP point"
         );
         assert_eq!(p.remote.sends + p.remote.recvs, 0, "nothing ships at n=1");
         assert_eq!(p.remote.bytes, 0);

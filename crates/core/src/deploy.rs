@@ -30,7 +30,7 @@ use dbcmp_workloads::{
 };
 
 use crate::experiment::{grid, InstanceReplay};
-use crate::figures::{island_cluster_sizes, spec_of, BASE_CORES, FIG7_L2};
+use crate::figures::{spec_of, BASE_CORES, FIG7_L2};
 use crate::machines::{fc_cmp, L2Spec};
 use crate::report::Claim;
 use crate::workload::FigScale;
@@ -55,6 +55,15 @@ pub struct DeployPoint {
     pub stats: DeployStats,
     /// Per-instance replay results, instance order.
     pub per_instance: Vec<SimResult>,
+}
+
+/// The island cluster sizes at a given core count: every divisor, from
+/// one chip-spanning cluster down to one-core islands.
+fn island_cluster_sizes(cores: usize) -> Vec<usize> {
+    (1..=cores)
+        .rev()
+        .filter(|k| cores.is_multiple_of(*k))
+        .collect()
 }
 
 /// Instance counts swept at a given core budget: the island divisor
@@ -205,6 +214,18 @@ pub fn fig_deploy_claims(points: &[DeployPoint]) -> Vec<Claim> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn island_cluster_sizes_cover_both_extremes() {
+        assert_eq!(island_cluster_sizes(4), [4, 2, 1]);
+        assert_eq!(island_cluster_sizes(8), [8, 4, 2, 1]);
+        assert_eq!(island_cluster_sizes(6), [6, 3, 2, 1]);
+        for cores in 1..=8 {
+            let sizes = island_cluster_sizes(cores);
+            assert_eq!(sizes.first(), Some(&cores), "chip-shared endpoint");
+            assert_eq!(sizes.last(), Some(&1), "fully-private endpoint");
+        }
+    }
 
     #[test]
     fn instance_counts_mirror_island_divisors() {

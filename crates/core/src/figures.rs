@@ -370,10 +370,10 @@ pub fn fig7_claims(results: &Grid<WorkloadKind, &'static str>) -> Vec<Claim> {
     claims
 }
 
-// ------------------------------------------- Contention and CC sweeps
+// ---------------------------------------------------------------- fig_cc
 
-/// Row key of the contention sweeps: which backend captured at which
-/// skew, and what the capture did.
+/// Row key of the concurrency-control sweep: which backend captured at
+/// which skew, and what the capture did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContendedCapture {
     pub backend: CcBackend,
@@ -383,47 +383,6 @@ pub struct ContendedCapture {
     /// The backend's own counters (remote lock messages, ordering waits,
     /// fallback conflicts, …).
     pub cc: CcStats,
-}
-
-/// Capture every `(backend, skew)` with interleaved clients and replay
-/// each capture on `machines`. Captures are inherently sequential (each
-/// interleaves clients on one shared database); the replays fan out as
-/// one sweep.
-fn contended_grid(
-    scale: &FigScale,
-    points: impl Iterator<Item = (CcBackend, u8)>,
-    machines: &[(&'static str, MachineConfig)],
-) -> Grid<ContendedCapture, &'static str> {
-    let spec = spec_of(scale);
-    let captures: Vec<_> = points
-        .map(|(backend, hot_pct)| {
-            let (w, stats, cc) = CapturedWorkload::oltp_contended_cc(scale, hot_pct, backend);
-            let key = ContendedCapture {
-                backend,
-                hot_pct,
-                stats,
-                cc,
-            };
-            (key, w)
-        })
-        .collect();
-    grid(rows_of(&captures), |_| {
-        throughput_columns(machines.iter().cloned(), spec)
-    })
-}
-
-/// The hot-row skews (%) `fig_contention` sweeps.
-const CONTENTION_SKEWS: [u8; 4] = [0, 30, 60, 90];
-
-/// Contention sweep (ISSUE 2): interleaved multi-client OLTP capture at
-/// 0/30/60/90% hot-row skew, replayed on [`fig7_machines`]. As skew grows,
-/// more cycles land on shared lock-table buckets and hot rows — off-chip
-/// coherence transfers on the SMP, on-chip shared-L2 hits on the CMP — so
-/// the SMP's D-stall share climbs faster (the §5.2 contrast, now driven
-/// by *real* lock conflict rather than address overlap alone).
-pub fn fig_contention(scale: &FigScale) -> Grid<ContendedCapture, &'static str> {
-    let points = CONTENTION_SKEWS.map(|hot| (CcBackend::Centralized2PL, hot));
-    contended_grid(scale, points.into_iter(), &fig7_machines())
 }
 
 /// Figure label for a concurrency-control backend.
@@ -452,14 +411,17 @@ pub fn cc_backends() -> [CcBackend; 3] {
 }
 
 /// The hot-row skews (%) `fig_cc` sweeps.
-const CC_SKEWS: [u8; 3] = [0, 50, 90];
+const CC_SKEWS: [u8; 4] = [0, 30, 60, 90];
 
-/// Concurrency-control sweep (ISSUE 9): 0/50/90% hot-row skew crossed
-/// with the *software* axis — which concurrency-control backend
-/// the engine runs — replayed on the [`joins_machines`] triple, so the
-/// hardware axis is directly comparable across figures. Centralized 2PL
-/// rows take exactly the `fig_contention` capture path (same draws, same
-/// traces), so the two figures share an anchor; the partitioned backend
+/// Concurrency-control sweep: interleaved multi-client OLTP captured at
+/// 0/30/60/90% hot-row skew, crossed with the *software* axis — which
+/// concurrency-control backend the engine runs — and replayed on the
+/// [`topology_machines`] triple, so the hardware axis reads like
+/// `fig_islands`'. Under centralized 2PL, skew lands more cycles on
+/// shared lock-table buckets and hot rows — off-chip coherence transfers
+/// on the SMP, on-chip shared-L2 hits on the CMP — so the SMP's D-stall
+/// share climbs faster (the §5.2 contrast, driven by *real* lock
+/// conflict rather than address overlap alone). The partitioned backend
 /// converts lock-table sharing into explicit cross-core messages the
 /// interconnect prices; the deterministic-ordered backend trades deadlock
 /// aborts (structurally zero) for ordering-queue waits. Comparability
@@ -467,12 +429,27 @@ const CC_SKEWS: [u8; 3] = [0, 50, 90];
 /// streams, the ordered backend runs per-transaction streams (its
 /// read/write-set derivation replays them), so ordered-vs-2PL compares
 /// *workload distributions*, not transaction-for-transaction identical
-/// streams.
+/// streams. Captures are inherently sequential (each interleaves clients
+/// on one shared database); the replays fan out as one sweep.
 pub fn fig_cc(scale: &FigScale) -> Grid<ContendedCapture, &'static str> {
-    let points = cc_backends()
+    let spec = spec_of(scale);
+    let captures: Vec<_> = cc_backends()
         .into_iter()
-        .flat_map(|backend| CC_SKEWS.map(|hot| (backend, hot)));
-    contended_grid(scale, points, &joins_machines())
+        .flat_map(|backend| CC_SKEWS.map(|hot_pct| (backend, hot_pct)))
+        .map(|(backend, hot_pct)| {
+            let (w, stats, cc) = CapturedWorkload::oltp_contended_cc(scale, hot_pct, backend);
+            let key = ContendedCapture {
+                backend,
+                hot_pct,
+                stats,
+                cc,
+            };
+            (key, w)
+        })
+        .collect();
+    grid(rows_of(&captures), |_| {
+        throughput_columns(topology_machines(), spec)
+    })
 }
 
 /// A count as a claim value; NaN when there is nothing to count.
@@ -480,29 +457,13 @@ fn count(n: Option<u64>) -> f64 {
     n.map_or(f64::NAN, |n| n as f64)
 }
 
-/// The §5.2 contention shape: interleaved clients really contend (lock
-/// waits at every skew, deadlock victims at the highest), and skew
-/// pushes the SMP's D-stall share up relative to the CMP's — the SMP
-/// pays off chip for the sharing the CMP resolves on chip.
-pub fn fig_contention_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim> {
-    let [first, .., last] = &points.rows[..] else {
-        return Vec::new();
-    };
-    let d_stalls = |p: &GridRow<_, _>, m| p.get(&m).breakdown.data_stall_fraction();
-    let growth = |m| d_stalls(last, m) - d_stalls(first, m);
-    let waits = count(points.rows.iter().map(|p| p.key.stats.lock_waits).min());
-    let (hot, aborts) = (last.key.hot_pct, last.key.stats.deadlock_aborts as f64);
-    vec![
-        Claim::above("fewest lock waits at any skew", waits, 0.0),
-        Claim::above(format!("deadlock aborts at {hot}%"), aborts, 0.0),
-        Claim::above("D-stall growth, SMP over CMP", growth("SMP"), growth("CMP")),
-    ]
-}
-
-/// The concurrency-control shape: 2PL pays deadlock aborts and
-/// lock-queue waits; partitioning is deadlock-free but turns lock-table
-/// sharing into messages, costliest on the SMP; ordered execution is
-/// deadlock-free and parks before running, never mid-transaction.
+/// The concurrency-control shape: 2PL really contends (deadlock aborts
+/// at the highest skew, lock-queue waits at every skew), and its skew
+/// pushes the SMP's D-stall share up relative to the CMP's — the SMP pays
+/// off chip for the sharing the CMP resolves on chip; partitioning is
+/// deadlock-free but turns lock-table sharing into messages, costliest on
+/// the SMP; ordered execution is deadlock-free and parks before running,
+/// never mid-transaction.
 pub fn fig_cc_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim> {
     use CcBackend::{
         Centralized2PL as TwoPl, DeterministicOrdered as Ordered, PartitionedPerCore as Part,
@@ -510,6 +471,13 @@ pub fn fig_cc_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim
     let hot = points.rows.iter().map(|p| p.key.hot_pct).max().unwrap_or(0);
     let of = |b| points.rows.iter().filter(move |p| p.key.backend == b);
     let at_hot = |b| of(b).find(|p| p.key.hot_pct == hot).map(|p| p.key);
+    // 2PL's D-stall growth from its coldest to its hottest row (rows run
+    // in skew order).
+    let d_stalls = |p: Option<&GridRow<_, _>>, m| {
+        p.map_or(f64::NAN, |p| p.get(&m).breakdown.data_stall_fraction())
+    };
+    let growth = |m| d_stalls(of(TwoPl).next_back(), m) - d_stalls(of(TwoPl).next(), m);
+    let fewest_waits = count(of(TwoPl).map(|p| p.key.stats.lock_waits).min());
     let victims =
         |p: &GridRow<ContendedCapture, _>| p.key.stats.deadlock_aborts + p.key.cc.deadlocks;
     let deadlocks = |b| count(of(b).map(victims).max());
@@ -525,6 +493,12 @@ pub fn fig_cc_claims(points: &Grid<ContendedCapture, &'static str>) -> Vec<Claim
     vec![
         Claim::above(format!("2PL deadlock aborts at {hot}%"), aborts, 0.0),
         Claim::above(format!("2PL lock waits at {hot}%"), waits, 0.0),
+        Claim::above("2PL fewest lock waits at any skew", fewest_waits, 0.0),
+        Claim::above(
+            "2PL D-stall growth, SMP over CMP",
+            growth("SMP"),
+            growth("CMP"),
+        ),
         Claim::below("PART most deadlocks at any skew", deadlocks(Part), 1.0),
         Claim::below("ORDER most deadlocks at any skew", deadlocks(Ordered), 1.0),
         Claim::above("PART fewest remote lock messages", messages, 0.0),
@@ -762,75 +736,15 @@ pub fn fig_asym_claims(points: &Grid<WorkloadKind, (usize, usize)>) -> Vec<Claim
 
 // ----------------------------------------------------------- fig_islands
 
-/// The island cluster sizes swept at a given core count: every divisor,
-/// from one chip-spanning cluster down to one-core islands.
-pub fn island_cluster_sizes(cores: usize) -> Vec<usize> {
-    (1..=cores)
-        .rev()
-        .filter(|k| cores.is_multiple_of(*k))
-        .collect()
+/// The machine triple of the topology figures, shared → private: Fig.
+/// 7's CMP (one 16 MB L2), the 2x2 hardware-island midpoint at the same
+/// total, and Fig. 7's SMP (a private 4 MB L2 per node). `fig_islands`
+/// sweeps it and `fig_cc` replays on it, so their hardware axes match.
+pub fn topology_machines() -> [(&'static str, MachineConfig); 3] {
+    let [smp, cmp] = fig7_machines();
+    let island = ("ISLAND 2x2", island_cmp(2, 2, FIG7_L2, L2Spec::Cacti));
+    [cmp, island, smp]
 }
-
-/// Island sweep (tentpole of the topology redesign): Fig. 7's **fixed
-/// total L2 capacity** over its four cores, re-partitioned from one
-/// chip-shared L2, through islands of shrinking size, to fully private
-/// per-core L2s — on saturated OLTP and DSS; columns are `(clusters,
-/// cores_per_cluster)`. The two pure
-/// endpoints are exactly Fig. 7's CMP and SMP presets
-/// (`island_cmp(1, n)` ≡ `fc_cmp`, `island_cmp(n, 1)` ≡ `smp_baseline`),
-/// so the paper's SMP-vs-CMP contrast becomes the two extremes of one
-/// curve: moving right, per-island caches shrink but get faster (CACTI
-/// latency for the island's share) and more sharing turns from on-chip
-/// L2/L1-to-L1 hits into off-chip coherence transfers. OLTP, rich in
-/// shared hot structures, pays for partitioning much sooner than scan-
-/// dominated DSS — the crossover EXPERIMENTS.md records.
-pub fn fig_islands(scale: &FigScale) -> Grid<WorkloadKind, (usize, usize)> {
-    let spec = spec_of(scale);
-    let captures = both_workloads(|w| CapturedWorkload::saturated(w, scale));
-    grid(rows_of(&captures), |_| {
-        let machines = island_cluster_sizes(BASE_CORES).into_iter().map(|k| {
-            let clusters = BASE_CORES / k;
-            let cfg = island_cmp(clusters, k, FIG7_L2, L2Spec::Cacti);
-            ((clusters, k), cfg)
-        });
-        throughput_columns(machines, spec)
-    })
-}
-
-/// The island shape: the chip-shared L2 is one coherence realm and the
-/// midpoints land between the endpoints; the workloads pay for
-/// partitioning differently — OLTP's shared structures turn into
-/// off-chip coherence and cost it more throughput, while DSS never
-/// coheres but loses the pooled capacity.
-pub fn fig_islands_claims(points: &Grid<WorkloadKind, (usize, usize)>) -> Vec<Claim> {
-    let coherence = |r: &SimResult| r.breakdown.get(CycleClass::DStallCoherence) as f64;
-    let miss = |r: &SimResult| r.mem.per_level[0].miss_rate();
-    let (mut claims, mut drops) = (Vec::new(), [f64::NAN; 2]);
-    for (row, drop) in points.rows.iter().zip(&mut drops) {
-        let (Some((_, shared)), Some((_, private))) = (row.cells.first(), row.cells.last()) else {
-            continue;
-        };
-        let (l, transfers) = (row.key.label(), shared.mem.coherence_transfers as f64);
-        let most = greatest(row.cells.iter().map(|(_, r)| coherence(r)));
-        let share = coherence(private) / private.breakdown.total().max(1) as f64;
-        *drop = 1.0 - private.uipc() / shared.uipc();
-        let one_realm = Claim::below(format!("{l} shared-L2 coherence"), transfers, 1.0);
-        claims.push(one_realm);
-        claims.extend(between_endpoints(&format!("{l} islands"), &row.cells));
-        claims.extend(match row.key {
-            WorkloadKind::Oltp => vec![Claim::above("OLTP private coherence share", share, 0.0)],
-            WorkloadKind::Dss => vec![
-                Claim::below("DSS most coherence cycles", most, 1.0),
-                Claim::above("DSS L2 miss, private > shared", miss(private), miss(shared)),
-            ],
-        });
-    }
-    let [oltp, dss] = drops;
-    claims.push(Claim::above("UIPC lost splitting, OLTP > DSS", oltp, dss));
-    claims
-}
-
-// ------------------------------------------------------------- fig_joins
 
 /// Capture-side attribution for one DSS flavor: where the instructions
 /// went and how big the data working set was.
@@ -849,94 +763,109 @@ pub struct JoinsCaptureStats {
 }
 
 fn joins_capture_stats(w: &CapturedWorkload) -> JoinsCaptureStats {
-    // One decode pass for all three region lookups (paper-scale bundles
-    // run to millions of events).
-    let totals = w.bundle.region_instr_totals();
-    let by_name = |name: &str| {
-        w.bundle
-            .regions
-            .iter()
-            .find(|r| r.name == name)
-            .map_or(0, |r| totals[r.id as usize])
-    };
     JoinsCaptureStats {
-        hashjoin_instrs: by_name("exec-hashjoin"),
-        nlj_instrs: by_name("exec-nlj"),
-        btree_instrs: by_name("btree-search"),
+        hashjoin_instrs: w.bundle.region_instrs("exec-hashjoin"),
+        nlj_instrs: w.bundle.region_instrs("exec-nlj"),
+        btree_instrs: w.bundle.region_instrs("btree-search"),
         total_instrs: w.bundle.total_instrs(),
         data_working_set: w.summary.data_working_set(),
     }
 }
 
-/// The full `fig_joins` run: six simulation points plus per-capture
-/// instruction attribution.
-pub struct FigJoinsRun {
-    /// Rows keyed by `join_heavy` (`false` = the paper's scan mix first,
-    /// `true` = the join-heavy Q3/Q5 capture), columns the
-    /// [`joins_machines`] tags.
-    pub grid: Grid<bool, &'static str>,
+/// The full `fig_islands` run: nine simulation points plus the DSS
+/// captures' instruction attribution.
+pub struct IslandsRun {
+    /// Rows `"OLTP"`, `"scan DSS"` (the paper's four-query mix) and
+    /// `"join DSS"` (Q3/Q5); columns the [`topology_machines`] tags.
+    pub grid: Grid<&'static str, &'static str>,
     /// Attribution for the scan-mix capture.
     pub scan: JoinsCaptureStats,
     /// Attribution for the join-heavy capture.
     pub joins: JoinsCaptureStats,
 }
 
-/// The machine presets `fig_joins` sweeps: [`fig7_machines`] plus the
-/// 2x2 hardware-island midpoint at the same 16 MB total — so the
-/// scan-flavor endpoints reproduce Fig. 7's numbers on the same captures.
-pub fn joins_machines() -> [(&'static str, MachineConfig); 3] {
-    let [smp, cmp] = fig7_machines();
-    [
-        smp,
-        cmp,
-        ("ISLAND 2x2", island_cmp(2, 2, FIG7_L2, L2Spec::Cacti)),
-    ]
-}
-
-/// Join sweep (the join half of the DSS camp): the paper's scan-mix DSS
-/// capture vs a join-heavy Q3/Q5 capture, replayed on Fig. 7's SMP/CMP
-/// presets and the 2x2 island midpoint. Scans stream through any cache;
-/// the joins' build-side hash tables and B+Tree descents form working
-/// sets that fit a pooled 16 MB L2 but blow past a 4 MB private island —
-/// so partitioning costs the join flavor capacity misses where the scan
-/// flavor barely notices (the *OLTP on Hardware Islands* capacity axis,
-/// driven here by join state instead of scan footprint).
-pub fn fig_joins(scale: &FigScale) -> FigJoinsRun {
+/// Topology sweep: Fig. 7's **fixed total L2 capacity** over its four
+/// cores, re-partitioned from one chip-shared L2 (the CMP), through 2x2
+/// islands, to private per-core L2s (the SMP) — on saturated OLTP, the
+/// paper's scan-mix DSS and a join-heavy Q3/Q5 DSS. The paper's
+/// SMP-vs-CMP contrast becomes the two extremes of one curve: moving
+/// right, per-island caches shrink but get faster (CACTI latency for the
+/// island's share) and more sharing turns from on-chip L2/L1-to-L1 hits
+/// into off-chip coherence transfers. OLTP, rich in shared hot
+/// structures, pays for partitioning much sooner than scan DSS — the
+/// crossover EXPERIMENTS.md records. Scans stream through any cache; the
+/// joins' build-side hash tables and B+Tree descents form working sets
+/// that fit the pooled 16 MB L2 but blow past a 4 MB private one (the
+/// *OLTP on Hardware Islands* capacity axis, driven by join state
+/// instead of scan footprint).
+pub fn fig_islands(scale: &FigScale) -> IslandsRun {
     let spec = spec_of(scale);
+    let saturated = |w| CapturedWorkload::saturated(w, scale);
     let captures = [
-        (false, CapturedWorkload::saturated(WorkloadKind::Dss, scale)),
+        ("OLTP", saturated(WorkloadKind::Oltp)),
+        ("scan DSS", saturated(WorkloadKind::Dss)),
         (
-            true,
+            "join DSS",
             CapturedWorkload::dss_joins(scale, scale.dss_clients, scale.dss_units),
         ),
     ];
-    FigJoinsRun {
+    let [_, (_, scan), (_, joins)] = &captures;
+    IslandsRun {
         grid: grid(rows_of(&captures), |_| {
-            throughput_columns(joins_machines(), spec)
+            throughput_columns(topology_machines(), spec)
         }),
-        scan: joins_capture_stats(&captures[0].1),
-        joins: joins_capture_stats(&captures[1].1),
+        scan: joins_capture_stats(scan),
+        joins: joins_capture_stats(joins),
     }
 }
 
-/// The join shape: joins really run (hash-build, index-nested-loop and
-/// B+Tree descent work in the join capture, no index join in the scan
-/// mix), and their working sets stay on chip in the pooled CMP L2 but
-/// overflow split islands and private SMP nodes — the L2 miss rate is
-/// the tell.
-pub fn fig_joins_claims(run: &FigJoinsRun) -> Vec<Claim> {
-    let miss = |join_heavy, m| run.grid.get(&join_heavy, &m).mem.per_level[0].miss_rate();
-    let (j, cmp) = (&run.joins, miss(true, "CMP"));
-    let split = miss(true, "SMP").min(miss(true, "ISLAND 2x2"));
-    let mut claims = vec![
+/// The topology shape. The chip-shared L2 is one coherence realm and the
+/// island midpoint lands between the endpoints; OLTP and scan DSS pay for
+/// partitioning differently — OLTP's shared structures turn into
+/// off-chip coherence and cost it more throughput, while scan DSS never
+/// coheres but loses the pooled capacity. Joins really run (hash-build,
+/// index-nested-loop and B+Tree descent work in the join capture, no
+/// index join in the scan mix), and their working sets stay on chip in
+/// the pooled CMP L2 but overflow split islands and private SMP nodes —
+/// the L2 miss rate is the tell.
+pub fn fig_islands_claims(run: &IslandsRun) -> Vec<Claim> {
+    let coherence = |r: &SimResult| r.breakdown.get(CycleClass::DStallCoherence) as f64;
+    let miss = |w, m| run.grid.get(&w, &m).mem.per_level[0].miss_rate();
+    let (mut claims, mut drops) = (Vec::new(), [f64::NAN; 2]);
+    for (w, drop) in ["OLTP", "scan DSS"].into_iter().zip(&mut drops) {
+        let row = run.grid.row(&w);
+        let (shared, private) = (row.get(&"CMP"), row.get(&"SMP"));
+        let transfers = shared.mem.coherence_transfers as f64;
+        *drop = 1.0 - private.uipc() / shared.uipc();
+        let one_realm = Claim::below(format!("{w} shared-L2 coherence"), transfers, 1.0);
+        claims.push(one_realm);
+        claims.extend(between_endpoints(&format!("{w} islands"), &row.cells));
+        if w == "OLTP" {
+            let share = coherence(private) / private.breakdown.total().max(1) as f64;
+            claims.push(Claim::above("OLTP private coherence share", share, 0.0));
+        } else {
+            let most = greatest(row.cells.iter().map(|(_, r)| coherence(r)));
+            let (private, shared) = (miss(w, "SMP"), miss(w, "CMP"));
+            claims.extend([
+                Claim::below(format!("{w} most coherence cycles"), most, 1.0),
+                Claim::above(format!("{w} L2 miss, private > shared"), private, shared),
+            ]);
+        }
+    }
+    let [oltp, scan] = drops;
+    let lost = Claim::above("UIPC lost splitting, OLTP > scan DSS", oltp, scan);
+    claims.push(lost);
+    let (j, cmp) = (&run.joins, miss("join DSS", "CMP"));
+    let split = miss("join DSS", "SMP").min(miss("join DSS", "ISLAND 2x2"));
+    claims.extend([
         Claim::above("join hash-join instrs", j.hashjoin_instrs as f64, 0.0),
         Claim::above("join nested-loop instrs", j.nlj_instrs as f64, 0.0),
         Claim::above("join B+Tree descent instrs", j.btree_instrs as f64, 0.0),
         Claim::below("scan nested-loop instrs", run.scan.nlj_instrs as f64, 1.0),
         Claim::below("join L2 miss, CMP under split L2s", cmp, split),
-    ];
+    ]);
     for m in ["SMP", "ISLAND 2x2"] {
-        let (join, scan) = (miss(true, m), miss(false, m));
+        let (join, scan) = (miss("join DSS", m), miss("scan DSS", m));
         let overflows = Claim::above(format!("{m} L2 miss, join over scan"), join, scan);
         claims.push(overflows);
     }
@@ -957,18 +886,6 @@ mod tests {
         assert_eq!(pts.len(), FIG2_CLIENTS.len());
         assert!((pts[0].1 - 1.0).abs() < 1e-9, "first point is the baseline");
         assert!(pts.iter().all(|&(_, t)| t > 0.0));
-    }
-
-    #[test]
-    fn island_cluster_sizes_cover_both_extremes() {
-        assert_eq!(island_cluster_sizes(4), [4, 2, 1]);
-        assert_eq!(island_cluster_sizes(8), [8, 4, 2, 1]);
-        assert_eq!(island_cluster_sizes(6), [6, 3, 2, 1]);
-        for cores in 1..=8 {
-            let sizes = island_cluster_sizes(cores);
-            assert_eq!(sizes.first(), Some(&cores), "chip-shared endpoint");
-            assert_eq!(sizes.last(), Some(&1), "fully-private endpoint");
-        }
     }
 
     #[test]

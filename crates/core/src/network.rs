@@ -12,7 +12,8 @@
 //! interconnect-independent (the exchange emits `RemoteSend`/
 //! `RemoteRecv` events; the link prices them at replay), so each
 //! instance count is captured **once** and replayed under all three
-//! presets.
+//! presets — or under one, when the capture ships nothing for a link to
+//! price (the 1-chip capture), and that replay stands for every link.
 //!
 //! The expected shape (recorded in EXPERIMENTS.md): over a kernel-stack
 //! 10 GbE link the exchange stalls dominate and partitioning loses —
@@ -90,7 +91,7 @@ pub fn network_capture(scale: &FigScale, instances: usize) -> DistCapture {
 }
 
 /// The machine every instance replays on: the Fig. 7 CMP chip, so the
-/// 1-instance point is number-identical to `fig_joins`' join-flavor CMP
+/// 1-instance point is number-identical to `fig_islands`' join DSS CMP
 /// point (asserted by the smoke gate).
 pub fn network_chip() -> dbcmp_sim::MachineConfig {
     fc_cmp(4, 16 << 20, L2Spec::Cacti)
@@ -112,29 +113,37 @@ pub fn network_spec(scale: &FigScale) -> RunSpec {
 }
 
 /// The full network sweep: capture once per instance count, replay each
-/// capture under every interconnect preset — all 21 instance replays as
-/// one sweep. Points are ordered preset-major (`network_presets` order),
-/// instance-minor.
+/// capture under every interconnect preset that has traffic to price —
+/// all 19 instance replays as one sweep. Points are ordered preset-major
+/// (`network_presets` order), instance-minor.
 pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
     let spec = network_spec(scale);
+    let presets = network_presets();
     let captures: Vec<(usize, DistCapture)> = NETWORK_INSTANCES
         .into_iter()
         .map(|n| (n, network_capture(scale, n)))
         .collect();
-    // One row per engine instance, keyed by (instance count, index).
+    // The link a capture's row under `preset` is replayed on: a capture
+    // that ships nothing leaves every link nothing to price, so its one
+    // replay, under the first preset, stands for every link.
+    let replayed_on = |ships: bool, preset| if ships { preset } else { presets[0].0 };
+    // One row per engine instance, keyed by (instance count, index,
+    // whether the capture ships anything).
     let rows = captures
         .iter()
         .flat_map(|(n, cap)| {
+            let ships = cap.stats.traffic.sent_bytes > 0;
             cap.bundles
                 .iter()
                 .enumerate()
-                .map(move |(i, b)| ((*n, i), b))
+                .map(move |(i, b)| ((*n, i, ships), b))
         })
         .collect();
-    let replays = grid(rows, |_| {
-        network_presets()
-            .into_iter()
-            .map(|(preset, link)| {
+    let replays = grid(rows, |&(_, _, ships)| {
+        presets
+            .iter()
+            .filter(|&&(preset, _)| replayed_on(ships, preset) == preset)
+            .map(|&(preset, link)| {
                 let mut cfg = network_chip();
                 cfg.interconnect = link;
                 (preset, cfg, spec.throughput())
@@ -142,7 +151,7 @@ pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
             .collect()
     });
     let mut out = Vec::new();
-    for (preset, _) in network_presets() {
+    for (preset, _) in presets {
         for (instances, cap) in &captures {
             let InstanceReplay {
                 per_instance,
@@ -154,7 +163,7 @@ pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
                     .rows
                     .iter()
                     .filter(|row| row.key.0 == *instances)
-                    .map(|row| row.get(&preset).clone())
+                    .map(|row| row.get(&replayed_on(row.key.2, preset)).clone())
                     .collect(),
             );
             let core_cycles: u64 = per_instance.iter().map(|r| r.breakdown.total()).sum();
@@ -224,11 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn chip_matches_the_fig_joins_cmp_point() {
-        // Same preset the joins sweep labels "CMP" — the 1-instance
+    fn chip_matches_the_topology_cmp_column() {
+        // Same preset the topology sweep labels "CMP" — the 1-instance
         // network point must replay on identical silicon.
         let a = network_chip();
-        let [_, (_, b), _] = crate::figures::joins_machines();
+        let [(tag, b), ..] = crate::figures::topology_machines();
+        assert_eq!(tag, "CMP");
         assert_eq!(a, b);
     }
 }

@@ -26,8 +26,8 @@ pub struct FigScale {
     pub warmup: u64,
     pub measure: u64,
     pub seed: u64,
-    /// Interleaved-capture clients for the contention sweep
-    /// (`fig_contention`).
+    /// Interleaved-capture clients for the concurrency-control sweep
+    /// (`fig_cc`).
     pub contention_clients: usize,
     /// Units per client in contended captures.
     pub contention_units: usize,
@@ -170,7 +170,8 @@ impl CapturedWorkload {
     /// ([`QueryKind::JOINS`]) whose hash builds and index-nested-loop
     /// descents — not scan bandwidth — set the cache behaviour. Same
     /// database, seed, and client structure as [`Self::dss`], so the two
-    /// captures differ only in query shape (what `fig_joins` contrasts).
+    /// captures differ only in query shape (what `fig_islands`' scan and
+    /// join DSS rows contrast).
     pub fn dss_joins(scale: &FigScale, clients: usize, units: usize) -> Self {
         Self::dss_mix(&QueryKind::JOINS, scale, clients, units)
     }

@@ -2,7 +2,7 @@
 //!
 //! [`Database`](crate::Database) acquires, releases and drains lock wakes
 //! through the [`ConcurrencyControl`] trait, which turns the lock manager
-//! into a *backend seam*: the paper's fig_contention sweep keeps the
+//! into a *backend seam*: the paper's `fig_cc` sweep keeps the
 //! memory-system axis (SMP vs CMP vs islands) but can now unfreeze the
 //! software axis too. Three backends ship:
 //!

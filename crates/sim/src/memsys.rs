@@ -13,8 +13,8 @@
 //! * **Coherence** — multi-node arrangements only (private or island
 //!   L2s): the line was supplied dirty by a *remote node's* cache over the
 //!   off-chip interconnect. With a chip-shared L2 these turn into L2Hit —
-//!   mechanically reproducing the paper's Fig. 7, and the island sweep of
-//!   `fig_islands` walks the continuum in between.
+//!   mechanically reproducing the paper's Fig. 7, and `fig_islands`' 2x2
+//!   island midpoint sits in between.
 //!
 //! Every L1 miss, data or instruction, goes through one path (`fetch`).
 //! Coherence mechanics per L2 kind:
@@ -897,6 +897,44 @@ mod tests {
         cfg.stream_buf = 0;
         cfg.validate().expect("island config validates");
         cfg
+    }
+
+    /// A cluster of one core behaves exactly like `Core` and a cluster of
+    /// every core exactly like `Chip`: one random stream of data and
+    /// instruction accesses, driven through both spellings at 2 and 4
+    /// cores, gets the same `Access` every time and the same counters.
+    #[test]
+    fn cluster_extremes_behave_like_core_and_chip() {
+        for n in [2, 4] {
+            for (cluster, plain) in [(1, SharedBy::Core), (n, SharedBy::Chip)] {
+                let spelled = |shared_by| {
+                    // Small caches, so the stream evicts at both levels.
+                    let mut cfg = MachineConfig::fat_cmp(n, 64 << 10, 10);
+                    cfg.l1d = CacheGeom::new(4 << 10, 2, 1);
+                    cfg.l2.shared_by = shared_by;
+                    cfg.validate().expect("config validates");
+                    MemSys::new(&cfg)
+                };
+                let (mut a, mut b) = (spelled(SharedBy::Cluster(cluster)), spelled(plain));
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                for now in 0..20_000u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let (core, line) = ((x % n as u64) as usize, (x >> 8) % 4096);
+                    let access = |m: &mut MemSys| match x >> 60 {
+                        0..=2 => m.instr_access(core, (1 << 40) + line, now),
+                        kind => m.data_access(core, line, kind >= 12, now),
+                    };
+                    assert_eq!(
+                        access(&mut a),
+                        access(&mut b),
+                        "{n} cores, Cluster({cluster}) vs {plain:?}, access {now}"
+                    );
+                }
+                assert_eq!(a.counters, b.counters, "{n} cores, {plain:?}");
+            }
+        }
     }
 
     #[test]

@@ -446,7 +446,8 @@ impl StagedPipeline {
     /// on the consumer's context; every producer then probes the *same*
     /// simulated addresses — on a shared-cache CMP those build tables
     /// stay resident across contexts, on private-cache machines each
-    /// probe partition re-fetches them (what `fig_joins` measures).
+    /// probe partition re-fetches them (the join working-set effect
+    /// `fig_islands` measures).
     /// Producer traces and the consumer trace replay on different
     /// hardware contexts in the simulator.
     pub fn run_staged_parallel(

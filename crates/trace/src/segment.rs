@@ -23,7 +23,7 @@
 //! [`Event`] sequence that was encoded, byte-identical (after
 //! [`Event::pack`]) to the legacy flat stream. That guarantee is gated
 //! by proptest round-trips in `tests/proptests.rs` and, end to end, by
-//! the PR-3 golden anchor in `tests/api_equivalence.rs`.
+//! the golden anchor in `tests/validation.rs`.
 //!
 //! One encoder writes those columns: `SegmentEncoder` appends an event
 //! at a time to an open segment. The `Tracer` owns one and feeds it
@@ -64,7 +64,7 @@ thread_local! {
 
 /// The number of [`Segment::decode_into`] calls the *calling thread*
 /// has made. Tests read it before and after a query to assert that
-/// cached aggregates ([`crate::TraceBundle::region_instr_totals`],
+/// cached aggregates ([`crate::TraceBundle::region_instrs`],
 /// [`crate::TraceSummary::compute`]) decode nothing; per-thread, so
 /// decodes on sibling test threads or sweep workers never move it.
 pub fn segments_decoded() -> u64 {

@@ -555,26 +555,10 @@ impl TraceBundle {
         self.threads.iter().map(|t| t.encoded_bytes()).sum()
     }
 
-    /// Instructions charged to each code region across all threads,
-    /// indexed by region id. Served from the per-thread totals cached
-    /// at capture time — no event stream is decoded. Per-operator
-    /// attribution for reports (e.g. "how much of this capture is
-    /// hash-join build/probe work?").
-    pub fn region_instr_totals(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.regions.len()];
-        for t in &self.threads {
-            for (id, &v) in t.region_instr_totals().iter().enumerate() {
-                if let Some(slot) = totals.get_mut(id) {
-                    *slot += v;
-                }
-            }
-        }
-        totals
-    }
-
     /// Instructions charged to the named code region across all threads
     /// (cached totals — O(threads), no decode). Returns 0 for a name no
-    /// region carries.
+    /// region carries. Per-operator attribution for reports (e.g. "how
+    /// much of this capture is hash-join build/probe work?").
     pub fn region_instrs(&self, name: &str) -> u64 {
         let Some(id) = self.regions.iter().find(|r| r.name == name).map(|r| r.id) else {
             return 0;
@@ -788,9 +772,6 @@ mod tests {
             assert_eq!(bundle.region_instrs("exec-b"), 50);
             assert_eq!(bundle.region_instrs("exec-missing"), 0);
         }
-        let totals = bundle.region_instr_totals();
-        assert_eq!(totals[a as usize], 100);
-        assert_eq!(totals[b as usize], 50);
         assert_eq!(
             segments_decoded(),
             before,

@@ -31,7 +31,7 @@
 //! **Contention knob.** `hot_pct` percent of each client's transactions
 //! are redirected at warehouse 1 / district 1 and draw NewOrder items from
 //! a small hot pool (`hot_items`), concentrating X locks on a few rows —
-//! the skew axis the `fig_contention` sweep turns.
+//! the skew axis the `fig_cc` sweep turns.
 
 use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};

@@ -12,7 +12,7 @@
 //!   (join-dominated) and Q13 (mixed) with random predicates, on a
 //!   dbgen-like population; plus the join-camp extension Q3 (orders ⋈
 //!   lineitem join-aggregate) and Q5 (multi-way join through the orders
-//!   B+Tree) that the `fig_joins` sweep captures via
+//!   B+Tree) that the `fig_islands` sweep captures via
 //!   [`tpch::QueryKind::JOINS`].
 //!
 //! [`capture`] runs client sessions against the engine and produces

@@ -70,7 +70,7 @@ pub struct TpchDb {
 
 /// Which paper query (paper §3: Q1/Q6 scan-dominated, Q16 join-dominated,
 /// Q13 mixed) or join-camp extension (Q3/Q5, the join-heavy DSS shapes
-/// `fig_joins` sweeps).
+/// `fig_islands` sweeps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// Pricing summary report: scan + aggregate (scan camp).
@@ -95,7 +95,7 @@ impl QueryKind {
     /// numbers stay reproducible.
     pub const ALL: [QueryKind; 4] = [QueryKind::Q1, QueryKind::Q6, QueryKind::Q13, QueryKind::Q16];
 
-    /// The join-heavy DSS mix of the `fig_joins` extension: hash-join and
+    /// The join-heavy DSS mix of the `fig_islands` extension: hash-join and
     /// index-nested-loop plans whose build-side working sets, not scan
     /// bandwidth, set the cache behaviour.
     pub const JOINS: [QueryKind; 2] = [QueryKind::Q3, QueryKind::Q5];

@@ -270,7 +270,7 @@ pub fn q3(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
 /// dependent-load descent per lineitem — the OLTP-like pointer chase
 /// inside a DSS plan), then two hash joins pick up customer and
 /// supplier, and revenue aggregates per market segment. It restates
-/// [`join_query`]'s Q5 instead of planning from it because `fig_joins`'
+/// [`join_query`]'s Q5 instead of planning from it because `fig_islands`'
 /// B+Tree-descent and nested-loop claims are about this index join; the
 /// staged and distributed captures, which cannot descend a B+Tree
 /// (staged stages hash tables; an index probe cannot cross instances),

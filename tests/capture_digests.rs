@@ -95,7 +95,7 @@ fn capture_dss_records_the_pinned_join_mix() {
 }
 
 /// Q1/Q6 as `bench_pipeline` and `fig9_staged` stage them, then Q3/Q5
-/// (`fig_joins`) in the same capture so the join stages are pinned too.
+/// (the join DSS mix) in the same capture so the join stages are pinned too.
 fn staged(policy: ExecPolicy, seed: u64) -> Vec<TraceBundle> {
     [
         [QueryKind::Q1, QueryKind::Q6],
