@@ -14,25 +14,26 @@ use crate::machine::MachineCtl;
 use crate::memsys::MemSys;
 use crate::stats::CycleClass;
 
-/// What one simulated cycle reports back to the machine.
+/// What one [`Core::cycle`] call reports back to the machine: a span of
+/// cycles, all of one class, that the core has fully simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tick {
-    /// The cycle's accounting class, or `None` when the core has no work
-    /// at all (inactive cores are not charged).
+    /// The class of every cycle of the span, or `None` when the core has
+    /// no work at all (inactive cores are not charged).
     pub class: Option<CycleClass>,
-    /// Every cycle in `now + 1..quiet_until` would report the same
-    /// `class` and change no state except what [`Core::skip`] applies in
-    /// bulk. `now + 1` or less: call me next cycle; `u64::MAX`: never.
-    pub quiet_until: u64,
+    /// End of the span, exclusive: `now < until <= horizon`. Every effect
+    /// of cycles `now..until` is already applied; the machine charges
+    /// them to `class` and calls the core next at `until`.
+    pub until: u64,
 }
 
 impl Tick {
-    /// A cycle that changed state: the core must be called next cycle.
+    /// A span of the one cycle at `now`.
     #[inline]
-    pub fn busy(class: CycleClass) -> Self {
+    pub fn once(class: CycleClass, now: u64) -> Self {
         Tick {
             class: Some(class),
-            quiet_until: 0,
+            until: now + 1,
         }
     }
 }
@@ -41,24 +42,25 @@ impl Tick {
 /// contexts ([`CtxBase`]) and per-window retirement counter; the machine
 /// owns the threads, the memory system, and the clock.
 pub trait Core {
-    /// Simulate one cycle as core number `core` at time `now`. The
-    /// machine does not call the core again before `quiet_until`; it
-    /// charges the skipped cycles to `class` and reports them through
-    /// [`skip`](Self::skip) first.
+    /// Simulate core number `core` from cycle `now`, never reaching
+    /// `horizon` (the end of the machine's current window): the cycle at
+    /// `now`, then the cycles after it for as long as nothing outside the
+    /// core can change what they do (DESIGN.md §2, "Time advance").
+    /// Returns the span simulated; `horizon = now + 1` is one cycle.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
+    )]
     fn cycle(
         &mut self,
         core: usize,
         now: u64,
+        horizon: u64,
         mem: &mut MemSys,
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
     ) -> Tick;
-
-    /// Apply, in bulk, the side effects `cycles` skipped quiet cycles
-    /// would have had one at a time (fat: the quantum countdown; lean:
-    /// the round-robin pointer).
-    fn skip(&mut self, cycles: u64);
 
     /// The core's hardware contexts (thread slots), in binding order.
     fn contexts(&self) -> &[CtxBase];

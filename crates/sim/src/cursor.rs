@@ -86,6 +86,12 @@ impl<'a> TraceCursor<'a> {
     }
 }
 
+/// Instructions from byte offset `off` to the end of its 64-byte line.
+#[inline]
+fn line_room(off: u64) -> u64 {
+    (64 - (off & 63)) / INSTR_BYTES
+}
+
 /// A store decoded but not yet performed (the store buffer was full).
 #[derive(Debug, Clone, Copy)]
 pub struct PendingStore {
@@ -152,6 +158,34 @@ impl<'a> ThreadState<'a> {
         r.base + self.region_off[r.id as usize]
     }
 
+    /// The current `Exec` run: (region, instructions left). Decode reads
+    /// the next event only once the run is used up, so while there is one
+    /// the thread has no pending load, store or fence and is unfinished.
+    #[inline]
+    pub fn current_run(&self) -> Option<(u16, u32)> {
+        debug_assert!(
+            self.cur_exec.is_none()
+                || !(self.done
+                    || self.pending_fence
+                    || self.pending_load.is_some()
+                    || self.pending_store.is_some())
+        );
+        self.cur_exec
+    }
+
+    /// Instructions of region `r` left in the I-line the fetch cursor is
+    /// in, if that line is the one already fetched (so running them needs
+    /// no fetch check); 0 otherwise.
+    #[inline]
+    pub fn fetched_room(&self, r: &CodeRegion) -> u64 {
+        let off = self.region_off[r.id as usize];
+        if (r.base + off) >> 6 == self.last_iline {
+            line_room(off)
+        } else {
+            0
+        }
+    }
+
     /// Execute up to `room` instructions of the current exec run (`left`
     /// instructions of region `r` remain), stopping at the end of the
     /// instruction line the fetch cursor is in — so the caller's one
@@ -163,7 +197,7 @@ impl<'a> ThreadState<'a> {
     #[inline]
     pub fn run_exec(&mut self, r: &CodeRegion, left: u32, room: usize) -> (usize, bool) {
         let off = &mut self.region_off[r.id as usize];
-        let in_line = (64 - (*off & 63)) / INSTR_BYTES;
+        let in_line = line_room(*off);
         let max = room.min(left as usize).min(in_line as usize);
         let mut n = 0;
         let mut mispredicted = false;

@@ -112,13 +112,14 @@ impl Core for FatCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle; a `None` class means the core has no work at
-    /// all. Quiet = nothing retired, no thread rotated, `want_switch` not
-    /// newly set, and decode stuck.
+    /// Simulate one cycle, then its quiet or private successors; a `None`
+    /// class means the core has no work at all. Quiet = nothing retired,
+    /// no thread rotated, `want_switch` not newly set, and decode stuck.
     fn cycle(
         &mut self,
         core: usize,
         now: u64,
+        horizon: u64,
         mem: &mut MemSys,
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
@@ -139,7 +140,7 @@ impl Core for FatCore {
         if self.base.thread.is_none() && self.rob.is_empty() {
             return Tick {
                 class: None,
-                quiet_until: u64::MAX,
+                until: horizon,
             };
         }
 
@@ -208,7 +209,10 @@ impl Core for FatCore {
         if retired > 0 {
             self.retired += retired as u64;
             ctl.instrs += retired as u64;
-            return Tick::busy(CycleClass::Compute);
+            return Tick {
+                class: Some(CycleClass::Compute),
+                until: self.run_ahead(now + 1, horizon, threads, regions, ctl),
+            };
         }
         // Nothing retired: why?
         let class = if let Some(RobSlot::Load { class, .. }) = self.rob.front() {
@@ -225,17 +229,19 @@ impl Core for FatCore {
         } else {
             CycleClass::Other
         };
+        let until = if quiet {
+            self.quiet_until(now).min(horizon)
+        } else {
+            now + 1
+        };
+        // The quiet cycles after this one only count the quantum down, and
+        // end before it reaches zero with a run queue waiting.
+        if self.base.thread.is_some() {
+            self.base.quantum_left = self.base.quantum_left.saturating_sub(until - now - 1);
+        }
         Tick {
             class: Some(class),
-            quiet_until: if quiet { self.quiet_until(now) } else { 0 },
-        }
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        // A quiet span ends before the countdown reaches zero with a run
-        // queue waiting (`quiet_until`), so it is a plain subtraction.
-        if self.base.thread.is_some() {
-            self.base.quantum_left = self.base.quantum_left.saturating_sub(cycles);
+            until,
         }
     }
 }
@@ -264,6 +270,117 @@ impl FatCore {
             .filter(|&t| t > now)
             .min()
             .unwrap_or(u64::MAX)
+    }
+
+    /// Simulate the private cycles from `t` on, up to `horizon` at most,
+    /// and return the first cycle that is not one. A private cycle calls
+    /// no `MemSys`, consumes no trace event and changes no scheduling: the
+    /// head run retires `alu_width` and keeps at least one instruction,
+    /// decode is gated or continues the current `Exec` run inside the
+    /// fetched I-line, and the quantum does not expire. Its own thread is
+    /// unfinished (a finished one has no current run, and opened no gate
+    /// after its last decode), so a completion run cannot end inside the
+    /// span.
+    fn run_ahead(
+        &mut self,
+        mut t: u64,
+        horizon: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> u64 {
+        let Some(th) = self.base.thread.map(|i| &mut threads[i]) else {
+            return t;
+        };
+        let before = self.retired;
+        while t < horizon {
+            let k = self.private_span(t, horizon - t, th, regions);
+            if k == 0 {
+                break;
+            }
+            t += k;
+        }
+        ctl.instrs += self.retired - before;
+        t
+    }
+
+    /// Simulate between 1 and `max` private cycles from `t` in closed
+    /// form and return how many; 0 when cycle `t` is not private. Store
+    /// completions inside the span are left to the next `drain_stores`:
+    /// nothing a private cycle does reads the store buffer.
+    fn private_span(
+        &mut self,
+        t: u64,
+        max: u64,
+        th: &mut ThreadState<'_>,
+        regions: &CodeRegions,
+    ) -> u64 {
+        let a = self.alu_width as u64;
+        let Some(&RobSlot::Run { left: head }) = self.rob.front() else {
+            return 0;
+        };
+        // Cycles the head run can give `a` each and keep one.
+        let head_k = (head as u64 - 1) / a;
+        // A cycle that sees the countdown at zero with a run queue waiting
+        // requests the switch; the countdown stays at zero until the
+        // switch (`want_switch`) happens.
+        let mut max = max;
+        if !self.base.run_q.is_empty() {
+            max = max.min(self.base.quantum_left);
+        }
+        debug_assert!(max == 0 || !self.want_switch);
+        let gated = self.gate_until.max(self.fetch_until).saturating_sub(t);
+        let (k, decoded) = if gated > 0 {
+            debug_assert!(!th.done);
+            (max.min(gated).min(head_k), 0)
+        } else {
+            let Some((region, run_left)) = th.current_run() else {
+                return 0;
+            };
+            let r = regions.get(region);
+            // Decode takes `room` a cycle. Once that is what retire frees
+            // (the window is full), it stays so and k cycles are one batch;
+            // until then, one cycle at a time.
+            let room = self
+                .width
+                .min(self.rob_cap + self.alu_width - self.rob_instrs);
+            let steady = room == self.alu_width;
+            let fetched = th.fetched_room(r).min(run_left as u64);
+            let mut k = max.min(fetched / room as u64);
+            if !steady {
+                k = k.min(1);
+            }
+            // Decode refills a lone head run as fast as it retires.
+            if !(steady && self.rob.len() == 1) || head_k == 0 {
+                k = k.min(head_k);
+            }
+            if k == 0 {
+                return 0;
+            }
+            let (n, mispredicted) = th.run_exec(r, run_left, k as usize * room);
+            if mispredicted {
+                // The span ends on the cycle that decoded the branch.
+                k = (n as u64 - 1) / room as u64 + 1;
+                self.gate_until = t + k - 1 + self.pipeline_depth;
+                self.gate_class = CycleClass::Other;
+            }
+            (k, n)
+        };
+        if k == 0 {
+            return 0;
+        }
+        // Decode before retire, so a head run that decode refills never
+        // runs dry on the way.
+        if decoded > 0 {
+            self.push_run(decoded as u32);
+        }
+        if let Some(RobSlot::Run { left }) = self.rob.front_mut() {
+            *left -= (k * a) as u32;
+        }
+        self.rob_instrs -= (k * a) as usize;
+        self.retired += k * a;
+        self.base.quantum_left = self.base.quantum_left.saturating_sub(k);
+        k
     }
 
     /// Fill the window with up to `width` new instructions. Returns the
@@ -479,7 +596,10 @@ mod tests {
         let mut compute = 0;
         let mut now = 0;
         while now < max {
-            match core.cycle(0, now, mem, threads, regions, ctl).class {
+            match core
+                .cycle(0, now, now + 1, mem, threads, regions, ctl)
+                .class
+            {
                 Some(CycleClass::Compute) => compute += 1,
                 Some(_) => {}
                 None => break,
@@ -603,12 +723,12 @@ mod tests {
         };
         // Cycle 0: decode issues the load; nothing retires -> DStallMem.
         let c0 = core
-            .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
         let c1 = core
-            .cycle(0, 1, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 1, 2, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
@@ -684,7 +804,7 @@ mod tests {
         let mut core = FatCore::new(&cfg, 4, 128, 8);
         let mut ctl = MachineCtl::default();
         assert!(core
-            .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .is_none());
     }

@@ -72,19 +72,19 @@ impl Core for LeanCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle; a `None` class means the core has no threads
-    /// at all (inactive — not accounted). Only a cycle with every
-    /// context blocked is quiet.
+    /// Simulate one cycle, then its quiet or private successors; a `None`
+    /// class means the core has no threads at all (inactive — not
+    /// accounted). Only a cycle with every context blocked is quiet.
     fn cycle(
         &mut self,
         core: usize,
         now: u64,
+        horizon: u64,
         mem: &mut MemSys,
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
     ) -> Tick {
-        let n = self.ctxs.len();
         // Retire finished threads and schedule queued ones.
         if self.rescan {
             self.rescan = false;
@@ -103,29 +103,30 @@ impl Core for LeanCore {
         if !self.any_thread {
             return Tick {
                 class: None,
-                quiet_until: u64::MAX,
+                until: horizon,
             };
         }
 
-        // Pick the next runnable context, round-robin.
-        // (`rr < n`, so the wraps are one compare, not a division.)
-        let wrap = |i: usize| if i < n { i } else { i - n };
-        let chosen = (0..n)
-            .map(|k| wrap(self.rr + k))
-            .find(|&i| self.ctxs[i].runnable(now));
-        self.rr = wrap(self.rr + 1);
-
+        let chosen = self.pick(now);
+        self.advance(1);
         let Some(i) = chosen else {
             // All contexts blocked: charge the longest-waiting one, and
-            // stay quiet until the first of them unblocks.
+            // stay quiet until the first of them unblocks. The pointer
+            // advances once per quiet cycle too.
             let blocked = || self.ctxs.iter().filter(|c| c.thread.is_some());
             let cls = blocked()
                 .min_by_key(|c| c.blocked_since)
                 .map(|c| c.blocked_class)
                 .unwrap_or(CycleClass::Other);
+            let until = blocked()
+                .map(|c| c.blocked_until)
+                .min()
+                .unwrap_or(0)
+                .clamp(now + 1, horizon);
+            self.advance(until - now - 1);
             return Tick {
                 class: Some(cls),
-                quiet_until: blocked().map(|c| c.blocked_until).min().unwrap_or(0),
+                until,
             };
         };
 
@@ -133,7 +134,7 @@ impl Core for LeanCore {
         let ctx = &mut self.ctxs[i];
         if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
             ctx.rotate_thread(true, self.quantum, self.switch_penalty, now);
-            return Tick::busy(CycleClass::Other);
+            return Tick::once(CycleClass::Other, now);
         }
         ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
 
@@ -155,20 +156,90 @@ impl Core for LeanCore {
             ctl.instrs += issued as u64;
         }
         if progress > 0 {
-            Tick::busy(CycleClass::Compute)
+            Tick {
+                class: Some(CycleClass::Compute),
+                until: self.run_ahead(now + 1, horizon, threads, regions, ctl),
+            }
         } else {
             // The context blocked on its very first slot this cycle.
-            Tick::busy(self.ctxs[i].blocked_class)
+            Tick::once(self.ctxs[i].blocked_class, now)
         }
     }
+}
 
-    fn skip(&mut self, cycles: u64) {
-        // The pointer advances once per cycle whether or not anyone
-        // issues; an inactive core returns before touching it.
-        if self.any_thread {
-            let n = self.ctxs.len() as u64;
-            self.rr = ((self.rr as u64 + cycles % n) % n) as usize;
+impl LeanCore {
+    /// The next runnable context at `now`, round-robin from the pointer.
+    /// (`rr < n`, so the wraps are one compare, not a division.)
+    #[inline]
+    fn pick(&self, now: u64) -> Option<usize> {
+        let n = self.ctxs.len();
+        (self.rr..self.rr + n)
+            .map(|i| if i < n { i } else { i - n })
+            .find(|&i| self.ctxs[i].runnable(now))
+    }
+
+    /// Move the pointer on as `cycles` cycles do, one context each.
+    #[inline]
+    fn advance(&mut self, cycles: u64) {
+        let n = self.ctxs.len();
+        self.rr = if cycles == 1 && self.rr + 1 < n {
+            self.rr + 1
+        } else {
+            ((self.rr as u64 + cycles) % n as u64) as usize
+        };
+    }
+
+    /// Simulate the private cycles from `t` on, up to `horizon` at most,
+    /// and return the first cycle that is not one. A private cycle calls
+    /// no `MemSys`, consumes no trace event and changes no scheduling: the
+    /// context picked round-robin has quantum left and issues its full
+    /// `width` from its current `Exec` run, inside the fetched I-line. Its
+    /// thread is unfinished, so a completion run cannot end inside the
+    /// span. Store completions are left to the context's next
+    /// `drain_stores`: nothing a private cycle does reads the buffer.
+    fn run_ahead(
+        &mut self,
+        mut t: u64,
+        horizon: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> u64 {
+        if self.rescan {
+            return t;
         }
+        let before = self.retired;
+        while t < horizon {
+            let Some(i) = self.pick(t) else {
+                break;
+            };
+            let ctx = &mut self.ctxs[i];
+            // A cycle that sees the countdown at zero with a run queue
+            // waiting rotates the thread.
+            if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
+                break;
+            }
+            let Some(th) = ctx.thread.map(|i| &mut threads[i]) else {
+                break;
+            };
+            let Some((region, left)) = th.current_run() else {
+                break;
+            };
+            let r = regions.get(region);
+            if th.fetched_room(r).min(left as u64) < self.width as u64 {
+                break;
+            }
+            let (issued, mispredicted) = th.run_exec(r, left, self.width);
+            if mispredicted {
+                ctx.block(t + self.pipeline_depth, CycleClass::Other, t);
+            }
+            ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
+            self.advance(1);
+            self.retired += issued as u64;
+            t += 1;
+        }
+        ctl.instrs += self.retired - before;
+        t
     }
 }
 
@@ -374,13 +445,13 @@ mod tests {
 
         // First cycle: cold I-miss blocks.
         let c0 = core
-            .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .unwrap();
         assert!(matches!(c0, CycleClass::IStallMem | CycleClass::IStallL2));
         let mut now = 1;
         while !threads[0].done && now < 10_000 {
-            core.cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl);
+            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
             now += 1;
         }
         assert!(threads[0].done);
@@ -415,7 +486,7 @@ mod tests {
         let mut compute = 0u64;
         for now in 0..3000u64 {
             if let Some(CycleClass::Compute) = core
-                .cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl)
+                .cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl)
                 .class
             {
                 compute += 1;
@@ -447,13 +518,13 @@ mod tests {
 
         // Cycle 0 initiates the miss (charged as the stall class directly).
         let c0 = core
-            .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
         // Subsequent cycle: the only context is blocked.
         let c1 = core
-            .cycle(0, 1, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 1, 2, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
@@ -467,7 +538,7 @@ mod tests {
         let mut core = LeanCore::new(&cfg, 4, 2);
         let mut ctl = MachineCtl::default();
         assert!(core
-            .cycle(0, 0, &mut mem, &mut threads, &regions, &mut ctl)
+            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .class
             .is_none());
     }
@@ -490,7 +561,7 @@ mod tests {
         };
         let mut now = 0;
         while !threads[0].done && now < 10_000 {
-            core.cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl);
+            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
             now += 1;
         }
         assert_eq!(ctl.units, 1);
@@ -527,7 +598,7 @@ mod tests {
         };
         let mut now = 0;
         while (!threads[0].done || !threads[1].done) && now < 100_000 {
-            core.cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl);
+            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
             now += 1;
         }
         assert!(

@@ -67,36 +67,36 @@ fn make_core(cfg: &MachineConfig, kind: CoreKind) -> Box<dyn Core> {
     }
 }
 
-/// The machine's view of one core between calls: when to call it next,
-/// and what the cycles it sleeps through are owed.
+/// The machine's view of one core between calls: the span its last call
+/// simulated, charged when the core is next called (or the run stops).
 #[derive(Debug, Clone, Copy, Default)]
-struct Sleep {
-    /// Next cycle at which the core is called.
-    wake: u64,
-    /// First cycle not yet charged to the core's breakdown (the cycle
-    /// after its last call).
+struct Span {
+    /// The span's end: the next cycle at which the core is called.
+    until: u64,
+    /// First cycle of the span not yet charged to the core's breakdown.
     owed_from: u64,
-    /// Class every cycle in `owed_from..wake` is charged to.
+    /// Class every cycle in `owed_from..until` is charged to.
     class: Option<CycleClass>,
 }
 
-/// A fully assembled machine, ready to run. A core whose last cycle was
-/// quiet ([`Tick`](crate::core::Tick)) is not called again until its
-/// `quiet_until`; the skipped cycles are charged in bulk when it wakes,
-/// and when every core sleeps the clock jumps to the earliest wake.
+/// A fully assembled machine, ready to run. Each call of a core returns
+/// the span of cycles it simulated ([`Tick`](crate::core::Tick)); the core
+/// is not called again before the span ends, its cycles are charged in
+/// bulk, and when every core is inside a span the clock jumps to the
+/// earliest end.
 pub struct Machine<'a> {
     cfg: MachineConfig,
     bundle: &'a TraceBundle,
     threads: Vec<ThreadState<'a>>,
     cores: Vec<Box<dyn Core>>,
-    sleep: Vec<Sleep>,
+    spans: Vec<Span>,
     mem: MemSys,
     ctl: MachineCtl,
     per_core: Vec<Breakdown>,
     now: u64,
     mode: RunMode,
     /// `Core::cycle` calls made so far, for the tests that prove cores
-    /// really are left alone while they sleep.
+    /// really are left alone inside their spans.
     #[cfg(test)]
     cycle_calls: u64,
 }
@@ -143,7 +143,7 @@ impl<'a> Machine<'a> {
             bundle,
             threads,
             cores,
-            sleep: vec![Sleep::default(); n_cores],
+            spans: vec![Span::default(); n_cores],
             mem,
             ctl: MachineCtl {
                 remaining: bundle.threads.len(),
@@ -158,33 +158,29 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Charge core `c` the quiet cycles it slept through up to (not
-    /// including) `upto`, and let it apply their side effects.
+    /// Charge core `c` the cycles of its span up to (not including)
+    /// `upto`.
     #[inline]
     fn settle(&mut self, c: usize, upto: u64) {
-        let s = &mut self.sleep[c];
-        let skipped = upto - s.owed_from;
-        if skipped > 0 {
-            if let Some(class) = s.class {
-                self.per_core[c].charge(class, skipped);
-            }
-            self.cores[c].skip(skipped);
-            s.owed_from = upto;
+        let s = &mut self.spans[c];
+        if let Some(class) = s.class {
+            self.per_core[c].charge(class, upto - s.owed_from);
         }
+        s.owed_from = upto;
     }
 
-    /// Run cycles `now..end`, calling only cores that are awake; in
+    /// Run cycles `now..end`, calling only cores whose span has ended; in
     /// completion mode stop after the cycle that finishes the last
-    /// thread. No sleep crosses `end`: on return every core is charged
-    /// up to `now` and due by then.
+    /// thread. No span crosses `end`: on return every core is charged up
+    /// to `now` and due by then.
     fn run_until(&mut self, end: u64) {
         let stop_when_done = !self.mode.wraps();
         while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
             let now = self.now;
             let mut next = end;
             for c in 0..self.cores.len() {
-                if self.sleep[c].wake > now {
-                    next = next.min(self.sleep[c].wake);
+                if self.spans[c].until > now {
+                    next = next.min(self.spans[c].until);
                     continue;
                 }
                 self.settle(c, now);
@@ -195,25 +191,28 @@ impl<'a> Machine<'a> {
                 let tick = self.cores[c].cycle(
                     c,
                     now,
+                    end,
                     &mut self.mem,
                     &mut self.threads,
                     &self.bundle.regions,
                     &mut self.ctl,
                 );
-                if let Some(class) = tick.class {
-                    self.per_core[c].charge(class, 1);
-                }
-                let wake = tick.quiet_until.clamp(now + 1, end);
-                self.sleep[c] = Sleep {
-                    wake,
-                    owed_from: now + 1,
+                debug_assert!(
+                    now < tick.until && tick.until <= end,
+                    "span {now}..{}",
+                    tick.until
+                );
+                self.spans[c] = Span {
+                    until: tick.until,
+                    owed_from: now,
                     class: tick.class,
                 };
-                next = next.min(wake);
+                next = next.min(tick.until);
             }
-            // The cycle that finishes the last thread is a busy one, so
-            // a completion run ends at `now + 1`: cycles past it are
-            // never simulated and never charged.
+            // The cycle that finishes the last thread ends its span, so a
+            // completion run ends at `now + 1`: cycles past it are never
+            // charged. A span that would outlive the run is only ever a
+            // quiet one, which the final settle cuts at `now`.
             debug_assert!(next == now + 1 || self.ctl.remaining > 0 || !stop_when_done);
             self.now = next;
         }

@@ -1,8 +1,9 @@
-//! Skip ≡ tick: the sleeping loop (`Machine::run_until`) held to the
+//! Skip ≡ tick: the span loop (`Machine::run_until`) held to the
 //! per-cycle reference it replaced (`Machine::execute_ticking`, defined
-//! here: every core called every cycle, quiet hint ignored, nothing
-//! applied in bulk) — on random bundles, on the boundaries bulk charging
-//! can get wrong, and on a real OLTP capture.
+//! here: every core called every cycle with `horizon = now + 1`, so no
+//! call simulates more than its own cycle) — on random bundles, on the
+//! boundaries a quiet or private span can get wrong, and on a real OLTP
+//! capture.
 //!
 //! Everything sits in an in-file `#[cfg(test)]` module: the oracle's
 //! panics are test code, outside the crate's `not(test)` panic lints.
@@ -12,14 +13,13 @@ mod tests {
     use super::super::*;
     use crate::builder::MachineBuilder;
     use crate::config::{CacheGeom, MachineConfig, SharedBy};
-    use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
+    use dbcmp_trace::{CodeRegions, ThreadTrace, TraceBundle, Tracer};
     use proptest::prelude::*;
 
     /// The oracle: the loop `Machine::run_until` replaced, kept as the
     /// reference it must equal.
     impl Machine<'_> {
-        /// Every core called every cycle, the quiet hint ignored, nothing
-        /// applied in bulk.
+        /// Every core called every cycle, each call one cycle long.
         fn run_until_ticking(&mut self, end: u64) {
             let stop_when_done = !self.mode.wraps();
             while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
@@ -28,6 +28,7 @@ mod tests {
                     let tick = self.cores[c].cycle(
                         c,
                         self.now,
+                        self.now + 1,
                         &mut self.mem,
                         &mut self.threads,
                         &self.bundle.regions,
@@ -235,6 +236,10 @@ mod tests {
 
     /// The quick fig7 OLTP capture (tiny TPC-C, 16 clients × 8 units) on the
     /// three camps fig7 compares and the 2x2 island midpoint between them.
+    /// The two CMPs must also make at most half the `Core::cycle` calls the
+    /// throughput run made when only quiet cycles were skipped (74,753
+    /// fat, 259,030 lean): a private-cycle check that never fires fails
+    /// here, though every result would still equal the oracle's.
     #[test]
     fn skipping_equals_ticking_on_the_quick_oltp_capture() {
         use dbcmp_workloads::{build_tpcc, capture_oltp, CaptureOptions, TpccScale};
@@ -244,11 +249,11 @@ mod tests {
         islands.name = "2x2 islands".to_string();
         islands.l2 = islands.l2.banks(2, 2);
         islands.l2.shared_by = SharedBy::Cluster(2);
-        for cfg in [
-            MachineConfig::fat_cmp(4, 4 << 20, 12),
-            MachineConfig::lean_cmp(4, 4 << 20, 12),
-            MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()),
-            islands,
+        for (cfg, quiet_only_calls) in [
+            (MachineConfig::fat_cmp(4, 4 << 20, 12), Some(74_753)),
+            (MachineConfig::lean_cmp(4, 4 << 20, 12), Some(259_030)),
+            (MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()), None),
+            (islands, None),
         ] {
             let throughput = RunMode::Throughput {
                 warmup: 20_000,
@@ -256,6 +261,14 @@ mod tests {
             };
             let p = assert_same(&cfg, throughput, &bundle);
             assert!(p.skip.instrs > 0, "{}: nothing retired", cfg.name);
+            if let Some(before) = quiet_only_calls {
+                assert!(
+                    p.skip_calls * 2 <= before,
+                    "{}: {} cycle calls, {before} with quiet spans only",
+                    cfg.name,
+                    p.skip_calls
+                );
+            }
             assert_same(
                 &cfg,
                 RunMode::Completion {
@@ -415,5 +428,120 @@ mod tests {
             p.tick_calls
         );
         assert!(p.skip.remote.stall_cycles > 0);
+    }
+
+    // ------------------------------------------------ private spans
+
+    /// The fat core and a one-context lean core, whose round-robin pick is
+    /// that context every cycle it is runnable.
+    fn one_context_cores() -> [MachineConfig; 2] {
+        let mut lean = MachineConfig::lean_cmp(1, 1 << 20, 8);
+        if let CoreKind::Lean { width, .. } = lean.core {
+            lean.core = CoreKind::Lean { width, contexts: 1 };
+        }
+        [MachineConfig::fat_cmp(1, 1 << 20, 8), lean]
+    }
+
+    fn exec_only(instrs: u32) -> ThreadTrace {
+        let mut tr = Tracer::recording();
+        tr.exec(0, instrs);
+        tr.unit_end();
+        tr.finish()
+    }
+
+    /// Private spans must actually run: far fewer calls than core-cycles.
+    fn assert_spans(p: &Pair, cfg: &MachineConfig) {
+        assert!(
+            p.skip_calls * 3 < p.tick_calls,
+            "{}: {} cycle calls for {} core-cycles",
+            cfg.name,
+            p.skip_calls,
+            p.tick_calls
+        );
+    }
+
+    #[test]
+    fn a_span_reaching_the_end_of_warmup_stops_there() {
+        // A warm 1 KB loop is private on all but one cycle per I-line;
+        // the window boundaries fall on odd cycles, inside spans.
+        let bundle = TraceBundle::new(one_region(), vec![exec_only(1 << 20)]);
+        let mode = RunMode::Throughput {
+            warmup: 3_001,
+            measure: 5_003,
+        };
+        for cfg in one_context_cores() {
+            let p = assert_same(&cfg, mode, &bundle);
+            assert_eq!(p.skip.per_core[0].total(), 5_003, "{}", cfg.name);
+            assert_spans(&p, &cfg);
+        }
+    }
+
+    #[test]
+    fn a_quantum_expiring_inside_a_span_switches_on_the_ticking_cycle() {
+        // Two compute-only threads on one context: quanta of 333 cycles
+        // end inside spans of up to 8.
+        for mut cfg in one_context_cores() {
+            cfg.quantum = 333;
+            cfg.switch_penalty = 7;
+            let bundle = TraceBundle::new(one_region(), vec![exec_only(12_000); 2]);
+            for mode in [THROUGHPUT, COMPLETION] {
+                let p = assert_same(&cfg, mode, &bundle);
+                assert_spans(&p, &cfg);
+                assert!(
+                    p.skip.breakdown.get(CycleClass::Other) >= 5 * 7,
+                    "{} {mode:?}: no quantum expired",
+                    cfg.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_misprediction_inside_a_span_gates_decode_on_the_ticking_cycle() {
+        // `branchy` mispredicts about once in 167 instructions.
+        let bundle = bundle_of(&[vec![Op::Exec(0, 30_000); 2]]);
+        for cfg in one_context_cores() {
+            for mode in [THROUGHPUT, COMPLETION] {
+                let p = assert_same(&cfg, mode, &bundle);
+                assert_spans(&p, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_completing_inside_a_span_frees_the_buffer_on_the_ticking_cycle() {
+        // One store-buffer slot; each store misses to memory (~400
+        // cycles) while 150–450 cycles of compute follow it, so some
+        // complete inside a span and some hold up the next store.
+        let mut tr = Tracer::recording();
+        for k in 0..40u32 {
+            tr.store(0x10_0000 + k as u64 * 4096, 8);
+            tr.exec(0, 300 + (k % 7) * 100);
+        }
+        let bundle = TraceBundle::new(one_region(), vec![tr.finish()]);
+        for mut cfg in one_context_cores() {
+            cfg.store_buffer = 1;
+            for mode in [THROUGHPUT, COMPLETION] {
+                let p = assert_same(&cfg, mode, &bundle);
+                assert_spans(&p, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_draining_when_another_core_finishes_the_last_thread_stops_with_the_run() {
+        // Core 0's trace ends 40 instructions before core 1's: its thread
+        // is finished while its window still drains, and core 1 finishing
+        // ends the run inside that drain. The drain is never a span, since
+        // nothing would stop it outliving the run.
+        let cfg = MachineConfig::fat_cmp(2, 1 << 20, 8);
+        let bundle = TraceBundle::new(one_region(), vec![exec_only(4_000), exec_only(4_040)]);
+        let p = assert_same(&cfg, COMPLETION, &bundle);
+        let compute = p.skip.per_core[0].get(CycleClass::Compute);
+        assert!(
+            compute * 2 < 4_000,
+            "core 0 retires 2 a cycle and must not have retired all 4,000: {compute} cycles"
+        );
+        assert_eq!(p.skip.per_core[0].total(), p.skip.cycles);
     }
 }

@@ -618,11 +618,11 @@ impl MemSys {
 
     // ---------------------------------------------------- fills + evicts
 
+    /// Instruction lines are not sharer-tracked (`init_fill` gives them
+    /// no bits and only data hits set any), so an L1I victim needs no
+    /// directory upkeep.
     fn fill_l1i(&mut self, core: usize, line: u64) {
-        let (_, evicted) = self.cores.l1i[core].insert(line);
-        if let Some(ev) = evicted {
-            self.drop_sharer(core, ev.line);
-        }
+        self.cores.l1i[core].insert(line);
     }
 
     /// Remove `core` from the line's sharer set after an L1 eviction.
@@ -991,6 +991,28 @@ mod tests {
             m.counters.l1_to_l1, 0,
             "core 2's copy is already clean; no transfer can happen"
         );
+    }
+
+    /// An L1I eviction leaves the directory's *data* sharer bits alone,
+    /// even for a line number that is also a data line: a later write by
+    /// another core must still invalidate the first core's L1D copy.
+    #[test]
+    fn l1i_eviction_keeps_the_data_sharer_bit_of_the_same_line_number() {
+        let mut cfg = MachineConfig::fat_cmp(2, 1 << 20, 10);
+        cfg.l1i = CacheGeom::new(128, 1, 1); // two sets: lines 100 and 102 collide
+        cfg.stream_buf = 0;
+        let mut m = MemSys::new(&cfg);
+        m.data_access(0, 100, false, 0); // core 0 holds data line 100
+        m.instr_access(0, 100, 1000); // ... and code line 100
+        m.instr_access(0, 102, 2000); // which this fill evicts from its L1I
+        m.data_access(1, 100, true, 3000); // core 1 writes the data line
+        let a = m.data_access(0, 100, false, 4000);
+        assert_eq!(
+            a.class,
+            MemClass::L2Hit,
+            "core 0's L1D copy must have been invalidated by core 1's write"
+        );
+        assert_eq!(m.counters.l1_to_l1, 1, "the line is dirty in core 1's L1");
     }
 
     #[test]

@@ -8,15 +8,23 @@
 # tree's, builds bench_pipeline from each with BENCHMARK.json's own build
 # line, then for every pair and workload runs both sides with
 # `--trace 0 --reps 4`, flipping which side goes first each pair. Prints,
-# per workload x end-to-end metric: both medians, the delta with its base,
-# the parent's quartiles and in how many pairs the change read lower.
+# per workload x end-to-end metric of BENCHMARK.json: both medians, the
+# delta with its base, the parent's quartiles, in how many pairs the
+# change read better, and a verdict:
+#   gain       better in >= 9/10 of the pairs, and the medians differ by
+#              more than the parent's interquartile range;
+#   worse      the change's median is worse than the parent's by more
+#              than the metric's `bound` (a fraction of the parent's);
+#   unresolved either side's interquartile range is wider than that
+#              bound, and not every change run beats every parent run;
+#   no worse   otherwise.
 # Every run's result line is kept under $BENCH_PAIRS_DIR/runs/.
 #
 # The change side is the working tree as it stands, committed or not.
 # BENCH_PAIRS_DIR defaults to target/bench_pairs (git-ignored).
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
 parent_ref=$1
 pairs=${2:-10}
 shift; [ $# -gt 0 ] && shift
@@ -55,22 +63,43 @@ for pair in $(seq 1 "$pairs"); do
     echo "pair $pair/$pairs done (${order[0]} first)" >&2
 done
 
-python3 - "$dir/runs" "$pairs" "${workloads[@]}" <<'EOF'
+python3 - "$repo/BENCHMARK.json" "$dir/runs" "$pairs" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
-print("| workload | metric | parent median [q1, q3] | change median | delta | change lower in | failed p/c |")
-print("|---|---|---|---|---|---|---|")
+bench, runs, pairs, workloads = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+metrics = json.load(open(bench))["end_to_end"]
+
+def quartiles(xs):
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
+    return q1, q3
+
+print("| workload | metric | parent median [q1, q3] | change median | delta "
+      "| change better in | verdict | failed p/c |")
+print("|---|---|---|---|---|---|---|---|")
 for w in workloads:
     side = {s: [json.load(open(f"{runs}/{w}.{p}.{s}.json")) for p in range(1, pairs + 1)]
             for s in ("parent", "change")}
     failed = "/".join(str(sum(r["failed"] + (not r["correct"]) for r in side[s]))
                       for s in ("parent", "change"))
-    for m in ("wall_s", "setup_s", "peak_rss_mb"):
-        a, b = ([r["metrics"][m]["value"] for r in side[s]] for s in ("parent", "change"))
-        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
+        a, b = ([r["metrics"][name]["value"] for r in side[s]] for s in ("parent", "change"))
+        # Orient every value so that larger is better.
+        sign = -1 if m["better"] == "lower" else 1
+        (q1, q3), (r1, r3) = quartiles(a), quartiles(b)
         ma, mb = statistics.median(a), statistics.median(b)
-        lower = sum(y < x for x, y in zip(a, b))
-        print(f"| `{w}` | `{m}` | {ma:.3f} [{q1:.3f}, {q3:.3f}] | {mb:.3f} "
-              f"| {100 * (mb - ma) / ma:+.1f} % of {ma:.3f} | {lower}/{pairs} | {failed} |")
+        better = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        gain = sign * (mb - ma)
+        if 10 * better >= 9 * pairs and gain > q3 - q1:
+            verdict = "gain"
+        elif -gain > bound * ma:
+            verdict = "worse"
+        elif (max(q3 - q1, r3 - r1) > bound * ma
+              and not min(sign * y for y in b) > max(sign * x for x in a)):
+            verdict = "unresolved"
+        else:
+            verdict = "no worse"
+        print(f"| `{w}` | `{name}` | {ma:.3f} [{q1:.3f}, {q3:.3f}] | {mb:.3f} "
+              f"| {100 * (mb - ma) / ma:+.1f} % of {ma:.3f} | {better}/{pairs} "
+              f"| {verdict} | {failed} |")
 EOF
