@@ -60,7 +60,49 @@ pub trait Core {
         threads: &mut [ThreadState<'_>],
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
+    ) -> Tick {
+        let tick = self.step(core, now, horizon, mem, threads, regions, ctl);
+        let mut t = tick.until;
+        if tick.class == Some(CycleClass::Compute) {
+            while t < horizon && self.private_cycle(t, threads, regions, ctl) {
+                t += 1;
+            }
+        }
+        Tick { until: t, ..tick }
+    }
+
+    /// Simulate the one cycle at `now`, or, when it is quiet (it and the
+    /// cycles after it change nothing but countdowns the core applies in
+    /// bulk), the quiet span it starts, ending by `horizon`.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
+    )]
+    fn step(
+        &mut self,
+        core: usize,
+        now: u64,
+        horizon: u64,
+        mem: &mut MemSys,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
     ) -> Tick;
+
+    /// Simulate the cycle at `t` if it is *private* and return `true`;
+    /// otherwise change nothing and return `false`. A private cycle
+    /// retires something, calls no `MemSys`, consumes no trace event and
+    /// rotates no thread, and its thread is unfinished, so no completion
+    /// run ends before it. Nothing another core does can reach such a
+    /// cycle, so it may run ahead of the clock. It does what
+    /// [`step`](Self::step) would, through `step`'s own stage functions.
+    fn private_cycle(
+        &mut self,
+        t: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> bool;
 
     /// The core's hardware contexts (thread slots), in binding order.
     fn contexts(&self) -> &[CtxBase];

@@ -87,6 +87,18 @@ impl CtxBase {
         self.thread.is_some() && self.blocked_until <= now
     }
 
+    /// Count one cycle of the running thread's quantum; `false`, counting
+    /// nothing, when it is used up and another thread waits (the thread
+    /// is due to rotate).
+    #[inline]
+    pub fn tick_quantum(&mut self) -> bool {
+        if self.quantum_left == 0 && !self.run_q.is_empty() {
+            return false;
+        }
+        self.quantum_left = self.quantum_left.saturating_sub(1);
+        true
+    }
+
     /// Drop completed stores from the buffer.
     #[inline]
     pub fn drain_stores(&mut self, now: u64) {

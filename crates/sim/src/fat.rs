@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use dbcmp_trace::region::CodeRegions;
+use dbcmp_trace::region::{CodeRegion, CodeRegions};
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
@@ -112,10 +112,10 @@ impl Core for FatCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle, then its quiet or private successors; a `None`
-    /// class means the core has no work at all. Quiet = nothing retired,
-    /// no thread rotated, `want_switch` not newly set, and decode stuck.
-    fn cycle(
+    /// Simulate one cycle, or the quiet span it starts; a `None` class
+    /// means the core has no work at all. Quiet = nothing retired, no
+    /// thread rotated, `want_switch` not newly set, and decode stuck.
+    fn step(
         &mut self,
         core: usize,
         now: u64,
@@ -145,37 +145,7 @@ impl Core for FatCore {
         }
 
         self.base.drain_stores(now);
-
-        // ---- Retire stage (in order; ALU runs limited by dependency
-        // chains, loads by readiness) ----
-        let mut retired = 0usize;
-        while retired < self.width {
-            match self.rob.front_mut() {
-                Some(RobSlot::Run { left }) => {
-                    let take = (*left as usize).min(self.alu_width.saturating_sub(retired));
-                    if take == 0 {
-                        break;
-                    }
-                    *left -= take as u32;
-                    retired += take;
-                    self.rob_instrs -= take;
-                    if *left == 0 {
-                        self.rob.pop_front();
-                    }
-                }
-                Some(RobSlot::Load { ready_at, .. }) => {
-                    if *ready_at <= now {
-                        self.rob.pop_front();
-                        retired += 1;
-                        self.rob_instrs -= 1;
-                        self.outstanding -= 1;
-                    } else {
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
+        let retired = self.retire(now, ctl);
 
         // ---- Decode/dispatch stage ----
         let mut head_wait: Option<CycleClass> = None;
@@ -187,14 +157,8 @@ impl Core for FatCore {
             }
         }
 
-        // OS quantum bookkeeping.
         if self.base.thread.is_some() {
-            if self.base.quantum_left == 0 && !self.base.run_q.is_empty() {
-                quiet &= self.want_switch;
-                self.want_switch = true;
-            } else {
-                self.base.quantum_left = self.base.quantum_left.saturating_sub(1);
-            }
+            quiet &= !self.count_quantum();
         }
         if self.want_switch && self.rob.is_empty() && self.base.store_buf.is_empty() {
             self.want_switch = false;
@@ -207,12 +171,7 @@ impl Core for FatCore {
 
         // ---- Attribution ----
         if retired > 0 {
-            self.retired += retired as u64;
-            ctl.instrs += retired as u64;
-            return Tick {
-                class: Some(CycleClass::Compute),
-                until: self.run_ahead(now + 1, horizon, threads, regions, ctl),
-            };
+            return Tick::once(CycleClass::Compute, now);
         }
         // Nothing retired: why?
         let class = if let Some(RobSlot::Load { class, .. }) = self.rob.front() {
@@ -244,6 +203,61 @@ impl Core for FatCore {
             until,
         }
     }
+
+    /// Private when the thread is unfinished, the head run gives
+    /// `alu_width` and keeps one, so the cycle retires exactly that, and
+    /// decode is gated or takes all it has room for from the current
+    /// `Exec` run, inside the fetched I-line. Then the cycle is
+    /// [`step`](Core::step) without the stages that would do nothing: no
+    /// thread rotates (the window stays occupied, so a spent quantum only
+    /// requests the switch), and decode neither fetches nor reads an
+    /// event. Stores that complete meanwhile wait for the next `step`'s
+    /// `drain_stores`: nothing a private cycle does reads the buffer.
+    #[inline]
+    fn private_cycle(
+        &mut self,
+        t: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> bool {
+        let Some(th) = self.base.thread.map(|i| &mut threads[i]) else {
+            return false;
+        };
+        let Some(&RobSlot::Run { left: head }) = self.rob.front() else {
+            return false;
+        };
+        if th.done || head as usize <= self.alu_width {
+            return false;
+        }
+        let decode = if self.want_switch || self.gate_until > t || self.fetch_until > t {
+            None
+        } else {
+            let Some((region, left)) = th.current_run() else {
+                return false;
+            };
+            let r = regions.get(region);
+            // What decode has room for once retire has freed `alu_width`.
+            let room = self
+                .width
+                .min(self.rob_cap + self.alu_width - self.rob_instrs);
+            if th.fetched_room(r).min(left as u64) < room as u64 {
+                return false;
+            }
+            Some((r, left, room))
+        };
+        // `retire`, for a head run that gives `alu_width` and keeps one.
+        if let Some(RobSlot::Run { left }) = self.rob.front_mut() {
+            *left -= self.alu_width as u32;
+        }
+        self.rob_instrs -= self.alu_width;
+        self.count_retired(self.alu_width, ctl);
+        if let Some((r, left, room)) = decode {
+            self.decode_run(th, r, left, room, t);
+        }
+        self.count_quantum();
+        true
+    }
 }
 
 impl FatCore {
@@ -272,115 +286,75 @@ impl FatCore {
             .unwrap_or(u64::MAX)
     }
 
-    /// Simulate the private cycles from `t` on, up to `horizon` at most,
-    /// and return the first cycle that is not one. A private cycle calls
-    /// no `MemSys`, consumes no trace event and changes no scheduling: the
-    /// head run retires `alu_width` and keeps at least one instruction,
-    /// decode is gated or continues the current `Exec` run inside the
-    /// fetched I-line, and the quantum does not expire. Its own thread is
-    /// unfinished (a finished one has no current run, and opened no gate
-    /// after its last decode), so a completion run cannot end inside the
-    /// span.
-    fn run_ahead(
-        &mut self,
-        mut t: u64,
-        horizon: u64,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> u64 {
-        let Some(th) = self.base.thread.map(|i| &mut threads[i]) else {
-            return t;
-        };
-        let before = self.retired;
-        while t < horizon {
-            let k = self.private_span(t, horizon - t, th, regions);
-            if k == 0 {
-                break;
+    /// Retire stage (in order; ALU runs limited by dependency chains,
+    /// loads by readiness). Returns how many instructions retired.
+    fn retire(&mut self, now: u64, ctl: &mut MachineCtl) -> usize {
+        let mut retired = 0usize;
+        while retired < self.width {
+            match self.rob.front_mut() {
+                Some(RobSlot::Run { left }) => {
+                    let take = (*left as usize).min(self.alu_width.saturating_sub(retired));
+                    if take == 0 {
+                        break;
+                    }
+                    *left -= take as u32;
+                    retired += take;
+                    self.rob_instrs -= take;
+                    if *left == 0 {
+                        self.rob.pop_front();
+                    }
+                }
+                Some(RobSlot::Load { ready_at, .. }) => {
+                    if *ready_at <= now {
+                        self.rob.pop_front();
+                        retired += 1;
+                        self.rob_instrs -= 1;
+                        self.outstanding -= 1;
+                    } else {
+                        break;
+                    }
+                }
+                None => break,
             }
-            t += k;
         }
-        ctl.instrs += self.retired - before;
-        t
+        self.count_retired(retired, ctl);
+        retired
     }
 
-    /// Simulate between 1 and `max` private cycles from `t` in closed
-    /// form and return how many; 0 when cycle `t` is not private. Store
-    /// completions inside the span are left to the next `drain_stores`:
-    /// nothing a private cycle does reads the store buffer.
-    fn private_span(
+    /// Count `n` retired instructions, for the core and the machine.
+    #[inline]
+    fn count_retired(&mut self, n: usize, ctl: &mut MachineCtl) {
+        self.retired += n as u64;
+        ctl.instrs += n as u64;
+    }
+
+    /// OS quantum bookkeeping for the running thread: count the quantum
+    /// down or, once it is spent with a run queue waiting, request the
+    /// switch. Returns whether the request is new.
+    #[inline]
+    fn count_quantum(&mut self) -> bool {
+        !self.base.tick_quantum() && !std::mem::replace(&mut self.want_switch, true)
+    }
+
+    /// Decode up to `room` instructions of the current exec run (`left`
+    /// of region `r`), its I-line already fetched; a misprediction stops
+    /// decode for the pipeline depth. Returns (decoded, mispredicted).
+    #[inline]
+    fn decode_run(
         &mut self,
-        t: u64,
-        max: u64,
         th: &mut ThreadState<'_>,
-        regions: &CodeRegions,
-    ) -> u64 {
-        let a = self.alu_width as u64;
-        let Some(&RobSlot::Run { left: head }) = self.rob.front() else {
-            return 0;
-        };
-        // Cycles the head run can give `a` each and keep one.
-        let head_k = (head as u64 - 1) / a;
-        // A cycle that sees the countdown at zero with a run queue waiting
-        // requests the switch; the countdown stays at zero until the
-        // switch (`want_switch`) happens.
-        let mut max = max;
-        if !self.base.run_q.is_empty() {
-            max = max.min(self.base.quantum_left);
+        r: &CodeRegion,
+        left: u32,
+        room: usize,
+        now: u64,
+    ) -> (usize, bool) {
+        let (n, mispredicted) = th.run_exec(r, left, room);
+        self.push_run(n as u32);
+        if mispredicted {
+            self.gate_until = now + self.pipeline_depth;
+            self.gate_class = CycleClass::Other;
         }
-        debug_assert!(max == 0 || !self.want_switch);
-        let gated = self.gate_until.max(self.fetch_until).saturating_sub(t);
-        let (k, decoded) = if gated > 0 {
-            debug_assert!(!th.done);
-            (max.min(gated).min(head_k), 0)
-        } else {
-            let Some((region, run_left)) = th.current_run() else {
-                return 0;
-            };
-            let r = regions.get(region);
-            // Decode takes `room` a cycle. Once that is what retire frees
-            // (the window is full), it stays so and k cycles are one batch;
-            // until then, one cycle at a time.
-            let room = self
-                .width
-                .min(self.rob_cap + self.alu_width - self.rob_instrs);
-            let steady = room == self.alu_width;
-            let fetched = th.fetched_room(r).min(run_left as u64);
-            let mut k = max.min(fetched / room as u64);
-            if !steady {
-                k = k.min(1);
-            }
-            // Decode refills a lone head run as fast as it retires.
-            if !(steady && self.rob.len() == 1) || head_k == 0 {
-                k = k.min(head_k);
-            }
-            if k == 0 {
-                return 0;
-            }
-            let (n, mispredicted) = th.run_exec(r, run_left, k as usize * room);
-            if mispredicted {
-                // The span ends on the cycle that decoded the branch.
-                k = (n as u64 - 1) / room as u64 + 1;
-                self.gate_until = t + k - 1 + self.pipeline_depth;
-                self.gate_class = CycleClass::Other;
-            }
-            (k, n)
-        };
-        if k == 0 {
-            return 0;
-        }
-        // Decode before retire, so a head run that decode refills never
-        // runs dry on the way.
-        if decoded > 0 {
-            self.push_run(decoded as u32);
-        }
-        if let Some(RobSlot::Run { left }) = self.rob.front_mut() {
-            *left -= (k * a) as u32;
-        }
-        self.rob_instrs -= (k * a) as usize;
-        self.retired += k * a;
-        self.base.quantum_left = self.base.quantum_left.saturating_sub(k);
-        k
+        (n, mispredicted)
     }
 
     /// Fill the window with up to `width` new instructions. Returns the
@@ -481,13 +455,9 @@ impl FatCore {
                     break;
                 }
                 let room = (self.width - decoded).min(self.rob_cap - self.rob_instrs);
-                let (n, mispredicted) = th.run_exec(r, left, room);
-                self.push_run(n as u32);
+                let (n, mispredicted) = self.decode_run(th, r, left, room, now);
                 decoded += n;
                 if mispredicted {
-                    // Redirect: decode stops for the pipeline depth.
-                    self.gate_until = now + self.pipeline_depth;
-                    self.gate_class = CycleClass::Other;
                     break;
                 }
                 continue;

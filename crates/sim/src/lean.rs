@@ -9,7 +9,7 @@
 //! waiting on memory, that is precisely the exposed data-stall time the
 //! paper measures for lean cores under unsaturated load (§4).
 
-use dbcmp_trace::region::CodeRegions;
+use dbcmp_trace::region::{CodeRegion, CodeRegions};
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
@@ -72,10 +72,10 @@ impl Core for LeanCore {
         &mut self.retired
     }
 
-    /// Simulate one cycle, then its quiet or private successors; a `None`
-    /// class means the core has no threads at all (inactive — not
-    /// accounted). Only a cycle with every context blocked is quiet.
-    fn cycle(
+    /// Simulate one cycle, or the quiet span it starts; a `None` class
+    /// means the core has no threads at all (inactive — not accounted).
+    /// Only a cycle with every context blocked is quiet.
+    fn step(
         &mut self,
         core: usize,
         now: u64,
@@ -132,11 +132,10 @@ impl Core for LeanCore {
 
         // OS quantum.
         let ctx = &mut self.ctxs[i];
-        if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
+        if !ctx.tick_quantum() {
             ctx.rotate_thread(true, self.quantum, self.switch_penalty, now);
             return Tick::once(CycleClass::Other, now);
         }
-        ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
 
         // Issue up to `width` instructions from this context.
         let (issued, progress) = issue_from(
@@ -151,19 +150,52 @@ impl Core for LeanCore {
             ctl,
         );
         self.rescan = self.ctxs[i].thread.is_some_and(|t| threads[t].done);
-        if issued > 0 {
-            self.retired += issued as u64;
-            ctl.instrs += issued as u64;
-        }
+        self.count_retired(issued, ctl);
         if progress > 0 {
-            Tick {
-                class: Some(CycleClass::Compute),
-                until: self.run_ahead(now + 1, horizon, threads, regions, ctl),
-            }
+            Tick::once(CycleClass::Compute, now)
         } else {
             // The context blocked on its very first slot this cycle.
             Tick::once(self.ctxs[i].blocked_class, now)
         }
+    }
+
+    /// Private when no thread of the core finished since the last scan
+    /// and the context picked round-robin has quantum left and issues its
+    /// full `width` from its current `Exec` run, inside the fetched
+    /// I-line. Then the cycle is [`step`](Core::step) without the stages
+    /// that would do nothing: no scan, no rotation, and issue neither
+    /// fetches nor reads an event. Stores that complete meanwhile wait
+    /// for the context's next `drain_stores`: nothing a private cycle
+    /// does reads the buffer.
+    #[inline]
+    fn private_cycle(
+        &mut self,
+        t: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> bool {
+        if self.rescan {
+            return false;
+        }
+        let Some(i) = self.pick(t) else {
+            return false;
+        };
+        let ctx = &mut self.ctxs[i];
+        let Some(th) = ctx.thread.map(|i| &mut threads[i]) else {
+            return false;
+        };
+        let Some((region, left)) = th.current_run() else {
+            return false;
+        };
+        let r = regions.get(region);
+        if th.fetched_room(r).min(left as u64) < self.width as u64 || !ctx.tick_quantum() {
+            return false;
+        }
+        let (n, _) = issue_run(ctx, th, r, left, self.width, self.pipeline_depth, t);
+        self.advance(1);
+        self.count_retired(n, ctl);
+        true
     }
 }
 
@@ -178,6 +210,13 @@ impl LeanCore {
             .find(|&i| self.ctxs[i].runnable(now))
     }
 
+    /// Count `n` retired instructions, for the core and the machine.
+    #[inline]
+    fn count_retired(&mut self, n: usize, ctl: &mut MachineCtl) {
+        self.retired += n as u64;
+        ctl.instrs += n as u64;
+    }
+
     /// Move the pointer on as `cycles` cycles do, one context each.
     #[inline]
     fn advance(&mut self, cycles: u64) {
@@ -187,59 +226,6 @@ impl LeanCore {
         } else {
             ((self.rr as u64 + cycles) % n as u64) as usize
         };
-    }
-
-    /// Simulate the private cycles from `t` on, up to `horizon` at most,
-    /// and return the first cycle that is not one. A private cycle calls
-    /// no `MemSys`, consumes no trace event and changes no scheduling: the
-    /// context picked round-robin has quantum left and issues its full
-    /// `width` from its current `Exec` run, inside the fetched I-line. Its
-    /// thread is unfinished, so a completion run cannot end inside the
-    /// span. Store completions are left to the context's next
-    /// `drain_stores`: nothing a private cycle does reads the buffer.
-    fn run_ahead(
-        &mut self,
-        mut t: u64,
-        horizon: u64,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> u64 {
-        if self.rescan {
-            return t;
-        }
-        let before = self.retired;
-        while t < horizon {
-            let Some(i) = self.pick(t) else {
-                break;
-            };
-            let ctx = &mut self.ctxs[i];
-            // A cycle that sees the countdown at zero with a run queue
-            // waiting rotates the thread.
-            if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
-                break;
-            }
-            let Some(th) = ctx.thread.map(|i| &mut threads[i]) else {
-                break;
-            };
-            let Some((region, left)) = th.current_run() else {
-                break;
-            };
-            let r = regions.get(region);
-            if th.fetched_room(r).min(left as u64) < self.width as u64 {
-                break;
-            }
-            let (issued, mispredicted) = th.run_exec(r, left, self.width);
-            if mispredicted {
-                ctx.block(t + self.pipeline_depth, CycleClass::Other, t);
-            }
-            ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
-            self.advance(1);
-            self.retired += issued as u64;
-            t += 1;
-        }
-        ctl.instrs += self.retired - before;
-        t
     }
 }
 
@@ -316,12 +302,11 @@ fn issue_from(
                 ctx.block(ready, class, now);
                 break;
             }
-            let (n, mispredicted) = th.run_exec(r, left, width - issued);
+            let (n, mispredicted) =
+                issue_run(ctx, th, r, left, width - issued, pipeline_depth, now);
             issued += n;
             progress += n;
             if mispredicted {
-                // Branch misprediction charge.
-                ctx.block(now + pipeline_depth, CycleClass::Other, now);
                 break;
             }
             continue;
@@ -373,6 +358,26 @@ fn issue_from(
         }
     }
     (issued, progress)
+}
+
+/// Issue up to `room` instructions of the current exec run (`left` of
+/// region `r`), its I-line already fetched; a misprediction blocks the
+/// context for the pipeline depth. Returns (issued, mispredicted).
+#[inline]
+fn issue_run(
+    ctx: &mut CtxBase,
+    th: &mut ThreadState<'_>,
+    r: &CodeRegion,
+    left: u32,
+    room: usize,
+    pipeline_depth: u64,
+    now: u64,
+) -> (usize, bool) {
+    let (n, mispredicted) = th.run_exec(r, left, room);
+    if mispredicted {
+        ctx.block(now + pipeline_depth, CycleClass::Other, now);
+    }
+    (n, mispredicted)
 }
 
 /// State-only touches for the lines of a multi-line access except the

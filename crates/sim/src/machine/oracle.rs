@@ -529,6 +529,24 @@ mod tests {
     }
 
     #[test]
+    fn a_thread_finishing_mid_round_rotates_its_context_on_the_ticking_cycle() {
+        // Two lean contexts, three threads: thread 2 waits on context 0's
+        // run queue until thread 0 finishes, while context 1 runs on. The
+        // rotation, and its switch penalty, must come on the cycle after
+        // the finish, not when the round robin next reaches context 0.
+        // An odd length at width 2 makes thread 0 finish on a cycle that
+        // also issued, a compute cycle that private ones may follow.
+        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 8);
+        if let CoreKind::Lean { width, .. } = cfg.core {
+            cfg.core = CoreKind::Lean { width, contexts: 2 };
+        }
+        cfg.switch_penalty = 7;
+        let threads = vec![exec_only(2_001), exec_only(6_000), exec_only(2_001)];
+        let p = assert_same(&cfg, COMPLETION, &TraceBundle::new(one_region(), threads));
+        assert_spans(&p, &cfg);
+    }
+
+    #[test]
     fn a_window_draining_when_another_core_finishes_the_last_thread_stops_with_the_run() {
         // Core 0's trace ends 40 instructions before core 1's: its thread
         // is finished while its window still drains, and core 1 finishing
