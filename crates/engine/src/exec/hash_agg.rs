@@ -82,16 +82,21 @@ impl Executor for HashAggregate {
         )]
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut groups: Vec<(Vec<Value>, GroupState)> = Vec::new();
+        // Refilled in place per row and probed as a slice: a row of an
+        // existing group allocates nothing, a new group clones it.
+        let mut key = vec![Value::Null; self.group_cols.len()];
 
         while let Some(row) = self.child.next(db, tc)? {
             tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-            let key: Vec<Value> = self.group_cols.iter().map(|&c| row[c].clone()).collect();
-            let gi = match index.get(&key) {
+            for (slot, &c) in key.iter_mut().zip(&self.group_cols) {
+                slot.clone_from(&row[c]);
+            }
+            let gi = match index.get(key.as_slice()) {
                 Some(&gi) => gi,
                 None => {
                     let gi = groups.len();
                     index.insert(key.clone(), gi);
-                    groups.push((key, self.fresh_state()));
+                    groups.push((key.clone(), self.fresh_state()));
                     gi
                 }
             };
@@ -163,7 +168,8 @@ mod tests {
     use super::*;
     use crate::exec::expr::Scalar;
     use crate::exec::testutil::sample_db;
-    use crate::exec::{run_to_vec, SeqScan};
+    use crate::exec::{run_to_vec, Rows, SeqScan};
+    use std::collections::BTreeMap;
 
     #[test]
     fn group_count_and_sum() {
@@ -217,5 +223,68 @@ mod tests {
             HashAggregate::new(Box::new(SeqScan::new(t)), vec![1], vec![AggSpec::count()]);
         let rows = run_to_vec(&mut agg, &db, &mut tc).unwrap();
         assert!(rows.is_empty());
+    }
+
+    /// Rows whose string keys shrink ("AB", then "A"), a long run of hits,
+    /// then new groups: a key buffer reused across rows must neither keep
+    /// a stale tail nor miss a late group.
+    fn key_reuse_rows() -> Vec<Row> {
+        let row =
+            |s: &str, g: i64, v: i64| vec![Value::Str(s.into()), Value::Int(g), Value::Decimal(v)];
+        let mut rows = vec![
+            row("AB", 1, 10),
+            row("A", 1, 20),
+            row("AB", 2, 5),
+            row("A", 1, 7),
+        ];
+        rows.extend((0..200).map(|i| row(["AB", "A"][i % 2], 1, i as i64)));
+        rows.extend([
+            row("", 1, 1),
+            row("ABC", 1, 2),
+            row("A", 3, 3),
+            row("AB", 1, 4),
+        ]);
+        rows
+    }
+
+    /// The borrowed-key fold gives the answer, and records the events, of
+    /// a fold that builds a fresh key per row.
+    #[test]
+    fn reused_key_buffer_matches_a_fresh_key_per_row() {
+        let db = Database::new();
+        let rows = key_reuse_rows();
+        let mut tc = db.trace_ctx();
+        let mut agg = HashAggregate::new(
+            Box::new(Rows::new(rows.clone())),
+            vec![0, 1],
+            vec![AggSpec::count(), AggSpec::sum(Scalar::Col(2))],
+        );
+        let got = run_to_vec(&mut agg, &db, &mut tc).unwrap();
+
+        let mut ref_tc = db.trace_ctx();
+        let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
+        let mut groups: Vec<(Vec<Value>, i64, i64)> = Vec::new();
+        for row in &rows {
+            ref_tc.charge(ref_tc.r.exec_agg, instr::AGG_UPDATE);
+            let key = vec![row[0].clone(), row[1].clone()];
+            let gi = *index.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, 0, 0));
+                groups.len() - 1
+            });
+            let line = agg.table_addr + (gi as u64 % 1024) * 64;
+            ref_tc.load_dep(line, 32);
+            ref_tc.store(line, 32);
+            groups[gi].1 += 1;
+            groups[gi].2 += row[2].as_i64().unwrap();
+        }
+        let mut expect = Vec::new();
+        for (mut key, count, sum) in groups {
+            ref_tc.charge(ref_tc.r.exec_agg, instr::AGG_UPDATE);
+            key.extend([Value::Int(count), Value::Decimal(sum)]);
+            expect.push(key);
+        }
+        assert_eq!(got, expect);
+        assert_eq!(got.len(), 6, "every late group is its own group");
+        assert_eq!(tc.finish().packed_events(), ref_tc.finish().packed_events());
     }
 }

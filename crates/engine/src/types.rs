@@ -47,7 +47,7 @@ impl ColType {
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -59,6 +59,28 @@ pub enum Value {
     Date(u32),
     /// SQL NULL.
     Null,
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        match self {
+            Value::Int(v) => Value::Int(*v),
+            Value::Decimal(v) => Value::Decimal(*v),
+            Value::Str(s) => Value::Str(s.clone()),
+            Value::Date(d) => Value::Date(*d),
+            Value::Null => Value::Null,
+        }
+    }
+
+    /// Reuses `self`'s string buffer when both are strings, so a key
+    /// buffer refilled row after row allocates only when a string
+    /// outgrows it.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Value::Str(dst), Value::Str(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 impl Value {
@@ -107,6 +129,14 @@ pub type Row = Vec<Value>;
 pub trait Columns {
     /// Column `i`.
     fn col(&self, i: usize) -> Cow<'_, Value>;
+
+    /// Column `i` written into `out`, reusing `out`'s string buffer
+    /// ([`Value::clone_from`]): a group-key buffer refilled per row
+    /// allocates nothing once it has seen its longest key.
+    #[inline]
+    fn col_into(&self, i: usize, out: &mut Value) {
+        out.clone_from(&self.col(i));
+    }
 }
 
 impl Columns for [Value] {
@@ -150,6 +180,21 @@ impl Columns for TupleRef<'_> {
     #[inline]
     fn col(&self, i: usize) -> Cow<'_, Value> {
         Cow::Owned(decode_col(self.schema, self.bytes, i))
+    }
+
+    /// A string column is decoded straight into `out`'s buffer.
+    #[inline]
+    fn col_into(&self, i: usize, out: &mut Value) {
+        match (self.schema.columns()[i].ty, out) {
+            (ColType::Str(_), Value::Str(s)) => {
+                s.clear();
+                s.push_str(&String::from_utf8_lossy(str_field(
+                    self.bytes,
+                    self.schema.offset(i),
+                )));
+            }
+            (_, out) => *out = decode_col(self.schema, self.bytes, i),
+        }
     }
 }
 
@@ -223,15 +268,16 @@ pub fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
             reason = "fixed 4-byte slice into [u8; 4] is infallible"
         )]
         ColType::Date => Value::Date(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())),
-        #[expect(
-            clippy::unwrap_used,
-            reason = "fixed 2-byte slice into [u8; 2] is infallible"
-        )]
-        ColType::Str(_) => {
-            let n = u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap()) as usize;
-            Value::Str(String::from_utf8_lossy(&bytes[off + 2..off + 2 + n]).into_owned())
-        }
+        ColType::Str(_) => Value::Str(String::from_utf8_lossy(str_field(bytes, off)).into_owned()),
     }
+}
+
+/// The bytes of the string field at `off`: a 2-byte length, then that
+/// many bytes.
+#[inline]
+fn str_field(bytes: &[u8], off: usize) -> &[u8] {
+    let n = u16::from_le_bytes([bytes[off], bytes[off + 1]]) as usize;
+    &bytes[off + 2..off + 2 + n]
 }
 
 #[cfg(test)]

@@ -117,6 +117,9 @@ pub struct BatchAgg {
     // result rows, so iteration order must be deterministic (the
     // stock_level bug class from PR 2).
     groups: BTreeMap<Vec<Value>, AggState>,
+    /// The current row's group key, refilled in place per row; cloned
+    /// into `groups` only when it starts a new group.
+    key: Vec<Value>,
     /// Simulated address of the group table.
     addr: u64,
 }
@@ -134,11 +137,45 @@ struct AggState {
     distinct: Vec<HashSet<i64>>,
 }
 
+impl AggState {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "len-only distinct counters, see AggState"
+    )]
+    fn new(n_aggs: usize) -> Self {
+        AggState {
+            count: 0,
+            sums: vec![0; n_aggs],
+            mins: vec![i64::MAX; n_aggs],
+            maxs: vec![i64::MIN; n_aggs],
+            distinct: vec![HashSet::new(); n_aggs],
+        }
+    }
+
+    /// Fold one row's aggregate inputs into this group's state.
+    fn fold<R: Columns + ?Sized>(&mut self, aggs: &[AggSpec], row: &R) {
+        self.count += 1;
+        for (ai, spec) in aggs.iter().enumerate() {
+            let v = spec.input.eval_i64(row);
+            match spec.func {
+                AggFunc::Count | AggFunc::CountNonNull => {}
+                AggFunc::Sum | AggFunc::Avg => self.sums[ai] += v,
+                AggFunc::Min => self.mins[ai] = self.mins[ai].min(v),
+                AggFunc::Max => self.maxs[ai] = self.maxs[ai].max(v),
+                AggFunc::CountDistinct => {
+                    self.distinct[ai].insert(v);
+                }
+            }
+        }
+    }
+}
+
 impl BatchAgg {
     /// Empty aggregation state with a simulated group-table allocation.
     pub fn new(db: &Database, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
         BatchAgg {
             addr: db.space.alloc_anon(64 * 1024),
+            key: vec![Value::Null; group_cols.len()],
             group_cols,
             aggs,
             groups: BTreeMap::new(),
@@ -149,38 +186,19 @@ impl BatchAgg {
     /// (traced like the engine's aggregate).
     pub fn update<R: Columns + ?Sized>(&mut self, row: &R, tc: &mut TraceCtx) {
         tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-        let key: Vec<Value> = self
-            .group_cols
-            .iter()
-            .map(|&c| row.col(c).into_owned())
-            .collect();
-        let n_aggs = self.aggs.len();
+        for (slot, &c) in self.key.iter_mut().zip(&self.group_cols) {
+            row.col_into(c, slot);
+        }
         let gi = self.groups.len() as u64;
-        #[allow(
-            clippy::disallowed_types,
-            reason = "len-only distinct counters, see AggState"
-        )]
-        let state = self.groups.entry(key).or_insert_with(|| AggState {
-            count: 0,
-            sums: vec![0; n_aggs],
-            mins: vec![i64::MAX; n_aggs],
-            maxs: vec![i64::MIN; n_aggs],
-            distinct: vec![HashSet::new(); n_aggs],
-        });
         let line = self.addr + (gi % 1024) * 64;
         tc.load_dep(line, 32);
         tc.store(line, 32);
-        state.count += 1;
-        for (ai, spec) in self.aggs.iter().enumerate() {
-            let v = spec.input.eval_i64(row);
-            match spec.func {
-                AggFunc::Count | AggFunc::CountNonNull => {}
-                AggFunc::Sum | AggFunc::Avg => state.sums[ai] += v,
-                AggFunc::Min => state.mins[ai] = state.mins[ai].min(v),
-                AggFunc::Max => state.maxs[ai] = state.maxs[ai].max(v),
-                AggFunc::CountDistinct => {
-                    state.distinct[ai].insert(v);
-                }
+        match self.groups.get_mut(self.key.as_slice()) {
+            Some(state) => state.fold(&self.aggs, row),
+            None => {
+                let mut state = AggState::new(self.aggs.len());
+                state.fold(&self.aggs, row);
+                self.groups.insert(self.key.clone(), state);
             }
         }
     }
@@ -801,5 +819,100 @@ mod tests {
             vec![1, 2, 3, 4, 5],
             "order is key-derived, not insertion-derived"
         );
+    }
+
+    /// Rows whose string keys shrink ("AB", then "A"), a long run of hits,
+    /// then new groups: a key buffer reused across rows must neither keep
+    /// a stale tail nor miss a late group.
+    fn key_reuse_db() -> (Database, usize) {
+        let mut db = Database::new();
+        let t = db.create_table(
+            "t",
+            Schema::new(vec![
+                ("name", ColType::Str(8)),
+                ("grp", ColType::Int),
+                ("amount", ColType::Decimal),
+            ]),
+        );
+        let row =
+            |s: &str, g: i64, v: i64| [Value::Str(s.into()), Value::Int(g), Value::Decimal(v)];
+        let mut rows = vec![
+            row("AB", 1, 10),
+            row("A", 1, 20),
+            row("AB", 2, 5),
+            row("A", 1, 7),
+        ];
+        rows.extend((0..200).map(|i| row(["AB", "A"][i % 2], 1, i as i64)));
+        rows.extend([
+            row("", 1, 1),
+            row("ABC", 1, 2),
+            row("A", 3, 3),
+            row("AB", 1, 4),
+        ]);
+        let mut tc = db.null_ctx();
+        let mut load = db.loader(&mut tc).unwrap();
+        for r in &rows {
+            load.insert(t, r).unwrap();
+        }
+        load.finish().unwrap();
+        (db, t)
+    }
+
+    /// Folding page images or materialised rows, the borrowed-key
+    /// `update` gives the answer, and records the events, of a fold that
+    /// builds a fresh key per row.
+    #[test]
+    fn reused_key_buffer_matches_a_fresh_key_per_row() {
+        let (db, t) = key_reuse_db();
+        let heap = db.table(t);
+        let mut null = db.null_ctx();
+        let tuples: Vec<TupleRef<'_>> = heap
+            .rids()
+            .filter_map(|r| heap.read_at(r, &mut null))
+            .collect();
+        for as_rows in [false, true] {
+            let mut agg = BatchAgg::new(
+                &db,
+                vec![0, 1],
+                vec![AggSpec::count(), AggSpec::sum(Scalar::Col(2))],
+            );
+            let mut tc = db.trace_ctx();
+            for tuple in &tuples {
+                if as_rows {
+                    agg.update(&tuple.to_row(), &mut tc);
+                } else {
+                    agg.update(tuple, &mut tc);
+                }
+            }
+
+            let mut ref_tc = db.trace_ctx();
+            let mut groups: BTreeMap<Vec<Value>, (i64, i64)> = BTreeMap::new();
+            for tuple in &tuples {
+                ref_tc.charge(ref_tc.r.exec_agg, instr::AGG_UPDATE);
+                let line = agg.addr + (groups.len() as u64 % 1024) * 64;
+                ref_tc.load_dep(line, 32);
+                ref_tc.store(line, 32);
+                let row = tuple.to_row();
+                let g = groups
+                    .entry(vec![row[0].clone(), row[1].clone()])
+                    .or_default();
+                g.0 += 1;
+                g.1 += row[2].as_i64().unwrap();
+            }
+            let expect: Vec<Vec<Value>> = groups
+                .into_iter()
+                .map(|(mut key, (count, sum))| {
+                    key.extend([Value::Int(count), Value::Decimal(sum)]);
+                    key
+                })
+                .collect();
+            assert_eq!(agg.finish(), expect, "rows: {as_rows}");
+            assert_eq!(expect.len(), 6, "every late group is its own group");
+            assert_eq!(
+                tc.finish().packed_events(),
+                ref_tc.finish().packed_events(),
+                "rows: {as_rows}"
+            );
+        }
     }
 }

@@ -10,6 +10,8 @@
 //! with whole-session grants; a finer grant quantum there gives real 2PL
 //! waits, deadlocks, and a contention knob.
 
+use std::sync::Mutex;
+
 use dbcmp_engine::Database;
 use dbcmp_trace::{ScratchArena, ThreadTrace, TraceBundle};
 
@@ -121,11 +123,12 @@ pub fn capture_dss_workers(
 }
 
 /// `f(index, item)` over `items` on up to `workers` threads, results in
-/// input order. Items are striped round-robin (item `i` on worker
-/// `i mod workers`); `workers <= 1` runs inline on the calling thread.
-/// Every `*_workers` capture entry point funnels through here, and each
-/// passes an `f` whose result depends only on its own item — which is
-/// what makes their output independent of the worker count.
+/// input order. Workers claim items one at a time from a shared cursor,
+/// so a slow item holds up only the worker running it; `workers <= 1`
+/// runs inline on the calling thread. Every `*_workers` capture entry
+/// point funnels through here, and each passes an `f` whose result
+/// depends only on its own item — which is what makes their output
+/// independent of the worker count and of which worker claims what.
 pub(crate) fn par_map_ordered<T: Send, R: Send>(
     items: Vec<T>,
     workers: usize,
@@ -139,19 +142,14 @@ pub(crate) fn par_map_ordered<T: Send, R: Send>(
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let mut stripes: Vec<Vec<(usize, T)>> = Vec::new();
-    stripes.resize_with(workers, Vec::new);
-    for (i, item) in items.into_iter().enumerate() {
-        stripes[i % workers].push((i, item));
-    }
-    let f = &f;
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    let claim = || cursor.lock().expect("capture cursor poisoned").next();
+    let (f, claim) = (&f, &claim);
     let mut mapped: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 s.spawn(move || {
-                    stripe
-                        .into_iter()
+                    std::iter::from_fn(claim)
                         .map(|(i, item)| (i, f(i, item)))
                         .collect::<Vec<_>>()
                 })
@@ -167,7 +165,9 @@ pub(crate) fn par_map_ordered<T: Send, R: Send>(
 }
 
 /// Run one DSS client session to completion (shared read-only database,
-/// private rng and scratch arena).
+/// private rng and scratch arena). Each unit is statement overhead, plan
+/// build (consuming the unit's predicate draws from the rng), execution
+/// and unit end.
 fn run_dss_client(
     db: &Database,
     h: &TpchDb,
@@ -181,30 +181,15 @@ fn run_dss_client(
     tc.set_scratch(arena);
     for unit in 0..opt.units_per_client {
         let kind = mix[(client + unit) % mix.len()];
-        run_dss_unit(db, h, kind, &mut rng, &mut tc);
+        db.statement_overhead(&mut tc);
+        let mut plan = build_query(kind, h, &mut rng);
+        let n = dbcmp_engine::exec::run_count(plan.as_mut(), db, &mut tc).expect("query execution");
+        // Queries must produce output at capture scales; a zero-row
+        // result usually means a broken predicate draw.
+        debug_assert!(n > 0 || kind == QueryKind::Q16, "{kind:?} returned no rows");
+        tc.unit_end();
     }
     tc.finish()
-}
-
-/// Run one DSS work unit — statement overhead, plan build (consuming the
-/// unit's predicate draws from `rng`), execution, unit end — exactly as
-/// [`capture_dss`] does. The distributed DSS capture
-/// (`crate::tpch::dist`) calls this for its 1-instance degenerate case,
-/// so the two captures are event-identical there *by construction*.
-pub(crate) fn run_dss_unit(
-    db: &Database,
-    h: &TpchDb,
-    kind: QueryKind,
-    rng: &mut rand::rngs::StdRng,
-    tc: &mut dbcmp_engine::TraceCtx,
-) {
-    db.statement_overhead(tc);
-    let mut plan = build_query(kind, h, rng);
-    let n = dbcmp_engine::exec::run_count(plan.as_mut(), db, tc).expect("query execution");
-    // Queries must produce output at capture scales; a zero-row
-    // result usually means a broken predicate draw.
-    debug_assert!(n > 0 || kind == QueryKind::Q16, "{kind:?} returned no rows");
-    tc.unit_end();
 }
 
 #[cfg(test)]
@@ -254,35 +239,64 @@ mod tests {
         }
     }
 
-    /// ISSUE 6 acceptance anchor: parallel DSS capture is byte-identical
-    /// to the sequential capture, event for event, thanks to pre-carved
-    /// scratch arenas. (Worker count must never leak into the traces.)
+    /// Parallel DSS capture is byte-identical to the sequential capture,
+    /// event for event, thanks to pre-carved scratch arenas: worker count
+    /// and claim order must never leak into the traces. The scan mix's
+    /// query costs differ tenfold and the join mix's fourfold, so which
+    /// worker claims which client varies from run to run.
     #[test]
     fn parallel_dss_capture_matches_sequential() {
-        let run = |workers| {
-            let (mut db, h) = build_tpch(TpchScale::tiny(), 35);
-            capture_dss_workers(
-                &mut db,
-                &h,
-                &QueryKind::ALL,
-                CaptureOptions::new(5, 3, 35),
-                workers,
-            )
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq.threads.len(), par.threads.len());
-        for (i, (a, b)) in seq.threads.iter().zip(&par.threads).enumerate() {
-            assert_eq!(
-                a.packed_events(),
-                b.packed_events(),
-                "client {i} trace diverged between workers=1 and workers=4"
-            );
+        let cases: [(&[QueryKind], CaptureOptions); 2] = [
+            (&QueryKind::ALL, CaptureOptions::new(5, 3, 35)),
+            (&QueryKind::JOINS, CaptureOptions::new(5, 1, 35)),
+        ];
+        for (mix, opt) in cases {
+            let run = |workers| {
+                let (mut db, h) = build_tpch(TpchScale::tiny(), 35);
+                capture_dss_workers(&mut db, &h, mix, opt, workers)
+            };
+            let seq = run(1);
+            for workers in [2, 3, 16] {
+                let par = run(workers);
+                assert_eq!(seq.threads.len(), par.threads.len());
+                for (i, (a, b)) in seq.threads.iter().zip(&par.threads).enumerate() {
+                    assert_eq!(
+                        a.packed_events(),
+                        b.packed_events(),
+                        "{mix:?}: client {i} trace diverged between workers=1 and workers={workers}"
+                    );
+                }
+                assert_eq!(
+                    TraceSummary::compute(&seq.regions, &seq.threads),
+                    TraceSummary::compute(&par.regions, &par.threads),
+                );
+            }
         }
-        assert_eq!(
-            TraceSummary::compute(&seq.regions, &seq.threads),
-            TraceSummary::compute(&par.regions, &par.threads),
-        );
+    }
+
+    /// Items are claimed, not dealt out in advance: while item 0 blocks
+    /// until item 2 has run, the other worker must get to item 2. (Dealt
+    /// round-robin, item 2 would wait behind item 0 on the same worker.)
+    #[test]
+    fn par_map_ordered_lets_an_idle_worker_claim_the_next_item() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let out = par_map_ordered(vec![10, 11, 12], 2, |i, item| match i {
+            0 => rx
+                .lock()
+                .expect("one waiter")
+                .recv_timeout(Duration::from_secs(10))
+                .map_or(-1, |()| item),
+            2 => {
+                tx.send(()).expect("item 0 is waiting");
+                item
+            }
+            _ => item,
+        });
+        assert_eq!(out, vec![10, 11, 12], "item 0 timed out waiting for item 2");
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! 4. partials ship to the client's home instance, which merges and
 //!    sorts them.
 //!
-//! At `instances = 1` the driver bypasses all of this and runs
-//! [`crate::capture::capture_dss`]'s own unit routine over the (then
-//! monolithic) fragment — the 1-instance distributed capture is
-//! event-identical to the single-instance `dss_joins` capture by
-//! construction, which `tests/validation.rs` pins.
+//! At `instances = 1` the driver bypasses all of this: the (then
+//! monolithic) fragment is captured by
+//! [`crate::capture::capture_dss_workers`] itself, so the 1-instance
+//! distributed capture is the single-instance `dss_joins` capture,
+//! which `tests/validation.rs` pins.
 //!
 //! Honesty caveats (DESIGN.md §9): phases are sequential — no overlap
 //! of compute with shipping; and the exchange does not exploit
@@ -30,9 +30,11 @@
 //! The bundle layout is `deploy`'s: one [`TraceBundle`] per instance,
 //! holding its home clients' traces in client order plus (for n > 1)
 //! the instance's service trace last. Fragment *builds* parallelize
-//! across workers (each into its private window); the capture itself is
-//! sequential in global client order, so worker count never leaks into
-//! the traces.
+//! across workers (each into its private window). For n > 1 the capture
+//! itself is sequential in global client order, because every unit
+//! drives every instance's service context; at n = 1 the clients run
+//! in parallel as in [`crate::capture::capture_dss_workers`]. Either
+//! way worker count never leaks into the traces.
 
 use std::sync::Arc;
 
@@ -45,7 +47,7 @@ use dbcmp_engine::{Database, Row, TraceCtx};
 use dbcmp_trace::{AddressSpace, ThreadTrace, TraceBundle};
 use rand::rngs::StdRng;
 
-use crate::capture::{par_map_ordered, run_dss_unit, CaptureOptions, DSS_SCRATCH_BYTES};
+use crate::capture::{capture_dss_workers, par_map_ordered, CaptureOptions, DSS_SCRATCH_BYTES};
 use crate::exchange::{
     choose_strategy, exchange_rows, rows_bytes, ship_rows, ExchangeBufs, ExchangeTraffic,
 };
@@ -96,10 +98,11 @@ pub fn capture_dss_dist(scale: TpchScale, mix: &[QueryKind], opt: DistOptions) -
 }
 
 /// [`capture_dss_dist`] with an explicit worker count. Workers
-/// parallelize the per-instance fragment *builds* only (each into its
-/// private address window); the capture itself always runs sequentially
-/// in global client order, so the output is identical for every worker
-/// count — `tests/validation.rs` pins this.
+/// parallelize the per-instance fragment *builds* (each into its private
+/// address window) and, at `instances = 1`, the clients of
+/// [`crate::capture::capture_dss_workers`]; for n > 1 the capture runs
+/// sequentially in global client order. The output is identical for
+/// every worker count — `tests/validation.rs` pins this.
 pub fn capture_dss_dist_workers(
     scale: TpchScale,
     mix: &[QueryKind],
@@ -116,12 +119,12 @@ pub fn capture_dss_dist_workers(
     let seed = opt.capture.seed;
 
     // Reserve every instance's window up front, then build fragments —
-    // striped across workers; windows are private so build order
-    // between instances cannot matter.
+    // claimed by workers; windows are private so build order between
+    // instances cannot matter.
     let spaces: Vec<Arc<AddressSpace>> = (0..n)
         .map(|p| Arc::new(AddressSpace::partition(p).unwrap_or_else(|e| panic!("window {p}: {e}"))))
         .collect();
-    let (dbs, hs): (Vec<Database>, Vec<TpchDb>) =
+    let (mut dbs, hs): (Vec<Database>, Vec<TpchDb>) =
         par_map_ordered(spaces.clone(), workers, |p, space| {
             build_tpch_range(scale, seed, p, n, space)
         })
@@ -132,11 +135,23 @@ pub fn capture_dss_dist_workers(
     // once from its home fragment's handles, names the same tables on
     // every instance.
     assert!(hs.iter().all(|h| *h == hs[0]), "fragment table ids differ");
+    if n == 1 {
+        // The degenerate case IS the single-instance capture.
+        let bundle = capture_dss_workers(&mut dbs[0], &hs[0], mix, opt.capture, workers);
+        let units = (opt.capture.clients * opt.capture.units_per_client) as u64;
+        return DistCapture {
+            bundles: vec![bundle],
+            stats: DistStats {
+                units,
+                ..DistStats::default()
+            },
+        };
+    }
 
-    // Fixed allocation order after the fragments: exchange buffers
-    // (n > 1 only), client scratch arenas in global client order, then
-    // per-instance service arenas — independent of worker scheduling.
-    let mut bufs = (n > 1).then(|| ExchangeBufs::reserve(&spaces));
+    // Fixed allocation order after the fragments: exchange buffers,
+    // client scratch arenas in global client order, then per-instance
+    // service arenas — independent of worker scheduling.
+    let mut bufs = ExchangeBufs::reserve(&spaces);
     let mut client_tcs: Vec<TraceCtx> = (0..opt.capture.clients)
         .map(|client| {
             let home = client % n;
@@ -145,17 +160,13 @@ pub fn capture_dss_dist_workers(
             tc
         })
         .collect();
-    let mut service_tcs: Vec<TraceCtx> = if n > 1 {
-        (0..n)
-            .map(|p| {
-                let mut tc = dbs[p].trace_ctx();
-                tc.set_scratch(spaces[p].reserve_arena("dss-scratch", DSS_SCRATCH_BYTES));
-                tc
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let mut service_tcs: Vec<TraceCtx> = (0..n)
+        .map(|p| {
+            let mut tc = dbs[p].trace_ctx();
+            tc.set_scratch(spaces[p].reserve_arena("dss-scratch", DSS_SCRATCH_BYTES));
+            tc
+        })
+        .collect();
 
     // Sequential capture in global client order.
     let mut stats = DistStats::default();
@@ -164,22 +175,17 @@ pub fn capture_dss_dist_workers(
         let home = client % n;
         for unit in 0..opt.capture.units_per_client {
             let kind = mix[(client + unit) % mix.len()];
-            if n == 1 {
-                // The degenerate case IS the single-instance capture.
-                run_dss_unit(&dbs[0], &hs[0], kind, &mut rng, &mut client_tcs[client]);
-            } else {
-                run_dist_unit(
-                    &dbs,
-                    &hs[home],
-                    kind,
-                    &mut rng,
-                    &mut client_tcs[client],
-                    &mut service_tcs,
-                    home,
-                    bufs.as_mut().expect("bufs reserved for n > 1"),
-                    &mut stats,
-                );
-            }
+            run_dist_unit(
+                &dbs,
+                &hs[home],
+                kind,
+                &mut rng,
+                &mut client_tcs[client],
+                &mut service_tcs,
+                home,
+                &mut bufs,
+                &mut stats,
+            );
             stats.units += 1;
         }
     }

@@ -8,9 +8,9 @@
 # tree's, builds bench_pipeline from each with BENCHMARK.json's own build
 # line, then for every pair and workload runs both sides with
 # `--trace 0 --reps 4`, flipping which side goes first each pair. Prints,
-# per workload x end-to-end metric of BENCHMARK.json: both medians, the
-# delta with its base, the parent's quartiles, in how many pairs the
-# change read better, and a verdict:
+# per workload x end-to-end metric of BENCHMARK.json: each side's median
+# and quartiles, the delta with its base, in how many pairs the change
+# read better, and a verdict:
 #   gain       better in >= 9/10 of the pairs, and the medians differ by
 #              more than the parent's interquartile range;
 #   worse      the change's median is worse than the parent's by more
@@ -73,7 +73,7 @@ def quartiles(xs):
     q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
     return q1, q3
 
-print("| workload | metric | parent median [q1, q3] | change median | delta "
+print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | delta "
       "| change better in | verdict | failed p/c |")
 print("|---|---|---|---|---|---|---|---|")
 for w in workloads:
@@ -99,7 +99,8 @@ for w in workloads:
             verdict = "unresolved"
         else:
             verdict = "no worse"
-        print(f"| `{w}` | `{name}` | {ma:.3f} [{q1:.3f}, {q3:.3f}] | {mb:.3f} "
+        print(f"| `{w}` | `{name}` | {ma:.3f} [{q1:.3f}, {q3:.3f}] "
+              f"| {mb:.3f} [{r1:.3f}, {r3:.3f}] "
               f"| {100 * (mb - ma) / ma:+.1f} % of {ma:.3f} | {better}/{pairs} "
               f"| {verdict} | {failed} |")
 EOF
