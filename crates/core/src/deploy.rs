@@ -25,8 +25,7 @@
 
 use dbcmp_sim::{RemoteCounters, SimResult};
 use dbcmp_workloads::{
-    capture_oltp_deployment_workers, CaptureOptions, DeployOptions, DeployStats, Deployment,
-    TpccScale,
+    capture_oltp_deployment, CaptureOptions, DeployOptions, DeployStats, Deployment, TpccScale,
 };
 
 use crate::experiment::{grid, InstanceReplay};
@@ -98,7 +97,7 @@ pub fn deploy_capture(
         partitions: instances,
         multi_pct,
     };
-    capture_oltp_deployment_workers(deploy_tpcc_scale(scale, total_cores), opt, instances)
+    capture_oltp_deployment(deploy_tpcc_scale(scale, total_cores), opt, instances)
         .expect("deployment windows fit the address space")
 }
 

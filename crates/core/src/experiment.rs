@@ -3,10 +3,11 @@
 //!
 //! A [`Sweep`] is a labeled list of `(MachineConfig, RunMode)` points
 //! evaluated against shared trace bundles. [`Sweep::run`] fans the
-//! points out over OS threads (`std::thread::scope`), costliest first;
-//! every point builds its own machine from scratch against the shared
-//! `&TraceBundle`, so the results are *byte-identical* to
-//! [`Sweep::run_sequential`] and are returned in input order —
+//! points out over OS threads (`capture::par_map_ordered`), costliest
+//! first; every point builds its own machine from scratch against the
+//! shared `&TraceBundle`, so the results are *byte-identical* at every
+//! worker count ([`Sweep::run_each_with_workers`] with one worker runs
+//! them in turn on the calling thread) and are returned in input order —
 //! parallelism changes wall-clock time only.
 //!
 //! The paper's evaluation is one shape repeated: captured workloads ×
@@ -18,10 +19,10 @@
 //! deployment's results into an [`InstanceReplay`].
 
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dbcmp_sim::{MachineBuilder, MachineConfig, RemoteCounters, RunMode, SimResult};
 use dbcmp_trace::TraceBundle;
+use dbcmp_workloads::capture::par_map_ordered;
 
 /// Simulation windows.
 #[derive(Debug, Clone, Copy)]
@@ -177,45 +178,20 @@ impl Sweep {
 
     /// [`Sweep::run_each`] with an explicit worker count — the
     /// equivalence suite pins `workers > 1` so the cross-thread path is
-    /// exercised even on single-CPU hosts.
+    /// exercised even on single-CPU hosts, and `workers = 1` for the
+    /// sequential reference.
     pub fn run_each_with_workers(
         &self,
         bundles: &[&TraceBundle],
         workers: usize,
     ) -> Vec<SimResult> {
         self.validate_all(bundles);
-        let n = self.points.len();
-        let workers = workers.min(n);
-        if workers <= 1 {
-            return self.run_each_sequential(bundles);
-        }
-        let order = self.dispatch_order();
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (next, order) = (&next, &order);
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let p = &self.points[i];
-                            out.push((i, run_point(p.cfg.clone(), p.mode, bundles[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("sweep worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
+        let mut results = par_map_ordered(self.dispatch_order(), workers, |_, i| {
+            let p = &self.points[i];
+            (i, run_point(p.cfg.clone(), p.mode, bundles[i]))
         });
-        results
-            .into_iter()
-            .map(|r| r.expect("every sweep point produced a result"))
-            .collect()
+        results.sort_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, r)| r).collect()
     }
 
     /// The order workers pull points in: longest first, by simulated
@@ -234,23 +210,6 @@ impl Sweep {
         let mut order: Vec<usize> = (0..self.points.len()).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(cost(&self.points[i])), i));
         order
-    }
-
-    /// Sequential reference run of the same points — byte-identical to
-    /// [`Sweep::run`] (asserted by the equivalence suite), used for
-    /// wall-clock comparisons.
-    pub fn run_sequential(&self, bundle: &TraceBundle) -> Vec<SimResult> {
-        self.run_each_sequential(&vec![bundle; self.points.len()])
-    }
-
-    /// Sequential per-point-bundle run (see [`Sweep::run_each`]).
-    pub fn run_each_sequential(&self, bundles: &[&TraceBundle]) -> Vec<SimResult> {
-        self.validate_all(bundles);
-        self.points
-            .iter()
-            .zip(bundles)
-            .map(|(p, b)| run_point(p.cfg.clone(), p.mode, b))
-            .collect()
     }
 
     fn validate_all(&self, bundles: &[&TraceBundle]) {
@@ -428,7 +387,7 @@ mod tests {
                 spec.completion(),
             );
         let par = sweep.run(&w.bundle);
-        let seq = sweep.run_sequential(&w.bundle);
+        let seq = sweep.run_each_with_workers(&vec![&w.bundle; sweep.len()], 1);
         assert_eq!(par.len(), 6);
         assert_eq!(par, seq, "parallel and sequential sweeps must be identical");
         let forced = sweep.run_each_with_workers(&vec![&w.bundle; sweep.len()], 4);
@@ -480,7 +439,7 @@ mod tests {
         assert_eq!(sweep.dispatch_order(), [1, 3, 2, 0, 4]);
         let bundles = vec![&w.bundle; sweep.len()];
         let par = sweep.run_each_with_workers(&bundles, 2);
-        let seq = sweep.run_each_sequential(&bundles);
+        let seq = sweep.run_each_with_workers(&bundles, 1);
         assert_eq!(par, seq);
         assert!(par[1].machine.starts_with("LC-CMP 4x"));
         assert!(par[3].machine.starts_with("FC-CMP 4x"));

@@ -1,15 +1,12 @@
 //! Hash aggregation (GROUP BY).
 //!
-//! Materializes group states at `open`, emits one row per group at `next`:
-//! group columns followed by aggregate values. The group table lives in
-//! the simulated address space; each input row costs an update (store) to
-//! its group's line.
+//! [`GroupTable`] is the host side of every GROUP BY in the engine: it
+//! folds rows into groups and formats each group's output row. The
+//! executor's [`HashAggregate`] and the staged engine's batch aggregate
+//! both run on it and add only what they trace — the simulated address
+//! of the group table and the line each row touches.
 
-#[allow(
-    clippy::disallowed_types,
-    reason = "key->index lookup and len-only distinct sets; emission order is the insertion-ordered `groups` Vec"
-)]
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::costs::instr;
 use crate::db::Database;
@@ -17,28 +14,147 @@ use crate::error::Result;
 use crate::exec::expr::{AggFunc, AggSpec};
 use crate::exec::{BoxExec, Executor};
 use crate::tctx::TraceCtx;
-use crate::types::{Row, Value};
+use crate::types::{Columns, Row, Value};
 
-#[derive(Debug, Clone)]
-struct GroupState {
+#[allow(
+    clippy::disallowed_types,
+    reason = "COUNT DISTINCT reads only `len()`; the set's order never escapes"
+)]
+type DistinctSet = std::collections::HashSet<i64>;
+
+/// One group: its key, its row count and one accumulator per aggregate.
+#[derive(Debug)]
+struct Group {
+    key: Vec<Value>,
     count: i64,
-    non_null: Vec<i64>,
-    sums: Vec<i64>,
-    mins: Vec<i64>,
-    maxs: Vec<i64>,
-    #[allow(
-        clippy::disallowed_types,
-        reason = "only `len()` is read (COUNT DISTINCT)"
-    )]
-    distincts: Vec<HashSet<i64>>,
+    /// The running sum, minimum, maximum or non-NULL count; unused by
+    /// `Count` and `CountDistinct`.
+    acc: Vec<i64>,
+    /// The values seen, for `CountDistinct`; empty otherwise.
+    distinct: Vec<DistinctSet>,
 }
 
-/// GROUP BY `group_cols` with aggregate columns `aggs`.
-pub struct HashAggregate {
-    child: BoxExec,
+/// Rows folded into groups by `group_cols`, computing `aggs` per group.
+/// Groups keep the order their keys were first seen in.
+#[derive(Debug)]
+pub struct GroupTable {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    groups: Vec<(Vec<Value>, GroupState)>,
+    /// The current row's key, refilled in place per row and probed as a
+    /// slice: a row of an existing group allocates nothing.
+    key: Vec<Value>,
+    /// Each key's ordinal in `groups`.
+    index: BTreeMap<Vec<Value>, usize>,
+    groups: Vec<Group>,
+}
+
+impl GroupTable {
+    /// An empty table grouping by `group_cols`.
+    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
+        GroupTable {
+            key: vec![Value::Null; group_cols.len()],
+            group_cols,
+            aggs,
+            index: BTreeMap::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Fold one row — materialised or still in its page — into its
+    /// group, and return the group's ordinal. Traces nothing.
+    pub fn fold<R: Columns + ?Sized>(&mut self, row: &R) -> usize {
+        for (slot, &c) in self.key.iter_mut().zip(&self.group_cols) {
+            row.col_into(c, slot);
+        }
+        let gi = match self.index.get(self.key.as_slice()) {
+            Some(&gi) => gi,
+            None => {
+                let gi = self.groups.len();
+                self.index.insert(self.key.clone(), gi);
+                self.groups.push(Group {
+                    key: self.key.clone(),
+                    count: 0,
+                    acc: self
+                        .aggs
+                        .iter()
+                        .map(|spec| match spec.func {
+                            AggFunc::Min => i64::MAX,
+                            AggFunc::Max => i64::MIN,
+                            AggFunc::Count
+                            | AggFunc::CountNonNull
+                            | AggFunc::Sum
+                            | AggFunc::Avg
+                            | AggFunc::CountDistinct => 0,
+                        })
+                        .collect(),
+                    distinct: vec![DistinctSet::default(); self.aggs.len()],
+                });
+                gi
+            }
+        };
+        let g = &mut self.groups[gi];
+        g.count += 1;
+        for ((spec, acc), distinct) in self.aggs.iter().zip(&mut g.acc).zip(&mut g.distinct) {
+            match spec.func {
+                AggFunc::Count => {}
+                AggFunc::CountNonNull => *acc += i64::from(!spec.input.eval(row).is_null()),
+                AggFunc::Sum | AggFunc::Avg => *acc += spec.input.eval_i64(row),
+                AggFunc::Min => *acc = (*acc).min(spec.input.eval_i64(row)),
+                AggFunc::Max => *acc = (*acc).max(spec.input.eval_i64(row)),
+                AggFunc::CountDistinct => {
+                    distinct.insert(spec.input.eval_i64(row));
+                }
+            }
+        }
+        gi
+    }
+
+    /// Group `gi`'s output row: its key, then one value per aggregate.
+    pub fn row(&self, gi: usize) -> Row {
+        let g = &self.groups[gi];
+        let mut out = g.key.clone();
+        for ((spec, &acc), distinct) in self.aggs.iter().zip(&g.acc).zip(&g.distinct) {
+            out.push(match spec.func {
+                AggFunc::Count => Value::Int(g.count),
+                AggFunc::CountNonNull => Value::Int(acc),
+                AggFunc::Sum | AggFunc::Min | AggFunc::Max => Value::Decimal(acc),
+                // A group exists only once a row has been folded into it.
+                AggFunc::Avg => Value::Decimal(acc / g.count),
+                AggFunc::CountDistinct => Value::Int(distinct.len() as i64),
+            });
+        }
+        out
+    }
+
+    /// Every group's output row, in first-seen order.
+    pub fn rows(&self) -> Vec<Row> {
+        (0..self.len()).map(|gi| self.row(gi)).collect()
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Whether no row has been folded since the last [`Self::clear`].
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Drop every group.
+    pub fn clear(&mut self) {
+        self.index.clear();
+        self.groups.clear();
+    }
+}
+
+/// GROUP BY over a child operator. `open` folds the whole input into a
+/// [`GroupTable`]; `next` emits one row per group, in first-seen order.
+/// The group table lives in the simulated address space: each input row
+/// costs a dependent load and a store at its group's line.
+pub struct HashAggregate {
+    child: BoxExec,
+    table: GroupTable,
     emit: usize,
     table_addr: u64,
 }
@@ -48,26 +164,9 @@ impl HashAggregate {
     pub fn new(child: BoxExec, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
         HashAggregate {
             child,
-            group_cols,
-            aggs,
-            groups: Vec::new(),
+            table: GroupTable::new(group_cols, aggs),
             emit: 0,
             table_addr: 0,
-        }
-    }
-
-    #[allow(
-        clippy::disallowed_types,
-        reason = "len-only distinct counters, see GroupState"
-    )]
-    fn fresh_state(&self) -> GroupState {
-        GroupState {
-            count: 0,
-            non_null: vec![0; self.aggs.len()],
-            sums: vec![0; self.aggs.len()],
-            mins: vec![i64::MAX; self.aggs.len()],
-            maxs: vec![i64::MIN; self.aggs.len()],
-            distincts: vec![HashSet::new(); self.aggs.len()],
         }
     }
 }
@@ -76,89 +175,32 @@ impl Executor for HashAggregate {
     fn open(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<()> {
         self.child.open(db, tc)?;
         self.table_addr = tc.scratch_alloc(&db.space, 64 * 1024);
-        #[allow(
-            clippy::disallowed_types,
-            reason = "get/insert only; rows are emitted from `groups`, which preserves first-seen key order"
-        )]
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut groups: Vec<(Vec<Value>, GroupState)> = Vec::new();
-        // Refilled in place per row and probed as a slice: a row of an
-        // existing group allocates nothing, a new group clones it.
-        let mut key = vec![Value::Null; self.group_cols.len()];
-
+        self.table.clear();
         while let Some(row) = self.child.next(db, tc)? {
             tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-            for (slot, &c) in key.iter_mut().zip(&self.group_cols) {
-                slot.clone_from(&row[c]);
-            }
-            let gi = match index.get(key.as_slice()) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = groups.len();
-                    index.insert(key.clone(), gi);
-                    groups.push((key.clone(), self.fresh_state()));
-                    gi
-                }
-            };
+            let gi = self.table.fold(&row);
             // Group-state line: dependent load (hash probe) + store.
             let line = self.table_addr + (gi as u64 % 1024) * 64;
             tc.load_dep(line, 32);
             tc.store(line, 32);
-
-            let (_, state) = &mut groups[gi];
-            state.count += 1;
-            for (ai, spec) in self.aggs.iter().enumerate() {
-                let v = spec.input.eval_i64(&row);
-                match spec.func {
-                    AggFunc::Count => {}
-                    AggFunc::CountNonNull => {
-                        if !spec.input.eval(&row).is_null() {
-                            state.non_null[ai] += 1;
-                        }
-                    }
-                    AggFunc::Sum | AggFunc::Avg => state.sums[ai] += v,
-                    AggFunc::Min => state.mins[ai] = state.mins[ai].min(v),
-                    AggFunc::Max => state.maxs[ai] = state.maxs[ai].max(v),
-                    AggFunc::CountDistinct => {
-                        state.distincts[ai].insert(v);
-                    }
-                }
-            }
         }
         self.child.close();
-        self.groups = groups;
         self.emit = 0;
         Ok(())
     }
 
     fn next(&mut self, _db: &Database, tc: &mut TraceCtx) -> Result<Option<Row>> {
-        if self.emit >= self.groups.len() {
+        if self.emit >= self.table.len() {
             return Ok(None);
         }
-        let (key, state) = &self.groups[self.emit];
-        self.emit += 1;
         tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-        let mut out = key.clone();
-        for (ai, spec) in self.aggs.iter().enumerate() {
-            out.push(match spec.func {
-                AggFunc::Count => Value::Int(state.count),
-                AggFunc::CountNonNull => Value::Int(state.non_null[ai]),
-                AggFunc::Sum => Value::Decimal(state.sums[ai]),
-                AggFunc::Avg => Value::Decimal(if state.count == 0 {
-                    0
-                } else {
-                    state.sums[ai] / state.count
-                }),
-                AggFunc::Min => Value::Decimal(state.mins[ai]),
-                AggFunc::Max => Value::Decimal(state.maxs[ai]),
-                AggFunc::CountDistinct => Value::Int(state.distincts[ai].len() as i64),
-            });
-        }
-        Ok(Some(out))
+        let row = self.table.row(self.emit);
+        self.emit += 1;
+        Ok(Some(row))
     }
 
     fn close(&mut self) {
-        self.groups.clear();
+        self.table.clear();
         self.emit = 0;
     }
 }
@@ -169,7 +211,6 @@ mod tests {
     use crate::exec::expr::Scalar;
     use crate::exec::testutil::sample_db;
     use crate::exec::{run_to_vec, Rows, SeqScan};
-    use std::collections::BTreeMap;
 
     #[test]
     fn group_count_and_sum() {

@@ -23,7 +23,7 @@ pub mod sort;
 
 pub use expr::{AggFunc, AggSpec, CmpOp, Pred, Scalar};
 pub use filter::Filter;
-pub use hash_agg::HashAggregate;
+pub use hash_agg::{GroupTable, HashAggregate};
 pub use hash_join::{BuildTable, HashJoin, JoinKind};
 pub use index_join::IndexJoin;
 pub use project::Project;

@@ -175,27 +175,6 @@ impl HeapTable {
         Ok(())
     }
 
-    /// Re-insert a deleted row image at a fresh RID (abort of a delete).
-    pub fn reinsert_bytes(
-        &mut self,
-        bytes: &[u8],
-        space: &AddressSpace,
-        tc: &mut TraceCtx,
-    ) -> Result<Rid> {
-        if self.pages.is_empty() {
-            self.new_page(space);
-        }
-        let mut page = self.insert_page;
-        if !self.pages[page as usize].fits(bytes.len()) {
-            page = self.new_page(space);
-            self.insert_page = page;
-        }
-        self.bp_probe(page, tc);
-        let slot = self.pages[page as usize].insert(bytes, tc)?;
-        self.live_rows += 1;
-        Ok(Rid { page, slot })
-    }
-
     /// Number of allocated pages.
     pub fn n_pages(&self) -> usize {
         self.pages.len()
@@ -312,15 +291,5 @@ mod tests {
             slot: 789,
         };
         assert_eq!(Rid::unpack(rid.pack()), rid);
-    }
-
-    #[test]
-    fn reinsert_restores_image() {
-        let (mut h, space, mut tc) = setup();
-        let rid = h.insert(&row(9, "gone"), &space, &mut tc).unwrap();
-        let img = h.get_bytes(rid, &mut tc).unwrap();
-        h.delete(rid, &mut tc).unwrap();
-        let rid2 = h.reinsert_bytes(&img, &space, &mut tc).unwrap();
-        assert_eq!(h.get(rid2, &mut tc).unwrap(), row(9, "gone"));
     }
 }

@@ -92,22 +92,12 @@ impl Txn {
         self.state == TxnState::Active
     }
 
-    /// Locks currently held (diagnostics).
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
-    }
-
     /// The `(lock_key, mode)` pairs this transaction recorded, in
     /// acquisition order — ground truth for the read/write-set coverage
     /// tests in `dbcmp-workloads`. Upgrades do not re-record a key, so a
     /// pair may understate the final mode (never the key set).
     pub fn held_locks(&self) -> &[(u64, LockMode)] {
         &self.locks
-    }
-
-    /// Undo records accumulated (diagnostics).
-    pub fn undo_count(&self) -> usize {
-        self.undo.len()
     }
 }
 
@@ -119,7 +109,7 @@ mod tests {
     fn fresh_txn_is_active_and_empty() {
         let t = Txn::new(7);
         assert!(t.is_active());
-        assert_eq!(t.lock_count(), 0);
-        assert_eq!(t.undo_count(), 0);
+        assert!(t.held_locks().is_empty());
+        assert!(t.undo.is_empty());
     }
 }

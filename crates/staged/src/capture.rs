@@ -135,33 +135,25 @@ pub fn capture_staged_dss(
     seed: u64,
 ) -> Result<TraceBundle, UnsupportedQuery> {
     let mut rng = dbcmp_workloads::tpch::tpch_rng(seed, 0);
+    let mut tcs: Vec<_> = (0..contexts(policy)).map(|_| db.trace_ctx()).collect();
+    for q in 0..queries {
+        let spec = pipeline_for(kinds[q % kinds.len()], h, &mut rng)?;
+        db.statement_overhead(&mut tcs[0]);
+        StagedPipeline::new(spec).run(db, policy, &mut tcs);
+        tcs[0].unit_end();
+    }
+    Ok(TraceBundle::new(
+        db.regions().clone(),
+        tcs.into_iter().map(|t| t.finish()).collect(),
+    ))
+}
+
+/// Hardware contexts a policy runs on: the consumer, plus one per
+/// producer under [`ExecPolicy::StagedParallel`].
+fn contexts(policy: ExecPolicy) -> usize {
     match policy {
-        ExecPolicy::Volcano | ExecPolicy::Staged { .. } => {
-            let mut tcs = vec![db.trace_ctx()];
-            for q in 0..queries {
-                let spec = pipeline_for(kinds[q % kinds.len()], h, &mut rng)?;
-                db.statement_overhead(&mut tcs[0]);
-                StagedPipeline::new(spec).run(db, policy, &mut tcs);
-                tcs[0].unit_end();
-            }
-            Ok(TraceBundle::new(
-                db.regions().clone(),
-                vec![tcs.remove(0).finish()],
-            ))
-        }
-        ExecPolicy::StagedParallel { producers, .. } => {
-            let mut tcs: Vec<_> = (0..=producers).map(|_| db.trace_ctx()).collect();
-            for q in 0..queries {
-                let spec = pipeline_for(kinds[q % kinds.len()], h, &mut rng)?;
-                db.statement_overhead(&mut tcs[0]);
-                StagedPipeline::new(spec).run(db, policy, &mut tcs);
-                tcs[0].unit_end();
-            }
-            Ok(TraceBundle::new(
-                db.regions().clone(),
-                tcs.into_iter().map(|t| t.finish()).collect(),
-            ))
-        }
+        ExecPolicy::Volcano | ExecPolicy::Staged { .. } => 1,
+        ExecPolicy::StagedParallel { producers, .. } => producers + 1,
     }
 }
 
@@ -177,11 +169,7 @@ pub fn staged_query_rows(
 ) -> Vec<Vec<Value>> {
     let mut rng = dbcmp_workloads::tpch::tpch_rng(seed, 9);
     let spec = pipeline_for(kind, h, &mut rng).expect("staged-pipelineable query");
-    let n_ctx = match policy {
-        ExecPolicy::StagedParallel { producers, .. } => producers + 1,
-        _ => 1,
-    };
-    let mut tcs: Vec<_> = (0..n_ctx).map(|_| db.null_ctx()).collect();
+    let mut tcs: Vec<_> = (0..contexts(policy)).map(|_| db.null_ctx()).collect();
     StagedPipeline::new(spec).run(db, policy, &mut tcs)
 }
 

@@ -2,15 +2,10 @@
 //! policies.
 
 use dbcmp_engine::costs::instr;
-use dbcmp_engine::exec::{AggFunc, AggSpec, BuildTable};
+use dbcmp_engine::exec::{AggSpec, BuildTable, GroupTable};
 use dbcmp_engine::heap::Rid;
 use dbcmp_engine::{Columns, Database, TraceCtx, TupleRef, Value};
 use dbcmp_workloads::tpch::queries::{JoinSpec, PipelineSpec};
-#[allow(
-    clippy::disallowed_types,
-    reason = "HashSet backs the len-only distinct sets below; every iterated-to-output path uses BTreeMap"
-)]
-use std::collections::{BTreeMap, HashSet};
 
 /// How to execute a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,66 +103,13 @@ fn probe_chain(
     }
 }
 
-/// Incremental group-by state for staged execution.
+/// Incremental group-by state for staged execution: the engine's
+/// [`GroupTable`] over a group table in anonymous memory.
 #[derive(Debug)]
 pub struct BatchAgg {
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    // BTreeMap, not HashMap: `finish` iterates this map straight into
-    // result rows, so iteration order must be deterministic (the
-    // stock_level bug class from PR 2).
-    groups: BTreeMap<Vec<Value>, AggState>,
-    /// The current row's group key, refilled in place per row; cloned
-    /// into `groups` only when it starts a new group.
-    key: Vec<Value>,
+    table: GroupTable,
     /// Simulated address of the group table.
     addr: u64,
-}
-
-#[derive(Debug, Clone)]
-struct AggState {
-    count: i64,
-    sums: Vec<i64>,
-    mins: Vec<i64>,
-    maxs: Vec<i64>,
-    #[allow(
-        clippy::disallowed_types,
-        reason = "only `len()` is read (COUNT DISTINCT); iteration order never escapes"
-    )]
-    distinct: Vec<HashSet<i64>>,
-}
-
-impl AggState {
-    #[allow(
-        clippy::disallowed_types,
-        reason = "len-only distinct counters, see AggState"
-    )]
-    fn new(n_aggs: usize) -> Self {
-        AggState {
-            count: 0,
-            sums: vec![0; n_aggs],
-            mins: vec![i64::MAX; n_aggs],
-            maxs: vec![i64::MIN; n_aggs],
-            distinct: vec![HashSet::new(); n_aggs],
-        }
-    }
-
-    /// Fold one row's aggregate inputs into this group's state.
-    fn fold<R: Columns + ?Sized>(&mut self, aggs: &[AggSpec], row: &R) {
-        self.count += 1;
-        for (ai, spec) in aggs.iter().enumerate() {
-            let v = spec.input.eval_i64(row);
-            match spec.func {
-                AggFunc::Count | AggFunc::CountNonNull => {}
-                AggFunc::Sum | AggFunc::Avg => self.sums[ai] += v,
-                AggFunc::Min => self.mins[ai] = self.mins[ai].min(v),
-                AggFunc::Max => self.maxs[ai] = self.maxs[ai].max(v),
-                AggFunc::CountDistinct => {
-                    self.distinct[ai].insert(v);
-                }
-            }
-        }
-    }
 }
 
 impl BatchAgg {
@@ -175,78 +117,27 @@ impl BatchAgg {
     pub fn new(db: &Database, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
         BatchAgg {
             addr: db.space.alloc_anon(64 * 1024),
-            key: vec![Value::Null; group_cols.len()],
-            group_cols,
-            aggs,
-            groups: BTreeMap::new(),
+            table: GroupTable::new(group_cols, aggs),
         }
     }
 
     /// Fold one row — materialised or still in its page — into the state
-    /// (traced like the engine's aggregate).
+    /// (traced like the engine's aggregate). The line it touches is
+    /// indexed by the group count before the fold, not by the row's
+    /// group as the executor's is.
     pub fn update<R: Columns + ?Sized>(&mut self, row: &R, tc: &mut TraceCtx) {
         tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
-        for (slot, &c) in self.key.iter_mut().zip(&self.group_cols) {
-            row.col_into(c, slot);
-        }
-        let gi = self.groups.len() as u64;
-        let line = self.addr + (gi % 1024) * 64;
+        let line = self.addr + (self.table.len() as u64 % 1024) * 64;
         tc.load_dep(line, 32);
         tc.store(line, 32);
-        match self.groups.get_mut(self.key.as_slice()) {
-            Some(state) => state.fold(&self.aggs, row),
-            None => {
-                let mut state = AggState::new(self.aggs.len());
-                state.fold(&self.aggs, row);
-                self.groups.insert(self.key.clone(), state);
-            }
-        }
+        self.table.fold(row);
     }
 
-    /// Merge another partition's state (parallel consumers).
-    pub fn merge(&mut self, other: BatchAgg) {
-        for (key, o) in other.groups {
-            match self.groups.get_mut(&key) {
-                Some(s) => {
-                    s.count += o.count;
-                    for i in 0..s.sums.len() {
-                        s.sums[i] += o.sums[i];
-                        s.mins[i] = s.mins[i].min(o.mins[i]);
-                        s.maxs[i] = s.maxs[i].max(o.maxs[i]);
-                        s.distinct[i].extend(o.distinct[i].iter().copied());
-                    }
-                }
-                None => {
-                    self.groups.insert(key, o);
-                }
-            }
-        }
-    }
-
-    /// Emit final rows (group cols ++ aggregates) in ascending group-key
-    /// order — deterministic across runs and processes.
+    /// Emit final rows (group cols ++ aggregates) in the order their
+    /// groups were first seen, as
+    /// [`HashAggregate`](dbcmp_engine::exec::HashAggregate) does.
     pub fn finish(self) -> Vec<Vec<Value>> {
-        self.groups
-            .into_iter()
-            .map(|(key, s)| {
-                let mut out = key;
-                for (ai, spec) in self.aggs.iter().enumerate() {
-                    out.push(match spec.func {
-                        AggFunc::Count | AggFunc::CountNonNull => Value::Int(s.count),
-                        AggFunc::Sum => Value::Decimal(s.sums[ai]),
-                        AggFunc::Avg => Value::Decimal(if s.count == 0 {
-                            0
-                        } else {
-                            s.sums[ai] / s.count
-                        }),
-                        AggFunc::Min => Value::Decimal(s.mins[ai]),
-                        AggFunc::Max => Value::Decimal(s.maxs[ai]),
-                        AggFunc::CountDistinct => Value::Int(s.distinct[ai].len() as i64),
-                    });
-                }
-                out
-            })
-            .collect()
+        self.table.rows()
     }
 }
 
@@ -570,8 +461,9 @@ impl StagedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcmp_engine::exec::{CmpOp, Pred, Scalar};
+    use dbcmp_engine::exec::{run_to_vec, CmpOp, HashAggregate, Pred, Rows, Scalar};
     use dbcmp_engine::{ColType, Schema};
+    use std::collections::BTreeMap;
 
     fn sample() -> (Database, PipelineSpec) {
         let mut db = Database::new();
@@ -763,64 +655,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_agg_merge_equals_single() {
-        let (db, spec) = sample();
-        let mut tc = db.null_ctx();
-        let rows: Vec<Vec<Value>> = {
-            let heap = db.table(spec.table);
-            heap.rids()
-                .filter_map(|r| heap.read_at(r, &mut tc))
-                .map(|t| t.to_row())
-                .collect()
-        };
-        // Single.
-        let mut one = BatchAgg::new(&db, spec.group_cols.clone(), spec.aggs.clone());
-        for r in &rows {
-            one.update(r, &mut tc);
-        }
-        // Split + merge.
-        let mut a = BatchAgg::new(&db, spec.group_cols.clone(), spec.aggs.clone());
-        let mut b = BatchAgg::new(&db, spec.group_cols.clone(), spec.aggs.clone());
-        for (i, r) in rows.iter().enumerate() {
-            if i % 2 == 0 {
-                a.update(r, &mut tc);
-            } else {
-                b.update(r, &mut tc);
-            }
-        }
-        a.merge(b);
-        assert_eq!(normalize(one.finish()), normalize(a.finish()));
-    }
-
-    /// Determinism regression for the BTreeMap switch: `finish` emits
-    /// group rows in ascending key order regardless of insertion order,
-    /// so two captures of the same pipeline produce identical result
-    /// vectors with no normalization (the stock_level bug class from
-    /// PR 2 — a HashMap here emitted rows in per-process random order).
-    #[test]
-    fn finish_emits_groups_in_key_order() {
-        let db = Database::new();
-        let build = |order: &[i64]| {
-            let mut agg = BatchAgg::new(&db, vec![0], vec![AggSpec::count()]);
-            let mut tc2 = db.null_ctx();
-            for &g in order {
-                agg.update(&[Value::Int(g)][..], &mut tc2);
-            }
-            agg.finish()
-        };
-        let forward = build(&[1, 2, 3, 4, 5]);
-        let scrambled = build(&[5, 3, 1, 4, 2, 5, 3, 1, 4, 2]);
-        let keys: Vec<i64> = forward.iter().filter_map(|r| r[0].as_i64()).collect();
-        assert_eq!(keys, vec![1, 2, 3, 4, 5], "ascending group-key order");
-        let keys2: Vec<i64> = scrambled.iter().filter_map(|r| r[0].as_i64()).collect();
-        assert_eq!(
-            keys2,
-            vec![1, 2, 3, 4, 5],
-            "order is key-derived, not insertion-derived"
-        );
-    }
-
     /// Rows whose string keys shrink ("AB", then "A"), a long run of hits,
     /// then new groups: a key buffer reused across rows must neither keep
     /// a stale tail nor miss a late group.
@@ -886,22 +720,25 @@ mod tests {
             }
 
             let mut ref_tc = db.trace_ctx();
-            let mut groups: BTreeMap<Vec<Value>, (i64, i64)> = BTreeMap::new();
+            let mut index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
+            let mut groups: Vec<(Vec<Value>, i64, i64)> = Vec::new();
             for tuple in &tuples {
                 ref_tc.charge(ref_tc.r.exec_agg, instr::AGG_UPDATE);
                 let line = agg.addr + (groups.len() as u64 % 1024) * 64;
                 ref_tc.load_dep(line, 32);
                 ref_tc.store(line, 32);
                 let row = tuple.to_row();
-                let g = groups
-                    .entry(vec![row[0].clone(), row[1].clone()])
-                    .or_default();
-                g.0 += 1;
-                g.1 += row[2].as_i64().unwrap();
+                let key = vec![row[0].clone(), row[1].clone()];
+                let gi = *index.entry(key.clone()).or_insert_with(|| {
+                    groups.push((key, 0, 0));
+                    groups.len() - 1
+                });
+                groups[gi].1 += 1;
+                groups[gi].2 += row[2].as_i64().unwrap();
             }
             let expect: Vec<Vec<Value>> = groups
                 .into_iter()
-                .map(|(mut key, (count, sum))| {
+                .map(|(mut key, count, sum)| {
                     key.extend([Value::Int(count), Value::Decimal(sum)]);
                     key
                 })
@@ -914,5 +751,59 @@ mod tests {
                 "rows: {as_rows}"
             );
         }
+    }
+
+    /// The staged and the executor aggregate are one GROUP BY: fed the
+    /// same rows — string keys that shrink, a NULL-bearing column under
+    /// `count_non_null`, and every other aggregate — they emit the same
+    /// rows in the same order.
+    #[test]
+    fn batch_agg_agrees_with_the_executor_row_for_row() {
+        let db = Database::new();
+        let row = |s: &str, g: i64, v: Option<i64>| {
+            vec![
+                Value::Str(s.into()),
+                Value::Int(g),
+                v.map_or(Value::Null, Value::Decimal),
+            ]
+        };
+        let mut rows = vec![
+            row("ABC", 1, Some(10)),
+            row("AB", 1, None),
+            row("A", 2, Some(-4)),
+            row("ABC", 1, None),
+            row("", 2, Some(7)),
+        ];
+        rows.extend(
+            (0..40).map(|i| row(["A", "AB", "ABC"][i % 3], i as i64 % 2, Some(i as i64 % 5))),
+        );
+        rows.push(row("AB", 3, None));
+        let group_cols = vec![0, 1];
+        let aggs = vec![
+            AggSpec::count(),
+            AggSpec::count_non_null(Scalar::Col(2)),
+            AggSpec::sum(Scalar::Col(2)),
+            AggSpec::avg(Scalar::Col(2)),
+            AggSpec::min(Scalar::Col(2)),
+            AggSpec::max(Scalar::Col(2)),
+            AggSpec::count_distinct(Scalar::Col(2)),
+        ];
+
+        let mut staged = BatchAgg::new(&db, group_cols.clone(), aggs.clone());
+        let mut tc = db.null_ctx();
+        for r in &rows {
+            staged.update(r.as_slice(), &mut tc);
+        }
+        let mut exec = HashAggregate::new(Box::new(Rows::new(rows.clone())), group_cols, aggs);
+        let expect = run_to_vec(&mut exec, &db, &mut tc).unwrap();
+
+        assert_eq!(staged.finish(), expect);
+        assert_eq!(expect.len(), 9);
+        // ("AB", 1): one NULL, then 7 rows of i ≡ 1 (mod 6).
+        let ab1 = expect
+            .iter()
+            .find(|r| r[..2] == [Value::Str("AB".into()), Value::Int(1)])
+            .unwrap();
+        assert_eq!(ab1[2..4], [Value::Int(8), Value::Int(7)]);
     }
 }

@@ -183,15 +183,6 @@ impl TraceSummary {
             self.dep_loads as f64 / self.loads as f64
         }
     }
-
-    /// Memory accesses per 1000 instructions.
-    pub fn accesses_per_kinstr(&self) -> f64 {
-        if self.instrs == 0 {
-            0.0
-        } else {
-            (self.loads + self.stores) as f64 * 1000.0 / self.instrs as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +282,6 @@ mod tests {
         let s = TraceSummary::compute(&regions, &[]);
         assert_eq!(s, TraceSummary::default());
         assert_eq!(s.dep_load_fraction(), 0.0);
-        assert_eq!(s.accesses_per_kinstr(), 0.0);
     }
 
     /// Lines at both ends of the 48-bit space and either side of every

@@ -125,11 +125,12 @@ pub fn capture_dss_workers(
 /// `f(index, item)` over `items` on up to `workers` threads, results in
 /// input order. Workers claim items one at a time from a shared cursor,
 /// so a slow item holds up only the worker running it; `workers <= 1`
-/// runs inline on the calling thread. Every `*_workers` capture entry
-/// point funnels through here, and each passes an `f` whose result
-/// depends only on its own item — which is what makes their output
-/// independent of the worker count and of which worker claims what.
-pub(crate) fn par_map_ordered<T: Send, R: Send>(
+/// runs inline on the calling thread. Every capture entry point that
+/// takes `workers`, and every `Sweep` in `dbcmp-core`, funnels through
+/// here, and each passes an `f` whose result depends only on its own
+/// item — which is what makes their output independent of the worker
+/// count and of which worker claims what.
+pub fn par_map_ordered<T: Send, R: Send>(
     items: Vec<T>,
     workers: usize,
     f: impl Fn(usize, T) -> R + Sync,

@@ -171,20 +171,12 @@ fn two<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     }
 }
 
-/// Capture a shared-nothing deployment (sequential database build).
-pub fn capture_oltp_deployment(
-    scale: TpccScale,
-    opt: DeployOptions,
-) -> Result<Deployment, AddressSpaceError> {
-    capture_oltp_deployment_workers(scale, opt, 1)
-}
-
-/// [`capture_oltp_deployment`] with an explicit worker count for the
-/// per-partition database builds (each partition's population is
+/// Capture a shared-nothing deployment, building the partitions'
+/// databases on up to `workers` threads (each partition's population is
 /// independent — own rng stream, own address window — so the result is
 /// byte-identical at any worker count; transaction capture itself stays
 /// sequential in global client order).
-pub fn capture_oltp_deployment_workers(
+pub fn capture_oltp_deployment(
     scale: TpccScale,
     opt: DeployOptions,
     workers: usize,
@@ -618,7 +610,7 @@ mod tests {
 
     #[test]
     fn cross_instance_transactions_emit_paired_messages() {
-        let dep = capture_oltp_deployment(scale4(), quick_opt(4, 60)).unwrap();
+        let dep = capture_oltp_deployment(scale4(), quick_opt(4, 60), 1).unwrap();
         assert_eq!(dep.bundles.len(), 4);
         assert!(
             dep.stats.multi_remote_txns > 0,
@@ -650,23 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn deployment_capture_is_deterministic_across_build_workers() {
-        let a = capture_oltp_deployment_workers(scale4(), quick_opt(2, 30), 1).unwrap();
-        let b = capture_oltp_deployment_workers(scale4(), quick_opt(2, 30), 4).unwrap();
-        assert_eq!(a.stats, b.stats);
-        for (p, (ba, bb)) in a.bundles.iter().zip(&b.bundles).enumerate() {
-            assert_eq!(ba.threads.len(), bb.threads.len());
-            for (i, (ta, tb)) in ba.threads.iter().zip(&bb.threads).enumerate() {
-                assert_eq!(
-                    ta.packed_events(),
-                    tb.packed_events(),
-                    "instance {p} thread {i} diverged across build workers"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn contention_model_scales_with_instance_sharing() {
         // Same transactions (multi_pct = 0, so nothing crosses), two
         // degrees of lock-manager sharing: shared-everything (all eight
@@ -675,7 +650,7 @@ mod tests {
         // sharing — the mechanism that makes partitioning win on purely
         // local work.
         let instrs = |partitions: usize| -> u64 {
-            capture_oltp_deployment(scale4(), quick_opt(partitions, 0))
+            capture_oltp_deployment(scale4(), quick_opt(partitions, 0), 1)
                 .unwrap()
                 .bundles
                 .iter()
@@ -694,7 +669,7 @@ mod tests {
     /// request ever parks, so no trace carries a `Block` or `Wake`.
     #[test]
     fn sequential_deployment_never_parks() {
-        let dep = capture_oltp_deployment(scale4(), quick_opt(2, 60)).unwrap();
+        let dep = capture_oltp_deployment(scale4(), quick_opt(2, 60), 1).unwrap();
         assert!(dep.stats.multi_remote_txns > 0, "fixture must cross");
         for b in &dep.bundles {
             let s = TraceSummary::compute(&b.regions, &b.threads);
@@ -704,7 +679,7 @@ mod tests {
 
     #[test]
     fn zero_multi_pct_never_messages() {
-        let dep = capture_oltp_deployment(scale4(), quick_opt(4, 0)).unwrap();
+        let dep = capture_oltp_deployment(scale4(), quick_opt(4, 0), 1).unwrap();
         assert_eq!(dep.stats.remote_sends, 0);
         assert_eq!(dep.stats.multi_remote_txns, 0);
         assert_eq!(dep.stats.multi_local_txns, 0);
@@ -719,7 +694,7 @@ mod tests {
     #[test]
     fn per_txn_draws_hold_the_mix_constant_across_the_grid() {
         let cap = |partitions: usize, multi_pct: u8| -> DeployStats {
-            capture_oltp_deployment(scale4(), quick_opt(partitions, multi_pct))
+            capture_oltp_deployment(scale4(), quick_opt(partitions, multi_pct), 1)
                 .unwrap()
                 .stats
         };

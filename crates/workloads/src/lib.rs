@@ -39,10 +39,7 @@ pub mod tpcc;
 pub mod tpch;
 
 pub use capture::{capture_dss, capture_dss_workers, capture_oltp, CaptureOptions};
-pub use deploy::{
-    capture_oltp_deployment, capture_oltp_deployment_workers, DeployOptions, DeployStats,
-    Deployment,
-};
+pub use deploy::{capture_oltp_deployment, DeployOptions, DeployStats, Deployment};
 pub use exchange::{choose_strategy, exchange_rows, ExchangeBufs, ExchangeTraffic};
 pub use interleave::{
     capture_oltp_interleaved, ContentionStats, InterleaveOptions, InterleavedCapture,

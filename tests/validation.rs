@@ -283,7 +283,7 @@ fn segment_codec_lossless_on_recorded_fixture() {
 /// sequential in global client order.
 #[test]
 fn deployment_capture_deterministic_across_workers() {
-    use dbcmp::workloads::{capture_oltp_deployment_workers, DeployOptions};
+    use dbcmp::workloads::{capture_oltp_deployment, DeployOptions};
     let scale = FigScale::quick();
     let tpcc = dbcmp::core::deploy::deploy_tpcc_scale(&scale, 4);
     let opt = DeployOptions {
@@ -291,8 +291,8 @@ fn deployment_capture_deterministic_across_workers() {
         partitions: 4,
         multi_pct: 60,
     };
-    let a = capture_oltp_deployment_workers(tpcc, opt, 1).unwrap();
-    let b = capture_oltp_deployment_workers(tpcc, opt, 4).unwrap();
+    let a = capture_oltp_deployment(tpcc, opt, 1).unwrap();
+    let b = capture_oltp_deployment(tpcc, opt, 4).unwrap();
     assert_eq!(a.stats, b.stats, "capture statistics must reproduce");
     assert!(
         a.stats.multi_remote_txns > 0,
