@@ -20,6 +20,7 @@ use dbcmp_engine::lockmgr::{Grant, LockMgr, LockMode};
 use dbcmp_engine::{CcBackend, ConcurrencyControl, EngineError, EngineRegions, TraceCtx};
 use dbcmp_trace::{AddressSpace, CodeRegions};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 fn tc() -> TraceCtx {
     let mut r = CodeRegions::new();
@@ -395,4 +396,210 @@ proptest! {
     ) {
         run_backend_scripts(CcBackend::DeterministicOrdered, &scripts);
     }
+}
+
+// ---- lock-layer event pins ----
+
+/// One pinned script step: a queued (or, when `nowait`, a no-wait)
+/// acquire of `key`. `late` keys stay out of the ordered backend's
+/// declaration, as in [`CcScript`].
+#[derive(Debug, Clone, Copy)]
+struct PinStep {
+    key: u64,
+    excl: bool,
+    late: bool,
+    nowait: bool,
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn bytes(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        s.bytes().for_each(|b| self.word(u64::from(b)));
+    }
+}
+
+/// Run 64 fixed script sets (from the vendored [`TestRng`]) through
+/// `backend` under a recording [`TraceCtx`] and fold everything the lock
+/// layer lets a caller observe into one digest: each call's outcome,
+/// every `drain_woken` batch, the live/waiting counts and waits-for graph
+/// after each turn, every trace event and the final [`CcStats`].
+///
+/// The scheduler is the round-robin one of `run_backend_scripts`, made
+/// impatient on purpose so the rarely-taken paths run: a parked
+/// transaction gives up a quarter of the time (`cancel_wait` while
+/// parked, while a declaration is pending or while a victim mark is
+/// unread; an ordered one sometimes goes straight to `finish`), a ready
+/// one rolls back one turn in sixteen (an unclaimed
+/// parked grant), one parked declaration in four executes anyway (a probe
+/// of a declared key not granted yet), and one step in eight is no-wait.
+fn lock_event_digest(backend: CcBackend) -> u64 {
+    let mut gen = TestRng::deterministic("lockmgr_proptests::lock_event_pins::scripts");
+    let mut sched = TestRng::deterministic("lockmgr_proptests::lock_event_pins::sched");
+    let mut d = Fnv(0xcbf2_9ce4_8422_2325);
+    let ordered = backend == CcBackend::DeterministicOrdered;
+    let id = |i: usize| (i + 1) as u64;
+    let mode = |x: bool| {
+        if x {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        }
+    };
+    for case in 0..64u32 {
+        let n = 2 + gen.below(4) as usize;
+        let scripts: Vec<Vec<PinStep>> = (0..n)
+            .map(|_| {
+                (0..1 + gen.below(7))
+                    .map(|_| PinStep {
+                        key: gen.below(6),
+                        excl: gen.below(2) == 1,
+                        late: gen.below(2) == 1,
+                        nowait: gen.below(8) == 0,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let space = AddressSpace::new();
+        let mut cc = make_backend(backend, &space);
+        cc.set_contention(case % 3 * 7);
+        let mut r = CodeRegions::new();
+        let mut tcx = TraceCtx::recording(EngineRegions::register(&mut r));
+
+        let mut declared = vec![!ordered; n];
+        let mut pc = vec![0usize; n];
+        let mut state = vec![St::Ready; n];
+        let mut fresh: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut turns = 0u64;
+        let mut rr = 0usize;
+        while let Some(i) = (0..n).map(|k| (rr + k) % n).find(|&k| state[k] != St::Done) {
+            turns += 1;
+            assert!(turns < 20_000, "{backend:?}: case {case} made no progress");
+            rr = (i + 1) % n;
+            let roll = sched.below(16);
+            let give_up = match state[i] {
+                St::Blocked => roll < 4,
+                St::Ready => roll == 0,
+                St::Done => false,
+            };
+            if give_up || (state[i] == St::Ready && pc[i] >= scripts[i].len()) {
+                // The ordered backend's `finish` also withdraws a parked
+                // declaration by itself; the others need `cancel_wait`.
+                if give_up && !(ordered && roll == 1) {
+                    cc.cancel_wait(id(i), &mut tcx);
+                }
+                for key in fresh[i].drain(..) {
+                    cc.release(id(i), key, &mut tcx);
+                }
+                cc.finish(id(i), &mut tcx);
+                d.word(if give_up { 0xA807 } else { 0xC0 });
+                state[i] = St::Done;
+            } else if state[i] == St::Blocked {
+                d.word(0xB1);
+            } else if !declared[i] {
+                let keys: Vec<(u64, LockMode)> = scripts[i]
+                    .iter()
+                    .filter(|s| !s.late)
+                    .map(|s| (s.key, mode(s.excl)))
+                    .collect();
+                let res = cc.declare(id(i), &keys, &mut tcx);
+                d.bytes(&format!("{res:?}"));
+                match res {
+                    Ok(()) => declared[i] = true,
+                    Err(EngineError::LockWait { .. }) if sched.below(4) == 0 => declared[i] = true,
+                    Err(EngineError::LockWait { .. }) => state[i] = St::Blocked,
+                    Err(e) => panic!("{backend:?}: unexpected declare error: {e}"),
+                }
+            } else {
+                let s = scripts[i][pc[i]];
+                let res = if s.nowait {
+                    cc.acquire(id(i), s.key, mode(s.excl), &mut tcx)
+                        .map(|fresh| if fresh { Grant::Acquired } else { Grant::Held })
+                } else {
+                    cc.acquire_wait(id(i), s.key, mode(s.excl), &mut tcx)
+                };
+                d.bytes(&format!("{res:?}"));
+                match res {
+                    Ok(Grant::Acquired | Grant::WaitGranted) => {
+                        fresh[i].push(s.key);
+                        pc[i] += 1;
+                    }
+                    Ok(Grant::Held | Grant::WaitUpgraded) => pc[i] += 1,
+                    Ok(Grant::Wait) => state[i] = St::Blocked,
+                    Err(EngineError::Deadlock { .. } | EngineError::LockConflict { .. }) => {
+                        cc.cancel_wait(id(i), &mut tcx);
+                        for key in fresh[i].drain(..) {
+                            cc.release(id(i), key, &mut tcx);
+                        }
+                        cc.finish(id(i), &mut tcx);
+                        state[i] = St::Done;
+                    }
+                    Err(e) => panic!("{backend:?}: unexpected engine error: {e}"),
+                }
+            }
+
+            let woken = cc.drain_woken();
+            d.word(woken.len() as u64);
+            for t in woken {
+                d.word(t);
+                let k = (t - 1) as usize;
+                if state[k] == St::Blocked {
+                    state[k] = St::Ready;
+                }
+            }
+            d.word(cc.live_locks() as u64);
+            d.word(cc.waiting_count() as u64);
+            for (t, targets) in cc.wait_graph() {
+                d.word(t);
+                d.word(targets.len() as u64);
+                targets.into_iter().for_each(|w| d.word(w));
+            }
+        }
+
+        let trace = tcx.finish();
+        d.word(trace.len() as u64);
+        trace.iter().for_each(|e| d.word(e.pack().0));
+        let s = cc.stats();
+        [
+            s.acquires,
+            s.waits,
+            s.ordering_waits,
+            s.deadlocks,
+            s.remote_msgs,
+            s.remote_bytes,
+            s.fallback_conflicts,
+            cc.live_locks() as u64,
+            cc.waiting_count() as u64,
+        ]
+        .into_iter()
+        .for_each(|w| d.word(w));
+    }
+    d.0
+}
+
+/// Every event, wake batch and counter the three backends produce on the
+/// impatient scripts of [`lock_event_digest`], pinned at `c722257`, the
+/// last commit with a separate lock table per backend. A refactor of the
+/// lock layer that changes what any backend emits, or in which order,
+/// moves its row.
+#[test]
+fn lock_events_are_pinned_for_every_backend() {
+    let got = [
+        CcBackend::Centralized2PL,
+        CcBackend::PartitionedPerCore,
+        CcBackend::DeterministicOrdered,
+    ]
+    .map(lock_event_digest);
+    assert_eq!(
+        got,
+        [0x7b52fb23ebdbb850, 0x9e2fff6b4c714ea9, 0x52f536bed750287d],
+        "lock-layer events moved: 2PL, partitioned, ordered"
+    );
 }
