@@ -27,7 +27,7 @@
 //! captures.
 
 use crate::error::Result;
-use crate::lockmgr::{Grant, LockMode};
+use crate::lockmgr::{find_cycle, Grant, LockMode};
 use crate::tctx::TraceCtx;
 use crate::txn::TxnId;
 
@@ -169,29 +169,14 @@ pub trait ConcurrencyControl: Send + Sync {
 
 /// Cycle check over an explicit waits-for graph.
 fn graph_has_cycle(graph: &[(TxnId, Vec<TxnId>)]) -> bool {
-    fn dfs(
-        graph: &[(TxnId, Vec<TxnId>)],
-        start: TxnId,
-        cur: TxnId,
-        visited: &mut Vec<TxnId>,
-    ) -> bool {
-        let Some((_, targets)) = graph.iter().find(|(t, _)| *t == cur) else {
-            return false;
-        };
-        for &nxt in targets {
-            if nxt == start {
-                return true;
-            }
-            if !visited.contains(&nxt) {
-                visited.push(nxt);
-                if dfs(graph, start, nxt, visited) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-    graph.iter().any(|&(t, _)| dfs(graph, t, t, &mut vec![t]))
+    let targets = |t: TxnId| {
+        graph
+            .iter()
+            .find(|&&(w, _)| w == t)
+            .map(|(_, ts)| ts.clone())
+            .unwrap_or_default()
+    };
+    graph.iter().any(|&(t, _)| find_cycle(t, targets).is_some())
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::error::Result;
-use crate::lockmgr::{Grant, LockMgr, LockMode};
+use crate::lockmgr::{lock_hash, Grant, LockMgr, LockMode};
 use crate::tctx::TraceCtx;
 use crate::txn::TxnId;
 
@@ -44,10 +44,6 @@ pub struct PartitionedPerCore {
     /// Resources `(partition, key)` each live transaction holds or is
     /// parked on — the resource-ordering ledger.
     held: BTreeMap<TxnId, BTreeSet<(usize, u64)>>,
-    /// The resource a transaction is currently parked on (at most one):
-    /// its retry must go back through the queued path to claim the
-    /// parked grant or victim notification.
-    parked: BTreeMap<TxnId, (usize, u64)>,
     /// Remote messages, their bytes and fallback conflicts (the rest stay
     /// zero: the partitions count those).
     stats: CcStats,
@@ -63,16 +59,15 @@ impl PartitionedPerCore {
         PartitionedPerCore {
             parts: (0..n).map(|_| LockMgr::new(space, per)).collect(),
             held: BTreeMap::new(),
-            parked: BTreeMap::new(),
             stats: CcStats::default(),
         }
     }
 
-    /// Which partition owns `key`. Uses the high hash bits so partition
-    /// choice is independent of the per-partition bucket index.
+    /// Which partition owns `key`: the top bits of the lock hash, so the
+    /// partition is independent of the per-partition bucket index.
     #[inline]
     fn partition_of(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59) as usize) & (self.parts.len() - 1)
+        ((lock_hash(key) >> 59) as usize) & (self.parts.len() - 1)
     }
 
     /// A transaction's home partition: round-robin by id, modeling the
@@ -133,14 +128,10 @@ impl ConcurrencyControl for PartitionedPerCore {
         let p = self.partition_of(key);
         let res = (p, key);
         self.hop_round_trip(txn, p, tc);
-        if self.parked.get(&txn) == Some(&res) {
+        if self.parts[p].parked_on(txn) == Some(key) {
             // Retry of the request this txn parked on: the queued path
             // claims the parked grant (or stays parked).
-            let grant = self.parts[p].acquire_wait(txn, key, mode, tc);
-            if !matches!(grant, Ok(Grant::Wait)) {
-                self.parked.remove(&txn);
-            }
-            return grant;
+            return self.parts[p].acquire_wait(txn, key, mode, tc);
         }
         let already = self.held.get(&txn).is_some_and(|s| s.contains(&res));
         if !already && self.may_wait(txn, res) {
@@ -149,9 +140,6 @@ impl ConcurrencyControl for PartitionedPerCore {
             // will hold the lock when granted. (A Deadlock error is
             // unreachable: ordering forbids cycles.)
             let g = self.parts[p].acquire_wait(txn, key, mode, tc)?;
-            if g == Grant::Wait {
-                self.parked.insert(txn, res);
-            }
             self.held.entry(txn).or_default().insert(res);
             Ok(g)
         } else {
@@ -182,11 +170,9 @@ impl ConcurrencyControl for PartitionedPerCore {
 
     fn finish(&mut self, txn: TxnId, _tc: &mut TraceCtx) {
         self.held.remove(&txn);
-        self.parked.remove(&txn);
     }
 
     fn cancel_wait(&mut self, txn: TxnId, tc: &mut TraceCtx) {
-        self.parked.remove(&txn);
         for p in &mut self.parts {
             p.cancel_wait(txn, tc);
         }
@@ -241,6 +227,7 @@ mod tests {
     use crate::costs::EngineRegions;
     use crate::error::EngineError;
     use dbcmp_trace::CodeRegions;
+    use LockMode::{Exclusive as X, Shared as S};
 
     fn setup() -> (PartitionedPerCore, TraceCtx) {
         let mut r = CodeRegions::new();
@@ -273,19 +260,13 @@ mod tests {
             }
             found.expect("4 partitions must split 64 keys")
         };
-        cc.acquire_wait(1, k_lo, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        cc.acquire_wait(2, k_hi, LockMode::Exclusive, &mut tc)
-            .unwrap();
+        cc.acquire_wait(1, k_lo, X, &mut tc).unwrap();
+        cc.acquire_wait(2, k_hi, X, &mut tc).unwrap();
         // Txn 1 requests upward: allowed to park.
-        assert_eq!(
-            cc.acquire_wait(1, k_hi, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(cc.acquire_wait(1, k_hi, X, &mut tc).unwrap(), Grant::Wait);
         // Txn 2 requests downward: refused no-wait, never enqueued.
         assert!(matches!(
-            cc.acquire_wait(2, k_lo, LockMode::Exclusive, &mut tc),
+            cc.acquire_wait(2, k_lo, X, &mut tc),
             Err(EngineError::LockConflict { .. })
         ));
         assert!(!cc.has_deadlock());
@@ -296,8 +277,7 @@ mod tests {
         cc.finish(2, &mut tc);
         assert_eq!(cc.drain_woken(), vec![1]);
         assert_eq!(
-            cc.acquire_wait(1, k_hi, LockMode::Exclusive, &mut tc)
-                .unwrap(),
+            cc.acquire_wait(1, k_hi, X, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         cc.release(1, k_lo, &mut tc);
@@ -318,11 +298,9 @@ mod tests {
         let home_key = (0..256u64)
             .find(|&k| cc.partition_of(k) == cc.home(8))
             .expect("some key is home");
-        cc.acquire_wait(8, home_key, LockMode::Shared, &mut tc)
-            .unwrap();
+        cc.acquire_wait(8, home_key, S, &mut tc).unwrap();
         assert_eq!(cc.stats().remote_msgs, 0, "home requests are local");
-        cc.acquire_wait(8, remote_key, LockMode::Shared, &mut tc)
-            .unwrap();
+        cc.acquire_wait(8, remote_key, S, &mut tc).unwrap();
         assert_eq!(cc.stats().remote_msgs, 2, "request + reply");
         assert_eq!(cc.stats().remote_bytes, 2 * CC_MSG_BYTES as u64);
         cc.release(8, remote_key, &mut tc);
@@ -335,15 +313,9 @@ mod tests {
     #[test]
     fn reacquire_of_held_key_stays_held() {
         let (mut cc, mut tc) = setup();
-        assert_eq!(
-            cc.acquire_wait(3, 7, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Acquired
-        );
+        assert_eq!(cc.acquire_wait(3, 7, X, &mut tc).unwrap(), Grant::Acquired);
         // Held resource: served no-wait, reported Held (no re-record).
-        assert_eq!(
-            cc.acquire_wait(3, 7, LockMode::Shared, &mut tc).unwrap(),
-            Grant::Held
-        );
+        assert_eq!(cc.acquire_wait(3, 7, S, &mut tc).unwrap(), Grant::Held);
         cc.release(3, 7, &mut tc);
         cc.finish(3, &mut tc);
         assert_eq!(cc.live_locks(), 0);

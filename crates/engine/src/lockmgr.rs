@@ -10,7 +10,11 @@
 //! on a CMP (paper §5.2, Fig. 7).
 //!
 //! **Host storage:** live locks only, one ordered map from key to entry;
-//! the bucket count sizes nothing on the host.
+//! the bucket count sizes nothing on the host. That map, the bucket
+//! lines, the compatibility matrix and the FIFO grant pass are the
+//! crate's one `LockTable`, which
+//! [`DeterministicOrdered`](crate::cc::DeterministicOrdered) queues its
+//! declarations in too.
 //!
 //! Two disciplines coexist:
 //!
@@ -23,8 +27,8 @@
 //! * **Queued** ([`ConcurrencyControl::acquire_wait`]): conflicting requests park on a
 //!   FIFO wait queue per lock. Releases grant from the front (shared
 //!   requests join in batches; upgrades jump the queue when the upgrader is
-//!   the sole holder). Each enqueue updates a waits-for graph and runs
-//!   cycle detection; on a cycle the *youngest* transaction (largest id) is
+//!   the sole holder). Each enqueue runs cycle detection on the waits-for
+//!   graph; on a cycle the *youngest* transaction (largest id) is
 //!   the victim — either the requester itself (it gets
 //!   [`EngineError::Deadlock`] straight back) or a parked waiter (it is
 //!   dequeued, marked, and receives the error when its scheduler slot
@@ -36,11 +40,7 @@
 //! scheduler the transactions it must resume, in grant order
 //! (determinism).
 
-#[allow(
-    clippy::disallowed_types,
-    reason = "every map below is keyed lookup only; wake order comes from the `woken` Vec and wait_graph sorts before iterating"
-)]
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::costs::instr;
@@ -77,6 +77,14 @@ pub enum Grant {
     WaitUpgraded,
 }
 
+/// The multiplicative lock hash: bits 32.. pick a table's bucket, the top
+/// bits a [`PartitionedPerCore`](crate::cc::PartitionedPerCore) partition,
+/// so the two choices are independent.
+#[inline]
+pub(crate) fn lock_hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 #[derive(Debug)]
 struct Waiter {
     txn: TxnId,
@@ -86,6 +94,20 @@ struct Waiter {
     upgrade: bool,
 }
 
+impl Waiter {
+    /// May this request, at the queue front, be granted while `holders`
+    /// hold the lock in `mode`? An empty lock always; an upgrade once its
+    /// requester is the sole holder; a shared request joins shared holders.
+    fn grantable(&self, holders: &[TxnId], mode: LockMode) -> bool {
+        holders.is_empty()
+            || if self.upgrade {
+                holders == [self.txn]
+            } else {
+                self.mode == LockMode::Shared && mode == LockMode::Shared
+            }
+    }
+}
+
 #[derive(Debug)]
 struct LockEntry {
     mode: LockMode,
@@ -93,11 +115,30 @@ struct LockEntry {
     waiters: VecDeque<Waiter>,
 }
 
-/// The lock table.
+/// What [`LockTable::admit`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Admit {
+    /// Granted by writing the bucket line: a fresh entry or a shared join
+    /// ([`Grant::Acquired`]), or the sole holder's upgrade ([`Grant::Held`]).
+    Wrote(Grant),
+    /// Already held in a covering mode; nothing changed.
+    Held,
+    /// Incompatible, and queued as asked.
+    Queued,
+    /// Incompatible; nothing changed.
+    Conflict,
+}
+
+/// The lock table every backend keeps its locks in: live entries by key,
+/// each with its holders and FIFO wait queue, on simulated bucket lines.
+/// It decides grants; what a grant *means* (a parked transaction to
+/// resume, a declared set one key closer to complete) is its caller's. It
+/// emits only what every caller emits the same way: a release's charge
+/// and store, and the store and fence after a grant pass that granted.
 #[derive(Debug)]
-pub struct LockMgr {
+pub(crate) struct LockTable {
     /// Live locks by key (each entry has a holder or a waiter).
-    table: BTreeMap<u64, LockEntry>,
+    entries: BTreeMap<u64, LockEntry>,
     /// Simulated base address; bucket i lives at `addr + i*64`.
     addr: u64,
     mask: u64,
@@ -105,25 +146,238 @@ pub struct LockMgr {
     /// latch/CAS contention among the clients sharing this engine
     /// (see [`instr::LOCK_CONTEND`]). Zero by default: captures are
     /// byte-identical unless a deployment opts in.
-    contention: u32,
-    /// txn → key it is parked on (each txn waits on at most one key).
-    #[allow(
-        clippy::disallowed_types,
-        reason = "per-txn lookups only; see the note on the `HashMap` import"
-    )]
-    waiting: HashMap<TxnId, u64>,
-    /// Grants decided while the winner was parked: txn → (key, upgrade).
-    #[allow(
-        clippy::disallowed_types,
-        reason = "per-txn lookups only; see the note on the `HashMap` import"
-    )]
-    granted: HashMap<TxnId, (u64, bool)>,
-    /// Deadlock victims to notify at their next acquire: txn → key.
-    #[allow(
-        clippy::disallowed_types,
-        reason = "per-txn lookups only; see the note on the `HashMap` import"
-    )]
-    victims: HashMap<TxnId, u64>,
+    pub(crate) contention: u32,
+}
+
+impl LockTable {
+    /// `n_buckets` simulated bucket lines, rounded up to a power of two,
+    /// allocated as `name`.
+    pub(crate) fn new(space: &AddressSpace, name: &'static str, n_buckets: usize) -> Self {
+        let n = n_buckets.next_power_of_two().max(64);
+        LockTable {
+            entries: BTreeMap::new(),
+            addr: space.alloc(name, n as u64 * 64),
+            mask: (n - 1) as u64,
+            contention: 0,
+        }
+    }
+
+    #[inline]
+    fn bucket_of(&self, key: u64) -> u64 {
+        (lock_hash(key) >> 32) & self.mask
+    }
+
+    /// The simulated address of `key`'s bucket line.
+    #[inline]
+    pub(crate) fn bucket_addr(&self, key: u64) -> u64 {
+        self.addr + self.bucket_of(key) * 64
+    }
+
+    /// Record a write of `key`'s bucket line: the store, then the fence
+    /// that publishes it.
+    pub(crate) fn write_line(&self, key: u64, tc: &mut TraceCtx) {
+        tc.store(self.bucket_addr(key), 16);
+        tc.fence();
+    }
+
+    /// The compatibility matrix: a fresh entry, re-acquire in the same or
+    /// a weaker mode, upgrade by the sole holder, or a shared join while
+    /// nobody queues (FIFO: never past a waiter). Anything else conflicts,
+    /// and with `queue` the request joins the wait queue — an upgrade at
+    /// the front, since it already holds the lock and everyone behind it
+    /// needs the lock free.
+    pub(crate) fn admit(&mut self, txn: TxnId, key: u64, mode: LockMode, queue: bool) -> Admit {
+        let Some(e) = self.entries.get_mut(&key) else {
+            let (holders, waiters) = (vec![txn], VecDeque::new());
+            self.entries.insert(
+                key,
+                LockEntry {
+                    mode,
+                    holders,
+                    waiters,
+                },
+            );
+            return Admit::Wrote(Grant::Acquired);
+        };
+        let holds = e.holders.contains(&txn);
+        let w = Waiter {
+            txn,
+            mode,
+            upgrade: holds,
+        };
+        match (mode, e.mode) {
+            (LockMode::Shared, _) | (LockMode::Exclusive, LockMode::Exclusive) if holds => {
+                Admit::Held
+            }
+            (LockMode::Exclusive, LockMode::Shared) if holds && e.holders.len() == 1 => {
+                e.mode = LockMode::Exclusive;
+                Admit::Wrote(Grant::Held)
+            }
+            (LockMode::Shared, LockMode::Shared) if e.waiters.is_empty() => {
+                e.holders.push(txn);
+                Admit::Wrote(Grant::Acquired)
+            }
+            _ if !queue => Admit::Conflict,
+            _ if holds => {
+                e.waiters.push_front(w);
+                Admit::Queued
+            }
+            _ => {
+                e.waiters.push_back(w);
+                Admit::Queued
+            }
+        }
+    }
+
+    /// True if nobody queues for `key`.
+    pub(crate) fn queue_is_empty(&self, key: u64) -> bool {
+        self.entries.get(&key).is_none_or(|e| e.waiters.is_empty())
+    }
+
+    /// Release `txn`'s hold on `key` and run the grant pass: the charge
+    /// and bucket store of a release, whether or not the entry is live.
+    pub(crate) fn release(
+        &mut self,
+        txn: TxnId,
+        key: u64,
+        tc: &mut TraceCtx,
+    ) -> Vec<(TxnId, bool)> {
+        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
+        tc.store(self.bucket_addr(key), 16);
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.holders.retain(|&t| t != txn);
+        }
+        self.grant_pass(key, tc)
+    }
+
+    /// Drop `txn`'s queued request on `key` and run the grant pass (its
+    /// departure may unblock the queue).
+    pub(crate) fn dequeue(
+        &mut self,
+        txn: TxnId,
+        key: u64,
+        tc: &mut TraceCtx,
+    ) -> Vec<(TxnId, bool)> {
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.waiters.retain(|w| w.txn != txn);
+        }
+        self.grant_pass(key, tc)
+    }
+
+    /// FIFO grant pass over `key`'s entry: grant from the front while the
+    /// front request is grantable, and drop the entry once it has neither
+    /// holder nor waiter. Returns `(txn, upgrade)` for each grant, in grant
+    /// order.
+    fn grant_pass(&mut self, key: u64, tc: &mut TraceCtx) -> Vec<(TxnId, bool)> {
+        let mut granted = Vec::new();
+        let Some(e) = self.entries.get_mut(&key) else {
+            return granted;
+        };
+        while let Some(w) = e.waiters.pop_front_if(|w| w.grantable(&e.holders, e.mode)) {
+            if w.upgrade {
+                e.mode = LockMode::Exclusive;
+            } else {
+                if e.holders.is_empty() {
+                    e.mode = w.mode;
+                }
+                e.holders.push(w.txn);
+            }
+            granted.push((w.txn, w.upgrade));
+        }
+        if e.holders.is_empty() && e.waiters.is_empty() {
+            self.entries.remove(&key);
+        }
+        if !granted.is_empty() {
+            self.write_line(key, tc);
+        }
+        granted
+    }
+
+    /// Who a waiter `t` on `key` waits for: the holders, in holder order,
+    /// then the waiters queued ahead of it (FIFO: they are granted first).
+    pub(crate) fn blockers(&self, t: TxnId, key: u64) -> impl Iterator<Item = TxnId> + '_ {
+        let e = self.entries.get(&key);
+        let holders = e.into_iter().flat_map(|e| e.holders.iter().copied());
+        let ahead = e.into_iter().flat_map(|e| e.waiters.iter().map(|w| w.txn));
+        holders
+            .filter(move |&h| h != t)
+            .chain(ahead.take_while(move |&w| w != t))
+    }
+
+    /// Live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Every live entry: (key, mode, holders, queued waiters), in bucket
+    /// order, keys ascending within a bucket.
+    pub(crate) fn snapshot(&self) -> Vec<(u64, LockMode, Vec<TxnId>, Vec<TxnId>)> {
+        let mut out: Vec<_> = self
+            .entries
+            .iter()
+            .map(|(&key, e)| {
+                let waiters = e.waiters.iter().map(|w| w.txn).collect();
+                (key, e.mode, e.holders.clone(), waiters)
+            })
+            .collect();
+        out.sort_by_key(|e| self.bucket_of(e.0));
+        out
+    }
+}
+
+/// The first waits-for cycle through `start`, searched depth first with
+/// each transaction's targets in the order `targets` lists them (so that
+/// order decides which cycle is found first). Returns the cycle's length
+/// and its victim, the largest id on it.
+pub(crate) fn find_cycle(
+    start: TxnId,
+    targets: impl Fn(TxnId) -> Vec<TxnId>,
+) -> Option<(usize, TxnId)> {
+    fn dfs(
+        targets: &impl Fn(TxnId) -> Vec<TxnId>,
+        start: TxnId,
+        cur: TxnId,
+        path: &mut Vec<TxnId>,
+        visited: &mut Vec<TxnId>,
+    ) -> bool {
+        for nxt in targets(cur) {
+            if nxt == start {
+                return true;
+            }
+            if !visited.contains(&nxt) {
+                visited.push(nxt);
+                path.push(nxt);
+                if dfs(targets, start, nxt, path, visited) {
+                    return true;
+                }
+                path.pop();
+            }
+        }
+        false
+    }
+    let mut path = vec![start];
+    let found = dfs(&targets, start, start, &mut path, &mut vec![start]);
+    found.then(|| (path.len(), path.iter().fold(start, |v, &t| v.max(t))))
+}
+
+/// Where a parked transaction stands until its retry observes the outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TxnLock {
+    /// Parked on the key's wait queue.
+    Waiting(u64),
+    /// Granted the key while parked; `true` for an upgrade.
+    Granted(u64, bool),
+    /// Chosen as a deadlock victim while parked on the key.
+    Victim(u64),
+}
+
+/// The lock manager: a `LockTable`, where each parked transaction stands,
+/// and the deadlock search.
+#[derive(Debug)]
+pub struct LockMgr {
+    table: LockTable,
+    /// Parked transactions, each with what its retry has yet to observe.
+    txns: BTreeMap<TxnId, TxnLock>,
     /// Wake notifications (grants + victims) since the last drain, in
     /// decision order.
     woken: Vec<TxnId>,
@@ -133,34 +387,28 @@ pub struct LockMgr {
 
 impl LockMgr {
     /// `n_buckets` simulated bucket lines, rounded up to a power of two.
-    #[allow(
-        clippy::disallowed_types,
-        reason = "keyed-lookup maps, justified at their declarations"
-    )]
     pub fn new(space: &AddressSpace, n_buckets: usize) -> Self {
-        let n = n_buckets.next_power_of_two().max(64);
         LockMgr {
-            table: BTreeMap::new(),
-            addr: space.alloc("lock-table", n as u64 * 64),
-            mask: (n - 1) as u64,
-            contention: 0,
-            waiting: HashMap::new(),
-            granted: HashMap::new(),
-            victims: HashMap::new(),
+            table: LockTable::new(space, "lock-table", n_buckets),
+            txns: BTreeMap::new(),
             woken: Vec::new(),
             stats: CcStats::default(),
         }
     }
 
-    #[inline]
-    fn bucket_of(&self, key: u64) -> u64 {
-        // Multiplicative hash, then mask.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask
+    /// The key `txn` parked on, until its retry observes the outcome.
+    pub(crate) fn parked_on(&self, txn: TxnId) -> Option<u64> {
+        self.txns.get(&txn).map(|&s| match s {
+            TxnLock::Waiting(k) | TxnLock::Granted(k, _) | TxnLock::Victim(k) => k,
+        })
     }
 
-    #[inline]
-    fn bucket_addr(&self, key: u64) -> u64 {
-        self.addr + self.bucket_of(key) * 64
+    /// Parked transactions still waiting, and the key each waits on.
+    fn waiting(&self) -> impl Iterator<Item = (TxnId, u64)> + '_ {
+        self.txns.iter().filter_map(|(&t, &s)| match s {
+            TxnLock::Waiting(k) => Some((t, k)),
+            TxnLock::Granted(..) | TxnLock::Victim(_) => None,
+        })
     }
 
     fn acquire_inner(
@@ -171,95 +419,55 @@ impl LockMgr {
         wait: bool,
         tc: &mut TraceCtx,
     ) -> Result<Grant> {
-        let addr = self.bucket_addr(key);
-        tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.contention);
+        tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.table.contention);
         // The bucket header is a dependent load; the grant writes it.
-        tc.load_dep(addr, 16);
+        tc.load_dep(self.table.bucket_addr(key), 16);
 
         if wait {
-            // Victim notification takes priority: the txn was chosen while
-            // parked and must abort.
-            if self.victims.remove(&txn).is_some() {
+            // The outcome of the parked request: a victim must abort, a
+            // grant lets the caller's bookkeeping catch up.
+            let outcome = match self.txns.get(&txn) {
+                Some(TxnLock::Victim(_)) => Some(Err(EngineError::Deadlock { key })),
+                Some(&TxnLock::Granted(gkey, upgrade)) => {
+                    debug_assert_eq!(gkey, key, "parked grant must match the retried key");
+                    Some(Ok(if upgrade {
+                        Grant::WaitUpgraded
+                    } else {
+                        Grant::WaitGranted
+                    }))
+                }
+                Some(TxnLock::Waiting(_)) | None => None,
+            };
+            if let Some(outcome) = outcome {
+                self.txns.remove(&txn);
                 tc.charge(tc.r.lock_mgr, instr::LOCK_WAKE);
                 tc.wake();
-                return Err(EngineError::Deadlock { key });
-            }
-            // Grant decided while parked: the lock is already held; report
-            // it so the caller's bookkeeping catches up.
-            if let Some((gkey, upgrade)) = self.granted.remove(&txn) {
-                debug_assert_eq!(gkey, key, "parked grant must match the retried key");
-                tc.charge(tc.r.lock_mgr, instr::LOCK_WAKE);
-                tc.wake();
-                return Ok(if upgrade {
-                    Grant::WaitUpgraded
-                } else {
-                    Grant::WaitGranted
-                });
+                return outcome;
             }
         }
 
-        if let Some(e) = self.table.get_mut(&key) {
-            let holds = e.holders.contains(&txn);
-            match (mode, e.mode) {
-                // Re-acquire in same-or-weaker mode.
-                (LockMode::Shared, _) if holds => return Ok(Grant::Held),
-                (LockMode::Exclusive, LockMode::Exclusive) if holds => return Ok(Grant::Held),
-                // Upgrade by the sole holder.
-                (LockMode::Exclusive, LockMode::Shared) if holds && e.holders.len() == 1 => {
-                    e.mode = LockMode::Exclusive;
-                    tc.store(addr, 16);
-                    tc.fence();
-                    return Ok(Grant::Held);
-                }
-                // Shared join on a shared lock (FIFO: not past waiters).
-                (LockMode::Shared, LockMode::Shared) if e.waiters.is_empty() => {
-                    e.holders.push(txn);
-                    tc.store(addr, 16);
-                    tc.fence();
-                    return Ok(Grant::Acquired);
-                }
-                _ => {
-                    if !wait {
-                        return Err(EngineError::LockConflict { key });
-                    }
-                    // Enqueue: upgrades go to the front (they already hold
-                    // the lock and everyone behind them needs it free).
-                    let w = Waiter {
-                        txn,
-                        mode,
-                        upgrade: holds,
-                    };
-                    if holds {
-                        e.waiters.push_front(w);
-                    } else {
-                        e.waiters.push_back(w);
-                    }
-                    self.waiting.insert(txn, key);
-                    tc.charge(tc.r.lock_mgr, instr::LOCK_ENQUEUE);
-                    tc.store(addr, 16);
-                    tc.fence();
-                    return self.resolve_deadlocks(txn, key, tc);
-                }
+        match self.table.admit(txn, key, mode, wait) {
+            Admit::Held => Ok(Grant::Held),
+            Admit::Wrote(g) => {
+                self.table.write_line(key, tc);
+                Ok(g)
+            }
+            Admit::Conflict => Err(EngineError::LockConflict { key }),
+            Admit::Queued => {
+                self.txns.insert(txn, TxnLock::Waiting(key));
+                tc.charge(tc.r.lock_mgr, instr::LOCK_ENQUEUE);
+                self.table.write_line(key, tc);
+                self.resolve_deadlocks(txn, key, tc)
             }
         }
-        let entry = LockEntry {
-            mode,
-            holders: vec![txn],
-            waiters: VecDeque::new(),
-        };
-        self.table.insert(key, entry);
-        tc.store(addr, 16);
-        tc.fence();
-        Ok(Grant::Acquired)
     }
 
-    /// After enqueuing `txn` on `key`: hunt waits-for cycles; abort the
-    /// youngest member of each until none remain that involve `txn`.
-    /// Break every waits-for cycle through `txn`, choosing victims until
-    /// the graph is acyclic or `txn` itself dies.
+    /// After enqueuing `txn` on `key`: break every waits-for cycle through
+    /// `txn`, choosing victims until the graph is acyclic or `txn` itself
+    /// dies.
     ///
-    /// **Victim rule (pinned):** the victim is the cycle member with the
-    /// numerically largest [`TxnId`]. Ids are handed out by a monotone
+    /// **Victim rule (pinned):** the victim is the largest [`TxnId`] on
+    /// the first cycle the search finds. Ids are handed out by a monotone
     /// counter and never reused, so "largest id" is exactly "youngest
     /// transaction" — the least-work-lost heuristic — and, because ids
     /// are unique, the `max` is a total order with no tie to break:
@@ -268,180 +476,57 @@ impl LockMgr {
     /// fewest-locks/least-undo heuristic without versioning the captures
     /// (see `victim_is_the_largest_txn_id_deterministically`).
     fn resolve_deadlocks(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) -> Result<Grant> {
-        loop {
-            let Some(cycle) = self.find_cycle(txn) else {
-                tc.block();
-                return Ok(Grant::Wait);
+        while let Some((len, victim)) = find_cycle(txn, |t| self.wait_targets(t)) {
+            tc.charge(tc.r.lock_mgr, instr::DEADLOCK_SCAN * len as u32);
+            // Only a waiter has waits-for edges, so every cycle member is
+            // one.
+            let Some(&TxnLock::Waiting(vkey)) = self.txns.get(&victim) else {
+                break;
             };
-            tc.charge(
-                tc.r.lock_mgr,
-                instr::DEADLOCK_SCAN * cycle.len().max(1) as u32,
-            );
-            #[expect(
-                clippy::expect_used,
-                reason = "find_cycle returned Some, so the Vec has at least one member"
-            )]
-            let victim = *cycle.iter().max().expect("cycle is nonempty");
+            self.dequeue(victim, vkey, tc);
             if victim == txn {
-                self.remove_waiter(txn, tc);
+                self.txns.remove(&txn);
                 return Err(EngineError::Deadlock { key });
             }
-            // A parked waiter dies: dequeue it now (so grants can flow) and
-            // notify it through the scheduler; its held locks release when
-            // the transaction aborts.
-            #[expect(
-                clippy::expect_used,
-                reason = "the cycle was built from `waiting` edges this same pass, with no mutation in between"
-            )]
-            let vkey = self
-                .waiting
-                .get(&victim)
-                .copied()
-                .expect("cycle members are waiters");
-            self.remove_waiter(victim, tc);
-            self.victims.insert(victim, vkey);
+            // A parked waiter dies: dequeued now (so grants can flow), it
+            // learns its fate from the scheduler's wake; its held locks
+            // release when the transaction aborts.
+            self.txns.insert(victim, TxnLock::Victim(vkey));
             self.woken.push(victim);
         }
+        tc.block();
+        Ok(Grant::Wait)
     }
 
-    /// Drop `txn` from `key`'s wait queue and re-run the grant pass (its
-    /// departure may unblock the queue).
-    fn remove_waiter(&mut self, txn: TxnId, tc: &mut TraceCtx) {
-        let Some(key) = self.waiting.remove(&txn) else {
-            return;
-        };
-        let addr = self.bucket_addr(key);
-        if let Some(e) = self.table.get_mut(&key) {
-            e.waiters.retain(|w| w.txn != txn);
-            tc.store(addr, 16);
-            self.grant_pass(key, tc);
-        }
+    /// Take `txn`'s request off `key`'s wait queue: the bucket store, then
+    /// the grant pass its departure may unblock.
+    fn dequeue(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
+        tc.store(self.table.bucket_addr(key), 16);
+        let granted = self.table.dequeue(txn, key, tc);
+        self.record_grants(key, granted);
     }
 
-    /// FIFO grant pass over `key`'s entry: grant from the front while
-    /// compatible, recording parked grants; drop the entry when fully
-    /// drained.
-    fn grant_pass(&mut self, key: u64, tc: &mut TraceCtx) {
-        let addr = self.bucket_addr(key);
-        let LockMgr {
-            table,
-            waiting,
-            granted,
-            woken,
-            ..
-        } = self;
-        let Some(e) = table.get_mut(&key) else {
-            return;
-        };
-        let mut granted_any = false;
-        while let Some(w) = e.waiters.front() {
-            let can = if e.holders.is_empty() {
-                true
-            } else if w.upgrade {
-                e.holders.len() == 1 && e.holders[0] == w.txn
-            } else {
-                w.mode == LockMode::Shared && e.mode == LockMode::Shared
-            };
-            if !can {
-                break;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "the `while let Some` guard above proved the queue non-empty"
-            )]
-            let w = e.waiters.pop_front().expect("front exists");
-            if w.upgrade {
-                e.mode = LockMode::Exclusive;
-            } else {
-                if e.holders.is_empty() {
-                    e.mode = w.mode;
-                }
-                e.holders.push(w.txn);
-            }
-            waiting.remove(&w.txn);
-            granted.insert(w.txn, (key, w.upgrade));
-            woken.push(w.txn);
-            granted_any = true;
-        }
-        let drained = e.holders.is_empty() && e.waiters.is_empty();
-        if granted_any {
-            tc.store(addr, 16);
-            tc.fence();
-        }
-        if drained {
-            table.remove(&key);
+    /// Note grants made while their winners were parked, and wake them.
+    fn record_grants(&mut self, key: u64, granted: Vec<(TxnId, bool)>) {
+        for (t, upgrade) in granted {
+            self.txns.insert(t, TxnLock::Granted(key, upgrade));
+            self.woken.push(t);
         }
     }
 
-    // ---- waits-for graph ----
-
-    /// Who `t` waits on: the holders of its awaited lock plus the waiters
-    /// queued ahead of it (FIFO: they are granted first). Empty if `t` is
-    /// not waiting.
+    /// Who `t` waits on ([`LockTable::blockers`] of its awaited key).
+    /// Empty if `t` is not waiting.
     fn wait_targets(&self, t: TxnId) -> Vec<TxnId> {
-        let Some(&key) = self.waiting.get(&t) else {
-            return Vec::new();
-        };
-        let Some(e) = self.table.get(&key) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TxnId> = e.holders.iter().copied().filter(|&h| h != t).collect();
-        for w in &e.waiters {
-            if w.txn == t {
-                break;
-            }
-            out.push(w.txn);
-        }
-        out
-    }
-
-    /// A waits-for cycle through `start`, if any (the members, in path
-    /// order).
-    fn find_cycle(&self, start: TxnId) -> Option<Vec<TxnId>> {
-        fn dfs(
-            lm: &LockMgr,
-            start: TxnId,
-            cur: TxnId,
-            path: &mut Vec<TxnId>,
-            visited: &mut Vec<TxnId>,
-        ) -> bool {
-            for nxt in lm.wait_targets(cur) {
-                if nxt == start {
-                    return true;
-                }
-                if !visited.contains(&nxt) {
-                    visited.push(nxt);
-                    path.push(nxt);
-                    if dfs(lm, start, nxt, path, visited) {
-                        return true;
-                    }
-                    path.pop();
-                }
-            }
-            false
-        }
-        let mut path = vec![start];
-        let mut visited = vec![start];
-        if dfs(self, start, start, &mut path, &mut visited) {
-            Some(path)
-        } else {
-            None
+        match self.txns.get(&t) {
+            Some(&TxnLock::Waiting(key)) => self.table.blockers(t, key).collect(),
+            Some(TxnLock::Granted(..) | TxnLock::Victim(_)) | None => Vec::new(),
         }
     }
 
     /// Snapshot of every live entry: (key, mode, holders, queued waiters),
     /// in bucket order, keys ascending within a bucket (tests).
     pub fn snapshot(&self) -> Vec<(u64, LockMode, Vec<TxnId>, Vec<TxnId>)> {
-        let mut out: Vec<_> = self
-            .table
-            .iter()
-            .map(|(&key, e)| {
-                let waiters = e.waiters.iter().map(|w| w.txn).collect();
-                (key, e.mode, e.holders.clone(), waiters)
-            })
-            .collect();
-        out.sort_by_key(|e| self.bucket_of(e.0));
-        out
+        self.table.snapshot()
     }
 }
 
@@ -456,12 +541,7 @@ impl ConcurrencyControl for LockMgr {
     /// newly granted (the caller records it for release).
     fn acquire(&mut self, txn: TxnId, key: u64, mode: LockMode, tc: &mut TraceCtx) -> Result<bool> {
         self.stats.acquires += 1;
-        match self.acquire_inner(txn, key, mode, false, tc)? {
-            Grant::Acquired => Ok(true),
-            Grant::Held => Ok(false),
-            // Unreachable in no-wait mode.
-            g => unreachable!("no-wait acquire returned {g:?}"),
-        }
+        Ok(self.acquire_inner(txn, key, mode, false, tc)? == Grant::Acquired)
     }
 
     /// Acquire `key` in `mode` for `txn` under the queued discipline; see
@@ -485,30 +565,22 @@ impl ConcurrencyControl for LockMgr {
 
     /// Release one lock held by `txn`.
     fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
-        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
-        tc.store(self.bucket_addr(key), 16);
-        if let Some(e) = self.table.get_mut(&key) {
-            e.holders.retain(|&t| t != txn);
-            self.grant_pass(key, tc);
-        }
+        let granted = self.table.release(txn, key, tc);
+        self.record_grants(key, granted);
     }
 
     /// Abort-path cleanup: drop `txn`'s waiter entry (if any), any
     /// unclaimed parked grant, and any pending victim mark. Returns lock
     /// table state to what release() expects.
     fn cancel_wait(&mut self, txn: TxnId, tc: &mut TraceCtx) {
-        self.victims.remove(&txn);
-        if self.waiting.contains_key(&txn) {
-            self.remove_waiter(txn, tc);
-        }
-        if let Some((key, upgrade)) = self.granted.remove(&txn) {
+        match self.txns.remove(&txn) {
+            Some(TxnLock::Waiting(key)) => self.dequeue(txn, key, tc),
             // Granted while parked but never observed by the owner: for a
             // fresh grant the holder entry must go (the owner never
             // recorded it, so release() will not); an upgrade reverts on
             // the ordinary release of the originally-recorded lock.
-            if !upgrade {
-                self.release(txn, key, tc);
-            }
+            Some(TxnLock::Granted(key, false)) => self.release(txn, key, tc),
+            Some(TxnLock::Granted(_, true) | TxnLock::Victim(_)) | None => {}
         }
     }
 
@@ -523,7 +595,7 @@ impl ConcurrencyControl for LockMgr {
     /// derives it from a sharer count lives on
     /// [`Database::set_lock_sharers`](crate::Database::set_lock_sharers).
     fn set_contention(&mut self, extra: u32) {
-        self.contention = extra;
+        self.table.contention = extra;
     }
 
     fn live_locks(&self) -> usize {
@@ -531,16 +603,14 @@ impl ConcurrencyControl for LockMgr {
     }
 
     fn waiting_count(&self) -> usize {
-        self.waiting.len()
+        self.waiting().count()
     }
 
     fn wait_graph(&self) -> Vec<(TxnId, Vec<TxnId>)> {
-        let mut waiters: Vec<TxnId> = self.waiting.keys().copied().collect();
-        waiters.sort_unstable();
-        waiters
-            .into_iter()
-            .map(|t| (t, self.wait_targets(t)))
-            .collect()
+        let graph = self
+            .waiting()
+            .map(|(t, key)| (t, self.table.blockers(t, key).collect()));
+        graph.collect()
     }
 
     fn stats(&self) -> CcStats {
@@ -553,6 +623,7 @@ mod tests {
     use super::*;
     use crate::costs::EngineRegions;
     use dbcmp_trace::CodeRegions;
+    use LockMode::{Exclusive as X, Shared as S};
 
     fn setup() -> (LockMgr, TraceCtx) {
         let mut r = CodeRegions::new();
@@ -564,10 +635,10 @@ mod tests {
     #[test]
     fn shared_locks_coexist_exclusive_conflicts() {
         let (mut lm, mut tc) = setup();
-        assert!(lm.acquire(1, 42, LockMode::Shared, &mut tc).unwrap());
-        assert!(lm.acquire(2, 42, LockMode::Shared, &mut tc).unwrap());
+        assert!(lm.acquire(1, 42, S, &mut tc).unwrap());
+        assert!(lm.acquire(2, 42, S, &mut tc).unwrap());
         assert!(matches!(
-            lm.acquire(3, 42, LockMode::Exclusive, &mut tc),
+            lm.acquire(3, 42, X, &mut tc),
             Err(EngineError::LockConflict { key: 42 })
         ));
     }
@@ -575,50 +646,48 @@ mod tests {
     #[test]
     fn exclusive_blocks_shared() {
         let (mut lm, mut tc) = setup();
-        lm.acquire(1, 7, LockMode::Exclusive, &mut tc).unwrap();
-        assert!(lm.acquire(2, 7, LockMode::Shared, &mut tc).is_err());
-        assert!(lm.acquire(2, 7, LockMode::Exclusive, &mut tc).is_err());
+        lm.acquire(1, 7, X, &mut tc).unwrap();
+        assert!(lm.acquire(2, 7, S, &mut tc).is_err());
+        assert!(lm.acquire(2, 7, X, &mut tc).is_err());
     }
 
     #[test]
     fn reacquire_is_idempotent() {
         let (mut lm, mut tc) = setup();
-        assert!(lm.acquire(1, 7, LockMode::Exclusive, &mut tc).unwrap());
-        assert!(!lm.acquire(1, 7, LockMode::Exclusive, &mut tc).unwrap());
-        assert!(!lm.acquire(1, 7, LockMode::Shared, &mut tc).unwrap());
+        assert!(lm.acquire(1, 7, X, &mut tc).unwrap());
+        assert!(!lm.acquire(1, 7, X, &mut tc).unwrap());
+        assert!(!lm.acquire(1, 7, S, &mut tc).unwrap());
         assert_eq!(lm.live_locks(), 1);
     }
 
     #[test]
     fn upgrade_sole_holder_succeeds_shared_blocks() {
         let (mut lm, mut tc) = setup();
-        lm.acquire(1, 9, LockMode::Shared, &mut tc).unwrap();
-        assert!(!lm.acquire(1, 9, LockMode::Exclusive, &mut tc).unwrap());
+        lm.acquire(1, 9, S, &mut tc).unwrap();
+        assert!(!lm.acquire(1, 9, X, &mut tc).unwrap());
         // Now X-held; another S fails.
-        assert!(lm.acquire(2, 9, LockMode::Shared, &mut tc).is_err());
+        assert!(lm.acquire(2, 9, S, &mut tc).is_err());
 
         // Upgrade with two sharers fails.
-        lm.acquire(1, 10, LockMode::Shared, &mut tc).unwrap();
-        lm.acquire(2, 10, LockMode::Shared, &mut tc).unwrap();
-        assert!(lm.acquire(1, 10, LockMode::Exclusive, &mut tc).is_err());
+        lm.acquire(1, 10, S, &mut tc).unwrap();
+        lm.acquire(2, 10, S, &mut tc).unwrap();
+        assert!(lm.acquire(1, 10, X, &mut tc).is_err());
     }
 
     #[test]
     fn release_frees_the_lock() {
         let (mut lm, mut tc) = setup();
-        lm.acquire(1, 5, LockMode::Exclusive, &mut tc).unwrap();
+        lm.acquire(1, 5, X, &mut tc).unwrap();
         lm.release(1, 5, &mut tc);
         assert_eq!(lm.live_locks(), 0);
-        assert!(lm.acquire(2, 5, LockMode::Exclusive, &mut tc).unwrap());
+        assert!(lm.acquire(2, 5, X, &mut tc).unwrap());
     }
 
     #[test]
     fn distinct_keys_do_not_conflict() {
         let (mut lm, mut tc) = setup();
         for k in 0..100 {
-            assert!(lm
-                .acquire(k % 5, 1000 + k, LockMode::Exclusive, &mut tc)
-                .unwrap());
+            assert!(lm.acquire(k % 5, 1000 + k, X, &mut tc).unwrap());
         }
         assert_eq!(lm.live_locks(), 100);
     }
@@ -628,18 +697,9 @@ mod tests {
     #[test]
     fn conflicting_request_queues_and_is_granted_fifo() {
         let (mut lm, mut tc) = setup();
-        assert_eq!(
-            lm.acquire_wait(1, 5, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Acquired
-        );
-        assert_eq!(
-            lm.acquire_wait(2, 5, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Wait
-        );
-        assert_eq!(
-            lm.acquire_wait(3, 5, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(1, 5, X, &mut tc).unwrap(), Grant::Acquired);
+        assert_eq!(lm.acquire_wait(2, 5, X, &mut tc).unwrap(), Grant::Wait);
+        assert_eq!(lm.acquire_wait(3, 5, X, &mut tc).unwrap(), Grant::Wait);
         assert_eq!(lm.waiting_count(), 2);
         assert!(lm.drain_woken().is_empty());
 
@@ -647,13 +707,13 @@ mod tests {
         // FIFO: txn 2 first.
         assert_eq!(lm.drain_woken(), vec![2]);
         assert_eq!(
-            lm.acquire_wait(2, 5, LockMode::Exclusive, &mut tc).unwrap(),
+            lm.acquire_wait(2, 5, X, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         lm.release(2, 5, &mut tc);
         assert_eq!(lm.drain_woken(), vec![3]);
         assert_eq!(
-            lm.acquire_wait(3, 5, LockMode::Exclusive, &mut tc).unwrap(),
+            lm.acquire_wait(3, 5, X, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         lm.release(3, 5, &mut tc);
@@ -664,23 +724,17 @@ mod tests {
     #[test]
     fn shared_waiters_granted_in_a_batch() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 8, LockMode::Exclusive, &mut tc).unwrap();
-        assert_eq!(
-            lm.acquire_wait(2, 8, LockMode::Shared, &mut tc).unwrap(),
-            Grant::Wait
-        );
-        assert_eq!(
-            lm.acquire_wait(3, 8, LockMode::Shared, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        lm.acquire_wait(1, 8, X, &mut tc).unwrap();
+        assert_eq!(lm.acquire_wait(2, 8, S, &mut tc).unwrap(), Grant::Wait);
+        assert_eq!(lm.acquire_wait(3, 8, S, &mut tc).unwrap(), Grant::Wait);
         lm.release(1, 8, &mut tc);
         assert_eq!(lm.drain_woken(), vec![2, 3]);
         assert_eq!(
-            lm.acquire_wait(2, 8, LockMode::Shared, &mut tc).unwrap(),
+            lm.acquire_wait(2, 8, S, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         assert_eq!(
-            lm.acquire_wait(3, 8, LockMode::Shared, &mut tc).unwrap(),
+            lm.acquire_wait(3, 8, S, &mut tc).unwrap(),
             Grant::WaitGranted
         );
     }
@@ -688,17 +742,11 @@ mod tests {
     #[test]
     fn shared_join_does_not_jump_the_queue() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 9, LockMode::Shared, &mut tc).unwrap();
+        lm.acquire_wait(1, 9, S, &mut tc).unwrap();
         // X waiter queues.
-        assert_eq!(
-            lm.acquire_wait(2, 9, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(2, 9, X, &mut tc).unwrap(), Grant::Wait);
         // A later S request must not starve the X waiter.
-        assert_eq!(
-            lm.acquire_wait(3, 9, LockMode::Shared, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(3, 9, S, &mut tc).unwrap(), Grant::Wait);
         lm.release(1, 9, &mut tc);
         assert_eq!(lm.drain_woken(), vec![2]);
     }
@@ -706,19 +754,13 @@ mod tests {
     #[test]
     fn two_txn_cycle_aborts_the_youngest() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 100, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        lm.acquire_wait(2, 200, LockMode::Exclusive, &mut tc)
-            .unwrap();
+        lm.acquire_wait(1, 100, X, &mut tc).unwrap();
+        lm.acquire_wait(2, 200, X, &mut tc).unwrap();
         // Older txn 1 parks on 200.
-        assert_eq!(
-            lm.acquire_wait(1, 200, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(1, 200, X, &mut tc).unwrap(), Grant::Wait);
         // Younger txn 2 closes the cycle → it is the victim, immediately.
         assert!(matches!(
-            lm.acquire_wait(2, 100, LockMode::Exclusive, &mut tc),
+            lm.acquire_wait(2, 100, X, &mut tc),
             Err(EngineError::Deadlock { key: 100 })
         ));
         assert!(!lm.has_deadlock(), "resolution leaves the graph acyclic");
@@ -726,8 +768,7 @@ mod tests {
         lm.release(2, 200, &mut tc);
         assert_eq!(lm.drain_woken(), vec![1]);
         assert_eq!(
-            lm.acquire_wait(1, 200, LockMode::Exclusive, &mut tc)
-                .unwrap(),
+            lm.acquire_wait(1, 200, X, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         lm.release(1, 100, &mut tc);
@@ -743,28 +784,16 @@ mod tests {
         // order locks were taken. A three-member cycle 5→9→7→5 (waits-for
         // edges) must always kill 9.
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(5, 100, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        lm.acquire_wait(9, 200, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        lm.acquire_wait(7, 300, LockMode::Exclusive, &mut tc)
-            .unwrap();
+        lm.acquire_wait(5, 100, X, &mut tc).unwrap();
+        lm.acquire_wait(9, 200, X, &mut tc).unwrap();
+        lm.acquire_wait(7, 300, X, &mut tc).unwrap();
         // 5 waits on 9's lock, 9 waits on 7's lock.
-        assert_eq!(
-            lm.acquire_wait(5, 200, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
-        assert_eq!(
-            lm.acquire_wait(9, 300, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(5, 200, X, &mut tc).unwrap(), Grant::Wait);
+        assert_eq!(lm.acquire_wait(9, 300, X, &mut tc).unwrap(), Grant::Wait);
         // 7 closes the cycle. It is NOT the youngest: 9 is, and 9 is a
         // parked bystander — it must still be the one chosen.
         assert_eq!(
-            lm.acquire_wait(7, 100, LockMode::Exclusive, &mut tc)
-                .unwrap(),
+            lm.acquire_wait(7, 100, X, &mut tc).unwrap(),
             Grant::Wait,
             "the requester survives; the youngest parked member dies"
         );
@@ -773,7 +802,7 @@ mod tests {
         assert_eq!(lm.drain_woken(), vec![9]);
         // 9's retry of its parked request reports the deadlock.
         assert!(matches!(
-            lm.acquire_wait(9, 300, LockMode::Exclusive, &mut tc),
+            lm.acquire_wait(9, 300, X, &mut tc),
             Err(EngineError::Deadlock { .. })
         ));
         // 9 aborts; the survivors drain in grant order and finish.
@@ -793,32 +822,21 @@ mod tests {
         let (mut lm, mut tc) = setup();
         // Younger txn 2 parks first; older txn 1 then closes the cycle, so
         // the victim is the *parked* waiter, not the requester.
-        lm.acquire_wait(1, 100, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        lm.acquire_wait(2, 200, LockMode::Exclusive, &mut tc)
-            .unwrap();
-        assert_eq!(
-            lm.acquire_wait(2, 100, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        lm.acquire_wait(1, 100, X, &mut tc).unwrap();
+        lm.acquire_wait(2, 200, X, &mut tc).unwrap();
+        assert_eq!(lm.acquire_wait(2, 100, X, &mut tc).unwrap(), Grant::Wait);
         // Requester 1 parks (victim is 2, woken for notification).
-        assert_eq!(
-            lm.acquire_wait(1, 200, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(1, 200, X, &mut tc).unwrap(), Grant::Wait);
         assert_eq!(lm.drain_woken(), vec![2]);
         assert!(matches!(
-            lm.acquire_wait(2, 100, LockMode::Exclusive, &mut tc),
+            lm.acquire_wait(2, 100, X, &mut tc),
             Err(EngineError::Deadlock { .. })
         ));
         // Victim aborts → survivor granted.
         lm.release(2, 200, &mut tc);
         assert_eq!(lm.drain_woken(), vec![1]);
         assert_eq!(
-            lm.acquire_wait(1, 200, LockMode::Exclusive, &mut tc)
-                .unwrap(),
+            lm.acquire_wait(1, 200, X, &mut tc).unwrap(),
             Grant::WaitGranted
         );
     }
@@ -826,39 +844,33 @@ mod tests {
     #[test]
     fn upgrade_waits_for_other_sharers_then_wins() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 4, LockMode::Shared, &mut tc).unwrap();
-        lm.acquire_wait(2, 4, LockMode::Shared, &mut tc).unwrap();
+        lm.acquire_wait(1, 4, S, &mut tc).unwrap();
+        lm.acquire_wait(2, 4, S, &mut tc).unwrap();
         // Sole-holder condition fails → upgrade parks at the queue front.
-        assert_eq!(
-            lm.acquire_wait(1, 4, LockMode::Exclusive, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(1, 4, X, &mut tc).unwrap(), Grant::Wait);
         lm.release(2, 4, &mut tc);
         assert_eq!(lm.drain_woken(), vec![1]);
         assert_eq!(
-            lm.acquire_wait(1, 4, LockMode::Exclusive, &mut tc).unwrap(),
+            lm.acquire_wait(1, 4, X, &mut tc).unwrap(),
             Grant::WaitUpgraded
         );
         let snap = lm.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].1, LockMode::Exclusive);
+        assert_eq!(snap[0].1, X);
         assert_eq!(snap[0].2, vec![1]);
     }
 
     #[test]
     fn cancel_wait_unblocks_the_queue() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 6, LockMode::Shared, &mut tc).unwrap();
-        lm.acquire_wait(2, 6, LockMode::Exclusive, &mut tc).unwrap();
-        assert_eq!(
-            lm.acquire_wait(3, 6, LockMode::Shared, &mut tc).unwrap(),
-            Grant::Wait
-        );
+        lm.acquire_wait(1, 6, S, &mut tc).unwrap();
+        lm.acquire_wait(2, 6, X, &mut tc).unwrap();
+        assert_eq!(lm.acquire_wait(3, 6, S, &mut tc).unwrap(), Grant::Wait);
         // Txn 2 gives up its wait: the S waiter behind it can now join.
         lm.cancel_wait(2, &mut tc);
         assert_eq!(lm.drain_woken(), vec![3]);
         assert_eq!(
-            lm.acquire_wait(3, 6, LockMode::Shared, &mut tc).unwrap(),
+            lm.acquire_wait(3, 6, S, &mut tc).unwrap(),
             Grant::WaitGranted
         );
         assert_eq!(lm.waiting_count(), 0);
@@ -867,24 +879,12 @@ mod tests {
     #[test]
     fn counters_track_waits_and_deadlocks() {
         let (mut lm, mut tc) = setup();
-        assert_eq!(
-            lm.acquire_wait(1, 10, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Acquired
-        );
-        assert_eq!(
-            lm.acquire_wait(2, 20, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Acquired
-        );
+        assert_eq!(lm.acquire_wait(1, 10, X, &mut tc).unwrap(), Grant::Acquired);
+        assert_eq!(lm.acquire_wait(2, 20, X, &mut tc).unwrap(), Grant::Acquired);
         // 1 parks on 20; 2 closes the cycle on 10 and is the victim.
-        assert_eq!(
-            lm.acquire_wait(1, 20, LockMode::Exclusive, &mut tc)
-                .unwrap(),
-            Grant::Wait
-        );
+        assert_eq!(lm.acquire_wait(1, 20, X, &mut tc).unwrap(), Grant::Wait);
         assert!(matches!(
-            lm.acquire_wait(2, 10, LockMode::Exclusive, &mut tc),
+            lm.acquire_wait(2, 10, X, &mut tc),
             Err(EngineError::Deadlock { .. })
         ));
         let s = lm.stats();
@@ -898,7 +898,7 @@ mod tests {
     #[test]
     fn declare_is_a_no_op() {
         let (mut lm, mut tc) = setup();
-        lm.declare(7, &[(1, LockMode::Exclusive)], &mut tc).unwrap();
+        lm.declare(7, &[(1, X)], &mut tc).unwrap();
         assert_eq!(lm.live_locks(), 0);
         lm.finish(7, &mut tc);
     }
@@ -906,8 +906,8 @@ mod tests {
     #[test]
     fn cancel_wait_returns_unclaimed_parked_grant() {
         let (mut lm, mut tc) = setup();
-        lm.acquire_wait(1, 3, LockMode::Exclusive, &mut tc).unwrap();
-        lm.acquire_wait(2, 3, LockMode::Exclusive, &mut tc).unwrap();
+        lm.acquire_wait(1, 3, X, &mut tc).unwrap();
+        lm.acquire_wait(2, 3, X, &mut tc).unwrap();
         lm.release(1, 3, &mut tc);
         assert_eq!(lm.drain_woken(), vec![2]);
         // Txn 2 aborts before its retry observes the grant.
