@@ -10,8 +10,8 @@
 //! presets in `fig_smoke`.
 
 use dbcmp::core::experiment::{run_throughput, RunSpec};
-use dbcmp::core::machines::{fc_cmp, lc_cmp, L2Spec};
-use dbcmp::core::taxonomy::WorkloadKind;
+use dbcmp::core::machines::{asym_cmp, fc_cmp, island_cmp, lc_cmp, smp_baseline, L2Spec};
+use dbcmp::core::taxonomy::{Camp, WorkloadKind};
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
 use dbcmp::engine::CcBackend;
 use dbcmp::sim::{MachineBuilder, MachineConfig, RunMode, SimResult};
@@ -520,5 +520,110 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             "{name}: avg unit cycles {avg} != {}",
             g.avg_unit_cycles
         );
+    }
+}
+
+/// FNV-1a over every field of a `SimResult` but the machine name: cycles,
+/// instructions, units, the aggregate and per-core breakdowns, every
+/// `MemCounters` field (each L2 level entry included), the remote
+/// counters and the bits of the mean unit latency.
+fn result_digest(r: &SimResult) -> u64 {
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    for w in [r.cycles, r.instrs, r.units] {
+        word(w);
+    }
+    word(r.per_core.len() as u64);
+    for b in std::iter::once(&r.breakdown).chain(&r.per_core) {
+        b.cycles.iter().for_each(|&c| word(c));
+    }
+    let m = &r.mem;
+    for w in [
+        m.l1d_accesses,
+        m.l1d_misses,
+        m.l1i_accesses,
+        m.l1i_misses,
+        m.l2_hits,
+        m.l2_hits_instr,
+        m.l1_to_l1,
+        m.mem_accesses,
+        m.mem_accesses_instr,
+        m.coherence_transfers,
+        m.stream_hits,
+        m.l2_queue_cycles,
+        m.l2_queued_accesses,
+    ] {
+        word(w);
+    }
+    word(m.per_level.len() as u64);
+    for l in &m.per_level {
+        for w in [
+            l.hits_data,
+            l.hits_instr,
+            l.misses_data,
+            l.misses_instr,
+            l.evictions,
+            l.service_cycles,
+            l.queue_cycles,
+            l.queued_accesses,
+            l.mshr_waits,
+            l.mshr_wait_cycles,
+        ] {
+            word(w);
+        }
+    }
+    let rc = &r.remote;
+    for w in [rc.sends, rc.recvs, rc.bytes, rc.stall_cycles] {
+        word(w);
+    }
+    word(r.avg_unit_cycles.map_or(u64::MAX, f64::to_bits));
+    d
+}
+
+/// The machine shapes the golden anchor leaves out — the private-L2 SMP
+/// under both camps, a 2x2 hardware-islands chip, a mixed fat+lean chip
+/// and the pure-lean end of the asymmetric preset — pinned by one digest
+/// of every `SimResult` field per run mode, on the anchor's capture.
+/// Recorded at `63693e9`.
+#[test]
+fn machine_shapes_are_pinned() {
+    let thr = RunMode::Throughput {
+        warmup: 100_000,
+        measure: 200_000,
+    };
+    let cmp = RunMode::Completion {
+        max_cycles: 400_000_000,
+    };
+    let l2 = 4 << 20;
+    let pins: [(MachineConfig, [u64; 2]); 5] = [
+        (
+            smp_baseline(4, 1 << 20, Camp::Fat),
+            [0xde49_fe98_4d68_386f, 0x5012_78ba_231d_cb99],
+        ),
+        (
+            smp_baseline(4, 1 << 20, Camp::Lean),
+            [0xd706_f772_1750_626a, 0x56a7_1b78_230a_9507],
+        ),
+        (
+            island_cmp(2, 2, l2, L2Spec::Cacti),
+            [0xaa12_adfb_0eb6_0aac, 0xd892_b696_df70_2f51],
+        ),
+        (
+            asym_cmp(3, 1, l2, L2Spec::Cacti),
+            [0xc0dd_25bd_0e5e_2467, 0x9c96_0bdc_300f_9f73],
+        ),
+        (
+            asym_cmp(0, 4, l2, L2Spec::Cacti),
+            [0x7a51_53db_f417_eb32, 0x9eb9_371a_d3ba_fc0a],
+        ),
+    ];
+    let scale = FigScale::quick();
+    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
+    let got: Vec<[u64; 2]> = pins
+        .iter()
+        .map(|(cfg, _)| [thr, cmp].map(|mode| result_digest(&run(cfg.clone(), &w.bundle, mode))))
+        .collect();
+    for ((cfg, want), got) in pins.iter().zip(&got) {
+        assert_eq!(got, want, "{}: got {got:#018x?}", cfg.name);
     }
 }
