@@ -437,7 +437,7 @@ pub fn fig_cc(scale: &FigScale) -> Grid<ContendedCapture, &'static str> {
         .into_iter()
         .flat_map(|backend| CC_SKEWS.map(|hot_pct| (backend, hot_pct)))
         .map(|(backend, hot_pct)| {
-            let (w, stats, cc) = CapturedWorkload::oltp_contended_cc(scale, hot_pct, backend);
+            let (w, stats, cc) = CapturedWorkload::oltp_contended(scale, hot_pct, backend);
             let key = ContendedCapture {
                 backend,
                 hot_pct,

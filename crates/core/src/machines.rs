@@ -76,7 +76,6 @@ pub fn asym_cmp(fat_slots: usize, lean_slots: usize, l2_size: u64, l2: L2Spec) -
     c.slots = slots;
     if fat_slots == 0 {
         // Match the lean-camp preset exactly at the pure-lean endpoint.
-        c.core = CoreKind::lean();
         c.store_buffer = 4;
     }
     c
@@ -136,17 +135,14 @@ mod tests {
         assert_eq!(mixed.total_contexts(), 3 + 4);
         mixed.validate().expect("asym preset must validate");
 
-        // Pure endpoints equal the camp presets in everything but name
-        // and the (behaviorally equivalent) explicit slot list.
+        // Pure endpoints equal the camp presets in everything but name.
         let fat = asym_cmp(4, 0, 16 << 20, L2Spec::Cacti);
         let mut fc = fc_cmp(4, 16 << 20, L2Spec::Cacti);
         fc.name = fat.name.clone();
-        fc.slots = fat.slots.clone();
         assert_eq!(fat, fc);
         let lean = asym_cmp(0, 4, 16 << 20, L2Spec::Cacti);
         let mut lc = lc_cmp(4, 16 << 20, L2Spec::Cacti);
         lc.name = lean.name.clone();
-        lc.slots = lean.slots.clone();
         assert_eq!(lean, lc);
     }
 

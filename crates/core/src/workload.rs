@@ -98,21 +98,12 @@ impl CapturedWorkload {
     }
 
     /// Capture an OLTP mix with *interleaved* clients against one shared
-    /// database: real 2PL waits, wakes, and deadlock aborts in the traces.
-    /// `hot_pct` percent of transactions target the hot warehouse/items
-    /// (the contention knob). Returns the capture plus what the lock
-    /// manager actually did.
-    pub fn oltp_contended(scale: &FigScale, hot_pct: u8) -> (Self, ContentionStats) {
-        let (cap, stats, _) = Self::oltp_contended_cc(scale, hot_pct, CcBackend::Centralized2PL);
-        (cap, stats)
-    }
-
-    /// [`oltp_contended`](Self::oltp_contended) with an explicit
-    /// concurrency-control backend (the `fig_cc` sweep's software axis).
-    /// Also returns the backend's own counters. The default backend takes
-    /// exactly the [`oltp_contended`](Self::oltp_contended) path — same
-    /// options, same draws — so its captures are byte-identical.
-    pub fn oltp_contended_cc(
+    /// database under the concurrency-control `backend` (the `fig_cc`
+    /// sweep's software axis): real lock waits, wakes, and deadlock aborts
+    /// in the traces. `hot_pct` percent of transactions target the hot
+    /// warehouse/items (the contention knob). Returns the capture plus
+    /// what the clients and the backend actually did.
+    pub fn oltp_contended(
         scale: &FigScale,
         hot_pct: u8,
         backend: CcBackend,

@@ -70,7 +70,7 @@ pub struct Cursor {
 impl BTree {
     /// An empty tree (a single leaf) with simulated node addresses.
     pub fn new(space: &AddressSpace) -> Self {
-        let addr = space.alloc_anon(NODE_BYTES);
+        let addr = space.alloc(NODE_BYTES);
         BTree {
             nodes: vec![Node::Leaf {
                 keys: Vec::new(),
@@ -208,7 +208,7 @@ impl BTree {
                 }
                 None => {
                     // Root split.
-                    let addr = space.alloc_anon(NODE_BYTES);
+                    let addr = space.alloc(NODE_BYTES);
                     tc.store(addr, 32);
                     let new_root = Node::Internal {
                         keys: vec![sep],
@@ -226,7 +226,7 @@ impl BTree {
 
     /// Split `node`, returning (separator key, new sibling id).
     fn split(&mut self, node: u32, space: &AddressSpace, tc: &mut TraceCtx) -> (u64, u32) {
-        let new_addr = space.alloc_anon(NODE_BYTES);
+        let new_addr = space.alloc(NODE_BYTES);
         let sibling_id = self.nodes.len() as u32;
         let mid = ORDER.div_ceil(2);
         let (sep, sibling) = match &mut self.nodes[node as usize] {

@@ -33,7 +33,7 @@ impl Catalog {
     pub fn new(space: &AddressSpace) -> Self {
         Catalog {
             tables: Vec::new(),
-            addr: space.alloc("catalog", 32 * 1024),
+            addr: space.alloc(32 * 1024),
         }
     }
 

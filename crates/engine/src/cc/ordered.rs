@@ -64,7 +64,7 @@ impl DeterministicOrdered {
     /// simulated ordering-table buckets.
     pub fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         DeterministicOrdered {
-            table: LockTable::new(space, "cc-ordered-table", n_buckets),
+            table: LockTable::new(space, n_buckets),
             declared: BTreeMap::new(),
             woken: Vec::new(),
             stats: CcStats::default(),

@@ -168,7 +168,7 @@ impl Database {
     /// Create a table with the given row layout.
     pub fn create_table(&mut self, name: &'static str, schema: Schema) -> TableId {
         let id = self.catalog.add_table(name);
-        self.heaps.push(HeapTable::new(schema, &self.space, name));
+        self.heaps.push(HeapTable::new(schema, &self.space));
         debug_assert_eq!(self.heaps.len() - 1, id);
         id
     }

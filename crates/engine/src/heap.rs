@@ -54,18 +54,18 @@ pub struct HeapTable {
 
 impl HeapTable {
     /// An empty heap with a simulated buffer-pool allocation.
-    pub fn new(schema: Schema, space: &AddressSpace, name: &'static str) -> Self {
+    pub fn new(schema: Schema, space: &AddressSpace) -> Self {
         HeapTable {
             schema,
             pages: Vec::new(),
-            bp_addr: space.alloc(name, 16 * 1024),
+            bp_addr: space.alloc(16 * 1024),
             insert_page: 0,
             live_rows: 0,
         }
     }
 
     fn new_page(&mut self, space: &AddressSpace) -> u32 {
-        let addr = space.alloc_anon(PAGE_SIZE as u64);
+        let addr = space.alloc(PAGE_SIZE as u64);
         self.pages.push(SlottedPage::new(addr));
         (self.pages.len() - 1) as u32
     }
@@ -246,7 +246,7 @@ mod tests {
         let er = EngineRegions::register(&mut r);
         let space = AddressSpace::new();
         let schema = Schema::new(vec![("id", ColType::Int), ("name", ColType::Str(12))]);
-        let heap = HeapTable::new(schema, &space, "t");
+        let heap = HeapTable::new(schema, &space);
         (heap, space, TraceCtx::null(er))
     }
 

@@ -150,13 +150,12 @@ pub(crate) struct LockTable {
 }
 
 impl LockTable {
-    /// `n_buckets` simulated bucket lines, rounded up to a power of two,
-    /// allocated as `name`.
-    pub(crate) fn new(space: &AddressSpace, name: &'static str, n_buckets: usize) -> Self {
+    /// `n_buckets` simulated bucket lines, rounded up to a power of two.
+    pub(crate) fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         let n = n_buckets.next_power_of_two().max(64);
         LockTable {
             entries: BTreeMap::new(),
-            addr: space.alloc(name, n as u64 * 64),
+            addr: space.alloc(n as u64 * 64),
             mask: (n - 1) as u64,
             contention: 0,
         }
@@ -389,7 +388,7 @@ impl LockMgr {
     /// `n_buckets` simulated bucket lines, rounded up to a power of two.
     pub fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         LockMgr {
-            table: LockTable::new(space, "lock-table", n_buckets),
+            table: LockTable::new(space, n_buckets),
             txns: BTreeMap::new(),
             woken: Vec::new(),
             stats: CcStats::default(),

@@ -55,7 +55,7 @@ impl TraceCtx {
     pub fn scratch_alloc(&mut self, space: &AddressSpace, bytes: u64) -> SimAddr {
         match &mut self.scratch {
             Some(arena) => arena.alloc(bytes),
-            None => space.alloc_anon(bytes),
+            None => space.alloc(bytes),
         }
     }
 

@@ -61,7 +61,7 @@ impl Wal {
     /// An empty log ring with a simulated buffer allocation.
     pub fn new(space: &AddressSpace) -> Self {
         Wal {
-            addr: space.alloc("wal-buffer", WAL_BYTES),
+            addr: space.alloc(WAL_BYTES),
             head: 0,
             records: 0,
         }

@@ -55,7 +55,12 @@ impl CpiModel {
 }
 
 /// Compute the reference CPI from measured event counts + workload stats +
-/// machine parameters.
+/// machine parameters. The model describes a homogeneous machine: the
+/// core is read from the first slot.
+///
+/// # Panics
+///
+/// On a machine with no slots, which [`MachineConfig::validate`] rejects.
 pub fn analytic_reference(
     cfg: &MachineConfig,
     mem: &MemCounters,
@@ -63,7 +68,8 @@ pub fn analytic_reference(
     w: WorkloadStats,
 ) -> CpiModel {
     let instrs = instrs.max(1) as f64;
-    let (width, mshrs) = match cfg.core {
+    let core = cfg.slots[0];
+    let (width, mshrs) = match core {
         CoreKind::Fat { width, mshrs, .. } => (width as f64, mshrs as f64),
         CoreKind::Lean { width, .. } => (width as f64, 1.0),
     };
@@ -96,7 +102,7 @@ pub fn analytic_reference(
         computation: 1.0 / width,
         i_stalls: i_cycles / instrs,
         d_stalls: d_cycles / instrs,
-        other: w.mispred_per_kinstr * cfg.core.pipeline_depth() as f64 / 1000.0,
+        other: w.mispred_per_kinstr * core.pipeline_depth() as f64 / 1000.0,
     }
 }
 

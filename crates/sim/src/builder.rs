@@ -1,7 +1,7 @@
 //! Validated machine assembly.
 //!
-//! A machine is described by a [`MachineConfig`] value — per-slot
-//! [`CoreKind`](crate::config::CoreKind)s (heterogeneous fat/lean mixes
+//! A machine is described by a [`MachineConfig`] value — one
+//! [`CoreKind`](crate::config::CoreKind) per core slot (fat/lean mixes
 //! allowed), one L2 that is private, island-shared or chip-shared — that
 //! presets fill in and callers update field by field. [`MachineBuilder`]
 //! is the one way from such a value and a [`RunMode`] to a runnable
@@ -58,7 +58,6 @@ impl MachineBuilder {
 mod tests {
     use super::*;
     use crate::config::{CacheGeom, CoreKind, LevelSpec, SharedBy};
-    use crate::stats::SimResult;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 
     fn bundle(n_threads: usize) -> TraceBundle {
@@ -186,34 +185,6 @@ mod tests {
         assert!(msg.contains("power of two"), "{msg}");
         let dyn_err: Box<dyn std::error::Error> = Box::new(ConfigError::NoCores);
         assert!(format!("{dyn_err}").contains("zero core slots"));
-    }
-
-    /// A heterogeneous machine whose slots all carry the same kind is
-    /// event-for-event equal to the homogeneous machine, in both run
-    /// modes.
-    #[test]
-    fn uniform_slots_equal_homogeneous() {
-        let b = bundle(6);
-        let completion = RunMode::Completion {
-            max_cycles: 10_000_000,
-        };
-        for kind in [CoreKind::fat(), CoreKind::lean()] {
-            let mut homo = MachineConfig::fat_cmp(3, 1 << 20, 8);
-            homo.core = kind;
-            let mut hetero = homo.clone();
-            hetero.slots = vec![kind; 3];
-            for mode in [MODE, completion] {
-                let run = |cfg| -> SimResult {
-                    MachineBuilder::from_config(cfg, mode)
-                        .build(&b)
-                        .expect("valid config")
-                        .execute()
-                };
-                let homo = run(homo.clone());
-                assert!(homo.units > 0, "{mode:?}: the run completes units");
-                assert_eq!(homo, run(hetero.clone()), "{mode:?}");
-            }
-        }
     }
 
     /// A genuinely mixed machine runs, binds threads across unequal

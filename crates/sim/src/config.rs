@@ -25,7 +25,7 @@ use crate::interconnect::Interconnect;
 pub enum ConfigError {
     /// The machine has no core slots at all.
     NoCores,
-    /// `slots` is non-empty but disagrees with `n_cores`.
+    /// `slots` disagrees with `n_cores`.
     SlotCountMismatch { slots: usize, n_cores: usize },
     /// A lean slot with zero hardware contexts can never issue.
     NoContexts { slot: usize },
@@ -150,8 +150,7 @@ impl SharedBy {
 }
 
 /// The one on-chip cache level beyond the L1s — the L2 — and how its
-/// instances are shared, banked and capped. Inclusive of the L1s it
-/// serves.
+/// instances are shared and banked. Inclusive of the L1s it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LevelSpec {
     pub geom: CacheGeom,
@@ -164,21 +163,17 @@ pub struct LevelSpec {
     pub banks: usize,
     /// Cycles one access occupies a bank port (queueing source).
     pub bank_occupancy: u64,
-    /// Outstanding-miss budget per instance; misses beyond it queue for a
-    /// free slot. 0 disables the limit (the legacy model).
-    pub mshrs: usize,
 }
 
 impl LevelSpec {
     /// An L2 with the preset bank parameters (4 banks, 2-cycle
-    /// occupancy) and no MSHR limit.
+    /// occupancy).
     pub fn new(geom: CacheGeom, shared_by: SharedBy) -> Self {
         LevelSpec {
             geom,
             shared_by,
             banks: 4,
             bank_occupancy: 2,
-            mshrs: 0,
         }
     }
 
@@ -186,12 +181,6 @@ impl LevelSpec {
     pub fn banks(mut self, banks: usize, occupancy: u64) -> Self {
         self.banks = banks;
         self.bank_occupancy = occupancy;
-        self
-    }
-
-    /// Cap outstanding misses per instance (0 = unlimited).
-    pub fn mshrs(mut self, mshrs: usize) -> Self {
-        self.mshrs = mshrs;
         self
     }
 }
@@ -257,23 +246,17 @@ impl CoreKind {
 
 /// Full machine description.
 ///
-/// Homogeneous machines (every figure of the paper) leave `slots` empty
-/// and describe themselves with `core` × `n_cores`. Heterogeneous CMPs —
-/// the asymmetric fat/lean mixes of the `fig_asym` extension — list one
-/// [`CoreKind`] per slot in `slots` (and keep `n_cores == slots.len()`);
-/// `core` then only seeds defaults. Beyond the L1s sits one [`LevelSpec`],
-/// the L2. Start from a preset ([`fat_cmp`](Self::fat_cmp),
+/// `slots` lists one [`CoreKind`] per core, in core order (and
+/// `n_cores == slots.len()`): the same kind throughout for the paper's
+/// camps, a fat/lean mix for the asymmetric CMPs of the `fig_asym`
+/// extension. Beyond the L1s sits one [`LevelSpec`], the L2. Start from a preset ([`fat_cmp`](Self::fat_cmp),
 /// [`lean_cmp`](Self::lean_cmp), `dbcmp_core::machines`), update fields, and
 /// hand the value to `MachineBuilder::from_config`, which validates it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     pub name: String,
-    /// Core kind for homogeneous machines (ignored per-slot when `slots`
-    /// is non-empty).
-    pub core: CoreKind,
     pub n_cores: usize,
-    /// Per-slot core kinds; empty means homogeneous (`core` repeated
-    /// `n_cores` times).
+    /// The core kind of each slot, in slot order.
     pub slots: Vec<CoreKind>,
     pub l1i: CacheGeom,
     pub l1d: CacheGeom,
@@ -315,9 +298,8 @@ impl MachineConfig {
                 l2_size >> 20,
                 l2_latency
             ),
-            core: CoreKind::fat(),
             n_cores,
-            slots: Vec::new(),
+            slots: vec![CoreKind::fat(); n_cores],
             l1i: CacheGeom::new(64 << 10, 2, 1),
             l1d: CacheGeom::new(64 << 10, 2, 1),
             l2: LevelSpec::new(CacheGeom::new(l2_size, 16, l2_latency), SharedBy::Chip),
@@ -340,7 +322,7 @@ impl MachineConfig {
             l2_size >> 20,
             l2_latency
         );
-        c.core = CoreKind::lean();
+        c.slots = vec![CoreKind::lean(); n_cores];
         c.store_buffer = 4;
         c
     }
@@ -350,7 +332,7 @@ impl MachineConfig {
     pub fn smp(n_nodes: usize, l2_size_per_node: u64, l2_latency: u64, core: CoreKind) -> Self {
         let mut c = Self::fat_cmp(n_nodes, l2_size_per_node, l2_latency);
         c.name = format!("SMP {n_nodes}x (private L2 {} MB)", l2_size_per_node >> 20);
-        c.core = core;
+        c.slots = vec![core; n_nodes];
         // Each node has its own L2 port; the single chip-wide bank only
         // carries prefetch traffic (see `LevelSpec::banks`).
         c.l2 = LevelSpec::new(
@@ -361,22 +343,9 @@ impl MachineConfig {
         c
     }
 
-    /// The core kind of each slot, in slot order.
-    pub fn slot_kinds(&self) -> Vec<CoreKind> {
-        if self.slots.is_empty() {
-            vec![self.core; self.n_cores]
-        } else {
-            self.slots.clone()
-        }
-    }
-
     /// Total hardware contexts across the machine.
     pub fn total_contexts(&self) -> usize {
-        if self.slots.is_empty() {
-            self.n_cores * self.core.contexts()
-        } else {
-            self.slots.iter().map(|k| k.contexts()).sum()
-        }
+        self.slots.iter().map(|k| k.contexts()).sum()
     }
 
     /// Check the config for degenerate parameters that would panic or
@@ -385,13 +354,13 @@ impl MachineConfig {
         if self.n_cores == 0 {
             return Err(ConfigError::NoCores);
         }
-        if !self.slots.is_empty() && self.slots.len() != self.n_cores {
+        if self.slots.len() != self.n_cores {
             return Err(ConfigError::SlotCountMismatch {
                 slots: self.slots.len(),
                 n_cores: self.n_cores,
             });
         }
-        for (slot, kind) in self.slot_kinds().into_iter().enumerate() {
+        for (slot, &kind) in self.slots.iter().enumerate() {
             match kind {
                 CoreKind::Fat { width, rob, mshrs } => {
                     if width == 0 {
@@ -457,11 +426,13 @@ mod tests {
         // FC: 1 context, wide issue; LC: many contexts, narrow issue.
         assert_eq!(fc.total_contexts(), 4);
         assert_eq!(lc.total_contexts(), 16);
-        match fc.core {
+        assert_eq!(fc.slots, [CoreKind::fat(); 4]);
+        assert_eq!(lc.slots, [CoreKind::lean(); 4]);
+        match fc.slots[0] {
             CoreKind::Fat { width, .. } => assert!(width >= 4),
             _ => panic!("fat preset must be fat"),
         }
-        match lc.core {
+        match lc.slots[0] {
             CoreKind::Lean { width, contexts } => {
                 assert!(width <= 2);
                 assert!(contexts >= 4);
@@ -473,7 +444,7 @@ mod tests {
         assert_eq!(fc.l2, lc.l2);
         assert_eq!(fc.mem_latency, lc.mem_latency);
         // Pipeline depths: deep vs shallow.
-        assert!(fc.core.pipeline_depth() > lc.core.pipeline_depth());
+        assert!(fc.slots[0].pipeline_depth() > lc.slots[0].pipeline_depth());
     }
 
     #[test]

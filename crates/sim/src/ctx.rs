@@ -1,7 +1,8 @@
 //! Hardware-context plumbing shared by the fat and lean core models:
 //! thread binding, run queues and quantum rotation (the "OS scheduler"
-//! when software threads exceed hardware contexts), store buffers, and
-//! instruction-fetch progress.
+//! when software threads exceed hardware contexts), store buffers,
+//! instruction-fetch progress, and the memory accesses of loads and
+//! stores. Each core model keeps only how a context waits.
 
 use std::collections::VecDeque;
 
@@ -10,7 +11,7 @@ use dbcmp_trace::Event;
 
 use crate::cursor::ThreadState;
 use crate::machine::MachineCtl;
-use crate::memsys::{MemClass, MemSys};
+use crate::memsys::{Access, MemClass, MemSys};
 use crate::stats::CycleClass;
 
 /// Cap on zero-width events (fences, unit markers) consumed per context
@@ -215,6 +216,62 @@ pub fn consume_meta_event(
         Event::Load { .. } | Event::Store { .. } => return false,
     }
     true
+}
+
+/// Count `n` retired instructions, for the core and the machine.
+#[inline]
+pub(crate) fn count_retired(retired: &mut u64, n: usize, ctl: &mut MachineCtl) {
+    *retired += n as u64;
+    ctl.instrs += n as u64;
+}
+
+/// Move the thread's accrued interconnect wait into the machine's remote
+/// stall counter. Returns the wait, 0 when there is none, for the core
+/// to stall on once its pipeline has drained.
+#[inline]
+pub(crate) fn take_remote_wait(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) -> u64 {
+    let wait = std::mem::take(&mut th.remote_wait);
+    ctl.remote.stall_cycles += wait;
+    wait
+}
+
+/// The memory access of a load of `size` bytes at `addr`. Every line but
+/// the last is a state-only touch: it updates cache and coherence state
+/// and bank occupancy but adds nothing to the load's latency. The last
+/// line carries the timing; for a sequential scan it is the cold one, as
+/// there is no hardware data prefetcher (the paper's configuration).
+#[inline]
+pub(crate) fn load_access(mem: &mut MemSys, core: usize, addr: u64, size: u16, now: u64) -> Access {
+    let last = (addr + size.max(1) as u64 - 1) >> 6;
+    for line in addr >> 6..last {
+        mem.data_access(core, line, false, now);
+    }
+    mem.data_access(core, last, false, now)
+}
+
+/// Issue a store of `size` bytes at `addr` into the context's store
+/// buffer, which the caller has checked has room. The first line carries
+/// the timing: a store still in flight is buffered with the stall class
+/// a wait on it is charged to. The lines after it are state-only touches.
+#[inline]
+pub(crate) fn issue_store(
+    ctx: &mut CtxBase,
+    mem: &mut MemSys,
+    core: usize,
+    addr: u64,
+    size: u16,
+    now: u64,
+) {
+    let first = addr >> 6;
+    let acc = mem.data_access(core, first, true, now);
+    if acc.ready_at > now {
+        let class = data_stall_class(acc.class).unwrap_or(CycleClass::DStallL2Hit);
+        ctx.store_buf.push_back((acc.ready_at, class));
+    }
+    let last = (addr + size.max(1) as u64 - 1) >> 6;
+    for line in first + 1..=last {
+        mem.data_access(core, line, true, now);
+    }
 }
 
 /// Mark a thread's trace as exhausted (completion-mode bookkeeping).

@@ -26,7 +26,8 @@ use dbcmp_trace::Event;
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
 use crate::ctx::{
-    consume_meta_event, data_stall_class, fetch_check, finish_thread, CtxBase, MAX_META_EVENTS,
+    consume_meta_event, count_retired, data_stall_class, fetch_check, finish_thread, issue_store,
+    load_access, take_remote_wait, CtxBase, MAX_META_EVENTS,
 };
 use crate::cursor::{PendingLoad, PendingStore, ThreadState};
 use crate::machine::MachineCtl;
@@ -84,8 +85,6 @@ impl FatCore {
             alu_width: width.div_ceil(2).max(1),
             mshrs: mshrs.max(1),
             outstanding: 0,
-            // The slot's own depth, not the machine default's: on a
-            // heterogeneous machine cfg.core may describe another camp.
             pipeline_depth: CoreKind::Fat { width, rob, mshrs }.pipeline_depth(),
             quantum: cfg.quantum,
             switch_penalty: cfg.switch_penalty,
@@ -251,7 +250,7 @@ impl Core for FatCore {
             *left -= self.alu_width as u32;
         }
         self.rob_instrs -= self.alu_width;
-        self.count_retired(self.alu_width, ctl);
+        count_retired(&mut self.retired, self.alu_width, ctl);
         if let Some((r, left, room)) = decode {
             self.decode_run(th, r, left, room, t);
         }
@@ -317,15 +316,8 @@ impl FatCore {
                 None => break,
             }
         }
-        self.count_retired(retired, ctl);
+        count_retired(&mut self.retired, retired, ctl);
         retired
-    }
-
-    /// Count `n` retired instructions, for the core and the machine.
-    #[inline]
-    fn count_retired(&mut self, n: usize, ctl: &mut MachineCtl) {
-        self.retired += n as u64;
-        ctl.instrs += n as u64;
     }
 
     /// OS quantum bookkeeping for the running thread: count the quantum
@@ -410,12 +402,7 @@ impl FatCore {
                     stuck = true;
                     break;
                 }
-                let acc = mem.data_access(core, ps.addr >> 6, true, now);
-                if acc.ready_at > now {
-                    let class = data_stall_class(acc.class).unwrap_or(CycleClass::DStallL2Hit);
-                    self.base.store_buf.push_back((acc.ready_at, class));
-                }
-                crate::lean::touch_trail_lines(mem, core, ps.addr, ps.size, true, now);
+                issue_store(&mut self.base, mem, core, ps.addr, ps.size, now);
                 th.pending_store = None;
                 self.push_run(1);
                 decoded += 1;
@@ -436,10 +423,8 @@ impl FatCore {
                 // Interconnect wait accrued by remote markers: charged here,
                 // after the drain, so the message is ordered behind the work
                 // that produced it.
-                if th.remote_wait > 0 {
-                    let wait = th.remote_wait;
-                    th.remote_wait = 0;
-                    ctl.remote.stall_cycles += wait;
+                let wait = take_remote_wait(th, ctl);
+                if wait > 0 {
                     self.gate_until = self.gate_until.max(now + wait);
                     self.gate_class = CycleClass::Other;
                     break;
@@ -484,12 +469,7 @@ impl FatCore {
                         blame = self.base.oldest_store().map(|(_, c)| c);
                         break;
                     }
-                    let acc = mem.data_access(core, addr >> 6, true, now);
-                    if acc.ready_at > now {
-                        let class = data_stall_class(acc.class).unwrap_or(CycleClass::DStallL2Hit);
-                        self.base.store_buf.push_back((acc.ready_at, class));
-                    }
-                    crate::lean::touch_trail_lines(mem, core, addr, size, true, now);
+                    issue_store(&mut self.base, mem, core, addr, size, now);
                     self.push_run(1);
                     decoded += 1;
                 }
@@ -511,8 +491,7 @@ impl FatCore {
 
     /// Issue a load to the memory system and place it in the window.
     fn issue_load(&mut self, core: usize, now: u64, pl: PendingLoad, mem: &mut MemSys) {
-        crate::lean::touch_lead_lines(mem, core, pl.addr, pl.size, false, now);
-        let acc = mem.data_access(core, (pl.addr + pl.size.max(1) as u64 - 1) >> 6, false, now);
+        let acc = load_access(mem, core, pl.addr, pl.size, now);
         match data_stall_class(acc.class) {
             Some(class) if acc.ready_at > now => {
                 self.rob.push_back(RobSlot::Load {

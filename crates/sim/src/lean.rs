@@ -15,7 +15,8 @@ use dbcmp_trace::Event;
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
 use crate::ctx::{
-    consume_meta_event, data_stall_class, fetch_check, finish_thread, CtxBase, MAX_META_EVENTS,
+    consume_meta_event, count_retired, data_stall_class, fetch_check, finish_thread, issue_store,
+    load_access, take_remote_wait, CtxBase, MAX_META_EVENTS,
 };
 use crate::cursor::{PendingStore, ThreadState};
 use crate::machine::MachineCtl;
@@ -48,7 +49,6 @@ impl LeanCore {
                 .collect(),
             rr: 0,
             width: width.max(1),
-            // The slot's own depth (see FatCore::new).
             pipeline_depth: CoreKind::Lean { width, contexts }.pipeline_depth(),
             quantum: cfg.quantum,
             switch_penalty: cfg.switch_penalty,
@@ -150,7 +150,7 @@ impl Core for LeanCore {
             ctl,
         );
         self.rescan = self.ctxs[i].thread.is_some_and(|t| threads[t].done);
-        self.count_retired(issued, ctl);
+        count_retired(&mut self.retired, issued, ctl);
         if progress > 0 {
             Tick::once(CycleClass::Compute, now)
         } else {
@@ -194,7 +194,7 @@ impl Core for LeanCore {
         }
         let (n, _) = issue_run(ctx, th, r, left, self.width, self.pipeline_depth, t);
         self.advance(1);
-        self.count_retired(n, ctl);
+        count_retired(&mut self.retired, n, ctl);
         true
     }
 }
@@ -208,13 +208,6 @@ impl LeanCore {
         (self.rr..self.rr + n)
             .map(|i| if i < n { i } else { i - n })
             .find(|&i| self.ctxs[i].runnable(now))
-    }
-
-    /// Count `n` retired instructions, for the core and the machine.
-    #[inline]
-    fn count_retired(&mut self, n: usize, ctl: &mut MachineCtl) {
-        self.retired += n as u64;
-        ctl.instrs += n as u64;
     }
 
     /// Move the pointer on as `cycles` cycles do, one context each.
@@ -266,12 +259,7 @@ fn issue_from(
                 ctx.block(ready, class, now);
                 break;
             }
-            let acc = mem.data_access(core, ps.addr >> 6, true, now);
-            let class = data_stall_class(acc.class).unwrap_or(CycleClass::DStallL2Hit);
-            if acc.ready_at > now {
-                ctx.store_buf.push_back((acc.ready_at, class));
-            }
-            touch_trail_lines(mem, core, ps.addr, ps.size, true, now);
+            issue_store(ctx, mem, core, ps.addr, ps.size, now);
             th.pending_store = None;
             issued += 1;
             progress += 1;
@@ -286,10 +274,8 @@ fn issue_from(
             th.pending_fence = false;
             // Interconnect wait accrued by remote markers: charged after
             // the drain so the message is ordered behind prior work.
-            if th.remote_wait > 0 {
-                let wait = th.remote_wait;
-                th.remote_wait = 0;
-                ctl.remote.stall_cycles += wait;
+            let wait = take_remote_wait(th, ctl);
+            if wait > 0 {
                 ctx.block(now + wait, CycleClass::Other, now);
                 break;
             }
@@ -314,12 +300,7 @@ fn issue_from(
         // 4. Decode the next trace event.
         match th.cursor.next_event() {
             Some(Event::Load { addr, size, .. }) => {
-                // Lead lines are state-only touches; the *last* line of the
-                // access carries the timing (for sequential scans it is the
-                // cold one — there is no hardware data prefetcher, per the
-                // paper's configuration).
-                touch_lead_lines(mem, core, addr, size, false, now);
-                let acc = mem.data_access(core, (addr + size.max(1) as u64 - 1) >> 6, false, now);
+                let acc = load_access(mem, core, addr, size, now);
                 issued += 1;
                 if let Some(class) = data_stall_class(acc.class) {
                     if acc.ready_at > now {
@@ -335,12 +316,7 @@ fn issue_from(
                     ctx.block(ready, class, now);
                     break;
                 }
-                let acc = mem.data_access(core, addr >> 6, true, now);
-                if acc.ready_at > now {
-                    let class = data_stall_class(acc.class).unwrap_or(CycleClass::DStallL2Hit);
-                    ctx.store_buf.push_back((acc.ready_at, class));
-                }
-                touch_trail_lines(mem, core, addr, size, true, now);
+                issue_store(ctx, mem, core, addr, size, now);
                 issued += 1;
                 progress += 1;
             }
@@ -378,46 +354,6 @@ fn issue_run(
         ctx.block(now + pipeline_depth, CycleClass::Other, now);
     }
     (n, mispredicted)
-}
-
-/// State-only touches for the lines of a multi-line access except the
-/// last: they update cache/coherence state and bank occupancy but do not
-/// add to this instruction's blocking latency (the engine's accesses are
-/// line-sized in the common case; the final line carries the timing).
-pub(crate) fn touch_lead_lines(
-    mem: &mut MemSys,
-    core: usize,
-    addr: u64,
-    size: u16,
-    write: bool,
-    now: u64,
-) {
-    let first = addr >> 6;
-    let last = (addr + size.max(1) as u64 - 1) >> 6;
-    let mut line = first;
-    while line < last {
-        mem.data_access(core, line, write, now);
-        line += 1;
-    }
-}
-
-/// State-only touches for the lines after the first (stores: the first
-/// line carries the buffered timing).
-pub(crate) fn touch_trail_lines(
-    mem: &mut MemSys,
-    core: usize,
-    addr: u64,
-    size: u16,
-    write: bool,
-    now: u64,
-) {
-    let first = addr >> 6;
-    let last = (addr + size.max(1) as u64 - 1) >> 6;
-    let mut line = first + 1;
-    while line <= last {
-        mem.data_access(core, line, write, now);
-        line += 1;
-    }
 }
 
 #[cfg(test)]

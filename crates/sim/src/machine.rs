@@ -112,11 +112,7 @@ impl<'a> Machine<'a> {
             .iter()
             .map(|t| ThreadState::new(t, &bundle.regions, mode.wraps()))
             .collect();
-        let mut cores: Vec<Box<dyn Core>> = cfg
-            .slot_kinds()
-            .into_iter()
-            .map(|k| make_core(&cfg, k))
-            .collect();
+        let mut cores: Vec<Box<dyn Core>> = cfg.slots.iter().map(|&k| make_core(&cfg, k)).collect();
 
         // Bind threads to contexts. Slots may differ in context count
         // (heterogeneous machines), so walk the per-core context lists.

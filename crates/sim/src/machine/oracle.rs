@@ -203,7 +203,6 @@ mod tests {
             cfg.l1d = CacheGeom::new(2 << 10, 2, 1);
             cfg.l1i = CacheGeom::new(2 << 10, 2, 1);
             cfg.store_buffer = 2;
-            cfg.l2.mshrs = 2;
             cfg.quantum = quantum;
             cfg.switch_penalty = switch_penalty;
             if ten_gbe {
@@ -304,6 +303,16 @@ mod tests {
         cfg
     }
 
+    /// `cfg` with `n` hardware contexts on every lean slot.
+    fn lean_contexts(mut cfg: MachineConfig, n: usize) -> MachineConfig {
+        for slot in &mut cfg.slots {
+            if let CoreKind::Lean { contexts, .. } = slot {
+                *contexts = n;
+            }
+        }
+        cfg
+    }
+
     #[test]
     fn a_core_asleep_across_the_warmup_boundary_charges_only_the_measured_part() {
         let cfg = ten_gbe(MachineConfig::fat_cmp(1, 1 << 20, 8));
@@ -356,10 +365,7 @@ mod tests {
             MachineConfig::fat_cmp(1, 1 << 20, 8),
             MachineConfig::lean_cmp(1, 1 << 20, 8),
         ] {
-            let mut cfg = ten_gbe(base);
-            if let CoreKind::Lean { width, .. } = cfg.core {
-                cfg.core = CoreKind::Lean { width, contexts: 1 };
-            }
+            let mut cfg = lean_contexts(ten_gbe(base), 1);
             cfg.quantum = 5_000;
             cfg.switch_penalty = 100;
             let threads = (0..2)
@@ -435,11 +441,10 @@ mod tests {
     /// The fat core and a one-context lean core, whose round-robin pick is
     /// that context every cycle it is runnable.
     fn one_context_cores() -> [MachineConfig; 2] {
-        let mut lean = MachineConfig::lean_cmp(1, 1 << 20, 8);
-        if let CoreKind::Lean { width, .. } = lean.core {
-            lean.core = CoreKind::Lean { width, contexts: 1 };
-        }
-        [MachineConfig::fat_cmp(1, 1 << 20, 8), lean]
+        [
+            MachineConfig::fat_cmp(1, 1 << 20, 8),
+            lean_contexts(MachineConfig::lean_cmp(1, 1 << 20, 8), 1),
+        ]
     }
 
     fn exec_only(instrs: u32) -> ThreadTrace {
@@ -536,10 +541,7 @@ mod tests {
         // the finish, not when the round robin next reaches context 0.
         // An odd length at width 2 makes thread 0 finish on a cycle that
         // also issued, a compute cycle that private ones may follow.
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 8);
-        if let CoreKind::Lean { width, .. } = cfg.core {
-            cfg.core = CoreKind::Lean { width, contexts: 2 };
-        }
+        let mut cfg = lean_contexts(MachineConfig::lean_cmp(1, 1 << 20, 8), 2);
         cfg.switch_penalty = 7;
         let threads = vec![exec_only(2_001), exec_only(6_000), exec_only(2_001)];
         let p = assert_same(&cfg, COMPLETION, &TraceBundle::new(one_region(), threads));

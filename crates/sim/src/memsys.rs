@@ -31,8 +31,7 @@
 //! Shared and island instances are banked; banks have an occupancy per
 //! access and a `next_free` cycle, so correlated miss bursts queue (paper
 //! §5.3: cache pressure, not miss rate, limits core-count scaling for
-//! OLTP). The L2 may additionally cap outstanding misses per instance
-//! (`LevelSpec::mshrs`); legacy configs leave the cap off.
+//! OLTP).
 
 use crate::cache::{Cache, Divisor, Evicted};
 use crate::config::{LevelSpec, MachineConfig, SharedBy};
@@ -114,9 +113,6 @@ struct Level {
     banks_per_group: usize,
     /// Line → bank within one pool of `banks_per_group`.
     bank_of: Divisor,
-    /// Outstanding-miss completion times per instance; empty inner
-    /// vectors when the L2 has no MSHR cap.
-    mshr: Vec<Vec<u64>>,
 }
 
 impl Level {
@@ -151,7 +147,6 @@ impl Level {
             bank_occupancy: spec.bank_occupancy,
             banks_per_group,
             bank_of: Divisor::new(banks_per_group),
-            mshr: (0..groups).map(|_| vec![0u64; spec.mshrs]).collect(),
         }
     }
 
@@ -320,12 +315,6 @@ impl MemSys {
         } else {
             pl.misses_data += 1;
         }
-        // The MSHR slot this miss claimed, if the L2 caps outstanding
-        // misses.
-        let claimed = self.claim_mshr(g, t).map(|(slot, start)| {
-            t = start;
-            slot
-        });
         // Inclusive L2: fill it now, victim and all.
         let (idx, ev) = self.l2.caches[g].insert(line);
         self.init_fill(g, idx, core, write, is_instr);
@@ -333,11 +322,7 @@ impl MemSys {
             self.handle_eviction(g, core, ev, false);
         }
         t += self.l2.latency;
-        let acc = self.serve_offchip(core, line, write, is_instr, t);
-        if let Some(slot) = claimed {
-            self.l2.mshr[g][slot] = acc.ready_at;
-        }
-        acc
+        self.serve_offchip(core, line, write, is_instr, t)
     }
 
     /// Claim a bank port of L2 instance `g`; returns the start cycle
@@ -355,21 +340,6 @@ impl MemSys {
         }
         l2.bank_free[b] = start + l2.bank_occupancy;
         start
-    }
-
-    /// Claim an outstanding-miss slot of L2 instance `g`; returns
-    /// `(slot, start)` where `start` is delayed if every slot is still in
-    /// flight, or `None` when the L2 has no MSHR cap.
-    fn claim_mshr(&mut self, g: usize, now: u64) -> Option<(usize, u64)> {
-        let file = &self.l2.mshr[g];
-        let (slot, &free) = file.iter().enumerate().min_by_key(|&(_, &f)| f)?;
-        let start = now.max(free);
-        if start > now {
-            let pl = &mut self.counters.per_level[0];
-            pl.mshr_waits += 1;
-            pl.mshr_wait_cycles += start - now;
-        }
-        Some((slot, start))
     }
 
     /// Initialize a freshly inserted L2 entry per the L2's coherence role.
@@ -1013,31 +983,5 @@ mod tests {
             "core 0's L1D copy must have been invalidated by core 1's write"
         );
         assert_eq!(m.counters.l1_to_l1, 1, "the line is dirty in core 1's L1");
-    }
-
-    #[test]
-    fn mshr_cap_delays_correlated_misses() {
-        let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
-        cfg.l2.mshrs = 1;
-        let mut m = MemSys::new(&cfg);
-        // Lines 100 and 201 map to different banks (4-bank interleave),
-        // so only the MSHR cap can serialize them.
-        let a = m.data_access(0, 100, false, 0);
-        let b = m.data_access(0, 201, false, 0);
-        assert!(
-            b.ready_at > a.ready_at,
-            "second miss must wait for the single MSHR"
-        );
-        assert_eq!(m.counters.per_level[0].mshr_waits, 1);
-        // An uncapped system overlaps both at the same cycle.
-        let mut free = MemSys::new(&{
-            let mut c = MachineConfig::fat_cmp(1, 1 << 20, 10);
-            c.stream_buf = 0;
-            c
-        });
-        let fa = free.data_access(0, 100, false, 0);
-        let fb = free.data_access(0, 201, false, 0);
-        assert_eq!(fa.ready_at, fb.ready_at);
     }
 }

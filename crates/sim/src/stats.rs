@@ -155,8 +155,9 @@ pub struct LevelCounters {
     pub queue_cycles: u64,
     /// Accesses that found a bank of this level busy.
     pub queued_accesses: u64,
-    /// Demand misses that waited for a free MSHR slot, and the cycles
-    /// lost waiting (only when `LevelSpec::mshrs` caps the level).
+    /// Demand misses that waited for a free L2 MSHR slot, and the cycles
+    /// lost waiting. The L2 has no MSHR cap, so both stay 0; they remain
+    /// so that digests over every counter keep their values.
     pub mshr_waits: u64,
     pub mshr_wait_cycles: u64,
 }

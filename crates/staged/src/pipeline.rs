@@ -69,7 +69,7 @@ impl JoinTable {
                 rows.push(tuple.to_row());
             }
         }
-        let base = db.space.alloc_anon(BuildTable::bytes_for(rows.len()));
+        let base = db.space.alloc(BuildTable::bytes_for(rows.len()));
         JoinTable {
             probe_key: spec.probe_key,
             table: BuildTable::build(base, rows, spec.build_key, tc),
@@ -116,7 +116,7 @@ impl BatchAgg {
     /// Empty aggregation state with a simulated group-table allocation.
     pub fn new(db: &Database, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
         BatchAgg {
-            addr: db.space.alloc_anon(64 * 1024),
+            addr: db.space.alloc(64 * 1024),
             table: GroupTable::new(group_cols, aggs),
         }
     }
@@ -277,7 +277,7 @@ impl StagedPipeline {
         let heap = db.table(self.spec.table);
         let row_width = (heap.schema.row_width() as u64).max(16);
         // Buffer sized to one batch, reused every batch → stays resident.
-        let buf = db.space.alloc_anon(batch as u64 * row_width);
+        let buf = db.space.alloc(batch as u64 * row_width);
         let mut agg = BatchAgg::new(db, self.spec.group_cols.clone(), self.spec.aggs.clone());
         let tables: Vec<JoinTable> = self
             .spec
@@ -383,7 +383,7 @@ impl StagedPipeline {
             let lo = p as u32 * pages_per;
             let pages = lo..(lo + pages_per).min(n_pages);
             let mut handoff = Handoff {
-                buf: db.space.alloc_anon(batch as u64 * row_width),
+                buf: db.space.alloc(batch as u64 * row_width),
                 batch,
                 row_width,
                 slot: 0,

@@ -6,12 +6,10 @@
 //! bump allocator. Addresses are never recycled, so a trace captured at any
 //! point remains unambiguous.
 //!
-//! The allocator is lock-free for allocation (an atomic bump pointer) so the
-//! engine can run multi-threaded natively; the segment registry used for
-//! reporting takes a short mutex.
+//! The allocator is lock-free (an atomic bump pointer) so the engine can
+//! run multi-threaded natively.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A byte address in the simulated data address space (fits in 48 bits).
 pub type SimAddr = u64;
@@ -76,17 +74,6 @@ impl std::fmt::Display for AddressSpaceError {
 
 impl std::error::Error for AddressSpaceError {}
 
-/// Metadata about one named allocation, for reports and debugging.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentInfo {
-    /// Segment tag given at allocation ("heap:orders", "lock-table", …).
-    pub name: &'static str,
-    /// First byte of the segment.
-    pub base: SimAddr,
-    /// Segment length in bytes (as requested, before alignment padding).
-    pub len: u64,
-}
-
 /// Process-wide bump allocator for simulated data addresses.
 ///
 /// Allocations are cache-line (64 B) aligned by default so that distinct
@@ -100,7 +87,6 @@ pub struct AddressSpace {
     /// End of this space's window (exclusive). [`DATA_LIMIT`] for the
     /// process-wide space; `base`-relative for partition windows.
     limit: SimAddr,
-    segments: Mutex<Vec<SegmentInfo>>,
 }
 
 impl AddressSpace {
@@ -110,7 +96,6 @@ impl AddressSpace {
             next: AtomicU64::new(DATA_BASE),
             base: DATA_BASE,
             limit: DATA_LIMIT,
-            segments: Mutex::new(Vec::new()),
         }
     }
 
@@ -133,56 +118,29 @@ impl AddressSpace {
             // The last window is truncated by DATA_BASE bytes so no
             // window ever reaches past the 46-bit data limit.
             limit: (base + PARTITION_STRIDE).min(DATA_LIMIT),
-            segments: Mutex::new(Vec::new()),
         })
     }
 
-    /// Allocate `bytes` of simulated memory, 64-byte aligned, tagged with a
-    /// segment `name` for reporting. Panics if the 46-bit space is exhausted
-    /// (which would indicate a mis-scaled workload, not a recoverable
-    /// condition).
-    pub fn alloc(&self, name: &'static str, bytes: u64) -> SimAddr {
-        let base = self.alloc_aligned(bytes, 64);
-        #[expect(
-            clippy::expect_used,
-            reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
-        )]
-        self.segments
-            .lock()
-            .expect("segment registry poisoned")
-            .push(SegmentInfo {
-                name,
-                base,
-                len: bytes,
-            });
-        base
-    }
-
-    /// Allocate without recording a segment entry — used for small,
-    /// high-volume allocations (individual B+Tree nodes) where a registry
-    /// entry per object would be wasteful.
-    pub fn alloc_anon(&self, bytes: u64) -> SimAddr {
-        self.alloc_aligned(bytes, 64)
-    }
-
+    /// Allocate `bytes` of simulated memory, 64-byte aligned. Panics if
+    /// this space's window is exhausted (which would indicate a
+    /// mis-scaled workload, not a recoverable condition).
     #[expect(
         clippy::panic,
         reason = "documented panic shim over the typed try_ variant; exhaustion means a mis-scaled workload, not a recoverable state"
     )]
-    fn alloc_aligned(&self, bytes: u64, align: u64) -> SimAddr {
-        self.try_alloc_aligned(bytes, align)
+    pub fn alloc(&self, bytes: u64) -> SimAddr {
+        self.try_alloc(bytes)
             .unwrap_or_else(|e| panic!("simulated data address space exhausted: {e}"))
     }
 
-    /// [`Self::alloc_aligned`] returning a typed error instead of
-    /// panicking — a real `assert` path (not `debug_assert`), so release
-    /// builds can never mint an address outside this space's window.
-    fn try_alloc_aligned(&self, bytes: u64, align: u64) -> Result<SimAddr, AddressSpaceError> {
-        debug_assert!(align.is_power_of_two());
+    /// [`Self::alloc`] returning a typed error instead of panicking — a
+    /// real branch (not `debug_assert`), so release builds can never mint
+    /// an address outside this space's window.
+    fn try_alloc(&self, bytes: u64) -> Result<SimAddr, AddressSpaceError> {
         let bytes = bytes.max(1);
         loop {
             let cur = self.next.load(Ordering::Relaxed);
-            let base = (cur + align - 1) & !(align - 1);
+            let base = (cur + 63) & !63;
             let end = base + bytes;
             if end >= self.limit {
                 return Err(AddressSpaceError::Capacity {
@@ -205,64 +163,23 @@ impl AddressSpace {
         self.next.load(Ordering::Relaxed) - self.base
     }
 
-    /// Snapshot of the named segments.
-    #[expect(
-        clippy::expect_used,
-        reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
-    )]
-    pub fn segments(&self) -> Vec<SegmentInfo> {
-        self.segments
-            .lock()
-            .expect("segment registry poisoned")
-            .clone()
-    }
-
     /// Carve a private [`ScratchArena`] of `bytes` out of this space.
     ///
-    /// The arena is one named allocation against the shared bump
-    /// pointer; afterwards the holder sub-allocates from it with no
-    /// further shared-state traffic. This is what makes parallel
-    /// capture deterministic: arenas are reserved in client order
-    /// before any worker thread starts, so each client's scratch
-    /// addresses depend only on its own arena — not on the cross-client
-    /// interleaving of `alloc_anon` calls. Simulated bytes are free
-    /// (nothing is backed by real memory), so arenas can be generously
-    /// oversized.
-    #[expect(
-        clippy::panic,
-        reason = "documented panic shim; callers that can recover use try_reserve_arena"
-    )]
-    pub fn reserve_arena(&self, name: &'static str, bytes: u64) -> ScratchArena {
-        self.try_reserve_arena(name, bytes)
-            .unwrap_or_else(|e| panic!("arena reservation \"{name}\" failed: {e}"))
-    }
-
-    /// [`Self::reserve_arena`] with a typed capacity error instead of a
-    /// panic — the capture boundary uses this so a mis-scaled deployment
-    /// (too many instances, oversized reservations) surfaces as an error
-    /// before any out-of-window address reaches the trace.
-    pub fn try_reserve_arena(
-        &self,
-        name: &'static str,
-        bytes: u64,
-    ) -> Result<ScratchArena, AddressSpaceError> {
-        let base = self.try_alloc_aligned(bytes, 64)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "poisoned mutex means a capture thread already panicked; propagating is the only sane option"
-        )]
-        self.segments
-            .lock()
-            .expect("segment registry poisoned")
-            .push(SegmentInfo {
-                name,
-                base,
-                len: bytes,
-            });
-        Ok(ScratchArena {
+    /// The arena is one allocation against the shared bump pointer;
+    /// afterwards the holder sub-allocates from it with no further
+    /// shared-state traffic. This is what makes parallel capture
+    /// deterministic: arenas are reserved in client order before any
+    /// worker thread starts, so each client's scratch addresses depend
+    /// only on its own arena — not on the cross-client interleaving of
+    /// `alloc` calls. Simulated bytes are free (nothing is backed by real
+    /// memory), so arenas can be generously oversized. Panics, as
+    /// [`Self::alloc`] does, if the window cannot hold the arena.
+    pub fn reserve_arena(&self, bytes: u64) -> ScratchArena {
+        let base = self.alloc(bytes);
+        ScratchArena {
             next: base,
             end: base + bytes,
-        })
+        }
     }
 }
 
@@ -311,9 +228,9 @@ mod tests {
     #[test]
     fn allocations_are_aligned_and_disjoint() {
         let s = AddressSpace::new();
-        let a = s.alloc("a", 100);
-        let b = s.alloc("b", 1);
-        let c = s.alloc_anon(4096);
+        let a = s.alloc(100);
+        let b = s.alloc(1);
+        let c = s.alloc(4096);
         assert_eq!(a % 64, 0);
         assert_eq!(b % 64, 0);
         assert_eq!(c % 64, 0);
@@ -322,21 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn segments_recorded() {
-        let s = AddressSpace::new();
-        s.alloc("warehouse", 128);
-        s.alloc("district", 256);
-        let segs = s.segments();
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].name, "warehouse");
-        assert_eq!(segs[1].len, 256);
-    }
-
-    #[test]
     fn allocated_tracks_total() {
         let s = AddressSpace::new();
         assert_eq!(s.allocated(), 0);
-        s.alloc_anon(64);
+        s.alloc(64);
         assert_eq!(s.allocated(), 64);
     }
 
@@ -344,8 +250,8 @@ mod tests {
     fn arenas_are_disjoint_and_deterministic() {
         let mk = || {
             let s = AddressSpace::new();
-            let mut a = s.reserve_arena("scratch-0", 1 << 20);
-            let mut b = s.reserve_arena("scratch-1", 1 << 20);
+            let mut a = s.reserve_arena(1 << 20);
+            let mut b = s.reserve_arena(1 << 20);
             (a.alloc(100), a.alloc(1), b.alloc(4096))
         };
         let (a0, a1, b0) = mk();
@@ -359,7 +265,7 @@ mod tests {
     #[should_panic(expected = "scratch arena exhausted")]
     fn arena_exhaustion_panics() {
         let s = AddressSpace::new();
-        let mut a = s.reserve_arena("tiny", 128);
+        let mut a = s.reserve_arena(128);
         a.alloc(64);
         a.alloc(65);
     }
@@ -387,15 +293,13 @@ mod tests {
         // Window overrun: typed error carrying the shortfall.
         let p = AddressSpace::partition(1).expect("window 1 fits");
         let err = p
-            .try_reserve_arena("too-big", PARTITION_STRIDE)
-            .expect_err("a full-stride arena cannot fit after the window base");
+            .try_alloc(PARTITION_STRIDE)
+            .expect_err("a full-stride allocation cannot fit after the window base");
         assert!(matches!(err, AddressSpaceError::Capacity { .. }));
 
         // Everything successfully reserved stays inside the window —
         // and therefore inside 48 bits.
-        let mut arena = p
-            .try_reserve_arena("ok", 1 << 20)
-            .expect("small arena fits");
+        let mut arena = p.reserve_arena(1 << 20);
         let a = arena.alloc(4096);
         assert!(a >= DATA_BASE + PARTITION_STRIDE);
         assert!(a + 4096 < DATA_BASE + 2 * PARTITION_STRIDE);
@@ -410,7 +314,7 @@ mod tests {
         let shared = AddressSpace::new();
         let p0 = AddressSpace::partition(0).expect("window 0 always fits");
         for bytes in [100u64, 1, 4096, 64] {
-            assert_eq!(shared.alloc_anon(bytes), p0.alloc_anon(bytes));
+            assert_eq!(shared.alloc(bytes), p0.alloc(bytes));
         }
         assert_eq!(shared.allocated(), p0.allocated());
     }
@@ -419,8 +323,8 @@ mod tests {
     fn partition_windows_are_disjoint() {
         let a = AddressSpace::partition(2).unwrap();
         let b = AddressSpace::partition(3).unwrap();
-        let last_a = (0..100).map(|_| a.alloc_anon(1 << 20)).last().unwrap();
-        let first_b = b.alloc_anon(64);
+        let last_a = (0..100).map(|_| a.alloc(1 << 20)).last().unwrap();
+        let first_b = b.alloc(64);
         assert!(last_a + (1 << 20) <= first_b, "windows must never overlap");
     }
 
@@ -432,7 +336,7 @@ mod tests {
         for _ in 0..8 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| s.alloc_anon(96)).collect::<Vec<_>>()
+                (0..1000).map(|_| s.alloc(96)).collect::<Vec<_>>()
             }));
         }
         let mut all: Vec<u64> = handles

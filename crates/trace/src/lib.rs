@@ -40,7 +40,7 @@ pub mod segment;
 pub mod summary;
 pub mod tracer;
 
-pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SegmentInfo, SimAddr};
+pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SimAddr};
 pub use event::{Event, PackedEvent, CACHE_LINE};
 pub use region::{CodeRegion, CodeRegions, RegionId};
 pub use segment::{
@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn end_to_end_capture_roundtrip() {
         let space = AddressSpace::new();
-        let a = space.alloc("table", 4096);
+        let a = space.alloc(4096);
         let mut regions = CodeRegions::new();
         let scan = regions.add("scan", 8 * 1024, 1.0);
 

@@ -131,7 +131,7 @@ proptest! {
         let space = AddressSpace::new();
         let mut ranges: Vec<(u64, u64)> = sizes
             .iter()
-            .map(|&s| (space.alloc_anon(s), s))
+            .map(|&s| (space.alloc(s), s))
             .collect();
         ranges.sort_by_key(|&(base, _)| base);
         for w in ranges.windows(2) {

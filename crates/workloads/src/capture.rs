@@ -114,7 +114,7 @@ pub fn capture_dss_workers(
     // bump pointer advances in client order, so arena bases are
     // independent of worker scheduling.
     let arenas: Vec<ScratchArena> = (0..opt.clients)
-        .map(|_| db.space.reserve_arena("dss-scratch", DSS_SCRATCH_BYTES))
+        .map(|_| db.space.reserve_arena(DSS_SCRATCH_BYTES))
         .collect();
     let threads = par_map_ordered(arenas, workers, |client, arena| {
         run_dss_client(db, h, mix, opt, client, arena)

@@ -115,18 +115,18 @@ impl ExchangeBufs {
 
     /// Allocate one send and one recv buffer in each instance's window.
     pub fn reserve(spaces: &[Arc<AddressSpace>]) -> Self {
-        let cursor = |name| {
+        let cursor = || {
             spaces
                 .iter()
                 .map(|s| Cursor {
-                    base: s.alloc(name, Self::BUF_BYTES),
+                    base: s.alloc(Self::BUF_BYTES),
                     off: 0,
                 })
                 .collect()
         };
         ExchangeBufs {
-            send: cursor("xchg-send"),
-            recv: cursor("xchg-recv"),
+            send: cursor(),
+            recv: cursor(),
         }
     }
 }

@@ -495,11 +495,6 @@ pub fn build_tpcc_range(
     (db, handles)
 }
 
-/// Convenience for tests: a deterministic RNG for a client.
-pub fn tpcc_rng(seed: u64, client: usize) -> StdRng {
-    client_rng(seed, client)
-}
-
 /// Random customer id per spec (NURand 1023).
 pub fn random_customer(rng: &mut StdRng, h: &TpccDb) -> u64 {
     crate::rng::nurand(rng, 1023, h.c_cust, 1, h.scale.customers_per_district)

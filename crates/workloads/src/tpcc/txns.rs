@@ -569,7 +569,8 @@ mod tests {
     use super::*;
     use crate::interleave::{capture_oltp_interleaved, InterleaveOptions};
     use crate::ops::now;
-    use crate::tpcc::{build_tpcc, tpcc_rng, TpccScale};
+    use crate::rng::client_rng;
+    use crate::tpcc::{build_tpcc, TpccScale};
 
     #[test]
     fn mix_runs_and_commits() {
@@ -582,7 +583,7 @@ mod tests {
     #[test]
     fn new_order_advances_district_counter() {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 12);
-        let mut rng = tpcc_rng(12, 0);
+        let mut rng = client_rng(12, 0);
         let mut tc = db.null_ctx();
         let before = {
             let rid = db
@@ -620,7 +621,7 @@ mod tests {
     #[test]
     fn delivery_consumes_new_orders() {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 13);
-        let mut rng = tpcc_rng(13, 0);
+        let mut rng = client_rng(13, 0);
         let mut tc = db.null_ctx();
         let before = db.table(h.new_order).n_rows();
         now(run_txn_cfg(
@@ -642,7 +643,7 @@ mod tests {
     #[test]
     fn payment_updates_balances() {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 14);
-        let mut rng = tpcc_rng(14, 0);
+        let mut rng = client_rng(14, 0);
         let mut tc = db.null_ctx();
         let w_rid = db.index_get(h.idx_warehouse, wh_key(1), &mut tc).unwrap();
         let before = db.table(h.warehouse).get(w_rid, &mut tc).unwrap()[3]
@@ -670,7 +671,7 @@ mod tests {
         // A recorded NewOrder must show dependent loads (B+Tree descents)
         // and fences (locks/commit).
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 15);
-        let mut rng = tpcc_rng(15, 0);
+        let mut rng = client_rng(15, 0);
         let mut tc = db.trace_ctx();
         now(run_txn_cfg(
             &mut db,

@@ -156,14 +156,14 @@ pub fn capture_dss_dist_workers(
         .map(|client| {
             let home = client % n;
             let mut tc = dbs[home].trace_ctx();
-            tc.set_scratch(spaces[home].reserve_arena("dss-scratch", DSS_SCRATCH_BYTES));
+            tc.set_scratch(spaces[home].reserve_arena(DSS_SCRATCH_BYTES));
             tc
         })
         .collect();
     let mut service_tcs: Vec<TraceCtx> = (0..n)
         .map(|p| {
             let mut tc = dbs[p].trace_ctx();
-            tc.set_scratch(spaces[p].reserve_arena("dss-scratch", DSS_SCRATCH_BYTES));
+            tc.set_scratch(spaces[p].reserve_arena(DSS_SCRATCH_BYTES));
             tc
         })
         .collect();

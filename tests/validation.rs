@@ -1,11 +1,11 @@
-//! Cross-crate consistency checks: the simulator-physics golden anchor,
-//! trace statistics agreement, whole-pipeline determinism, and the
-//! interleaved-capture and shared-nothing deployment capture anchors.
-//! The figures' shapes are their own claims (`dbcmp_core::figures`),
-//! checked by `crates/bench/tests/fig_smoke.rs`. The equivalences that
-//! used to sit beside the golden anchor live next to the code they pin:
-//! uniform slots ≡ homogeneous in `sim::builder`, parallel ≡ sequential
-//! sweeps in `core::experiment`, the island endpoints ≡ private and
+//! Cross-crate consistency checks: the simulator-physics golden anchor
+//! and the machine-shape pins beside it, trace statistics agreement,
+//! whole-pipeline determinism, and the interleaved-capture and
+//! shared-nothing deployment capture anchors. The figures' shapes are
+//! their own claims (`dbcmp_core::figures`), checked by
+//! `crates/bench/tests/fig_smoke.rs`. The equivalences that used to sit
+//! beside the golden anchor live next to the code they pin: parallel ≡
+//! sequential sweeps in `core::experiment`, the island endpoints ≡ private and
 //! chip-shared L2s in `sim::memsys`, and the asym endpoints ≡ the camp
 //! presets in `fig_smoke`.
 
