@@ -108,14 +108,11 @@ pub fn ablations(scale: &FigScale) {
     let mut rows = Vec::new();
     for mshrs in [1usize, 2, 4, 8] {
         let mut cfg = fc_cmp(4, 8 << 20, L2Spec::Cacti);
-        cfg.slots = vec![
-            CoreKind::Fat {
-                width: 4,
-                rob: 128,
-                mshrs,
-            };
-            4
-        ];
+        cfg.slots.fill(CoreKind::Fat {
+            width: 4,
+            rob: 128,
+            mshrs,
+        });
         let r = run_throughput(cfg, &dss.bundle, spec);
         rows.push(vec![
             mshrs.to_string(),

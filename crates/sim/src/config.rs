@@ -249,9 +249,10 @@ impl CoreKind {
 /// `slots` lists one [`CoreKind`] per core, in core order (and
 /// `n_cores == slots.len()`): the same kind throughout for the paper's
 /// camps, a fat/lean mix for the asymmetric CMPs of the `fig_asym`
-/// extension. Beyond the L1s sits one [`LevelSpec`], the L2. Start from a preset ([`fat_cmp`](Self::fat_cmp),
-/// [`lean_cmp`](Self::lean_cmp), `dbcmp_core::machines`), update fields, and
-/// hand the value to `MachineBuilder::from_config`, which validates it.
+/// extension. Beyond the L1s sits one [`LevelSpec`], the L2. Start from
+/// a preset ([`fat_cmp`](Self::fat_cmp), [`lean_cmp`](Self::lean_cmp),
+/// `dbcmp_core::machines`), update fields, and hand the value to
+/// `MachineBuilder::from_config`, which validates it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     pub name: String,
