@@ -479,6 +479,64 @@ mod tests {
         );
     }
 
+    /// Every event one recording context collects over a fixed-seed script
+    /// — 20,000 random-key inserts (root splits cascade to height ≥ 3)
+    /// interleaved with point lookups, short cursor scans and removes of
+    /// live keys — plus each call's result and the tree the script leaves
+    /// ([`BTree::digest`]), folded into one FNV-1a digest, pinned at
+    /// `1b032a2`. A change to how a descent, split or leaf edit is traced,
+    /// or to the nodes it builds, moves it.
+    #[test]
+    fn descents_and_splits_are_pinned() {
+        let (mut t, space, _) = setup();
+        let mut r = CodeRegions::new();
+        let mut tc = TraceCtx::recording(EngineRegions::register(&mut r));
+        let mut rng = proptest::test_runner::TestRng::deterministic("btree::descents_pin");
+        let mut d = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut live = Vec::new();
+        for i in 0..20_000u64 {
+            let key = rng.next_u64() >> 24;
+            let ok = t.insert(key, i, &space, &mut tc).is_ok();
+            word(u64::from(ok));
+            if ok {
+                live.push(key);
+            }
+            match i % 4 {
+                1 => {
+                    let probe = if rng.below(2) == 0 {
+                        live[rng.below(live.len() as u64) as usize]
+                    } else {
+                        rng.next_u64() >> 24
+                    };
+                    word(t.get(probe, &mut tc).unwrap_or(u64::MAX));
+                }
+                2 => {
+                    let lo = rng.next_u64() >> 24;
+                    let mut cur = t.cursor(lo, lo + (1 << 36), &mut tc);
+                    for _ in 0..rng.below(12) {
+                        match t.cursor_next(&mut cur, &mut tc) {
+                            Some((k, v)) => [k, v].into_iter().for_each(&mut word),
+                            None => break,
+                        }
+                    }
+                }
+                3 => {
+                    let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    word(t.remove(victim, &mut tc).unwrap_or(u64::MAX));
+                    word(t.remove(victim, &mut tc).unwrap_or(u64::MAX));
+                }
+                _ => {}
+            }
+        }
+        assert!(t.height() >= 3, "height {}", t.height());
+        let trace = tc.finish();
+        word(trace.len() as u64);
+        trace.iter().for_each(|e| word(e.pack().0));
+        t.digest(&mut word);
+        assert_eq!(d, 0x6ab1_9243_8114_a960, "B+tree events or nodes moved");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -603,3 +603,71 @@ fn lock_events_are_pinned_for_every_backend() {
         "lock-layer events moved: 2PL, partitioned, ordered"
     );
 }
+
+// ---- lock-table snapshot pin ----
+
+/// The bucket a 64-bucket [`LockMgr`] puts `key` in: the engine's
+/// multiplicative lock hash, bits 32.. masked to the table size.
+fn bucket64(key: u64) -> u64 {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & 63
+}
+
+/// The exact snapshot of a 64-bucket table holding shared and exclusive
+/// holders and queued waiters on five keys searched from the hash: three
+/// share one bucket, one sits in a lower bucket but is the largest key,
+/// one in a higher bucket but is the smallest. So the pinned order is by
+/// bucket first, keys ascending within a bucket, and is neither key order
+/// nor acquisition order. Pinned at `1b032a2`.
+#[test]
+fn lock_table_snapshot_is_pinned() {
+    let mut by_bucket: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let (b, shared) = (1000u64..)
+        .find_map(|k| {
+            let keys = by_bucket.entry(bucket64(k)).or_default();
+            keys.push(k);
+            (keys.len() == 3).then(|| (bucket64(k), keys.clone()))
+        })
+        .expect("some bucket fills");
+    let [k1, k2, k3] = [shared[0], shared[1], shared[2]];
+    let low = (k3 + 1..)
+        .find(|&k| bucket64(k) < b)
+        .expect("a lower bucket");
+    let high = (0..k1).find(|&k| bucket64(k) > b).expect("a higher bucket");
+    assert_eq!(
+        [k1, k2, k3, low, high],
+        [1000, 1059, 1118, 1119, 1],
+        "searched keys"
+    );
+
+    let space = AddressSpace::new();
+    let mut lm = LockMgr::new(&space, 64);
+    let mut tcx = tc();
+    let (s, x) = (LockMode::Shared, LockMode::Exclusive);
+    let script = [
+        (1, k3, x, Grant::Acquired),
+        (2, k2, s, Grant::Acquired),
+        (3, k2, s, Grant::Acquired),
+        (4, k2, x, Grant::Wait),
+        (2, k1, x, Grant::Acquired),
+        (3, k1, s, Grant::Wait),
+        (1, low, s, Grant::Acquired),
+        (5, low, x, Grant::Wait),
+        (6, k3, s, Grant::Wait),
+        (2, high, s, Grant::Acquired),
+        (7, high, s, Grant::Acquired),
+    ];
+    for (txn, key, mode, want) in script {
+        assert_eq!(lm.acquire_wait(txn, key, mode, &mut tcx).unwrap(), want);
+    }
+    assert_eq!(
+        lm.snapshot(),
+        vec![
+            (1119, s, vec![1], vec![5]),
+            (1000, x, vec![2], vec![3]),
+            (1059, s, vec![2, 3], vec![4]),
+            (1118, x, vec![1], vec![6]),
+            (1, s, vec![2, 7], vec![]),
+        ],
+        "snapshot order or content moved"
+    );
+}
