@@ -27,6 +27,10 @@ pub const ORDER: usize = 64;
 const NODE_BYTES: u64 = 1152;
 /// Offset of the key area within a node's simulated layout.
 const KEYS_OFF: u64 = 16;
+/// Room for an insert's root-to-leaf path. A split leaves each half of an
+/// internal node at least `ORDER / 2 + 1` children, so a tree of `u32`
+/// node ids is at most 8 levels high.
+const MAX_HEIGHT: usize = 16;
 
 #[derive(Debug)]
 enum Node {
@@ -121,15 +125,22 @@ impl BTree {
         tc.load(addr + KEYS_OFF + (probe + len * 4).min(len * 8 - 8), 8);
     }
 
-    /// Descend to the leaf that should contain `key`, recording the path.
-    fn find_leaf(&self, key: u64, tc: &mut TraceCtx, region: u16, path: &mut Vec<u32>) -> u32 {
+    /// Descend to the leaf that should contain `key`, handing each
+    /// internal node passed through to `parent`, root first.
+    fn find_leaf(
+        &self,
+        key: u64,
+        tc: &mut TraceCtx,
+        region: u16,
+        mut parent: impl FnMut(u32),
+    ) -> u32 {
         let mut node = self.root;
         loop {
             self.visit_node(node, key, tc, region);
             match &self.nodes[node as usize] {
                 Node::Internal { keys, children, .. } => {
                     let idx = keys.partition_point(|&k| k <= key);
-                    path.push(node);
+                    parent(node);
                     node = children[idx];
                 }
                 Node::Leaf { .. } => return node,
@@ -140,8 +151,7 @@ impl BTree {
     /// Point lookup.
     pub fn get(&self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
         let region = tc.r.btree_search;
-        let mut path = Vec::new();
-        let leaf = self.find_leaf(key, tc, region, &mut path);
+        let leaf = self.find_leaf(key, tc, region, |_| {});
         let Node::Leaf { keys, vals, .. } = &self.nodes[leaf as usize] else {
             unreachable!()
         };
@@ -157,8 +167,11 @@ impl BTree {
         tc: &mut TraceCtx,
     ) -> Result<()> {
         let region = tc.r.btree_insert;
-        let mut path = Vec::new();
-        let leaf = self.find_leaf(key, tc, region, &mut path);
+        let (mut path, mut depth) = ([0u32; MAX_HEIGHT], 0);
+        let leaf = self.find_leaf(key, tc, region, |node| {
+            path[depth] = node;
+            depth += 1;
+        });
         let (leaf_addr, pos) = {
             let Node::Leaf {
                 keys, vals, addr, ..
@@ -190,8 +203,10 @@ impl BTree {
             }
             tc.charge(region, instr::BTREE_SPLIT);
             let (sep, sibling) = self.split(child, space, tc);
-            match path.pop() {
-                Some(parent) => {
+            match depth.checked_sub(1) {
+                Some(up) => {
+                    depth = up;
+                    let parent = path[up];
                     let Node::Internal {
                         keys,
                         children,
@@ -270,8 +285,7 @@ impl BTree {
     /// Remove a key (lazy: leaf-only). Returns the removed value.
     pub fn remove(&mut self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
         let region = tc.r.btree_insert;
-        let mut path = Vec::new();
-        let leaf = self.find_leaf(key, tc, region, &mut path);
+        let leaf = self.find_leaf(key, tc, region, |_| {});
         let Node::Leaf {
             keys, vals, addr, ..
         } = &mut self.nodes[leaf as usize]
@@ -295,8 +309,7 @@ impl BTree {
     /// Open a cursor over `[lo, hi]` (inclusive bounds).
     pub fn cursor(&self, lo: u64, hi: u64, tc: &mut TraceCtx) -> Cursor {
         let region = tc.r.btree_search;
-        let mut path = Vec::new();
-        let leaf = self.find_leaf(lo, tc, region, &mut path);
+        let leaf = self.find_leaf(lo, tc, region, |_| {});
         let Node::Leaf { keys, .. } = &self.nodes[leaf as usize] else {
             unreachable!()
         };

@@ -21,7 +21,7 @@ use crate::lockmgr::{Grant, LockMgr, LockMode};
 use crate::schema::Schema;
 use crate::tctx::TraceCtx;
 use crate::txn::{Txn, TxnId, TxnState, UndoRec};
-use crate::types::{Row, Value};
+use crate::types::{Columns, Row, Value};
 use crate::wal::{Wal, WalRecord};
 
 /// Simulated lock-table buckets, for every backend: one 64 B line each
@@ -30,8 +30,11 @@ use crate::wal::{Wal, WalRecord};
 /// lock tables store live entries only, so no host structure depends on it.
 const LOCK_TABLE_BUCKETS: usize = 64 * 1024;
 
-/// Key-extraction function for an index: row + rid → packed u64 key.
-pub type KeyFn = Box<dyn Fn(&[Value], Rid) -> u64 + Send + Sync>;
+/// Key-extraction function for an index: row + rid → packed u64 key. The
+/// row is a materialised one on insert and delete, and the tuple's page
+/// image when [`Database::create_index`] indexes the rows already there,
+/// so a key function decodes only the columns it reads.
+pub type KeyFn = Box<dyn Fn(&dyn Columns, Rid) -> u64 + Send + Sync>;
 
 /// The whole database instance.
 pub struct Database {
@@ -174,27 +177,25 @@ impl Database {
     }
 
     /// Create an index over `table` with `key_fn`; existing rows are
-    /// indexed immediately.
-    pub fn create_index(&mut self, table: TableId, key_fn: KeyFn) -> IndexId {
+    /// indexed immediately, each key read off the tuple's page image.
+    ///
+    /// Two rows with one key are [`EngineError::DuplicateKey`]: `key_fn`
+    /// is wrong for the table. The index is then not created, but the
+    /// simulated address space keeps the nodes the build allocated.
+    pub fn create_index(&mut self, table: TableId, key_fn: KeyFn) -> Result<IndexId> {
         let id = self.indexes.len();
         let mut tree = BTree::new(&self.space);
         let mut tc = self.null_ctx();
         for rid in self.heaps[table].rids() {
             if let Some(tuple) = self.heaps[table].read_at(rid, &mut tc) {
-                let key = key_fn(&tuple.to_row(), rid);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "a duplicate key here means the caller's key_fn is wrong for this table — a programming error at schema-definition time, not a runtime condition"
-                )]
-                tree.insert(key, rid.pack(), &self.space, &mut tc)
-                    .expect("index build: duplicate key");
+                tree.insert(key_fn(&tuple, rid), rid.pack(), &self.space, &mut tc)?;
             }
         }
         self.indexes.push(tree);
         self.index_table.push(table);
         self.key_fns.push(key_fn);
         self.catalog.add_index(table, id);
-        id
+        Ok(id)
     }
 
     /// Traced catalog lookup by table name.
@@ -455,7 +456,7 @@ impl Database {
         let bytes = self.heaps[table].schema.row_width() as u32;
         self.wal.append(WalRecord::Insert { bytes }, tc);
         for &idx in &self.catalog.table(table).indexes {
-            let ikey = (self.key_fns[idx])(row, rid);
+            let ikey = (self.key_fns[idx])(&row, rid);
             self.indexes[idx].insert(ikey, rid.pack(), &self.space, tc)?;
             did(RowStep::Indexed(idx, ikey));
         }
@@ -664,7 +665,9 @@ mod tests {
             "accounts",
             Schema::new(vec![("id", ColType::Int), ("balance", ColType::Decimal)]),
         );
-        let idx = db.create_index(t, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+        let idx = db
+            .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
+            .unwrap();
         (db, t, idx)
     }
 
@@ -1011,8 +1014,9 @@ mod tests {
             if indexed[t] {
                 // Unique whatever the rows hold, and scattered, so inserts
                 // land mid-leaf and splits interleave with heap pages.
-                let key = |_: &[Value], rid: Rid| rid.pack().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                db.create_index(t, Box::new(key));
+                let key =
+                    |_: &dyn Columns, rid: Rid| rid.pack().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                db.create_index(t, Box::new(key)).unwrap();
             }
         }
         db

@@ -90,7 +90,9 @@ mod tests {
     #[test]
     fn inner_probe_matches_unique_keys() {
         let (mut db, t) = sample_db(40);
-        let idx = db.create_index(t, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+        let idx = db
+            .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
+            .unwrap();
         let mut tc = db.null_ctx();
         // Outer: ids 0..10 remapped so that outer col 0 = id*1 (self join
         // on id through the index).
@@ -114,7 +116,9 @@ mod tests {
     #[test]
     fn unmatched_probes_drop_or_pad() {
         let (mut db, t) = sample_db(20);
-        let idx = db.create_index(t, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+        let idx = db
+            .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
+            .unwrap();
         let mut tc = db.null_ctx();
         // Outer keys = id + 100 → no key matches the indexed 0..20.
         let shifted = |t| {
@@ -141,7 +145,9 @@ mod tests {
     #[test]
     fn null_keys_never_match() {
         let (mut db, t) = sample_db(5);
-        let idx = db.create_index(t, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+        let idx = db
+            .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
+            .unwrap();
         let mut tc = db.null_ctx();
         let nulls = Box::new(Project::new(Box::new(SeqScan::new(t)), vec![Scalar::Null]));
         let mut join = IndexJoin::new(nulls, 0, idx, JoinKind::Inner);

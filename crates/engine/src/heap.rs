@@ -13,7 +13,7 @@ use crate::error::{EngineError, Result};
 use crate::page::{SlotId, SlottedPage, PAGE_SIZE};
 use crate::schema::Schema;
 use crate::tctx::TraceCtx;
-use crate::types::{decode_row, encode_row, Row, TupleRef, Value};
+use crate::types::{decode_row, encode_row, encode_row_into, Row, TupleRef, Value};
 
 /// Row identifier: (page, slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,6 +50,8 @@ pub struct HeapTable {
     /// Page currently targeted by inserts.
     insert_page: u32,
     live_rows: usize,
+    /// The page image of the row being inserted, refilled per insert.
+    encoded: Vec<u8>,
 }
 
 impl HeapTable {
@@ -61,6 +63,7 @@ impl HeapTable {
             bp_addr: space.alloc(16 * 1024),
             insert_page: 0,
             live_rows: 0,
+            encoded: Vec::new(),
         }
     }
 
@@ -89,17 +92,17 @@ impl HeapTable {
             tc.r.tuple,
             instr::TUPLE_ENCODE + (self.schema.row_width() / 16) as u32,
         );
-        let bytes = encode_row(&self.schema, row)?;
+        encode_row_into(&self.schema, row, &mut self.encoded)?;
         if self.pages.is_empty() {
             self.new_page(space);
         }
         let mut page = self.insert_page;
-        if !self.pages[page as usize].fits(bytes.len()) {
+        if !self.pages[page as usize].fits(self.encoded.len()) {
             page = self.new_page(space);
             self.insert_page = page;
         }
         self.bp_probe(page, tc);
-        let slot = self.pages[page as usize].insert(&bytes, tc)?;
+        let slot = self.pages[page as usize].insert(&self.encoded, tc)?;
         self.live_rows += 1;
         Ok(Rid { page, slot })
     }

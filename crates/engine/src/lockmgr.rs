@@ -9,10 +9,13 @@
 //! into coherence traffic on an SMP and into shared-L2/L1-to-L1 transfers
 //! on a CMP (paper §5.2, Fig. 7).
 //!
-//! **Host storage:** live locks only, one ordered map from key to entry;
-//! the bucket count sizes nothing on the host. That map, the bucket
-//! lines, the compatibility matrix and the FIFO grant pass are the
-//! crate's one `LockTable`, which
+//! **Host storage:** live locks only, one hash map from key to entry under
+//! a fixed, seedless mixer (looked up by key only; the one pass over it,
+//! [`LockMgr::snapshot`], sorts by bucket and key); the bucket count sizes
+//! nothing on the host, and a released entry's holder and waiter buffers
+//! serve the next fresh entry, so a lock cycle allocates nothing. That
+//! map, the bucket lines, the compatibility matrix and the FIFO grant pass
+//! are the crate's one `LockTable`, which
 //! [`DeterministicOrdered`](crate::cc::DeterministicOrdered) queues its
 //! declarations in too.
 //!
@@ -40,7 +43,9 @@
 //! scheduler the transactions it must resume, in grant order
 //! (determinism).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::costs::instr;
@@ -115,6 +120,36 @@ struct LockEntry {
     waiters: VecDeque<Waiter>,
 }
 
+/// Hashes a `u64` lock key by splitmix64's finaliser, so every key bit
+/// reaches both the bits a hash table indexes by and the bits it tags
+/// with. It takes no seed: the map's layout is the same in every run.
+#[derive(Debug, Default)]
+struct KeyMix(u64);
+
+impl Hasher for KeyMix {
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "looked up by key only, under a fixed seedless hasher; the one pass over it, `LockTable::snapshot`, sorts by (bucket, key)"
+)]
+type Entries = std::collections::HashMap<u64, LockEntry, BuildHasherDefault<KeyMix>>;
+
 /// What [`LockTable::admit`] decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admit {
@@ -138,7 +173,9 @@ pub(crate) enum Admit {
 #[derive(Debug)]
 pub(crate) struct LockTable {
     /// Live locks by key (each entry has a holder or a waiter).
-    entries: BTreeMap<u64, LockEntry>,
+    entries: Entries,
+    /// Released entries, emptied, whose buffers the next fresh entry takes.
+    free: Vec<LockEntry>,
     /// Simulated base address; bucket i lives at `addr + i*64`.
     addr: u64,
     mask: u64,
@@ -154,7 +191,8 @@ impl LockTable {
     pub(crate) fn new(space: &AddressSpace, n_buckets: usize) -> Self {
         let n = n_buckets.next_power_of_two().max(64);
         LockTable {
-            entries: BTreeMap::new(),
+            entries: Entries::default(),
+            free: Vec::new(),
             addr: space.alloc(n as u64 * 64),
             mask: (n - 1) as u64,
             contention: 0,
@@ -186,17 +224,19 @@ impl LockTable {
     /// the front, since it already holds the lock and everyone behind it
     /// needs the lock free.
     pub(crate) fn admit(&mut self, txn: TxnId, key: u64, mode: LockMode, queue: bool) -> Admit {
-        let Some(e) = self.entries.get_mut(&key) else {
-            let (holders, waiters) = (vec![txn], VecDeque::new());
-            self.entries.insert(
-                key,
-                LockEntry {
+        let e = match self.entries.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(slot) => {
+                let mut e = self.free.pop().unwrap_or_else(|| LockEntry {
                     mode,
-                    holders,
-                    waiters,
-                },
-            );
-            return Admit::Wrote(Grant::Acquired);
+                    holders: Vec::new(),
+                    waiters: VecDeque::new(),
+                });
+                e.mode = mode;
+                e.holders.push(txn);
+                slot.insert(e);
+                return Admit::Wrote(Grant::Acquired);
+            }
         };
         let holds = e.holders.contains(&txn);
         let w = Waiter {
@@ -243,10 +283,7 @@ impl LockTable {
     ) -> Vec<(TxnId, bool)> {
         tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
         tc.store(self.bucket_addr(key), 16);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.holders.retain(|&t| t != txn);
-        }
-        self.grant_pass(key, tc)
+        self.grant_pass(key, tc, |e| e.holders.retain(|&t| t != txn))
     }
 
     /// Drop `txn`'s queued request on `key` and run the grant pass (its
@@ -257,21 +294,25 @@ impl LockTable {
         key: u64,
         tc: &mut TraceCtx,
     ) -> Vec<(TxnId, bool)> {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.waiters.retain(|w| w.txn != txn);
-        }
-        self.grant_pass(key, tc)
+        self.grant_pass(key, tc, |e| e.waiters.retain(|w| w.txn != txn))
     }
 
-    /// FIFO grant pass over `key`'s entry: grant from the front while the
-    /// front request is grantable, and drop the entry once it has neither
-    /// holder nor waiter. Returns `(txn, upgrade)` for each grant, in grant
-    /// order.
-    fn grant_pass(&mut self, key: u64, tc: &mut TraceCtx) -> Vec<(TxnId, bool)> {
+    /// FIFO grant pass over `key`'s entry, after `depart` takes a holder
+    /// or waiter off it: grant from the front while the front request is
+    /// grantable, and drop the entry once it has neither holder nor
+    /// waiter. Returns `(txn, upgrade)` for each grant, in grant order.
+    fn grant_pass(
+        &mut self,
+        key: u64,
+        tc: &mut TraceCtx,
+        depart: impl FnOnce(&mut LockEntry),
+    ) -> Vec<(TxnId, bool)> {
         let mut granted = Vec::new();
-        let Some(e) = self.entries.get_mut(&key) else {
+        let Entry::Occupied(mut slot) = self.entries.entry(key) else {
             return granted;
         };
+        let e = slot.get_mut();
+        depart(e);
         while let Some(w) = e.waiters.pop_front_if(|w| w.grantable(&e.holders, e.mode)) {
             if w.upgrade {
                 e.mode = LockMode::Exclusive;
@@ -284,7 +325,7 @@ impl LockTable {
             granted.push((w.txn, w.upgrade));
         }
         if e.holders.is_empty() && e.waiters.is_empty() {
-            self.entries.remove(&key);
+            self.free.push(slot.remove());
         }
         if !granted.is_empty() {
             self.write_line(key, tc);
@@ -319,7 +360,7 @@ impl LockTable {
                 (key, e.mode, e.holders.clone(), waiters)
             })
             .collect();
-        out.sort_by_key(|e| self.bucket_of(e.0));
+        out.sort_unstable_by_key(|e| (self.bucket_of(e.0), e.0));
         out
     }
 }

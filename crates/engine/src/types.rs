@@ -153,6 +153,19 @@ impl Columns for Row {
     }
 }
 
+/// A borrowed row reads as the row (a `&[Value]` is then a `&dyn Columns`).
+impl<C: Columns + ?Sized> Columns for &C {
+    #[inline]
+    fn col(&self, i: usize) -> Cow<'_, Value> {
+        (**self).col(i)
+    }
+
+    #[inline]
+    fn col_into(&self, i: usize, out: &mut Value) {
+        (**self).col_into(i, out);
+    }
+}
+
 /// A tuple where it lies: its table's schema plus its bytes in the page
 /// image. This is what a heap read hands out. Nothing is decoded until a
 /// column is asked for, and nothing is allocated until [`Self::to_row`]:
@@ -200,13 +213,22 @@ impl Columns for TupleRef<'_> {
 
 /// Encode a row into its fixed-width page image.
 pub fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_row_into(schema, row, &mut out)?;
+    Ok(out)
+}
+
+/// Encode a row into `out`, replacing what it held: a buffer refilled per
+/// row allocates only for the first.
+pub(crate) fn encode_row_into(schema: &Schema, row: &[Value], out: &mut Vec<u8>) -> Result<()> {
     if row.len() != schema.columns().len() {
         return Err(EngineError::TypeMismatch {
             expected: "row arity",
             got: "mismatch",
         });
     }
-    let mut out = vec![0u8; schema.row_width()];
+    out.clear();
+    out.resize(schema.row_width(), 0);
     for (i, v) in row.iter().enumerate() {
         let col = &schema.columns()[i];
         let off = schema.offset(i);
@@ -236,7 +258,7 @@ pub fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode a full row from its page image.

@@ -671,3 +671,182 @@ fn lock_table_snapshot_is_pinned() {
         "snapshot order or content moved"
     );
 }
+
+/// Nine keys, three in each of three buckets of a 64-bucket table, so that
+/// bucket order and key order disagree.
+fn colliding_keys() -> Vec<u64> {
+    let mut by_bucket: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut keys = Vec::new();
+    for k in 1000u64.. {
+        let bucket = by_bucket.entry(bucket64(k)).or_default();
+        bucket.push(k);
+        if bucket.len() == 3 {
+            keys.extend_from_slice(bucket);
+            if keys.len() == 9 {
+                break;
+            }
+        }
+    }
+    keys
+}
+
+/// A [`LockMgr`] run by the round-robin scheduler over
+/// [`colliding_keys`], with a ledger of who holds what (and whether
+/// exclusively, upgrades included). Each woken transaction retries at
+/// once, so the ledger and the scheduler's states name every holder and
+/// waiter the table has.
+struct Reference {
+    lm: LockMgr,
+    tcx: TraceCtx,
+    keys: Vec<u64>,
+    pc: Vec<usize>,
+    state: Vec<St>,
+    ledger: BTreeMap<u64, Vec<(usize, bool)>>,
+}
+
+impl Reference {
+    fn id(i: usize) -> u64 {
+        (i + 1) as u64
+    }
+
+    /// Release every lock txn `i` holds, and end it.
+    fn finish(&mut self, i: usize) {
+        for (&key, holders) in &mut self.ledger {
+            if holders.iter().any(|h| h.0 == i) {
+                self.lm.release(Self::id(i), key, &mut self.tcx);
+                holders.retain(|h| h.0 != i);
+            }
+        }
+        self.ledger.retain(|_, holders| !holders.is_empty());
+        self.state[i] = St::Done;
+    }
+
+    /// Txn `i` commits, or makes (or retries) its next acquire.
+    fn step(&mut self, scripts: &[Vec<(usize, bool)>], i: usize) {
+        let Some(&(k, excl)) = scripts[i].get(self.pc[i]) else {
+            return self.finish(i);
+        };
+        let key = self.keys[k];
+        let mode = if excl {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        };
+        match self.lm.acquire_wait(Self::id(i), key, mode, &mut self.tcx) {
+            Ok(Grant::Wait) => self.state[i] = St::Blocked,
+            Ok(_) => {
+                record(&mut self.ledger, key, i, excl);
+                self.pc[i] += 1;
+                self.state[i] = St::Ready;
+            }
+            Err(EngineError::Deadlock { .. }) => {
+                self.lm.cancel_wait(Self::id(i), &mut self.tcx);
+                self.finish(i);
+            }
+            Err(e) => panic!("unexpected engine error: {e}"),
+        }
+    }
+
+    /// The live entries the ledger implies, ordered by `(bucket, key)`,
+    /// holders and waiters sorted.
+    fn expected(&self, scripts: &[Vec<(usize, bool)>]) -> Vec<(u64, LockMode, Vec<u64>, Vec<u64>)> {
+        let mut reference = BTreeMap::new();
+        for (&key, holders) in &self.ledger {
+            let mode = if holders.iter().any(|h| h.1) {
+                LockMode::Exclusive
+            } else {
+                LockMode::Shared
+            };
+            let mut ids: Vec<u64> = holders.iter().map(|h| Self::id(h.0)).collect();
+            ids.sort_unstable();
+            reference.insert((bucket64(key), key), (key, mode, ids, Vec::new()));
+        }
+        for i in (0..scripts.len()).filter(|&i| self.state[i] == St::Blocked) {
+            let key = self.keys[scripts[i][self.pc[i]].0];
+            let entry = reference.get_mut(&(bucket64(key), key));
+            prop_assert!(
+                entry.is_some(),
+                "txn {} waits on {} with no holder",
+                i + 1,
+                key
+            );
+            if let Some(entry) = entry {
+                entry.3.push(Self::id(i));
+            }
+        }
+        reference.into_values().collect()
+    }
+}
+
+/// Run `scripts` (indexes into [`colliding_keys`]) and check after every
+/// step that the snapshot equals [`Reference::expected`], a `BTreeMap`
+/// keyed by `(bucket, key)`.
+fn run_against_reference(scripts: &[Vec<(usize, bool)>]) {
+    let n = scripts.len();
+    let space = AddressSpace::new();
+    let mut r = Reference {
+        lm: LockMgr::new(&space, 64),
+        tcx: tc(),
+        keys: colliding_keys(),
+        pc: vec![0; n],
+        state: vec![St::Ready; n],
+        ledger: BTreeMap::new(),
+    };
+    let mut rr = 0usize;
+    for _ in 0..10_000 {
+        let Some(i) = (0..n)
+            .map(|k| (rr + k) % n)
+            .find(|&k| r.state[k] == St::Ready)
+        else {
+            break;
+        };
+        rr = (i + 1) % n;
+        r.step(scripts, i);
+        let mut woken = r.lm.drain_woken();
+        while !woken.is_empty() {
+            for t in woken {
+                let k = (t - 1) as usize;
+                if r.state[k] == St::Blocked {
+                    r.step(scripts, k);
+                }
+            }
+            woken = r.lm.drain_woken();
+        }
+        let got: Vec<_> =
+            r.lm.snapshot()
+                .into_iter()
+                .map(|(key, mode, mut holders, mut waiters)| {
+                    holders.sort_unstable();
+                    waiters.sort_unstable();
+                    (key, mode, holders, waiters)
+                })
+                .collect();
+        prop_assert_eq!(
+            got,
+            r.expected(scripts),
+            "snapshot vs the (bucket, key) reference"
+        );
+    }
+    prop_assert!(
+        r.state.iter().all(|&s| s == St::Done),
+        "scripts must finish"
+    );
+    prop_assert_eq!(r.lm.live_locks(), 0, "lock table must drain");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random scripts over keys that collide in buckets: after every step
+    /// the snapshot lists exactly the live entries, ordered by bucket and
+    /// then by key.
+    #[test]
+    fn snapshot_matches_a_bucket_then_key_reference(
+        scripts in prop::collection::vec(
+            prop::collection::vec((0usize..9, any::<bool>()), 1..8),
+            2..6,
+        )
+    ) {
+        run_against_reference(&scripts);
+    }
+}

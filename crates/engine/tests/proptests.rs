@@ -195,7 +195,9 @@ proptest! {
             "t",
             Schema::new(vec![("k", ColType::Int), ("v", ColType::Int)]),
         );
-        let idx = db.create_index(t, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+        let idx = db
+            .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
+            .unwrap();
         let mut tcx = db.null_ctx();
 
         // Committed baseline: keys 0..10.

@@ -9,7 +9,8 @@ pub mod txns;
 
 use std::sync::Arc;
 
-use dbcmp_engine::{ColType, Database, Schema, Value};
+use dbcmp_engine::db::KeyFn;
+use dbcmp_engine::{ColType, Columns, Database, Schema, Value};
 use dbcmp_trace::AddressSpace;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -125,6 +126,12 @@ pub fn order_key(w: u64, d: u64, o: u64) -> u64 {
 
 pub fn order_line_key(w: u64, d: u64, o: u64, ol: u64) -> u64 {
     (w << 44) | (d << 36) | (o << 8) | ol
+}
+
+/// Column `i` of an indexed row: one of the integer ids the key packers
+/// take.
+fn id(row: &dyn Columns, i: usize) -> u64 {
+    row.col(i).as_i64().expect("TPC-C keys are integer ids") as u64
 }
 
 /// Build and populate the TPC-C database.
@@ -387,83 +394,50 @@ pub fn build_tpcc_range(
     load.finish().expect("populate commit");
 
     // ---- indexes ----
-    let idx_warehouse = db.create_index(
-        warehouse,
-        Box::new(|row, _| wh_key(row[0].as_i64().unwrap() as u64)),
-    );
-    let idx_district = db.create_index(
+    let index = |db: &mut Database, table, key: KeyFn| {
+        db.create_index(table, key)
+            .expect("every TPC-C key packs a row's whole primary key")
+    };
+    let idx_warehouse = index(&mut db, warehouse, Box::new(|row, _| wh_key(id(row, 0))));
+    let idx_district = index(
+        &mut db,
         district,
-        Box::new(|row, _| {
-            dist_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-            )
-        }),
+        Box::new(|row, _| dist_key(id(row, 0), id(row, 1))),
     );
-    let idx_customer = db.create_index(
+    let idx_customer = index(
+        &mut db,
+        customer,
+        Box::new(|row, _| cust_key(id(row, 0), id(row, 1), id(row, 2))),
+    );
+    let idx_customer_name = index(
+        &mut db,
         customer,
         Box::new(|row, _| {
-            cust_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-                row[2].as_i64().unwrap() as u64,
-            )
+            let last = row.col(3);
+            let last = last.as_str().expect("C_LAST is a string column");
+            cust_name_key(id(row, 0), id(row, 1), last, id(row, 2))
         }),
     );
-    let idx_customer_name = db.create_index(
-        customer,
-        Box::new(|row, _| {
-            cust_name_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-                row[3].as_str().unwrap(),
-                row[2].as_i64().unwrap() as u64,
-            )
-        }),
-    );
-    let idx_item = db.create_index(
-        item,
-        Box::new(|row, _| item_key(row[0].as_i64().unwrap() as u64)),
-    );
-    let idx_stock = db.create_index(
+    let idx_item = index(&mut db, item, Box::new(|row, _| item_key(id(row, 0))));
+    let idx_stock = index(
+        &mut db,
         stock,
-        Box::new(|row, _| {
-            stock_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-            )
-        }),
+        Box::new(|row, _| stock_key(id(row, 0), id(row, 1))),
     );
-    let idx_orders = db.create_index(
+    let idx_orders = index(
+        &mut db,
         orders,
-        Box::new(|row, _| {
-            order_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-                row[2].as_i64().unwrap() as u64,
-            )
-        }),
+        Box::new(|row, _| order_key(id(row, 0), id(row, 1), id(row, 2))),
     );
-    let idx_new_order = db.create_index(
+    let idx_new_order = index(
+        &mut db,
         new_order,
-        Box::new(|row, _| {
-            order_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-                row[2].as_i64().unwrap() as u64,
-            )
-        }),
+        Box::new(|row, _| order_key(id(row, 0), id(row, 1), id(row, 2))),
     );
-    let idx_order_line = db.create_index(
+    let idx_order_line = index(
+        &mut db,
         order_line,
-        Box::new(|row, _| {
-            order_line_key(
-                row[0].as_i64().unwrap() as u64,
-                row[1].as_i64().unwrap() as u64,
-                row[2].as_i64().unwrap() as u64,
-                row[3].as_i64().unwrap() as u64,
-            )
-        }),
+        Box::new(|row, _| order_line_key(id(row, 0), id(row, 1), id(row, 2), id(row, 3))),
     );
 
     let handles = TpccDb {

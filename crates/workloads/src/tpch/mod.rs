@@ -11,7 +11,7 @@ pub mod queries;
 
 use std::sync::Arc;
 
-use dbcmp_engine::{ColType, Database, Schema, Value};
+use dbcmp_engine::{ColType, Columns, Database, Schema, Value};
 use dbcmp_trace::AddressSpace;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -374,8 +374,12 @@ pub fn build_tpch_range(
     }
     load.finish().expect("populate commit");
 
-    let idx_orders = db.create_index(orders, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
-    let idx_part = db.create_index(part, Box::new(|row, _| row[0].as_i64().unwrap() as u64));
+    let mut index = |table| {
+        let key = |row: &dyn Columns, _| row.col(0).as_i64().expect("integer key") as u64;
+        db.create_index(table, Box::new(key))
+            .expect("O_ORDERKEY and P_PARTKEY are unique")
+    };
+    let (idx_orders, idx_part) = (index(orders), index(part));
 
     let handles = TpchDb {
         scale,

@@ -18,13 +18,16 @@
 #   unresolved either side's interquartile range is wider than that
 #              bound, and not every change run beats every parent run;
 #   no worse   otherwise.
+# It ends with where the time went: one `--trace 1 --reps 1` run per side
+# and workload, and each side's per-layer seconds and lock acquires from
+# those result lines.
 # Every run's result line is kept under $BENCH_PAIRS_DIR/runs/.
 #
 # The change side is the working tree as it stands, committed or not.
 # BENCH_PAIRS_DIR defaults to target/bench_pairs (git-ignored).
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,25p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,28p' "$0" >&2; exit 2; }
 parent_ref=$1
 pairs=${2:-10}
 shift; [ $# -gt 0 ] && shift
@@ -45,11 +48,11 @@ build() { # <checkout> <side>
 build "$dir/parent" parent
 build "$repo" change
 
-run() { # <side> <workload> <pair>
+run() { # <side> <workload> <tag> [trace=0] [reps=4]
     local checkout=$repo
     [ "$1" = parent ] && checkout=$dir/parent
     (cd "$checkout" && "$dir/$1-target/release/bench_pipeline" \
-        --workload "$2" --trace 0 --reps 4 | tail -n 1) >"$dir/runs/$2.$3.$1.json"
+        --workload "$2" --trace "${4:-0}" --reps "${5:-4}" | tail -n 1) >"$dir/runs/$2.$3.$1.json"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -61,6 +64,11 @@ for pair in $(seq 1 "$pairs"); do
         done
     done
     echo "pair $pair/$pairs done (${order[0]} first)" >&2
+done
+for w in "${workloads[@]}"; do
+    for side in parent change; do
+        run "$side" "$w" traced 1 1
+    done
 done
 
 python3 - "$repo/BENCHMARK.json" "$dir/runs" "$pairs" "${workloads[@]}" <<'EOF'
@@ -103,4 +111,18 @@ for w in workloads:
               f"| {mb:.3f} [{r1:.3f}, {r3:.3f}] "
               f"| {100 * (mb - ma) / ma:+.1f} % of {ma:.3f} | {better}/{pairs} "
               f"| {verdict} | {failed} |")
+
+layers = ["workloads.populate_s", "workloads.capture_s", "staged.capture_s",
+          "core.sweep_s", "engine.capture_self_s", "engine.cc_acquires"]
+print()
+print("Where the time went (one `--trace 1 --reps 1` run per side):")
+print()
+print("| workload | side | " + " | ".join(f"`{l}`" for l in layers) + " |")
+print("|---|---|" + "---|" * len(layers))
+for w in workloads:
+    for s in ("parent", "change"):
+        got = json.load(open(f"{runs}/{w}.traced.{s}.json"))["metrics"]
+        cells = ("–" if l not in got else f"{got[l]['value']:.3f}" if l.endswith("_s")
+                 else f"{got[l]['value']:.0f}" for l in layers)
+        print(f"| `{w}` | {s} | " + " | ".join(cells) + " |")
 EOF
