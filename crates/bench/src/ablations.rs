@@ -10,13 +10,16 @@
 //! 4. **L2 banking** (the Fig. 8 queueing mechanism) — 1 vs 8 banks at 8
 //!    cores, OLTP.
 
-use dbcmp_core::experiment::{run_throughput, RunSpec};
+use dbcmp_core::experiment::run_throughput;
+use dbcmp_core::figures::spec_of;
 use dbcmp_core::machines::{fc_cmp, L2Spec};
 use dbcmp_core::report::{f2, f3, pct, table};
 use dbcmp_core::taxonomy::WorkloadKind;
 use dbcmp_core::workload::{CapturedWorkload, FigScale};
 use dbcmp_sim::CoreKind;
 use dbcmp_trace::{Event, TraceBundle, Tracer};
+
+use crate::Page;
 
 /// Rewrite a bundle with every load marked independent.
 fn strip_dependences(bundle: &TraceBundle) -> TraceBundle {
@@ -44,18 +47,15 @@ fn strip_dependences(bundle: &TraceBundle) -> TraceBundle {
     TraceBundle::new(bundle.regions.clone(), threads)
 }
 
-pub fn ablations(scale: &FigScale) {
-    let spec = RunSpec {
-        warmup: scale.warmup,
-        measure: scale.measure,
-        max_cycles: u64::MAX,
-    };
+/// The four ablations at `scale`; tables only, no claims.
+pub fn ablations(mut out: Page, scale: &FigScale) -> Page {
+    let spec = spec_of(scale);
 
     let oltp = CapturedWorkload::saturated(WorkloadKind::Oltp, scale);
     let dss = CapturedWorkload::saturated(WorkloadKind::Dss, scale);
 
     // 1. Stream buffers.
-    println!("1. Instruction stream buffers (OLTP, FC CMP):");
+    out.line("1. Instruction stream buffers (OLTP, FC CMP):");
     let on = fc_cmp(4, 8 << 20, L2Spec::Cacti);
     let mut off = on.clone();
     off.stream_buf = 0;
@@ -73,19 +73,17 @@ pub fn ablations(scale: &FigScale) {
             pct(r_off.breakdown.instr_stall_fraction()),
         ],
     ];
-    print!(
-        "{}",
-        table(&["Stream buffers", "UIPC", "I-stall share"], &rows)
-    );
-    println!(
+    out.push(&table(&["Stream buffers", "UIPC", "I-stall share"], &rows));
+    out.line(&format!(
         "   -> buffers recover {:.0}% throughput\n",
         (r_on.uipc() / r_off.uipc() - 1.0) * 100.0
-    );
+    ));
 
     // 2. Dependence marking.
-    println!("2. Dependence marking (OLTP, FC CMP) — the ILP limiter:");
+    out.line("2. Dependence marking (OLTP, FC CMP) — the ILP limiter:");
+    // "As captured" is section 1's buffers-on run: same chip, bundle and spec.
+    let r_dep = &r_on;
     let stripped = strip_dependences(&oltp.bundle);
-    let r_dep = run_throughput(fc_cmp(4, 8 << 20, L2Spec::Cacti), &oltp.bundle, spec);
     let r_indep = run_throughput(fc_cmp(4, 8 << 20, L2Spec::Cacti), &stripped, spec);
     let rows = vec![
         vec![
@@ -97,14 +95,14 @@ pub fn ablations(scale: &FigScale) {
             f3(r_indep.uipc()),
         ],
     ];
-    print!("{}", table(&["Dependences", "UIPC"], &rows));
-    println!(
+    out.push(&table(&["Dependences", "UIPC"], &rows));
+    out.line(&format!(
         "   -> pointer chases cost the fat core {:.0}% throughput\n",
         (r_indep.uipc() / r_dep.uipc() - 1.0) * 100.0
-    );
+    ));
 
     // 3. MSHR sweep.
-    println!("3. MSHR count (DSS, FC CMP) — memory-level parallelism cap:");
+    out.line("3. MSHR count (DSS, FC CMP) — memory-level parallelism cap:");
     let mut rows = Vec::new();
     for mshrs in [1usize, 2, 4, 8] {
         let mut cfg = fc_cmp(4, 8 << 20, L2Spec::Cacti);
@@ -120,11 +118,11 @@ pub fn ablations(scale: &FigScale) {
             pct(r.breakdown.data_stall_fraction()),
         ]);
     }
-    print!("{}", table(&["MSHRs", "UIPC", "D-stall share"], &rows));
-    println!("   -> more outstanding misses, more scan overlap\n");
+    out.push(&table(&["MSHRs", "UIPC", "D-stall share"], &rows));
+    out.line("   -> more outstanding misses, more scan overlap\n");
 
     // 4. L2 banking at 8 cores.
-    println!("4. L2 banking (OLTP, 8-core FC CMP) — the Fig. 8 pressure knob:");
+    out.line("4. L2 banking (OLTP, 8-core FC CMP) — the Fig. 8 pressure knob:");
     let oltp_wide = CapturedWorkload::oltp(scale, 16, scale.oltp_units);
     let mut rows = Vec::new();
     for banks in [1usize, 2, 4, 8] {
@@ -137,9 +135,10 @@ pub fn ablations(scale: &FigScale) {
             f2(r.mem.l2_queue_cycles as f64 / r.mem.l2_queued_accesses.max(1) as f64),
         ]);
     }
-    print!(
-        "{}",
-        table(&["L2 banks", "UIPC", "Avg queue delay (cyc)"], &rows)
-    );
-    println!("   -> fewer banks, more correlated-miss queueing");
+    out.push(&table(
+        &["L2 banks", "UIPC", "Avg queue delay (cyc)"],
+        &rows,
+    ));
+    out.line("   -> fewer banks, more correlated-miss queueing");
+    out
 }

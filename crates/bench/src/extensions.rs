@@ -3,24 +3,22 @@
 //! scan and join DSS, shared-nothing deployments, and distributed joins
 //! over a network.
 
-use dbcmp_core::deploy::{fig_deploy as deploy_points, fig_deploy_claims};
+use dbcmp_core::deploy::{fig_deploy_claims, DeployPoint};
+use dbcmp_core::experiment::Grid;
 use dbcmp_core::figures::{
-    cc_backend_label, fig_asym as asym_grid, fig_asym_claims, fig_cc as cc_grid, fig_cc_claims,
-    fig_islands as islands_run, fig_islands_claims, topology_machines, ContendedCapture,
-    JoinsCaptureStats,
+    cc_backend_label, fig_asym_claims, fig_cc_claims, fig_islands_claims, topology_machines,
+    ContendedCapture, IslandsRun, JoinsCaptureStats,
 };
-use dbcmp_core::network::{
-    fig_network as network_points, fig_network_claims, network_presets, NETWORK_INSTANCES,
-};
-use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
-use dbcmp_core::FigScale;
+use dbcmp_core::network::{fig_network_claims, network_presets, NetworkPoint, NETWORK_INSTANCES};
+use dbcmp_core::report::{f2, f3, four_components, pct, table};
+use dbcmp_core::taxonomy::WorkloadKind;
 use dbcmp_sim::CycleClass;
+
+use crate::Page;
 
 /// The concurrency-control sweep ([`dbcmp_core::figures::fig_cc`]) on
 /// the CMP / 2x2-island / SMP presets.
-pub fn fig_cc(scale: &FigScale) {
-    let points = cc_grid(scale);
-
+pub fn fig_cc(mut out: Page, points: &Grid<ContendedCapture, &'static str>) -> Page {
     let mut rows = Vec::new();
     for p in &points.rows {
         let ContendedCapture {
@@ -44,26 +42,23 @@ pub fn fig_cc(scale: &FigScale) {
             f3(p.get(&"ISLAND 2x2").cpi()),
         ]);
     }
-    print!(
-        "{}",
-        table(
-            &[
-                "CC",
-                "Hot",
-                "Parks",
-                "Deadlocks",
-                "RemoteMsgs",
-                "Fallbacks",
-                "SMP CPI",
-                "SMP D-stall",
-                "CMP CPI",
-                "CMP D-stall",
-                "ISL CPI",
-            ],
-            &rows
-        )
-    );
-    println!();
+    out.push(&table(
+        &[
+            "CC",
+            "Hot",
+            "Parks",
+            "Deadlocks",
+            "RemoteMsgs",
+            "Fallbacks",
+            "SMP CPI",
+            "SMP D-stall",
+            "CMP CPI",
+            "CMP D-stall",
+            "ISL CPI",
+        ],
+        &rows,
+    ));
+    out.line("");
 
     // Per-backend SMP-vs-CMP delta at the hottest skew point.
     let hottest = points.rows.iter().map(|p| p.key.hot_pct).max();
@@ -72,7 +67,7 @@ pub fn fig_cc(scale: &FigScale) {
         .iter()
         .filter(|p| Some(p.key.hot_pct) == hottest)
     {
-        println!(
+        out.line(&format!(
             "{:<6} skew={}%:  SMP/CMP CPI ratio {:.3},  deadlock aborts {},  \
              exec waits {},  ordering waits {}",
             cc_backend_label(p.key.backend),
@@ -81,17 +76,18 @@ pub fn fig_cc(scale: &FigScale) {
             p.key.stats.deadlock_aborts,
             p.key.stats.lock_waits,
             p.key.stats.ordering_waits,
-        );
+        ));
     }
-    println!();
-    print!("{}", claims_block(&fig_cc_claims(&points)));
+    out.claims(fig_cc_claims(points))
 }
 
 /// The asymmetric-CMP ratio sweep ([`dbcmp_core::figures::fig_asym`]).
-pub fn fig_asym(scale: &FigScale) {
-    let points = asym_grid(scale);
+pub fn fig_asym(mut out: Page, points: &Grid<WorkloadKind, (usize, usize)>) -> Page {
     for row in &points.rows {
-        println!("\n-- {} (saturated, throughput mode) --", row.key.label());
+        out.line(&format!(
+            "\n-- {} (saturated, throughput mode) --",
+            row.key.label()
+        ));
         let rows: Vec<Vec<String>> = row
             .cells
             .iter()
@@ -108,24 +104,20 @@ pub fn fig_asym(scale: &FigScale) {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            table(
-                &[
-                    "Slots",
-                    "UIPC",
-                    "Units/Mcyc",
-                    "Computation",
-                    "I-stalls",
-                    "D-stalls",
-                    "Other",
-                ],
-                &rows
-            )
-        );
+        out.push(&table(
+            &[
+                "Slots",
+                "UIPC",
+                "Units/Mcyc",
+                "Computation",
+                "I-stalls",
+                "D-stalls",
+                "Other",
+            ],
+            &rows,
+        ));
     }
-    println!();
-    print!("{}", claims_block(&fig_asym_claims(&points)));
+    out.claims(fig_asym_claims(points))
 }
 
 fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
@@ -142,30 +134,25 @@ fn attribution_row(tag: &str, s: &JoinsCaptureStats) -> Vec<String> {
 
 /// The topology sweep ([`dbcmp_core::figures::fig_islands`]) at Fig. 7's
 /// core count and total L2, over OLTP, scan DSS and join DSS.
-pub fn fig_islands(scale: &FigScale) {
-    let run = islands_run(scale);
-
-    println!("-- capture attribution (where the instructions went) --");
-    print!(
-        "{}",
-        table(
-            &[
-                "capture",
-                "instrs",
-                "hash-join",
-                "nested-loop",
-                "btree-search",
-                "data WS",
-            ],
-            &[
-                attribution_row("scan DSS (Q1/Q6/Q13/Q16)", &run.scan),
-                attribution_row("join DSS (Q3/Q5)", &run.joins),
-            ],
-        )
-    );
+pub fn fig_islands(mut out: Page, run: &IslandsRun) -> Page {
+    out.line("-- capture attribution (where the instructions went) --");
+    out.push(&table(
+        &[
+            "capture",
+            "instrs",
+            "hash-join",
+            "nested-loop",
+            "btree-search",
+            "data WS",
+        ],
+        &[
+            attribution_row("scan DSS (Q1/Q6/Q13/Q16)", &run.scan),
+            attribution_row("join DSS (Q3/Q5)", &run.joins),
+        ],
+    ));
 
     for row in &run.grid.rows {
-        println!("\n-- {} (saturated, throughput mode) --", row.key);
+        out.line(&format!("\n-- {} (saturated, throughput mode) --", row.key));
         let rows: Vec<Vec<String>> = topology_machines()
             .iter()
             .map(|(tag, cfg)| {
@@ -200,26 +187,26 @@ pub fn fig_islands(scale: &FigScale) {
             "Other",
             "L2 miss%",
         ];
-        print!("{}", table(&headers, &rows));
+        out.push(&table(&headers, &rows));
     }
-    println!();
-    println!("CMP and SMP are Fig. 7's presets replaying Fig. 7's captures, so");
-    println!("their OLTP and scan DSS cells are Fig. 7's runs. Moving right,");
-    println!("islands get faster-but-smaller caches; the join rows add the");
-    println!("hash-table and B+Tree working sets.");
-    println!();
-    print!("{}", claims_block(&fig_islands_claims(&run)));
+    out.line("");
+    out.line("CMP and SMP are Fig. 7's presets replaying Fig. 7's captures, so");
+    out.line("their OLTP and scan DSS cells are Fig. 7's runs. Moving right,");
+    out.line("islands get faster-but-smaller caches; the join rows add the");
+    out.line("hash-table and B+Tree working sets.");
+    out.claims(fig_islands_claims(run))
 }
 
 /// The shared-nothing deployment sweep ([`dbcmp_core::deploy`]) at
 /// Fig. 7's core count and total L2.
-pub fn fig_deploy(scale: &FigScale) {
-    let points = deploy_points(scale);
+pub fn fig_deploy(mut out: Page, points: &[DeployPoint]) -> Page {
     let mut multi_pcts: Vec<u8> = points.iter().map(|p| p.multi_pct).collect();
     multi_pcts.dedup();
 
     for multi_pct in multi_pcts {
-        println!("\n-- {multi_pct}% multi-warehouse transactions --");
+        out.line(&format!(
+            "\n-- {multi_pct}% multi-warehouse transactions --"
+        ));
         let rows: Vec<Vec<String>> = points
             .iter()
             .filter(|p| p.multi_pct == multi_pct)
@@ -237,45 +224,39 @@ pub fn fig_deploy(scale: &FigScale) {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            table(
-                &[
-                    "Deployment",
-                    "L2/inst",
-                    "Units",
-                    "UIPC*",
-                    "2-phase txns",
-                    "Messages",
-                    "Msg bytes",
-                    "Link stall%",
-                ],
-                &rows
-            )
-        );
+        out.push(&table(
+            &[
+                "Deployment",
+                "L2/inst",
+                "Units",
+                "UIPC*",
+                "2-phase txns",
+                "Messages",
+                "Msg bytes",
+                "Link stall%",
+            ],
+            &rows,
+        ));
     }
-    println!();
-    println!("Units (committed work in identical measure windows) is the");
-    println!("throughput metric; UIPC* is diagnostic only — the captures differ");
-    println!("in per-transaction instruction counts by design (lock-table");
-    println!("contention surcharge, two-phase remote flavors).");
-    println!();
-    println!("1x4c is one shared-everything engine (Fig. 7's CMP chip); 4x1c is");
-    println!("shared-nothing, one engine per core. Every crossing pays two-phase");
-    println!("NUMA-link messages (Link stall%) plus cold remote lines.");
-    println!();
-    print!("{}", claims_block(&fig_deploy_claims(&points)));
+    out.line("");
+    out.line("Units (committed work in identical measure windows) is the");
+    out.line("throughput metric; UIPC* is diagnostic only — the captures differ");
+    out.line("in per-transaction instruction counts by design (lock-table");
+    out.line("contention surcharge, two-phase remote flavors).");
+    out.line("");
+    out.line("1x4c is one shared-everything engine (Fig. 7's CMP chip); 4x1c is");
+    out.line("shared-nothing, one engine per core. Every crossing pays two-phase");
+    out.line("NUMA-link messages (Link stall%) plus cold remote lines.");
+    out.claims(fig_deploy_claims(points))
 }
 
 /// The distributed-join network sweep ([`dbcmp_core::network`]).
-pub fn fig_network(scale: &FigScale) {
-    let points = network_points(scale);
-
+pub fn fig_network(mut out: Page, points: &[NetworkPoint]) -> Page {
     for (preset, link) in network_presets() {
-        println!(
+        out.line(&format!(
             "\n-- {preset} link ({} cycles one-way, {} B/cycle) --",
             link.latency_cycles, link.bytes_per_cycle
-        );
+        ));
         let rows: Vec<Vec<String>> = points
             .iter()
             .filter(|p| p.preset == preset)
@@ -293,27 +274,24 @@ pub fn fig_network(scale: &FigScale) {
                 ]
             })
             .collect();
-        print!(
-            "{}",
-            table(
-                &[
-                    "Instances",
-                    "Units",
-                    "Queries",
-                    "UIPC*",
-                    "Shuffles",
-                    "Bcasts",
-                    "Messages",
-                    "Msg bytes",
-                    "Link stall%",
-                ],
-                &rows
-            )
-        );
+        out.push(&table(
+            &[
+                "Instances",
+                "Units",
+                "Queries",
+                "UIPC*",
+                "Shuffles",
+                "Bcasts",
+                "Messages",
+                "Msg bytes",
+                "Link stall%",
+            ],
+            &rows,
+        ));
     }
 
     // The headline: per link class, does scaling out help or hurt?
-    println!("\n-- bandwidth vs compute (queries at n instances / queries at 1) --");
+    out.line("\n-- bandwidth vs compute (queries at n instances / queries at 1) --");
     let at = |preset: &str, n: usize| {
         points
             .iter()
@@ -331,22 +309,18 @@ pub fn fig_network(scale: &FigScale) {
             row
         })
         .collect();
-    print!(
-        "{}",
-        table(&["Link", "1 chip", "2 chips", "4 chips"], &rows)
-    );
+    out.push(&table(&["Link", "1 chip", "2 chips", "4 chips"], &rows));
 
-    println!();
-    println!("Every instance is a full Fig. 7 CMP chip (scale-out, not a split");
-    println!("budget), so the 1-chip row of every link class is the same replay");
-    println!("as fig_islands' join DSS CMP point — zero remote traffic, the");
-    println!("link is irrelevant. Adding chips adds compute and cache but ships");
-    println!("every hash join's build (broadcast) or both sides (shuffle) as");
-    println!("value-sized rows over the link. Units counts per-instance");
-    println!("fragment completions; Queries (= units / n, each fragment covers");
-    println!("1/n of the data) is the cross-point throughput the crossover is");
-    println!("read from. UIPC* is diagnostic only (exchange instructions");
-    println!("inflate the distributed captures by design).");
-    println!();
-    print!("{}", claims_block(&fig_network_claims(&points)));
+    out.line("");
+    out.line("Every instance is a full Fig. 7 CMP chip (scale-out, not a split");
+    out.line("budget), so the 1-chip row of every link class is the same replay");
+    out.line("as fig_islands' join DSS CMP point — zero remote traffic, the");
+    out.line("link is irrelevant. Adding chips adds compute and cache but ships");
+    out.line("every hash join's build (broadcast) or both sides (shuffle) as");
+    out.line("value-sized rows over the link. Units counts per-instance");
+    out.line("fragment completions; Queries (= units / n, each fragment covers");
+    out.line("1/n of the data) is the cross-point throughput the crossover is");
+    out.line("read from. UIPC* is diagnostic only (exchange instructions");
+    out.line("inflate the distributed captures by design).");
+    out.claims(fig_network_claims(points))
 }

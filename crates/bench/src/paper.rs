@@ -1,19 +1,23 @@
 //! Printers for the paper's own table and figures (Table 1, Figs. 1-9).
 
 use dbcmp_cacti::{historic_latencies, historic_sizes, CactiModel};
+use dbcmp_core::experiment::Grid;
 use dbcmp_core::figures::{
-    fig2_claims, fig2_saturation as fig2_points, fig3_claims, fig3_validation as fig3_run,
-    fig45_quadrants, fig4_claims, fig4_ratios, fig5_claims, fig6_cache_sweep, fig6_claims,
-    fig6_l2_sizes, fig7_claims, fig7_machines, fig7_smp_vs_cmp, fig8_claims, fig8_core_scaling,
-    fig9_claims, fig9_staged as fig9_rows,
+    fig2_claims, fig3_claims, fig4_claims, fig4_ratios, fig5_claims, fig6_claims, fig6_l2_sizes,
+    fig7_claims, fig7_machines, fig8_claims, fig9_claims, Fig9Result, ScalingPoint,
 };
-use dbcmp_core::report::{claims_block, f2, f3, four_components, pct, table};
+use dbcmp_core::report::{f2, f3, four_components, pct, table};
 use dbcmp_core::taxonomy::{table1, Camp, Saturation, WorkloadKind};
-use dbcmp_core::FigScale;
+use dbcmp_sim::analytic::Validation;
 use dbcmp_sim::{CycleClass, SimResult};
 
+use crate::Page;
+
+/// Figs. 4 and 5 read the same eight runs.
+pub type Quadrants = Grid<(WorkloadKind, Saturation), Camp>;
+
 /// Table 1: chip multiprocessor camp characteristics.
-pub fn table1_camps(_: &FigScale) {
+pub fn table1_camps(mut out: Page) -> Page {
     let rows: Vec<Vec<String>> = table1()
         .into_iter()
         .map(|r| {
@@ -24,19 +28,17 @@ pub fn table1_camps(_: &FigScale) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        table(
-            &["Core Technology", "Fat Camp (FC)", "Lean Camp (LC)"],
-            &rows
-        )
-    );
+    out.push(&table(
+        &["Core Technology", "Fat Camp (FC)", "Lean Camp (LC)"],
+        &rows,
+    ));
+    out
 }
 
 /// Fig. 1: historic on-chip cache sizes (a) and hit latencies (b), plus
 /// the CACTI-lite model curve for the paper-era technology point.
-pub fn fig1_cache_trends(_: &FigScale) {
-    println!("(a) On-chip cache size by processor generation");
+pub fn fig1_cache_trends(mut out: Page) -> Page {
+    out.line("(a) On-chip cache size by processor generation");
     let rows: Vec<Vec<String>> = historic_sizes()
         .iter()
         .map(|p| {
@@ -47,9 +49,9 @@ pub fn fig1_cache_trends(_: &FigScale) {
             ]
         })
         .collect();
-    print!("{}", table(&["Year", "Processor", "On-chip cache"], &rows));
+    out.push(&table(&["Year", "Processor", "On-chip cache"], &rows));
 
-    println!("\n(b) L2/LLC hit latency by processor generation");
+    out.line("\n(b) L2/LLC hit latency by processor generation");
     let rows: Vec<Vec<String>> = historic_latencies()
         .iter()
         .map(|p| {
@@ -60,9 +62,9 @@ pub fn fig1_cache_trends(_: &FigScale) {
             ]
         })
         .collect();
-    print!("{}", table(&["Year", "Processor", "Hit latency"], &rows));
+    out.push(&table(&["Year", "Processor", "Hit latency"], &rows));
 
-    println!("\nCACTI-lite model curve (65 nm, 3 GHz, 16-way):");
+    out.line("\nCACTI-lite model curve (65 nm, 3 GHz, 16-way):");
     let rows: Vec<Vec<String>> = CactiModel::paper_era()
         .sweep(&fig6_l2_sizes())
         .into_iter()
@@ -75,30 +77,28 @@ pub fn fig1_cache_trends(_: &FigScale) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        table(&["L2 size", "Access time", "Latency", "Area"], &rows)
-    );
+    out.push(&table(
+        &["L2 size", "Access time", "Latency", "Area"],
+        &rows,
+    ));
+    out
 }
 
 /// Fig. 2: throughput vs number of concurrent clients — the
 /// unsaturated→saturated transition (DSS queries on the FC CMP).
-pub fn fig2_saturation(scale: &FigScale) {
-    let pts = fig2_points(scale);
+pub fn fig2_saturation(mut out: Page, pts: &[(usize, f64)]) -> Page {
     let rows: Vec<Vec<String>> = pts
         .iter()
         .map(|&(n, t)| vec![n.to_string(), f2(t)])
         .collect();
-    print!("{}", table(&["Clients", "Norm. throughput"], &rows));
-    println!();
-    print!("{}", claims_block(&fig2_claims(&pts)));
+    out.push(&table(&["Clients", "Norm. throughput"], &rows));
+    out.claims(fig2_claims(pts))
 }
 
 /// Fig. 3: simulator validation. The paper compares FLEXUS CPI against a
 /// real OpenPower 720; we compare against the independent closed-form CPI
 /// model (substitution documented in DESIGN.md).
-pub fn fig3_validation(scale: &FigScale) {
-    let (v, res) = fig3_run(scale);
+pub fn fig3_validation(mut out: Page, (v, res): &(Validation, SimResult)) -> Page {
     let rows = [
         ("Simulated", &v.simulated),
         ("Analytic reference", &v.reference),
@@ -113,63 +113,56 @@ pub fn fig3_validation(scale: &FigScale) {
             f3(cpi.total()),
         ]
     });
-    print!(
-        "{}",
-        table(
-            &[
-                "Source",
-                "Computation",
-                "I-stalls",
-                "D-stalls",
-                "Other",
-                "Total CPI"
-            ],
-            &rows
-        )
-    );
-    println!();
-    println!("Total CPI relative error: {:.1}%", v.total_error() * 100.0);
-    println!("(paper: FLEXUS within 5% of hardware; our closed form ignores");
-    println!(" queueing/burstiness, so a wider band is expected — see DESIGN.md)");
-    println!();
-    println!(
+    out.push(&table(
+        &[
+            "Source",
+            "Computation",
+            "I-stalls",
+            "D-stalls",
+            "Other",
+            "Total CPI",
+        ],
+        &rows,
+    ));
+    out.line("");
+    out.line(&format!(
+        "Total CPI relative error: {:.1}%",
+        v.total_error() * 100.0
+    ));
+    out.line("(paper: FLEXUS within 5% of hardware; our closed form ignores");
+    out.line(" queueing/burstiness, so a wider band is expected — see DESIGN.md)");
+    out.line("");
+    out.line(&format!(
         "Run: {} instrs over {} cycles, UIPC {:.3}",
         res.instrs,
         res.cycles,
         res.uipc()
-    );
-    println!();
-    print!("{}", claims_block(&fig3_claims(&v)));
+    ));
+    out.claims(fig3_claims(v))
 }
 
 /// Fig. 4: (a) response time and (b) throughput of the LC CMP normalized
 /// to the FC CMP, for OLTP and DSS, unsaturated and saturated.
-pub fn fig4_camps(scale: &FigScale) {
-    let quadrants = fig45_quadrants(scale);
-    let ratios = fig4_ratios(&quadrants);
+pub fn fig4_camps(mut out: Page, quadrants: &Quadrants) -> Page {
+    let ratios = fig4_ratios(quadrants);
     let rows: Vec<Vec<String>> = ratios
         .iter()
         .map(|&(w, rt, tp)| vec![w.label().to_string(), f2(rt), f2(tp)])
         .collect();
-    print!(
-        "{}",
-        table(
-            &[
-                "Workload",
-                "LC/FC response time (unsat)",
-                "LC/FC throughput (sat)"
-            ],
-            &rows
-        )
-    );
-    println!();
-    print!("{}", claims_block(&fig4_claims(&quadrants)));
+    out.push(&table(
+        &[
+            "Workload",
+            "LC/FC response time (unsat)",
+            "LC/FC throughput (sat)",
+        ],
+        &rows,
+    ));
+    out.claims(fig4_claims(quadrants))
 }
 
 /// Fig. 5: execution-time breakdown for all eight camp × workload ×
 /// saturation combinations on the baseline chip (26 MB shared L2).
-pub fn fig5_breakdown(scale: &FigScale) {
-    let quadrants = fig45_quadrants(scale);
+pub fn fig5_breakdown(mut out: Page, quadrants: &Quadrants) -> Page {
     let mut rows = Vec::new();
     for workload in [WorkloadKind::Oltp, WorkloadKind::Dss] {
         for camp in [Camp::Fat, Camp::Lean] {
@@ -188,32 +181,27 @@ pub fn fig5_breakdown(scale: &FigScale) {
             }
         }
     }
-    print!(
-        "{}",
-        table(
-            &[
-                "Config",
-                "Saturation",
-                "Computation",
-                "I-stalls",
-                "D-stalls",
-                "Other",
-                "(D-L2hit)"
-            ],
-            &rows
-        )
-    );
-    println!();
-    print!("{}", claims_block(&fig5_claims(&quadrants)));
+    out.push(&table(
+        &[
+            "Config",
+            "Saturation",
+            "Computation",
+            "I-stalls",
+            "D-stalls",
+            "Other",
+            "(D-L2hit)",
+        ],
+        &rows,
+    ));
+    out.claims(fig5_claims(quadrants))
 }
 
 /// Fig. 6: effect of L2 cache size and latency — (a) throughput under
 /// fixed 4-cycle vs realistic CACTI latencies, (b)/(c) CPI contributions.
-pub fn fig6_cache_size(scale: &FigScale) {
-    let (sizes, points) = (fig6_l2_sizes(), fig6_cache_sweep(scale));
-
+pub fn fig6_cache_size(mut out: Page, points: &Grid<WorkloadKind, (u64, bool)>) -> Page {
+    let sizes = fig6_l2_sizes();
     for row in &points.rows {
-        println!("\n-- {} --", row.key.label());
+        out.line(&format!("\n-- {} --", row.key.label()));
         // Normalize throughput to the 1 MB realistic point.
         let base = row.get(&(sizes[0], false)).uipc();
         let mut rows = Vec::new();
@@ -235,30 +223,25 @@ pub fn fig6_cache_size(scale: &FigScale) {
                 f2(l2.miss_rate() * 100.0),
             ]);
         }
-        print!(
-            "{}",
-            table(
-                &[
-                    "L2 size",
-                    "Thru (4-cyc)",
-                    "Thru (CACTI)",
-                    "CPI: L2-hit stalls",
-                    "CPI: all D-stalls",
-                    "CPI: total",
-                    "L2 miss%",
-                ],
-                &rows
-            )
-        );
+        out.push(&table(
+            &[
+                "L2 size",
+                "Thru (4-cyc)",
+                "Thru (CACTI)",
+                "CPI: L2-hit stalls",
+                "CPI: all D-stalls",
+                "CPI: total",
+                "L2 miss%",
+            ],
+            &rows,
+        ));
     }
-    println!();
-    print!("{}", claims_block(&fig6_claims(&points)));
+    out.claims(fig6_claims(points))
 }
 
 /// Fig. 7: effect of chip multiprocessing — SMP with private L2s vs CMP
 /// with a shared L2, normalized CPI breakdowns.
-pub fn fig7_smp_cmp(scale: &FigScale) {
-    let results = fig7_smp_vs_cmp(scale);
+pub fn fig7_smp_cmp(mut out: Page, results: &Grid<WorkloadKind, &'static str>) -> Page {
     let mut rows = Vec::new();
     for r in &results.rows {
         for (name, _) in fig7_machines() {
@@ -279,19 +262,18 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
             ]);
         }
     }
-    print!(
-        "{}",
-        table(
-            &["Config", "CPI", "Comp", "I-stalls", "L2-hit", "Other-D", "Other"],
-            &rows
-        )
-    );
-    println!();
+    out.push(&table(
+        &[
+            "Config", "CPI", "Comp", "I-stalls", "L2-hit", "Other-D", "Other",
+        ],
+        &rows,
+    ));
+    out.line("");
     // The L2's counters: where the demand traffic was actually served.
     let l2 = |res: &SimResult| res.mem.per_level[0];
     for r in &results.rows {
         let (smp, cmp) = (r.get(&"SMP"), r.get(&"CMP"));
-        println!(
+        out.line(&format!(
             "{} L2 traffic: SMP {} hits / {} misses ({} coherence transfers); \
              CMP {} hits / {} misses",
             r.key.label(),
@@ -300,42 +282,36 @@ pub fn fig7_smp_cmp(scale: &FigScale) {
             smp.mem.coherence_transfers,
             l2(cmp).hits_data + l2(cmp).hits_instr,
             l2(cmp).misses_data + l2(cmp).misses_instr,
-        );
+        ));
     }
-    println!();
-    print!("{}", claims_block(&fig7_claims(&results)));
-    println!();
-    println!("`fig fig_islands` joins these two presets as the endpoints of one");
-    println!("island continuum at fixed total capacity.");
+    out = out.claims(fig7_claims(results));
+    out.line("");
+    out.line("`fig fig_islands` joins these two presets as the endpoints of one");
+    out.line("island continuum at fixed total capacity.");
+    out
 }
 
 /// Fig. 8: effect of on-chip core count on throughput (FC CMP, 16 MB
 /// shared L2), against the linear-speedup reference.
-pub fn fig8_core_count(scale: &FigScale) {
-    let series = fig8_core_scaling(scale);
-    for (workload, pts) in &series {
-        println!("\n-- {} --", workload.label());
+pub fn fig8_core_count(mut out: Page, series: &[(WorkloadKind, Vec<ScalingPoint>)]) -> Page {
+    for (workload, pts) in series {
+        out.line(&format!("\n-- {} --", workload.label()));
         let rows: Vec<Vec<String>> = pts
             .iter()
             .map(|&(n, got, linear)| vec![n.to_string(), f2(got), f2(linear), f2(got / linear)])
             .collect();
-        print!(
-            "{}",
-            table(
-                &["Cores", "Norm. throughput", "Linear ref", "Efficiency"],
-                &rows
-            )
-        );
+        out.push(&table(
+            &["Cores", "Norm. throughput", "Linear ref", "Efficiency"],
+            &rows,
+        ));
     }
-    println!();
-    print!("{}", claims_block(&fig8_claims(&series)));
+    out.claims(fig8_claims(series))
 }
 
 /// §6 ablation (not a numbered paper figure): staged vs conventional
 /// execution — the "parallelism and locality" opportunities
 /// operationalized.
-pub fn fig9_staged(scale: &FigScale) {
-    let results = fig9_rows(scale);
+pub fn fig9_staged(mut out: Page, results: &[Fig9Result; 3]) -> Page {
     let base_lc = results[0].response_lc;
     let base_fc = results[0].response_fc;
     let base_instr = results[0].instrs_per_query;
@@ -351,19 +327,15 @@ pub fn fig9_staged(scale: &FigScale) {
             ]
         })
         .collect();
-    print!(
-        "{}",
-        table(
-            &[
-                "Policy",
-                "LC speedup (response)",
-                "FC speedup (response)",
-                "Instr. reduction",
-                "L1D miss rate",
-            ],
-            &rows
-        )
-    );
-    println!();
-    print!("{}", claims_block(&fig9_claims(&results)));
+    out.push(&table(
+        &[
+            "Policy",
+            "LC speedup (response)",
+            "FC speedup (response)",
+            "Instr. reduction",
+            "L1D miss rate",
+        ],
+        &rows,
+    ));
+    out.claims(fig9_claims(results))
 }

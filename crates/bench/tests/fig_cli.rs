@@ -1,8 +1,9 @@
 //! The `fig` command line, driven as a subprocess: stdout of the figures
-//! that need no capture is pinned byte-for-byte against checked-in text
-//! (`tests/expected/`, recorded from the per-figure binaries `fig`
-//! replaced), `--list` is pinned the same way, and a mistyped flag or
-//! figure name is an error — not a silent paper-scale run.
+//! that need no capture is pinned byte-for-byte against their quick-scale
+//! golden texts (`tests/expected/quick/`, the same files `fig_smoke`
+//! compares the library's pages with), so the binary's own print path is
+//! covered end to end; `--list` is pinned the same way, and a mistyped
+//! flag or figure name is an error — not a silent paper-scale run.
 
 use std::process::{Command, Output};
 
@@ -23,11 +24,11 @@ fn stdout_of(args: &[&str]) -> String {
 fn capture_free_figures_print_the_pinned_text() {
     assert_eq!(
         stdout_of(&["table1_camps", "--quick"]),
-        include_str!("expected/table1_camps.txt")
+        include_str!("expected/quick/table1_camps.txt")
     );
     assert_eq!(
         stdout_of(&["fig1_cache_trends", "--quick"]),
-        include_str!("expected/fig1_cache_trends.txt")
+        include_str!("expected/quick/fig1_cache_trends.txt")
     );
 }
 

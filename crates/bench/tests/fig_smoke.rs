@@ -1,42 +1,191 @@
-//! Every `fig` generator runs to completion and its claims come out as
-//! stated: a claim without a gap holds, and a claim with a gap fails
+//! Every figure prints exactly its golden text, and its claims come out
+//! as stated: a claim without a gap holds, and a claim with a gap fails
 //! (`report::check_claims`).
 //!
-//! The paper's figures (Figs. 2-9) are checked at `FigScale::paper()`,
-//! the scale `fig` prints by default, so a claim is judged on the numbers
-//! it sits under; one test per figure lets the harness run them in
-//! parallel. The extension sweeps are checked at `FigScale::quick()`,
-//! next to the differential anchors (`same_numbers`) that pin their
-//! endpoints to the presets they reproduce.
+//! Each test renders a figure through the printer `fig` uses, from the
+//! data it already computed for its claims and anchors, and compares the
+//! page with `tests/expected/<scale>/<name>.txt`. Tier-1 covers all
+//! sixteen figures at `FigScale::quick()` and Table 1 plus Figs. 1-9 at
+//! `FigScale::paper()`. The paper figures' claims are checked at paper
+//! scale, the scale `fig` prints by default, so a claim is judged on the
+//! numbers it sits under; the extension sweeps' claims are checked at
+//! quick scale, next to the differential anchors (`same_numbers`) that
+//! pin their endpoints to the presets they reproduce. The extensions
+//! and `ablations` at paper scale are `#[ignore]`d tests that CI runs
+//! with `--ignored`. One test per figure and scale lets the harness run
+//! them in parallel, and no figure is computed twice at one scale.
 
-use dbcmp_cacti::{historic_latencies, historic_sizes, CacheOrg, CactiModel};
-use dbcmp_core::deploy::{deploy_capture, fig_deploy, fig_deploy_claims};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+
+use dbcmp_bench::{extensions, figure, paper, Page, FIGURES};
+use dbcmp_cacti::{CacheOrg, CactiModel};
+use dbcmp_core::deploy::{deploy_capture, fig_deploy};
 use dbcmp_core::experiment::run_throughput;
 use dbcmp_core::figures::{
-    fig2_claims, fig2_saturation, fig3_claims, fig3_validation, fig45_quadrants, fig4_claims,
-    fig5_claims, fig6_cache_sweep, fig6_claims, fig7_claims, fig7_smp_vs_cmp, fig8_claims,
-    fig8_core_scaling, fig9_claims, fig9_staged, fig_asym, fig_asym_claims, fig_cc, fig_cc_claims,
-    fig_islands, fig_islands_claims, spec_of, BASE_CORES, BASE_L2,
+    fig2_saturation, fig3_validation, fig45_quadrants, fig6_cache_sweep, fig7_smp_vs_cmp,
+    fig8_core_scaling, fig9_staged, fig_asym, fig_cc, fig_islands, spec_of, BASE_L2,
 };
 use dbcmp_core::machines::{asym_cmp, cmp_for, fc_cmp, L2Spec};
-use dbcmp_core::report::{check_claims, Claim};
-use dbcmp_core::taxonomy::{table1, Camp, WorkloadKind};
+use dbcmp_core::report::check_claims;
+use dbcmp_core::taxonomy::{Camp, WorkloadKind};
 use dbcmp_core::workload::{CapturedWorkload, FigScale};
 use dbcmp_engine::CcBackend;
 use dbcmp_sim::SimResult;
 
-/// Every claim of a figure comes out as stated.
-fn assert_claims(claims: &[Claim]) {
-    if let Err(off) = check_claims(claims) {
-        panic!("claims off their stated outcome:\n{off}");
+/// A scale: its golden-text directory, the `fig` flag that selects it,
+/// and its sizing.
+#[derive(Clone, Copy)]
+struct Scale {
+    dir: &'static str,
+    flag: &'static str,
+    sizing: fn() -> FigScale,
+}
+
+const QUICK: Scale = Scale {
+    dir: "quick",
+    flag: " --quick",
+    sizing: FigScale::quick,
+};
+const PAPER: Scale = Scale {
+    dir: "paper",
+    flag: "",
+    sizing: FigScale::paper,
+};
+
+fn expected_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/expected")
+}
+
+/// The first line where `got` differs from `golden`, reported with the
+/// figure, the scale and the command that regenerates the golden text;
+/// `None` when the two are identical.
+fn golden_mismatch(name: &str, scale: Scale, golden: &str, got: &str) -> Option<String> {
+    let Scale { dir, flag, .. } = scale;
+    if golden == got {
+        return None;
+    }
+    let (mut want, mut have) = (golden.split_inclusive('\n'), got.split_inclusive('\n'));
+    let mut line = 1;
+    loop {
+        match (want.next(), have.next()) {
+            (Some(a), Some(b)) if a == b => line += 1,
+            (a, b) => {
+                let show =
+                    |l: Option<&str>| l.map_or("<end of text>".to_string(), |l| format!("{l:?}"));
+                return Some(format!(
+                    "{name} at {dir} scale differs from its golden text at line {line}:\n  \
+                     golden: {}\n  got:    {}\n\
+                     if the change means to move this figure, regenerate it with\n  \
+                     cargo run --release --bin fig -- {name}{flag} > crates/bench/tests/expected/{dir}/{name}.txt",
+                    show(a),
+                    show(b),
+                ));
+            }
+        }
+    }
+}
+
+/// `page` is byte-identical to its golden text at `scale`.
+fn assert_golden(page: &Page, scale: Scale) {
+    let path = expected_dir()
+        .join(scale.dir)
+        .join(format!("{}.txt", page.name));
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    if let Some(report) = golden_mismatch(page.name, scale, &golden, &page.text) {
+        panic!("{report}");
+    }
+}
+
+/// `page` is its golden text, and every claim on it comes out as stated.
+fn assert_page(page: &Page, scale: Scale) {
+    if let Err(off) = check_claims(&page.claims) {
+        panic!("{} claims off their stated outcome:\n{off}", page.name);
+    }
+    assert_golden(page, scale);
+}
+
+/// A headed page for the figure `name`'s printer.
+fn page(name: &str) -> Page {
+    figure(name).expect("a registry row").page()
+}
+
+/// Render `name` at `scale` through its registry row and compare the
+/// text only.
+fn text_only(name: &str, scale: Scale) {
+    let page = figure(name)
+        .expect("a registry row")
+        .render(&(scale.sizing)());
+    assert_golden(&page, scale);
+}
+
+#[test]
+fn every_figure_has_one_golden_text_per_scale_and_no_orphan() {
+    let entries = |dir: &Path| -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .map(|e| {
+                e.expect("a directory entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .collect()
+    };
+    let names: BTreeSet<String> = FIGURES.iter().map(|f| format!("{}.txt", f.name)).collect();
+    assert_eq!(names.len(), FIGURES.len(), "registry names are unique");
+    let top = ["list.txt", "paper", "quick"].map(String::from);
+    assert_eq!(entries(&expected_dir()), BTreeSet::from(top));
+    for scale in [QUICK.dir, PAPER.dir] {
+        assert_eq!(
+            entries(&expected_dir().join(scale)),
+            names,
+            "expected/{scale}/"
+        );
     }
 }
 
 #[test]
+fn a_mismatch_names_the_figure_scale_and_first_moved_line() {
+    assert_eq!(
+        golden_mismatch("fig2_saturation", PAPER, "a\nb\n", "a\nb\n"),
+        None
+    );
+    let report = golden_mismatch("fig2_saturation", PAPER, "a\nb\nc\n", "a\nB\nc\n")
+        .expect("the texts differ");
+    assert!(
+        report
+            .starts_with("fig2_saturation at paper scale differs from its golden text at line 2:"),
+        "{report}"
+    );
+    assert!(report.contains("golden: \"b\\n\""), "{report}");
+    assert!(report.contains("got:    \"B\\n\""), "{report}");
+    assert!(
+        report.ends_with("cargo run --release --bin fig -- fig2_saturation > crates/bench/tests/expected/paper/fig2_saturation.txt"),
+        "{report}"
+    );
+    // A dropped last line is reported against the end of the text.
+    let report = golden_mismatch("ablations", QUICK, "a\nb\n", "a\n").expect("the texts differ");
+    assert!(
+        report.contains("at quick scale differs from its golden text at line 2:"),
+        "{report}"
+    );
+    assert!(report.contains("got:    <end of text>"), "{report}");
+    assert!(report
+        .ends_with("fig -- ablations --quick > crates/bench/tests/expected/quick/ablations.txt"));
+}
+
+/// Table 1 takes no scale: one render is both golden texts.
+#[test]
+fn table1_camps() {
+    let table = paper::table1_camps(page("table1_camps"));
+    assert_golden(&table, QUICK);
+    assert_golden(&table, PAPER);
+}
+
+#[test]
 fn fig1_historic_trends_and_cacti_model() {
-    let sizes = historic_sizes();
-    let lats = historic_latencies();
-    assert!(!sizes.is_empty() && !lats.is_empty());
     let model = CactiModel::paper_era();
     let small = model.evaluate(CacheOrg::l2(1 << 20)).latency_cycles;
     let large = model.evaluate(CacheOrg::l2(26 << 20)).latency_cycles;
@@ -44,45 +193,117 @@ fn fig1_historic_trends_and_cacti_model() {
         small < large,
         "bigger caches must be slower ({small} !< {large})"
     );
+    // Fig. 1 takes no scale either.
+    let fig1 = paper::fig1_cache_trends(page("fig1_cache_trends"));
+    assert_golden(&fig1, QUICK);
+    assert_golden(&fig1, PAPER);
 }
 
 #[test]
 fn fig2_saturation_curve() {
-    assert_claims(&fig2_claims(&fig2_saturation(&FigScale::paper())));
+    let pts = fig2_saturation(&FigScale::paper());
+    assert_page(
+        &paper::fig2_saturation(page("fig2_saturation"), &pts),
+        PAPER,
+    );
 }
 
 #[test]
 fn fig3_validation_paper() {
-    let (v, _) = fig3_validation(&FigScale::paper());
-    assert_claims(&fig3_claims(&v));
+    let run = fig3_validation(&FigScale::paper());
+    assert_page(
+        &paper::fig3_validation(page("fig3_validation"), &run),
+        PAPER,
+    );
 }
 
 /// Figs. 4 and 5 read the same eight runs.
 #[test]
 fn fig4_and_fig5_quadrants() {
     let quadrants = fig45_quadrants(&FigScale::paper());
-    assert_claims(&fig4_claims(&quadrants));
-    assert_claims(&fig5_claims(&quadrants));
+    assert_page(&paper::fig4_camps(page("fig4_camps"), &quadrants), PAPER);
+    assert_page(
+        &paper::fig5_breakdown(page("fig5_breakdown"), &quadrants),
+        PAPER,
+    );
 }
 
 #[test]
 fn fig6_cache_sweep_paper() {
-    assert_claims(&fig6_claims(&fig6_cache_sweep(&FigScale::paper())));
+    let sweep = fig6_cache_sweep(&FigScale::paper());
+    assert_page(
+        &paper::fig6_cache_size(page("fig6_cache_size"), &sweep),
+        PAPER,
+    );
 }
 
 #[test]
 fn fig7_smp_vs_cmp_paper() {
-    assert_claims(&fig7_claims(&fig7_smp_vs_cmp(&FigScale::paper())));
+    let results = fig7_smp_vs_cmp(&FigScale::paper());
+    assert_page(&paper::fig7_smp_cmp(page("fig7_smp_cmp"), &results), PAPER);
 }
 
 #[test]
 fn fig8_core_scaling_paper() {
-    assert_claims(&fig8_claims(&fig8_core_scaling(&FigScale::paper())));
+    let series = fig8_core_scaling(&FigScale::paper());
+    assert_page(
+        &paper::fig8_core_count(page("fig8_core_count"), &series),
+        PAPER,
+    );
 }
 
 #[test]
 fn fig9_staged_paper() {
-    assert_claims(&fig9_claims(&fig9_staged(&FigScale::paper())));
+    let results = fig9_staged(&FigScale::paper());
+    assert_page(&paper::fig9_staged(page("fig9_staged"), &results), PAPER);
+}
+
+// The paper figures at quick scale: text only (their claims are judged
+// at paper scale, above).
+
+#[test]
+fn fig2_saturation_quick() {
+    text_only("fig2_saturation", QUICK);
+}
+
+#[test]
+fn fig3_validation_quick() {
+    text_only("fig3_validation", QUICK);
+}
+
+#[test]
+fn fig4_and_fig5_quick() {
+    let quadrants = fig45_quadrants(&FigScale::quick());
+    assert_golden(&paper::fig4_camps(page("fig4_camps"), &quadrants), QUICK);
+    assert_golden(
+        &paper::fig5_breakdown(page("fig5_breakdown"), &quadrants),
+        QUICK,
+    );
+}
+
+#[test]
+fn fig6_cache_size_quick() {
+    text_only("fig6_cache_size", QUICK);
+}
+
+#[test]
+fn fig7_smp_cmp_quick() {
+    text_only("fig7_smp_cmp", QUICK);
+}
+
+#[test]
+fn fig8_core_count_quick() {
+    text_only("fig8_core_count", QUICK);
+}
+
+#[test]
+fn fig9_staged_quick() {
+    text_only("fig9_staged", QUICK);
+}
+
+#[test]
+fn ablations_quick() {
+    text_only("ablations", QUICK);
 }
 
 /// The `fig_cc` gate: every client of every capture completes its units,
@@ -111,7 +332,7 @@ fn fig_cc_quick() {
         let cc = p.key.cc;
         assert_eq!(cc.remote_bytes, 32 * cc.remote_msgs, "{cc:?}");
     }
-    assert_claims(&fig_cc_claims(&grid));
+    assert_page(&extensions::fig_cc(page("fig_cc"), &grid), QUICK);
 }
 
 /// Numeric equality of two runs, ignoring the machine name (presets and
@@ -160,7 +381,7 @@ fn fig_asym_quick() {
             );
         }
     }
-    assert_claims(&fig_asym_claims(&points));
+    assert_page(&extensions::fig_asym(page("fig_asym"), &points), QUICK);
 }
 
 /// The `fig_islands` gate: three captures on the three topology
@@ -179,7 +400,7 @@ fn fig_islands_quick() {
         assert_eq!(result.mem.per_level.len(), 1);
         assert!(result.mem.per_level[0].accesses() > 0);
     }
-    assert_claims(&fig_islands_claims(&run));
+    assert_page(&extensions::fig_islands(page("fig_islands"), &run), QUICK);
 }
 
 /// The `fig_network` gate: the 1-instance rows reproduce the
@@ -188,9 +409,7 @@ fn fig_islands_quick() {
 /// network claims hold.
 #[test]
 fn fig_network_quick() {
-    use dbcmp_core::network::{
-        fig_network, fig_network_claims, network_chip, network_presets, network_spec,
-    };
+    use dbcmp_core::network::{fig_network, network_chip, network_presets, network_spec};
     let scale = FigScale::quick();
     let points = fig_network(&scale);
     assert_eq!(points.len(), 3 * 3, "3 presets x {{1, 2, 4}} instances");
@@ -221,7 +440,10 @@ fn fig_network_quick() {
         assert_eq!(p.stats.shuffles + p.stats.broadcasts, 0);
     }
 
-    assert_claims(&fig_network_claims(&points));
+    assert_page(
+        &extensions::fig_network(page("fig_network"), &points),
+        QUICK,
+    );
 }
 
 /// The `fig_deploy` gate: the shared-everything endpoint reproduces a
@@ -265,23 +487,46 @@ fn fig_deploy_quick() {
         "multi% must not change a 1-instance deployment"
     );
 
-    assert_claims(&fig_deploy_claims(&points));
+    assert_page(&extensions::fig_deploy(page("fig_deploy"), &points), QUICK);
+}
+
+// The extensions and `ablations` at paper scale: text only, since some
+// extension claims print ✗ at paper scale without an owner yet (ROADMAP
+// 1(a)). About a minute and a half on 2 vCPUs, most of it `fig_network`,
+// so they sit outside tier-1 and CI runs them with `--ignored`.
+
+#[test]
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn fig_cc_paper() {
+    text_only("fig_cc", PAPER);
 }
 
 #[test]
-fn table1_camps_rows() {
-    let rows = table1();
-    assert!(rows.len() >= 2, "at least the FC and LC camps");
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn fig_asym_paper() {
+    text_only("fig_asym", PAPER);
 }
 
-/// The `ablations` binary's core path: re-run a captured workload through
-/// `run_throughput` on the baseline FC CMP (its ablations are variations
-/// of exactly this call).
 #[test]
-fn ablations_baseline_path() {
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Dss, &scale);
-    let spec = spec_of(&scale);
-    let res = run_throughput(fc_cmp(BASE_CORES, 4 << 20, L2Spec::Cacti), &w.bundle, spec);
-    assert!(res.cycles > 0 && res.instrs > 0);
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn fig_islands_paper() {
+    text_only("fig_islands", PAPER);
+}
+
+#[test]
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn fig_deploy_paper() {
+    text_only("fig_deploy", PAPER);
+}
+
+#[test]
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn fig_network_paper() {
+    text_only("fig_network", PAPER);
+}
+
+#[test]
+#[ignore = "paper-scale text (about 1.5 min for all six); CI runs it with --ignored"]
+fn ablations_paper() {
+    text_only("ablations", PAPER);
 }
