@@ -15,12 +15,18 @@
 //! pinned the same way, recorded at `2703f58`, the last commit whose
 //! `capture_oltp` ran its own client-after-client loop rather than the
 //! interleaved scheduler with whole-session grants.
+//!
+//! The shared-nothing OLTP deployment (`TpccScale::tiny()` at four
+//! warehouses, 16 clients × 8 transactions, 1/2/4 instances × 0/60 %
+//! multi-partition transactions) is pinned at `cc5ab4e`, the last commit
+//! whose two-phase NewOrder and Payment re-typed the transactions'
+//! statements instead of running them.
 
 use dbcmp::staged::{capture_staged_dss, ExecPolicy};
 use dbcmp::trace::TraceBundle;
 use dbcmp::workloads::{
-    build_tpcc, build_tpch, capture_dss, capture_dss_dist, capture_oltp, CaptureOptions,
-    DistOptions, QueryKind, TpccScale, TpchScale,
+    build_tpcc, build_tpch, capture_dss, capture_dss_dist, capture_oltp, capture_oltp_deployment,
+    CaptureOptions, DeployOptions, DistOptions, QueryKind, TpccScale, TpchScale,
 };
 
 const SEEDS: [u64; 2] = [1, 0xC1D7];
@@ -62,6 +68,73 @@ fn capture_oltp_records_the_pinned_mix() {
             CaptureOptions::new(CLIENTS, 8, seed),
         )]
     });
+}
+
+/// Every `(partitions, multi_pct)` point of the grid, each with its two
+/// seeds' `(events, digest)`.
+#[test]
+fn capture_oltp_deployment_records_the_pinned_grid() {
+    let grid = [
+        (
+            (1, 0),
+            [
+                (99559, 0x8eb8_e177_5aa8_4e99),
+                (103627, 0xe366_0f32_2558_5253),
+            ],
+        ),
+        (
+            (1, 60),
+            [
+                (99559, 0x8eb8_e177_5aa8_4e99),
+                (103627, 0xe366_0f32_2558_5253),
+            ],
+        ),
+        (
+            (2, 0),
+            [
+                (92097, 0x66cc_f66f_c03e_91be),
+                (92112, 0x1e67_5043_a0b0_f998),
+            ],
+        ),
+        (
+            (2, 60),
+            [
+                (92949, 0xa60b_fa78_5e3c_1588),
+                (92838, 0x4b86_1290_5815_b3e7),
+            ],
+        ),
+        (
+            (4, 0),
+            [
+                (89853, 0x7c4a_5c97_4311_3138),
+                (93646, 0xfdfd_696d_9dfe_6e66),
+            ],
+        ),
+        (
+            (4, 60),
+            [
+                (91041, 0x3c1e_9a7b_7f52_2432),
+                (94782, 0x4b48_46d3_7216_ccb2),
+            ],
+        ),
+    ];
+    let scale = TpccScale {
+        warehouses: 4,
+        ..TpccScale::tiny()
+    };
+    for ((partitions, multi_pct), want) in grid {
+        let what = format!("capture_oltp_deployment x{partitions} at {multi_pct}%");
+        pinned(&what, want, |seed| {
+            let opt = DeployOptions {
+                capture: CaptureOptions::new(CLIENTS, 8, seed),
+                partitions,
+                multi_pct,
+            };
+            capture_oltp_deployment(scale, opt, 1)
+                .expect("four windows fit")
+                .bundles
+        });
+    }
 }
 
 fn executor(mix: &[QueryKind], seed: u64) -> Vec<TraceBundle> {
