@@ -394,7 +394,7 @@ impl BTree {
 mod tests {
     use super::*;
     use crate::costs::EngineRegions;
-    use dbcmp_trace::CodeRegions;
+    use dbcmp_trace::{CodeRegions, Fnv};
     use proptest::prelude::*;
 
     fn setup() -> (BTree, AddressSpace, TraceCtx) {
@@ -505,8 +505,8 @@ mod tests {
         let mut r = CodeRegions::new();
         let mut tc = TraceCtx::recording(EngineRegions::register(&mut r));
         let mut rng = proptest::test_runner::TestRng::deterministic("btree::descents_pin");
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut d = Fnv::new();
+        let mut word = |w: u64| d.word(w);
         let mut live = Vec::new();
         for i in 0..20_000u64 {
             let key = rng.next_u64() >> 24;
@@ -547,7 +547,11 @@ mod tests {
         word(trace.len() as u64);
         trace.iter().for_each(|e| word(e.pack().0));
         t.digest(&mut word);
-        assert_eq!(d, 0x6ab1_9243_8114_a960, "B+tree events or nodes moved");
+        assert_eq!(
+            d.finish(),
+            0x6ab1_9243_8114_a960,
+            "B+tree events or nodes moved"
+        );
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dbcmp_trace::{AddressSpace, CodeRegions};
+use dbcmp_trace::{AddressSpace, CodeRegions, Fnv};
 
 use crate::btree::BTree;
 use crate::catalog::{Catalog, IndexId, TableId};
@@ -234,8 +234,8 @@ impl Database {
     /// building a database are interchangeable when this agrees
     /// (diagnostics/tests).
     pub fn state_digest(&self) -> u64 {
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut d = Fnv::new();
+        let mut word = |w: u64| d.word(w);
         for heap in &self.heaps {
             heap.digest(&mut word);
         }
@@ -261,7 +261,7 @@ impl Database {
         ]
         .into_iter()
         .for_each(&mut word);
-        d
+        d.finish()
     }
 
     // ---- Transactions ----

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use dbcmp_engine::cc::{DeterministicOrdered, PartitionedPerCore};
 use dbcmp_engine::lockmgr::{Grant, LockMgr, LockMode};
 use dbcmp_engine::{CcBackend, ConcurrencyControl, EngineError, EngineRegions, TraceCtx};
-use dbcmp_trace::{AddressSpace, CodeRegions};
+use dbcmp_trace::{AddressSpace, CodeRegions, Fnv};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -411,18 +411,10 @@ struct PinStep {
     nowait: bool,
 }
 
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn word(&mut self, w: u64) {
-        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn bytes(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        s.bytes().for_each(|b| self.word(u64::from(b)));
-    }
+/// Fold `s` into `d`: its length, then one word per byte.
+fn fold_str(d: &mut Fnv, s: &str) {
+    d.word(s.len() as u64);
+    s.bytes().for_each(|b| d.word(u64::from(b)));
 }
 
 /// Run 64 fixed script sets (from the vendored [`TestRng`]) through
@@ -442,7 +434,7 @@ impl Fnv {
 fn lock_event_digest(backend: CcBackend) -> u64 {
     let mut gen = TestRng::deterministic("lockmgr_proptests::lock_event_pins::scripts");
     let mut sched = TestRng::deterministic("lockmgr_proptests::lock_event_pins::sched");
-    let mut d = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut d = Fnv::new();
     let ordered = backend == CcBackend::DeterministicOrdered;
     let id = |i: usize| (i + 1) as u64;
     let mode = |x: bool| {
@@ -510,7 +502,7 @@ fn lock_event_digest(backend: CcBackend) -> u64 {
                     .map(|s| (s.key, mode(s.excl)))
                     .collect();
                 let res = cc.declare(id(i), &keys, &mut tcx);
-                d.bytes(&format!("{res:?}"));
+                fold_str(&mut d, &format!("{res:?}"));
                 match res {
                     Ok(()) => declared[i] = true,
                     Err(EngineError::LockWait { .. }) if sched.below(4) == 0 => declared[i] = true,
@@ -525,7 +517,7 @@ fn lock_event_digest(backend: CcBackend) -> u64 {
                 } else {
                     cc.acquire_wait(id(i), s.key, mode(s.excl), &mut tcx)
                 };
-                d.bytes(&format!("{res:?}"));
+                fold_str(&mut d, &format!("{res:?}"));
                 match res {
                     Ok(Grant::Acquired | Grant::WaitGranted) => {
                         fresh[i].push(s.key);
@@ -581,7 +573,7 @@ fn lock_event_digest(backend: CcBackend) -> u64 {
         .into_iter()
         .for_each(|w| d.word(w));
     }
-    d.0
+    d.finish()
 }
 
 /// Every event, wake batch and counter the three backends produce on the

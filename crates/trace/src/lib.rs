@@ -35,6 +35,7 @@
 
 pub mod addr;
 pub mod event;
+pub mod fnv;
 pub mod region;
 pub mod segment;
 pub mod summary;
@@ -42,6 +43,7 @@ pub mod tracer;
 
 pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SimAddr};
 pub use event::{Event, PackedEvent, CACHE_LINE};
+pub use fnv::Fnv;
 pub use region::{CodeRegion, CodeRegions, RegionId};
 pub use segment::{
     segments_decoded, CountingSink, Segment, SegmentBuffer, TraceSink, MAX_EVENT_BYTES,

@@ -451,7 +451,7 @@ pub(crate) fn interleave(
 mod tests {
     use super::*;
     use crate::tpcc::{build_tpcc, TpccScale};
-    use dbcmp_trace::TraceSummary;
+    use dbcmp_trace::{Fnv, TraceSummary};
 
     fn summary(b: &TraceBundle) -> TraceSummary {
         TraceSummary::compute(&b.regions, &b.threads)
@@ -480,8 +480,8 @@ mod tests {
     /// FNV-1a, as `bench_pipeline` digests a capture: every packed event
     /// of every thread with thread boundaries, then the counters.
     fn digest(il: &InterleavedCapture) -> (usize, u64) {
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut d = Fnv::new();
+        let mut word = |w: u64| d.word(w);
         let mut events = 0;
         for t in &il.bundle.threads {
             word(t.len() as u64);
@@ -500,7 +500,7 @@ mod tests {
         ]
         .into_iter()
         .for_each(&mut word);
-        (events, d)
+        (events, d.finish())
     }
 
     /// `(backend, hot_pct, slice_ops, events, digest)` at the quick

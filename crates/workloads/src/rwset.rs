@@ -180,6 +180,7 @@ mod tests {
     use crate::tpcc::txns::{run_txn_cfg, TxnOutcome};
     use crate::tpcc::{build_tpcc, TpccScale};
     use dbcmp_engine::EngineError;
+    use dbcmp_trace::Fnv;
     use std::future::Future;
     use std::pin::pin;
     use std::task::{Context, Waker};
@@ -385,8 +386,8 @@ mod tests {
     #[test]
     fn rw_set_digest_is_pinned() {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 0xA11CE);
-        let mut d = 0xcbf2_9ce4_8422_2325u64;
-        let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut d = Fnv::new();
+        let mut word = |w: u64| d.word(w);
         let mut tc = db.null_ctx();
         for round in 0..12u64 {
             let home = TxnCfg::home(1 + (round % h.scale.warehouses));
@@ -420,6 +421,6 @@ mod tests {
                 .unwrap();
             }
         }
-        assert_eq!(d, 0x2e7e_8d75_3cb4_9322, "rw_set digest moved");
+        assert_eq!(d.finish(), 0x2e7e_8d75_3cb4_9322, "rw_set digest moved");
     }
 }

@@ -23,7 +23,7 @@
 //! statements instead of running them.
 
 use dbcmp::staged::{capture_staged_dss, ExecPolicy};
-use dbcmp::trace::TraceBundle;
+use dbcmp::trace::{Fnv, TraceBundle};
 use dbcmp::workloads::{
     build_tpcc, build_tpch, capture_dss, capture_dss_dist, capture_oltp, capture_oltp_deployment,
     CaptureOptions, DeployOptions, DistOptions, QueryKind, TpccScale, TpchScale,
@@ -33,8 +33,8 @@ const SEEDS: [u64; 2] = [1, 0xC1D7];
 const CLIENTS: usize = 16;
 
 fn digest(bundles: &[TraceBundle]) -> (usize, u64) {
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
-    let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut d = Fnv::new();
+    let mut word = |w: u64| d.word(w);
     let mut events = 0;
     for b in bundles {
         word(b.threads.len() as u64);
@@ -44,7 +44,7 @@ fn digest(bundles: &[TraceBundle]) -> (usize, u64) {
             t.packed_events().iter().for_each(|e| word(e.0));
         }
     }
-    (events, d)
+    (events, d.finish())
 }
 
 /// `capture(seed)` must record the pinned `(events, digest)` for each of

@@ -15,7 +15,7 @@ use dbcmp::core::taxonomy::{Camp, WorkloadKind};
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
 use dbcmp::engine::CcBackend;
 use dbcmp::sim::{MachineBuilder, MachineConfig, RunMode, SimResult};
-use dbcmp::trace::{TraceBundle, TraceSummary};
+use dbcmp::trace::{Fnv, TraceBundle, TraceSummary};
 use dbcmp::workloads::{
     build_tpcc, capture_oltp, capture_oltp_interleaved, CaptureOptions, InterleaveOptions,
 };
@@ -528,8 +528,8 @@ fn golden_anchor_matches_pre_redesign_simulator() {
 /// `MemCounters` field (each L2 level entry included), the remote
 /// counters and the bits of the mean unit latency.
 fn result_digest(r: &SimResult) -> u64 {
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
-    let mut word = |w: u64| d = (d ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut d = Fnv::new();
+    let mut word = |w: u64| d.word(w);
     for w in [r.cycles, r.instrs, r.units] {
         word(w);
     }
@@ -577,7 +577,7 @@ fn result_digest(r: &SimResult) -> u64 {
         word(w);
     }
     word(r.avg_unit_cycles.map_or(u64::MAX, f64::to_bits));
-    d
+    d.finish()
 }
 
 /// The machine shapes the golden anchor leaves out — the private-L2 SMP
