@@ -42,7 +42,8 @@ pub struct EngineRegions {
     pub exec_scan: RegionId,
     /// Predicate evaluation.
     pub exec_filter: RegionId,
-    /// Projection/expression evaluation.
+    /// Projection/expression evaluation. No operator charges it; it stays
+    /// registered so every region after it keeps its code addresses.
     pub exec_project: RegionId,
     /// Hash join build/probe.
     pub exec_hashjoin: RegionId,
@@ -155,8 +156,6 @@ pub mod instr {
     pub const TUPLE_ENCODE: u32 = 22;
     /// Predicate evaluation per row.
     pub const PREDICATE: u32 = 11;
-    /// Projection per expression.
-    pub const PROJECT_EXPR: u32 = 7;
     /// Scan loop per-tuple overhead (slot lookup, iterator bookkeeping).
     pub const SCAN_STEP: u32 = 9;
     /// Hash join: hash + bucket handling per build row.

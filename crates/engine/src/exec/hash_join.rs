@@ -322,24 +322,22 @@ mod tests {
 
     #[test]
     fn null_keys_match_nothing() {
-        use crate::exec::{Project, Scalar};
+        use crate::exec::Rows;
         let (db, t) = sample_db(12);
         let mut tc = db.null_ctx();
         // Probe rows whose key column is NULL: inner join drops them all.
-        let null_probe = |t| {
-            Box::new(Project::new(
-                Box::new(SeqScan::new(t)),
-                vec![Scalar::Null, Scalar::Col(1)],
-            ))
+        let null_probe = || {
+            let rows = (0..12).map(|i| vec![Value::Null, Value::Int(i % 7)]);
+            Box::new(Rows::new(rows.collect()))
         };
         let build = Box::new(SeqScan::new(t));
-        let mut join = HashJoin::new(build, 1, null_probe(t), 0, JoinKind::Inner);
+        let mut join = HashJoin::new(build, 1, null_probe(), 0, JoinKind::Inner);
         assert!(run_to_vec(&mut join, &db, &mut tc).unwrap().is_empty());
 
         // Left-outer keeps them, padded — and NULL build keys are not
         // admitted to the table, so nothing ever matches NULL.
         let build = Box::new(SeqScan::new(t));
-        let mut join = HashJoin::new(build, 1, null_probe(t), 0, JoinKind::LeftOuter);
+        let mut join = HashJoin::new(build, 1, null_probe(), 0, JoinKind::LeftOuter);
         let rows = run_to_vec(&mut join, &db, &mut tc).unwrap();
         assert_eq!(rows.len(), 12);
         assert!(rows.iter().all(|r| r[2..].iter().all(Value::is_null)));

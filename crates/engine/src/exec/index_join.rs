@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use crate::exec::expr::{CmpOp, Pred};
     use crate::exec::testutil::sample_db;
-    use crate::exec::{run_to_vec, Filter, Project, Scalar, SeqScan};
+    use crate::exec::{run_to_vec, Filter, Rows, SeqScan};
 
     #[test]
     fn inner_probe_matches_unique_keys() {
@@ -120,20 +120,12 @@ mod tests {
             .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
             .unwrap();
         let mut tc = db.null_ctx();
-        // Outer keys = id + 100 → no key matches the indexed 0..20.
-        let shifted = |t| {
-            Box::new(Project::new(
-                Box::new(SeqScan::new(t)),
-                vec![Scalar::Add(
-                    Box::new(Scalar::Col(0)),
-                    Box::new(Scalar::ConstDec(100)),
-                )],
-            ))
-        };
-        let mut inner = IndexJoin::new(shifted(t), 0, idx, JoinKind::Inner);
+        // Outer keys 100..120 → no key matches the indexed 0..20.
+        let shifted = || Box::new(Rows::new((100..120).map(|k| vec![Value::Int(k)]).collect()));
+        let mut inner = IndexJoin::new(shifted(), 0, idx, JoinKind::Inner);
         assert!(run_to_vec(&mut inner, &db, &mut tc).unwrap().is_empty());
 
-        let mut outer = IndexJoin::new(shifted(t), 0, idx, JoinKind::LeftOuter);
+        let mut outer = IndexJoin::new(shifted(), 0, idx, JoinKind::LeftOuter);
         let rows = run_to_vec(&mut outer, &db, &mut tc).unwrap();
         assert_eq!(rows.len(), 20, "left-outer preserves every probe row");
         for r in &rows {
@@ -149,7 +141,7 @@ mod tests {
             .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
             .unwrap();
         let mut tc = db.null_ctx();
-        let nulls = Box::new(Project::new(Box::new(SeqScan::new(t)), vec![Scalar::Null]));
+        let nulls = Box::new(Rows::new(vec![vec![Value::Null]; 5]));
         let mut join = IndexJoin::new(nulls, 0, idx, JoinKind::Inner);
         assert!(
             run_to_vec(&mut join, &db, &mut tc).unwrap().is_empty(),

@@ -15,7 +15,6 @@ pub mod filter;
 pub mod hash_agg;
 pub mod hash_join;
 pub mod index_join;
-pub mod project;
 pub mod rows;
 pub mod scan;
 pub mod shuffle_join;
@@ -26,7 +25,6 @@ pub use filter::Filter;
 pub use hash_agg::{GroupTable, HashAggregate};
 pub use hash_join::{BuildTable, HashJoin, JoinKind};
 pub use index_join::IndexJoin;
-pub use project::Project;
 pub use rows::Rows;
 pub use scan::SeqScan;
 pub use shuffle_join::ExchangeStrategy;
