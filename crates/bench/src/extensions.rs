@@ -211,16 +211,17 @@ pub fn fig_deploy(mut out: Page, points: &[DeployPoint]) -> Page {
             .iter()
             .filter(|p| p.multi_pct == multi_pct)
             .map(|p| {
-                let cycles: u64 = p.per_instance.iter().map(|r| r.cycles).sum();
+                let r = &p.replay;
+                let cycles: u64 = r.per_instance.iter().map(|r| r.cycles).sum();
                 vec![
                     format!("{}x{}c", p.instances, p.cores_per_instance),
                     format!("{} MB", p.l2_per_instance >> 20),
-                    format!("{}", p.units),
-                    f3(p.uipc),
+                    format!("{}", r.units),
+                    f3(r.uipc),
                     format!("{}", p.stats.multi_remote_txns),
-                    format!("{}", p.remote.sends + p.remote.recvs),
-                    format!("{}", p.remote.bytes),
-                    pct(p.remote.stall_cycles as f64 / cycles.max(1) as f64),
+                    format!("{}", r.remote.sends + r.remote.recvs),
+                    format!("{}", r.remote.bytes),
+                    pct(r.remote.stall_cycles as f64 / cycles.max(1) as f64),
                 ]
             })
             .collect();
@@ -261,15 +262,16 @@ pub fn fig_network(mut out: Page, points: &[NetworkPoint]) -> Page {
             .iter()
             .filter(|p| p.preset == preset)
             .map(|p| {
+                let r = &p.replay;
                 vec![
                     format!("{}x4c", p.instances),
-                    format!("{}", p.units),
+                    format!("{}", r.units),
                     format!("{:.1}", p.queries),
-                    f3(p.uipc),
+                    f3(r.uipc),
                     format!("{}", p.stats.shuffles),
                     format!("{}", p.stats.broadcasts),
-                    format!("{}", p.remote.sends + p.remote.recvs),
-                    format!("{}", p.remote.bytes),
+                    format!("{}", r.remote.sends + r.remote.recvs),
+                    format!("{}", r.remote.bytes),
                     pct(p.link_stall_share),
                 ]
             })

@@ -429,13 +429,14 @@ fn fig_network_quick() {
     let reference = run_throughput(network_chip(), &w.bundle, spec);
     for (preset, _) in network_presets() {
         let p = find(preset, 1);
-        assert_eq!(p.per_instance.len(), 1);
+        assert_eq!(p.replay.per_instance.len(), 1);
         assert!(
-            same_numbers(&p.per_instance[0], &reference),
+            same_numbers(&p.replay.per_instance[0], &reference),
             "{preset} 1-instance row must equal the fig_islands CMP point"
         );
-        assert_eq!(p.remote.sends + p.remote.recvs, 0, "nothing ships at n=1");
-        assert_eq!(p.remote.bytes, 0);
+        let remote = p.replay.remote;
+        assert_eq!(remote.sends + remote.recvs, 0, "nothing ships at n=1");
+        assert_eq!(remote.bytes, 0);
         assert_eq!(p.link_stall_share, 0.0);
         assert_eq!(p.stats.shuffles + p.stats.broadcasts, 0);
     }
@@ -474,16 +475,19 @@ fn fig_deploy_quick() {
     assert_eq!(dep.bundles.len(), 1);
     let budget = fc_cmp(cores, shared.l2_per_instance, L2Spec::Cacti);
     let reference = run_throughput(budget, &dep.bundles[0], spec);
-    assert_eq!(shared.per_instance.len(), 1);
+    assert_eq!(shared.replay.per_instance.len(), 1);
     assert!(
-        same_numbers(&shared.per_instance[0], &reference),
+        same_numbers(&shared.replay.per_instance[0], &reference),
         "1-instance deployment must equal the direct shared-L2 CMP replay"
     );
 
     // A single instance suppresses the multi-warehouse draw entirely, so
     // the knob cannot perturb the shared-everything endpoint.
     assert!(
-        same_numbers(&find(60, 1).per_instance[0], &shared.per_instance[0]),
+        same_numbers(
+            &find(60, 1).replay.per_instance[0],
+            &shared.replay.per_instance[0]
+        ),
         "multi% must not change a 1-instance deployment"
     );
 

@@ -23,7 +23,6 @@
 //! differ in per-transaction instruction counts by design, so
 //! instructions per cycle no longer proxies work per cycle).
 
-use dbcmp_sim::{RemoteCounters, SimResult};
 use dbcmp_workloads::{
     capture_oltp_deployment, CaptureOptions, DeployOptions, DeployStats, Deployment, TpccScale,
 };
@@ -42,18 +41,12 @@ pub struct DeployPoint {
     pub cores_per_instance: usize,
     pub l2_per_instance: u64,
     pub multi_pct: u8,
-    /// Aggregate UIPC (diagnostic only — see the module docs for why
-    /// `units` is the cross-deployment throughput metric).
-    pub uipc: f64,
-    /// Committed units across all instances' identical measure windows:
-    /// the deployment's throughput.
-    pub units: u64,
-    /// Interconnect traffic summed over the instances' replays.
-    pub remote: RemoteCounters,
+    /// The instances' replays. Its `units` — committed units across all
+    /// instances' identical measure windows — is the deployment's
+    /// throughput; its UIPC is diagnostic only (see the module docs).
+    pub replay: InstanceReplay,
     /// Capture-side transaction classification.
     pub stats: DeployStats,
-    /// Per-instance replay results, instance order.
-    pub per_instance: Vec<SimResult>,
 }
 
 /// The island cluster sizes at a given core count: every divisor, from
@@ -123,29 +116,14 @@ pub fn fig_deploy(scale: &FigScale) -> Vec<DeployPoint> {
             let results = grid(dep.bundles.iter().enumerate().collect(), |_| {
                 vec![((), fc_cmp(cores, l2, L2Spec::Cacti), spec.throughput())]
             });
-            let InstanceReplay {
-                per_instance,
-                remote,
-                units,
-                uipc,
-            } = InstanceReplay::new(
-                results
-                    .rows
-                    .into_iter()
-                    .flat_map(|row| row.cells)
-                    .map(|(_, result)| result)
-                    .collect(),
-            );
+            let per_instance = results.rows.into_iter().flat_map(|row| row.cells);
             out.push(DeployPoint {
                 instances,
                 cores_per_instance: cores,
                 l2_per_instance: l2,
                 multi_pct,
-                uipc,
-                units,
-                remote,
+                replay: InstanceReplay::new(per_instance.map(|(_, r)| r).collect()),
                 stats: dep.stats,
-                per_instance,
             });
         }
     }
@@ -170,12 +148,12 @@ pub fn fig_deploy_claims(points: &[DeployPoint]) -> Vec<Claim> {
             .find(|p| p.instances == n)
             .map_or(f64::NAN, |p| f(p) as f64)
     };
-    let units = |multi, n| of(multi, n, |p| p.units);
+    let units = |multi, n| of(multi, n, |p| p.replay.units);
     let crossings = |n| of(hi, n, |p| p.stats.multi_remote_txns);
     // The least of every cost a crossing pays.
     let paid = |n| {
         of(hi, n, |p| {
-            let r = &p.remote;
+            let r = &p.replay.remote;
             let costs = [r.sends, r.recvs, r.bytes, r.stall_cycles];
             costs.into_iter().fold(p.stats.multi_remote_txns, u64::min)
         })
@@ -183,7 +161,7 @@ pub fn fig_deploy_claims(points: &[DeployPoint]) -> Vec<Claim> {
     let local = points.iter().filter(|p| p.multi_pct == lo);
     let traffic = local
         .clone()
-        .map(|p| p.stats.multi_remote_txns + p.remote.sends + p.remote.recvs);
+        .map(|p| p.stats.multi_remote_txns + p.replay.remote.sends + p.replay.remote.recvs);
     let traffic = traffic.sum::<u64>() as f64;
     let split: Vec<usize> = local.map(|p| p.instances).filter(|&n| n > 1).collect();
     let mut claims = vec![Claim::below(

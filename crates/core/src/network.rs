@@ -22,7 +22,7 @@
 //! scales with instances. The crossover between those two regimes is
 //! the figure's headline.
 
-use dbcmp_sim::{Interconnect, RemoteCounters, SimResult};
+use dbcmp_sim::Interconnect;
 use dbcmp_workloads::tpch::dist::DistCapture;
 use dbcmp_workloads::tpch::QueryKind;
 use dbcmp_workloads::{capture_dss_dist, CaptureOptions, DistOptions, DistStats};
@@ -38,29 +38,24 @@ pub struct NetworkPoint {
     pub instances: usize,
     /// Interconnect preset tag: `"NUMA"`, `"RDMA"`, or `"10GbE"`.
     pub preset: &'static str,
-    /// Aggregate UIPC (diagnostic — exchange instructions inflate the
-    /// distributed captures, so UIPC is not cross-point throughput).
-    pub uipc: f64,
-    /// Completed query units across all instances' identical measure
-    /// windows (as in `fig_deploy`). A unit is one instance finishing
-    /// its *fragment*, so cross-`instances` comparisons need [`Self::
-    /// queries`].
-    pub units: u64,
+    /// The instances' replays. Its `units` count completed query units
+    /// across all instances' identical measure windows (as in
+    /// `fig_deploy`); a unit is one instance finishing its *fragment*, so
+    /// cross-`instances` comparisons need [`Self::queries`]. Its UIPC is
+    /// diagnostic: exchange instructions inflate the distributed
+    /// captures, so UIPC is not cross-point throughput.
+    pub replay: InstanceReplay,
     /// Logical query completions per window: `units / instances`. Each
     /// instance's fragment covers 1/n of the data, so n fragment units
     /// ≈ one whole query — this is the cross-point throughput metric
     /// the crossover is read from.
     pub queries: f64,
-    /// Interconnect traffic summed over the instances' replays.
-    pub remote: RemoteCounters,
     /// Share of aggregate core cycles spent stalled on the link
     /// (interconnect stalls land in `CycleClass::Other`, so this is a
     /// true fraction of the breakdown).
     pub link_stall_share: f64,
     /// Capture-side exchange statistics (shuffles vs broadcasts, bytes).
     pub stats: DistStats,
-    /// Per-instance replay results, instance order.
-    pub per_instance: Vec<SimResult>,
 }
 
 /// Interconnect presets swept, in presentation order (fastest-latency
@@ -153,30 +148,23 @@ pub fn fig_network(scale: &FigScale) -> Vec<NetworkPoint> {
     let mut out = Vec::new();
     for (preset, _) in presets {
         for (instances, cap) in &captures {
-            let InstanceReplay {
-                per_instance,
-                remote,
-                units,
-                uipc,
-            } = InstanceReplay::new(
-                replays
-                    .rows
-                    .iter()
-                    .filter(|row| row.key.0 == *instances)
-                    .map(|row| row.get(&replayed_on(row.key.2, preset)).clone())
+            let rows = replays.rows.iter().filter(|row| row.key.0 == *instances);
+            let replay = InstanceReplay::new(
+                rows.map(|row| row.get(&replayed_on(row.key.2, preset)).clone())
                     .collect(),
             );
-            let core_cycles: u64 = per_instance.iter().map(|r| r.breakdown.total()).sum();
+            let core_cycles: u64 = replay
+                .per_instance
+                .iter()
+                .map(|r| r.breakdown.total())
+                .sum();
             out.push(NetworkPoint {
                 instances: *instances,
                 preset,
-                uipc,
-                units,
-                queries: units as f64 / *instances as f64,
-                remote,
-                link_stall_share: remote.stall_cycles as f64 / core_cycles.max(1) as f64,
+                queries: replay.units as f64 / *instances as f64,
+                link_stall_share: replay.remote.stall_cycles as f64 / core_cycles.max(1) as f64,
+                replay,
                 stats: cap.stats,
-                per_instance,
             });
         }
     }
@@ -196,8 +184,8 @@ pub fn fig_network_claims(points: &[NetworkPoint]) -> Vec<Claim> {
     let [_, sent2, sent4] = sweep("NUMA", |p| p.stats.traffic.sent_bytes as f64);
     let [numa, rdma, gbe] = ["NUMA", "RDMA", "10GbE"].map(|l| at(l, 2, |p| p.link_stall_share));
     let ([nu1, _, nu4], [_, gu2, gu4]) = (
-        sweep("NUMA", |p| p.units as f64),
-        sweep("10GbE", |p| p.units as f64),
+        sweep("NUMA", |p| p.replay.units as f64),
+        sweep("10GbE", |p| p.replay.units as f64),
     );
     let ([nq1, nq2, nq4], [gq1, gq2, gq4]) =
         (sweep("NUMA", |p| p.queries), sweep("10GbE", |p| p.queries));

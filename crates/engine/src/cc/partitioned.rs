@@ -28,14 +28,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::cc::{CcBackend, CcStats, ConcurrencyControl};
 use crate::error::Result;
 use crate::lockmgr::{lock_hash, Grant, LockMgr, LockMode};
-use crate::tctx::TraceCtx;
+use crate::tctx::{TraceCtx, MSG_HEADER_BYTES};
 use crate::txn::TxnId;
-
-/// Bytes per cross-partition lock message: the same fixed header the
-/// shared-nothing deployment layer charges per transaction-coordination
-/// message (`MSG_HEADER_BYTES` in `dbcmp-workloads`); lock requests carry
-/// no payload beyond the header.
-pub const CC_MSG_BYTES: u32 = 32;
 
 /// Lock state sharded into per-core partitions (see module docs).
 #[derive(Debug)]
@@ -81,9 +75,9 @@ impl PartitionedPerCore {
     fn hop_round_trip(&mut self, txn: TxnId, part: usize, tc: &mut TraceCtx) {
         if part != self.home(txn) {
             self.stats.remote_msgs += 2;
-            self.stats.remote_bytes += 2 * CC_MSG_BYTES as u64;
-            tc.remote_send(CC_MSG_BYTES);
-            tc.remote_recv(CC_MSG_BYTES);
+            self.stats.remote_bytes += 2 * MSG_HEADER_BYTES as u64;
+            tc.remote_send(MSG_HEADER_BYTES);
+            tc.remote_recv(MSG_HEADER_BYTES);
         }
     }
 
@@ -91,8 +85,8 @@ impl PartitionedPerCore {
     fn hop_one_way(&mut self, txn: TxnId, part: usize, tc: &mut TraceCtx) {
         if part != self.home(txn) {
             self.stats.remote_msgs += 1;
-            self.stats.remote_bytes += CC_MSG_BYTES as u64;
-            tc.remote_send(CC_MSG_BYTES);
+            self.stats.remote_bytes += MSG_HEADER_BYTES as u64;
+            tc.remote_send(MSG_HEADER_BYTES);
         }
     }
 
@@ -302,7 +296,7 @@ mod tests {
         assert_eq!(cc.stats().remote_msgs, 0, "home requests are local");
         cc.acquire_wait(8, remote_key, S, &mut tc).unwrap();
         assert_eq!(cc.stats().remote_msgs, 2, "request + reply");
-        assert_eq!(cc.stats().remote_bytes, 2 * CC_MSG_BYTES as u64);
+        assert_eq!(cc.stats().remote_bytes, 2 * MSG_HEADER_BYTES as u64);
         cc.release(8, remote_key, &mut tc);
         assert_eq!(cc.stats().remote_msgs, 3, "release is fire-and-forget");
         cc.release(8, home_key, &mut tc);

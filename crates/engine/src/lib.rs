@@ -62,6 +62,6 @@ pub use costs::EngineRegions;
 pub use db::{Database, Loader};
 pub use error::{EngineError, Result};
 pub use schema::Schema;
-pub use tctx::TraceCtx;
+pub use tctx::{TraceCtx, MSG_HEADER_BYTES};
 pub use txn::TxnId;
 pub use types::{ColType, Columns, Row, TupleRef, Value};

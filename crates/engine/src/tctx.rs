@@ -9,6 +9,12 @@ use dbcmp_trace::{AddressSpace, RegionId, ScratchArena, SimAddr, ThreadTrace, Tr
 
 use crate::costs::EngineRegions;
 
+/// Fixed framing (header, transaction ids) of every message one engine
+/// instance sends another, in simulated bytes: a cross-partition lock
+/// request carries nothing else, a two-phase transaction message or an
+/// exchange transfer adds its payload.
+pub const MSG_HEADER_BYTES: u32 = 32;
+
 /// Per-client trace capture context.
 #[derive(Debug)]
 pub struct TraceCtx {

@@ -13,9 +13,11 @@
 //! * Instance `p` of `N` owns warehouses `p·W/N + 1 ..= (p+1)·W/N`
 //!   (`W` must divide evenly — deployments are built from the island
 //!   divisor chain, which guarantees it). Items are fully replicated.
-//! * Each instance gets its own [`AddressSpace::partition`] window, so
-//!   instances never alias simulated addresses; window reservation
-//!   surfaces a typed [`AddressSpaceError`] at this capture boundary.
+//! * Each instance is built into its own
+//!   [`AddressSpace::partition`](dbcmp_trace::AddressSpace::partition)
+//!   window, so instances never alias simulated addresses; the scaffold
+//!   `tpch::dist` shares reserves every window first and surfaces a typed
+//!   [`AddressSpaceError`] at this capture boundary.
 //! * Clients keep the single-instance homing rule
 //!   (`w_home = client mod W + 1`) and are captured in global client
 //!   order.
@@ -43,7 +45,10 @@
 //! transaction and acknowledges. A crossing therefore costs the home
 //! thread its usual row work *plus* two interconnect round trips —
 //! coarser partitioning absorbs more of these as instance-local work,
-//! the Islands tradeoff `fig_deploy` sweeps.
+//! the Islands tradeoff `fig_deploy` sweeps. Both flavors run NewOrder's
+//! and Payment's own statement groups (`tpcc::txns`); this module states
+//! only the protocol — the messages, the service context, and which
+//! instance, transaction and trace context each statement runs under.
 //!
 //! Each instance's engine declares its client count via
 //! `Database::set_lock_sharers`, charging quadratic lock-table
@@ -59,24 +64,23 @@
 //! crossing cost); the two-phase NewOrder flavor skips the spec's 1%
 //! rollback draw.
 
-use std::sync::Arc;
-
-use dbcmp_engine::{Database, Result as EngineResult, TraceCtx, Value};
-use dbcmp_trace::{AddressSpace, AddressSpaceError, ThreadTrace, TraceBundle};
+use dbcmp_engine::txn::Txn;
+use dbcmp_engine::{Database, Result as EngineResult, TraceCtx, MSG_HEADER_BYTES};
+use dbcmp_trace::{AddressSpaceError, TraceBundle};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::capture::{par_map_ordered, CaptureOptions};
+use crate::capture::CaptureOptions;
+use crate::instances::{build_instances, bundle_instances};
 use crate::ops::now;
-use crate::rng::{client_rng, last_name, nurand, uniform};
-use crate::tpcc::txns::{draw_kind, run_txn_cfg, TxnCfg, TxnKind};
-use crate::tpcc::{
-    build_tpcc_range, cust_key, cust_name_key, dist_key, item_key, random_customer, random_item,
-    stock_key, wh_key, TpccDb, TpccScale,
+use crate::rng::{client_rng, uniform};
+use crate::tpcc::txns::{
+    draw_kind, draw_other_wh, find_customer, insert_order, insert_order_line, item_price,
+    open_order, pay_customer, pay_home, reserve_stock, run_txn_cfg, write_history, OrderLine,
+    TxnCfg, TxnKind,
 };
+use crate::tpcc::{build_tpcc_range, random_customer, random_item, stock_key, TpccDb, TpccScale};
 
-/// Fixed message-framing overhead (headers, txn ids) in simulated bytes.
-const MSG_HEADER_BYTES: u32 = 32;
 /// Per-order-line payload in a shipped stock reservation.
 const NO_LINE_BYTES: u32 = 8;
 /// Payment request payload (customer id, amount).
@@ -149,28 +153,6 @@ pub(crate) fn txn_rng(seed: u64, client: usize, attempt: usize) -> StdRng {
     client_rng(seed ^ TXN_SALT, client * 1024 + attempt)
 }
 
-/// Draw a uniformly random warehouse other than `w_home` (wrap-around
-/// re-aim on a self-hit, so exactly one draw is consumed).
-fn draw_other_wh(rng: &mut StdRng, w_home: u64, warehouses: u64) -> u64 {
-    let mut other = uniform(rng, 1, warehouses);
-    if other == w_home {
-        other = if other == warehouses { 1 } else { other + 1 };
-    }
-    other
-}
-
-/// Split-borrow two distinct partitions.
-fn two<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j);
-    if i < j {
-        let (a, b) = v.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = v.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
-}
-
 /// Capture a shared-nothing deployment, building the partitions'
 /// databases on up to `workers` threads (each partition's population is
 /// independent — own rng stream, own address window — so the result is
@@ -189,47 +171,35 @@ pub fn capture_oltp_deployment(
         n
     );
     let per = scale.warehouses / n as u64;
-
-    // Reserve every instance's address window up front: the typed
-    // capacity/range error surfaces here, at the capture boundary,
-    // instead of as a release-mode aliasing bug deep in replay.
-    let spaces: Vec<Arc<AddressSpace>> = (0..n)
-        .map(|p| AddressSpace::partition(p).map(Arc::new))
-        .collect::<Result<_, _>>()?;
-
-    // Build the partitions, optionally in parallel: each build touches
-    // only its own space and draws its own rng stream.
     let seed = opt.capture.seed;
-    let mut parts: Vec<(Database, TpccDb)> = par_map_ordered(spaces, workers, |p, space| {
+    // Clients keep the single-instance homing rule.
+    let home_of = |client: usize| {
+        let w = (client as u64 % scale.warehouses) + 1;
+        (w, owner(w, scale.warehouses, n))
+    };
+    let (_, mut parts) = build_instances(n, workers, |p, space| {
         let lo = p as u64 * per + 1;
         build_tpcc_range(scale, seed, lo, lo + per - 1, space)
-    });
+    })?;
 
     // Contention model: each instance's lock manager learns how many
     // clients share it, so engines shared by more clients pay linearly
     // more per lock operation (applied after the build — population is
     // single-threaded either way, so only transaction capture pays).
-    let mut homed = vec![0u32; n];
-    for client in 0..opt.capture.clients {
-        let w = (client as u64 % scale.warehouses) + 1;
-        homed[owner(w, scale.warehouses, n)] += 1;
-    }
     for (p, (db, _)) in parts.iter_mut().enumerate() {
-        db.set_lock_sharers(homed[p]);
+        let homed = (0..opt.capture.clients).filter(|&c| home_of(c).1 == p);
+        db.set_lock_sharers(homed.count() as u32);
     }
 
-    // One service context per instance, recording only if ever used.
-    let mut service: Vec<Option<TraceCtx>> =
-        parts.iter().map(|(db, _)| Some(db.trace_ctx())).collect();
+    // One service context per instance, bundled only if a crossing used it.
+    let mut service: Vec<TraceCtx> = parts.iter().map(|(db, _)| db.trace_ctx()).collect();
     let mut service_used = vec![false; n];
-    let mut client_traces: Vec<Vec<ThreadTrace>> = Vec::new();
-    client_traces.resize_with(n, Vec::new);
+    let mut clients = Vec::with_capacity(opt.capture.clients);
     let mut stats = DeployStats::default();
 
     for client in 0..opt.capture.clients {
         let mut rng = client_rng(seed, client);
-        let w_home = (client as u64 % scale.warehouses) + 1;
-        let p_home = owner(w_home, scale.warehouses, n);
+        let (w_home, p_home) = home_of(client);
         let mut tc = parts[p_home].0.trace_ctx();
         for unit in 1..=opt.capture.units_per_client {
             // Fixed consumption from the client stream — kind, multi
@@ -237,7 +207,7 @@ pub fn capture_oltp_deployment(
             // sequence; the flagged subsets nest as multi_pct grows.
             let kind = draw_kind(&mut rng);
             let roll = rng.gen_range(0..100u32);
-            let other = draw_other_wh(&mut rng, w_home, scale.warehouses);
+            let other = draw_other_wh(&mut rng, (1, scale.warehouses), w_home);
             let target = (n > 1
                 && matches!(kind, TxnKind::NewOrder | TxnKind::Payment)
                 && roll < opt.multi_pct as u32)
@@ -248,30 +218,14 @@ pub fn capture_oltp_deployment(
             // Sequential capture: one transaction (or one home/service
             // pair on different instances) is live at a time, so nothing
             // can conflict or park — an engine error is a bug, not a retry.
-            let res = match target {
-                None => {
-                    stats.local_txns += 1;
-                    let (db, h) = &mut parts[p_home];
-                    let cfg = TxnCfg::home(w_home);
-                    now(run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc)).map(drop)
-                }
-                Some(t) if owner(t, scale.warehouses, n) == p_home => {
-                    stats.multi_local_txns += 1;
-                    let (db, h) = &mut parts[p_home];
-                    let cfg = TxnCfg {
-                        w_home,
-                        district: None,
-                        item_pool: None,
-                        remote_wh: Some(t),
-                    };
-                    now(run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc)).map(drop)
-                }
-                Some(t) => {
+            let res = match target.map(|t| (t, owner(t, scale.warehouses, n))) {
+                Some((t, p_t)) if p_t != p_home => {
                     stats.multi_remote_txns += 1;
-                    let p_t = owner(t, scale.warehouses, n);
                     service_used[p_t] = true;
-                    let (home, tgt) = two(&mut parts, p_home, p_t);
-                    let stc = service[p_t].as_mut().expect("service ctx live");
+                    let [home, tgt] = parts
+                        .get_disjoint_mut([p_home, p_t])
+                        .expect("a crossing spans two instances");
+                    let stc = &mut service[p_t];
                     match kind {
                         TxnKind::NewOrder => {
                             remote_new_order(home, &mut tc, tgt, stc, w_home, t, &mut trng)
@@ -282,23 +236,31 @@ pub fn capture_oltp_deployment(
                         _ => unreachable!("only NewOrder/Payment go multi-warehouse"),
                     }
                 }
+                // No target, or one on the home instance, which the local
+                // run is forced to.
+                _ => {
+                    match target {
+                        Some(_) => stats.multi_local_txns += 1,
+                        None => stats.local_txns += 1,
+                    }
+                    let (db, h) = &mut parts[p_home];
+                    let cfg = TxnCfg {
+                        remote_wh: target,
+                        ..TxnCfg::home(w_home)
+                    };
+                    now(run_txn_cfg(db, h, kind, cfg, &mut trng, &mut tc)).map(drop)
+                }
             };
             res.unwrap_or_else(|e| panic!("sequential capture: client {client} {kind:?}: {e}"));
         }
-        client_traces[p_home].push(tc.finish());
+        clients.push((p_home, tc.finish()));
     }
 
-    let bundles: Vec<TraceBundle> = parts
-        .iter()
-        .enumerate()
-        .map(|(p, (db, _))| {
-            let mut threads = std::mem::take(&mut client_traces[p]);
-            if service_used[p] {
-                threads.push(service[p].take().expect("service ctx live").finish());
-            }
-            TraceBundle::new(db.regions().clone(), threads)
-        })
-        .collect();
+    let service = service
+        .into_iter()
+        .zip(service_used)
+        .map(|(tc, used)| used.then(|| tc.finish()));
+    let bundles = bundle_instances(parts.iter().map(|(db, _)| db), clients, service);
     for b in &bundles {
         stats.remote_sends += b.total_remote_sends();
         stats.remote_bytes += b.total_remote_bytes();
@@ -312,146 +274,65 @@ pub fn capture_oltp_deployment(
 /// runs the order/order-line inserts, then ships the commit decision.
 /// (No 1% rollback draw in this flavor.)
 fn remote_new_order(
-    home: &mut (Database, TpccDb),
+    (hdb, hh): &mut (Database, TpccDb),
     htc: &mut TraceCtx,
-    target: &mut (Database, TpccDb),
+    (tdb, th): &mut (Database, TpccDb),
     stc: &mut TraceCtx,
     w_home: u64,
     target_wh: u64,
     rng: &mut StdRng,
 ) -> EngineResult<()> {
-    let (hdb, hh) = home;
-    let (tdb, th) = target;
     hdb.statement_overhead(htc);
     let mut txn = hdb.begin(htc);
-
     let d = uniform(rng, 1, hh.scale.districts_per_wh);
     let c = random_customer(rng, hh);
     let ol_cnt = uniform(rng, 5, 15);
-
-    // Home-local part, mirroring `new_order`.
-    let w_rid = hdb
-        .index_get(hh.idx_warehouse, wh_key(w_home), htc)
-        .expect("warehouse");
-    let _ = hdb.read(&mut txn, hh.warehouse, w_rid, false, htc)?;
-    let d_rid = hdb
-        .index_get(hh.idx_district, dist_key(w_home, d), htc)
-        .expect("district");
-    let mut d_row = hdb.read(&mut txn, hh.district, d_rid, true, htc)?;
-    let o_id = d_row[4].as_i64().unwrap() as u64;
-    d_row[4] = Value::Int(o_id as i64 + 1);
-    hdb.update(&mut txn, hh.district, d_rid, &d_row, htc)?;
-    let c_rid = hdb
-        .index_get(hh.idx_customer, cust_key(w_home, d, c), htc)
-        .expect("customer");
-    let _ = hdb.read(&mut txn, hh.customer, c_rid, false, htc)?;
+    let order = now(open_order(hdb, hh, &mut txn, (w_home, d), c, htc))?;
 
     // Items are replicated: prices come from the home copy; only the
     // stock rows live solely on the owner.
     let mut lines = Vec::with_capacity(ol_cnt as usize);
-    for _ in 1..=ol_cnt {
+    for number in 1..=ol_cnt {
         let i_id = random_item(rng, hh);
         let qty = uniform(rng, 1, 10) as i64;
-        let i_rid = hdb
-            .index_get(hh.idx_item, item_key(i_id), htc)
-            .expect("item");
-        let i_row = hdb.read(&mut txn, hh.item, i_rid, false, htc)?;
-        lines.push((i_id, qty, i_row[2].as_i64().unwrap() * qty));
+        let price = now(item_price(hdb, hh, &mut txn, i_id, htc))?.expect("item");
+        lines.push(OrderLine {
+            number,
+            i_id,
+            supply_w: target_wh,
+            qty,
+            amount: price * qty,
+        });
     }
 
-    // Phase 1: ask the owning instance to qualify the stock rows. Its
-    // service thread probes the stock index under the owner-side
-    // transaction and ships back row handles.
+    // Phase 1: the owner's service thread probes the stock index under
+    // the owner-side transaction and ships back row handles.
     let req = MSG_HEADER_BYTES + NO_LINE_BYTES * ol_cnt as u32;
-    htc.fence();
-    htc.remote_send(req);
-
-    stc.remote_recv(req);
-    tdb.statement_overhead(stc);
-    let mut rtxn = tdb.begin(stc);
-    let mut handles = Vec::with_capacity(lines.len());
-    for &(i_id, _, _) in &lines {
-        let s_rid = tdb
-            .index_get(th.idx_stock, stock_key(target_wh, i_id), stc)
-            .expect("stock");
-        handles.push(s_rid);
-    }
-    let resp = MSG_HEADER_BYTES + ROW_HANDLE_BYTES * ol_cnt as u32;
-    stc.remote_send(resp);
-    htc.remote_recv(resp);
+    let mut rtxn = request(htc, tdb, stc, req);
+    let handles: Vec<_> = lines
+        .iter()
+        .map(|l| tdb.index_get(th.idx_stock, stock_key(target_wh, l.i_id), stc))
+        .map(|rid| rid.expect("stock"))
+        .collect();
+    reply(
+        stc,
+        htc,
+        MSG_HEADER_BYTES + ROW_HANDLE_BYTES * ol_cnt as u32,
+    );
 
     // The coordinator reserves the stock itself on the shipped handles:
     // the reads and writes of owner-window rows are recorded on the
     // home thread (cold remote lines in its hierarchy at replay), so a
     // crossing keeps the full row work *and* pays the round trips.
-    for (&s_rid, &(_, qty, _)) in handles.iter().zip(&lines) {
-        let mut s_row = tdb.read(&mut rtxn, th.stock, s_rid, true, htc)?;
-        let mut s_q = s_row[2].as_i64().unwrap();
-        s_q = if s_q - qty >= 10 {
-            s_q - qty
-        } else {
-            s_q - qty + 91
-        };
-        s_row[2] = Value::Int(s_q);
-        s_row[3] = Value::Decimal(s_row[3].as_i64().unwrap() + qty * 100);
-        s_row[4] = Value::Int(s_row[4].as_i64().unwrap() + 1);
-        s_row[5] = Value::Int(s_row[5].as_i64().unwrap() + 1);
-        tdb.update(&mut rtxn, th.stock, s_rid, &s_row, htc)?;
+    for (s_rid, line) in handles.into_iter().zip(&lines) {
+        let qty = || line.qty;
+        now(reserve_stock(tdb, th, &mut rtxn, s_rid, qty, true, htc))?;
     }
-
-    // Home completes its inserts and commits, then ships the decision.
-    for (ol, &(i_id, qty, amount)) in lines.iter().enumerate() {
-        hdb.insert(
-            &mut txn,
-            hh.order_line,
-            &[
-                Value::Int(w_home as i64),
-                Value::Int(d as i64),
-                Value::Int(o_id as i64),
-                Value::Int(ol as i64 + 1),
-                Value::Int(i_id as i64),
-                Value::Int(target_wh as i64),
-                Value::Int(qty),
-                Value::Decimal(amount),
-            ],
-            htc,
-        )?;
+    for line in &lines {
+        now(insert_order_line(hdb, hh, &mut txn, order, line, htc))?;
     }
-    hdb.insert(
-        &mut txn,
-        hh.orders,
-        &[
-            Value::Int(w_home as i64),
-            Value::Int(d as i64),
-            Value::Int(o_id as i64),
-            Value::Int(c as i64),
-            Value::Date(o_id as u32),
-            Value::Int(0),
-            Value::Int(ol_cnt as i64),
-        ],
-        htc,
-    )?;
-    hdb.insert(
-        &mut txn,
-        hh.new_order,
-        &[
-            Value::Int(w_home as i64),
-            Value::Int(d as i64),
-            Value::Int(o_id as i64),
-        ],
-        htc,
-    )?;
-    hdb.commit(txn, htc)?;
-    htc.remote_send(COMMIT_BYTES);
-    htc.remote_recv(ACK_BYTES);
-    htc.unit_end();
-
-    // Phase 2 on the owner: commit and acknowledge.
-    stc.remote_recv(COMMIT_BYTES);
-    tdb.commit(rtxn, stc)?;
-    stc.remote_send(ACK_BYTES);
-    stc.fence();
-    Ok(())
+    now(insert_order(hdb, hh, &mut txn, order, c, ol_cnt, htc))?;
+    commit_both(hdb, txn, htc, tdb, rtxn, stc)
 }
 
 /// Two-phase cross-instance Payment: home warehouse/district YTD updates
@@ -460,36 +341,19 @@ fn remote_new_order(
 /// the local 60/40 split), and the home thread applies the balance
 /// update and records the history row at the paying warehouse.
 fn remote_payment(
-    home: &mut (Database, TpccDb),
+    (hdb, hh): &mut (Database, TpccDb),
     htc: &mut TraceCtx,
-    target: &mut (Database, TpccDb),
+    (tdb, th): &mut (Database, TpccDb),
     stc: &mut TraceCtx,
     w_home: u64,
     target_wh: u64,
     rng: &mut StdRng,
 ) -> EngineResult<()> {
-    let (hdb, hh) = home;
-    let (tdb, th) = target;
     hdb.statement_overhead(htc);
     let mut txn = hdb.begin(htc);
-
     let d = uniform(rng, 1, hh.scale.districts_per_wh);
     let amount = uniform(rng, 1_00, 5_000_00) as i64;
-
-    let w_rid = hdb
-        .index_get(hh.idx_warehouse, wh_key(w_home), htc)
-        .expect("warehouse");
-    let mut w_row = hdb.read(&mut txn, hh.warehouse, w_rid, true, htc)?;
-    w_row[3] = Value::Decimal(w_row[3].as_i64().unwrap() + amount);
-    hdb.update(&mut txn, hh.warehouse, w_rid, &w_row, htc)?;
-
-    let d_rid = hdb
-        .index_get(hh.idx_district, dist_key(w_home, d), htc)
-        .expect("district");
-    let mut d_row = hdb.read(&mut txn, hh.district, d_rid, true, htc)?;
-    d_row[3] = Value::Decimal(d_row[3].as_i64().unwrap() + amount);
-    hdb.update(&mut txn, hh.district, d_rid, &d_row, htc)?;
-
+    now(pay_home(hdb, hh, &mut txn, (w_home, d), amount, htc))?;
     let c_d = uniform(rng, 1, hh.scale.districts_per_wh);
 
     // Phase 1: qualify the customer row, mirroring the local 60/40
@@ -498,59 +362,50 @@ fn remote_payment(
     // index and ships the row handle; by last name the owner ships the
     // name-index pages and the coordinator runs the scan itself.
     let by_id = rng.gen_range(0..100u32) < 60;
-    let req = MSG_HEADER_BYTES + PAY_BODY_BYTES;
-    htc.fence();
-    htc.remote_send(req);
-
-    stc.remote_recv(req);
-    tdb.statement_overhead(stc);
-    let mut rtxn = tdb.begin(stc);
+    let mut rtxn = request(htc, tdb, stc, MSG_HEADER_BYTES + PAY_BODY_BYTES);
     let c_rid = if by_id {
-        let c = random_customer(rng, th);
-        let rid = tdb
-            .index_get(th.idx_customer, cust_key(target_wh, c_d, c), stc)
-            .expect("customer by id");
-        let resp = MSG_HEADER_BYTES + ROW_HANDLE_BYTES;
-        stc.remote_send(resp);
-        htc.remote_recv(resp);
+        let rid = now(find_customer(tdb, th, (target_wh, c_d), true, rng, stc));
+        reply(stc, htc, MSG_HEADER_BYTES + ROW_HANDLE_BYTES);
         rid
     } else {
-        let resp = MSG_HEADER_BYTES + NAME_PAGES_BYTES;
-        stc.remote_send(resp);
-        htc.remote_recv(resp);
-        let name = last_name(nurand(rng, 255, th.c_last, 0, 999));
-        let lo = cust_name_key(target_wh, c_d, &name, 0);
-        let hi = cust_name_key(target_wh, c_d, &name, 0xF_FFFF);
-        let matches = tdb.index_range(th.idx_customer_name, lo, hi, htc);
-        match matches.get(matches.len() / 2) {
-            Some(&(_, rid)) => rid,
-            None => {
-                let c = random_customer(rng, th);
-                tdb.index_get(th.idx_customer, cust_key(target_wh, c_d, c), htc)
-                    .expect("customer")
-            }
-        }
+        reply(stc, htc, MSG_HEADER_BYTES + NAME_PAGES_BYTES);
+        now(find_customer(tdb, th, (target_wh, c_d), false, rng, htc))
     };
 
     // The coordinator applies the balance update to the shipped handle
     // and records the history row at the paying warehouse.
-    let mut c_row = tdb.read(&mut rtxn, th.customer, c_rid, true, htc)?;
-    c_row[5] = Value::Decimal(c_row[5].as_i64().unwrap() - amount);
-    c_row[6] = Value::Decimal(c_row[6].as_i64().unwrap() + amount);
-    c_row[7] = Value::Int(c_row[7].as_i64().unwrap() + 1);
-    tdb.update(&mut rtxn, th.customer, c_rid, &c_row, htc)?;
-    hdb.insert(
-        &mut txn,
-        hh.history,
-        &[
-            c_row[2].clone(),
-            Value::Int(w_home as i64),
-            Value::Decimal(amount),
-            Value::Date(1),
-        ],
-        htc,
-    )?;
+    let c_id = now(pay_customer(tdb, th, &mut rtxn, c_rid, amount, htc))?;
+    now(write_history(hdb, hh, &mut txn, c_id, w_home, amount, htc))?;
+    commit_both(hdb, txn, htc, tdb, rtxn, stc)
+}
 
+/// Open phase 1: the coordinator fences and ships the `bytes`-byte
+/// request; the owner's service thread receives it and opens the
+/// owner-side transaction.
+fn request(htc: &mut TraceCtx, tdb: &mut Database, stc: &mut TraceCtx, bytes: u32) -> Txn {
+    htc.fence();
+    htc.remote_send(bytes);
+    stc.remote_recv(bytes);
+    tdb.statement_overhead(stc);
+    tdb.begin(stc)
+}
+
+/// The owner's service thread ships a `bytes`-byte response home.
+fn reply(stc: &mut TraceCtx, htc: &mut TraceCtx, bytes: u32) {
+    stc.remote_send(bytes);
+    htc.remote_recv(bytes);
+}
+
+/// Phase 2: the home side commits and ships the decision, then the
+/// owner's service thread commits its side and acknowledges.
+fn commit_both(
+    hdb: &mut Database,
+    txn: Txn,
+    htc: &mut TraceCtx,
+    tdb: &mut Database,
+    rtxn: Txn,
+    stc: &mut TraceCtx,
+) -> EngineResult<()> {
     hdb.commit(txn, htc)?;
     htc.remote_send(COMMIT_BYTES);
     htc.remote_recv(ACK_BYTES);

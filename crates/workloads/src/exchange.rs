@@ -38,11 +38,8 @@ use std::sync::Arc;
 use dbcmp_engine::costs::instr;
 use dbcmp_engine::exec::shuffle_join::partition_of;
 use dbcmp_engine::exec::ExchangeStrategy;
-use dbcmp_engine::{Row, TraceCtx, Value};
+use dbcmp_engine::{Row, TraceCtx, Value, MSG_HEADER_BYTES};
 use dbcmp_trace::AddressSpace;
-
-/// Fixed per-message envelope, matching `deploy`'s message header.
-pub const MSG_HEADER_BYTES: u64 = 32;
 
 /// Build sides at or below this many global post-filter bytes are
 /// broadcast instead of shuffled: copying a small table to every
@@ -190,29 +187,20 @@ pub fn exchange_rows(
         }
         ExchangeStrategy::Broadcast => {
             // Every instance q receives a full copy of every other
-            // instance's build fragment; probe rows stay put.
-            let mut outbox: Vec<Vec<Row>> = Vec::new();
-            outbox.resize_with(n, Vec::new);
+            // instance's build fragment; probe rows stay put. One encode
+            // + staged copy per remote replica.
             for (p, frag) in build_frags.iter().enumerate() {
                 for row in frag {
-                    // One encode + staged copy per remote replica.
-                    for _ in 0..n - 1 {
-                        let w = row_bytes(row);
-                        tcs[p].charge(tcs[p].r.tuple, instr::TUPLE_ENCODE);
-                        let addr = bufs.send[p].slot(w);
-                        tcs[p].store(addr, w as u32);
-                    }
+                    (1..n).for_each(|_| stage(bufs, tcs, p, row));
                 }
-                outbox[p] = frag.clone();
             }
             let build_out = (0..n)
                 .map(|q| {
                     let mut rows = build_frags[q].clone();
-                    for (p, sent) in outbox.iter().enumerate() {
-                        if p == q {
-                            continue;
+                    for (p, sent) in build_frags.iter().enumerate() {
+                        if p != q {
+                            deliver(&mut traffic, bufs, tcs, p, q, sent, &mut rows);
                         }
-                        deliver(&mut traffic, bufs, tcs, p, q, sent, &mut rows);
                     }
                     rows
                 })
@@ -228,14 +216,8 @@ pub fn exchange_rows(
                              bufs: &mut ExchangeBufs,
                              tcs: &mut [&mut TraceCtx]|
              -> Vec<Vec<Row>> {
-                let mut kept: Vec<Vec<Row>> = Vec::new();
-                kept.resize_with(n, Vec::new);
-                let mut outbox: Vec<Vec<Vec<Row>>> = Vec::new();
-                outbox.resize_with(n, || {
-                    let mut v = Vec::new();
-                    v.resize_with(n, Vec::new);
-                    v
-                });
+                let mut kept: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
+                let mut outbox: Vec<Vec<Vec<Row>>> = (0..n).map(|_| kept.clone()).collect();
                 for (p, frag) in frags.into_iter().enumerate() {
                     for row in frag {
                         tcs[p].charge(tcs[p].r.exec_exchange, instr::XCHG_PART_ROW);
@@ -247,10 +229,7 @@ pub fn exchange_rows(
                         if dest == p {
                             kept[p].push(row);
                         } else {
-                            let w = row_bytes(&row);
-                            tcs[p].charge(tcs[p].r.tuple, instr::TUPLE_ENCODE);
-                            let addr = bufs.send[p].slot(w);
-                            tcs[p].store(addr, w as u32);
+                            stage(bufs, tcs, p, &row);
                             outbox[p][dest].push(row);
                         }
                     }
@@ -261,9 +240,7 @@ pub fn exchange_rows(
                             continue;
                         }
                         let inbound = std::mem::take(&mut sent[q]);
-                        let mut rows = std::mem::take(&mut kept[q]);
-                        deliver(&mut traffic, bufs, tcs, p, q, &inbound, &mut rows);
-                        kept[q] = rows;
+                        deliver(&mut traffic, bufs, tcs, p, q, &inbound, &mut kept[q]);
                     }
                 }
                 kept
@@ -293,12 +270,18 @@ pub fn ship_rows(
         return;
     }
     for row in rows {
-        let w = row_bytes(row);
-        tcs[from].charge(tcs[from].r.tuple, instr::TUPLE_ENCODE);
-        let addr = bufs.send[from].slot(w);
-        tcs[from].store(addr, w as u32);
+        stage(bufs, tcs, from, row);
     }
     deliver(traffic, bufs, tcs, from, to, rows, out);
+}
+
+/// Encode `row` on instance `from` and store it into `from`'s send
+/// buffer, ready to ship.
+fn stage(bufs: &mut ExchangeBufs, tcs: &mut [&mut TraceCtx], from: usize, row: &[Value]) {
+    let w = row_bytes(row);
+    tcs[from].charge(tcs[from].r.tuple, instr::TUPLE_ENCODE);
+    let addr = bufs.send[from].slot(w);
+    tcs[from].store(addr, w as u32);
 }
 
 /// The wire + receive half of a transfer whose rows are already staged
@@ -318,7 +301,7 @@ fn deliver(
     if rows.is_empty() {
         return;
     }
-    let bytes = (MSG_HEADER_BYTES + rows_bytes(rows)) as u32;
+    let bytes = (u64::from(MSG_HEADER_BYTES) + rows_bytes(rows)) as u32;
     tcs[from].fence();
     tcs[from].remote_send(bytes);
     tcs[to].remote_recv(bytes);
@@ -473,7 +456,7 @@ mod tests {
         assert_eq!(traffic.messages, 1);
         assert_eq!(
             traffic.sent_bytes,
-            MSG_HEADER_BYTES + rows_bytes(&rows),
+            u64::from(MSG_HEADER_BYTES) + rows_bytes(&rows),
             "message = header + payload"
         );
         let t0 = ctxs.remove(0).finish();

@@ -31,6 +31,7 @@
 pub mod capture;
 pub mod deploy;
 pub mod exchange;
+mod instances;
 pub mod interleave;
 pub mod ops;
 pub mod rng;

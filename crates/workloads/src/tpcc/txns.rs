@@ -17,6 +17,7 @@
 //! intended outcome (or an error) and the driver finishes the transaction,
 //! so every error path — deadlock victims included — rolls back cleanly.
 
+use dbcmp_engine::heap::Rid;
 use dbcmp_engine::lockmgr::LockMode;
 use dbcmp_engine::txn::Txn;
 use dbcmp_engine::{Result, TraceCtx, Value};
@@ -96,6 +97,17 @@ impl TxnCfg {
 fn draw_district(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
     cfg.district
         .unwrap_or_else(|| uniform(rng, 1, h.scale.districts_per_wh))
+}
+
+/// A uniform warehouse of `lo..=hi` other than `w`: a draw that lands on
+/// `w` moves on to the next warehouse, wrapping, so exactly one draw is
+/// consumed.
+pub(crate) fn draw_other_wh(rng: &mut StdRng, (lo, hi): (u64, u64), w: u64) -> u64 {
+    match uniform(rng, lo, hi) {
+        other if other != w => other,
+        other if other == hi => lo,
+        other => other + 1,
+    }
 }
 
 fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
@@ -203,36 +215,9 @@ async fn new_order<D: EngineOps>(
     // Spec 2.4.1.4: 1% of NewOrders use an invalid item and roll back.
     let rollback = rng.gen_range(0..100u32) == 0;
 
-    // Warehouse tax (S).
-    let w_rid = db
-        .index_get(h.idx_warehouse, wh_key(w), tc)
-        .await
-        .expect("warehouse");
-    let w_row = db.read(txn, h.warehouse, w_rid, false, tc).await?;
-    let w_tax = w_row[2].as_i64().unwrap();
-
-    // District: read + increment next_o_id (X).
-    let d_rid = db
-        .index_get(h.idx_district, dist_key(w, d), tc)
-        .await
-        .expect("district");
-    let mut d_row = db.read(txn, h.district, d_rid, true, tc).await?;
-    let d_tax = d_row[2].as_i64().unwrap();
-    let o_id = d_row[4].as_i64().unwrap() as u64;
-    d_row[4] = Value::Int(o_id as i64 + 1);
-    db.update(txn, h.district, d_rid, &d_row, tc).await?;
-
-    // Customer (S).
-    let c_rid = db
-        .index_get(h.idx_customer, cust_key(w, d, c), tc)
-        .await
-        .expect("customer");
-    let _c_row = db.read(txn, h.customer, c_rid, false, tc).await?;
-
-    // Lines.
-    let mut total = 0i64;
-    for ol in 1..=ol_cnt {
-        let i_id = if rollback && ol == ol_cnt {
+    let order = open_order(db, h, txn, (w, d), c, tc).await?;
+    for number in 1..=ol_cnt {
+        let i_id = if rollback && number == ol_cnt {
             u64::MAX
         } else {
             draw_item(cfg, rng, h)
@@ -244,91 +229,31 @@ async fn new_order<D: EngineOps>(
         let supply_w = if let Some(rw) = cfg.remote_wh {
             rw
         } else if rng.gen_range(0..100u32) == 0 && h.wh_hi > h.wh_lo {
-            let mut other = uniform(rng, h.wh_lo, h.wh_hi);
-            if other == w {
-                other = if other == h.wh_hi { h.wh_lo } else { other + 1 };
-            }
-            other
+            draw_other_wh(rng, (h.wh_lo, h.wh_hi), w)
         } else {
             w
         };
-        let Some(i_rid) = db.index_get(h.idx_item, item_key(i_id), tc).await else {
+        let Some(price) = item_price(db, h, txn, i_id, tc).await? else {
             // Invalid item: the spec's deliberate rollback (the driver
             // aborts the transaction).
             return Ok(TxnOutcome::Aborted);
         };
-        let i_row = db.read(txn, h.item, i_rid, false, tc).await?;
-        let price = i_row[2].as_i64().unwrap();
-
-        // Stock update (X).
         let s_rid = db
             .index_get(h.idx_stock, stock_key(supply_w, i_id), tc)
             .await
             .expect("stock");
-        let mut s_row = db.read(txn, h.stock, s_rid, true, tc).await?;
-        let qty = uniform(rng, 1, 10) as i64;
-        let mut s_q = s_row[2].as_i64().unwrap();
-        s_q = if s_q - qty >= 10 {
-            s_q - qty
-        } else {
-            s_q - qty + 91
+        let draw_qty = || uniform(rng, 1, 10) as i64;
+        let qty = reserve_stock(db, h, txn, s_rid, draw_qty, supply_w != w, tc).await?;
+        let line = OrderLine {
+            number,
+            i_id,
+            supply_w,
+            qty,
+            amount: price * qty,
         };
-        s_row[2] = Value::Int(s_q);
-        s_row[3] = Value::Decimal(s_row[3].as_i64().unwrap() + qty * 100);
-        s_row[4] = Value::Int(s_row[4].as_i64().unwrap() + 1);
-        if supply_w != w {
-            s_row[5] = Value::Int(s_row[5].as_i64().unwrap() + 1);
-        }
-        db.update(txn, h.stock, s_rid, &s_row, tc).await?;
-
-        let amount = price * qty;
-        total += amount;
-        db.insert(
-            txn,
-            h.order_line,
-            &[
-                Value::Int(w as i64),
-                Value::Int(d as i64),
-                Value::Int(o_id as i64),
-                Value::Int(ol as i64),
-                Value::Int(i_id as i64),
-                Value::Int(supply_w as i64),
-                Value::Int(qty),
-                Value::Decimal(amount),
-            ],
-            tc,
-        )
-        .await?;
+        insert_order_line(db, h, txn, order, &line, tc).await?;
     }
-    let _ = (w_tax, d_tax, total);
-
-    db.insert(
-        txn,
-        h.orders,
-        &[
-            Value::Int(w as i64),
-            Value::Int(d as i64),
-            Value::Int(o_id as i64),
-            Value::Int(c as i64),
-            Value::Date(o_id as u32),
-            Value::Int(0),
-            Value::Int(ol_cnt as i64),
-        ],
-        tc,
-    )
-    .await?;
-    db.insert(
-        txn,
-        h.new_order,
-        &[
-            Value::Int(w as i64),
-            Value::Int(d as i64),
-            Value::Int(o_id as i64),
-        ],
-        tc,
-    )
-    .await?;
-
+    insert_order(db, h, txn, order, c, ol_cnt, tc).await?;
     Ok(TxnOutcome::Committed)
 }
 
@@ -348,76 +273,251 @@ async fn payment<D: EngineOps>(
     let (c_w, c_d) = if let Some(rw) = cfg.remote_wh {
         (rw, uniform(rng, 1, h.scale.districts_per_wh))
     } else if rng.gen_range(0..100u32) < 15 && h.wh_hi > h.wh_lo {
-        let mut other = uniform(rng, h.wh_lo, h.wh_hi);
-        if other == w {
-            other = if other == h.wh_hi { h.wh_lo } else { other + 1 };
-        }
+        let other = draw_other_wh(rng, (h.wh_lo, h.wh_hi), w);
         (other, uniform(rng, 1, h.scale.districts_per_wh))
     } else {
         (w, d)
     };
     let amount = uniform(rng, 1_00, 5_000_00) as i64;
 
-    // Warehouse YTD (X) — a hot row every payment writes.
+    pay_home(db, h, txn, (w, d), amount, tc).await?;
+    // Customer: 60% by id, 40% by last name (secondary index range).
+    let by_id = rng.gen_range(0..100u32) < 60;
+    let c_rid = find_customer(db, h, (c_w, c_d), by_id, rng, tc).await;
+    let c_id = pay_customer(db, h, txn, c_rid, amount, tc).await?;
+    write_history(db, h, txn, c_id, w, amount, tc).await?;
+    Ok(TxnOutcome::Committed)
+}
+
+// ---- Statement groups NewOrder and Payment share with the two-phase
+// flavors in `crate::deploy`, which run them on whichever instance holds
+// the rows, under that instance's transaction. ----
+
+/// One order's key, `(w, d, o_id)`: every row the order inserts carries it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OrderId {
+    pub w: u64,
+    pub d: u64,
+    pub o_id: u64,
+}
+
+/// One order line as inserted.
+pub(crate) struct OrderLine {
+    /// Line number within the order, from 1.
+    pub number: u64,
+    pub i_id: u64,
+    pub supply_w: u64,
+    pub qty: i64,
+    pub amount: i64,
+}
+
+/// Open an order in district `d` of warehouse `w` for customer `c`: read
+/// the warehouse (S), take the district's next order id and bump it (X),
+/// read the customer (S).
+pub(crate) async fn open_order<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    (w, d): (u64, u64),
+    c: u64,
+    tc: &mut TraceCtx,
+) -> Result<OrderId> {
     let w_rid = db
         .index_get(h.idx_warehouse, wh_key(w), tc)
         .await
         .expect("warehouse");
-    let mut w_row = db.read(txn, h.warehouse, w_rid, true, tc).await?;
-    w_row[3] = Value::Decimal(w_row[3].as_i64().unwrap() + amount);
-    db.update(txn, h.warehouse, w_rid, &w_row, tc).await?;
+    db.read(txn, h.warehouse, w_rid, false, tc).await?;
 
-    // District YTD (X).
     let d_rid = db
         .index_get(h.idx_district, dist_key(w, d), tc)
         .await
         .expect("district");
     let mut d_row = db.read(txn, h.district, d_rid, true, tc).await?;
-    d_row[3] = Value::Decimal(d_row[3].as_i64().unwrap() + amount);
+    let o_id = d_row[4].as_i64().unwrap() as u64;
+    d_row[4] = Value::Int(o_id as i64 + 1);
     db.update(txn, h.district, d_rid, &d_row, tc).await?;
 
-    // Customer: 60% by id, 40% by last name (secondary index range).
-    let c_rid = if rng.gen_range(0..100u32) < 60 {
-        let c = random_customer(rng, h);
-        db.index_get(h.idx_customer, cust_key(c_w, c_d, c), tc)
-            .await
-            .expect("customer by id")
-    } else {
+    let c_rid = db
+        .index_get(h.idx_customer, cust_key(w, d, c), tc)
+        .await
+        .expect("customer");
+    db.read(txn, h.customer, c_rid, false, tc).await?;
+    Ok(OrderId { w, d, o_id })
+}
+
+/// Item `i_id`'s price (S), or `None` when the catalog has no such item.
+pub(crate) async fn item_price<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    i_id: u64,
+    tc: &mut TraceCtx,
+) -> Result<Option<i64>> {
+    let Some(i_rid) = db.index_get(h.idx_item, item_key(i_id), tc).await else {
+        return Ok(None);
+    };
+    let i_row = db.read(txn, h.item, i_rid, false, tc).await?;
+    Ok(Some(i_row[2].as_i64().unwrap()))
+}
+
+/// Reserve stock row `s_rid` (X): take the quantity `qty` yields,
+/// restocking by 91 below 10, add it to the year-to-date total, count the
+/// order, and count a remote order when `remote`. `qty` is called only
+/// once the row is held, so a read that fails consumes no draw. Returns
+/// the quantity reserved.
+pub(crate) async fn reserve_stock<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    s_rid: Rid,
+    qty: impl FnOnce() -> i64,
+    remote: bool,
+    tc: &mut TraceCtx,
+) -> Result<i64> {
+    let mut s_row = db.read(txn, h.stock, s_rid, true, tc).await?;
+    let qty = qty();
+    let s_q = s_row[2].as_i64().unwrap() - qty;
+    s_row[2] = Value::Int(if s_q >= 10 { s_q } else { s_q + 91 });
+    s_row[3] = Value::Decimal(s_row[3].as_i64().unwrap() + qty * 100);
+    s_row[4] = Value::Int(s_row[4].as_i64().unwrap() + 1);
+    if remote {
+        s_row[5] = Value::Int(s_row[5].as_i64().unwrap() + 1);
+    }
+    db.update(txn, h.stock, s_rid, &s_row, tc).await?;
+    Ok(qty)
+}
+
+/// Insert `line` of `order`.
+pub(crate) async fn insert_order_line<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    order: OrderId,
+    line: &OrderLine,
+    tc: &mut TraceCtx,
+) -> Result<()> {
+    let row = [
+        Value::Int(order.w as i64),
+        Value::Int(order.d as i64),
+        Value::Int(order.o_id as i64),
+        Value::Int(line.number as i64),
+        Value::Int(line.i_id as i64),
+        Value::Int(line.supply_w as i64),
+        Value::Int(line.qty),
+        Value::Decimal(line.amount),
+    ];
+    db.insert(txn, h.order_line, &row, tc).await.map(drop)
+}
+
+/// Insert `order`'s `orders` row (customer `c`, `ol_cnt` lines) and its
+/// `new_order` row.
+pub(crate) async fn insert_order<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    order: OrderId,
+    c: u64,
+    ol_cnt: u64,
+    tc: &mut TraceCtx,
+) -> Result<()> {
+    let row = [
+        Value::Int(order.w as i64),
+        Value::Int(order.d as i64),
+        Value::Int(order.o_id as i64),
+        Value::Int(c as i64),
+        Value::Date(order.o_id as u32),
+        Value::Int(0),
+        Value::Int(ol_cnt as i64),
+    ];
+    db.insert(txn, h.orders, &row, tc).await?;
+    // The new-order row is the order's key.
+    db.insert(txn, h.new_order, &row[..3], tc).await.map(drop)
+}
+
+/// Add `amount` to the year-to-date totals of warehouse `w` and its
+/// district `d` (X both) — the hot rows every payment writes.
+pub(crate) async fn pay_home<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    (w, d): (u64, u64),
+    amount: i64,
+    tc: &mut TraceCtx,
+) -> Result<()> {
+    let warehouse = (h.idx_warehouse, wh_key(w), h.warehouse);
+    let district = (h.idx_district, dist_key(w, d), h.district);
+    for (index, key, table) in [warehouse, district] {
+        let rid = db.index_get(index, key, tc).await.expect("home row");
+        let mut row = db.read(txn, table, rid, true, tc).await?;
+        row[3] = Value::Decimal(row[3].as_i64().unwrap() + amount);
+        db.update(txn, table, rid, &row, tc).await?;
+    }
+    Ok(())
+}
+
+/// A customer of district `(c_w, c_d)`: by a random id, or (unless
+/// `by_id`) by a NURand last name — the middle of the name's matches in
+/// the secondary index, or a random id when the name is not present at
+/// this scale.
+pub(crate) async fn find_customer<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    (c_w, c_d): (u64, u64),
+    by_id: bool,
+    rng: &mut StdRng,
+    tc: &mut TraceCtx,
+) -> Rid {
+    if !by_id {
         let name = last_name(crate::rng::nurand(rng, 255, h.c_last, 0, 999));
         let lo = cust_name_key(c_w, c_d, &name, 0);
         let hi = cust_name_key(c_w, c_d, &name, 0xF_FFFF);
         let matches = db.index_range(h.idx_customer_name, lo, hi, tc).await;
-        match matches.get(matches.len() / 2) {
-            Some(&(_, rid)) => rid,
-            None => {
-                // Name not present at this scale: fall back to id.
-                let c = random_customer(rng, h);
-                db.index_get(h.idx_customer, cust_key(c_w, c_d, c), tc)
-                    .await
-                    .expect("customer")
-            }
+        if let Some(&(_, rid)) = matches.get(matches.len() / 2) {
+            return rid;
         }
-    };
+    }
+    let c = random_customer(rng, h);
+    db.index_get(h.idx_customer, cust_key(c_w, c_d, c), tc)
+        .await
+        .expect("customer")
+}
+
+/// Charge `amount` to customer row `c_rid` (X): balance, year-to-date
+/// payment, payment count. Returns the customer id the history row
+/// records.
+pub(crate) async fn pay_customer<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    c_rid: Rid,
+    amount: i64,
+    tc: &mut TraceCtx,
+) -> Result<Value> {
     let mut c_row = db.read(txn, h.customer, c_rid, true, tc).await?;
     c_row[5] = Value::Decimal(c_row[5].as_i64().unwrap() - amount);
     c_row[6] = Value::Decimal(c_row[6].as_i64().unwrap() + amount);
     c_row[7] = Value::Int(c_row[7].as_i64().unwrap() + 1);
     db.update(txn, h.customer, c_rid, &c_row, tc).await?;
+    Ok(c_row[2].clone())
+}
 
-    db.insert(
-        txn,
-        h.history,
-        &[
-            c_row[2].clone(),
-            Value::Int(w as i64),
-            Value::Decimal(amount),
-            Value::Date(1),
-        ],
-        tc,
-    )
-    .await?;
-
-    Ok(TxnOutcome::Committed)
+/// Record customer `c_id`'s payment of `amount` at warehouse `w`.
+pub(crate) async fn write_history<D: EngineOps>(
+    db: &mut D,
+    h: &TpccDb,
+    txn: &mut Txn,
+    c_id: Value,
+    w: u64,
+    amount: i64,
+    tc: &mut TraceCtx,
+) -> Result<()> {
+    let row = [
+        c_id,
+        Value::Int(w as i64),
+        Value::Decimal(amount),
+        Value::Date(1),
+    ];
+    db.insert(txn, h.history, &row, tc).await.map(drop)
 }
 
 async fn order_status<D: EngineOps>(
