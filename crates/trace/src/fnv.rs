@@ -31,21 +31,3 @@ impl Default for Fnv {
         Self::new()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The empty fold is the offset basis, and one word is one
-    /// xor-multiply step.
-    #[test]
-    fn folds_whole_words() {
-        assert_eq!(Fnv::new().finish(), 0xcbf2_9ce4_8422_2325);
-        let mut d = Fnv::new();
-        d.word(1);
-        assert_eq!(
-            d.finish(),
-            (0xcbf2_9ce4_8422_2325u64 ^ 1).wrapping_mul(0x0000_0100_0000_01b3)
-        );
-    }
-}

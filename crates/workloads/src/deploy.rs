@@ -191,9 +191,9 @@ pub fn capture_oltp_deployment(
         db.set_lock_sharers(homed.count() as u32);
     }
 
-    // One service context per instance, bundled only if a crossing used it.
-    let mut service: Vec<TraceCtx> = parts.iter().map(|(db, _)| db.trace_ctx()).collect();
-    let mut service_used = vec![false; n];
+    // Each instance's service context, opened by the first crossing it
+    // serves: an instance no crossing reaches bundles no service trace.
+    let mut service: Vec<Option<TraceCtx>> = (0..n).map(|_| None).collect();
     let mut clients = Vec::with_capacity(opt.capture.clients);
     let mut stats = DeployStats::default();
 
@@ -221,11 +221,10 @@ pub fn capture_oltp_deployment(
             let res = match target.map(|t| (t, owner(t, scale.warehouses, n))) {
                 Some((t, p_t)) if p_t != p_home => {
                     stats.multi_remote_txns += 1;
-                    service_used[p_t] = true;
                     let [home, tgt] = parts
                         .get_disjoint_mut([p_home, p_t])
                         .expect("a crossing spans two instances");
-                    let stc = &mut service[p_t];
+                    let stc = service[p_t].get_or_insert_with(|| tgt.0.trace_ctx());
                     match kind {
                         TxnKind::NewOrder => {
                             remote_new_order(home, &mut tc, tgt, stc, w_home, t, &mut trng)
@@ -256,10 +255,7 @@ pub fn capture_oltp_deployment(
         clients.push((p_home, tc.finish()));
     }
 
-    let service = service
-        .into_iter()
-        .zip(service_used)
-        .map(|(tc, used)| used.then(|| tc.finish()));
+    let service = service.into_iter().map(|tc| tc.map(TraceCtx::finish));
     let bundles = bundle_instances(parts.iter().map(|(db, _)| db), clients, service);
     for b in &bundles {
         stats.remote_sends += b.total_remote_sends();

@@ -187,11 +187,13 @@ pub fn exchange_rows(
         }
         ExchangeStrategy::Broadcast => {
             // Every instance q receives a full copy of every other
-            // instance's build fragment; probe rows stay put. One encode
-            // + staged copy per remote replica.
+            // instance's build fragment; probe rows stay put.
             for (p, frag) in build_frags.iter().enumerate() {
                 for row in frag {
-                    (1..n).for_each(|_| stage(bufs, tcs, p, row));
+                    // One encode + staged copy per remote replica.
+                    for _ in 1..n {
+                        stage(bufs, tcs, p, row);
+                    }
                 }
             }
             let build_out = (0..n)

@@ -32,11 +32,11 @@
 //! [`TraceBundle`] per instance, holding its home clients' traces in
 //! client order plus (for n > 1) the instance's service trace last.
 //! Fragment *builds* parallelize across workers (each into its private
-//! window). For n > 1 the capture
-//! itself is sequential in global client order, because every unit
-//! drives every instance's service context; at n = 1 the clients run
-//! in parallel as in [`crate::capture::capture_dss_workers`]. Either
-//! way worker count never leaks into the traces.
+//! window). For n > 1 the capture itself is sequential in global client
+//! order, because every unit drives every instance's service context;
+//! at n = 1 the clients run in parallel as in
+//! [`crate::capture::capture_dss_workers`]. Either way worker count
+//! never leaks into the traces.
 
 use dbcmp_engine::exec::sort::SortKey;
 use dbcmp_engine::exec::{
@@ -164,14 +164,14 @@ pub fn capture_dss_dist_workers(
             // The client's context stands in for its home instance's.
             let mut tcs: Vec<&mut TraceCtx> = service_tcs.iter_mut().collect();
             tcs[home] = &mut client_tcs[client];
-            let unit = DistUnit {
+            let borrows = DistUnit {
                 dbs: &dbs,
                 tcs,
                 bufs: &mut bufs,
                 stats: &mut stats,
                 home,
             };
-            unit.run(&hs[home], kind, &mut rng);
+            borrows.run(&hs[home], kind, &mut rng);
         }
     }
 
