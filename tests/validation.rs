@@ -9,12 +9,13 @@
 //! chip-shared L2s in `sim::memsys`, and the asym endpoints ≡ the camp
 //! presets in `fig_smoke`.
 
+use dbcmp::core::deploy_capture;
 use dbcmp::core::experiment::{run_throughput, RunSpec};
 use dbcmp::core::machines::{asym_cmp, fc_cmp, island_cmp, lc_cmp, smp_baseline, L2Spec};
 use dbcmp::core::taxonomy::{Camp, WorkloadKind};
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
 use dbcmp::engine::CcBackend;
-use dbcmp::sim::{MachineBuilder, MachineConfig, RunMode, SimResult};
+use dbcmp::sim::{Interconnect, MachineBuilder, MachineConfig, RunMode, SimResult};
 use dbcmp::trace::{Fnv, TraceBundle, TraceSummary};
 use dbcmp::workloads::{
     build_tpcc, capture_oltp, capture_oltp_interleaved, CaptureOptions, InterleaveOptions,
@@ -583,8 +584,10 @@ fn result_digest(r: &SimResult) -> u64 {
 /// The machine shapes the golden anchor leaves out — the private-L2 SMP
 /// under both camps, a 2x2 hardware-islands chip, a mixed fat+lean chip
 /// and the pure-lean end of the asymmetric preset — pinned by one digest
-/// of every `SimResult` field per run mode, on the anchor's capture.
-/// Recorded at `63693e9`.
+/// of every `SimResult` field per run mode, on the anchor's capture
+/// (recorded at `63693e9`). Both camps also replay one instance of a
+/// shared-nothing deployment over 10 GbE, the only cells where a lean
+/// core parks on remote traffic.
 #[test]
 fn machine_shapes_are_pinned() {
     let thr = RunMode::Throughput {
@@ -595,35 +598,63 @@ fn machine_shapes_are_pinned() {
         max_cycles: 400_000_000,
     };
     let l2 = 4 << 20;
-    let pins: [(MachineConfig, [u64; 2]); 5] = [
+    let scale = FigScale::quick();
+    let oltp = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
+    let deployment = deploy_capture(&scale, 4, 2, 60);
+    let remote = &deployment.bundles[0];
+    let ten_gbe = |mut cfg: MachineConfig| {
+        cfg.interconnect = Interconnect::network_10g();
+        cfg
+    };
+    let pins: [(MachineConfig, &TraceBundle, [u64; 2]); 7] = [
         (
             smp_baseline(4, 1 << 20, Camp::Fat),
+            &oltp.bundle,
             [0xde49_fe98_4d68_386f, 0x5012_78ba_231d_cb99],
         ),
         (
             smp_baseline(4, 1 << 20, Camp::Lean),
+            &oltp.bundle,
             [0xd706_f772_1750_626a, 0x56a7_1b78_230a_9507],
         ),
         (
             island_cmp(2, 2, l2, L2Spec::Cacti),
+            &oltp.bundle,
             [0xaa12_adfb_0eb6_0aac, 0xd892_b696_df70_2f51],
         ),
         (
             asym_cmp(3, 1, l2, L2Spec::Cacti),
+            &oltp.bundle,
             [0xc0dd_25bd_0e5e_2467, 0x9c96_0bdc_300f_9f73],
         ),
         (
             asym_cmp(0, 4, l2, L2Spec::Cacti),
+            &oltp.bundle,
             [0x7a51_53db_f417_eb32, 0x9eb9_371a_d3ba_fc0a],
         ),
+        (
+            ten_gbe(lc_cmp(2, l2, L2Spec::Cacti)),
+            remote,
+            [0xe737_d0bc_bcb0_1cfe, 0xa25b_c59b_321b_d1c9],
+        ),
+        (
+            ten_gbe(fc_cmp(2, l2, L2Spec::Cacti)),
+            remote,
+            [0x99c2_d0d4_6fb0_d0c4, 0x2846_c807_571e_d9d8],
+        ),
     ];
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
     let got: Vec<[u64; 2]> = pins
         .iter()
-        .map(|(cfg, _)| [thr, cmp].map(|mode| result_digest(&run(cfg.clone(), &w.bundle, mode))))
+        .map(|(cfg, bundle, _)| {
+            [thr, cmp].map(|mode| {
+                let r = run(cfg.clone(), bundle, mode);
+                let parks = std::ptr::eq(*bundle, remote);
+                assert_eq!(r.remote.recvs > 0, parks, "{} {mode:?}", cfg.name);
+                result_digest(&r)
+            })
+        })
         .collect();
-    for ((cfg, want), got) in pins.iter().zip(&got) {
+    for ((cfg, _, want), got) in pins.iter().zip(&got) {
         assert_eq!(got, want, "{}: got {got:#018x?}", cfg.name);
     }
 }
