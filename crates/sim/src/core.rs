@@ -1,17 +1,11 @@
 //! The [`Core`] trait: the contract every core model satisfies.
 //!
-//! Replaces the closed `AnyCore` enum the machine used to dispatch
-//! through. The machine drives cores purely through this trait, so a
-//! machine can mix slot kinds freely (the heterogeneous-CMP scenarios of
-//! Porobic et al. and Schall & Härder) and new core models plug in
-//! without touching the cycle loop.
-
-use dbcmp_trace::region::CodeRegions;
+//! The machine drives cores purely through this trait, so a machine can
+//! mix slot kinds freely (the heterogeneous-CMP scenarios of Porobic et
+//! al. and Schall & Härder).
 
 use crate::ctx::CtxBase;
-use crate::cursor::ThreadState;
-use crate::machine::MachineCtl;
-use crate::memsys::MemSys;
+use crate::machine::Shared;
 use crate::stats::CycleClass;
 
 /// What one [`Core::cycle`] call reports back to the machine: a span of
@@ -39,32 +33,20 @@ impl Tick {
 }
 
 /// One core slot of a machine. Implementations own their hardware
-/// contexts ([`CtxBase`]) and per-window retirement counter; the machine
-/// owns the threads, the memory system, and the clock.
-pub trait Core {
+/// contexts ([`CtxBase`]); the machine owns the clock and lends the rest
+/// of its state ([`Shared`]: memory system, threads, code regions,
+/// run control) to one core call at a time.
+pub(crate) trait Core {
     /// Simulate core number `core` from cycle `now`, never reaching
     /// `horizon` (the end of the machine's current window): the cycle at
     /// `now`, then the cycles after it for as long as nothing outside the
     /// core can change what they do (DESIGN.md §2, "Time advance").
     /// Returns the span simulated; `horizon = now + 1` is one cycle.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
-    )]
-    fn cycle(
-        &mut self,
-        core: usize,
-        now: u64,
-        horizon: u64,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> Tick {
-        let tick = self.step(core, now, horizon, mem, threads, regions, ctl);
+    fn cycle(&mut self, core: usize, now: u64, horizon: u64, s: &mut Shared<'_>) -> Tick {
+        let tick = self.step(core, now, horizon, s);
         let mut t = tick.until;
         if tick.class == Some(CycleClass::Compute) {
-            while t < horizon && self.private_cycle(t, threads, regions, ctl) {
+            while t < horizon && self.private_cycle(t, s) {
                 t += 1;
             }
         }
@@ -74,20 +56,7 @@ pub trait Core {
     /// Simulate the one cycle at `now`, or, when it is quiet (it and the
     /// cycles after it change nothing but countdowns the core applies in
     /// bulk), the quiet span it starts, ending by `horizon`.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
-    )]
-    fn step(
-        &mut self,
-        core: usize,
-        now: u64,
-        horizon: u64,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> Tick;
+    fn step(&mut self, core: usize, now: u64, horizon: u64, s: &mut Shared<'_>) -> Tick;
 
     /// Simulate the cycle at `t` if it is *private* and return `true`;
     /// otherwise change nothing and return `false`. A private cycle
@@ -96,27 +65,11 @@ pub trait Core {
     /// run ends before it. Nothing another core does can reach such a
     /// cycle, so it may run ahead of the clock. It does what
     /// [`step`](Self::step) would, through `step`'s own stage functions.
-    fn private_cycle(
-        &mut self,
-        t: u64,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> bool;
+    fn private_cycle(&mut self, t: u64, s: &mut Shared<'_>) -> bool;
 
     /// The core's hardware contexts (thread slots), in binding order.
     fn contexts(&self) -> &[CtxBase];
 
     /// Mutable access to the contexts, for thread binding.
     fn contexts_mut(&mut self) -> &mut [CtxBase];
-
-    /// Mutable access to the per-window retirement counter (the shared
-    /// reset plumbing; concrete models expose the count as a field).
-    fn retired_mut(&mut self) -> &mut u64;
-
-    /// Zero the measurement counters at the end of warm-up. Cores with
-    /// extra window state override and call the default.
-    fn reset_counters(&mut self) {
-        *self.retired_mut() = 0;
-    }
 }

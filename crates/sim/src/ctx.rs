@@ -196,7 +196,6 @@ pub fn consume_meta_event(
         Event::Fence | Event::Block => th.pending_fence = true,
         Event::Wake => {}
         Event::UnitEnd => {
-            th.units += 1;
             ctl.units += 1;
             ctl.unit_cycles += now.saturating_sub(th.unit_started_at);
             th.unit_started_at = now;
@@ -216,13 +215,6 @@ pub fn consume_meta_event(
         Event::Load { .. } | Event::Store { .. } => return false,
     }
     true
-}
-
-/// Count `n` retired instructions, for the core and the machine.
-#[inline]
-pub(crate) fn count_retired(retired: &mut u64, n: usize, ctl: &mut MachineCtl) {
-    *retired += n as u64;
-    ctl.instrs += n as u64;
 }
 
 /// Move the thread's accrued interconnect wait into the machine's remote

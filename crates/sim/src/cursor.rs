@@ -129,7 +129,6 @@ pub struct ThreadState<'a> {
     pub remote_wait: u64,
     /// Fractional branch mispredictions owed.
     pub mispred_acc: f64,
-    pub units: u64,
     pub unit_started_at: u64,
     pub done: bool,
 }
@@ -146,7 +145,6 @@ impl<'a> ThreadState<'a> {
             pending_fence: false,
             remote_wait: 0,
             mispred_acc: 0.0,
-            units: 0,
             unit_started_at: 0,
             done: false,
         }

@@ -20,17 +20,17 @@
 
 use std::collections::VecDeque;
 
-use dbcmp_trace::region::{CodeRegion, CodeRegions};
+use dbcmp_trace::region::CodeRegion;
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
 use crate::ctx::{
-    consume_meta_event, count_retired, data_stall_class, fetch_check, finish_thread, issue_store,
-    load_access, take_remote_wait, CtxBase, MAX_META_EVENTS,
+    consume_meta_event, data_stall_class, fetch_check, finish_thread, issue_store, load_access,
+    take_remote_wait, CtxBase, MAX_META_EVENTS,
 };
 use crate::cursor::{PendingLoad, PendingStore, ThreadState};
-use crate::machine::MachineCtl;
+use crate::machine::Shared;
 use crate::memsys::MemSys;
 use crate::stats::CycleClass;
 
@@ -71,7 +71,6 @@ pub struct FatCore {
     /// A quantum expiry requested a thread switch; performed once the
     /// window drains.
     want_switch: bool,
-    pub retired: u64,
 }
 
 impl FatCore {
@@ -93,7 +92,6 @@ impl FatCore {
             fetch_until: 0,
             fetch_class: CycleClass::IStallL2,
             want_switch: false,
-            retired: 0,
         }
     }
 }
@@ -107,27 +105,14 @@ impl Core for FatCore {
         std::slice::from_mut(&mut self.base)
     }
 
-    fn retired_mut(&mut self) -> &mut u64 {
-        &mut self.retired
-    }
-
     /// Simulate one cycle, or the quiet span it starts; a `None` class
     /// means the core has no work at all. Quiet = nothing retired, no
     /// thread rotated, `want_switch` not newly set, and decode stuck.
-    fn step(
-        &mut self,
-        core: usize,
-        now: u64,
-        horizon: u64,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> Tick {
+    fn step(&mut self, core: usize, now: u64, horizon: u64, s: &mut Shared<'_>) -> Tick {
         let mut quiet = true;
         // Thread scheduling.
         if let Some(t) = self.base.thread {
-            if threads[t].done && self.rob.is_empty() {
+            if s.threads[t].done && self.rob.is_empty() {
                 self.base
                     .rotate_thread(false, self.quantum, self.switch_penalty, now);
                 quiet = false;
@@ -144,13 +129,14 @@ impl Core for FatCore {
         }
 
         self.base.drain_stores(now);
-        let retired = self.retire(now, ctl);
+        let retired = self.retire(now);
+        s.ctl.instrs += retired as u64;
 
         // ---- Decode/dispatch stage ----
         let mut head_wait: Option<CycleClass> = None;
         if let Some(t) = self.base.thread {
-            if !threads[t].done {
-                let (blame, stuck) = self.decode(core, t, now, mem, threads, regions, ctl);
+            if !s.threads[t].done {
+                let (blame, stuck) = self.decode(core, t, now, s);
                 head_wait = blame;
                 quiet &= stuck;
             }
@@ -213,14 +199,8 @@ impl Core for FatCore {
     /// event. Stores that complete meanwhile wait for the next `step`'s
     /// `drain_stores`: nothing a private cycle does reads the buffer.
     #[inline]
-    fn private_cycle(
-        &mut self,
-        t: u64,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> bool {
-        let Some(th) = self.base.thread.map(|i| &mut threads[i]) else {
+    fn private_cycle(&mut self, t: u64, s: &mut Shared<'_>) -> bool {
+        let Some(th) = self.base.thread.map(|i| &mut s.threads[i]) else {
             return false;
         };
         let Some(&RobSlot::Run { left: head }) = self.rob.front() else {
@@ -235,7 +215,7 @@ impl Core for FatCore {
             let Some((region, left)) = th.current_run() else {
                 return false;
             };
-            let r = regions.get(region);
+            let r = s.regions.get(region);
             // What decode has room for once retire has freed `alu_width`.
             let room = self
                 .width
@@ -250,7 +230,7 @@ impl Core for FatCore {
             *left -= self.alu_width as u32;
         }
         self.rob_instrs -= self.alu_width;
-        count_retired(&mut self.retired, self.alu_width, ctl);
+        s.ctl.instrs += self.alu_width as u64;
         if let Some((r, left, room)) = decode {
             self.decode_run(th, r, left, room, t);
         }
@@ -287,7 +267,7 @@ impl FatCore {
 
     /// Retire stage (in order; ALU runs limited by dependency chains,
     /// loads by readiness). Returns how many instructions retired.
-    fn retire(&mut self, now: u64, ctl: &mut MachineCtl) -> usize {
+    fn retire(&mut self, now: u64) -> usize {
         let mut retired = 0usize;
         while retired < self.width {
             match self.rob.front_mut() {
@@ -316,7 +296,6 @@ impl FatCore {
                 None => break,
             }
         }
-        count_retired(&mut self.retired, retired, ctl);
         retired
     }
 
@@ -355,24 +334,17 @@ impl FatCore {
     /// whether decode was *stuck*: it returned early or, having consumed
     /// nothing, hit a no-progress exit (window, MSHRs or store buffer
     /// full, fence un-drained).
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
-    )]
     fn decode(
         &mut self,
         core: usize,
         t: usize,
         now: u64,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
+        s: &mut Shared<'_>,
     ) -> (Option<CycleClass>, bool) {
         if self.want_switch || self.gate_until > now || self.fetch_until > now {
             return (None, true);
         }
-        let th = &mut threads[t];
+        let th = &mut s.threads[t];
         let mut decoded = 0usize;
         let mut meta = 0usize;
         let mut blame = None;
@@ -388,7 +360,7 @@ impl FatCore {
                     break;
                 }
                 th.pending_load = None;
-                self.issue_load(core, now, pl, mem);
+                self.issue_load(core, now, pl, &mut s.mem);
                 decoded += 1;
                 if pl.dep && self.gate_until > now {
                     break;
@@ -402,7 +374,7 @@ impl FatCore {
                     stuck = true;
                     break;
                 }
-                issue_store(&mut self.base, mem, core, ps.addr, ps.size, now);
+                issue_store(&mut self.base, &mut s.mem, core, ps.addr, ps.size, now);
                 th.pending_store = None;
                 self.push_run(1);
                 decoded += 1;
@@ -423,7 +395,7 @@ impl FatCore {
                 // Interconnect wait accrued by remote markers: charged here,
                 // after the drain, so the message is ordered behind the work
                 // that produced it.
-                let wait = take_remote_wait(th, ctl);
+                let wait = take_remote_wait(th, &mut s.ctl);
                 if wait > 0 {
                     self.gate_until = self.gate_until.max(now + wait);
                     self.gate_class = CycleClass::Other;
@@ -433,8 +405,8 @@ impl FatCore {
             // Current exec run: one fetch check, then as many of its
             // instructions as fit the window, the width and the line.
             if let Some((region, left)) = th.cur_exec {
-                let r = regions.get(region);
-                if let Some((ready, class)) = fetch_check(th, r, mem, core, now) {
+                let r = s.regions.get(region);
+                if let Some((ready, class)) = fetch_check(th, r, &mut s.mem, core, now) {
                     self.fetch_until = ready;
                     self.fetch_class = class;
                     break;
@@ -457,7 +429,7 @@ impl FatCore {
                         blame = Some(CycleClass::DStallMem);
                         break;
                     }
-                    self.issue_load(core, now, pl, mem);
+                    self.issue_load(core, now, pl, &mut s.mem);
                     decoded += 1;
                     if dep && self.gate_until > now {
                         break;
@@ -469,19 +441,19 @@ impl FatCore {
                         blame = self.base.oldest_store().map(|(_, c)| c);
                         break;
                     }
-                    issue_store(&mut self.base, mem, core, addr, size, now);
+                    issue_store(&mut self.base, &mut s.mem, core, addr, size, now);
                     self.push_run(1);
                     decoded += 1;
                 }
                 Some(ev) => {
-                    consume_meta_event(th, ctl, now, ev);
+                    consume_meta_event(th, &mut s.ctl, now, ev);
                     meta += 1;
                     if meta > MAX_META_EVENTS {
                         break;
                     }
                 }
                 None => {
-                    finish_thread(th, ctl);
+                    finish_thread(th, &mut s.ctl);
                     break;
                 }
             }
@@ -525,36 +497,33 @@ impl FatCore {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use dbcmp_trace::Tracer;
+    use dbcmp_trace::{CodeRegions, ThreadTrace, TraceBundle, Tracer};
 
-    fn setup(cfg: &MachineConfig) -> (MemSys, CodeRegions) {
+    fn bundle(traces: Vec<ThreadTrace>) -> TraceBundle {
         let mut regions = CodeRegions::new();
         regions.add("r0", 4096, 0.0);
-        (MemSys::new(cfg), regions)
+        TraceBundle::new(regions, traces)
     }
 
-    fn run_to_completion(
-        core: &mut FatCore,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-        max: u64,
-    ) -> (u64, u64) {
+    /// A core running thread 0 of `b`.
+    fn setup<'a>(cfg: &MachineConfig, b: &'a TraceBundle, mshrs: usize) -> (FatCore, Shared<'a>) {
+        let mut core = FatCore::new(cfg, 4, 128, mshrs);
+        core.base.thread = (!b.threads.is_empty()).then_some(0);
+        (core, Shared::new(cfg, b, false))
+    }
+
+    fn run_to_completion(core: &mut FatCore, s: &mut Shared<'_>, max: u64) -> (u64, u64) {
         // Returns (cycles, compute_cycles).
         let mut compute = 0;
         let mut now = 0;
         while now < max {
-            match core
-                .cycle(0, now, now + 1, mem, threads, regions, ctl)
-                .class
-            {
+            match core.cycle(0, now, now + 1, s).class {
                 Some(CycleClass::Compute) => compute += 1,
                 Some(_) => {}
                 None => break,
             }
             now += 1;
-            if threads.iter().all(|t| t.done) && core.rob.is_empty() {
+            if s.threads.iter().all(|t| t.done) && core.rob.is_empty() {
                 break;
             }
         }
@@ -566,29 +535,15 @@ mod tests {
         // Stream buffers stay enabled: without them every cold I-line costs
         // a full memory round trip and fetch dominates.
         let cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
-        let (mut mem, regions) = setup(&cfg);
         // Two passes through the 4 KB region: the first streams cold code
         // from memory (~100 cycles/line with prefetch depth 4); the second
         // hits the L1I and runs essentially at full width.
         let mut t = Tracer::recording();
         t.exec(0, 2048);
-        let tr = t.finish();
-        let mut threads = vec![ThreadState::new(&tr, &regions, false)];
-        let mut core = FatCore::new(&cfg, 4, 128, 8);
-        core.base.thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let (cycles, compute) = run_to_completion(
-            &mut core,
-            &mut mem,
-            &mut threads,
-            &regions,
-            &mut ctl,
-            100_000,
-        );
-        assert_eq!(core.retired, 2048);
+        let b = bundle(vec![t.finish()]);
+        let (mut core, mut s) = setup(&cfg, &b, 8);
+        let (cycles, compute) = run_to_completion(&mut core, &mut s, 100_000);
+        assert_eq!(s.ctl.instrs, 2048);
         // 2048 instrs at width 4 = 512 compute cycles minimum.
         assert!(compute >= 512, "compute={compute}");
         // Warm pass must not repeat the ~6.5k-cycle cold-fetch cost.
@@ -599,53 +554,24 @@ mod tests {
     fn independent_loads_overlap_dependent_loads_serialize() {
         let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
 
         // 8 independent loads to distinct cold lines.
         let mut ti = Tracer::recording();
         for k in 0..8u64 {
             ti.load((1 << 16) + k * 4096, 8);
         }
-        let tri = ti.finish();
+        let bi = bundle(vec![ti.finish()]);
         // 8 dependent loads to distinct cold lines.
         let mut td = Tracer::recording();
         for k in 0..8u64 {
             td.load_dep((1 << 20) + k * 4096, 8);
         }
-        let trd = td.finish();
+        let bd = bundle(vec![td.finish()]);
 
-        let mut threads = vec![ThreadState::new(&tri, &regions, false)];
-        let mut core = FatCore::new(&cfg, 4, 128, 8);
-        core.base.thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let (cyc_indep, _) = run_to_completion(
-            &mut core,
-            &mut mem,
-            &mut threads,
-            &regions,
-            &mut ctl,
-            100_000,
-        );
-
-        let mut mem2 = MemSys::new(&cfg);
-        let mut threads2 = vec![ThreadState::new(&trd, &regions, false)];
-        let mut core2 = FatCore::new(&cfg, 4, 128, 8);
-        core2.base.thread = Some(0);
-        let mut ctl2 = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let (cyc_dep, _) = run_to_completion(
-            &mut core2,
-            &mut mem2,
-            &mut threads2,
-            &regions,
-            &mut ctl2,
-            100_000,
-        );
+        let (mut core, mut s) = setup(&cfg, &bi, 8);
+        let (cyc_indep, _) = run_to_completion(&mut core, &mut s, 100_000);
+        let (mut core2, mut s2) = setup(&cfg, &bd, 8);
+        let (cyc_dep, _) = run_to_completion(&mut core2, &mut s2, 100_000);
 
         // Dependent chain ≈ 8 × mem_latency; independent ≈ 1 × mem_latency
         // (+ epsilon). Require at least 4x separation.
@@ -659,27 +585,14 @@ mod tests {
     fn stall_cycles_charged_to_head_class() {
         let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
         let mut t = Tracer::recording();
         t.load(1 << 16, 8); // cold -> memory
-        let tr = t.finish();
-        let mut threads = vec![ThreadState::new(&tr, &regions, false)];
-        let mut core = FatCore::new(&cfg, 4, 128, 8);
-        core.base.thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
+        let b = bundle(vec![t.finish()]);
+        let (mut core, mut s) = setup(&cfg, &b, 8);
         // Cycle 0: decode issues the load; nothing retires -> DStallMem.
-        let c0 = core
-            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .unwrap();
+        let c0 = core.cycle(0, 0, 1, &mut s).class.unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
-        let c1 = core
-            .cycle(0, 1, 2, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .unwrap();
+        let c1 = core.cycle(0, 1, 2, &mut s).class.unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
     }
 
@@ -687,28 +600,14 @@ mod tests {
     fn mshr_limit_caps_overlap() {
         let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
         // 16 independent cold loads, but only 2 MSHRs.
         let mut t = Tracer::recording();
         for k in 0..16u64 {
             t.load((1 << 16) + k * 4096, 8);
         }
-        let tr = t.finish();
-        let mut threads = vec![ThreadState::new(&tr, &regions, false)];
-        let mut core = FatCore::new(&cfg, 4, 128, 2);
-        core.base.thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let (cyc_2mshr, _) = run_to_completion(
-            &mut core,
-            &mut mem,
-            &mut threads,
-            &regions,
-            &mut ctl,
-            100_000,
-        );
+        let b = bundle(vec![t.finish()]);
+        let (mut core, mut s) = setup(&cfg, &b, 2);
+        let (cyc_2mshr, _) = run_to_completion(&mut core, &mut s, 100_000);
         // With 2 MSHRs, 16 misses need ≥ 8 serialized memory rounds.
         assert!(cyc_2mshr >= 8 * 400, "cyc={cyc_2mshr}");
     }
@@ -717,44 +616,25 @@ mod tests {
     fn fence_drains_window() {
         let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
         let mut t = Tracer::recording();
         t.load(1 << 16, 8);
         t.fence();
         t.exec(0, 4);
-        let tr = t.finish();
-        let mut threads = vec![ThreadState::new(&tr, &regions, false)];
-        let mut core = FatCore::new(&cfg, 4, 128, 8);
-        core.base.thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let (cycles, _) = run_to_completion(
-            &mut core,
-            &mut mem,
-            &mut threads,
-            &regions,
-            &mut ctl,
-            100_000,
-        );
+        let b = bundle(vec![t.finish()]);
+        let (mut core, mut s) = setup(&cfg, &b, 8);
+        let (cycles, _) = run_to_completion(&mut core, &mut s, 100_000);
         // The exec after the fence cannot overlap the miss: total ≥ mem
         // latency + some compute.
         assert!(cycles > 400, "cycles={cycles}");
-        assert_eq!(core.retired, 5);
-        assert!(threads[0].done);
+        assert_eq!(s.ctl.instrs, 5);
+        assert!(s.threads[0].done);
     }
 
     #[test]
     fn inactive_core_reports_none() {
         let cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
-        let (mut mem, regions) = setup(&cfg);
-        let mut threads: Vec<ThreadState<'_>> = vec![];
-        let mut core = FatCore::new(&cfg, 4, 128, 8);
-        let mut ctl = MachineCtl::default();
-        assert!(core
-            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .is_none());
+        let b = bundle(vec![]);
+        let (mut core, mut s) = setup(&cfg, &b, 8);
+        assert!(core.cycle(0, 0, 1, &mut s).class.is_none());
     }
 }

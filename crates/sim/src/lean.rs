@@ -9,18 +9,17 @@
 //! waiting on memory, that is precisely the exposed data-stall time the
 //! paper measures for lean cores under unsaturated load (§4).
 
-use dbcmp_trace::region::{CodeRegion, CodeRegions};
+use dbcmp_trace::region::CodeRegion;
 use dbcmp_trace::Event;
 
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
 use crate::ctx::{
-    consume_meta_event, count_retired, data_stall_class, fetch_check, finish_thread, issue_store,
-    load_access, take_remote_wait, CtxBase, MAX_META_EVENTS,
+    consume_meta_event, data_stall_class, fetch_check, finish_thread, issue_store, load_access,
+    take_remote_wait, CtxBase, MAX_META_EVENTS,
 };
 use crate::cursor::{PendingStore, ThreadState};
-use crate::machine::MachineCtl;
-use crate::memsys::MemSys;
+use crate::machine::Shared;
 use crate::stats::CycleClass;
 
 #[derive(Debug)]
@@ -37,8 +36,6 @@ pub struct LeanCore {
     rescan: bool,
     /// Some context holds a thread (as of the last scan).
     any_thread: bool,
-    /// Instructions retired during the measurement window.
-    pub retired: u64,
 }
 
 impl LeanCore {
@@ -54,7 +51,6 @@ impl LeanCore {
             switch_penalty: cfg.switch_penalty,
             rescan: true,
             any_thread: false,
-            retired: 0,
         }
     }
 }
@@ -68,30 +64,17 @@ impl Core for LeanCore {
         &mut self.ctxs
     }
 
-    fn retired_mut(&mut self) -> &mut u64 {
-        &mut self.retired
-    }
-
     /// Simulate one cycle, or the quiet span it starts; a `None` class
     /// means the core has no threads at all (inactive — not accounted).
     /// Only a cycle with every context blocked is quiet.
-    fn step(
-        &mut self,
-        core: usize,
-        now: u64,
-        horizon: u64,
-        mem: &mut MemSys,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> Tick {
+    fn step(&mut self, core: usize, now: u64, horizon: u64, s: &mut Shared<'_>) -> Tick {
         // Retire finished threads and schedule queued ones.
         if self.rescan {
             self.rescan = false;
             self.any_thread = false;
             for ctx in &mut self.ctxs {
                 if let Some(t) = ctx.thread {
-                    if threads[t].done {
+                    if s.threads[t].done {
                         ctx.rotate_thread(false, self.quantum, self.switch_penalty, now);
                     }
                 } else if !ctx.run_q.is_empty() {
@@ -138,19 +121,9 @@ impl Core for LeanCore {
         }
 
         // Issue up to `width` instructions from this context.
-        let (issued, progress) = issue_from(
-            ctx,
-            core,
-            now,
-            self.width,
-            self.pipeline_depth,
-            mem,
-            threads,
-            regions,
-            ctl,
-        );
-        self.rescan = self.ctxs[i].thread.is_some_and(|t| threads[t].done);
-        count_retired(&mut self.retired, issued, ctl);
+        let (issued, progress) = issue_from(ctx, core, now, self.width, self.pipeline_depth, s);
+        self.rescan = self.ctxs[i].thread.is_some_and(|t| s.threads[t].done);
+        s.ctl.instrs += issued as u64;
         if progress > 0 {
             Tick::once(CycleClass::Compute, now)
         } else {
@@ -168,13 +141,7 @@ impl Core for LeanCore {
     /// for the context's next `drain_stores`: nothing a private cycle
     /// does reads the buffer.
     #[inline]
-    fn private_cycle(
-        &mut self,
-        t: u64,
-        threads: &mut [ThreadState<'_>],
-        regions: &CodeRegions,
-        ctl: &mut MachineCtl,
-    ) -> bool {
+    fn private_cycle(&mut self, t: u64, s: &mut Shared<'_>) -> bool {
         if self.rescan {
             return false;
         }
@@ -182,19 +149,19 @@ impl Core for LeanCore {
             return false;
         };
         let ctx = &mut self.ctxs[i];
-        let Some(th) = ctx.thread.map(|i| &mut threads[i]) else {
+        let Some(th) = ctx.thread.map(|i| &mut s.threads[i]) else {
             return false;
         };
         let Some((region, left)) = th.current_run() else {
             return false;
         };
-        let r = regions.get(region);
+        let r = s.regions.get(region);
         if th.fetched_room(r).min(left as u64) < self.width as u64 || !ctx.tick_quantum() {
             return false;
         }
         let (n, _) = issue_run(ctx, th, r, left, self.width, self.pipeline_depth, t);
         self.advance(1);
-        count_retired(&mut self.retired, n, ctl);
+        s.ctl.instrs += n as u64;
         true
     }
 }
@@ -227,26 +194,19 @@ impl LeanCore {
 /// `progress` excludes an instruction that immediately blocked (so a cycle
 /// spent only initiating a miss is charged as a stall, not computation).
 /// On a miss the context is left blocked.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the machine loop's disjoint borrows (memory system, threads, regions, control) go in separately so each can be borrowed mutably"
-)]
 fn issue_from(
     ctx: &mut CtxBase,
     core: usize,
     now: u64,
     width: usize,
     pipeline_depth: u64,
-    mem: &mut MemSys,
-    threads: &mut [ThreadState<'_>],
-    regions: &CodeRegions,
-    ctl: &mut MachineCtl,
+    s: &mut Shared<'_>,
 ) -> (usize, usize) {
     let t = match ctx.thread {
         Some(t) => t,
         None => return (0, 0),
     };
-    let th = &mut threads[t];
+    let th = &mut s.threads[t];
     ctx.drain_stores(now);
 
     let mut issued = 0usize;
@@ -259,7 +219,7 @@ fn issue_from(
                 ctx.block(ready, class, now);
                 break;
             }
-            issue_store(ctx, mem, core, ps.addr, ps.size, now);
+            issue_store(ctx, &mut s.mem, core, ps.addr, ps.size, now);
             th.pending_store = None;
             issued += 1;
             progress += 1;
@@ -274,7 +234,7 @@ fn issue_from(
             th.pending_fence = false;
             // Interconnect wait accrued by remote markers: charged after
             // the drain so the message is ordered behind prior work.
-            let wait = take_remote_wait(th, ctl);
+            let wait = take_remote_wait(th, &mut s.ctl);
             if wait > 0 {
                 ctx.block(now + wait, CycleClass::Other, now);
                 break;
@@ -283,8 +243,8 @@ fn issue_from(
         // 3. Continue the current exec run: one fetch check, then as many
         // of its instructions as fit the width and the line.
         if let Some((region, left)) = th.cur_exec {
-            let r = regions.get(region);
-            if let Some((ready, class)) = fetch_check(th, r, mem, core, now) {
+            let r = s.regions.get(region);
+            if let Some((ready, class)) = fetch_check(th, r, &mut s.mem, core, now) {
                 ctx.block(ready, class, now);
                 break;
             }
@@ -300,7 +260,7 @@ fn issue_from(
         // 4. Decode the next trace event.
         match th.cursor.next_event() {
             Some(Event::Load { addr, size, .. }) => {
-                let acc = load_access(mem, core, addr, size, now);
+                let acc = load_access(&mut s.mem, core, addr, size, now);
                 issued += 1;
                 if let Some(class) = data_stall_class(acc.class) {
                     if acc.ready_at > now {
@@ -316,19 +276,19 @@ fn issue_from(
                     ctx.block(ready, class, now);
                     break;
                 }
-                issue_store(ctx, mem, core, addr, size, now);
+                issue_store(ctx, &mut s.mem, core, addr, size, now);
                 issued += 1;
                 progress += 1;
             }
             Some(ev) => {
-                consume_meta_event(th, ctl, now, ev);
+                consume_meta_event(th, &mut s.ctl, now, ev);
                 meta += 1;
                 if meta > MAX_META_EVENTS {
                     break;
                 }
             }
             None => {
-                finish_thread(th, ctl);
+                finish_thread(th, &mut s.ctl);
                 break;
             }
         }
@@ -360,192 +320,142 @@ fn issue_run(
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use dbcmp_trace::Tracer;
+    use dbcmp_trace::{CodeRegions, ThreadTrace, TraceBundle, Tracer};
 
-    fn setup(cfg: &MachineConfig) -> (MemSys, CodeRegions) {
+    fn bundle(traces: Vec<ThreadTrace>) -> TraceBundle {
         let mut regions = CodeRegions::new();
         regions.add("r0", 4096, 0.0);
-        (MemSys::new(cfg), regions)
+        TraceBundle::new(regions, traces)
+    }
+
+    fn exec(instrs: u32) -> ThreadTrace {
+        let mut t = Tracer::recording();
+        t.exec(0, instrs);
+        t.finish()
+    }
+
+    fn cold_load() -> ThreadTrace {
+        let mut t = Tracer::recording();
+        t.load(1 << 16, 8);
+        t.finish()
+    }
+
+    /// A `contexts`-context core, thread i of `b` bound to context i.
+    fn setup<'a>(
+        cfg: &MachineConfig,
+        b: &'a TraceBundle,
+        contexts: usize,
+    ) -> (LeanCore, Shared<'a>) {
+        let mut core = LeanCore::new(cfg, contexts, 2);
+        for (i, ctx) in core.ctxs.iter_mut().take(b.threads.len()).enumerate() {
+            ctx.thread = Some(i);
+        }
+        (core, Shared::new(cfg, b, false))
+    }
+
+    fn no_stream_buf() -> MachineConfig {
+        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
+        cfg.stream_buf = 0;
+        cfg
+    }
+
+    /// Call the core every cycle until every thread is done.
+    fn run_until_done(core: &mut LeanCore, s: &mut Shared<'_>, from: u64, max: u64) {
+        let mut now = from;
+        while !s.threads.iter().all(|t| t.done) && now < max {
+            core.cycle(0, now, now + 1, s);
+            now += 1;
+        }
     }
 
     #[test]
     fn pure_compute_completes_and_counts() {
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
-        let mut tracer = Tracer::recording();
-        tracer.exec(0, 100);
-        let trace = tracer.finish();
-        let mut threads = vec![ThreadState::new(&trace, &regions, false)];
-        let mut core = LeanCore::new(&cfg, 4, 2);
-        core.ctxs[0].thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
+        let cfg = no_stream_buf();
+        let b = bundle(vec![exec(100)]);
+        let (mut core, mut s) = setup(&cfg, &b, 4);
 
         // First cycle: cold I-miss blocks.
-        let c0 = core
-            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .unwrap();
+        let c0 = core.cycle(0, 0, 1, &mut s).class.unwrap();
         assert!(matches!(c0, CycleClass::IStallMem | CycleClass::IStallL2));
-        let mut now = 1;
-        while !threads[0].done && now < 10_000 {
-            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
-            now += 1;
-        }
-        assert!(threads[0].done);
-        assert_eq!(core.retired, 100);
+        run_until_done(&mut core, &mut s, 1, 10_000);
+        assert!(s.threads[0].done);
+        assert_eq!(s.ctl.instrs, 100);
     }
 
     #[test]
     fn data_miss_overlapped_by_other_context() {
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
-        // Thread 0: a single cold load (misses to memory).
-        let mut t0 = Tracer::recording();
-        t0.load(1 << 16, 8);
-        let tr0 = t0.finish();
-        // Thread 1: pure compute.
-        let mut t1 = Tracer::recording();
-        t1.exec(0, 50);
-        let tr1 = t1.finish();
-        let mut threads = vec![
-            ThreadState::new(&tr0, &regions, false),
-            ThreadState::new(&tr1, &regions, false),
-        ];
-        let mut core = LeanCore::new(&cfg, 4, 2);
-        core.ctxs[0].thread = Some(0);
-        core.ctxs[1].thread = Some(1);
-        let mut ctl = MachineCtl {
-            remaining: 2,
-            ..Default::default()
-        };
+        let cfg = no_stream_buf();
+        // Thread 0: a single cold load (misses to memory). Thread 1: pure
+        // compute.
+        let b = bundle(vec![cold_load(), exec(50)]);
+        let (mut core, mut s) = setup(&cfg, &b, 4);
 
         let mut compute = 0u64;
         for now in 0..3000u64 {
-            if let Some(CycleClass::Compute) = core
-                .cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl)
-                .class
-            {
+            if let Some(CycleClass::Compute) = core.cycle(0, now, now + 1, &mut s).class {
                 compute += 1;
             }
-            if threads[0].done && threads[1].done {
+            if s.threads.iter().all(|t| t.done) {
                 break;
             }
         }
-        assert!(threads[0].done && threads[1].done);
+        assert!(s.threads.iter().all(|t| t.done));
         // Thread 1's 50 instructions must have overlapped the miss.
         assert!(compute >= 25, "compute={compute}");
     }
 
     #[test]
     fn all_blocked_charges_memory_stall() {
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
-        let mut t0 = Tracer::recording();
-        t0.load(1 << 16, 8);
-        let tr0 = t0.finish();
-        let mut threads = vec![ThreadState::new(&tr0, &regions, false)];
-        let mut core = LeanCore::new(&cfg, 4, 2);
-        core.ctxs[0].thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
+        let cfg = no_stream_buf();
+        let b = bundle(vec![cold_load()]);
+        let (mut core, mut s) = setup(&cfg, &b, 4);
 
         // Cycle 0 initiates the miss (charged as the stall class directly).
-        let c0 = core
-            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .unwrap();
+        let c0 = core.cycle(0, 0, 1, &mut s).class.unwrap();
         assert_eq!(c0, CycleClass::DStallMem);
         // Subsequent cycle: the only context is blocked.
-        let c1 = core
-            .cycle(0, 1, 2, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .unwrap();
+        let c1 = core.cycle(0, 1, 2, &mut s).class.unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
     }
 
     #[test]
     fn inactive_core_reports_none() {
         let cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        let (mut mem, regions) = setup(&cfg);
-        let mut threads: Vec<ThreadState<'_>> = vec![];
-        let mut core = LeanCore::new(&cfg, 4, 2);
-        let mut ctl = MachineCtl::default();
-        assert!(core
-            .cycle(0, 0, 1, &mut mem, &mut threads, &regions, &mut ctl)
-            .class
-            .is_none());
+        let b = bundle(vec![]);
+        let (mut core, mut s) = setup(&cfg, &b, 4);
+        assert!(core.cycle(0, 0, 1, &mut s).class.is_none());
     }
 
     #[test]
     fn unit_end_records_latency() {
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
-        let (mut mem, regions) = setup(&cfg);
+        let cfg = no_stream_buf();
         let mut t0 = Tracer::recording();
         t0.exec(0, 10);
         t0.unit_end();
-        let tr0 = t0.finish();
-        let mut threads = vec![ThreadState::new(&tr0, &regions, false)];
-        let mut core = LeanCore::new(&cfg, 4, 2);
-        core.ctxs[0].thread = Some(0);
-        let mut ctl = MachineCtl {
-            remaining: 1,
-            ..Default::default()
-        };
-        let mut now = 0;
-        while !threads[0].done && now < 10_000 {
-            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
-            now += 1;
-        }
-        assert_eq!(ctl.units, 1);
+        let b = bundle(vec![t0.finish()]);
+        let (mut core, mut s) = setup(&cfg, &b, 4);
+        run_until_done(&mut core, &mut s, 0, 10_000);
+        assert_eq!(s.ctl.units, 1);
         assert!(
-            ctl.unit_cycles > 0,
+            s.ctl.unit_cycles > 0,
             "unit must take time (cold miss at least)"
         );
     }
 
     #[test]
     fn quantum_rotates_threads() {
-        let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        cfg.stream_buf = 0;
+        let mut cfg = no_stream_buf();
         cfg.quantum = 20;
         cfg.switch_penalty = 5;
-        let (mut mem, regions) = setup(&cfg);
-        let mut t0 = Tracer::recording();
-        t0.exec(0, 1000);
-        let tr0 = t0.finish();
-        let mut t1 = Tracer::recording();
-        t1.exec(0, 1000);
-        let tr1 = t1.finish();
-        let mut threads = vec![
-            ThreadState::new(&tr0, &regions, false),
-            ThreadState::new(&tr1, &regions, false),
-        ];
+        let b = bundle(vec![exec(1000), exec(1000)]);
         // Both threads on ONE context: they must time-slice.
-        let mut core = LeanCore::new(&cfg, 1, 2);
-        core.ctxs[0].thread = Some(0);
+        let (mut core, mut s) = setup(&cfg, &b, 1);
         core.ctxs[0].run_q.push_back(1);
-        let mut ctl = MachineCtl {
-            remaining: 2,
-            ..Default::default()
-        };
-        let mut now = 0;
-        while (!threads[0].done || !threads[1].done) && now < 100_000 {
-            core.cycle(0, now, now + 1, &mut mem, &mut threads, &regions, &mut ctl);
-            now += 1;
-        }
+        run_until_done(&mut core, &mut s, 0, 100_000);
         assert!(
-            threads[0].done && threads[1].done,
+            s.threads.iter().all(|t| t.done),
             "both threads must finish via rotation"
         );
-        assert_eq!(core.retired, 2000);
+        assert_eq!(s.ctl.instrs, 2000);
     }
 }

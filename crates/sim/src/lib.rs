@@ -12,15 +12,15 @@
 //! heterogeneous fat/lean mixes are allowed) that
 //! [`builder::MachineBuilder`] validates — degenerate configs come back as
 //! [`config::ConfigError`] at build time — and assembles; every slot is
-//! driven through the open [`core::Core`] trait. Two core models implement the paper's
-//! two "camps" (§2.1):
+//! driven through one crate-private `Core` trait. Two core models
+//! implement the paper's two "camps" (§2.1):
 //!
-//! * [`fat`] — a wide out-of-order core: a reorder-buffer window, multiple
+//! * `fat` — a wide out-of-order core: a reorder-buffer window, multiple
 //!   outstanding misses (MSHRs), store buffering, and *dependence-limited*
 //!   overlap — dependent loads (pointer chases) gate decode, independent
 //!   loads overlap. This is the mechanism by which OLTP's tight dependences
 //!   defeat ILP while DSS scans benefit (paper §4).
-//! * [`lean`] — a narrow in-order core with several hardware contexts,
+//! * `lean` — a narrow in-order core with several hardware contexts,
 //!   issuing round-robin from runnable contexts; a context blocks on any
 //!   L1 miss and the core hides the latency with other contexts — exactly
 //!   Niagara-style fine-grained multithreading.
@@ -50,18 +50,17 @@ pub mod analytic;
 pub mod builder;
 pub mod cache;
 pub mod config;
-pub mod core;
-pub mod ctx;
+mod core;
+mod ctx;
 pub mod cursor;
-pub mod fat;
+mod fat;
 pub mod interconnect;
-pub mod lean;
+mod lean;
 pub mod machine;
 pub mod memsys;
 pub mod stats;
 pub mod stream;
 
-pub use crate::core::Core;
 pub use builder::MachineBuilder;
 pub use config::{CacheGeom, ConfigError, CoreKind, LevelSpec, MachineConfig, SharedBy};
 pub use interconnect::Interconnect;

@@ -11,6 +11,7 @@
 //! * [`RunMode::Completion`] — every trace runs once to completion;
 //!   response time comes from per-unit latencies.
 
+use dbcmp_trace::region::CodeRegions;
 use dbcmp_trace::TraceBundle;
 
 use crate::config::{CoreKind, MachineConfig};
@@ -21,6 +22,36 @@ use crate::interconnect::Interconnect;
 use crate::lean::LeanCore;
 use crate::memsys::MemSys;
 use crate::stats::{Breakdown, CycleClass, RemoteCounters, SimResult};
+
+/// The machine's replay state, lent to one core at a time: everything a
+/// core reads or changes outside its own contexts.
+pub(crate) struct Shared<'a> {
+    pub mem: MemSys,
+    pub threads: Vec<ThreadState<'a>>,
+    pub regions: &'a CodeRegions,
+    pub ctl: MachineCtl,
+}
+
+impl<'a> Shared<'a> {
+    /// The state of a machine about to replay `bundle`, one software
+    /// thread per trace, none of them bound to a context yet.
+    pub fn new(cfg: &MachineConfig, bundle: &'a TraceBundle, wraps: bool) -> Self {
+        Shared {
+            mem: MemSys::new(cfg),
+            threads: bundle
+                .threads
+                .iter()
+                .map(|t| ThreadState::new(t, &bundle.regions, wraps))
+                .collect(),
+            regions: &bundle.regions,
+            ctl: MachineCtl {
+                remaining: bundle.threads.len(),
+                interconnect: cfg.interconnect,
+                ..Default::default()
+            },
+        }
+    }
+}
 
 /// Global run-state shared by the core models.
 #[derive(Debug, Default)]
@@ -58,8 +89,7 @@ impl RunMode {
     }
 }
 
-/// Build the core model for one slot. The open [`Core`] trait replaces
-/// the closed `AnyCore` enum this match used to feed.
+/// Build the core model for one slot.
 fn make_core(cfg: &MachineConfig, kind: CoreKind) -> Box<dyn Core> {
     match kind {
         CoreKind::Fat { width, rob, mshrs } => Box::new(FatCore::new(cfg, width, rob, mshrs)),
@@ -80,18 +110,14 @@ struct Span {
 }
 
 /// A fully assembled machine, ready to run. Each call of a core returns
-/// the span of cycles it simulated ([`Tick`](crate::core::Tick)); the core
-/// is not called again before the span ends, its cycles are charged in
-/// bulk, and when every core is inside a span the clock jumps to the
-/// earliest end.
+/// the span of cycles it simulated; the core is not called again before
+/// the span ends, its cycles are charged in bulk, and when every core is
+/// inside a span the clock jumps to the earliest end.
 pub struct Machine<'a> {
     cfg: MachineConfig,
-    bundle: &'a TraceBundle,
-    threads: Vec<ThreadState<'a>>,
+    shared: Shared<'a>,
     cores: Vec<Box<dyn Core>>,
     spans: Vec<Span>,
-    mem: MemSys,
-    ctl: MachineCtl,
     per_core: Vec<Breakdown>,
     now: u64,
     mode: RunMode,
@@ -107,11 +133,6 @@ impl<'a> Machine<'a> {
     /// i mod total_contexts, contexts numbered core-major). Reached via
     /// [`MachineBuilder::build`], which performs the validation.
     pub(crate) fn assemble(cfg: MachineConfig, mode: RunMode, bundle: &'a TraceBundle) -> Self {
-        let threads: Vec<ThreadState<'a>> = bundle
-            .threads
-            .iter()
-            .map(|t| ThreadState::new(t, &bundle.regions, mode.wraps()))
-            .collect();
         let mut cores: Vec<Box<dyn Core>> = cfg.slots.iter().map(|&k| make_core(&cfg, k)).collect();
 
         // Bind threads to contexts. Slots may differ in context count
@@ -131,21 +152,12 @@ impl<'a> Machine<'a> {
             }
         }
 
-        let mem = MemSys::new(&cfg);
         let n_cores = cfg.n_cores;
-        let interconnect = cfg.interconnect;
         Machine {
+            shared: Shared::new(&cfg, bundle, mode.wraps()),
             cfg,
-            bundle,
-            threads,
             cores,
             spans: vec![Span::default(); n_cores],
-            mem,
-            ctl: MachineCtl {
-                remaining: bundle.threads.len(),
-                interconnect,
-                ..Default::default()
-            },
             per_core: vec![Breakdown::default(); n_cores],
             now: 0,
             mode,
@@ -171,7 +183,7 @@ impl<'a> Machine<'a> {
     /// to `now` and due by then.
     fn run_until(&mut self, end: u64) {
         let stop_when_done = !self.mode.wraps();
-        while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
+        while self.now < end && !(stop_when_done && self.shared.ctl.remaining == 0) {
             let now = self.now;
             let mut next = end;
             for c in 0..self.cores.len() {
@@ -184,15 +196,7 @@ impl<'a> Machine<'a> {
                 {
                     self.cycle_calls += 1;
                 }
-                let tick = self.cores[c].cycle(
-                    c,
-                    now,
-                    end,
-                    &mut self.mem,
-                    &mut self.threads,
-                    &self.bundle.regions,
-                    &mut self.ctl,
-                );
+                let tick = self.cores[c].cycle(c, now, end, &mut self.shared);
                 debug_assert!(
                     now < tick.until && tick.until <= end,
                     "span {now}..{}",
@@ -209,7 +213,7 @@ impl<'a> Machine<'a> {
             // completion run ends at `now + 1`: cycles past it are never
             // charged. A span that would outlive the run is only ever a
             // quiet one, which the final settle cuts at `now`.
-            debug_assert!(next == now + 1 || self.ctl.remaining > 0 || !stop_when_done);
+            debug_assert!(next == now + 1 || self.shared.ctl.remaining > 0 || !stop_when_done);
             self.now = next;
         }
         for c in 0..self.cores.len() {
@@ -220,16 +224,14 @@ impl<'a> Machine<'a> {
     /// Zero all measurement state (end of warm-up); cache/thread state is
     /// preserved.
     fn reset_measurement(&mut self) {
-        self.mem.reset_counters();
-        self.ctl.units = 0;
-        self.ctl.unit_cycles = 0;
-        self.ctl.instrs = 0;
-        self.ctl.remote = RemoteCounters::default();
+        self.shared.mem.reset_counters();
+        let ctl = &mut self.shared.ctl;
+        ctl.units = 0;
+        ctl.unit_cycles = 0;
+        ctl.instrs = 0;
+        ctl.remote = RemoteCounters::default();
         for b in &mut self.per_core {
             *b = Breakdown::default();
-        }
-        for c in &mut self.cores {
-            c.reset_counters();
         }
     }
 
@@ -247,17 +249,17 @@ impl<'a> Machine<'a> {
         for b in &self.per_core {
             agg.merge(b);
         }
+        let ctl = &self.shared.ctl;
         SimResult {
             machine: self.cfg.name.clone(),
             cycles: cycles.max(1),
-            instrs: self.ctl.instrs,
-            units: self.ctl.units,
+            instrs: ctl.instrs,
+            units: ctl.units,
             breakdown: agg,
             per_core: self.per_core.clone(),
-            mem: self.mem.counters.clone(),
-            remote: self.ctl.remote,
-            avg_unit_cycles: (self.ctl.units > 0)
-                .then(|| self.ctl.unit_cycles as f64 / self.ctl.units as f64),
+            mem: self.shared.mem.counters.clone(),
+            remote: ctl.remote,
+            avg_unit_cycles: (ctl.units > 0).then(|| ctl.unit_cycles as f64 / ctl.units as f64),
         }
     }
 

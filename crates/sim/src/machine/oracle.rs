@@ -22,18 +22,10 @@ mod tests {
         /// Every core called every cycle, each call one cycle long.
         fn run_until_ticking(&mut self, end: u64) {
             let stop_when_done = !self.mode.wraps();
-            while self.now < end && !(stop_when_done && self.ctl.remaining == 0) {
+            while self.now < end && !(stop_when_done && self.shared.ctl.remaining == 0) {
                 for c in 0..self.cores.len() {
                     self.cycle_calls += 1;
-                    let tick = self.cores[c].cycle(
-                        c,
-                        self.now,
-                        self.now + 1,
-                        &mut self.mem,
-                        &mut self.threads,
-                        &self.bundle.regions,
-                        &mut self.ctl,
-                    );
+                    let tick = self.cores[c].cycle(c, self.now, self.now + 1, &mut self.shared);
                     if let Some(class) = tick.class {
                         self.per_core[c].charge(class, 1);
                     }
