@@ -284,7 +284,6 @@ async fn client_session<'a>(
             // stock rows together and lock them in opposite orders.
             TxnCfg {
                 w_home: 1,
-                district: None,
                 item_pool: Some(opt.hot_items.max(1)),
                 remote_wh: None,
             }

@@ -60,16 +60,13 @@ pub fn draw_kind(rng: &mut StdRng) -> TxnKind {
     }
 }
 
-/// Per-transaction targeting: home warehouse plus the contention knobs
-/// the interleaved capture turns (pinning the district and shrinking the
-/// NewOrder item pool concentrate conflicting X locks on a few rows).
+/// Per-transaction targeting: home warehouse plus the contention knob
+/// the interleaved capture turns (shrinking the NewOrder item pool
+/// concentrates conflicting X locks on a few rows).
 #[derive(Debug, Clone, Copy)]
 pub struct TxnCfg {
     /// The terminal's home warehouse.
     pub w_home: u64,
-    /// Pin district draws to this district (hot-row skew) instead of
-    /// uniform over the warehouse's districts.
-    pub district: Option<u64>,
     /// Draw NewOrder items uniformly from `1..=n` (hot item set) instead
     /// of NURand over the whole catalog.
     pub item_pool: Option<u64>,
@@ -83,20 +80,18 @@ pub struct TxnCfg {
 }
 
 impl TxnCfg {
-    /// Plain TPC-C targeting: uniform districts, NURand items.
+    /// Plain TPC-C targeting: NURand items, the spec's remote draws.
     pub fn home(w_home: u64) -> Self {
         TxnCfg {
             w_home,
-            district: None,
             item_pool: None,
             remote_wh: None,
         }
     }
 }
 
-fn draw_district(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
-    cfg.district
-        .unwrap_or_else(|| uniform(rng, 1, h.scale.districts_per_wh))
+fn draw_district(rng: &mut StdRng, h: &TpccDb) -> u64 {
+    uniform(rng, 1, h.scale.districts_per_wh)
 }
 
 /// A uniform warehouse of `lo..=hi` other than `w`: a draw that lands on
@@ -209,7 +204,7 @@ async fn new_order<D: EngineOps>(
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
     let w = cfg.w_home;
-    let d = draw_district(cfg, rng, h);
+    let d = draw_district(rng, h);
     let c = random_customer(rng, h);
     let ol_cnt = uniform(rng, 5, 15);
     // Spec 2.4.1.4: 1% of NewOrders use an invalid item and roll back.
@@ -266,7 +261,7 @@ async fn payment<D: EngineOps>(
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
     let w = cfg.w_home;
-    let d = draw_district(cfg, rng, h);
+    let d = draw_district(rng, h);
     // 15% remote customer (spec 2.5.1.2) — cross-warehouse write sharing.
     // Drawn over this instance's warehouses (see `new_order`'s supply
     // draw for the equivalence argument).
@@ -529,7 +524,7 @@ async fn order_status<D: EngineOps>(
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
     let w = cfg.w_home;
-    let d = draw_district(cfg, rng, h);
+    let d = draw_district(rng, h);
     let c = random_customer(rng, h);
 
     let c_rid = db
@@ -624,7 +619,7 @@ async fn stock_level<D: EngineOps>(
     tc: &mut TraceCtx,
 ) -> Result<TxnOutcome> {
     let w = cfg.w_home;
-    let d = draw_district(cfg, rng, h);
+    let d = draw_district(rng, h);
     let threshold = uniform(rng, 10, 20) as i64;
 
     let d_rid = db
