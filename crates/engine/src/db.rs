@@ -982,6 +982,40 @@ mod tests {
         assert_eq!(db.table(t).n_rows(), 2);
     }
 
+    /// Three indexes built by [`Database::create_index`] over 1,000 loaded
+    /// rows whose keys arrive ascending, descending, and as eight
+    /// interleaved ascending runs (each row's key above the keys so far,
+    /// or not, in turn), so the root splits to two levels each time:
+    /// every index's [`BTree::digest`] and the database's
+    /// [`Database::state_digest`], folded into one FNV-1a digest. A change
+    /// to the nodes an index build leaves, or to the order it allocates
+    /// them in, moves it.
+    #[test]
+    fn index_builds_are_pinned() {
+        let mut db = Database::new();
+        let t = db.create_table("keys", Schema::new(vec![("k", ColType::Int)]));
+        let mut tc = db.null_ctx();
+        let mut load = db.loader(&mut tc).unwrap();
+        for i in 0..1000 {
+            load.insert(t, &[Value::Int(i)]).unwrap();
+        }
+        load.finish().unwrap();
+        let col = |row: &dyn Columns| row.col(0).as_i64().unwrap() as u64;
+        let keys: [KeyFn; 3] = [
+            Box::new(move |row, _| col(row)),
+            Box::new(move |row, _| 1000 - col(row)),
+            Box::new(move |row, _| (col(row) % 8) * 10_000 + col(row) / 8),
+        ];
+        let mut d = Fnv::new();
+        for key in keys {
+            let idx = db.create_index(t, key).unwrap();
+            assert!(db.index(idx).height() > 1, "the root split");
+            db.index(idx).digest(&mut |w| d.word(w));
+        }
+        d.word(db.state_digest());
+        assert_eq!(d.finish(), 0x0fce_c118_9ed7_2eda, "index build nodes moved");
+    }
+
     fn col_type(code: u8) -> ColType {
         match code {
             0 => ColType::Int,

@@ -10,7 +10,7 @@ pub mod txns;
 use std::sync::Arc;
 
 use dbcmp_engine::db::KeyFn;
-use dbcmp_engine::{ColType, Columns, Database, Schema, Value};
+use dbcmp_engine::{ColType, Columns, Database, Schema, TraceCtx, Value};
 use dbcmp_trace::AddressSpace;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -158,12 +158,26 @@ pub fn build_tpcc_range(
     wh_hi: u64,
     space: Arc<AddressSpace>,
 ) -> (Database, TpccDb) {
+    let db = Database::with_space(space);
+    let mut tc = db.null_ctx();
+    populate(db, &mut tc, scale, seed, wh_lo, wh_hi)
+}
+
+/// Create, load and index [`build_tpcc_range`]'s tables in `db`, the
+/// load's statements recorded into `tc`.
+fn populate(
+    mut db: Database,
+    tc: &mut TraceCtx,
+    scale: TpccScale,
+    seed: u64,
+    wh_lo: u64,
+    wh_hi: u64,
+) -> (Database, TpccDb) {
     assert!(
         1 <= wh_lo && wh_lo <= wh_hi && wh_hi <= scale.warehouses,
         "warehouse range {wh_lo}..={wh_hi} out of 1..={}",
         scale.warehouses
     );
-    let mut db = Database::with_space(space);
     let mut rng = client_rng(seed, usize::MAX);
 
     let warehouse = db.create_table(
@@ -263,9 +277,8 @@ pub fn build_tpcc_range(
     );
 
     // ---- population ----
-    let mut tc = db.null_ctx();
     let mut load = db
-        .loader(&mut tc)
+        .loader(tc)
         .expect("a database nobody else has seen holds no locks");
 
     for w in wh_lo..=wh_hi {
@@ -533,6 +546,47 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A tiny TPC-C load through [`Database::loader`] under a *recording*
+    /// context, once per backend (selected before the load): every event
+    /// the load records, the backend's [`CcStats`](dbcmp_engine::CcStats)
+    /// and the [`Database::state_digest`] it leaves, folded into one
+    /// FNV-1a digest. A change to how the loader's row lock or an index
+    /// build is charged, counted or laid out moves it.
+    #[test]
+    fn loader_events_are_pinned() {
+        use dbcmp_engine::CcBackend;
+        let pins = [
+            (CcBackend::Centralized2PL, 0x552b_3ebb_ed44_c54d),
+            (CcBackend::PartitionedPerCore, 0x9613_5e6e_c3e1_0a17),
+            (CcBackend::DeterministicOrdered, 0x034d_a332_1f04_c54d),
+        ];
+        for (backend, want) in pins {
+            let mut db = Database::new();
+            db.set_cc_backend(backend);
+            let mut tc = db.trace_ctx();
+            let (db, _) = populate(db, &mut tc, TpccScale::tiny(), 0xC1D7, 1, 2);
+            let trace = tc.finish();
+            let mut d = dbcmp_trace::Fnv::new();
+            d.word(trace.len() as u64);
+            trace.iter().for_each(|e| d.word(e.pack().0));
+            let s = db.cc_stats();
+            [
+                s.acquires,
+                s.waits,
+                s.ordering_waits,
+                s.deadlocks,
+                s.remote_msgs,
+                s.remote_bytes,
+                s.fallback_conflicts,
+                db.state_digest(),
+            ]
+            .into_iter()
+            .for_each(|w| d.word(w));
+            let got = d.finish();
+            assert_eq!(got, want, "{backend:?}: got {got:#018x}");
         }
     }
 }
