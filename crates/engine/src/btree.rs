@@ -98,7 +98,8 @@ impl BTree {
     }
 
     /// Tree height (levels).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         let mut h = 1;
         let mut n = self.root;
         while let Node::Internal { children, .. } = &self.nodes[n as usize] {
@@ -191,8 +192,15 @@ impl BTree {
         tc.charge(region, instr::BTREE_LEAF_INSERT);
         tc.store(leaf_addr + KEYS_OFF + (pos as u64) * 8, 16);
         self.len += 1;
+        self.split_up(leaf, &path[..depth], space, tc);
+        Ok(())
+    }
 
-        // Split up the path while nodes overflow.
+    /// Split from `leaf` up its `path` of parents (root first) while
+    /// nodes overflow, growing a new root when the old one splits.
+    fn split_up(&mut self, leaf: u32, path: &[u32], space: &AddressSpace, tc: &mut TraceCtx) {
+        let region = tc.r.btree_insert;
+        let mut parents = path.iter().rev();
         let mut child = leaf;
         loop {
             let overflow = match &self.nodes[child as usize] {
@@ -203,10 +211,8 @@ impl BTree {
             }
             tc.charge(region, instr::BTREE_SPLIT);
             let (sep, sibling) = self.split(child, space, tc);
-            match depth.checked_sub(1) {
-                Some(up) => {
-                    depth = up;
-                    let parent = path[up];
+            match parents.next() {
+                Some(&parent) => {
                     let Node::Internal {
                         keys,
                         children,
@@ -236,7 +242,6 @@ impl BTree {
                 }
             }
         }
-        Ok(())
     }
 
     /// Split `node`, returning (separator key, new sibling id).
@@ -387,6 +392,92 @@ impl BTree {
                 }
             }
         }
+    }
+}
+
+/// An index build: [`BTree::insert`] of each key in turn, except that a
+/// key above every key so far is appended to the end of the rightmost
+/// leaf, with no descent. That leaf and its parents are the ones
+/// `find_leaf` reaches for such a key (no separator on the way exceeds
+/// the leaf's last key), so an append leaves the nodes the insert would,
+/// splits at the same inserts and allocates in the same order; it skips
+/// only the node visits and the leaf's binary search, and their events
+/// with them, so a build is for a context nobody records
+/// ([`Database::create_index`](crate::Database::create_index) runs it
+/// under a null one).
+pub(crate) struct Build {
+    tree: BTree,
+    /// The rightmost path: its internal nodes root first, then the leaf.
+    spine: [u32; MAX_HEIGHT],
+    /// Internal nodes on `spine`.
+    depth: usize,
+    /// `tree.nodes.len()` when `spine` was taken: only a split moves the
+    /// rightmost path, and every split adds a node.
+    taken_at: usize,
+}
+
+impl Build {
+    /// A build into an empty tree ([`BTree::new`]).
+    pub(crate) fn new(space: &AddressSpace) -> Self {
+        Build {
+            tree: BTree::new(space),
+            spine: [0; MAX_HEIGHT],
+            depth: 0,
+            taken_at: 1,
+        }
+    }
+
+    /// Enter a unique key: appended when above every key so far, through
+    /// [`BTree::insert`] otherwise.
+    pub(crate) fn insert(
+        &mut self,
+        key: u64,
+        val: u64,
+        space: &AddressSpace,
+        tc: &mut TraceCtx,
+    ) -> Result<()> {
+        if self.taken_at != self.tree.nodes.len() {
+            self.retake_spine();
+        }
+        let leaf = self.spine[self.depth];
+        let Node::Leaf {
+            keys, vals, addr, ..
+        } = &mut self.tree.nodes[leaf as usize]
+        else {
+            unreachable!()
+        };
+        // Nothing leaves a tree under construction, so the rightmost
+        // leaf's last key is the largest, and an empty leaf an empty tree.
+        if keys.last().is_some_and(|&last| key <= last) {
+            return self.tree.insert(key, val, space, tc);
+        }
+        let pos = keys.len() as u64;
+        keys.push(key);
+        vals.push(val);
+        tc.charge(tc.r.btree_insert, instr::BTREE_LEAF_INSERT);
+        tc.store(*addr + KEYS_OFF + pos * 8, 16);
+        self.tree.len += 1;
+        self.tree
+            .split_up(leaf, &self.spine[..self.depth], space, tc);
+        Ok(())
+    }
+
+    /// Walk the rightmost children down from the root.
+    fn retake_spine(&mut self) {
+        let mut node = self.tree.root;
+        self.depth = 0;
+        while let Node::Internal { children, .. } = &self.tree.nodes[node as usize] {
+            self.spine[self.depth] = node;
+            self.depth += 1;
+            node = children[children.len() - 1];
+        }
+        self.spine[self.depth] = node;
+        self.taken_at = self.tree.nodes.len();
+    }
+
+    /// The built tree.
+    pub(crate) fn finish(self) -> BTree {
+        self.tree
     }
 }
 
@@ -554,8 +645,67 @@ mod tests {
         );
     }
 
+    /// Runs of keys, each `(kind, len, start)`: ascending from `start`,
+    /// descending to it, or scattered.
+    fn run_keys(runs: &[(u8, u64, u64)]) -> Vec<u64> {
+        let run = |&(kind, len, start): &(u8, u64, u64)| {
+            (0..len).map(move |i| match kind {
+                0 => start + i,
+                1 => start + len - i,
+                _ => (start + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44,
+            })
+        };
+        runs.iter().flat_map(run).collect()
+    }
+
+    /// Enter `keys` into one tree by [`BTree::insert`] and into another by
+    /// a [`Build`], each over an address space of its own: every call's
+    /// outcome, the trees' [`BTree::digest`] words and the bytes each
+    /// space allocated agree. Returns the built tree.
+    fn build_agrees_with_insert(keys: &[u64]) -> BTree {
+        let (mut want, space_a, mut tc) = setup();
+        let space_b = AddressSpace::new();
+        let mut build = Build::new(&space_b);
+        for &k in keys {
+            let a = want.insert(k, !k, &space_a, &mut tc);
+            assert_eq!(a, build.insert(k, !k, &space_b, &mut tc), "key {k}");
+        }
+        let got = build.finish();
+        let words = |t: &BTree| {
+            let mut v = Vec::new();
+            t.digest(&mut |w| v.push(w));
+            v
+        };
+        assert_eq!(words(&want), words(&got), "nodes differ");
+        assert_eq!(space_a.allocated(), space_b.allocated());
+        got
+    }
+
+    #[test]
+    fn build_agrees_with_insert_past_two_root_splits() {
+        // 5,000 ascending keys take the root to three levels; the runs
+        // after them land below, between and above.
+        let t = build_agrees_with_insert(&run_keys(&[
+            (0, 5000, 1 << 20),
+            (1, 800, 0),
+            (2, 1500, 7),
+            (0, 700, 1 << 21),
+        ]));
+        assert!(t.height() >= 3, "height {}", t.height());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The build path and [`BTree::insert`] leave the same tree over
+        /// ascending runs, descending runs and scattered keys, mixed, with
+        /// duplicates refused alike.
+        #[test]
+        fn build_matches_insert(
+            runs in prop::collection::vec((0u8..3, 1u64..700, 0u64..1 << 20), 1..10),
+        ) {
+            build_agrees_with_insert(&run_keys(&runs));
+        }
 
         /// The tree behaves exactly like a BTreeMap under arbitrary
         /// insert/remove/lookup interleavings.

@@ -127,6 +127,21 @@ pub trait ConcurrencyControl: Send + Sync {
     /// Release one key previously recorded by the caller.
     fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx);
 
+    /// The X lock on the row a [`Loader`](crate::Loader) just placed, in
+    /// place of [`acquire`](Self::acquire) in
+    /// [`LockMode::Exclusive`]; `true` if newly granted, when the loader
+    /// ends it with [`load_release`](Self::load_release) once the row is
+    /// in. The default is that `acquire`.
+    fn load_acquire(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) -> Result<bool> {
+        self.acquire(txn, key, LockMode::Exclusive, tc)
+    }
+
+    /// Ends a lock [`load_acquire`](Self::load_acquire) granted, in place
+    /// of [`release`](Self::release). The default is that `release`.
+    fn load_release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
+        self.release(txn, key, tc);
+    }
+
     /// End-of-transaction hook, called after the caller released its
     /// recorded keys (commit and abort paths both). Backends release any
     /// internally-held state here (granted declared locks, held-set

@@ -96,8 +96,7 @@ impl DeterministicOrdered {
         mode: LockMode,
         tc: &mut TraceCtx,
     ) -> Result<Grant> {
-        tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.table.contention);
-        tc.load_dep(self.table.bucket_addr(key), 16);
+        self.table.charge_acquire(key, tc);
 
         let slot = self.declared.get_mut(&txn).and_then(|ds| ds.get_mut(&key));
         let admit = match slot.as_deref() {

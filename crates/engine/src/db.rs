@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dbcmp_trace::{AddressSpace, CodeRegions, Fnv};
 
-use crate::btree::BTree;
+use crate::btree::{BTree, Build};
 use crate::catalog::{Catalog, IndexId, TableId};
 use crate::cc::{CcBackend, CcStats, ConcurrencyControl, DeterministicOrdered, PartitionedPerCore};
 use crate::costs::{instr, EngineRegions};
@@ -177,21 +177,23 @@ impl Database {
     }
 
     /// Create an index over `table` with `key_fn`; existing rows are
-    /// indexed immediately, each key read off the tuple's page image.
+    /// indexed immediately, each key read off the tuple's page image and
+    /// entered through the append-at-the-right build path
+    /// (`btree::Build`), which leaves the tree `BTree::insert` would.
     ///
     /// Two rows with one key are [`EngineError::DuplicateKey`]: `key_fn`
     /// is wrong for the table. The index is then not created, but the
     /// simulated address space keeps the nodes the build allocated.
     pub fn create_index(&mut self, table: TableId, key_fn: KeyFn) -> Result<IndexId> {
         let id = self.indexes.len();
-        let mut tree = BTree::new(&self.space);
+        let mut build = Build::new(&self.space);
         let mut tc = self.null_ctx();
         for rid in self.heaps[table].rids() {
             if let Some(tuple) = self.heaps[table].read_at(rid, &mut tc) {
-                tree.insert(key_fn(&tuple, rid), rid.pack(), &self.space, &mut tc)?;
+                build.insert(key_fn(&tuple, rid), rid.pack(), &self.space, &mut tc)?;
             }
         }
-        self.indexes.push(tree);
+        self.indexes.push(build.finish());
         self.index_table.push(table);
         self.key_fns.push(key_fn);
         self.catalog.add_index(table, id);
@@ -412,7 +414,7 @@ impl Database {
         let Txn {
             id, locks, undo, ..
         } = txn;
-        self.insert_row(*id, table, row, tc, |step| match step {
+        self.insert_row(*id, table, row, tc, false, |step| match step {
             // The undo record goes in *before* anything that can fail, so
             // an abort after a partial insert (lock conflict, duplicate
             // index key) removes the heap row and exactly the index
@@ -434,15 +436,17 @@ impl Database {
     /// One row into the kept state, for transaction `id`: heap slot,
     /// X lock on the fresh RID, WAL record, then every index of the table
     /// — the one copy of that sequence, under [`Database::insert`] and
-    /// [`Loader::insert`] alike. Each step is reported to `did` as it
-    /// completes, so a failure part-way leaves the caller knowing exactly
-    /// what happened before it.
+    /// [`Loader::insert`] alike (`load`: the lock is the loader's,
+    /// [`ConcurrencyControl::load_acquire`]). Each step is reported to
+    /// `did` as it completes, so a failure part-way leaves the caller
+    /// knowing exactly what happened before it.
     fn insert_row(
         &mut self,
         id: TxnId,
         table: TableId,
         row: &[Value],
         tc: &mut TraceCtx,
+        load: bool,
         mut did: impl FnMut(RowStep),
     ) -> Result<Rid> {
         let rid = self.heaps[table].insert(row, &self.space, tc)?;
@@ -450,7 +454,12 @@ impl Database {
         // Fresh-RID locks conflict only if a deleter still holds the slot's
         // lock; never worth queueing on, so this one acquire is no-wait.
         let key = Self::lock_key(table, rid);
-        if self.cc.acquire(id, key, LockMode::Exclusive, tc)? {
+        let granted = if load {
+            self.cc.load_acquire(id, key, tc)?
+        } else {
+            self.cc.acquire(id, key, LockMode::Exclusive, tc)?
+        };
+        if granted {
             did(RowStep::Locked(key));
         }
         let bytes = self.heaps[table].schema.row_width() as u32;
@@ -607,9 +616,12 @@ enum RowStep {
 /// acquire and release per row, index entries, and the commit record at
 /// [`Loader::finish`] — so a load is indistinguishable afterwards from one
 /// committed transaction that inserted the same rows. What it skips is
-/// what only that transaction's *end* would use: the lock table never
-/// holds more than one entry, and there is no lock list or undo log to
-/// grow, so `finish` has nothing to drain.
+/// what only that transaction's *end* would use: each row lock goes
+/// through [`ConcurrencyControl::load_acquire`] and
+/// [`ConcurrencyControl::load_release`], so the lock table holds at most
+/// that one entry (none under 2PL, whose lock is counted and traced but
+/// never mapped), and there is no lock list or undo log to grow, so
+/// `finish` has nothing to drain.
 ///
 /// There is no abort. An `Err` from [`Loader::insert`] before the row is
 /// placed (a row that does not fit the schema) changes nothing and the
@@ -633,13 +645,13 @@ impl Loader<'_> {
         let mut locked = None;
         let inserted = self
             .db
-            .insert_row(self.txn.id, table, row, self.tc, |step| {
+            .insert_row(self.txn.id, table, row, self.tc, true, |step| {
                 if let RowStep::Locked(key) = step {
                     locked = Some(key);
                 }
             });
         if let Some(key) = locked {
-            self.db.cc.release(self.txn.id, key, self.tc);
+            self.db.cc.load_release(self.txn.id, key, self.tc);
         }
         inserted
     }

@@ -210,6 +210,19 @@ impl LockTable {
         self.addr + self.bucket_of(key) * 64
     }
 
+    /// Charge an acquire of `key`: its instructions, then the dependent
+    /// load of the bucket header it must read before deciding.
+    pub(crate) fn charge_acquire(&self, key: u64, tc: &mut TraceCtx) {
+        tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.contention);
+        tc.load_dep(self.bucket_addr(key), 16);
+    }
+
+    /// Charge a release of `key`: its instructions and the bucket store.
+    fn charge_release(&self, key: u64, tc: &mut TraceCtx) {
+        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
+        tc.store(self.bucket_addr(key), 16);
+    }
+
     /// Record a write of `key`'s bucket line: the store, then the fence
     /// that publishes it.
     pub(crate) fn write_line(&self, key: u64, tc: &mut TraceCtx) {
@@ -281,8 +294,7 @@ impl LockTable {
         key: u64,
         tc: &mut TraceCtx,
     ) -> Vec<(TxnId, bool)> {
-        tc.charge(tc.r.lock_mgr, instr::LOCK_RELEASE + self.contention);
-        tc.store(self.bucket_addr(key), 16);
+        self.charge_release(key, tc);
         self.grant_pass(key, tc, |e| e.holders.retain(|&t| t != txn))
     }
 
@@ -459,9 +471,8 @@ impl LockMgr {
         wait: bool,
         tc: &mut TraceCtx,
     ) -> Result<Grant> {
-        tc.charge(tc.r.lock_mgr, instr::LOCK_ACQUIRE + self.table.contention);
         // The bucket header is a dependent load; the grant writes it.
-        tc.load_dep(self.table.bucket_addr(key), 16);
+        self.table.charge_acquire(key, tc);
 
         if wait {
             // The outcome of the parked request: a victim must abort, a
@@ -563,6 +574,11 @@ impl LockMgr {
         }
     }
 
+    /// No lock entry and no parked transaction.
+    fn idle(&self) -> bool {
+        self.table.len() == 0 && self.txns.is_empty()
+    }
+
     /// Snapshot of every live entry: (key, mode, holders, queued waiters),
     /// in bucket order, keys ascending within a bucket (tests).
     pub fn snapshot(&self) -> Vec<(u64, LockMode, Vec<TxnId>, Vec<TxnId>)> {
@@ -607,6 +623,28 @@ impl ConcurrencyControl for LockMgr {
     fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
         let granted = self.table.release(txn, key, tc);
         self.record_grants(key, granted);
+    }
+
+    /// The loader's row lock: counted, and charged and traced as
+    /// [`acquire`](ConcurrencyControl::acquire) granting a fresh entry is
+    /// (the charge, the bucket's dependent load, its store and fence),
+    /// but never entered in the lock table. A load opens only on an empty
+    /// table and runs alone, so nothing could meet the entry.
+    fn load_acquire(&mut self, _txn: TxnId, key: u64, tc: &mut TraceCtx) -> Result<bool> {
+        debug_assert!(self.idle(), "a load runs with the lock table empty");
+        self.stats.acquires += 1;
+        self.table.charge_acquire(key, tc);
+        self.table.write_line(key, tc);
+        Ok(true)
+    }
+
+    /// The release that ends [`load_acquire`](Self::load_acquire)'s lock:
+    /// charged and traced as [`release`](ConcurrencyControl::release)
+    /// of the sole holder is (the charge and the bucket store), with no
+    /// entry to remove.
+    fn load_release(&mut self, _txn: TxnId, key: u64, tc: &mut TraceCtx) {
+        debug_assert!(self.idle(), "a load runs with the lock table empty");
+        self.table.charge_release(key, tc);
     }
 
     /// Abort-path cleanup: drop `txn`'s waiter entry (if any), any
