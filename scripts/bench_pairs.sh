@@ -219,9 +219,11 @@ for w in names:
             verdict = "unresolved"
         else:
             verdict = "no worse"
+        # A figure that prints no work reads 0.00 s on both sides.
+        delta = f"{100 * (mb - ma) / ma:+.1f} %" if ma else f"{mb - ma:+.3f}"
         print(f"| `{w}` | `{name}` | {ma:.3f} [{q1:.3f}, {q3:.3f}] "
               f"| {mb:.3f} [{r1:.3f}, {r3:.3f}] "
-              f"| {100 * (mb - ma) / ma:+.1f} % of {ma:.3f} | {better}/{pairs} "
+              f"| {delta} of {ma:.3f} | {better}/{pairs} "
               f"| {verdict} | {failed}{same} |")
 
 if mode == "workloads":
