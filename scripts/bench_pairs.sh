@@ -93,7 +93,8 @@ else
             --manifest-path "$(checkout $side)/Cargo.toml" --bin fig
     done
     [ ${#names[@]} -gt 0 ] || mapfile -t names < <("$dir/change-fig-target/release/fig" --list | cut -d" " -f1)
-    host="$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2 | xargs), $(nproc) CPUs"
+    host=$(sed -n 's/^model name\s*: //p' /proc/cpuinfo | head -n 1)
+    host="${host:-$(uname -m)}, $(nproc) CPUs"
     rev_of() { # <side>: the parent's commit, or HEAD with `+` for uncommitted source
         if [ "$1" = parent ]; then
             git -C "$repo" rev-parse --short "$parent_ref^{commit}"
