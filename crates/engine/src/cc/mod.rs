@@ -128,16 +128,16 @@ pub trait ConcurrencyControl: Send + Sync {
     fn release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx);
 
     /// The X lock on the row a [`Loader`](crate::Loader) just placed, in
-    /// place of [`acquire`](Self::acquire) in
-    /// [`LockMode::Exclusive`]; `true` if newly granted, when the loader
-    /// ends it with [`load_release`](Self::load_release) once the row is
-    /// in. The default is that `acquire`.
+    /// place of [`acquire`](Self::acquire) in [`LockMode::Exclusive`].
+    /// Returns `true` if newly granted; the loader then ends it with
+    /// [`load_release`](Self::load_release) once the row is in. Defaults
+    /// to that `acquire`.
     fn load_acquire(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) -> Result<bool> {
         self.acquire(txn, key, LockMode::Exclusive, tc)
     }
 
     /// Ends a lock [`load_acquire`](Self::load_acquire) granted, in place
-    /// of [`release`](Self::release). The default is that `release`.
+    /// of [`release`](Self::release). Defaults to that `release`.
     fn load_release(&mut self, txn: TxnId, key: u64, tc: &mut TraceCtx) {
         self.release(txn, key, tc);
     }

@@ -23,9 +23,11 @@
 //!
 //! * **No-wait** ([`ConcurrencyControl::acquire`]): conflicts surface immediately as
 //!   [`EngineError::LockConflict`]. The engine uses it for one thing, the
-//!   fresh-RID acquire of a row insert — a transaction's or a
-//!   [`Loader`](crate::Loader)'s — because a lock on a slot nobody else
-//!   has seen cannot meaningfully wait. (The partitioned backend also
+//!   fresh-RID acquire of a row insert — a transaction's, or a
+//!   [`Loader`](crate::Loader)'s through
+//!   [`ConcurrencyControl::load_acquire`], which this manager counts and
+//!   traces without entering the map — because a lock on a slot nobody
+//!   else has seen cannot meaningfully wait. (The partitioned backend also
 //!   routes requests here that its resource ordering forbids to block.)
 //! * **Queued** ([`ConcurrencyControl::acquire_wait`]): conflicting requests park on a
 //!   FIFO wait queue per lock. Releases grant from the front (shared
