@@ -3,7 +3,7 @@
 # every perf claim for.
 #
 #   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workloads...]
-#   scripts/bench_pairs.sh --figs <parent-ref> [pairs=3] [figures...]
+#   scripts/bench_pairs.sh --figs <parent-ref> [pairs=10] [figures...]
 #   scripts/bench_pairs.sh --check-log
 #
 # Exports <parent-ref>'s committed files (git archive) beside the working
@@ -12,8 +12,9 @@
 # per workload or figure x metric: each side's median and quartiles, the
 # delta with its base, in how many pairs the change read better, and a
 # verdict:
-#   gain       better in >= 9/10 of the pairs, and the medians differ by
-#              more than the parent's interquartile range;
+#   gain       at least 10 pairs, the change better in >= 9/10 of them,
+#              and the medians differ by more than the parent's
+#              interquartile range;
 #   worse      the change's median is worse than the parent's by more
 #              than the metric's `bound` (a fraction of the parent's);
 #   unresolved either side's interquartile range is wider than that
@@ -29,12 +30,12 @@
 # Figure mode (--figs) builds `fig` from each side and runs `fig <name>` at
 # paper scale, every figure of `fig --list` when none is named. Its
 # metrics are `wall_s`, read from the figure's `[regenerated in … s]`
-# footer, and `peak_rss_mb`, the process's VmHWM, read from
-# /proc/<pid>/status while it runs and from wait4(2) as it exits; their
-# bounds are BENCHMARK.json's. A last column says whether every run of
-# both sides printed the same stdout. Each run appends one JSON line to
-# BENCH_figs.jsonl at the repository root, with the keys FIG_KEYS names
-# below; --check-log checks that every line there parses and has them.
+# footer, and `peak_rss_mb`, the process's VmHWM, which wait4(2) returns
+# as ru_maxrss; their bounds are BENCHMARK.json's. A last column says
+# whether every run of both sides printed the same stdout. Each run
+# appends one JSON line to BENCH_figs.jsonl at the repository root, with
+# the keys FIG_KEYS names below; --check-log checks that every line there
+# parses and has them.
 #
 # Every run's result is kept under $BENCH_PAIRS_DIR/runs/. The change side
 # is the working tree as it stands, committed or not. BENCH_PAIRS_DIR
@@ -64,10 +65,9 @@ fi
 
 mode=workloads
 if [ "${1:-}" = --figs ]; then mode=figs; shift; fi
-[ $# -ge 1 ] || { sed -n '2,41p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,42p' "$0" >&2; exit 2; }
 parent_ref=$1
 pairs=${2:-10}
-[ $mode = figs ] && pairs=${2:-3}
 shift; [ $# -gt 0 ] && shift
 names=("$@")
 
@@ -107,24 +107,13 @@ else
     run() { # <side> <figure> <pair>
         (cd "$(checkout "$1")" && python3 - "$dir/$1-fig-target/release/fig" "$dir/runs/$2.$3.$1" \
             "$host" "$(rev_of "$1")" "$1" "$2" "$3" $FIG_KEYS <<'EOF'
-import datetime, hashlib, json, os, re, subprocess, sys, time
+import datetime, hashlib, json, os, re, subprocess, sys
 
 fig, out, host, rev, side, name, pair, keys = *sys.argv[1:8], sys.argv[8:]
 with open(out + ".stdout", "wb") as stdout, open(out + ".stderr", "wb") as stderr:
     child = subprocess.Popen([fig, name], stdout=stdout, stderr=stderr)
-    hwm_kb = 0
-    while True:
-        pid, status, rusage = os.wait4(child.pid, os.WNOHANG)
-        if pid:
-            break
-        try:
-            proc = open(f"/proc/{child.pid}/status").read()
-            hwm_kb = max(hwm_kb, int(re.search(r"VmHWM:\s+(\d+) kB", proc).group(1)))
-        except (OSError, AttributeError):
-            pass
-        time.sleep(0.02)
-    # ru_maxrss is the same high-water mark, in kB, as the child left it.
-    hwm_kb = max(hwm_kb, rusage.ru_maxrss)
+    # The reaped child's ru_maxrss is its VmHWM, in kB.
+    _, status, rusage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
 footer = re.search(rb"\[regenerated in ([0-9.]+) s\]", open(out + ".stderr", "rb").read())
 rec = {
@@ -137,7 +126,7 @@ rec = {
     "pair": int(pair),
     "ok": child.returncode == 0 and footer is not None,
     "wall_s": float(footer.group(1)) if footer else None,
-    "peak_rss_mb": round(hwm_kb / 1024, 1),
+    "peak_rss_mb": round(rusage.ru_maxrss / 1024, 1),
     "stdout_sha256": hashlib.sha256(open(out + ".stdout", "rb").read()).hexdigest(),
 }
 assert sorted(rec) == sorted(keys), "FIG_KEYS and the record disagree"
@@ -211,7 +200,7 @@ for w in names:
         ma, mb = statistics.median(a), statistics.median(b)
         better = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         gain = sign * (mb - ma)
-        if 10 * better >= 9 * pairs and gain > q3 - q1:
+        if pairs >= 10 and 10 * better >= 9 * pairs and gain > q3 - q1:
             verdict = "gain"
         elif -gain > bound * ma:
             verdict = "worse"
@@ -241,10 +230,4 @@ if mode == "workloads":
             cells = ("–" if l not in got else f"{got[l]['value']:.3f}" if l.endswith("_s")
                      else f"{got[l]['value']:.0f}" for l in layers)
             print(f"| `{w}` | {s} | " + " | ".join(cells) + " |")
-else:
-    sums = {s: sum(statistics.median(load(w, p, s)[0]["wall_s"] or 0 for p in range(1, pairs + 1))
-                   for w in names) for s in ("parent", "change")}
-    print()
-    print(f"Sum of median `wall_s` over {len(names)} figures: "
-          f"parent {sums['parent']:.2f} s, change {sums['change']:.2f} s.")
 EOF

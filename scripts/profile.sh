@@ -2,26 +2,25 @@
 # Where bench_pipeline spends its CPU time: sample shares per crate, per
 # symbol and per innermost source line.
 #
-#   scripts/profile.sh <workload> [reps=4] [top=20]
+#   scripts/profile.sh <workload>
 #
 # Builds bench_pipeline with BENCHMARK.json's build line plus line tables
 # (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) and the SIGPROF sampler
 # scripts/sigprof.c with the system gcc, runs
-# `bench_pipeline --workload <workload> --trace 0 --reps <reps>` with the
+# `bench_pipeline --workload <workload> --trace 0 --reps 4` with the
 # sampler preloaded (one sample per millisecond of process CPU time, every
-# thread), and symbolizes the samples. The symbol is the binary's own
-# symbol table entry (nm) the sample lies in, the function the code was
-# compiled into. addr2line's innermost inlined frame gives the source
-# line, and its outermost frame's source path the crate. Samples outside
-# the binary are charged to their shared object. Needs gcc and binutils
-# only: no perf, and no CPU performance counters. PROFILE_DIR (default
-# target/profile) holds the build, the sampler and the raw samples.
+# thread), and prints the 20 largest shares of each table. The symbol is
+# the binary's own symbol table entry (nm) the sample lies in, the
+# function the code was compiled into. addr2line's innermost inlined frame
+# gives the source line, and its outermost frame's source path the crate.
+# Samples outside the binary are charged to their shared object. Needs gcc
+# and binutils only: no perf, and no CPU performance counters. PROFILE_DIR
+# (default target/profile) holds the build, the sampler and the raw
+# samples.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+[ $# -eq 1 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
 workload=$1
-reps=${2:-4}
-top=${3:-20}
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 dir=${PROFILE_DIR:-$repo/target/profile}
@@ -33,12 +32,12 @@ CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$dir/target" \
 bin=$dir/target/release/bench_pipeline
 
 (cd "$repo" && SIGPROF_OUT="$dir/samples.tsv" LD_PRELOAD="$dir/sigprof.so" \
-    "$bin" --workload "$workload" --trace 0 --reps "$reps" | tail -n 1 >"$dir/result.json")
+    "$bin" --workload "$workload" --trace 0 --reps 4 | tail -n 1 >"$dir/result.json")
 
-python3 - "$bin" "$dir/samples.tsv" "$top" <<'EOF'
+python3 - "$bin" "$dir/samples.tsv" <<'EOF'
 import bisect, collections, os, re, subprocess, sys
 
-binary, samples, top = sys.argv[1], sys.argv[2], int(sys.argv[3])
+binary, samples = sys.argv[1:]
 rows = [line.rstrip("\n").split("\t") for line in open(samples)]
 ours = lambda obj: obj in ("", binary) or os.path.basename(obj) == os.path.basename(binary)
 offsets = sorted({int(off, 16) for obj, off, _ in rows if ours(obj)})
@@ -98,7 +97,7 @@ print(f"{n} samples ({n / 1000:.1f} s of CPU at 1 ms each)")
 for k, title in (("crate", "crate"), ("symbol", "symbol"),
                  ("line", "innermost source line")):
     print(f"\n| share | samples | {title} |\n|---:|---:|---|")
-    for name, c in by[k].most_common(top):
+    for name, c in by[k].most_common(20):
         print(f"| {100 * c / n:.1f} % | {c} | `{name}` |")
 EOF
 echo >&2

@@ -1,12 +1,12 @@
 /*
  * SIGPROF sampler for scripts/profile.sh, loaded with LD_PRELOAD.
  *
- * When $SIGPROF_OUT is set, it arms ITIMER_PROF to fire every $SIGPROF_US
- * microseconds (default 1000) of the process's CPU time, across all its
- * threads, and records the interrupted program counter. At exit it writes
- * one line per sample to $SIGPROF_OUT: the object the counter lies in, the
- * offset into it, and the nearest exported symbol ("-" if none), separated
- * by tabs. Without $SIGPROF_OUT it does nothing.
+ * When $SIGPROF_OUT is set, it arms ITIMER_PROF to fire every millisecond
+ * of the process's CPU time, across all its threads, and records the
+ * interrupted program counter. At exit it writes one line per sample to
+ * $SIGPROF_OUT: the object the counter lies in, the offset into it, and
+ * the nearest exported symbol ("-" if none), separated by tabs. Without
+ * $SIGPROF_OUT it does nothing.
  *
  *   gcc -O2 -shared -fPIC -o sigprof.so scripts/sigprof.c -ldl
  */
@@ -21,6 +21,7 @@
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1u << 20)
+#define PERIOD_US 1000
 
 static void *samples[MAX_SAMPLES];
 static atomic_uint n_samples;
@@ -49,13 +50,12 @@ static void set_timer(long us) {
 __attribute__((constructor)) static void start(void) {
     if (!getenv("SIGPROF_OUT"))
         return;
-    const char *us = getenv("SIGPROF_US");
     struct sigaction sa = {0};
     sa.sa_sigaction = on_prof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    set_timer(us ? atol(us) : 1000);
+    set_timer(PERIOD_US);
 }
 
 __attribute__((destructor)) static void stop(void) {
