@@ -48,7 +48,7 @@ fn strip_dependences(bundle: &TraceBundle) -> TraceBundle {
 }
 
 /// The four ablations at `scale`; tables only, no claims.
-pub fn ablations(mut out: Page, scale: &FigScale) -> Page {
+pub(crate) fn ablations(mut out: Page, scale: &FigScale) -> Page {
     let spec = spec_of(scale);
 
     let oltp = CapturedWorkload::saturated(WorkloadKind::Oltp, scale);

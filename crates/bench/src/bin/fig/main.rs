@@ -22,7 +22,7 @@ fn main() -> ExitCode {
         eprint!("{}", list());
         ExitCode::from(2)
     };
-    let cli = match Cli::parse(std::env::args().skip(1), &["--quick", "--list"]) {
+    let cli = match Cli::parse(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => return usage(e),
     };

@@ -18,12 +18,13 @@
 //! (see its README and `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![allow(
     clippy::disallowed_methods,
     reason = "crates/bench is the wall-clock layer; its clocks go to stderr, never into a capture or figure datum"
 )]
 
-pub mod ablations;
+mod ablations;
 pub mod extensions;
 pub mod paper;
 
@@ -37,8 +38,8 @@ use dbcmp_core::{deploy, figures, network, FigScale};
 #[derive(Debug)]
 pub struct Figure {
     pub name: &'static str,
-    pub title: &'static str,
-    pub paper_ref: &'static str,
+    pub(crate) title: &'static str,
+    pub(crate) paper_ref: &'static str,
     /// Runs the generator at a scale and prints its output below the
     /// header on the page it is handed.
     run: fn(Page, &FigScale) -> Page,
@@ -216,9 +217,12 @@ impl Page {
     }
 }
 
+/// The flags `fig` accepts.
+const FLAGS: [&str; 2] = ["--quick", "--list"];
+
 /// A harness command line, parsed strictly: every `--flag` must be one
-/// the binary declares, so a typo (`--quikc`) is an error instead of a
-/// silent paper-scale run.
+/// of `FLAGS`, so a typo (`--quikc`) is an error instead of a silent
+/// paper-scale run.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Cli {
     flags: Vec<String>,
@@ -228,8 +232,8 @@ pub struct Cli {
 
 impl Cli {
     /// Split `args` (without the program name) into flags and
-    /// positionals, rejecting any flag not in `known`.
-    pub fn parse(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Cli, String> {
+    /// positionals, rejecting any flag not in `FLAGS`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             flags: Vec::new(),
             positional: Vec::new(),
@@ -237,7 +241,7 @@ impl Cli {
         for arg in args {
             if !arg.starts_with("--") {
                 cli.positional.push(arg);
-            } else if known.contains(&arg.as_str()) {
+            } else if FLAGS.contains(&arg.as_str()) {
                 cli.flags.push(arg);
             } else {
                 return Err(format!("unknown flag `{arg}`"));
@@ -266,7 +270,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse(args.iter().map(|a| a.to_string()), &["--quick", "--list"])
+        Cli::parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]

@@ -14,7 +14,7 @@ use dbcmp_sim::{CycleClass, SimResult};
 use crate::Page;
 
 /// Figs. 4 and 5 read the same eight runs.
-pub type Quadrants = Grid<(WorkloadKind, Saturation), Camp>;
+pub(crate) type Quadrants = Grid<(WorkloadKind, Saturation), Camp>;
 
 /// Table 1: chip multiprocessor camp characteristics.
 pub fn table1_camps(mut out: Page) -> Page {

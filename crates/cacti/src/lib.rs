@@ -5,13 +5,13 @@
 //! of on-chip cache sizes and latencies (Fig. 1). This crate reproduces both
 //! ingredients:
 //!
-//! * [`model`] — a simplified but physically grounded access-time model:
+//! * `model` — a simplified but physically grounded access-time model:
 //!   RC-limited decoder/wordline/bitline delays inside subarrays, a
 //!   repeated-wire H-tree to reach banks (the dominant term for multi-MB
 //!   caches — delay grows with the square root of area), a fixed
 //!   sense/tag/arbitration overhead, and a search over subarray
 //!   organizations, mirroring CACTI's structure.
-//! * [`historic`] — the processor cache-size/latency history behind Fig. 1.
+//! * `historic` — the processor cache-size/latency history behind Fig. 1.
 //!
 //! The model is calibrated to paper-era (90/65 nm, 2-4 GHz) L2 design
 //! points: 1 MB at ~6-8 cycles and 26 MB at ~20+ cycles — the regime in which the paper's "large caches get slow"
@@ -19,9 +19,10 @@
 //! than shipping products achieve, so treat the output as optimistic.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
-pub mod historic;
-pub mod model;
+mod historic;
+mod model;
 
 pub use historic::{historic_latencies, historic_sizes, CachePoint};
 pub use model::{CacheOrg, CactiModel, CactiResult};

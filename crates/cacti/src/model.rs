@@ -25,20 +25,20 @@ pub struct CactiModel {
     /// Core clock in GHz used to convert ns to cycles.
     pub clock_ghz: f64,
     /// SRAM cell area in F^2 (typical 6T cell ~146 F^2 including overheads).
-    pub cell_area_f2: f64,
+    pub(crate) cell_area_f2: f64,
     /// Array area overhead factor (decoders, sense amps, wiring).
-    pub area_overhead: f64,
+    pub(crate) area_overhead: f64,
     /// Repeated global wire delay, ps per mm (H-tree).
-    pub wire_ps_per_mm: f64,
+    pub(crate) wire_ps_per_mm: f64,
     /// Wordline RC per column, ps.
-    pub wordline_ps_per_col: f64,
+    pub(crate) wordline_ps_per_col: f64,
     /// Bitline RC per row, ps.
-    pub bitline_ps_per_row: f64,
+    pub(crate) bitline_ps_per_row: f64,
     /// Fixed overhead in FO4 delays (sense, tag compare, mux, drivers).
-    pub fixed_fo4: f64,
+    pub(crate) fixed_fo4: f64,
     /// Extra pipeline overhead in cycles (arbitration, ECC, queuing-free
     /// bus crossing) — present in real products, absent from raw CACTI.
-    pub pipeline_cycles: u64,
+    pub(crate) pipeline_cycles: u64,
 }
 
 impl CactiModel {
@@ -60,7 +60,7 @@ impl CactiModel {
 
     /// FO4 inverter delay at this node, in ps (≈0.36 ps per nm of feature
     /// size — the standard rule of thumb).
-    pub fn fo4_ps(&self) -> f64 {
+    pub(crate) fn fo4_ps(&self) -> f64 {
         0.36 * self.tech_nm
     }
 
@@ -124,8 +124,8 @@ impl CactiModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheOrg {
     pub size_bytes: u64,
-    pub block_bytes: u32,
-    pub associativity: u32,
+    pub(crate) block_bytes: u32,
+    pub(crate) associativity: u32,
 }
 
 impl CacheOrg {

@@ -6,7 +6,7 @@
 //! points out over OS threads (`capture::par_map_ordered`), costliest
 //! first; every point builds its own machine from scratch against the
 //! shared `&TraceBundle`, so the results are *byte-identical* at every
-//! worker count ([`Sweep::run_each_with_workers`] with one worker runs
+//! worker count (`Sweep::run_each_with_workers` with one worker runs
 //! them in turn on the calling thread) and are returned in input order —
 //! parallelism changes wall-clock time only.
 //!
@@ -43,7 +43,7 @@ impl RunSpec {
     }
 
     /// The completion-mode [`RunMode`] for these windows.
-    pub fn completion(self) -> RunMode {
+    pub(crate) fn completion(self) -> RunMode {
         RunMode::Completion {
             max_cycles: self.max_cycles,
         }
@@ -83,9 +83,9 @@ fn run_point(cfg: MachineConfig, mode: RunMode, bundle: &TraceBundle) -> SimResu
 /// One labeled point of a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    pub label: String,
-    pub cfg: MachineConfig,
-    pub mode: RunMode,
+    pub(crate) label: String,
+    pub(crate) cfg: MachineConfig,
+    pub(crate) mode: RunMode,
 }
 
 /// A labeled list of machine-config points evaluated against shared
@@ -137,18 +137,6 @@ impl Sweep {
         });
     }
 
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn points(&self) -> &[SweepPoint] {
-        &self.points
-    }
-
     /// Run every point against one shared bundle, in parallel. Results
     /// come back in input order. Panics on an invalid config (configs
     /// are validated up front, before any thread spawns); call
@@ -162,7 +150,7 @@ impl Sweep {
     /// capped at the point count. On a single-CPU host this is 1 and the
     /// parallel entry points degrade to the sequential path (results are
     /// identical either way; only wall-clock differs).
-    pub fn default_workers(&self) -> usize {
+    pub(crate) fn default_workers(&self) -> usize {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
@@ -180,7 +168,7 @@ impl Sweep {
     /// equivalence suite pins `workers > 1` so the cross-thread path is
     /// exercised even on single-CPU hosts, and `workers = 1` for the
     /// sequential reference.
-    pub fn run_each_with_workers(
+    pub(crate) fn run_each_with_workers(
         &self,
         bundles: &[&TraceBundle],
         workers: usize,
@@ -228,7 +216,7 @@ impl Sweep {
 
 /// One column of a grid: the key its cells are looked up by, the
 /// machine, and how to run it.
-pub type Column<C> = (C, MachineConfig, RunMode);
+pub(crate) type Column<C> = (C, MachineConfig, RunMode);
 
 /// One row of a finished grid: the row key and one result per column,
 /// in column order.
@@ -321,7 +309,7 @@ pub struct InstanceReplay {
 
 impl InstanceReplay {
     /// Aggregate the instances' results (taken in instance order).
-    pub fn new(per_instance: Vec<SimResult>) -> Self {
+    pub(crate) fn new(per_instance: Vec<SimResult>) -> Self {
         let mut remote = RemoteCounters::default();
         for r in &per_instance {
             remote.merge(&r.remote);
@@ -387,10 +375,10 @@ mod tests {
                 spec.completion(),
             );
         let par = sweep.run(&w.bundle);
-        let seq = sweep.run_each_with_workers(&vec![&w.bundle; sweep.len()], 1);
+        let seq = sweep.run_each_with_workers(&vec![&w.bundle; sweep.points.len()], 1);
         assert_eq!(par.len(), 6);
         assert_eq!(par, seq, "parallel and sequential sweeps must be identical");
-        let forced = sweep.run_each_with_workers(&vec![&w.bundle; sweep.len()], 4);
+        let forced = sweep.run_each_with_workers(&vec![&w.bundle; sweep.points.len()], 4);
         assert_eq!(forced, seq, "four workers must agree too");
         // Order is input order: machine names line up with point labels.
         assert!(par[0].machine.starts_with("FC-CMP 1x"));
@@ -437,7 +425,7 @@ mod tests {
         // 16 lean contexts × 62k, 4 fat × 62k, 4 lean × 6k, then the two
         // 1-context fat points in input order.
         assert_eq!(sweep.dispatch_order(), [1, 3, 2, 0, 4]);
-        let bundles = vec![&w.bundle; sweep.len()];
+        let bundles = vec![&w.bundle; sweep.points.len()];
         let par = sweep.run_each_with_workers(&bundles, 2);
         let seq = sweep.run_each_with_workers(&bundles, 1);
         assert_eq!(par, seq);

@@ -31,7 +31,7 @@ pub fn spec_of(scale: &FigScale) -> RunSpec {
 /// The baseline chip of §3-§4: four cores, 26 MB shared L2 (the paper's
 /// "unrealistically fast and large" configuration for Figs. 4/5 uses this
 /// size with CACTI latency).
-pub const BASE_CORES: usize = 4;
+pub(crate) const BASE_CORES: usize = 4;
 pub const BASE_L2: u64 = 26 << 20;
 
 /// Fig. 7's L2 budget: the CMP's shared 16 MB, the SMP's four 4 MB
@@ -402,7 +402,7 @@ pub fn cc_backend_label(backend: CcBackend) -> &'static str {
 }
 
 /// The backends the `fig_cc` sweep compares, in presentation order.
-pub fn cc_backends() -> [CcBackend; 3] {
+pub(crate) fn cc_backends() -> [CcBackend; 3] {
     [
         CcBackend::Centralized2PL,
         CcBackend::PartitionedPerCore,
@@ -651,7 +651,7 @@ pub fn fig9_claims([volcano, staged, parallel]: &[Fig9Result; 3]) -> Vec<Claim> 
 /// all-lean in steps of two slots, with the pure-lean endpoint always
 /// included even when `total_slots` is odd (the fig_smoke gate finds
 /// both pure camps by searching for them).
-pub fn asym_ratios(total_slots: usize) -> Vec<(usize, usize)> {
+pub(crate) fn asym_ratios(total_slots: usize) -> Vec<(usize, usize)> {
     let mut fats: Vec<usize> = (0..=total_slots).rev().step_by(2).collect();
     if fats.last() != Some(&0) {
         fats.push(0);
@@ -666,7 +666,7 @@ const ASYM_SLOTS: usize = 8;
 
 /// Asymmetric-CMP extension: sweep fat:lean slot ratios from all-fat to
 /// all-lean over eight slots and a fixed shared L2, on saturated OLTP
-/// and DSS; columns are the `(fat, lean)` [`asym_ratios`]. As fat slots
+/// and DSS; columns are the `(fat, lean)` `asym_ratios`. As fat slots
 /// give way to lean ones the machine trades single-thread ILP for
 /// thread-level latency hiding — the breakdown shifts from exposed data
 /// stalls toward computation, and saturated throughput climbs (the

@@ -7,6 +7,7 @@
 //! figure/table in [figures].
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 pub mod deploy;
 pub mod experiment;
@@ -21,7 +22,5 @@ pub use deploy::{deploy_capture, deploy_instance_counts, fig_deploy, DeployPoint
 pub use experiment::{
     grid, run_completion, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
 };
-pub use machines::{asym_cmp, fc_cmp, island_cmp, lc_cmp, smp_baseline, L2Spec};
-pub use network::{fig_network, network_capture, network_presets, network_spec, NetworkPoint};
 pub use taxonomy::{Camp, Saturation, WorkloadKind};
 pub use workload::{CapturedWorkload, FigScale};

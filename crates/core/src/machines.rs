@@ -20,7 +20,7 @@ pub enum L2Spec {
 }
 
 impl L2Spec {
-    pub fn latency(self, size: u64) -> u64 {
+    pub(crate) fn latency(self, size: u64) -> u64 {
         match self {
             L2Spec::Cacti => l2_latency_cycles(size),
             L2Spec::Fixed(cyc) => cyc,

@@ -8,21 +8,21 @@ use dbcmp_sim::stats::{Breakdown, ALL_CLASSES};
 
 /// The tolerance of an approximate threshold: a figure's "~1.7×" is
 /// checked within ±25 % of the written number ([`Claim::near`]).
-pub const APPROX: f64 = 0.25;
+pub(crate) const APPROX: f64 = 0.25;
 
 /// One statement of a figure's shape, evaluated eagerly against the
 /// numbers the figure printed. It holds iff `margin > 0`, so a NaN margin
 /// fails. A number a claim quotes is its threshold as written, except an
-/// approximate one ("~1.7×"), which is checked within ±[`APPROX`].
+/// approximate one ("~1.7×"), which is checked within ±`APPROX`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Claim {
     /// The statement, with the measured value and the bound it is held to.
-    pub text: String,
+    pub(crate) text: String,
     /// Signed distance from the bound, in the measured quantity's units.
-    pub margin: f64,
+    pub(crate) margin: f64,
     /// The ROADMAP item that owns a known contradiction: until that item
     /// lands, the claim is expected to fail.
-    pub gap: Option<&'static str>,
+    pub(crate) gap: Option<&'static str>,
 }
 
 impl Claim {
@@ -35,7 +35,7 @@ impl Claim {
     }
 
     /// `value` is greater than `bound`.
-    pub fn above(what: impl Display, value: f64, bound: f64) -> Claim {
+    pub(crate) fn above(what: impl Display, value: f64, bound: f64) -> Claim {
         Claim::new(
             format!("{what}: {} > {}", num(value), num(bound)),
             value - bound,
@@ -43,7 +43,7 @@ impl Claim {
     }
 
     /// `value` is less than `bound`.
-    pub fn below(what: impl Display, value: f64, bound: f64) -> Claim {
+    pub(crate) fn below(what: impl Display, value: f64, bound: f64) -> Claim {
         Claim::new(
             format!("{what}: {} < {}", num(value), num(bound)),
             bound - value,
@@ -51,7 +51,7 @@ impl Claim {
     }
 
     /// `value` lies strictly inside `(lo, hi)`.
-    pub fn within(what: impl Display, value: f64, lo: f64, hi: f64) -> Claim {
+    pub(crate) fn within(what: impl Display, value: f64, lo: f64, hi: f64) -> Claim {
         Claim::new(
             format!("{what}: {} in ({}, {})", num(value), num(lo), num(hi)),
             (value - lo).min(hi - value),
@@ -59,7 +59,7 @@ impl Claim {
     }
 
     /// `value` is `target` within ±[`APPROX`].
-    pub fn near(what: impl Display, value: f64, target: f64) -> Claim {
+    pub(crate) fn near(what: impl Display, value: f64, target: f64) -> Claim {
         let (lo, hi) = (target * (1.0 - APPROX), target * (1.0 + APPROX));
         Claim {
             text: format!(
@@ -75,14 +75,14 @@ impl Claim {
     }
 
     /// Mark a known contradiction owned by ROADMAP item `item`.
-    pub fn gap(self, item: &'static str) -> Claim {
+    pub(crate) fn gap(self, item: &'static str) -> Claim {
         Claim {
             gap: Some(item),
             ..self
         }
     }
 
-    pub fn holds(&self) -> bool {
+    pub(crate) fn holds(&self) -> bool {
         self.margin > 0.0
     }
 }

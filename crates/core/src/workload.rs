@@ -103,7 +103,7 @@ impl CapturedWorkload {
     /// in the traces. `hot_pct` percent of transactions target the hot
     /// warehouse/items (the contention knob). Returns the capture plus
     /// what the clients and the backend actually did.
-    pub fn oltp_contended(
+    pub(crate) fn oltp_contended(
         scale: &FigScale,
         hot_pct: u8,
         backend: CcBackend,
@@ -196,7 +196,7 @@ impl CapturedWorkload {
 
     /// A bundle restricted to the first `n` client threads (client-count
     /// sweeps reuse one capture).
-    pub fn subset(&self, n: usize) -> TraceBundle {
+    pub(crate) fn subset(&self, n: usize) -> TraceBundle {
         TraceBundle::new(
             self.bundle.regions.clone(),
             self.bundle.threads[..n.min(self.bundle.threads.len())].to_vec(),

@@ -22,7 +22,7 @@ use crate::error::{EngineError, Result};
 use crate::tctx::TraceCtx;
 
 /// Maximum keys per node.
-pub const ORDER: usize = 64;
+pub(crate) const ORDER: usize = 64;
 /// Simulated bytes per node (header + keys + values/children).
 const NODE_BYTES: u64 = 1152;
 /// Offset of the key area within a node's simulated layout.
@@ -57,7 +57,7 @@ impl Node {
 
 /// A unique-key B+Tree.
 #[derive(Debug)]
-pub struct BTree {
+pub(crate) struct BTree {
     nodes: Vec<Node>,
     root: u32,
     len: usize,
@@ -65,7 +65,7 @@ pub struct BTree {
 
 /// Range-scan cursor (leaf position + exclusive upper bound).
 #[derive(Debug, Clone)]
-pub struct Cursor {
+pub(crate) struct Cursor {
     node: Option<u32>,
     idx: usize,
     hi: u64,
@@ -73,7 +73,7 @@ pub struct Cursor {
 
 impl BTree {
     /// An empty tree (a single leaf) with simulated node addresses.
-    pub fn new(space: &AddressSpace) -> Self {
+    pub(crate) fn new(space: &AddressSpace) -> Self {
         let addr = space.alloc(NODE_BYTES);
         BTree {
             nodes: vec![Node::Leaf {
@@ -85,16 +85,6 @@ impl BTree {
             root: 0,
             len: 0,
         }
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Tree height (levels).
@@ -150,7 +140,7 @@ impl BTree {
     }
 
     /// Point lookup.
-    pub fn get(&self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
+    pub(crate) fn get(&self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
         let region = tc.r.btree_search;
         let leaf = self.find_leaf(key, tc, region, |_| {});
         let Node::Leaf { keys, vals, .. } = &self.nodes[leaf as usize] else {
@@ -160,7 +150,7 @@ impl BTree {
     }
 
     /// Insert a unique key.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         key: u64,
         val: u64,
@@ -288,7 +278,7 @@ impl BTree {
     }
 
     /// Remove a key (lazy: leaf-only). Returns the removed value.
-    pub fn remove(&mut self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
+    pub(crate) fn remove(&mut self, key: u64, tc: &mut TraceCtx) -> Option<u64> {
         let region = tc.r.btree_insert;
         let leaf = self.find_leaf(key, tc, region, |_| {});
         let Node::Leaf {
@@ -312,7 +302,7 @@ impl BTree {
     }
 
     /// Open a cursor over `[lo, hi]` (inclusive bounds).
-    pub fn cursor(&self, lo: u64, hi: u64, tc: &mut TraceCtx) -> Cursor {
+    pub(crate) fn cursor(&self, lo: u64, hi: u64, tc: &mut TraceCtx) -> Cursor {
         let region = tc.r.btree_search;
         let leaf = self.find_leaf(lo, tc, region, |_| {});
         let Node::Leaf { keys, .. } = &self.nodes[leaf as usize] else {
@@ -327,7 +317,7 @@ impl BTree {
     }
 
     /// Advance a cursor; `None` when past the upper bound.
-    pub fn cursor_next(&self, cur: &mut Cursor, tc: &mut TraceCtx) -> Option<(u64, u64)> {
+    pub(crate) fn cursor_next(&self, cur: &mut Cursor, tc: &mut TraceCtx) -> Option<(u64, u64)> {
         loop {
             let node = cur.node?;
             let Node::Leaf {
@@ -359,7 +349,7 @@ impl BTree {
     }
 
     /// Collect an inclusive range (convenience for small ranges).
-    pub fn range(&self, lo: u64, hi: u64, tc: &mut TraceCtx) -> Vec<(u64, u64)> {
+    pub(crate) fn range(&self, lo: u64, hi: u64, tc: &mut TraceCtx) -> Vec<(u64, u64)> {
         let mut cur = self.cursor(lo, hi, tc);
         let mut out = Vec::new();
         while let Some(kv) = self.cursor_next(&mut cur, tc) {
@@ -505,7 +495,7 @@ mod tests {
         assert_eq!(t.get(3, &mut tc), Some(30));
         assert_eq!(t.get(9, &mut tc), Some(90));
         assert_eq!(t.get(4, &mut tc), None);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len, 5);
     }
 
     #[test]
@@ -516,7 +506,7 @@ mod tests {
             t.insert(1, 2, &space, &mut tc),
             Err(EngineError::DuplicateKey(1))
         ));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len, 1);
     }
 
     #[test]
@@ -529,7 +519,7 @@ mod tests {
         for k in (0..10_000u64).step_by(997) {
             assert_eq!(t.get(k, &mut tc), Some(k));
         }
-        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.len, 10_000);
     }
 
     #[test]
@@ -553,7 +543,7 @@ mod tests {
         assert_eq!(t.remove(250, &mut tc), Some(251));
         assert_eq!(t.get(250, &mut tc), None);
         assert_eq!(t.remove(250, &mut tc), None);
-        assert_eq!(t.len(), 499);
+        assert_eq!(t.len, 499);
         // Range skips the hole.
         let r = t.range(249, 251, &mut tc);
         assert_eq!(r, vec![(249, 250), (251, 252)]);
@@ -731,7 +721,7 @@ mod tests {
                         prop_assert_eq!(t.get(key, &mut tc), model.get(&key).copied());
                     }
                 }
-                prop_assert_eq!(t.len(), model.len());
+                prop_assert_eq!(t.len, model.len());
             }
             // Full range agrees.
             let all = t.range(0, u64::MAX, &mut tc);

@@ -14,23 +14,23 @@ pub type IndexId = usize;
 
 /// Per-table catalog entry.
 #[derive(Debug)]
-pub struct TableMeta {
+pub(crate) struct TableMeta {
     /// Table name (unique within the database).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Indexes defined over the table.
-    pub indexes: Vec<IndexId>,
+    pub(crate) indexes: Vec<IndexId>,
 }
 
 /// The catalog.
 #[derive(Debug)]
-pub struct Catalog {
+pub(crate) struct Catalog {
     tables: Vec<TableMeta>,
     addr: u64,
 }
 
 impl Catalog {
     /// An empty catalog with a simulated allocation for its entries.
-    pub fn new(space: &AddressSpace) -> Self {
+    pub(crate) fn new(space: &AddressSpace) -> Self {
         Catalog {
             tables: Vec::new(),
             addr: space.alloc(32 * 1024),
@@ -38,7 +38,7 @@ impl Catalog {
     }
 
     /// Register a table, returning its dense handle.
-    pub fn add_table(&mut self, name: &'static str) -> TableId {
+    pub(crate) fn add_table(&mut self, name: &'static str) -> TableId {
         self.tables.push(TableMeta {
             name,
             indexes: Vec::new(),
@@ -47,12 +47,12 @@ impl Catalog {
     }
 
     /// Attach an index to a table's entry.
-    pub fn add_index(&mut self, table: TableId, index: IndexId) {
+    pub(crate) fn add_index(&mut self, table: TableId, index: IndexId) {
         self.tables[table].indexes.push(index);
     }
 
     /// Traced lookup by name.
-    pub fn lookup(&self, name: &str, tc: &mut TraceCtx) -> Option<TableId> {
+    pub(crate) fn lookup(&self, name: &str, tc: &mut TraceCtx) -> Option<TableId> {
         tc.charge(tc.r.catalog, instr::CATALOG_LOOKUP);
         let id = self.tables.iter().position(|t| t.name == name)?;
         tc.load(self.addr + (id as u64) * 128, 64);
@@ -60,18 +60,8 @@ impl Catalog {
     }
 
     /// Metadata for a table handle.
-    pub fn table(&self, id: TableId) -> &TableMeta {
+    pub(crate) fn table(&self, id: TableId) -> &TableMeta {
         &self.tables[id]
-    }
-
-    /// Number of registered tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 }
 

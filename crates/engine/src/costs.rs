@@ -21,21 +21,21 @@ use dbcmp_trace::{CodeRegions, RegionId};
 #[derive(Debug, Clone, Copy)]
 pub struct EngineRegions {
     /// Client/session layer: statement dispatch, "parsing"/plan lookup.
-    pub client: RegionId,
+    pub(crate) client: RegionId,
     /// Transaction manager: begin/commit/abort bookkeeping.
-    pub txn_mgr: RegionId,
+    pub(crate) txn_mgr: RegionId,
     /// Lock manager: hash buckets, grant/conflict logic.
-    pub lock_mgr: RegionId,
+    pub(crate) lock_mgr: RegionId,
     /// B+Tree search path.
-    pub btree_search: RegionId,
+    pub(crate) btree_search: RegionId,
     /// B+Tree insert/split path.
-    pub btree_insert: RegionId,
+    pub(crate) btree_insert: RegionId,
     /// Buffer pool: page-table probe, pin/unpin.
-    pub buffer_pool: RegionId,
+    pub(crate) buffer_pool: RegionId,
     /// Write-ahead log append/commit.
-    pub wal: RegionId,
+    pub(crate) wal: RegionId,
     /// Catalog lookups.
-    pub catalog: RegionId,
+    pub(crate) catalog: RegionId,
     /// Tuple (de)serialization.
     pub tuple: RegionId,
     /// Sequential scan inner loop.
@@ -50,9 +50,9 @@ pub struct EngineRegions {
     /// Hash aggregation.
     pub exec_agg: RegionId,
     /// Sort.
-    pub exec_sort: RegionId,
+    pub(crate) exec_sort: RegionId,
     /// Nested-loop join.
-    pub exec_nlj: RegionId,
+    pub(crate) exec_nlj: RegionId,
     /// Exchange operator: hash routing + row shipping for distributed
     /// shuffle/broadcast joins.
     pub exec_exchange: RegionId,
@@ -84,9 +84,9 @@ impl EngineRegions {
         }
     }
 
-    /// Combined footprint of the OLTP statement path (bytes) — used in
-    /// reports and tests.
-    pub fn oltp_footprint(&self, regions: &CodeRegions) -> u64 {
+    /// Combined footprint of the OLTP statement path (bytes).
+    #[cfg(test)]
+    fn oltp_footprint(&self, regions: &CodeRegions) -> u64 {
         regions.footprint_of(&[
             self.client,
             self.txn_mgr,
@@ -101,7 +101,8 @@ impl EngineRegions {
     }
 
     /// Combined footprint of the DSS scan-aggregate inner loop (bytes).
-    pub fn dss_scan_footprint(&self, regions: &CodeRegions) -> u64 {
+    #[cfg(test)]
+    fn dss_scan_footprint(&self, regions: &CodeRegions) -> u64 {
         regions.footprint_of(&[self.exec_scan, self.exec_filter, self.exec_agg, self.tuple])
     }
 }
@@ -110,66 +111,66 @@ impl EngineRegions {
 /// auditable at a glance.
 pub mod instr {
     /// Statement dispatch through the client/session layer.
-    pub const CLIENT_DISPATCH: u32 = 350;
+    pub(crate) const CLIENT_DISPATCH: u32 = 350;
     /// Transaction begin bookkeeping.
-    pub const TXN_BEGIN: u32 = 140;
+    pub(crate) const TXN_BEGIN: u32 = 140;
     /// Transaction commit (excluding WAL append, charged separately).
-    pub const TXN_COMMIT: u32 = 220;
+    pub(crate) const TXN_COMMIT: u32 = 220;
     /// Transaction abort incl. undo application per record surcharge.
-    pub const TXN_ABORT_BASE: u32 = 180;
+    pub(crate) const TXN_ABORT_BASE: u32 = 180;
     /// Undo application, per record rolled back.
-    pub const TXN_UNDO_PER_REC: u32 = 90;
+    pub(crate) const TXN_UNDO_PER_REC: u32 = 90;
     /// Lock acquire (hash, probe, grant).
-    pub const LOCK_ACQUIRE: u32 = 85;
+    pub(crate) const LOCK_ACQUIRE: u32 = 85;
     /// Lock release (per lock, at commit).
-    pub const LOCK_RELEASE: u32 = 35;
+    pub(crate) const LOCK_RELEASE: u32 = 35;
     /// Enqueue on a lock wait queue + waits-for edge bookkeeping.
-    pub const LOCK_ENQUEUE: u32 = 60;
+    pub(crate) const LOCK_ENQUEUE: u32 = 60;
     /// Resume after a lock grant (dequeue, re-validate).
-    pub const LOCK_WAKE: u32 = 45;
+    pub(crate) const LOCK_WAKE: u32 = 45;
     /// Waits-for cycle detection, per transaction visited.
-    pub const DEADLOCK_SCAN: u32 = 30;
+    pub(crate) const DEADLOCK_SCAN: u32 = 30;
     /// Lock-table contention surcharge, per additional client sharing
     /// the engine, per lock-manager operation (CAS retries, latch
     /// backoff, queue-line ping-pong all scale with the number of
     /// threads hammering one lock table). Applied by
     /// [`Database::set_lock_sharers`](crate::Database::set_lock_sharers);
     /// zero sharers declared (the default) charges nothing.
-    pub const LOCK_CONTEND: u32 = 4;
+    pub(crate) const LOCK_CONTEND: u32 = 4;
     /// B+Tree: per node visited (binary search within node).
-    pub const BTREE_NODE: u32 = 55;
+    pub(crate) const BTREE_NODE: u32 = 55;
     /// B+Tree: leaf entry insert (shift + write).
-    pub const BTREE_LEAF_INSERT: u32 = 70;
+    pub(crate) const BTREE_LEAF_INSERT: u32 = 70;
     /// B+Tree: node split.
-    pub const BTREE_SPLIT: u32 = 320;
+    pub(crate) const BTREE_SPLIT: u32 = 320;
     /// Buffer pool page-table probe + pin.
-    pub const BP_LOOKUP: u32 = 40;
+    pub(crate) const BP_LOOKUP: u32 = 40;
     /// Page latch acquire/release pair.
-    pub const PAGE_LATCH: u32 = 14;
+    pub(crate) const PAGE_LATCH: u32 = 14;
     /// WAL record append base cost (+ bytes/8 charged by caller).
-    pub const WAL_APPEND: u32 = 55;
+    pub(crate) const WAL_APPEND: u32 = 55;
     /// Catalog lookup by name.
-    pub const CATALOG_LOOKUP: u32 = 60;
+    pub(crate) const CATALOG_LOOKUP: u32 = 60;
     /// Tuple decode base (+ bytes/16 by caller).
     pub const TUPLE_DECODE: u32 = 16;
     /// Tuple encode base (+ bytes/16 by caller).
     pub const TUPLE_ENCODE: u32 = 22;
     /// Predicate evaluation per row.
-    pub const PREDICATE: u32 = 11;
+    pub(crate) const PREDICATE: u32 = 11;
     /// Scan loop per-tuple overhead (slot lookup, iterator bookkeeping).
     pub const SCAN_STEP: u32 = 9;
     /// Hash join: hash + bucket handling per build row.
-    pub const HJ_BUILD_ROW: u32 = 28;
+    pub(crate) const HJ_BUILD_ROW: u32 = 28;
     /// Hash join: probe per row.
-    pub const HJ_PROBE_ROW: u32 = 24;
+    pub(crate) const HJ_PROBE_ROW: u32 = 24;
     /// Index-nested-loop join: per-probe setup (key extraction, rid
     /// dispatch) — the B+Tree descent itself charges `BTREE_NODE` per
     /// level through the btree-search region.
-    pub const INL_PROBE_ROW: u32 = 14;
+    pub(crate) const INL_PROBE_ROW: u32 = 14;
     /// Aggregation update per row.
     pub const AGG_UPDATE: u32 = 18;
     /// Sort: per-comparison charge.
-    pub const SORT_CMP: u32 = 8;
+    pub(crate) const SORT_CMP: u32 = 8;
     /// Exchange operator: hash the join key and pick a destination
     /// partition, per routed row (shipped rows additionally pay the
     /// tuple codec charges at each end).

@@ -210,15 +210,6 @@ impl Database {
         &self.heaps[id]
     }
 
-    /// The B+Tree behind an index handle.
-    #[allow(
-        clippy::should_implement_trait,
-        reason = "accessor by id, not ops::Index"
-    )]
-    pub fn index(&self, id: IndexId) -> &BTree {
-        &self.indexes[id]
-    }
-
     /// Number of tables.
     pub fn n_tables(&self) -> usize {
         self.heaps.len()
@@ -577,7 +568,7 @@ impl Database {
     }
 
     /// Table of an index.
-    pub fn index_table(&self, index: IndexId) -> TableId {
+    pub(crate) fn index_table(&self, index: IndexId) -> TableId {
         self.index_table[index]
     }
 
@@ -964,7 +955,7 @@ mod tests {
             })
             .collect();
         load.finish().unwrap();
-        assert!(db.index(idx).height() > 1, "200 keys split the root");
+        assert!(db.indexes[idx].height() > 1, "200 keys split the root");
         for (i, rid) in rids.into_iter().enumerate() {
             assert_eq!(db.index_get(idx, i as u64, &mut tc), Some(rid));
         }
@@ -1021,8 +1012,8 @@ mod tests {
         let mut d = Fnv::new();
         for key in keys {
             let idx = db.create_index(t, key).unwrap();
-            assert!(db.index(idx).height() > 1, "the root split");
-            db.index(idx).digest(&mut |w| d.word(w));
+            assert!(db.indexes[idx].height() > 1, "the root split");
+            db.indexes[idx].digest(&mut |w| d.word(w));
         }
         d.word(db.state_digest());
         assert_eq!(d.finish(), 0x0fce_c118_9ed7_2eda, "index build nodes moved");

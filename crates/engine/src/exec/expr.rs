@@ -160,11 +160,6 @@ pub enum Scalar {
 }
 
 impl Scalar {
-    /// Shorthand for [`Scalar::Col`].
-    pub fn col(i: usize) -> Self {
-        Scalar::Col(i)
-    }
-
     /// Evaluate to a raw i64 (decimals in hundredths).
     pub fn eval_i64<R: Columns + ?Sized>(&self, row: &R) -> i64 {
         match self {
@@ -215,7 +210,7 @@ pub struct AggSpec {
     /// Aggregate function applied.
     pub func: AggFunc,
     /// Input expression (ignored for `Count`).
-    pub input: Scalar,
+    pub(crate) input: Scalar,
 }
 
 impl AggSpec {
@@ -405,10 +400,10 @@ mod tests {
         // price * (1 - discount): price 10.00, discount 0.05 -> 9.50
         let r = vec![Value::Decimal(10_00), Value::Decimal(5)];
         let e = Scalar::MulDec(
-            Box::new(Scalar::col(0)),
+            Box::new(Scalar::Col(0)),
             Box::new(Scalar::Sub(
                 Box::new(Scalar::ConstDec(100)),
-                Box::new(Scalar::col(1)),
+                Box::new(Scalar::Col(1)),
             )),
         );
         assert_eq!(e.eval_i64(&r), 9_50);

@@ -110,7 +110,7 @@ impl GroupTable {
     }
 
     /// Group `gi`'s output row: its key, then one value per aggregate.
-    pub fn row(&self, gi: usize) -> Row {
+    pub(crate) fn row(&self, gi: usize) -> Row {
         let g = &self.groups[gi];
         let mut out = g.key.clone();
         for ((spec, &acc), distinct) in self.aggs.iter().zip(&g.acc).zip(&g.distinct) {
@@ -136,13 +136,13 @@ impl GroupTable {
         self.groups.len()
     }
 
-    /// Whether no row has been folded since the last [`Self::clear`].
+    /// Whether no row has been folded since the last `clear`.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
 
     /// Drop every group.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.groups.clear();
     }

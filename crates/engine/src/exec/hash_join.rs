@@ -136,7 +136,7 @@ impl BuildTable {
     }
 
     /// Width of the build rows (0 if there were none).
-    pub fn build_width(&self) -> usize {
+    pub(crate) fn build_width(&self) -> usize {
         self.build_width
     }
 }

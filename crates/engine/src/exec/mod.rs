@@ -10,13 +10,13 @@
 //! transactional access goes through [`Database`]
 //! methods directly.
 
-pub mod expr;
-pub mod filter;
-pub mod hash_agg;
-pub mod hash_join;
-pub mod index_join;
-pub mod rows;
-pub mod scan;
+mod expr;
+mod filter;
+mod hash_agg;
+mod hash_join;
+mod index_join;
+mod rows;
+mod scan;
 pub mod shuffle_join;
 pub mod sort;
 
@@ -97,7 +97,7 @@ pub(crate) mod testutil {
     use crate::types::{ColType, Value};
 
     /// A small table: (id INT, grp INT, amount DECIMAL, name STR).
-    pub fn sample_db(rows: i64) -> (Database, usize) {
+    pub(crate) fn sample_db(rows: i64) -> (Database, usize) {
         let mut db = Database::new();
         let t = db.create_table(
             "sample",

@@ -35,16 +35,6 @@ impl Sort {
             emit: 0,
         }
     }
-
-    /// Ascending single-column sort.
-    pub fn asc(child: BoxExec, col: usize) -> Self {
-        Sort::new(child, vec![SortKey { col, desc: false }])
-    }
-
-    /// Descending single-column sort.
-    pub fn desc(child: BoxExec, col: usize) -> Self {
-        Sort::new(child, vec![SortKey { col, desc: true }])
-    }
 }
 
 impl Executor for Sort {
@@ -111,12 +101,13 @@ mod tests {
     fn sorts_ascending_and_descending() {
         let (db, t) = sample_db(50);
         let mut tc = db.null_ctx();
-        let mut plan = Sort::desc(Box::new(SeqScan::new(t)), 0);
+        let key = |desc| vec![SortKey { col: 0, desc }];
+        let mut plan = Sort::new(Box::new(SeqScan::new(t)), key(true));
         let rows = run_to_vec(&mut plan, &db, &mut tc).unwrap();
         assert_eq!(rows[0][0], Value::Int(49));
         assert_eq!(rows[49][0], Value::Int(0));
 
-        let mut plan = Sort::asc(Box::new(SeqScan::new(t)), 0);
+        let mut plan = Sort::new(Box::new(SeqScan::new(t)), key(false));
         let rows = run_to_vec(&mut plan, &db, &mut tc).unwrap();
         assert_eq!(rows[0][0], Value::Int(0));
     }

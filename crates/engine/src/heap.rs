@@ -26,12 +26,12 @@ pub struct Rid {
 
 impl Rid {
     /// Pack into a u64 (B+Tree value payload).
-    pub fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         ((self.page as u64) << 16) | self.slot as u64
     }
 
     /// Unpack from the B+Tree value payload.
-    pub fn unpack(v: u64) -> Self {
+    pub(crate) fn unpack(v: u64) -> Self {
         Rid {
             page: (v >> 16) as u32,
             slot: (v & 0xFFFF) as u16,
@@ -56,7 +56,7 @@ pub struct HeapTable {
 
 impl HeapTable {
     /// An empty heap with a simulated buffer-pool allocation.
-    pub fn new(schema: Schema, space: &AddressSpace) -> Self {
+    pub(crate) fn new(schema: Schema, space: &AddressSpace) -> Self {
         HeapTable {
             schema,
             pages: Vec::new(),
@@ -82,7 +82,7 @@ impl HeapTable {
     }
 
     /// Insert a row; returns its RID.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         row: &[Value],
         space: &AddressSpace,
@@ -122,7 +122,7 @@ impl HeapTable {
     }
 
     /// Fetch the raw image (undo logging).
-    pub fn get_bytes(&self, rid: Rid, tc: &mut TraceCtx) -> Result<Vec<u8>> {
+    pub(crate) fn get_bytes(&self, rid: Rid, tc: &mut TraceCtx) -> Result<Vec<u8>> {
         self.bp_probe(rid.page, tc);
         let page = self
             .pages
@@ -134,7 +134,7 @@ impl HeapTable {
     }
 
     /// Update a row in place.
-    pub fn update(&mut self, rid: Rid, row: &[Value], tc: &mut TraceCtx) -> Result<()> {
+    pub(crate) fn update(&mut self, rid: Rid, row: &[Value], tc: &mut TraceCtx) -> Result<()> {
         tc.charge(
             tc.r.tuple,
             instr::TUPLE_ENCODE + (self.schema.row_width() / 16) as u32,
@@ -144,7 +144,7 @@ impl HeapTable {
     }
 
     /// Update from a raw image (undo).
-    pub fn update_bytes(&mut self, rid: Rid, bytes: &[u8], tc: &mut TraceCtx) -> Result<()> {
+    pub(crate) fn update_bytes(&mut self, rid: Rid, bytes: &[u8], tc: &mut TraceCtx) -> Result<()> {
         self.bp_probe(rid.page, tc);
         let page = self
             .pages
@@ -154,7 +154,7 @@ impl HeapTable {
     }
 
     /// Delete a row.
-    pub fn delete(&mut self, rid: Rid, tc: &mut TraceCtx) -> Result<()> {
+    pub(crate) fn delete(&mut self, rid: Rid, tc: &mut TraceCtx) -> Result<()> {
         self.bp_probe(rid.page, tc);
         let page = self
             .pages
@@ -167,7 +167,12 @@ impl HeapTable {
 
     /// Restore a deleted row image at its original RID (abort of a
     /// delete; the slot's bytes are still reserved).
-    pub fn restore_bytes(&mut self, rid: Rid, bytes: &[u8], tc: &mut TraceCtx) -> Result<()> {
+    pub(crate) fn restore_bytes(
+        &mut self,
+        rid: Rid,
+        bytes: &[u8],
+        tc: &mut TraceCtx,
+    ) -> Result<()> {
         self.bp_probe(rid.page, tc);
         let page = self
             .pages

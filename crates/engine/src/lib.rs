@@ -34,6 +34,7 @@
 //! interleaving behaves correctly.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     not(test),
@@ -41,21 +42,21 @@
 )]
 #![warn(missing_docs)]
 
-pub mod btree;
+mod btree;
 pub mod catalog;
 pub mod cc;
 pub mod costs;
 pub mod db;
-pub mod error;
+mod error;
 pub mod exec;
 pub mod heap;
 pub mod lockmgr;
 pub mod page;
-pub mod schema;
-pub mod tctx;
+mod schema;
+mod tctx;
 pub mod txn;
-pub mod types;
-pub mod wal;
+mod types;
+mod wal;
 
 pub use cc::{CcBackend, CcStats, ConcurrencyControl};
 pub use costs::EngineRegions;
@@ -63,5 +64,4 @@ pub use db::{Database, Loader};
 pub use error::{EngineError, Result};
 pub use schema::Schema;
 pub use tctx::{TraceCtx, MSG_HEADER_BYTES};
-pub use txn::TxnId;
 pub use types::{ColType, Columns, Row, TupleRef, Value};

@@ -19,7 +19,7 @@ const HEADER: usize = 16;
 const SLOT_BYTES: usize = 4;
 
 /// Slot index within a page.
-pub type SlotId = u16;
+pub(crate) type SlotId = u16;
 
 /// One slotted page plus its simulated address.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct SlottedPage {
     /// First free byte after the last tuple.
     free_ptr: u16,
     /// Simulated base address of this page.
-    pub addr: u64,
+    pub(crate) addr: u64,
 }
 
 impl SlottedPage {
@@ -145,7 +145,7 @@ impl SlottedPage {
     /// Restore a tombstoned slot's image in place (delete rollback). The
     /// byte region of the original tuple is still reserved (compaction is
     /// never run mid-transaction), so the image fits by construction.
-    pub fn restore(&mut self, slot: SlotId, bytes: &[u8], tc: &mut TraceCtx) -> Result<()> {
+    pub(crate) fn restore(&mut self, slot: SlotId, bytes: &[u8], tc: &mut TraceCtx) -> Result<()> {
         if slot >= self.nslots {
             return Err(EngineError::NotFound(format!("slot {slot}")));
         }
@@ -161,7 +161,7 @@ impl SlottedPage {
     }
 
     /// Number of slots ever allocated (including tombstones).
-    pub fn nslots(&self) -> u16 {
+    pub(crate) fn nslots(&self) -> u16 {
         self.nslots
     }
 

@@ -4,11 +4,11 @@ use crate::types::ColType;
 
 /// One column.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Column {
+pub(crate) struct Column {
     /// Column name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Column type (fixed on-page width).
-    pub ty: ColType,
+    pub(crate) ty: ColType,
 }
 
 /// A fixed-width row layout. Offsets are precomputed at construction.
@@ -40,36 +40,18 @@ impl Schema {
     }
 
     /// The columns in declaration order.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
     }
 
     /// Byte offset of column `i` in the row image.
-    pub fn offset(&self, i: usize) -> usize {
+    pub(crate) fn offset(&self, i: usize) -> usize {
         self.offsets[i]
     }
 
     /// Total row image width in bytes.
     pub fn row_width(&self) -> usize {
         self.row_width
-    }
-
-    /// Index of a column by name, or `None` if the schema has no such
-    /// column — for callers resolving externally supplied names.
-    pub fn try_col(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// Index of a column by name (panics on unknown name — schema bugs are
-    /// programming errors, not runtime conditions; fallible callers use
-    /// [`Self::try_col`]).
-    #[expect(
-        clippy::panic,
-        reason = "documented panic shim over try_col for hard-coded query-plan column names"
-    )]
-    pub fn col(&self, name: &str) -> usize {
-        self.try_col(name)
-            .unwrap_or_else(|| panic!("unknown column {name}"))
     }
 }
 
@@ -88,12 +70,5 @@ mod tests {
         assert_eq!(s.offset(1), 8);
         assert_eq!(s.offset(2), 12);
         assert_eq!(s.row_width(), 8 + 4 + 12);
-        assert_eq!(s.col("c"), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown column")]
-    fn unknown_column_panics() {
-        Schema::new(vec![("a", ColType::Int)]).col("nope");
     }
 }

@@ -58,7 +58,7 @@ impl TraceCtx {
     /// the shared `space`. Capture drivers that run clients in parallel
     /// must set an arena — the shared path's addresses depend on
     /// cross-client allocation order.
-    pub fn scratch_alloc(&mut self, space: &AddressSpace, bytes: u64) -> SimAddr {
+    pub(crate) fn scratch_alloc(&mut self, space: &AddressSpace, bytes: u64) -> SimAddr {
         match &mut self.scratch {
             Some(arena) => arena.alloc(bytes),
             None => space.alloc(bytes),
@@ -103,13 +103,13 @@ impl TraceCtx {
 
     /// Mark a lock-wait block (the session parks until woken).
     #[inline]
-    pub fn block(&mut self) {
+    pub(crate) fn block(&mut self) {
         self.tracer.block();
     }
 
     /// Mark resumption after a lock grant or victim notification.
     #[inline]
-    pub fn wake(&mut self) {
+    pub(crate) fn wake(&mut self) {
         self.tracer.wake();
     }
 

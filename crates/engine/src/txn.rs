@@ -16,7 +16,7 @@ pub type TxnId = u64;
 
 /// How to reverse one statement.
 #[derive(Debug, Clone)]
-pub enum UndoRec {
+pub(crate) enum UndoRec {
     /// Reverse an insert: delete the row and the index entries it added.
     Insert {
         /// Table the row was inserted into.
@@ -51,7 +51,7 @@ pub enum UndoRec {
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnState {
+pub(crate) enum TxnState {
     /// Open and executing statements.
     Active,
     /// Successfully committed (locks released).
@@ -69,7 +69,7 @@ pub struct Txn {
     pub(crate) locks: Vec<(u64, LockMode)>,
     pub(crate) undo: Vec<UndoRec>,
     /// Current lifecycle state.
-    pub state: TxnState,
+    pub(crate) state: TxnState,
 }
 
 impl Txn {
@@ -88,7 +88,7 @@ impl Txn {
     }
 
     /// Whether the transaction is still open.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.state == TxnState::Active
     }
 

@@ -27,7 +27,7 @@ pub enum ColType {
 
 impl ColType {
     /// On-page width in bytes.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         match *self {
             ColType::Int | ColType::Decimal => 8,
             ColType::Str(n) => n as usize + 2,
@@ -36,7 +36,7 @@ impl ColType {
     }
 
     /// Type name for error messages.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ColType::Int => "int",
             ColType::Decimal => "decimal",
@@ -85,7 +85,7 @@ impl Clone for Value {
 
 impl Value {
     /// Type name for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Int(_) => "int",
             Value::Decimal(_) => "decimal",
@@ -212,7 +212,7 @@ impl Columns for TupleRef<'_> {
 }
 
 /// Encode a row into its fixed-width page image.
-pub fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
+pub(crate) fn encode_row(schema: &Schema, row: &[Value]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     encode_row_into(schema, row, &mut out)?;
     Ok(out)
@@ -262,14 +262,14 @@ pub(crate) fn encode_row_into(schema: &Schema, row: &[Value], out: &mut Vec<u8>)
 }
 
 /// Decode a full row from its page image.
-pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Row {
+pub(crate) fn decode_row(schema: &Schema, bytes: &[u8]) -> Row {
     (0..schema.columns().len())
         .map(|i| decode_col(schema, bytes, i))
         .collect()
 }
 
 /// Decode a single column (used by column-selective scans).
-pub fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
+pub(crate) fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
     let col = &schema.columns()[i];
     let off = schema.offset(i);
     match col.ty {

@@ -15,7 +15,7 @@ const WAL_BYTES: u64 = 4 << 20;
 
 /// Log record kinds (sizes approximate a real engine's record headers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// Row insert carrying `bytes` of payload.
     Insert {
         /// Encoded row-image size.
@@ -51,7 +51,7 @@ impl WalRecord {
 
 /// The shared log buffer.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     addr: u64,
     head: u64,
     records: u64,
@@ -59,7 +59,7 @@ pub struct Wal {
 
 impl Wal {
     /// An empty log ring with a simulated buffer allocation.
-    pub fn new(space: &AddressSpace) -> Self {
+    pub(crate) fn new(space: &AddressSpace) -> Self {
         Wal {
             addr: space.alloc(WAL_BYTES),
             head: 0,
@@ -68,7 +68,7 @@ impl Wal {
     }
 
     /// Append a record (sequential traced store at the shared head).
-    pub fn append(&mut self, rec: WalRecord, tc: &mut TraceCtx) {
+    pub(crate) fn append(&mut self, rec: WalRecord, tc: &mut TraceCtx) {
         let len = rec.len();
         tc.charge(tc.r.wal, instr::WAL_APPEND + len / 8);
         tc.store(self.addr + self.head % WAL_BYTES, len);
@@ -78,19 +78,19 @@ impl Wal {
 
     /// Commit: append the commit record and fence (group-commit flush
     /// point).
-    pub fn commit(&mut self, tc: &mut TraceCtx) {
+    pub(crate) fn commit(&mut self, tc: &mut TraceCtx) {
         self.append(WalRecord::Commit, tc);
         tc.fence();
     }
 
     /// Total bytes appended (monotone; the ring index wraps, this does
     /// not).
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.head
     }
 
     /// Total records appended.
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 }

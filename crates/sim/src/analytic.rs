@@ -61,7 +61,7 @@ impl CpiModel {
 /// # Panics
 ///
 /// On a machine with no slots, which [`MachineConfig::validate`] rejects.
-pub fn analytic_reference(
+pub(crate) fn analytic_reference(
     cfg: &MachineConfig,
     mem: &MemCounters,
     instrs: u64,

@@ -12,16 +12,16 @@
 
 /// The payload of one tag entry.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Entry {
-    pub dirty: bool,
+pub(crate) struct Entry {
+    pub(crate) dirty: bool,
     /// For a shared L2 acting as directory: bit i set ⇒ core i's L1 may
     /// hold the line. For L1s: unused.
-    pub sharers: u16,
+    pub(crate) sharers: u16,
     /// Directory: core that holds the line modified (valid when
     /// `dirty_in_l1`). 0xFF = none.
-    pub owner: u8,
+    pub(crate) owner: u8,
     /// Directory: some L1 holds the line modified.
-    pub dirty_in_l1: bool,
+    pub(crate) dirty_in_l1: bool,
 }
 
 /// `x / d` and `x % d` for a divisor fixed at construction: a shift and
@@ -77,9 +77,9 @@ pub struct Cache {
 /// Result of inserting a line: what (if anything) was evicted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evicted {
-    pub line: u64,
-    pub dirty: bool,
-    pub sharers: u16,
+    pub(crate) line: u64,
+    pub(crate) dirty: bool,
+    pub(crate) sharers: u16,
 }
 
 impl Cache {
@@ -117,7 +117,7 @@ impl Cache {
 
     /// Look up without perturbing LRU (directory peeks).
     #[inline]
-    pub fn peek(&self, line: u64) -> Option<usize> {
+    pub(crate) fn peek(&self, line: u64) -> Option<usize> {
         let key = line + 1;
         let r = self.set_range(line);
         let start = r.start;
@@ -160,32 +160,35 @@ impl Cache {
     }
 
     /// Remove a line if present; returns whether it was dirty.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
+    pub(crate) fn invalidate(&mut self, line: u64) -> Option<bool> {
         let i = self.peek(line)?;
         self.keys[i] = 0;
         Some(self.entries[i].dirty)
     }
 
     #[inline]
-    pub fn entry_mut(&mut self, idx: usize) -> &mut Entry {
+    pub(crate) fn entry_mut(&mut self, idx: usize) -> &mut Entry {
         &mut self.entries[idx]
     }
 
     #[inline]
-    pub fn entry(&self, idx: usize) -> &Entry {
+    pub(crate) fn entry(&self, idx: usize) -> &Entry {
         &self.entries[idx]
     }
 
-    pub fn sets(&self) -> usize {
+    #[cfg(test)]
+    fn sets(&self) -> usize {
         self.keys.len() / self.assoc
     }
 
-    pub fn assoc(&self) -> usize {
+    #[cfg(test)]
+    fn assoc(&self) -> usize {
         self.assoc
     }
 
     /// Number of valid lines currently resident.
-    pub fn occupancy(&self) -> usize {
+    #[cfg(test)]
+    fn occupancy(&self) -> usize {
         self.keys.iter().filter(|&&k| k != 0).count()
     }
 }

@@ -99,7 +99,7 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheGeom {
     pub size: u64,
-    pub assoc: usize,
+    pub(crate) assoc: usize,
     /// Access latency in cycles (hit).
     pub latency: u64,
 }
@@ -111,16 +111,6 @@ impl CacheGeom {
             assoc,
             latency,
         }
-    }
-
-    /// Number of 64-byte lines.
-    pub fn lines(&self) -> usize {
-        (self.size / 64) as usize
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        (self.lines() / self.assoc).max(1)
     }
 }
 
@@ -162,7 +152,7 @@ pub struct LevelSpec {
     /// queue.
     pub banks: usize,
     /// Cycles one access occupies a bank port (queueing source).
-    pub bank_occupancy: u64,
+    pub(crate) bank_occupancy: u64,
 }
 
 impl LevelSpec {
@@ -228,7 +218,7 @@ impl CoreKind {
         }
     }
 
-    pub fn contexts(&self) -> usize {
+    pub(crate) fn contexts(&self) -> usize {
         match *self {
             CoreKind::Fat { .. } => 1,
             CoreKind::Lean { contexts, .. } => contexts,
@@ -236,7 +226,7 @@ impl CoreKind {
     }
 
     /// Pipeline depth — the branch misprediction penalty.
-    pub fn pipeline_depth(&self) -> u64 {
+    pub(crate) fn pipeline_depth(&self) -> u64 {
         match self {
             CoreKind::Fat { .. } => 14,
             CoreKind::Lean { .. } => 6,
@@ -412,13 +402,6 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geometry_derivations() {
-        let g = CacheGeom::new(1 << 20, 16, 8);
-        assert_eq!(g.lines(), 16384);
-        assert_eq!(g.sets(), 1024);
-    }
 
     #[test]
     fn presets_match_paper_table1() {

@@ -11,20 +11,20 @@ use crate::stats::CycleClass;
 /// What one [`Core::cycle`] call reports back to the machine: a span of
 /// cycles, all of one class, that the core has fully simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tick {
+pub(crate) struct Tick {
     /// The class of every cycle of the span, or `None` when the core has
     /// no work at all (inactive cores are not charged).
-    pub class: Option<CycleClass>,
+    pub(crate) class: Option<CycleClass>,
     /// End of the span, exclusive: `now < until <= horizon`. Every effect
     /// of cycles `now..until` is already applied; the machine charges
     /// them to `class` and calls the core next at `until`.
-    pub until: u64,
+    pub(crate) until: u64,
 }
 
 impl Tick {
     /// A span of the one cycle at `now`.
     #[inline]
-    pub fn once(class: CycleClass, now: u64) -> Self {
+    pub(crate) fn once(class: CycleClass, now: u64) -> Self {
         Tick {
             class: Some(class),
             until: now + 1,

@@ -16,12 +16,12 @@ use crate::stats::CycleClass;
 
 /// Cap on zero-width events (fences, unit markers) consumed per context
 /// per cycle, bounding the decode loops of both core models.
-pub const MAX_META_EVENTS: usize = 64;
+pub(crate) const MAX_META_EVENTS: usize = 64;
 
 /// Map a *data* access outcome to the stall class it causes (L1 hits cause
 /// none).
 #[inline]
-pub fn data_stall_class(c: MemClass) -> Option<CycleClass> {
+pub(crate) fn data_stall_class(c: MemClass) -> Option<CycleClass> {
     match c {
         MemClass::L1 => None,
         MemClass::L2Hit => Some(CycleClass::DStallL2Hit),
@@ -32,7 +32,7 @@ pub fn data_stall_class(c: MemClass) -> Option<CycleClass> {
 
 /// Map an *instruction* fetch outcome to its stall class.
 #[inline]
-pub fn instr_stall_class(c: MemClass) -> Option<CycleClass> {
+pub(crate) fn instr_stall_class(c: MemClass) -> Option<CycleClass> {
     match c {
         MemClass::L1 => None,
         MemClass::L2Hit => Some(CycleClass::IStallL2),
@@ -44,24 +44,24 @@ pub fn instr_stall_class(c: MemClass) -> Option<CycleClass> {
 
 /// One hardware context: a thread slot plus its run queue and buffers.
 #[derive(Debug)]
-pub struct CtxBase {
+pub(crate) struct CtxBase {
     /// Thread currently scheduled here (index into the machine's threads).
-    pub thread: Option<usize>,
+    pub(crate) thread: Option<usize>,
     /// Threads waiting their turn on this context.
-    pub run_q: VecDeque<usize>,
-    pub quantum_left: u64,
+    pub(crate) run_q: VecDeque<usize>,
+    pub(crate) quantum_left: u64,
     /// Context cannot issue until this cycle.
-    pub blocked_until: u64,
-    pub blocked_class: CycleClass,
+    pub(crate) blocked_until: u64,
+    pub(crate) blocked_class: CycleClass,
     /// Cycle the current block began (for oldest-first stall attribution).
-    pub blocked_since: u64,
+    pub(crate) blocked_since: u64,
     /// In-flight stores: (completion cycle, stall class if waited on).
-    pub store_buf: VecDeque<(u64, CycleClass)>,
-    pub store_cap: usize,
+    pub(crate) store_buf: VecDeque<(u64, CycleClass)>,
+    pub(crate) store_cap: usize,
 }
 
 impl CtxBase {
-    pub fn new(store_cap: usize, quantum: u64) -> Self {
+    pub(crate) fn new(store_cap: usize, quantum: u64) -> Self {
         CtxBase {
             thread: None,
             run_q: VecDeque::new(),
@@ -75,7 +75,7 @@ impl CtxBase {
     }
 
     #[inline]
-    pub fn block(&mut self, until: u64, class: CycleClass, now: u64) {
+    pub(crate) fn block(&mut self, until: u64, class: CycleClass, now: u64) {
         if until >= self.blocked_until {
             self.blocked_until = until;
             self.blocked_class = class;
@@ -84,7 +84,7 @@ impl CtxBase {
     }
 
     #[inline]
-    pub fn runnable(&self, now: u64) -> bool {
+    pub(crate) fn runnable(&self, now: u64) -> bool {
         self.thread.is_some() && self.blocked_until <= now
     }
 
@@ -92,7 +92,7 @@ impl CtxBase {
     /// nothing, when it is used up and another thread waits (the thread
     /// is due to rotate).
     #[inline]
-    pub fn tick_quantum(&mut self) -> bool {
+    pub(crate) fn tick_quantum(&mut self) -> bool {
         if self.quantum_left == 0 && !self.run_q.is_empty() {
             return false;
         }
@@ -102,7 +102,7 @@ impl CtxBase {
 
     /// Drop completed stores from the buffer.
     #[inline]
-    pub fn drain_stores(&mut self, now: u64) {
+    pub(crate) fn drain_stores(&mut self, now: u64) {
         while let Some(&(ready, _)) = self.store_buf.front() {
             if ready <= now {
                 self.store_buf.pop_front();
@@ -114,23 +114,23 @@ impl CtxBase {
 
     /// Whether a new store can enter the buffer.
     #[inline]
-    pub fn store_space(&self) -> bool {
+    pub(crate) fn store_space(&self) -> bool {
         self.store_buf.len() < self.store_cap
     }
 
     /// (ready cycle, class) of the oldest in-flight store, if any.
-    pub fn oldest_store(&self) -> Option<(u64, CycleClass)> {
+    pub(crate) fn oldest_store(&self) -> Option<(u64, CycleClass)> {
         self.store_buf.front().copied()
     }
 
     /// (ready cycle, class) of the newest in-flight store, if any.
-    pub fn newest_store(&self) -> Option<(u64, CycleClass)> {
+    pub(crate) fn newest_store(&self) -> Option<(u64, CycleClass)> {
         self.store_buf.back().copied()
     }
 
     /// Rotate to the next thread in the run queue (OS quantum expiry or
     /// thread completion). Returns true if a switch occurred.
-    pub fn rotate_thread(
+    pub(crate) fn rotate_thread(
         &mut self,
         requeue_current: bool,
         quantum: u64,
@@ -181,7 +181,7 @@ impl CtxBase {
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
 )]
-pub fn consume_meta_event(
+pub(crate) fn consume_meta_event(
     th: &mut ThreadState<'_>,
     ctl: &mut MachineCtl,
     now: u64,
@@ -268,7 +268,7 @@ pub(crate) fn issue_store(
 
 /// Mark a thread's trace as exhausted (completion-mode bookkeeping).
 #[inline]
-pub fn finish_thread(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) {
+pub(crate) fn finish_thread(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) {
     th.done = true;
     ctl.remaining = ctl.remaining.saturating_sub(1);
 }
@@ -278,7 +278,7 @@ pub fn finish_thread(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) {
 /// ready (fetch proceeds), or `Some((ready_at, class))` if the context
 /// must wait.
 #[inline]
-pub fn fetch_check(
+pub(crate) fn fetch_check(
     th: &mut ThreadState<'_>,
     region: &CodeRegion,
     mem: &mut MemSys,

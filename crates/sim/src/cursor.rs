@@ -11,7 +11,7 @@
 //! bounds-check + bitfield decode. Wrap restarts from segment 0 with the
 //! same event sequence as the flat format — replay is byte-identical.
 //!
-//! [`ThreadState`] carries everything that must survive a context switch:
+//! `ThreadState` carries everything that must survive a context switch:
 //! the cursor, per-region instruction-fetch offsets (a thread resumes
 //! walking a code region where it left off — this is what turns region
 //! footprints into L1-I working sets), the partially-consumed `Exec` run,
@@ -33,7 +33,7 @@ pub struct TraceCursor<'a> {
     pos: usize,
     /// Wrap at end-of-trace (throughput mode) or finish (completion mode).
     wrap: bool,
-    pub wraps: u64,
+    pub(crate) wraps: u64,
 }
 
 impl<'a> TraceCursor<'a> {
@@ -81,7 +81,8 @@ impl<'a> TraceCursor<'a> {
         true
     }
 
-    pub fn done(&self) -> bool {
+    #[cfg(test)]
+    fn done(&self) -> bool {
         !self.wrap && self.pos >= self.ring.len() && self.seg >= self.trace.segments().len()
     }
 }
@@ -94,47 +95,47 @@ fn line_room(off: u64) -> u64 {
 
 /// A store decoded but not yet performed (the store buffer was full).
 #[derive(Debug, Clone, Copy)]
-pub struct PendingStore {
-    pub addr: u64,
-    pub size: u16,
+pub(crate) struct PendingStore {
+    pub(crate) addr: u64,
+    pub(crate) size: u16,
 }
 
 /// A load decoded but not yet issued (MSHRs were exhausted).
 #[derive(Debug, Clone, Copy)]
-pub struct PendingLoad {
-    pub addr: u64,
-    pub size: u16,
-    pub dep: bool,
+pub(crate) struct PendingLoad {
+    pub(crate) addr: u64,
+    pub(crate) size: u16,
+    pub(crate) dep: bool,
 }
 
 /// Everything a software thread carries across scheduling decisions.
 #[derive(Debug)]
-pub struct ThreadState<'a> {
-    pub cursor: TraceCursor<'a>,
+pub(crate) struct ThreadState<'a> {
+    pub(crate) cursor: TraceCursor<'a>,
     /// Per-region fetch offset (bytes into the region's footprint).
     region_off: Vec<u64>,
     /// Partially executed `Exec` run: (region, instructions left).
-    pub cur_exec: Option<(u16, u32)>,
+    pub(crate) cur_exec: Option<(u16, u32)>,
     /// Instruction line currently resident in the fetch stage
     /// (`u64::MAX` = none — forces an I-access on the next instruction).
-    pub last_iline: u64,
+    pub(crate) last_iline: u64,
     /// Store decoded while the store buffer was full.
-    pub pending_store: Option<PendingStore>,
+    pub(crate) pending_store: Option<PendingStore>,
     /// Load decoded while the MSHRs were full (fat core).
-    pub pending_load: Option<PendingLoad>,
+    pub(crate) pending_load: Option<PendingLoad>,
     /// A fence is waiting for the pipeline to drain.
-    pub pending_fence: bool,
+    pub(crate) pending_fence: bool,
     /// Interconnect cycles owed at the next fence-drain point
     /// (accumulated from `RemoteSend`/`RemoteRecv` events).
-    pub remote_wait: u64,
+    pub(crate) remote_wait: u64,
     /// Fractional branch mispredictions owed.
-    pub mispred_acc: f64,
-    pub unit_started_at: u64,
-    pub done: bool,
+    pub(crate) mispred_acc: f64,
+    pub(crate) unit_started_at: u64,
+    pub(crate) done: bool,
 }
 
 impl<'a> ThreadState<'a> {
-    pub fn new(trace: &'a ThreadTrace, regions: &CodeRegions, wrap: bool) -> Self {
+    pub(crate) fn new(trace: &'a ThreadTrace, regions: &CodeRegions, wrap: bool) -> Self {
         ThreadState {
             cursor: TraceCursor::new(trace, wrap),
             region_off: vec![0; regions.len().max(1)],
@@ -152,7 +153,7 @@ impl<'a> ThreadState<'a> {
 
     /// Current fetch byte address within region `r`.
     #[inline]
-    pub fn fetch_addr(&self, r: &CodeRegion) -> u64 {
+    pub(crate) fn fetch_addr(&self, r: &CodeRegion) -> u64 {
         r.base + self.region_off[r.id as usize]
     }
 
@@ -160,7 +161,7 @@ impl<'a> ThreadState<'a> {
     /// the next event only once the run is used up, so while there is one
     /// the thread has no pending load, store or fence and is unfinished.
     #[inline]
-    pub fn current_run(&self) -> Option<(u16, u32)> {
+    pub(crate) fn current_run(&self) -> Option<(u16, u32)> {
         debug_assert!(
             self.cur_exec.is_none()
                 || !(self.done
@@ -175,7 +176,7 @@ impl<'a> ThreadState<'a> {
     /// in, if that line is the one already fetched (so running them needs
     /// no fetch check); 0 otherwise.
     #[inline]
-    pub fn fetched_room(&self, r: &CodeRegion) -> u64 {
+    pub(crate) fn fetched_room(&self, r: &CodeRegion) -> u64 {
         let off = self.region_off[r.id as usize];
         if (r.base + off) >> 6 == self.last_iline {
             line_room(off)
@@ -193,7 +194,7 @@ impl<'a> ThreadState<'a> {
     /// instructions ran (≥ 1 for `room`, `left` ≥ 1) and whether the last
     /// one mispredicted.
     #[inline]
-    pub fn run_exec(&mut self, r: &CodeRegion, left: u32, room: usize) -> (usize, bool) {
+    pub(crate) fn run_exec(&mut self, r: &CodeRegion, left: u32, room: usize) -> (usize, bool) {
         let off = &mut self.region_off[r.id as usize];
         let in_line = line_room(*off);
         let max = room.min(left as usize).min(in_line as usize);
@@ -215,12 +216,6 @@ impl<'a> ThreadState<'a> {
         }
         self.cur_exec = (left as usize > n).then(|| (r.id, left - n as u32));
         (n, mispredicted)
-    }
-
-    /// Current byte offset within a region (tests/diagnostics).
-    #[inline]
-    pub fn region_offset(&self, region: u16) -> u64 {
-        self.region_off[region as usize]
     }
 }
 
@@ -313,7 +308,7 @@ mod tests {
         assert_eq!(ts.run_exec(reg, 1, 4), (1, false));
         assert_eq!(ts.cur_exec, None);
         assert_eq!(ts.fetch_addr(reg), base, "must wrap to region start");
-        assert_eq!(ts.region_offset(r), 0);
+        assert_eq!(ts.region_off[r as usize], 0);
     }
 
     #[test]
@@ -326,7 +321,7 @@ mod tests {
         // 0.4, 0.8, 1.2 → the third instruction redirects.
         assert_eq!(ts.run_exec(reg, 10, 8), (3, true));
         assert_eq!(ts.cur_exec, Some((r, 7)));
-        assert_eq!(ts.region_offset(r), 12);
+        assert_eq!(ts.region_off[r as usize], 12);
         assert!((ts.mispred_acc - 0.2).abs() < 1e-9);
     }
 }

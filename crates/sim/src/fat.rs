@@ -43,8 +43,8 @@ enum RobSlot {
 }
 
 #[derive(Debug)]
-pub struct FatCore {
-    pub base: CtxBase,
+pub(crate) struct FatCore {
+    pub(crate) base: CtxBase,
     rob: VecDeque<RobSlot>,
     /// Instructions currently in the window.
     rob_instrs: usize,
@@ -74,7 +74,7 @@ pub struct FatCore {
 }
 
 impl FatCore {
-    pub fn new(cfg: &MachineConfig, width: usize, rob: usize, mshrs: usize) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig, width: usize, rob: usize, mshrs: usize) -> Self {
         FatCore {
             base: CtxBase::new(cfg.store_buffer, cfg.quantum),
             rob: VecDeque::with_capacity(rob),

@@ -75,7 +75,7 @@ impl Interconnect {
 
     /// Cycles a `bytes`-byte message occupies the link (serialization at
     /// the link bandwidth, rounded up; at least one cycle per message).
-    pub fn occupancy_cycles(&self, bytes: u32) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, bytes: u32) -> u64 {
         if self.bytes_per_cycle <= 0.0 {
             return u64::MAX;
         }
@@ -85,13 +85,13 @@ impl Interconnect {
     /// Cycles the *sender* stalls injecting a `bytes`-byte message: the
     /// occupancy term only — the flight time is overlapped with whatever
     /// the sender does next and is charged to the receiver instead.
-    pub fn send_cycles(&self, bytes: u32) -> u64 {
+    pub(crate) fn send_cycles(&self, bytes: u32) -> u64 {
         self.occupancy_cycles(bytes)
     }
 
     /// Cycles the *receiver* stalls waiting for a `bytes`-byte message
     /// it needs: one-way latency plus serialization.
-    pub fn recv_cycles(&self, bytes: u32) -> u64 {
+    pub(crate) fn recv_cycles(&self, bytes: u32) -> u64 {
         self.latency_cycles + self.occupancy_cycles(bytes)
     }
 }

@@ -23,8 +23,8 @@ use crate::machine::Shared;
 use crate::stats::CycleClass;
 
 #[derive(Debug)]
-pub struct LeanCore {
-    pub ctxs: Vec<CtxBase>,
+pub(crate) struct LeanCore {
+    pub(crate) ctxs: Vec<CtxBase>,
     rr: usize,
     width: usize,
     pipeline_depth: u64,
@@ -39,7 +39,7 @@ pub struct LeanCore {
 }
 
 impl LeanCore {
-    pub fn new(cfg: &MachineConfig, contexts: usize, width: usize) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig, contexts: usize, width: usize) -> Self {
         LeanCore {
             ctxs: (0..contexts)
                 .map(|_| CtxBase::new(cfg.store_buffer, cfg.quantum))

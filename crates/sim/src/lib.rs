@@ -41,25 +41,26 @@
 //! counts.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)
 )]
 pub mod analytic;
-pub mod builder;
+mod builder;
 pub mod cache;
-pub mod config;
+mod config;
 mod core;
 mod ctx;
 pub mod cursor;
 mod fat;
-pub mod interconnect;
+mod interconnect;
 mod lean;
-pub mod machine;
+mod machine;
 pub mod memsys;
 pub mod stats;
-pub mod stream;
+mod stream;
 
 pub use builder::MachineBuilder;
 pub use config::{CacheGeom, ConfigError, CoreKind, LevelSpec, MachineConfig, SharedBy};

@@ -26,16 +26,16 @@ use crate::stats::{Breakdown, CycleClass, RemoteCounters, SimResult};
 /// The machine's replay state, lent to one core at a time: everything a
 /// core reads or changes outside its own contexts.
 pub(crate) struct Shared<'a> {
-    pub mem: MemSys,
-    pub threads: Vec<ThreadState<'a>>,
-    pub regions: &'a CodeRegions,
-    pub ctl: MachineCtl,
+    pub(crate) mem: MemSys,
+    pub(crate) threads: Vec<ThreadState<'a>>,
+    pub(crate) regions: &'a CodeRegions,
+    pub(crate) ctl: MachineCtl,
 }
 
 impl<'a> Shared<'a> {
     /// The state of a machine about to replay `bundle`, one software
     /// thread per trace, none of them bound to a context yet.
-    pub fn new(cfg: &MachineConfig, bundle: &'a TraceBundle, wraps: bool) -> Self {
+    pub(crate) fn new(cfg: &MachineConfig, bundle: &'a TraceBundle, wraps: bool) -> Self {
         Shared {
             mem: MemSys::new(cfg),
             threads: bundle
@@ -55,20 +55,20 @@ impl<'a> Shared<'a> {
 
 /// Global run-state shared by the core models.
 #[derive(Debug, Default)]
-pub struct MachineCtl {
+pub(crate) struct MachineCtl {
     /// Threads not yet finished (completion mode).
-    pub remaining: usize,
+    pub(crate) remaining: usize,
     /// Work units (transactions/queries) completed in the current window.
-    pub units: u64,
+    pub(crate) units: u64,
     /// Sum of unit latencies in cycles.
-    pub unit_cycles: u64,
+    pub(crate) unit_cycles: u64,
     /// Instructions retired in the current window.
-    pub instrs: u64,
+    pub(crate) instrs: u64,
     /// Cost model for `RemoteSend`/`RemoteRecv` events (multi-instance
     /// deployments; copied from the machine config at assembly).
-    pub interconnect: Interconnect,
+    pub(crate) interconnect: Interconnect,
     /// Interconnect traffic consumed in the current window.
-    pub remote: RemoteCounters,
+    pub(crate) remote: RemoteCounters,
 }
 
 /// What to simulate.
@@ -84,7 +84,7 @@ pub enum RunMode {
 impl RunMode {
     /// Whether traces wrap at their end (throughput sampling) or run
     /// once (completion / response time).
-    pub fn wraps(self) -> bool {
+    pub(crate) fn wraps(self) -> bool {
         matches!(self, RunMode::Throughput { .. })
     }
 }

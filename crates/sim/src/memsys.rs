@@ -40,7 +40,7 @@ use crate::stream::StreamBuffer;
 
 /// How an access was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemClass {
+pub(crate) enum MemClass {
     L1,
     L2Hit,
     Mem,
@@ -52,7 +52,7 @@ pub enum MemClass {
 pub struct Access {
     /// Cycle at which the data is available to the core.
     pub ready_at: u64,
-    pub class: MemClass,
+    pub(crate) class: MemClass,
 }
 
 /// Number of sequential lines a stream buffer keeps in flight ahead of the
@@ -185,7 +185,7 @@ pub struct MemSys {
     cores: CoreCaches,
     l2: Level,
     p: Params,
-    pub counters: MemCounters,
+    pub(crate) counters: MemCounters,
 }
 
 impl MemSys {
@@ -212,7 +212,7 @@ impl MemSys {
     }
 
     /// Reset event counters (end of warm-up) without touching cache state.
-    pub fn reset_counters(&mut self) {
+    pub(crate) fn reset_counters(&mut self) {
         self.counters = MemCounters::with_levels(1);
     }
 
@@ -255,7 +255,7 @@ impl MemSys {
     }
 
     /// An instruction fetch by `core` of line `line`.
-    pub fn instr_access(&mut self, core: usize, line: u64, now: u64) -> Access {
+    pub(crate) fn instr_access(&mut self, core: usize, line: u64, now: u64) -> Access {
         self.counters.l1i_accesses += 1;
         if self.cores.l1i[core].probe(line).is_some() {
             return Access {

@@ -31,7 +31,7 @@ pub enum CycleClass {
     Other = 6,
 }
 
-pub const N_CLASSES: usize = 7;
+pub(crate) const N_CLASSES: usize = 7;
 
 pub const ALL_CLASSES: [CycleClass; N_CLASSES] = [
     CycleClass::Compute,
@@ -56,14 +56,14 @@ impl CycleClass {
         }
     }
 
-    pub fn is_data_stall(self) -> bool {
+    pub(crate) fn is_data_stall(self) -> bool {
         matches!(
             self,
             CycleClass::DStallL2Hit | CycleClass::DStallMem | CycleClass::DStallCoherence
         )
     }
 
-    pub fn is_instr_stall(self) -> bool {
+    pub(crate) fn is_instr_stall(self) -> bool {
         matches!(self, CycleClass::IStallL2 | CycleClass::IStallMem)
     }
 }
@@ -88,7 +88,7 @@ impl Breakdown {
         self.cycles.iter().sum()
     }
 
-    pub fn merge(&mut self, other: &Breakdown) {
+    pub(crate) fn merge(&mut self, other: &Breakdown) {
         for i in 0..N_CLASSES {
             self.cycles[i] += other.cycles[i];
         }
@@ -163,7 +163,7 @@ pub struct LevelCounters {
 }
 
 impl LevelCounters {
-    pub fn merge(&mut self, o: &LevelCounters) {
+    pub(crate) fn merge(&mut self, o: &LevelCounters) {
         self.hits_data += o.hits_data;
         self.hits_instr += o.hits_instr;
         self.misses_data += o.misses_data;
@@ -218,7 +218,7 @@ pub struct MemCounters {
 
 impl MemCounters {
     /// Zeroed counters sized for a hierarchy of `levels` levels.
-    pub fn with_levels(levels: usize) -> Self {
+    pub(crate) fn with_levels(levels: usize) -> Self {
         MemCounters {
             per_level: vec![LevelCounters::default(); levels],
             ..Default::default()

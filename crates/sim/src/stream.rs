@@ -19,26 +19,26 @@ struct Slot {
 
 /// Per-core instruction stream buffer.
 #[derive(Debug)]
-pub struct StreamBuffer {
+pub(crate) struct StreamBuffer {
     slots: Vec<Slot>,
     depth: usize,
 }
 
 impl StreamBuffer {
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         StreamBuffer {
             slots: Vec::with_capacity(depth),
             depth,
         }
     }
 
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.depth > 0
     }
 
     /// Look up `line`; on hit, consume the slot and return the cycle the
     /// line is available (may be in the past — then it is free).
-    pub fn take(&mut self, line: u64) -> Option<u64> {
+    pub(crate) fn take(&mut self, line: u64) -> Option<u64> {
         let idx = self.slots.iter().position(|s| s.line == line)?;
         let s = self.slots.swap_remove(idx);
         Some(s.ready_at)
@@ -46,7 +46,7 @@ impl StreamBuffer {
 
     /// Record a prefetched line arriving at `ready_at`. Oldest entries are
     /// displaced when full; duplicate lines are refreshed.
-    pub fn put(&mut self, line: u64, ready_at: u64) {
+    pub(crate) fn put(&mut self, line: u64, ready_at: u64) {
         if self.depth == 0 {
             return;
         }
@@ -61,16 +61,8 @@ impl StreamBuffer {
     }
 
     /// Whether `line` is present (without consuming it).
-    pub fn contains(&self, line: u64) -> bool {
+    pub(crate) fn contains(&self, line: u64) -> bool {
         self.slots.iter().any(|s| s.line == line)
-    }
-
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -105,7 +97,7 @@ mod tests {
         sb.put(1, 100);
         sb.put(1, 50);
         assert_eq!(sb.take(1), Some(50));
-        assert_eq!(sb.len(), 0);
+        assert!(sb.slots.is_empty());
     }
 
     #[test]

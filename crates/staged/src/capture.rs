@@ -28,7 +28,7 @@ use crate::pipeline::{ExecPolicy, StagedPipeline};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedQuery {
     /// The query kind that has no staged pipeline shape.
-    pub kind: QueryKind,
+    pub(crate) kind: QueryKind,
 }
 
 impl fmt::Display for UnsupportedQuery {

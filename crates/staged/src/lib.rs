@@ -35,11 +35,12 @@
 //! partitioned work — are captured.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 #![warn(missing_docs)]
 
-pub mod capture;
-pub mod pipeline;
+mod capture;
+mod pipeline;
 
 pub use capture::{capture_staged_dss, pipeline_for, staged_query_rows, UnsupportedQuery};
 pub use pipeline::{BatchAgg, ExecPolicy, JoinTable, StagedPipeline};

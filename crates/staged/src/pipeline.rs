@@ -30,7 +30,7 @@ pub enum ExecPolicy {
 /// Instructions of per-call interpretation overhead that batch execution
 /// amortizes per tuple per stage (the MonetDB/X100 argument the paper
 /// cites in §6.2).
-pub const CALL_OVERHEAD: u32 = 6;
+pub(crate) const CALL_OVERHEAD: u32 = 6;
 
 /// A built hash table for one [`JoinSpec`] stage: the engine's
 /// [`BuildTable`] (so build and probe charges are the executor
@@ -52,7 +52,7 @@ impl JoinTable {
     /// Scan and filter the build side, loading matching rows keyed by
     /// `build_key`. Charged to `tc` (the context that runs the build
     /// stage).
-    pub fn build(db: &Database, spec: &JoinSpec, tc: &mut TraceCtx) -> Self {
+    pub(crate) fn build(db: &Database, spec: &JoinSpec, tc: &mut TraceCtx) -> Self {
         let heap = db.table(spec.build_table);
         let mut rows = Vec::new();
         let mut last_page = u32::MAX;
@@ -78,7 +78,7 @@ impl JoinTable {
 
     /// Probe with one combined row, appending each match (inner-join
     /// semantics: zero matches drop the row).
-    pub fn probe(&self, row: &[Value], out: &mut Vec<Vec<Value>>, tc: &mut TraceCtx) {
+    pub(crate) fn probe(&self, row: &[Value], out: &mut Vec<Vec<Value>>, tc: &mut TraceCtx) {
         self.table.probe(row, self.probe_key, out, tc);
     }
 }
@@ -114,7 +114,7 @@ pub struct BatchAgg {
 
 impl BatchAgg {
     /// Empty aggregation state with a simulated group-table allocation.
-    pub fn new(db: &Database, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
+    pub(crate) fn new(db: &Database, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
         BatchAgg {
             addr: db.space.alloc(64 * 1024),
             table: GroupTable::new(group_cols, aggs),
@@ -125,7 +125,7 @@ impl BatchAgg {
     /// (traced like the engine's aggregate). The line it touches is
     /// indexed by the group count before the fold, not by the row's
     /// group as the executor's is.
-    pub fn update<R: Columns + ?Sized>(&mut self, row: &R, tc: &mut TraceCtx) {
+    pub(crate) fn update<R: Columns + ?Sized>(&mut self, row: &R, tc: &mut TraceCtx) {
         tc.charge(tc.r.exec_agg, instr::AGG_UPDATE);
         let line = self.addr + (self.table.len() as u64 % 1024) * 64;
         tc.load_dep(line, 32);
@@ -136,7 +136,7 @@ impl BatchAgg {
     /// Emit final rows (group cols ++ aggregates) in the order their
     /// groups were first seen, as
     /// [`HashAggregate`](dbcmp_engine::exec::HashAggregate) does.
-    pub fn finish(self) -> Vec<Vec<Value>> {
+    pub(crate) fn finish(self) -> Vec<Vec<Value>> {
         self.table.rows()
     }
 }
@@ -214,7 +214,7 @@ impl Handoff<'_> {
 /// ```
 pub struct StagedPipeline {
     /// The pipeline shape being executed.
-    pub spec: PipelineSpec,
+    pub(crate) spec: PipelineSpec,
 }
 
 impl StagedPipeline {
@@ -224,7 +224,7 @@ impl StagedPipeline {
     }
 
     /// Conventional Volcano execution (one trace context).
-    pub fn run_volcano(&self, db: &Database, tc: &mut TraceCtx) -> Vec<Vec<Value>> {
+    pub(crate) fn run_volcano(&self, db: &Database, tc: &mut TraceCtx) -> Vec<Vec<Value>> {
         let heap = db.table(self.spec.table);
         let mut agg = BatchAgg::new(db, self.spec.group_cols.clone(), self.spec.aggs.clone());
         let tables: Vec<JoinTable> = self
@@ -273,7 +273,12 @@ impl StagedPipeline {
     /// buffer; each join stage's build table is loaded once up front and
     /// stays resident across batches (the cohort-locality argument
     /// applied to join state).
-    pub fn run_staged(&self, db: &Database, tc: &mut TraceCtx, batch: usize) -> Vec<Vec<Value>> {
+    pub(crate) fn run_staged(
+        &self,
+        db: &Database,
+        tc: &mut TraceCtx,
+        batch: usize,
+    ) -> Vec<Vec<Value>> {
         let heap = db.table(self.spec.table);
         let row_width = (heap.schema.row_width() as u64).max(16);
         // Buffer sized to one batch, reused every batch → stays resident.
@@ -359,7 +364,7 @@ impl StagedPipeline {
     /// `fig_islands` measures).
     /// Producer traces and the consumer trace replay on different
     /// hardware contexts in the simulator.
-    pub fn run_staged_parallel(
+    pub(crate) fn run_staged_parallel(
         &self,
         db: &Database,
         producer_tcs: &mut [TraceCtx],

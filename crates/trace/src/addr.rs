@@ -17,16 +17,16 @@ pub type SimAddr = u64;
 /// Base of the data segment. Kept above the zero page so that address 0 can
 /// be used as a sentinel, and below `2^46` so the instruction space (bit 47
 /// set, see [`crate::region`]) never collides with data.
-pub const DATA_BASE: SimAddr = 0x1000;
+pub(crate) const DATA_BASE: SimAddr = 0x1000;
 
 /// Highest valid data address (exclusive).
-pub const DATA_LIMIT: SimAddr = 1 << 46;
+pub(crate) const DATA_LIMIT: SimAddr = 1 << 46;
 
 /// Window stride for partitioned address spaces: each engine instance of
 /// a shared-nothing deployment allocates inside its own `2^40`-byte
 /// window, so instances can never mint overlapping (or >48-bit) trace
 /// addresses. `DATA_LIMIT / PARTITION_STRIDE` bounds the instance count.
-pub const PARTITION_STRIDE: SimAddr = 1 << 40;
+pub(crate) const PARTITION_STRIDE: SimAddr = 1 << 40;
 
 /// Typed capacity errors from [`AddressSpace`] reservation — returned at
 /// the capture boundary instead of minting an address the 48-bit trace
@@ -35,7 +35,7 @@ pub const PARTITION_STRIDE: SimAddr = 1 << 40;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AddressSpaceError {
     /// `AddressSpace::partition(index)` was asked for a window past
-    /// [`DATA_LIMIT`].
+    /// `DATA_LIMIT`.
     PartitionOutOfRange {
         /// Requested partition index.
         index: usize,
@@ -90,7 +90,7 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// An empty address space starting at [`DATA_BASE`].
+    /// An empty address space starting at `DATA_BASE`.
     pub fn new() -> Self {
         AddressSpace {
             next: AtomicU64::new(DATA_BASE),
@@ -100,10 +100,10 @@ impl AddressSpace {
     }
 
     /// The address space of engine instance `index` in a shared-nothing
-    /// deployment: a private [`PARTITION_STRIDE`]-byte window. Window 0
-    /// starts at [`DATA_BASE`], so a 1-partition deployment allocates
+    /// deployment: a private `PARTITION_STRIDE`-byte window. Window 0
+    /// starts at `DATA_BASE`, so a 1-partition deployment allocates
     /// byte-identically to [`AddressSpace::new`]. Returns a typed error
-    /// if the window would extend past [`DATA_LIMIT`] — the capture
+    /// if the window would extend past `DATA_LIMIT` — the capture
     /// boundary's guard against addresses the 48-bit trace format would
     /// silently mask in release builds.
     pub fn partition(index: usize) -> Result<Self, AddressSpaceError> {
@@ -207,11 +207,6 @@ impl ScratchArena {
         );
         self.next = end;
         base
-    }
-
-    /// Bytes still available (before alignment padding).
-    pub fn remaining(&self) -> u64 {
-        self.end.saturating_sub(self.next)
     }
 }
 

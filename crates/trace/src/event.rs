@@ -29,7 +29,7 @@ use crate::region::RegionId;
 pub const CACHE_LINE: u64 = 64;
 
 /// Largest single load/store event payload, in bytes.
-pub const MAX_ACCESS: u32 = 4095;
+pub(crate) const MAX_ACCESS: u32 = 4095;
 
 const OP_SHIFT: u32 = 62;
 const OP_EXEC: u64 = 0;
@@ -72,7 +72,7 @@ pub enum Event {
     Load {
         /// First byte of the access.
         addr: u64,
-        /// Access size in bytes (≤ [`MAX_ACCESS`]).
+        /// Access size in bytes (≤ `MAX_ACCESS`).
         size: u16,
         /// Whether following instructions depend on the loaded value.
         dep: bool,
@@ -81,7 +81,7 @@ pub enum Event {
     Store {
         /// First byte of the access.
         addr: u64,
-        /// Access size in bytes (≤ [`MAX_ACCESS`]).
+        /// Access size in bytes (≤ `MAX_ACCESS`).
         size: u16,
     },
     /// Ordering fence (lock acquire/release, commit): the out-of-order core
@@ -116,7 +116,7 @@ pub enum Event {
 impl PackedEvent {
     /// Pack an [`Event::Exec`].
     #[inline]
-    pub fn exec(region: RegionId, instrs: u32) -> Self {
+    pub(crate) fn exec(region: RegionId, instrs: u32) -> Self {
         debug_assert!((region as u64) <= REGION_MASK);
         PackedEvent((OP_EXEC << OP_SHIFT) | ((region as u64) << REGION_SHIFT) | instrs as u64)
     }
@@ -136,7 +136,7 @@ impl PackedEvent {
     /// `ADDR_MASK` — which aliases the access into the low 48-bit
     /// window rather than corrupting the op/size fields.
     #[inline]
-    pub fn load(addr: u64, size: u32, dep: bool) -> Self {
+    pub(crate) fn load(addr: u64, size: u32, dep: bool) -> Self {
         debug_assert!((1..=MAX_ACCESS).contains(&size));
         debug_assert!(
             addr <= ADDR_MASK,
@@ -155,7 +155,7 @@ impl PackedEvent {
     /// masking policy documented on [`PackedEvent::load`]: panic in
     /// debug builds, truncate via `ADDR_MASK` in release builds.
     #[inline]
-    pub fn store(addr: u64, size: u32) -> Self {
+    pub(crate) fn store(addr: u64, size: u32) -> Self {
         debug_assert!((1..=MAX_ACCESS).contains(&size));
         debug_assert!(
             addr <= ADDR_MASK,
@@ -169,31 +169,31 @@ impl PackedEvent {
 
     /// Pack an [`Event::Fence`] marker.
     #[inline]
-    pub fn fence() -> Self {
+    pub(crate) fn fence() -> Self {
         PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_FENCE)
     }
 
     /// Pack an [`Event::UnitEnd`] marker.
     #[inline]
-    pub fn unit_end() -> Self {
+    pub(crate) fn unit_end() -> Self {
         PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_UNIT_END)
     }
 
     /// Pack an [`Event::Block`] marker.
     #[inline]
-    pub fn block() -> Self {
+    pub(crate) fn block() -> Self {
         PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_BLOCK)
     }
 
     /// Pack an [`Event::Wake`] marker.
     #[inline]
-    pub fn wake() -> Self {
+    pub(crate) fn wake() -> Self {
         PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_WAKE)
     }
 
     /// Pack an [`Event::RemoteSend`] marker carrying the message size.
     #[inline]
-    pub fn remote_send(bytes: u32) -> Self {
+    pub(crate) fn remote_send(bytes: u32) -> Self {
         PackedEvent(
             (OP_MARKER << OP_SHIFT) | ((bytes as u64) << REMOTE_BYTES_SHIFT) | MARKER_REMOTE_SEND,
         )
@@ -201,7 +201,7 @@ impl PackedEvent {
 
     /// Pack an [`Event::RemoteRecv`] marker carrying the message size.
     #[inline]
-    pub fn remote_recv(bytes: u32) -> Self {
+    pub(crate) fn remote_recv(bytes: u32) -> Self {
         PackedEvent(
             (OP_MARKER << OP_SHIFT) | ((bytes as u64) << REMOTE_BYTES_SHIFT) | MARKER_REMOTE_RECV,
         )
@@ -276,8 +276,8 @@ impl Event {
 
 /// Iterate over the cache lines touched by an access of `size` bytes at
 /// `addr` (inclusive of partial first/last lines).
-#[inline]
-pub fn lines_touched(addr: u64, size: u16) -> impl Iterator<Item = u64> {
+#[cfg(test)]
+pub(crate) fn lines_touched(addr: u64, size: u16) -> impl Iterator<Item = u64> {
     let first = addr / CACHE_LINE;
     let last = (addr + size.max(1) as u64 - 1) / CACHE_LINE;
     (first..=last).map(|l| l * CACHE_LINE)

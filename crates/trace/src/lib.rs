@@ -26,6 +26,7 @@
 //!   active regions (large for OLTP, small for DSS scan loops — paper §4).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     not(test),
@@ -33,13 +34,13 @@
 )]
 #![warn(missing_docs)]
 
-pub mod addr;
-pub mod event;
-pub mod fnv;
+mod addr;
+mod event;
+mod fnv;
 pub mod region;
-pub mod segment;
-pub mod summary;
-pub mod tracer;
+mod segment;
+mod summary;
+mod tracer;
 
 pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SimAddr};
 pub use event::{Event, PackedEvent, CACHE_LINE};

@@ -26,7 +26,7 @@ pub const INSTR_BYTES: u64 = 4;
 
 /// Base of the instruction address space: bit 47 set, so I-addresses and
 /// D-addresses never collide (data is capped at 2^46).
-pub const CODE_BASE: u64 = 1 << 47;
+pub(crate) const CODE_BASE: u64 = 1 << 47;
 
 /// One named region of simulated code.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,13 +34,13 @@ pub struct CodeRegion {
     /// Dense registry index.
     pub id: RegionId,
     /// Subsystem name ("lock-manager", "exec-scan", …).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Base address in the instruction address space (page aligned).
     pub base: u64,
     /// Footprint in bytes (rounded up to a cache line).
     pub footprint: u64,
     /// Branch mispredictions per 1000 instructions executed in this region.
-    pub mispred_per_kinstr: f64,
+    pub(crate) mispred_per_kinstr: f64,
     /// `mispred_per_kinstr / 1000.0`, computed once here so the replay
     /// loop adds it per instruction instead of dividing per instruction.
     pub mispred_per_instr: f64,

@@ -186,6 +186,7 @@ impl SegmentEncoder {
 
     /// Encoded bytes of the events appended since the last
     /// [`Self::seal`] (the open kinds run counted as written).
+    #[cfg(test)]
     pub(crate) fn encoded_bytes(&self) -> usize {
         let s = &self.seg;
         s.kinds.len() + 2 * (self.run > 0) as usize + s.mem.len() + s.exec.len() + s.remote.len()
@@ -413,7 +414,7 @@ impl Segment {
     /// Encoded size in bytes: the three columns plus a 4-byte length
     /// header (the honest wire size; in-memory `Vec` capacity overhead
     /// is not counted).
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         4 + self.kinds.len() + self.mem.len() + self.exec.len() + self.remote.len()
     }
 }
@@ -462,11 +463,11 @@ impl TraceSink for SegmentBuffer {
 #[derive(Debug, Default)]
 pub struct CountingSink {
     /// Sealed segments received.
-    pub segments: u64,
+    pub(crate) segments: u64,
     /// Events across all received segments.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Encoded bytes across all received segments.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl TraceSink for CountingSink {

@@ -77,7 +77,7 @@ impl LineSet {
     }
 
     /// Add every line `[addr, addr + size)` touches (a zero size touches
-    /// one byte, as [`lines_touched`](crate::event::lines_touched) has it).
+    /// one byte).
     fn insert_access(&mut self, addr: u64, size: u16) {
         let first = addr / CACHE_LINE;
         let last = (addr + size.max(1) as u64 - 1) / CACHE_LINE;

@@ -116,7 +116,8 @@ impl Tracer {
     /// recording tracer keeps outside its sink. At most
     /// [`SEGMENT_EVENTS`]` × `[`MAX_EVENT_BYTES`](crate::MAX_EVENT_BYTES)
     /// however long the trace runs; a few KB on engine traces.
-    pub fn staged_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn staged_bytes(&self) -> usize {
         self.open.encoded_bytes()
     }
 
@@ -398,14 +399,14 @@ impl ThreadTrace {
 
     /// Encoded size of the whole stream in bytes (sum of segment wire
     /// sizes).
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         self.segments.iter().map(|s| s.encoded_bytes()).sum()
     }
 
     /// Instructions charged to each region by this thread, cached at
     /// capture time (indexed by region id; may be shorter than the
     /// region table — missing tail entries are zero).
-    pub fn region_instr_totals(&self) -> &[u64] {
+    pub(crate) fn region_instr_totals(&self) -> &[u64] {
         &self.region_instrs
     }
 
@@ -431,7 +432,7 @@ impl ThreadTrace {
 
     /// Loads marked dependent (pointer chases) — a subset of
     /// [`Self::loads`].
-    pub fn dep_loads(&self) -> u64 {
+    pub(crate) fn dep_loads(&self) -> u64 {
         self.dep_loads
     }
 
@@ -441,7 +442,7 @@ impl ThreadTrace {
     }
 
     /// Ordering fences recorded.
-    pub fn fences(&self) -> u64 {
+    pub(crate) fn fences(&self) -> u64 {
         self.fences
     }
 
@@ -451,12 +452,12 @@ impl ThreadTrace {
     }
 
     /// Lock-wait block events recorded (contended captures only).
-    pub fn blocks(&self) -> u64 {
+    pub(crate) fn blocks(&self) -> u64 {
         self.blocks
     }
 
     /// Wake events recorded (lock grants after a wait).
-    pub fn wakes(&self) -> u64 {
+    pub(crate) fn wakes(&self) -> u64 {
         self.wakes
     }
 

@@ -6,7 +6,7 @@
 //! structures (lock table, WAL head, B+Tree roots, hot rows) still carry
 //! the same simulated addresses in every client's trace, preserving
 //! cross-client sharing for the simulator — but lock *contention* never
-//! happens here. It is the interleaved scheduler of [`crate::interleave`]
+//! happens here. It is the interleaved scheduler of `interleave`
 //! with whole-session grants; a finer grant quantum there gives real 2PL
 //! waits, deadlocks, and a contention knob.
 
@@ -32,11 +32,11 @@ pub(crate) const DSS_SCRATCH_BYTES: u64 = 1 << 30;
 pub struct CaptureOptions {
     /// Number of client sessions (paper: 64 OLTP / 16 DSS saturated; 1
     /// unsaturated).
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Work units (transactions or queries) per client.
-    pub units_per_client: usize,
+    pub(crate) units_per_client: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl CaptureOptions {
@@ -51,7 +51,7 @@ impl CaptureOptions {
 
 /// Capture an OLTP (TPC-C mix) workload: one trace per client terminal.
 ///
-/// This is the interleaved scheduler ([`crate::interleave`]) with
+/// This is the interleaved scheduler (`interleave`) with
 /// whole-session grants (`slice_ops = usize::MAX`): each client runs all
 /// its transactions before the next client starts, against the same
 /// evolving database (B+Tree splits, `d_next_o_id` draws), so the capture

@@ -34,7 +34,7 @@
 //! The **multi-partition knob** (`multi_pct`): that percentage of
 //! NewOrder/Payment transactions target a uniformly-drawn *other*
 //! warehouse. If the target lives on the same instance the transaction
-//! runs locally (forced-target [`TxnCfg::remote_wh`]); otherwise it runs
+//! runs locally (forced-target `TxnCfg::remote_wh`); otherwise it runs
 //! as a **two-phase** pair. Phase 1: the owner's *service thread*
 //! qualifies the remote rows (index probes) and pins their locks,
 //! shipping back row handles; the coordinator then reads and writes
@@ -110,16 +110,16 @@ pub struct DeployOptions {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DeployStats {
     /// Plain single-warehouse transactions completed.
-    pub local_txns: u64,
+    pub(crate) local_txns: u64,
     /// Multi-warehouse transactions whose target lived on the home
     /// instance (ran locally, no messages).
-    pub multi_local_txns: u64,
+    pub(crate) multi_local_txns: u64,
     /// Multi-warehouse transactions run as two-phase cross-instance ops.
     pub multi_remote_txns: u64,
     /// `RemoteSend` events across all bundles.
-    pub remote_sends: u64,
+    pub(crate) remote_sends: u64,
     /// Message bytes across all bundles (sends + recvs).
-    pub remote_bytes: u64,
+    pub(crate) remote_bytes: u64,
 }
 
 /// A captured shared-nothing deployment: one bundle per instance.

@@ -46,13 +46,13 @@ use dbcmp_trace::AddressSpace;
 /// instance is cheaper than repartitioning the (large) probe side.
 /// 256 KB keeps the TPC-H customer and supplier tables broadcast at
 /// paper scale while filtered orders (the Q3/Q5 build) shuffle.
-pub const BROADCAST_MAX_BYTES: u64 = 256 << 10;
+pub(crate) const BROADCAST_MAX_BYTES: u64 = 256 << 10;
 
 /// Simulated payload bytes of one row: 8 B integers/decimals, 4 B
 /// dates, length-prefixed strings (len + 2), 1 B NULL tag. Value-based
 /// rather than schema-fixed-width — shipped tuples are packed, which
 /// slightly *understates* a fixed-width wire format (DESIGN.md §9).
-pub fn row_bytes(row: &[Value]) -> u64 {
+pub(crate) fn row_bytes(row: &[Value]) -> u64 {
     row.iter()
         .map(|v| match v {
             Value::Int(_) | Value::Decimal(_) => 8,
@@ -64,7 +64,7 @@ pub fn row_bytes(row: &[Value]) -> u64 {
 }
 
 /// Total payload bytes of a row set.
-pub fn rows_bytes(rows: &[Row]) -> u64 {
+pub(crate) fn rows_bytes(rows: &[Row]) -> u64 {
     rows.iter().map(|r| row_bytes(r)).sum()
 }
 
@@ -108,7 +108,7 @@ impl Cursor {
 
 impl ExchangeBufs {
     /// Staging buffer size per direction per instance.
-    pub const BUF_BYTES: u64 = 1 << 20;
+    pub(crate) const BUF_BYTES: u64 = 1 << 20;
 
     /// Allocate one send and one recv buffer in each instance's window.
     pub fn reserve(spaces: &[Arc<AddressSpace>]) -> Self {
@@ -145,7 +145,7 @@ pub struct ExchangeTraffic {
 
 impl ExchangeTraffic {
     /// Accumulate another exchange's traffic.
-    pub fn merge(&mut self, o: &ExchangeTraffic) {
+    pub(crate) fn merge(&mut self, o: &ExchangeTraffic) {
         self.messages += o.messages;
         self.sent_bytes += o.sent_bytes;
         self.recv_bytes += o.recv_bytes;
@@ -258,7 +258,7 @@ pub fn exchange_rows(
 /// (header + payload), charging encode/store on the sender and
 /// recv/decode/load on the receiver, and deliver them onto `out`.
 /// Same-instance and empty sets are free: no message, no charges.
-pub fn ship_rows(
+pub(crate) fn ship_rows(
     traffic: &mut ExchangeTraffic,
     bufs: &mut ExchangeBufs,
     tcs: &mut [&mut TraceCtx],

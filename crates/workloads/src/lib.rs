@@ -19,6 +19,7 @@
 //! [`TraceBundle`](dbcmp_trace::TraceBundle)s for the simulator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(clippy::allow_attributes_without_reason)]
 // An un-awaited engine call (`db.statement_overhead(tc);`) is a skipped
 // operation and a silently different capture: a build error, not a warning.
@@ -29,13 +30,13 @@
 )]
 
 pub mod capture;
-pub mod deploy;
-pub mod exchange;
+mod deploy;
+mod exchange;
 mod instances;
-pub mod interleave;
-pub mod ops;
-pub mod rng;
-pub mod rwset;
+mod interleave;
+mod ops;
+mod rng;
+mod rwset;
 pub mod tpcc;
 pub mod tpch;
 

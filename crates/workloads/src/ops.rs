@@ -41,7 +41,7 @@ use dbcmp_engine::{Database, Result, Row, TraceCtx, Value};
     async_fn_in_trait,
     reason = "sessions are polled on the thread that created them, so the futures need no `Send` bound"
 )]
-pub trait EngineOps {
+pub(crate) trait EngineOps {
     /// Drive one engine operation `f` to completion and return its result.
     ///
     /// `f` must be effect-free before its lock acquisition (as
@@ -193,7 +193,7 @@ impl EngineOps for Database {
 /// Run a transaction driven directly against a [`Database`] (or any handle
 /// whose [`op`](EngineOps::op) never suspends) to completion, here and
 /// now. Panics if it suspends: only a scheduler may poll a session twice.
-pub fn now<T>(fut: impl Future<Output = T>) -> T {
+pub(crate) fn now<T>(fut: impl Future<Output = T>) -> T {
     match pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
         Poll::Ready(out) => out,
         Poll::Pending => panic!("a directly driven transaction suspended"),

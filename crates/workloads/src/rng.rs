@@ -4,27 +4,27 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Deterministic RNG for a (workload, client) pair.
-pub fn client_rng(seed: u64, client: usize) -> StdRng {
+pub(crate) fn client_rng(seed: u64, client: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// TPC-C NURand(A, x, y): non-uniform random over `[x, y]`, skewed so a
 /// subset of values is hot (spec clause 2.1.6). `c` is the per-run
 /// constant.
-pub fn nurand(rng: &mut StdRng, a: u64, c: u64, x: u64, y: u64) -> u64 {
+pub(crate) fn nurand(rng: &mut StdRng, a: u64, c: u64, x: u64, y: u64) -> u64 {
     let r1 = rng.gen_range(0..=a);
     let r2 = rng.gen_range(x..=y);
     (((r1 | r2) + c) % (y - x + 1)) + x
 }
 
 /// Uniform inclusive helper.
-pub fn uniform(rng: &mut StdRng, x: u64, y: u64) -> u64 {
+pub(crate) fn uniform(rng: &mut StdRng, x: u64, y: u64) -> u64 {
     rng.gen_range(x..=y)
 }
 
 /// TPC-C last-name generator: concatenated syllables indexed by a 0-999
 /// number.
-pub fn last_name(num: u64) -> String {
+pub(crate) fn last_name(num: u64) -> String {
     const SYL: [&str; 10] = [
         "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
     ];

@@ -150,7 +150,7 @@ impl EngineOps for Recon<'_> {
 ///
 /// Freshly inserted rows (order lines, history) are absent — the engine
 /// grants fresh-RID locks no-wait and they cannot conflict.
-pub fn rw_set(
+pub(crate) fn rw_set(
     db: &Database,
     h: &TpccDb,
     kind: TxnKind,

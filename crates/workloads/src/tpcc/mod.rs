@@ -5,7 +5,7 @@
 //! regime of the paper's experiments (a few MB of hot data + indexes, so
 //! the primary working set straddles the 1-26 MB L2 sweep).
 
-pub mod txns;
+pub(crate) mod txns;
 
 use std::sync::Arc;
 
@@ -57,74 +57,74 @@ impl TpccScale {
 /// Table + index handles for the TPC-C database.
 #[derive(Debug, Clone)]
 pub struct TpccDb {
-    pub scale: TpccScale,
+    pub(crate) scale: TpccScale,
     /// First warehouse this instance owns (1 for a full build).
-    pub wh_lo: u64,
+    pub(crate) wh_lo: u64,
     /// Last warehouse this instance owns (`scale.warehouses` for a full
     /// build). Shared-nothing partitions own a contiguous sub-range;
     /// items are fully replicated either way.
-    pub wh_hi: u64,
+    pub(crate) wh_hi: u64,
     // tables
     pub warehouse: usize,
-    pub district: usize,
-    pub customer: usize,
-    pub item: usize,
-    pub stock: usize,
-    pub orders: usize,
-    pub new_order: usize,
-    pub order_line: usize,
-    pub history: usize,
+    pub(crate) district: usize,
+    pub(crate) customer: usize,
+    pub(crate) item: usize,
+    pub(crate) stock: usize,
+    pub(crate) orders: usize,
+    pub(crate) new_order: usize,
+    pub(crate) order_line: usize,
+    pub(crate) history: usize,
     // indexes
-    pub idx_warehouse: usize,
-    pub idx_district: usize,
-    pub idx_customer: usize,
-    pub idx_customer_name: usize,
-    pub idx_item: usize,
-    pub idx_stock: usize,
-    pub idx_orders: usize,
-    pub idx_new_order: usize,
-    pub idx_order_line: usize,
+    pub(crate) idx_warehouse: usize,
+    pub(crate) idx_district: usize,
+    pub(crate) idx_customer: usize,
+    pub(crate) idx_customer_name: usize,
+    pub(crate) idx_item: usize,
+    pub(crate) idx_stock: usize,
+    pub(crate) idx_orders: usize,
+    pub(crate) idx_new_order: usize,
+    pub(crate) idx_order_line: usize,
     /// NURand C constants fixed at load time (spec 2.1.6.1).
-    pub c_last: u64,
-    pub c_cust: u64,
-    pub c_item: u64,
+    pub(crate) c_last: u64,
+    pub(crate) c_cust: u64,
+    pub(crate) c_item: u64,
 }
 
 // ---- key packing ----
 
-pub fn wh_key(w: u64) -> u64 {
+pub(crate) fn wh_key(w: u64) -> u64 {
     w
 }
 
-pub fn dist_key(w: u64, d: u64) -> u64 {
+pub(crate) fn dist_key(w: u64, d: u64) -> u64 {
     (w << 8) | d
 }
 
-pub fn cust_key(w: u64, d: u64, c: u64) -> u64 {
+pub(crate) fn cust_key(w: u64, d: u64, c: u64) -> u64 {
     (w << 28) | (d << 20) | c
 }
 
 /// Secondary index on (w, d, last-name hash, c).
-pub fn cust_name_key(w: u64, d: u64, name: &str, c: u64) -> u64 {
+pub(crate) fn cust_name_key(w: u64, d: u64, name: &str, c: u64) -> u64 {
     let h = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     }) & 0xFFFF;
     (w << 44) | (d << 36) | (h << 20) | c
 }
 
-pub fn item_key(i: u64) -> u64 {
+pub(crate) fn item_key(i: u64) -> u64 {
     i
 }
 
-pub fn stock_key(w: u64, i: u64) -> u64 {
+pub(crate) fn stock_key(w: u64, i: u64) -> u64 {
     (w << 24) | i
 }
 
-pub fn order_key(w: u64, d: u64, o: u64) -> u64 {
+pub(crate) fn order_key(w: u64, d: u64, o: u64) -> u64 {
     (w << 40) | (d << 32) | o
 }
 
-pub fn order_line_key(w: u64, d: u64, o: u64, ol: u64) -> u64 {
+pub(crate) fn order_line_key(w: u64, d: u64, o: u64, ol: u64) -> u64 {
     (w << 44) | (d << 36) | (o << 8) | ol
 }
 
@@ -483,12 +483,12 @@ fn populate(
 }
 
 /// Random customer id per spec (NURand 1023).
-pub fn random_customer(rng: &mut StdRng, h: &TpccDb) -> u64 {
+pub(crate) fn random_customer(rng: &mut StdRng, h: &TpccDb) -> u64 {
     crate::rng::nurand(rng, 1023, h.c_cust, 1, h.scale.customers_per_district)
 }
 
 /// Random item id per spec (NURand 8191).
-pub fn random_item(rng: &mut StdRng, h: &TpccDb) -> u64 {
+pub(crate) fn random_item(rng: &mut StdRng, h: &TpccDb) -> u64 {
     crate::rng::nurand(rng, 8191, h.c_item, 1, h.scale.items)
 }
 

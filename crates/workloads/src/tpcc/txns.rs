@@ -33,7 +33,7 @@ use crate::rng::{last_name, uniform};
 
 /// Which transaction ran (for mix accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TxnKind {
+pub(crate) enum TxnKind {
     NewOrder,
     Payment,
     OrderStatus,
@@ -43,14 +43,14 @@ pub enum TxnKind {
 
 /// Outcome of one transaction attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnOutcome {
+pub(crate) enum TxnOutcome {
     Committed,
     /// Rolled back (NewOrder's 1% invalid item, or a lock conflict).
     Aborted,
 }
 
 /// Draw a transaction type per the spec mix (45/43/4/4/4).
-pub fn draw_kind(rng: &mut StdRng) -> TxnKind {
+pub(crate) fn draw_kind(rng: &mut StdRng) -> TxnKind {
     match rng.gen_range(0..100u32) {
         0..=44 => TxnKind::NewOrder,
         45..=87 => TxnKind::Payment,
@@ -64,24 +64,24 @@ pub fn draw_kind(rng: &mut StdRng) -> TxnKind {
 /// the interleaved capture turns (shrinking the NewOrder item pool
 /// concentrates conflicting X locks on a few rows).
 #[derive(Debug, Clone, Copy)]
-pub struct TxnCfg {
+pub(crate) struct TxnCfg {
     /// The terminal's home warehouse.
-    pub w_home: u64,
+    pub(crate) w_home: u64,
     /// Draw NewOrder items uniformly from `1..=n` (hot item set) instead
     /// of NURand over the whole catalog.
-    pub item_pool: Option<u64>,
+    pub(crate) item_pool: Option<u64>,
     /// Force the transaction's cross-warehouse target: NewOrder sources
     /// every line from this warehouse, Payment pays this warehouse's
     /// customer. Used by shared-nothing deployments when a multi-warehouse
     /// transaction's target happens to live on the *same* instance —
     /// `None` (the default) keeps the plain spec draws and their rng
     /// stream untouched.
-    pub remote_wh: Option<u64>,
+    pub(crate) remote_wh: Option<u64>,
 }
 
 impl TxnCfg {
     /// Plain TPC-C targeting: NURand items, the spec's remote draws.
-    pub fn home(w_home: u64) -> Self {
+    pub(crate) fn home(w_home: u64) -> Self {
         TxnCfg {
             w_home,
             item_pool: None,
@@ -117,7 +117,7 @@ fn draw_item(cfg: TxnCfg, rng: &mut StdRng, h: &TpccDb) -> u64 {
 /// driver finishes the transaction — on *any* error (lock conflict,
 /// deadlock victim) the transaction is rolled back before the error
 /// propagates, so locks and undo never leak.
-pub async fn run_txn_cfg<D: EngineOps>(
+pub(crate) async fn run_txn_cfg<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     kind: TxnKind,
@@ -137,7 +137,7 @@ pub async fn run_txn_cfg<D: EngineOps>(
     clippy::too_many_arguments,
     reason = "run_txn_cfg's arguments plus the optional declared set"
 )]
-pub async fn run_txn_cfg_declared<D: EngineOps>(
+pub(crate) async fn run_txn_cfg_declared<D: EngineOps>(
     db: &mut D,
     h: &TpccDb,
     kind: TxnKind,
@@ -291,19 +291,19 @@ async fn payment<D: EngineOps>(
 /// One order's key, `(w, d, o_id)`: every row the order inserts carries it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OrderId {
-    pub w: u64,
-    pub d: u64,
-    pub o_id: u64,
+    pub(crate) w: u64,
+    pub(crate) d: u64,
+    pub(crate) o_id: u64,
 }
 
 /// One order line as inserted.
 pub(crate) struct OrderLine {
     /// Line number within the order, from 1.
-    pub number: u64,
-    pub i_id: u64,
-    pub supply_w: u64,
-    pub qty: i64,
-    pub amount: i64,
+    pub(crate) number: u64,
+    pub(crate) i_id: u64,
+    pub(crate) supply_w: u64,
+    pub(crate) qty: i64,
+    pub(crate) amount: i64,
 }
 
 /// Open an order in district `d` of warehouse `w` for customer `c`: read

@@ -9,7 +9,7 @@
 //!
 //! 1. every instance scans + filters its own fragments (compute stays
 //!    where the data is);
-//! 2. the exchange ([`crate::exchange`]) picks broadcast or shuffle per
+//! 2. the exchange (`exchange`) picks broadcast or shuffle per
 //!    join from the *global* post-filter build size and ships rows as
 //!    `RemoteSend`/`RemoteRecv` traffic;
 //! 3. each instance joins its post-exchange share (an ordinary

@@ -57,15 +57,15 @@ impl TpchScale {
 /// Table handles + row counts for the TPC-H database.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpchDb {
-    pub scale: TpchScale,
+    pub(crate) scale: TpchScale,
     pub lineitem: usize,
-    pub orders: usize,
+    pub(crate) orders: usize,
     pub customer: usize,
-    pub part: usize,
-    pub supplier: usize,
-    pub partsupp: usize,
-    pub idx_orders: usize,
-    pub idx_part: usize,
+    pub(crate) part: usize,
+    pub(crate) supplier: usize,
+    pub(crate) partsupp: usize,
+    pub(crate) idx_orders: usize,
+    pub(crate) idx_part: usize,
 }
 
 /// Which paper query (paper §3: Q1/Q6 scan-dominated, Q16 join-dominated,
@@ -99,18 +99,6 @@ impl QueryKind {
     /// index-nested-loop plans whose build-side working sets, not scan
     /// bandwidth, set the cache behaviour.
     pub const JOINS: [QueryKind; 2] = [QueryKind::Q3, QueryKind::Q5];
-
-    /// Human-readable label with the query's camp.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueryKind::Q1 => "Q1 (scan)",
-            QueryKind::Q3 => "Q3 (join)",
-            QueryKind::Q5 => "Q5 (multi-way join)",
-            QueryKind::Q6 => "Q6 (scan)",
-            QueryKind::Q13 => "Q13 (mixed)",
-            QueryKind::Q16 => "Q16 (join)",
-        }
-    }
 }
 
 const TYPES: [&str; 6] = ["ECONOMY", "STANDARD", "PROMO", "MEDIUM", "LARGE", "SMALL"];
@@ -458,6 +446,28 @@ mod tests {
             assert!(fdb.table(fh.orders).n_rows() < db.table(h.orders).n_rows());
             assert!(fdb.table(fh.orders).n_rows() > 0);
         }
+    }
+
+    /// The population Q16's anti-join would read: some supplier comments
+    /// name customer complaints.
+    #[test]
+    fn complaint_suppliers_found() {
+        let scale = TpchScale {
+            suppliers: 200,
+            ..TpchScale::tiny()
+        };
+        let (db, h) = build_tpch(scale, 77);
+        let mut tc = db.null_ctx();
+        let mut scan = dbcmp_engine::exec::SeqScan::new(h.supplier);
+        let rows = dbcmp_engine::exec::run_to_vec(&mut scan, &db, &mut tc).unwrap();
+        let complaints = rows
+            .iter()
+            .filter(|r| matches!(&r[2], Value::Str(c) if c.contains("Customer") && c.contains("Complaints")))
+            .count();
+        assert!(
+            complaints > 0,
+            "complaint suppliers must exist at this scale"
+        );
     }
 
     #[test]
