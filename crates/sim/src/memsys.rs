@@ -687,6 +687,7 @@ impl MemSys {
 mod tests {
     use super::*;
     use crate::config::{CacheGeom, MachineConfig};
+    use dbcmp_trace::Fnv;
 
     fn cmp2() -> MemSys {
         let mut cfg = MachineConfig::fat_cmp(2, 1 << 20, 10);
@@ -869,6 +870,38 @@ mod tests {
         cfg
     }
 
+    /// Small caches, so the scripted stream evicts at both levels; stream
+    /// buffers on.
+    fn script_cfg(n_cores: usize, shared_by: SharedBy) -> MachineConfig {
+        let mut cfg = MachineConfig::fat_cmp(n_cores, 64 << 10, 10);
+        cfg.l1d = CacheGeom::new(4 << 10, 2, 1);
+        cfg.l2.shared_by = shared_by;
+        cfg.validate().expect("config validates");
+        cfg
+    }
+
+    /// The scripted stream: 20,000 xorshift64 words, one access each at
+    /// cycles 0, 1, 2, …
+    fn script() -> impl Iterator<Item = (u64, u64)> {
+        let next = |&x: &u64| {
+            let x = x ^ (x << 13);
+            let x = x ^ (x >> 7);
+            Some(x ^ (x << 17))
+        };
+        let words = std::iter::successors(Some(0x9E37_79B9_7F4A_7C15u64), next).skip(1);
+        (0..20_000u64).zip(words)
+    }
+
+    /// One scripted access: a fetch (3 in 16), a read or a write (1 in 4
+    /// of the data accesses) by core `x mod n` of one of 4,096 lines.
+    fn scripted(m: &mut MemSys, n_cores: usize, x: u64, now: u64) -> Access {
+        let (core, line) = ((x % n_cores as u64) as usize, (x >> 8) % 4096);
+        match x >> 60 {
+            0..=2 => m.instr_access(core, (1 << 40) + line, now),
+            kind => m.data_access(core, line, kind >= 12, now),
+        }
+    }
+
     /// A cluster of one core behaves exactly like `Core` and a cluster of
     /// every core exactly like `Chip`: one random stream of data and
     /// instruction accesses, driven through both spellings at 2 and 4
@@ -877,33 +910,72 @@ mod tests {
     fn cluster_extremes_behave_like_core_and_chip() {
         for n in [2, 4] {
             for (cluster, plain) in [(1, SharedBy::Core), (n, SharedBy::Chip)] {
-                let spelled = |shared_by| {
-                    // Small caches, so the stream evicts at both levels.
-                    let mut cfg = MachineConfig::fat_cmp(n, 64 << 10, 10);
-                    cfg.l1d = CacheGeom::new(4 << 10, 2, 1);
-                    cfg.l2.shared_by = shared_by;
-                    cfg.validate().expect("config validates");
-                    MemSys::new(&cfg)
-                };
-                let (mut a, mut b) = (spelled(SharedBy::Cluster(cluster)), spelled(plain));
-                let mut x = 0x9E37_79B9_7F4A_7C15u64;
-                for now in 0..20_000u64 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let (core, line) = ((x % n as u64) as usize, (x >> 8) % 4096);
-                    let access = |m: &mut MemSys| match x >> 60 {
-                        0..=2 => m.instr_access(core, (1 << 40) + line, now),
-                        kind => m.data_access(core, line, kind >= 12, now),
-                    };
+                let mut a = MemSys::new(&script_cfg(n, SharedBy::Cluster(cluster)));
+                let mut b = MemSys::new(&script_cfg(n, plain));
+                for (now, x) in script() {
                     assert_eq!(
-                        access(&mut a),
-                        access(&mut b),
+                        scripted(&mut a, n, x, now),
+                        scripted(&mut b, n, x, now),
                         "{n} cores, Cluster({cluster}) vs {plain:?}, access {now}"
                     );
                 }
                 assert_eq!(a.counters, b.counters, "{n} cores, {plain:?}");
             }
+        }
+    }
+
+    /// The walker's exact behavior on private, island and chip-shared
+    /// L2s: one FNV digest per sharing over every `Access` of the
+    /// scripted stream on 4 cores and every final `MemCounters` field.
+    #[test]
+    fn access_scripts_are_pinned() {
+        for (shared_by, want) in [
+            (SharedBy::Core, 0xce01_43b3_ea9c_6f19),
+            (SharedBy::Cluster(2), 0x1363_4042_857a_a718),
+            (SharedBy::Chip, 0xadd5_8b01_f9f1_96cb),
+        ] {
+            let mut m = MemSys::new(&script_cfg(4, shared_by));
+            let mut d = Fnv::new();
+            for (now, x) in script() {
+                let a = scripted(&mut m, 4, x, now);
+                d.word(a.ready_at);
+                d.word(a.class as u64);
+            }
+            let c = &m.counters;
+            for w in [
+                c.l1d_accesses,
+                c.l1d_misses,
+                c.l1i_accesses,
+                c.l1i_misses,
+                c.l2_hits,
+                c.l2_hits_instr,
+                c.l1_to_l1,
+                c.mem_accesses,
+                c.mem_accesses_instr,
+                c.coherence_transfers,
+                c.stream_hits,
+                c.l2_queue_cycles,
+                c.l2_queued_accesses,
+            ] {
+                d.word(w);
+            }
+            for l in &c.per_level {
+                for w in [
+                    l.hits_data,
+                    l.hits_instr,
+                    l.misses_data,
+                    l.misses_instr,
+                    l.evictions,
+                    l.service_cycles,
+                    l.queue_cycles,
+                    l.queued_accesses,
+                    l.mshr_waits,
+                    l.mshr_wait_cycles,
+                ] {
+                    d.word(w);
+                }
+            }
+            assert_eq!(d.finish(), want, "{shared_by:?}");
         }
     }
 
