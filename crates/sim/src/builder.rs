@@ -221,9 +221,12 @@ mod tests {
         );
     }
 
-    /// A shared or island L2 tracks its sharers in a 16-bit map indexed
-    /// by global core id, so a 17th core would alias core 0; private L2s
-    /// keep no map and take any core count.
+    /// A shared or island L2 on more than 16 cores is rejected, so no
+    /// instance outgrows its 16-bit sharer map. Every L2 instance is a
+    /// directory whose sharer bit is the core's position in the
+    /// instance, so a 32-core SMP of one-core instances builds and runs:
+    /// a bit indexed by global core id would overflow the map on core 16
+    /// and panic under the test profile's overflow checks.
     #[test]
     fn directory_core_limit_is_enforced() {
         let l2 = CacheGeom::new(16 << 20, 16, 14);
@@ -235,14 +238,16 @@ mod tests {
             let n_cores = cfg.n_cores;
             assert_eq!(build_err(cfg), ConfigError::TooManyCores { n_cores });
         }
-        let b = bundle(1);
+        let b = bundle(32);
         for cfg in [
             MachineConfig::fat_cmp(16, 16 << 20, 14),
             MachineConfig::smp(32, 4 << 20, 10, CoreKind::fat()),
         ] {
-            MachineBuilder::from_config(cfg, MODE)
+            let res = MachineBuilder::from_config(cfg, MODE)
                 .build(&b)
-                .expect("within the directory's reach");
+                .expect("within the directory's reach")
+                .execute();
+            assert!(res.per_core.iter().all(|bd| bd.total() > 0));
         }
     }
 }

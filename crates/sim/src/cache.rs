@@ -6,19 +6,19 @@
 //! struct-of-arrays: a set's keys are `assoc × 8` contiguous bytes (two
 //! host cache lines for a 16-way set), with the LRU stamps and the
 //! payload — a dirty bit and a sharer bitmap — in parallel arrays that
-//! only a hit or a fill touches. The bitmap is used by the shared-L2
-//! directory (which cores' L1s hold this line — up to 16 cores) and
-//! ignored by L1s.
+//! only a hit or a fill touches. The bitmap is used by every L2
+//! instance, each the directory of its member cores' L1Ds (which of
+//! them hold this line — up to 16 cores), and ignored by L1s.
 
 /// The payload of one tag entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Entry {
     pub(crate) dirty: bool,
-    /// For a shared L2 acting as directory: bit i set ⇒ core i's L1 may
-    /// hold the line. For L1s: unused.
+    /// For an L2 instance acting as directory: bit i set ⇒ the L1D of
+    /// the instance's i-th core may hold the line. For L1s: unused.
     pub(crate) sharers: u16,
-    /// Directory: core that holds the line modified (valid when
-    /// `dirty_in_l1`). 0xFF = none.
+    /// Directory: position in the instance of the core that holds the
+    /// line modified (valid when `dirty_in_l1`). 0xFF = none.
     pub(crate) owner: u8,
     /// Directory: some L1 holds the line modified.
     pub(crate) dirty_in_l1: bool,

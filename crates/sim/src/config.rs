@@ -46,13 +46,14 @@ pub enum ConfigError {
     /// An L2 with zero access latency (a free cache breaks the stall
     /// accounting).
     ZeroLevelLatency,
-    /// A shared or island L2 on more cores than its directory tracks: the
-    /// sharer bitmap has one bit per core, indexed by global core id.
+    /// A shared or island L2 on more cores than one directory tracks:
+    /// the sharer bitmap has one bit per core of an instance.
     TooManyCores { n_cores: usize },
 }
 
-/// Cores a shared or island L2's directory can track: one bit each in
-/// the `u16` sharer bitmap of [`crate::cache::Entry`].
+/// Cores one L2 instance's directory can track: one bit each in the
+/// `u16` sharer bitmap of [`crate::cache::Entry`]. `validate` bounds a
+/// shared or island L2's whole core count by it.
 const DIRECTORY_CORES: usize = u16::BITS as usize;
 
 impl fmt::Display for ConfigError {

@@ -28,12 +28,12 @@
 //! The memory system ([`memsys`]) models per-core L1I/L1D and one L2
 //! beyond them ([`config::LevelSpec`]): private per core, shared by an
 //! *island* of adjacent cores, or chip-shared — the paper's shared-L2 CMP
-//! and private-L2 SMP arrangements are the two extremes. One walker
-//! serves every shape: inclusive back-invalidation, L1-to-L1 transfers
-//! within a shared L2's cores, MESI-style snooping between L2 instances
-//! when the L2 is not chip-shared, bank occupancy/queueing (the
-//! contention effect behind Fig. 8), an optional MSHR cap, and next-line
-//! instruction stream buffers (the reason both camps' I-stall components
+//! and private-L2 SMP arrangements are the two extremes. One walker and
+//! one protocol serve every shape: each L2 instance is the directory of
+//! its cores' L1Ds (inclusive back-invalidation, L1-to-L1 transfers
+//! within an instance), MESI-style snooping between L2 instances when
+//! there is more than one, bank occupancy/queueing (the contention
+//! effect behind Fig. 8), and next-line instruction stream buffers (the reason both camps' I-stall components
 //! stay modest, §4). L2 hit/miss/eviction counters
 //! ([`stats::LevelCounters`]) attribute stalls to the L2.
 //!

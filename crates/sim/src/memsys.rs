@@ -16,22 +16,25 @@
 //!   mechanically reproducing the paper's Fig. 7, and `fig_islands`' 2x2
 //!   island midpoint sits in between.
 //!
-//! Every L1 miss, data or instruction, goes through one path (`fetch`).
-//! Coherence mechanics per L2 kind:
+//! Every L1 miss, data or instruction, goes through one path (`fetch`),
+//! and one coherence protocol serves every sharing:
 //!
-//! * **Shared / island instances** (multiple cores) act as a directory
-//!   over their member cores' L1Ds (sharer bitmap, owner, dirty-in-L1);
-//!   dirty peer lines transfer L1-to-L1 on chip.
-//! * **Private instances** (one core) mirror L1 dirtiness in their own
-//!   entries, like the legacy SMP nodes.
-//! * If the L2 is not chip-shared, its instances form *nodes* that snoop
+//! * Each L2 instance is a directory over its member cores' L1Ds (sharer
+//!   bitmap, owner, dirty-in-L1, each indexed by the core's position in
+//!   its instance); dirty peer lines transfer L1-to-L1 on chip. A private
+//!   L2 is a one-core instance and a chip-shared L2 the one instance.
+//! * If there is more than one instance, they form *nodes* that snoop
 //!   each other over the off-chip interconnect (MESI-style): remote-dirty
 //!   supplies cost the coherence latency.
+//! * Instances are banked; banks have an occupancy per access and a
+//!   `next_free` cycle, so correlated miss bursts queue (paper §5.3:
+//!   cache pressure, not miss rate, limits core-count scaling for OLTP).
 //!
-//! Shared and island instances are banked; banks have an occupancy per
-//! access and a `next_free` cycle, so correlated miss bursts queue (paper
-//! §5.3: cache pressure, not miss rate, limits core-count scaling for
-//! OLTP).
+//! A private L2 (`Level::private`) differs in four rules, each marked
+//! where it applies: its demand port never queues, its prefetches share
+//! one chip-wide bank pool, a prefetch's eviction purges every core's
+//! L1I, and a write hit that invalidates another node also counts as an
+//! L2 hit.
 
 use crate::cache::{Cache, Divisor, Evicted};
 use crate::config::{LevelSpec, MachineConfig, SharedBy};
@@ -78,72 +81,44 @@ impl CoreCaches {
     }
 }
 
-/// Coherence behavior of the L2, derived from its [`SharedBy`]: a
-/// cluster of 1 behaves exactly like a private L2 and a cluster of
-/// `n_cores` exactly like a chip-shared one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LevelKind {
-    /// One core per instance: no internal directory, dirtiness mirrored
-    /// in the entry; demand accesses have a dedicated port.
-    Private,
-    /// Several (but not all) cores per instance: a directory over the
-    /// island's L1s, per-instance bank ports.
-    Island,
-    /// All cores share the single instance: the legacy CMP shape.
-    Shared,
-}
-
-/// The instantiated L2: one tag array per instance.
+/// The instantiated L2: one tag array per instance, each the directory
+/// of its member cores' L1Ds.
 #[derive(Debug)]
 struct Level {
-    kind: LevelKind,
+    /// One core per instance (`SharedBy::Core`, `Cluster(0 | 1)`): the
+    /// four private-L2 rules of the module docs apply.
+    private: bool,
     /// Cores per instance.
     cluster: usize,
-    /// `cluster` as a divisor (core → instance).
+    /// `cluster` as a divisor (core → instance, core → member slot).
     per_instance: Divisor,
     latency: u64,
     /// One tag array per instance (`n_cores / cluster` of them).
     caches: Vec<Cache>,
-    /// Bank `next_free` cycles. Shared: one pool of `banks_per_group`.
-    /// Island: `banks_per_group` per instance, concatenated. Private: a
-    /// single chip-wide pool of `banks_per_group` carrying prefetch
-    /// traffic only (each core's demand port is private and un-queued).
+    /// Bank `next_free` cycles, `banks_per_group` per instance,
+    /// concatenated.
     bank_free: Vec<u64>,
     bank_occupancy: u64,
     banks_per_group: usize,
-    /// Line → bank within one pool of `banks_per_group`.
+    /// Line → bank within one instance's `banks_per_group`.
     bank_of: Divisor,
 }
 
 impl Level {
     fn new(spec: &LevelSpec, n_cores: usize) -> Self {
-        let kind = match spec.shared_by {
-            SharedBy::Chip => LevelKind::Shared,
-            SharedBy::Core => LevelKind::Private,
-            SharedBy::Cluster(k) if k <= 1 => LevelKind::Private,
-            SharedBy::Cluster(k) if k >= n_cores => LevelKind::Shared,
-            SharedBy::Cluster(_) => LevelKind::Island,
-        };
-        let cluster = match kind {
-            LevelKind::Private => 1,
-            LevelKind::Shared => n_cores.max(1),
-            LevelKind::Island => spec.shared_by.cores_per_instance(n_cores),
-        };
-        let groups = n_cores.max(1) / cluster;
+        let n_cores = n_cores.max(1);
+        let cluster = spec.shared_by.cores_per_instance(n_cores).clamp(1, n_cores);
+        let groups = n_cores / cluster;
         let banks_per_group = spec.banks.max(1);
-        let pool = match kind {
-            LevelKind::Island => banks_per_group * groups,
-            _ => banks_per_group,
-        };
         Level {
-            kind,
+            private: matches!(spec.shared_by, SharedBy::Core | SharedBy::Cluster(0 | 1)),
             cluster,
             per_instance: Divisor::new(cluster),
             latency: spec.geom.latency,
             caches: (0..groups)
                 .map(|_| Cache::new(spec.geom.size, spec.geom.assoc))
                 .collect(),
-            bank_free: vec![0; pool],
+            bank_free: vec![0; banks_per_group * groups],
             bank_occupancy: spec.bank_occupancy,
             banks_per_group,
             bank_of: Divisor::new(banks_per_group),
@@ -155,19 +130,16 @@ impl Level {
         self.per_instance.div(core)
     }
 
+    /// `core`'s position in its instance: its sharer bit and owner id.
+    #[inline]
+    fn slot(&self, core: usize) -> usize {
+        self.per_instance.rem(core as u64)
+    }
+
     /// Member cores of instance `g`.
     #[inline]
     fn members(&self, g: usize) -> std::ops::Range<usize> {
         g * self.cluster..(g + 1) * self.cluster
-    }
-
-    #[inline]
-    fn bank_index(&self, g: usize, line: u64) -> usize {
-        // Shared and private L2s have one pool (`g` is ignored).
-        match self.kind {
-            LevelKind::Island => g * self.banks_per_group + self.bank_of.rem(line),
-            _ => self.bank_of.rem(line),
-        }
     }
 }
 
@@ -216,10 +188,10 @@ impl MemSys {
         self.counters = MemCounters::with_levels(1);
     }
 
-    /// The L2 is chip-shared: every transfer stays on chip.
+    /// One L2 instance: every transfer stays on chip.
     #[inline]
     fn single_realm(&self) -> bool {
-        self.l2.kind == LevelKind::Shared
+        self.l2.caches.len() == 1
     }
 
     /// A data load/store by `core` to cache line `line` (line number =
@@ -246,10 +218,7 @@ impl MemSys {
         let (idx, evicted) = self.cores.l1d[core].insert(line);
         self.cores.l1d[core].entry_mut(idx).dirty = write;
         if let Some(ev) = evicted {
-            if ev.dirty {
-                self.writeback_from_l1(core, ev.line);
-            }
-            self.drop_sharer(core, ev.line);
+            self.drop_l1d_victim(core, ev);
         }
         acc
     }
@@ -290,7 +259,8 @@ impl MemSys {
     fn fetch(&mut self, core: usize, line: u64, write: bool, is_instr: bool, now: u64) -> Access {
         let g = self.l2.group(core);
         let mut t = now;
-        if self.l2.kind != LevelKind::Private {
+        // Private rule 1: a one-core instance's demand port never queues.
+        if !self.l2.private {
             t = self.claim_bank(g, line, t);
         }
         if let Some(idx) = self.l2.caches[g].probe(line) {
@@ -300,12 +270,7 @@ impl MemSys {
             } else {
                 pl.hits_data += 1;
             }
-            let acc = match self.l2.kind {
-                LevelKind::Private => self.serve_hit_private(idx, core, line, write, is_instr, t),
-                LevelKind::Island | LevelKind::Shared => {
-                    self.serve_hit_directory(idx, core, line, write, is_instr, t)
-                }
-            };
+            let acc = self.serve_hit(idx, core, line, write, is_instr, t);
             self.counters.per_level[0].service_cycles += acc.ready_at.saturating_sub(now);
             return acc;
         }
@@ -315,11 +280,16 @@ impl MemSys {
         } else {
             pl.misses_data += 1;
         }
-        // Inclusive L2: fill it now, victim and all.
+        // Inclusive L2: fill it now, victim and all. Instruction lines
+        // are not sharer-tracked.
         let (idx, ev) = self.l2.caches[g].insert(line);
-        self.init_fill(g, idx, core, write, is_instr);
+        let slot = self.l2.slot(core);
+        let en = self.l2.caches[g].entry_mut(idx);
+        en.sharers = if is_instr { 0 } else { 1 << slot };
+        en.dirty_in_l1 = write;
+        en.owner = if write { slot as u8 } else { NO_OWNER };
         if let Some(ev) = ev {
-            self.handle_eviction(g, core, ev, false);
+            self.handle_eviction(g, ev, false);
         }
         t += self.l2.latency;
         self.serve_offchip(core, line, write, is_instr, t)
@@ -329,7 +299,7 @@ impl MemSys {
     /// after any queueing delay.
     fn claim_bank(&mut self, g: usize, line: u64, now: u64) -> u64 {
         let l2 = &mut self.l2;
-        let b = l2.bank_index(g, line);
+        let b = g * l2.banks_per_group + l2.bank_of.rem(line);
         let start = now.max(l2.bank_free[b]);
         if start > now {
             self.counters.l2_queue_cycles += start - now;
@@ -342,54 +312,10 @@ impl MemSys {
         start
     }
 
-    /// Initialize a freshly inserted L2 entry per the L2's coherence role.
-    fn init_fill(&mut self, g: usize, idx: usize, core: usize, write: bool, is_instr: bool) {
-        let kind = self.l2.kind;
-        let en = self.l2.caches[g].entry_mut(idx);
-        match kind {
-            LevelKind::Private => {
-                en.dirty = write;
-            }
-            LevelKind::Island | LevelKind::Shared => {
-                en.sharers = if is_instr { 0 } else { 1 << core };
-                en.dirty_in_l1 = write;
-                en.owner = if write { core as u8 } else { NO_OWNER };
-            }
-        }
-    }
-
-    /// Hit in a private L2 (the SMP node path).
-    fn serve_hit_private(
-        &mut self,
-        idx: usize,
-        core: usize,
-        line: u64,
-        write: bool,
-        is_instr: bool,
-        t: u64,
-    ) -> Access {
-        let g = self.l2.group(core);
-        if is_instr {
-            self.counters.l2_hits_instr += 1;
-        } else {
-            self.counters.l2_hits += 1;
-        }
-        if write {
-            self.l2.caches[g].entry_mut(idx).dirty = true;
-            if let Some(acc) = self.cross_realm_write(core, line, t) {
-                return acc;
-            }
-        }
-        Access {
-            ready_at: t + self.l2.latency,
-            class: MemClass::L2Hit,
-        }
-    }
-
     /// The write-side realm crossing shared by every ownership-claiming
-    /// path (private hit, directory hit, upgrade): if the L2 is not
-    /// chip-shared and another node caches the line, invalidate those
-    /// copies over the snoop bus and charge the coherence latency.
+    /// path (hit, upgrade): if there is more than one node and another
+    /// caches the line, invalidate those copies over the snoop bus and
+    /// charge the coherence latency.
     fn cross_realm_write(&mut self, core: usize, line: u64, t: u64) -> Option<Access> {
         if self.single_realm() || !self.foreign_copies_exist(core, line) {
             return None;
@@ -402,9 +328,9 @@ impl MemSys {
         })
     }
 
-    /// Hit in a shared or island L2: directory upkeep over the instance's
-    /// member L1s.
-    fn serve_hit_directory(
+    /// Hit in the core's L2 instance: directory upkeep over its member
+    /// L1s.
+    fn serve_hit(
         &mut self,
         idx: usize,
         core: usize,
@@ -414,10 +340,11 @@ impl MemSys {
         t: u64,
     ) -> Access {
         let g = self.l2.group(core);
+        let slot = self.l2.slot(core);
         let e = *self.l2.caches[g].entry(idx);
-        let peer_dirty = e.dirty_in_l1 && e.owner as usize != core && e.owner != NO_OWNER;
+        let peer_dirty = e.dirty_in_l1 && e.owner as usize != slot && e.owner != NO_OWNER;
         if peer_dirty {
-            let owner = e.owner as usize;
+            let owner = self.l2.members(g).start + e.owner as usize;
             if write {
                 self.cores.l1d[owner].invalidate(line);
             } else if let Some(j) = self.cores.l1d[owner].peek(line) {
@@ -431,10 +358,14 @@ impl MemSys {
         if write {
             self.take_ownership(g, idx, core, line);
             if let Some(acc) = self.cross_realm_write(core, line, t) {
+                // Private rule 4 (ROADMAP 10(i)): the hit counts too.
+                if self.l2.private {
+                    self.counters.l2_hits += 1;
+                }
                 return acc;
             }
         } else if !is_instr {
-            self.l2.caches[g].entry_mut(idx).sharers |= 1 << core;
+            self.l2.caches[g].entry_mut(idx).sharers |= 1 << slot;
         }
         let ready_at = if peer_dirty {
             self.counters.l1_to_l1 += 1;
@@ -454,24 +385,25 @@ impl MemSys {
     }
 
     /// Make `core` the sole sharer and dirty owner of entry `idx` of
-    /// directory instance `g`, invalidating every other member L1 copy
-    /// the directory tracks. Returns whether there was any.
+    /// instance `g`, invalidating every other member L1 copy the
+    /// directory tracks. Returns whether there was any.
     fn take_ownership(&mut self, g: usize, idx: usize, core: usize, line: u64) -> bool {
+        let slot = self.l2.slot(core);
         let en = self.l2.caches[g].entry_mut(idx);
-        let others = en.sharers & !(1u16 << core);
-        en.sharers = 1 << core;
+        let others = en.sharers & !(1u16 << slot);
+        en.sharers = 1 << slot;
         en.dirty_in_l1 = true;
-        en.owner = core as u8;
-        for n in self.l2.members(g) {
-            if n != core && (others >> n) & 1 == 1 {
+        en.owner = slot as u8;
+        for (s, n) in self.l2.members(g).enumerate() {
+            if (others >> s) & 1 == 1 {
                 self.cores.l1d[n].invalidate(line);
             }
         }
         others != 0
     }
 
-    /// The L2 missed: snoop the other nodes (if the L2 is not chip-shared)
-    /// or go straight to memory.
+    /// The L2 missed: snoop the other nodes (if there are any) or go
+    /// straight to memory.
     fn serve_offchip(
         &mut self,
         core: usize,
@@ -557,15 +489,9 @@ impl MemSys {
     /// nodes).
     fn upgrade(&mut self, core: usize, line: u64, now: u64) -> Access {
         let g = self.l2.group(core);
-        let mut charged = false;
-        if let Some(idx) = self.l2.caches[g].peek(line) {
-            match self.l2.kind {
-                LevelKind::Private => self.l2.caches[g].entry_mut(idx).dirty = true,
-                LevelKind::Island | LevelKind::Shared => {
-                    charged = self.take_ownership(g, idx, core, line);
-                }
-            }
-        }
+        let charged = self.l2.caches[g]
+            .peek(line)
+            .is_some_and(|idx| self.take_ownership(g, idx, core, line));
         if let Some(acc) = self.cross_realm_write(core, line, now) {
             return acc;
         }
@@ -588,69 +514,47 @@ impl MemSys {
 
     // ---------------------------------------------------- fills + evicts
 
-    /// Instruction lines are not sharer-tracked (`init_fill` gives them
-    /// no bits and only data hits set any), so an L1I victim needs no
+    /// Instruction lines are not sharer-tracked (`fetch` gives them no
+    /// bits and only data hits set any), so an L1I victim needs no
     /// directory upkeep.
     fn fill_l1i(&mut self, core: usize, line: u64) {
         self.cores.l1i[core].insert(line);
     }
 
-    /// Remove `core` from the line's sharer set after an L1 eviction.
-    fn drop_sharer(&mut self, core: usize, line: u64) {
-        if self.l2.kind == LevelKind::Private {
-            return;
-        }
-        let g = self.l2.group(core);
-        if let Some(idx) = self.l2.caches[g].peek(line) {
-            self.l2.caches[g].entry_mut(idx).sharers &= !(1u16 << core);
-        }
-    }
-
-    /// An L1 evicted a dirty line: fold the dirtiness into the L2 and
-    /// clear a now-stale L1-ownership record, which would otherwise
-    /// charge later readers a phantom L1-to-L1 transfer. A private L2
-    /// holds the line dirty already: every L1 write marks its entry.
-    fn writeback_from_l1(&mut self, core: usize, line: u64) {
-        if self.l2.kind == LevelKind::Private {
-            return;
-        }
-        let g = self.l2.group(core);
-        if let Some(idx) = self.l2.caches[g].peek(line) {
+    /// An L1D evicted `ev`: drop `core` from its sharers and, if it left
+    /// dirty, fold the dirtiness into the L2 and clear a now-stale
+    /// ownership record, which would otherwise charge later readers a
+    /// phantom L1-to-L1 transfer.
+    fn drop_l1d_victim(&mut self, core: usize, ev: Evicted) {
+        let (g, slot) = (self.l2.group(core), self.l2.slot(core));
+        if let Some(idx) = self.l2.caches[g].peek(ev.line) {
             let en = self.l2.caches[g].entry_mut(idx);
-            if en.dirty_in_l1 && en.owner as usize == core {
+            if ev.dirty && en.dirty_in_l1 && en.owner as usize == slot {
                 en.dirty_in_l1 = false;
                 en.owner = NO_OWNER;
                 en.dirty = true;
             }
+            en.sharers &= !(1u16 << slot);
         }
     }
 
     /// Inclusion upkeep after an eviction from L2 instance `g`: purge the
     /// line from the L1s it covers.
-    fn handle_eviction(&mut self, g: usize, origin: usize, ev: Evicted, prefetch: bool) {
+    fn handle_eviction(&mut self, g: usize, ev: Evicted, prefetch: bool) {
         self.counters.per_level[0].evictions += 1;
-        match (self.l2.kind, prefetch) {
-            (LevelKind::Private, false) => {
-                // Demand path: the owning core's L1s only.
-                self.cores.invalidate_all(origin, ev.line);
+        for (s, n) in self.l2.members(g).enumerate() {
+            if (ev.sharers >> s) & 1 == 1 {
+                self.cores.l1d[n].invalidate(ev.line);
             }
-            (LevelKind::Private, true) => {
-                // Prefetch path: the owning core's L1D, and the
-                // instruction line purged opportunistically everywhere.
-                self.cores.l1d[origin].invalidate(ev.line);
-                for l1i in &mut self.cores.l1i {
-                    l1i.invalidate(ev.line);
-                }
-            }
-            (LevelKind::Island | LevelKind::Shared, _) => {
-                for n in self.l2.members(g) {
-                    if (ev.sharers >> n) & 1 == 1 {
-                        self.cores.l1d[n].invalidate(ev.line);
-                    }
-                    // Instruction lines are not sharer-tracked; purge
-                    // opportunistically.
-                    self.cores.l1i[n].invalidate(ev.line);
-                }
+            // Instruction lines are not sharer-tracked; purge
+            // opportunistically.
+            self.cores.l1i[n].invalidate(ev.line);
+        }
+        // Private rule 3 (ROADMAP 10(h)): a prefetch's eviction purges
+        // the line from every core's L1I.
+        if prefetch && self.l2.private {
+            for l1i in &mut self.cores.l1i {
+                l1i.invalidate(ev.line);
             }
         }
     }
@@ -667,15 +571,16 @@ impl MemSys {
             return;
         }
         let g = self.l2.group(core);
-        // Prefetches ride the bank/bus port whatever the L2's kind (for a
-        // private L2 that is the chip-wide snoop port).
-        let t = self.claim_bank(g, line, now) + self.l2.latency;
+        // Private rule 2: one-core instances' prefetches share instance
+        // 0's banks, the chip-wide snoop port.
+        let port = if self.l2.private { 0 } else { g };
+        let t = self.claim_bank(port, line, now) + self.l2.latency;
         let ready = if self.l2.caches[g].probe(line).is_some() {
             t
         } else {
             let (_, ev) = self.l2.caches[g].insert(line);
             if let Some(ev) = ev {
-                self.handle_eviction(g, core, ev, true);
+                self.handle_eviction(g, ev, true);
             }
             t + self.p.mem_latency
         };
