@@ -128,8 +128,9 @@ impl BuildTable {
         };
         for m in matches {
             tc.load(addr, 16);
-            let mut combined = row.to_vec();
-            combined.extend(m.iter().cloned());
+            let mut combined = Vec::with_capacity(row.len() + m.len());
+            combined.extend_from_slice(row);
+            combined.extend_from_slice(m);
             out.push(combined);
         }
         true

@@ -6,9 +6,11 @@
 //! byte columns:
 //!
 //! * **kinds** — a run-length column of op kinds (`Exec`, `Load`,
-//!   dependent `Load`, `Store`, and the markers), stored as
-//!   `(kind, run)` byte pairs. Engine traces are bursty (runs of loads
-//!   inside a scan, runs of exec charges), so runs are long.
+//!   dependent `Load`, `Store`, and the markers). A run is one byte, the
+//!   kind in the high nibble and a length of 1–15 in the low nibble; a
+//!   run of 16–255 is two bytes, low nibble 0 and then the length.
+//!   Engine traces alternate exec runs and accesses, so most runs are
+//!   1–3 events long and most events cost at most one kinds byte.
 //! * **mem** — for each load/store, a zigzag-varint *delta* from the
 //!   previous access address in the same segment, then a varint size.
 //!   Accesses are overwhelmingly near-sequential or strided, so deltas
@@ -19,6 +21,10 @@
 //! * **remote** — for each `RemoteSend`/`RemoteRecv` marker, a varint
 //!   message size. Empty (zero bytes) for single-instance traces.
 //!
+//! A sealed segment holds its four columns back to back in one
+//! exact-size heap allocation, so the memory a retained trace takes is
+//! its encoded bytes plus a fixed header per segment.
+//!
 //! The codec is **lossless**: decode returns exactly the
 //! [`Event`] sequence that was encoded, byte-identical (after
 //! [`Event::pack`]) to the legacy flat stream. That guarantee is gated
@@ -26,10 +32,10 @@
 //! the golden anchor in `tests/validation.rs`.
 //!
 //! One encoder writes those columns: `SegmentEncoder` appends an event
-//! at a time to an open segment. The `Tracer` owns one and feeds it
-//! directly as the engine records, so an event is encoded exactly once
-//! and never staged in packed form; [`Segment::encode`] is a loop over
-//! the same encoder.
+//! at a time to the columns of an open segment. The `Tracer` owns one
+//! and feeds it directly as the engine records, so an event is encoded
+//! exactly once and never staged in packed form; [`Segment::encode`] is
+//! a loop over the same encoder.
 //!
 //! [`TraceSink`] is the capture seam: a `Tracer` seals its open segment
 //! every [`SEGMENT_EVENTS`] events and emits it into a sink instead of
@@ -52,10 +58,12 @@ use crate::region::RegionId;
 pub const SEGMENT_EVENTS: usize = 4096;
 
 /// The most bytes one event can add to a segment: a load or store — a
-/// `(kind, run)` pair, a 7-byte zig-zag delta (49 significant bits)
-/// and a 2-byte size. [`SEGMENT_EVENTS`] times this bounds what a
-/// recording [`Tracer`](crate::Tracer) holds outside its sink.
-pub const MAX_EVENT_BYTES: usize = 11;
+/// one-byte kinds run, a 7-byte zig-zag delta (49 significant bits)
+/// and a 2-byte size. (A run's escape byte comes with its 16th event,
+/// which adds no run byte of its own.) [`SEGMENT_EVENTS`] times this
+/// bounds what a recording [`Tracer`](crate::Tracer) holds outside its
+/// sink.
+pub const MAX_EVENT_BYTES: usize = 10;
 
 thread_local! {
     /// [`Segment::decode_into`] calls made by this thread.
@@ -71,8 +79,9 @@ pub fn segments_decoded() -> u64 {
     SEGMENTS_DECODED.with(Cell::get)
 }
 
-// Kind codes for the run-length column. Load/LoadDep are distinct kinds
-// so the dep flag rides the RLE column and memory entries stay uniform.
+// Kind codes for the run-length column, one nibble each. Load/LoadDep
+// are distinct kinds so the dep flag rides the RLE column and memory
+// entries stay uniform.
 const K_EXEC: u8 = 0;
 const K_LOAD: u8 = 1;
 const K_LOAD_DEP: u8 = 2;
@@ -84,7 +93,9 @@ const K_WAKE: u8 = 7;
 const K_REMOTE_SEND: u8 = 8;
 const K_REMOTE_RECV: u8 = 9;
 
-const NO_KIND: u8 = u8::MAX;
+/// The longest run one kinds byte holds in its low nibble; longer runs
+/// take the escape (nibble 0, then a length byte).
+const NIBBLE_RUN: u32 = 15;
 const MAX_RUN: u32 = 255;
 
 /// LEB128. One- and two-byte values — nearly every region id,
@@ -136,60 +147,53 @@ fn unzigzag(v: u64) -> i64 {
 pub struct Segment {
     /// Decoded event count.
     len: u32,
-    /// Run-length op-kind column: `(kind, run)` byte pairs.
-    kinds: Vec<u8>,
-    /// Memory column: zigzag-varint address delta + varint size per
-    /// load/store, in stream order.
-    mem: Vec<u8>,
-    /// Exec column: varint region id + varint instruction count per
-    /// exec run, in stream order.
-    exec: Vec<u8>,
-    /// Remote column: varint message size per remote send/recv marker,
-    /// in stream order. Empty for traces with no cross-instance traffic,
-    /// so single-chip segments are byte-identical to the pre-deployment
-    /// format.
-    remote: Vec<u8>,
+    /// Where the kinds, mem and exec columns end in `cols`; the remote
+    /// column runs from the last to the end.
+    ends: [usize; 3],
+    /// The four columns back to back, in one exact-size allocation:
+    /// run-length op kinds; zigzag-varint address delta + varint size
+    /// per load/store; varint region id + varint instruction count per
+    /// exec run; varint message size per remote send/recv marker (empty
+    /// for traces with no cross-instance traffic). Each in stream order.
+    cols: Box<[u8]>,
 }
 
 /// The one encoder of the columnar format: appends events to the four
-/// columns of an open segment, one at a time, and hands the segment
-/// over when asked. Fields are masked exactly as
+/// columns of an open segment, one at a time, and seals them into a
+/// [`Segment`] when asked. The columns are scratch that [`Self::seal`]
+/// copies out and clears, so their capacity carries over to the next
+/// segment. Fields are masked exactly as
 /// [`PackedEvent::exec`]/[`load`](PackedEvent::load)/[`store`](PackedEvent::store)
 /// mask them, so feeding an event directly and feeding it through its
 /// packed word produce the same bytes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct SegmentEncoder {
-    seg: Segment,
-    /// The open run of the kinds column, not yet written.
+    /// Events appended since the last [`Self::seal`].
+    len: u32,
+    kinds: Vec<u8>,
+    mem: Vec<u8>,
+    exec: Vec<u8>,
+    remote: Vec<u8>,
+    /// The open run of the kinds column, not yet written (`run == 0`:
+    /// none, whatever `run_kind` holds).
     run_kind: u8,
     run: u32,
     prev_addr: i64,
-}
-
-impl Default for SegmentEncoder {
-    fn default() -> Self {
-        SegmentEncoder {
-            seg: Segment::default(),
-            run_kind: NO_KIND,
-            run: 0,
-            prev_addr: 0,
-        }
-    }
 }
 
 impl SegmentEncoder {
     /// Events appended since the last [`Self::seal`].
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.seg.len as usize
+        self.len as usize
     }
 
     /// Encoded bytes of the events appended since the last
     /// [`Self::seal`] (the open kinds run counted as written).
     #[cfg(test)]
     pub(crate) fn encoded_bytes(&self) -> usize {
-        let s = &self.seg;
-        s.kinds.len() + 2 * (self.run > 0) as usize + s.mem.len() + s.exec.len() + s.remote.len()
+        let run_bytes = (self.run > 0) as usize + (self.run > NIBBLE_RUN) as usize;
+        self.kinds.len() + run_bytes + self.mem.len() + self.exec.len() + self.remote.len()
     }
 
     // The typed appends are `inline(always)`: each is the whole encoding
@@ -200,8 +204,8 @@ impl SegmentEncoder {
     #[inline(always)]
     pub(crate) fn exec(&mut self, region: RegionId, instrs: u32) {
         debug_assert!(region as u64 <= REGION_MASK);
-        put_varint(&mut self.seg.exec, region as u64 & REGION_MASK);
-        put_varint(&mut self.seg.exec, instrs as u64);
+        put_varint(&mut self.exec, region as u64 & REGION_MASK);
+        put_varint(&mut self.exec, instrs as u64);
         self.kind(K_EXEC);
     }
 
@@ -217,8 +221,8 @@ impl SegmentEncoder {
              (release builds would silently mask it)"
         );
         let addr = (addr & ADDR_MASK) as i64;
-        put_varint(&mut self.seg.mem, zigzag(addr - self.prev_addr));
-        put_varint(&mut self.seg.mem, size as u64 & SIZE_MASK);
+        put_varint(&mut self.mem, zigzag(addr - self.prev_addr));
+        put_varint(&mut self.mem, size as u64 & SIZE_MASK);
         self.prev_addr = addr;
         self.kind(kind as u8);
     }
@@ -226,14 +230,14 @@ impl SegmentEncoder {
     /// Append a remote send or recv marker with its message size.
     #[inline(always)]
     fn remote(&mut self, kind: u8, bytes: u32) {
-        put_varint(&mut self.seg.remote, bytes as u64);
+        put_varint(&mut self.remote, bytes as u64);
         self.kind(kind);
     }
 
     /// Count one event of `kind` into the run-length column.
     #[inline(always)]
     fn kind(&mut self, kind: u8) {
-        self.seg.len += 1;
+        self.len += 1;
         if kind == self.run_kind && self.run < MAX_RUN {
             self.run += 1;
         } else {
@@ -270,35 +274,41 @@ impl SegmentEncoder {
         }
     }
 
+    /// Write the open run, if any: one byte up to [`NIBBLE_RUN`], else
+    /// the two-byte escape.
     #[inline]
     fn flush_run(&mut self) {
-        if self.run > 0 {
-            self.seg
-                .kinds
-                .extend_from_slice(&[self.run_kind, self.run as u8]);
+        let head = self.run_kind << 4;
+        match self.run {
+            0 => {}
+            1..=NIBBLE_RUN => self.kinds.push(head | self.run as u8),
+            _ => self.kinds.extend_from_slice(&[head, self.run as u8]),
         }
     }
 
-    /// Close the open segment and start an empty one (the address-delta
-    /// base resets, so every segment decodes independently). The new
-    /// columns start at the sealed ones' sizes plus an eighth: a trace's
-    /// consecutive segments are alike, so most never reallocate.
+    /// Close the open segment, copying its columns into the sealed
+    /// segment's one allocation, and start an empty one (the
+    /// address-delta base resets, so every segment decodes
+    /// independently).
     pub(crate) fn seal(&mut self) -> Segment {
         self.flush_run();
-        let like = |col: &Vec<u8>| Vec::with_capacity(col.len() + col.len() / 8);
-        let s = &self.seg;
+        let cols = [&self.kinds, &self.mem, &self.exec, &self.remote];
+        let end = |n: usize| cols[..n].iter().map(|c| c.len()).sum();
         let seg = Segment {
-            len: 0,
-            kinds: like(&s.kinds),
-            mem: like(&s.mem),
-            exec: like(&s.exec),
-            remote: like(&s.remote),
+            len: self.len,
+            ends: [end(1), end(2), end(3)],
+            cols: cols.map(Vec::as_slice).concat().into_boxed_slice(),
         };
-        let next = SegmentEncoder {
-            seg,
-            ..SegmentEncoder::default()
-        };
-        std::mem::replace(self, next).seg
+        for col in [
+            &mut self.kinds,
+            &mut self.mem,
+            &mut self.exec,
+            &mut self.remote,
+        ] {
+            col.clear();
+        }
+        (self.len, self.run, self.prev_addr) = (0, 0, 0);
+        seg
     }
 }
 
@@ -333,20 +343,25 @@ impl Segment {
         let mut exec_pos = 0usize;
         let mut remote_pos = 0usize;
         let mut prev_addr = 0i64;
-        let mut pair = 0usize;
-        while pair + 1 < self.kinds.len() {
-            let kind = self.kinds[pair];
-            let run = self.kinds[pair + 1] as usize;
-            pair += 2;
+        let (kinds, mem) = (self.kinds(), self.mem());
+        let (exec, remote) = (self.exec(), self.remote());
+        let mut at = 0usize;
+        while at < kinds.len() {
+            let (kind, mut run) = (kinds[at] >> 4, (kinds[at] & 0xF) as usize);
+            at += 1;
+            if run == 0 {
+                run = kinds[at] as usize;
+                at += 1;
+            }
             for _ in 0..run {
                 out.push(match kind {
                     K_EXEC => {
-                        let region = get_varint(&self.exec, &mut exec_pos) as RegionId;
-                        let instrs = get_varint(&self.exec, &mut exec_pos) as u32;
+                        let region = get_varint(exec, &mut exec_pos) as RegionId;
+                        let instrs = get_varint(exec, &mut exec_pos) as u32;
                         Event::Exec { region, instrs }
                     }
                     K_LOAD | K_LOAD_DEP | K_STORE => {
-                        let (addr, size) = self.next_access(&mut mem_pos, &mut prev_addr);
+                        let (addr, size) = Self::next_access(mem, &mut mem_pos, &mut prev_addr);
                         match kind {
                             K_STORE => Event::Store { addr, size },
                             k => Event::Load {
@@ -360,10 +375,10 @@ impl Segment {
                     K_UNIT_END => Event::UnitEnd,
                     K_BLOCK => Event::Block,
                     K_REMOTE_SEND => Event::RemoteSend {
-                        bytes: get_varint(&self.remote, &mut remote_pos) as u32,
+                        bytes: get_varint(remote, &mut remote_pos) as u32,
                     },
                     K_REMOTE_RECV => Event::RemoteRecv {
-                        bytes: get_varint(&self.remote, &mut remote_pos) as u32,
+                        bytes: get_varint(remote, &mut remote_pos) as u32,
                     },
                     _ => Event::Wake,
                 });
@@ -375,9 +390,9 @@ impl Segment {
     /// Read one `(addr, size)` entry of the `mem` column at `pos`,
     /// advancing `pos` and the running delta base.
     #[inline]
-    fn next_access(&self, pos: &mut usize, prev_addr: &mut i64) -> (u64, u16) {
-        *prev_addr += unzigzag(get_varint(&self.mem, pos));
-        let size = get_varint(&self.mem, pos) as u16;
+    fn next_access(mem: &[u8], pos: &mut usize, prev_addr: &mut i64) -> (u64, u16) {
+        *prev_addr += unzigzag(get_varint(mem, pos));
+        let size = get_varint(mem, pos) as u16;
         // Inverse of encode's zigzag delta: reconstructs the exact u64 the
         // encoder masked, so the cast cannot truncate further.
         (*prev_addr as u64, size)
@@ -387,9 +402,9 @@ impl Segment {
     /// the `mem` column alone: no [`Event`] is built and
     /// [`segments_decoded`] does not move.
     pub(crate) fn accesses(&self) -> impl Iterator<Item = (u64, u16)> + '_ {
-        let (mut pos, mut prev_addr) = (0, 0);
+        let (mem, mut pos, mut prev_addr) = (self.mem(), 0, 0);
         std::iter::from_fn(move || {
-            (pos < self.mem.len()).then(|| self.next_access(&mut pos, &mut prev_addr))
+            (pos < mem.len()).then(|| Self::next_access(mem, &mut pos, &mut prev_addr))
         })
     }
 
@@ -411,11 +426,27 @@ impl Segment {
         self.len == 0
     }
 
-    /// Encoded size in bytes: the three columns plus a 4-byte length
-    /// header (the honest wire size; in-memory `Vec` capacity overhead
-    /// is not counted).
-    pub(crate) fn encoded_bytes(&self) -> usize {
-        4 + self.kinds.len() + self.mem.len() + self.exec.len() + self.remote.len()
+    /// Encoded size in bytes: the four columns plus a 4-byte length
+    /// header. The columns are also exactly the segment's heap
+    /// allocation.
+    pub fn encoded_bytes(&self) -> usize {
+        4 + self.cols.len()
+    }
+
+    fn kinds(&self) -> &[u8] {
+        &self.cols[..self.ends[0]]
+    }
+
+    fn mem(&self) -> &[u8] {
+        &self.cols[self.ends[0]..self.ends[1]]
+    }
+
+    fn exec(&self) -> &[u8] {
+        &self.cols[self.ends[1]..self.ends[2]]
+    }
+
+    fn remote(&self) -> &[u8] {
+        &self.cols[self.ends[2]..]
     }
 }
 
@@ -558,20 +589,72 @@ mod tests {
         // Traces without remote traffic leave the column empty — the
         // encoded size is unchanged from the pre-deployment format.
         let seg = Segment::encode(&[PackedEvent::fence(), PackedEvent::load(64, 8, false)]);
-        assert_eq!(seg.remote.len(), 0);
+        assert_eq!(seg.remote().len(), 0);
     }
 
     #[test]
     fn long_runs_cross_rle_limit() {
-        // 1000 identical loads: runs must split at 255 and rejoin.
-        let events: Vec<Event> = (0..1000)
-            .map(|i| Event::Load {
-                addr: 0x4000 + i * 64,
+        // Runs of every kind on both sides of the one-byte limit (15),
+        // the escape's limit (255) and past it, each closed by one event
+        // of the next kind: the run must split at 255 and rejoin, and the
+        // kinds column costs one byte per run of up to 15 events and two
+        // above.
+        let every_kind = [
+            Event::Exec {
+                region: 3,
+                instrs: 40,
+            },
+            Event::Load {
+                addr: 0x4000,
                 size: 8,
-                dep: i % 2 == 0,
-            })
-            .collect();
-        roundtrip(&events);
+                dep: false,
+            },
+            Event::Load {
+                addr: 0x4000,
+                size: 8,
+                dep: true,
+            },
+            Event::Store {
+                addr: 0x4000,
+                size: 8,
+            },
+            Event::Fence,
+            Event::UnitEnd,
+            Event::Block,
+            Event::Wake,
+            Event::RemoteSend { bytes: 96 },
+            Event::RemoteRecv { bytes: 64 },
+        ];
+        let nth = |ev: Event, i: u64| match ev {
+            Event::Load { addr, size, dep } => Event::Load {
+                addr: addr + i * 64,
+                size,
+                dep,
+            },
+            Event::Store { addr, size } => Event::Store {
+                addr: addr + i * 64,
+                size,
+            },
+            other => other,
+        };
+        let run_bytes = |r: usize| {
+            let tail = match r % MAX_RUN as usize {
+                0 => 0,
+                1..=15 => 1,
+                _ => 2,
+            };
+            2 * (r / MAX_RUN as usize) + tail
+        };
+        for (k, &ev) in every_kind.iter().enumerate() {
+            for run in [1, 15, 16, 17, 255, 256, 4096] {
+                let mut events: Vec<Event> = (0..run as u64).map(|i| nth(ev, i)).collect();
+                events.push(every_kind[(k + 1) % every_kind.len()]);
+                roundtrip(&events);
+                let packed: Vec<PackedEvent> = events.iter().map(|e| e.pack()).collect();
+                let seg = Segment::encode(&packed);
+                assert_eq!(seg.kinds().len(), run_bytes(run) + 1, "{ev:?} x {run}");
+            }
+        }
     }
 
     #[test]
@@ -621,7 +704,7 @@ mod tests {
         enc.exec(1023, u32::MAX);
         enc.push(Event::RemoteSend { bytes: u32::MAX });
         assert!(enc.encoded_bytes() < 102 * MAX_EVENT_BYTES);
-        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 11 + 9 + 7);
+        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 10 + 8 + 6);
     }
 
     #[test]

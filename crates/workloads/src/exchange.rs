@@ -196,17 +196,26 @@ pub fn exchange_rows(
                     }
                 }
             }
-            let build_out = (0..n)
-                .map(|q| {
-                    let mut rows = build_frags[q].clone();
-                    for (p, sent) in build_frags.iter().enumerate() {
-                        if p != q {
-                            deliver(&mut traffic, bufs, tcs, p, q, sent, &mut rows);
-                        }
+            // Every instance but the last receives copies; the last
+            // takes the original fragments.
+            let mut build_out = Vec::with_capacity(n);
+            for q in 0..n.saturating_sub(1) {
+                let mut rows = build_frags[q].clone();
+                for (p, sent) in build_frags.iter().enumerate() {
+                    if p != q {
+                        deliver(&mut traffic, bufs, tcs, p, q, sent.clone(), &mut rows);
                     }
-                    rows
-                })
-                .collect();
+                }
+                build_out.push(rows);
+            }
+            let mut frags = build_frags;
+            if let Some(mut rows) = frags.pop() {
+                let q = frags.len();
+                for (p, sent) in frags.into_iter().enumerate() {
+                    deliver(&mut traffic, bufs, tcs, p, q, sent, &mut rows);
+                }
+                build_out.push(rows);
+            }
             (build_out, probe_frags, traffic)
         }
         ExchangeStrategy::Shuffle => {
@@ -242,7 +251,7 @@ pub fn exchange_rows(
                             continue;
                         }
                         let inbound = std::mem::take(&mut sent[q]);
-                        deliver(&mut traffic, bufs, tcs, p, q, &inbound, &mut kept[q]);
+                        deliver(&mut traffic, bufs, tcs, p, q, inbound, &mut kept[q]);
                     }
                 }
                 kept
@@ -264,14 +273,14 @@ pub(crate) fn ship_rows(
     tcs: &mut [&mut TraceCtx],
     from: usize,
     to: usize,
-    rows: &[Row],
+    rows: Vec<Row>,
     out: &mut Vec<Row>,
 ) {
     if from == to {
-        out.extend(rows.iter().cloned());
+        out.extend(rows);
         return;
     }
-    for row in rows {
+    for row in &rows {
         stage(bufs, tcs, from, row);
     }
     deliver(traffic, bufs, tcs, from, to, rows, out);
@@ -297,13 +306,13 @@ fn deliver(
     tcs: &mut [&mut TraceCtx],
     from: usize,
     to: usize,
-    rows: &[Row],
+    rows: Vec<Row>,
     out: &mut Vec<Row>,
 ) {
     if rows.is_empty() {
         return;
     }
-    let bytes = (u64::from(MSG_HEADER_BYTES) + rows_bytes(rows)) as u32;
+    let bytes = (u64::from(MSG_HEADER_BYTES) + rows_bytes(&rows)) as u32;
     tcs[from].fence();
     tcs[from].remote_send(bytes);
     tcs[to].remote_recv(bytes);
@@ -311,13 +320,13 @@ fn deliver(
     traffic.sent_bytes += bytes as u64;
     traffic.recv_bytes += bytes as u64;
     traffic.shipped_rows += rows.len() as u64;
-    for row in rows {
+    for row in &rows {
         let w = row_bytes(row);
         tcs[to].charge(tcs[to].r.tuple, instr::TUPLE_DECODE);
         let addr = bufs.recv[to].slot(w);
         tcs[to].load(addr, w as u32);
-        out.push(row.clone());
     }
+    out.extend(rows);
 }
 
 #[cfg(test)]
@@ -453,7 +462,15 @@ mod tests {
         let rows = int_rows(&[10, 11]);
         let mut out = Vec::new();
         let mut traffic = ExchangeTraffic::default();
-        ship_rows(&mut traffic, &mut bufs, &mut tcs, 1, 0, &rows, &mut out);
+        ship_rows(
+            &mut traffic,
+            &mut bufs,
+            &mut tcs,
+            1,
+            0,
+            rows.clone(),
+            &mut out,
+        );
         assert_eq!(out, rows);
         assert_eq!(traffic.messages, 1);
         assert_eq!(

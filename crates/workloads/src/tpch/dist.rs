@@ -326,7 +326,7 @@ impl DistUnit<'_> {
             })
             .collect();
         let (home, mut all) = (self.home, Vec::new());
-        for (p, rows) in partials.iter().enumerate() {
+        for (p, rows) in partials.into_iter().enumerate() {
             let traffic = &mut self.stats.traffic;
             ship_rows(traffic, self.bufs, &mut self.tcs, p, home, rows, &mut all);
         }

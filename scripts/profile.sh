@@ -8,8 +8,10 @@
 # (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) and the SIGPROF sampler
 # scripts/sigprof.c with the system gcc, runs
 # `bench_pipeline --workload <workload> --trace 0 --reps 4` with the
-# sampler preloaded (one sample per millisecond of process CPU time, every
-# thread), and prints the 20 largest shares of each table. The symbol is
+# sampler preloaded (a sample asked for every millisecond of process CPU
+# time, every thread), and prints the process's CPU seconds as measured at
+# exit, the sample period they give (the kernel may tick coarser than the
+# 1 ms asked for), and the 20 largest shares of each table. The symbol is
 # the binary's own symbol table entry (nm) the sample lies in, the
 # function the code was compiled into. addr2line's innermost inlined frame
 # gives the source line, and its outermost frame's source path the crate.
@@ -19,7 +21,7 @@
 # samples.
 set -euo pipefail
 
-[ $# -eq 1 ] || { sed -n '2,19p' "$0" >&2; exit 2; }
+[ $# -eq 1 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
 workload=$1
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -38,7 +40,9 @@ python3 - "$bin" "$dir/samples.tsv" <<'EOF'
 import bisect, collections, os, re, subprocess, sys
 
 binary, samples = sys.argv[1:]
-rows = [line.rstrip("\n").split("\t") for line in open(samples)]
+lines = open(samples).read().splitlines()
+cpu_s = float(lines[0].split()[2])  # "# cpu_s <seconds>", sigprof.c's header
+rows = [line.split("\t") for line in lines[1:]]
 ours = lambda obj: obj in ("", binary) or os.path.basename(obj) == os.path.basename(binary)
 offsets = sorted({int(off, 16) for obj, off, _ in rows if ours(obj)})
 
@@ -93,7 +97,7 @@ for obj, off, sym in rows:
         by[k][v] += 1
 
 n = len(rows)
-print(f"{n} samples ({n / 1000:.1f} s of CPU at 1 ms each)")
+print(f"{n} samples over {cpu_s:.2f} s of CPU (one per {1000 * cpu_s / max(n, 1):.2f} ms)")
 for k, title in (("crate", "crate"), ("symbol", "symbol"),
                  ("line", "innermost source line")):
     print(f"\n| share | samples | {title} |\n|---:|---:|---|")

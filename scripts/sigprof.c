@@ -3,10 +3,12 @@
  *
  * When $SIGPROF_OUT is set, it arms ITIMER_PROF to fire every millisecond
  * of the process's CPU time, across all its threads, and records the
- * interrupted program counter. At exit it writes one line per sample to
- * $SIGPROF_OUT: the object the counter lies in, the offset into it, and
- * the nearest exported symbol ("-" if none), separated by tabs. Without
- * $SIGPROF_OUT it does nothing.
+ * interrupted program counter. The kernel may fire it less often (every
+ * few milliseconds on a coarse tick), so at exit it writes to $SIGPROF_OUT
+ * first the process's CPU time, read from CLOCK_PROCESS_CPUTIME_ID, as one
+ * line "# cpu_s <seconds>", then one line per sample: the object the
+ * counter lies in, the offset into it, and the nearest exported symbol
+ * ("-" if none), separated by tabs. Without $SIGPROF_OUT it does nothing.
  *
  *   gcc -O2 -shared -fPIC -o sigprof.so scripts/sigprof.c -ldl
  */
@@ -18,6 +20,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1u << 20)
@@ -63,9 +66,12 @@ __attribute__((destructor)) static void stop(void) {
     if (!path)
         return;
     set_timer(0);
+    struct timespec cpu = {0};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
     FILE *out = fopen(path, "w");
     if (!out)
         return;
+    fprintf(out, "# cpu_s %.3f\n", cpu.tv_sec + cpu.tv_nsec / 1e9);
     unsigned n = atomic_load(&n_samples);
     if (n > MAX_SAMPLES)
         n = MAX_SAMPLES;
