@@ -61,7 +61,7 @@ fn island_cluster_sizes(cores: usize) -> Vec<usize> {
 /// Instance counts swept at a given core budget: the island divisor
 /// chain read the other way — one fat instance, one per island size,
 /// one per core.
-pub fn deploy_instance_counts(cores: usize) -> Vec<usize> {
+pub(crate) fn deploy_instance_counts(cores: usize) -> Vec<usize> {
     island_cluster_sizes(cores)
         .into_iter()
         .map(|k| cores / k)

@@ -18,7 +18,7 @@ pub mod report;
 pub mod taxonomy;
 pub mod workload;
 
-pub use deploy::{deploy_capture, deploy_instance_counts, fig_deploy, DeployPoint};
+pub use deploy::{deploy_capture, fig_deploy, DeployPoint};
 pub use experiment::{
     grid, run_completion, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
 };

@@ -44,7 +44,7 @@ enum RobSlot {
 
 #[derive(Debug)]
 pub(crate) struct FatCore {
-    pub(crate) base: CtxBase,
+    base: CtxBase,
     rob: VecDeque<RobSlot>,
     /// Instructions currently in the window.
     rob_instrs: usize,

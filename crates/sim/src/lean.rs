@@ -24,7 +24,7 @@ use crate::stats::CycleClass;
 
 #[derive(Debug)]
 pub(crate) struct LeanCore {
-    pub(crate) ctxs: Vec<CtxBase>,
+    ctxs: Vec<CtxBase>,
     rr: usize,
     width: usize,
     pipeline_depth: u64,
@@ -319,13 +319,37 @@ fn issue_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
+    use crate::builder::MachineBuilder;
+    use crate::machine::RunMode;
+    use crate::stats::SimResult;
     use dbcmp_trace::{CodeRegions, ThreadTrace, TraceBundle, Tracer};
 
-    fn bundle(traces: Vec<ThreadTrace>) -> TraceBundle {
+    /// Every trace once; a run that stops short of `MAX` finished them all.
+    const MAX: u64 = 100_000;
+    const DONE: RunMode = RunMode::Completion { max_cycles: MAX };
+
+    /// `traces` on one 2-wide core with `contexts` contexts (thread i on
+    /// context i mod `contexts`), and its spans in order: `spans[0]` is
+    /// cycle 0's, and each starts where the one before it ended.
+    fn run(
+        cfg: MachineConfig,
+        mode: RunMode,
+        contexts: usize,
+        traces: Vec<ThreadTrace>,
+    ) -> (SimResult, Vec<Tick>) {
+        let cfg = MachineConfig {
+            slots: vec![CoreKind::Lean { width: 2, contexts }],
+            ..cfg
+        };
         let mut regions = CodeRegions::new();
         regions.add("r0", 4096, 0.0);
-        TraceBundle::new(regions, traces)
+        let b = TraceBundle::new(regions, traces);
+        let mut spans = Vec::new();
+        let r = MachineBuilder::from_config(cfg, mode)
+            .build(&b)
+            .expect("valid config")
+            .execute_seen(&mut |_, _, tick| spans.push(tick));
+        (r, spans)
     }
 
     fn exec(instrs: u32) -> ThreadTrace {
@@ -340,104 +364,63 @@ mod tests {
         t.finish()
     }
 
-    /// A `contexts`-context core, thread i of `b` bound to context i.
-    fn setup<'a>(
-        cfg: &MachineConfig,
-        b: &'a TraceBundle,
-        contexts: usize,
-    ) -> (LeanCore, Shared<'a>) {
-        let mut core = LeanCore::new(cfg, contexts, 2);
-        for (i, ctx) in core.ctxs.iter_mut().take(b.threads.len()).enumerate() {
-            ctx.thread = Some(i);
-        }
-        (core, Shared::new(cfg, b, false))
-    }
-
     fn no_stream_buf() -> MachineConfig {
         let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
         cfg.stream_buf = 0;
         cfg
     }
 
-    /// Call the core every cycle until every thread is done.
-    fn run_until_done(core: &mut LeanCore, s: &mut Shared<'_>, from: u64, max: u64) {
-        let mut now = from;
-        while !s.threads.iter().all(|t| t.done) && now < max {
-            core.cycle(0, now, now + 1, s);
-            now += 1;
-        }
-    }
-
     #[test]
     fn pure_compute_completes_and_counts() {
-        let cfg = no_stream_buf();
-        let b = bundle(vec![exec(100)]);
-        let (mut core, mut s) = setup(&cfg, &b, 4);
-
+        let (r, spans) = run(no_stream_buf(), DONE, 4, vec![exec(100)]);
         // First cycle: cold I-miss blocks.
-        let c0 = core.cycle(0, 0, 1, &mut s).class.unwrap();
+        let c0 = spans[0].class.unwrap();
         assert!(matches!(c0, CycleClass::IStallMem | CycleClass::IStallL2));
-        run_until_done(&mut core, &mut s, 1, 10_000);
-        assert!(s.threads[0].done);
-        assert_eq!(s.ctl.instrs, 100);
+        assert!(r.cycles < MAX);
+        assert_eq!(r.instrs, 100);
     }
 
     #[test]
     fn data_miss_overlapped_by_other_context() {
-        let cfg = no_stream_buf();
         // Thread 0: a single cold load (misses to memory). Thread 1: pure
         // compute.
-        let b = bundle(vec![cold_load(), exec(50)]);
-        let (mut core, mut s) = setup(&cfg, &b, 4);
-
-        let mut compute = 0u64;
-        for now in 0..3000u64 {
-            if let Some(CycleClass::Compute) = core.cycle(0, now, now + 1, &mut s).class {
-                compute += 1;
-            }
-            if s.threads.iter().all(|t| t.done) {
-                break;
-            }
-        }
-        assert!(s.threads.iter().all(|t| t.done));
+        let (r, _) = run(no_stream_buf(), DONE, 4, vec![cold_load(), exec(50)]);
+        assert!(r.cycles < MAX);
         // Thread 1's 50 instructions must have overlapped the miss.
+        let compute = r.breakdown.get(CycleClass::Compute);
         assert!(compute >= 25, "compute={compute}");
     }
 
     #[test]
     fn all_blocked_charges_memory_stall() {
-        let cfg = no_stream_buf();
-        let b = bundle(vec![cold_load()]);
-        let (mut core, mut s) = setup(&cfg, &b, 4);
-
+        let (_, spans) = run(no_stream_buf(), DONE, 4, vec![cold_load()]);
         // Cycle 0 initiates the miss (charged as the stall class directly).
-        let c0 = core.cycle(0, 0, 1, &mut s).class.unwrap();
-        assert_eq!(c0, CycleClass::DStallMem);
+        assert_eq!(spans[0], Tick::once(CycleClass::DStallMem, 0));
         // Subsequent cycle: the only context is blocked.
-        let c1 = core.cycle(0, 1, 2, &mut s).class.unwrap();
-        assert_eq!(c1, CycleClass::DStallMem);
+        assert_eq!(spans[1].class, Some(CycleClass::DStallMem));
     }
 
     #[test]
     fn inactive_core_reports_none() {
-        let cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
-        let b = bundle(vec![]);
-        let (mut core, mut s) = setup(&cfg, &b, 4);
-        assert!(core.cycle(0, 0, 1, &mut s).class.is_none());
+        // A completion run without threads ends before its first cycle.
+        let mode = RunMode::Throughput {
+            warmup: 10,
+            measure: 10,
+        };
+        let (_, spans) = run(no_stream_buf(), mode, 4, vec![]);
+        assert!(!spans.is_empty());
+        assert!(spans.iter().all(|t| t.class.is_none()));
     }
 
     #[test]
     fn unit_end_records_latency() {
-        let cfg = no_stream_buf();
         let mut t0 = Tracer::recording();
         t0.exec(0, 10);
         t0.unit_end();
-        let b = bundle(vec![t0.finish()]);
-        let (mut core, mut s) = setup(&cfg, &b, 4);
-        run_until_done(&mut core, &mut s, 0, 10_000);
-        assert_eq!(s.ctl.units, 1);
+        let (r, _) = run(no_stream_buf(), DONE, 4, vec![t0.finish()]);
+        assert_eq!(r.units, 1);
         assert!(
-            s.ctl.unit_cycles > 0,
+            r.avg_unit_cycles.is_some_and(|c| c > 0.0),
             "unit must take time (cold miss at least)"
         );
     }
@@ -447,15 +430,9 @@ mod tests {
         let mut cfg = no_stream_buf();
         cfg.quantum = 20;
         cfg.switch_penalty = 5;
-        let b = bundle(vec![exec(1000), exec(1000)]);
         // Both threads on ONE context: they must time-slice.
-        let (mut core, mut s) = setup(&cfg, &b, 1);
-        core.ctxs[0].run_q.push_back(1);
-        run_until_done(&mut core, &mut s, 0, 100_000);
-        assert!(
-            s.threads.iter().all(|t| t.done),
-            "both threads must finish via rotation"
-        );
-        assert_eq!(s.ctl.instrs, 2000);
+        let (r, _) = run(cfg, DONE, 1, vec![exec(1000), exec(1000)]);
+        assert!(r.cycles < MAX, "both threads must finish via rotation");
+        assert_eq!(r.instrs, 2000);
     }
 }

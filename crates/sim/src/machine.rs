@@ -15,7 +15,7 @@ use dbcmp_trace::region::CodeRegions;
 use dbcmp_trace::TraceBundle;
 
 use crate::config::{CoreKind, MachineConfig};
-use crate::core::Core;
+use crate::core::{Core, Tick};
 use crate::cursor::ThreadState;
 use crate::fat::FatCore;
 use crate::interconnect::Interconnect;
@@ -121,10 +121,6 @@ pub struct Machine<'a> {
     per_core: Vec<Breakdown>,
     now: u64,
     mode: RunMode,
-    /// `Core::cycle` calls made so far, for the tests that prove cores
-    /// really are left alone inside their spans.
-    #[cfg(test)]
-    cycle_calls: u64,
 }
 
 impl<'a> Machine<'a> {
@@ -161,8 +157,6 @@ impl<'a> Machine<'a> {
             per_core: vec![Breakdown::default(); n_cores],
             now: 0,
             mode,
-            #[cfg(test)]
-            cycle_calls: 0,
         }
     }
 
@@ -180,8 +174,9 @@ impl<'a> Machine<'a> {
     /// Run cycles `now..end`, calling only cores whose span has ended; in
     /// completion mode stop after the cycle that finishes the last
     /// thread. No span crosses `end`: on return every core is charged up
-    /// to `now` and due by then.
-    fn run_until(&mut self, end: u64) {
+    /// to `now` and due by then. Each call is shown to `seen` as (core,
+    /// `now`, the span it returned).
+    fn run_until(&mut self, end: u64, seen: &mut impl FnMut(usize, u64, Tick)) {
         let stop_when_done = !self.mode.wraps();
         while self.now < end && !(stop_when_done && self.shared.ctl.remaining == 0) {
             let now = self.now;
@@ -192,16 +187,13 @@ impl<'a> Machine<'a> {
                     continue;
                 }
                 self.settle(c, now);
-                #[cfg(test)]
-                {
-                    self.cycle_calls += 1;
-                }
                 let tick = self.cores[c].cycle(c, now, end, &mut self.shared);
                 debug_assert!(
                     now < tick.until && tick.until <= end,
                     "span {now}..{}",
                     tick.until
                 );
+                seen(c, now, tick);
                 self.spans[c] = Span {
                     until: tick.until,
                     owed_from: now,
@@ -264,11 +256,17 @@ impl<'a> Machine<'a> {
     }
 
     /// Run the machine's configured [`RunMode`] to the end and report.
-    pub fn execute(mut self) -> SimResult {
-        self.run(Self::run_until)
+    pub fn execute(self) -> SimResult {
+        self.execute_seen(&mut |_, _, _| {})
     }
 
-    fn run(&mut self, run_until: impl Fn(&mut Self, u64)) -> SimResult {
+    /// [`execute`](Self::execute), showing every core call's span to
+    /// `seen` as it is made.
+    pub(crate) fn execute_seen(mut self, seen: &mut impl FnMut(usize, u64, Tick)) -> SimResult {
+        self.run(|m, end| m.run_until(end, seen))
+    }
+
+    fn run(&mut self, mut run_until: impl FnMut(&mut Self, u64)) -> SimResult {
         match self.mode {
             RunMode::Throughput { warmup, measure } => {
                 run_until(self, warmup);

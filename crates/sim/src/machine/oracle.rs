@@ -3,7 +3,8 @@
 //! here: every core called every cycle with `horizon = now + 1`, so no
 //! call simulates more than its own cycle) — on random bundles, on the
 //! boundaries a quiet or private span can get wrong, and on a real OLTP
-//! capture.
+//! capture. Each case also sums the spans `execute_seen` reports against
+//! the breakdowns.
 //!
 //! Everything sits in an in-file `#[cfg(test)]` module: the oracle's
 //! panics are test code, outside the crate's `not(test)` panic lints.
@@ -20,11 +21,11 @@ mod tests {
     /// reference it must equal.
     impl Machine<'_> {
         /// Every core called every cycle, each call one cycle long.
-        fn run_until_ticking(&mut self, end: u64) {
+        fn run_until_ticking(&mut self, end: u64, calls: &mut u64) {
             let stop_when_done = !self.mode.wraps();
             while self.now < end && !(stop_when_done && self.shared.ctl.remaining == 0) {
                 for c in 0..self.cores.len() {
-                    self.cycle_calls += 1;
+                    *calls += 1;
                     let tick = self.cores[c].cycle(c, self.now, self.now + 1, &mut self.shared);
                     if let Some(class) = tick.class {
                         self.per_core[c].charge(class, 1);
@@ -34,40 +35,34 @@ mod tests {
             }
         }
 
-        /// [`Machine::execute`] on the per-cycle loop. Borrows, so the
-        /// tests can read `cycle_calls` afterwards.
-        fn execute_ticking(&mut self) -> SimResult {
-            self.run(Self::run_until_ticking)
+        /// [`Machine::execute`] on the per-cycle loop, counting its
+        /// `Core::cycle` calls into `calls`.
+        fn execute_ticking(mut self, calls: &mut u64) -> SimResult {
+            self.run(|m, end| m.run_until_ticking(end, calls))
         }
     }
 
     /// What both loops made of one (machine, mode, bundle).
     struct Pair {
         skip: SimResult,
-        tick: SimResult,
         skip_calls: u64,
         tick_calls: u64,
     }
 
-    fn both(cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) -> Pair {
+    /// Field by field first, so a failure names what moved. The skip
+    /// run's spans, cut to the measured window, must also sum to its
+    /// per-core breakdowns: every charged cycle is one a span reported.
+    fn assert_same(cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) -> Pair {
         let build = || {
             MachineBuilder::from_config(cfg.clone(), mode)
                 .build(bundle)
                 .expect("valid config")
         };
-        let (mut s, mut t) = (build(), build());
-        Pair {
-            skip: s.run(Machine::run_until),
-            tick: t.execute_ticking(),
-            skip_calls: s.cycle_calls,
-            tick_calls: t.cycle_calls,
-        }
-    }
-
-    /// Field by field first, so a failure names what moved.
-    fn assert_same(cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) -> Pair {
-        let p = both(cfg, mode, bundle);
-        let (s, t) = (&p.skip, &p.tick);
+        let mut spans = Vec::new();
+        let skip = build().execute_seen(&mut |c, now, tick| spans.push((c, now, tick)));
+        let mut tick_calls = 0;
+        let tick = build().execute_ticking(&mut tick_calls);
+        let (s, t) = (&skip, &tick);
         let at = format!("{} {mode:?}", cfg.name);
         assert_eq!(s.cycles, t.cycles, "cycles, {at}");
         assert_eq!(s.instrs, t.instrs, "instrs, {at}");
@@ -78,8 +73,24 @@ mod tests {
         assert_eq!(s.remote, t.remote, "remote counters, {at}");
         assert_eq!(s.avg_unit_cycles, t.avg_unit_cycles, "unit latency, {at}");
         assert_eq!(s, t, "whole result, {at}");
-        assert!(p.skip_calls <= p.tick_calls, "skipping never adds calls");
-        p
+        let (lo, hi) = match mode {
+            RunMode::Throughput { warmup, measure } => (warmup, warmup + measure),
+            RunMode::Completion { .. } => (0, s.cycles),
+        };
+        let mut sums = vec![Breakdown::default(); cfg.n_cores];
+        for &(c, now, tick) in &spans {
+            if let Some(class) = tick.class {
+                sums[c].charge(class, tick.until.min(hi).saturating_sub(now.max(lo)));
+            }
+        }
+        assert_eq!(sums, s.per_core, "spans summed per core and class, {at}");
+        let skip_calls = spans.len() as u64;
+        assert!(skip_calls <= tick_calls, "skipping never adds calls");
+        Pair {
+            skip,
+            skip_calls,
+            tick_calls,
+        }
     }
 
     const THROUGHPUT: RunMode = RunMode::Throughput {

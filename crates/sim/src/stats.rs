@@ -288,8 +288,9 @@ impl RemoteCounters {
 }
 
 /// Result of one simulation run. `PartialEq` compares every field —
-/// the equivalence suites assert builder-built and legacy-path runs
-/// (and parallel and sequential sweeps) are *identical*, not close.
+/// the equivalence suites assert that the span loop equals its
+/// per-cycle oracle (skip ≡ tick) and that parallel sweeps equal
+/// sequential ones: *identical*, not close.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimResult {
     pub machine: String,

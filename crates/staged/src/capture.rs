@@ -22,7 +22,7 @@ use rand::Rng;
 use crate::pipeline::{ExecPolicy, StagedPipeline};
 
 /// A query shape the staged pipeline cannot express. Returned by
-/// [`pipeline_for`] instead of silently substituting a different query
+/// [`capture_staged_dss`] instead of silently substituting a different query
 /// (the pre-join code captured a Q6 for *any* unsupported kind, which
 /// made "join" captures quietly scan-shaped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl std::error::Error for UnsupportedQuery {}
 /// Queries whose plans need operators outside the
 /// scan→filter→\[join…\]→aggregate shape (Q13's outer-join double
 /// aggregate, Q16's anti-join distinct) return [`UnsupportedQuery`].
-pub fn pipeline_for(
+pub(crate) fn pipeline_for(
     kind: QueryKind,
     h: &TpchDb,
     rng: &mut StdRng,
@@ -160,7 +160,8 @@ fn contexts(policy: ExecPolicy) -> usize {
 /// Run one query under a policy and return its rows (results check).
 /// Panics on queries the staged engine cannot pipeline — use
 /// [`pipeline_for`] directly to handle [`UnsupportedQuery`].
-pub fn staged_query_rows(
+#[cfg(test)]
+fn staged_query_rows(
     db: &mut Database,
     h: &TpchDb,
     kind: QueryKind,

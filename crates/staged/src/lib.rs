@@ -42,5 +42,5 @@
 mod capture;
 mod pipeline;
 
-pub use capture::{capture_staged_dss, pipeline_for, staged_query_rows, UnsupportedQuery};
+pub use capture::{capture_staged_dss, UnsupportedQuery};
 pub use pipeline::{BatchAgg, ExecPolicy, JoinTable, StagedPipeline};

@@ -1,9 +1,7 @@
 //! Chunked columnar trace segments and the sink/source seams.
 //!
-//! The flat `Vec<PackedEvent>` representation (8 bytes/event, one
-//! unbounded buffer per thread) is replaced by fixed-size blocks of
-//! [`SEGMENT_EVENTS`] events, each encoded into a [`Segment`] with four
-//! byte columns:
+//! A trace is stored as fixed-size blocks of [`SEGMENT_EVENTS`] events,
+//! each encoded into a [`Segment`] with four byte columns:
 //!
 //! * **kinds** — a run-length column of op kinds (`Exec`, `Load`,
 //!   dependent `Load`, `Store`, and the markers). A run is one byte, the
@@ -26,10 +24,11 @@
 //! its encoded bytes plus a fixed header per segment.
 //!
 //! The codec is **lossless**: decode returns exactly the
-//! [`Event`] sequence that was encoded, byte-identical (after
-//! [`Event::pack`]) to the legacy flat stream. That guarantee is gated
-//! by proptest round-trips in `tests/proptests.rs` and, end to end, by
-//! the golden anchor in `tests/validation.rs`.
+//! [`Event`] sequence that was encoded, so its [`Event::pack`] words —
+//! what every capture digest folds — are those of the recorded events.
+//! That guarantee is gated by proptest round-trips in
+//! `tests/proptests.rs` and, end to end, by the golden anchor in
+//! `tests/validation.rs`.
 //!
 //! One encoder writes those columns: `SegmentEncoder` appends an event
 //! at a time to the columns of an open segment. The `Tracer` owns one
@@ -63,7 +62,8 @@ pub const SEGMENT_EVENTS: usize = 4096;
 /// which adds no run byte of its own.) [`SEGMENT_EVENTS`] times this
 /// bounds what a recording [`Tracer`](crate::Tracer) holds outside its
 /// sink.
-pub const MAX_EVENT_BYTES: usize = 10;
+#[cfg(test)]
+pub(crate) const MAX_EVENT_BYTES: usize = 10;
 
 thread_local! {
     /// [`Segment::decode_into`] calls made by this thread.
@@ -75,7 +75,8 @@ thread_local! {
 /// cached aggregates ([`crate::TraceBundle::region_instrs`],
 /// [`crate::TraceSummary::compute`]) decode nothing; per-thread, so
 /// decodes on sibling test threads or sweep workers never move it.
-pub fn segments_decoded() -> u64 {
+#[cfg(test)]
+pub(crate) fn segments_decoded() -> u64 {
     SEGMENTS_DECODED.with(Cell::get)
 }
 

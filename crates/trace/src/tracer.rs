@@ -114,7 +114,7 @@ impl Tracer {
 
     /// Encoded bytes held in the open segment — all the trace memory a
     /// recording tracer keeps outside its sink. At most
-    /// [`SEGMENT_EVENTS`]` × `[`MAX_EVENT_BYTES`](crate::MAX_EVENT_BYTES)
+    /// [`SEGMENT_EVENTS`]` × `[`MAX_EVENT_BYTES`](crate::segment::MAX_EVENT_BYTES)
     /// however long the trace runs; a few KB on engine traces.
     #[cfg(test)]
     fn staged_bytes(&self) -> usize {
@@ -386,8 +386,9 @@ impl ThreadTrace {
         }
     }
 
-    /// Materialize the legacy flat packed stream (byte-identity
-    /// comparisons in tests; hot paths should iterate segments instead).
+    /// Materialize the trace as [`Event::pack`] words, the form every
+    /// capture digest folds (byte-identity comparisons in tests; hot
+    /// paths should iterate segments instead).
     pub fn packed_events(&self) -> Vec<PackedEvent> {
         self.iter().map(|e| e.pack()).collect()
     }

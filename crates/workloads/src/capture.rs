@@ -101,8 +101,8 @@ pub fn capture_dss(
 
 /// [`capture_dss`] with an explicit worker count (`workers <= 1` runs
 /// sequentially on the calling thread). Output is identical for every
-/// worker count — exposed so tests can pin parallel ≡ sequential.
-pub fn capture_dss_workers(
+/// worker count, which the tests pin (parallel ≡ sequential).
+pub(crate) fn capture_dss_workers(
     db: &mut Database,
     h: &TpchDb,
     mix: &[QueryKind],

@@ -71,7 +71,7 @@ pub(crate) fn rows_bytes(rows: &[Row]) -> u64 {
 /// Pick the exchange strategy for a join whose *global* post-filter
 /// build side totals `build_bytes`: single instance never exchanges;
 /// small build sides broadcast; everything else shuffles.
-pub fn choose_strategy(n_instances: usize, build_bytes: u64) -> ExchangeStrategy {
+pub(crate) fn choose_strategy(n_instances: usize, build_bytes: u64) -> ExchangeStrategy {
     if n_instances <= 1 {
         ExchangeStrategy::Local
     } else if build_bytes <= BROADCAST_MAX_BYTES {

@@ -40,9 +40,9 @@ mod rwset;
 pub mod tpcc;
 pub mod tpch;
 
-pub use capture::{capture_dss, capture_dss_workers, capture_oltp, CaptureOptions};
+pub use capture::{capture_dss, capture_oltp, CaptureOptions};
 pub use deploy::{capture_oltp_deployment, DeployOptions, DeployStats, Deployment};
-pub use exchange::{choose_strategy, exchange_rows, ExchangeBufs, ExchangeTraffic};
+pub use exchange::{exchange_rows, ExchangeBufs, ExchangeTraffic};
 pub use interleave::{
     capture_oltp_interleaved, ContentionStats, InterleaveOptions, InterleavedCapture,
 };

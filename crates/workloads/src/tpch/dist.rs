@@ -18,10 +18,10 @@
 //!    sorts them.
 //!
 //! At `instances = 1` the driver bypasses all of this: the (then
-//! monolithic) fragment is captured by
-//! [`crate::capture::capture_dss_workers`] itself, so the 1-instance
-//! distributed capture is the single-instance `dss_joins` capture,
-//! which `tests/validation.rs` pins.
+//! monolithic) fragment is captured by the code behind
+//! [`crate::capture_dss`], so the 1-instance distributed capture is the
+//! single-instance `dss_joins` capture, which `tests/validation.rs`
+//! pins.
 //!
 //! Honesty caveats (DESIGN.md §9): phases are sequential — no overlap
 //! of compute with shipping; and the exchange does not exploit
@@ -35,7 +35,7 @@
 //! window). For n > 1 the capture itself is sequential in global client
 //! order, because every unit drives every instance's service context;
 //! at n = 1 the clients run in parallel as in
-//! [`crate::capture::capture_dss_workers`]. Either way worker count
+//! [`crate::capture_dss`]. Either way worker count
 //! never leaks into the traces.
 
 use dbcmp_engine::exec::sort::SortKey;
@@ -101,7 +101,7 @@ pub fn capture_dss_dist(scale: TpchScale, mix: &[QueryKind], opt: DistOptions) -
 /// [`capture_dss_dist`] with an explicit worker count. Workers
 /// parallelize the per-instance fragment *builds* (each into its private
 /// address window) and, at `instances = 1`, the clients of
-/// [`crate::capture::capture_dss_workers`]; for n > 1 the capture runs
+/// [`crate::capture_dss`]; for n > 1 the capture runs
 /// sequentially in global client order. The output is identical for
 /// every worker count — `tests/validation.rs` pins this.
 pub fn capture_dss_dist_workers(
