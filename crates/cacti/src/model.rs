@@ -21,9 +21,9 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct CactiModel {
     /// Feature size in nanometres (e.g. 65 for the paper era).
-    pub tech_nm: f64,
+    pub(crate) tech_nm: f64,
     /// Core clock in GHz used to convert ns to cycles.
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// SRAM cell area in F^2 (typical 6T cell ~146 F^2 including overheads).
     pub(crate) cell_area_f2: f64,
     /// Array area overhead factor (decoders, sense amps, wiring).
@@ -151,7 +151,7 @@ pub struct CactiResult {
     /// Estimated silicon area.
     pub area_mm2: f64,
     /// Subarray count of the winning organization.
-    pub subarrays: u32,
+    pub(crate) subarrays: u32,
 }
 
 #[cfg(test)]

@@ -65,11 +65,6 @@ pub fn run_throughput(cfg: MachineConfig, bundle: &TraceBundle, spec: RunSpec) -
     run_point(cfg, spec.throughput(), bundle)
 }
 
-/// Run-to-completion (the paper's response-time metric).
-pub fn run_completion(cfg: MachineConfig, bundle: &TraceBundle, spec: RunSpec) -> SimResult {
-    run_point(cfg, spec.completion(), bundle)
-}
-
 /// Build one machine over `bundle` and run it — the single path every
 /// simulation in this crate takes. Panics on a degenerate config; call
 /// `MachineBuilder::build` to handle `ConfigError` yourself.
@@ -342,7 +337,7 @@ mod tests {
         };
         let t = run_throughput(cfg.clone(), &w.bundle, spec);
         assert!(t.instrs > 0);
-        let c = run_completion(cfg, &w.bundle, spec);
+        let c = run_point(cfg, spec.completion(), &w.bundle);
         assert!(c.units >= 1, "query must complete");
         assert!(c.avg_unit_cycles.unwrap() > 0.0);
     }

@@ -20,7 +20,7 @@ pub mod workload;
 
 pub use deploy::{deploy_capture, fig_deploy, DeployPoint};
 pub use experiment::{
-    grid, run_completion, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
+    grid, run_throughput, Grid, GridRow, InstanceReplay, RunSpec, Sweep, SweepPoint,
 };
 pub use taxonomy::{Camp, Saturation, WorkloadKind};
 pub use workload::{CapturedWorkload, FigScale};

@@ -1,6 +1,5 @@
-//! Plain-text table formatting for the figure harnesses and
-//! EXPERIMENTS.md, and the [`Claim`]s each figure makes about its own
-//! numbers.
+//! Plain-text table formatting for the figure pages, and the
+//! [`Claim`]s each figure makes about its own numbers.
 
 use std::fmt::Display;
 

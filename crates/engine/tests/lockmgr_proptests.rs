@@ -1,4 +1,4 @@
-//! Property tests for the wait-queue lock manager (ISSUE 2).
+//! Property tests for the wait-queue lock manager.
 //!
 //! A miniature round-robin scheduler (mirroring the interleaved capture's
 //! baton protocol) drives random per-transaction acquisition scripts

@@ -262,9 +262,9 @@ mod tests {
         assert!(c.next_event().is_none());
     }
 
-    /// Satellite 3 (ISSUE 6): wrap mode across a block boundary, with a
-    /// trace length that is *not* a multiple of the segment size — the
-    /// partial final block must hand off to segment 0 seamlessly.
+    /// Wrap mode across a block boundary, with a trace length that is *not*
+    /// a multiple of the segment size — the partial final block must hand
+    /// off to segment 0 seamlessly.
     #[test]
     fn wrap_crosses_block_boundary_on_partial_final_segment() {
         use dbcmp_trace::SEGMENT_EVENTS;

@@ -4,7 +4,8 @@
 //! call simulates more than its own cycle) — on random bundles, on the
 //! boundaries a quiet or private span can get wrong, and on a real OLTP
 //! capture. Each case also sums the spans `execute_seen` reports against
-//! the breakdowns.
+//! the breakdowns. The same random bundles also check a metamorphic
+//! relation: without remote events, the interconnect changes nothing.
 //!
 //! Everything sits in an in-file `#[cfg(test)]` module: the oracle's
 //! panics are test code, outside the crate's `not(test)` panic lints.
@@ -232,6 +233,52 @@ mod tests {
             for cfg in machines(quantum, switch_penalty, ten_gbe) {
                 assert_same(&cfg, THROUGHPUT, &bundle);
                 assert_same(&cfg, COMPLETION, &bundle);
+            }
+        }
+    }
+
+    // ------------------------------------------------ metamorphic relations
+
+    /// [`op`] with each remote marker replaced by a fence.
+    fn local_op() -> impl Strategy<Value = Op> {
+        op().prop_map(|o| match o {
+            Op::Send(_) | Op::Recv(_) => Op::Fence,
+            local => local,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Only `RemoteSend` and `RemoteRecv` read the link, so a bundle
+        /// without them replays to the same result under every
+        /// interconnect preset. `fig_network` relies on this to replay its
+        /// 1-instance bundle once for all three links (`replayed_on`).
+        #[test]
+        fn a_bundle_without_remote_events_replays_identically_on_every_link(
+            threads in prop::collection::vec(prop::collection::vec(local_op(), 1..60), 1..9),
+            quantum in 10u64..600,
+            switch_penalty in 0u64..40,
+        ) {
+            let bundle = bundle_of(&threads);
+            for cfg in machines(quantum, switch_penalty, false) {
+                for mode in [THROUGHPUT, COMPLETION] {
+                    let [numa, rdma, ten_gbe] = [
+                        Interconnect::numa_link(),
+                        Interconnect::rdma(),
+                        Interconnect::network_10g(),
+                    ]
+                    .map(|link| {
+                        let mut cfg = cfg.clone();
+                        cfg.interconnect = link;
+                        MachineBuilder::from_config(cfg, mode)
+                            .build(&bundle)
+                            .expect("valid config")
+                            .execute()
+                    });
+                    prop_assert_eq!(&numa, &rdma, "NUMA vs RDMA, {} {:?}", cfg.name, mode);
+                    prop_assert_eq!(&numa, &ten_gbe, "NUMA vs 10 GbE, {} {:?}", cfg.name, mode);
+                }
             }
         }
     }

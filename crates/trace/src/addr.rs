@@ -265,10 +265,9 @@ mod tests {
         a.alloc(65);
     }
 
-    /// ISSUE 7 satellite: capacity is enforced by real branches, not
-    /// `debug_assert!`, so this test is meaningful in release builds too
-    /// — no reservation can ever mint an address the 48-bit trace
-    /// format would alias.
+    /// Capacity is enforced by real branches, not `debug_assert!`, so this
+    /// test is meaningful in release builds too — no reservation can ever
+    /// mint an address the 48-bit trace format would alias.
     #[test]
     fn capacity_errors_are_typed_and_release_safe() {
         // Out-of-range partition index: typed error, no panic.

@@ -1,8 +1,9 @@
 //! Packed trace events.
 //!
-//! One event per `u64`. Traces routinely run to tens of millions of events
-//! across dozens of client threads, so the representation matters: 8 bytes
-//! per event keeps a 64-client OLTP capture in the low hundreds of MB.
+//! One event per `u64`. Traces are stored as columnar segments (about
+//! 3.5 B/event, [`Segment`](crate::Segment)), not as these words;
+//! a `PackedEvent` is the one canonical word per event that the segment
+//! codec round-trips to and that every pinned capture digest folds.
 //!
 //! Layout (bit 63 is the MSB):
 //!

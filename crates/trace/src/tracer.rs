@@ -755,9 +755,8 @@ mod tests {
         assert_eq!(cached, decoded);
     }
 
-    /// Satellite 1 (ISSUE 6): region aggregates are served from the
-    /// capture-time cache — repeated `region_instrs` calls decode
-    /// nothing.
+    /// Region aggregates are served from the capture-time cache — repeated
+    /// `region_instrs` calls decode nothing.
     #[test]
     fn region_queries_do_not_decode_segments() {
         let mut regions = CodeRegions::new();
@@ -781,12 +780,11 @@ mod tests {
         );
     }
 
-    /// ISSUE 6 acceptance: bounded-memory capture at 4× the paper's
-    /// 64-client OLTP scale. 256 live tracers stream multi-segment
-    /// traces through non-retaining sinks; what each holds stays within
-    /// one open segment (`SEGMENT_EVENTS × MAX_EVENT_BYTES`),
-    /// independent of trace length — so total capture memory is that
-    /// bound × clients.
+    /// Bounded-memory capture at 4× the paper's 64-client OLTP scale. 256
+    /// live tracers stream multi-segment traces through non-retaining
+    /// sinks; what each holds stays within one open segment
+    /// (`SEGMENT_EVENTS × MAX_EVENT_BYTES`), independent of trace length —
+    /// so total capture memory is that bound × clients.
     #[test]
     fn streaming_sink_bounds_retained_memory_at_4x_paper_clients() {
         let clients = 256; // 4 × the paper's 64 OLTP clients

@@ -69,9 +69,9 @@ proptest! {
         prop_assert_eq!(decoded, expect_instrs);
     }
 
-    /// ISSUE 6: the columnar segment codec round-trips arbitrary event
-    /// sequences losslessly — encode → decode is the identity on the
-    /// decoded stream, and re-packing reproduces the flat wire words.
+    /// The columnar segment codec round-trips arbitrary event sequences
+    /// losslessly — encode → decode is the identity on the decoded stream,
+    /// and re-packing reproduces the flat wire words.
     #[test]
     fn segment_roundtrip(events in prop::collection::vec(arb_event(), 0..600)) {
         let packed: Vec<_> = events.iter().map(|e| e.pack()).collect();

@@ -2,6 +2,9 @@
 //! manager, WAL, B+Trees and undo machinery in action — then show what
 //! its memory traces look like.
 //!
+//! No other crate calls `Database::table_id`, `Database::wal_stats` or
+//! `TraceSummary::code_working_set`.
+//!
 //! ```sh
 //! cargo run --release --example oltp_tpcc
 //! ```

@@ -1,6 +1,9 @@
 //! Quickstart: build a 4-core fat-camp CMP, capture a saturated DSS
 //! workload, simulate it, and print the execution-time breakdown.
 //!
+//! No other crate calls `report::breakdown_row` or
+//! `report::breakdown_headers`, the one-row form of a figure's breakdown.
+//!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```

@@ -23,9 +23,7 @@
 #
 # Workload mode (the default) builds bench_pipeline from each side with
 # BENCHMARK.json's own build line and runs it with `--trace 0 --reps 4`;
-# the metrics are BENCHMARK.json's end-to-end ones. It ends with where the
-# time went: one `--trace 1 --reps 1` run per side and workload, and each
-# side's per-layer seconds and lock acquires from those result lines.
+# the metrics are BENCHMARK.json's end-to-end ones.
 #
 # Figure mode (--figs) builds `fig` from each side and runs `fig <name>` at
 # paper scale, every figure of `fig --list` when none is named. Its
@@ -65,7 +63,7 @@ fi
 
 mode=workloads
 if [ "${1:-}" = --figs ]; then mode=figs; shift; fi
-[ $# -ge 1 ] || { sed -n '2,42p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,40p' "$0" >&2; exit 2; }
 parent_ref=$1
 pairs=${2:-10}
 shift; [ $# -gt 0 ] && shift
@@ -83,9 +81,9 @@ if [ $mode = workloads ]; then
         CARGO_TARGET_DIR="$dir/$side-target" cargo build --release --offline --quiet \
             --manifest-path "$(checkout $side)/crates/bench/src/bin/bench_pipeline/Cargo.toml"
     done
-    run() { # <side> <workload> <tag> [trace=0] [reps=4]
+    run() { # <side> <workload> <pair>
         (cd "$(checkout "$1")" && "$dir/$1-target/release/bench_pipeline" \
-            --workload "$2" --trace "${4:-0}" --reps "${5:-4}" | tail -n 1) >"$dir/runs/$2.$3.$1.json"
+            --workload "$2" --trace 0 --reps 4 | tail -n 1) >"$dir/runs/$2.$3.$1.json"
     }
 else
     for side in parent change; do
@@ -147,13 +145,6 @@ for pair in $(seq 1 "$pairs"); do
     done
     echo "pair $pair/$pairs done (${order[0]} first)" >&2
 done
-if [ $mode = workloads ]; then
-    for name in "${names[@]}"; do
-        for side in parent change; do
-            run "$side" "$name" traced 1 1
-        done
-    done
-fi
 
 python3 - "$mode" "$repo/BENCHMARK.json" "$dir/runs" "$pairs" "${names[@]}" <<'EOF'
 import json, statistics, sys
@@ -215,19 +206,4 @@ for w in names:
               f"| {mb:.3f} [{r1:.3f}, {r3:.3f}] "
               f"| {delta} of {ma:.3f} | {better}/{pairs} "
               f"| {verdict} | {failed}{same} |")
-
-if mode == "workloads":
-    layers = ["workloads.populate_s", "workloads.capture_s", "staged.capture_s",
-              "core.sweep_s", "engine.capture_self_s", "engine.cc_acquires"]
-    print()
-    print("Where the time went (one `--trace 1 --reps 1` run per side):")
-    print()
-    print("| workload | side | " + " | ".join(f"`{l}`" for l in layers) + " |")
-    print("|---|---|" + "---|" * len(layers))
-    for w in names:
-        for s in ("parent", "change"):
-            got = json.load(open(f"{runs}/{w}.traced.{s}.json"))["metrics"]
-            cells = ("–" if l not in got else f"{got[l]['value']:.3f}" if l.endswith("_s")
-                     else f"{got[l]['value']:.0f}" for l in layers)
-            print(f"| `{w}` | {s} | " + " | ".join(cells) + " |")
 EOF

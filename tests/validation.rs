@@ -115,9 +115,9 @@ fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
     }
 }
 
-/// ISSUE 2 determinism anchor: the same `FigScale` seed produces a
-/// byte-identical interleaved capture — summary *and* raw event streams —
-/// across two runs, deadlock schedule included.
+/// Determinism anchor: the same `FigScale` seed produces a byte-identical
+/// interleaved capture — summary *and* raw event streams — across two runs,
+/// deadlock schedule included.
 #[test]
 fn interleaved_capture_is_deterministic() {
     let scale = FigScale::quick();
@@ -190,8 +190,8 @@ fn single_client_interleaved_matches_sequential() {
     assert_eq!(il.stats.deadlock_aborts, 0);
 }
 
-/// ISSUE 5 determinism anchor: join-DSS captures — both the Volcano
-/// executor capture behind `CapturedWorkload::dss_joins` and the staged
+/// Determinism anchor: join-DSS captures — both the Volcano executor
+/// capture behind `CapturedWorkload::dss_joins` and the staged
 /// join-pipeline capture — are byte-identical across runs with the same
 /// seed (summary *and* raw event streams).
 #[test]
@@ -243,10 +243,10 @@ fn join_captures_are_deterministic() {
     }
 }
 
-/// ISSUE 6 acceptance anchor: the columnar segment codec is lossless on
-/// a real recorded fixture — chunking a captured OLTP stream through
-/// fresh segments reproduces the flat `PackedEvent` stream exactly, and
-/// the capture pipeline's own segments decode to that same stream.
+/// Codec anchor: the columnar segment codec is lossless on a real recorded
+/// fixture — chunking a captured OLTP stream through fresh segments
+/// reproduces the flat `PackedEvent` stream exactly, and the capture
+/// pipeline's own segments decode to that same stream.
 #[test]
 fn segment_codec_lossless_on_recorded_fixture() {
     use dbcmp::trace::{PackedEvent, Segment, SEGMENT_EVENTS};
@@ -278,11 +278,10 @@ fn segment_codec_lossless_on_recorded_fixture() {
     assert_eq!(fig7.bundle.encoded_bytes(), 388_533);
 }
 
-/// ISSUE 7 determinism anchor: a partitioned deployment capture is
-/// byte-identical whatever the worker count used for the per-partition
-/// database builds — each partition populates from its own rng stream
-/// into its own address window, and transaction capture stays
-/// sequential in global client order.
+/// Determinism anchor: a partitioned deployment capture is byte-identical
+/// whatever the worker count used for the per-partition database builds —
+/// each partition populates from its own rng stream into its own address
+/// window, and transaction capture stays sequential in global client order.
 #[test]
 fn deployment_capture_deterministic_across_workers() {
     use dbcmp::workloads::{capture_oltp_deployment, DeployOptions};
@@ -316,11 +315,11 @@ fn deployment_capture_deterministic_across_workers() {
     }
 }
 
-/// ISSUE 10 determinism anchor: a distributed Q3/Q5 capture is
-/// byte-identical whatever the worker count used for the per-instance
-/// fragment builds — each fragment populates from the full rng stream
-/// (draw-all, insert-owned) into its own address window, and query
-/// capture stays sequential in global client order.
+/// Determinism anchor: a distributed Q3/Q5 capture is byte-identical
+/// whatever the worker count used for the per-instance fragment builds —
+/// each fragment populates from the full rng stream (draw-all,
+/// insert-owned) into its own address window, and query capture stays
+/// sequential in global client order.
 #[test]
 fn dist_capture_deterministic_across_workers() {
     use dbcmp::workloads::tpch::QueryKind;
@@ -353,10 +352,10 @@ fn dist_capture_deterministic_across_workers() {
     }
 }
 
-/// ISSUE 10 regression anchor: the 1-instance distributed plan is
-/// event-identical to the existing single-instance `dss_joins` capture —
-/// the distributed capture degenerates to `capture_dss` exactly when
-/// there is nothing to exchange.
+/// Regression anchor: the 1-instance distributed plan is event-identical to
+/// the existing single-instance `dss_joins` capture — the distributed
+/// capture degenerates to `capture_dss` exactly when there is nothing to
+/// exchange.
 #[test]
 fn single_instance_dist_matches_dss_joins_capture() {
     use dbcmp::workloads::tpch::QueryKind;
