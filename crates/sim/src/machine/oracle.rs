@@ -15,7 +15,8 @@ mod tests {
     use super::super::*;
     use crate::builder::MachineBuilder;
     use crate::config::{CacheGeom, MachineConfig, SharedBy};
-    use dbcmp_trace::{CodeRegions, ThreadTrace, TraceBundle, Tracer};
+    use dbcmp_trace::{CodeRegions, Fnv, ThreadTrace, TraceBundle, Tracer};
+    use dbcmp_workloads::{build_tpcc, capture_oltp, CaptureOptions, TpccScale};
     use proptest::prelude::*;
 
     /// The oracle: the loop `Machine::run_until` replaced, kept as the
@@ -283,32 +284,45 @@ mod tests {
         }
     }
 
-    /// The quick fig7 OLTP capture (tiny TPC-C, 16 clients × 8 units) on the
-    /// three camps fig7 compares and the 2x2 island midpoint between them.
-    /// The two CMPs must also make at most half the `Core::cycle` calls the
-    /// throughput run made when only quiet cycles were skipped (74,753
-    /// fat, 259,030 lean): a private-cycle check that never fires fails
-    /// here, though every result would still equal the oracle's.
-    #[test]
-    fn skipping_equals_ticking_on_the_quick_oltp_capture() {
-        use dbcmp_workloads::{build_tpcc, capture_oltp, CaptureOptions, TpccScale};
-        let (mut db, h) = build_tpcc(TpccScale::tiny(), 0xC1D7);
-        let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(16, 8, 0xC1D7));
+    const QUICK_OLTP_THROUGHPUT: RunMode = RunMode::Throughput {
+        warmup: 20_000,
+        measure: 60_000,
+    };
+    const QUICK_OLTP_COMPLETION: RunMode = RunMode::Completion {
+        max_cycles: 120_000,
+    };
+
+    /// The three camps fig7 compares and the 2x2 island midpoint between
+    /// them: fat CMP, lean CMP, fat SMP, islands.
+    fn quick_oltp_machines() -> [MachineConfig; 4] {
         let mut islands = MachineConfig::fat_cmp(4, 2 << 20, 12);
         islands.name = "2x2 islands".to_string();
         islands.l2 = islands.l2.banks(2, 2);
         islands.l2.shared_by = SharedBy::Cluster(2);
-        for (cfg, quiet_only_calls) in [
-            (MachineConfig::fat_cmp(4, 4 << 20, 12), Some(74_753)),
-            (MachineConfig::lean_cmp(4, 4 << 20, 12), Some(259_030)),
-            (MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()), None),
-            (islands, None),
-        ] {
-            let throughput = RunMode::Throughput {
-                warmup: 20_000,
-                measure: 60_000,
-            };
-            let p = assert_same(&cfg, throughput, &bundle);
+        [
+            MachineConfig::fat_cmp(4, 4 << 20, 12),
+            MachineConfig::lean_cmp(4, 4 << 20, 12),
+            MachineConfig::smp(4, 1 << 20, 12, CoreKind::fat()),
+            islands,
+        ]
+    }
+
+    /// The quick fig7 OLTP capture (tiny TPC-C, 16 clients × 8 units) on
+    /// [`quick_oltp_machines`]. The two CMPs must also make at most half
+    /// the `Core::cycle` calls the throughput run made when only quiet
+    /// cycles were skipped (74,753 fat, 259,030 lean): a private-cycle
+    /// check that never fires fails here, though every result would still
+    /// equal the oracle's.
+    #[test]
+    fn skipping_equals_ticking_on_the_quick_oltp_capture() {
+        let (mut db, h) = build_tpcc(TpccScale::tiny(), 0xC1D7);
+        let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(16, 8, 0xC1D7));
+        for (cfg, quiet_only_calls) in
+            quick_oltp_machines()
+                .into_iter()
+                .zip([Some(74_753), Some(259_030), None, None])
+        {
+            let p = assert_same(&cfg, QUICK_OLTP_THROUGHPUT, &bundle);
             assert!(p.skip.instrs > 0, "{}: nothing retired", cfg.name);
             if let Some(before) = quiet_only_calls {
                 assert!(
@@ -318,14 +332,127 @@ mod tests {
                     p.skip_calls
                 );
             }
-            assert_same(
-                &cfg,
-                RunMode::Completion {
-                    max_cycles: 120_000,
-                },
-                &bundle,
-            );
+            assert_same(&cfg, QUICK_OLTP_COMPLETION, &bundle);
         }
+    }
+
+    // ------------------------------------------------ the span stream pin
+
+    /// Fold every `(core, now, Tick)` that `execute_seen` shows for one
+    /// run into `h`.
+    fn fold_spans(h: &mut Fnv, cfg: &MachineConfig, mode: RunMode, bundle: &TraceBundle) {
+        MachineBuilder::from_config(cfg.clone(), mode)
+            .build(bundle)
+            .expect("valid config")
+            .execute_seen(&mut |c, now, tick| {
+                for w in [
+                    c as u64,
+                    now,
+                    tick.class.map_or(u64::MAX, |class| class as u64),
+                    tick.until,
+                ] {
+                    h.word(w);
+                }
+            });
+    }
+
+    /// The span stream of every core call, one digest per machine, pinned:
+    /// the skip ≡ tick oracle compares the span loop only with itself, and
+    /// the `SimResult` digests see the sums, not the order of the spans.
+    /// Twelve fixed-seed random bundles (the generators of the random
+    /// oracle above, each with its own quantum, switch penalty and link)
+    /// and two made ones: a thread that ends a unit 100 times in a row (so
+    /// one cycle reaches the cap on zero-width events) and a thread whose
+    /// loads fill one MSHR behind a store, on the five oracle shapes plus
+    /// a 4-wide fat core with one MSHR (the `ablations` MSHR row); then
+    /// the quick OLTP capture on the four machines its oracle test runs.
+    #[test]
+    fn span_streams_are_pinned() {
+        use proptest::test_runner::TestRng;
+        let mut rng = TestRng::deterministic("span_streams_are_pinned");
+        let threads = prop::collection::vec(prop::collection::vec(op(), 1..60), 1..9);
+        let mut cases: Vec<_> = (0..12)
+            .map(|_| {
+                let knobs = (10u64..600, 0u64..40, any::<bool>());
+                (
+                    knobs.generate(&mut rng),
+                    bundle_of(&threads.generate(&mut rng)),
+                )
+            })
+            .collect();
+        let mut units = vec![Op::Exec(1, 40)];
+        units.extend([Op::UnitEnd; 100]);
+        units.push(Op::Exec(1, 40));
+        let mshrs: Vec<_> = (0..24u64)
+            .flat_map(|k| {
+                [
+                    Op::Store {
+                        slot: k,
+                        wide: false,
+                    },
+                    Op::Load {
+                        slot: 64 + k,
+                        dep: false,
+                        wide: false,
+                    },
+                    Op::Load {
+                        slot: 90 - k,
+                        dep: false,
+                        wide: k % 3 == 0,
+                    },
+                    Op::Exec(1, 3),
+                ]
+            })
+            .collect();
+        cases.push(((200, 10, false), bundle_of(&[units, mshrs])));
+        let mut got = Vec::new();
+        for (i, name) in ["fat", "lean", "smp", "asymmetric", "islands", "one mshr"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut h = Fnv::new();
+            for ((quantum, switch_penalty, ten_gbe), bundle) in &cases {
+                let mut shapes = machines(*quantum, *switch_penalty, *ten_gbe);
+                let mut one_mshr = shapes[0].clone();
+                one_mshr.slots = vec![
+                    CoreKind::Fat {
+                        width: 4,
+                        rob: 32,
+                        mshrs: 1,
+                    };
+                    2
+                ];
+                shapes.push(one_mshr);
+                for mode in [THROUGHPUT, COMPLETION] {
+                    fold_spans(&mut h, &shapes[i], mode, bundle);
+                }
+            }
+            got.push((name, h.finish()));
+        }
+        let (mut db, handles) = build_tpcc(TpccScale::tiny(), 0xC1D7);
+        let oltp = capture_oltp(&mut db, &handles, CaptureOptions::new(16, 8, 0xC1D7));
+        for (name, cfg) in ["oltp fat", "oltp lean", "oltp smp", "oltp islands"]
+            .into_iter()
+            .zip(quick_oltp_machines())
+        {
+            let mut h = Fnv::new();
+            fold_spans(&mut h, &cfg, QUICK_OLTP_THROUGHPUT, &oltp);
+            fold_spans(&mut h, &cfg, QUICK_OLTP_COMPLETION, &oltp);
+            got.push((name, h.finish()));
+        }
+        let pinned = [
+            ("fat", 0x6fe9b7c0efac3198),
+            ("lean", 0x399bb47ce4080aff),
+            ("smp", 0x84d16d9844156f2e),
+            ("asymmetric", 0x80e3038e08eb0aba),
+            ("islands", 0x160e73af95450046),
+            ("one mshr", 0xc2758f085c2c8798),
+            ("oltp fat", 0x37e44838ac7d5298),
+            ("oltp lean", 0xbe90b5664276edd5),
+            ("oltp smp", 0xc37fa493026a40d6),
+            ("oltp islands", 0xe5e7003b24e8348c),
+        ];
+        assert_eq!(got, pinned);
     }
 
     // ------------------------------------------ the boundaries, one by one
