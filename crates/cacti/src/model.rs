@@ -78,23 +78,22 @@ impl CactiModel {
         let t_htree = 2.0 * htree_mm * self.wire_ps_per_mm;
 
         let fo4 = self.fo4_ps();
-        let mut best: Option<(f64, u32)> = None;
-        let mut nsub: u64 = 1;
-        while nsub <= 4096 && nsub * 4096 <= org.size_bytes * 8 {
-            let sub_bits = bits / nsub as f64;
-            // Square-ish subarray: rows x cols.
-            let rows = sub_bits.sqrt().max(2.0);
-            let cols = sub_bits / rows;
-            let t_dec = fo4 * (2.0 + 0.5 * (nsub as f64).log2() + 0.8 * rows.log2());
-            let t_word = cols * self.wordline_ps_per_col;
-            let t_bit = rows * self.bitline_ps_per_row;
-            let t = t_dec + t_word + t_bit;
-            if best.is_none_or(|(b, _)| t < b) {
-                best = Some((t, nsub as u32));
-            }
-            nsub *= 2;
-        }
-        let (t_array, subarrays) = best.unwrap_or((fo4 * 4.0, 1));
+        // The fastest split into 1, 2, 4, … 4096 subarrays of ≥ 4 Kbit.
+        let t_array = (0..=12)
+            .map(|k| 1u64 << k)
+            .take_while(|&nsub| nsub * 4096 <= org.size_bytes * 8)
+            .map(|nsub| {
+                let sub_bits = bits / nsub as f64;
+                // Square-ish subarray: rows x cols.
+                let rows = sub_bits.sqrt().max(2.0);
+                let cols = sub_bits / rows;
+                let t_dec = fo4 * (2.0 + 0.5 * (nsub as f64).log2() + 0.8 * rows.log2());
+                let t_word = cols * self.wordline_ps_per_col;
+                let t_bit = rows * self.bitline_ps_per_row;
+                t_dec + t_word + t_bit
+            })
+            .min_by(f64::total_cmp)
+            .unwrap_or(fo4 * 4.0);
 
         let t_fixed = self.fixed_fo4 * fo4;
         let latency_ns = (t_array + t_htree + t_fixed) / 1000.0;
@@ -106,7 +105,6 @@ impl CactiModel {
             latency_ns,
             latency_cycles,
             area_mm2,
-            subarrays,
         }
     }
 
@@ -150,8 +148,6 @@ pub struct CactiResult {
     pub latency_cycles: u64,
     /// Estimated silicon area.
     pub area_mm2: f64,
-    /// Subarray count of the winning organization.
-    pub(crate) subarrays: u32,
 }
 
 #[cfg(test)]
@@ -182,14 +178,6 @@ mod tests {
             r26.latency_ns,
             r1.latency_ns
         );
-    }
-
-    #[test]
-    fn subarray_search_picks_more_banks_for_bigger_caches() {
-        let m = CactiModel::paper_era();
-        let small = m.evaluate(CacheOrg::l2(64 << 10));
-        let big = m.evaluate(CacheOrg::l2(16 << 20));
-        assert!(big.subarrays >= small.subarrays);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::fmt::Debug;
 
 use dbcmp_sim::{MachineBuilder, MachineConfig, RemoteCounters, RunMode, SimResult};
 use dbcmp_trace::TraceBundle;
-use dbcmp_workloads::capture::par_map_ordered;
+use dbcmp_workloads::capture::{available_workers, par_map_ordered};
 
 /// Simulation windows.
 #[derive(Debug, Clone, Copy)]
@@ -141,22 +141,11 @@ impl Sweep {
         self.run_each(&vec![bundle; self.points.len()])
     }
 
-    /// Worker threads [`Sweep::run`] will use: one per available CPU,
-    /// capped at the point count. On a single-CPU host this is 1 and the
-    /// parallel entry points degrade to the sequential path (results are
-    /// identical either way; only wall-clock differs).
-    pub(crate) fn default_workers(&self) -> usize {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(self.points.len())
-    }
-
     /// Run every point against its own bundle (`bundles[i]` pairs with
     /// point `i` — client-count sweeps replay growing subsets of one
     /// capture), in parallel, results in input order.
     pub fn run_each(&self, bundles: &[&TraceBundle]) -> Vec<SimResult> {
-        self.run_each_with_workers(bundles, self.default_workers())
+        self.run_each_with_workers(bundles, available_workers())
     }
 
     /// [`Sweep::run_each`] with an explicit worker count — the

@@ -12,39 +12,33 @@ use crate::catalog::IndexId;
 use crate::costs::instr;
 use crate::db::Database;
 use crate::error::Result;
-use crate::exec::{BoxExec, Executor, JoinKind};
+use crate::exec::{BoxExec, Executor};
 use crate::tctx::TraceCtx;
-use crate::types::{Row, Value};
+use crate::types::Row;
 
-/// Index-nested-loop join: `outer` streamed; for each outer row the
-/// `index` is probed with the key in column `outer_key`. Output = outer
-/// row ++ inner (indexed-table) row. `LeftOuter` preserves unmatched
-/// outer rows padded with NULLs.
+/// Inner index-nested-loop join: `outer` streamed; for each outer row
+/// the `index` is probed with the key in column `outer_key`. Output =
+/// outer row ++ inner (indexed-table) row; an unmatched outer row is
+/// dropped.
 pub struct IndexJoin {
     outer: BoxExec,
     outer_key: usize,
     index: IndexId,
-    kind: JoinKind,
-    inner_width: usize,
 }
 
 impl IndexJoin {
     /// Create a join of `outer` (on column `outer_key`) against `index`.
-    pub fn new(outer: BoxExec, outer_key: usize, index: IndexId, kind: JoinKind) -> Self {
+    pub fn new(outer: BoxExec, outer_key: usize, index: IndexId) -> Self {
         IndexJoin {
             outer,
             outer_key,
             index,
-            kind,
-            inner_width: 0,
         }
     }
 }
 
 impl Executor for IndexJoin {
     fn open(&mut self, db: &Database, tc: &mut TraceCtx) -> Result<()> {
-        // Padding width for unmatched probes: the indexed table's arity.
-        self.inner_width = db.table(db.index_table(self.index)).schema.columns().len();
         self.outer.open(db, tc)
     }
 
@@ -59,18 +53,10 @@ impl Executor for IndexJoin {
                 .as_i64()
                 .and_then(|key| db.index_get(self.index, key as u64, tc))
                 .and_then(|rid| db.table(db.index_table(self.index)).read_at(rid, tc));
-            match matched {
-                Some(inner) => {
-                    let mut out = outer_row;
-                    out.extend(inner.to_row());
-                    return Ok(Some(out));
-                }
-                None if self.kind == JoinKind::LeftOuter => {
-                    let mut out = outer_row;
-                    out.extend(std::iter::repeat_n(Value::Null, self.inner_width));
-                    return Ok(Some(out));
-                }
-                None => {}
+            if let Some(inner) = matched {
+                let mut out = outer_row;
+                out.extend(inner.to_row());
+                return Ok(Some(out));
             }
         }
     }
@@ -86,6 +72,7 @@ mod tests {
     use crate::exec::expr::{CmpOp, Pred};
     use crate::exec::testutil::sample_db;
     use crate::exec::{run_to_vec, Filter, Rows, SeqScan};
+    use crate::types::Value;
 
     #[test]
     fn inner_probe_matches_unique_keys() {
@@ -104,7 +91,7 @@ mod tests {
                 val: Value::Int(10),
             },
         ));
-        let mut join = IndexJoin::new(outer, 0, idx, JoinKind::Inner);
+        let mut join = IndexJoin::new(outer, 0, idx);
         let rows = run_to_vec(&mut join, &db, &mut tc).unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].len(), 8, "outer (4) ++ inner (4)");
@@ -114,24 +101,16 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_probes_drop_or_pad() {
+    fn unmatched_probes_drop() {
         let (mut db, t) = sample_db(20);
         let idx = db
             .create_index(t, Box::new(|row, _| row.col(0).as_i64().unwrap() as u64))
             .unwrap();
         let mut tc = db.null_ctx();
         // Outer keys 100..120 → no key matches the indexed 0..20.
-        let shifted = || Box::new(Rows::new((100..120).map(|k| vec![Value::Int(k)]).collect()));
-        let mut inner = IndexJoin::new(shifted(), 0, idx, JoinKind::Inner);
-        assert!(run_to_vec(&mut inner, &db, &mut tc).unwrap().is_empty());
-
-        let mut outer = IndexJoin::new(shifted(), 0, idx, JoinKind::LeftOuter);
-        let rows = run_to_vec(&mut outer, &db, &mut tc).unwrap();
-        assert_eq!(rows.len(), 20, "left-outer preserves every probe row");
-        for r in &rows {
-            assert_eq!(r.len(), 1 + 4, "probe (1 col) padded with inner arity");
-            assert!(r[1..].iter().all(Value::is_null));
-        }
+        let shifted = Box::new(Rows::new((100..120).map(|k| vec![Value::Int(k)]).collect()));
+        let mut join = IndexJoin::new(shifted, 0, idx);
+        assert!(run_to_vec(&mut join, &db, &mut tc).unwrap().is_empty());
     }
 
     #[test]
@@ -142,7 +121,7 @@ mod tests {
             .unwrap();
         let mut tc = db.null_ctx();
         let nulls = Box::new(Rows::new(vec![vec![Value::Null]; 5]));
-        let mut join = IndexJoin::new(nulls, 0, idx, JoinKind::Inner);
+        let mut join = IndexJoin::new(nulls, 0, idx);
         assert!(
             run_to_vec(&mut join, &db, &mut tc).unwrap().is_empty(),
             "NULL probe keys must not match any indexed key"

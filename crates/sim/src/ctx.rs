@@ -1,22 +1,23 @@
 //! Hardware-context plumbing shared by the fat and lean core models:
 //! thread binding, run queues and quantum rotation (the "OS scheduler"
-//! when software threads exceed hardware contexts), store buffers,
-//! instruction-fetch progress, and the memory accesses of loads and
-//! stores. Each core model keeps only how a context waits.
+//! when software threads exceed hardware contexts), store buffers, and
+//! [`issue`], the one loop that consumes a thread's trace — fetch, the
+//! memory accesses of loads and stores, fences and markers. Each core
+//! model keeps only how a context waits ([`Waits`]).
 
 use std::collections::VecDeque;
 
 use dbcmp_trace::region::CodeRegion;
 use dbcmp_trace::Event;
 
-use crate::cursor::ThreadState;
-use crate::machine::MachineCtl;
+use crate::cursor::{PendingLoad, PendingStore, ThreadState};
+use crate::machine::{MachineCtl, Shared};
 use crate::memsys::{Access, MemClass, MemSys};
 use crate::stats::CycleClass;
 
 /// Cap on zero-width events (fences, unit markers) consumed per context
-/// per cycle, bounding the decode loops of both core models.
-pub(crate) const MAX_META_EVENTS: usize = 64;
+/// per cycle, bounding [`issue`]'s loop.
+const MAX_META_EVENTS: usize = 64;
 
 /// Map a *data* access outcome to the stall class it causes (L1 hits cause
 /// none).
@@ -165,28 +166,23 @@ impl CtxBase {
     }
 }
 
-/// Consume one *zero-issue-width* trace event, identically for both core
-/// models: `Exec` opens a run, `Fence`/`Block` arm the pending fence
-/// (captured lock waits drain like fences — the wait time belongs to the
-/// capture schedule, not the replayed machine), `Wake` is a marker, and
-/// `UnitEnd` records a completed transaction/query and its latency.
+/// Consume one trace event for [`issue`]: `Exec`
+/// opens a run, `Fence`/`Block` arm the pending fence (captured lock
+/// waits drain like fences — the wait time belongs to the capture
+/// schedule, not the replayed machine), `Wake` is a marker, and `UnitEnd`
+/// records a completed transaction/query and its latency.
 /// `RemoteSend`/`RemoteRecv` arm the fence too and additionally accrue
 /// the interconnect cost into [`ThreadState::remote_wait`] — the core
 /// charges it (to `CycleClass::Other`) once the pipeline has drained,
-/// so a message is ordered after the work that produced it. Returns
-/// `false` for `Load`/`Store`, which occupy an issue slot and stay
-/// model-specific.
+/// so a message is ordered after the work that produced it. A `Load` or
+/// `Store` becomes the thread's pending load or store, which takes an
+/// issue slot; returns `true` for the zero-width events.
 #[inline]
 #[deny(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
 )]
-pub(crate) fn consume_meta_event(
-    th: &mut ThreadState<'_>,
-    ctl: &mut MachineCtl,
-    now: u64,
-    ev: Event,
-) -> bool {
+fn consume_event(th: &mut ThreadState<'_>, ctl: &mut MachineCtl, now: u64, ev: Event) -> bool {
     match ev {
         Event::Exec { region, instrs } => {
             if instrs > 0 {
@@ -212,19 +208,228 @@ pub(crate) fn consume_meta_event(
             ctl.remote.recvs += 1;
             ctl.remote.bytes += bytes as u64;
         }
-        Event::Load { .. } | Event::Store { .. } => return false,
+        Event::Load { addr, size, dep } => {
+            th.pending_load = Some(PendingLoad { addr, size, dep });
+            return false;
+        }
+        Event::Store { addr, size } => {
+            th.pending_store = Some(PendingStore { addr, size });
+            return false;
+        }
     }
     true
 }
 
-/// Move the thread's accrued interconnect wait into the machine's remote
-/// stall counter. Returns the wait, 0 when there is none, for the core
-/// to stall on once its pipeline has drained.
+/// Why a context stops issuing for the rest of a cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// Every MSHR is busy: the load waits in `pending_load`.
+    Mshrs,
+    /// The store buffer is full: the store waits in `pending_store`.
+    Stores,
+    /// A fence waits for everything before it to complete.
+    Drain,
+    /// The next instruction's I-line arrives at `until`.
+    Fetch { until: u64, class: CycleClass },
+    /// Issue resumes at `until`: a drained fence owes interconnect
+    /// cycles, or the context waits for a load that missed.
+    Gate { until: u64, class: CycleClass },
+    /// A branch mispredicted: issue resumes once the pipeline refills.
+    Mispredict,
+}
+
+/// How a hardware context waits: all that tells the two core camps'
+/// trace issue apart (paper §2 — the fat camp overlaps a stall in its
+/// window, the lean camp switches to another context). [`issue`] is the
+/// one loop that consumes a thread's trace, and it replaced
+/// `FatCore::decode` and `lean::issue_from`, which each restated it;
+/// [`run_fetched`] replaced their `decode_run` and `issue_run`.
+pub(crate) trait Waits {
+    /// The context being issued from.
+    fn ctx(&mut self) -> &mut CtxBase;
+    /// Instructions the context can still take, width aside: the fat
+    /// core's free window slots.
+    fn room(&self) -> usize;
+    /// Whether a load can issue: some MSHR is free.
+    fn mshr_free(&self) -> bool;
+    /// Whether everything a fence orders has completed.
+    fn drained(&self) -> bool;
+    /// Take `n` instructions that complete without a wait: ALU work, a
+    /// store, a load that hits.
+    fn take(&mut self, n: u32);
+    /// Take a load that misses until `until`; returns whether issue waits
+    /// for it (a [`Wait::Gate`] follows).
+    fn take_miss(&mut self, until: u64, class: CycleClass, dep: bool) -> bool;
+    /// Wait for `why` from cycle `now`.
+    fn wait(&mut self, why: Wait, now: u64);
+}
+
+/// What one [`issue`] call did.
+#[derive(Debug)]
+pub(crate) struct Issued {
+    /// Instructions issued.
+    pub(crate) instrs: usize,
+    /// `instrs` less a load that missed and stopped issue, so that a cycle
+    /// spent only starting a miss is a stall, not computation.
+    pub(crate) progress: usize,
+    /// Why issue stopped short of the width and the room, if it did.
+    pub(crate) wait: Option<Wait>,
+    /// Nothing changed: no instruction issued, no event read and no new
+    /// wait armed, as the context still waits on a full window, MSHRs or
+    /// store buffer, or an undrained fence.
+    pub(crate) stuck: bool,
+}
+
+/// Issue up to `width` instructions of thread `t` from the context behind
+/// `w` at cycle `now`: a pending load, else a pending store, else a
+/// pending fence's drain and the interconnect cycles it owes, then the
+/// current `Exec` run after one fetch check, then the next trace event —
+/// at most [`MAX_META_EVENTS`] zero-width ones — until the thread's trace
+/// ends.
 #[inline]
-pub(crate) fn take_remote_wait(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) -> u64 {
-    let wait = std::mem::take(&mut th.remote_wait);
-    ctl.remote.stall_cycles += wait;
-    wait
+pub(crate) fn issue<W: Waits>(
+    w: &mut W,
+    core: usize,
+    t: usize,
+    now: u64,
+    width: usize,
+    s: &mut Shared<'_>,
+) -> Issued {
+    let th = &mut s.threads[t];
+    // Only reading an event sets a pending state, and the loop reads one
+    // only once none is set: at most one is, so their order below is free.
+    debug_assert!(
+        u8::from(th.pending_load.is_some())
+            + u8::from(th.pending_store.is_some())
+            + u8::from(th.pending_fence)
+            <= 1
+    );
+    let (mut instrs, mut progress, mut events, mut meta) = (0, 0, 0, 0);
+    let why = loop {
+        let room = (width - instrs).min(w.room());
+        if room == 0 {
+            break None;
+        }
+        if let Some(pl) = th.pending_load {
+            if !w.mshr_free() {
+                break Some(Wait::Mshrs);
+            }
+            th.pending_load = None;
+            instrs += 1;
+            let acc = load_access(&mut s.mem, core, pl.addr, pl.size, now);
+            match data_stall_class(acc.class) {
+                Some(class) if acc.ready_at > now => {
+                    if w.take_miss(acc.ready_at, class, pl.dep) {
+                        break Some(Wait::Gate {
+                            until: acc.ready_at,
+                            class,
+                        });
+                    }
+                }
+                _ => w.take(1),
+            }
+            progress += 1;
+            continue;
+        }
+        if let Some(ps) = th.pending_store {
+            if !w.ctx().store_space() {
+                break Some(Wait::Stores);
+            }
+            th.pending_store = None;
+            issue_store(w.ctx(), &mut s.mem, core, ps.addr, ps.size, now);
+            w.take(1);
+            instrs += 1;
+            progress += 1;
+            continue;
+        }
+        if th.pending_fence {
+            if !w.drained() {
+                break Some(Wait::Drain);
+            }
+            th.pending_fence = false;
+            // Interconnect wait accrued by remote markers: charged here,
+            // after the drain, so the message is ordered behind the work
+            // that produced it.
+            let wait = std::mem::take(&mut th.remote_wait);
+            s.ctl.remote.stall_cycles += wait;
+            if wait > 0 {
+                break Some(Wait::Gate {
+                    until: now + wait,
+                    class: CycleClass::Other,
+                });
+            }
+        }
+        // The current exec run: one fetch check, then as many of its
+        // instructions as fit the room and the line.
+        if let Some((region, left)) = th.cur_exec {
+            let r = s.regions.get(region);
+            let line = th.fetch_addr(r) >> 6;
+            if line != th.last_iline {
+                th.last_iline = line;
+                let acc = s.mem.instr_access(core, line, now);
+                if acc.ready_at > now {
+                    let class = instr_stall_class(acc.class).unwrap_or(CycleClass::IStallL2);
+                    break Some(Wait::Fetch {
+                        until: acc.ready_at,
+                        class,
+                    });
+                }
+            }
+            let (n, mispredicted) = th.run_exec(r, left, room);
+            w.take(n as u32);
+            instrs += n;
+            progress += n;
+            if mispredicted {
+                break Some(Wait::Mispredict);
+            }
+            continue;
+        }
+        events += 1;
+        let Some(ev) = th.cursor.next_event() else {
+            th.done = true;
+            s.ctl.remaining = s.ctl.remaining.saturating_sub(1);
+            break None;
+        };
+        if consume_event(th, &mut s.ctl, now, ev) {
+            meta += 1;
+            if meta > MAX_META_EVENTS {
+                break None;
+            }
+        }
+    };
+    if let Some(why) = why {
+        w.wait(why, now);
+    }
+    let armed = matches!(
+        why,
+        Some(Wait::Fetch { .. } | Wait::Gate { .. } | Wait::Mispredict)
+    );
+    Issued {
+        instrs,
+        progress,
+        wait: why,
+        stuck: instrs == 0 && events == 0 && !armed,
+    }
+}
+
+/// Issue `room` instructions of the current exec run, `left` of region
+/// `r`, which [`ThreadState::fetched_run`] found inside the fetched
+/// I-line; a misprediction waits for the pipeline to refill.
+#[inline]
+pub(crate) fn run_fetched<W: Waits>(
+    w: &mut W,
+    th: &mut ThreadState<'_>,
+    r: &CodeRegion,
+    left: u32,
+    room: usize,
+    now: u64,
+) -> usize {
+    let (n, mispredicted) = th.run_exec(r, left, room);
+    w.take(n as u32);
+    if mispredicted {
+        w.wait(Wait::Mispredict, now);
+    }
+    n
 }
 
 /// The memory access of a load of `size` bytes at `addr`. Every line but
@@ -233,7 +438,7 @@ pub(crate) fn take_remote_wait(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) -
 /// line carries the timing; for a sequential scan it is the cold one, as
 /// there is no hardware data prefetcher (the paper's configuration).
 #[inline]
-pub(crate) fn load_access(mem: &mut MemSys, core: usize, addr: u64, size: u16, now: u64) -> Access {
+fn load_access(mem: &mut MemSys, core: usize, addr: u64, size: u16, now: u64) -> Access {
     let last = (addr + size.max(1) as u64 - 1) >> 6;
     for line in addr >> 6..last {
         mem.data_access(core, line, false, now);
@@ -246,14 +451,7 @@ pub(crate) fn load_access(mem: &mut MemSys, core: usize, addr: u64, size: u16, n
 /// the timing: a store still in flight is buffered with the stall class
 /// a wait on it is charged to. The lines after it are state-only touches.
 #[inline]
-pub(crate) fn issue_store(
-    ctx: &mut CtxBase,
-    mem: &mut MemSys,
-    core: usize,
-    addr: u64,
-    size: u16,
-    now: u64,
-) {
+fn issue_store(ctx: &mut CtxBase, mem: &mut MemSys, core: usize, addr: u64, size: u16, now: u64) {
     let first = addr >> 6;
     let acc = mem.data_access(core, first, true, now);
     if acc.ready_at > now {
@@ -263,39 +461,6 @@ pub(crate) fn issue_store(
     let last = (addr + size.max(1) as u64 - 1) >> 6;
     for line in first + 1..=last {
         mem.data_access(core, line, true, now);
-    }
-}
-
-/// Mark a thread's trace as exhausted (completion-mode bookkeeping).
-#[inline]
-pub(crate) fn finish_thread(th: &mut ThreadState<'_>, ctl: &mut MachineCtl) {
-    th.done = true;
-    ctl.remaining = ctl.remaining.saturating_sub(1);
-}
-
-/// Perform the instruction-fetch check for the next instruction of the
-/// thread's current exec run in `region`. Returns `None` if the line is
-/// ready (fetch proceeds), or `Some((ready_at, class))` if the context
-/// must wait.
-#[inline]
-pub(crate) fn fetch_check(
-    th: &mut ThreadState<'_>,
-    region: &CodeRegion,
-    mem: &mut MemSys,
-    core: usize,
-    now: u64,
-) -> Option<(u64, CycleClass)> {
-    let line = th.fetch_addr(region) >> 6;
-    if line == th.last_iline {
-        return None;
-    }
-    let acc = mem.instr_access(core, line, now);
-    th.last_iline = line;
-    if acc.ready_at <= now {
-        None
-    } else {
-        let class = instr_stall_class(acc.class).unwrap_or(CycleClass::IStallL2);
-        Some((acc.ready_at, class))
     }
 }
 

@@ -157,11 +157,17 @@ impl<'a> ThreadState<'a> {
         r.base + self.region_off[r.id as usize]
     }
 
-    /// The current `Exec` run: (region, instructions left). Decode reads
-    /// the next event only once the run is used up, so while there is one
-    /// the thread has no pending load, store or fence and is unfinished.
+    /// The current `Exec` run, as (region, instructions left), if `room`
+    /// of its instructions lie in the I-line already fetched, so running
+    /// them needs no fetch check. Issue reads the next event only once the
+    /// run is used up, so while there is one the thread has no pending
+    /// load, store or fence and is unfinished.
     #[inline]
-    pub(crate) fn current_run(&self) -> Option<(u16, u32)> {
+    pub(crate) fn fetched_run<'r>(
+        &self,
+        regions: &'r CodeRegions,
+        room: usize,
+    ) -> Option<(&'r CodeRegion, u32)> {
         debug_assert!(
             self.cur_exec.is_none()
                 || !(self.done
@@ -169,20 +175,11 @@ impl<'a> ThreadState<'a> {
                     || self.pending_load.is_some()
                     || self.pending_store.is_some())
         );
-        self.cur_exec
-    }
-
-    /// Instructions of region `r` left in the I-line the fetch cursor is
-    /// in, if that line is the one already fetched (so running them needs
-    /// no fetch check); 0 otherwise.
-    #[inline]
-    pub(crate) fn fetched_room(&self, r: &CodeRegion) -> u64 {
+        let (region, left) = self.cur_exec?;
+        let r = regions.get(region);
         let off = self.region_off[r.id as usize];
-        if (r.base + off) >> 6 == self.last_iline {
-            line_room(off)
-        } else {
-            0
-        }
+        let fetched = (r.base + off) >> 6 == self.last_iline;
+        (fetched && line_room(off).min(left as u64) >= room as u64).then_some((r, left))
     }
 
     /// Execute up to `room` instructions of the current exec run (`left`

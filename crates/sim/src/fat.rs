@@ -20,18 +20,10 @@
 
 use std::collections::VecDeque;
 
-use dbcmp_trace::region::CodeRegion;
-use dbcmp_trace::Event;
-
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
-use crate::ctx::{
-    consume_meta_event, data_stall_class, fetch_check, finish_thread, issue_store, load_access,
-    take_remote_wait, CtxBase, MAX_META_EVENTS,
-};
-use crate::cursor::{PendingLoad, PendingStore, ThreadState};
+use crate::ctx::{issue, run_fetched, CtxBase, Wait, Waits};
 use crate::machine::Shared;
-use crate::memsys::MemSys;
 use crate::stats::CycleClass;
 
 /// One window entry: either a run of already-complete ALU work or an
@@ -133,12 +125,12 @@ impl Core for FatCore {
         s.ctl.instrs += retired as u64;
 
         // ---- Decode/dispatch stage ----
-        let mut head_wait: Option<CycleClass> = None;
+        let mut mshrs_full = false;
         if let Some(t) = self.base.thread {
-            if !s.threads[t].done {
-                let (blame, stuck) = self.decode(core, t, now, s);
-                head_wait = blame;
-                quiet &= stuck;
+            if !s.threads[t].done && !self.gated(now) {
+                let decoded = issue(self, core, t, now, self.width, s);
+                mshrs_full = decoded.wait == Some(Wait::Mshrs);
+                quiet &= decoded.stuck;
             }
         }
 
@@ -166,8 +158,8 @@ impl Core for FatCore {
             self.fetch_class
         } else if self.gate_until > now {
             self.gate_class
-        } else if let Some(cls) = head_wait {
-            cls
+        } else if mshrs_full {
+            CycleClass::DStallMem
         } else if let Some((_, class)) = self.base.oldest_store() {
             class
         } else {
@@ -209,31 +201,23 @@ impl Core for FatCore {
         if th.done || head as usize <= self.alu_width {
             return false;
         }
-        let decode = if self.want_switch || self.gate_until > t || self.fetch_until > t {
-            None
-        } else {
-            let Some((region, left)) = th.current_run() else {
-                return false;
-            };
-            let r = s.regions.get(region);
-            // What decode has room for once retire has freed `alu_width`.
+        // Decode first: it and retire work on opposite ends of the window,
+        // and its room already counts the `alu_width` retire frees.
+        if !self.gated(t) {
             let room = self
                 .width
                 .min(self.rob_cap + self.alu_width - self.rob_instrs);
-            if th.fetched_room(r).min(left as u64) < room as u64 {
+            let Some((r, left)) = th.fetched_run(s.regions, room) else {
                 return false;
-            }
-            Some((r, left, room))
-        };
+            };
+            run_fetched(self, th, r, left, room, t);
+        }
         // `retire`, for a head run that gives `alu_width` and keeps one.
         if let Some(RobSlot::Run { left }) = self.rob.front_mut() {
             *left -= self.alu_width as u32;
         }
         self.rob_instrs -= self.alu_width;
         s.ctl.instrs += self.alu_width as u64;
-        if let Some((r, left, room)) = decode {
-            self.decode_run(th, r, left, room, t);
-        }
         self.count_quantum();
         true
     }
@@ -307,189 +291,75 @@ impl FatCore {
         !self.base.tick_quantum() && !std::mem::replace(&mut self.want_switch, true)
     }
 
-    /// Decode up to `room` instructions of the current exec run (`left`
-    /// of region `r`), its I-line already fetched; a misprediction stops
-    /// decode for the pipeline depth. Returns (decoded, mispredicted).
+    /// Whether decode is halted at `now`: a switch is draining the
+    /// window, or a decode or fetch gate is closed.
     #[inline]
-    fn decode_run(
-        &mut self,
-        th: &mut ThreadState<'_>,
-        r: &CodeRegion,
-        left: u32,
-        room: usize,
-        now: u64,
-    ) -> (usize, bool) {
-        let (n, mispredicted) = th.run_exec(r, left, room);
-        self.push_run(n as u32);
-        if mispredicted {
-            self.gate_until = now + self.pipeline_depth;
-            self.gate_class = CycleClass::Other;
-        }
-        (n, mispredicted)
+    fn gated(&self, now: u64) -> bool {
+        self.want_switch || self.gate_until > now || self.fetch_until > now
+    }
+}
+
+/// The fat core holds a window slot for each instruction it takes, keeps
+/// a load that misses in flight on an MSHR, and halts decode behind a
+/// dependent load, a misprediction redirect, an owed interconnect wait or
+/// an I-fetch miss. A full window, MSHRs or store buffer and an
+/// undrained fence arm nothing: the cycle is *stuck*, and quiet when
+/// nothing retires (DESIGN.md §2). Only the MSHRs' blame is not the
+/// attribution's fall-back (the oldest store, else `Other`).
+impl Waits for FatCore {
+    fn ctx(&mut self) -> &mut CtxBase {
+        &mut self.base
     }
 
-    /// Fill the window with up to `width` new instructions. Returns the
-    /// stall class to blame if decode could not make progress for a
-    /// memory-ish reason (used only when nothing retired either), and
-    /// whether decode was *stuck*: it returned early or, having consumed
-    /// nothing, hit a no-progress exit (window, MSHRs or store buffer
-    /// full, fence un-drained).
-    fn decode(
-        &mut self,
-        core: usize,
-        t: usize,
-        now: u64,
-        s: &mut Shared<'_>,
-    ) -> (Option<CycleClass>, bool) {
-        if self.want_switch || self.gate_until > now || self.fetch_until > now {
-            return (None, true);
-        }
-        let th = &mut s.threads[t];
-        let mut decoded = 0usize;
-        let mut meta = 0usize;
-        let mut blame = None;
-        // Every exit that does not set this consumed an event or armed a
-        // gate.
-        let mut stuck = self.rob_instrs >= self.rob_cap;
-        while decoded < self.width && self.rob_instrs < self.rob_cap {
-            // Pending load retry (was waiting for an MSHR).
-            if let Some(pl) = th.pending_load {
-                if self.outstanding >= self.mshrs {
-                    blame = Some(CycleClass::DStallMem);
-                    stuck = true;
-                    break;
-                }
-                th.pending_load = None;
-                self.issue_load(core, now, pl, &mut s.mem);
-                decoded += 1;
-                if pl.dep && self.gate_until > now {
-                    break;
-                }
-                continue;
-            }
-            // Pending store retry.
-            if let Some(ps) = th.pending_store {
-                if !self.base.store_space() {
-                    blame = self.base.oldest_store().map(|(_, c)| c);
-                    stuck = true;
-                    break;
-                }
-                issue_store(&mut self.base, &mut s.mem, core, ps.addr, ps.size, now);
-                th.pending_store = None;
-                self.push_run(1);
-                decoded += 1;
-                continue;
-            }
-            // Pending fence: wait for full drain.
-            if th.pending_fence {
-                if !self.rob.is_empty() || !self.base.store_buf.is_empty() {
-                    blame = self
-                        .base
-                        .oldest_store()
-                        .map(|(_, c)| c)
-                        .or(Some(CycleClass::Other));
-                    stuck = true;
-                    break;
-                }
-                th.pending_fence = false;
-                // Interconnect wait accrued by remote markers: charged here,
-                // after the drain, so the message is ordered behind the work
-                // that produced it.
-                let wait = take_remote_wait(th, &mut s.ctl);
-                if wait > 0 {
-                    self.gate_until = self.gate_until.max(now + wait);
-                    self.gate_class = CycleClass::Other;
-                    break;
-                }
-            }
-            // Current exec run: one fetch check, then as many of its
-            // instructions as fit the window, the width and the line.
-            if let Some((region, left)) = th.cur_exec {
-                let r = s.regions.get(region);
-                if let Some((ready, class)) = fetch_check(th, r, &mut s.mem, core, now) {
-                    self.fetch_until = ready;
-                    self.fetch_class = class;
-                    break;
-                }
-                let room = (self.width - decoded).min(self.rob_cap - self.rob_instrs);
-                let (n, mispredicted) = self.decode_run(th, r, left, room, now);
-                decoded += n;
-                if mispredicted {
-                    break;
-                }
-                continue;
-            }
-            match th.cursor.next_event() {
-                Some(Event::Load { addr, size, dep }) => {
-                    let pl = PendingLoad { addr, size, dep };
-                    if self.outstanding >= self.mshrs {
-                        // MSHRs exhausted; hold the load and resume next
-                        // cycle.
-                        th.pending_load = Some(pl);
-                        blame = Some(CycleClass::DStallMem);
-                        break;
-                    }
-                    self.issue_load(core, now, pl, &mut s.mem);
-                    decoded += 1;
-                    if dep && self.gate_until > now {
-                        break;
-                    }
-                }
-                Some(Event::Store { addr, size }) => {
-                    if !self.base.store_space() {
-                        th.pending_store = Some(PendingStore { addr, size });
-                        blame = self.base.oldest_store().map(|(_, c)| c);
-                        break;
-                    }
-                    issue_store(&mut self.base, &mut s.mem, core, addr, size, now);
-                    self.push_run(1);
-                    decoded += 1;
-                }
-                Some(ev) => {
-                    consume_meta_event(th, &mut s.ctl, now, ev);
-                    meta += 1;
-                    if meta > MAX_META_EVENTS {
-                        break;
-                    }
-                }
-                None => {
-                    finish_thread(th, &mut s.ctl);
-                    break;
-                }
-            }
-        }
-        (blame, stuck && decoded == 0 && meta == 0)
+    fn room(&self) -> usize {
+        self.rob_cap - self.rob_instrs
     }
 
-    /// Issue a load to the memory system and place it in the window.
-    fn issue_load(&mut self, core: usize, now: u64, pl: PendingLoad, mem: &mut MemSys) {
-        let acc = load_access(mem, core, pl.addr, pl.size, now);
-        match data_stall_class(acc.class) {
-            Some(class) if acc.ready_at > now => {
-                self.rob.push_back(RobSlot::Load {
-                    ready_at: acc.ready_at,
-                    class,
-                });
-                self.rob_instrs += 1;
-                self.outstanding += 1;
-                if pl.dep {
-                    self.gate_until = acc.ready_at;
-                    self.gate_class = class;
-                }
-            }
-            _ => self.push_run(1),
-        }
+    fn mshr_free(&self) -> bool {
+        self.outstanding < self.mshrs
+    }
+
+    fn drained(&self) -> bool {
+        self.rob.is_empty() && self.base.store_buf.is_empty()
     }
 
     /// Append ALU work to the window, merging with a trailing run.
     #[inline]
-    fn push_run(&mut self, n: u32) {
+    fn take(&mut self, n: u32) {
         if let Some(RobSlot::Run { left }) = self.rob.back_mut() {
             *left += n;
         } else {
             self.rob.push_back(RobSlot::Run { left: n });
         }
         self.rob_instrs += n as usize;
+    }
+
+    fn take_miss(&mut self, until: u64, class: CycleClass, dep: bool) -> bool {
+        self.rob.push_back(RobSlot::Load {
+            ready_at: until,
+            class,
+        });
+        self.rob_instrs += 1;
+        self.outstanding += 1;
+        dep
+    }
+
+    fn wait(&mut self, why: Wait, now: u64) {
+        match why {
+            Wait::Mshrs | Wait::Stores | Wait::Drain => {}
+            Wait::Fetch { until, class } => {
+                self.fetch_until = until;
+                self.fetch_class = class;
+            }
+            Wait::Gate { until, class } => {
+                self.gate_until = until;
+                self.gate_class = class;
+            }
+            Wait::Mispredict => {
+                self.gate_until = now + self.pipeline_depth;
+                self.gate_class = CycleClass::Other;
+            }
+        }
     }
 }
 

@@ -9,16 +9,9 @@
 //! waiting on memory, that is precisely the exposed data-stall time the
 //! paper measures for lean cores under unsaturated load (§4).
 
-use dbcmp_trace::region::CodeRegion;
-use dbcmp_trace::Event;
-
 use crate::config::{CoreKind, MachineConfig};
 use crate::core::{Core, Tick};
-use crate::ctx::{
-    consume_meta_event, data_stall_class, fetch_check, finish_thread, issue_store, load_access,
-    take_remote_wait, CtxBase, MAX_META_EVENTS,
-};
-use crate::cursor::{PendingStore, ThreadState};
+use crate::ctx::{issue, run_fetched, CtxBase, Wait, Waits};
 use crate::machine::Shared;
 use crate::stats::CycleClass;
 
@@ -92,7 +85,7 @@ impl Core for LeanCore {
 
         let chosen = self.pick(now);
         self.advance(1);
-        let Some(i) = chosen else {
+        let Some((i, t)) = chosen else {
             // All contexts blocked: charge the longest-waiting one, and
             // stay quiet until the first of them unblocks. The pointer
             // advances once per quiet cycle too.
@@ -121,10 +114,15 @@ impl Core for LeanCore {
         }
 
         // Issue up to `width` instructions from this context.
-        let (issued, progress) = issue_from(ctx, core, now, self.width, self.pipeline_depth, s);
-        self.rescan = self.ctxs[i].thread.is_some_and(|t| s.threads[t].done);
-        s.ctl.instrs += issued as u64;
-        if progress > 0 {
+        ctx.drain_stores(now);
+        let mut picked = Picked {
+            ctx,
+            pipeline_depth: self.pipeline_depth,
+        };
+        let issued = issue(&mut picked, core, t, now, self.width, s);
+        self.rescan = s.threads[t].done;
+        s.ctl.instrs += issued.instrs as u64;
+        if issued.progress > 0 {
             Tick::once(CycleClass::Compute, now)
         } else {
             // The context blocked on its very first slot this cycle.
@@ -145,21 +143,22 @@ impl Core for LeanCore {
         if self.rescan {
             return false;
         }
-        let Some(i) = self.pick(t) else {
+        let Some((i, thread)) = self.pick(t) else {
             return false;
         };
         let ctx = &mut self.ctxs[i];
-        let Some(th) = ctx.thread.map(|i| &mut s.threads[i]) else {
+        let th = &mut s.threads[thread];
+        let Some((r, left)) = th.fetched_run(s.regions, self.width) else {
             return false;
         };
-        let Some((region, left)) = th.current_run() else {
-            return false;
-        };
-        let r = s.regions.get(region);
-        if th.fetched_room(r).min(left as u64) < self.width as u64 || !ctx.tick_quantum() {
+        if !ctx.tick_quantum() {
             return false;
         }
-        let (n, _) = issue_run(ctx, th, r, left, self.width, self.pipeline_depth, t);
+        let mut picked = Picked {
+            ctx,
+            pipeline_depth: self.pipeline_depth,
+        };
+        let n = run_fetched(&mut picked, th, r, left, self.width, t);
         self.advance(1);
         s.ctl.instrs += n as u64;
         true
@@ -167,14 +166,16 @@ impl Core for LeanCore {
 }
 
 impl LeanCore {
-    /// The next runnable context at `now`, round-robin from the pointer.
-    /// (`rr < n`, so the wraps are one compare, not a division.)
+    /// The next runnable context at `now`, round-robin from the pointer,
+    /// and its thread. (`rr < n`, so the wraps are one compare, not a
+    /// division.)
     #[inline]
-    fn pick(&self, now: u64) -> Option<usize> {
+    fn pick(&self, now: u64) -> Option<(usize, usize)> {
         let n = self.ctxs.len();
         (self.rr..self.rr + n)
             .map(|i| if i < n { i } else { i - n })
             .find(|&i| self.ctxs[i].runnable(now))
+            .and_then(|i| Some((i, self.ctxs[i].thread?)))
     }
 
     /// Move the pointer on as `cycles` cycles do, one context each.
@@ -189,131 +190,51 @@ impl LeanCore {
     }
 }
 
-/// Issue up to `width` instructions from one context; returns
-/// `(issued, progress)` — `issued` counts retired instructions (for IPC),
-/// `progress` excludes an instruction that immediately blocked (so a cycle
-/// spent only initiating a miss is charged as a stall, not computation).
-/// On a miss the context is left blocked.
-fn issue_from(
-    ctx: &mut CtxBase,
-    core: usize,
-    now: u64,
-    width: usize,
+/// The context a lean core issues from this cycle. It waits by blocking
+/// until its wait ends, while the core issues from its other contexts: a
+/// load that misses, a full store buffer (until the oldest store
+/// completes) and an undrained fence (until the newest one does) all
+/// block it. It has no window and no MSHR limit.
+struct Picked<'a> {
+    ctx: &'a mut CtxBase,
     pipeline_depth: u64,
-    s: &mut Shared<'_>,
-) -> (usize, usize) {
-    let t = match ctx.thread {
-        Some(t) => t,
-        None => return (0, 0),
-    };
-    let th = &mut s.threads[t];
-    ctx.drain_stores(now);
-
-    let mut issued = 0usize;
-    let mut progress = 0usize;
-    let mut meta = 0usize;
-    while issued < width {
-        // 1. Retry a store that was waiting for buffer space.
-        if let Some(ps) = th.pending_store {
-            if let Some((ready, class)) = ctx.oldest_store().filter(|_| !ctx.store_space()) {
-                ctx.block(ready, class, now);
-                break;
-            }
-            issue_store(ctx, &mut s.mem, core, ps.addr, ps.size, now);
-            th.pending_store = None;
-            issued += 1;
-            progress += 1;
-            continue;
-        }
-        // 2. A pending fence waits for the store buffer to drain.
-        if th.pending_fence {
-            if let Some((ready, class)) = ctx.newest_store() {
-                ctx.block(ready, class, now);
-                break;
-            }
-            th.pending_fence = false;
-            // Interconnect wait accrued by remote markers: charged after
-            // the drain so the message is ordered behind prior work.
-            let wait = take_remote_wait(th, &mut s.ctl);
-            if wait > 0 {
-                ctx.block(now + wait, CycleClass::Other, now);
-                break;
-            }
-        }
-        // 3. Continue the current exec run: one fetch check, then as many
-        // of its instructions as fit the width and the line.
-        if let Some((region, left)) = th.cur_exec {
-            let r = s.regions.get(region);
-            if let Some((ready, class)) = fetch_check(th, r, &mut s.mem, core, now) {
-                ctx.block(ready, class, now);
-                break;
-            }
-            let (n, mispredicted) =
-                issue_run(ctx, th, r, left, width - issued, pipeline_depth, now);
-            issued += n;
-            progress += n;
-            if mispredicted {
-                break;
-            }
-            continue;
-        }
-        // 4. Decode the next trace event.
-        match th.cursor.next_event() {
-            Some(Event::Load { addr, size, .. }) => {
-                let acc = load_access(&mut s.mem, core, addr, size, now);
-                issued += 1;
-                if let Some(class) = data_stall_class(acc.class) {
-                    if acc.ready_at > now {
-                        ctx.block(acc.ready_at, class, now);
-                        break;
-                    }
-                }
-                progress += 1;
-            }
-            Some(Event::Store { addr, size }) => {
-                if let Some((ready, class)) = ctx.oldest_store().filter(|_| !ctx.store_space()) {
-                    th.pending_store = Some(PendingStore { addr, size });
-                    ctx.block(ready, class, now);
-                    break;
-                }
-                issue_store(ctx, &mut s.mem, core, addr, size, now);
-                issued += 1;
-                progress += 1;
-            }
-            Some(ev) => {
-                consume_meta_event(th, &mut s.ctl, now, ev);
-                meta += 1;
-                if meta > MAX_META_EVENTS {
-                    break;
-                }
-            }
-            None => {
-                finish_thread(th, &mut s.ctl);
-                break;
-            }
-        }
-    }
-    (issued, progress)
 }
 
-/// Issue up to `room` instructions of the current exec run (`left` of
-/// region `r`), its I-line already fetched; a misprediction blocks the
-/// context for the pipeline depth. Returns (issued, mispredicted).
-#[inline]
-fn issue_run(
-    ctx: &mut CtxBase,
-    th: &mut ThreadState<'_>,
-    r: &CodeRegion,
-    left: u32,
-    room: usize,
-    pipeline_depth: u64,
-    now: u64,
-) -> (usize, bool) {
-    let (n, mispredicted) = th.run_exec(r, left, room);
-    if mispredicted {
-        ctx.block(now + pipeline_depth, CycleClass::Other, now);
+impl Waits for Picked<'_> {
+    fn ctx(&mut self) -> &mut CtxBase {
+        self.ctx
     }
-    (n, mispredicted)
+
+    fn room(&self) -> usize {
+        usize::MAX
+    }
+
+    fn mshr_free(&self) -> bool {
+        true
+    }
+
+    fn drained(&self) -> bool {
+        self.ctx.store_buf.is_empty()
+    }
+
+    fn take(&mut self, _: u32) {}
+
+    fn take_miss(&mut self, _: u64, _: CycleClass, _: bool) -> bool {
+        true
+    }
+
+    fn wait(&mut self, why: Wait, now: u64) {
+        let until = match why {
+            Wait::Stores => self.ctx.oldest_store(),
+            Wait::Drain => self.ctx.newest_store(),
+            Wait::Fetch { until, class } | Wait::Gate { until, class } => Some((until, class)),
+            Wait::Mispredict => Some((now + self.pipeline_depth, CycleClass::Other)),
+            Wait::Mshrs => None,
+        };
+        if let Some((until, class)) = until {
+            self.ctx.block(until, class, now);
+        }
+    }
 }
 
 #[cfg(test)]

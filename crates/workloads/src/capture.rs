@@ -93,10 +93,7 @@ pub fn capture_dss(
     mix: &[QueryKind],
     opt: CaptureOptions,
 ) -> TraceBundle {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    capture_dss_workers(db, h, mix, opt, workers)
+    capture_dss_workers(db, h, mix, opt, available_workers())
 }
 
 /// [`capture_dss`] with an explicit worker count (`workers <= 1` runs
@@ -120,6 +117,12 @@ pub(crate) fn capture_dss_workers(
         run_dss_client(db, h, mix, opt, client, arena)
     });
     TraceBundle::new(db.regions().clone(), threads)
+}
+
+/// One worker per available CPU, the default of every entry point that
+/// takes `workers` ([`par_map_ordered`] caps it at the item count).
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `f(index, item)` over `items` on up to `workers` threads, results in

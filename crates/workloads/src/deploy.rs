@@ -73,7 +73,7 @@ use rand::Rng;
 use crate::capture::CaptureOptions;
 use crate::instances::{build_instances, bundle_instances};
 use crate::ops::now;
-use crate::rng::{client_rng, uniform};
+use crate::rng::{client_rng, txn_rng, uniform};
 use crate::tpcc::txns::{
     draw_kind, draw_other_wh, find_customer, insert_order, insert_order_line, item_price,
     open_order, pay_customer, pay_home, reserve_stock, run_txn_cfg, write_history, OrderLine,
@@ -136,21 +136,6 @@ pub struct Deployment {
 fn owner(w: u64, warehouses: u64, n: usize) -> usize {
     let per = warehouses / n as u64;
     ((w - 1) / per) as usize
-}
-
-/// Salt for the per-transaction parameter streams, keeping them disjoint
-/// from the per-client streams drawn from the same capture seed.
-const TXN_SALT: u64 = 0x7C9A_11E5_D3B0_77AA;
-
-/// The private parameter stream of `client`'s `attempt`-th transaction.
-/// A client owns 1024 consecutive streams; one attempt more would be
-/// handed the next client's first, so that fails loudly instead.
-pub(crate) fn txn_rng(seed: u64, client: usize, attempt: usize) -> StdRng {
-    assert!(
-        attempt < 1024,
-        "client {client}: attempt {attempt} would alias the next client's parameter streams"
-    );
-    client_rng(seed ^ TXN_SALT, client * 1024 + attempt)
 }
 
 /// Capture a shared-nothing deployment, building the partitions'
@@ -425,20 +410,6 @@ mod tests {
             partitions,
             multi_pct,
         }
-    }
-
-    /// Two adjacent clients' 2 × 1024 per-transaction streams are all
-    /// distinct, and attempt 1024 — which used to be handed the next
-    /// client's attempt 0 — is refused.
-    #[test]
-    fn txn_streams_do_not_alias_across_clients() {
-        let firsts: std::collections::BTreeSet<u64> = (0..2)
-            .flat_map(|client| (0..1024).map(move |attempt| (client, attempt)))
-            .map(|(client, attempt)| txn_rng(0xD3B, client, attempt).gen())
-            .collect();
-        assert_eq!(firsts.len(), 2 * 1024);
-        assert_eq!(txn_rng(0xD3B, 1, 0), client_rng(0xD3B ^ TXN_SALT, 1024));
-        assert!(std::panic::catch_unwind(|| txn_rng(0xD3B, 0, 1024)).is_err());
     }
 
     /// W=4 scale that divides across 1/2/4 instances.

@@ -41,9 +41,8 @@ use dbcmp_engine::txn::{Txn, TxnId};
 use dbcmp_engine::{CcBackend, CcStats, Database, EngineError, EngineRegions, Result, TraceCtx};
 use dbcmp_trace::{ThreadTrace, TraceBundle};
 
-use crate::deploy::txn_rng;
 use crate::ops::EngineOps;
-use crate::rng::client_rng;
+use crate::rng::{client_rng, txn_rng};
 use crate::rwset::rw_set;
 use crate::tpcc::txns::{draw_kind, run_txn_cfg, run_txn_cfg_declared, TxnCfg, TxnOutcome};
 use crate::tpcc::TpccDb;
@@ -77,7 +76,7 @@ pub struct InterleaveOptions {
     /// from: [`CcBackend::DeterministicOrdered`] derives each attempt's
     /// read/write set by dry-running its body, which consumes the draws
     /// once more, so there every attempt gets a private stream
-    /// (`deploy::txn_rng`); the other backends draw everything
+    /// (`rng::txn_rng`); the other backends draw everything
     /// from the per-client stream. Captures under the ordered backend
     /// therefore run different transactions than the other two at the
     /// same seed (DESIGN.md §8).

@@ -8,6 +8,21 @@ pub(crate) fn client_rng(seed: u64, client: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// Salt for the per-transaction parameter streams, keeping them disjoint
+/// from the per-client streams drawn from the same capture seed.
+const TXN_SALT: u64 = 0x7C9A_11E5_D3B0_77AA;
+
+/// The private parameter stream of `client`'s `attempt`-th transaction.
+/// A client owns 1024 consecutive streams; one attempt more would be
+/// handed the next client's first, so that fails loudly instead.
+pub(crate) fn txn_rng(seed: u64, client: usize, attempt: usize) -> StdRng {
+    assert!(
+        attempt < 1024,
+        "client {client}: attempt {attempt} would alias the next client's parameter streams"
+    );
+    client_rng(seed ^ TXN_SALT, client * 1024 + attempt)
+}
+
 /// TPC-C NURand(A, x, y): non-uniform random over `[x, y]`, skewed so a
 /// subset of values is hot (spec clause 2.1.6). `c` is the per-run
 /// constant.
@@ -83,5 +98,19 @@ mod tests {
         let b: u64 = client_rng(1, 1).gen();
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
+    }
+
+    /// Two adjacent clients' 2 × 1024 per-transaction streams are all
+    /// distinct, and attempt 1024 — which used to be handed the next
+    /// client's attempt 0 — is refused.
+    #[test]
+    fn txn_streams_do_not_alias_across_clients() {
+        let firsts: std::collections::BTreeSet<u64> = (0..2)
+            .flat_map(|client| (0..1024).map(move |attempt| (client, attempt)))
+            .map(|(client, attempt)| txn_rng(0xD3B, client, attempt).gen())
+            .collect();
+        assert_eq!(firsts.len(), 2 * 1024);
+        assert_eq!(txn_rng(0xD3B, 1, 0), client_rng(0xD3B ^ TXN_SALT, 1024));
+        assert!(std::panic::catch_unwind(|| txn_rng(0xD3B, 0, 1024)).is_err());
     }
 }

@@ -47,7 +47,7 @@ use dbcmp_engine::{Database, Row, TraceCtx};
 use dbcmp_trace::TraceBundle;
 use rand::rngs::StdRng;
 
-use crate::capture::{capture_dss_workers, CaptureOptions, DSS_SCRATCH_BYTES};
+use crate::capture::{available_workers, capture_dss_workers, CaptureOptions, DSS_SCRATCH_BYTES};
 use crate::exchange::{
     choose_strategy, exchange_rows, rows_bytes, ship_rows, ExchangeBufs, ExchangeTraffic,
 };
@@ -92,10 +92,7 @@ pub struct DistCapture {
 /// `opt.instances` engine instances. Worker count defaults to the
 /// available parallelism; see [`capture_dss_dist_workers`].
 pub fn capture_dss_dist(scale: TpchScale, mix: &[QueryKind], opt: DistOptions) -> DistCapture {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    capture_dss_dist_workers(scale, mix, opt, workers)
+    capture_dss_dist_workers(scale, mix, opt, available_workers())
 }
 
 /// [`capture_dss_dist`] with an explicit worker count. Workers

@@ -282,7 +282,6 @@ pub fn q5(h: &TpchDb, rng: &mut StdRng) -> BoxExec {
         Box::new(SeqScan::new(h.lineitem)),
         L_ORDERKEY,
         h.idx_orders,
-        JoinKind::Inner,
     ));
     let dated = Box::new(Filter::new(
         li_orders,

@@ -3,6 +3,7 @@
 # every perf claim for.
 #
 #   scripts/bench_pairs.sh <parent-ref> [pairs=10] [workloads...]
+#   scripts/bench_pairs.sh --aa <ref> [pairs=10] [workloads...]
 #   scripts/bench_pairs.sh --figs <parent-ref> [pairs=10] [figures...]
 #   scripts/bench_pairs.sh --check-log
 #
@@ -38,6 +39,11 @@
 # Every run's result is kept under $BENCH_PAIRS_DIR/runs/. The change side
 # is the working tree as it stands, committed or not. BENCH_PAIRS_DIR
 # defaults to target/bench_pairs (git-ignored).
+#
+# --aa (workload mode) exports <ref> to both sides, so the two sides are the
+# same code and every verdict other than "no worse" is a false one: the
+# table shows how often this host's noise alone reads as a gain, a loss or
+# "unresolved".
 set -euo pipefail
 
 FIG_KEYS="date host rev side figure scale pair ok wall_s peak_rss_mb stdout_sha256"
@@ -62,18 +68,29 @@ EOF
 fi
 
 mode=workloads
+aa=
 if [ "${1:-}" = --figs ]; then mode=figs; shift; fi
-[ $# -ge 1 ] || { sed -n '2,40p' "$0" >&2; exit 2; }
+if [ "${1:-}" = --aa ]; then aa=1; shift; fi
+[ -z "$aa" ] || [ $mode = workloads ] || { echo "--aa runs workloads only" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,46p' "$0" >&2; exit 2; }
 parent_ref=$1
 pairs=${2:-10}
 shift; [ $# -gt 0 ] && shift
 names=("$@")
 
 dir=${BENCH_PAIRS_DIR:-$repo/target/bench_pairs}
-rm -rf "$dir/parent" "$dir/runs"
+rm -rf "$dir/parent" "$dir/change" "$dir/runs"
 mkdir -p "$dir/parent" "$dir/runs"
 git -C "$repo" archive "$parent_ref" | tar -x -C "$dir/parent"
-checkout() { if [ "$1" = parent ]; then echo "$dir/parent"; else echo "$repo"; fi; }
+if [ -n "$aa" ]; then
+    mkdir -p "$dir/change"
+    git -C "$repo" archive "$parent_ref" | tar -x -C "$dir/change"
+fi
+checkout() {
+    if [ "$1" = parent ]; then echo "$dir/parent"
+    elif [ -n "$aa" ]; then echo "$dir/change"
+    else echo "$repo"; fi
+}
 
 if [ $mode = workloads ]; then
     [ ${#names[@]} -gt 0 ] || names=(oltp_camps dss_capture oltp_contended dist_joins)
@@ -207,3 +224,4 @@ for w in names:
               f"| {delta} of {ma:.3f} | {better}/{pairs} "
               f"| {verdict} | {failed}{same} |")
 EOF
+[ -z "$aa" ] || echo "A/A run: both sides are $parent_ref, so any verdict other than \"no worse\" is false."
