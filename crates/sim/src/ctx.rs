@@ -272,7 +272,8 @@ pub(crate) struct Issued {
     /// `instrs` less a load that missed and stopped issue, so that a cycle
     /// spent only starting a miss is a stall, not computation.
     pub(crate) progress: usize,
-    /// Why issue stopped short of the width and the room, if it did.
+    /// The wait issue stopped on, if any: it also stops, waiting on
+    /// nothing, at the end of the trace and at the zero-width cap.
     pub(crate) wait: Option<Wait>,
     /// Nothing changed: no instruction issued, no event read and no new
     /// wait armed, as the context still waits on a full window, MSHRs or
