@@ -166,11 +166,11 @@ impl CtxBase {
     }
 }
 
-/// Consume one trace event for [`issue`]: `Exec`
-/// opens a run, `Fence`/`Block` arm the pending fence (captured lock
-/// waits drain like fences — the wait time belongs to the capture
-/// schedule, not the replayed machine), `Wake` is a marker, and `UnitEnd`
-/// records a completed transaction/query and its latency.
+/// Consume one trace event for [`issue`]: `Exec` opens a run,
+/// `Fence`/`Block` arm the pending fence (captured lock waits drain like
+/// fences — the wait time belongs to the capture schedule, not the
+/// replayed machine), `Wake` is a marker, and `UnitEnd` records a
+/// completed transaction/query and its latency.
 /// `RemoteSend`/`RemoteRecv` arm the fence too and additionally accrue
 /// the interconnect cost into [`ThreadState::remote_wait`] — the core
 /// charges it (to `CycleClass::Other`) once the pipeline has drained,
