@@ -1,7 +1,7 @@
 //! Packed trace events.
 //!
-//! One event per `u64`. Traces are stored as columnar segments (about
-//! 3.5 B/event, [`Segment`](crate::Segment)), not as these words;
+//! One event per `u64`. Traces are stored as token-coded segments
+//! (about 2 B/event, [`Segment`](crate::Segment)), not as these words;
 //! a `PackedEvent` is the one canonical word per event that the segment
 //! codec round-trips to and that every pinned capture digest folds.
 //!

@@ -1,25 +1,37 @@
-//! Chunked columnar trace segments and the sink/source seams.
+//! Chunked trace segments and the sink/source seams.
 //!
 //! A trace is stored as fixed-size blocks of [`SEGMENT_EVENTS`] events,
-//! each encoded into a [`Segment`] with four byte columns:
+//! each encoded into a [`Segment`] with two byte columns:
 //!
-//! * **kinds** — a run-length column of op kinds (`Exec`, `Load`,
-//!   dependent `Load`, `Store`, and the markers). A run is one byte, the
-//!   kind in the high nibble and a length of 1–15 in the low nibble; a
-//!   run of 16–255 is two bytes, low nibble 0 and then the length.
-//!   Engine traces alternate exec runs and accesses, so most runs are
-//!   1–3 events long and most events cost at most one kinds byte.
-//! * **mem** — for each load/store, a zigzag-varint *delta* from the
-//!   previous access address in the same segment, then a varint size.
-//!   Accesses are overwhelmingly near-sequential or strided, so deltas
-//!   are small. The delta base resets to 0 at each segment boundary so
-//!   every segment decodes independently.
-//! * **exec** — for each exec run, a varint region id and a varint
-//!   instruction count.
-//! * **remote** — for each `RemoteSend`/`RemoteRecv` marker, a varint
-//!   message size. Empty (zero bytes) for single-instance traces.
+//! * **tokens** — exactly one byte per event. A token is one of the six
+//!   markers (`Fence`, `UnitEnd`, `Block`, `Wake`, `RemoteSend`,
+//!   `RemoteRecv`), an *exec slot* naming a `(region, instrs)` pair of
+//!   the segment's exec table, an *access token* naming a kind (load,
+//!   dependent load, store) and a slot of the segment's size table, or
+//!   one of four *escapes*: an exec pair, or an access of one of the
+//!   three kinds, that its table does not hold.
+//! * **args** — varints in event order, read only by the tokens that
+//!   carry any: a remote marker's message size; an exec escape's region
+//!   and instruction count; an access escape's size, then its
+//!   zigzag address delta; an access token's zigzag address delta,
+//!   shifted left one bit for the flag that names its base.
 //!
-//! A sealed segment holds its four columns back to back in one
+//! An escape whose value is new appends it to its table (at most
+//! [`EXEC_SLOTS`] pairs and [`SIZE_SLOTS`] sizes), so later uses of it
+//! are bare tokens; once a table is full its escapes append nothing and
+//! keep carrying the value. An access token's address delta is from the
+//! previous address of the same token — its kind and size — or, when
+//! that is nearer (flag set), from the segment's previous access, so
+//! one scan's strided reads and a read-then-write of one field both
+//! cost a one-byte delta. A token's first access reads the segment's
+//! previous access for both bases, and every access escape's delta is
+//! from it, with no flag. Engine code charges a few distinct
+//! instruction counts per region and reads a few field widths, each on
+//! its own stride, so most exec events cost one byte and most accesses
+//! two or three. Tables and bases start empty in every segment, so
+//! every segment decodes on its own.
+//!
+//! A sealed segment holds its two columns back to back in one
 //! exact-size heap allocation, so the memory a retained trace takes is
 //! its encoded bytes plus a fixed header per segment.
 //!
@@ -34,7 +46,8 @@
 //! at a time to the columns of an open segment. The `Tracer` owns one
 //! and feeds it directly as the engine records, so an event is encoded
 //! exactly once and never staged in packed form; [`Segment::encode`] is
-//! a loop over the same encoder.
+//! a loop over the same encoder. One walk reads them back: `decode_into`
+//! and the summary's access walk are both `Segment::walk`.
 //!
 //! [`TraceSink`] is the capture seam: a `Tracer` seals its open segment
 //! every [`SEGMENT_EVENTS`] events and emits it into a sink instead of
@@ -56,12 +69,11 @@ use crate::region::RegionId;
 /// recording thread holds is negligible.
 pub const SEGMENT_EVENTS: usize = 4096;
 
-/// The most bytes one event can add to a segment: a load or store — a
-/// one-byte kinds run, a 7-byte zig-zag delta (49 significant bits)
-/// and a 2-byte size. (A run's escape byte comes with its 16th event,
-/// which adds no run byte of its own.) [`SEGMENT_EVENTS`] times this
-/// bounds what a recording [`Tracer`](crate::Tracer) holds outside its
-/// sink.
+/// The most bytes one event can add to a segment: an access escape —
+/// its token, a 2-byte size and a 7-byte zig-zag delta (49 significant
+/// bits). An access token's flagged delta takes at most 8 bytes (50
+/// bits). [`SEGMENT_EVENTS`] times this bounds what a recording
+/// [`Tracer`](crate::Tracer) holds outside its sink.
 #[cfg(test)]
 pub(crate) const MAX_EVENT_BYTES: usize = 10;
 
@@ -80,24 +92,27 @@ pub(crate) fn segments_decoded() -> u64 {
     SEGMENTS_DECODED.with(Cell::get)
 }
 
-// Kind codes for the run-length column, one nibble each. Load/LoadDep
-// are distinct kinds so the dep flag rides the RLE column and memory
-// entries stay uniform.
-const K_EXEC: u8 = 0;
-const K_LOAD: u8 = 1;
-const K_LOAD_DEP: u8 = 2;
-const K_STORE: u8 = 3;
-const K_FENCE: u8 = 4;
-const K_UNIT_END: u8 = 5;
-const K_BLOCK: u8 = 6;
-const K_WAKE: u8 = 7;
-const K_REMOTE_SEND: u8 = 8;
-const K_REMOTE_RECV: u8 = 9;
+// The token byte. Markers and escapes first, then the exec slots, then
+// the access tokens: `T_ACCESS + kind * SIZE_SLOTS + size slot`.
+const T_FENCE: u8 = 0;
+const T_UNIT_END: u8 = 1;
+const T_BLOCK: u8 = 2;
+const T_WAKE: u8 = 3;
+const T_REMOTE_SEND: u8 = 4;
+const T_REMOTE_RECV: u8 = 5;
+const T_EXEC_ESCAPE: u8 = 6;
+/// The three access escapes, `T_ACCESS_ESCAPE + kind`.
+const T_ACCESS_ESCAPE: u8 = 7;
+const T_EXEC: u8 = 10;
+const T_ACCESS: u8 = T_EXEC + EXEC_SLOTS as u8;
 
-/// The longest run one kinds byte holds in its low nibble; longer runs
-/// take the escape (nibble 0, then a length byte).
-const NIBBLE_RUN: u32 = 15;
-const MAX_RUN: u32 = 255;
+/// Distinct `(region, instrs)` pairs one segment's exec table holds.
+const EXEC_SLOTS: usize = 150;
+/// Distinct access sizes one segment's size table holds.
+const SIZE_SLOTS: usize = 32;
+/// Access tokens: three kinds × [`SIZE_SLOTS`], the rest of the byte.
+const ACCESS_TOKENS: usize = 3 * SIZE_SLOTS;
+const _: () = assert!(T_ACCESS as usize + ACCESS_TOKENS == 256);
 
 /// LEB128. One- and two-byte values — nearly every region id,
 /// instruction count, access size and address delta of an engine trace —
@@ -117,19 +132,23 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-#[inline]
+/// Read one LEB128 value at `pos`, advancing it. A value cut short by
+/// the end of `buf` reads as its bytes so far: a segment's columns come
+/// only from [`SegmentEncoder`], so that never happens, and reading
+/// cannot panic.
+#[inline(always)]
 fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
     let mut shift = 0u32;
-    loop {
-        let b = buf[*pos];
+    while let Some(&b) = buf.get(*pos) {
         *pos += 1;
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return v;
+        v |= ((b & 0x7F) as u64).wrapping_shl(shift);
+        if b < 0x80 {
+            break;
         }
-        shift += 7;
+        shift = shift.wrapping_add(7);
     }
+    v
 }
 
 #[inline]
@@ -142,76 +161,201 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// The zigzag delta that takes `base` to `addr` (both 48-bit).
+#[inline(always)]
+fn delta(base: u64, addr: u64) -> u64 {
+    zigzag(addr as i64 - base as i64)
+}
+
+/// The address a zigzag delta from `base` names.
+#[inline(always)]
+fn rebase(base: u64, delta: u64) -> u64 {
+    base.wrapping_add(unzigzag(delta) as u64)
+}
+
+/// A base no 48-bit address equals: the token has had no access yet.
+const NO_BASE: u64 = u64::MAX;
+
+/// One segment's address-delta bases, the same on both sides of the
+/// codec: the previous address of each access token, and of the
+/// segment.
+#[derive(Debug)]
+struct Bases {
+    token: [u64; ACCESS_TOKENS],
+    prev: u64,
+}
+
+impl Bases {
+    const EMPTY: Bases = Bases {
+        token: [NO_BASE; ACCESS_TOKENS],
+        prev: 0,
+    };
+
+    /// The base of an access through access token `a`: its previous
+    /// address, or the segment's previous access on its first use.
+    #[inline(always)]
+    fn of(&self, a: usize) -> u64 {
+        match self.token[a % ACCESS_TOKENS] {
+            NO_BASE => self.prev,
+            base => base,
+        }
+    }
+
+    /// Record an access at `addr`, through access token `a` if it has one.
+    #[inline(always)]
+    fn set(&mut self, a: Option<usize>, addr: u64) {
+        if let Some(a) = a {
+            self.token[a % ACCESS_TOKENS] = addr;
+        }
+        self.prev = addr;
+    }
+}
+
+/// Buckets of the encoder's exec-pair map: a power of two, and more
+/// than [`EXEC_SLOTS`] so a probe always ends at an empty bucket.
+const EXEC_MAP: usize = 256;
+const _: () = assert!(EXEC_SLOTS < EXEC_MAP && EXEC_MAP == 1 << 8);
+
+/// The encoder's side of one segment's tables: what each exec pair and
+/// access size maps to, and the delta bases.
+#[derive(Debug)]
+struct EncoderTables {
+    /// Open-addressed `exec_key` → exec token, probed linearly from the
+    /// key's hash (key 0: an empty bucket).
+    exec_keys: [u64; EXEC_MAP],
+    exec_tokens: [u8; EXEC_MAP],
+    /// Pairs in the exec table.
+    execs: usize,
+    /// Access size → its slot + 1 (0: not in the size table).
+    size_slots: [u8; SIZE_MASK as usize + 1],
+    /// Sizes in the size table.
+    sizes: usize,
+    bases: Bases,
+}
+
+impl EncoderTables {
+    const EMPTY: EncoderTables = EncoderTables {
+        exec_keys: [0; EXEC_MAP],
+        exec_tokens: [0; EXEC_MAP],
+        execs: 0,
+        size_slots: [0; SIZE_MASK as usize + 1],
+        sizes: 0,
+        bases: Bases::EMPTY,
+    };
+
+    /// The bucket a probe for `key` starts at (Fibonacci hashing).
+    #[inline(always)]
+    fn bucket(key: u64) -> u8 {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+    }
+
+    /// The exec token of `key`, if its pair is in the table.
+    #[inline(always)]
+    fn exec_token(&self, key: u64) -> Option<u8> {
+        let mut b = Self::bucket(key);
+        loop {
+            match self.exec_keys[b as usize] {
+                k if k == key => return Some(self.exec_tokens[b as usize]),
+                0 => return None,
+                _ => b = b.wrapping_add(1),
+            }
+        }
+    }
+
+    /// Append `key`'s pair to the exec table, unless it is full.
+    fn add_exec(&mut self, key: u64) {
+        if self.execs == EXEC_SLOTS {
+            return;
+        }
+        let mut b = Self::bucket(key);
+        while self.exec_keys[b as usize] != 0 {
+            b = b.wrapping_add(1);
+        }
+        self.exec_keys[b as usize] = key;
+        self.exec_tokens[b as usize] = T_EXEC + self.execs as u8;
+        self.execs += 1;
+    }
+}
+
+/// The key of an exec pair in [`EncoderTables`]: never 0.
+#[inline(always)]
+fn exec_key(region: RegionId, instrs: u32) -> u64 {
+    ((region as u64 & REGION_MASK) << 32 | instrs as u64) + 1
+}
+
 /// One encoded block of up to [`SEGMENT_EVENTS`] events (see module
 /// docs for the column layout).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
-    /// Decoded event count.
+    /// Decoded event count, which is also the token column's length.
     len: u32,
-    /// Where the kinds, mem and exec columns end in `cols`; the remote
-    /// column runs from the last to the end.
-    ends: [usize; 3],
-    /// The four columns back to back, in one exact-size allocation:
-    /// run-length op kinds; zigzag-varint address delta + varint size
-    /// per load/store; varint region id + varint instruction count per
-    /// exec run; varint message size per remote send/recv marker (empty
-    /// for traces with no cross-instance traffic). Each in stream order.
+    /// The token column, then the args column, in one exact-size
+    /// allocation.
     cols: Box<[u8]>,
 }
 
-/// The one encoder of the columnar format: appends events to the four
-/// columns of an open segment, one at a time, and seals them into a
-/// [`Segment`] when asked. The columns are scratch that [`Self::seal`]
-/// copies out and clears, so their capacity carries over to the next
-/// segment. Fields are masked exactly as
+/// The one encoder of the format: appends events to the two columns of
+/// an open segment, one at a time, and seals them into a [`Segment`]
+/// when asked. The columns are scratch that [`Self::seal`] copies out
+/// and clears, so their capacity carries over to the next segment, and
+/// so do the tables, which it empties. Fields are masked exactly as
 /// [`PackedEvent::exec`]/[`load`](PackedEvent::load)/[`store`](PackedEvent::store)
 /// mask them, so feeding an event directly and feeding it through its
 /// packed word produce the same bytes.
 #[derive(Debug, Default)]
 pub(crate) struct SegmentEncoder {
-    /// Events appended since the last [`Self::seal`].
-    len: u32,
-    kinds: Vec<u8>,
-    mem: Vec<u8>,
-    exec: Vec<u8>,
-    remote: Vec<u8>,
-    /// The open run of the kinds column, not yet written (`run == 0`:
-    /// none, whatever `run_kind` holds).
-    run_kind: u8,
-    run: u32,
-    prev_addr: i64,
+    tokens: Vec<u8>,
+    args: Vec<u8>,
+    /// Made by the first event a recording tracer appends (a null-mode
+    /// tracer never makes one).
+    tables: Option<Box<EncoderTables>>,
 }
 
 impl SegmentEncoder {
     /// Events appended since the last [`Self::seal`].
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.len as usize
+        self.tokens.len()
     }
 
     /// Encoded bytes of the events appended since the last
-    /// [`Self::seal`] (the open kinds run counted as written).
+    /// [`Self::seal`].
     #[cfg(test)]
     pub(crate) fn encoded_bytes(&self) -> usize {
-        let run_bytes = (self.run > 0) as usize + (self.run > NIBBLE_RUN) as usize;
-        self.kinds.len() + run_bytes + self.mem.len() + self.exec.len() + self.remote.len()
+        self.tokens.len() + self.args.len()
+    }
+
+    /// The tables, made on first use.
+    #[inline(always)]
+    fn tables(&mut self) -> &mut EncoderTables {
+        self.tables
+            .get_or_insert_with(|| Box::new(EncoderTables::EMPTY))
     }
 
     // The typed appends are `inline(always)`: each is the whole encoding
     // of its event class, and the tracer's recording bodies are built
-    // from them.
+    // from them. Their escapes are out of line.
 
     /// Append an exec run.
     #[inline(always)]
     pub(crate) fn exec(&mut self, region: RegionId, instrs: u32) {
         debug_assert!(region as u64 <= REGION_MASK);
-        put_varint(&mut self.exec, region as u64 & REGION_MASK);
-        put_varint(&mut self.exec, instrs as u64);
-        self.kind(K_EXEC);
+        let key = exec_key(region, instrs);
+        match self.tables().exec_token(key) {
+            Some(token) => self.tokens.push(token),
+            None => self.exec_escape(region, instrs, key),
+        }
     }
 
-    /// Append a load, dependent load or store (`kind` is its
-    /// [`AccessKind`] code).
+    #[inline(never)]
+    fn exec_escape(&mut self, region: RegionId, instrs: u32, key: u64) {
+        self.tables().add_exec(key);
+        self.tokens.push(T_EXEC_ESCAPE);
+        put_varint(&mut self.args, region as u64 & REGION_MASK);
+        put_varint(&mut self.args, instrs as u64);
+    }
+
+    /// Append a load, dependent load or store.
     #[inline(always)]
     pub(crate) fn access(&mut self, kind: AccessKind, addr: u64, size: u32) {
         // Every captured address enters the format here: a wider one is a
@@ -221,31 +365,42 @@ impl SegmentEncoder {
             "addr {addr:#x} exceeds the 48-bit trace address space \
              (release builds would silently mask it)"
         );
-        let addr = (addr & ADDR_MASK) as i64;
-        put_varint(&mut self.mem, zigzag(addr - self.prev_addr));
-        put_varint(&mut self.mem, size as u64 & SIZE_MASK);
-        self.prev_addr = addr;
-        self.kind(kind as u8);
+        let (addr, size) = (addr & ADDR_MASK, size as u64 & SIZE_MASK);
+        let tab = self.tables();
+        match tab.size_slots[size as usize] {
+            0 => self.access_escape(kind, addr, size),
+            slot => {
+                let a = kind as usize * SIZE_SLOTS + slot as usize - 1;
+                let (own, prev) = (tab.bases.of(a), tab.bases.prev);
+                let near_prev = addr.abs_diff(prev) < addr.abs_diff(own);
+                let base = if near_prev { prev } else { own };
+                tab.bases.set(Some(a), addr);
+                self.tokens.push(T_ACCESS + a as u8);
+                put_varint(&mut self.args, delta(base, addr) << 1 | near_prev as u64);
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn access_escape(&mut self, kind: AccessKind, addr: u64, size: u64) {
+        let tab = self.tables();
+        let d = delta(tab.bases.prev, addr);
+        let a = (tab.sizes < SIZE_SLOTS).then(|| {
+            tab.sizes += 1;
+            tab.size_slots[size as usize] = tab.sizes as u8;
+            kind as usize * SIZE_SLOTS + tab.sizes - 1
+        });
+        tab.bases.set(a, addr);
+        self.tokens.push(T_ACCESS_ESCAPE + kind as u8);
+        put_varint(&mut self.args, size);
+        put_varint(&mut self.args, d);
     }
 
     /// Append a remote send or recv marker with its message size.
     #[inline(always)]
-    fn remote(&mut self, kind: u8, bytes: u32) {
-        put_varint(&mut self.remote, bytes as u64);
-        self.kind(kind);
-    }
-
-    /// Count one event of `kind` into the run-length column.
-    #[inline(always)]
-    fn kind(&mut self, kind: u8) {
-        self.len += 1;
-        if kind == self.run_kind && self.run < MAX_RUN {
-            self.run += 1;
-        } else {
-            self.flush_run();
-            self.run_kind = kind;
-            self.run = 1;
-        }
+    fn remote(&mut self, token: u8, bytes: u32) {
+        self.tokens.push(token);
+        put_varint(&mut self.args, bytes as u64);
     }
 
     /// Append any event (markers, and [`Segment::encode`]'s loop).
@@ -266,60 +421,59 @@ impl SegmentEncoder {
                 self.access(kind, addr, size as u32)
             }
             Event::Store { addr, size } => self.access(AccessKind::Store, addr, size as u32),
-            Event::Fence => self.kind(K_FENCE),
-            Event::UnitEnd => self.kind(K_UNIT_END),
-            Event::Block => self.kind(K_BLOCK),
-            Event::Wake => self.kind(K_WAKE),
-            Event::RemoteSend { bytes } => self.remote(K_REMOTE_SEND, bytes),
-            Event::RemoteRecv { bytes } => self.remote(K_REMOTE_RECV, bytes),
-        }
-    }
-
-    /// Write the open run, if any: one byte up to [`NIBBLE_RUN`], else
-    /// the two-byte escape.
-    #[inline]
-    fn flush_run(&mut self) {
-        let head = self.run_kind << 4;
-        match self.run {
-            0 => {}
-            1..=NIBBLE_RUN => self.kinds.push(head | self.run as u8),
-            _ => self.kinds.extend_from_slice(&[head, self.run as u8]),
+            Event::Fence => self.tokens.push(T_FENCE),
+            Event::UnitEnd => self.tokens.push(T_UNIT_END),
+            Event::Block => self.tokens.push(T_BLOCK),
+            Event::Wake => self.tokens.push(T_WAKE),
+            Event::RemoteSend { bytes } => self.remote(T_REMOTE_SEND, bytes),
+            Event::RemoteRecv { bytes } => self.remote(T_REMOTE_RECV, bytes),
         }
     }
 
     /// Close the open segment, copying its columns into the sealed
-    /// segment's one allocation, and start an empty one (the
-    /// address-delta base resets, so every segment decodes
-    /// independently).
+    /// segment's one allocation, and start an empty one (the tables and
+    /// bases empty too, so every segment decodes independently).
     pub(crate) fn seal(&mut self) -> Segment {
-        self.flush_run();
-        let cols = [&self.kinds, &self.mem, &self.exec, &self.remote];
-        let end = |n: usize| cols[..n].iter().map(|c| c.len()).sum();
         let seg = Segment {
-            len: self.len,
-            ends: [end(1), end(2), end(3)],
-            cols: cols.map(Vec::as_slice).concat().into_boxed_slice(),
+            len: self.tokens.len() as u32,
+            cols: [&self.tokens[..], &self.args[..]]
+                .concat()
+                .into_boxed_slice(),
         };
-        for col in [
-            &mut self.kinds,
-            &mut self.mem,
-            &mut self.exec,
-            &mut self.remote,
-        ] {
-            col.clear();
+        self.tokens.clear();
+        self.args.clear();
+        if let Some(tab) = &mut self.tables {
+            **tab = EncoderTables::EMPTY;
         }
-        (self.len, self.run, self.prev_addr) = (0, 0, 0);
         seg
     }
 }
 
-/// The three memory-access kinds of the run-length column.
+/// The three memory-access kinds, in access-token order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum AccessKind {
-    Load = K_LOAD,
-    LoadDep = K_LOAD_DEP,
-    Store = K_STORE,
+    Load = 0,
+    LoadDep = 1,
+    Store = 2,
+}
+
+/// The access event of kind `kind` (an [`AccessKind`] code).
+#[inline(always)]
+fn access_event(kind: usize, addr: u64, size: u16) -> Event {
+    match kind {
+        0 => Event::Load {
+            addr,
+            size,
+            dep: false,
+        },
+        1 => Event::Load {
+            addr,
+            size,
+            dep: true,
+        },
+        _ => Event::Store { addr, size },
+    }
 }
 
 impl Segment {
@@ -340,73 +494,87 @@ impl Segment {
         SEGMENTS_DECODED.with(|n| n.set(n.get() + 1));
         out.clear();
         out.reserve(self.len as usize);
-        let mut mem_pos = 0usize;
-        let mut exec_pos = 0usize;
-        let mut remote_pos = 0usize;
-        let mut prev_addr = 0i64;
-        let (kinds, mem) = (self.kinds(), self.mem());
-        let (exec, remote) = (self.exec(), self.remote());
-        let mut at = 0usize;
-        while at < kinds.len() {
-            let (kind, mut run) = (kinds[at] >> 4, (kinds[at] & 0xF) as usize);
-            at += 1;
-            if run == 0 {
-                run = kinds[at] as usize;
-                at += 1;
-            }
-            for _ in 0..run {
-                out.push(match kind {
-                    K_EXEC => {
-                        let region = get_varint(exec, &mut exec_pos) as RegionId;
-                        let instrs = get_varint(exec, &mut exec_pos) as u32;
-                        Event::Exec { region, instrs }
-                    }
-                    K_LOAD | K_LOAD_DEP | K_STORE => {
-                        let (addr, size) = Self::next_access(mem, &mut mem_pos, &mut prev_addr);
-                        match kind {
-                            K_STORE => Event::Store { addr, size },
-                            k => Event::Load {
-                                addr,
-                                size,
-                                dep: k == K_LOAD_DEP,
-                            },
-                        }
-                    }
-                    K_FENCE => Event::Fence,
-                    K_UNIT_END => Event::UnitEnd,
-                    K_BLOCK => Event::Block,
-                    K_REMOTE_SEND => Event::RemoteSend {
-                        bytes: get_varint(remote, &mut remote_pos) as u32,
-                    },
-                    K_REMOTE_RECV => Event::RemoteRecv {
-                        bytes: get_varint(remote, &mut remote_pos) as u32,
-                    },
-                    _ => Event::Wake,
-                });
-            }
-        }
+        self.walk(|ev| out.push(ev));
         debug_assert_eq!(out.len(), self.len as usize, "segment length drift");
     }
 
-    /// Read one `(addr, size)` entry of the `mem` column at `pos`,
-    /// advancing `pos` and the running delta base.
-    #[inline]
-    fn next_access(mem: &[u8], pos: &mut usize, prev_addr: &mut i64) -> (u64, u16) {
-        *prev_addr += unzigzag(get_varint(mem, pos));
-        let size = get_varint(mem, pos) as u16;
-        // Inverse of encode's zigzag delta: reconstructs the exact u64 the
-        // encoder masked, so the cast cannot truncate further.
-        (*prev_addr as u64, size)
+    /// `(addr, size)` of every load and store in stream order: a walk of
+    /// the columns that fills no [`Event`] buffer, so
+    /// [`segments_decoded`] does not move.
+    pub(crate) fn for_each_access(&self, mut f: impl FnMut(u64, u16)) {
+        self.walk(|ev| {
+            if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
+                f(addr, size);
+            }
+        });
     }
 
-    /// `(addr, size)` of every load and store in stream order, read from
-    /// the `mem` column alone: no [`Event`] is built and
-    /// [`segments_decoded`] does not move.
-    pub(crate) fn accesses(&self) -> impl Iterator<Item = (u64, u16)> + '_ {
-        let (mem, mut pos, mut prev_addr) = (self.mem(), 0, 0);
-        std::iter::from_fn(move || {
-            (pos < mem.len()).then(|| Self::next_access(mem, &mut pos, &mut prev_addr))
-        })
+    /// Hand every event to `f` in stream order: the one reader of the
+    /// format, rebuilding the tables and bases the encoder kept.
+    #[inline(always)]
+    fn walk(&self, mut f: impl FnMut(Event)) {
+        let (tokens, args) = self
+            .cols
+            .split_at_checked(self.len as usize)
+            .unwrap_or((&[], &[]));
+        let mut pos = 0usize;
+        let mut execs = [(0 as RegionId, 0u32); EXEC_SLOTS];
+        let mut n_execs = 0usize;
+        let mut sizes = [0u16; SIZE_SLOTS];
+        let mut n_sizes = 0usize;
+        let mut bases = Bases::EMPTY;
+        for &t in tokens {
+            let ev = if t >= T_ACCESS {
+                let a = (t - T_ACCESS) as usize;
+                let v = get_varint(args, &mut pos);
+                let base = match v & 1 {
+                    0 => bases.of(a),
+                    _ => bases.prev,
+                };
+                let addr = rebase(base, v >> 1);
+                bases.set(Some(a), addr);
+                access_event(a / SIZE_SLOTS, addr, sizes[a % SIZE_SLOTS])
+            } else if t >= T_EXEC {
+                let (region, instrs) = execs[(t - T_EXEC) as usize % EXEC_SLOTS];
+                Event::Exec { region, instrs }
+            } else {
+                match t {
+                    T_FENCE => Event::Fence,
+                    T_UNIT_END => Event::UnitEnd,
+                    T_BLOCK => Event::Block,
+                    T_WAKE => Event::Wake,
+                    T_REMOTE_SEND => Event::RemoteSend {
+                        bytes: get_varint(args, &mut pos) as u32,
+                    },
+                    T_REMOTE_RECV => Event::RemoteRecv {
+                        bytes: get_varint(args, &mut pos) as u32,
+                    },
+                    T_EXEC_ESCAPE => {
+                        let region = get_varint(args, &mut pos) as RegionId;
+                        let instrs = get_varint(args, &mut pos) as u32;
+                        if n_execs < EXEC_SLOTS {
+                            execs[n_execs] = (region, instrs);
+                            n_execs += 1;
+                        }
+                        Event::Exec { region, instrs }
+                    }
+                    // The three access escapes (7, 8 and 9).
+                    _ => {
+                        let kind = (t - T_ACCESS_ESCAPE) as usize % 3;
+                        let size = get_varint(args, &mut pos) as u16;
+                        let addr = rebase(bases.prev, get_varint(args, &mut pos));
+                        let a = (n_sizes < SIZE_SLOTS).then(|| {
+                            sizes[n_sizes] = size;
+                            n_sizes += 1;
+                            kind * SIZE_SLOTS + n_sizes - 1
+                        });
+                        bases.set(a, addr);
+                        access_event(kind, addr, size)
+                    }
+                }
+            };
+            f(ev);
+        }
     }
 
     /// Decode into a fresh vector (tests and one-shot consumers; hot
@@ -427,27 +595,17 @@ impl Segment {
         self.len == 0
     }
 
-    /// Encoded size in bytes: the four columns plus a 4-byte length
+    /// Encoded size in bytes: the two columns plus a 4-byte length
     /// header. The columns are also exactly the segment's heap
     /// allocation.
     pub fn encoded_bytes(&self) -> usize {
         4 + self.cols.len()
     }
 
-    fn kinds(&self) -> &[u8] {
-        &self.cols[..self.ends[0]]
-    }
-
-    fn mem(&self) -> &[u8] {
-        &self.cols[self.ends[0]..self.ends[1]]
-    }
-
-    fn exec(&self) -> &[u8] {
-        &self.cols[self.ends[1]..self.ends[2]]
-    }
-
-    fn remote(&self) -> &[u8] {
-        &self.cols[self.ends[2]..]
+    /// The args column.
+    #[cfg(test)]
+    fn args(&self) -> &[u8] {
+        &self.cols[self.len as usize..]
     }
 }
 
@@ -514,11 +672,20 @@ impl TraceSink for CountingSink {
 mod tests {
     use super::*;
 
-    fn roundtrip(events: &[Event]) {
+    fn roundtrip(events: &[Event]) -> Segment {
         let packed: Vec<PackedEvent> = events.iter().map(|e| e.pack()).collect();
         let seg = Segment::encode(&packed);
         assert_eq!(seg.len(), events.len());
         assert_eq!(seg.decode(), events, "decode must be lossless");
+        seg
+    }
+
+    fn load(addr: u64, size: u16) -> Event {
+        Event::Load {
+            addr,
+            size,
+            dep: false,
+        }
     }
 
     #[test]
@@ -541,11 +708,7 @@ mod tests {
                 size: 4095,
                 dep: true,
             },
-            Event::Load {
-                addr: 0,
-                size: 1,
-                dep: false,
-            },
+            load(0, 1),
             Event::Store {
                 addr: 0xDEAD_BEEF,
                 size: 64,
@@ -561,19 +724,19 @@ mod tests {
                 region: 0,
                 instrs: 0,
             },
+            Event::Exec {
+                region: 1023,
+                instrs: u32::MAX,
+            },
         ]);
     }
 
-    /// Interleaved remote markers and memory traffic: the remote column
-    /// must track its own cursor without disturbing mem/exec decode.
+    /// Remote markers read their sizes from the args column between the
+    /// accesses' deltas without disturbing them.
     #[test]
     fn remote_markers_interleave_with_mem_traffic() {
         roundtrip(&[
-            Event::Load {
-                addr: 0x4000,
-                size: 8,
-                dep: false,
-            },
+            load(0x4000, 8),
             Event::RemoteSend { bytes: 96 },
             Event::Store {
                 addr: 0x4040,
@@ -586,76 +749,145 @@ mod tests {
                 instrs: 42,
             },
             Event::RemoteSend { bytes: 96 },
+            load(0x4008, 8),
         ]);
-        // Traces without remote traffic leave the column empty — the
-        // encoded size is unchanged from the pre-deployment format.
+        // A fence has no args; a first load carries its size and its
+        // delta from 0 (zigzag 128, two bytes).
         let seg = Segment::encode(&[PackedEvent::fence(), PackedEvent::load(64, 8, false)]);
-        assert_eq!(seg.remote().len(), 0);
+        assert_eq!(seg.args(), [8, 0x80, 0x01]);
+        assert_eq!(seg.encoded_bytes(), 4 + 2 + 3);
     }
 
+    /// The token column is one byte per event, whatever the event: a run
+    /// of one repeated event costs its first event's args, then only
+    /// what each later one carries — nothing for an exec pair or a
+    /// marker, a one-byte zero delta for an access, a size for a remote
+    /// marker.
     #[test]
-    fn long_runs_cross_rle_limit() {
-        // Runs of every kind on both sides of the one-byte limit (15),
-        // the escape's limit (255) and past it, each closed by one event
-        // of the next kind: the run must split at 255 and rejoin, and the
-        // kinds column costs one byte per run of up to 15 events and two
-        // above.
+    fn a_repeated_event_costs_its_token_and_only_the_args_it_must_carry() {
         let every_kind = [
-            Event::Exec {
-                region: 3,
-                instrs: 40,
-            },
-            Event::Load {
-                addr: 0x4000,
-                size: 8,
-                dep: false,
-            },
-            Event::Load {
-                addr: 0x4000,
-                size: 8,
-                dep: true,
-            },
-            Event::Store {
-                addr: 0x4000,
-                size: 8,
-            },
-            Event::Fence,
-            Event::UnitEnd,
-            Event::Block,
-            Event::Wake,
-            Event::RemoteSend { bytes: 96 },
-            Event::RemoteRecv { bytes: 64 },
+            (
+                Event::Exec {
+                    region: 3,
+                    instrs: 40,
+                },
+                2,
+                0,
+            ),
+            (load(0x4000, 8), 4, 1),
+            (
+                Event::Load {
+                    addr: 0x4000,
+                    size: 8,
+                    dep: true,
+                },
+                4,
+                1,
+            ),
+            (
+                Event::Store {
+                    addr: 0x4000,
+                    size: 8,
+                },
+                4,
+                1,
+            ),
+            (Event::Fence, 0, 0),
+            (Event::UnitEnd, 0, 0),
+            (Event::Block, 0, 0),
+            (Event::Wake, 0, 0),
+            (Event::RemoteSend { bytes: 96 }, 1, 1),
+            (Event::RemoteRecv { bytes: 300 }, 2, 2),
         ];
-        let nth = |ev: Event, i: u64| match ev {
-            Event::Load { addr, size, dep } => Event::Load {
-                addr: addr + i * 64,
-                size,
-                dep,
-            },
-            Event::Store { addr, size } => Event::Store {
-                addr: addr + i * 64,
-                size,
-            },
-            other => other,
-        };
-        let run_bytes = |r: usize| {
-            let tail = match r % MAX_RUN as usize {
-                0 => 0,
-                1..=15 => 1,
-                _ => 2,
-            };
-            2 * (r / MAX_RUN as usize) + tail
-        };
-        for (k, &ev) in every_kind.iter().enumerate() {
-            for run in [1, 15, 16, 17, 255, 256, 4096] {
-                let mut events: Vec<Event> = (0..run as u64).map(|i| nth(ev, i)).collect();
-                events.push(every_kind[(k + 1) % every_kind.len()]);
-                roundtrip(&events);
-                let packed: Vec<PackedEvent> = events.iter().map(|e| e.pack()).collect();
-                let seg = Segment::encode(&packed);
-                assert_eq!(seg.kinds().len(), run_bytes(run) + 1, "{ev:?} x {run}");
+        for (ev, first, later) in every_kind {
+            for run in [1, 2, 255, 4095, 4096] {
+                let seg = roundtrip(&vec![ev; run]);
+                assert_eq!(
+                    seg.args().len(),
+                    first + (run - 1) * later,
+                    "{ev:?} x {run}"
+                );
+                assert_eq!(seg.encoded_bytes(), 4 + run + seg.args().len());
             }
         }
+    }
+
+    /// Past [`EXEC_SLOTS`] pairs and [`SIZE_SLOTS`] sizes the tables are
+    /// full: a pair or size they hold is still a bare token, and every
+    /// other one escapes again, each time, with its value.
+    #[test]
+    fn full_tables_keep_escaping() {
+        let extra = 10;
+        let pairs: Vec<Event> = (0..EXEC_SLOTS + extra)
+            .map(|i| Event::Exec {
+                region: 5,
+                instrs: 1000 + i as u32,
+            })
+            .collect();
+        let twice: Vec<Event> = pairs.iter().chain(&pairs).copied().collect();
+        let seg = roundtrip(&twice);
+        // An escape carries region 5 (one byte) and 1000 + i (two).
+        let escapes = EXEC_SLOTS + 2 * extra;
+        assert_eq!(seg.args().len(), escapes * 3);
+        assert_eq!(
+            seg.cols[..seg.len()]
+                .iter()
+                .filter(|&&t| t == T_EXEC_ESCAPE)
+                .count(),
+            escapes
+        );
+
+        // Sizes 1000 + i (two-byte varints), every access at one address:
+        // a delta of zero, one byte, but for the very first access.
+        let sizes: Vec<Event> = (0..SIZE_SLOTS + extra)
+            .map(|i| load(0x40, 1000 + i as u16))
+            .collect();
+        let twice: Vec<Event> = sizes.iter().chain(&sizes).copied().collect();
+        let seg = roundtrip(&twice);
+        let escapes = SIZE_SLOTS + 2 * extra;
+        let tokens = SIZE_SLOTS;
+        assert_eq!(seg.args().len(), escapes * 3 + 1 + tokens);
+    }
+
+    /// Each access token keeps its own base: two strided streams, a load
+    /// of 8 bytes and a store of 16 a terabyte apart, interleave at two
+    /// bytes an event once each has been seen.
+    #[test]
+    fn each_access_token_deltas_from_its_own_previous_address() {
+        let mut events = Vec::new();
+        for i in 0..1000u64 {
+            events.push(load(0x10_0000 + i * 16, 8));
+            events.push(Event::Store {
+                addr: (1 << 40) + i * 16,
+                size: 16,
+            });
+        }
+        let seg = roundtrip(&events);
+        // The two first accesses: size + a 4-byte and a 6-byte delta.
+        let firsts = (1 + 4) + (1 + 6);
+        assert_eq!(seg.encoded_bytes(), 4 + events.len() + firsts + 1998);
+    }
+
+    /// A store to the field a load just read is a flagged zero delta from
+    /// the segment's previous access, one byte, though the store token's
+    /// own previous address is far away.
+    #[test]
+    fn an_access_near_the_previous_one_deltas_from_it() {
+        let mut events = vec![Event::Store { addr: 0, size: 8 }];
+        for i in 1..=100u64 {
+            events.push(load(i << 30, 8));
+            events.push(Event::Store {
+                addr: i << 30,
+                size: 8,
+            });
+        }
+        let seg = roundtrip(&events);
+        // The first store is an escape (size, delta 0); every load is a
+        // token (its size is in the table) with a 2³⁰ stride, five
+        // bytes; every later store a one-byte flagged 0.
+        let (first_store, first_load) = (1 + 1, 5);
+        assert_eq!(seg.args().len(), first_store + first_load + 99 * 5 + 100);
+        assert_eq!(seg.args()[first_store + first_load], 1, "flag, delta 0");
     }
 
     #[test]
@@ -676,36 +908,40 @@ mod tests {
     #[test]
     fn backward_deltas_roundtrip() {
         roundtrip(&[
-            Event::Load {
-                addr: 1 << 40,
-                size: 8,
-                dep: false,
-            },
+            load(1 << 40, 8),
             Event::Store { addr: 64, size: 8 },
             Event::Load {
                 addr: (1 << 48) - 64,
                 size: 8,
                 dep: true,
             },
+            load(0, 8),
+            load((1 << 48) - 1, 8),
         ]);
     }
 
-    /// [`MAX_EVENT_BYTES`] is reached, and only just: full-size accesses
-    /// swinging across the whole 48-bit space, kinds alternating so that
-    /// every event opens a run.
+    /// [`MAX_EVENT_BYTES`] is reached, and only just: access escapes,
+    /// every size new to the segment (and the size table full after
+    /// [`SIZE_SLOTS`] of them), each size a two-byte varint, and the
+    /// address swinging across the whole 48-bit space. An access token
+    /// with both bases a whole space away takes one byte less.
     #[test]
     fn max_event_bytes_is_the_worst_case() {
         let mut enc = SegmentEncoder::default();
-        for i in 0..100u64 {
+        let kinds = [AccessKind::Load, AccessKind::LoadDep, AccessKind::Store];
+        for i in 0..100usize {
             let addr = if i % 2 == 0 { (1 << 48) - 1 } else { 0 };
-            let kind = [AccessKind::Load, AccessKind::Store][i as usize % 2];
-            enc.access(kind, addr, 4095);
-            assert_eq!(enc.encoded_bytes(), (i as usize + 1) * MAX_EVENT_BYTES);
+            enc.access(kinds[i % 3], addr, 4095 - i as u32);
+            assert_eq!(enc.encoded_bytes(), (i + 1) * MAX_EVENT_BYTES);
         }
+        // Size 4093 came in at i = 2, a store at the top; the last
+        // access, at i = 99, was at 0.
+        enc.access(AccessKind::Store, (1 << 48) - 1, 4093);
+        enc.access(AccessKind::Store, 0, 4093);
+        assert_eq!(enc.encoded_bytes(), 100 * MAX_EVENT_BYTES + 2 + 9);
         enc.exec(1023, u32::MAX);
         enc.push(Event::RemoteSend { bytes: u32::MAX });
-        assert!(enc.encoded_bytes() < 102 * MAX_EVENT_BYTES);
-        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 10 + 8 + 6);
+        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 10 + 2 + 9 + 8 + 6);
     }
 
     #[test]
@@ -713,6 +949,31 @@ mod tests {
         let before = segments_decoded();
         Segment::encode(&[PackedEvent::fence()]).decode();
         assert!(segments_decoded() > before);
+    }
+
+    /// The access walk sees what decode sees, and counts no decode.
+    #[test]
+    fn for_each_access_matches_decode() {
+        let events = [
+            Event::Exec {
+                region: 2,
+                instrs: 9,
+            },
+            load(0x100, 8),
+            Event::RemoteSend { bytes: 40 },
+            Event::Store {
+                addr: 0x80,
+                size: 4095,
+            },
+            Event::Fence,
+            load(0x108, 8),
+        ];
+        let seg = roundtrip(&events);
+        let before = segments_decoded();
+        let mut seen = Vec::new();
+        seg.for_each_access(|addr, size| seen.push((addr, size)));
+        assert_eq!(segments_decoded(), before);
+        assert_eq!(seen, [(0x100, 8), (0x80, 4095), (0x108, 8)]);
     }
 
     #[test]
@@ -727,6 +988,13 @@ mod tests {
             let mut pos = 0;
             assert_eq!(get_varint(&buf, &mut pos), v);
             assert_eq!(pos, buf.len());
+        }
+        // A value cut short reads as far as it goes.
+        let mut pos = 0;
+        assert_eq!(get_varint(&[0x81], &mut pos), 1);
+        assert_eq!((pos, get_varint(&[0x81], &mut pos)), (1, 0));
+        for (base, addr) in [(0, (1 << 48) - 1), ((1 << 48) - 1, 0), (5, 5)] {
+            assert_eq!(rebase(base, delta(base, addr)), addr);
         }
     }
 }

@@ -9,9 +9,10 @@
 //! counters each [`Tracer`](crate::Tracer) kept while it recorded
 //! (O(threads)); `code_lines` is read off the per-region instruction
 //! totals cached the same way; only `data_lines` looks at the trace —
-//! one walk of each segment's `mem` column (two varints per load or
-//! store) into a radix bitmap (`LineSet`). No [`Event`](crate::Event) is built
-//! and no segment is decoded.
+//! one walk of each segment's token and args columns that hands each
+//! load's and store's address and size to a radix bitmap (`LineSet`).
+//! No [`Event`](crate::Event) buffer is filled and no segment is
+//! decoded.
 
 use crate::event::CACHE_LINE;
 use crate::region::CodeRegions;
@@ -143,9 +144,7 @@ impl TraceSummary {
             s.remote_recvs += t.remote_recvs();
             s.remote_bytes += t.remote_bytes();
             for seg in t.segments() {
-                for (addr, size) in seg.accesses() {
-                    lines.insert_access(addr, size);
-                }
+                seg.for_each_access(|addr, size| lines.insert_access(addr, size));
             }
         }
         s.data_lines = lines.len;
@@ -314,7 +313,7 @@ mod tests {
     }
 
     /// The summary's reason to exist after this rewrite: it reads
-    /// counters and the `mem` column, and decodes nothing.
+    /// counters and walks the accesses, and decodes nothing.
     #[test]
     fn compute_decodes_no_segment() {
         let mut regions = CodeRegions::new();

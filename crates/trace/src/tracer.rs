@@ -352,7 +352,7 @@ impl Tracer {
     }
 }
 
-/// A captured single-thread event stream — stored as columnar
+/// A captured single-thread event stream — stored as encoded
 /// [`Segment`]s — plus aggregate counts.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadTrace {

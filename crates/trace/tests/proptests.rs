@@ -1,9 +1,14 @@
 //! Property tests for the trace substrate: packing is lossless, the
 //! tracer conserves instruction counts, and the address space never
 //! produces overlapping allocations.
+//!
+//! The suite runs the default 64 cases per property; CI reruns it with
+//! `PROPTEST_CASES=1024`.
 
 use dbcmp_trace::{AddressSpace, CodeRegions, Event, Segment, Tracer, SEGMENT_EVENTS};
 use proptest::prelude::*;
+
+const TOP: u64 = (1 << 48) - 1;
 
 /// Arbitrary decoded events within encodable ranges.
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -19,13 +24,157 @@ fn arb_event() -> impl Strategy<Value = Event> {
         Just(Event::UnitEnd),
         Just(Event::Block),
         Just(Event::Wake),
+        any::<u32>().prop_map(|bytes| Event::RemoteSend { bytes }),
+        any::<u32>().prop_map(|bytes| Event::RemoteRecv { bytes }),
     ]
 }
 
+/// One event of a block drawn to overflow a segment's token tables,
+/// before its address is resolved against the previous access:
+/// `(class, address mode, v, w)`.
+type Draw = (u8, u8, u64, u32);
+
+/// Resolve `draws` into events. Exec pairs come from a pool of 200 (more
+/// than a segment's exec table holds) or are anything; sizes come from a
+/// pool of 48 (more than its size table holds), are 4095, or are
+/// anything; an address is 0, 2⁴⁸−1, near the previous access, or
+/// anywhere, so deltas reach both 48-bit extremes.
+fn resolve(draws: &[Draw]) -> Vec<Event> {
+    let mut prev = 0u64;
+    draws
+        .iter()
+        .map(|&(class, mode, v, w)| {
+            let addr = match mode {
+                0 => 0,
+                1 => TOP,
+                2 => (prev + v % 4096).min(TOP),
+                _ => v & TOP,
+            };
+            let size = match w % 4 {
+                0 => 4095,
+                1 => 1 + (w / 4 % 4095) as u16,
+                _ => 1 + (w / 4 % 48) as u16 * 85,
+            };
+            let access = (2..=4).contains(&class);
+            if access {
+                prev = addr;
+            }
+            let pool = (v % 200) as u32;
+            match class {
+                0 => Event::Exec {
+                    region: (pool % 25) as u16 * 40,
+                    instrs: pool * 1009,
+                },
+                1 => Event::Exec {
+                    region: (v % 1024) as u16,
+                    instrs: w,
+                },
+                2 | 3 => Event::Load {
+                    addr,
+                    size,
+                    dep: class == 3,
+                },
+                4 => Event::Store { addr, size },
+                5 => Event::RemoteSend { bytes: w },
+                6 => Event::RemoteRecv { bytes: w },
+                _ => [Event::Fence, Event::UnitEnd, Event::Block, Event::Wake][v as usize % 4],
+            }
+        })
+        .collect()
+}
+
+/// One tracer call: `(op, region, n, addr)`.
+type Op = (u8, u16, u32, u64);
+
+/// Make `op` on `t`.
+fn apply(t: &mut Tracer, (op, region, n, addr): Op) {
+    match op {
+        0 => t.exec(region, n),
+        1 => t.exec(region, u32::MAX),
+        2 => t.load(addr, n),
+        3 => t.load_dep(addr, n),
+        4 => t.store(addr, n),
+        5 => t.fence(),
+        6 => t.unit_end(),
+        7 => t.block(),
+        8 => t.wake(),
+        9 => t.remote_send(n),
+        _ => t.remote_recv(n),
+    }
+}
+
+/// The events a recording tracer must make of `ops`: consecutive exec
+/// calls on one region coalesce into one run (a zero-instruction call is
+/// dropped and ends nothing), a run past `u32::MAX` instructions splits
+/// into `u32::MAX`-instruction events, and an access of more than 4095
+/// bytes splits into 4095-byte pieces.
+fn model(ops: &[Op]) -> Vec<Event> {
+    let mut out = Vec::new();
+    let mut run: Option<(u16, u64)> = None;
+    let flush = |out: &mut Vec<Event>, run: &mut Option<(u16, u64)>| {
+        if let Some((region, mut instrs)) = run.take() {
+            while instrs > 0 {
+                let chunk = instrs.min(u32::MAX as u64);
+                out.push(Event::Exec {
+                    region,
+                    instrs: chunk as u32,
+                });
+                instrs -= chunk;
+            }
+        }
+    };
+    for &(op, region, n, addr) in ops {
+        let n = if op == 1 { u32::MAX } else { n };
+        if op <= 1 {
+            match &mut run {
+                _ if n == 0 => {}
+                Some((r, instrs)) if *r == region => *instrs += n as u64,
+                _ => {
+                    flush(&mut out, &mut run);
+                    run = Some((region, n as u64));
+                }
+            }
+            continue;
+        }
+        flush(&mut out, &mut run);
+        let (mut addr, mut size) = (addr, n);
+        while op <= 4 && size > 4095 {
+            out.push(access_event(op, addr, 4095));
+            size -= 4095;
+            addr += 4095;
+        }
+        out.push(match op {
+            2..=4 => access_event(op, addr, size.max(1) as u16),
+            5 => Event::Fence,
+            6 => Event::UnitEnd,
+            7 => Event::Block,
+            8 => Event::Wake,
+            9 => Event::RemoteSend { bytes: n },
+            _ => Event::RemoteRecv { bytes: n },
+        });
+    }
+    flush(&mut out, &mut run);
+    out
+}
+
+fn access_event(op: u8, addr: u64, size: u16) -> Event {
+    match op {
+        2 | 3 => Event::Load {
+            addr,
+            size,
+            dep: op == 3,
+        },
+        _ => Event::Store { addr, size },
+    }
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (0u8..11, 0u16..6, 0u32..9000, 0u64..(1 << 30))
+}
+
 proptest! {
-    // Deterministic in CI: the vendored proptest seeds each property's RNG
-    // from the test's fully-qualified name; this bounds the case count.
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // Deterministic: the vendored proptest seeds each property's RNG
+    // from the test's fully-qualified name (or `PROPTEST_SEED`).
 
     /// pack → decode is the identity for every representable event.
     #[test]
@@ -123,6 +272,55 @@ proptest! {
         prop_assert_eq!(n_events, tr.len());
         let reencoded: Vec<Segment> = repacked.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
         prop_assert_eq!(tr.segments(), &reencoded[..]);
+    }
+
+    /// Blocks of 1, 4095 and 4096 events that overflow both token
+    /// tables, so the escape path runs after a table fills, with
+    /// 4095-byte accesses and deltas between 0 and 2⁴⁸−1, round-trip.
+    #[test]
+    fn segment_roundtrip_past_full_tables(
+        len in prop_oneof![Just(1usize), Just(4095), Just(SEGMENT_EVENTS)],
+        draws in prop::collection::vec((0u8..9, 0u8..4, any::<u64>(), any::<u32>()), SEGMENT_EVENTS),
+    ) {
+        let events = resolve(&draws[..len]);
+        let packed: Vec<_> = events.iter().map(|e| e.pack()).collect();
+        let seg = Segment::encode(&packed);
+        prop_assert_eq!(seg.len(), len);
+        prop_assert_eq!(seg.decode(), events);
+    }
+
+    /// A tracer streams a trace of more than three segments, and an exec
+    /// run that coalesces past `u32::MAX` instructions splits across the
+    /// third seal: the segments decode to the model's events, and each
+    /// is what `Segment::encode` makes of its block of them.
+    #[test]
+    fn tracer_streams_across_seals_and_splits_a_run_across_one(
+        prefix in prop::collection::vec(arb_op(), 0..400),
+        suffix in prop::collection::vec(arb_op(), 0..400),
+        before_seal in 1usize..4,
+    ) {
+        // The prefix, then loads up to `before_seal` events short of the
+        // third seal, then a run of 3 × u32::MAX + 7 instructions.
+        let mut ops = prefix;
+        ops.push((5, 0, 0, 0));
+        let pad = 3 * SEGMENT_EVENTS - before_seal - model(&ops).len();
+        ops.extend((0..pad as u64).map(|i| (2, 0, 8, i * 64)));
+        ops.extend([(1, 3, 0, 0), (1, 3, 0, 0), (1, 3, 0, 0), (0, 3, 7, 0)]);
+        ops.extend(suffix);
+        let want = model(&ops);
+        let mut t = Tracer::recording();
+        for &op in &ops {
+            apply(&mut t, op);
+        }
+        let tr = t.finish();
+        let seal = 3 * SEGMENT_EVENTS;
+        prop_assert!(matches!(want[seal - 1], Event::Exec { region: 3, instrs: u32::MAX }));
+        prop_assert!(matches!(want[seal], Event::Exec { region: 3, .. }));
+        prop_assert!(tr.segments().len() > 3);
+        prop_assert_eq!(tr.iter().collect::<Vec<_>>(), want.clone());
+        let packed: Vec<_> = want.iter().map(|e| e.pack()).collect();
+        let blocks: Vec<Segment> = packed.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
+        prop_assert_eq!(tr.segments(), &blocks[..]);
     }
 
     /// Bump allocations never overlap and respect line alignment.
