@@ -3,13 +3,9 @@
 //! A [`TraceCursor`] walks a captured event stream, optionally wrapping at
 //! the end (saturated-throughput runs sample a window of a repeating
 //! workload, in the spirit of the paper's SimFlex checkpoint sampling).
-//!
-//! The cursor consumes the segmented columnar trace (see
-//! `dbcmp_trace::segment`) one block at a time: each segment is decoded
-//! in bulk into a reused scratch ring, so the per-event hot path is a
-//! position check plus an indexed copy instead of a per-event
-//! bounds-check + bitfield decode. Wrap restarts from segment 0 with the
-//! same event sequence as the flat format — replay is byte-identical.
+//! It is the trace's own iterator, [`ThreadTrace::iter`], which reads
+//! each segment an event at a time with no buffer, restarted at the end
+//! when it wraps.
 //!
 //! `ThreadState` carries everything that must survive a context switch:
 //! the cursor, per-region instruction-fetch offsets (a thread resumes
@@ -18,31 +14,24 @@
 //! and the branch-misprediction accumulator.
 
 use dbcmp_trace::region::{CodeRegion, CodeRegions, INSTR_BYTES};
-use dbcmp_trace::{Event, ThreadTrace};
+use dbcmp_trace::{Event, EventIter, ThreadTrace};
 
-/// Block-decoding cursor over one thread's segmented event stream.
+/// Cursor over one thread's event stream.
 #[derive(Debug)]
 pub struct TraceCursor<'a> {
     trace: &'a ThreadTrace,
-    /// Next segment to decode into the ring.
-    seg: usize,
-    /// Scratch ring holding the current decoded block (reused across
-    /// refills — one allocation for the cursor's whole lifetime).
-    ring: Vec<Event>,
-    /// Consumption position within the ring.
-    pos: usize,
+    /// The rest of the current pass over the trace.
+    events: EventIter<'a>,
     /// Wrap at end-of-trace (throughput mode) or finish (completion mode).
     wrap: bool,
-    pub(crate) wraps: u64,
+    wraps: u64,
 }
 
 impl<'a> TraceCursor<'a> {
     pub fn new(trace: &'a ThreadTrace, wrap: bool) -> Self {
         TraceCursor {
             trace,
-            seg: 0,
-            ring: Vec::new(),
-            pos: 0,
+            events: trace.iter(),
             wrap,
             wraps: 0,
         }
@@ -51,39 +40,25 @@ impl<'a> TraceCursor<'a> {
     /// Next event, or `None` when the (non-wrapping) trace is exhausted.
     #[inline]
     pub fn next_event(&mut self) -> Option<Event> {
-        loop {
-            if self.pos < self.ring.len() {
-                let e = self.ring[self.pos];
-                self.pos += 1;
-                return Some(e);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
+        self.events.next().or_else(|| self.restart())
     }
 
-    /// Decode the next block into the ring. Returns `false` when the
-    /// (non-wrapping or empty) trace is exhausted.
+    /// At the end of the trace: start it again if the cursor wraps. A
+    /// trace whose sink retained no segment yields `None` in either mode.
     #[cold]
-    fn refill(&mut self) -> bool {
-        let segments = self.trace.segments();
-        if self.seg >= segments.len() {
-            if !self.wrap || self.trace.is_empty() {
-                return false;
-            }
-            self.seg = 0;
-            self.wraps += 1;
+    fn restart(&mut self) -> Option<Event> {
+        if !self.wrap {
+            return None;
         }
-        segments[self.seg].decode_into(&mut self.ring);
-        self.seg += 1;
-        self.pos = 0;
-        true
+        self.events = self.trace.iter();
+        let e = self.events.next()?;
+        self.wraps += 1;
+        Some(e)
     }
 
-    #[cfg(test)]
-    fn done(&self) -> bool {
-        !self.wrap && self.pos >= self.ring.len() && self.seg >= self.trace.segments().len()
+    /// Times the cursor has restarted the trace.
+    pub fn wraps(&self) -> u64 {
+        self.wraps
     }
 }
 
@@ -219,7 +194,7 @@ impl<'a> ThreadState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcmp_trace::Tracer;
+    use dbcmp_trace::{CountingSink, Tracer};
 
     fn trace3() -> ThreadTrace {
         let mut t = Tracer::recording();
@@ -237,7 +212,7 @@ mod tests {
         assert!(c.next_event().is_some());
         assert!(c.next_event().is_some());
         assert!(c.next_event().is_none());
-        assert!(c.done());
+        assert!(c.next_event().is_none(), "a finished cursor stays finished");
         assert_eq!(c.wraps, 0);
     }
 
@@ -249,7 +224,6 @@ mod tests {
             assert!(c.next_event().is_some());
         }
         assert_eq!(c.wraps, 2);
-        assert!(!c.done());
     }
 
     #[test]
@@ -257,6 +231,24 @@ mod tests {
         let tr = Tracer::recording().finish();
         let mut c = TraceCursor::new(&tr, true);
         assert!(c.next_event().is_none());
+    }
+
+    /// A trace whose sink kept no segment has events but nothing to
+    /// replay: the cursor yields none in either mode and never wraps.
+    #[test]
+    fn a_trace_without_segments_never_wraps() {
+        let mut t = Tracer::streaming(Box::<CountingSink>::default());
+        t.exec(0, 5);
+        t.load(64, 8);
+        t.unit_end();
+        let tr = t.finish();
+        assert_eq!((tr.len(), tr.segments().len()), (3, 0));
+        for wrap in [false, true] {
+            let mut c = TraceCursor::new(&tr, wrap);
+            assert_eq!(c.next_event(), None);
+            assert_eq!(c.next_event(), None);
+            assert_eq!(c.wraps, 0);
+        }
     }
 
     /// Wrap mode across a block boundary, with a trace length that is *not*
@@ -285,7 +277,6 @@ mod tests {
         assert_eq!(c.wraps, 1);
         assert_eq!(c.next_event(), Some(first_lap[0]));
         assert_eq!(c.wraps, 2);
-        assert!(!c.done());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property tests for the simulator: the cache behaves like a reference
-//! model, cycle accounting conserves time, and replay is deterministic.
+//! model, cycle accounting conserves time, replay is deterministic, and
+//! the replay cursor reads exactly the trace's own events.
 
 use dbcmp_sim::cache::Cache;
+use dbcmp_sim::cursor::TraceCursor;
 use dbcmp_sim::{MachineBuilder, MachineConfig, RunMode};
-use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
+use dbcmp_trace::{CodeRegions, Event, ThreadTrace, TraceBundle, Tracer, SEGMENT_EVENTS};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -38,6 +40,69 @@ impl RefCache {
             l.push_back(line);
             false
         }
+    }
+}
+
+/// A recorded trace of one event per op: execs alternating between two
+/// regions (so no two coalesce), loads, dependent loads, stores, the
+/// four markers and remote sends and recvs.
+fn record(ops: &[(u8, u32)]) -> ThreadTrace {
+    let mut t = Tracer::recording();
+    for (i, &(op, v)) in ops.iter().enumerate() {
+        let addr = 0x4000 + (v as u64 % 4096) * 8;
+        match op {
+            0 => t.exec(i as u16 % 2, v % 100 + 1),
+            1 => t.load(addr, 8),
+            2 => t.load_dep(addr, 8),
+            3 => t.store(addr, v % 64 + 1),
+            4 => t.fence(),
+            5 => t.unit_end(),
+            6 => t.block(),
+            7 => t.wake(),
+            8 => t.remote_send(v),
+            _ => t.remote_recv(v),
+        }
+    }
+    t.finish()
+}
+
+proptest! {
+    // No case count pinned: `PROPTEST_CASES` moves it (CI runs 1,024).
+
+    /// The cursor is the trace's iterator, restarted at the end when it
+    /// wraps: on traces that end inside, at and just past a segment
+    /// boundary, k·len wrapping reads are `iter()` k times after k − 1
+    /// wraps, and a cursor that does not wrap reads `iter()` and then
+    /// nothing.
+    #[test]
+    fn cursor_reads_the_trace_iterator_and_wraps_it(
+        len in prop_oneof![
+            Just(1usize),
+            Just(SEGMENT_EVENTS - 1),
+            Just(SEGMENT_EVENTS),
+            (SEGMENT_EVENTS + 1)..(3 * SEGMENT_EVENTS),
+        ],
+        ops in prop::collection::vec((0u8..10, any::<u32>()), 3 * SEGMENT_EVENTS),
+        k in 1u64..4,
+    ) {
+        let tr = record(&ops[..len]);
+        let want: Vec<Event> = tr.iter().collect();
+        prop_assert_eq!(want.len(), len);
+
+        let mut c = TraceCursor::new(&tr, true);
+        for pass in 0..k {
+            let got: Vec<Event> = (0..len).map_while(|_| c.next_event()).collect();
+            prop_assert_eq!(&got, &want, "pass {}", pass);
+        }
+        prop_assert_eq!(c.wraps(), k - 1);
+        prop_assert_eq!(c.next_event(), Some(want[0]));
+        prop_assert_eq!(c.wraps(), k);
+
+        let mut c = TraceCursor::new(&tr, false);
+        let got: Vec<Event> = std::iter::from_fn(|| c.next_event()).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(c.next_event(), None);
+        prop_assert_eq!(c.wraps(), 0);
     }
 }
 

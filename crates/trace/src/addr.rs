@@ -31,7 +31,7 @@ pub(crate) const PARTITION_STRIDE: SimAddr = 1 << 40;
 /// Typed capacity errors from [`AddressSpace`] reservation — returned at
 /// the capture boundary instead of minting an address the 48-bit trace
 /// format would silently alias in release builds (the `debug_assert`-only
-/// check in `PackedEvent::load`).
+/// check in `SegmentEncoder::access`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AddressSpaceError {
     /// `AddressSpace::partition(index)` was asked for a window past

@@ -1,9 +1,10 @@
-//! Packed trace events.
+//! Trace events and their digest word.
 //!
-//! One event per `u64`. Traces are stored as token-coded segments
-//! (about 2 B/event, [`Segment`](crate::Segment)), not as these words;
-//! a `PackedEvent` is the one canonical word per event that the segment
-//! codec round-trips to and that every pinned capture digest folds.
+//! Traces are stored as token-coded segments (about 2 B/event,
+//! [`Segment`](crate::Segment)) and read back as [`Event`]s.
+//! [`Event::pack`] folds an event into one `u64`, a [`PackedEvent`]:
+//! the word every pinned capture digest folds. No trace is stored as
+//! these words, and nothing reads one back.
 //!
 //! Layout (bit 63 is the MSB):
 //!
@@ -15,11 +16,6 @@
 //!               4=RemoteSend, 5=RemoteRecv); remote markers carry a
 //!               [34:3]=bytes payload (message size for occupancy costing)
 //! ```
-//!
-//! The marker kind field was widened from 2 to 3 bits when the remote
-//! markers were added. The four original kinds keep bit 2 clear, so every
-//! pre-existing packed word decodes to the same event it always did —
-//! recorded golden streams are unaffected.
 //!
 //! Sizes are limited to [`MAX_ACCESS`] bytes; the [`Tracer`](crate::Tracer)
 //! splits larger transfers into multiple events.
@@ -51,14 +47,13 @@ const MARKER_BLOCK: u64 = 2;
 const MARKER_WAKE: u64 = 3;
 const MARKER_REMOTE_SEND: u64 = 4;
 const MARKER_REMOTE_RECV: u64 = 5;
-const MARKER_MASK: u64 = 0b111;
 const REMOTE_BYTES_SHIFT: u32 = 3;
 
-/// A single packed event. See module docs for the bit layout.
+/// An event's digest word (see the module docs for the bit layout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedEvent(pub u64);
 
-/// Decoded trace event.
+/// One trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// Execute `instrs` instructions fetched sequentially through `region`.
@@ -114,149 +109,34 @@ pub enum Event {
     },
 }
 
-impl PackedEvent {
-    /// Pack an [`Event::Exec`].
-    #[inline]
-    pub(crate) fn exec(region: RegionId, instrs: u32) -> Self {
-        debug_assert!((region as u64) <= REGION_MASK);
-        PackedEvent((OP_EXEC << OP_SHIFT) | ((region as u64) << REGION_SHIFT) | instrs as u64)
-    }
-
-    /// Pack an [`Event::Load`].
-    ///
-    /// # Address masking policy
-    ///
-    /// The wire format carries 48 address bits. Every producer in this
-    /// workspace allocates from [`AddressSpace`](crate::AddressSpace)
-    /// (data, capped at 2^46) or [`CodeRegions`](crate::CodeRegions)
-    /// (code, based at 2^47), both comfortably inside 48 bits, so a
-    /// wider address is a caller bug: debug builds panic here and in
-    /// `SegmentEncoder::access`, the one place every captured address
-    /// (`Tracer::load`/`store`) enters the segment format. Release
-    /// builds keep the historical behavior — high bits are truncated by
-    /// `ADDR_MASK` — which aliases the access into the low 48-bit
-    /// window rather than corrupting the op/size fields.
-    #[inline]
-    pub(crate) fn load(addr: u64, size: u32, dep: bool) -> Self {
-        debug_assert!((1..=MAX_ACCESS).contains(&size));
-        debug_assert!(
-            addr <= ADDR_MASK,
-            "load addr {addr:#x} exceeds the 48-bit trace address space \
-             (release builds would silently mask it)"
-        );
-        let mut w =
-            (OP_LOAD << OP_SHIFT) | ((size as u64 & SIZE_MASK) << SIZE_SHIFT) | (addr & ADDR_MASK);
-        if dep {
-            w |= DEP_BIT;
-        }
-        PackedEvent(w)
-    }
-
-    /// Pack an [`Event::Store`]. Addresses above 48 bits follow the
-    /// masking policy documented on [`PackedEvent::load`]: panic in
-    /// debug builds, truncate via `ADDR_MASK` in release builds.
-    #[inline]
-    pub(crate) fn store(addr: u64, size: u32) -> Self {
-        debug_assert!((1..=MAX_ACCESS).contains(&size));
-        debug_assert!(
-            addr <= ADDR_MASK,
-            "store addr {addr:#x} exceeds the 48-bit trace address space \
-             (release builds would silently mask it)"
-        );
-        PackedEvent(
-            (OP_STORE << OP_SHIFT) | ((size as u64 & SIZE_MASK) << SIZE_SHIFT) | (addr & ADDR_MASK),
-        )
-    }
-
-    /// Pack an [`Event::Fence`] marker.
-    #[inline]
-    pub(crate) fn fence() -> Self {
-        PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_FENCE)
-    }
-
-    /// Pack an [`Event::UnitEnd`] marker.
-    #[inline]
-    pub(crate) fn unit_end() -> Self {
-        PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_UNIT_END)
-    }
-
-    /// Pack an [`Event::Block`] marker.
-    #[inline]
-    pub(crate) fn block() -> Self {
-        PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_BLOCK)
-    }
-
-    /// Pack an [`Event::Wake`] marker.
-    #[inline]
-    pub(crate) fn wake() -> Self {
-        PackedEvent((OP_MARKER << OP_SHIFT) | MARKER_WAKE)
-    }
-
-    /// Pack an [`Event::RemoteSend`] marker carrying the message size.
-    #[inline]
-    pub(crate) fn remote_send(bytes: u32) -> Self {
-        PackedEvent(
-            (OP_MARKER << OP_SHIFT) | ((bytes as u64) << REMOTE_BYTES_SHIFT) | MARKER_REMOTE_SEND,
-        )
-    }
-
-    /// Pack an [`Event::RemoteRecv`] marker carrying the message size.
-    #[inline]
-    pub(crate) fn remote_recv(bytes: u32) -> Self {
-        PackedEvent(
-            (OP_MARKER << OP_SHIFT) | ((bytes as u64) << REMOTE_BYTES_SHIFT) | MARKER_REMOTE_RECV,
-        )
-    }
-
-    /// Decode into the friendly representation.
-    #[inline]
-    pub fn decode(self) -> Event {
-        let w = self.0;
-        match w >> OP_SHIFT {
-            OP_EXEC => Event::Exec {
-                region: ((w >> REGION_SHIFT) & REGION_MASK) as RegionId,
-                instrs: w as u32,
-            },
-            OP_LOAD => Event::Load {
-                addr: w & ADDR_MASK,
-                size: ((w >> SIZE_SHIFT) & SIZE_MASK) as u16,
-                dep: w & DEP_BIT != 0,
-            },
-            OP_STORE => Event::Store {
-                addr: w & ADDR_MASK,
-                size: ((w >> SIZE_SHIFT) & SIZE_MASK) as u16,
-            },
-            _ => match w & MARKER_MASK {
-                MARKER_UNIT_END => Event::UnitEnd,
-                MARKER_BLOCK => Event::Block,
-                MARKER_WAKE => Event::Wake,
-                MARKER_REMOTE_SEND => Event::RemoteSend {
-                    bytes: (w >> REMOTE_BYTES_SHIFT) as u32,
-                },
-                MARKER_REMOTE_RECV => Event::RemoteRecv {
-                    bytes: (w >> REMOTE_BYTES_SHIFT) as u32,
-                },
-                _ => Event::Fence,
-            },
-        }
-    }
-}
-
 impl Event {
-    /// Pack into the wire representation.
+    /// The event's one 64-bit word (layout in the module docs), the value
+    /// every capture digest folds. Each field is masked to its width; the
+    /// events a segment decodes to always fit, since the encoder masks
+    /// them the same way (the policy is on `SegmentEncoder::access`).
     #[inline]
     pub fn pack(self) -> PackedEvent {
-        match self {
-            Event::Exec { region, instrs } => PackedEvent::exec(region, instrs),
-            Event::Load { addr, size, dep } => PackedEvent::load(addr, size as u32, dep),
-            Event::Store { addr, size } => PackedEvent::store(addr, size as u32),
-            Event::Fence => PackedEvent::fence(),
-            Event::UnitEnd => PackedEvent::unit_end(),
-            Event::Block => PackedEvent::block(),
-            Event::Wake => PackedEvent::wake(),
-            Event::RemoteSend { bytes } => PackedEvent::remote_send(bytes),
-            Event::RemoteRecv { bytes } => PackedEvent::remote_recv(bytes),
-        }
+        let access = |op: u64, addr: u64, size: u16| {
+            (op << OP_SHIFT) | ((size as u64 & SIZE_MASK) << SIZE_SHIFT) | (addr & ADDR_MASK)
+        };
+        let marker = |kind: u64, bytes: u32| {
+            (OP_MARKER << OP_SHIFT) | ((bytes as u64) << REMOTE_BYTES_SHIFT) | kind
+        };
+        PackedEvent(match self {
+            Event::Exec { region, instrs } => {
+                (OP_EXEC << OP_SHIFT)
+                    | ((region as u64 & REGION_MASK) << REGION_SHIFT)
+                    | instrs as u64
+            }
+            Event::Load { addr, size, dep } => access(OP_LOAD, addr, size) | (dep as u64 * DEP_BIT),
+            Event::Store { addr, size } => access(OP_STORE, addr, size),
+            Event::Fence => marker(MARKER_FENCE, 0),
+            Event::UnitEnd => marker(MARKER_UNIT_END, 0),
+            Event::Block => marker(MARKER_BLOCK, 0),
+            Event::Wake => marker(MARKER_WAKE, 0),
+            Event::RemoteSend { bytes } => marker(MARKER_REMOTE_SEND, bytes),
+            Event::RemoteRecv { bytes } => marker(MARKER_REMOTE_RECV, bytes),
+        })
     }
 
     /// Number of retired instructions this event represents.
@@ -288,61 +168,60 @@ pub(crate) fn lines_touched(addr: u64, size: u16) -> impl Iterator<Item = u64> {
 mod tests {
     use super::*;
 
+    /// The digest word of every variant, at the edges of each field:
+    /// every pinned capture digest folds these words, so none may move.
     #[test]
-    fn pack_unpack_all_variants() {
+    fn every_variant_packs_to_its_pinned_word() {
         let cases = [
-            Event::Exec {
-                region: 0,
-                instrs: 0,
-            },
-            Event::Exec {
-                region: 1023,
-                instrs: u32::MAX,
-            },
-            Event::Load {
-                addr: 0,
-                size: 1,
-                dep: false,
-            },
-            Event::Load {
-                addr: (1 << 48) - 1,
-                size: 4095,
-                dep: true,
-            },
-            Event::Store {
-                addr: 0xDEAD_BEEF,
-                size: 64,
-            },
-            Event::Fence,
-            Event::UnitEnd,
-            Event::Block,
-            Event::Wake,
-            Event::RemoteSend { bytes: 0 },
-            Event::RemoteSend { bytes: u32::MAX },
-            Event::RemoteRecv { bytes: 1 },
-            Event::RemoteRecv { bytes: 4096 },
+            (
+                Event::Exec {
+                    region: 0,
+                    instrs: 0,
+                },
+                0x0000_0000_0000_0000,
+            ),
+            (
+                Event::Exec {
+                    region: 1023,
+                    instrs: u32::MAX,
+                },
+                0x3FF0_0000_FFFF_FFFF,
+            ),
+            (
+                Event::Load {
+                    addr: 0,
+                    size: 1,
+                    dep: false,
+                },
+                0x4002_0000_0000_0000,
+            ),
+            (
+                Event::Load {
+                    addr: (1 << 48) - 1,
+                    size: 4095,
+                    dep: true,
+                },
+                0x7FFE_FFFF_FFFF_FFFF,
+            ),
+            (
+                Event::Store {
+                    addr: 0xDEAD_BEEF,
+                    size: 64,
+                },
+                0x8080_0000_DEAD_BEEF,
+            ),
+            (Event::Fence, 0xC000_0000_0000_0000),
+            (Event::UnitEnd, 0xC000_0000_0000_0001),
+            (Event::Block, 0xC000_0000_0000_0002),
+            (Event::Wake, 0xC000_0000_0000_0003),
+            (Event::RemoteSend { bytes: 0 }, 0xC000_0000_0000_0004),
+            (Event::RemoteSend { bytes: u32::MAX }, 0xC000_0007_FFFF_FFFC),
+            (Event::RemoteRecv { bytes: 1 }, 0xC000_0000_0000_000D),
+            (Event::RemoteRecv { bytes: 4096 }, 0xC000_0000_0000_8005),
         ];
-        for e in cases {
-            assert_eq!(e.pack().decode(), e, "roundtrip failed for {e:?}");
+        for (e, word) in cases {
+            assert_eq!(e.pack(), PackedEvent(word), "{e:?}");
         }
-    }
-
-    /// The marker-kind widening must keep the four original marker
-    /// encodings byte-stable: recorded golden streams decode unchanged.
-    #[test]
-    fn legacy_marker_words_decode_unchanged() {
-        for (word, want) in [
-            (3u64 << 62, Event::Fence),
-            ((3u64 << 62) | 1, Event::UnitEnd),
-            ((3u64 << 62) | 2, Event::Block),
-            ((3u64 << 62) | 3, Event::Wake),
-        ] {
-            assert_eq!(PackedEvent(word).decode(), want);
-            assert_eq!(want.pack().0, word, "re-encoding must not move bits");
-        }
-        // Remote markers set bit 2, which no legacy marker ever did.
-        assert_eq!(PackedEvent::remote_send(9).0 & 0b111, 0b100);
-        assert_eq!(PackedEvent::remote_recv(9).0 & 0b111, 0b101);
     }
 
     #[test]

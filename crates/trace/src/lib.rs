@@ -46,7 +46,7 @@ pub use addr::{AddressSpace, AddressSpaceError, ScratchArena, SimAddr};
 pub use event::{Event, PackedEvent, CACHE_LINE};
 pub use fnv::Fnv;
 pub use region::{CodeRegion, CodeRegions, RegionId};
-pub use segment::{CountingSink, Segment, SegmentBuffer, TraceSink, SEGMENT_EVENTS};
+pub use segment::{CountingSink, Segment, SegmentBuffer, SegmentEvents, TraceSink, SEGMENT_EVENTS};
 pub use summary::TraceSummary;
 pub use tracer::{EventIter, ThreadTrace, TraceBundle, Tracer};
 

@@ -35,7 +35,7 @@
 //! exact-size heap allocation, so the memory a retained trace takes is
 //! its encoded bytes plus a fixed header per segment.
 //!
-//! The codec is **lossless**: decode returns exactly the
+//! The codec is **lossless**: a segment reads back exactly the
 //! [`Event`] sequence that was encoded, so its [`Event::pack`] words —
 //! what every capture digest folds — are those of the recorded events.
 //! That guarantee is gated by proptest round-trips in
@@ -45,9 +45,11 @@
 //! One encoder writes those columns: `SegmentEncoder` appends an event
 //! at a time to the columns of an open segment. The `Tracer` owns one
 //! and feeds it directly as the engine records, so an event is encoded
-//! exactly once and never staged in packed form; [`Segment::encode`] is
-//! a loop over the same encoder. One walk reads them back: `decode_into`
-//! and the summary's access walk are both `Segment::walk`.
+//! exactly once; [`Segment::encode`] is a loop over the same encoder.
+//! One iterator reads them back, [`Segment::events`], an event at a time
+//! into no buffer: a thread's [`ThreadTrace::iter`](crate::ThreadTrace::iter),
+//! the simulator's replay cursor and [`TraceSummary`](crate::TraceSummary)
+//! all read through it.
 //!
 //! [`TraceSink`] is the capture seam: a `Tracer` seals its open segment
 //! every [`SEGMENT_EVENTS`] events and emits it into a sink instead of
@@ -59,13 +61,13 @@
 
 use std::cell::Cell;
 
-use crate::event::{Event, PackedEvent, ADDR_MASK, REGION_MASK, SIZE_MASK};
+use crate::event::{Event, ADDR_MASK, REGION_MASK, SIZE_MASK};
 use crate::region::RegionId;
 
 /// Events per sealed segment (the block size of the columnar format).
 ///
 /// 4096 events typically encode to a few KB; large enough to amortize
-/// per-block decode overhead, small enough that the one open segment a
+/// a reader's table setup, small enough that the one open segment a
 /// recording thread holds is negligible.
 pub const SEGMENT_EVENTS: usize = 4096;
 
@@ -78,18 +80,19 @@ pub const SEGMENT_EVENTS: usize = 4096;
 pub(crate) const MAX_EVENT_BYTES: usize = 10;
 
 thread_local! {
-    /// [`Segment::decode_into`] calls made by this thread.
-    static SEGMENTS_DECODED: Cell<u64> = const { Cell::new(0) };
+    /// [`Segment::events`] calls made by this thread.
+    static SEGMENTS_READ: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The number of [`Segment::decode_into`] calls the *calling thread*
-/// has made. Tests read it before and after a query to assert that
-/// cached aggregates ([`crate::TraceBundle::region_instrs`],
-/// [`crate::TraceSummary::compute`]) decode nothing; per-thread, so
-/// decodes on sibling test threads or sweep workers never move it.
+/// The number of [`Segment::events`] calls the *calling thread* has
+/// made. Tests read it before and after a query to assert how often it
+/// reads a segment: cached aggregates
+/// ([`crate::TraceBundle::region_instrs`]) read none, and
+/// [`crate::TraceSummary::compute`] reads each once. Per-thread, so
+/// reads on sibling test threads or sweep workers never move it.
 #[cfg(test)]
-pub(crate) fn segments_decoded() -> u64 {
-    SEGMENTS_DECODED.with(Cell::get)
+pub(crate) fn segments_read() -> u64 {
+    SEGMENTS_READ.with(Cell::get)
 }
 
 // The token byte. Markers and escapes first, then the exec slots, then
@@ -287,7 +290,7 @@ fn exec_key(region: RegionId, instrs: u32) -> u64 {
 /// docs for the column layout).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
-    /// Decoded event count, which is also the token column's length.
+    /// Event count, which is also the token column's length.
     len: u32,
     /// The token column, then the args column, in one exact-size
     /// allocation.
@@ -298,10 +301,8 @@ pub struct Segment {
 /// an open segment, one at a time, and seals them into a [`Segment`]
 /// when asked. The columns are scratch that [`Self::seal`] copies out
 /// and clears, so their capacity carries over to the next segment, and
-/// so do the tables, which it empties. Fields are masked exactly as
-/// [`PackedEvent::exec`]/[`load`](PackedEvent::load)/[`store`](PackedEvent::store)
-/// mask them, so feeding an event directly and feeding it through its
-/// packed word produce the same bytes.
+/// so do the tables, which it empties. Fields are masked to the widths
+/// of [`Event::pack`]'s word.
 #[derive(Debug, Default)]
 pub(crate) struct SegmentEncoder {
     tokens: Vec<u8>,
@@ -356,10 +357,19 @@ impl SegmentEncoder {
     }
 
     /// Append a load, dependent load or store.
+    ///
+    /// # Address masking policy
+    ///
+    /// The format carries 48 address bits, and every captured address
+    /// (`Tracer::load`/`store`) enters it here. Every producer in this
+    /// workspace allocates from [`AddressSpace`](crate::AddressSpace)
+    /// (data, capped at 2^46) or [`CodeRegions`](crate::CodeRegions)
+    /// (code, based at 2^47), both inside 48 bits, so a wider address
+    /// is a caller bug: debug builds panic, and release builds keep the
+    /// historical behavior of masking it to its low 48 bits, which
+    /// aliases the access rather than corrupting other fields.
     #[inline(always)]
     pub(crate) fn access(&mut self, kind: AccessKind, addr: u64, size: u32) {
-        // Every captured address enters the format here: a wider one is a
-        // caller bug (see `PackedEvent::load`); release builds mask it.
         debug_assert!(
             addr <= ADDR_MASK,
             "addr {addr:#x} exceeds the 48-bit trace address space \
@@ -477,115 +487,29 @@ fn access_event(kind: usize, addr: u64, size: u16) -> Event {
 }
 
 impl Segment {
-    /// Encode a block of packed events. The input may be any length
-    /// (the tracer seals at [`SEGMENT_EVENTS`]; the final block of a
-    /// trace is usually shorter).
-    pub fn encode(events: &[PackedEvent]) -> Segment {
+    /// Encode a block of events. The input may be any length (the tracer
+    /// seals at [`SEGMENT_EVENTS`]; the final block of a trace is usually
+    /// shorter).
+    pub fn encode(events: &[Event]) -> Segment {
         let mut enc = SegmentEncoder::default();
-        for ev in events {
-            enc.push(ev.decode());
+        for &ev in events {
+            enc.push(ev);
         }
         enc.seal()
     }
 
-    /// Decode the whole block into `out` (cleared first), appending
-    /// exactly [`Self::len`] events in stream order.
-    pub fn decode_into(&self, out: &mut Vec<Event>) {
-        SEGMENTS_DECODED.with(|n| n.set(n.get() + 1));
-        out.clear();
-        out.reserve(self.len as usize);
-        self.walk(|ev| out.push(ev));
-        debug_assert_eq!(out.len(), self.len as usize, "segment length drift");
-    }
-
-    /// `(addr, size)` of every load and store in stream order: a walk of
-    /// the columns that fills no [`Event`] buffer, so
-    /// [`segments_decoded`] does not move.
-    pub(crate) fn for_each_access(&self, mut f: impl FnMut(u64, u16)) {
-        self.walk(|ev| {
-            if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
-                f(addr, size);
-            }
-        });
-    }
-
-    /// Hand every event to `f` in stream order: the one reader of the
-    /// format, rebuilding the tables and bases the encoder kept.
-    #[inline(always)]
-    fn walk(&self, mut f: impl FnMut(Event)) {
+    /// The segment's events in stream order: the one reader of the
+    /// format, which yields exactly [`Self::len`] events.
+    pub fn events(&self) -> SegmentEvents<'_> {
+        SEGMENTS_READ.with(|n| n.set(n.get() + 1));
         let (tokens, args) = self
             .cols
             .split_at_checked(self.len as usize)
             .unwrap_or((&[], &[]));
-        let mut pos = 0usize;
-        let mut execs = [(0 as RegionId, 0u32); EXEC_SLOTS];
-        let mut n_execs = 0usize;
-        let mut sizes = [0u16; SIZE_SLOTS];
-        let mut n_sizes = 0usize;
-        let mut bases = Bases::EMPTY;
-        for &t in tokens {
-            let ev = if t >= T_ACCESS {
-                let a = (t - T_ACCESS) as usize;
-                let v = get_varint(args, &mut pos);
-                let base = match v & 1 {
-                    0 => bases.of(a),
-                    _ => bases.prev,
-                };
-                let addr = rebase(base, v >> 1);
-                bases.set(Some(a), addr);
-                access_event(a / SIZE_SLOTS, addr, sizes[a % SIZE_SLOTS])
-            } else if t >= T_EXEC {
-                let (region, instrs) = execs[(t - T_EXEC) as usize % EXEC_SLOTS];
-                Event::Exec { region, instrs }
-            } else {
-                match t {
-                    T_FENCE => Event::Fence,
-                    T_UNIT_END => Event::UnitEnd,
-                    T_BLOCK => Event::Block,
-                    T_WAKE => Event::Wake,
-                    T_REMOTE_SEND => Event::RemoteSend {
-                        bytes: get_varint(args, &mut pos) as u32,
-                    },
-                    T_REMOTE_RECV => Event::RemoteRecv {
-                        bytes: get_varint(args, &mut pos) as u32,
-                    },
-                    T_EXEC_ESCAPE => {
-                        let region = get_varint(args, &mut pos) as RegionId;
-                        let instrs = get_varint(args, &mut pos) as u32;
-                        if n_execs < EXEC_SLOTS {
-                            execs[n_execs] = (region, instrs);
-                            n_execs += 1;
-                        }
-                        Event::Exec { region, instrs }
-                    }
-                    // The three access escapes (7, 8 and 9).
-                    _ => {
-                        let kind = (t - T_ACCESS_ESCAPE) as usize % 3;
-                        let size = get_varint(args, &mut pos) as u16;
-                        let addr = rebase(bases.prev, get_varint(args, &mut pos));
-                        let a = (n_sizes < SIZE_SLOTS).then(|| {
-                            sizes[n_sizes] = size;
-                            n_sizes += 1;
-                            kind * SIZE_SLOTS + n_sizes - 1
-                        });
-                        bases.set(a, addr);
-                        access_event(kind, addr, size)
-                    }
-                }
-            };
-            f(ev);
-        }
+        SegmentEvents::new(tokens, args)
     }
 
-    /// Decode into a fresh vector (tests and one-shot consumers; hot
-    /// paths reuse a buffer via [`Self::decode_into`]).
-    pub fn decode(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.decode_into(&mut out);
-        out
-    }
-
-    /// Decoded event count.
+    /// Event count.
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -606,6 +530,107 @@ impl Segment {
     #[cfg(test)]
     fn args(&self) -> &[u8] {
         &self.cols[self.len as usize..]
+    }
+}
+
+/// The events of one [`Segment`], read from its columns one token at a
+/// time (see [`Segment::events`]). It rebuilds the tables and bases the
+/// encoder kept, about 2 KB, and fills no event buffer.
+#[derive(Debug)]
+pub struct SegmentEvents<'a> {
+    tokens: std::slice::Iter<'a, u8>,
+    args: &'a [u8],
+    /// Read position in `args`.
+    pos: usize,
+    execs: [(RegionId, u32); EXEC_SLOTS],
+    n_execs: usize,
+    sizes: [u16; SIZE_SLOTS],
+    n_sizes: usize,
+    bases: Bases,
+}
+
+impl<'a> SegmentEvents<'a> {
+    fn new(tokens: &'a [u8], args: &'a [u8]) -> Self {
+        SegmentEvents {
+            tokens: tokens.iter(),
+            args,
+            pos: 0,
+            execs: [(0, 0); EXEC_SLOTS],
+            n_execs: 0,
+            sizes: [0; SIZE_SLOTS],
+            n_sizes: 0,
+            bases: Bases::EMPTY,
+        }
+    }
+
+    /// A reader of no events.
+    pub(crate) fn empty() -> Self {
+        Self::new(&[], &[])
+    }
+
+    #[inline(always)]
+    fn arg(&mut self) -> u64 {
+        get_varint(self.args, &mut self.pos)
+    }
+}
+
+impl Iterator for SegmentEvents<'_> {
+    type Item = Event;
+
+    // Always inlined, so a loop over one segment's events keeps the
+    // reader's position and bases in registers rather than behind a call.
+    #[inline(always)]
+    fn next(&mut self) -> Option<Event> {
+        let t = *self.tokens.next()?;
+        Some(if t >= T_ACCESS {
+            let a = (t - T_ACCESS) as usize;
+            let v = self.arg();
+            let base = match v & 1 {
+                0 => self.bases.of(a),
+                _ => self.bases.prev,
+            };
+            let addr = rebase(base, v >> 1);
+            self.bases.set(Some(a), addr);
+            access_event(a / SIZE_SLOTS, addr, self.sizes[a % SIZE_SLOTS])
+        } else if t >= T_EXEC {
+            let (region, instrs) = self.execs[(t - T_EXEC) as usize % EXEC_SLOTS];
+            Event::Exec { region, instrs }
+        } else {
+            match t {
+                T_FENCE => Event::Fence,
+                T_UNIT_END => Event::UnitEnd,
+                T_BLOCK => Event::Block,
+                T_WAKE => Event::Wake,
+                T_REMOTE_SEND => Event::RemoteSend {
+                    bytes: self.arg() as u32,
+                },
+                T_REMOTE_RECV => Event::RemoteRecv {
+                    bytes: self.arg() as u32,
+                },
+                T_EXEC_ESCAPE => {
+                    let region = self.arg() as RegionId;
+                    let instrs = self.arg() as u32;
+                    if self.n_execs < EXEC_SLOTS {
+                        self.execs[self.n_execs] = (region, instrs);
+                        self.n_execs += 1;
+                    }
+                    Event::Exec { region, instrs }
+                }
+                // The three access escapes (7, 8 and 9).
+                _ => {
+                    let kind = (t - T_ACCESS_ESCAPE) as usize % 3;
+                    let size = self.arg() as u16;
+                    let addr = rebase(self.bases.prev, self.arg());
+                    let a = (self.n_sizes < SIZE_SLOTS).then(|| {
+                        self.sizes[self.n_sizes] = size;
+                        self.n_sizes += 1;
+                        kind * SIZE_SLOTS + self.n_sizes - 1
+                    });
+                    self.bases.set(a, addr);
+                    access_event(kind, addr, size)
+                }
+            }
+        })
     }
 }
 
@@ -673,10 +698,13 @@ mod tests {
     use super::*;
 
     fn roundtrip(events: &[Event]) -> Segment {
-        let packed: Vec<PackedEvent> = events.iter().map(|e| e.pack()).collect();
-        let seg = Segment::encode(&packed);
+        let seg = Segment::encode(events);
         assert_eq!(seg.len(), events.len());
-        assert_eq!(seg.decode(), events, "decode must be lossless");
+        assert_eq!(
+            seg.events().collect::<Vec<_>>(),
+            events,
+            "the codec must be lossless"
+        );
         seg
     }
 
@@ -692,7 +720,7 @@ mod tests {
     fn empty_segment() {
         let seg = Segment::encode(&[]);
         assert!(seg.is_empty());
-        assert!(seg.decode().is_empty());
+        assert_eq!(seg.events().next(), None);
         assert_eq!(seg.encoded_bytes(), 4);
     }
 
@@ -753,7 +781,7 @@ mod tests {
         ]);
         // A fence has no args; a first load carries its size and its
         // delta from 0 (zigzag 128, two bytes).
-        let seg = Segment::encode(&[PackedEvent::fence(), PackedEvent::load(64, 8, false)]);
+        let seg = Segment::encode(&[Event::Fence, load(64, 8)]);
         assert_eq!(seg.args(), [8, 0x80, 0x01]);
         assert_eq!(seg.encoded_bytes(), 4 + 2 + 3);
     }
@@ -894,10 +922,8 @@ mod tests {
     fn sequential_addresses_encode_small() {
         // A strided scan: deltas are constant and tiny, so the encoded
         // size must be far below the flat 8 B/event.
-        let packed: Vec<PackedEvent> = (0..4096u64)
-            .map(|i| PackedEvent::load(0x10000 + i * 64, 8, false))
-            .collect();
-        let seg = Segment::encode(&packed);
+        let events: Vec<Event> = (0..4096u64).map(|i| load(0x10000 + i * 64, 8)).collect();
+        let seg = Segment::encode(&events);
         let bpe = seg.encoded_bytes() as f64 / seg.len() as f64;
         assert!(
             bpe < 4.0,
@@ -942,38 +968,6 @@ mod tests {
         enc.exec(1023, u32::MAX);
         enc.push(Event::RemoteSend { bytes: u32::MAX });
         assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 10 + 2 + 9 + 8 + 6);
-    }
-
-    #[test]
-    fn decode_counter_advances() {
-        let before = segments_decoded();
-        Segment::encode(&[PackedEvent::fence()]).decode();
-        assert!(segments_decoded() > before);
-    }
-
-    /// The access walk sees what decode sees, and counts no decode.
-    #[test]
-    fn for_each_access_matches_decode() {
-        let events = [
-            Event::Exec {
-                region: 2,
-                instrs: 9,
-            },
-            load(0x100, 8),
-            Event::RemoteSend { bytes: 40 },
-            Event::Store {
-                addr: 0x80,
-                size: 4095,
-            },
-            Event::Fence,
-            load(0x108, 8),
-        ];
-        let seg = roundtrip(&events);
-        let before = segments_decoded();
-        let mut seen = Vec::new();
-        seg.for_each_access(|addr, size| seen.push((addr, size)));
-        assert_eq!(segments_decoded(), before);
-        assert_eq!(seen, [(0x100, 8), (0x80, 4095), (0x108, 8)]);
     }
 
     #[test]

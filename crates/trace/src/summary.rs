@@ -1,5 +1,4 @@
-//! Trace summaries — workload characterization without a simulator and
-//! without a decode.
+//! Trace summaries — workload characterization without a simulator.
 //!
 //! Used by reports, calibration, and tests: per-event-type counts, unique
 //! data/instruction line counts (working-set proxies), and the
@@ -9,12 +8,11 @@
 //! counters each [`Tracer`](crate::Tracer) kept while it recorded
 //! (O(threads)); `code_lines` is read off the per-region instruction
 //! totals cached the same way; only `data_lines` looks at the trace —
-//! one walk of each segment's token and args columns that hands each
-//! load's and store's address and size to a radix bitmap (`LineSet`).
-//! No [`Event`](crate::Event) buffer is filled and no segment is
-//! decoded.
+//! one read of each retained segment
+//! ([`Segment::events`](crate::Segment::events)), whose loads' and
+//! stores' addresses and sizes go to a radix bitmap (`LineSet`).
 
-use crate::event::CACHE_LINE;
+use crate::event::{Event, CACHE_LINE};
 use crate::region::CodeRegions;
 use crate::tracer::ThreadTrace;
 
@@ -144,7 +142,11 @@ impl TraceSummary {
             s.remote_recvs += t.remote_recvs();
             s.remote_bytes += t.remote_bytes();
             for seg in t.segments() {
-                seg.for_each_access(|addr, size| lines.insert_access(addr, size));
+                for ev in seg.events() {
+                    if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
+                        lines.insert_access(addr, size);
+                    }
+                }
             }
         }
         s.data_lines = lines.len;
@@ -187,14 +189,13 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{lines_touched, Event};
-    use crate::segment::{segments_decoded, SEGMENT_EVENTS};
+    use crate::event::lines_touched;
+    use crate::segment::{segments_read, SEGMENT_EVENTS};
     use crate::tracer::Tracer;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// The reference: `compute` as it was before it stopped decoding —
-    /// one fold over every decoded event.
+    /// The reference: one fold over every event.
     #[deny(
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants
@@ -312,10 +313,10 @@ mod tests {
         assert_eq!(set.len, lines.len() as u64 + 4);
     }
 
-    /// The summary's reason to exist after this rewrite: it reads
-    /// counters and walks the accesses, and decodes nothing.
+    /// The summary reads counters, and each retained segment once for
+    /// its accesses.
     #[test]
-    fn compute_decodes_no_segment() {
+    fn compute_reads_each_segment_once() {
         let mut regions = CodeRegions::new();
         let r = regions.add("scan", 4096, 1.0);
         let mut t = Tracer::recording();
@@ -323,11 +324,15 @@ mod tests {
             t.exec(r, 5);
             t.load(0x4000 + i * 8, 8);
         }
-        let threads = [t.finish()];
+        let mut small = Tracer::recording();
+        small.store(0x100, 8);
+        let threads = [t.finish(), small.finish()];
         let want = fold(&regions, &threads);
-        let before = segments_decoded();
+        let retained: usize = threads.iter().map(|t| t.segments().len()).sum();
+        assert_eq!(retained, 4);
+        let before = segments_read();
         let got = TraceSummary::compute(&regions, &threads);
-        assert_eq!(segments_decoded(), before, "compute decoded a segment");
+        assert_eq!(segments_read() - before, retained as u64);
         assert_eq!(got, want);
         assert!(got.data_lines > 500);
     }

@@ -1,7 +1,7 @@
 //! Trace capture.
 //!
 //! The engine threads a [`Tracer`] through every operation. In recording
-//! mode each logical action appends packed events; in null mode the calls
+//! mode each logical action appends events; in null mode the calls
 //! reduce to a branch and are cheap enough to leave in place for native
 //! (non-simulated) benchmarking.
 //!
@@ -18,6 +18,9 @@
 //! [`Tracer::streaming`]) can instead spill or discard them, bounding
 //! peak capture memory at one open segment per thread.
 //!
+//! Reading a trace back is [`ThreadTrace::iter`]: each retained segment's
+//! [`Segment::events`] in turn, an event at a time, with no buffer.
+//!
 //! The entry points the engine inlines at every charge and access site
 //! ([`Tracer::exec`], [`Tracer::load`], …) hold only the counters and
 //! the null-mode test; the recording bodies sit behind one call each,
@@ -26,7 +29,7 @@
 use crate::event::{Event, PackedEvent, MAX_ACCESS};
 use crate::region::{CodeRegions, RegionId};
 use crate::segment::{
-    AccessKind, Segment, SegmentBuffer, SegmentEncoder, TraceSink, SEGMENT_EVENTS,
+    AccessKind, Segment, SegmentBuffer, SegmentEncoder, SegmentEvents, TraceSink, SEGMENT_EVENTS,
 };
 
 /// Capture-mode switch.
@@ -375,14 +378,13 @@ pub struct ThreadTrace {
 }
 
 impl ThreadTrace {
-    /// Iterate over decoded events in capture order, decoding one
-    /// segment at a time into a reused buffer.
+    /// The events in capture order: each retained segment's
+    /// [`Segment::events`] in turn. A trace whose sink retained no
+    /// segment yields none.
     pub fn iter(&self) -> EventIter<'_> {
         EventIter {
-            segments: &self.segments,
-            seg: 0,
-            buf: Vec::new(),
-            pos: 0,
+            segments: self.segments.iter(),
+            events: SegmentEvents::empty(),
         }
     }
 
@@ -478,14 +480,13 @@ impl ThreadTrace {
     }
 }
 
-/// Block-decoding event iterator over a segmented trace (see
-/// [`ThreadTrace::iter`]).
+/// The events of a segmented trace (see [`ThreadTrace::iter`]).
 #[derive(Debug)]
 pub struct EventIter<'a> {
-    segments: &'a [Segment],
-    seg: usize,
-    buf: Vec<Event>,
-    pos: usize,
+    /// The segments not yet read.
+    segments: std::slice::Iter<'a, Segment>,
+    /// The segment being read.
+    events: SegmentEvents<'a>,
 }
 
 impl Iterator for EventIter<'_> {
@@ -494,17 +495,10 @@ impl Iterator for EventIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<Event> {
         loop {
-            if self.pos < self.buf.len() {
-                let e = self.buf[self.pos];
-                self.pos += 1;
+            if let Some(e) = self.events.next() {
                 return Some(e);
             }
-            if self.seg >= self.segments.len() {
-                return None;
-            }
-            self.segments[self.seg].decode_into(&mut self.buf);
-            self.seg += 1;
-            self.pos = 0;
+            self.events = self.segments.next()?.events();
         }
     }
 }
@@ -580,7 +574,7 @@ impl TraceBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{segments_decoded, CountingSink, MAX_EVENT_BYTES};
+    use crate::segment::{segments_read, CountingSink, MAX_EVENT_BYTES};
 
     #[test]
     fn exec_coalescing() {
@@ -756,7 +750,7 @@ mod tests {
     }
 
     /// Region aggregates are served from the capture-time cache — repeated
-    /// `region_instrs` calls decode nothing.
+    /// `region_instrs` calls read no segment.
     #[test]
     fn region_queries_do_not_decode_segments() {
         let mut regions = CodeRegions::new();
@@ -767,16 +761,16 @@ mod tests {
         t.load(64, 8);
         t.exec(b, 50);
         let bundle = TraceBundle::new(regions, vec![t.finish()]);
-        let before = segments_decoded();
+        let before = segments_read();
         for _ in 0..10 {
             assert_eq!(bundle.region_instrs("exec-a"), 100);
             assert_eq!(bundle.region_instrs("exec-b"), 50);
             assert_eq!(bundle.region_instrs("exec-missing"), 0);
         }
         assert_eq!(
-            segments_decoded(),
+            segments_read(),
             before,
-            "aggregate region queries must not decode any segment"
+            "aggregate region queries must not read any segment"
         );
     }
 

@@ -1,6 +1,7 @@
-//! Property tests for the trace substrate: packing is lossless, the
-//! tracer conserves instruction counts, and the address space never
-//! produces overlapping allocations.
+//! Property tests for the trace substrate: distinct events pack to
+//! distinct digest words, the segment codec is lossless, the tracer
+//! conserves instruction counts, and the address space never produces
+//! overlapping allocations.
 //!
 //! The suite runs the default 64 cases per property; CI reruns it with
 //! `PROPTEST_CASES=1024`.
@@ -27,6 +28,61 @@ fn arb_event() -> impl Strategy<Value = Event> {
         any::<u32>().prop_map(|bytes| Event::RemoteSend { bytes }),
         any::<u32>().prop_map(|bytes| Event::RemoteRecv { bytes }),
     ]
+}
+
+/// Every event that differs from `e` in one field, by one bit of it or
+/// by its kind: the events a digest word could most easily confuse.
+fn neighbours(e: Event) -> Vec<Event> {
+    let bits = |width: u32| (0..width).map(|k| 1u64 << k);
+    let markers = [Event::Fence, Event::UnitEnd, Event::Block, Event::Wake];
+    let mut out: Vec<Event> = markers.into_iter().filter(|&m| m != e).collect();
+    match e {
+        Event::Exec { region, instrs } => {
+            out.extend(bits(10).map(|b| Event::Exec {
+                region: region ^ b as u16,
+                instrs,
+            }));
+            out.extend(bits(32).map(|b| Event::Exec {
+                region,
+                instrs: instrs ^ b as u32,
+            }));
+        }
+        Event::Load { addr, size, .. } | Event::Store { addr, size } => {
+            let dep = matches!(e, Event::Load { dep: true, .. });
+            let access = |addr, size| match e {
+                Event::Load { .. } => Event::Load { addr, size, dep },
+                _ => Event::Store { addr, size },
+            };
+            out.extend(bits(48).map(|b| access(addr ^ b, size)));
+            out.extend(bits(12).map(|b| access(addr, size ^ b as u16)));
+            out.extend([
+                Event::Load {
+                    addr,
+                    size,
+                    dep: !dep,
+                },
+                Event::Load { addr, size, dep },
+                Event::Store { addr, size },
+            ]);
+            out.retain(|&n| n != e);
+        }
+        Event::RemoteSend { bytes } | Event::RemoteRecv { bytes } => {
+            let remote = |bytes| match e {
+                Event::RemoteSend { .. } => Event::RemoteSend { bytes },
+                _ => Event::RemoteRecv { bytes },
+            };
+            out.extend(bits(32).map(|b| remote(bytes ^ b as u32)));
+            out.extend([Event::RemoteSend { bytes }, Event::RemoteRecv { bytes }]);
+            out.retain(|&n| n != e);
+        }
+        Event::Fence | Event::UnitEnd | Event::Block | Event::Wake => {
+            out.extend([
+                Event::RemoteSend { bytes: 0 },
+                Event::RemoteRecv { bytes: 0 },
+            ]);
+        }
+    }
+    out
 }
 
 /// One event of a block drawn to overflow a segment's token tables,
@@ -176,10 +232,14 @@ proptest! {
     // Deterministic: the vendored proptest seeds each property's RNG
     // from the test's fully-qualified name (or `PROPTEST_SEED`).
 
-    /// pack → decode is the identity for every representable event.
+    /// Distinct events pack to distinct words: an event and each event
+    /// one field away from it, and two arbitrary events.
     #[test]
-    fn event_roundtrip(e in arb_event()) {
-        prop_assert_eq!(e.pack().decode(), e);
+    fn distinct_events_pack_to_distinct_words(e in arb_event(), other in arb_event()) {
+        for n in neighbours(e) {
+            prop_assert_ne!(n.pack(), e.pack(), "{:?} and {:?}", n, e);
+        }
+        prop_assert_eq!(other.pack() == e.pack(), other == e);
     }
 
     /// The tracer's aggregate instruction count equals the sum over its
@@ -219,25 +279,19 @@ proptest! {
     }
 
     /// The columnar segment codec round-trips arbitrary event sequences
-    /// losslessly — encode → decode is the identity on the decoded stream,
-    /// and re-packing reproduces the flat wire words.
+    /// losslessly: a segment reads back exactly the events it encoded.
     #[test]
     fn segment_roundtrip(events in prop::collection::vec(arb_event(), 0..600)) {
-        let packed: Vec<_> = events.iter().map(|e| e.pack()).collect();
-        let seg = Segment::encode(&packed);
+        let seg = Segment::encode(&events);
         prop_assert_eq!(seg.len(), events.len());
-        let decoded = seg.decode();
-        prop_assert_eq!(&decoded, &events);
-        let repacked: Vec<_> = decoded.iter().map(|e| e.pack()).collect();
-        prop_assert_eq!(repacked, packed, "re-packed words must be byte-identical");
+        prop_assert_eq!(seg.events().collect::<Vec<_>>(), events);
     }
 
-    /// A tracer-produced segmented stream decodes to the same event
-    /// sequence as feeding the ops through the flat packing directly,
-    /// for any op mix and any trace length relative to the block size —
-    /// and the segments it emitted are, byte for byte, what
-    /// `Segment::encode` makes of those packed words: the tracer's
-    /// direct column writes and the packed-word path are one encoder.
+    /// A tracer-produced segmented stream reads back as many events as
+    /// it counted, for any op mix and any trace length relative to the
+    /// block size, and the segments it emitted are, byte for byte, what
+    /// `Segment::encode` makes of those events: the tracer's typed
+    /// appends and the one-event path are one encoder.
     #[test]
     fn tracer_stream_matches_flat_packing(
         ops in prop::collection::vec((0u8..10, 0u16..8, 1u32..5000, 0u64..(1<<30)), 0..300),
@@ -266,11 +320,9 @@ proptest! {
         let tr = t.finish();
         let via_segments: Vec<Event> = tr.iter().collect();
         prop_assert_eq!(via_segments.len(), tr.len());
-        let repacked: Vec<_> = via_segments.iter().map(|e| e.pack()).collect();
-        prop_assert_eq!(&repacked, &tr.packed_events());
         let n_events: usize = tr.segments().iter().map(|s| s.len()).sum();
         prop_assert_eq!(n_events, tr.len());
-        let reencoded: Vec<Segment> = repacked.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
+        let reencoded: Vec<Segment> = via_segments.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
         prop_assert_eq!(tr.segments(), &reencoded[..]);
     }
 
@@ -283,15 +335,14 @@ proptest! {
         draws in prop::collection::vec((0u8..9, 0u8..4, any::<u64>(), any::<u32>()), SEGMENT_EVENTS),
     ) {
         let events = resolve(&draws[..len]);
-        let packed: Vec<_> = events.iter().map(|e| e.pack()).collect();
-        let seg = Segment::encode(&packed);
+        let seg = Segment::encode(&events);
         prop_assert_eq!(seg.len(), len);
-        prop_assert_eq!(seg.decode(), events);
+        prop_assert_eq!(seg.events().collect::<Vec<_>>(), events);
     }
 
     /// A tracer streams a trace of more than three segments, and an exec
     /// run that coalesces past `u32::MAX` instructions splits across the
-    /// third seal: the segments decode to the model's events, and each
+    /// third seal: the segments read back as the model's events, and each
     /// is what `Segment::encode` makes of its block of them.
     #[test]
     fn tracer_streams_across_seals_and_splits_a_run_across_one(
@@ -318,8 +369,7 @@ proptest! {
         prop_assert!(matches!(want[seal], Event::Exec { region: 3, .. }));
         prop_assert!(tr.segments().len() > 3);
         prop_assert_eq!(tr.iter().collect::<Vec<_>>(), want.clone());
-        let packed: Vec<_> = want.iter().map(|e| e.pack()).collect();
-        let blocks: Vec<Segment> = packed.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
+        let blocks: Vec<Segment> = want.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
         prop_assert_eq!(tr.segments(), &blocks[..]);
     }
 

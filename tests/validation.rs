@@ -244,24 +244,22 @@ fn join_captures_are_deterministic() {
 }
 
 /// Codec anchor: the columnar segment codec is lossless on a real recorded
-/// fixture — chunking a captured OLTP stream through fresh segments
-/// reproduces the flat `PackedEvent` stream exactly, and the capture
-/// pipeline's own segments decode to that same stream.
+/// fixture — re-encoding a captured OLTP stream in fresh segments
+/// reproduces the capture pipeline's own segments byte for byte, and
+/// those read back as the same events.
 #[test]
 fn segment_codec_lossless_on_recorded_fixture() {
-    use dbcmp::trace::{PackedEvent, Segment, SEGMENT_EVENTS};
+    use dbcmp::trace::{Event, Segment, SEGMENT_EVENTS};
     let scale = FigScale::quick();
     let w = CapturedWorkload::unsaturated(WorkloadKind::Oltp, &scale);
     for (i, t) in w.bundle.threads.iter().enumerate() {
-        let flat = t.packed_events();
-        assert_eq!(flat.len(), t.len(), "thread {i} event count drifted");
-        let mut rechunked: Vec<PackedEvent> = Vec::with_capacity(flat.len());
-        for chunk in flat.chunks(SEGMENT_EVENTS) {
-            let seg = Segment::encode(chunk);
-            rechunked.extend(seg.decode().into_iter().map(|e| e.pack()));
-        }
+        let events: Vec<Event> = t.iter().collect();
+        assert_eq!(events.len(), t.len(), "thread {i} event count drifted");
+        let rechunked: Vec<Segment> = events.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
+        assert_eq!(rechunked, t.segments(), "thread {i}: segments drifted");
+        let read: Vec<Event> = rechunked.iter().flat_map(Segment::events).collect();
         assert_eq!(
-            rechunked, flat,
+            read, events,
             "thread {i}: segment codec must be lossless on the recorded fixture"
         );
     }
