@@ -105,8 +105,8 @@ pub fn island_cmp(
     c.l2 = LevelSpec::new(
         CacheGeom::new(per_island, 16, lat),
         SharedBy::Cluster(cores_per_cluster),
-    )
-    .banks((4 / clusters).max(1), 2);
+    );
+    c.l2.banks = (4 / clusters).max(1);
     c.name = format!(
         "ISLAND {clusters}x{cores_per_cluster} (L2 {} MB/island, {} cyc)",
         per_island >> 20,

@@ -205,11 +205,11 @@ impl CapturedWorkload {
 
     /// Analytic workload statistics for the Fig. 3 reference model.
     pub fn analytic_stats(&self) -> dbcmp_sim::analytic::WorkloadStats {
-        let s = &self.summary;
-        let accesses = (s.loads + s.stores).max(1);
+        let c = &self.summary.counts;
+        let accesses = (c.loads + c.stores).max(1);
         dbcmp_sim::analytic::WorkloadStats {
-            dep_load_fraction: s.dep_load_fraction(),
-            store_fraction: s.stores as f64 / accesses as f64,
+            dep_load_fraction: self.summary.dep_load_fraction(),
+            store_fraction: c.stores as f64 / accesses as f64,
             // Weighted by the engine's region mix; a mid-range value.
             mispred_per_kinstr: 4.0,
         }

@@ -25,9 +25,6 @@ use crate::types::Value;
 /// until a new variant is handled in each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeStrategy {
-    /// Single instance: no exchange at all; the plan is the
-    /// single-instance plan.
-    Local,
     /// Ship the whole (small) build side to every instance; probe rows
     /// stay where they are. Pays `(n-1) x build bytes`, nothing on the
     /// probe side.

@@ -12,6 +12,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::tctx::TraceCtx;
+use crate::types::le_bytes;
 
 /// Page size, matching the paper-era 8 KB default.
 pub const PAGE_SIZE: usize = 8192;
@@ -49,16 +50,8 @@ impl SlottedPage {
 
     fn slot(&self, slot: SlotId) -> (u16, u16) {
         let p = self.slot_pos(slot);
-        #[expect(
-            clippy::unwrap_used,
-            reason = "2-byte slice into [u8; 2] is infallible"
-        )]
-        let off = u16::from_le_bytes(self.data[p..p + 2].try_into().unwrap());
-        #[expect(
-            clippy::unwrap_used,
-            reason = "2-byte slice into [u8; 2] is infallible"
-        )]
-        let len = u16::from_le_bytes(self.data[p + 2..p + 4].try_into().unwrap());
+        let off = u16::from_le_bytes(le_bytes(&self.data, p));
+        let len = u16::from_le_bytes(le_bytes(&self.data, p + 2));
         (off, len)
     }
 

@@ -153,7 +153,7 @@ mod tests {
         tc.unit_end();
         let tr = tc.finish();
         assert_eq!(tr.instrs(), 85 + 2);
-        assert_eq!(tr.units(), 1);
+        assert_eq!(tr.counts().units, 1);
         assert!(tr.len() >= 3);
     }
 }

@@ -273,32 +273,27 @@ pub(crate) fn decode_col(schema: &Schema, bytes: &[u8], i: usize) -> Value {
     let col = &schema.columns()[i];
     let off = schema.offset(i);
     match col.ty {
-        #[expect(
-            clippy::unwrap_used,
-            reason = "fixed 8-byte slice into [u8; 8] is infallible"
-        )]
-        ColType::Int => Value::Int(i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())),
-        #[expect(
-            clippy::unwrap_used,
-            reason = "fixed 8-byte slice into [u8; 8] is infallible"
-        )]
-        ColType::Decimal => {
-            Value::Decimal(i64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()))
-        }
-        #[expect(
-            clippy::unwrap_used,
-            reason = "fixed 4-byte slice into [u8; 4] is infallible"
-        )]
-        ColType::Date => Value::Date(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())),
+        ColType::Int => Value::Int(i64::from_le_bytes(le_bytes(bytes, off))),
+        ColType::Decimal => Value::Decimal(i64::from_le_bytes(le_bytes(bytes, off))),
+        ColType::Date => Value::Date(u32::from_le_bytes(le_bytes(bytes, off))),
         ColType::Str(_) => Value::Str(String::from_utf8_lossy(str_field(bytes, off)).into_owned()),
     }
+}
+
+/// The `N` bytes at `off`, for a fixed-width little-endian read. Panics,
+/// as the slice index does, if they run past the end of `bytes`.
+#[inline]
+pub(crate) fn le_bytes<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[off..off + N]);
+    out
 }
 
 /// The bytes of the string field at `off`: a 2-byte length, then that
 /// many bytes.
 #[inline]
 fn str_field(bytes: &[u8], off: usize) -> &[u8] {
-    let n = u16::from_le_bytes([bytes[off], bytes[off + 1]]) as usize;
+    let n = u16::from_le_bytes(le_bytes(bytes, off)) as usize;
     &bytes[off + 2..off + 2 + n]
 }
 

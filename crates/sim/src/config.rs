@@ -152,27 +152,16 @@ pub struct LevelSpec {
     /// demand accesses to a private L2 have a dedicated port and never
     /// queue.
     pub banks: usize,
-    /// Cycles one access occupies a bank port (queueing source).
-    pub(crate) bank_occupancy: u64,
 }
 
 impl LevelSpec {
-    /// An L2 with the preset bank parameters (4 banks, 2-cycle
-    /// occupancy).
+    /// An L2 with the preset 4 banks.
     pub fn new(geom: CacheGeom, shared_by: SharedBy) -> Self {
         LevelSpec {
             geom,
             shared_by,
             banks: 4,
-            bank_occupancy: 2,
         }
-    }
-
-    /// Override the bank count and per-access occupancy.
-    pub fn banks(mut self, banks: usize, occupancy: u64) -> Self {
-        self.banks = banks;
-        self.bank_occupancy = occupancy;
-        self
     }
 }
 
@@ -330,8 +319,8 @@ impl MachineConfig {
         c.l2 = LevelSpec::new(
             CacheGeom::new(l2_size_per_node, 16, l2_latency),
             SharedBy::Core,
-        )
-        .banks(1, 2);
+        );
+        c.l2.banks = 1;
         c
     }
 

@@ -297,7 +297,7 @@ mod tests {
     fn quick_oltp_machines() -> [MachineConfig; 4] {
         let mut islands = MachineConfig::fat_cmp(4, 2 << 20, 12);
         islands.name = "2x2 islands".to_string();
-        islands.l2 = islands.l2.banks(2, 2);
+        islands.l2.banks = 2;
         islands.l2.shared_by = SharedBy::Cluster(2);
         [
             MachineConfig::fat_cmp(4, 4 << 20, 12),

@@ -65,6 +65,9 @@ const PREFETCH_AHEAD: u64 = 4;
 const STREAM_PROMOTE: u64 = 2;
 /// Directory sentinel: no L1 owner.
 const NO_OWNER: u8 = 0xFF;
+/// Cycles one access occupies an L2 bank port, the queueing source: the
+/// same on every machine.
+const BANK_OCCUPANCY: u64 = 2;
 
 /// Per-core private caches + stream buffers.
 #[derive(Debug)]
@@ -98,7 +101,6 @@ struct Level {
     /// Bank `next_free` cycles, `banks_per_group` per instance,
     /// concatenated.
     bank_free: Vec<u64>,
-    bank_occupancy: u64,
     banks_per_group: usize,
     /// Line → bank within one instance's `banks_per_group`.
     bank_of: Divisor,
@@ -119,7 +121,6 @@ impl Level {
                 .map(|_| Cache::new(spec.geom.size, spec.geom.assoc))
                 .collect(),
             bank_free: vec![0; banks_per_group * groups],
-            bank_occupancy: spec.bank_occupancy,
             banks_per_group,
             bank_of: Divisor::new(banks_per_group),
         }
@@ -308,7 +309,7 @@ impl MemSys {
             pl.queue_cycles += start - now;
             pl.queued_accesses += 1;
         }
-        l2.bank_free[b] = start + l2.bank_occupancy;
+        l2.bank_free[b] = start + BANK_OCCUPANCY;
         start
     }
 
@@ -692,7 +693,7 @@ mod tests {
     #[test]
     fn bank_queueing_delays_bursts() {
         let mut cfg = MachineConfig::fat_cmp(4, 1 << 20, 10);
-        cfg.l2 = cfg.l2.banks(1, 8);
+        cfg.l2.banks = 1;
         cfg.stream_buf = 0;
         let mut m = MemSys::new(&cfg);
         m.data_access(0, 10, false, 0);

@@ -48,7 +48,7 @@ pub use fnv::Fnv;
 pub use region::{CodeRegion, CodeRegions, RegionId};
 pub use segment::{CountingSink, Segment, SegmentBuffer, SegmentEvents, TraceSink, SEGMENT_EVENTS};
 pub use summary::TraceSummary;
-pub use tracer::{EventIter, ThreadTrace, TraceBundle, Tracer};
+pub use tracer::{EventCounts, EventIter, ThreadTrace, TraceBundle, Tracer};
 
 #[cfg(test)]
 mod tests {
@@ -97,6 +97,6 @@ mod tests {
             ]
         );
         assert_eq!(trace.instrs(), 103); // 100 exec + 2 loads + 1 store
-        assert_eq!(trace.units(), 1);
+        assert_eq!(trace.counts().units, 1);
     }
 }

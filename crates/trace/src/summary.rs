@@ -5,7 +5,7 @@
 //! dependent-load fraction (memory-level-parallelism proxy).
 //!
 //! What [`TraceSummary::compute`] costs: the totals are sums of the
-//! counters each [`Tracer`](crate::Tracer) kept while it recorded
+//! [`EventCounts`] each [`Tracer`](crate::Tracer) kept while it recorded
 //! (O(threads)); `code_lines` is read off the per-region instruction
 //! totals cached the same way; only `data_lines` looks at the trace —
 //! one read of each retained segment
@@ -14,7 +14,7 @@
 
 use crate::event::{Event, CACHE_LINE};
 use crate::region::CodeRegions;
-use crate::tracer::ThreadTrace;
+use crate::tracer::{EventCounts, ThreadTrace};
 
 /// A set of cache-line numbers that can only be added to and counted: a
 /// three-level radix bitmap (a top level that grows with the highest
@@ -89,29 +89,8 @@ impl LineSet {
 /// Aggregate statistics over one or more thread traces.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
-    /// Total retired instructions (exec charges + one per load/store).
-    pub instrs: u64,
-    /// Load events.
-    pub loads: u64,
-    /// Loads marked dependent (pointer chases).
-    pub dep_loads: u64,
-    /// Store events.
-    pub stores: u64,
-    /// Ordering fences.
-    pub fences: u64,
-    /// Completed work units (transactions/queries).
-    pub units: u64,
-    /// Lock-wait block markers (nonzero only in contended captures).
-    pub blocks: u64,
-    /// Wake markers (lock grants / victim notifications after a wait).
-    pub wakes: u64,
-    /// Remote-send markers (cross-instance messages injected; nonzero
-    /// only in multi-instance deployment captures).
-    pub remote_sends: u64,
-    /// Remote-recv markers (cross-instance messages awaited).
-    pub remote_recvs: u64,
-    /// Interconnect message bytes across sends and recvs.
-    pub remote_bytes: u64,
+    /// The threads' [`EventCounts`], summed.
+    pub counts: EventCounts,
     /// Unique data cache lines touched (data working set, in lines).
     pub data_lines: u64,
     /// Unique instruction cache lines covered by the executed regions
@@ -122,7 +101,7 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Summarize a set of traces against their region table.
     ///
-    /// Event totals are the threads' capture-time counters, so they are
+    /// Event totals are the threads' capture-time counts, so they are
     /// exact even for a trace whose sink retained no segment;
     /// `data_lines` counts the lines of the segments that *were*
     /// retained. See the module docs for the cost.
@@ -130,17 +109,7 @@ impl TraceSummary {
         let mut s = TraceSummary::default();
         let mut lines = LineSet::default();
         for t in threads {
-            s.instrs += t.instrs();
-            s.loads += t.loads();
-            s.dep_loads += t.dep_loads();
-            s.stores += t.stores();
-            s.fences += t.fences();
-            s.units += t.units();
-            s.blocks += t.blocks();
-            s.wakes += t.wakes();
-            s.remote_sends += t.remote_sends();
-            s.remote_recvs += t.remote_recvs();
-            s.remote_bytes += t.remote_bytes();
+            s.counts += t.counts();
             for seg in t.segments() {
                 for ev in seg.events() {
                     if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
@@ -178,10 +147,11 @@ impl TraceSummary {
     /// Fraction of loads that are dependent (pointer chases); lower means
     /// more memory-level parallelism is available to an OoO core.
     pub fn dep_load_fraction(&self) -> f64 {
-        if self.loads == 0 {
+        let c = &self.counts;
+        if c.loads == 0 {
             0.0
         } else {
-            self.dep_loads as f64 / self.loads as f64
+            c.dep_loads as f64 / c.loads as f64
         }
     }
 }
@@ -201,50 +171,52 @@ mod tests {
         clippy::match_wildcard_for_single_variants
     )]
     fn fold(regions: &CodeRegions, threads: &[ThreadTrace]) -> TraceSummary {
-        let mut s = TraceSummary::default();
+        let mut c = EventCounts::default();
         let mut data_lines = BTreeSet::new();
         let mut regions_seen = BTreeSet::new();
         for t in threads {
             for ev in t.iter() {
                 match ev {
                     Event::Exec { region, instrs } => {
-                        s.instrs += instrs as u64;
+                        c.instrs += instrs as u64;
                         regions_seen.insert(region);
                     }
                     Event::Load { addr, size, dep } => {
-                        s.instrs += 1;
-                        s.loads += 1;
+                        c.instrs += 1;
+                        c.loads += 1;
                         if dep {
-                            s.dep_loads += 1;
+                            c.dep_loads += 1;
                         }
                         data_lines.extend(lines_touched(addr, size));
                     }
                     Event::Store { addr, size } => {
-                        s.instrs += 1;
-                        s.stores += 1;
+                        c.instrs += 1;
+                        c.stores += 1;
                         data_lines.extend(lines_touched(addr, size));
                     }
-                    Event::Fence => s.fences += 1,
-                    Event::UnitEnd => s.units += 1,
-                    Event::Block => s.blocks += 1,
-                    Event::Wake => s.wakes += 1,
+                    Event::Fence => c.fences += 1,
+                    Event::UnitEnd => c.units += 1,
+                    Event::Block => c.blocks += 1,
+                    Event::Wake => c.wakes += 1,
                     Event::RemoteSend { bytes } => {
-                        s.remote_sends += 1;
-                        s.remote_bytes += bytes as u64;
+                        c.remote_sends += 1;
+                        c.remote_bytes += bytes as u64;
                     }
                     Event::RemoteRecv { bytes } => {
-                        s.remote_recvs += 1;
-                        s.remote_bytes += bytes as u64;
+                        c.remote_recvs += 1;
+                        c.remote_bytes += bytes as u64;
                     }
                 }
             }
         }
-        s.data_lines = data_lines.len() as u64;
-        s.code_lines = regions_seen
-            .iter()
-            .map(|&id| regions.get(id).footprint / CACHE_LINE)
-            .sum();
-        s
+        TraceSummary {
+            counts: c,
+            data_lines: data_lines.len() as u64,
+            code_lines: regions_seen
+                .iter()
+                .map(|&id| regions.get(id).footprint / CACHE_LINE)
+                .sum(),
+        }
     }
 
     #[test]
@@ -265,12 +237,13 @@ mod tests {
         let tr = t.finish();
 
         let s = TraceSummary::compute(&regions, &[tr]);
-        assert_eq!(s.instrs, 50 + 10 + 3 + 1);
-        assert_eq!(s.loads, 3);
-        assert_eq!(s.dep_loads, 1);
-        assert_eq!(s.stores, 1);
-        assert_eq!(s.fences, 1);
-        assert_eq!(s.units, 1);
+        let c = s.counts;
+        assert_eq!(c.instrs, 50 + 10 + 3 + 1);
+        assert_eq!(c.loads, 3);
+        assert_eq!(c.dep_loads, 1);
+        assert_eq!(c.stores, 1);
+        assert_eq!(c.fences, 1);
+        assert_eq!(c.units, 1);
         assert_eq!(s.data_lines, 3); // 0x40, 0x80, 0x1000
         assert_eq!(s.code_lines, 3); // 2 + 1
         assert!((s.dep_load_fraction() - 1.0 / 3.0).abs() < 1e-9);

@@ -22,9 +22,12 @@
 //! [`Segment::events`] in turn, an event at a time, with no buffer.
 //!
 //! The entry points the engine inlines at every charge and access site
-//! ([`Tracer::exec`], [`Tracer::load`], …) hold only the counters and
-//! the null-mode test; the recording bodies sit behind one call each,
-//! so a null-mode run (every populate) pays for no encoder code.
+//! ([`Tracer::exec`], [`Tracer::load`], …) hold only the
+//! [`EventCounts`] increments and the null-mode test; the recording
+//! bodies sit behind one call each, so a null-mode run (every populate)
+//! pays for no encoder code.
+
+use std::ops::AddAssign;
 
 use crate::event::{Event, PackedEvent, MAX_ACCESS};
 use crate::region::{CodeRegions, RegionId};
@@ -54,17 +57,7 @@ pub struct Tracer {
     region_instrs: Vec<u64>,
     /// Events in the segments already sealed into the sink.
     n_sealed: usize,
-    instrs: u64,
-    loads: u64,
-    dep_loads: u64,
-    stores: u64,
-    fences: u64,
-    units: u64,
-    blocks: u64,
-    wakes: u64,
-    remote_sends: u64,
-    remote_recvs: u64,
-    remote_bytes: u64,
+    counts: EventCounts,
 }
 
 const NO_REGION: RegionId = u16::MAX;
@@ -101,17 +94,7 @@ impl Tracer {
             pending_instrs: 0,
             region_instrs: Vec::new(),
             n_sealed: 0,
-            instrs: 0,
-            loads: 0,
-            dep_loads: 0,
-            stores: 0,
-            fences: 0,
-            units: 0,
-            blocks: 0,
-            wakes: 0,
-            remote_sends: 0,
-            remote_recvs: 0,
-            remote_bytes: 0,
+            counts: EventCounts::default(),
         }
     }
 
@@ -145,7 +128,7 @@ impl Tracer {
     /// Charge `instrs` instructions of execution in `region`.
     #[inline]
     pub fn exec(&mut self, region: RegionId, instrs: u32) {
-        self.instrs += instrs as u64;
+        self.counts.instrs += instrs as u64;
         if self.mode == Mode::Null || instrs == 0 {
             return;
         }
@@ -160,7 +143,7 @@ impl Tracer {
     /// into `MAX_ACCESS`-byte events.
     #[inline]
     pub fn load(&mut self, addr: u64, size: u32) {
-        self.loads += self.count_access(size);
+        self.counts.loads += self.count_access(size);
         if self.mode == Mode::Record {
             self.record_access(addr, size, AccessKind::Load);
         }
@@ -171,8 +154,8 @@ impl Tracer {
     #[inline]
     pub fn load_dep(&mut self, addr: u64, size: u32) {
         let n = self.count_access(size);
-        self.loads += n;
-        self.dep_loads += n;
+        self.counts.loads += n;
+        self.counts.dep_loads += n;
         if self.mode == Mode::Record {
             self.record_access(addr, size, AccessKind::LoadDep);
         }
@@ -181,7 +164,7 @@ impl Tracer {
     /// Record a store of `size` bytes at `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, size: u32) {
-        self.stores += self.count_access(size);
+        self.counts.stores += self.count_access(size);
         if self.mode == Mode::Record {
             self.record_access(addr, size, AccessKind::Store);
         }
@@ -196,35 +179,35 @@ impl Tracer {
         } else {
             size.div_ceil(MAX_ACCESS) as u64
         };
-        self.instrs += n_events;
+        self.counts.instrs += n_events;
         n_events
     }
 
     /// Ordering fence: lock acquisition/release, commit point.
     #[inline]
     pub fn fence(&mut self) {
-        self.fences += 1;
+        self.counts.fences += 1;
         self.marker(Event::Fence);
     }
 
     /// Mark the completion of one unit of work (transaction or query).
     #[inline]
     pub fn unit_end(&mut self) {
-        self.units += 1;
+        self.counts.units += 1;
         self.marker(Event::UnitEnd);
     }
 
     /// Mark the thread blocking on a lock wait (2PL queue).
     #[inline]
     pub fn block(&mut self) {
-        self.blocks += 1;
+        self.counts.blocks += 1;
         self.marker(Event::Block);
     }
 
     /// Mark the thread resuming after a lock grant or victim notification.
     #[inline]
     pub fn wake(&mut self) {
-        self.wakes += 1;
+        self.counts.wakes += 1;
         self.marker(Event::Wake);
     }
 
@@ -232,8 +215,8 @@ impl Tracer {
     /// interconnect (cross-instance request, response, or commit vote).
     #[inline]
     pub fn remote_send(&mut self, bytes: u32) {
-        self.remote_sends += 1;
-        self.remote_bytes += bytes as u64;
+        self.counts.remote_sends += 1;
+        self.counts.remote_bytes += bytes as u64;
         self.marker(Event::RemoteSend { bytes });
     }
 
@@ -241,8 +224,8 @@ impl Tracer {
     /// interconnect — the thread waits for it at replay time.
     #[inline]
     pub fn remote_recv(&mut self, bytes: u32) {
-        self.remote_recvs += 1;
-        self.remote_bytes += bytes as u64;
+        self.counts.remote_recvs += 1;
+        self.counts.remote_bytes += bytes as u64;
         self.marker(Event::RemoteRecv { bytes });
     }
 
@@ -327,7 +310,7 @@ impl Tracer {
     /// Finish capture and produce the per-thread trace: the open
     /// segment is sealed and the sink hands back whatever it
     /// retained (a non-retaining sink yields a trace with correct
-    /// aggregate counters but no replayable segments).
+    /// [`EventCounts`] but no replayable segments).
     pub fn finish(mut self) -> ThreadTrace {
         self.flush_exec();
         self.seal();
@@ -335,28 +318,65 @@ impl Tracer {
             segments: self.sink.take_segments(),
             n_events: self.n_sealed,
             region_instrs: self.region_instrs,
-            instrs: self.instrs,
-            loads: self.loads,
-            dep_loads: self.dep_loads,
-            stores: self.stores,
-            fences: self.fences,
-            units: self.units,
-            blocks: self.blocks,
-            wakes: self.wakes,
-            remote_sends: self.remote_sends,
-            remote_recvs: self.remote_recvs,
-            remote_bytes: self.remote_bytes,
+            counts: self.counts,
         }
     }
 
     /// Instructions charged so far (available in both modes).
     pub fn instrs_so_far(&self) -> u64 {
-        self.instrs
+        self.counts.instrs
+    }
+}
+
+/// What a capture recorded, tallied as it recorded: the one record of
+/// counters that a [`Tracer`] keeps, a [`ThreadTrace`] carries, and
+/// [`TraceSummary`](crate::TraceSummary) and [`TraceBundle::counts`] sum.
+/// A tally never reaches a trace's segments or digests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Retired instructions (exec charges + one per load/store event).
+    pub instrs: u64,
+    /// Load events.
+    pub loads: u64,
+    /// Loads marked dependent (pointer chases) — a subset of `loads`.
+    pub dep_loads: u64,
+    /// Store events.
+    pub stores: u64,
+    /// Ordering fences.
+    pub fences: u64,
+    /// Completed work units (transactions/queries).
+    pub units: u64,
+    /// Lock-wait block markers (nonzero only in contended captures).
+    pub blocks: u64,
+    /// Wake markers (lock grants / victim notifications after a wait).
+    pub wakes: u64,
+    /// Remote-send markers (cross-instance messages injected; nonzero
+    /// only in multi-instance captures).
+    pub remote_sends: u64,
+    /// Remote-recv markers (cross-instance messages awaited).
+    pub remote_recvs: u64,
+    /// Interconnect message bytes across sends and recvs.
+    pub remote_bytes: u64,
+}
+
+impl AddAssign for EventCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.instrs += other.instrs;
+        self.loads += other.loads;
+        self.dep_loads += other.dep_loads;
+        self.stores += other.stores;
+        self.fences += other.fences;
+        self.units += other.units;
+        self.blocks += other.blocks;
+        self.wakes += other.wakes;
+        self.remote_sends += other.remote_sends;
+        self.remote_recvs += other.remote_recvs;
+        self.remote_bytes += other.remote_bytes;
     }
 }
 
 /// A captured single-thread event stream — stored as encoded
-/// [`Segment`]s — plus aggregate counts.
+/// [`Segment`]s — plus its [`EventCounts`].
 #[derive(Debug, Clone, Default)]
 pub struct ThreadTrace {
     segments: Vec<Segment>,
@@ -364,17 +384,7 @@ pub struct ThreadTrace {
     /// Per-region instruction totals cached at capture time (indexed by
     /// region id; may be shorter than the region table).
     region_instrs: Vec<u64>,
-    instrs: u64,
-    loads: u64,
-    dep_loads: u64,
-    stores: u64,
-    fences: u64,
-    units: u64,
-    blocks: u64,
-    wakes: u64,
-    remote_sends: u64,
-    remote_recvs: u64,
-    remote_bytes: u64,
+    counts: EventCounts,
 }
 
 impl ThreadTrace {
@@ -423,60 +433,15 @@ impl ThreadTrace {
         self.n_events == 0
     }
 
+    /// What the capture recorded, tallied as it recorded: exact even
+    /// when the sink retained no segment.
+    pub fn counts(&self) -> EventCounts {
+        self.counts
+    }
+
     /// Total instructions (exec + one per load/store event).
     pub fn instrs(&self) -> u64 {
-        self.instrs
-    }
-
-    /// Load events recorded.
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Loads marked dependent (pointer chases) — a subset of
-    /// [`Self::loads`].
-    pub(crate) fn dep_loads(&self) -> u64 {
-        self.dep_loads
-    }
-
-    /// Store events recorded.
-    pub fn stores(&self) -> u64 {
-        self.stores
-    }
-
-    /// Ordering fences recorded.
-    pub(crate) fn fences(&self) -> u64 {
-        self.fences
-    }
-
-    /// Completed work units (transactions/queries).
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Lock-wait block events recorded (contended captures only).
-    pub(crate) fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    /// Wake events recorded (lock grants after a wait).
-    pub(crate) fn wakes(&self) -> u64 {
-        self.wakes
-    }
-
-    /// Remote-send markers recorded (cross-instance messages injected).
-    pub fn remote_sends(&self) -> u64 {
-        self.remote_sends
-    }
-
-    /// Remote-recv markers recorded (cross-instance messages awaited).
-    pub fn remote_recvs(&self) -> u64 {
-        self.remote_recvs
-    }
-
-    /// Total interconnect message bytes across sends and recvs.
-    pub fn remote_bytes(&self) -> u64 {
-        self.remote_bytes
+        self.counts.instrs
     }
 }
 
@@ -519,9 +484,18 @@ impl TraceBundle {
         TraceBundle { regions, threads }
     }
 
+    /// Every thread's [`ThreadTrace::counts`], summed.
+    pub fn counts(&self) -> EventCounts {
+        let mut c = EventCounts::default();
+        for t in &self.threads {
+            c += t.counts;
+        }
+        c
+    }
+
     /// Instructions summed across all threads.
     pub fn total_instrs(&self) -> u64 {
-        self.threads.iter().map(|t| t.instrs()).sum()
+        self.counts().instrs
     }
 
     /// Events summed across all threads.
@@ -531,18 +505,7 @@ impl TraceBundle {
 
     /// Completed work units summed across all threads.
     pub fn total_units(&self) -> u64 {
-        self.threads.iter().map(|t| t.units()).sum()
-    }
-
-    /// Remote-send markers summed across all threads (zero for any
-    /// single-instance capture).
-    pub fn total_remote_sends(&self) -> u64 {
-        self.threads.iter().map(|t| t.remote_sends()).sum()
-    }
-
-    /// Interconnect message bytes summed across all threads.
-    pub fn total_remote_bytes(&self) -> u64 {
-        self.threads.iter().map(|t| t.remote_bytes()).sum()
+        self.counts().units
     }
 
     /// Encoded size of every thread's segments, summed — the resident
@@ -632,7 +595,7 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 10_000);
-        assert_eq!(tr.stores(), 3);
+        assert_eq!(tr.counts().stores, 3);
     }
 
     /// Every `Event` variant, recorded the way captures record it — the
@@ -703,7 +666,7 @@ mod tests {
         let tr = t.finish();
         assert!(tr.is_empty());
         assert_eq!(tr.instrs(), 102);
-        assert_eq!(tr.units(), 1);
+        assert_eq!(tr.counts().units, 1);
         assert!(tr.region_instr_totals().is_empty());
     }
 
@@ -805,7 +768,7 @@ mod tests {
                 tr.segments().is_empty(),
                 "counting sink must retain no segments"
             );
-            assert_eq!(tr.loads(), n);
+            assert_eq!(tr.counts().loads, n);
             assert!(tr.len() >= n as usize);
         }
     }

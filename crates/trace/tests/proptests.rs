@@ -1,12 +1,12 @@
 //! Property tests for the trace substrate: distinct events pack to
-//! distinct digest words, the segment codec is lossless, the tracer
-//! conserves instruction counts, and the address space never produces
+//! distinct digest words, the segment codec is lossless, the tracer's
+//! tally matches its events, and the address space never produces
 //! overlapping allocations.
 //!
 //! The suite runs the default 64 cases per property; CI reruns it with
 //! `PROPTEST_CASES=1024`.
 
-use dbcmp_trace::{AddressSpace, CodeRegions, Event, Segment, Tracer, SEGMENT_EVENTS};
+use dbcmp_trace::{AddressSpace, CodeRegions, Event, EventCounts, Segment, Tracer, SEGMENT_EVENTS};
 use proptest::prelude::*;
 
 const TOP: u64 = (1 << 48) - 1;
@@ -224,6 +224,35 @@ fn access_event(op: u8, addr: u64, size: u16) -> Event {
     }
 }
 
+/// The tally of `events`, one event at a time.
+fn fold(events: impl Iterator<Item = Event>) -> EventCounts {
+    let mut c = EventCounts::default();
+    for e in events {
+        c.instrs += e.instr_count();
+        match e {
+            Event::Exec { .. } => {}
+            Event::Load { dep, .. } => {
+                c.loads += 1;
+                c.dep_loads += dep as u64;
+            }
+            Event::Store { .. } => c.stores += 1,
+            Event::Fence => c.fences += 1,
+            Event::UnitEnd => c.units += 1,
+            Event::Block => c.blocks += 1,
+            Event::Wake => c.wakes += 1,
+            Event::RemoteSend { bytes } => {
+                c.remote_sends += 1;
+                c.remote_bytes += bytes as u64;
+            }
+            Event::RemoteRecv { bytes } => {
+                c.remote_recvs += 1;
+                c.remote_bytes += bytes as u64;
+            }
+        }
+    }
+    c
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     (0u8..11, 0u16..6, 0u32..9000, 0u64..(1 << 30))
 }
@@ -242,40 +271,21 @@ proptest! {
         prop_assert_eq!(other.pack() == e.pack(), other == e);
     }
 
-    /// The tracer's aggregate instruction count equals the sum over its
-    /// decoded events, regardless of coalescing and splitting.
+    /// Every op mix leaves a tally that a fold over the recorded events
+    /// reproduces field by field, instructions included whatever the
+    /// coalescing and splitting, and a null tracer tallies the same ops
+    /// the same without recording them.
     #[test]
-    fn tracer_conserves_instructions(
-        ops in prop::collection::vec((0u8..4, 0u16..8, 1u32..5000, 0u64..(1<<30)), 0..200)
-    ) {
-        let mut t = Tracer::recording();
-        let mut expect_instrs: u64 = 0;
-        let mut expect_units: u64 = 0;
-        for (op, region, n, addr) in ops {
-            match op {
-                0 => {
-                    t.exec(region, n);
-                    expect_instrs += n as u64;
-                }
-                1 => {
-                    t.load(addr, n);
-                    expect_instrs += (n.max(1)).div_ceil(4095) as u64;
-                }
-                2 => {
-                    t.store(addr, n);
-                    expect_instrs += (n.max(1)).div_ceil(4095) as u64;
-                }
-                _ => {
-                    t.unit_end();
-                    expect_units += 1;
-                }
-            }
+    fn tracer_conserves_instructions(ops in prop::collection::vec(arb_op(), 0..200)) {
+        let (mut rec, mut null) = (Tracer::recording(), Tracer::null());
+        for &op in &ops {
+            apply(&mut rec, op);
+            apply(&mut null, op);
         }
-        let tr = t.finish();
-        prop_assert_eq!(tr.instrs(), expect_instrs);
-        prop_assert_eq!(tr.units(), expect_units);
-        let decoded: u64 = tr.iter().map(|e| e.instr_count()).sum();
-        prop_assert_eq!(decoded, expect_instrs);
+        let (tr, nt) = (rec.finish(), null.finish());
+        prop_assert_eq!(tr.counts(), fold(tr.iter()));
+        prop_assert_eq!(nt.counts(), tr.counts());
+        prop_assert!(nt.is_empty());
     }
 
     /// The columnar segment codec round-trips arbitrary event sequences

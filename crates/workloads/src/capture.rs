@@ -209,7 +209,7 @@ mod tests {
         let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(4, 5, 31));
         assert_eq!(bundle.threads.len(), 4);
         for t in &bundle.threads {
-            assert!(t.units() >= 5, "each client must complete its units");
+            assert!(t.counts().units >= 5, "each client must complete its units");
             assert!(
                 t.instrs() > 10_000,
                 "transactions are tens of kilo-instructions"
@@ -225,8 +225,8 @@ mod tests {
         let (mut db, h) = build_tpcc(TpccScale::tiny(), 36);
         let bundle = capture_oltp(&mut db, &h, CaptureOptions::new(3, 6, 36));
         let s = TraceSummary::compute(&bundle.regions, &bundle.threads);
-        assert_eq!((s.blocks, s.wakes), (0, 0));
-        assert_eq!(s.units, 3 * 6, "every unit completes first time");
+        assert_eq!((s.counts.blocks, s.counts.wakes), (0, 0));
+        assert_eq!(s.counts.units, 3 * 6, "every unit completes first time");
         assert_eq!(db.live_locks(), 0);
         assert_eq!(db.lock_waiters(), 0);
         assert_eq!(db.cc_stats().waits, 0);
@@ -238,7 +238,7 @@ mod tests {
         let bundle = capture_dss(&mut db, &h, &QueryKind::ALL, CaptureOptions::new(2, 4, 32));
         assert_eq!(bundle.threads.len(), 2);
         for t in &bundle.threads {
-            assert_eq!(t.units(), 4);
+            assert_eq!(t.counts().units, 4);
             assert!(t.instrs() > 50_000, "queries scan thousands of tuples");
         }
     }

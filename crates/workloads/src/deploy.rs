@@ -116,10 +116,6 @@ pub struct DeployStats {
     pub(crate) multi_local_txns: u64,
     /// Multi-warehouse transactions run as two-phase cross-instance ops.
     pub multi_remote_txns: u64,
-    /// `RemoteSend` events across all bundles.
-    pub(crate) remote_sends: u64,
-    /// Message bytes across all bundles (sends + recvs).
-    pub(crate) remote_bytes: u64,
 }
 
 /// A captured shared-nothing deployment: one bundle per instance.
@@ -242,10 +238,6 @@ pub fn capture_oltp_deployment(
 
     let service = service.into_iter().map(|tc| tc.map(TraceCtx::finish));
     let bundles = bundle_instances(parts.iter().map(|(db, _)| db), clients, service);
-    for b in &bundles {
-        stats.remote_sends += b.total_remote_sends();
-        stats.remote_bytes += b.total_remote_bytes();
-    }
     Ok(Deployment { bundles, stats })
 }
 
@@ -402,7 +394,16 @@ fn commit_both(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbcmp_trace::TraceSummary;
+    use dbcmp_trace::{EventCounts, ThreadTrace};
+
+    /// Every instance's [`TraceBundle::counts`], summed.
+    fn counts(dep: &Deployment) -> EventCounts {
+        let mut c = EventCounts::default();
+        for b in &dep.bundles {
+            c += b.counts();
+        }
+        c
+    }
 
     fn quick_opt(partitions: usize, multi_pct: u8) -> DeployOptions {
         DeployOptions {
@@ -438,17 +439,12 @@ mod tests {
             dep.stats.multi_remote_txns > 0,
             "60% multi across 4 single-warehouse instances must cross"
         );
-        assert!(dep.stats.remote_sends > 0);
+        let c = counts(&dep);
+        assert!(c.remote_sends > 0);
         // Two-phase = 2 sends home + 2 sends service per remote txn.
-        assert_eq!(dep.stats.remote_sends, 4 * dep.stats.multi_remote_txns);
+        assert_eq!(c.remote_sends, 4 * dep.stats.multi_remote_txns);
         // Sends and recvs pair up across the deployment.
-        let recvs: u64 = dep
-            .bundles
-            .iter()
-            .flat_map(|b| &b.threads)
-            .map(|t| t.remote_recvs())
-            .sum();
-        assert_eq!(recvs, dep.stats.remote_sends);
+        assert_eq!(c.remote_recvs, c.remote_sends);
         // Instances that served remote work carry a service thread.
         let service_threads: usize = dep
             .bundles
@@ -456,7 +452,8 @@ mod tests {
             .map(|b| {
                 b.threads
                     .iter()
-                    .filter(|t| t.remote_recvs() > t.remote_sends() || t.units() == 0)
+                    .map(ThreadTrace::counts)
+                    .filter(|c| c.remote_recvs > c.remote_sends || c.units == 0)
                     .count()
             })
             .sum();
@@ -493,22 +490,20 @@ mod tests {
     fn sequential_deployment_never_parks() {
         let dep = capture_oltp_deployment(scale4(), quick_opt(2, 60), 1).unwrap();
         assert!(dep.stats.multi_remote_txns > 0, "fixture must cross");
-        for b in &dep.bundles {
-            let s = TraceSummary::compute(&b.regions, &b.threads);
-            assert_eq!((s.blocks, s.wakes), (0, 0));
-        }
+        let c = counts(&dep);
+        assert_eq!((c.blocks, c.wakes), (0, 0));
     }
 
     #[test]
     fn zero_multi_pct_never_messages() {
         let dep = capture_oltp_deployment(scale4(), quick_opt(4, 0), 1).unwrap();
-        assert_eq!(dep.stats.remote_sends, 0);
+        assert_eq!(counts(&dep).remote_sends, 0);
         assert_eq!(dep.stats.multi_remote_txns, 0);
         assert_eq!(dep.stats.multi_local_txns, 0);
         // No service threads appended.
         for b in &dep.bundles {
             for t in &b.threads {
-                assert!(t.units() > 0, "only client threads expected");
+                assert!(t.counts().units > 0, "only client threads expected");
             }
         }
     }

@@ -6,7 +6,6 @@
 //! matching build and probe rows together. [`exchange_rows`] does that
 //! under one of the [`ExchangeStrategy`] variants:
 //!
-//! * `Local` — single instance, nothing moves, nothing is charged.
 //! * `Broadcast` — the (small) build side is copied to every other
 //!   instance; probe rows stay put. Pays `(n-1) x build bytes`.
 //! * `Shuffle` — both sides are hash-partitioned by join key with
@@ -69,12 +68,11 @@ pub(crate) fn rows_bytes(rows: &[Row]) -> u64 {
 }
 
 /// Pick the exchange strategy for a join whose *global* post-filter
-/// build side totals `build_bytes`: single instance never exchanges;
-/// small build sides broadcast; everything else shuffles.
-pub(crate) fn choose_strategy(n_instances: usize, build_bytes: u64) -> ExchangeStrategy {
-    if n_instances <= 1 {
-        ExchangeStrategy::Local
-    } else if build_bytes <= BROADCAST_MAX_BYTES {
+/// build side totals `build_bytes`: small build sides broadcast;
+/// everything else shuffles. A single instance never gets here: its
+/// capture is the single-instance plan, with no exchange.
+pub(crate) fn choose_strategy(build_bytes: u64) -> ExchangeStrategy {
+    if build_bytes <= BROADCAST_MAX_BYTES {
         ExchangeStrategy::Broadcast
     } else {
         ExchangeStrategy::Shuffle
@@ -181,10 +179,6 @@ pub fn exchange_rows(
     assert_eq!(probe_frags.len(), n);
     let mut traffic = ExchangeTraffic::default();
     match strategy {
-        ExchangeStrategy::Local => {
-            // Single instance: the fragments already are the join input.
-            (build_frags, probe_frags, traffic)
-        }
         ExchangeStrategy::Broadcast => {
             // Every instance q receives a full copy of every other
             // instance's build fragment; probe rows stay put.
@@ -351,13 +345,12 @@ mod tests {
 
     #[test]
     fn strategy_rule_is_size_and_count_driven() {
-        assert_eq!(choose_strategy(1, u64::MAX), ExchangeStrategy::Local);
         assert_eq!(
-            choose_strategy(4, BROADCAST_MAX_BYTES),
+            choose_strategy(BROADCAST_MAX_BYTES),
             ExchangeStrategy::Broadcast
         );
         assert_eq!(
-            choose_strategy(4, BROADCAST_MAX_BYTES + 1),
+            choose_strategy(BROADCAST_MAX_BYTES + 1),
             ExchangeStrategy::Shuffle
         );
     }
@@ -396,8 +389,8 @@ mod tests {
         // Conservation: sends == recvs in the summary and in the traces.
         assert_eq!(traffic.sent_bytes, traffic.recv_bytes);
         let traces: Vec<_> = ctxs.into_iter().map(|c| c.finish()).collect();
-        let sends: u64 = traces.iter().map(|t| t.remote_sends()).sum();
-        let recvs: u64 = traces.iter().map(|t| t.remote_recvs()).sum();
+        let sends: u64 = traces.iter().map(|t| t.counts().remote_sends).sum();
+        let recvs: u64 = traces.iter().map(|t| t.counts().remote_recvs).sum();
         assert_eq!(sends, recvs);
         assert_eq!(sends, traffic.messages);
     }
@@ -432,29 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn local_is_free_and_identity() {
-        let (dbs, mut bufs) = setup(1);
-        let mut ctxs: Vec<_> = dbs.iter().map(|db| db.trace_ctx()).collect();
-        let before = ctxs[0].instrs();
-        let mut tcs: Vec<&mut TraceCtx> = ctxs.iter_mut().collect();
-        let build = vec![int_rows(&[1, 2])];
-        let probe = vec![int_rows(&[3])];
-        let (b, p, traffic) = exchange_rows(
-            ExchangeStrategy::Local,
-            &mut bufs,
-            &mut tcs,
-            build.clone(),
-            0,
-            probe.clone(),
-            0,
-        );
-        assert_eq!(b, build);
-        assert_eq!(p, probe);
-        assert_eq!(traffic, ExchangeTraffic::default());
-        assert_eq!(ctxs[0].instrs(), before, "Local charges nothing");
-    }
-
-    #[test]
     fn ship_rows_charges_both_ends() {
         let (dbs, mut bufs) = setup(2);
         let mut ctxs: Vec<_> = dbs.iter().map(|db| db.trace_ctx()).collect();
@@ -480,8 +450,8 @@ mod tests {
         );
         let t0 = ctxs.remove(0).finish();
         let t1 = ctxs.remove(0).finish();
-        assert_eq!(t1.remote_sends(), 1);
-        assert_eq!(t0.remote_recvs(), 1);
-        assert_eq!(t0.remote_bytes(), t1.remote_bytes());
+        assert_eq!(t1.counts().remote_sends, 1);
+        assert_eq!(t0.counts().remote_recvs, 1);
+        assert_eq!(t0.counts().remote_bytes, t1.counts().remote_bytes);
     }
 }

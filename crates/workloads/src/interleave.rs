@@ -573,8 +573,8 @@ mod tests {
         );
         // Blocking is recorded in the traces themselves.
         let s = summary(&il.bundle);
-        assert_eq!(s.blocks, il.stats.lock_waits);
-        assert!(s.wakes > 0);
+        assert_eq!(s.counts.blocks, il.stats.lock_waits);
+        assert!(s.counts.wakes > 0);
         // The server recovered fully: no lock residue, clients completed.
         assert_eq!(il.db.live_locks(), 0, "lock table must drain");
         assert_eq!(il.db.lock_waiters(), 0);
@@ -603,10 +603,10 @@ mod tests {
         // Out-of-order conflicts surface as retried no-wait failures.
         assert!(il.cc.fallback_conflicts > 0 || il.stats.lock_waits > 0);
         let s = summary(&il.bundle);
-        assert!(s.remote_sends > 0, "hops must reach the traces");
+        assert!(s.counts.remote_sends > 0, "hops must reach the traces");
         // Acquires are round trips (request + grant); releases are fire-
         // and-forget one-way messages, so sends strictly dominate recvs.
-        assert!(s.remote_sends > s.remote_recvs && s.remote_recvs > 0);
+        assert!(s.counts.remote_sends > s.counts.remote_recvs && s.counts.remote_recvs > 0);
         assert_eq!(il.db.live_locks(), 0, "partitions must drain");
         assert_eq!(il.stats.commits + il.stats.rollbacks, 6 * 8);
         assert_eq!(il.stats.starved_units, 0);
@@ -631,7 +631,7 @@ mod tests {
         );
         assert_eq!(il.stats.lock_waits, 0, "ordered never parks at exec time");
         let s = summary(&il.bundle);
-        assert_eq!(s.blocks, il.stats.ordering_waits);
+        assert_eq!(s.counts.blocks, il.stats.ordering_waits);
         assert_eq!(il.db.live_locks(), 0, "ordered lock table must drain");
         assert_eq!(il.db.lock_waiters(), 0);
         assert_eq!(il.stats.commits + il.stats.rollbacks, 6 * 8);
@@ -670,7 +670,7 @@ mod tests {
         let il = capture_oltp_interleaved(db, &h, InterleaveOptions::new(3, 5, 43));
         assert_eq!(il.bundle.threads.len(), 3);
         for t in &il.bundle.threads {
-            assert!(t.units() >= 5, "each client completes its units");
+            assert!(t.counts().units >= 5, "each client completes its units");
         }
         assert_eq!(il.db.live_locks(), 0);
     }

@@ -792,6 +792,6 @@ mod tests {
             "B+Tree descents must emit dependent loads: {deps}"
         );
         assert!(fences > 10, "locks + commit must fence: {fences}");
-        assert_eq!(trace.units(), 1);
+        assert_eq!(trace.counts().units, 1);
     }
 }

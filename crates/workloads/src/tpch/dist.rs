@@ -263,9 +263,8 @@ impl DistUnit<'_> {
         probe_key: usize,
     ) -> Vec<Vec<Row>> {
         let build_bytes: u64 = build_frags.iter().map(|f| rows_bytes(f)).sum();
-        let strategy = choose_strategy(self.dbs.len(), build_bytes);
+        let strategy = choose_strategy(build_bytes);
         match strategy {
-            ExchangeStrategy::Local => {}
             ExchangeStrategy::Broadcast => self.stats.broadcasts += 1,
             ExchangeStrategy::Shuffle => self.stats.shuffles += 1,
         }
@@ -400,8 +399,8 @@ mod tests {
         assert_eq!(cap.stats.traffic.sent_bytes, cap.stats.traffic.recv_bytes);
         // Trace-level conservation across the deployment.
         let all: Vec<_> = cap.bundles.iter().flat_map(|b| &b.threads).collect();
-        let sends: u64 = all.iter().map(|t| t.remote_sends()).sum();
-        let recvs: u64 = all.iter().map(|t| t.remote_recvs()).sum();
+        let sends: u64 = all.iter().map(|t| t.counts().remote_sends).sum();
+        let recvs: u64 = all.iter().map(|t| t.counts().remote_recvs).sum();
         assert_eq!(sends, recvs);
         assert_eq!(sends, cap.stats.traffic.messages);
 

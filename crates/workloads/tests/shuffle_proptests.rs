@@ -92,9 +92,7 @@ proptest! {
         let mut bufs = ExchangeBufs::reserve(&spaces);
         let mut tc_store: Vec<TraceCtx> = dbs.iter().map(|d| d.trace_ctx()).collect();
         let mut tcs: Vec<&mut TraceCtx> = tc_store.iter_mut().collect();
-        let strategy = if n == 1 {
-            ExchangeStrategy::Local
-        } else if prefer_shuffle {
+        let strategy = if prefer_shuffle {
             ExchangeStrategy::Shuffle
         } else {
             ExchangeStrategy::Broadcast

@@ -49,15 +49,16 @@ fn summary_agrees_with_bundle_counters() {
     let scale = FigScale::quick();
     let w = CapturedWorkload::unsaturated(WorkloadKind::Oltp, &scale);
     let s = TraceSummary::compute(&w.bundle.regions, &w.bundle.threads);
-    assert_eq!(s.instrs, w.bundle.total_instrs());
-    assert_eq!(s.units, w.bundle.total_units());
+    assert_eq!(s.counts, w.bundle.counts());
+    assert_eq!(s.counts.instrs, w.bundle.total_instrs());
+    assert_eq!(s.counts.units, w.bundle.total_units());
     let direct: u64 = w
         .bundle
         .threads
         .iter()
-        .map(|t| t.loads() + t.stores())
+        .map(|t| t.counts().loads + t.counts().stores)
         .sum();
-    assert_eq!(s.loads + s.stores, direct);
+    assert_eq!(s.counts.loads + s.counts.stores, direct);
 }
 
 /// `TraceSummary::compute` reads capture-time counters and the `mem`
@@ -76,7 +77,7 @@ fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
         let mut want = TraceSummary::default();
         let (mut lines, mut regions) = (BTreeSet::new(), BTreeSet::new());
         for ev in w.bundle.threads.iter().flat_map(|t| t.iter()) {
-            want.instrs += ev.instr_count();
+            want.counts.instrs += ev.instr_count();
             match ev {
                 Event::Exec { region, .. } => {
                     regions.insert(region);
@@ -85,23 +86,23 @@ fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
                     lines.extend(addr / CACHE_LINE..=(addr + size.max(1) as u64 - 1) / CACHE_LINE);
                     match ev {
                         Event::Load { dep, .. } => {
-                            want.loads += 1;
-                            want.dep_loads += dep as u64;
+                            want.counts.loads += 1;
+                            want.counts.dep_loads += dep as u64;
                         }
-                        _ => want.stores += 1,
+                        _ => want.counts.stores += 1,
                     }
                 }
-                Event::Fence => want.fences += 1,
-                Event::UnitEnd => want.units += 1,
-                Event::Block => want.blocks += 1,
-                Event::Wake => want.wakes += 1,
+                Event::Fence => want.counts.fences += 1,
+                Event::UnitEnd => want.counts.units += 1,
+                Event::Block => want.counts.blocks += 1,
+                Event::Wake => want.counts.wakes += 1,
                 Event::RemoteSend { bytes } => {
-                    want.remote_sends += 1;
-                    want.remote_bytes += bytes as u64;
+                    want.counts.remote_sends += 1;
+                    want.counts.remote_bytes += bytes as u64;
                 }
                 Event::RemoteRecv { bytes } => {
-                    want.remote_recvs += 1;
-                    want.remote_bytes += bytes as u64;
+                    want.counts.remote_recvs += 1;
+                    want.counts.remote_bytes += bytes as u64;
                 }
             }
         }
@@ -110,7 +111,10 @@ fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
             .iter()
             .map(|&id| w.bundle.regions.get(id).footprint / CACHE_LINE)
             .sum();
-        assert!(want.dep_loads > 0 && want.data_lines > 1000, "{kind:?}");
+        assert!(
+            want.counts.dep_loads > 0 && want.data_lines > 1000,
+            "{kind:?}"
+        );
         assert_eq!(w.summary, want, "{kind:?}");
     }
 }
@@ -148,7 +152,7 @@ fn interleaved_capture_is_deterministic() {
         );
     }
     // The acceptance shape: contention is real at high skew.
-    assert!(sa.blocks > 0, "high skew must record lock waits");
+    assert!(sa.counts.blocks > 0, "high skew must record lock waits");
     assert!(
         a.stats.deadlock_aborts > 0,
         "high skew must resolve at least one deadlock: {:?}",
