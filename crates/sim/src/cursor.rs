@@ -4,8 +4,8 @@
 //! the end (saturated-throughput runs sample a window of a repeating
 //! workload, in the spirit of the paper's SimFlex checkpoint sampling).
 //! It is the trace's own iterator, [`ThreadTrace::iter`], which reads
-//! each segment an event at a time with no buffer, restarted at the end
-//! when it wraps.
+//! each segment an event at a time through one token buffer, restarted
+//! at the end when it wraps.
 //!
 //! `ThreadState` carries everything that must survive a context switch:
 //! the cursor, per-region instruction-fetch offsets (a thread resumes

@@ -37,6 +37,7 @@
 mod addr;
 mod event;
 mod fnv;
+pub mod lz;
 pub mod region;
 mod segment;
 mod summary;

@@ -3,13 +3,14 @@
 //! A trace is stored as fixed-size blocks of [`SEGMENT_EVENTS`] events,
 //! each encoded into a [`Segment`] with two byte columns:
 //!
-//! * **tokens** — exactly one byte per event. A token is one of the six
-//!   markers (`Fence`, `UnitEnd`, `Block`, `Wake`, `RemoteSend`,
-//!   `RemoteRecv`), an *exec slot* naming a `(region, instrs)` pair of
-//!   the segment's exec table, an *access token* naming a kind (load,
-//!   dependent load, store) and a slot of the segment's size table, or
-//!   one of four *escapes*: an exec pair, or an access of one of the
-//!   three kinds, that its table does not hold.
+//! * **tokens** — one byte per event, stored compressed (below). A
+//!   token is one of the six markers (`Fence`, `UnitEnd`, `Block`,
+//!   `Wake`, `RemoteSend`, `RemoteRecv`), an *exec slot* naming a
+//!   `(region, instrs)` pair of the segment's exec table, an *access
+//!   token* naming a kind (load, dependent load, store) and a slot of
+//!   the segment's size table, or one of four *escapes*: an exec pair,
+//!   or an access of one of the three kinds, that its table does not
+//!   hold.
 //! * **args** — varints in event order, read only by the tokens that
 //!   carry any: a remote marker's message size; an exec escape's region
 //!   and instruction count; an access escape's size, then its
@@ -31,9 +32,20 @@
 //! two or three. Tables and bases start empty in every segment, so
 //! every segment decodes on its own.
 //!
-//! A sealed segment holds its two columns back to back in one
-//! exact-size heap allocation, so the memory a retained trace takes is
-//! its encoded bytes plus a fixed header per segment.
+//! Sealing a segment compresses its token column with the LZ77 stage
+//! of [`crate::lz`]: literal runs and back-references within the
+//! segment, found by a greedy single-probe hash of 4-byte windows. The
+//! token column is the engine's control flow, the same few operator
+//! loops over and over, so it shrinks to 4–11 % of its length.
+//! The args column, mostly address deltas that repeat little on OLTP,
+//! is kept as it is: compressing it as well cost `oltp_contended` about
+//! 18 % of its wall time. A sealed segment holds the compressed tokens
+//! and then the args, back to back, in one exact-size heap allocation,
+//! so the memory a retained trace takes is its encoded bytes plus a
+//! fixed header per segment.
+//! Measured with `bench_pipeline --trace 1`, `dss_capture`'s five
+//! captures take 1.00 B/event in all (0.66–1.25 per capture),
+//! `dist_joins`' two 1.25 and 0.81, and the OLTP captures 1.44–1.59.
 //!
 //! The codec is **lossless**: a segment reads back exactly the
 //! [`Event`] sequence that was encoded, so its [`Event::pack`] words —
@@ -46,15 +58,19 @@
 //! at a time to the columns of an open segment. The `Tracer` owns one
 //! and feeds it directly as the engine records, so an event is encoded
 //! exactly once; [`Segment::encode`] is a loop over the same encoder.
-//! One iterator reads them back, [`Segment::events`], an event at a time
-//! into no buffer: a thread's [`ThreadTrace::iter`](crate::ThreadTrace::iter),
-//! the simulator's replay cursor and [`TraceSummary`](crate::TraceSummary)
-//! all read through it.
+//! One iterator reads them back, [`Segment::events`]: it decompresses
+//! the segment's token column into a buffer of at most
+//! [`SEGMENT_EVENTS`] bytes, then yields an event per token into no
+//! event buffer. A thread's [`ThreadTrace::iter`](crate::ThreadTrace::iter)
+//! reuses one token buffer across all of its segments, and the
+//! simulator's replay cursor and [`TraceSummary`](crate::TraceSummary)
+//! read through it.
 //!
 //! [`TraceSink`] is the capture seam: a `Tracer` seals its open segment
 //! every [`SEGMENT_EVENTS`] events and emits it into a sink instead of
 //! growing one buffer, so peak *staging* memory per thread is one open
-//! segment (a few KB of columns) regardless of trace length.
+//! segment (a few KB of columns, and the compressor's 8 KB hash table)
+//! regardless of trace length.
 //! [`SegmentBuffer`] retains segments for replay; [`CountingSink`]
 //! retains nothing (bounded-memory capture for runs that only need
 //! aggregate counts).
@@ -62,6 +78,7 @@
 use std::cell::Cell;
 
 use crate::event::{Event, ADDR_MASK, REGION_MASK, SIZE_MASK};
+use crate::lz;
 use crate::region::RegionId;
 
 /// Events per sealed segment (the block size of the columnar format).
@@ -290,16 +307,17 @@ fn exec_key(region: RegionId, instrs: u32) -> u64 {
 /// docs for the column layout).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
-    /// Event count, which is also the token column's length.
+    /// Event count, which is also the token column's decoded length.
     len: u32,
-    /// The token column, then the args column, in one exact-size
-    /// allocation.
+    /// The compressed token column, then the args column, in one
+    /// exact-size allocation.
     cols: Box<[u8]>,
 }
 
 /// The one encoder of the format: appends events to the two columns of
 /// an open segment, one at a time, and seals them into a [`Segment`]
-/// when asked. The columns are scratch that [`Self::seal`] copies out
+/// when asked. The columns, the compressed token column and the
+/// compressor's hash table are scratch that [`Self::seal`] copies out of
 /// and clears, so their capacity carries over to the next segment, and
 /// so do the tables, which it empties. Fields are masked to the widths
 /// of [`Event::pack`]'s word.
@@ -307,6 +325,9 @@ pub struct Segment {
 pub(crate) struct SegmentEncoder {
     tokens: Vec<u8>,
     args: Vec<u8>,
+    /// The token column as [`Self::seal`] compressed it.
+    packed: Vec<u8>,
+    lz: lz::Compressor,
     /// Made by the first event a recording tracer appends (a null-mode
     /// tracer never makes one).
     tables: Option<Box<EncoderTables>>,
@@ -319,8 +340,9 @@ impl SegmentEncoder {
         self.tokens.len()
     }
 
-    /// Encoded bytes of the events appended since the last
-    /// [`Self::seal`].
+    /// Bytes of the events appended since the last [`Self::seal`], in
+    /// the two columns as they stand before sealing compresses the
+    /// tokens.
     #[cfg(test)]
     pub(crate) fn encoded_bytes(&self) -> usize {
         self.tokens.len() + self.args.len()
@@ -440,13 +462,15 @@ impl SegmentEncoder {
         }
     }
 
-    /// Close the open segment, copying its columns into the sealed
-    /// segment's one allocation, and start an empty one (the tables and
-    /// bases empty too, so every segment decodes independently).
+    /// Close the open segment, compressing its token column and copying
+    /// that and the args column into the sealed segment's one
+    /// allocation, and start an empty one (the tables and bases empty
+    /// too, so every segment decodes independently).
     pub(crate) fn seal(&mut self) -> Segment {
+        self.lz.compress(&self.tokens, &mut self.packed);
         let seg = Segment {
             len: self.tokens.len() as u32,
-            cols: [&self.tokens[..], &self.args[..]]
+            cols: [&self.packed[..], &self.args[..]]
                 .concat()
                 .into_boxed_slice(),
         };
@@ -499,14 +523,14 @@ impl Segment {
     }
 
     /// The segment's events in stream order: the one reader of the
-    /// format, which yields exactly [`Self::len`] events.
+    /// format, which yields exactly [`Self::len`] events. It
+    /// decompresses the token column into a buffer of its own;
+    /// [`ThreadTrace::iter`](crate::ThreadTrace::iter) reuses one across
+    /// a trace's segments.
     pub fn events(&self) -> SegmentEvents<'_> {
-        SEGMENTS_READ.with(|n| n.set(n.get() + 1));
-        let (tokens, args) = self
-            .cols
-            .split_at_checked(self.len as usize)
-            .unwrap_or((&[], &[]));
-        SegmentEvents::new(tokens, args)
+        let mut events = SegmentEvents::empty();
+        events.open(self);
+        events
     }
 
     /// Event count.
@@ -519,26 +543,39 @@ impl Segment {
         self.len == 0
     }
 
-    /// Encoded size in bytes: the two columns plus a 4-byte length
-    /// header. The columns are also exactly the segment's heap
-    /// allocation.
+    /// Encoded size in bytes: the compressed token column and the args
+    /// column, plus a 4-byte length header. The columns are also exactly
+    /// the segment's heap allocation.
     pub fn encoded_bytes(&self) -> usize {
         4 + self.cols.len()
+    }
+
+    /// The decoded token column, the compressed column's length, and the
+    /// args column.
+    #[cfg(test)]
+    fn columns(&self) -> (Vec<u8>, usize, &[u8]) {
+        let mut tokens = Vec::new();
+        let packed = lz::decompress(&self.cols, self.len(), &mut tokens);
+        (tokens, packed, &self.cols[packed..])
     }
 
     /// The args column.
     #[cfg(test)]
     fn args(&self) -> &[u8] {
-        &self.cols[self.len as usize..]
+        self.columns().2
     }
 }
 
 /// The events of one [`Segment`], read from its columns one token at a
-/// time (see [`Segment::events`]). It rebuilds the tables and bases the
-/// encoder kept, about 2 KB, and fills no event buffer.
+/// time (see [`Segment::events`]). It holds the segment's decompressed
+/// token column, at most [`SEGMENT_EVENTS`] bytes for a tracer's
+/// segment, and rebuilds the tables and bases the encoder kept, about
+/// 2 KB more; it fills no event buffer.
 #[derive(Debug)]
 pub struct SegmentEvents<'a> {
-    tokens: std::slice::Iter<'a, u8>,
+    /// The decompressed token column, and the next token's index in it.
+    tokens: Vec<u8>,
+    at: usize,
     args: &'a [u8],
     /// Read position in `args`.
     pos: usize,
@@ -550,9 +587,10 @@ pub struct SegmentEvents<'a> {
 }
 
 impl<'a> SegmentEvents<'a> {
-    fn new(tokens: &'a [u8], args: &'a [u8]) -> Self {
+    fn new(tokens: Vec<u8>, args: &'a [u8]) -> Self {
         SegmentEvents {
-            tokens: tokens.iter(),
+            tokens,
+            at: 0,
             args,
             pos: 0,
             execs: [(0, 0); EXEC_SLOTS],
@@ -563,9 +601,19 @@ impl<'a> SegmentEvents<'a> {
         }
     }
 
-    /// A reader of no events.
+    /// A reader of no events, with no token buffer yet.
     pub(crate) fn empty() -> Self {
-        Self::new(&[], &[])
+        Self::new(Vec::new(), &[])
+    }
+
+    /// Start reading `seg` from its first event, decompressing its token
+    /// column into the buffer this reader already holds: a reader
+    /// opened on segment after segment allocates its buffer once.
+    pub(crate) fn open(&mut self, seg: &'a Segment) {
+        SEGMENTS_READ.with(|n| n.set(n.get() + 1));
+        let mut tokens = std::mem::take(&mut self.tokens);
+        let packed = lz::decompress(&seg.cols, seg.len(), &mut tokens);
+        *self = Self::new(tokens, seg.cols.get(packed..).unwrap_or_default());
     }
 
     #[inline(always)]
@@ -581,7 +629,8 @@ impl Iterator for SegmentEvents<'_> {
     // reader's position and bases in registers rather than behind a call.
     #[inline(always)]
     fn next(&mut self) -> Option<Event> {
-        let t = *self.tokens.next()?;
+        let t = *self.tokens.get(self.at)?;
+        self.at += 1;
         Some(if t >= T_ACCESS {
             let a = (t - T_ACCESS) as usize;
             let v = self.arg();
@@ -721,6 +770,9 @@ mod tests {
         let seg = Segment::encode(&[]);
         assert!(seg.is_empty());
         assert_eq!(seg.events().next(), None);
+        let (tokens, packed, args) = seg.columns();
+        assert!(tokens.is_empty() && args.is_empty());
+        assert_eq!(packed, 0, "an empty token column compresses to nothing");
         assert_eq!(seg.encoded_bytes(), 4);
     }
 
@@ -780,17 +832,24 @@ mod tests {
             load(0x4008, 8),
         ]);
         // A fence has no args; a first load carries its size and its
-        // delta from 0 (zigzag 128, two bytes).
+        // delta from 0 (zigzag 128, two bytes). Two tokens are too few
+        // to match: they compress to one literal run, a tag and the two.
         let seg = Segment::encode(&[Event::Fence, load(64, 8)]);
-        assert_eq!(seg.args(), [8, 0x80, 0x01]);
-        assert_eq!(seg.encoded_bytes(), 4 + 2 + 3);
+        let (tokens, packed, args) = seg.columns();
+        assert_eq!(tokens, [T_FENCE, T_ACCESS_ESCAPE]);
+        assert_eq!(args, [8, 0x80, 0x01]);
+        assert_eq!(packed, 1 + 2);
+        assert_eq!(seg.encoded_bytes(), 4 + 3 + 3);
     }
 
-    /// The token column is one byte per event, whatever the event: a run
-    /// of one repeated event costs its first event's args, then only
-    /// what each later one carries — nothing for an exec pair or a
-    /// marker, a one-byte zero delta for an access, a size for a remote
-    /// marker.
+    /// The token column decodes to one byte per event, whatever the
+    /// event: a run of one repeated event costs its first event's args,
+    /// then only what each later one carries — nothing for an exec pair
+    /// or a marker, a one-byte zero delta for an access, a size for a
+    /// remote marker. Its tokens, the first perhaps an escape and the
+    /// rest one token, compress to one literal run and one match: a
+    /// tag, at most two literals, a 2-byte offset and at most
+    /// ⌈(4096 − 21) / 255⌉ = 16 length bytes.
     #[test]
     fn a_repeated_event_costs_its_token_and_only_the_args_it_must_carry() {
         let every_kind = [
@@ -830,12 +889,12 @@ mod tests {
         for (ev, first, later) in every_kind {
             for run in [1, 2, 255, 4095, 4096] {
                 let seg = roundtrip(&vec![ev; run]);
-                assert_eq!(
-                    seg.args().len(),
-                    first + (run - 1) * later,
-                    "{ev:?} x {run}"
-                );
-                assert_eq!(seg.encoded_bytes(), 4 + run + seg.args().len());
+                let (tokens, packed, args) = seg.columns();
+                assert_eq!(tokens.len(), run);
+                assert!(tokens[1..].iter().all(|&t| t == tokens[run - 1]));
+                assert_eq!(args.len(), first + (run - 1) * later, "{ev:?} x {run}");
+                assert!(packed <= 1 + 2 + 2 + 16, "{ev:?} x {run}: {packed}");
+                assert_eq!(seg.encoded_bytes(), 4 + packed + args.len());
             }
         }
     }
@@ -856,12 +915,10 @@ mod tests {
         let seg = roundtrip(&twice);
         // An escape carries region 5 (one byte) and 1000 + i (two).
         let escapes = EXEC_SLOTS + 2 * extra;
-        assert_eq!(seg.args().len(), escapes * 3);
+        let (tokens, _, args) = seg.columns();
+        assert_eq!(args.len(), escapes * 3);
         assert_eq!(
-            seg.cols[..seg.len()]
-                .iter()
-                .filter(|&&t| t == T_EXEC_ESCAPE)
-                .count(),
+            tokens.iter().filter(|&&t| t == T_EXEC_ESCAPE).count(),
             escapes
         );
 
@@ -891,9 +948,16 @@ mod tests {
             });
         }
         let seg = roundtrip(&events);
+        let (tokens, packed, args) = seg.columns();
+        assert_eq!(tokens.len(), events.len());
         // The two first accesses: size + a 4-byte and a 6-byte delta.
         let firsts = (1 + 4) + (1 + 6);
-        assert_eq!(seg.encoded_bytes(), 4 + events.len() + firsts + 1998);
+        assert_eq!(args.len(), firsts + 1998);
+        // Two escapes, then the two tokens alternating: four literals
+        // and a match at offset 2 that runs to the end, with 8 length
+        // bytes.
+        assert_eq!(packed, 1 + 4 + 2 + 8);
+        assert_eq!(seg.encoded_bytes(), 4 + packed + args.len());
     }
 
     /// A store to the field a load just read is a flagged zero delta from
@@ -946,11 +1010,12 @@ mod tests {
         ]);
     }
 
-    /// [`MAX_EVENT_BYTES`] is reached, and only just: access escapes,
-    /// every size new to the segment (and the size table full after
-    /// [`SIZE_SLOTS`] of them), each size a two-byte varint, and the
-    /// address swinging across the whole 48-bit space. An access token
-    /// with both bases a whole space away takes one byte less.
+    /// [`MAX_EVENT_BYTES`] is reached in the open segment, and only
+    /// just: access escapes, every size new to the segment (and the size
+    /// table full after [`SIZE_SLOTS`] of them), each size a two-byte
+    /// varint, and the address swinging across the whole 48-bit space.
+    /// An access token with both bases a whole space away takes one byte
+    /// less. Sealing keeps the args and compresses only the tokens.
     #[test]
     fn max_event_bytes_is_the_worst_case() {
         let mut enc = SegmentEncoder::default();
@@ -967,7 +1032,14 @@ mod tests {
         assert_eq!(enc.encoded_bytes(), 100 * MAX_EVENT_BYTES + 2 + 9);
         enc.exec(1023, u32::MAX);
         enc.push(Event::RemoteSend { bytes: u32::MAX });
-        assert_eq!(enc.seal().encoded_bytes(), 4 + 100 * 10 + 2 + 9 + 8 + 6);
+        let seg = enc.seal();
+        let (tokens, packed, args) = seg.columns();
+        assert_eq!(tokens.len() + args.len(), 100 * 10 + 2 + 9 + 8 + 6);
+        // The escapes' kinds repeat every three tokens: three literals
+        // and a 97-token match (one length byte), then the last four
+        // tokens as literals.
+        assert_eq!(packed, (1 + 3 + 2 + 1) + (1 + 4));
+        assert_eq!(seg.encoded_bytes(), 4 + packed + args.len());
     }
 
     #[test]

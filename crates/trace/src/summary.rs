@@ -8,9 +8,9 @@
 //! [`EventCounts`] each [`Tracer`](crate::Tracer) kept while it recorded
 //! (O(threads)); `code_lines` is read off the per-region instruction
 //! totals cached the same way; only `data_lines` looks at the trace —
-//! one read of each retained segment
-//! ([`Segment::events`](crate::Segment::events)), whose loads' and
-//! stores' addresses and sizes go to a radix bitmap (`LineSet`).
+//! one [`ThreadTrace::iter`] pass per thread, which reads each retained
+//! segment once through one reused token buffer, and sends the loads'
+//! and stores' addresses and sizes to a radix bitmap (`LineSet`).
 
 use crate::event::{Event, CACHE_LINE};
 use crate::region::CodeRegions;
@@ -110,11 +110,9 @@ impl TraceSummary {
         let mut lines = LineSet::default();
         for t in threads {
             s.counts += t.counts();
-            for seg in t.segments() {
-                for ev in seg.events() {
-                    if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
-                        lines.insert_access(addr, size);
-                    }
+            for ev in t.iter() {
+                if let Event::Load { addr, size, .. } | Event::Store { addr, size } = ev {
+                    lines.insert_access(addr, size);
                 }
             }
         }
@@ -166,46 +164,21 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// The reference: one fold over every event.
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
     fn fold(regions: &CodeRegions, threads: &[ThreadTrace]) -> TraceSummary {
         let mut c = EventCounts::default();
         let mut data_lines = BTreeSet::new();
         let mut regions_seen = BTreeSet::new();
         for t in threads {
             for ev in t.iter() {
+                c += EventCounts::of(&ev);
                 match ev {
-                    Event::Exec { region, instrs } => {
-                        c.instrs += instrs as u64;
+                    Event::Exec { region, .. } => {
                         regions_seen.insert(region);
                     }
-                    Event::Load { addr, size, dep } => {
-                        c.instrs += 1;
-                        c.loads += 1;
-                        if dep {
-                            c.dep_loads += 1;
-                        }
+                    Event::Load { addr, size, .. } | Event::Store { addr, size } => {
                         data_lines.extend(lines_touched(addr, size));
                     }
-                    Event::Store { addr, size } => {
-                        c.instrs += 1;
-                        c.stores += 1;
-                        data_lines.extend(lines_touched(addr, size));
-                    }
-                    Event::Fence => c.fences += 1,
-                    Event::UnitEnd => c.units += 1,
-                    Event::Block => c.blocks += 1,
-                    Event::Wake => c.wakes += 1,
-                    Event::RemoteSend { bytes } => {
-                        c.remote_sends += 1;
-                        c.remote_bytes += bytes as u64;
-                    }
-                    Event::RemoteRecv { bytes } => {
-                        c.remote_recvs += 1;
-                        c.remote_bytes += bytes as u64;
-                    }
+                    _ => {}
                 }
             }
         }

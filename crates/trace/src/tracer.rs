@@ -19,7 +19,8 @@
 //! peak capture memory at one open segment per thread.
 //!
 //! Reading a trace back is [`ThreadTrace::iter`]: each retained segment's
-//! [`Segment::events`] in turn, an event at a time, with no buffer.
+//! [`Segment::events`] in turn, an event at a time, with one token
+//! buffer for the whole trace.
 //!
 //! The entry points the engine inlines at every charge and access site
 //! ([`Tracer::exec`], [`Tracer::load`], …) hold only the
@@ -359,6 +360,43 @@ pub struct EventCounts {
     pub remote_bytes: u64,
 }
 
+impl EventCounts {
+    /// The tally of one event: the reference that folds over a trace's
+    /// events are checked against. A [`Tracer`] keeps its tally without
+    /// it, so those checks stay independent of the increments they check.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    pub fn of(ev: &Event) -> EventCounts {
+        let mut c = EventCounts {
+            instrs: ev.instr_count(),
+            ..EventCounts::default()
+        };
+        match *ev {
+            Event::Exec { .. } => {}
+            Event::Load { dep, .. } => {
+                c.loads = 1;
+                c.dep_loads = dep as u64;
+            }
+            Event::Store { .. } => c.stores = 1,
+            Event::Fence => c.fences = 1,
+            Event::UnitEnd => c.units = 1,
+            Event::Block => c.blocks = 1,
+            Event::Wake => c.wakes = 1,
+            Event::RemoteSend { bytes } => {
+                c.remote_sends = 1;
+                c.remote_bytes = bytes as u64;
+            }
+            Event::RemoteRecv { bytes } => {
+                c.remote_recvs = 1;
+                c.remote_bytes = bytes as u64;
+            }
+        }
+        c
+    }
+}
+
 impl AddAssign for EventCounts {
     fn add_assign(&mut self, other: Self) {
         self.instrs += other.instrs;
@@ -389,8 +427,9 @@ pub struct ThreadTrace {
 
 impl ThreadTrace {
     /// The events in capture order: each retained segment's
-    /// [`Segment::events`] in turn. A trace whose sink retained no
-    /// segment yields none.
+    /// [`Segment::events`] in turn, every segment's token column
+    /// decompressed into one buffer, allocated once. A trace whose sink
+    /// retained no segment yields none.
     pub fn iter(&self) -> EventIter<'_> {
         EventIter {
             segments: self.segments.iter(),
@@ -463,7 +502,7 @@ impl Iterator for EventIter<'_> {
             if let Some(e) = self.events.next() {
                 return Some(e);
             }
-            self.events = self.segments.next()?.events();
+            self.events.open(self.segments.next()?);
         }
     }
 }

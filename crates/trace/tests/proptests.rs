@@ -1,11 +1,13 @@
 //! Property tests for the trace substrate: distinct events pack to
-//! distinct digest words, the segment codec is lossless, the tracer's
-//! tally matches its events, and the address space never produces
-//! overlapping allocations.
+//! distinct digest words, the segment codec is lossless, its token
+//! decompressor is total on hostile input, the tracer's tally matches
+//! its events, and the address space never produces overlapping
+//! allocations.
 //!
 //! The suite runs the default 64 cases per property; CI reruns it with
 //! `PROPTEST_CASES=1024`.
 
+use dbcmp_trace::lz::{self, Compressor};
 use dbcmp_trace::{AddressSpace, CodeRegions, Event, EventCounts, Segment, Tracer, SEGMENT_EVENTS};
 use proptest::prelude::*;
 
@@ -228,33 +230,27 @@ fn access_event(op: u8, addr: u64, size: u16) -> Event {
 fn fold(events: impl Iterator<Item = Event>) -> EventCounts {
     let mut c = EventCounts::default();
     for e in events {
-        c.instrs += e.instr_count();
-        match e {
-            Event::Exec { .. } => {}
-            Event::Load { dep, .. } => {
-                c.loads += 1;
-                c.dep_loads += dep as u64;
-            }
-            Event::Store { .. } => c.stores += 1,
-            Event::Fence => c.fences += 1,
-            Event::UnitEnd => c.units += 1,
-            Event::Block => c.blocks += 1,
-            Event::Wake => c.wakes += 1,
-            Event::RemoteSend { bytes } => {
-                c.remote_sends += 1;
-                c.remote_bytes += bytes as u64;
-            }
-            Event::RemoteRecv { bytes } => {
-                c.remote_recvs += 1;
-                c.remote_bytes += bytes as u64;
-            }
-        }
+        c += EventCounts::of(&e);
     }
     c
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     (0u8..11, 0u16..6, 0u32..9000, 0u64..(1 << 30))
+}
+
+/// A column shaped like a token column: short bodies of control flow,
+/// each `(body, times)` of `order` repeating a body of `bodies`, cut at
+/// a full segment's length.
+fn column(bodies: &[Vec<u8>], order: &[(usize, usize)]) -> Vec<u8> {
+    let mut col = Vec::new();
+    for &(body, times) in order {
+        for _ in 0..times {
+            col.extend_from_slice(&bodies[body % bodies.len()]);
+        }
+    }
+    col.truncate(SEGMENT_EVENTS);
+    col
 }
 
 proptest! {
@@ -289,7 +285,8 @@ proptest! {
     }
 
     /// The columnar segment codec round-trips arbitrary event sequences
-    /// losslessly: a segment reads back exactly the events it encoded.
+    /// losslessly, its token column compressed and decompressed: a
+    /// segment reads back exactly the events it encoded.
     #[test]
     fn segment_roundtrip(events in prop::collection::vec(arb_event(), 0..600)) {
         let seg = Segment::encode(&events);
@@ -334,6 +331,46 @@ proptest! {
         prop_assert_eq!(n_events, tr.len());
         let reencoded: Vec<Segment> = via_segments.chunks(SEGMENT_EVENTS).map(Segment::encode).collect();
         prop_assert_eq!(tr.segments(), &reencoded[..]);
+    }
+
+    /// The token column's decompressor is total. A compressed column
+    /// decodes back to itself and reads exactly its bytes; cut short, it
+    /// decodes to a prefix of itself; with one bit flipped, or replaced
+    /// by random bytes, it decodes without a panic to at most the length
+    /// asked for, reading nothing past its input. Real segments, whose
+    /// token columns go through the same stage, round-trip in
+    /// `segment_roundtrip` and `segment_roundtrip_past_full_tables`.
+    #[test]
+    fn token_decompressor_is_total(
+        bodies in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..40), 1..6),
+        order in prop::collection::vec((0usize..6, 1usize..30), 0..60),
+        cut in any::<usize>(),
+        (flip_at, flip_bit) in (any::<usize>(), 0u32..8),
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        len in 0usize..512,
+    ) {
+        let col = column(&bodies, &order);
+        let mut packed = Vec::new();
+        Compressor::default().compress(&col, &mut packed);
+        let mut out = Vec::new();
+        prop_assert_eq!(lz::decompress(&packed, col.len(), &mut out), packed.len());
+        prop_assert_eq!(&out, &col);
+
+        let cut = cut % (packed.len() + 1);
+        prop_assert!(lz::decompress(&packed[..cut], col.len(), &mut out) <= cut);
+        prop_assert!(col.starts_with(&out), "a cut column decodes to a prefix");
+
+        if !packed.is_empty() {
+            let mut flipped = packed.clone();
+            flipped[flip_at % packed.len()] ^= 1 << flip_bit;
+            prop_assert!(lz::decompress(&flipped, col.len(), &mut out) <= flipped.len());
+            prop_assert!(out.len() <= col.len());
+            prop_assert!(lz::decompress(&flipped, len, &mut out) <= flipped.len());
+            prop_assert!(out.len() <= len);
+        }
+
+        prop_assert!(lz::decompress(&noise, len, &mut out) <= noise.len());
+        prop_assert!(out.len() <= len);
     }
 
     /// Blocks of 1, 4095 and 4096 events that overflow both token

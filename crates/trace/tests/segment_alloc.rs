@@ -2,7 +2,8 @@
 //! makes one allocation of `encoded_bytes() - 4` bytes (the 4 being the
 //! length header, which lives in the `Segment` itself), so a retained
 //! trace's resident memory follows its encoded size, with no capacity
-//! slack per column.
+//! slack per column, and the compressor's scratch is reused. Reading a
+//! trace back allocates one token buffer for all of its segments.
 //!
 //! This test binary counts the allocations of its own threads with a
 //! wrapping global allocator, so it is a file of its own.
@@ -107,4 +108,25 @@ fn each_sealed_segment_is_one_exact_allocation() {
     assert_eq!(segs.len(), 5);
     assert_eq!(segs[1], segs[2], "full segments encode alike");
     assert!(segs[4].len() < SEGMENT_EVENTS);
+}
+
+/// Reading a whole multi-segment trace through `ThreadTrace::iter`
+/// allocates one token buffer, a full segment's column long, however
+/// many segments it decompresses into it.
+#[test]
+fn iterating_a_trace_allocates_its_token_buffer_once() {
+    let mut t = Tracer::recording();
+    let n = SEGMENT_EVENTS as u64 * 4 + 100;
+    for i in 0..n {
+        t.exec(1, 3);
+        t.load(0x8000 + (i % 64) * 64, 8);
+    }
+    let tr = t.finish();
+    assert_eq!(tr.segments().len(), 9);
+    let (before, _) = ALLOCS.with(Cell::get);
+    let read = tr.iter().count();
+    let (after, latest) = ALLOCS.with(Cell::get);
+    assert_eq!(read, tr.len());
+    assert_eq!(after - before, 1, "one token buffer for the whole trace");
+    assert_eq!(latest, SEGMENT_EVENTS);
 }

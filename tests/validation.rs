@@ -68,7 +68,7 @@ fn summary_agrees_with_bundle_counters() {
 /// (multi-segment scans).
 #[test]
 fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
-    use dbcmp::trace::{Event, CACHE_LINE};
+    use dbcmp::trace::{Event, EventCounts, CACHE_LINE};
     use std::collections::BTreeSet;
 
     let scale = FigScale::quick();
@@ -77,33 +77,15 @@ fn summary_matches_an_event_fold_on_oltp_and_dss_captures() {
         let mut want = TraceSummary::default();
         let (mut lines, mut regions) = (BTreeSet::new(), BTreeSet::new());
         for ev in w.bundle.threads.iter().flat_map(|t| t.iter()) {
-            want.counts.instrs += ev.instr_count();
+            want.counts += EventCounts::of(&ev);
             match ev {
                 Event::Exec { region, .. } => {
                     regions.insert(region);
                 }
                 Event::Load { addr, size, .. } | Event::Store { addr, size } => {
                     lines.extend(addr / CACHE_LINE..=(addr + size.max(1) as u64 - 1) / CACHE_LINE);
-                    match ev {
-                        Event::Load { dep, .. } => {
-                            want.counts.loads += 1;
-                            want.counts.dep_loads += dep as u64;
-                        }
-                        _ => want.counts.stores += 1,
-                    }
                 }
-                Event::Fence => want.counts.fences += 1,
-                Event::UnitEnd => want.counts.units += 1,
-                Event::Block => want.counts.blocks += 1,
-                Event::Wake => want.counts.wakes += 1,
-                Event::RemoteSend { bytes } => {
-                    want.counts.remote_sends += 1;
-                    want.counts.remote_bytes += bytes as u64;
-                }
-                Event::RemoteRecv { bytes } => {
-                    want.counts.remote_recvs += 1;
-                    want.counts.remote_bytes += bytes as u64;
-                }
+                _ => {}
             }
         }
         want.data_lines = lines.len() as u64;
@@ -267,10 +249,10 @@ fn segment_codec_lossless_on_recorded_fixture() {
             "thread {i}: segment codec must be lossless on the recorded fixture"
         );
     }
-    // The compression claim: under 3 bytes/event on a real capture (the
-    // flat format takes 8).
+    // The compression claim: under 1.5 bytes/event on a real capture
+    // (1.44 here; the flat format takes 8).
     let bpe = w.bundle.encoded_bytes() as f64 / w.bundle.total_events() as f64;
-    assert!(bpe < 3.0, "bytes/event {bpe:.2} must stay under 3");
+    assert!(bpe < 1.5, "bytes/event {bpe:.2} must stay under 1.5");
     // The exact sizes of the quick-scale fig7 capture and of one quick
     // executor-DSS and one quick staged capture, the shapes whose
     // resident traces dominate the DSS benchmark's memory: a codec
@@ -290,9 +272,9 @@ fn segment_codec_lossless_on_recorded_fixture() {
             .expect("Q1/Q6 are staged-pipelineable")
     };
     let sizes = |b: &TraceBundle| (b.total_events(), b.encoded_bytes());
-    assert_eq!(sizes(&fig7.bundle), (110_606, 258_231), "fig7 OLTP");
-    assert_eq!(sizes(&dss.bundle), (166_285, 285_557), "executor DSS");
-    assert_eq!(sizes(&staged), (83_916, 168_662), "staged DSS");
+    assert_eq!(sizes(&fig7.bundle), (110_606, 158_923), "fig7 OLTP");
+    assert_eq!(sizes(&dss.bundle), (166_285, 127_137), "executor DSS");
+    assert_eq!(sizes(&staged), (83_916, 86_806), "staged DSS");
 }
 
 /// Determinism anchor: a partitioned deployment capture is byte-identical
