@@ -243,8 +243,8 @@ impl BTree {
             Node::Leaf {
                 keys, vals, next, ..
             } => {
-                let k2 = keys.split_off(mid);
-                let v2 = vals.split_off(mid);
+                let k2 = split_right(keys, mid, mid);
+                let v2 = split_right(vals, mid, mid);
                 let sep = k2[0];
                 let sib = Node::Leaf {
                     keys: k2,
@@ -258,9 +258,8 @@ impl BTree {
             Node::Internal { keys, children, .. } => {
                 // Middle key moves up; right half to the sibling.
                 let sep = keys[mid];
-                let k2 = keys.split_off(mid + 1);
-                keys.pop(); // remove separator
-                let c2 = children.split_off(mid + 1);
+                let k2 = split_right(keys, mid, mid + 1);
+                let c2 = split_right(children, mid + 1, mid + 1);
                 (
                     sep,
                     Node::Internal {
@@ -383,6 +382,17 @@ impl BTree {
             }
         }
     }
+}
+
+/// Split a node's column: `v` keeps its first `keep` items, in a buffer
+/// of exactly that size, and the items from `from` on are returned in
+/// `v`'s own grown buffer. On an ascending run the right sibling is the
+/// node that keeps growing, so a finished node holds no spare capacity
+/// (host memory only: the simulated node is [`NODE_BYTES`] either way).
+fn split_right<T: Copy>(v: &mut Vec<T>, keep: usize, from: usize) -> Vec<T> {
+    let left = v[..keep].to_vec();
+    v.drain(..from);
+    std::mem::replace(v, left)
 }
 
 /// An index build: [`BTree::insert`] of each key in turn, except that a
@@ -669,6 +679,40 @@ mod tests {
         assert_eq!(words(&want), words(&got), "nodes differ");
         assert_eq!(space_a.allocated(), space_b.allocated());
         got
+    }
+
+    /// A sequential build leaves no spare capacity in any node off the
+    /// rightmost path: each split copies the finished left half out to an
+    /// exact-size buffer, and the right sibling, still growing, keeps the
+    /// grown one.
+    #[test]
+    fn a_sequential_build_leaves_finished_nodes_exact_size() {
+        let space = AddressSpace::new();
+        let (_, _, mut tc) = setup();
+        let mut build = Build::new(&space);
+        for k in 0..20_000u64 {
+            build.insert(k, !k, &space, &mut tc).unwrap();
+        }
+        let t = build.finish();
+        assert!(t.height() >= 3, "height {}", t.height());
+        let mut rightmost = vec![t.root];
+        while let Node::Internal { children, .. } = &t.nodes[*rightmost.last().unwrap() as usize] {
+            rightmost.push(children[children.len() - 1]);
+        }
+        for (id, node) in t.nodes.iter().enumerate() {
+            if rightmost.contains(&(id as u32)) {
+                continue;
+            }
+            let exact = match node {
+                Node::Leaf { keys, vals, .. } => {
+                    keys.capacity() == keys.len() && vals.capacity() == vals.len()
+                }
+                Node::Internal { keys, children, .. } => {
+                    keys.capacity() == keys.len() && children.capacity() == children.len()
+                }
+            };
+            assert!(exact, "node {id} of {} holds spare capacity", t.nodes.len());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace events and their digest word.
 //!
 //! Traces are stored as token-coded segments whose token column is
-//! LZ-compressed (about 1 B/event on the DSS captures, 1.5 on OLTP;
+//! LZ-compressed (about 0.5 B/event on the DSS captures, 1.5 on OLTP;
 //! [`Segment`](crate::Segment)) and read back as [`Event`]s.
 //! [`Event::pack`] folds an event into one `u64`, a [`PackedEvent`]:
 //! the word every pinned capture digest folds. No trace is stored as

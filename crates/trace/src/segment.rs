@@ -3,19 +3,20 @@
 //! A trace is stored as fixed-size blocks of [`SEGMENT_EVENTS`] events,
 //! each encoded into a [`Segment`] with two byte columns:
 //!
-//! * **tokens** — one byte per event, stored compressed (below). A
-//!   token is one of the six markers (`Fence`, `UnitEnd`, `Block`,
-//!   `Wake`, `RemoteSend`, `RemoteRecv`), an *exec slot* naming a
-//!   `(region, instrs)` pair of the segment's exec table, an *access
-//!   token* naming a kind (load, dependent load, store) and a slot of
-//!   the segment's size table, or one of four *escapes*: an exec pair,
-//!   or an access of one of the three kinds, that its table does not
-//!   hold.
+//! * **tokens** — one byte per event, stored compressed (below). The
+//!   byte holds, in order: the six markers (`Fence`, `UnitEnd`, `Block`,
+//!   `Wake`, `RemoteSend`, `RemoteRecv`); four *escapes*, an exec pair
+//!   or an access of one of the three kinds that its table does not
+//!   hold; [`EXEC_SLOTS`] *exec slots*, each naming a `(region, instrs)`
+//!   pair of the segment's exec table; 96 *access tokens*, each naming
+//!   a kind (load, dependent load, store) and a slot of the segment's
+//!   size table; and the 96 access tokens' *stride twins*.
 //! * **args** — varints in event order, read only by the tokens that
 //!   carry any: a remote marker's message size; an exec escape's region
 //!   and instruction count; an access escape's size, then its
 //!   zigzag address delta; an access token's zigzag address delta,
-//!   shifted left one bit for the flag that names its base.
+//!   shifted left one bit for the flag that names its base. A stride
+//!   twin carries none.
 //!
 //! An escape whose value is new appends it to its table (at most
 //! [`EXEC_SLOTS`] pairs and [`SIZE_SLOTS`] sizes), so later uses of it
@@ -23,20 +24,24 @@
 //! keep carrying the value. An access token's address delta is from the
 //! previous address of the same token — its kind and size — or, when
 //! that is nearer (flag set), from the segment's previous access, so
-//! one scan's strided reads and a read-then-write of one field both
-//! cost a one-byte delta. A token's first access reads the segment's
-//! previous access for both bases, and every access escape's delta is
-//! from it, with no flag. Engine code charges a few distinct
-//! instruction counts per region and reads a few field widths, each on
-//! its own stride, so most exec events cost one byte and most accesses
-//! two or three. Tables and bases start empty in every segment, so
-//! every segment decodes on its own.
+//! a read-then-write of one field costs a one-byte delta. A token's
+//! first access reads the segment's previous access for both bases, and
+//! every access escape's delta is from it, with no flag. Each token also
+//! keeps its stride: its last access's address minus the token's base
+//! then. An access that repeats it is the token's stride twin, with no
+//! args, since its address is the token's base plus that stride; any
+//! other access takes the flagged delta and sets the stride anew. So a
+//! scan's strided reads cost a token each. Engine code charges a few
+//! distinct instruction counts per region and reads a few field widths,
+//! each on its own stride, so most exec events and strided accesses cost
+//! one byte and other accesses two or three. Tables, bases and strides
+//! start empty in every segment, so every segment decodes on its own.
 //!
 //! Sealing a segment compresses its token column with the LZ77 stage
 //! of [`crate::lz`]: literal runs and back-references within the
 //! segment, found by a greedy single-probe hash of 4-byte windows. The
 //! token column is the engine's control flow, the same few operator
-//! loops over and over, so it shrinks to 4–11 % of its length.
+//! loops over and over, so it shrinks to 4–18 % of its length.
 //! The args column, mostly address deltas that repeat little on OLTP,
 //! is kept as it is: compressing it as well cost `oltp_contended` about
 //! 18 % of its wall time. A sealed segment holds the compressed tokens
@@ -44,8 +49,11 @@
 //! so the memory a retained trace takes is its encoded bytes plus a
 //! fixed header per segment.
 //! Measured with `bench_pipeline --trace 1`, `dss_capture`'s five
-//! captures take 1.00 B/event in all (0.66–1.25 per capture),
-//! `dist_joins`' two 1.25 and 0.81, and the OLTP captures 1.44–1.59.
+//! captures take 0.48 B/event in all: the staged ones 0.06–0.07, whose
+//! accesses repeat their stride 98 % of the time, the executor's scan
+//! mix 0.32 and its join mix 1.11. `dist_joins`' two take 1.11 and 0.32,
+//! and the OLTP captures, whose accesses repeat a stride 12 % of the
+//! time, 1.41–1.52.
 //!
 //! The codec is **lossless**: a segment reads back exactly the
 //! [`Event`] sequence that was encoded, so its [`Event::pack`] words —
@@ -113,7 +121,8 @@ pub(crate) fn segments_read() -> u64 {
 }
 
 // The token byte. Markers and escapes first, then the exec slots, then
-// the access tokens: `T_ACCESS + kind * SIZE_SLOTS + size slot`.
+// the access tokens, `T_ACCESS + kind * SIZE_SLOTS + size slot`, then
+// their stride twins, `T_STRIDE` + the same.
 const T_FENCE: u8 = 0;
 const T_UNIT_END: u8 = 1;
 const T_BLOCK: u8 = 2;
@@ -125,14 +134,16 @@ const T_EXEC_ESCAPE: u8 = 6;
 const T_ACCESS_ESCAPE: u8 = 7;
 const T_EXEC: u8 = 10;
 const T_ACCESS: u8 = T_EXEC + EXEC_SLOTS as u8;
+const T_STRIDE: u8 = T_ACCESS + ACCESS_TOKENS as u8;
 
 /// Distinct `(region, instrs)` pairs one segment's exec table holds.
-const EXEC_SLOTS: usize = 150;
+const EXEC_SLOTS: usize = 54;
 /// Distinct access sizes one segment's size table holds.
 const SIZE_SLOTS: usize = 32;
-/// Access tokens: three kinds × [`SIZE_SLOTS`], the rest of the byte.
+/// Access tokens: three kinds × [`SIZE_SLOTS`]. They and their stride
+/// twins are the rest of the byte.
 const ACCESS_TOKENS: usize = 3 * SIZE_SLOTS;
-const _: () = assert!(T_ACCESS as usize + ACCESS_TOKENS == 256);
+const _: () = assert!(T_STRIDE as usize + ACCESS_TOKENS == 256);
 
 /// LEB128. One- and two-byte values — nearly every region id,
 /// instruction count, access size and address delta of an engine trace —
@@ -198,16 +209,20 @@ const NO_BASE: u64 = u64::MAX;
 
 /// One segment's address-delta bases, the same on both sides of the
 /// codec: the previous address of each access token, and of the
-/// segment.
+/// segment, and each token's last stride.
 #[derive(Debug)]
 struct Bases {
     token: [u64; ACCESS_TOKENS],
+    /// What each token's previous access added to its base then
+    /// (wrapping; 0 before its first).
+    stride: [u64; ACCESS_TOKENS],
     prev: u64,
 }
 
 impl Bases {
     const EMPTY: Bases = Bases {
         token: [NO_BASE; ACCESS_TOKENS],
+        stride: [0; ACCESS_TOKENS],
         prev: 0,
     };
 
@@ -221,20 +236,36 @@ impl Bases {
         }
     }
 
-    /// Record an access at `addr`, through access token `a` if it has one.
+    /// The address that repeats access token `a`'s stride: the one its
+    /// stride twin names.
+    #[inline(always)]
+    fn strided(&self, a: usize) -> u64 {
+        self.of(a).wrapping_add(self.stride[a % ACCESS_TOKENS])
+    }
+
+    /// Record an access at `addr`, through access token `a` if it has
+    /// one, and the stride it took from that token's base.
     #[inline(always)]
     fn set(&mut self, a: Option<usize>, addr: u64) {
         if let Some(a) = a {
+            self.stride[a % ACCESS_TOKENS] = addr.wrapping_sub(self.of(a));
             self.token[a % ACCESS_TOKENS] = addr;
         }
+        self.prev = addr;
+    }
+
+    /// Record an access through `a` that repeated its stride, at `addr`.
+    #[inline(always)]
+    fn step(&mut self, a: usize, addr: u64) {
+        self.token[a % ACCESS_TOKENS] = addr;
         self.prev = addr;
     }
 }
 
 /// Buckets of the encoder's exec-pair map: a power of two, and more
 /// than [`EXEC_SLOTS`] so a probe always ends at an empty bucket.
-const EXEC_MAP: usize = 256;
-const _: () = assert!(EXEC_SLOTS < EXEC_MAP && EXEC_MAP == 1 << 8);
+const EXEC_MAP: usize = 128;
+const _: () = assert!(EXEC_SLOTS < EXEC_MAP && EXEC_MAP == 1 << 7);
 
 /// The encoder's side of one segment's tables: what each exec pair and
 /// access size maps to, and the delta bases.
@@ -265,8 +296,8 @@ impl EncoderTables {
 
     /// The bucket a probe for `key` starts at (Fibonacci hashing).
     #[inline(always)]
-    fn bucket(key: u64) -> u8 {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+    fn bucket(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize
     }
 
     /// The exec token of `key`, if its pair is in the table.
@@ -274,10 +305,10 @@ impl EncoderTables {
     fn exec_token(&self, key: u64) -> Option<u8> {
         let mut b = Self::bucket(key);
         loop {
-            match self.exec_keys[b as usize] {
-                k if k == key => return Some(self.exec_tokens[b as usize]),
+            match self.exec_keys[b] {
+                k if k == key => return Some(self.exec_tokens[b]),
                 0 => return None,
-                _ => b = b.wrapping_add(1),
+                _ => b = (b + 1) % EXEC_MAP,
             }
         }
     }
@@ -288,11 +319,11 @@ impl EncoderTables {
             return;
         }
         let mut b = Self::bucket(key);
-        while self.exec_keys[b as usize] != 0 {
-            b = b.wrapping_add(1);
+        while self.exec_keys[b] != 0 {
+            b = (b + 1) % EXEC_MAP;
         }
-        self.exec_keys[b as usize] = key;
-        self.exec_tokens[b as usize] = T_EXEC + self.execs as u8;
+        self.exec_keys[b] = key;
+        self.exec_tokens[b] = T_EXEC + self.execs as u8;
         self.execs += 1;
     }
 }
@@ -403,6 +434,11 @@ impl SegmentEncoder {
             0 => self.access_escape(kind, addr, size),
             slot => {
                 let a = kind as usize * SIZE_SLOTS + slot as usize - 1;
+                if addr == tab.bases.strided(a) {
+                    tab.bases.step(a, addr);
+                    self.tokens.push(T_STRIDE + a as u8);
+                    return;
+                }
                 let (own, prev) = (tab.bases.of(a), tab.bases.prev);
                 let near_prev = addr.abs_diff(prev) < addr.abs_diff(own);
                 let base = if near_prev { prev } else { own };
@@ -631,7 +667,12 @@ impl Iterator for SegmentEvents<'_> {
     fn next(&mut self) -> Option<Event> {
         let t = *self.tokens.get(self.at)?;
         self.at += 1;
-        Some(if t >= T_ACCESS {
+        Some(if t >= T_STRIDE {
+            let a = (t - T_STRIDE) as usize;
+            let addr = self.bases.strided(a);
+            self.bases.step(a, addr);
+            access_event(a / SIZE_SLOTS, addr, self.sizes[a % SIZE_SLOTS])
+        } else if t >= T_ACCESS {
             let a = (t - T_ACCESS) as usize;
             let v = self.arg();
             let base = match v & 1 {
@@ -845,13 +886,15 @@ mod tests {
     /// The token column decodes to one byte per event, whatever the
     /// event: a run of one repeated event costs its first event's args,
     /// then only what each later one carries — nothing for an exec pair
-    /// or a marker, a one-byte zero delta for an access, a size for a
-    /// remote marker. Its tokens, the first perhaps an escape and the
-    /// rest one token, compress to one literal run and one match: a
-    /// tag, at most two literals, a 2-byte offset and at most
-    /// ⌈(4096 − 21) / 255⌉ = 16 length bytes.
+    /// or a marker; for an access a one-byte zero delta, which sets its
+    /// token's stride to zero, and then nothing; a size for a remote
+    /// marker. Its tokens, the first perhaps an escape, the second
+    /// perhaps an access token and the rest one token, compress to one
+    /// literal run and one match: a tag, at most three literals, a
+    /// 2-byte offset and at most ⌈(4096 − 22) / 255⌉ = 16 length bytes.
     #[test]
     fn a_repeated_event_costs_its_token_and_only_the_args_it_must_carry() {
+        // (event, args of the first, of the second, of each later one)
         let every_kind = [
             (
                 Event::Exec {
@@ -860,8 +903,9 @@ mod tests {
                 },
                 2,
                 0,
+                0,
             ),
-            (load(0x4000, 8), 4, 1),
+            (load(0x4000, 8), 4, 1, 0),
             (
                 Event::Load {
                     addr: 0x4000,
@@ -870,6 +914,7 @@ mod tests {
                 },
                 4,
                 1,
+                0,
             ),
             (
                 Event::Store {
@@ -878,22 +923,25 @@ mod tests {
                 },
                 4,
                 1,
+                0,
             ),
-            (Event::Fence, 0, 0),
-            (Event::UnitEnd, 0, 0),
-            (Event::Block, 0, 0),
-            (Event::Wake, 0, 0),
-            (Event::RemoteSend { bytes: 96 }, 1, 1),
-            (Event::RemoteRecv { bytes: 300 }, 2, 2),
+            (Event::Fence, 0, 0, 0),
+            (Event::UnitEnd, 0, 0, 0),
+            (Event::Block, 0, 0, 0),
+            (Event::Wake, 0, 0, 0),
+            (Event::RemoteSend { bytes: 96 }, 1, 1, 1),
+            (Event::RemoteRecv { bytes: 300 }, 2, 2, 2),
         ];
-        for (ev, first, later) in every_kind {
-            for run in [1, 2, 255, 4095, 4096] {
+        for (ev, first, second, later) in every_kind {
+            for run in [1, 2, 3, 255, 4095, 4096] {
                 let seg = roundtrip(&vec![ev; run]);
                 let (tokens, packed, args) = seg.columns();
                 assert_eq!(tokens.len(), run);
-                assert!(tokens[1..].iter().all(|&t| t == tokens[run - 1]));
-                assert_eq!(args.len(), first + (run - 1) * later, "{ev:?} x {run}");
-                assert!(packed <= 1 + 2 + 2 + 16, "{ev:?} x {run}: {packed}");
+                assert!(tokens.iter().skip(2).all(|&t| t == tokens[run - 1]));
+                let want =
+                    first + run.min(2).saturating_sub(1) * second + run.saturating_sub(2) * later;
+                assert_eq!(args.len(), want, "{ev:?} x {run}");
+                assert!(packed <= 1 + 3 + 2 + 16, "{ev:?} x {run}: {packed}");
                 assert_eq!(seg.encoded_bytes(), 4 + packed + args.len());
             }
         }
@@ -923,20 +971,24 @@ mod tests {
         );
 
         // Sizes 1000 + i (two-byte varints), every access at one address:
-        // a delta of zero, one byte, but for the very first access.
+        // an escape's delta is zero, one byte, but for the very first
+        // access's two. That access left its token a stride of 0x40, so
+        // that token's second access carries a one-byte zero delta; every
+        // other token's second access repeats its zero stride and
+        // carries nothing.
         let sizes: Vec<Event> = (0..SIZE_SLOTS + extra)
             .map(|i| load(0x40, 1000 + i as u16))
             .collect();
         let twice: Vec<Event> = sizes.iter().chain(&sizes).copied().collect();
         let seg = roundtrip(&twice);
         let escapes = SIZE_SLOTS + 2 * extra;
-        let tokens = SIZE_SLOTS;
-        assert_eq!(seg.args().len(), escapes * 3 + 1 + tokens);
+        assert_eq!(seg.args().len(), escapes * 3 + 1 + 1);
     }
 
-    /// Each access token keeps its own base: two strided streams, a load
-    /// of 8 bytes and a store of 16 a terabyte apart, interleave at two
-    /// bytes an event once each has been seen.
+    /// Each access token keeps its own base and stride: two strided
+    /// streams, a load of 8 bytes and a store of 16 a terabyte apart,
+    /// interleave at one byte an event once each has been seen, and at
+    /// no args once each has taken its stride.
     #[test]
     fn each_access_token_deltas_from_its_own_previous_address() {
         let mut events = Vec::new();
@@ -951,13 +1003,50 @@ mod tests {
         let (tokens, packed, args) = seg.columns();
         assert_eq!(tokens.len(), events.len());
         // The two first accesses: size + a 4-byte and a 6-byte delta.
+        // The two second ones: a one-byte delta of 16 from their own
+        // bases, which sets their strides.
         let firsts = (1 + 4) + (1 + 6);
-        assert_eq!(args.len(), firsts + 1998);
-        // Two escapes, then the two tokens alternating: four literals
-        // and a match at offset 2 that runs to the end, with 8 length
-        // bytes.
-        assert_eq!(packed, 1 + 4 + 2 + 8);
+        assert_eq!(args.len(), firsts + 2);
+        assert!(tokens[4..].iter().all(|&t| t >= T_STRIDE));
+        // Two escapes, two access tokens, then the two stride tokens
+        // alternating: six literals and a match at offset 2 that runs to
+        // the end, with 8 length bytes.
+        assert_eq!(packed, 1 + 6 + 2 + 8);
         assert_eq!(seg.encoded_bytes(), 4 + packed + args.len());
+    }
+
+    /// After its first two accesses, a strided run adds tokens only: the
+    /// first carries its size and delta, the second a delta that sets
+    /// its token's stride, and every later one repeats that stride, up
+    /// or down, with other events between.
+    #[test]
+    fn a_strided_run_costs_no_args() {
+        let mut events = Vec::new();
+        for i in 0..2000u64 {
+            events.push(load(0x10_0000 + i * 24, 8));
+            events.push(Event::Exec {
+                region: 3,
+                instrs: 12,
+            });
+            events.push(Event::Store {
+                addr: (1 << 40) - i * 64,
+                size: 16,
+            });
+        }
+        let mut enc = SegmentEncoder::default();
+        let mut args = Vec::new();
+        for &ev in &events {
+            enc.push(ev);
+            args.push(enc.args.len());
+        }
+        // Two rounds of load, exec and store: after them, no args.
+        assert!(args[6..].iter().all(|&n| n == args[5]), "{:?}", &args[..9]);
+        assert!(enc.tokens[6..]
+            .chunks(3)
+            .all(|round| round[0] >= T_STRIDE && round[2] >= T_STRIDE));
+        let seg = enc.seal();
+        assert_eq!(seg.events().collect::<Vec<_>>(), events);
+        assert_eq!(seg.args().len(), args[5]);
     }
 
     /// A store to the field a load just read is a flagged zero delta from
@@ -967,15 +1056,14 @@ mod tests {
     fn an_access_near_the_previous_one_deltas_from_it() {
         let mut events = vec![Event::Store { addr: 0, size: 8 }];
         for i in 1..=100u64 {
-            events.push(load(i << 30, 8));
-            events.push(Event::Store {
-                addr: i << 30,
-                size: 8,
-            });
+            // Strides of 3 · 2²⁹ and 2²⁹ in turn, so none repeats.
+            let addr = i << 30 | u64::from(i % 2 == 0) << 29;
+            events.push(load(addr, 8));
+            events.push(Event::Store { addr, size: 8 });
         }
         let seg = roundtrip(&events);
         // The first store is an escape (size, delta 0); every load is a
-        // token (its size is in the table) with a 2³⁰ stride, five
+        // token (its size is in the table) whose stride is new, five
         // bytes; every later store a one-byte flagged 0.
         let (first_store, first_load) = (1 + 1, 5);
         assert_eq!(seg.args().len(), first_store + first_load + 99 * 5 + 100);
@@ -1015,7 +1103,8 @@ mod tests {
     /// table full after [`SIZE_SLOTS`] of them), each size a two-byte
     /// varint, and the address swinging across the whole 48-bit space.
     /// An access token with both bases a whole space away takes one byte
-    /// less. Sealing keeps the args and compresses only the tokens.
+    /// less, and one that repeats its stride takes none, which a swing
+    /// never does. Sealing keeps the args and compresses only the tokens.
     #[test]
     fn max_event_bytes_is_the_worst_case() {
         let mut enc = SegmentEncoder::default();

@@ -10,6 +10,7 @@
 use dbcmp_trace::lz::{self, Compressor};
 use dbcmp_trace::{AddressSpace, CodeRegions, Event, EventCounts, Segment, Tracer, SEGMENT_EVENTS};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const TOP: u64 = (1 << 48) - 1;
 
@@ -95,26 +96,35 @@ type Draw = (u8, u8, u64, u32);
 /// Resolve `draws` into events. Exec pairs come from a pool of 200 (more
 /// than a segment's exec table holds) or are anything; sizes come from a
 /// pool of 48 (more than its size table holds), are 4095, or are
-/// anything; an address is 0, 2⁴⁸−1, near the previous access, or
-/// anywhere, so deltas reach both 48-bit extremes.
+/// anything; an address is 0, 2⁴⁸−1, near the previous access, the
+/// previous address of its kind and size plus the stride it took then
+/// (a stride token's address, while the size table holds that size),
+/// or anywhere, so deltas reach both 48-bit extremes and stride tokens
+/// mix with escapes, flagged deltas and full tables.
 fn resolve(draws: &[Draw]) -> Vec<Event> {
     let mut prev = 0u64;
+    // (kind, size) → (previous address, the stride it took).
+    let mut own = BTreeMap::new();
     draws
         .iter()
         .map(|&(class, mode, v, w)| {
-            let addr = match mode {
-                0 => 0,
-                1 => TOP,
-                2 => (prev + v % 4096).min(TOP),
-                _ => v & TOP,
-            };
             let size = match w % 4 {
                 0 => 4095,
                 1 => 1 + (w / 4 % 4095) as u16,
                 _ => 1 + (w / 4 % 48) as u16 * 85,
             };
+            let token = (class, size);
+            let (base, stride) = own.get(&token).copied().unwrap_or((prev, 0));
+            let addr = match mode {
+                0 => 0,
+                1 => TOP,
+                2 => (prev + v % 4096).min(TOP),
+                3 => base.wrapping_add(stride) & TOP,
+                _ => v & TOP,
+            };
             let access = (2..=4).contains(&class);
             if access {
+                own.insert(token, (addr, addr.wrapping_sub(base)));
                 prev = addr;
             }
             let pool = (v % 200) as u32;
@@ -375,11 +385,12 @@ proptest! {
 
     /// Blocks of 1, 4095 and 4096 events that overflow both token
     /// tables, so the escape path runs after a table fills, with
-    /// 4095-byte accesses and deltas between 0 and 2⁴⁸−1, round-trip.
+    /// 4095-byte accesses, deltas between 0 and 2⁴⁸−1 and accesses that
+    /// repeat their token's stride among them, round-trip.
     #[test]
     fn segment_roundtrip_past_full_tables(
         len in prop_oneof![Just(1usize), Just(4095), Just(SEGMENT_EVENTS)],
-        draws in prop::collection::vec((0u8..9, 0u8..4, any::<u64>(), any::<u32>()), SEGMENT_EVENTS),
+        draws in prop::collection::vec((0u8..9, 0u8..5, any::<u64>(), any::<u32>()), SEGMENT_EVENTS),
     ) {
         let events = resolve(&draws[..len]);
         let seg = Segment::encode(&events);

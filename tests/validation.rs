@@ -249,10 +249,10 @@ fn segment_codec_lossless_on_recorded_fixture() {
             "thread {i}: segment codec must be lossless on the recorded fixture"
         );
     }
-    // The compression claim: under 1.5 bytes/event on a real capture
-    // (1.44 here; the flat format takes 8).
+    // The compression claim: under 1.42 bytes/event on a real capture
+    // (1.415 here; the flat format takes 8).
     let bpe = w.bundle.encoded_bytes() as f64 / w.bundle.total_events() as f64;
-    assert!(bpe < 1.5, "bytes/event {bpe:.2} must stay under 1.5");
+    assert!(bpe < 1.42, "bytes/event {bpe:.3} must stay under 1.42");
     // The exact sizes of the quick-scale fig7 capture and of one quick
     // executor-DSS and one quick staged capture, the shapes whose
     // resident traces dominate the DSS benchmark's memory: a codec
@@ -272,9 +272,9 @@ fn segment_codec_lossless_on_recorded_fixture() {
             .expect("Q1/Q6 are staged-pipelineable")
     };
     let sizes = |b: &TraceBundle| (b.total_events(), b.encoded_bytes());
-    assert_eq!(sizes(&fig7.bundle), (110_606, 158_923), "fig7 OLTP");
-    assert_eq!(sizes(&dss.bundle), (166_285, 127_137), "executor DSS");
-    assert_eq!(sizes(&staged), (83_916, 86_806), "staged DSS");
+    assert_eq!(sizes(&fig7.bundle), (110_606, 152_097), "fig7 OLTP");
+    assert_eq!(sizes(&dss.bundle), (166_285, 53_578), "executor DSS");
+    assert_eq!(sizes(&staged), (83_916, 5_803), "staged DSS");
 }
 
 /// Determinism anchor: a partitioned deployment capture is byte-identical
